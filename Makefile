@@ -8,12 +8,17 @@ build:
 test: build
 	$(GO) test ./...
 
-# check is the full gate: tier-1 build+test, vet, and the race detector
-# over the packages with real concurrency (the chaos harness runs its
-# bounded seed set — over 100 randomized schedules — under -race).
+# check is the full gate: tier-1 build+test, vet, the benchmark module
+# (its own go.mod, so ./... does not reach it — an internal/ API change
+# that breaks it must fail here, not in the benchmark pipeline), and the
+# race detector over the packages with real concurrency (the chaos
+# harness runs its bounded seed set — over 100 randomized schedules —
+# under -race).
 check: build
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
 	$(GO) test -run '^$$' -bench 'ReaddirBarrier' -benchtime 1x ./internal/core/
 
@@ -27,7 +32,8 @@ audit-check: build
 	$(GO) run ./cmd/paconbench -quick -auditjson AUDIT_report.json
 
 # bench-read regenerates the read-path report (BENCH_read.json): batched
-# multi-key reads + scoped barriers vs the per-key/full-drain baseline.
+# multi-key reads + scoped barriers under a readdir+stat mix with
+# sibling writers, plus its MDS shard sweep.
 bench-read:
 	$(GO) run ./cmd/paconbench -readjson BENCH_read.json
 

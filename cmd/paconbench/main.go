@@ -33,14 +33,12 @@ func main() {
 		quick  = flag.Bool("quick", false, "reduced scale for smoke runs")
 		csvDir = flag.String("csv", "", "also write <id>.csv files into this directory")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
-		cjson  = flag.String("commitjson", "", "run the commit experiment and write its JSON report to this path")
-		rjson  = flag.String("readjson", "", "run the read experiment and write its JSON report to this path")
-		ajson  = flag.String("auditjson", "", "run the divergence-audit experiment and write its JSON report to this path")
-		sjson  = flag.String("scalejson", "", "run the scale experiment and write its JSON report to this path")
-		shjson = flag.String("shardsjson", "", "run the MDS shard sweep and write its JSON report to this path")
-		hjson  = flag.String("hotjson", "", "run the hotspot-telemetry sweep and write its JSON report to this path")
 		debug  = flag.String("debug", "", "serve /debug/vars and /debug/pprof on this address while experiments run")
 	)
+	reportPaths := make([]*string, len(bench.JSONReports))
+	for i, r := range bench.JSONReports {
+		reportPaths[i] = flag.String(r.Flag, "", "run the "+r.Name+" experiment and write its JSON report to this path")
+	}
 	flag.Parse()
 
 	if *debug != "" {
@@ -68,149 +66,34 @@ func main() {
 		cfg = bench.Quick()
 	}
 
-	if *cjson != "" {
-		rep, figs, err := bench.RunCommit(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: commit: %v\n", err)
-			os.Exit(1)
+	ranReport := false
+	for i, r := range bench.JSONReports {
+		path := *reportPaths[i]
+		if path == "" {
+			continue
 		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*cjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *cjson)
-		if !*all && *fig == "" && *rjson == "" && *ajson == "" && *sjson == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *sjson != "" {
-		rep, figs, err := bench.RunScale(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: scale: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*sjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *sjson)
-		if !*all && *fig == "" && *rjson == "" && *ajson == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *ajson != "" {
-		rep, figs, err := bench.RunAudit(cfg)
-		// A failed gate still writes its report — CI archives the
-		// evidence before the step fails.
-		if rep != nil {
-			if data, jerr := rep.JSON(); jerr == nil {
-				if werr := os.WriteFile(*ajson, append(data, '\n'), 0o644); werr == nil {
-					fmt.Printf("wrote %s\n", *ajson)
-				} else {
-					fmt.Fprintln(os.Stderr, werr)
-				}
+		ranReport = true
+		data, figs, err := r.Run(cfg)
+		// A failed run still writes whatever report it produced — CI
+		// archives the evidence (the audit gate's divergences) before
+		// the step fails.
+		if data != nil {
+			if werr := os.WriteFile(path, data, 0o644); werr != nil {
+				fmt.Fprintln(os.Stderr, werr)
+				os.Exit(1)
 			}
+			fmt.Printf("wrote %s\n", path)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: audit: %v\n", err)
+			fmt.Fprintf(os.Stderr, "paconbench: %s: %v\n", r.Name, err)
 			os.Exit(1)
 		}
 		for _, f := range figs {
 			fmt.Println(f.String())
-		}
-		if !*all && *fig == "" && *rjson == "" && *shjson == "" && *hjson == "" {
-			return
 		}
 	}
-
-	if *rjson != "" {
-		rep, figs, err := bench.RunRead(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: read: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*rjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *rjson)
-		if !*all && *fig == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *shjson != "" {
-		rep, figs, err := bench.RunShardSweep(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: shards: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*shjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *shjson)
-		if !*all && *fig == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *hjson != "" {
-		rep, figs, err := bench.RunHotspot(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: hotspot: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*hjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hjson)
-		if !*all && *fig == "" {
-			return
-		}
+	if ranReport && !*all && *fig == "" {
+		return
 	}
 
 	var ids []string

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"pacon/internal/chaos"
@@ -12,12 +11,6 @@ import (
 // rmdir races, cache pressure) run to quiescence and every one must end
 // with a clean post-drain audit — zero divergent, zero stale-pending.
 // The report is what CI's audit-check step archives.
-func init() {
-	register("audit", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunAudit(cfg)
-		return figs, err
-	})
-}
 
 // AuditSeed is one chaos schedule's audit outcome.
 type AuditSeed struct {
@@ -39,11 +32,6 @@ type AuditReport struct {
 	// AllClean is the gate: true iff every seed audited with zero
 	// divergent and zero stale-pending keys.
 	AllClean bool `json:"all_clean"`
-}
-
-// JSON renders the report for AUDIT_report.json.
-func (r *AuditReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // RunAudit drives the chaos harness across a spread of seeds and

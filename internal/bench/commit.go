@@ -1,31 +1,22 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
-	"pacon/internal/core"
 	"pacon/internal/obs"
 	"pacon/internal/vclock"
 	"pacon/internal/workload"
 )
 
-// The commit experiment measures the commit path's round-trip economy:
-// the same create/write/remove workload runs against the legacy commit
-// configuration (client-side Get+CAS cache bookkeeping, op-at-a-time
-// dequeue, no coalescing) and the batched one (server-side conditional
-// cache ops, dequeue batches, same-path coalescing, apply_batch), and
-// the report compares cache round trips per created file, backend round
-// trips, and end-to-end virtual throughput including the drain.
-func init() {
-	register("commit", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunCommit(cfg)
-		return figs, err
-	})
-}
+// The commit experiment measures the commit path's round-trip economy
+// (server-side conditional cache ops, dequeue batches, same-path
+// coalescing, apply_batch) under a create/write/remove workload: cache
+// round trips per created file, backend round trips, and end-to-end
+// virtual throughput including the drain.
 
-// CommitVariant is one side of the commit experiment.
+// CommitVariant is one run of the commit workload.
 type CommitVariant struct {
 	OpsSubmitted int64 `json:"ops_submitted"`
 	Creates      int64 `json:"creates"`
@@ -71,23 +62,10 @@ type CommitReport struct {
 	Experiment     string        `json:"experiment"`
 	Clients        int           `json:"clients"`
 	ItemsPerClient int           `json:"items_per_client"`
-	Legacy         CommitVariant `json:"legacy"`
 	Batched        CommitVariant `json:"batched"`
-	// CacheRPCReduction = legacy/batched cache RPCs per create (the
-	// acceptance bar is >= 2x).
-	CacheRPCReduction float64 `json:"cache_rpc_reduction"`
-	// BackendRPCReduction = legacy/batched backend round trips.
-	BackendRPCReduction float64 `json:"backend_rpc_reduction"`
-	// ThroughputGain = batched/legacy virtual throughput.
-	ThroughputGain float64 `json:"throughput_gain"`
-	// ShardSweep reruns the batched commit wave at the configured MDS
-	// shard counts (subtree-partitioned metadata service).
+	// ShardSweep reruns the commit wave at the configured MDS shard
+	// counts (subtree-partitioned metadata service).
 	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
-}
-
-// JSON renders the report for BENCH_commit.json.
-func (r *CommitReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // commitPhase is one client's slice of the commit workload: it runs
@@ -123,19 +101,18 @@ func defaultCommitPhase(payload []byte) commitPhase {
 	}
 }
 
-// runCommitVariant drives the workload against one region configuration
-// and collects the variant's counters. A nil phase runs the default
+// runCommitVariant drives the workload against a fresh, instrumented
+// region and collects its counters. A nil phase runs the default
 // create+write+remove mix.
-func runCommitVariant(cfg Config, clients int, mutate func(*core.RegionConfig), o *obs.Obs, phase commitPhase) (CommitVariant, error) {
+func runCommitVariant(cfg Config, clients int, phase commitPhase) (CommitVariant, error) {
 	e := newEnv(cfg, cfg.nodesFor(clients))
 	defer e.close()
-	if o != nil {
-		e.instrument(o)
-	}
+	o := obs.New()
+	e.instrument(o)
 	if err := e.provision("/w"); err != nil {
 		return CommitVariant{}, err
 	}
-	cls, err := e.paconVariantClients(clients, "/w", mutate)
+	cls, err := e.paconClients(clients, "/w")
 	if err != nil {
 		return CommitVariant{}, err
 	}
@@ -144,33 +121,26 @@ func runCommitVariant(cfg Config, clients int, mutate func(*core.RegionConfig), 
 	// Sample the region's staleness watermark on the wall clock for the
 	// whole run (workload + drain). The sampler reads atomics/short locks
 	// only and never touches virtual time, so VirtualOPS is unaffected.
-	var samplerStop chan struct{}
-	var samplerDone chan struct{}
-	stopSampler := func() {
-		if samplerStop != nil {
-			close(samplerStop)
-			<-samplerDone
-			samplerStop = nil
-		}
-	}
+	samplerStop := make(chan struct{})
+	samplerDone := make(chan struct{})
+	stopSampler := sync.OnceFunc(func() {
+		close(samplerStop)
+		<-samplerDone
+	})
 	defer stopSampler()
-	if o != nil {
-		samplerStop = make(chan struct{})
-		samplerDone = make(chan struct{})
-		go func() {
-			defer close(samplerDone)
-			tick := time.NewTicker(time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-tick.C:
-					o.Hist(obs.HistMaxStaleness).RecordN(region.MaxStaleness())
-				}
+	go func() {
+		defer close(samplerDone)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-samplerStop:
+				return
+			case <-tick.C:
+				o.Hist(obs.HistMaxStaleness).RecordN(region.MaxStaleness())
 			}
-		}()
-	}
+		}
+	}()
 
 	runner := workload.NewRunner(cls)
 	if phase == nil {
@@ -207,70 +177,42 @@ func runCommitVariant(cfg Config, clients int, mutate func(*core.RegionConfig), 
 		v.VirtualOPS = float64(res.Ops) / vclock.Duration(elapsed).Seconds()
 	}
 	v.MDSQueueWaitNSPerOp = e.mdsQueueWaitPerOp()
-	if o != nil {
-		stopSampler()
-		q := o.HistQuantiles()
-		v.StageLatency = q
-		v.Staleness = &StalenessBlock{
-			CommitLag:       q[obs.HistCommitLag],
-			MaxStaleness:    q[obs.HistMaxStaleness],
-			PeakCommitLagNS: region.MaxCommitLag(),
-		}
+	stopSampler()
+	q := o.HistQuantiles()
+	v.StageLatency = q
+	v.Staleness = &StalenessBlock{
+		CommitLag:       q[obs.HistCommitLag],
+		MaxStaleness:    q[obs.HistMaxStaleness],
+		PeakCommitLagNS: region.MaxCommitLag(),
 	}
 	return v, nil
 }
 
-// RunCommit executes both variants and derives the comparison report.
+// RunCommit executes the commit workload (and the shard sweep, when
+// configured) and builds the report.
 func RunCommit(cfg Config) (*CommitReport, []*Figure, error) {
 	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
 	if clients < 2 {
 		clients = 2
 	}
 
-	// Each variant gets its own sink so the stage quantiles in the
-	// report are per-variant, not pooled.
-	legacy, err := runCommitVariant(cfg, clients, func(rc *core.RegionConfig) {
-		rc.ClientSideCommitOps = true
-		rc.DisableCoalesce = true
-		rc.CommitBatchSize = 1
-	}, obs.New(), nil)
+	batched, err := runCommitVariant(cfg, clients, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("commit legacy variant: %w", err)
-	}
-	batched, err := runCommitVariant(cfg, clients, nil, obs.New(), nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("commit batched variant: %w", err)
+		return nil, nil, fmt.Errorf("commit run: %w", err)
 	}
 
 	rep := &CommitReport{
-		Experiment:     "commit-path round trips: legacy vs conditional+coalesced+batched",
+		Experiment:     "commit-path round trips: conditional+coalesced+batched",
 		Clients:        clients,
 		ItemsPerClient: cfg.ItemsPerClient,
-		Legacy:         legacy,
 		Batched:        batched,
-	}
-	if batched.CacheRPCsPerCreate > 0 {
-		rep.CacheRPCReduction = legacy.CacheRPCsPerCreate / batched.CacheRPCsPerCreate
-	}
-	if batched.BackendRPCs > 0 {
-		rep.BackendRPCReduction = float64(legacy.BackendRPCs) / float64(batched.BackendRPCs)
-	}
-	if legacy.VirtualOPS > 0 {
-		rep.ThroughputGain = batched.VirtualOPS / legacy.VirtualOPS
 	}
 
 	f := &Figure{
-		ID: "commit", Title: "Commit path: legacy vs conditional+coalesced+batched",
+		ID: "commit", Title: "Commit path: conditional+coalesced+batched",
 		XLabel: "variant", YLabel: "see series",
 		Series: []string{"cacheRPCs/create", "backendRPCs", "committed", "coalesced", "virtualOPS"},
 	}
-	f.AddPoint("legacy", map[string]float64{
-		"cacheRPCs/create": legacy.CacheRPCsPerCreate,
-		"backendRPCs":      float64(legacy.BackendRPCs),
-		"committed":        float64(legacy.OpsCommitted),
-		"coalesced":        float64(legacy.Coalesced),
-		"virtualOPS":       legacy.VirtualOPS,
-	})
 	f.AddPoint("batched", map[string]float64{
 		"cacheRPCs/create": batched.CacheRPCsPerCreate,
 		"backendRPCs":      float64(batched.BackendRPCs),
@@ -278,18 +220,11 @@ func RunCommit(cfg Config) (*CommitReport, []*Figure, error) {
 		"coalesced":        float64(batched.Coalesced),
 		"virtualOPS":       batched.VirtualOPS,
 	})
-	f.Note("cache round trips per created file: %.2f -> %.2f (%.1fx reduction)",
-		legacy.CacheRPCsPerCreate, batched.CacheRPCsPerCreate, rep.CacheRPCReduction)
-	f.Note("backend round trips: %d -> %d (%.1fx; %d ops rode %d apply_batch RPCs)",
-		legacy.BackendRPCs, batched.BackendRPCs, rep.BackendRPCReduction,
-		batched.BatchedOps, batched.BatchRPCs)
-	f.Note("virtual throughput incl. drain: %.0f -> %.0f ops/s (%.2fx)",
-		legacy.VirtualOPS, batched.VirtualOPS, rep.ThroughputGain)
-	if legacy.Staleness != nil && batched.Staleness != nil {
-		f.Note("peak commit lag (wall): legacy %v, batched %v",
-			time.Duration(legacy.Staleness.PeakCommitLagNS),
-			time.Duration(batched.Staleness.PeakCommitLagNS))
-	}
+	f.Note("cache round trips per created file: %.2f", batched.CacheRPCsPerCreate)
+	f.Note("backend round trips: %d (%d ops rode %d apply_batch RPCs)",
+		batched.BackendRPCs, batched.BatchedOps, batched.BatchRPCs)
+	f.Note("virtual throughput incl. drain: %.0f ops/s", batched.VirtualOPS)
+	f.Note("peak commit lag (wall): %v", time.Duration(batched.Staleness.PeakCommitLagNS))
 	if len(cfg.ShardSweep) > 0 {
 		sweep, err := runCommitShardSweep(cfg, cfg.ShardSweep)
 		if err != nil {

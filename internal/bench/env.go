@@ -50,7 +50,7 @@ type Config struct {
 	ScaleClients   []int
 	ScaleOpsBudget int
 	// MDSShards deploys the subtree-partitioned metadata service with
-	// this many MDS shards instead of the single shared-tree MDS
+	// this many MDS shards instead of the single MDS
 	// (0 = unsharded; 1 = sharded code path with one shard, the honest
 	// router-overhead baseline). The shard sweep sets this per point.
 	MDSShards int

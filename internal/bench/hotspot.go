@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -21,12 +20,6 @@ import (
 // one directory, hence one shard), and the top-K sketch's recall of the
 // true hot set the generator planted. The sweep crosses zipf s ∈ {1.0,
 // 1.2, 1.4} with MDS shards ∈ {1, 4}.
-func init() {
-	register("hotspot", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunHotspot(cfg)
-		return figs, err
-	})
-}
 
 const (
 	// hotspotWarmPaths is the zipf key space: pre-created files split
@@ -93,11 +86,6 @@ type HotspotReport struct {
 	// MinRecallZipf12 is the worst sketch recall across the s=1.2
 	// points — the acceptance criterion (≥0.9).
 	MinRecallZipf12 float64 `json:"min_recall_zipf_1_2"`
-}
-
-// JSON renders the report for BENCH_hotspot.json.
-func (r *HotspotReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // hotspotDir returns the directory owning a rank (rank-order layout:

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -12,24 +11,12 @@ import (
 	"pacon/internal/vclock"
 )
 
-// The read experiment measures the read path's round-trip economy and
-// barrier latency under a readdir+stat-heavy mix with writers flooding
-// sibling subtrees. Three variants isolate the two mechanisms:
-//
-//	perkey_full    — ReadBatchSize 1 + DisableScopedBarrier: the seed
-//	                 read path (one get per stat, full-queue drains).
-//	batched_full   — batched reads, scoping still off: isolates the
-//	                 GetMulti/StatBatch/warm win.
-//	batched_scoped — the shipped configuration: isolates the scoped
-//	                 barrier's p95 barrier_wait cut on top of batching.
-func init() {
-	register("read", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunRead(cfg)
-		return figs, err
-	})
-}
+// The read experiment measures the read path's round-trip economy
+// (batched multi-key reads, bulk miss-loads, listing warms) and barrier
+// latency (path-scoped barriers) under a readdir+stat-heavy mix with
+// writers flooding sibling subtrees.
 
-// ReadVariant is one configuration's measurements over the mix phase.
+// ReadVariant is one run's measurements over the mix phase.
 type ReadVariant struct {
 	Readdirs int64 `json:"readdirs"`
 	Stats    int64 `json:"stats"`
@@ -66,23 +53,10 @@ type ReadReport struct {
 	Writers         int         `json:"writers"`
 	FilesPerSubtree int         `json:"files_per_subtree"`
 	Rounds          int         `json:"rounds"`
-	PerKeyFull      ReadVariant `json:"perkey_full"`
-	BatchedFull     ReadVariant `json:"batched_full"`
 	BatchedScoped   ReadVariant `json:"batched_scoped"`
-	// CacheRPCReduction = perkey_full / batched_scoped cache RPCs per
-	// read op (the acceptance bar is >= 2x).
-	CacheRPCReduction float64 `json:"cache_rpc_reduction"`
-	// BarrierP95Cut = batched_full / batched_scoped p95 barrier_wait:
-	// the scoped barrier's isolated win under sibling-writer load.
-	BarrierP95Cut float64 `json:"barrier_p95_cut"`
-	// ShardSweep reruns the batched+scoped mix at the configured MDS
-	// shard counts (subtree-partitioned metadata service).
+	// ShardSweep reruns the mix at the configured MDS shard counts
+	// (subtree-partitioned metadata service).
 	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
-}
-
-// JSON renders the report for BENCH_read.json.
-func (r *ReadReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // readRounds is how many readdir+stat sweeps each reader performs;
@@ -90,18 +64,17 @@ func (r *ReadReport) JSON() ([]byte, error) {
 // DFS-resident cold one (first touch exercises the bulk miss-load).
 const readRounds = 4
 
-// runReadVariant drives the populate and mix phases against one region
-// configuration and collects the variant's counters.
-func runReadVariant(cfg Config, clients int, mutate func(*core.RegionConfig), o *obs.Obs) (ReadVariant, error) {
+// runReadVariant drives the populate and mix phases against a fresh,
+// instrumented region and collects its counters.
+func runReadVariant(cfg Config, clients int) (ReadVariant, error) {
 	e := newEnv(cfg, cfg.nodesFor(clients))
 	defer e.close()
-	if o != nil {
-		e.instrument(o)
-	}
+	o := obs.New()
+	e.instrument(o)
 	if err := e.provision("/w"); err != nil {
 		return ReadVariant{}, err
 	}
-	cls, err := e.paconVariantClients(clients, "/w", mutate)
+	cls, err := e.paconClients(clients, "/w")
 	if err != nil {
 		return ReadVariant{}, err
 	}
@@ -163,8 +136,7 @@ func runReadVariant(cfg Config, clients int, mutate func(*core.RegionConfig), o 
 
 	// Mix: writers churn their own (sibling) subtrees for the whole
 	// phase while readers run ls -l sweeps — readdir, then stat every
-	// child through StatMulti (which degenerates to per-key Stat under
-	// the ReadBatchSize 1 baseline).
+	// child through StatMulti.
 	// The mix mingles barrier ops with writers, so it runs unpaced (see
 	// RunPhaseWindow): virtual throughput is reported but the headline
 	// metrics are RPC counts and wall-clock barrier waits.
@@ -247,16 +219,15 @@ func runReadVariant(cfg Config, clients int, mutate func(*core.RegionConfig), o 
 		v.VirtualOPS = float64(mix.Ops) / mix.Elapsed.Seconds()
 	}
 	v.MDSQueueWaitNSPerOp = e.mdsQueueWaitPerOp()
-	if o != nil {
-		q := o.HistQuantiles()
-		v.StageLatency = q
-		bw := q[obs.HistBarrierWait]
-		v.BarrierWaitP50, v.BarrierWaitP95, v.BarrierWaitP99 = bw.P50, bw.P95, bw.P99
-	}
+	q := o.HistQuantiles()
+	v.StageLatency = q
+	bw := q[obs.HistBarrierWait]
+	v.BarrierWaitP50, v.BarrierWaitP95, v.BarrierWaitP99 = bw.P50, bw.P95, bw.P99
 	return v, nil
 }
 
-// RunRead executes the three variants and derives the comparison report.
+// RunRead executes the read mix (and the shard sweep, when configured)
+// and builds the report.
 func RunRead(cfg Config) (*ReadReport, []*Figure, error) {
 	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
 	if clients < 4 {
@@ -267,69 +238,36 @@ func RunRead(cfg Config) (*ReadReport, []*Figure, error) {
 		writers = 1
 	}
 
-	perkey, err := runReadVariant(cfg, clients, func(rc *core.RegionConfig) {
-		rc.ReadBatchSize = 1
-		rc.DisableScopedBarrier = true
-	}, obs.New())
+	scoped, err := runReadVariant(cfg, clients)
 	if err != nil {
-		return nil, nil, fmt.Errorf("read perkey_full variant: %w", err)
-	}
-	batchedFull, err := runReadVariant(cfg, clients, func(rc *core.RegionConfig) {
-		rc.DisableScopedBarrier = true
-	}, obs.New())
-	if err != nil {
-		return nil, nil, fmt.Errorf("read batched_full variant: %w", err)
-	}
-	scoped, err := runReadVariant(cfg, clients, nil, obs.New())
-	if err != nil {
-		return nil, nil, fmt.Errorf("read batched_scoped variant: %w", err)
+		return nil, nil, fmt.Errorf("read run: %w", err)
 	}
 
 	rep := &ReadReport{
-		Experiment:      "read path: per-key+full-drain vs batched reads vs batched+scoped barriers",
+		Experiment:      "read path: batched reads + scoped barriers",
 		Clients:         clients,
 		Readers:         clients - writers,
 		Writers:         writers,
 		FilesPerSubtree: cfg.ItemsPerClient,
 		Rounds:          readRounds,
-		PerKeyFull:      perkey,
-		BatchedFull:     batchedFull,
 		BatchedScoped:   scoped,
-	}
-	if scoped.CacheRPCsPerOp > 0 {
-		rep.CacheRPCReduction = perkey.CacheRPCsPerOp / scoped.CacheRPCsPerOp
-	}
-	if scoped.BarrierWaitP95 > 0 {
-		rep.BarrierP95Cut = float64(batchedFull.BarrierWaitP95) / float64(scoped.BarrierWaitP95)
 	}
 
 	f := &Figure{
-		ID: "read", Title: "Read path: per-key+full drain vs batched vs batched+scoped",
+		ID: "read", Title: "Read path: batched reads + scoped barriers",
 		XLabel: "variant", YLabel: "see series",
 		Series: []string{"cacheRPCs/op", "barrierWaitP95us", "warms", "scopedBarriers", "virtualOPS"},
 	}
-	for _, p := range []struct {
-		name string
-		v    ReadVariant
-	}{
-		{"perkey_full", perkey},
-		{"batched_full", batchedFull},
-		{"batched_scoped", scoped},
-	} {
-		f.AddPoint(p.name, map[string]float64{
-			"cacheRPCs/op":     p.v.CacheRPCsPerOp,
-			"barrierWaitP95us": float64(p.v.BarrierWaitP95) / 1e3,
-			"warms":            float64(p.v.CacheWarms),
-			"scopedBarriers":   float64(p.v.BarriersScoped),
-			"virtualOPS":       p.v.VirtualOPS,
-		})
-	}
-	f.Note("cache RPCs per read op: %.2f -> %.2f (%.1fx reduction)",
-		perkey.CacheRPCsPerOp, scoped.CacheRPCsPerOp, rep.CacheRPCReduction)
-	f.Note("p95 barrier wait under sibling writers: %.0fus (full) -> %.0fus (scoped), %.1fx cut",
-		float64(batchedFull.BarrierWaitP95)/1e3, float64(scoped.BarrierWaitP95)/1e3, rep.BarrierP95Cut)
-	f.Note("%d entries warmed into the cache from listings/miss-loads (per-key baseline: %d)",
-		scoped.CacheWarms, perkey.CacheWarms)
+	f.AddPoint("batched_scoped", map[string]float64{
+		"cacheRPCs/op":     scoped.CacheRPCsPerOp,
+		"barrierWaitP95us": float64(scoped.BarrierWaitP95) / 1e3,
+		"warms":            float64(scoped.CacheWarms),
+		"scopedBarriers":   float64(scoped.BarriersScoped),
+		"virtualOPS":       scoped.VirtualOPS,
+	})
+	f.Note("cache RPCs per read op: %.2f", scoped.CacheRPCsPerOp)
+	f.Note("p95 barrier wait under sibling writers: %.0fus", float64(scoped.BarrierWaitP95)/1e3)
+	f.Note("%d entries warmed into the cache from listings/miss-loads", scoped.CacheWarms)
 	if len(cfg.ShardSweep) > 0 {
 		sweep, err := runReadShardSweep(cfg, cfg.ShardSweep)
 		if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -146,4 +147,52 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// JSONReport is an experiment that also produces a machine-readable
+// report. cmd/paconbench generates one "-<Flag> <path>" option per
+// entry and writes the report there.
+type JSONReport struct {
+	Flag string // CLI flag name
+	Name string // experiment id (Run, IDs) and label in diagnostics
+	// Run returns the rendered report — non-nil whenever the experiment
+	// got far enough to produce one, even alongside an error (a failed
+	// audit gate still reports its divergences).
+	Run func(Config) (report []byte, figs []*Figure, err error)
+}
+
+// JSONReports lists the report-producing experiments in the order
+// cmd/paconbench runs them.
+var JSONReports = []JSONReport{
+	{"commitjson", "commit", jsonReport(RunCommit)},
+	{"scalejson", "scale", jsonReport(RunScale)},
+	{"auditjson", "audit", jsonReport(RunAudit)},
+	{"readjson", "read", jsonReport(RunRead)},
+	{"shardsjson", "shards", jsonReport(RunShardSweep)},
+	{"hotjson", "hotspot", jsonReport(RunHotspot)},
+}
+
+// Every report-producing experiment is also a figure experiment
+// (paconbench -fig commit, -all).
+func init() {
+	for _, r := range JSONReports {
+		register(r.Name, func(cfg Config) ([]*Figure, error) {
+			_, figs, err := r.Run(cfg)
+			return figs, err
+		})
+	}
+}
+
+func jsonReport[T any](run func(Config) (*T, []*Figure, error)) func(Config) ([]byte, []*Figure, error) {
+	return func(cfg Config) ([]byte, []*Figure, error) {
+		rep, figs, err := run(cfg)
+		if rep == nil {
+			return nil, figs, err
+		}
+		data, jerr := json.MarshalIndent(rep, "", "  ")
+		if err == nil {
+			err = jerr
+		}
+		return append(data, '\n'), figs, err
+	}
 }

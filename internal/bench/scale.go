@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -22,12 +21,6 @@ import (
 // about one operation of its siblings, so the virtual-time overlap that
 // drives resource queueing is preserved even though only S goroutines
 // exist in real time.
-func init() {
-	register("scale", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunScale(cfg)
-		return figs, err
-	})
-}
 
 // maxShardGoroutines caps real concurrency: each shard goroutine
 // multiplexes clients/S simulated client clocks.
@@ -50,7 +43,7 @@ type ScalePoint struct {
 	Nodes   int `json:"nodes"`
 	Shards  int `json:"shard_goroutines"`
 	// MDSShards is the metadata-service shard count backing the point
-	// (1 = the single shared-tree MDS; >1 = subtree-partitioned pool).
+	// (1 = the single MDS; >1 = subtree-partitioned pool).
 	MDSShards    int   `json:"mds_shards"`
 	OpsPerClient int   `json:"ops_per_client"`
 	Ops          int64 `json:"ops"`
@@ -89,11 +82,6 @@ type ScaleReport struct {
 	// ShardSweep reruns one scale point at the configured MDS shard
 	// counts (subtree-partitioned metadata service).
 	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
-}
-
-// JSON renders the report for BENCH_scale.json.
-func (r *ScaleReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // scaleScales returns the client counts to sweep.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"pacon/internal/dfs"
-	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 	"pacon/internal/workload"
 )
@@ -139,24 +137,16 @@ func ablMultiMDS(cfg Config) ([]*Figure, error) {
 }
 
 // multiMDSCreateOPS runs the create phase on a BeeGFS deployment with n
-// metadata servers.
+// metadata servers: mdtest's flat /w/f<owner>.<j> names hash per file
+// across the subtree-partitioned pool under the /w spread root.
 func multiMDSCreateOPS(cfg Config, nmds, clients int) (float64, error) {
-	bus := rpc.NewBus()
-	mdsNodes := make([]string, nmds)
-	for i := range mdsNodes {
-		mdsNodes[i] = fmt.Sprintf("storage-m%d", i)
-	}
-	cluster := dfs.NewClusterMulti(bus, cfg.Model, adminCred, mdsNodes, []string{"s1", "s2", "s3"})
-	admin := cluster.NewClient("admin", adminCred, 0, 0)
-	if _, err := admin.Mkdir(0, "/w", 0o777); err != nil {
+	cfg.MDSShards = nmds
+	e := newEnv(cfg, cfg.nodesFor(clients))
+	defer e.close()
+	if err := e.provision("/w"); err != nil {
 		return 0, err
 	}
-	nodes := cfg.nodesFor(clients)
-	cls := make([]workload.Client, clients)
-	for i := range cls {
-		cls[i] = cluster.NewClient(fmt.Sprintf("node%d", i%nodes), appCred, 0, 0)
-	}
-	md := workload.NewMdtest(cls, "/w", cfg.ItemsPerClient, 5)
+	md := workload.NewMdtest(e.beegfsClients(clients), "/w", cfg.ItemsPerClient, 5)
 	res, err := md.CreatePhase()
 	if err != nil {
 		return 0, err

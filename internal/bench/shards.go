@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -19,12 +18,6 @@ import (
 // falls. Every point that degrades more than 10% below the single-shard
 // baseline carries an explicit note — the sweep reports regressions, it
 // does not hide them.
-func init() {
-	register("shards", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunShardSweep(cfg)
-		return figs, err
-	})
-}
 
 // ShardPoint is one shard-count measurement of a sweep.
 type ShardPoint struct {
@@ -55,11 +48,6 @@ type ShardSweep struct {
 	Points   []ShardPoint `json:"points"`
 	// MaxSpeedup is the best speedup any multi-shard point reached.
 	MaxSpeedup float64 `json:"max_speedup"`
-}
-
-// JSON renders the sweep for a standalone BENCH_shards.json artifact.
-func (s *ShardSweep) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // queueWaitShare estimates queue_wait's share of the traced critical
@@ -143,7 +131,7 @@ func runCommitShardSweep(cfg Config, counts []int) (*ShardSweep, error) {
 	for _, n := range counts {
 		scfg := cfg
 		scfg.MDSShards = n
-		v, err := runCommitVariant(scfg, clients, nil, obs.New(), shardSweepPhase)
+		v, err := runCommitVariant(scfg, clients, shardSweepPhase)
 		if err != nil {
 			return nil, fmt.Errorf("shard sweep %d shards: %w", n, err)
 		}
@@ -171,7 +159,7 @@ func runReadShardSweep(cfg Config, counts []int) (*ShardSweep, error) {
 	for _, n := range counts {
 		scfg := cfg
 		scfg.MDSShards = n
-		v, err := runReadVariant(scfg, clients, nil, obs.New())
+		v, err := runReadVariant(scfg, clients)
 		if err != nil {
 			return nil, fmt.Errorf("read shard sweep %d shards: %w", n, err)
 		}

@@ -75,12 +75,6 @@ type Config struct {
 	// CommitBatchSize sets the region's dequeue/apply batch width
 	// (0 = the region default; 1 = op-at-a-time).
 	CommitBatchSize int
-	// DisableCoalesce turns off dequeue-time op merging, pinning the
-	// uncoalesced commit path under the same schedules.
-	DisableCoalesce bool
-	// ClientSideCommitOps forces the legacy Get+CAS cache bookkeeping
-	// loops instead of the server-side conditional ops.
-	ClientSideCommitOps bool
 	// LoseOneCommit deliberately breaks the schedule: the first DFS
 	// create the commit side applies reports success without ever
 	// reaching the DFS. The run must then end with violations — the
@@ -90,8 +84,8 @@ type Config struct {
 	// CommitBatchSize 1 so the lie lands on the op-at-a-time create.
 	LoseOneCommit bool
 	// Shards > 1 backs the region with a subtree-partitioned MDS pool
-	// ("/w" spread across that many shards) instead of one shared-tree
-	// MDS. All existing zones run unchanged on top.
+	// ("/w" spread across that many shards) instead of one MDS. All
+	// existing zones run unchanged on top.
 	Shards int
 	// KillShard unregisters one busy MDS shard mid-schedule (driven by
 	// the injector's call counter) and recovers it later. While the
@@ -772,16 +766,14 @@ func Run(cfg Config) (Result, error) {
 		retryLimit = 512
 	}
 	region, err := core.NewRegion(core.RegionConfig{
-		Name:                "chaos",
-		Workspace:           "/w",
-		Nodes:               nodes,
-		Cred:                appCred,
-		CacheCapacityBytes:  cfg.CacheCapacityBytes,
-		CommitRetryLimit:    retryLimit,
-		CommitBatchSize:     cfg.CommitBatchSize,
-		ShardCount:          cfg.Shards,
-		DisableCoalesce:     cfg.DisableCoalesce,
-		ClientSideCommitOps: cfg.ClientSideCommitOps,
+		Name:               "chaos",
+		Workspace:          "/w",
+		Nodes:              nodes,
+		Cred:               appCred,
+		CacheCapacityBytes: cfg.CacheCapacityBytes,
+		CommitRetryLimit:   retryLimit,
+		CommitBatchSize:    cfg.CommitBatchSize,
+		ShardCount:         cfg.Shards,
 		// Sample every span: a failing seed's flight dump must contain
 		// the violating op's cross-node timeline, not a 1/64 lottery.
 		TraceSampleN: 1,

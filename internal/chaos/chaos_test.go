@@ -29,17 +29,11 @@ func configFor(seed int) Config {
 		// to run continuously against the workload.
 		cfg.CacheCapacityBytes = 4096
 	}
-	// Commit-path variants: most seeds run the default batched+coalesced
-	// path; a slice pins the legacy configurations so the sweep keeps
-	// covering op-at-a-time dequeue, uncoalesced batches and the
-	// client-side Get+CAS loops.
-	switch seed % 7 {
-	case 2:
+	// Most seeds run the default batch width; one in seven dequeues
+	// op-at-a-time, so the sweep also covers a commit loop in which
+	// nothing coalesces or batches.
+	if seed%7 == 2 {
 		cfg.CommitBatchSize = 1
-	case 4:
-		cfg.DisableCoalesce = true
-	case 6:
-		cfg.ClientSideCommitOps = true
 	}
 	return cfg
 }
@@ -101,7 +95,7 @@ func TestChaosReportsInjection(t *testing.T) {
 
 // TestChaosSharded runs schedules against the subtree-partitioned MDS
 // pool: every existing zone (exclusive, hot, hub, doomed-rmdir) must
-// converge and pass the audit gate exactly as on the shared-tree MDS.
+// converge and pass the audit gate exactly as on the single MDS.
 func TestChaosSharded(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		shards := shards

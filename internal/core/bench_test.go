@@ -18,7 +18,7 @@ func benchEnv(b *testing.B, nodes int) (*Region, *Client) {
 }
 
 // benchEnvShards is benchEnv over the subtree-partitioned MDS pool
-// (0 = the single shared-tree MDS).
+// (0 = the single MDS).
 func benchEnvShards(b *testing.B, nodes, mdsShards int) (*Region, *Client) {
 	b.Helper()
 	bus := rpc.NewBus()
@@ -146,10 +146,10 @@ func BenchmarkReaddirBarrier(b *testing.B) {
 
 // BenchmarkReaddirBarrierSiblingWriter measures the scoped-barrier win:
 // a writer floods /w/sib from another node while we list /w/hot. With
-// scoped barriers the listings never wait for the sibling queue; run
-// with -tags or the bench harness's DisableScopedBarrier ablation to
-// see the full-drain cost. Also runs as a short-mode smoke in `make
-// check` (-benchtime=1x).
+// scoped barriers the listings never wait for the sibling queue (the
+// full-drain cost they avoid is recorded under "Retired predecessors"
+// in EXPERIMENTS.md). Also runs as a short-mode smoke in `make check`
+// (-benchtime=1x).
 func BenchmarkReaddirBarrierSiblingWriter(b *testing.B) {
 	region, c := benchEnv(b, 2)
 	now := vclock.Time(0)

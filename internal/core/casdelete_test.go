@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"pacon/internal/fsapi"
@@ -13,27 +12,70 @@ import (
 )
 
 // Regression tests for the lost-update races in the cleanup paths: every
-// site that used to Get → decode → Delete unconditionally now re-checks
-// under CAS (deleteIf). Each test uses the region's delete hook to
-// interleave a conflicting write exactly inside the read/delete window —
-// the schedule on which the seed code silently destroyed the newer
-// value.
+// site that used to Get → decode → Delete unconditionally now deletes
+// through deleteIf, whose predicate the cache server evaluates under its
+// shard lock. That leaves two orders for a conflicting write and a
+// cleanup of the same path, and each test drives both: the write lands
+// strictly before the cleanup call (the newer value must survive it,
+// stay dirty, and commit) or strictly after (the path is simply
+// re-added). The interleaving inside the delete itself is the memcache
+// package's TestConditionalOpsNeverDeleteAckedCAS.
 
-// rawCache returns a memcache client on the region's ring for direct
-// white-box manipulation of cache values.
+// holdCommits parks every commit process inside a barrier epoch — the
+// state an rmdir holds them in — so client ops issued before release()
+// stay queued and their cache entries stay dirty.
+func holdCommits(t *testing.T, r *Region) (release func()) {
+	t.Helper()
+	epoch, _, err := r.syncBarrier(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() { r.barrier.Release(epoch, 0) }
+}
+
+// rawCache returns a memcache client on the region's ring for driving
+// the commit module's cleanup functions directly.
 func rawCache(e *env) *memcache.Client {
 	return memcache.NewClient(rpc.NewCaller(e.bus, vclock.Default(), "node0"), e.region.Ring())
 }
 
-// hookOnce installs a delete hook that fires fn exactly once, when the
-// cleanup loop reaches `path`.
-func hookOnce(r *Region, path string, fn func()) {
-	var once sync.Once
-	r.SetDeleteHook(func(p string) {
-		if p == path {
-			once.Do(fn)
-		}
-	})
+// mustEntry returns path's cache entry or fails the test.
+func mustEntry(t *testing.T, r *Region, path, why string) CacheEntry {
+	t.Helper()
+	ent, ok := findEntry(t, r, path)
+	if !ok {
+		t.Fatalf("%s: %s has no cache entry", why, path)
+	}
+	return ent
+}
+
+// wantCommitted drains the region and requires path to be a clean
+// cached entry of incarnation seq backed by a DFS object.
+func wantCommitted(t *testing.T, e *env, path string, seq uint64) {
+	t.Helper()
+	if _, err := e.region.Drain(vclock.Time(1 << 40)); err != nil {
+		t.Fatal(err)
+	}
+	if ent := mustEntry(t, e.region, path, "after drain"); ent.Dirty || ent.Removed || ent.Seq != seq {
+		t.Fatalf("%s after drain = %+v, want clean live seq %d", path, ent, seq)
+	}
+	if !e.dfs.MDS.Tree().Exists(path) {
+		t.Fatalf("%s never reached the DFS", path)
+	}
+}
+
+// recreate replaces path's live entry with a newer incarnation through
+// the client API (rm + create-after-rm) and returns the new seq.
+func recreate(t *testing.T, c *Client, r *Region, path string) uint64 {
+	t.Helper()
+	at, err := c.Remove(0, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Create(at, path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return mustEntry(t, r, path, "after re-create").Seq
 }
 
 func findEntry(t *testing.T, r *Region, path string) (CacheEntry, bool) {
@@ -50,65 +92,78 @@ func findEntry(t *testing.T, r *Region, path string) (CacheEntry, bool) {
 	return CacheEntry{}, false
 }
 
-// TestEvictionKeepsRacingDirtyWrite reproduces the dirty-entry eviction
-// race deterministically: a SetStat (inline write) lands between
-// eviction's cleanliness check and its delete. The entry is the primary
-// copy of that write — the unguarded delete of the seed code lost it;
-// the CAS-guarded delete must observe ErrStale, re-check, and keep it.
+// TestEvictionKeepsRacingDirtyWrite: a write that dirties a committed
+// entry makes it the primary copy again. Eviction after the write must
+// leave it resident and dirty (CondClean fails) until it commits;
+// eviction before the write just makes the write re-load the entry.
 func TestEvictionKeepsRacingDirtyWrite(t *testing.T) {
-	e := newEnv(t, 1, nil)
-	c := e.client(t, "node0")
-
-	at, err := c.Create(0, "/w/victim", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at, err = c.WriteAt(at, "/w/victim", 0, []byte("committed")); err != nil {
-		t.Fatal(err)
-	}
-	at, err = e.region.Drain(at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ent, ok := findEntry(t, e.region, "/w/victim"); !ok || ent.Dirty {
-		t.Fatalf("want clean cached entry before eviction, got %+v ok=%v", ent, ok)
-	}
-
-	// The racing writer: dirties the entry inside the eviction window.
-	writer := e.client(t, "node0")
-	hookOnce(e.region, "/w/victim", func() {
-		if _, werr := writer.WriteAt(at, "/w/victim", 0, []byte("racy-new-data")); werr != nil {
-			t.Errorf("racing write: %v", werr)
+	setup := func(t *testing.T) (*env, *Client, vclock.Time) {
+		e := newEnv(t, 1, nil)
+		c := e.client(t, "node0")
+		at, err := c.Create(0, "/w/victim", 0o644)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if at, err = c.WriteAt(at, "/w/victim", 0, []byte("committed")); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		if ent := mustEntry(t, e.region, "/w/victim", "before eviction"); ent.Dirty {
+			t.Fatalf("want clean cached entry before eviction, got %+v", ent)
+		}
+		return e, c, at
+	}
+	wantNewData := func(t *testing.T, e *env, c *Client) {
+		t.Helper()
+		at, err := e.region.Drain(vclock.Time(1 << 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := c.ReadAt(at, "/w/victim", 0, 64)
+		if err != nil || !bytes.Equal(data, []byte("racy-new-data")) {
+			t.Fatalf("read after drain = %q, %v", data, err)
+		}
+		st, err := e.dfs.MDS.Tree().Lookup("/w/victim")
+		if err != nil || st.Size != int64(len("racy-new-data")) {
+			t.Fatalf("DFS backup = %+v, %v", st, err)
+		}
+	}
+
+	t.Run("write-then-evict", func(t *testing.T) {
+		e, c, at := setup(t)
+		release := holdCommits(t, e.region)
+		if _, err := e.client(t, "node0").WriteAt(at, "/w/victim", 0, []byte("racy-new-data")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.region.evictSubtree(c, at, "/w/victim", false); err != nil {
+			t.Fatal(err)
+		}
+		ent, ok := findEntry(t, e.region, "/w/victim")
+		if !ok {
+			t.Fatal("dirty primary copy evicted — write lost")
+		}
+		if !ent.Dirty || string(ent.Stat.Inline) != "racy-new-data" {
+			t.Fatalf("entry after eviction = %+v", ent)
+		}
+		release()
+		wantNewData(t, e, c)
 	})
-	defer e.region.SetDeleteHook(nil)
 
-	if _, err := e.region.evictSubtree(c, at, "/w/victim", false); err != nil {
-		t.Fatal(err)
-	}
-
-	// The dirty write survived eviction: still resident, still dirty.
-	ent, ok := findEntry(t, e.region, "/w/victim")
-	if !ok {
-		t.Fatal("dirty primary copy evicted — racing write lost")
-	}
-	if !ent.Dirty || string(ent.Stat.Inline) != "racy-new-data" {
-		t.Fatalf("entry after eviction = %+v", ent)
-	}
-
-	// And it commits: after a drain both cache view and DFS carry it.
-	at, err = e.region.Drain(vclock.Time(1 << 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _, err := c.ReadAt(at, "/w/victim", 0, 64)
-	if err != nil || !bytes.Equal(data, []byte("racy-new-data")) {
-		t.Fatalf("read after drain = %q, %v", data, err)
-	}
-	st, err := e.dfs.MDS.Tree().Lookup("/w/victim")
-	if err != nil || st.Size != int64(len("racy-new-data")) {
-		t.Fatalf("DFS backup = %+v, %v", st, err)
-	}
+	t.Run("evict-then-write", func(t *testing.T) {
+		e, c, at := setup(t)
+		if _, err := e.region.evictSubtree(c, at, "/w/victim", false); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := findEntry(t, e.region, "/w/victim"); ok {
+			t.Fatal("clean committed entry not evicted")
+		}
+		if _, err := c.WriteAt(at, "/w/victim", 0, []byte("racy-new-data")); err != nil {
+			t.Fatal(err)
+		}
+		wantNewData(t, e, c)
+	})
 }
 
 // TestEvictionStillRemovesCleanEntries: the guarded path must not change
@@ -134,125 +189,195 @@ func TestEvictionStillRemovesCleanEntries(t *testing.T) {
 	}
 }
 
-// TestDropOpKeepsNewerIncarnation: dropOp abandons create seq=1 while a
-// newer incarnation (seq=2) replaces the entry inside the read/delete
-// window. The unguarded delete destroyed seq=2; the guard must keep it.
+// TestDropOpKeepsNewerIncarnation: dropOp abandons a create whose path
+// has since been re-created. The seq guard must keep the newer
+// incarnation; with no newer incarnation the phantom is cleaned and the
+// path can be created afresh.
 func TestDropOpKeepsNewerIncarnation(t *testing.T) {
-	e := newEnv(t, 1, nil)
-	mc := rawCache(e)
-
-	old := cacheVal{dirty: true, seq: 1, stat: fsapi.NewFileStat(appCred, 0o644)}
-	if _, _, err := mc.Set(0, "/w/phantom", old.encode(), 0); err != nil {
-		t.Fatal(err)
-	}
-	newer := cacheVal{dirty: true, seq: 2, stat: fsapi.NewFileStat(appCred, 0o600)}
-	hookOnce(e.region, "/w/phantom", func() {
-		if _, _, err := mc.Set(0, "/w/phantom", newer.encode(), 0); err != nil {
-			t.Errorf("racing re-create: %v", err)
+	t.Run("recreate-then-drop", func(t *testing.T) {
+		e := newEnv(t, 1, nil)
+		c, mc := e.client(t, "node0"), rawCache(e)
+		release := holdCommits(t, e.region)
+		if _, err := c.Create(0, "/w/phantom", 0o644); err != nil {
+			t.Fatal(err)
 		}
+		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
+		newer := recreate(t, c, e.region, "/w/phantom")
+
+		now := vclock.Time(0)
+		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, nil, dropReasonRetryBudget)
+
+		ent, ok := findEntry(t, e.region, "/w/phantom")
+		if !ok {
+			t.Fatal("newer incarnation deleted by dropOp")
+		}
+		if ent.Seq != newer || !ent.Dirty || ent.Removed {
+			t.Fatalf("surviving entry = %+v, want dirty live seq %d", ent, newer)
+		}
+		release()
+		wantCommitted(t, e, "/w/phantom", newer)
 	})
-	defer e.region.SetDeleteHook(nil)
 
-	now := vclock.Time(0)
-	e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: 1}, &now, mc, nil, dropReasonRetryBudget)
+	t.Run("drop-then-recreate", func(t *testing.T) {
+		e := newEnv(t, 1, nil)
+		c, mc := e.client(t, "node0"), rawCache(e)
+		release := holdCommits(t, e.region)
+		if _, err := c.Create(0, "/w/phantom", 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
 
-	ent, ok := findEntry(t, e.region, "/w/phantom")
-	if !ok {
-		t.Fatal("newer incarnation deleted by dropOp")
-	}
-	if ent.Seq != 2 {
-		t.Fatalf("surviving entry seq = %d, want 2", ent.Seq)
-	}
-	// Without a racing write, the phantom is cleaned as before.
-	e.region.SetDeleteHook(nil)
-	e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: 2}, &now, mc, nil, dropReasonRetryBudget)
-	if _, ok := findEntry(t, e.region, "/w/phantom"); ok {
-		t.Fatal("abandoned create's entry not cleaned")
-	}
+		now := vclock.Time(0)
+		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, nil, dropReasonRetryBudget)
+		if _, ok := findEntry(t, e.region, "/w/phantom"); ok {
+			t.Fatal("abandoned create's entry not cleaned")
+		}
+
+		if _, err := c.Create(0, "/w/phantom", 0o600); err != nil {
+			t.Fatalf("create after the phantom was cleaned: %v", err)
+		}
+		fresh := mustEntry(t, e.region, "/w/phantom", "after re-create").Seq
+		release()
+		wantCommitted(t, e, "/w/phantom", fresh)
+	})
 }
 
-// TestFinishRemoveKeepsNewerIncarnation: a create-after-rm lands between
-// finishRemove's marker check and its delete of the marker. The fresh
-// live entry must survive.
+// TestFinishRemoveKeepsNewerIncarnation: finishRemove cleans a committed
+// remove's marker. A create-after-rm that replaced the marker first must
+// survive; a create that arrives after the marker is gone re-adds the
+// path.
 func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
-	e := newEnv(t, 1, nil)
-	mc := rawCache(e)
-
-	marker := cacheVal{removed: true, dirty: true, seq: 1, stat: fsapi.NewFileStat(appCred, 0o644)}
-	if _, _, err := mc.Set(0, "/w/reborn", marker.encode(), 0); err != nil {
-		t.Fatal(err)
-	}
-	live := cacheVal{dirty: true, seq: 2, stat: fsapi.NewFileStat(appCred, 0o600)}
-	hookOnce(e.region, "/w/reborn", func() {
-		if _, _, err := mc.Set(0, "/w/reborn", live.encode(), 0); err != nil {
-			t.Errorf("racing create-after-rm: %v", err)
+	// setup commits /w/reborn, parks the commit side, and removes the
+	// file: the returned seq is the queued remove's marker.
+	setup := func(t *testing.T) (*env, *Client, *memcache.Client, func(), uint64) {
+		e := newEnv(t, 1, nil)
+		c, mc := e.client(t, "node0"), rawCache(e)
+		at, err := c.Create(0, "/w/reborn", 0o644)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		release := holdCommits(t, e.region)
+		if _, err := c.Remove(0, "/w/reborn"); err != nil {
+			t.Fatal(err)
+		}
+		marker := mustEntry(t, e.region, "/w/reborn", "after rm")
+		if !marker.Removed {
+			t.Fatalf("rm left %+v, want a removed marker", marker)
+		}
+		return e, c, mc, release, marker.Seq
+	}
+
+	t.Run("create-then-finish", func(t *testing.T) {
+		e, c, mc, release, marker := setup(t)
+		if _, err := c.Create(0, "/w/reborn", 0o600); err != nil {
+			t.Fatal(err)
+		}
+		live := mustEntry(t, e.region, "/w/reborn", "after create-after-rm").Seq
+
+		now := vclock.Time(0)
+		e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker}, &now, mc)
+
+		ent, ok := findEntry(t, e.region, "/w/reborn")
+		if !ok {
+			t.Fatal("create-after-rm entry deleted by finishRemove")
+		}
+		if ent.Removed || !ent.Dirty || ent.Seq != live {
+			t.Fatalf("surviving entry = %+v, want dirty live seq %d", ent, live)
+		}
+		release()
+		wantCommitted(t, e, "/w/reborn", live)
 	})
-	defer e.region.SetDeleteHook(nil)
 
-	now := vclock.Time(0)
-	e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: 1}, &now, mc)
+	t.Run("finish-then-create", func(t *testing.T) {
+		e, c, mc, release, marker := setup(t)
+		now := vclock.Time(0)
+		e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker}, &now, mc)
+		if _, ok := findEntry(t, e.region, "/w/reborn"); ok {
+			t.Fatal("committed removed marker not cleaned")
+		}
 
-	ent, ok := findEntry(t, e.region, "/w/reborn")
-	if !ok {
-		t.Fatal("create-after-rm entry deleted by finishRemove")
-	}
-	if ent.Removed || ent.Seq != 2 {
-		t.Fatalf("surviving entry = %+v", ent)
-	}
-
-	// The committed marker itself is still cleaned when unraced.
-	e.region.SetDeleteHook(nil)
-	marker.seq = 3
-	if _, _, err := mc.Set(0, "/w/gone", marker.encode(), 0); err != nil {
-		t.Fatal(err)
-	}
-	e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/gone", Seq: 3}, &now, mc)
-	if _, ok := findEntry(t, e.region, "/w/gone"); ok {
-		t.Fatal("committed removed marker not cleaned")
-	}
+		if _, err := c.Create(0, "/w/reborn", 0o600); err != nil {
+			t.Fatalf("create after the marker was cleaned: %v", err)
+		}
+		fresh := mustEntry(t, e.region, "/w/reborn", "after re-create").Seq
+		release()
+		wantCommitted(t, e, "/w/reborn", fresh)
+	})
 }
 
-// TestDiscardRuleKeepsNewerIncarnation: the rmdir discard rule processes
-// a create whose path got a newer incarnation (created after the rmdir
-// window closed) inside the read/delete window. The seed code deleted it
-// unconditionally; the seq+CAS guard must keep it.
+// TestDiscardRuleKeepsNewerIncarnation: the rmdir discard rule drops a
+// create under a directory being removed and cleans its cache entry —
+// but only that incarnation. A newer one (created after the rmdir window
+// closed) must survive the late discard; with none, the entry goes and
+// the path can be created again.
 func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
-	e := newEnv(t, 1, nil)
-	mc := rawCache(e)
-	backend := e.region.deps.NewBackend("node0")
-
-	e.region.addRemoving("/w/doomed")
-	defer e.region.delRemoving("/w/doomed")
-
-	old := cacheVal{dirty: true, seq: 1, stat: fsapi.NewFileStat(appCred, 0o644)}
-	if _, _, err := mc.Set(0, "/w/doomed/f", old.encode(), 0); err != nil {
-		t.Fatal(err)
-	}
-	newer := cacheVal{dirty: true, seq: 2, stat: fsapi.NewFileStat(appCred, 0o600)}
-	hookOnce(e.region, "/w/doomed/f", func() {
-		if _, _, err := mc.Set(0, "/w/doomed/f", newer.encode(), 0); err != nil {
-			t.Errorf("racing re-create: %v", err)
+	// setup commits /w/doomed, parks the commit side, and creates
+	// /w/doomed/f: the returned seq is that queued create's.
+	setup := func(t *testing.T) (*env, *Client, *memcache.Client, func(), uint64) {
+		e := newEnv(t, 1, nil)
+		c, mc := e.client(t, "node0"), rawCache(e)
+		at, err := c.Mkdir(0, "/w/doomed", 0o755)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	defer e.region.SetDeleteHook(nil)
+		if _, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		release := holdCommits(t, e.region)
+		if _, err := c.Create(0, "/w/doomed/f", 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return e, c, mc, release, mustEntry(t, e.region, "/w/doomed/f", "after create").Seq
+	}
+	// discard applies create seq under an open rmdir window on /w/doomed.
+	discard := func(t *testing.T, e *env, mc *memcache.Client, seq uint64) {
+		t.Helper()
+		e.region.addRemoving("/w/doomed")
+		defer e.region.delRemoving("/w/doomed")
+		now := vclock.Time(0)
+		before := e.region.Stats().Discarded
+		if retry := e.region.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
+			Stat: fsapi.NewFileStat(appCred, 0o644)}, &now, e.region.deps.NewBackend("node0"), mc, nil); retry {
+			t.Fatal("discarded create must not be resubmitted")
+		}
+		if e.region.Stats().Discarded != before+1 {
+			t.Fatal("discard not accounted")
+		}
+	}
 
-	now := vclock.Time(0)
-	discardedBefore := e.region.Stats().Discarded
-	if retry := e.region.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: 1,
-		Stat: fsapi.NewFileStat(appCred, 0o644)}, &now, backend, mc, nil); retry {
-		t.Fatal("discarded create must not be resubmitted")
-	}
-	if e.region.Stats().Discarded != discardedBefore+1 {
-		t.Fatal("discard not accounted")
-	}
-	ent, ok := findEntry(t, e.region, "/w/doomed/f")
-	if !ok {
-		t.Fatal("newer incarnation deleted by the discard rule")
-	}
-	if ent.Seq != 2 {
-		t.Fatalf("surviving entry seq = %d, want 2", ent.Seq)
-	}
+	t.Run("recreate-then-discard", func(t *testing.T) {
+		e, c, mc, release, old := setup(t)
+		newer := recreate(t, c, e.region, "/w/doomed/f")
+		discard(t, e, mc, old)
+
+		ent, ok := findEntry(t, e.region, "/w/doomed/f")
+		if !ok {
+			t.Fatal("newer incarnation deleted by the discard rule")
+		}
+		if ent.Seq != newer || !ent.Dirty || ent.Removed {
+			t.Fatalf("surviving entry = %+v, want dirty live seq %d", ent, newer)
+		}
+		release()
+		wantCommitted(t, e, "/w/doomed/f", newer)
+	})
+
+	t.Run("discard-then-recreate", func(t *testing.T) {
+		e, c, mc, release, old := setup(t)
+		discard(t, e, mc, old)
+		if _, ok := findEntry(t, e.region, "/w/doomed/f"); ok {
+			t.Fatal("discarded create's entry not cleaned")
+		}
+
+		if _, err := c.Create(0, "/w/doomed/f", 0o600); err != nil {
+			t.Fatalf("create after the discard: %v", err)
+		}
+		fresh := mustEntry(t, e.region, "/w/doomed/f", "after re-create").Seq
+		release()
+		wantCommitted(t, e, "/w/doomed/f", fresh)
+	})
 }
 
 // TestEvictRoundRobinAdvancesByName: the rotation must progress through

@@ -577,14 +577,17 @@ func (c *Client) statMerged(at vclock.Time, m remoteRegion, p string) (fsapi.Sta
 	return c.backend.Stat(at, p)
 }
 
+// readBatchSize caps how many paths a batched read (StatMulti, readdir
+// cache warming) packs into one multi-key cache round trip.
+const readBatchSize = 64
+
 // StatMulti is the batched form of Stat: workspace paths resolve with
 // one get_multi per owning cache server, misses bulk-load from the DFS
 // (the backend's stat_batch when it has one) and warm the cache for
 // the next reader; merged-peer paths read the peer's cache the same
 // way but stay strictly read-only; everything else goes to the DFS
 // per path. Results align with paths — per-path failures land in their
-// StatResult, they never fail the batch. With ReadBatchSize 1 (the
-// ablation baseline) every path takes the per-key Stat path instead.
+// StatResult, they never fail the batch.
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	defer c.opEnd(c.opStart())
 	r := c.region
@@ -592,15 +595,6 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 	cleaned := make([]string, len(paths))
 	for i, p := range paths {
 		cleaned[i] = namespace.Clean(p)
-	}
-	if r.cfg.ReadBatchSize <= 1 {
-		// Per-key baseline: exactly what N application Stat calls cost.
-		for i, p := range cleaned {
-			st, done, err := c.Stat(at, p)
-			at = done
-			out[i] = fsapi.StatResult{Stat: st, Err: err}
-		}
-		return out, at, nil
 	}
 	at = c.overhead(at)
 
@@ -683,7 +677,7 @@ func decodeStatResult(p string, raw []byte) fsapi.StatResult {
 
 // statBatchCached resolves cleaned, permission-checked workspace paths
 // with the batched read pipeline: get_multi over the owning cache
-// servers (chunked by ReadBatchSize), a bulk authoritative miss-load,
+// servers (chunked by readBatchSize), a bulk authoritative miss-load,
 // and an add_multi warm of what the misses produced. A dead owner
 // degrades only its own keys — they fall back to one per-key get each
 // and, failing that, to the DFS load, so a partial cache outage slows
@@ -691,9 +685,8 @@ func decodeStatResult(p string, raw []byte) fsapi.StatResult {
 func (c *Client) statBatchCached(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
 	r := c.region
 	out := make([]fsapi.StatResult, len(paths))
-	size := r.cfg.ReadBatchSize
-	for start := 0; start < len(paths); start += size {
-		end := start + size
+	for start := 0; start < len(paths); start += readBatchSize {
+		end := start + readBatchSize
 		if end > len(paths) {
 			end = len(paths)
 		}
@@ -826,9 +819,8 @@ func (c *Client) warmEntries(at vclock.Time, entries []memcache.AddEntry, gen ui
 func (c *Client) statMultiMerged(at vclock.Time, m remoteRegion, paths []string) ([]fsapi.StatResult, vclock.Time) {
 	out := make([]fsapi.StatResult, len(paths))
 	rc := c.remoteCache(m)
-	size := c.region.cfg.ReadBatchSize
-	for start := 0; start < len(paths); start += size {
-		end := start + size
+	for start := 0; start < len(paths); start += readBatchSize {
+		end := start + readBatchSize
 		if end > len(paths) {
 			end = len(paths)
 		}
@@ -1061,7 +1053,7 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	if o := r.obs; o != nil {
 		o.Hist(obs.HistReaddirEntries).RecordN(int64(len(ents)))
 	}
-	if r.cfg.ReadBatchSize > 1 && len(ents) > 0 {
+	if len(ents) > 0 {
 		// Warm the cache from the listing. Safe after the release: the
 		// stats come from fresh DFS reads under statBatchCached's
 		// invalidation-generation guard, and the inserts are

@@ -143,11 +143,15 @@ func TestCoalesceSingletonUntouched(t *testing.T) {
 // --- region-level: round-trip reduction ---------------------------------
 
 // runCommitWorkload creates files, rewrites each once and removes a
-// quarter of them, then drains, returning the region's commit-path stats.
-func runCommitWorkload(t *testing.T, mutate func(*RegionConfig)) RegionStats {
+// quarter of them, then drains, returning the region's commit-path
+// stats. The commit side is parked while the client runs, so every
+// dequeue finds a full queue and the batch boundaries — and with them
+// every counter — are the same on every run.
+func runCommitWorkload(t *testing.T) RegionStats {
 	t.Helper()
-	e := newEnv(t, 2, mutate)
+	e := newEnv(t, 2, nil)
 	c := e.client(t, "node0")
+	release := holdCommits(t, e.region)
 	at := vclock.Time(0)
 	var err error
 	const files = 24
@@ -165,44 +169,35 @@ func runCommitWorkload(t *testing.T, mutate func(*RegionConfig)) RegionStats {
 			}
 		}
 	}
+	release()
 	if _, err := e.region.Drain(at); err != nil {
 		t.Fatal(err)
 	}
 	return e.region.Stats()
 }
 
-// TestCommitPathRoundTripReduction pins the PR's headline number: the
-// batched+coalesced+conditional commit path spends at most half the cache
-// round trips per committed op that the legacy path (client-side Get+CAS
-// loops, no coalescing, op-at-a-time dequeue) does on the same workload.
-func TestCommitPathRoundTripReduction(t *testing.T) {
-	legacy := runCommitWorkload(t, func(cfg *RegionConfig) {
-		cfg.ClientSideCommitOps = true
-		cfg.DisableCoalesce = true
-		cfg.CommitBatchSize = 1
-	})
-	tuned := runCommitWorkload(t, nil)
-
-	if legacy.Committed == 0 || tuned.Committed == 0 {
-		t.Fatalf("workload committed nothing: legacy %+v tuned %+v", legacy, tuned)
+// TestCommitPathRoundTripBudget pins what the commit path spends on the
+// 24-file workload: 54 client ops coalesce to 27 commits costing 27
+// cache round trips (one conditional op each) and 25 backend round
+// trips (24 ops riding 7 apply_batch RPCs). The budget has no slack
+// upward: a change that adds a round trip per op must show up here.
+// (The retired client-side Get+CAS loop without coalescing spent 78
+// cache round trips over 54 commits on the same workload.)
+func TestCommitPathRoundTripBudget(t *testing.T) {
+	s := runCommitWorkload(t)
+	if s.Committed == 0 || s.Dropped != 0 {
+		t.Fatalf("workload did not commit cleanly: %+v", s)
 	}
-	if tuned.Coalesced == 0 {
-		t.Fatalf("tuned run never coalesced: %+v", tuned)
+	if s.Coalesced == 0 {
+		t.Fatalf("run never coalesced: %+v", s)
 	}
-	if tuned.BatchRPCs == 0 || tuned.BatchedOps == 0 {
-		t.Fatalf("tuned run never used apply_batch: %+v", tuned)
+	if s.BatchRPCs == 0 || s.BatchedOps == 0 {
+		t.Fatalf("run never used apply_batch: %+v", s)
 	}
-	// Both runs execute the identical client workload, so total cache
-	// round trips spent committing it are directly comparable. (Per
-	// committed op would be unfair to coalescing, which shrinks the
-	// denominator too: a merged create+setstat is one committed op.)
-	t.Logf("cache RPCs for the workload: legacy %d over %d commits, tuned %d over %d commits",
-		legacy.CacheRPCs, legacy.Committed, tuned.CacheRPCs, tuned.Committed)
-	if legacy.CacheRPCs < 2*tuned.CacheRPCs {
-		t.Fatalf("cache round trips only dropped %.2fx (legacy %d, tuned %d), want >=2x",
-			float64(legacy.CacheRPCs)/float64(tuned.CacheRPCs), legacy.CacheRPCs, tuned.CacheRPCs)
+	if s.CacheRPCs > 27 {
+		t.Fatalf("commit path spent %d cache round trips, budget 27: %+v", s.CacheRPCs, s)
 	}
-	if tuned.BackendRPCs >= legacy.BackendRPCs {
-		t.Fatalf("batching did not reduce backend RPCs: legacy %d, tuned %d", legacy.BackendRPCs, tuned.BackendRPCs)
+	if s.BackendRPCs > 25 {
+		t.Fatalf("commit path spent %d backend round trips, budget 25: %+v", s.BackendRPCs, s)
 	}
 }

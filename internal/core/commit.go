@@ -132,11 +132,8 @@ func (r *Region) commitLoop(node string, backend Backend) {
 			continue
 		}
 		r.observeDequeue(ring, ops)
-		if !r.cfg.DisableCoalesce {
-			var merged int64
-			ops, merged = coalesceOps(ops, coalesceScratch, onMerge)
-			r.coalesced.Add(merged)
-		}
+		ops, merged := coalesceOps(ops, coalesceScratch, onMerge)
+		r.coalesced.Add(merged)
 		r.applyOps(ops, &now, backend, cache, &pending)
 		// Opportunistic pass: earlier failures often just needed a
 		// sibling queue to commit a parent. Uncounted — only forced
@@ -546,71 +543,19 @@ func (r *Region) finishSetStat(op Op, err error, now *vclock.Time, cache *memcac
 	}
 }
 
-// condPred is the client-side equivalent of the cache server's
-// conditional-op predicates, for the legacy read-then-delete loop.
-func condPred(cond memcache.Cond, seq uint64) func(cacheVal) bool {
-	switch cond {
-	case memcache.CondSeq:
-		return func(v cacheVal) bool { return v.seq == seq }
-	case memcache.CondSeqRemoved:
-		return func(v cacheVal) bool { return v.removed && v.seq == seq }
-	default: // memcache.CondClean
-		return func(v cacheVal) bool { return !v.dirty && !v.removed }
-	}
-}
-
 // deleteIf deletes path's cache entry while cond holds for (seq, flags).
-// The fast path is one server-side conditional delete: the server
-// evaluates the predicate under its shard lock, so no CAS retry traffic
-// exists at all. The legacy client-side loop (Get + CAS-guarded
-// DeleteCAS, re-reading on conflict so an update racing between the read
-// and the delete is never lost — §III.D.3 applied to deletion) is kept
-// for the ClientSideCommitOps ablation and whenever a deleteHook is
-// installed: the hook's purpose is to open that read/delete race window
-// deterministically, which the server-side op does not have.
+// It is one server-side conditional delete: the server evaluates the
+// predicate under its shard lock, so an update racing the cleanup either
+// lands first (and the predicate sees it) or lands after the delete — it
+// is never lost (§III.D.3 applied to deletion).
 func (r *Region) deleteIf(cache *memcache.Client, now *vclock.Time, path string, cond memcache.Cond, seq uint64) error {
-	if r.deleteHook.Load() == nil && !r.cfg.ClientSideCommitOps {
-		r.cacheRPCs.Add(1)
-		_, done, err := cache.DeleteIf(*now, path, cond, seq)
-		*now = done
-		if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-			return err
-		}
-		return nil
+	r.cacheRPCs.Add(1)
+	_, done, err := cache.DeleteIf(*now, path, cond, seq)
+	*now = done
+	if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
+		return err
 	}
-	pred := condPred(cond, seq)
-	for {
-		r.cacheRPCs.Add(1)
-		item, done, err := cache.Get(*now, path)
-		*now = done
-		if err != nil {
-			if errors.Is(err, fsapi.ErrNotExist) {
-				return nil // nothing to delete
-			}
-			return err
-		}
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return derr
-		}
-		if !pred(v) {
-			return nil // the entry is no longer ours to delete
-		}
-		if h := r.deleteHook.Load(); h != nil {
-			(*h)(path)
-		}
-		r.cacheRPCs.Add(1)
-		done, err = cache.DeleteCAS(*now, path, item.CAS)
-		*now = done
-		switch {
-		case err == nil || errors.Is(err, fsapi.ErrNotExist):
-			return nil
-		case errors.Is(err, fsapi.ErrStale):
-			continue // concurrent update won; re-examine the new value
-		default:
-			return err
-		}
-	}
+	return nil
 }
 
 // dropOp abandons an operation. An abandoned creation's cache entry is
@@ -676,42 +621,19 @@ func (r *Region) cacheLookup(path string, now *vclock.Time, cache *memcache.Clie
 
 // clearDirty clears the dirty flag for the op's seq: the backup copy now
 // matches this version. A newer seq means another mutation is in flight
-// and its own commit will clear the flag. The fast path is one
-// server-side conditional op; the legacy Get + CAS loop remains for the
-// ClientSideCommitOps ablation.
+// and its own commit will clear the flag; the cache server checks the seq
+// under its shard lock, in one round trip.
 func (r *Region) clearDirty(op Op, now *vclock.Time, cache *memcache.Client) {
-	if !r.cfg.ClientSideCommitOps {
-		r.cacheRPCs.Add(1)
-		_, done, _ := cache.ClearDirty(*now, op.Path, op.Seq)
-		*now = done
-		return
-	}
-	for {
-		r.cacheRPCs.Add(1)
-		item, done, err := cache.Get(*now, op.Path)
-		*now = done
-		if err != nil {
-			return // evicted or removed concurrently
-		}
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil || v.seq != op.Seq {
-			return
-		}
-		v.dirty = false
-		r.cacheRPCs.Add(1)
-		_, done, err = cache.CAS(*now, op.Path, v.encode(), 0, item.CAS)
-		*now = done
-		if err == nil || !errors.Is(err, fsapi.ErrStale) {
-			return
-		}
-	}
+	r.cacheRPCs.Add(1)
+	_, done, _ := cache.ClearDirty(*now, op.Path, op.Seq)
+	*now = done
 }
 
 // finishRemove deletes the removed marker from the cache once the remove
 // committed ("their cached metadata are deleted after the operations are
-// committed", §III.D.1) — unless a newer incarnation replaced it. The
-// delete is guarded: a create-after-rm racing between our read and
-// our delete must not have its fresh entry destroyed.
+// committed", §III.D.1) — unless a newer incarnation replaced it: the
+// delete is conditional on the marker still carrying this remove's seq,
+// so a create-after-rm's fresh entry is never destroyed.
 func (r *Region) finishRemove(op Op, now *vclock.Time, cache *memcache.Client) {
 	r.deleteIf(cache, now, op.Path, memcache.CondSeqRemoved, op.Seq)
 }

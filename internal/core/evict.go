@@ -59,11 +59,10 @@ func (r *Region) evictSubtree(c *Client, at vclock.Time, p string, isDir bool) (
 			}
 		}
 	}
-	// Guarded delete: only a clean (committed) entry may go. A client can
-	// dirty the entry between a read and a delete — that write makes the
-	// entry the primary copy again, and an unconditional delete would
-	// lose it forever; CondClean is evaluated under the server's shard
-	// lock (or the legacy CAS loop re-checks).
+	// Guarded delete: only a clean (committed) entry may go. A client
+	// write that dirties the entry makes it the primary copy again, and
+	// an unconditional delete would lose it forever; CondClean is
+	// evaluated under the server's shard lock.
 	err := r.deleteIf(c.cache, &at, p, memcache.CondClean, 0)
 	return at, err
 }

@@ -49,16 +49,3 @@ func (r *Region) DumpCache() ([]CacheEntry, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, derr
 }
-
-// SetDeleteHook installs (or clears, with nil) a hook that runs between
-// the read and the CAS-guarded delete of every cleanup loop (eviction,
-// commit bookkeeping, discard rule). Test instrumentation: it opens the
-// read/delete race window deterministically so regression tests can
-// interleave a conflicting write.
-func (r *Region) SetDeleteHook(h func(path string)) {
-	if h == nil {
-		r.deleteHook.Store(nil)
-		return
-	}
-	r.deleteHook.Store(&h)
-}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -374,4 +376,28 @@ func TestCacheFootprintClaim(t *testing.T) {
 	}
 	t.Logf("per-entry %.0fB → %.1fM entries per 500MB; node-memory fraction %.3f%%",
 		perEntry, entriesPer500MB/1e6, 100*fraction)
+}
+
+// TestRegionConfigKeepsNoPredecessorSwitches guards the one-path rule:
+// an optimisation replaces its predecessor instead of shipping next to
+// it behind a bool. The paper's own ablations (SyncCommit,
+// HierarchicalPermCheck, DisableParentCheck) reproduce published
+// figures and are the only mode switches RegionConfig carries; a new
+// Disable*/Legacy*/ClientSide* field means an old implementation is
+// being kept alive to be compared against — record its numbers in
+// EXPERIMENTS.md and delete it instead.
+func TestRegionConfigKeepsNoPredecessorSwitches(t *testing.T) {
+	allowed := map[string]bool{"DisableParentCheck": true} // §III.C
+	rt := reflect.TypeOf(RegionConfig{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if f.Type.Kind() != reflect.Bool || allowed[f.Name] {
+			continue
+		}
+		for _, prefix := range []string{"Disable", "Legacy", "ClientSide"} {
+			if strings.HasPrefix(f.Name, prefix) {
+				t.Errorf("RegionConfig.%s: bool switch that keeps a predecessor path selectable", f.Name)
+			}
+		}
+	}
 }

@@ -64,35 +64,20 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 		t.Fatalf("batched StatMulti cost %d cache RPCs for %d paths", batched, len(paths))
 	}
 
-	// The ablation baseline (ReadBatchSize 1) must agree on every result.
-	e2 := newEnv(t, 3, func(cfg *RegionConfig) { cfg.ReadBatchSize = 1 })
-	c2 := e2.client(t, "node0")
-	at2 := vclock.Time(0)
-	for i := 0; i < 24; i++ {
-		if at2, err = c2.Create(at2, fmt.Sprintf("/w/b%02d", i), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if at2, err = c2.Create(at2, "/w/gone", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if at2, err = c2.Remove(at2, "/w/gone"); err != nil {
-		t.Fatal(err)
-	}
-	base0 := c2.CacheRPCs()
-	res2, _, err := c2.StatMulti(at2, paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perKey := c2.CacheRPCs() - base0
-	for i := range res {
-		if (res[i].Err == nil) != (res2[i].Err == nil) || res[i].Stat.Type != res2[i].Stat.Type {
+	// A loop of single Stat calls — what the scan costs without the
+	// batched form — must agree on every result.
+	base0 := c.CacheRPCs()
+	for i, p := range paths {
+		st, done, serr := c.Stat(at, p)
+		at = done
+		if (res[i].Err == nil) != (serr == nil) || res[i].Stat.Type != st.Type {
 			t.Fatalf("batched/per-key disagree at %s: %+v/%v vs %+v/%v",
-				paths[i], res[i].Stat, res[i].Err, res2[i].Stat, res2[i].Err)
+				p, res[i].Stat, res[i].Err, st, serr)
 		}
 	}
+	perKey := c.CacheRPCs() - base0
 	if batched*2 > perKey {
-		t.Fatalf("batched = %d RPCs, per-key baseline = %d: want >= 2x reduction", batched, perKey)
+		t.Fatalf("batched = %d RPCs, per-key loop = %d: want >= 2x reduction", batched, perKey)
 	}
 }
 
@@ -315,14 +300,14 @@ func TestStatMultiSurvivesCacheServerDeath(t *testing.T) {
 
 // TestScopedBarrierSkipsSiblingQueues: a Readdir barrier scoped to one
 // subtree must not wait for (or drop) pending work in a sibling
-// subtree, while still draining everything under its own target. The
-// DisableScopedBarrier ablation restores the full drain, which can only
-// finish by dropping the parked sibling op.
+// subtree, while still draining everything under its own target. A
+// full barrier (Region.Drain) over the same state can only finish by
+// dropping the parked sibling op.
 func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 	mutate := func(cfg *RegionConfig) {
 		// Parent checks off so a create whose parent never exists parks
 		// forever in the commit pipeline; a tiny retry budget keeps the
-		// full-drain variant fast.
+		// full-drain subtest fast.
 		cfg.DisableParentCheck = true
 		cfg.CommitRetryLimit = 2
 	}
@@ -363,11 +348,8 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 		}
 	})
 
-	t.Run("full-ablation", func(t *testing.T) {
-		e := newEnv(t, 2, func(cfg *RegionConfig) {
-			mutate(cfg)
-			cfg.DisableScopedBarrier = true
-		})
+	t.Run("full-drain", func(t *testing.T) {
+		e := newEnv(t, 2, mutate)
 		c := e.client(t, "node0")
 		at, err := c.Mkdir(0, "/w/a", 0o755)
 		if err != nil {
@@ -378,12 +360,12 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if _, _, err := c.Readdir(at, "/w/a"); err != nil {
+		if _, err := e.region.Drain(at); err != nil {
 			t.Fatal(err)
 		}
 		st := e.region.Stats()
 		if st.BarriersScoped != 0 {
-			t.Fatalf("ablation still scoped a barrier: %+v", st)
+			t.Fatalf("Drain scoped its barrier: %+v", st)
 		}
 		if st.BarriersFull == 0 {
 			t.Fatalf("no full barrier recorded: %+v", st)

@@ -72,25 +72,9 @@ type RegionConfig struct {
 	CommitRetryLimit int
 	// CommitBatchSize caps how many queued operations a commit process
 	// dequeues — and ships to the DFS in one apply_batch RPC — at a time
-	// (default 8). 1 restores the op-at-a-time commit loop.
+	// (default 8). At 1 each op is dequeued and applied alone, so nothing
+	// coalesces or batches — what deterministic tests pin.
 	CommitBatchSize int
-	// DisableCoalesce turns off dequeue-time merging of same-path
-	// operation runs (ablation / debugging switch).
-	DisableCoalesce bool
-	// ReadBatchSize caps how many paths a batched read (StatMulti,
-	// readdir cache warming) packs into one multi-key cache round trip
-	// (default 64). 1 restores per-key gets (ablation switch).
-	ReadBatchSize int
-	// DisableScopedBarrier makes every sync barrier drain all node
-	// queues even when the dependent operation only covers a subtree
-	// (ablation switch; rename and Drain always use the full barrier).
-	DisableScopedBarrier bool
-	// ClientSideCommitOps makes the commit module use the legacy
-	// client-side Get+CAS / Get+DeleteCAS retry loops instead of the
-	// cache servers' conditional operations (ablation switch; the
-	// deleteHook test instrumentation also forces the legacy delete
-	// loop, which is where its race window lives).
-	ClientSideCommitOps bool
 	// Model is the latency model.
 	Model vclock.LatencyModel
 
@@ -131,12 +115,6 @@ func (c RegionConfig) withDefaults() RegionConfig {
 	}
 	if c.CommitBatchSize < 1 {
 		c.CommitBatchSize = 1
-	}
-	if c.ReadBatchSize == 0 {
-		c.ReadBatchSize = 64
-	}
-	if c.ReadBatchSize < 1 {
-		c.ReadBatchSize = 1
 	}
 	if c.ShardCount < 1 {
 		c.ShardCount = 1
@@ -236,11 +214,6 @@ type Region struct {
 	// insert (CAS-guarded) instead of resurrecting stale metadata that
 	// nothing would ever clean up.
 	invalGen atomic.Uint64
-
-	// deleteHook, when set, runs between the read and the CAS-guarded
-	// delete inside deleteIf — test instrumentation that opens the
-	// read/delete race window deterministically.
-	deleteHook atomic.Pointer[func(path string)]
 
 	committed, discarded, retries, dropped, evictions atomic.Int64
 	coalesced, cacheRPCs, backendRPCs                 atomic.Int64
@@ -707,8 +680,8 @@ func (r *Region) SpillCount() int {
 // op pushed into a skipped queue after the participant snapshot is
 // concurrent with the barrier and owes it nothing, exactly like an op
 // racing the marker push in the full protocol. Scope "" (rename,
-// Drain — operations whose footprint is not one subtree) and the
-// DisableScopedBarrier ablation drain every queue.
+// Drain — operations whose footprint is not one subtree) drains every
+// queue.
 func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain vclock.Time, err error) {
 	var start int64
 	if r.obs != nil {
@@ -719,7 +692,7 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 		return 0, at, err
 	}
 	participants := make([]*mq.Queue[Op], 0, len(r.queues))
-	if scope == "" || r.cfg.DisableScopedBarrier {
+	if scope == "" {
 		for _, q := range r.queues {
 			participants = append(participants, q)
 		}

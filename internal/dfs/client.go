@@ -16,16 +16,14 @@ import (
 type ClientConfig struct {
 	// Node is the node this client runs on (for latency selection).
 	Node string
-	// MDSAddr is the metadata server's RPC address. For multi-MDS
-	// deployments set MDSAddrs instead; requests then spread across the
-	// pool by path hash.
-	MDSAddr  string
-	MDSAddrs []string
+	// MDSAddr is the metadata server's RPC address (single-MDS
+	// deployments; multi-MDS deployments set Shards instead).
+	MDSAddr string
 	// Shards, when set, routes metadata operations through a
-	// subtree-partitioned shard pool instead of the shared-tree MDSAddrs
-	// group: each shard owns a disjoint slice of the namespace (see
-	// ShardMap), structural directories are mirrored everywhere, and
-	// cross-shard rename/rmdir run two-phase protocols (router.go).
+	// subtree-partitioned shard pool instead of MDSAddr: each shard
+	// owns a disjoint slice of the namespace (see ShardMap), structural
+	// directories are mirrored everywhere, and cross-shard rename/rmdir
+	// run two-phase protocols (router.go).
 	Shards *ShardMap
 	// DataAddrs are the data servers' RPC addresses in stripe order.
 	DataAddrs []string
@@ -71,9 +69,6 @@ type dentry struct {
 
 // NewClient builds a client over the given transport.
 func NewClient(t rpc.Transport, cfg ClientConfig) *Client {
-	if len(cfg.MDSAddrs) == 0 && cfg.MDSAddr != "" {
-		cfg.MDSAddrs = []string{cfg.MDSAddr}
-	}
 	c := &Client{
 		cfg:      cfg,
 		caller:   rpc.NewCaller(t, cfg.Model, cfg.Node),
@@ -163,10 +158,9 @@ func (c *Client) cacheDropSubtree(root string) {
 	}
 }
 
-// mdsFor routes a path's metadata operation to its MDS (single-MDS
-// deployments always return the one server). In sharded mode the shard
-// map owns the routing: structural paths go to this client's stable
-// mirror, everything else to the owning shard.
+// mdsFor routes a path's metadata operation to its MDS. In sharded
+// mode the shard map owns the routing: structural paths go to this
+// client's stable mirror, everything else to the owning shard.
 func (c *Client) mdsFor(p string) string {
 	if s := c.cfg.Shards; s != nil {
 		if s.Structural(p) {
@@ -174,12 +168,7 @@ func (c *Client) mdsFor(p string) string {
 		}
 		return s.AddrOf(s.Owner(p))
 	}
-	if len(c.cfg.MDSAddrs) == 1 {
-		return c.cfg.MDSAddrs[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(p))
-	return c.cfg.MDSAddrs[h.Sum32()%uint32(len(c.cfg.MDSAddrs))]
+	return c.cfg.MDSAddr
 }
 
 // lookupRPC issues one lookup to the MDS.

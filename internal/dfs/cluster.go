@@ -11,9 +11,9 @@ import (
 
 // Cluster assembles one BeeGFS-like deployment on a transport: one or
 // more MDSes plus data servers, mirroring the paper's testbed (1 MDS, 3
-// data servers on dedicated storage nodes). Multiple MDSes share the
-// namespace and split the service load (§II.B's "scale the metadata
-// server cluster" approach).
+// data servers on dedicated storage nodes). Multiple MDSes partition
+// the namespace by subtree and split the service load (§II.B's "scale
+// the metadata server cluster" approach; see NewClusterSharded).
 type Cluster struct {
 	Net       rpc.Network
 	Model     vclock.LatencyModel
@@ -26,40 +26,38 @@ type Cluster struct {
 	RootCred  fsapi.Cred
 
 	// Shards is set by NewClusterSharded: the MDSes hold independent
-	// subtree-partitioned namespaces instead of one shared tree, and
-	// clients route through this map. Nil for shared-tree clusters.
+	// subtree-partitioned namespaces and clients route through this
+	// map. Nil for the single-MDS cluster.
 	Shards *ShardMap
 }
 
 // NewCluster registers an MDS on mdsNode and one data server per entry
 // of dataNodes. The namespace root is owned by rootCred.
 func NewCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsNode string, dataNodes []string) *Cluster {
-	return NewClusterMulti(net, model, rootCred, []string{mdsNode}, dataNodes)
+	c := &Cluster{Net: net, Model: model, RootCred: rootCred}
+	c.addMDS(mdsNode + "/mds")
+	c.addDataServers(dataNodes)
+	return c
 }
 
-// NewClusterMulti deploys one metadata server per node in mdsNodes, all
-// sharing one namespace; clients spread their RPCs across the pool by
-// path hash.
-func NewClusterMulti(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsNodes []string, dataNodes []string) *Cluster {
-	c := &Cluster{Net: net, Model: model, RootCred: rootCred}
-	tree := namespace.NewTree(rootCred)
-	for _, node := range mdsNodes {
-		addr := node + "/mds"
-		m := NewMDSWithTree(addr, model, tree)
-		net.Register(addr, m.Service())
-		c.MDSes = append(c.MDSes, m)
-		c.MDSAddrs = append(c.MDSAddrs, addr)
-	}
+// addMDS registers one metadata server with its own namespace tree.
+func (c *Cluster) addMDS(addr string) {
+	m := NewMDS(addr, c.Model, c.RootCred)
+	c.Net.Register(addr, m.Service())
+	c.MDSes = append(c.MDSes, m)
+	c.MDSAddrs = append(c.MDSAddrs, addr)
 	c.MDS = c.MDSes[0]
 	c.MDSAddr = c.MDSAddrs[0]
+}
+
+func (c *Cluster) addDataServers(dataNodes []string) {
 	for _, node := range dataNodes {
 		addr := node + "/data"
-		ds := NewDataServer(addr, model)
+		ds := NewDataServer(addr, c.Model)
 		c.Data = append(c.Data, ds)
 		c.DataAddrs = append(c.DataAddrs, addr)
-		net.Register(addr, ds.Service())
+		c.Net.Register(addr, ds.Service())
 	}
-	return c
 }
 
 // NewClusterSharded deploys a subtree-partitioned metadata service:
@@ -78,21 +76,10 @@ func NewClusterSharded(net rpc.Network, model vclock.LatencyModel, rootCred fsap
 		addrs[i] = fmt.Sprintf("%s/mds%d", mdsNode, i)
 	}
 	c.Shards = NewShardMap(addrs, spreadRoots)
-	for i := 0; i < shards; i++ {
-		m := NewMDSWithTree(addrs[i], model, namespace.NewTree(rootCred))
-		net.Register(addrs[i], m.Service())
-		c.MDSes = append(c.MDSes, m)
-		c.MDSAddrs = append(c.MDSAddrs, addrs[i])
+	for _, addr := range addrs {
+		c.addMDS(addr)
 	}
-	c.MDS = c.MDSes[0]
-	c.MDSAddr = c.MDSAddrs[0]
-	for _, node := range dataNodes {
-		addr := node + "/data"
-		ds := NewDataServer(addr, model)
-		c.Data = append(c.Data, ds)
-		c.DataAddrs = append(c.DataAddrs, addr)
-		net.Register(addr, ds.Service())
-	}
+	c.addDataServers(dataNodes)
 	return c
 }
 
@@ -205,7 +192,7 @@ func (c *Cluster) Delegate(p string, shard int) error {
 func (c *Cluster) NewClient(node string, cred fsapi.Cred, cacheCap int, ttl vclock.Duration) *Client {
 	return NewClient(c.Net, ClientConfig{
 		Node:           node,
-		MDSAddrs:       c.MDSAddrs,
+		MDSAddr:        c.MDSAddr,
 		DataAddrs:      c.DataAddrs,
 		Cred:           cred,
 		Model:          c.Model,

@@ -394,8 +394,7 @@ func TestDentryTTLExpiry(t *testing.T) {
 
 func TestMultiMDSSharesNamespaceAndScales(t *testing.T) {
 	bus := rpc.NewBus()
-	c := NewClusterMulti(bus, vclock.Default(), rootCred,
-		[]string{"m0", "m1", "m2", "m3"}, []string{"s1"})
+	c := NewClusterSharded(bus, vclock.Default(), rootCred, "m", 4, []string{"/w"}, []string{"s1"})
 	root := c.NewClient("node0", rootCred, 0, 0)
 	if _, err := root.Mkdir(0, "/w", 0o777); err != nil {
 		t.Fatal(err)
@@ -408,14 +407,20 @@ func TestMultiMDSSharesNamespaceAndScales(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One shared namespace: every file visible regardless of which MDS
-	// served it, and all four MDSes carried load.
-	if c.MDS.Tree().Len() != 201 {
-		t.Fatalf("namespace objects = %d", c.MDS.Tree().Len())
+	// One namespace: every file visible regardless of which MDS owns
+	// it, and all four MDSes carried load.
+	ents, _, err := cl.Readdir(at, "/w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 200 {
+		t.Fatalf("namespace lists %d files, want 200", len(ents))
 	}
 	for i, m := range c.MDSes {
-		if m.Stats().Writes == 0 && m.Stats().Lookups == 0 {
-			t.Fatalf("MDS %d idle — path-hash routing broken", i)
+		// Every shard mirrors the one mkdir of /w; anything beyond it
+		// is a file create routed here.
+		if m.Stats().Writes <= 1 {
+			t.Fatalf("MDS %d took no creates — path-hash routing broken", i)
 		}
 	}
 	// And a saturated multi-MDS run outpaces a single MDS.
@@ -532,7 +537,7 @@ func TestApplyBatchPerOpErrors(t *testing.T) {
 
 func TestApplyBatchGroupsAcrossMDSes(t *testing.T) {
 	net := rpc.NewBus()
-	c := NewClusterMulti(net, vclock.Default(), rootCred, []string{"node0", "node1"}, nil)
+	c := NewClusterSharded(net, vclock.Default(), rootCred, "node0", 2, []string{"/w"}, nil)
 	root := c.NewClient("node0", rootCred, 0, 0)
 	if _, err := root.Mkdir(0, "/w", 0o777); err != nil {
 		t.Fatal(err)

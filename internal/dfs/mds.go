@@ -41,21 +41,12 @@ type MDS struct {
 
 // NewMDS creates a metadata server whose root is owned by cred.
 func NewMDS(name string, model vclock.LatencyModel, cred fsapi.Cred) *MDS {
-	return NewMDSWithTree(name, model, namespace.NewTree(cred))
-}
-
-// NewMDSWithTree creates a metadata server over an existing namespace —
-// the multi-MDS deployment (paper §II.B / §V: BeeGFS, Lustre and CephFS
-// scale the metadata service cluster): servers share the namespace state
-// while each contributes its own service pool, and clients spread
-// requests across them by path hash.
-func NewMDSWithTree(name string, model vclock.LatencyModel, tree *namespace.Tree) *MDS {
 	workers := model.MDSWorkers
 	if workers <= 0 {
 		workers = 4
 	}
 	return &MDS{
-		tree:  tree,
+		tree:  namespace.NewTree(cred),
 		model: model,
 		res:   vclock.NewResource(name, workers),
 	}

@@ -10,7 +10,7 @@ import (
 
 // Client-side shard routing. With ClientConfig.Shards set, the client
 // fronts a pool of independent MDS shards (each with its own namespace
-// tree and service pool) instead of one shared-tree MDS group:
+// tree and service pool) instead of one MDS:
 //
 //   - single-subtree operations route to the owning shard (ShardMap);
 //   - structural (mirrored) mutations fan out to every shard;

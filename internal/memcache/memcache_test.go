@@ -3,7 +3,9 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pacon/internal/dht"
@@ -472,6 +474,102 @@ func TestClientConditionalOpsThroughRPC(t *testing.T) {
 	deleted, _, err = c.DeleteIf(0, "/w/f", CondSeq, 4)
 	if err != nil || deleted {
 		t.Fatalf("DeleteIf on absent key = %v, %v", deleted, err)
+	}
+}
+
+// TestConditionalOpsNeverDeleteAckedCAS hammers delete_if and
+// clear_dirty against a concurrent CAS writer on one key. The writer
+// installs (dirty, seq n) incarnations; the cleaner plays commit
+// process and evictor for every seq the writer has released to it
+// (clear_dirty n, delete_if clean, delete_if seq n). Between a CAS's
+// acknowledgement and the release of its seq only cleanup aimed at
+// older incarnations is in flight, and none of it may touch the acked
+// value: the predicates run under the shard lock, so there is no
+// check-then-delete window for the CAS to fall into.
+func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
+	bus := rpc.NewBus()
+	model := vclock.Default()
+	ring := dht.New(0)
+	const addr = "node0/cache"
+	bus.Register(addr, NewServer(addr, ServerConfig{Model: model}).Service())
+	ring.Add(addr)
+	writer := NewClient(rpc.NewCaller(bus, model, "node0"), ring)
+	cleaner := NewClient(rpc.NewCaller(bus, model, "node1"), ring)
+
+	const key = "/w/contended"
+	const rounds = 2000
+	var released atomic.Uint64 // newest seq the cleaner may clean
+	var cleared, deleted atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seq := released.Load()
+			for _, cond := range []Cond{CondClean, CondSeq, CondSeqRemoved} {
+				ok, _, err := cleaner.ClearDirty(0, key, seq)
+				if err != nil {
+					t.Errorf("clear_dirty: %v", err)
+					return
+				}
+				if ok {
+					cleared.Add(1)
+				}
+				if ok, _, err = cleaner.DeleteIf(0, key, cond, seq); err != nil {
+					t.Errorf("delete_if: %v", err)
+					return
+				}
+				if ok {
+					deleted.Add(1)
+				}
+			}
+			runtime.Gosched() // single-CPU runs: alternate with the writer
+		}
+	}()
+
+	for n := uint64(1); n <= rounds; n++ {
+		val := makeVal(hdrDirty, n)
+		for acked := false; !acked; {
+			item, _, err := writer.Get(0, key)
+			switch {
+			case err == nil:
+				_, _, err = writer.CAS(0, key, val, 0, item.CAS)
+			case errors.Is(err, fsapi.ErrNotExist):
+				_, _, err = writer.Add(0, key, val, 0)
+			}
+			switch {
+			case err == nil:
+				acked = true
+			case errors.Is(err, fsapi.ErrStale), errors.Is(err, fsapi.ErrNotExist), errors.Is(err, fsapi.ErrExist):
+				// Lost to a legitimate cleanup of the previous seq: re-read.
+			default:
+				t.Fatalf("round %d: %v", n, err)
+			}
+		}
+		item, _, err := writer.Get(0, key)
+		if err != nil {
+			t.Fatalf("round %d: acked CAS deleted by cleanup of an older seq: %v", n, err)
+		}
+		if flags, seq, ok := parseValueHeader(item.Value); !ok || seq != n || flags&hdrDirty == 0 {
+			t.Fatalf("round %d: acked value altered by cleanup of an older seq: flags=%#x seq=%d", n, flags, seq)
+		}
+		released.Store(n)
+		runtime.Gosched()
+	}
+	// The race is only exercised if released seqs really were cleaned
+	// while the writer kept going.
+	if cleared.Load() == 0 || deleted.Load() == 0 {
+		t.Fatalf("cleaner never won: cleared=%d deleted=%d", cleared.Load(), deleted.Load())
 	}
 }
 

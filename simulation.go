@@ -35,7 +35,7 @@ type SimulationConfig struct {
 	Obs *Obs
 	// ShardCount > 1 partitions the metadata service by subtree across
 	// that many independent MDS shards (each with its own namespace and
-	// service pool) instead of the default single shared-tree MDS.
+	// service pool) instead of the default single MDS.
 	ShardCount int
 	// SpreadRoots lists directories whose immediate children spread
 	// across the shard pool (each child subtree hashes as one unit).
