@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check audit-check race-chaos bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
+.PHONY: build test check audit-check race-chaos bench bench-quick bench-diff alloc-gate trace-check clean
 
 build:
 	$(GO) build ./...
@@ -29,38 +29,27 @@ check: build
 # archives. The report is written even when the gate fails.
 audit-check: build
 	$(GO) test -count=1 ./internal/chaos/ ./internal/audit/
-	$(GO) run ./cmd/paconbench -quick -auditjson AUDIT_report.json
+	$(GO) run ./cmd/paconbench -quick -fig audit -json AUDIT_report.json
 
-# bench-read regenerates the read-path report (BENCH_read.json): batched
-# multi-key reads + scoped barriers under a readdir+stat mix with
-# sibling writers, plus its MDS shard sweep.
-bench-read:
-	$(GO) run ./cmd/paconbench -readjson BENCH_read.json
+# bench regenerates BENCH.json, the committed full-scale report: every
+# report experiment (commit, shards, read, scale, hotspot, audit), one
+# row per workload x clients x MDS shards, all in one schema (see
+# "Reading BENCH.json" in README.md). About a minute. bench-quick is the
+# same at -quick scale (seconds) into BENCH_ci.json — what CI runs.
+# Both pin GOMAXPROCS=1: virtual throughput to the end of a drain
+# depends on how the host interleaves producers with commit processes,
+# and on one P two runs agree within about 1% on any host, where a
+# 2-vCPU run of the same binary moves the sharded rows by up to 2x
+# (EXPERIMENTS.md, "Report rows and the host").
+bench:
+	GOMAXPROCS=1 $(GO) run ./cmd/paconbench -json BENCH.json
 
-# bench-scale regenerates the client-scalability report
-# (BENCH_scale.json): virtual throughput at 160 → 1M simulated clients
-# multiplexed onto at most 64 shard goroutines.
-bench-scale:
-	$(GO) run ./cmd/paconbench -scalejson BENCH_scale.json
+bench-quick:
+	GOMAXPROCS=1 $(GO) run ./cmd/paconbench -quick -json BENCH_ci.json
 
-# bench-shards runs a trimmed MDS shard sweep (1/2/4 shards, commit
-# wave at quick scale) and writes the standalone BENCH_shards.json
-# artifact; the full 1/2/4/8 sweep rides inside bench-read/bench-scale
-# and the commit report.
-bench-shards:
-	$(GO) run ./cmd/paconbench -quick -shardsjson BENCH_shards.json
-
-# bench-hotspot regenerates the hotspot-telemetry report
-# (BENCH_hotspot.json): a zipf-skewed stat/create mix at scale-bench
-# fan-in, sweeping zipf s ∈ {1.0, 1.2, 1.4} × MDS shards ∈ {1, 4} and
-# reporting client p50/p99, per-shard utilization spread, and the top-K
-# sketch's recall of the true hot set (acceptance: ≥0.90 at s=1.2).
-bench-hotspot:
-	$(GO) run ./cmd/paconbench -hotjson BENCH_hotspot.json
-
-# bench-diff compares two BENCH_*.json artifacts and fails on >10%
+# bench-diff compares two reports of the same scale and fails on >10%
 # regressions of direction-known metrics (throughput down, latency up).
-# Usage: make bench-diff OLD=BENCH_hotspot.json NEW=BENCH_hotspot_ci.json
+# Usage: make bench-diff OLD=BENCH.json NEW=/tmp/BENCH_new.json
 bench-diff:
 	$(GO) run ./cmd/benchdiff -fail $(OLD) $(NEW)
 
@@ -82,13 +71,11 @@ alloc-gate:
 
 # trace-check is the causal-tracing gate: the cross-node trace tests
 # (wire propagation, assembly/ordering, sampling, flight recorder) run
-# against a counted build, then a trimmed scale sweep runs with tracing
-# live at the default 1-in-64 rate and writes BENCH_scale_trace.json —
-# whose per-point "trace" block is the evidence the sampler actually
-# sampled at scale.
+# against a counted build. That the sampler actually samples at scale is
+# asserted by internal/bench's report smoke test and recorded in every
+# BENCH.json row's "trace" block.
 trace-check: build
 	$(GO) test -count=1 -run 'Trace|Span|Sampl|Flight|CritPath' ./internal/obs/ ./internal/rpc/ ./internal/core/ ./internal/chaos/
-	$(GO) run ./cmd/paconbench -quick -scalejson BENCH_scale_trace.json
 
 # race-chaos runs only the chaos convergence schedules under -race.
 race-chaos:

@@ -1,7 +1,7 @@
-// Command benchdiff compares two BENCH_*.json artifacts and flags
-// regressions, seeding the bench trajectory: CI (or a developer) diffs
-// the committed baseline against a fresh run and sees which metrics
-// moved more than the threshold in the adverse direction.
+// Command benchdiff compares two paconbench reports (BENCH.json, or any
+// two JSON files of one shape) and flags regressions: a developer diffs
+// the committed baseline against a fresh run of the same scale and sees
+// which metrics moved more than the threshold in the adverse direction.
 //
 // Usage:
 //
@@ -9,9 +9,9 @@
 //	benchdiff -fail OLD.json NEW.json        # exit 1 on regressions
 //	benchdiff -threshold 0.05 OLD NEW        # tighter gate (default 0.10)
 //
-// The two files may be any BENCH_*.json shapes: both are flattened to
-// dotted numeric leaves ("points[2].virtual_ops_per_sec") and compared
-// key-by-key. Direction is inferred from the metric name — throughput-
+// Both files are flattened to dotted numeric leaves
+// ("points[2].virtual_ops_per_sec") and compared key-by-key; rows pair up
+// by position, which holds for two runs of the same experiments. Direction is inferred from the metric name — throughput-
 // like metrics (ops_per_sec, speedup, recall, hits...) regress when
 // they fall, cost-like metrics (latency, _ns, wait, errors, misses...)
 // when they rise; unrecognized metrics are reported as changed but

@@ -1,8 +1,13 @@
-// Package bench is the experiment harness: one runner per figure of the
-// paper's motivation and evaluation sections (Figs 1, 2, 7, 8, 9, 10,
-// 11, 12), each rebuilding a fresh deployment per data point and driving
-// it with the workload package. cmd/paconbench and bench_test.go are
-// thin wrappers over this package.
+// Package bench is the experiment harness. Paper-figure experiments
+// (figures.go, ablation.go, sensitivity.go, batchfs.go, tools.go) have
+// one runner per figure of the paper's motivation and evaluation
+// sections (Figs 1, 2, 7, 8, 9, 10, 11, 12), each rebuilding a fresh
+// deployment per data point and driving it with the workload package.
+// Report experiments (workloads.go: commit, shards, read, scale,
+// hotspot, audit) are tables of rows all measured by one runner into
+// one Point schema; `paconbench -json PATH` writes them as one Report,
+// and the committed full-scale run is BENCH.json. cmd/paconbench and
+// bench_test.go are thin wrappers over this package.
 package bench
 
 import (
@@ -33,30 +38,31 @@ const (
 // Config scales the whole harness.
 type Config struct {
 	// Model is the latency model (Default() if zero).
-	Model vclock.LatencyModel
+	Model vclock.LatencyModel `json:"-"`
 	// MaxNodes is the client-cluster size (paper: 16).
-	MaxNodes int
+	MaxNodes int `json:"max_nodes"`
 	// ClientsPerNode is the per-node client count (paper: 20).
-	ClientsPerNode int
+	ClientsPerNode int `json:"clients_per_node"`
 	// ItemsPerClient is the per-client op count per phase.
-	ItemsPerClient int
+	ItemsPerClient int `json:"items_per_client"`
 	// MADbenchProcsPerNode and MADbenchFileMB size Fig 12.
-	MADbenchProcsPerNode int
-	MADbenchFileMB       int
+	MADbenchProcsPerNode int `json:"madbench_procs_per_node"`
+	MADbenchFileMB       int `json:"madbench_file_mb"`
 	// ScaleClients are the simulated-client counts the scale experiment
 	// sweeps (default 160, 10k, 100k, 1M). ScaleOpsBudget is the total
 	// operation budget per point, split evenly across the simulated
 	// clients (default 2²⁰).
-	ScaleClients   []int
-	ScaleOpsBudget int
+	ScaleClients   []int `json:"scale_clients"`
+	ScaleOpsBudget int   `json:"scale_ops_budget"`
 	// MDSShards deploys the subtree-partitioned metadata service with
 	// this many MDS shards instead of the single MDS
 	// (0 = unsharded; 1 = sharded code path with one shard, the honest
-	// router-overhead baseline). The shard sweep sets this per point.
-	MDSShards int
-	// ShardSweep lists the MDS shard counts the commit/read/scale
-	// reports additionally sweep (empty = no sweep block).
-	ShardSweep []int
+	// router-overhead baseline). Report rows set it per row.
+	MDSShards int `json:"-"`
+	// ShardSweep lists the MDS shard counts the shards/read/scale
+	// experiments sweep (empty = shards sweeps 1/2/4/8, the others add no
+	// sweep rows).
+	ShardSweep []int `json:"shard_sweep"`
 }
 
 // Default returns the paper-scale configuration (runs in minutes).

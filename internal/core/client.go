@@ -912,6 +912,13 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 			if aerr == nil {
 				return c.pushOp(at, OpRemove, p, fsapi.Stat{}, seq)
 			}
+			if errors.Is(aerr, fsapi.ErrOutOfSpace) {
+				// Same policy as insert: make room, then re-examine.
+				if at, aerr = r.evictRound(c, at); aerr != nil {
+					return at, aerr
+				}
+				continue
+			}
 			if !errors.Is(aerr, fsapi.ErrExist) {
 				return at, aerr
 			}

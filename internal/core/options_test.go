@@ -277,6 +277,47 @@ func TestEvictionWalksNestedDirs(t *testing.T) {
 	}
 }
 
+// Remove of a file that was evicted from a full cache must make room for
+// its removed marker the way insert does, not surface ErrOutOfSpace.
+func TestRemoveEvictsWhenCacheFull(t *testing.T) {
+	e := newEnv(t, 1, func(cfg *RegionConfig) { cfg.CacheCapacityBytes = 8 << 10 })
+	c := e.client(t, "node0")
+	// "/w/a" sorts first, so the first eviction round picks it.
+	at, err := c.Create(0, "/w/a", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the cache with clean entries until one create has to evict:
+	// that round drops "/w/a" and the new (longer-keyed) entry takes its
+	// room, leaving less free space than the marker for "/w/a" needs.
+	for i := 0; e.region.Stats().Evictions == 0; i++ {
+		if i == 1000 {
+			t.Fatal("cache never filled")
+		}
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = c.Create(at, fmt.Sprintf("/w/f%03d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Remove(at, "/w/a"); err != nil {
+		t.Fatalf("remove on a full cache: %v", err)
+	}
+	if got := e.region.Stats().Evictions; got != 2 {
+		t.Fatalf("evictions = %d, want 2 (one by the fill, one by Remove)", got)
+	}
+	if _, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	if e.dfs.MDS.Tree().Exists("/w/a") {
+		t.Fatal("remove never reached the DFS")
+	}
+}
+
 func TestRenameExtension(t *testing.T) {
 	e := newEnv(t, 2, nil)
 	c := e.client(t, "node0")

@@ -142,22 +142,22 @@ type Deps struct {
 
 // RegionStats aggregates commit-module counters.
 type RegionStats struct {
-	Committed int64 // ops applied to the DFS
-	Discarded int64 // creates dropped under an active rmdir (§III.D.1)
-	Retries   int64 // resubmissions (independent commit, §III.E.1)
-	Dropped   int64 // ops abandoned after CommitRetryLimit
-	Evictions int64 // region-level eviction rounds (§III.F)
+	Committed int64 `json:"committed"` // ops applied to the DFS
+	Discarded int64 `json:"discarded"` // creates dropped under an active rmdir (§III.D.1)
+	Retries   int64 `json:"retries"`   // resubmissions (independent commit, §III.E.1)
+	Dropped   int64 `json:"dropped"`   // ops abandoned after CommitRetryLimit
+	Evictions int64 `json:"evictions"` // region-level eviction rounds (§III.F)
 
-	Coalesced      int64 // queued ops merged away at dequeue time
-	CacheRPCs      int64 // commit-path cache round trips (bookkeeping traffic)
-	BackendRPCs    int64 // commit-path DFS round trips (batch counts as one)
-	BatchRPCs      int64 // apply_batch calls issued
-	BatchedOps     int64 // ops shipped inside apply_batch calls
-	BatchFallbacks int64 // batches degraded to singleton ops (transport failure)
+	Coalesced      int64 `json:"coalesced"`       // queued ops merged away at dequeue time
+	CacheRPCs      int64 `json:"cache_rpcs"`      // commit-path cache round trips (bookkeeping traffic)
+	BackendRPCs    int64 `json:"backend_rpcs"`    // commit-path DFS round trips (batch counts as one)
+	BatchRPCs      int64 `json:"batch_rpcs"`      // apply_batch calls issued
+	BatchedOps     int64 `json:"batched_ops"`     // ops shipped inside apply_batch calls
+	BatchFallbacks int64 `json:"batch_fallbacks"` // batches degraded to singleton ops (transport failure)
 
-	BarriersScoped int64 // sync barriers that skipped at least one queue
-	BarriersFull   int64 // sync barriers that drained every queue
-	CacheWarms     int64 // clean entries bulk-loaded into the cache by read paths
+	BarriersScoped int64 `json:"barriers_scoped"` // sync barriers that skipped at least one queue
+	BarriersFull   int64 `json:"barriers_full"`   // sync barriers that drained every queue
+	CacheWarms     int64 `json:"cache_warms"`     // clean entries bulk-loaded into the cache by read paths
 }
 
 // Region is a running consistent region.

@@ -149,7 +149,7 @@ func (c *Client) shardedRename(at vclock.Time, src, dst string) (vclock.Time, er
 		stats = append(stats, fsapi.DecodeStat(d))
 	}
 	if derr := d.Finish(); derr != nil {
-		return c.xferAbort(at, srcAddr, src, id), derr
+		return c.releaseIntent(at, []string{srcAddr}, src, id), derr
 	}
 
 	// Phase 2: apply on the destination. Failure aborts the source
@@ -166,7 +166,7 @@ func (c *Client) shardedRename(at vclock.Time, src, dst string) (vclock.Time, er
 	at, _, err = c.caller.Call(dstAddr, "xfer_apply", at, e.Bytes())
 	wire.PutEncoder(e)
 	if err != nil {
-		return c.xferAbort(at, srcAddr, src, id), err
+		return c.releaseIntent(at, []string{srcAddr}, src, id), err
 	}
 
 	// Phase 3: finalize on the source — unlink and release the intent.
@@ -191,19 +191,22 @@ func (c *Client) shardedRename(at vclock.Time, src, dst string) (vclock.Time, er
 	return at, nil
 }
 
-// xferAbort releases the source intent after a failed cross-shard
-// rename; best-effort (an unreachable source clears its intents on
-// recovery).
-func (c *Client) xferAbort(at vclock.Time, srcAddr, src string, id uint64) vclock.Time {
-	e := wire.GetEncoder()
-	e.String(src)
-	e.Uvarint(id)
-	done, _, err := c.caller.Call(srcAddr, "xfer_abort", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return at
+// releaseIntent drops intent id rooted at p on each shard in addrs, one
+// after the other from `at`, without mutating — the abort step of a
+// cross-shard rename or rmdir and the closing bracket of rmtree.
+// Best-effort: an unreachable shard clears its intents on recovery.
+func (c *Client) releaseIntent(at vclock.Time, addrs []string, p string, id uint64) vclock.Time {
+	for _, addr := range addrs {
+		e := wire.GetEncoder()
+		e.String(p)
+		e.Uvarint(id)
+		done, _, err := c.caller.Call(addr, "intent_del", at, e.Bytes())
+		wire.PutEncoder(e)
+		if err == nil {
+			at = vclock.Max(at, done)
+		}
 	}
-	return done
+	return at
 }
 
 // shardedRmdir removes an empty directory that spans shards (mirrored,
@@ -232,17 +235,7 @@ func (c *Client) shardedRmdir(at vclock.Time, p string, targets []string) (vcloc
 		prepared = append(prepared, addr)
 	}
 	if first != nil {
-		for _, addr := range prepared {
-			e := wire.GetEncoder()
-			e.String(p)
-			e.Uvarint(id)
-			done, _, err := c.caller.Call(addr, "rmdir_abort", latest, e.Bytes())
-			wire.PutEncoder(e)
-			if err == nil {
-				latest = vclock.Max(latest, done)
-			}
-		}
-		return latest, first
+		return c.releaseIntent(latest, prepared, p, id), first
 	}
 	commitAt := latest
 	for _, addr := range targets {
@@ -321,16 +314,7 @@ func (c *Client) shardedRmTree(at vclock.Time, p string, targets []string) ([]st
 			first = fsapi.WrapPath("rmdir", p, fsapi.ErrNotExist)
 		}
 	}
-	for _, addr := range marked {
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Uvarint(id)
-		done, _, err := c.caller.Call(addr, "intent_del", latest, e.Bytes())
-		wire.PutEncoder(e)
-		if err == nil {
-			latest = vclock.Max(latest, done)
-		}
-	}
+	latest = c.releaseIntent(latest, marked, p, id)
 	if first != nil {
 		return nil, latest, first
 	}

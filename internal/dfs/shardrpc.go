@@ -22,11 +22,13 @@ import (
 //	                            failure)
 //	xfer_finalize (src shard) — unlink the source subtree, release the
 //	                            intent
-//	xfer_abort   (src shard)  — release the intent without mutating
+//	intent_del   (src shard)  — abort: release the intent without
+//	                            mutating
 //
 // A structural rmdir (a directory mirrored on every shard) runs
-// rmdir_prepare / rmdir_commit / rmdir_abort across the pool, and
-// multi-shard rmtree brackets its sweeps with intent_put / intent_del.
+// rmdir_prepare / rmdir_commit across the pool (abort is intent_del
+// again), and multi-shard rmtree brackets its sweeps with intent_put /
+// intent_del.
 //
 // Intents are volatile: they live in MDS memory and are cleared on
 // shard recovery (ClearIntents), which gives crash-restart the
@@ -229,18 +231,6 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		return m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+len(removed))), nil, nil
 	})
 
-	// xfer_abort: release the intent without mutating.
-	svc.Handle("xfer_abort", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.NewDecoder(body)
-		src := d.String()
-		id := d.Uvarint()
-		if err := d.Finish(); err != nil {
-			return at, nil, err
-		}
-		m.delIntent(src, id)
-		return m.res.Acquire(at, m.model.MDSReadCost), nil, nil
-	})
-
 	// rmdir_prepare: this shard's vote on a multi-shard rmdir. The
 	// directory must be locally a dir and locally empty (a shard that
 	// never materialized it votes yes — nothing under it can exist
@@ -299,21 +289,10 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		return m.res.Acquire(at, m.model.MDSWriteCost), nil, nil
 	})
 
-	// rmdir_abort: release the intent, leaving the mirror untouched.
-	svc.Handle("rmdir_abort", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.NewDecoder(body)
-		p := d.String()
-		id := d.Uvarint()
-		if err := d.Finish(); err != nil {
-			return at, nil, err
-		}
-		m.delIntent(p, id)
-		return m.res.Acquire(at, m.model.MDSReadCost), nil, nil
-	})
-
 	// intent_put / intent_del: bare intent bracketing for multi-shard
 	// rmtree — block creates under the doomed subtree on every involved
-	// shard while the sweeps run.
+	// shard while the sweeps run. intent_del is also the abort step of
+	// the rename and rmdir protocols: release without mutating.
 	svc.Handle("intent_put", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
 		root := d.String()

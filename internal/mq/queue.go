@@ -105,6 +105,7 @@ func (q *Queue[T]) PushBarrier(epoch uint64) error {
 		it.wall = time.Now().UnixNano()
 	}
 	q.tail = append(q.tail, it)
+	q.pushed++
 	q.size.Add(1)
 	q.cond.Signal()
 	q.pushMu.Unlock()
@@ -285,16 +286,21 @@ func (q *Queue[T]) Close() {
 	q.pushMu.Unlock()
 }
 
-// QueueStats reports queue pressure for the bench harness.
+// QueueStats reports queue pressure for the bench harness. Pushed and
+// Popped count every message, barrier markers included, so
+// Popped <= Pushed holds in any snapshot.
 type QueueStats struct {
 	Pushed, Popped int64
 	MaxDepth       int
 }
 
-// Stats returns counters.
+// Stats returns counters. popped is read first: both counters only grow
+// and a message is pushed before it is popped, so the later pushed read
+// can never fall below it.
 func (q *Queue[T]) Stats() QueueStats {
+	popped := q.popped.Load()
 	q.pushMu.Lock()
 	pushed, maxSeen := q.pushed, q.maxSeen
 	q.pushMu.Unlock()
-	return QueueStats{Pushed: pushed, Popped: q.popped.Load(), MaxDepth: maxSeen}
+	return QueueStats{Pushed: pushed, Popped: popped, MaxDepth: maxSeen}
 }

@@ -186,8 +186,8 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 		t.Fatalf("%d paths never released: %v", len(tracker.counts), tracker.counts)
 	}
 	st := q.Stats()
-	if st.Pushed != int64(publishers*perPub) {
-		t.Fatalf("Stats.Pushed = %d, want %d", st.Pushed, publishers*perPub)
+	if st.Pushed != int64(publishers*perPub+barriers) {
+		t.Fatalf("Stats.Pushed = %d, want %d", st.Pushed, publishers*perPub+barriers)
 	}
 	if st.Popped != int64(publishers*perPub+barriers) {
 		t.Fatalf("Stats.Popped = %d, want %d", st.Popped, publishers*perPub+barriers)

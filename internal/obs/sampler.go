@@ -215,8 +215,8 @@ func (o *Obs) SpanTrace(span uint64) (CritPath, bool) {
 	return CritPath{}, false
 }
 
-// TraceStats is the sampling/flight summary block bench embeds in
-// BENCH_scale.json.
+// TraceStats is the sampling/flight summary block bench embeds in every
+// BENCH.json row.
 type TraceStats struct {
 	// SampleN is the head-sampling rate (1 in N; 0 = disabled).
 	SampleN int64 `json:"sample_n"`
