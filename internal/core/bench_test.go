@@ -109,6 +109,32 @@ func BenchmarkClientStatHit(b *testing.B) {
 	}
 }
 
+// BenchmarkClientStatMulti is the batched read path with every key a
+// cache hit: 16 siblings spread over the 4 cache servers, so one call is
+// one grouping, one get_multi fan-out and 16 decodes. make alloc-gate
+// pins its allocs/op.
+func BenchmarkClientStatMulti(b *testing.B) {
+	_, c := benchEnv(b, 4)
+	now, err := c.Mkdir(0, "/w/dir", 0o755)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paths := make([]string, 16)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/dir/file%02d", i)
+		if now, err = c.Create(now, paths[i], 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var res []fsapi.StatResult
+		if res, now, err = c.StatMulti(now, paths); err != nil || res[15].Err != nil {
+			b.Fatal(err, res[15].Err)
+		}
+	}
+}
+
 func BenchmarkClientInlineWrite(b *testing.B) {
 	_, c := benchEnv(b, 4)
 	now, err := c.Create(0, "/w/inline", 0o644)

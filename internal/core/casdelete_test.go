@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"pacon/internal/fsapi"
@@ -78,6 +79,20 @@ func recreate(t *testing.T, c *Client, r *Region, path string) uint64 {
 	return mustEntry(t, r, path, "after re-create").Seq
 }
 
+// evict runs the batched eviction of p's subtree — what evictRound does
+// once it has picked p: the DFS walk into the region's scratch and the
+// delete_if_multi fan-out.
+func evict(t *testing.T, r *Region, c *Client, at vclock.Time, p string, isDir bool) vclock.Time {
+	t.Helper()
+	r.evictMu.Lock()
+	defer r.evictMu.Unlock()
+	at, err := r.evictSubtree(c, at, p, isDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return at
+}
+
 func findEntry(t *testing.T, r *Region, path string) (CacheEntry, bool) {
 	t.Helper()
 	dump, err := r.DumpCache()
@@ -137,9 +152,7 @@ func TestEvictionKeepsRacingDirtyWrite(t *testing.T) {
 		if _, err := e.client(t, "node0").WriteAt(at, "/w/victim", 0, []byte("racy-new-data")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.region.evictSubtree(c, at, "/w/victim", false); err != nil {
-			t.Fatal(err)
-		}
+		evict(t, e.region, c, at, "/w/victim", false)
 		ent, ok := findEntry(t, e.region, "/w/victim")
 		if !ok {
 			t.Fatal("dirty primary copy evicted — write lost")
@@ -153,9 +166,7 @@ func TestEvictionKeepsRacingDirtyWrite(t *testing.T) {
 
 	t.Run("evict-then-write", func(t *testing.T) {
 		e, c, at := setup(t)
-		if _, err := e.region.evictSubtree(c, at, "/w/victim", false); err != nil {
-			t.Fatal(err)
-		}
+		evict(t, e.region, c, at, "/w/victim", false)
 		if _, ok := findEntry(t, e.region, "/w/victim"); ok {
 			t.Fatal("clean committed entry not evicted")
 		}
@@ -178,9 +189,7 @@ func TestEvictionStillRemovesCleanEntries(t *testing.T) {
 	if at, err = e.region.Drain(at); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.region.evictSubtree(c, at, "/w/clean", false); err != nil {
-		t.Fatal(err)
-	}
+	evict(t, e.region, c, at, "/w/clean", false)
 	if _, ok := findEntry(t, e.region, "/w/clean"); ok {
 		t.Fatal("clean committed entry not evicted")
 	}
@@ -450,6 +459,112 @@ func TestEvictRoundRobinAdvancesByName(t *testing.T) {
 	}
 }
 
+// TestEvictRoundTripsPerOwner: a round deletes its subtree with one
+// delete_if_multi per owning cache server per chunk, not one delete_if
+// per path — and the region's counters say what it did.
+func TestEvictRoundTripsPerOwner(t *testing.T) {
+	e := newEnv(t, 4, nil)
+	c := e.client(t, "node0")
+	// 1,024 committed files in one top-level directory, listed through
+	// the region so Readdir bulk-loads them into the cache.
+	const files = 1024
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	at, err := admin.Mkdir(0, "/w/big", 0o777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < files; i++ {
+		if at, err = admin.Create(at, fmt.Sprintf("/w/big/f%04d", i), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, at, err = c.Readdir(at, "/w/big"); err != nil {
+		t.Fatal(err)
+	}
+	if _, at, err = c.Stat(at, "/w/big"); err != nil {
+		t.Fatal(err)
+	}
+	cachedBefore := e.region.CacheStats().Items
+
+	s0, rpcs0 := e.region.Stats(), c.CacheRPCs()
+	if _, err = e.region.evictRound(c, at); err != nil {
+		t.Fatal(err)
+	}
+	s1, rpcs := e.region.Stats(), c.CacheRPCs()-rpcs0
+
+	chunks := int64((files + 1 + evictChunk - 1) / evictChunk)
+	if limit := chunks * int64(e.region.Ring().Size()); rpcs > limit {
+		t.Fatalf("round issued %d cache RPCs for %d paths, want <= %d (%d chunks x ring size)", rpcs, files+1, limit, chunks)
+	}
+	if got := s1.CacheRPCs - s0.CacheRPCs; got != rpcs {
+		t.Fatalf("RegionStats.CacheRPCs moved by %d, the client issued %d", got, rpcs)
+	}
+	if s1.Evictions-s0.Evictions != 1 || s1.EvictedKeys-s0.EvictedKeys != files+1 {
+		t.Fatalf("rounds +%d, evicted keys +%d, want 1 and %d", s1.Evictions-s0.Evictions, s1.EvictedKeys-s0.EvictedKeys, files+1)
+	}
+	if left := e.region.CacheStats().Items; left != cachedBefore-(files+1) {
+		t.Fatalf("cache holds %d items after the round, want %d", left, cachedBefore-(files+1))
+	}
+	if !e.dfs.MDS.Tree().Exists("/w/big/f0000") {
+		t.Fatal("eviction touched the DFS backup")
+	}
+}
+
+// TestEvictSurvivesCacheServerDeath: a dead cache server fails the
+// round — the caller's insert cannot proceed — but only after the live
+// owners' share of the subtree has been evicted.
+func TestEvictSurvivesCacheServerDeath(t *testing.T) {
+	e := newEnv(t, 3, nil)
+	c := e.client(t, "node0")
+	at, err := c.Mkdir(0, "/w/d", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dead = "node1/pacon-app"
+	var live, lost []string
+	for i := 0; i < 48; i++ {
+		p := fmt.Sprintf("/w/d/f%02d", i)
+		if at, err = c.Create(at, p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if e.region.Ring().Lookup(p) == dead {
+			lost = append(lost, p)
+		} else {
+			live = append(live, p)
+		}
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	if len(lost) == 0 || len(live) == 0 {
+		t.Fatalf("need keys on both sides of the failure: %d dead-owned, %d live", len(lost), len(live))
+	}
+	e.bus.Unregister(dead)
+	e.region.evictMu.Lock()
+	_, err = e.region.evictSubtree(c, at, "/w/d", true)
+	e.region.evictMu.Unlock()
+	if err == nil {
+		t.Fatal("eviction over a dead cache server reported success")
+	}
+	if got := e.region.Stats().EvictedKeys; got < int64(len(live)) {
+		t.Fatalf("evicted %d keys, want at least the %d owned by live servers", got, len(live))
+	}
+	resident := map[string]bool{}
+	for _, srv := range e.region.servers {
+		srv.ForEach(func(key string, _ memcache.Item) { resident[key] = true })
+	}
+	for _, p := range live {
+		if resident[p] {
+			t.Fatalf("%s is owned by a live server and was not evicted", p)
+		}
+	}
+	for _, p := range lost {
+		if !resident[p] {
+			t.Fatalf("%s vanished from the unreachable server", p)
+		}
+	}
+}
+
 // TestPendingSetReleasesZeroCountPaths: per-path counters must be removed
 // from the map when they reach zero, or the map grows with every path
 // that ever parked over the life of the commit loop.
@@ -518,9 +633,7 @@ func TestMissLoadBypassesStaleDentry(t *testing.T) {
 	}
 	// Evict and miss-load: the client's DFS backend now caches a
 	// size-0 dentry for the path (TTL one hour of virtual time).
-	if at, err = e.region.evictSubtree(c, at, "/w/fresh", false); err != nil {
-		t.Fatal(err)
-	}
+	at = evict(t, e.region, c, at, "/w/fresh", false)
 	st, done, err := c.Stat(at, "/w/fresh")
 	at = done
 	if err != nil || st.Size != 0 {
@@ -535,9 +648,7 @@ func TestMissLoadBypassesStaleDentry(t *testing.T) {
 	if at, err = e.region.Drain(at); err != nil {
 		t.Fatal(err)
 	}
-	if at, err = e.region.evictSubtree(c, at, "/w/fresh", false); err != nil {
-		t.Fatal(err)
-	}
+	at = evict(t, e.region, c, at, "/w/fresh", false)
 	if _, ok := findEntry(t, e.region, "/w/fresh"); ok {
 		t.Fatal("clean entry still cached; eviction did not run")
 	}
@@ -571,12 +682,8 @@ func TestRecreateAfterEvictionAdopts(t *testing.T) {
 	if at, err = e.region.Drain(at); err != nil {
 		t.Fatal(err)
 	}
-	if at, err = e.region.evictSubtree(c, at, "/w/again", false); err != nil {
-		t.Fatal(err)
-	}
-	if at, err = e.region.evictSubtree(c, at, "/w/againdir", true); err != nil {
-		t.Fatal(err)
-	}
+	at = evict(t, e.region, c, at, "/w/again", false)
+	at = evict(t, e.region, c, at, "/w/againdir", true)
 
 	// Both re-creations are accepted by the cache (the entries are
 	// gone) and must commit by adoption, not exhaust the budget.

@@ -600,9 +600,22 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 
 	// Classify. Workspace paths batch through our own cache; merged
 	// workspaces batch through the peer's (grouped per peer); paths
-	// outside any region redirect to the DFS one by one.
-	var wsIdx []int
-	var wsPaths []string
+	// outside any region redirect to the DFS one by one. While every
+	// path so far is a readable workspace path — the common batch —
+	// wsPaths is cleaned itself and results land in out by position; the
+	// first path that is not gathers the workspace paths apart, with
+	// wsIdx remembering where each one's result goes.
+	wsPaths, wsIdx := cleaned, []int(nil)
+	gather := func(i int) {
+		if wsIdx != nil {
+			return
+		}
+		wsPaths = append([]string(nil), cleaned[:i]...)
+		wsIdx = make([]int, i, len(cleaned))
+		for j := range wsIdx {
+			wsIdx[j] = j
+		}
+	}
 	type mergedGroup struct {
 		m     remoteRegion
 		idx   []int
@@ -613,13 +626,17 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 		if c.inWorkspace(p) {
 			var err error
 			if at, err = c.checkPerm(at, p, fsapi.WantRead); err != nil {
+				gather(i)
 				out[i] = fsapi.StatResult{Err: err}
 				continue
 			}
-			wsIdx = append(wsIdx, i)
-			wsPaths = append(wsPaths, p)
+			if wsIdx != nil {
+				wsIdx = append(wsIdx, i)
+				wsPaths = append(wsPaths, p)
+			}
 			continue
 		}
+		gather(i)
 		if m, ok := r.mergedFor(p); ok {
 			if err := m.perm.Check(r.cfg.Cred, p, fsapi.WantRead); err != nil {
 				out[i] = fsapi.StatResult{Err: err}
@@ -645,13 +662,7 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 		out[i] = fsapi.StatResult{Stat: st, Err: err}
 	}
 
-	if len(wsPaths) > 0 {
-		res, done := c.statBatchCached(at, wsPaths)
-		at = done
-		for j, i := range wsIdx {
-			out[i] = res[j]
-		}
-	}
+	at = c.statBatchCached(at, wsPaths, wsIdx, out)
 	for _, g := range mgroups {
 		res, done := c.statMultiMerged(at, g.m, g.paths)
 		at = done
@@ -681,10 +692,16 @@ func decodeStatResult(p string, raw []byte) fsapi.StatResult {
 // and an add_multi warm of what the misses produced. A dead owner
 // degrades only its own keys — they fall back to one per-key get each
 // and, failing that, to the DFS load, so a partial cache outage slows
-// the batch instead of failing it.
-func (c *Client) statBatchCached(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
+// the batch instead of failing it. The result for paths[j] is written to
+// out[idx[j]], or to out[j] when idx is nil.
+func (c *Client) statBatchCached(at vclock.Time, paths []string, idx []int, out []fsapi.StatResult) vclock.Time {
 	r := c.region
-	out := make([]fsapi.StatResult, len(paths))
+	slot := func(j int) *fsapi.StatResult {
+		if idx != nil {
+			j = idx[j]
+		}
+		return &out[j]
+	}
 	for start := 0; start < len(paths); start += readBatchSize {
 		end := start + readBatchSize
 		if end > len(paths) {
@@ -702,12 +719,12 @@ func (c *Client) statBatchCached(at vclock.Time, paths []string) ([]fsapi.StatRe
 				item, done, gerr := c.cache.Get(at, chunk[i])
 				at = done
 				if gerr == nil {
-					out[start+i] = decodeStatResult(chunk[i], item.Value)
+					*slot(start + i) = decodeStatResult(chunk[i], item.Value)
 				} else {
 					missIdx = append(missIdx, i)
 				}
 			case mr.Hit:
-				out[start+i] = decodeStatResult(chunk[i], mr.Item.Value)
+				*slot(start + i) = decodeStatResult(chunk[i], mr.Item.Value)
 			default:
 				missIdx = append(missIdx, i)
 			}
@@ -729,16 +746,16 @@ func (c *Client) statBatchCached(at vclock.Time, paths []string) ([]fsapi.StatRe
 		for j, i := range missIdx {
 			sr := stats[j]
 			if sr.Err != nil {
-				out[start+i] = fsapi.StatResult{Err: fsapi.WrapPath("stat", chunk[i], sr.Err)}
+				*slot(start + i) = fsapi.StatResult{Err: fsapi.WrapPath("stat", chunk[i], sr.Err)}
 				continue
 			}
-			out[start+i] = fsapi.StatResult{Stat: sr.Stat}
+			*slot(start + i) = fsapi.StatResult{Stat: sr.Stat}
 			v := cacheVal{stat: sr.Stat, large: sr.Stat.Size > int64(r.cfg.SmallFileThreshold)}
 			entries = append(entries, memcache.AddEntry{Key: chunk[i], Value: v.encode()})
 		}
 		at = c.warmEntries(at, entries, gen)
 	}
-	return out, at
+	return at
 }
 
 // StatBackend bulk-reads authoritative per-path stats straight from the
@@ -1070,7 +1087,7 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 		for i, ent := range ents {
 			children[i] = namespace.Join(p, ent.Name)
 		}
-		_, at = c.statBatchCached(at, children)
+		at = c.statBatchCached(at, children, nil, make([]fsapi.StatResult, len(children)))
 	}
 	return ents, at, nil
 }

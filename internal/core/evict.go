@@ -38,13 +38,30 @@ func (r *Region) evictRound(c *Client, at vclock.Time) (vclock.Time, error) {
 		}
 	}
 	r.evictLast = pick.Name
-	target := namespace.Join(r.cfg.Workspace, pick.Name)
-	return r.evictSubtree(c, at, target, pick.Type == fsapi.TypeDir)
+	return r.evictSubtree(c, at, namespace.Join(r.cfg.Workspace, pick.Name), pick.Type == fsapi.TypeDir)
 }
 
-// evictSubtree walks the committed subtree on the DFS and deletes every
-// clean cache entry under it.
+// evictChunk caps how many paths one delete_if_multi fan-out carries,
+// which bounds the region's scratch slice, the request frames, and how
+// long one request holds a cache server's worker (its share of the
+// chunk × CacheOpCost).
+const evictChunk = 1024
+
+// evictSubtree deletes every clean cache entry of the committed subtree
+// at p: it walks the DFS listing into r.evictPaths and deletes in
+// fan-outs of at most evictChunk paths. The caller holds evictMu.
 func (r *Region) evictSubtree(c *Client, at vclock.Time, p string, isDir bool) (vclock.Time, error) {
+	r.evictPaths = r.evictPaths[:0]
+	at, err := r.evictWalk(c, at, p, isDir)
+	if err != nil {
+		return at, err
+	}
+	return r.evictFlush(c, at)
+}
+
+// evictWalk appends p's subtree to r.evictPaths, children before their
+// directory, flushing whenever a chunk fills.
+func (r *Region) evictWalk(c *Client, at vclock.Time, p string, isDir bool) (vclock.Time, error) {
 	if isDir {
 		ents, done, err := c.backend.Readdir(at, p)
 		at = done
@@ -52,17 +69,28 @@ func (r *Region) evictSubtree(c *Client, at vclock.Time, p string, isDir bool) (
 			return at, err
 		}
 		for _, ent := range ents {
-			var eerr error
-			at, eerr = r.evictSubtree(c, at, namespace.Join(p, ent.Name), ent.Type == fsapi.TypeDir)
-			if eerr != nil {
-				return at, eerr
+			if at, err = r.evictWalk(c, at, namespace.Join(p, ent.Name), ent.Type == fsapi.TypeDir); err != nil {
+				return at, err
 			}
 		}
 	}
-	// Guarded delete: only a clean (committed) entry may go. A client
-	// write that dirties the entry makes it the primary copy again, and
-	// an unconditional delete would lose it forever; CondClean is
-	// evaluated under the server's shard lock.
-	err := r.deleteIf(c.cache, &at, p, memcache.CondClean, 0)
-	return at, err
+	r.evictPaths = append(r.evictPaths, p)
+	if len(r.evictPaths) < evictChunk {
+		return at, nil
+	}
+	return r.evictFlush(c, at)
+}
+
+// evictFlush deletes every clean cache entry among r.evictPaths with
+// one delete_if_multi round trip per owning cache server, and empties
+// the slice. The delete is guarded: only a clean (committed) entry may
+// go. A client write that dirties the entry makes it the primary copy
+// again, and an unconditional delete would lose it forever; CondClean
+// is evaluated per key under the server's shard lock.
+func (r *Region) evictFlush(c *Client, at vclock.Time) (vclock.Time, error) {
+	deleted, owners, done, err := c.cache.DeleteIfMulti(at, r.evictPaths, memcache.CondClean, 0)
+	r.evictPaths = r.evictPaths[:0]
+	r.cacheRPCs.Add(int64(owners))
+	r.evictedKeys.Add(int64(deleted))
+	return done, err
 }

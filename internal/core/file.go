@@ -123,6 +123,14 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 			if errors.Is(cerr, fsapi.ErrStale) || errors.Is(cerr, fsapi.ErrNotExist) {
 				continue // concurrent writer won; retry (§III.D.3)
 			}
+			if errors.Is(cerr, fsapi.ErrOutOfSpace) {
+				// The grown value does not fit the node's budget: same
+				// policy as insert — make room, then re-examine (the
+				// round may have evicted this very entry while clean).
+				if at, cerr = r.evictRound(c, at); cerr == nil {
+					continue
+				}
+			}
 			return at, cerr
 		}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -440,5 +441,52 @@ func TestRegionConfigKeepsNoPredecessorSwitches(t *testing.T) {
 				t.Errorf("RegionConfig.%s: bool switch that keeps a predecessor path selectable", f.Name)
 			}
 		}
+	}
+}
+
+// An inline WriteAt that grows a cached value past the node's budget
+// must make room the way insert does, not surface ErrOutOfSpace to the
+// application.
+func TestWriteAtEvictsWhenCacheFull(t *testing.T) {
+	e := newEnv(t, 1, func(cfg *RegionConfig) { cfg.CacheCapacityBytes = 8 << 10 })
+	c := e.client(t, "node0")
+	// Fill the cache with clean entries until one create has to evict;
+	// a round frees one top-level file, so what is left is far less
+	// than the write below needs.
+	at, last := vclock.Time(0), ""
+	var err error
+	for i := 0; e.region.Stats().Evictions == 0; i++ {
+		if i == 1000 {
+			t.Fatal("cache never filled")
+		}
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		last = fmt.Sprintf("/w/f%03d", i)
+		if at, err = c.Create(at, last, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	before := e.region.Stats()
+	data := bytes.Repeat([]byte("x"), 2048)
+	if at, err = c.WriteAt(at, last, 0, data); err != nil {
+		t.Fatalf("inline write on a full cache: %v", err)
+	}
+	after := e.region.Stats()
+	if after.Evictions == before.Evictions || after.EvictedKeys == before.EvictedKeys {
+		t.Fatalf("write fit without evicting: before %+v after %+v", before, after)
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.ReadAt(at, last, 0, len(data))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back %d bytes, %v", len(got), err)
+	}
+	if st, err := e.dfs.MDS.Tree().Lookup(last); err != nil || st.Size != int64(len(data)) {
+		t.Fatalf("DFS backup = %+v, %v", st, err)
 	}
 }

@@ -147,6 +147,8 @@ type RegionStats struct {
 	Retries   int64 `json:"retries"`   // resubmissions (independent commit, §III.E.1)
 	Dropped   int64 `json:"dropped"`   // ops abandoned after CommitRetryLimit
 	Evictions int64 `json:"evictions"` // region-level eviction rounds (§III.F)
+	// EvictedKeys is how many clean cache entries those rounds deleted.
+	EvictedKeys int64 `json:"evicted_keys"`
 
 	Coalesced      int64 `json:"coalesced"`       // queued ops merged away at dequeue time
 	CacheRPCs      int64 `json:"cache_rpcs"`      // commit-path cache round trips (bookkeeping traffic)
@@ -206,6 +208,10 @@ type Region struct {
 	// directory's entry set changes between rounds (an index cursor would
 	// skip or repeat entries).
 	evictLast string
+	// evictPaths is the round's scratch: the chosen subtree's paths
+	// awaiting their delete_if_multi fan-out, at most evictChunk of them.
+	// Guarded by evictMu, reused across rounds.
+	evictPaths []string
 
 	// invalGen counts dependent-operation invalidations (rmdir, rename).
 	// A cache-miss load records it before reading the DFS and re-checks
@@ -216,6 +222,7 @@ type Region struct {
 	invalGen atomic.Uint64
 
 	committed, discarded, retries, dropped, evictions atomic.Int64
+	evictedKeys                                       atomic.Int64
 	coalesced, cacheRPCs, backendRPCs                 atomic.Int64
 	batchRPCs, batchedOps, batchFallbacks             atomic.Int64
 	barriersScoped, barriersFull, cacheWarms          atomic.Int64
@@ -403,6 +410,7 @@ func (r *Region) registerMetrics() {
 	o.RegisterCounter("ops_retried", r.retries.Load)
 	o.RegisterCounter("ops_dropped", r.dropped.Load)
 	o.RegisterCounter("evict_rounds", r.evictions.Load)
+	o.RegisterCounter("evicted_keys", r.evictedKeys.Load)
 	o.RegisterCounter("ops_coalesced", r.coalesced.Load)
 	o.RegisterCounter("commit_cache_rpcs", r.cacheRPCs.Load)
 	o.RegisterCounter("commit_backend_rpcs", r.backendRPCs.Load)
@@ -538,6 +546,7 @@ func (r *Region) Stats() RegionStats {
 		Retries:        r.retries.Load(),
 		Dropped:        r.dropped.Load(),
 		Evictions:      r.evictions.Load(),
+		EvictedKeys:    r.evictedKeys.Load(),
 		Coalesced:      r.coalesced.Load(),
 		CacheRPCs:      r.cacheRPCs.Load(),
 		BackendRPCs:    r.backendRPCs.Load(),

@@ -31,3 +31,21 @@ func BenchmarkAddRemoveMember(b *testing.B) {
 		r.Remove("transient")
 	}
 }
+
+// BenchmarkGroupByOwner16 groups a StatMulti-sized batch on a
+// region-sized ring: two allocations (the index array and the groups)
+// whatever the key count.
+func BenchmarkGroupByOwner16(b *testing.B) {
+	r := NewWithMembers(0, "node0/cache", "node1/cache", "node2/cache", "node3/cache")
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/scratch/app/rank0007/out.%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(r.GroupByOwner(keys)) == 0 {
+			b.Fatal("no groups")
+		}
+	}
+}

@@ -22,9 +22,17 @@ const DefaultVirtualNodes = 128
 type Ring struct {
 	mu      sync.RWMutex
 	vnodes  int
-	hashes  []uint64          // sorted vnode positions
-	owner   map[uint64]string // vnode position -> member
-	members map[string]struct{}
+	members []string // sorted
+	points  []point  // sorted by (hash, member)
+}
+
+// point is one vnode: its ring position and the index of its member in
+// Ring.members. Owners are kept as indices so a lookup is a binary
+// search plus a slice index, and grouping can bucket keys by member
+// without a map.
+type point struct {
+	hash   uint64
+	member int32
 }
 
 // New creates a ring with the given virtual-node count per member
@@ -33,11 +41,7 @@ func New(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	return &Ring{
-		vnodes:  vnodes,
-		owner:   make(map[uint64]string),
-		members: make(map[string]struct{}),
-	}
+	return &Ring{vnodes: vnodes}
 }
 
 // NewWithMembers builds a ring pre-populated with members.
@@ -77,25 +81,39 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// memberIndex returns member's position in the sorted member slice, or
+// where it would be inserted.
+func (r *Ring) memberIndex(member string) (int, bool) {
+	i := sort.SearchStrings(r.members, member)
+	return i, i < len(r.members) && r.members[i] == member
+}
+
 // Add inserts a member. Adding an existing member is a no-op.
 func (r *Ring) Add(member string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.members[member]; ok {
+	at, found := r.memberIndex(member)
+	if found {
 		return
 	}
-	r.members[member] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
-		h := hashKey(fmt.Sprintf("%s#%d", member, i))
-		// In the astronomically unlikely event of a vnode collision the
-		// later member silently wins that slot; correctness (some member
-		// owns every key) is unaffected.
-		if _, taken := r.owner[h]; !taken {
-			r.hashes = append(r.hashes, h)
+	r.members = append(r.members, "")
+	copy(r.members[at+1:], r.members[at:])
+	r.members[at] = member
+	for i := range r.points {
+		if r.points[i].member >= int32(at) {
+			r.points[i].member++
 		}
-		r.owner[h] = member
 	}
-	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
+	for i := 0; i < r.vnodes; i++ {
+		r.points = append(r.points, point{hash: hashKey(fmt.Sprintf("%s#%d", member, i)), member: int32(at)})
+	}
+	// In the astronomically unlikely event of a vnode collision both
+	// points stay and the first member in sorted order owns the slot;
+	// correctness (some member owns every key) is unaffected.
+	sort.Slice(r.points, func(i, j int) bool {
+		a, b := r.points[i], r.points[j]
+		return a.hash < b.hash || a.hash == b.hash && a.member < b.member
+	})
 }
 
 // Remove deletes a member and its vnodes; keys re-home to the successor
@@ -103,19 +121,33 @@ func (r *Ring) Add(member string) {
 func (r *Ring) Remove(member string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.members[member]; !ok {
+	at, found := r.memberIndex(member)
+	if !found {
 		return
 	}
-	delete(r.members, member)
-	kept := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owner[h] == member {
-			delete(r.owner, h)
-		} else {
-			kept = append(kept, h)
+	r.members = append(r.members[:at], r.members[at+1:]...)
+	kept := r.points[:0]
+	for _, pt := range r.points {
+		switch {
+		case pt.member == int32(at):
+			continue
+		case pt.member > int32(at):
+			pt.member--
 		}
+		kept = append(kept, pt)
 	}
-	r.hashes = kept
+	r.points = kept
+}
+
+// ownerIndex returns the index in r.members of key's owner; the ring
+// must be non-empty and the caller holds the lock.
+func (r *Ring) ownerIndex(key string) int {
+	h := hashKey(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0 // wrap around
+	}
+	return int(r.points[i].member)
 }
 
 // Lookup returns the member owning key. It returns "" when the ring is
@@ -123,49 +155,80 @@ func (r *Ring) Remove(member string) {
 func (r *Ring) Lookup(key string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.hashes) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	h := hashKey(key)
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	if i == len(r.hashes) {
-		i = 0 // wrap around
-	}
-	return r.owner[r.hashes[i]]
+	return r.members[r.ownerIndex(key)]
 }
 
 // Members returns the current member set in sorted order.
 func (r *Ring) Members() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), r.members...)
 }
 
-// GroupByOwner partitions keys by their owning member, preserving the
-// input order within each group. Batch operations (memcache GetMulti)
-// use this to turn N per-key round trips into one RPC per owner. Keys
-// share one read lock and one hash-per-key; an empty ring maps every
-// key to the "" owner.
-func (r *Ring) GroupByOwner(keys []string) map[string][]string {
+// OwnerGroup is one member's share of a GroupByOwner call.
+type OwnerGroup struct {
+	Owner string
+	// Idx holds the positions in the caller's key slice of the keys
+	// Owner is responsible for, ascending — so a key that occurs twice
+	// appears twice, and a reply that lists results in Idx order fills
+	// the caller's result slice directly.
+	Idx []int
+}
+
+// GroupByOwner partitions keys by their owning member: one group per
+// member that owns at least one key, in Members order. Multi-key cache
+// calls use it to turn N per-key round trips into one RPC per owner.
+// Keys share one read lock and one hash-per-key, every group's Idx is a
+// window of one backing array, and no map is built; an empty ring maps
+// every key to the "" owner.
+func (r *Ring) GroupByOwner(keys []string) []OwnerGroup {
+	n := len(keys)
+	if n == 0 {
+		return nil
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	groups := make(map[string][]string)
-	for _, key := range keys {
-		owner := ""
-		if len(r.hashes) != 0 {
-			h := hashKey(key)
-			i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-			if i == len(r.hashes) {
-				i = 0 // wrap around
-			}
-			owner = r.owner[r.hashes[i]]
+	nm := len(r.members)
+	if nm == 0 {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
 		}
-		groups[owner] = append(groups[owner], key)
+		return []OwnerGroup{{Idx: idx}}
+	}
+	// One array, three windows: the grouped positions (what the result
+	// keeps), each key's owner, and a per-member cursor that first
+	// counts the member's keys and then walks its window.
+	buf := make([]int, 2*n+nm)
+	idx, owner, cursor := buf[:n:n], buf[n:2*n], buf[2*n:]
+	for i, key := range keys {
+		m := r.ownerIndex(key)
+		owner[i] = m
+		cursor[m]++
+	}
+	used, start := 0, 0
+	for m, c := range cursor {
+		if c > 0 {
+			used++
+		}
+		cursor[m] = start
+		start += c
+	}
+	groups := make([]OwnerGroup, 0, used)
+	for i, m := range owner {
+		idx[cursor[m]] = i
+		cursor[m]++
+	}
+	// cursor[m] now marks the end of member m's window.
+	start = 0
+	for m, end := range cursor {
+		if end > start {
+			groups = append(groups, OwnerGroup{Owner: r.members[m], Idx: idx[start:end:end]})
+		}
+		start = end
 	}
 	return groups
 }

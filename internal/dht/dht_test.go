@@ -133,3 +133,61 @@ func TestConcurrentLookupDuringMembershipChange(t *testing.T) {
 	}
 	<-done
 }
+
+// TestGroupByOwnerMatchesLookup: every position lands in exactly one
+// group — its Lookup owner's — groups come in Members order, and
+// positions ascend within a group, so duplicates keep their input order.
+func TestGroupByOwnerMatchesLookup(t *testing.T) {
+	r := NewWithMembers(0, "n3", "n0", "n2", "n1")
+	keys := make([]string, 0, 66)
+	for i := 0; i < 64; i++ {
+		keys = append(keys, fmt.Sprintf("/w/dir%d/f%d", i%5, i))
+	}
+	keys = append(keys, keys[7], keys[7]) // duplicates
+	groups := r.GroupByOwner(keys)
+	seen := make([]bool, len(keys))
+	for gi, g := range groups {
+		if gi > 0 && groups[gi-1].Owner >= g.Owner {
+			t.Fatalf("groups out of member order: %q before %q", groups[gi-1].Owner, g.Owner)
+		}
+		if len(g.Idx) == 0 {
+			t.Fatalf("empty group for %q", g.Owner)
+		}
+		for j, i := range g.Idx {
+			if j > 0 && g.Idx[j-1] >= i {
+				t.Fatalf("group %q positions not ascending: %v", g.Owner, g.Idx)
+			}
+			if seen[i] {
+				t.Fatalf("position %d grouped twice", i)
+			}
+			seen[i] = true
+			if want := r.Lookup(keys[i]); want != g.Owner {
+				t.Fatalf("key %q grouped under %q, Lookup says %q", keys[i], g.Owner, want)
+			}
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("position %d (%q) in no group", i, keys[i])
+		}
+	}
+}
+
+func TestGroupByOwnerEdges(t *testing.T) {
+	if got := NewWithMembers(0, "a").GroupByOwner(nil); len(got) != 0 {
+		t.Fatalf("no keys grouped into %v", got)
+	}
+	// An empty ring has no owner to give: one group under "", which no
+	// transport resolves, so callers fail those keys instead of
+	// dropping them.
+	got := New(0).GroupByOwner([]string{"/a", "/b", "/a"})
+	if len(got) != 1 || got[0].Owner != "" || len(got[0].Idx) != 3 || got[0].Idx[2] != 2 {
+		t.Fatalf("empty ring grouping = %+v", got)
+	}
+	// A member that owns none of the keys gets no group.
+	r := NewWithMembers(0, "a", "b", "c", "d")
+	one := r.GroupByOwner([]string{"/only"})
+	if len(one) != 1 || one[0].Owner != r.Lookup("/only") || len(one[0].Idx) != 1 || one[0].Idx[0] != 0 {
+		t.Fatalf("single-key grouping = %+v", one)
+	}
+}

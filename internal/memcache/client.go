@@ -75,33 +75,61 @@ type MultiResult struct {
 	Err  error
 }
 
-// ownerBatch is one owner's slice of a batched request, with each
-// element's position in the caller's input.
-type ownerBatch struct {
-	addr string
-	keys []string
-	idx  []int
+// perOwner groups keys by owning server and runs call once per group,
+// every call starting at the same virtual instant — the one fan-out
+// behind GetMulti, AddMulti and DeleteIfMulti. Several groups run
+// concurrently, a lone group on the caller's goroutine; call issues the
+// owner's RPC, records the results of the positions in g.Idx and
+// returns the RPC's completion time. perOwner returns how many owners
+// were contacted and the latest completion (vclock.Max merge).
+func (c *Client) perOwner(at vclock.Time, keys []string, call func(g dht.OwnerGroup) vclock.Time) (int, vclock.Time) {
+	groups := c.ring.GroupByOwner(keys)
+	switch len(groups) {
+	case 0:
+		return 0, at
+	case 1:
+		return 1, vclock.Max(at, call(groups[0]))
+	}
+	var wg sync.WaitGroup
+	times := make([]vclock.Time, len(groups))
+	for gi := range groups {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			times[gi] = call(groups[gi])
+		}(gi)
+	}
+	wg.Wait()
+	latest := at
+	for _, t := range times {
+		latest = vclock.Max(latest, t)
+	}
+	return len(groups), latest
 }
 
-// batchByOwner groups keys by owning server and records each key
-// occurrence's input position (duplicates fill in input order, which
-// GroupByOwner preserves within a group).
-func (c *Client) batchByOwner(keys []string) []ownerBatch {
-	slots := make(map[string][]int, len(keys))
-	for i, k := range keys {
-		slots[k] = append(slots[k], i)
+// callCounted sends one owner's multi-key request (pooled encoder e,
+// released here) and checks that the reply opens with a count of want
+// results. On success the caller reads the results from the returned
+// decoder and hands it to finish.
+func (c *Client) callCounted(addr, method string, at vclock.Time, e *wire.Encoder, want int) (*wire.Decoder, vclock.Time, error) {
+	done, resp, err := c.caller.Call(addr, method, at, e.Bytes())
+	wire.PutEncoder(e)
+	if err != nil {
+		return nil, done, err
 	}
-	groups := c.ring.GroupByOwner(keys)
-	batches := make([]ownerBatch, 0, len(groups))
-	for addr, gkeys := range groups {
-		b := ownerBatch{addr: addr, keys: gkeys, idx: make([]int, len(gkeys))}
-		for j, k := range gkeys {
-			b.idx[j] = slots[k][0]
-			slots[k] = slots[k][1:]
-		}
-		batches = append(batches, b)
+	d := wire.GetDecoder(resp)
+	if n := d.Uvarint(); n != uint64(want) {
+		wire.PutDecoder(d)
+		return nil, done, fmt.Errorf("memcache: %s returned %d results for %d keys", method, n, want)
 	}
-	return batches
+	return d, done, nil
+}
+
+// finish releases a reply decoder and reports a malformed tail.
+func finish(d *wire.Decoder) error {
+	err := d.Finish()
+	wire.PutDecoder(d)
+	return err
 }
 
 // GetMulti fetches keys with one "get_multi" RPC per owning server,
@@ -112,51 +140,31 @@ func (c *Client) batchByOwner(keys []string) []ownerBatch {
 // can fall back to per-key Gets for exactly the failed subset.
 func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.Time) {
 	out := make([]MultiResult, len(keys))
-	if len(keys) == 0 {
-		return out, at
-	}
-	batches := c.batchByOwner(keys)
-	var wg sync.WaitGroup
-	times := make([]vclock.Time, len(batches))
-	for bi := range batches {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			b := batches[bi]
-			e := wire.GetEncoder()
-			e.Strings(b.keys)
-			done, resp, err := c.caller.Call(b.addr, "get_multi", at, e.Bytes())
-			wire.PutEncoder(e)
-			times[bi] = done
-			if err == nil {
-				d := wire.GetDecoder(resp)
-				if n := d.Uvarint(); n != uint64(len(b.keys)) {
-					err = fmt.Errorf("memcache: get_multi returned %d results for %d keys", n, len(b.keys))
-				} else {
-					for _, i := range b.idx {
-						if d.Bool() {
-							out[i] = MultiResult{
-								Item: Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.Blob()},
-								Hit:  true,
-							}
-						}
+	_, latest := c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
+		e := wire.GetEncoder()
+		e.Uvarint(uint64(len(g.Idx)))
+		for _, i := range g.Idx {
+			e.String(keys[i])
+		}
+		d, done, err := c.callCounted(g.Owner, "get_multi", at, e, len(g.Idx))
+		if err == nil {
+			for _, i := range g.Idx {
+				if d.Bool() {
+					out[i] = MultiResult{
+						Item: Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.Blob()},
+						Hit:  true,
 					}
-					err = d.Finish()
-				}
-				wire.PutDecoder(d)
-			}
-			if err != nil {
-				for _, i := range b.idx {
-					out[i] = MultiResult{Err: err}
 				}
 			}
-		}(bi)
-	}
-	wg.Wait()
-	latest := at
-	for _, t := range times {
-		latest = vclock.Max(latest, t)
-	}
+			err = finish(d)
+		}
+		if err != nil {
+			for _, i := range g.Idx {
+				out[i] = MultiResult{Err: err}
+			}
+		}
+		return done
+	})
 	return out, latest
 }
 
@@ -167,57 +175,34 @@ func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.
 // slice.
 func (c *Client) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclock.Time) {
 	out := make([]AddResult, len(entries))
-	if len(entries) == 0 {
-		return out, at
-	}
 	keys := make([]string, len(entries))
 	for i, en := range entries {
 		keys[i] = en.Key
 	}
-	batches := c.batchByOwner(keys)
-	var wg sync.WaitGroup
-	times := make([]vclock.Time, len(batches))
-	for bi := range batches {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			b := batches[bi]
-			e := wire.GetEncoder()
-			e.Uvarint(uint64(len(b.idx)))
-			for _, i := range b.idx {
-				e.String(entries[i].Key)
-				e.Uint32(entries[i].Flags)
-				e.Blob(entries[i].Value)
+	_, latest := c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
+		e := wire.GetEncoder()
+		e.Uvarint(uint64(len(g.Idx)))
+		for _, i := range g.Idx {
+			e.String(entries[i].Key)
+			e.Uint32(entries[i].Flags)
+			e.Blob(entries[i].Value)
+		}
+		d, done, err := c.callCounted(g.Owner, "add_multi", at, e, len(g.Idx))
+		if err == nil {
+			for _, i := range g.Idx {
+				code := d.Byte()
+				cas := d.Uint64()
+				out[i] = AddResult{CAS: cas, Err: fsapi.ErrOf(code, "")}
 			}
-			done, resp, err := c.caller.Call(b.addr, "add_multi", at, e.Bytes())
-			wire.PutEncoder(e)
-			times[bi] = done
-			if err == nil {
-				d := wire.GetDecoder(resp)
-				if n := d.Uvarint(); n != uint64(len(b.idx)) {
-					err = fmt.Errorf("memcache: add_multi returned %d results for %d entries", n, len(b.idx))
-				} else {
-					for _, i := range b.idx {
-						code := d.Byte()
-						cas := d.Uint64()
-						out[i] = AddResult{CAS: cas, Err: fsapi.ErrOf(code, "")}
-					}
-					err = d.Finish()
-				}
-				wire.PutDecoder(d)
+			err = finish(d)
+		}
+		if err != nil {
+			for _, i := range g.Idx {
+				out[i] = AddResult{Err: err}
 			}
-			if err != nil {
-				for _, i := range b.idx {
-					out[i] = AddResult{Err: err}
-				}
-			}
-		}(bi)
-	}
-	wg.Wait()
-	latest := at
-	for _, t := range times {
-		latest = vclock.Max(latest, t)
-	}
+		}
+		return done
+	})
 	return out, latest
 }
 
@@ -322,6 +307,44 @@ func (c *Client) DeleteIf(at vclock.Time, key string, cond Cond, seq uint64) (bo
 		return false, done, derr
 	}
 	return deleted, done, nil
+}
+
+// DeleteIfMulti applies DeleteIf to every key with one "delete_if_multi"
+// RPC per owning server — how an eviction round drops a subtree in one
+// round trip per cache server instead of one per path. It returns how
+// many keys were deleted and how many owners were contacted. An owner
+// that cannot be reached fails only its own keys: the others' deletions
+// still happen and are counted, and one of the failures is returned.
+func (c *Client) DeleteIfMulti(at vclock.Time, keys []string, cond Cond, seq uint64) (deleted, owners int, done vclock.Time, err error) {
+	var mu sync.Mutex
+	owners, done = c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
+		e := wire.GetEncoder()
+		e.Byte(byte(cond))
+		e.Uvarint(seq)
+		e.Uvarint(uint64(len(g.Idx)))
+		for _, i := range g.Idx {
+			e.String(keys[i])
+		}
+		gdone, resp, gerr := c.caller.Call(g.Owner, "delete_if_multi", at, e.Bytes())
+		wire.PutEncoder(e)
+		var n uint64
+		if gerr == nil {
+			d := wire.GetDecoder(resp)
+			n = d.Uvarint()
+			if gerr = finish(d); gerr == nil && n > uint64(len(g.Idx)) {
+				gerr = fmt.Errorf("memcache: delete_if_multi deleted %d of %d keys", n, len(g.Idx))
+			}
+		}
+		mu.Lock()
+		if gerr == nil {
+			deleted += int(n)
+		} else if err == nil {
+			err = gerr
+		}
+		mu.Unlock()
+		return gdone
+	})
+	return deleted, owners, done, err
 }
 
 // fanOut invokes fn once per ring member concurrently, starting each at

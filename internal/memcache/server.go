@@ -54,7 +54,8 @@ type Server struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 	used      atomic.Int64
-	// served counts every op charged on the service resource — the
+	// served counts every CacheOpCost charged on the service resource
+	// (one per request, except delete_if_multi's one per key) — the
 	// per-server load figure the region's cache-ring skew gauges compare.
 	served atomic.Int64
 }
@@ -126,9 +127,13 @@ func (s *Server) shardFor(key string) *shard {
 func itemBytes(key string, v []byte) int64 { return int64(len(key) + len(v) + 64) }
 
 // acquire charges one cache op on the service resource.
-func (s *Server) acquire(at vclock.Time) vclock.Time {
-	s.served.Add(1)
-	return s.res.Acquire(at, s.cfg.Model.CacheOpCost)
+func (s *Server) acquire(at vclock.Time) vclock.Time { return s.acquireN(at, 1) }
+
+// acquireN charges n cache ops in one service slot: the request waits
+// for a worker once and holds it for n × CacheOpCost.
+func (s *Server) acquireN(at vclock.Time, n int) vclock.Time {
+	s.served.Add(int64(n))
+	return s.res.Acquire(at, s.cfg.Model.CacheOpCost*vclock.Duration(n))
 }
 
 // ServedOps returns the total ops this server has served.
@@ -460,16 +465,38 @@ func (s *Server) ClearDirty(at vclock.Time, key string, seq uint64) (bool, vcloc
 // no-op, not an error. Returns whether the key was deleted.
 func (s *Server) DeleteIf(at vclock.Time, key string, cond Cond, seq uint64) (bool, vclock.Time, error) {
 	done := s.acquire(at)
+	return s.deleteIf(key, cond, seq), done, nil
+}
+
+// DeleteIfMulti applies DeleteIf to every key in one request and
+// returns how many were deleted. Each key's predicate runs under its own
+// shard lock, exactly as in DeleteIf, and the server is charged
+// len(keys) × CacheOpCost in one service slot: what the batch saves is
+// the round trips, not the work.
+func (s *Server) DeleteIfMulti(at vclock.Time, keys []string, cond Cond, seq uint64) (int, vclock.Time) {
+	done := s.acquireN(at, len(keys))
+	deleted := 0
+	for _, key := range keys {
+		if s.deleteIf(key, cond, seq) {
+			deleted++
+		}
+	}
+	return deleted, done
+}
+
+// deleteIf removes key if cond holds for its value header, under the
+// shard lock.
+func (s *Server) deleteIf(key string, cond Cond, seq uint64) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[key]
 	if !ok {
-		return false, done, nil
+		return false
 	}
 	flags, vseq, hok := parseValueHeader(si.item.Value)
 	if !hok || !condHolds(cond, seq, flags, vseq) {
-		return false, done, nil
+		return false
 	}
 	freed := itemBytes(key, si.item.Value)
 	sh.used -= freed
@@ -478,7 +505,7 @@ func (s *Server) DeleteIf(at vclock.Time, key string, cond Cond, seq uint64) (bo
 		sh.lru.Remove(si.elem)
 	}
 	delete(sh.items, key)
-	return true, done, nil
+	return true
 }
 
 // deleteLocked removes key, optionally guarded by a CAS version check.
@@ -794,6 +821,25 @@ func (s *Server) Service() *rpc.Service {
 		}
 		e := wire.NewEncoder(1)
 		e.Bool(deleted)
+		return done, e.Bytes(), nil
+	})
+	svc.Handle("delete_if_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+		d := wire.GetDecoder(body)
+		cond := Cond(d.Byte())
+		seq := d.Uvarint()
+		// Strings rejects a count larger than the bytes left, so a
+		// corrupt count cannot size the key slice. The whole frame is
+		// decoded before the first key is touched: a malformed request
+		// deletes nothing.
+		keys := d.Strings()
+		err := d.Finish()
+		wire.PutDecoder(d)
+		if err != nil {
+			return at, nil, err
+		}
+		deleted, done := s.DeleteIfMulti(at, keys, cond, seq)
+		e := wire.NewEncoder(binary.MaxVarintLen64)
+		e.Uvarint(uint64(deleted))
 		return done, e.Bytes(), nil
 	})
 	svc.Handle("flush_all", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
