@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check audit-check race-chaos bench bench-quick bench-diff alloc-gate trace-check clean
+.PHONY: build test check audit-check bench bench-quick bench-diff alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -77,18 +77,6 @@ alloc-gate:
 	allocs=$$(echo "$$out" | awk '/^BenchmarkClientStatMulti/ {print $$(NF-1)}'); \
 	echo "batched read path: $$allocs allocs/op (gate: <= 36)"; \
 	test "$$allocs" -le 36
-
-# trace-check is the causal-tracing gate: the cross-node trace tests
-# (wire propagation, assembly/ordering, sampling, flight recorder) run
-# against a counted build. That the sampler actually samples at scale is
-# asserted by internal/bench's report smoke test and recorded in every
-# BENCH.json row's "trace" block.
-trace-check: build
-	$(GO) test -count=1 -run 'Trace|Span|Sampl|Flight|CritPath' ./internal/obs/ ./internal/rpc/ ./internal/core/ ./internal/chaos/
-
-# race-chaos runs only the chaos convergence schedules under -race.
-race-chaos:
-	$(GO) test -race -count=1 ./internal/chaos/
 
 clean:
 	$(GO) clean ./...

@@ -748,6 +748,9 @@ func Run(cfg Config) (Result, error) {
 	// failing seed report into a per-stage breakdown instead of a bare
 	// violation list.
 	o := obs.New()
+	// Sample every span: a failing seed's flight dump must contain the
+	// violating op's cross-node timeline, not a 1/64 lottery.
+	o.SetSampleN(1)
 	bus.SetObserver(o)
 	if dir := os.Getenv("CHAOS_FLIGHT_DIR"); dir != "" {
 		// Best-effort, like the dump writes themselves: CI points this
@@ -774,10 +777,7 @@ func Run(cfg Config) (Result, error) {
 		CommitRetryLimit:   retryLimit,
 		CommitBatchSize:    cfg.CommitBatchSize,
 		ShardCount:         cfg.Shards,
-		// Sample every span: a failing seed's flight dump must contain
-		// the violating op's cross-node timeline, not a 1/64 lottery.
-		TraceSampleN: 1,
-		Model:        model,
+		Model:              model,
 	}, core.Deps{
 		Bus: bus,
 		Obs: o,

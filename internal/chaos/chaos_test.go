@@ -166,7 +166,7 @@ func TestChaosLostCommitFlightRecorder(t *testing.T) {
 
 	// Cross-node span evidence: find any span with events from both a
 	// client node and a service address (cache server "<node>/pacon-*"
-	// or the MDS). Chaos runs with TraceSampleN 1, so every op's RPCs
+	// or the MDS). Chaos runs with SetSampleN(1), so every op's RPCs
 	// were tagged.
 	byNode := map[uint64]map[string]bool{}
 	for _, ev := range dump.Events {

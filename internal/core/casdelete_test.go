@@ -214,7 +214,7 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		newer := recreate(t, c, e.region, "/w/phantom")
 
 		now := vclock.Time(0)
-		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, nil, dropReasonRetryBudget)
+		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, dropReasonRetryBudget)
 
 		ent, ok := findEntry(t, e.region, "/w/phantom")
 		if !ok {
@@ -237,7 +237,7 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
 
 		now := vclock.Time(0)
-		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, nil, dropReasonRetryBudget)
+		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, dropReasonRetryBudget)
 		if _, ok := findEntry(t, e.region, "/w/phantom"); ok {
 			t.Fatal("abandoned create's entry not cleaned")
 		}
@@ -349,7 +349,7 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 		now := vclock.Time(0)
 		before := e.region.Stats().Discarded
 		if retry := e.region.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
-			Stat: fsapi.NewFileStat(appCred, 0o644)}, &now, e.region.deps.NewBackend("node0"), mc, nil); retry {
+			Stat: fsapi.NewFileStat(appCred, 0o644)}, &now, e.region.deps.NewBackend("node0"), mc); retry {
 			t.Fatal("discarded create must not be resubmitted")
 		}
 		if e.region.Stats().Discarded != before+1 {

@@ -6,6 +6,7 @@ import (
 
 	"pacon/internal/fsapi"
 	"pacon/internal/namespace"
+	"pacon/internal/obs"
 	"pacon/internal/vclock"
 )
 
@@ -169,11 +170,11 @@ func (r *Region) SimulateNodeFailure(node string) int {
 		}
 		if !barrier {
 			lost++
-			// The popped op will never reach a commit-loop terminal:
-			// release its path-tracker and lag-tracker entries here, or
-			// scoped barriers would keep waiting on the dead node's paths
-			// and the staleness watermark would grow forever.
-			r.opTerminal(op)
+			// The popped op will never reach a commit-loop terminal: this
+			// is its terminal, or scoped barriers would keep waiting on
+			// the dead node's paths, the staleness watermark would grow
+			// forever and its sampled span would never close.
+			r.opTerminal(op, obs.StageDrop, "node failure")
 		}
 	}
 	if srv, ok := r.servers[node]; ok {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
@@ -26,12 +25,10 @@ type Client struct {
 	cache   *memcache.Client
 	caller  *rpc.Caller
 	backend Backend
-	// ring is this node's observability event ring (nil when disabled).
-	ring *obs.Ring
-	// hot is this node's hotspot recorder (nil when disabled): every
-	// top-level op records its path into the heavy-hitter sketch and
-	// subtree rollup.
-	hot *obs.NodeHot
+	// tel is this node's telemetry handle (nil when observability is
+	// disabled): the one hook every public entry point begins and ends
+	// through, and the one queued ops carry to their commit terminal.
+	tel *obs.Node
 
 	// parentMemo caches positive parent-existence checks per barrier
 	// epoch: monotone until a dependent op can remove directories, at
@@ -46,14 +43,16 @@ type Client struct {
 	// remoteCaches lazily built per merged peer ring.
 	remoteCaches map[string]*memcache.Client
 
-	// curSpan/curSampled are the active client op's trace state, set by
-	// traceBegin at the public entry points. A Client already serves
-	// one call at a time (parentMemo), so plain fields suffice;
-	// spanPushed records that the span was handed to the commit queue,
-	// which then owns its finalization.
+	// curSpan/curSampled/curStart are the active client call's telemetry
+	// state, set by begin at the public entry points (curSpan != 0 means
+	// a call is in flight). A Client already serves one call at a time
+	// (parentMemo), so plain fields suffice; curQueued records that the
+	// span was handed to the commit queue, which then owns its
+	// finalization.
 	curSpan    uint64
 	curSampled bool
-	spanPushed bool
+	curQueued  bool
+	curStart   int64
 }
 
 // NewClient builds a client bound to one of the region's nodes.
@@ -68,69 +67,41 @@ func (r *Region) NewClient(node string) (*Client, error) {
 		cache:        memcache.NewClient(caller, r.ring),
 		caller:       caller,
 		backend:      r.newBackend(node),
-		ring:         r.obsRing(node),
-		hot:          r.obs.HotNode(node),
+		tel:          r.obs.Node(node),
 		parentMemo:   make(map[string]uint64),
 		remoteCaches: make(map[string]*memcache.Client),
 	}, nil
 }
 
-// opStart begins a client-visible-latency sample (0 when observability
-// is disabled); opEnd records it. The pair measures the synchronous
-// part of a client call in wall time — for async ops that is exactly
-// the latency Pacon hides from the application.
-func (c *Client) opStart() int64 {
-	if c.region.obs == nil {
-		return 0
+// begin opens a client call's telemetry at a public entry point; every
+// entry point is bracketed `defer c.end(c.begin(op, paths...))`. The
+// call gets a span, its paths feed the hot-path sketches, and end
+// records its synchronous wall latency as client_op — for async ops
+// exactly the latency Pacon hides from the application. A sampled call
+// tags the client's cache and backend callers with the span's trace
+// context, so the servers they talk to record their side into the same
+// span. It reports whether this is the outermost call: one entry point
+// calling another (Rmdir and ReadAt stat their target) keeps the outer
+// call's span and records nothing of its own.
+func (c *Client) begin(op string, paths ...string) (outer bool) {
+	if c.tel == nil || c.curSpan != 0 {
+		return false
 	}
-	return time.Now().UnixNano()
-}
-
-func (c *Client) opEnd(start int64) {
-	if start != 0 {
-		c.region.obs.Hist(obs.HistClientOp).RecordN(time.Now().UnixNano() - start)
-	}
-}
-
-// traceBegin opens the op's trace at a public entry point: every op
-// gets a span ID (as before), and the tail sampler decides whether this
-// one is assembled end to end. Sampled ops tag the client's cache and
-// backend callers with the span's trace context, so the servers they
-// talk to record their side into the same span. Returns the span for
-// the matching traceEnd, or 0 when disabled or nested (an op calling
-// another op, e.g. Rmdir→Stat, keeps the outer trace).
-func (c *Client) traceBegin(op, path string) uint64 {
-	o := c.region.obs
-	if o == nil || c.curSpan != 0 {
-		return 0
-	}
-	// Hotspot attribution piggybacks on the same top-level-op gate: the
-	// o==nil branch above is the entire cost when observability is off,
-	// and nested ops don't double-count their outer op's path.
-	c.hot.Record(path)
-	span := o.Trace.NewSpan()
-	c.curSpan = span
-	c.curSampled = o.SampleNext()
-	c.spanPushed = false
+	c.curSpan, c.curSampled, c.curStart = c.tel.OpBegin(op, paths...)
+	c.curQueued = false
 	if c.curSampled {
-		o.BeginSpan(span)
-		o.RecordSpanEvent(c.ring, obs.Event{
-			Span: span, Stage: obs.StageClientStart,
-			Op: op, Path: path, Wall: time.Now().UnixNano(),
-		})
-		c.caller.SetTrace(span)
+		c.caller.SetTrace(c.curSpan)
 		if tc, ok := c.backend.(traceCarrier); ok {
-			tc.SetTrace(span)
+			tc.SetTrace(c.curSpan)
 		}
 	}
-	return span
+	return true
 }
 
-// traceEnd closes the client side of the op's trace. Spans that never
-// entered the commit queue (sync ops, failed calls) finalize here;
-// enqueued spans finalize at their commit terminal.
-func (c *Client) traceEnd(span uint64) {
-	if span == 0 || span != c.curSpan {
+// end closes the call begin opened. A span that entered the commit
+// queue finalizes at its commit terminal; any other finalizes here.
+func (c *Client) end(outer bool) {
+	if !outer {
 		return
 	}
 	if c.curSampled {
@@ -138,23 +109,17 @@ func (c *Client) traceEnd(span uint64) {
 		if tc, ok := c.backend.(traceCarrier); ok {
 			tc.ClearTrace()
 		}
-		if !c.spanPushed {
-			c.region.obs.FinalizeSpan(span)
-		}
 	}
-	c.curSpan, c.curSampled, c.spanPushed = 0, false, false
+	c.tel.OpEnd(c.curSpan, c.curSampled, c.curQueued, c.curStart)
+	c.curSpan, c.curSampled = 0, false
 }
 
-// traceStage records a client-side stage event (e.g. the barrier
-// return) on the active sampled span.
-func (c *Client) traceStage(stage obs.Stage, op, path, note string) {
-	if !c.curSampled {
-		return
+// barrierReturned marks a synchronous op (readdir/rmdir/rename) coming
+// back from its barrier wait, on the active sampled span.
+func (c *Client) barrierReturned(op, path string) {
+	if c.curSampled {
+		c.tel.Event(c.curSpan, true, obs.StageBarrier, op, path, "")
 	}
-	c.region.obs.RecordSpanEvent(c.ring, obs.Event{
-		Span: c.curSpan, Stage: stage,
-		Op: op, Path: path, Wall: time.Now().UnixNano(), Note: note,
-	})
 }
 
 // Pace attaches a virtual-time pacer to the client's cache RPCs and, if
@@ -188,37 +153,30 @@ func (c *Client) pushOp(at vclock.Time, kind OpKind, p string, st fsapi.Stat, se
 // pushOpFlagged is pushOp with the create-after-rm marker (see
 // Op.AfterRm); only insert() sets it.
 func (c *Client) pushOpFlagged(at vclock.Time, kind OpKind, p string, st fsapi.Stat, seq uint64, afterRm bool) (vclock.Time, error) {
-	op := Op{Kind: kind, Path: p, Stat: st, Time: at, Seq: seq, Node: c.node, AfterRm: afterRm}
-	if o := c.region.obs; o != nil {
-		// The op carries the span traceBegin opened at the client entry
-		// point (so the cache RPCs issued before the push already
-		// belong to it); pushes outside a traced entry point still get
-		// their own span. It follows the op through dequeue, coalescing,
-		// parking and apply on whatever node commits it.
-		op.Span = c.curSpan
-		op.Sampled = c.curSampled
-		if op.Span == 0 {
-			op.Span = o.Trace.NewSpan()
-		}
-		op.EnqWall = time.Now().UnixNano()
-	}
+	// The op carries the span begin opened at the client entry point (so
+	// the cache RPCs issued before the push already belong to it) and
+	// the node's telemetry handle; they follow it through dequeue,
+	// coalescing, parking and apply.
+	op := Op{Kind: kind, Path: p, Stat: st, Time: at, Seq: seq, Node: c.node, AfterRm: afterRm,
+		tel: c.tel, Span: c.curSpan, Sampled: c.curSampled}
 	// Track the path before the push: a scoped barrier that snapshots
 	// the tracker between the two sees the op it might have to wait
 	// for; the reverse order would let a marker slip ahead of an
-	// already-queued, still-untracked op. The lag tracker follows the
-	// same contract for the same reason — a commit process could reach
-	// the op's terminal before a post-push add, leaking the timestamp.
+	// already-queued, still-untracked op. The enqueue event and the lag
+	// tracker follow the same contract for the same reason — a commit
+	// process could reach the op's terminal before a post-push add,
+	// leaking the timestamp (and recording its dequeue before its
+	// enqueue).
 	c.region.trackers[c.node].add(p)
-	c.region.lagAdd(op)
+	if c.tel != nil {
+		op.EnqWall = c.tel.Event(op.Span, op.Sampled, obs.StageEnqueue, kind.String(), p, "")
+		c.region.lags[c.node].add(p, op.EnqWall)
+	}
 	if err := c.region.queues[c.node].Push(op); err != nil {
-		c.region.trackers[c.node].remove(p)
-		c.region.lagRemove(op)
+		c.region.opTerminal(op, obs.StageDrop, "queue closed")
 		return at, err
 	}
-	if op.Span != 0 && op.Span == c.curSpan {
-		c.spanPushed = true
-	}
-	c.region.traceOp(c.ring, op, obs.StageEnqueue, "")
+	c.curQueued = true
 	return at.Add(c.region.cfg.Model.QueuePushCost), nil
 }
 
@@ -472,9 +430,8 @@ func (c *Client) commitSyncInsert(at vclock.Time, p string, st fsapi.Stat, seq u
 // Mkdir creates a directory in the workspace (async commit); outside the
 // workspace it is redirected to the DFS.
 func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
-	defer c.traceEnd(c.traceBegin("mkdir", p))
+	defer c.end(c.begin("mkdir", p))
 	if !c.inWorkspace(p) {
 		if _, merged := c.region.mergedFor(p); merged {
 			return at, fsapi.WrapPath("mkdir", p, fsapi.ErrReadOnly)
@@ -486,9 +443,8 @@ func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, 
 
 // Create creates an empty file in the workspace (async commit).
 func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
-	defer c.traceEnd(c.traceBegin("create", p))
+	defer c.end(c.begin("create", p))
 	if !c.inWorkspace(p) {
 		if _, merged := c.region.mergedFor(p); merged {
 			return at, fsapi.WrapPath("create", p, fsapi.ErrReadOnly)
@@ -501,9 +457,8 @@ func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time,
 // Stat is Table I's getattr: a cache get, with a synchronous DFS load on
 // miss. Merged workspaces are read through the peer's distributed cache.
 func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
-	defer c.traceEnd(c.traceBegin("stat", p))
+	defer c.end(c.begin("stat", p))
 	at = c.overhead(at)
 	if !c.inWorkspace(p) {
 		if m, ok := c.region.mergedFor(p); ok {
@@ -589,13 +544,13 @@ const readBatchSize = 64
 // per path. Results align with paths — per-path failures land in their
 // StatResult, they never fail the batch.
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	r := c.region
 	out := make([]fsapi.StatResult, len(paths))
 	cleaned := make([]string, len(paths))
 	for i, p := range paths {
 		cleaned[i] = namespace.Clean(p)
 	}
+	defer c.end(c.begin("statmulti", cleaned...))
 	at = c.overhead(at)
 
 	// Classify. Workspace paths batch through our own cache; merged
@@ -866,9 +821,8 @@ func (c *Client) CacheRPCs() int64 { return c.cache.Calls() }
 // loop), commit asynchronously; the commit process deletes the cache
 // entry once the DFS applied it.
 func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
-	defer c.traceEnd(c.traceBegin("rm", p))
+	defer c.end(c.begin("rm", p))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(p) {
@@ -950,9 +904,8 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 // it removes all metadata under the target on both the DFS and the
 // distributed cache (§III.D.1).
 func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
-	defer c.traceEnd(c.traceBegin("rmdir", p))
+	defer c.end(c.begin("rmdir", p))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(p) {
@@ -993,7 +946,7 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 		return at, err
 	}
 	at = drain
-	c.traceStage(obs.StageBarrier, "rmdir", p, "")
+	c.barrierReturned("rmdir", p)
 	removed, done, rerr := c.backend.RmTree(at, p)
 	at = done
 	// Drop the subtree's dentries on every backend in the region, not
@@ -1046,9 +999,8 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 // follow-up stats (the ls -l pattern) then hit the cache instead of
 // each paying a DFS round trip.
 func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
-	defer c.traceEnd(c.traceBegin("readdir", p))
+	defer c.end(c.begin("readdir", p))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(p) {
@@ -1067,16 +1019,14 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 		return nil, at, err
 	}
 	at = drain
-	c.traceStage(obs.StageBarrier, "readdir", p, "")
+	c.barrierReturned("readdir", p)
 	ents, done, rerr := c.backend.Readdir(at, p)
 	at = done
 	r.barrier.Release(epoch, at)
 	if rerr != nil {
 		return nil, at, fsapi.WrapPath("readdir", p, rerr)
 	}
-	if o := r.obs; o != nil {
-		o.Hist(obs.HistReaddirEntries).RecordN(int64(len(ents)))
-	}
+	r.readdirEntries.RecordN(int64(len(ents)))
 	if len(ents) > 0 {
 		// Warm the cache from the listing. Safe after the release: the
 		// stats come from fresh DFS reads under statBatchCached's
@@ -1099,9 +1049,8 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 // the renamed subtree's cache entries are invalidated (they reload under
 // the new path on demand).
 func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	src, dst = namespace.Clean(src), namespace.Clean(dst)
-	defer c.traceEnd(c.traceBegin("rename", src))
+	defer c.end(c.begin("rename", src))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(src) || !c.inWorkspace(dst) {
@@ -1136,7 +1085,7 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 		return at, err
 	}
 	at = drain
-	c.traceStage(obs.StageBarrier, "rename", src, "")
+	c.barrierReturned("rename", src)
 	done, rerr := c.backend.Rename(at, src, dst)
 	at = done
 	if rerr == nil {

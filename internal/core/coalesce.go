@@ -111,7 +111,7 @@ func mergeOps(prev, next Op) (Op, bool) {
 		// The net-absence remove continues the remove's span (the
 		// create's span ends at the coalesce event).
 		return Op{Kind: OpRemove, Path: next.Path, Seq: next.Seq, Node: next.Node, Time: t,
-			NetAbsent: true, Span: next.Span, EnqWall: next.EnqWall}, true
+			NetAbsent: true, tel: next.tel, Span: next.Span, EnqWall: next.EnqWall, Sampled: next.Sampled}, true
 	}
 	return Op{}, false
 }

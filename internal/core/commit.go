@@ -20,15 +20,13 @@ type pendingOp struct {
 }
 
 // pendingSet keeps failed ops in arrival order plus a per-path count so
-// later same-path ops can be held back. region and ring are the
-// observability seam (both may be nil: disabled observability, or
-// white-box tests building a bare set).
+// later same-path ops can be held back. region (nil in white-box tests
+// building a bare set) carries the parked-ops gauge.
 type pendingSet struct {
 	ops   []pendingOp
 	paths map[string]int
 
 	region *Region
-	ring   *obs.Ring
 }
 
 // add parks an op. why labels the park terminal-stage event so traces
@@ -45,8 +43,8 @@ func (p *pendingSet) add(op Op, why string) {
 	p.paths[op.Path]++
 	if p.region != nil {
 		p.region.parked.Add(1)
-		p.region.traceOp(p.ring, op, obs.StagePark, why)
 	}
+	op.trace(obs.StagePark, why)
 }
 
 // release drops one reference to a parked path, deleting the key when it
@@ -85,9 +83,8 @@ func (p *pendingSet) blocks(path string) bool { return p.paths[path] > 0 }
 func (r *Region) commitLoop(node string, backend Backend) {
 	q := r.queues[node]
 	cache := memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, node), r.ring)
-	ring := r.obsRing(node)
 	var now vclock.Time
-	pending := pendingSet{region: r, ring: ring}
+	pending := pendingSet{region: r}
 	coalesceScratch := make(map[string]int, r.cfg.CommitBatchSize)
 	// batchBuf is the dequeue buffer, reused across PopBatchInto calls:
 	// everything downstream (coalescing, wave construction, parking)
@@ -95,18 +92,15 @@ func (r *Region) commitLoop(node string, backend Backend) {
 	// the time the loop re-enters.
 	var batchBuf []Op
 
-	// onMerge retires the absorbed op: its path-tracker reference is
-	// released (the survivor carries the path to its own terminal) and,
-	// when tracing, its coalesce event recorded — its effect now rides
-	// the surviving op's span.
+	// onMerge retires the absorbed op: the survivor carries the path to
+	// its own terminal, and the absorbed span ends here with a coalesce
+	// event naming the span its effect now rides.
 	onMerge := func(survivor, absorbed Op) {
-		r.opTerminal(absorbed)
-		if ring != nil {
-			r.traceOp(ring, absorbed, obs.StageCoalesce,
-				fmt.Sprintf("into span %d", survivor.Span))
+		note := ""
+		if absorbed.tel != nil {
+			note = fmt.Sprintf("into span %d", survivor.Span)
 		}
-		// The absorbed span ends here: its effect rides the survivor.
-		r.spanDone(absorbed, false)
+		r.opTerminal(absorbed, obs.StageCoalesce, note)
 	}
 
 	for {
@@ -131,7 +125,7 @@ func (r *Region) commitLoop(node string, backend Backend) {
 			now = vclock.Max(now, rel)
 			continue
 		}
-		r.observeDequeue(ring, ops)
+		r.observeDequeue(ops)
 		ops, merged := coalesceOps(ops, coalesceScratch, onMerge)
 		r.coalesced.Add(merged)
 		r.applyOps(ops, &now, backend, cache, &pending)
@@ -204,7 +198,7 @@ func (r *Region) applyWave(wave []Op, now *vclock.Time, backend Backend, cache *
 		r.applyBatchRPC(batch, now, backend, cache, pending)
 	}
 	for _, op := range single {
-		if r.applyOp(op, now, backend, cache, pending.ring) {
+		if r.applyOp(op, now, backend, cache) {
 			pending.add(op, "resubmittable failure")
 		}
 	}
@@ -263,7 +257,7 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 		// singleton application which re-runs each op with full logic.
 		r.batchFallbacks.Add(1)
 		for _, op := range ops {
-			if r.applyOp(op, now, backend, cache, pending.ring) {
+			if r.applyOp(op, now, backend, cache) {
 				pending.add(op, "resubmittable failure")
 			}
 		}
@@ -273,11 +267,11 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 		var retry bool
 		switch op.Kind {
 		case OpCreate, OpMkdir:
-			retry = r.finishCreate(op, inlines[i], errs[i], now, backend, cache, pending.ring)
+			retry = r.finishCreate(op, inlines[i], errs[i], now, backend, cache)
 		case OpSetStat:
-			retry = r.finishSetStat(op, errs[i], now, cache, pending.ring)
+			retry = r.finishSetStat(op, errs[i], now, cache)
 		case OpRemove:
-			retry = r.finishRemoveResult(op, errs[i], now, cache, pending.ring)
+			retry = r.finishRemoveResult(op, errs[i], now, cache)
 		}
 		if retry {
 			pending.add(op, "resubmittable failure")
@@ -300,12 +294,12 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 			continue
 		}
 		r.retries.Add(1)
-		r.traceOp(pending.ring, p.op, obs.StageRetry, "")
-		if retry := r.applyOp(p.op, now, backend, cache, pending.ring); retry {
+		p.op.trace(obs.StageRetry, "")
+		if retry := r.applyOp(p.op, now, backend, cache); retry {
 			if counted {
 				p.attempts++
 				if p.attempts >= r.cfg.CommitRetryLimit {
-					r.dropOp(p.op, now, cache, pending.ring, dropReasonRetryBudget)
+					r.dropOp(p.op, now, cache, dropReasonRetryBudget)
 					pending.release(p.op.Path)
 					continue
 				}
@@ -316,7 +310,7 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 			blocked[p.op.Path] = true
 			kept = append(kept, p)
 		} else {
-			r.traceOp(pending.ring, p.op, obs.StageUnpark, "")
+			p.op.trace(obs.StageUnpark, "")
 			pending.release(p.op.Path)
 		}
 	}
@@ -360,8 +354,8 @@ func (r *Region) drainPending(pending *pendingSet, now *vclock.Time, backend Bac
 }
 
 // applyOp applies one operation; it returns true if the op failed in a
-// resubmittable way. ring may be nil (observability disabled, tests).
-func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) bool {
+// resubmittable way.
+func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcache.Client) bool {
 	if untag := r.commitTrace(op, backend, cache); untag != nil {
 		defer untag()
 	}
@@ -374,7 +368,7 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 		// incarnation created after the rmdir window closed is live
 		// primary-copy metadata and must survive.
 		if r.isRemoving(op.Path) {
-			r.opDiscarded(ring, op)
+			r.opDiscarded(op)
 			r.deleteIf(cache, &t, op.Path, memcache.CondSeq, op.Seq)
 			*now = t
 			return false
@@ -388,13 +382,13 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 		r.backendRPCs.Add(1)
 		done, err := backend.CreateWithStat(t, op.Path, st)
 		*now = done
-		return r.finishCreate(op, inline, err, now, backend, cache, ring)
+		return r.finishCreate(op, inline, err, now, backend, cache)
 
 	case OpRemove:
 		r.backendRPCs.Add(1)
 		done, err := backend.Remove(t, op.Path)
 		*now = done
-		return r.finishRemoveResult(op, err, now, cache, ring)
+		return r.finishRemoveResult(op, err, now, cache)
 
 	case OpSetStat:
 		var done vclock.Time
@@ -408,7 +402,7 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 			done, err = backend.SetStat(t, op.Path, op.Stat)
 		}
 		*now = done
-		return r.finishSetStat(op, err, now, cache, ring)
+		return r.finishSetStat(op, err, now, cache)
 	}
 	return false
 }
@@ -416,10 +410,10 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 // finishCreate handles a create/mkdir's backend result (shared by the
 // singleton and batched paths); it returns true if the op must be
 // resubmitted.
-func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) bool {
+func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time, backend Backend, cache *memcache.Client) bool {
 	switch {
 	case err == nil:
-		r.opCommitted(ring, op)
+		r.opCommitted(op)
 		r.writebackInline(op.Path, inline, now, backend)
 		r.writebackSpill(op.Path, now, backend)
 		r.clearDirty(op, now, cache)
@@ -440,7 +434,7 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 		// instead, imposing the create's metadata on it.
 		if v, ok := r.cacheLookup(op.Path, now, cache); ok && !v.removed {
 			if v.seq != op.Seq || !v.dirty {
-				r.opCommitted(ring, op)
+				r.opCommitted(op)
 				r.writebackSpill(op.Path, now, backend)
 				r.clearDirty(op, now, cache)
 				return false
@@ -457,7 +451,7 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 				if est.IsDir() != st.IsDir() {
 					// A different kind of object holds the name; the
 					// creation can never apply.
-					r.dropOp(op, now, cache, ring, dropReasonKindConflict)
+					r.dropOp(op, now, cache, dropReasonKindConflict)
 					return false
 				}
 				r.backendRPCs.Add(1)
@@ -466,7 +460,7 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 				if aerr != nil {
 					return true
 				}
-				r.opCommitted(ring, op)
+				r.opCommitted(op)
 				r.writebackInline(op.Path, inline, now, backend)
 				r.writebackSpill(op.Path, now, backend)
 				r.clearDirty(op, now, cache)
@@ -483,24 +477,24 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 		// intent over this subtree and will release it. Both transient.
 		return true
 	default:
-		r.dropOp(op, now, cache, ring, dropReasonBackendError)
+		r.dropOp(op, now, cache, dropReasonBackendError)
 		return false
 	}
 }
 
 // finishRemoveResult handles a remove's backend result; it returns true
 // if the op must be resubmitted.
-func (r *Region) finishRemoveResult(op Op, err error, now *vclock.Time, cache *memcache.Client, ring *obs.Ring) bool {
+func (r *Region) finishRemoveResult(op Op, err error, now *vclock.Time, cache *memcache.Client) bool {
 	switch {
 	case err == nil:
-		r.opCommitted(ring, op)
+		r.opCommitted(op)
 		r.finishRemove(op, now, cache)
 		return false
 	case errors.Is(err, fsapi.ErrNotExist):
 		if op.NetAbsent {
 			// Net-absence remove: the folded create never reached the
 			// DFS, so an absent path IS the committed state.
-			r.opCommitted(ring, op)
+			r.opCommitted(op)
 			r.finishRemove(op, now, cache)
 			return false
 		}
@@ -508,7 +502,7 @@ func (r *Region) finishRemoveResult(op Op, err error, now *vclock.Time, cache *m
 		// another node — resubmit; if it was discarded under an
 		// rmdir, the retry limit cleans us up.
 		if r.isRemoving(op.Path) {
-			r.opDiscarded(ring, op)
+			r.opDiscarded(op)
 			r.finishRemove(op, now, cache)
 			return false
 		}
@@ -516,29 +510,29 @@ func (r *Region) finishRemoveResult(op Op, err error, now *vclock.Time, cache *m
 	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
 		return true // shard down / intent-blocked: transient
 	default:
-		r.dropOp(op, now, cache, ring, dropReasonBackendError)
+		r.dropOp(op, now, cache, dropReasonBackendError)
 		return false
 	}
 }
 
 // finishSetStat handles a setstat/inline-write backend result; it
 // returns true if the op must be resubmitted.
-func (r *Region) finishSetStat(op Op, err error, now *vclock.Time, cache *memcache.Client, ring *obs.Ring) bool {
+func (r *Region) finishSetStat(op Op, err error, now *vclock.Time, cache *memcache.Client) bool {
 	switch {
 	case err == nil:
-		r.opCommitted(ring, op)
+		r.opCommitted(op)
 		r.clearDirty(op, now, cache)
 		return false
 	case errors.Is(err, fsapi.ErrNotExist):
 		if r.isRemoving(op.Path) {
-			r.opDiscarded(ring, op)
+			r.opDiscarded(op)
 			return false
 		}
 		return true // create still in flight
 	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
 		return true // shard down / intent-blocked: transient
 	default:
-		r.dropOp(op, now, cache, ring, dropReasonBackendError)
+		r.dropOp(op, now, cache, dropReasonBackendError)
 		return false
 	}
 }
@@ -566,7 +560,7 @@ func (r *Region) deleteIf(cache *memcache.Client, now *vclock.Time, path string,
 // of the dropReason* constants) labels the per-reason counter and the
 // drop trace event: dropped ops never record a commit lag, so the
 // reasons are what keeps the histogram's silence interpretable.
-func (r *Region) dropOp(op Op, now *vclock.Time, cache *memcache.Client, ring *obs.Ring, reason string) {
+func (r *Region) dropOp(op Op, now *vclock.Time, cache *memcache.Client, reason string) {
 	r.dropped.Add(1)
 	switch reason {
 	case dropReasonRetryBudget:
@@ -576,9 +570,7 @@ func (r *Region) dropOp(op Op, now *vclock.Time, cache *memcache.Client, ring *o
 	default:
 		r.droppedBackend.Add(1)
 	}
-	r.opTerminal(op)
-	r.traceOp(ring, op, obs.StageDrop, reason)
-	r.spanDone(op, true)
+	r.opTerminal(op, obs.StageDrop, reason)
 	switch op.Kind {
 	case OpCreate, OpMkdir:
 		r.deleteIf(cache, now, op.Path, memcache.CondSeq, op.Seq)

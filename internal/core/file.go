@@ -33,8 +33,8 @@ func spliceInline(buf []byte, off int64, data []byte) []byte {
 // cache (CAS retry loop) with an asynchronous backup write; crossing the
 // threshold materializes the file on the DFS synchronously.
 func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
+	defer c.end(c.begin("write", p))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(p) {
@@ -208,8 +208,8 @@ func (c *Client) growToLarge(at vclock.Time, p string, cas uint64, v cacheVal, o
 // and data in a single KV request", §III.D.2); large files read from the
 // DFS.
 func (c *Client) ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
+	defer c.end(c.begin("read", p))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(p) {
@@ -271,8 +271,8 @@ func sliceInline(inline []byte, off int64, n int) []byte {
 // (§III.D.2); a clean or large file needs nothing — its data is already
 // on the DFS or will be carried by the pending backup write.
 func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
-	defer c.opEnd(c.opStart())
 	p = namespace.Clean(p)
+	defer c.end(c.begin("fsync", p))
 	at = c.overhead(at)
 	r := c.region
 	if !c.inWorkspace(p) {

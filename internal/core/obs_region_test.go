@@ -26,7 +26,12 @@ func TestSpanLifecycleOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evs := o.Trace.Filter(func(ev obs.Event) bool { return ev.Path == "/w/traced" })
+	var evs []obs.Event
+	for _, ev := range o.Events() {
+		if ev.Path == "/w/traced" {
+			evs = append(evs, ev)
+		}
+	}
 	if len(evs) == 0 {
 		t.Fatal("no trace events for the create")
 	}
@@ -96,10 +101,13 @@ func TestCoalesceTracedAsMerge(t *testing.T) {
 	if e.region.Stats().Coalesced == 0 {
 		t.Skip("batch committed without coalescing (timing-dependent)")
 	}
-	merged := o.Trace.Filter(func(ev obs.Event) bool {
-		return ev.Path == "/w/burst" && ev.Stage == obs.StageCoalesce
-	})
-	if len(merged) == 0 {
+	merged := 0
+	for _, ev := range o.Events() {
+		if ev.Path == "/w/burst" && ev.Stage == obs.StageCoalesce {
+			merged++
+		}
+	}
+	if merged == 0 {
 		t.Fatal("coalesced ops but no coalesce trace events")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pacon/internal/fsapi"
+	"pacon/internal/obs"
 	"pacon/internal/vclock"
 	"pacon/internal/wire"
 )
@@ -73,15 +74,6 @@ type Op struct {
 	// original remove would have deleted anyway. Carried to the DFS as
 	// fsapi.BatchOp.IfExists.
 	NetAbsent bool
-	// Span is the observability trace ID allocated at the client call
-	// (0 = untraced). The op is an in-process queue message, never wire
-	// encoded, so the field rides along for free.
-	Span uint64
-	// EnqWall is the wall-clock time (unix nanoseconds) the op was
-	// enqueued, for queue-residency and commit-lag histograms. Wall, not
-	// virtual: the span crosses goroutines whose virtual clocks advance
-	// independently. 0 when observability is disabled.
-	EnqWall int64
 	// Sampled marks a span the obs tail sampler is assembling: its
 	// stage events also feed the active-span buffer, the commit side
 	// tags its RPCs with the span's trace context, and the terminal
@@ -92,6 +84,23 @@ type Op struct {
 	// Parked records that the op was ever parked in the pending set —
 	// the tail sampler always keeps such spans.
 	Parked bool
+	// tel is the telemetry handle of the node the op was enqueued on
+	// (nil = observability disabled): every commit-side hook — dequeue,
+	// stage events, the terminal — records through it, so no commit
+	// function carries a recorder of its own. The op is an in-process
+	// queue message, never wire encoded, so this and the span fields
+	// around it ride along for free (the two flags above sit with the
+	// other bools so the handle does not grow the message).
+	tel *obs.Node
+	// Span is the observability trace ID allocated at the client call
+	// (0 = untraced).
+	Span uint64
+	// EnqWall is the wall-clock time (unix nanoseconds) the op was
+	// enqueued — the one timestamp behind the enqueue span event, the lag
+	// tracker, queue residency, commit lag and queue_head_age_ns. Wall,
+	// not virtual: the span crosses goroutines whose virtual clocks
+	// advance independently. 0 when observability is disabled.
+	EnqWall int64
 }
 
 // cacheVal is the distributed cache's value layout: the primary copy of

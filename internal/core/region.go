@@ -89,13 +89,6 @@ type RegionConfig struct {
 	// layer-by-layer checking the paper's §III.C replaces.
 	HierarchicalPermCheck bool
 
-	// TraceSampleN sets the head-sampling rate of the causal tracer:
-	// 1-in-N client ops get a fully assembled cross-node span. 0 keeps
-	// the Obs registry's current rate (default 1/64), negative disables
-	// sampling entirely (tail-keeping of anomalous spans still works).
-	// Only consulted when Deps.Obs is non-nil.
-	TraceSampleN int
-
 	// ShardCount records how many MDS shards back the region's DFS
 	// (default 1). The shard routing itself lives in the DFS client the
 	// Deps.NewBackend factory builds; the region only reports the count
@@ -136,7 +129,8 @@ type Deps struct {
 	// tracing, stage latency histograms, and gauge/counter registration.
 	// Nil (the default) keeps the hot path to one branch per site. When
 	// one Obs serves several regions, the last-registered region owns the
-	// gauge/counter names.
+	// gauge/counter names. The tracer's head-sampling rate is the
+	// registry's (Obs.SetSampleN), not a per-region setting.
 	Obs *obs.Obs
 }
 
@@ -238,10 +232,13 @@ type Region struct {
 	auditMu   sync.Mutex
 	lastAudit *AuditVerdict
 
-	// obs is the observability registry (nil = disabled); parked counts
-	// ops resident in the commit processes' pending sets.
-	obs    *obs.Obs
-	parked atomic.Int64
+	// obs is the observability registry (nil = disabled), barrierWait
+	// and readdirEntries its two histograms the region itself records
+	// into (resolved once; nil when disabled); parked counts ops resident
+	// in the commit processes' pending sets.
+	obs                         *obs.Obs
+	barrierWait, readdirEntries *obs.Histogram
+	parked                      atomic.Int64
 
 	// healthPrev remembers the last Health() status so a worsening
 	// transition (ok → degraded/stalled) can trigger the flight
@@ -299,17 +296,6 @@ func (t *pathTracker) hasUnder(scope string) bool {
 	return false
 }
 
-// opTerminal releases an op's path-tracker reference and its
-// consistency-lag entry. Every op that entered a queue reaches exactly
-// one terminal: committed, discarded, dropped, or absorbed into a
-// coalesced survivor.
-func (r *Region) opTerminal(op Op) {
-	if t := r.trackers[op.Node]; t != nil {
-		t.remove(op.Path)
-	}
-	r.lagRemove(op)
-}
-
 // remoteRegion is a merged peer's shareable view (§III.D.4: basic info —
 // node addresses, permission information — plus a connection to its
 // distributed caches; access is read-only).
@@ -342,9 +328,9 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		lags:     make(map[string]*lagTracker),
 		removing: make(map[string]int),
 		spill:    make(map[string][]byte),
-	}
-	if deps.Obs != nil && cfg.TraceSampleN != 0 {
-		deps.Obs.SetSampleN(cfg.TraceSampleN)
+
+		barrierWait:    deps.Obs.Hist(obs.HistBarrierWait),
+		readdirEntries: deps.Obs.Hist(obs.HistReaddirEntries),
 	}
 	for _, node := range cfg.Nodes {
 		addr := node + "/pacon-" + cfg.Name
@@ -359,9 +345,6 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		r.cacheAddrs = append(r.cacheAddrs, addr)
 		r.ring.Add(addr)
 		r.queues[node] = mq.NewQueue[Op]()
-		// Queue-head wall stamping rides the observability switch: one
-		// clock read per push when on, one branch when off.
-		r.queues[node].TrackWall(deps.Obs != nil)
 		r.trackers[node] = &pathTracker{}
 		r.lags[node] = &lagTracker{}
 	}
@@ -693,7 +676,7 @@ func (r *Region) SpillCount() int {
 // queue.
 func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain vclock.Time, err error) {
 	var start int64
-	if r.obs != nil {
+	if r.barrierWait != nil {
 		start = time.Now().UnixNano()
 	}
 	epoch, err = r.barrier.Begin()
@@ -731,8 +714,8 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 	if err != nil {
 		return 0, at, err
 	}
-	if r.obs != nil {
-		r.obs.Hist(obs.HistBarrierWait).RecordN(time.Now().UnixNano() - start)
+	if r.barrierWait != nil {
+		r.barrierWait.RecordN(time.Now().UnixNano() - start)
 	}
 	return epoch, vclock.Max(drain, at), nil
 }

@@ -84,29 +84,6 @@ func (t *lagTracker) oldestFor(p string) int64 {
 	return min
 }
 
-// lagAdd registers an op's enqueue timestamp; called before the queue
-// push (same ordering contract as the path tracker: the reverse order
-// would let a fast commit process reach the terminal before the add and
-// leak the entry forever, pinning the watermark).
-func (r *Region) lagAdd(op Op) {
-	if op.EnqWall == 0 {
-		return
-	}
-	if t := r.lags[op.Node]; t != nil {
-		t.add(op.Path, op.EnqWall)
-	}
-}
-
-// lagRemove releases an op's timestamp at its terminal.
-func (r *Region) lagRemove(op Op) {
-	if op.EnqWall == 0 {
-		return
-	}
-	if t := r.lags[op.Node]; t != nil {
-		t.remove(op.Path, op.EnqWall)
-	}
-}
-
 // OldestUnacked returns the age (ns of wall time) of the oldest
 // operation in node's commit pipeline that has not reached the DFS —
 // queued, in-flight, parked or retrying alike. 0 means the pipeline is
@@ -160,12 +137,12 @@ func (r *Region) noteCommitLag(lag int64) {
 // commit process will dequeue next. Narrower than MaxStaleness (an op
 // leaves the queue long before it is durable); useful for telling
 // "queue is backed up" from "commits are failing". 0 when queues are
-// empty or wall tracking is off.
+// empty or observability is off (no op carries an EnqWall).
 func (r *Region) QueueHeadAge() int64 {
 	var oldest int64
 	for _, q := range r.queues {
-		if w, ok := q.OldestWall(); ok && (oldest == 0 || w < oldest) {
-			oldest = w
+		if op, ok := q.Oldest(); ok && op.EnqWall != 0 && (oldest == 0 || op.EnqWall < oldest) {
+			oldest = op.EnqWall
 		}
 	}
 	if oldest == 0 {

@@ -1,65 +1,70 @@
 package core
 
 import (
-	"time"
-
 	"pacon/internal/memcache"
 	"pacon/internal/obs"
 )
 
-// This file is the commit pipeline's seam to internal/obs. Everything
-// here is nil-safe and records WALL-clock time: virtual time measures
-// the modeled system, while spans and stage histograms profile the real
-// process so perf work can see where wall time goes. The disabled path
-// (r.obs == nil) costs exactly one branch per site — no ring exists, no
-// span is allocated (Op.Span stays 0), and traceOp returns immediately.
+// This file is the commit pipeline's seam to internal/obs. Every hook
+// goes through the one *obs.Node an op carries (Op.tel) and records
+// WALL-clock time: virtual time measures the modeled system, while spans
+// and stage histograms profile the real process so perf work can see
+// where wall time goes. The disabled path (Deps.Obs == nil) costs one
+// branch per hook — no node exists, no span is allocated (Op.Span stays
+// 0), and nothing reads a clock.
 
-// obsRing returns the node's event ring, or nil when observability is
-// disabled.
-func (r *Region) obsRing(node string) *obs.Ring {
+// trace records one stage event on the op's span.
+func (op *Op) trace(stage obs.Stage, note string) {
+	if op.tel != nil {
+		op.tel.Event(op.Span, op.Sampled, stage, op.Kind.String(), op.Path, note)
+	}
+}
+
+// observeDequeue records the dequeue stage and queue residency of a
+// popped batch.
+func (r *Region) observeDequeue(ops []Op) {
 	if r.obs == nil {
-		return nil
+		return
 	}
-	return r.obs.Trace.Ring(node)
+	for i := range ops {
+		op := &ops[i]
+		op.tel.Dequeue(op.Span, op.Sampled, op.EnqWall, op.Kind.String(), op.Path)
+	}
 }
 
-// traceOp records one stage event for a traced op. Sampled ops feed the
-// active-span assembler too (obs.RecordSpanEvent) so their cross-node
-// timeline can be finalized without scanning every ring; unsampled ops
-// take the original zero-alloc ring-only path.
-func (r *Region) traceOp(ring *obs.Ring, op Op, stage obs.Stage, note string) {
-	if ring == nil || op.Span == 0 {
+// opTerminal is the one terminal hook. Every op that entered a queue
+// reaches it exactly once — committed (stage apply), discarded, dropped,
+// absorbed into a coalesced survivor, or lost with its node — and it
+// releases everything the op holds together: the path-tracker reference
+// scoped barriers wait on, the lag-tracker entry behind the staleness
+// watermarks, and the span (terminal stage event, commit lag, sampled
+// assembly or tail-keep). A terminal that released only some of them is
+// how a crashed node used to leak sampled spans.
+func (r *Region) opTerminal(op Op, stage obs.Stage, note string) {
+	if t := r.trackers[op.Node]; t != nil {
+		t.remove(op.Path)
+	}
+	if op.tel == nil {
 		return
 	}
-	ev := obs.Event{
-		Span:  op.Span,
-		Stage: stage,
-		Op:    op.Kind.String(),
-		Path:  op.Path,
-		Wall:  time.Now().UnixNano(),
-		Note:  note,
+	r.lags[op.Node].remove(op.Path, op.EnqWall)
+	lag := op.tel.Terminal(op.Span, op.Sampled, op.Parked, op.EnqWall, stage, op.Kind.String(), op.Path, note)
+	if stage == obs.StageApply {
+		r.noteCommitLag(lag)
 	}
-	if op.Sampled {
-		r.obs.RecordSpanEvent(ring, ev)
-		return
-	}
-	ring.Record(ev)
 }
 
-// spanDone closes out an op's span at its terminal: sampled spans are
-// assembled and attributed, anomalous unsampled spans (failed, parked,
-// or with commit lag past the slow threshold) are tail-kept. Must run
-// *after* the terminal stage event so the assembled timeline includes
-// it.
-func (r *Region) spanDone(op Op, failed bool) {
-	if r.obs == nil || op.Span == 0 {
-		return
-	}
-	var lag time.Duration
-	if op.EnqWall != 0 {
-		lag = time.Duration(time.Now().UnixNano() - op.EnqWall)
-	}
-	r.obs.SpanDone(op.Span, op.Sampled, op.Kind.String(), op.Path, lag, failed, op.Parked)
+// opCommitted accounts a durably applied op; its enqueue → durable lag
+// is how far the backup copy trailed the primary.
+func (r *Region) opCommitted(op Op) {
+	r.committed.Add(1)
+	r.opTerminal(op, obs.StageApply, "")
+}
+
+// opDiscarded accounts an op dropped under an active rmdir (§III.D.1).
+func (r *Region) opDiscarded(op Op) {
+	r.discarded.Add(1)
+	r.opTerminal(op, obs.StageDiscard, "under active rmdir")
 }
 
 // traceCarrier is the optional capability of tagging outgoing RPCs with
@@ -89,48 +94,6 @@ func (r *Region) commitTrace(op Op, backend Backend, cache *memcache.Client) fun
 		cache.ClearTrace()
 		if ok {
 			tc.ClearTrace()
-		}
-	}
-}
-
-// opCommitted accounts a durably applied op: the committed counter, the
-// apply stage event, and the commit-lag histogram (enqueue → durable on
-// the DFS — how far the backup copy trails the primary).
-func (r *Region) opCommitted(ring *obs.Ring, op Op) {
-	r.committed.Add(1)
-	r.opTerminal(op)
-	if r.obs == nil {
-		return
-	}
-	r.traceOp(ring, op, obs.StageApply, "")
-	if op.EnqWall != 0 {
-		lag := time.Now().UnixNano() - op.EnqWall
-		r.obs.Hist(obs.HistCommitLag).RecordN(lag)
-		r.noteCommitLag(lag)
-	}
-	r.spanDone(op, false)
-}
-
-// opDiscarded accounts an op dropped under an active rmdir (§III.D.1).
-func (r *Region) opDiscarded(ring *obs.Ring, op Op) {
-	r.discarded.Add(1)
-	r.opTerminal(op)
-	r.traceOp(ring, op, obs.StageDiscard, "under active rmdir")
-	r.spanDone(op, false)
-}
-
-// observeDequeue records the dequeue stage and queue-residency samples
-// for a popped batch.
-func (r *Region) observeDequeue(ring *obs.Ring, ops []Op) {
-	if r.obs == nil {
-		return
-	}
-	wall := time.Now().UnixNano()
-	h := r.obs.Hist(obs.HistQueueWait)
-	for _, op := range ops {
-		r.traceOp(ring, op, obs.StageDequeue, "")
-		if op.EnqWall != 0 {
-			h.RecordN(wall - op.EnqWall)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,9 +23,8 @@ import (
 // cache servers and/or the MDS the commit touched.
 func TestCreateCriticalPath(t *testing.T) {
 	o := obs.New()
-	e := newEnvDeps(t, 2, func(cfg *RegionConfig) {
-		cfg.TraceSampleN = 1 // sample every op: the test needs this span
-	}, func(d *Deps) { d.Obs = o })
+	o.SetSampleN(1) // sample every op: the test needs this span
+	e := newEnvDeps(t, 2, nil, func(d *Deps) { d.Obs = o })
 	e.bus.SetObserver(o)
 	c := e.client(t, "node0")
 
@@ -154,13 +154,12 @@ func (f *failCreateBackend) ClearTrace() {
 // cross-node span evidence inside the dump.
 func TestStalledHealthFlightDump(t *testing.T) {
 	o := obs.New()
+	o.SetSampleN(1)
 	var (
 		backendsMu sync.Mutex
 		backends   []*failCreateBackend
 	)
-	e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
-		cfg.TraceSampleN = 1
-	}, func(d *Deps) {
+	e := newEnvDeps(t, 1, nil, func(d *Deps) {
 		d.Obs = o
 		inner := d.NewBackend
 		d.NewBackend = func(node string) Backend {
@@ -267,4 +266,160 @@ func TestAuditDivergenceFlight(t *testing.T) {
 	if got := o.TraceStats().FlightDumps; got != before {
 		t.Fatalf("clean audit changed flight_dumps %d → %d", before, got)
 	}
+}
+
+// TestEntryPointsInstrumentedAlike: each of the 11 public op entry
+// points, called once with every op sampled, yields exactly one
+// client_op sample, one finalized span named after the op the caller
+// invoked (not after an entry point it calls internally), and one
+// hot-path sketch record per path it names.
+func TestEntryPointsInstrumentedAlike(t *testing.T) {
+	multi := make([]string, 16)
+	for i := range multi {
+		multi[i] = fmt.Sprintf("/w/m%02d", i)
+	}
+	mkfile := func(p string) func(*testing.T, *Client) {
+		return func(t *testing.T, c *Client) {
+			t.Helper()
+			at, err := c.Create(0, p, 0o644)
+			if err == nil {
+				_, err = c.WriteAt(at, p, 0, []byte("data"))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		op    string
+		paths int
+		prep  func(*testing.T, *Client)
+		call  func(*Client) error
+	}{
+		{"mkdir", 1, nil, func(c *Client) error { _, err := c.Mkdir(0, "/w/d", 0o755); return err }},
+		{"create", 1, nil, func(c *Client) error { _, err := c.Create(0, "/w/f", 0o644); return err }},
+		{"stat", 1, mkfile("/w/f"), func(c *Client) error { _, _, err := c.Stat(0, "/w/f"); return err }},
+		{"statmulti", len(multi), func(t *testing.T, c *Client) {
+			for _, p := range multi {
+				mkfile(p)(t, c)
+			}
+		}, func(c *Client) error {
+			res, _, err := c.StatMulti(0, multi)
+			for _, r := range res {
+				if err == nil {
+					err = r.Err
+				}
+			}
+			return err
+		}},
+		{"rm", 1, mkfile("/w/f"), func(c *Client) error { _, err := c.Remove(0, "/w/f"); return err }},
+		{"rmdir", 1, func(t *testing.T, c *Client) {
+			if _, err := c.Mkdir(0, "/w/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			mkfile("/w/d/f")(t, c)
+		}, func(c *Client) error { _, err := c.Rmdir(0, "/w/d"); return err }},
+		{"readdir", 1, mkfile("/w/f"), func(c *Client) error { _, _, err := c.Readdir(0, "/w"); return err }},
+		{"rename", 1, mkfile("/w/a"), func(c *Client) error { _, err := c.Rename(0, "/w/a", "/w/b"); return err }},
+		{"write", 1, mkfile("/w/f"), func(c *Client) error { _, err := c.WriteAt(0, "/w/f", 0, []byte("more")); return err }},
+		{"read", 1, mkfile("/w/f"), func(c *Client) error {
+			b, _, err := c.ReadAt(0, "/w/f", 0, 4)
+			if err == nil && string(b) != "data" {
+				err = fmt.Errorf("read %q, want data", b)
+			}
+			return err
+		}},
+		{"fsync", 1, mkfile("/w/f"), func(c *Client) error { _, err := c.Fsync(0, "/w/f"); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.op, func(t *testing.T) {
+			o := obs.New()
+			o.SetSampleN(1)
+			e := newEnvDeps(t, 1, nil, func(d *Deps) { d.Obs = o })
+			c := e.client(t, "node0")
+			settle := func() (clientOps, sketched int64, spans map[uint64]obs.CritPath) {
+				t.Helper()
+				if _, err := e.region.Drain(0); err != nil {
+					t.Fatal(err)
+				}
+				spans = map[uint64]obs.CritPath{}
+				for _, cp := range o.RecentSpans(0) {
+					spans[cp.Span] = cp
+				}
+				for _, l := range o.HotNodeLoads() {
+					sketched += l.Ops
+				}
+				return o.HistQuantiles()[obs.HistClientOp].Count, sketched, spans
+			}
+			if tc.prep != nil {
+				tc.prep(t, c)
+			}
+			ops0, sk0, spans0 := settle()
+			if err := tc.call(c); err != nil {
+				t.Fatal(err)
+			}
+			ops1, sk1, spans1 := settle()
+
+			if got := ops1 - ops0; got != 1 {
+				t.Errorf("client_op samples = %d, want 1", got)
+			}
+			if got := sk1 - sk0; got != int64(tc.paths) {
+				t.Errorf("sketch records = %d, want %d", got, tc.paths)
+			}
+			var fresh []obs.CritPath
+			for span, cp := range spans1 {
+				if _, old := spans0[span]; !old {
+					fresh = append(fresh, cp)
+				}
+			}
+			if len(fresh) != 1 || fresh[0].Op != tc.op || fresh[0].Kept != obs.KeptSampled {
+				t.Errorf("finalized spans = %+v, want one sampled %q span", fresh, tc.op)
+			}
+		})
+	}
+}
+
+// TestNodeFailureClosesSpans: ops lost with a crashed node reach the one
+// terminal hook like any other, so their sampled spans close with their
+// tracker entries. Left open they would fill the assembler (1,024 active
+// spans) and silently degrade every later sample to ring-only for the
+// life of the process.
+func TestNodeFailureClosesSpans(t *testing.T) {
+	o := obs.New()
+	o.SetSampleN(1)
+	e := newEnvDeps(t, 1, nil, func(d *Deps) { d.Obs = o })
+	e.bus.SetObserver(o)
+	c := e.client(t, "node0")
+
+	const queued = 1100 // past the assembler's active-span bound
+	release := holdCommits(t, e.region)
+	for i := 0; i < queued; i++ {
+		if _, err := c.Create(0, fmt.Sprintf("/w/lost%04d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lost := e.region.SimulateNodeFailure("node0"); lost != queued {
+		t.Fatalf("node failure lost %d ops, want %d", lost, queued)
+	}
+	release()
+	if age := e.region.MaxStaleness(); age != 0 {
+		t.Fatalf("staleness watermark %dns after the queue was lost, want 0", age)
+	}
+	if e.region.PathPending("/w/lost0000") {
+		t.Fatal("lost op still pending in the path tracker")
+	}
+
+	at, err := c.Create(0, "/w/after", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range o.RecentSpans(0) {
+		if cp.Path == "/w/after" && cp.Kept == obs.KeptSampled && len(cp.Segments) > 0 {
+			return
+		}
+	}
+	t.Fatalf("op after the failure was not assembled; newest kept span: %+v", o.RecentSpans(1))
 }

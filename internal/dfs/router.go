@@ -172,7 +172,7 @@ func (c *Client) shardedRename(at vclock.Time, src, dst string) (vclock.Time, er
 	// Phase 3: finalize on the source — unlink and release the intent.
 	// Finalize is idempotent, so a transient failure is retried once;
 	// if the source shard stays unreachable its volatile intent log
-	// clears on recovery (implicit abort of its side — see DESIGN.md §12
+	// clears on recovery (implicit abort of its side — see DESIGN.md §10
 	// for the recovery rules).
 	for attempt := 0; ; attempt++ {
 		e = wire.GetEncoder()

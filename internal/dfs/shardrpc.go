@@ -33,7 +33,7 @@ import (
 // Intents are volatile: they live in MDS memory and are cleared on
 // shard recovery (ClearIntents), which gives crash-restart the
 // semantics of an implicit abort — a restarted source shard still holds
-// its subtree and accepts mutations again. See DESIGN.md §12.
+// its subtree and accepts mutations again. See DESIGN.md §10.
 
 // intentBlocked reports whether p overlaps any active intent subtree:
 // p inside an intent's root, or an intent's root inside p's subtree.

@@ -9,7 +9,6 @@ package mq
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pacon/internal/fsapi"
 )
@@ -32,20 +31,19 @@ import (
 // brief tail→head swap when its head buffer runs dry, and the two
 // buffers ping-pong so steady-state operation allocates nothing.
 type Queue[T any] struct {
-	// pushMu guards the publish side: tail, closed, trackWall, the
-	// pushed counter and the depth high-water mark. cond (on pushMu)
-	// signals new tail items and close.
-	pushMu    sync.Mutex
-	cond      *sync.Cond
-	tail      []queueItem[T]
-	closed    bool
-	trackWall bool
-	pushed    int64
-	maxSeen   int
+	// pushMu guards the publish side: tail, closed, the pushed counter
+	// and the depth high-water mark. cond (on pushMu) signals new tail
+	// items and close.
+	pushMu  sync.Mutex
+	cond    *sync.Cond
+	tail    []queueItem[T]
+	closed  bool
+	pushed  int64
+	maxSeen int
 
 	// popMu guards the subscribe side: the head buffer and its consume
 	// offset. The subscriber never holds popMu while blocked waiting for
-	// items (see ensureHead), so OldestWall/Len/Stats samplers stay live
+	// items (see ensureHead), so Oldest/Len/Stats samplers stay live
 	// while the commit process sleeps on an empty queue.
 	popMu   sync.Mutex
 	head    []queueItem[T]
@@ -60,7 +58,6 @@ type Queue[T any] struct {
 type queueItem[T any] struct {
 	barrier bool
 	epoch   uint64
-	wall    int64 // unix ns at push; 0 unless trackWall
 	v       T
 }
 
@@ -79,11 +76,7 @@ func (q *Queue[T]) Push(v T) error {
 		q.pushMu.Unlock()
 		return fsapi.ErrClosed
 	}
-	it := queueItem[T]{v: v}
-	if q.trackWall {
-		it.wall = time.Now().UnixNano()
-	}
-	q.tail = append(q.tail, it)
+	q.tail = append(q.tail, queueItem[T]{v: v})
 	q.pushed++
 	if n := int(q.size.Add(1)); n > q.maxSeen {
 		q.maxSeen = n
@@ -100,11 +93,7 @@ func (q *Queue[T]) PushBarrier(epoch uint64) error {
 		q.pushMu.Unlock()
 		return fsapi.ErrClosed
 	}
-	it := queueItem[T]{barrier: true, epoch: epoch}
-	if q.trackWall {
-		it.wall = time.Now().UnixNano()
-	}
-	q.tail = append(q.tail, it)
+	q.tail = append(q.tail, queueItem[T]{barrier: true, epoch: epoch})
 	q.pushed++
 	q.size.Add(1)
 	q.cond.Signal()
@@ -112,32 +101,28 @@ func (q *Queue[T]) PushBarrier(epoch uint64) error {
 	return nil
 }
 
-// TrackWall enables (or disables) wall-clock push timestamps. The region
-// turns it on when observability is attached; it costs one clock read
-// per push when enabled and one branch when not.
-func (q *Queue[T]) TrackWall(on bool) {
-	q.pushMu.Lock()
-	q.trackWall = on
-	q.pushMu.Unlock()
-}
-
-// OldestWall returns the head item's wall-clock push time (unix ns).
-// ok=false means the queue is empty or wall tracking is off. The head is
-// the message the subscriber will dequeue next, so now-OldestWall bounds
-// how long the oldest still-queued message has been waiting.
-func (q *Queue[T]) OldestWall() (wall int64, ok bool) {
+// Oldest returns, without consuming it, the oldest ordinary message
+// still queued — the one the subscriber will dequeue next (barrier
+// markers carry no payload and are skipped). ok=false means none is
+// queued. A message that carries its own enqueue timestamp thereby
+// bounds how long the queue's head has been waiting, without the queue
+// reading a clock of its own.
+func (q *Queue[T]) Oldest() (v T, ok bool) {
 	q.popMu.Lock()
 	defer q.popMu.Unlock()
-	if q.headOff < len(q.head) {
-		w := q.head[q.headOff].wall
-		return w, w != 0
+	for _, it := range q.head[q.headOff:] {
+		if !it.barrier {
+			return it.v, true
+		}
 	}
 	q.pushMu.Lock()
 	defer q.pushMu.Unlock()
-	if len(q.tail) == 0 || q.tail[0].wall == 0 {
-		return 0, false
+	for _, it := range q.tail {
+		if !it.barrier {
+			return it.v, true
+		}
 	}
-	return q.tail[0].wall, true
+	return v, false
 }
 
 // refillLocked swaps the published tail into the (drained) head buffer.

@@ -46,13 +46,13 @@ func (t *refTracker) remove(p string) error {
 
 // TestQueueStressExactlyOnce interleaves many publishers (ordinary
 // messages and barriers) with a batch-draining subscriber and
-// concurrent OldestWall/Len/Stats samplers — the two-lock queue's full
+// concurrent Oldest/Len/Stats samplers — the two-lock queue's full
 // surface at once. It asserts the pathTracker discipline (every push
 // released exactly once, never twice), that no message is lost or
-// reordered within a publisher's stream, and that the sampled
-// OldestWall never moves backward (heads are consumed in push order and
-// wall stamps are taken under the push lock, so the head's stamp is
-// nondecreasing over time).
+// reordered within a publisher's stream, and that the sampled Oldest
+// never moves backward within a publisher's stream (heads are consumed
+// in push order, so the oldest queued message of one publisher only
+// ever gets newer).
 func TestQueueStressExactlyOnce(t *testing.T) {
 	const (
 		publishers = 8
@@ -60,7 +60,6 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 		batchMax   = 64
 	)
 	q := NewQueue[trackedOp]()
-	q.TrackWall(true)
 	tracker := &refTracker{counts: make(map[string]int)}
 
 	var pubWG sync.WaitGroup
@@ -85,7 +84,7 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 		}(p)
 	}
 
-	// Samplers: OldestWall monotonicity plus Len/Stats liveness while
+	// Samplers: Oldest monotonicity plus Len/Stats liveness while
 	// the subscriber drains. These must never block behind a sleeping or
 	// batch-chewing subscriber — the reason the queue is two-lock.
 	samplerStop := make(chan struct{})
@@ -93,19 +92,20 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 	samplerWG.Add(1)
 	go func() {
 		defer samplerWG.Done()
-		var lastWall int64
+		lastOldest := make([]int, publishers)
 		for {
 			select {
 			case <-samplerStop:
 				return
 			default:
 			}
-			if w, ok := q.OldestWall(); ok {
-				if w < lastWall {
-					t.Errorf("OldestWall went backward: %d -> %d", lastWall, w)
+			if op, ok := q.Oldest(); ok {
+				pub := op.id / perPub
+				if op.id < lastOldest[pub] {
+					t.Errorf("Oldest went backward: %d -> %d", lastOldest[pub], op.id)
 					return
 				}
-				lastWall = w
+				lastOldest[pub] = op.id
 			}
 			if q.Len() < 0 {
 				t.Error("negative Len")
@@ -196,11 +196,9 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 
 // TestQueueTwoLockNoPushStall verifies the design goal directly: with
 // the subscriber parked mid-drain (holding the pop side), pushes and
-// OldestWall still complete — the push side never waits on the drain
-// side.
+// Oldest still complete — the push side never waits on the drain side.
 func TestQueueTwoLockNoPushStall(t *testing.T) {
 	q := NewQueue[int]()
-	q.TrackWall(true)
 	if err := q.Push(1); err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +217,10 @@ func TestQueueTwoLockNoPushStall(t *testing.T) {
 				return
 			}
 			if i%64 == 0 {
-				if _, ok := q.OldestWall(); !ok && q.Len() > 0 {
-					// Wall tracking is on and the queue is non-empty;
-					// the only benign miss is the race where the drain
-					// just emptied it between the two calls.
+				if _, ok := q.Oldest(); !ok && q.Len() > 0 {
+					// The queue is non-empty; the only benign miss is
+					// the race where the drain just emptied it between
+					// the two calls.
 					continue
 				}
 			}

@@ -14,7 +14,7 @@ import (
 // the span's first-to-last total by construction.
 
 // Critical-path segment names. These also name the critpath_<segment>
-// histograms FinalizeSpan records.
+// histograms a finalized sampled span records.
 const (
 	// SegClientSync is client-synchronous work: op entry up to the
 	// enqueue (permission checks, local cache bookkeeping).

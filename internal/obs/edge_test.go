@@ -7,24 +7,24 @@ import (
 
 // TestRingWraparoundDefaultSize drives a default-sized ring (4096) past
 // capacity and checks the overwrite semantics: exactly the last 4096
-// events stay resident, returned oldest-first in record order.
+// events stay resident, returned oldest-first in record order, each
+// stamped with the recording node.
 func TestRingWraparoundDefaultSize(t *testing.T) {
-	var tr Tracer // zero ringSize selects defaultRingSize
-	r := tr.Ring("node0")
+	r := New().Node("node0")
 
 	const total = 5000
 	for i := 0; i < total; i++ {
-		r.Record(Event{Span: uint64(i + 1), Wall: int64(i)})
+		r.record(Event{Span: uint64(i + 1), Wall: int64(i)}, false)
 	}
 
-	evs := r.Events()
-	if len(evs) != defaultRingSize {
-		t.Fatalf("resident events = %d, want %d", len(evs), defaultRingSize)
+	evs := r.events()
+	if len(evs) != ringSize {
+		t.Fatalf("resident events = %d, want %d", len(evs), ringSize)
 	}
 	// 5000 records into a 4096 ring: spans 1..904 were overwritten, so
 	// the oldest resident event is span 905 and the newest span 5000.
-	if got := evs[0].Span; got != total-defaultRingSize+1 {
-		t.Fatalf("oldest resident span = %d, want %d", got, total-defaultRingSize+1)
+	if got := evs[0].Span; got != total-ringSize+1 {
+		t.Fatalf("oldest resident span = %d, want %d", got, total-ringSize+1)
 	}
 	if got := evs[len(evs)-1].Span; got != total {
 		t.Fatalf("newest resident span = %d, want %d", got, total)
@@ -34,16 +34,19 @@ func TestRingWraparoundDefaultSize(t *testing.T) {
 			t.Fatalf("resident events out of order at %d: %d after %d",
 				i, evs[i].Span, evs[i-1].Span)
 		}
+		if evs[i].Node != "node0" {
+			t.Fatalf("ring did not stamp node: %q", evs[i].Node)
+		}
 	}
 
 	// A second full lap must still hold exactly one ring's worth.
-	for i := 0; i < defaultRingSize; i++ {
-		r.Record(Event{Span: uint64(total + i + 1)})
+	for i := 0; i < ringSize; i++ {
+		r.record(Event{Span: uint64(total + i + 1)}, false)
 	}
-	evs = r.Events()
-	if len(evs) != defaultRingSize || evs[0].Span != total+1 {
+	evs = r.events()
+	if len(evs) != ringSize || evs[0].Span != total+1 {
 		t.Fatalf("after second lap: len=%d oldest=%d, want %d/%d",
-			len(evs), evs[0].Span, defaultRingSize, total+1)
+			len(evs), evs[0].Span, ringSize, total+1)
 	}
 }
 
@@ -112,10 +115,10 @@ func TestWritePromGolden(t *testing.T) {
 	o.Hist(HistCommitLag).RecordN(1_000_000)
 	// Hotspot telemetry: two paths on one node drive the self-gauges —
 	// 2 paths tracked, 3 subtrees (/w, /w/a, /w/b), top share 2/3.
-	h := o.HotNode("node0")
-	h.Record("/w/a/x")
-	h.Record("/w/a/x")
-	h.Record("/w/b/y")
+	n := o.Node("node0")
+	n.OpBegin("stat", "/w/a/x")
+	n.OpBegin("stat", "/w/a/x")
+	n.OpBegin("stat", "/w/b/y")
 	// The cache-ring and shard-pool skew gauges are registered by the
 	// core region and dfs cluster respectively; stub readers pin their
 	// names and placement in the exposition.

@@ -84,7 +84,7 @@ func (o *Obs) TriggerFlight(reason string) []byte {
 		RecentSpans: o.RecentSpans(64),
 		SlowSpans:   o.SlowSpans(32),
 		Hotspots:    o.HotReport(16, 0.05),
-		Events:      o.Trace.Events(),
+		Events:      o.Events(),
 	}
 	b, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {

@@ -3,13 +3,14 @@ package obs
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"pacon/internal/namespace"
 )
 
 // Hotspot telemetry: the observation half of the elastic-region control
-// loop (ROADMAP item 3). Every client op records its path into a
+// loop. Every client op records the paths it names (Node.OpBegin) into a
 // per-node bounded heavy-hitter sketch plus a subtree rollup, so the
 // merged view can answer "which paths are hot", "which subtree would a
 // split relieve", and "how skewed is the load" without unbounded
@@ -264,68 +265,54 @@ func MergeSketches(capacity int, sketches ...*SpaceSaving) *SpaceSaving {
 	return m
 }
 
-// NodeHot is one node's hotspot recorder: a path sketch plus a subtree
-// rollup fed by ancestor iteration. Obtain via Obs.HotNode; a nil
-// receiver (observability disabled) makes Record a no-op.
-type NodeHot struct {
-	node     string
+// sketches is one client node's hotspot state: a path sketch plus a
+// subtree rollup fed by ancestor iteration.
+type sketches struct {
 	paths    *SpaceSaving
 	subtrees *SpaceSaving
 }
 
-// Record attributes one op to path: the path sketch counts the exact
-// key and every proper ancestor except the root gets a subtree credit
-// (splitting "/" is not actionable, so it is excluded). The ancestor
-// closure does not escape, so a Record on resident keys is alloc-free.
-func (h *NodeHot) Record(path string) {
-	if h == nil {
-		return
-	}
-	h.paths.Inc(path, 1)
-	namespace.VisitAncestors(path, func(anc string) bool {
-		if anc != "/" {
-			h.subtrees.Inc(anc, 1)
-		}
-		return true
-	})
-}
-
-// Ops returns the node's total recorded ops.
-func (h *NodeHot) Ops() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.paths.Total()
-}
-
-// HotNode returns (creating on first use) the per-node recorder.
-// Nil-safe: a nil Obs returns a nil recorder whose Record is a no-op.
-func (o *Obs) HotNode(node string) *NodeHot {
-	if o == nil {
-		return nil
-	}
-	if h, ok := o.hotNodes.Load(node); ok {
-		return h.(*NodeHot)
-	}
-	h := &NodeHot{
-		node:     node,
+func newSketches() *sketches {
+	return &sketches{
 		paths:    NewSpaceSaving(DefaultHotPathCap),
 		subtrees: NewSpaceSaving(DefaultHotSubtreeCap),
 	}
-	got, _ := o.hotNodes.LoadOrStore(node, h)
-	return got.(*NodeHot)
 }
 
-// hotRange iterates the per-node recorders in node order.
-func (o *Obs) hotRange(fn func(h *NodeHot)) {
-	var hs []*NodeHot
-	o.hotNodes.Range(func(_, v any) bool {
-		hs = append(hs, v.(*NodeHot))
-		return true
-	})
-	sort.Slice(hs, func(i, j int) bool { return hs[i].node < hs[j].node })
-	for _, h := range hs {
-		fn(h)
+// record attributes one op to each of paths: the path sketch counts the
+// exact key and every proper ancestor except the root gets a subtree
+// credit (splitting "/" is not actionable, so it is excluded). A run of
+// consecutive paths under one parent — a batch call usually names
+// siblings — credits the shared ancestors once, with the run's length.
+// The ancestor closure does not escape, so a record on resident keys is
+// alloc-free.
+func (h *sketches) record(paths []string) {
+	for i := 0; i < len(paths); {
+		dir, n := parentOf(paths[i]), int64(0)
+		for ; i < len(paths) && parentOf(paths[i]) == dir; i++ {
+			h.paths.Inc(paths[i], 1)
+			n++
+		}
+		namespace.VisitAncestors(paths[i-1], func(anc string) bool {
+			if anc != "/" {
+				h.subtrees.Inc(anc, n)
+			}
+			return true
+		})
+	}
+}
+
+// parentOf returns a cleaned path's parent directory, trailing slash
+// included.
+func parentOf(p string) string { return p[:strings.LastIndexByte(p, '/')+1] }
+
+// hotRange visits, in node order, the sketches of every node a client
+// records ops on.
+func (o *Obs) hotRange(fn func(node string, h *sketches)) {
+	for _, n := range o.nodeList() {
+		if h := n.hot.Load(); h != nil {
+			fn(n.name, h)
+		}
 	}
 }
 
@@ -336,7 +323,7 @@ func (o *Obs) TopPaths(k int) []HotKey {
 		return nil
 	}
 	var sks []*SpaceSaving
-	o.hotRange(func(h *NodeHot) { sks = append(sks, h.paths) })
+	o.hotRange(func(_ string, h *sketches) { sks = append(sks, h.paths) })
 	return MergeSketches(DefaultHotPathCap, sks...).Top(k)
 }
 
@@ -351,7 +338,7 @@ func (o *Obs) HotSubtrees(k int, minShare float64) []HotKey {
 	}
 	var sks []*SpaceSaving
 	var ops int64
-	o.hotRange(func(h *NodeHot) {
+	o.hotRange(func(_ string, h *sketches) {
 		sks = append(sks, h.subtrees)
 		ops += h.paths.Total()
 	})
@@ -386,8 +373,8 @@ func (o *Obs) HotNodeLoads() []NodeLoad {
 		return nil
 	}
 	var out []NodeLoad
-	o.hotRange(func(h *NodeHot) {
-		out = append(out, NodeLoad{Node: h.node, Ops: h.paths.Total()})
+	o.hotRange(func(node string, h *sketches) {
+		out = append(out, NodeLoad{Node: node, Ops: h.paths.Total()})
 	})
 	return out
 }
@@ -396,19 +383,19 @@ func (o *Obs) HotNodeLoads() []NodeLoad {
 // back the hot_* self-metrics registered in New.
 func (o *Obs) hotPathsTracked() int64 {
 	var n int64
-	o.hotRange(func(h *NodeHot) { n += int64(h.paths.Len()) })
+	o.hotRange(func(_ string, h *sketches) { n += int64(h.paths.Len()) })
 	return n
 }
 
 func (o *Obs) hotSubtreesTracked() int64 {
 	var n int64
-	o.hotRange(func(h *NodeHot) { n += int64(h.subtrees.Len()) })
+	o.hotRange(func(_ string, h *sketches) { n += int64(h.subtrees.Len()) })
 	return n
 }
 
 func (o *Obs) hotEvictions() int64 {
 	var n int64
-	o.hotRange(func(h *NodeHot) { n += h.paths.Evictions() + h.subtrees.Evictions() })
+	o.hotRange(func(_ string, h *sketches) { n += h.paths.Evictions() + h.subtrees.Evictions() })
 	return n
 }
 

@@ -145,9 +145,9 @@ func TestSketchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := o.HotNode(fmt.Sprintf("node%d", g))
+			n := o.Node(fmt.Sprintf("node%d", g))
 			for i := 0; i < 2000; i++ {
-				h.Record(fmt.Sprintf("/w/d%d/f%d", g, i%37))
+				touch(n, "stat", fmt.Sprintf("/w/d%d/f%d", g, i%37))
 			}
 		}(g)
 	}
@@ -180,12 +180,14 @@ func TestSketchConcurrent(t *testing.T) {
 // results are deterministically ordered.
 func TestHotSubtreesAttribution(t *testing.T) {
 	o := New()
-	h := o.HotNode("node0")
+	n := o.Node("node0")
 	for i := 0; i < 90; i++ {
-		h.Record(fmt.Sprintf("/w/hot/f%d", i%3))
+		touch(n, "stat", fmt.Sprintf("/w/hot/f%d", i%3))
 	}
-	for i := 0; i < 10; i++ {
-		h.Record(fmt.Sprintf("/w/cold/f%d", i))
+	// One call naming several paths credits each of them.
+	touch(n, "statmulti", "/w/cold/f0", "/w/cold/f1", "/w/cold/f2", "/w/cold/f3", "/w/cold/f4")
+	for i := 5; i < 10; i++ {
+		touch(n, "stat", fmt.Sprintf("/w/cold/f%d", i))
 	}
 	subs := o.HotSubtrees(0, 0.5)
 	// /w carries 100% of 100 ops, /w/hot 90%; /w/cold (10%) is filtered.
@@ -205,6 +207,23 @@ func TestHotSubtreesAttribution(t *testing.T) {
 	}
 	if rep.NodeSkew.MaxMeanPermille != 1000 || rep.NodeSkew.CVPermille != 0 {
 		t.Fatalf("single-node skew = %+v, want flat 1000/0", rep.NodeSkew)
+	}
+
+	// A batch credits shared ancestors per run of same-parent paths; the
+	// totals must equal one credit per path per ancestor however the
+	// batch interleaves its directories.
+	touch(n, "statmulti", "/w/a/x", "/w/a/y", "/w/b/z", "/w/a/x")
+	got := map[string]int64{}
+	for _, hk := range o.HotSubtrees(0, 0) {
+		got[hk.Path] = hk.Count
+	}
+	for path, want := range map[string]int64{"/w": 104, "/w/cold": 10, "/w/a": 3, "/w/b": 1} {
+		if got[path] != want {
+			t.Fatalf("subtree %s credited %d, want %d (all: %v)", path, got[path], want, got)
+		}
+	}
+	if rep := o.HotReport(1, 0); rep.TotalOps != 104 {
+		t.Fatalf("path records = %d, want 104", rep.TotalOps)
 	}
 }
 
@@ -234,14 +253,7 @@ func TestSkew(t *testing.T) {
 // receivers — the disabled-observability configuration.
 func TestHotspotNilSafety(t *testing.T) {
 	var o *Obs
-	if h := o.HotNode("n"); h != nil {
-		t.Fatal("nil obs must hand out a nil recorder")
-	}
-	var h *NodeHot
-	h.Record("/w/x") // must not panic
-	if h.Ops() != 0 {
-		t.Fatal("nil recorder ops != 0")
-	}
+	touch(o.Node("n"), "stat", "/w/x") // nil node: must not panic
 	if o.TopPaths(4) != nil || o.HotSubtrees(4, 0) != nil || o.HotNodeLoads() != nil || o.HotReport(4, 0) != nil {
 		t.Fatal("nil obs hotspot queries must return nil")
 	}
@@ -260,9 +272,9 @@ func TestHotspotNilSafety(t *testing.T) {
 // tables alongside the spans.
 func TestFlightDumpCarriesHotspots(t *testing.T) {
 	o := New()
-	h := o.HotNode("node0")
+	n := o.Node("node0")
 	for i := 0; i < 20; i++ {
-		h.Record("/w/hot/f")
+		touch(n, "stat", "/w/hot/f")
 	}
 	b := o.TriggerFlight("test_hotspot")
 	if b == nil {

@@ -51,17 +51,27 @@ const (
 // DefaultSlowSpan is the slow-op log threshold until overridden.
 const DefaultSlowSpan = 20 * time.Millisecond
 
-// Obs is one region's (or process's) observability registry: a span
-// tracer, named histograms, and registered counter/gauge readers, all
-// exposed together through WriteProm/Handler and the shell snapshot.
+// Obs is one region's (or process's) observability registry: the
+// per-node telemetry handles (node.go), named histograms, and registered
+// counter/gauge readers, all exposed together through WriteProm/Handler
+// and the shell snapshot.
 type Obs struct {
-	// Trace allocates spans and owns the per-node event rings.
-	Trace Tracer
+	// nodes is the one per-node registry: name -> *Node, for client nodes
+	// and service addresses alike. Lookup is lock-free once a name is
+	// known; every reader ranges over it through nodeList.
+	nodes sync.Map
+
+	// The pipeline histograms the op path and the RPC seam record into,
+	// resolved once in New so neither takes mu or probes hists by name.
+	clientOp, queueWait, commitLag, cacheRPC, dfsRPC *Histogram
+
+	rpcError atomic.Pointer[Histogram] // see rpcErrorHist
 
 	slowNanos atomic.Int64
 
-	// Tail sampler (sampler.go): 1-in-N head sampling plus keep-at-
-	// terminal for slow/failed/parked ops.
+	// Span allocation and the tail sampler (sampler.go): 1-in-N head
+	// sampling plus keep-at-terminal for slow/failed/parked ops.
+	spanSeq   atomic.Uint64
 	sampleN   atomic.Int64
 	sampleSeq atomic.Uint64
 
@@ -90,24 +100,6 @@ type Obs struct {
 	hists    map[string]*Histogram
 	counters map[string]func() int64
 	gauges   map[string]func() int64
-
-	// Per-node hotspot recorders (hotspot.go): lock-free lookup after a
-	// node's first op, bounded sketch state behind each recorder's own
-	// mutex.
-	hotNodes sync.Map // node -> *NodeHot
-
-	// Per-MDS-address DFS RPC instrumentation (sharded deployments):
-	// lock-free lookup after the first RPC to an address, so the per-shard
-	// breakdown costs one sync.Map hit per round trip.
-	shardRPC sync.Map // addr -> *shardRPCStats
-}
-
-// shardRPCStats is one MDS address's RPC breakdown: its latency
-// histogram (also registered as "dfs_rpc/<addr>") and error count
-// (registered as "dfs_rpc_errors/<addr>").
-type shardRPCStats struct {
-	hist *Histogram
-	errs atomic.Int64
 }
 
 // New returns an enabled registry.
@@ -127,6 +119,8 @@ func New() *Obs {
 	} {
 		o.hists[name] = NewHistogram()
 	}
+	o.clientOp, o.queueWait, o.commitLag = o.hists[HistClientOp], o.hists[HistQueueWait], o.hists[HistCommitLag]
+	o.cacheRPC, o.dfsRPC = o.hists[HistCacheRPC], o.hists[HistDFSRPC]
 	// Self-maintained counters: failed RPC round trips by service kind,
 	// and the tracing/flight bookkeeping.
 	o.counters["cache_rpc_errors"] = o.cacheRPCErrs.Load
@@ -172,63 +166,52 @@ func (o *Obs) ObserveRPC(addr, method string, d time.Duration, err error) {
 		return
 	}
 	if strings.Contains(addr, "/pacon-") {
-		o.Hist(HistCacheRPC).Record(d)
+		o.cacheRPC.Record(d)
 		if err != nil {
 			o.cacheRPCErrs.Add(1)
 		}
 	} else {
-		o.Hist(HistDFSRPC).Record(d)
+		o.dfsRPC.Record(d)
 		if err != nil {
 			o.dfsRPCErrs.Add(1)
 		}
 		if strings.Contains(addr, "/mds") {
-			s := o.shardStats(addr)
-			s.hist.Record(d)
-			if err != nil {
-				s.errs.Add(1)
-			}
+			o.node(addr).observeRPC(d, err)
 		}
 	}
 	if err != nil {
-		o.Hist("rpc_error").RecordN(int64(d))
+		o.rpcErrorHist().Record(d)
 	}
 }
 
-// shardStats returns (creating and registering on first use) the
-// per-address DFS RPC breakdown for an MDS service address.
-func (o *Obs) shardStats(addr string) *shardRPCStats {
-	if v, ok := o.shardRPC.Load(addr); ok {
-		return v.(*shardRPCStats)
+// rpcErrorHist returns the rpc_error histogram, registering it at the
+// first failed round trip so it shows in the exposition only once there
+// is something to show.
+func (o *Obs) rpcErrorHist() *Histogram {
+	if h := o.rpcError.Load(); h != nil {
+		return h
 	}
-	s := &shardRPCStats{hist: NewHistogram()}
-	if v, loaded := o.shardRPC.LoadOrStore(addr, s); loaded {
-		return v.(*shardRPCStats)
-	}
-	// First RPC to this address: expose the breakdown through the
-	// registry (WriteProm sanitizes the '/'-bearing names).
-	o.mu.Lock()
-	o.hists[HistDFSRPC+"/"+addr] = s.hist
-	o.mu.Unlock()
-	o.RegisterCounter("dfs_rpc_errors/"+addr, s.errs.Load)
-	return s
+	h := o.Hist("rpc_error")
+	o.rpcError.Store(h)
+	return h
 }
 
 // ObserveServerSpan implements the server-side trace hook (see
 // rpc.SpanObserver): a service that handled an RPC carrying a sampled
-// span's trace context records recv/done events into the *service
-// address's* ring — so the span's assembled timeline shows its
+// span's trace context records recv/done events under the *service
+// address's* node — so the span's assembled timeline shows its
 // cross-node hops — and into the span's active buffer.
 func (o *Obs) ObserveServerSpan(span uint64, hop uint8, addr, method string, start time.Time, d time.Duration, err error) {
 	if o == nil || span == 0 {
 		return
 	}
-	ring := o.Trace.Ring(addr)
+	n := o.node(addr)
 	note := ""
 	if err != nil {
 		note = err.Error()
 	}
-	o.RecordSpanEvent(ring, Event{Span: span, Stage: StageServerRecv, Op: method, Wall: start.UnixNano()})
-	o.RecordSpanEvent(ring, Event{Span: span, Stage: StageServerDone, Op: method, Wall: start.Add(d).UnixNano(), Note: note})
+	n.record(Event{Span: span, Stage: StageServerRecv, Op: method, Wall: start.UnixNano()}, true)
+	n.record(Event{Span: span, Stage: StageServerDone, Op: method, Wall: start.Add(d).UnixNano(), Note: note}, true)
 }
 
 // RegisterCounter registers a monotonically non-decreasing reader (e.g.
@@ -271,15 +254,6 @@ func (o *Obs) SlowThreshold() time.Duration {
 		return DefaultSlowSpan
 	}
 	return time.Duration(o.slowNanos.Load())
-}
-
-// SlowSpans returns the resident spans at or above the configured
-// threshold, slowest first, at most max (0 = unlimited).
-func (o *Obs) SlowSpans(max int) []SpanSummary {
-	if o == nil {
-		return nil
-	}
-	return o.Trace.SlowSpans(o.SlowThreshold(), max)
 }
 
 // HistQuantiles digests every histogram with recorded samples into

@@ -117,35 +117,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestRingWrap(t *testing.T) {
-	tr := &Tracer{ringSize: 4}
-	r := tr.Ring("n0")
-	for i := 1; i <= 6; i++ {
-		r.Record(Event{Span: uint64(i), Wall: int64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("resident events = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := uint64(i + 3); ev.Span != want {
-			t.Errorf("event %d span = %d, want %d (oldest-first after wrap)", i, ev.Span, want)
-		}
-		if ev.Node != "n0" {
-			t.Errorf("ring did not stamp node: %q", ev.Node)
-		}
-	}
-}
-
-func TestTracerNilSafe(t *testing.T) {
-	var tr *Tracer
-	if tr.NewSpan() != 0 {
-		t.Fatal("nil tracer allocated a span")
-	}
-	tr.Ring("x").Record(Event{Span: 1})
-	if evs := tr.Events(); evs != nil {
-		t.Fatal("nil tracer returned events")
-	}
+func TestRegistryNilSafe(t *testing.T) {
 	var o *Obs
 	o.Hist("x").Record(time.Millisecond)
 	o.ObserveRPC("a/pacon-r", "get", time.Millisecond, nil)
@@ -155,20 +127,25 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 }
 
-func TestTracerFilterAndSlowSpans(t *testing.T) {
-	tr := &Tracer{}
-	s1, s2 := tr.NewSpan(), tr.NewSpan()
-	r0, r1 := tr.Ring("n0"), tr.Ring("n1")
-	r0.Record(Event{Span: s1, Stage: StageEnqueue, Op: "create", Path: "/a", Wall: 100})
-	r1.Record(Event{Span: s1, Stage: StageDequeue, Op: "create", Path: "/a", Wall: 200})
-	r1.Record(Event{Span: s1, Stage: StageApply, Op: "create", Path: "/a", Wall: 900})
-	r0.Record(Event{Span: s2, Stage: StageEnqueue, Op: "rm", Path: "/b", Wall: 150})
-	r0.Record(Event{Span: s2, Stage: StageApply, Op: "rm", Path: "/b", Wall: 250})
+// TestEventsAndSlowSpans feeds two spans' events into two nodes' rings
+// at fixed wall times (through record, the sink every hook ends in) and
+// checks the read side: per-span wall ordering across nodes, and the
+// slow-op log's threshold, totals and per-stage breakdown.
+func TestEventsAndSlowSpans(t *testing.T) {
+	o := New()
+	const s1, s2 = 1, 2
+	r0, r1 := o.Node("n0"), o.Node("n1")
+	r0.record(Event{Span: s1, Stage: StageEnqueue, Op: "create", Path: "/a", Wall: 100}, false)
+	r1.record(Event{Span: s1, Stage: StageDequeue, Op: "create", Path: "/a", Wall: 200}, false)
+	r1.record(Event{Span: s1, Stage: StageApply, Op: "create", Path: "/a", Wall: 900}, false)
+	r0.record(Event{Span: s2, Stage: StageEnqueue, Op: "rm", Path: "/b", Wall: 150}, false)
+	r0.record(Event{Span: s2, Stage: StageApply, Op: "rm", Path: "/b", Wall: 250}, false)
 
-	evs := tr.SpanEvents(s1)
-	if len(evs) != 3 {
-		t.Fatalf("span %d events = %d, want 3", s1, len(evs))
+	cp, ok := o.SpanTrace(s1)
+	if !ok || len(cp.Events) != 3 {
+		t.Fatalf("span %d trace = %+v ok=%v, want 3 events", s1, cp, ok)
 	}
+	evs := cp.Events
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Wall < evs[i-1].Wall {
 			t.Fatal("span events not wall-ordered")
@@ -177,8 +154,15 @@ func TestTracerFilterAndSlowSpans(t *testing.T) {
 	if evs[0].Stage != StageEnqueue || evs[2].Stage != StageApply {
 		t.Fatalf("lifecycle order wrong: %v ... %v", evs[0].Stage, evs[2].Stage)
 	}
+	if evs[0].Node != "n0" || evs[1].Node != "n1" {
+		t.Fatalf("recording node not stamped: %q, %q", evs[0].Node, evs[1].Node)
+	}
+	if all := o.Events(); len(all) != 5 || all[0].Wall != 100 || all[1].Span != s2 {
+		t.Fatalf("merged events = %+v, want 5 in wall order", all)
+	}
 
-	slow := tr.SlowSpans(500, 0)
+	o.SetSlowThreshold(500)
+	slow := o.SlowSpans(0)
 	if len(slow) != 1 || slow[0].Span != s1 {
 		t.Fatalf("slow spans = %+v, want only span %d", slow, s1)
 	}

@@ -2,13 +2,13 @@ package obs
 
 import "time"
 
-// Tail-based span sampling. Every op still gets a span ID and records
-// its stage events into the per-node rings (that part was always
-// zero-alloc); sampling decides which spans are additionally
-// *assembled*: their events accumulate in an active-span buffer —
-// including the server-side events other nodes contribute over the wire
-// — and at the op's terminal the buffer is stitched into an ordered
-// cross-node timeline with critical-path attribution (critpath.go).
+// Tail-based span sampling. Every op gets a span ID and records its
+// stage events into the per-node rings (zero-alloc); sampling decides
+// which spans are additionally *assembled*: their events accumulate in
+// an active-span buffer — including the server-side events other nodes
+// contribute over the wire — and at the op's terminal the buffer is
+// stitched into an ordered cross-node timeline with critical-path
+// attribution (critpath.go).
 //
 // The policy is tail-based: 1 in SampleN ops is sampled up front, and
 // ops that turn out anomalous — dropped, ever parked, or slower than
@@ -54,12 +54,9 @@ func (o *Obs) SampleN() int64 {
 	return o.sampleN.Load()
 }
 
-// SampleNext makes the head-sampling decision for a new op. Zero-alloc;
-// nil or disabled always answers false.
-func (o *Obs) SampleNext() bool {
-	if o == nil {
-		return false
-	}
+// sampleNext makes the head-sampling decision for a new op. Zero-alloc;
+// disabled always answers false.
+func (o *Obs) sampleNext() bool {
 	n := o.sampleN.Load()
 	if n <= 0 {
 		return false
@@ -71,12 +68,9 @@ func (o *Obs) SampleNext() bool {
 	return true
 }
 
-// BeginSpan opens an active-span buffer for a sampled span. If the
+// openSpan opens an active-span buffer for a sampled span. If the
 // assembler is at capacity the span degrades to ring-only tracing.
-func (o *Obs) BeginSpan(span uint64) {
-	if o == nil || span == 0 {
-		return
-	}
+func (o *Obs) openSpan(span uint64) {
 	o.activeMu.Lock()
 	if o.active == nil {
 		o.active = make(map[uint64][]Event)
@@ -89,17 +83,10 @@ func (o *Obs) BeginSpan(span uint64) {
 	o.activeMu.Unlock()
 }
 
-// RecordSpanEvent records a sampled span's event into the node ring
-// (like Ring.Record) and additionally into the span's active buffer, so
-// the assembler sees it without scanning every ring at finalize time.
-func (o *Obs) RecordSpanEvent(ring *Ring, ev Event) {
-	if o == nil {
-		return
-	}
-	if ring != nil {
-		ev.Node = ring.node
-		ring.Record(ev)
-	}
+// bufferEvent appends a sampled span's event to its active buffer (a
+// span that is not open — finalized already, or degraded at capacity —
+// keeps only its ring copy).
+func (o *Obs) bufferEvent(ev Event) {
 	o.activeMu.Lock()
 	if evs, ok := o.active[ev.Span]; ok && len(evs) < maxSpanEvents {
 		o.active[ev.Span] = append(evs, ev)
@@ -107,15 +94,13 @@ func (o *Obs) RecordSpanEvent(ring *Ring, ev Event) {
 	o.activeMu.Unlock()
 }
 
-// FinalizeSpan closes a sampled span: its buffered events are assembled
+// finalizeSpan closes a sampled span: its buffered events are assembled
 // into an ordered cross-node timeline, wall time is attributed to named
 // critical-path segments (recorded as critpath_<segment> histograms),
 // and the result is kept in the recent-spans ring for `paconfs trace`,
-// /debug/trace, and flight dumps.
-func (o *Obs) FinalizeSpan(span uint64) {
-	if o == nil || span == 0 {
-		return
-	}
+// /debug/trace, and flight dumps. Finalizing a span that is not open is
+// a no-op, so a span closed at its Terminal may be closed again by OpEnd.
+func (o *Obs) finalizeSpan(span uint64) {
 	o.activeMu.Lock()
 	evs, ok := o.active[span]
 	delete(o.active, span)
@@ -129,25 +114,6 @@ func (o *Obs) FinalizeSpan(span uint64) {
 		o.Hist("critpath_" + seg.Name).RecordN(int64(seg.D))
 	}
 	o.keepRecent(cp)
-}
-
-// SpanDone is the op-terminal hook: sampled spans finalize, and
-// unsampled ops that turned out anomalous — failed (dropped), ever
-// parked, or with commit lag at or past the slow-span threshold — are
-// tail-kept as compact records (their ring events stay assemblable via
-// SpanTrace until overwritten). The common case (unsampled, healthy)
-// is two compares and no allocation.
-func (o *Obs) SpanDone(span uint64, sampled bool, op, path string, lag time.Duration, failed, parked bool) {
-	if o == nil || span == 0 {
-		return
-	}
-	if sampled {
-		o.FinalizeSpan(span)
-		return
-	}
-	if failed || parked || (lag > 0 && int64(lag) >= o.slowNanos.Load()) {
-		o.tailKeep(span, op, path, lag)
-	}
 }
 
 // tailKeep records a compact entry for an anomalous unsampled span.
@@ -209,7 +175,7 @@ func (o *Obs) SpanTrace(span uint64) (CritPath, bool) {
 		}
 	}
 	o.recentMu.Unlock()
-	if evs := o.Trace.SpanEvents(span); len(evs) > 0 {
+	if evs := o.filterEvents(func(e Event) bool { return e.Span == span }); len(evs) > 0 {
 		return AnalyzeSpan(evs), true
 	}
 	return CritPath{}, false

@@ -2,22 +2,33 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestSampleNextRate: head sampling keeps exactly 1 in N, n==1 keeps
-// every op, and SetSampleN's sentinel values (0 = default, negative =
+// touch runs one client call that never enters the commit queue: begin
+// and end, nothing between.
+func touch(n *Node, op string, paths ...string) (span uint64, sampled bool) {
+	span, sampled, start := n.OpBegin(op, paths...)
+	n.OpEnd(span, sampled, false, start)
+	return span, sampled
+}
+
+// TestSampleRate: head sampling keeps exactly 1 in N, n==1 keeps every
+// op, and SetSampleN's sentinel values (0 = default, negative =
 // disabled) behave as documented.
-func TestSampleNextRate(t *testing.T) {
+func TestSampleRate(t *testing.T) {
 	o := New()
+	n := o.Node("node0")
 	o.SetSampleN(8)
 	kept := 0
 	for i := 0; i < 80; i++ {
-		if o.SampleNext() {
+		if _, sampled := touch(n, "stat", "/w/x"); sampled {
 			kept++
 		}
 	}
@@ -30,7 +41,7 @@ func TestSampleNextRate(t *testing.T) {
 
 	o.SetSampleN(1)
 	for i := 0; i < 5; i++ {
-		if !o.SampleNext() {
+		if _, sampled := touch(n, "stat", "/w/x"); !sampled {
 			t.Fatal("SampleN(1) must keep every op")
 		}
 	}
@@ -45,24 +56,38 @@ func TestSampleNextRate(t *testing.T) {
 		t.Fatalf("SetSampleN(-1) → rate %d, want 0 (disabled)", got)
 	}
 	for i := 0; i < 100; i++ {
-		if o.SampleNext() {
+		if _, sampled := touch(n, "stat", "/w/x"); sampled {
 			t.Fatal("disabled sampler must never sample")
 		}
 	}
 }
 
 // TestNilObsTraceSurface: every tracing entry point must be a no-op on a
-// nil *Obs — the disabled-observability configuration calls them all.
+// nil *Obs and the nil *Node it hands out — the disabled-observability
+// configuration calls them all.
 func TestNilObsTraceSurface(t *testing.T) {
 	var o *Obs
 	o.SetSampleN(4)
-	if o.SampleN() != 0 || o.SampleNext() {
+	if o.SampleN() != 0 {
 		t.Fatal("nil Obs must report sampling disabled")
 	}
-	o.BeginSpan(1)
-	o.RecordSpanEvent(nil, Event{Span: 1})
-	o.FinalizeSpan(1)
-	o.SpanDone(1, true, "create", "/p", time.Second, true, true)
+	n := o.Node("node0")
+	if n != nil {
+		t.Fatal("nil Obs must hand out a nil node")
+	}
+	span, sampled, start := n.OpBegin("create", "/p")
+	if span != 0 || sampled || start != 0 {
+		t.Fatalf("nil node OpBegin = (%d, %v, %d), want zeros", span, sampled, start)
+	}
+	if wall := n.Event(1, true, StageEnqueue, "create", "/p", ""); wall != 0 {
+		t.Fatalf("nil node Event stamped wall %d", wall)
+	}
+	n.Dequeue(1, true, 1, "create", "/p")
+	if lag := n.Terminal(1, true, true, 1, StageDrop, "create", "/p", "x"); lag != 0 {
+		t.Fatalf("nil node Terminal lag = %d", lag)
+	}
+	n.OpEnd(1, true, false, 1)
+	o.ObserveServerSpan(1, 1, "a/pacon-r", "get", time.Now(), time.Millisecond, nil)
 	if got := o.RecentSpans(0); got != nil {
 		t.Fatalf("nil Obs RecentSpans = %v, want nil", got)
 	}
@@ -71,6 +96,9 @@ func TestNilObsTraceSurface(t *testing.T) {
 	}
 	if ts := o.TraceStats(); ts != (TraceStats{}) {
 		t.Fatalf("nil Obs TraceStats = %+v, want zero", ts)
+	}
+	if o.Events() != nil || o.SlowSpans(0) != nil {
+		t.Fatal("nil Obs returned events or slow spans")
 	}
 	o.SetFlightDir(t.TempDir())
 	if b := o.TriggerFlight("x"); b != nil {
@@ -81,28 +109,35 @@ func TestNilObsTraceSurface(t *testing.T) {
 	}
 }
 
-// TestTwoNodeAssembly builds a sampled span whose events land in two
-// different node rings (a client node and a cache-server address) out of
-// wall order, finalizes it, and checks the assembled critical path:
-// events reordered by wall time, segment attribution summing exactly to
-// the span total, and cross-node provenance preserved.
+// TestTwoNodeAssembly drives one sampled create through every hook —
+// begin, enqueue, end, dequeue, terminal — with a cache server's side of
+// it (a different node) arriving last although it happened first, as it
+// would over the wire, and checks the assembled critical path: events
+// reordered by wall time, segment attribution summing exactly to the
+// span total, and cross-node provenance preserved.
 func TestTwoNodeAssembly(t *testing.T) {
 	o := New()
-	client := o.Trace.Ring("node0")
-	server := o.Trace.Ring("node1/pacon-test")
+	o.SetSampleN(1)
+	client := o.Node("node0")
 
-	const span = 7
-	base := time.Now().UnixNano()
-	o.BeginSpan(span)
-	// Record deliberately out of order: the server events interleave
-	// with the client's but arrive last (as they would over the wire).
-	o.RecordSpanEvent(client, Event{Span: span, Stage: StageClientStart, Op: "create", Path: "/w/f", Wall: base})
-	o.RecordSpanEvent(client, Event{Span: span, Stage: StageEnqueue, Op: "create", Path: "/w/f", Wall: base + 300})
-	o.RecordSpanEvent(client, Event{Span: span, Stage: StageDequeue, Op: "create", Path: "/w/f", Wall: base + 500})
-	o.RecordSpanEvent(client, Event{Span: span, Stage: StageApply, Op: "create", Path: "/w/f", Wall: base + 900})
-	o.RecordSpanEvent(server, Event{Span: span, Stage: StageServerRecv, Op: "set", Wall: base + 100})
-	o.RecordSpanEvent(server, Event{Span: span, Stage: StageServerDone, Op: "set", Wall: base + 200})
-	o.FinalizeSpan(span)
+	span, sampled, start := client.OpBegin("create", "/w/f")
+	if span == 0 || !sampled {
+		t.Fatalf("OpBegin = (%d, %v), want a sampled span", span, sampled)
+	}
+	srvStart := time.Now()
+	const srvD = 50 * time.Microsecond
+	time.Sleep(2 * srvD) // the server's recv→done interval precedes the enqueue
+	enq := client.Event(span, sampled, StageEnqueue, "create", "/w/f", "")
+	client.OpEnd(span, sampled, true, start) // queued: must not finalize
+	if len(o.RecentSpans(0)) != 0 {
+		t.Fatal("a queued span was finalized at OpEnd")
+	}
+	client.Dequeue(span, sampled, enq, "create", "/w/f")
+	o.ObserveServerSpan(span, 1, "node1/pacon-test", "set", srvStart, srvD, nil)
+	lag := client.Terminal(span, sampled, false, enq, StageApply, "create", "/w/f", "")
+	if lag <= 0 {
+		t.Fatalf("terminal lag = %d, want > 0", lag)
+	}
 
 	kept := o.RecentSpans(0)
 	if len(kept) != 1 {
@@ -115,52 +150,67 @@ func TestTwoNodeAssembly(t *testing.T) {
 	if cp.Op != "create" || cp.Path != "/w/f" {
 		t.Fatalf("span op/path = %q %q, want create /w/f", cp.Op, cp.Path)
 	}
-	if len(cp.Events) != 6 {
-		t.Fatalf("assembled %d events, want 6", len(cp.Events))
+	want := []Stage{StageClientStart, StageServerRecv, StageServerDone, StageEnqueue, StageDequeue, StageApply}
+	if len(cp.Events) != len(want) {
+		t.Fatalf("assembled %d events, want %d: %+v", len(cp.Events), len(want), cp.Events)
 	}
-	for i := 1; i < len(cp.Events); i++ {
-		if cp.Events[i].Wall < cp.Events[i-1].Wall {
-			t.Fatalf("events not wall-ordered at %d: %d after %d",
-				i, cp.Events[i].Wall, cp.Events[i-1].Wall)
+	for i, ev := range cp.Events {
+		if ev.Stage != want[i] {
+			t.Fatalf("event %d is %v, want %v (not wall-ordered): %+v", i, ev.Stage, want[i], cp.Events)
+		}
+		if i > 0 && ev.Wall < cp.Events[i-1].Wall {
+			t.Fatalf("events not wall-ordered at %d: %d after %d", i, ev.Wall, cp.Events[i-1].Wall)
+		}
+		wantNode := "node0"
+		if ev.Stage == StageServerRecv || ev.Stage == StageServerDone {
+			wantNode = "node1/pacon-test"
+		}
+		if ev.Node != wantNode {
+			t.Fatalf("event %d (%v) on node %q, want %q: cross-node provenance lost", i, ev.Stage, ev.Node, wantNode)
 		}
 	}
-	nodes := map[string]bool{}
-	for _, ev := range cp.Events {
-		nodes[ev.Node] = true
-	}
-	if !nodes["node0"] || !nodes["node1/pacon-test"] {
-		t.Fatalf("cross-node provenance lost: %v", nodes)
-	}
-	if cp.Total != 900*time.Nanosecond {
-		t.Fatalf("span total = %v, want 900ns", cp.Total)
+	if total := time.Duration(cp.Events[len(cp.Events)-1].Wall - start); cp.Total != total {
+		t.Fatalf("span total = %v, want start→apply %v", cp.Total, total)
 	}
 	var sum time.Duration
+	segs := map[string]time.Duration{}
 	for _, s := range cp.Segments {
 		sum += s.D
+		segs[s.Name] = s.D
 	}
 	if sum != cp.Total {
 		t.Fatalf("segments sum %v != total %v", sum, cp.Total)
 	}
-	// The server events must have been charged to cache_rpc (the ring's
-	// node is a cache-service address).
-	found := false
-	for _, s := range cp.Segments {
-		if s.Name == SegCacheRPC && s.D > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no cache_rpc attribution in %+v", cp.Segments)
+	// The server events must have been charged to cache_rpc (their node
+	// is a cache-service address): at least the recv→done interval.
+	if segs[SegCacheRPC] < srvD {
+		t.Fatalf("cache_rpc attribution %v < server interval %v: %+v", segs[SegCacheRPC], srvD, cp.Segments)
 	}
 
 	// SpanTrace must find the same finished span by ID.
 	got, ok := o.SpanTrace(span)
-	if !ok || got.Span != span || len(got.Events) != 6 {
+	if !ok || got.Span != span || len(got.Events) != len(want) {
 		t.Fatalf("SpanTrace(%d) = %+v ok=%v", span, got, ok)
 	}
-	// Finalizing attributed the segments as critpath_* histograms.
-	if q := o.HistQuantiles(); q["critpath_"+SegCacheRPC].Count == 0 {
-		t.Fatal("critpath_cache_rpc histogram not recorded")
+	// Finalizing attributed the segments as critpath_* histograms, and
+	// the hooks fed the pipeline histograms exactly once each.
+	q := o.HistQuantiles()
+	for _, h := range []string{"critpath_" + SegCacheRPC, HistClientOp, HistQueueWait, HistCommitLag} {
+		if q[h].Count != 1 {
+			t.Fatalf("histogram %q count = %d, want 1", h, q[h].Count)
+		}
+	}
+}
+
+// TestUnqueuedSpanFinalizesAtOpEnd: a sampled call that never enters the
+// commit queue (sync ops, failed calls) is assembled when it ends.
+func TestUnqueuedSpanFinalizesAtOpEnd(t *testing.T) {
+	o := New()
+	o.SetSampleN(1)
+	span, _ := touch(o.Node("node0"), "stat", "/w/f")
+	kept := o.RecentSpans(0)
+	if len(kept) != 1 || kept[0].Span != span || kept[0].Op != "stat" || kept[0].Kept != KeptSampled {
+		t.Fatalf("kept = %+v, want the one sampled stat span %d", kept, span)
 	}
 }
 
@@ -168,12 +218,16 @@ func TestTwoNodeAssembly(t *testing.T) {
 // failed, parked, or slow — and not otherwise.
 func TestTailKeepAnomalies(t *testing.T) {
 	o := New()
+	o.SetSampleN(-1)
 	o.SetSlowThreshold(time.Millisecond)
+	n := o.Node("node0")
+	now := time.Now().UnixNano()
+	slowEnq := now - int64(2*time.Millisecond)
 
-	o.SpanDone(1, false, "create", "/a", time.Microsecond, false, false) // healthy: dropped
-	o.SpanDone(2, false, "create", "/b", time.Microsecond, true, false)  // failed
-	o.SpanDone(3, false, "mkdir", "/c", time.Microsecond, false, true)   // parked
-	o.SpanDone(4, false, "rm", "/d", 2*time.Millisecond, false, false)   // slow
+	n.Terminal(1, false, false, now, StageApply, "create", "/a", "")             // healthy: not kept
+	n.Terminal(2, false, false, now, StageDrop, "create", "/b", "backend_error") // failed
+	n.Terminal(3, false, true, now, StageApply, "mkdir", "/c", "")               // parked
+	n.Terminal(4, false, false, slowEnq, StageApply, "rm", "/d", "")             // slow
 
 	kept := o.RecentSpans(0)
 	if len(kept) != 3 {
@@ -188,8 +242,15 @@ func TestTailKeepAnomalies(t *testing.T) {
 			t.Fatalf("span %d kept=%q, want %q", cp.Span, cp.Kept, KeptTail)
 		}
 	}
+	if kept[0].Op != "rm" || kept[0].Path != "/d" || kept[0].Total < 2*time.Millisecond {
+		t.Fatalf("slow tail record = %+v, want rm /d with its ≥2ms lag", kept[0])
+	}
 	if got := o.TraceStats().TailKept; got != 3 {
 		t.Fatalf("spans_tail_kept = %d, want 3", got)
+	}
+	// Only applied ops feed commit_lag: 1, 3 and 4, not the dropped 2.
+	if got := o.HistQuantiles()[HistCommitLag].Count; got != 3 {
+		t.Fatalf("commit_lag count = %d, want 3", got)
 	}
 }
 
@@ -198,14 +259,15 @@ func TestTailKeepAnomalies(t *testing.T) {
 // configured, counts in TraceStats, and rate-limits repeat triggers.
 func TestFlightRecorder(t *testing.T) {
 	o := New()
+	o.SetSampleN(1)
 	dir := t.TempDir()
 	o.SetFlightDir(dir)
 
-	ring := o.Trace.Ring("node0")
-	o.BeginSpan(9)
-	o.RecordSpanEvent(ring, Event{Span: 9, Stage: StageEnqueue, Op: "create", Path: "/w/x", Wall: 100})
-	o.RecordSpanEvent(ring, Event{Span: 9, Stage: StageApply, Op: "create", Path: "/w/x", Wall: 400})
-	o.FinalizeSpan(9)
+	n := o.Node("node0")
+	span, sampled, start := n.OpBegin("create", "/w/x")
+	enq := n.Event(span, sampled, StageEnqueue, "create", "/w/x", "")
+	n.OpEnd(span, sampled, true, start)
+	n.Terminal(span, sampled, false, enq, StageApply, "create", "/w/x", "")
 
 	b := o.TriggerFlight("unit test!")
 	if b == nil {
@@ -218,11 +280,14 @@ func TestFlightRecorder(t *testing.T) {
 	if dump.Reason != "unit test!" {
 		t.Fatalf("dump reason = %q", dump.Reason)
 	}
-	if len(dump.RecentSpans) != 1 || dump.RecentSpans[0].Span != 9 {
-		t.Fatalf("dump recent spans = %+v, want span 9", dump.RecentSpans)
+	if len(dump.RecentSpans) != 1 || dump.RecentSpans[0].Span != span {
+		t.Fatalf("dump recent spans = %+v, want span %d", dump.RecentSpans, span)
 	}
-	if len(dump.Events) != 2 {
-		t.Fatalf("dump carries %d ring events, want 2", len(dump.Events))
+	if len(dump.Events) != 3 {
+		t.Fatalf("dump carries %d ring events, want 3 (start, enqueue, apply)", len(dump.Events))
+	}
+	if dump.Hotspots == nil || dump.Hotspots.TotalOps != 1 || dump.Latency[HistClientOp].Count != 1 {
+		t.Fatalf("dump hotspots/latency = %+v / %+v, want the one op", dump.Hotspots, dump.Latency)
 	}
 	if string(o.LastFlight()) != string(b) {
 		t.Fatal("LastFlight differs from trigger return")
@@ -250,37 +315,112 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestUnsampledHooksZeroAlloc pins the disabled/unsampled tracing hot
-// path at zero allocations: the head-sampling decision, the ring-only
-// stage record, and the healthy-op terminal must all stay free, or the
-// tracer would tax every op to pay for the 1-in-N it assembles.
+// TestUnsampledHooksZeroAlloc pins the whole unsampled op path at zero
+// allocations — begin (sketch records on resident keys, span ID, the
+// head-sampling decision), the ring-only stage event, dequeue, the
+// healthy-op terminal, end — or the tracer would tax every op to pay for
+// the 1-in-N it assembles. The disabled path (nil node) is free too.
 func TestUnsampledHooksZeroAlloc(t *testing.T) {
 	o := New()
-	o.SetSampleN(1 << 30) // head sampling on, but never hits during the run
-	ring := o.Trace.Ring("node0")
-	ev := Event{Span: 5, Stage: StageEnqueue, Op: "create", Path: "/w/x", Wall: 1}
+	o.SetSampleN(1 << 30)         // head sampling on, but never hits during the run
+	o.SetSlowThreshold(time.Hour) // and no op is slow, however slow the host
+	for name, n := range map[string]*Node{"attached": o.Node("node0"), "disabled": nil} {
+		touch(n, "create", "/w/d/x") // make the key (and its ancestors) resident
+		var span uint64
+		var sampled bool
+		var start, enq int64
+		hooks := []struct {
+			hook string
+			fn   func()
+		}{
+			{"OpBegin", func() { span, sampled, start = n.OpBegin("create", "/w/d/x") }},
+			{"Event", func() { enq = n.Event(span, sampled, StageEnqueue, "create", "/w/d/x", "") }},
+			{"OpEnd", func() { n.OpEnd(span, sampled, true, start) }},
+			{"Dequeue", func() { n.Dequeue(span, sampled, enq, "create", "/w/d/x") }},
+			{"Terminal", func() { n.Terminal(span, sampled, false, enq, StageApply, "create", "/w/d/x", "") }},
+		}
+		for _, h := range hooks {
+			if allocs := testing.AllocsPerRun(1000, h.fn); allocs != 0 {
+				t.Fatalf("%s node: %s allocates %v/op, want 0", name, h.hook, allocs)
+			}
+		}
+		if sampled {
+			t.Fatal("the run was supposed to stay unsampled")
+		}
+	}
+	if got := len(o.RecentSpans(0)); got != 0 {
+		t.Fatalf("healthy unsampled ops left %d kept spans", got)
+	}
+}
 
-	if n := testing.AllocsPerRun(1000, func() { o.SampleNext() }); n != 0 {
-		t.Fatalf("SampleNext allocates %v/op, want 0", n)
+// TestNodesConcurrentWithScrapes creates nodes and drives their hooks
+// while /metrics scrapes and flight dumps walk the same registry — the
+// -race test for the one per-node map every reader ranges over.
+func TestNodesConcurrentWithScrapes(t *testing.T) {
+	o := New()
+	o.SetSampleN(4)
+	const writers, perWriter = 4, 300
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				// A fresh node every few ops, shared names across writers.
+				n := o.Node(fmt.Sprintf("node%d", (g+i/8)%16))
+				path := fmt.Sprintf("/w/d%d/f%d", g, i%13)
+				span, sampled, start := n.OpBegin("create", path)
+				enq := n.Event(span, sampled, StageEnqueue, "create", path, "")
+				n.OpEnd(span, sampled, true, start)
+				addr := fmt.Sprintf("storage%d/mds", i%3)
+				o.ObserveRPC(addr, "apply_batch", time.Microsecond, nil)
+				o.ObserveServerSpan(span, 1, addr, "apply_batch", time.Now(), time.Microsecond, nil)
+				n.Dequeue(span, sampled, enq, "create", path)
+				n.Terminal(span, sampled, i%17 == 0, enq, StageApply, "create", path, "")
+			}
+		}(g)
 	}
-	if n := testing.AllocsPerRun(1000, func() { ring.Record(ev) }); n != 0 {
-		t.Fatalf("Ring.Record allocates %v/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		o.SpanDone(5, false, "create", "/w/x", time.Microsecond, false, false)
-	}); n != 0 {
-		t.Fatalf("unsampled SpanDone allocates %v/op, want 0", n)
-	}
+	stop := make(chan struct{})
+	var scrapes sync.WaitGroup
+	scrapes.Add(1)
+	go func() {
+		defer scrapes.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var sb strings.Builder
+			o.WriteProm(&sb)
+			o.flightLast.Store(0) // lift the rate limit: every pass cuts a dump
+			if o.TriggerFlight("race") == nil {
+				t.Error("flight dump suppressed or failed to marshal")
+				return
+			}
+			_ = o.SlowSpans(4)
+			_ = o.HotReport(4, 0.01)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	scrapes.Wait()
 
-	// Hotspot recording on resident keys reuses sketch entries, so the
-	// steady-state Record (and the Obs=nil no-op) must also be free.
-	hot := o.HotNode("node0")
-	hot.Record("/w/x") // make the key (and its ancestors) resident
-	if n := testing.AllocsPerRun(1000, func() { hot.Record("/w/x") }); n != 0 {
-		t.Fatalf("resident NodeHot.Record allocates %v/op, want 0", n)
+	var ops int64
+	for _, l := range o.HotNodeLoads() {
+		if strings.Contains(l.Node, "/") {
+			t.Fatalf("service address %q counted as a client node", l.Node)
+		}
+		ops += l.Ops
 	}
-	var nilHot *NodeHot
-	if n := testing.AllocsPerRun(1000, func() { nilHot.Record("/w/x") }); n != 0 {
-		t.Fatalf("nil NodeHot.Record allocates %v/op, want 0", n)
+	if ops != writers*perWriter {
+		t.Fatalf("recorded ops = %d, want %d", ops, writers*perWriter)
+	}
+	var sb strings.Builder
+	o.WriteProm(&sb)
+	for _, want := range []string{"pacon_dfs_rpc_storage0_mds_seconds_count", "pacon_dfs_rpc_errors_storage2_mds_total 0"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing per-shard series %q", want)
+		}
 	}
 }

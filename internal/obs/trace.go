@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -89,7 +87,7 @@ func (s *Stage) UnmarshalText(b []byte) error {
 type Event struct {
 	Span  uint64 `json:"span"`
 	Stage Stage  `json:"stage"`
-	Node  string `json:"node"` // filled by the recording ring
+	Node  string `json:"node"` // filled by the recording node
 	Op    string `json:"op,omitempty"`
 	Path  string `json:"path,omitempty"`
 	Wall  int64  `json:"wall_ns"`
@@ -105,116 +103,23 @@ func (e Event) String() string {
 	return s
 }
 
-// defaultRingSize bounds one node ring's resident events.
-const defaultRingSize = 4096
-
-// Ring is one node's event buffer: a fixed-size overwrite ring under its
-// own mutex, so recording is O(1), allocation-free after warm-up, and
-// nodes never contend with each other. Nil-safe: a nil ring drops
-// events, which is how disabled observability costs one branch.
-type Ring struct {
-	node string
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
-}
-
-// Record appends ev, overwriting the oldest event when full.
-func (r *Ring) Record(ev Event) {
-	if r == nil {
-		return
-	}
-	ev.Node = r.node
-	r.mu.Lock()
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Events returns the resident events oldest-first.
-func (r *Ring) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Tracer allocates span IDs and owns the per-node rings.
-type Tracer struct {
-	spanSeq  atomic.Uint64
-	ringSize int
-
-	mu    sync.Mutex
-	rings map[string]*Ring
-}
-
-// NewSpan allocates a span ID (never 0 — 0 marks an untraced op). A nil
-// tracer returns 0.
-func (t *Tracer) NewSpan() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.spanSeq.Add(1)
-}
-
-// Ring returns (creating on first use) the named node's event ring. Nil
-// tracer → nil ring, which records nothing.
-func (t *Tracer) Ring(node string) *Ring {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rings == nil {
-		t.rings = make(map[string]*Ring)
-	}
-	r, ok := t.rings[node]
-	if !ok {
-		size := t.ringSize
-		if size <= 0 {
-			size = defaultRingSize
-		}
-		r = &Ring{node: node, buf: make([]Event, size)}
-		t.rings[node] = r
-	}
-	return r
-}
-
-// Events merges every ring's resident events, ordered by wall time (span
+// Events merges every node's resident events, ordered by wall time (span
 // then stage break ties, so one span's same-instant events keep their
-// pipeline order).
-func (t *Tracer) Events() []Event {
-	return t.Filter(func(Event) bool { return true })
+// pipeline order). This is the dump API: callers filter by span, path,
+// stage, or time window.
+func (o *Obs) Events() []Event {
+	return o.filterEvents(func(Event) bool { return true })
 }
 
-// Filter returns the resident events keep admits, in wall-time order.
-// This is the dump API: filter by span, path, stage, or time window.
-func (t *Tracer) Filter(keep func(Event) bool) []Event {
-	if t == nil {
+// filterEvents returns the resident events keep admits, in wall-time
+// order.
+func (o *Obs) filterEvents(keep func(Event) bool) []Event {
+	if o == nil {
 		return nil
 	}
-	t.mu.Lock()
-	rings := make([]*Ring, 0, len(t.rings))
-	for _, r := range t.rings {
-		rings = append(rings, r)
-	}
-	t.mu.Unlock()
 	var out []Event
-	for _, r := range rings {
-		for _, ev := range r.Events() {
+	for _, n := range o.nodeList() {
+		for _, ev := range n.events() {
 			if keep(ev) {
 				out = append(out, ev)
 			}
@@ -230,17 +135,11 @@ func (t *Tracer) Filter(keep func(Event) bool) []Event {
 		if out[i].Stage != out[j].Stage {
 			return out[i].Stage < out[j].Stage
 		}
-		// Node as the final tie-break: the rings are harvested in map
-		// order, so without it identical-timestamp events from different
-		// nodes would shuffle between dumps and break golden diffs.
+		// Node as the final tie-break keeps identical-timestamp events
+		// from different nodes in one order across dumps (golden diffs).
 		return out[i].Node < out[j].Node
 	})
 	return out
-}
-
-// SpanEvents returns one span's resident events in wall-time order.
-func (t *Tracer) SpanEvents(span uint64) []Event {
-	return t.Filter(func(e Event) bool { return e.Span == span })
 }
 
 // SpanStep is one hop of a span's per-stage breakdown: the stage arrived
@@ -275,14 +174,16 @@ func (s SpanSummary) String() string {
 }
 
 // SlowSpans groups resident events by span and returns the spans whose
-// first-to-last wall span meets threshold, slowest first, at most max
-// (0 = unlimited). Spans still mid-flight are reported as-is — a span
-// parked for seconds is exactly what the slow-op log exists to show.
-func (t *Tracer) SlowSpans(threshold time.Duration, max int) []SpanSummary {
-	if t == nil {
+// first-to-last wall span meets the configured threshold, slowest first,
+// at most max (0 = unlimited). Spans still mid-flight are reported as-is
+// — a span parked for seconds is exactly what the slow-op log exists to
+// show.
+func (o *Obs) SlowSpans(max int) []SpanSummary {
+	if o == nil {
 		return nil
 	}
-	evs := t.Events()
+	threshold := o.SlowThreshold()
+	evs := o.Events()
 	byspan := make(map[uint64][]Event)
 	for _, ev := range evs {
 		if ev.Span != 0 {
