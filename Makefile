@@ -53,30 +53,46 @@ bench-quick:
 bench-diff:
 	$(GO) run ./cmd/benchdiff -fail $(OLD) $(NEW)
 
-# alloc-gate pins the hot paths' allocation counts. Create: the
-# pre-pooling baseline was 31 allocs/op; pooled codec + inline hashing +
-# buffer reuse brought it to 7, and the gate fails if it regresses past
-# 16 — halfway back to the baseline. Batched read: a 16-sibling
+# alloc-gate pins the hot paths' allocation counts. Create: one create
+# from the client call to the end of its commit — the benchmark drains
+# inside the timed span — is 16-17 allocs/op, 19 through the 4-shard
+# router, and the gates sit one above. (The benchmarks used to stop the
+# clock at the last ack, and read anything from 8 to 16 depending on how
+# much of the commit side overlapped the loop; in today's form they read
+# 17 and 20 on the commit before this one.) Batched read: a 16-sibling
 # StatMulti, all hits over 4 cache servers, was 82 allocs/op with
-# map-based owner grouping and a second result slice and is 36 without
-# (16 of them the hit values themselves); the count does not vary
-# between runs, so the gate is the number.
+# map-based owner grouping and a second result slice, 36 without, and is
+# 26 now that the in-process fan-out spawns no goroutine per owner (16
+# of them the hit values themselves); the count does not vary between
+# runs, so the gate is the number. Commit side: one op through dequeue,
+# wave construction, apply_batch and the settle fan-out
+# (BenchmarkCommitWave times only the release and the drain) is 7
+# allocs and 506 B; the count is the same with per-wave scratch
+# allocated afresh, which shows in the bytes instead (1,265 B/op before
+# the commit process owned its scratch), so this gate holds both — the
+# bytes at 768, a third of the way back.
 alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreate$$' -benchtime 2000x -benchmem ./internal/core/); \
 	echo "$$out"; \
 	allocs=$$(echo "$$out" | awk '/^BenchmarkClientCreate/ {print $$(NF-1)}'); \
-	echo "create path: $$allocs allocs/op (gate: <= 16)"; \
-	test "$$allocs" -le 16
+	echo "create path: $$allocs allocs/op (gate: <= 18)"; \
+	test "$$allocs" -le 18
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreateSharded$$' -benchtime 2000x -benchmem ./internal/core/); \
 	echo "$$out"; \
 	allocs=$$(echo "$$out" | awk '/^BenchmarkClientCreateSharded/ {print $$(NF-1)}'); \
-	echo "create path (4-shard router): $$allocs allocs/op (gate: <= 16)"; \
-	test "$$allocs" -le 16
+	echo "create path (4-shard router): $$allocs allocs/op (gate: <= 20)"; \
+	test "$$allocs" -le 20
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientStatMulti$$' -benchtime 2000x -benchmem ./internal/core/); \
 	echo "$$out"; \
 	allocs=$$(echo "$$out" | awk '/^BenchmarkClientStatMulti/ {print $$(NF-1)}'); \
-	echo "batched read path: $$allocs allocs/op (gate: <= 36)"; \
-	test "$$allocs" -le 36
+	echo "batched read path: $$allocs allocs/op (gate: <= 26)"; \
+	test "$$allocs" -le 26
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCommitWave$$' -benchtime 2048x -benchmem ./internal/core/); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/^BenchmarkCommitWave/ {print $$(NF-1)}'); \
+	bytes=$$(echo "$$out" | awk '/^BenchmarkCommitWave/ {print $$(NF-3)}'); \
+	echo "commit wave: $$allocs allocs/op, $$bytes B/op (gate: <= 7 and <= 768)"; \
+	test "$$allocs" -le 7 && test "$$bytes" -le 768
 
 clean:
 	$(GO) clean ./...

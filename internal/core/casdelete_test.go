@@ -8,24 +8,23 @@ import (
 
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
-	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 )
 
 // Regression tests for the lost-update races in the cleanup paths: every
 // site that used to Get → decode → Delete unconditionally now deletes
-// through deleteIf, whose predicate the cache server evaluates under its
-// shard lock. That leaves two orders for a conflicting write and a
-// cleanup of the same path, and each test drives both: the write lands
-// strictly before the cleanup call (the newer value must survive it,
-// stay dirty, and commit) or strictly after (the path is simply
-// re-added). The interleaving inside the delete itself is the memcache
-// package's TestConditionalOpsNeverDeleteAckedCAS.
+// through a settle entry whose predicate the cache server evaluates
+// under its shard lock. That leaves two orders for a conflicting write
+// and a cleanup of the same path, and each test drives both: the write
+// lands strictly before the cleanup is sent (the newer value must
+// survive it, stay dirty, and commit) or strictly after (the path is
+// simply re-added). The interleaving inside the delete itself is the
+// memcache package's TestConditionalOpsNeverDeleteAckedCAS.
 
 // holdCommits parks every commit process inside a barrier epoch — the
 // state an rmdir holds them in — so client ops issued before release()
 // stay queued and their cache entries stay dirty.
-func holdCommits(t *testing.T, r *Region) (release func()) {
+func holdCommits(t testing.TB, r *Region) (release func()) {
 	t.Helper()
 	epoch, _, err := r.syncBarrier(0, "")
 	if err != nil {
@@ -34,10 +33,11 @@ func holdCommits(t *testing.T, r *Region) (release func()) {
 	return func() { r.barrier.Release(epoch, 0) }
 }
 
-// rawCache returns a memcache client on the region's ring for driving
-// the commit module's cleanup functions directly.
-func rawCache(e *env) *memcache.Client {
-	return memcache.NewClient(rpc.NewCaller(e.bus, vclock.Default(), "node0"), e.region.Ring())
+// testCommitter returns a commit process of node0 that no queue feeds,
+// for driving the commit module's functions directly. A cleanup they owe
+// the cache reaches it at the next settle, as in the loop.
+func testCommitter(e *env) *committer {
+	return e.region.newCommitter("node0", e.region.deps.NewBackend("node0"))
 }
 
 // mustEntry returns path's cache entry or fails the test.
@@ -81,7 +81,7 @@ func recreate(t *testing.T, c *Client, r *Region, path string) uint64 {
 
 // evict runs the batched eviction of p's subtree — what evictRound does
 // once it has picked p: the DFS walk into the region's scratch and the
-// delete_if_multi fan-out.
+// settle_multi fan-out.
 func evict(t *testing.T, r *Region, c *Client, at vclock.Time, p string, isDir bool) vclock.Time {
 	t.Helper()
 	r.evictMu.Lock()
@@ -205,7 +205,7 @@ func TestEvictionStillRemovesCleanEntries(t *testing.T) {
 func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 	t.Run("recreate-then-drop", func(t *testing.T) {
 		e := newEnv(t, 1, nil)
-		c, mc := e.client(t, "node0"), rawCache(e)
+		c, cm := e.client(t, "node0"), testCommitter(e)
 		release := holdCommits(t, e.region)
 		if _, err := c.Create(0, "/w/phantom", 0o644); err != nil {
 			t.Fatal(err)
@@ -213,8 +213,8 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
 		newer := recreate(t, c, e.region, "/w/phantom")
 
-		now := vclock.Time(0)
-		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, dropReasonRetryBudget)
+		cm.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, dropReasonRetryBudget)
+		cm.settle()
 
 		ent, ok := findEntry(t, e.region, "/w/phantom")
 		if !ok {
@@ -229,15 +229,15 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 
 	t.Run("drop-then-recreate", func(t *testing.T) {
 		e := newEnv(t, 1, nil)
-		c, mc := e.client(t, "node0"), rawCache(e)
+		c, cm := e.client(t, "node0"), testCommitter(e)
 		release := holdCommits(t, e.region)
 		if _, err := c.Create(0, "/w/phantom", 0o644); err != nil {
 			t.Fatal(err)
 		}
 		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
 
-		now := vclock.Time(0)
-		e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, &now, mc, dropReasonRetryBudget)
+		cm.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, dropReasonRetryBudget)
+		cm.settle()
 		if _, ok := findEntry(t, e.region, "/w/phantom"); ok {
 			t.Fatal("abandoned create's entry not cleaned")
 		}
@@ -258,9 +258,9 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 	// setup commits /w/reborn, parks the commit side, and removes the
 	// file: the returned seq is the queued remove's marker.
-	setup := func(t *testing.T) (*env, *Client, *memcache.Client, func(), uint64) {
+	setup := func(t *testing.T) (*env, *Client, *committer, func(), uint64) {
 		e := newEnv(t, 1, nil)
-		c, mc := e.client(t, "node0"), rawCache(e)
+		c, cm := e.client(t, "node0"), testCommitter(e)
 		at, err := c.Create(0, "/w/reborn", 0o644)
 		if err != nil {
 			t.Fatal(err)
@@ -276,18 +276,18 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 		if !marker.Removed {
 			t.Fatalf("rm left %+v, want a removed marker", marker)
 		}
-		return e, c, mc, release, marker.Seq
+		return e, c, cm, release, marker.Seq
 	}
 
 	t.Run("create-then-finish", func(t *testing.T) {
-		e, c, mc, release, marker := setup(t)
+		e, c, cm, release, marker := setup(t)
 		if _, err := c.Create(0, "/w/reborn", 0o600); err != nil {
 			t.Fatal(err)
 		}
 		live := mustEntry(t, e.region, "/w/reborn", "after create-after-rm").Seq
 
-		now := vclock.Time(0)
-		e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker}, &now, mc)
+		cm.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker})
+		cm.settle()
 
 		ent, ok := findEntry(t, e.region, "/w/reborn")
 		if !ok {
@@ -301,9 +301,9 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 	})
 
 	t.Run("finish-then-create", func(t *testing.T) {
-		e, c, mc, release, marker := setup(t)
-		now := vclock.Time(0)
-		e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker}, &now, mc)
+		e, c, cm, release, marker := setup(t)
+		cm.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker})
+		cm.settle()
 		if _, ok := findEntry(t, e.region, "/w/reborn"); ok {
 			t.Fatal("committed removed marker not cleaned")
 		}
@@ -325,9 +325,9 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 	// setup commits /w/doomed, parks the commit side, and creates
 	// /w/doomed/f: the returned seq is that queued create's.
-	setup := func(t *testing.T) (*env, *Client, *memcache.Client, func(), uint64) {
+	setup := func(t *testing.T) (*env, *Client, *committer, func(), uint64) {
 		e := newEnv(t, 1, nil)
-		c, mc := e.client(t, "node0"), rawCache(e)
+		c, cm := e.client(t, "node0"), testCommitter(e)
 		at, err := c.Mkdir(0, "/w/doomed", 0o755)
 		if err != nil {
 			t.Fatal(err)
@@ -339,28 +339,28 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 		if _, err := c.Create(0, "/w/doomed/f", 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return e, c, mc, release, mustEntry(t, e.region, "/w/doomed/f", "after create").Seq
+		return e, c, cm, release, mustEntry(t, e.region, "/w/doomed/f", "after create").Seq
 	}
 	// discard applies create seq under an open rmdir window on /w/doomed.
-	discard := func(t *testing.T, e *env, mc *memcache.Client, seq uint64) {
+	discard := func(t *testing.T, e *env, cm *committer, seq uint64) {
 		t.Helper()
 		e.region.addRemoving("/w/doomed")
 		defer e.region.delRemoving("/w/doomed")
-		now := vclock.Time(0)
 		before := e.region.Stats().Discarded
-		if retry := e.region.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
-			Stat: fsapi.NewFileStat(appCred, 0o644)}, &now, e.region.deps.NewBackend("node0"), mc); retry {
+		if retry := cm.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
+			Stat: fsapi.NewFileStat(appCred, 0o644)}); retry {
 			t.Fatal("discarded create must not be resubmitted")
 		}
+		cm.settle()
 		if e.region.Stats().Discarded != before+1 {
 			t.Fatal("discard not accounted")
 		}
 	}
 
 	t.Run("recreate-then-discard", func(t *testing.T) {
-		e, c, mc, release, old := setup(t)
+		e, c, cm, release, old := setup(t)
 		newer := recreate(t, c, e.region, "/w/doomed/f")
-		discard(t, e, mc, old)
+		discard(t, e, cm, old)
 
 		ent, ok := findEntry(t, e.region, "/w/doomed/f")
 		if !ok {
@@ -374,8 +374,8 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 	})
 
 	t.Run("discard-then-recreate", func(t *testing.T) {
-		e, c, mc, release, old := setup(t)
-		discard(t, e, mc, old)
+		e, c, cm, release, old := setup(t)
+		discard(t, e, cm, old)
 		if _, ok := findEntry(t, e.region, "/w/doomed/f"); ok {
 			t.Fatal("discarded create's entry not cleaned")
 		}
@@ -460,7 +460,7 @@ func TestEvictRoundRobinAdvancesByName(t *testing.T) {
 }
 
 // TestEvictRoundTripsPerOwner: a round deletes its subtree with one
-// delete_if_multi per owning cache server per chunk, not one delete_if
+// settle_multi per owning cache server per chunk, not one round trip
 // per path — and the region's counters say what it did.
 func TestEvictRoundTripsPerOwner(t *testing.T) {
 	e := newEnv(t, 4, nil)

@@ -966,23 +966,19 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	// deletes would leave a window where such a load resurrects the
 	// removed directory with nothing left to clean it up.
 	r.invalGen.Add(1)
-	switch {
-	case rerr == nil:
-		// Clean the removed subtree out of the distributed cache.
-		for _, rp := range removed {
-			done, _ := c.cache.Delete(at, rp)
-			at = done
-		}
-	case errors.Is(rerr, fsapi.ErrNotExist):
+	if errors.Is(rerr, fsapi.ErrNotExist) {
 		// Everything under the target was discarded before reaching the
-		// DFS (the directory itself included): nothing left to remove.
-		rerr = nil
+		// DFS (the directory itself included): nothing left to remove
+		// there, but the target's own cache entry may be a clean
+		// (committed-earlier) copy the commit processes never touched.
+		removed, rerr = []string{p}, nil
 	}
-	// The target's own cache entry may be a clean (committed-earlier)
-	// copy the commit processes never touched.
 	if rerr == nil {
-		done, _ := c.cache.Delete(at, p)
-		at = done
+		// Clean the removed subtree — the target is the last path RmTree
+		// lists — out of the distributed cache. Each path is deleted
+		// once: an entry accepted on an already-cleaned key is a newer
+		// incarnation, and the discard rule, not this sweep, decides it.
+		at = c.dropCached(at, removed)
 	}
 	r.barrier.Release(epoch, at)
 	if rerr != nil {
@@ -1109,21 +1105,45 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 // invalidateMoved deletes cache entries under the old path of a renamed
 // subtree, discovering its shape from the new location on the DFS.
 func (c *Client) invalidateMoved(at vclock.Time, src, dst string) vclock.Time {
-	done, _ := c.cache.Delete(at, src)
-	at = done
+	at, old := c.movedPaths(at, src, dst, nil)
+	return c.dropCached(at, old)
+}
+
+// movedPaths appends to old the pre-rename path of everything in the
+// subtree now at dst.
+func (c *Client) movedPaths(at vclock.Time, src, dst string, old []string) (vclock.Time, []string) {
+	old = append(old, src)
 	st, done, err := c.backend.Stat(at, dst)
 	at = done
 	if err != nil || !st.IsDir() {
-		return at
+		return at, old
 	}
 	ents, done, err := c.backend.Readdir(at, dst)
 	at = done
 	if err != nil {
-		return at
+		return at, old
 	}
 	for _, ent := range ents {
-		at = c.invalidateMoved(at,
-			namespace.Join(src, ent.Name), namespace.Join(dst, ent.Name))
+		at, old = c.movedPaths(at, namespace.Join(src, ent.Name), namespace.Join(dst, ent.Name), old)
+	}
+	return at, old
+}
+
+// dropCached deletes paths' cache entries whatever they hold — the
+// objects are gone from the DFS (rmdir) or live under another name
+// (rename) — with one settle_multi round trip per owning cache server
+// per evictChunk paths. Errors are ignored as they were for the per-path
+// deletes this replaces: an unreachable server's entries went with it.
+func (c *Client) dropCached(at vclock.Time, paths []string) vclock.Time {
+	entries := make([]memcache.Settle, 0, min(len(paths), evictChunk))
+	for len(paths) > 0 {
+		n := min(len(paths), evictChunk)
+		entries = entries[:0]
+		for _, p := range paths[:n] {
+			entries = append(entries, memcache.Settle{Key: p, Cond: memcache.CondAlways})
+		}
+		_, _, at, _ = c.cache.SettleMulti(at, entries)
+		paths = paths[n:]
 	}
 	return at
 }

@@ -177,12 +177,13 @@ func runCommitWorkload(t *testing.T) RegionStats {
 }
 
 // TestCommitPathRoundTripBudget pins what the commit path spends on the
-// 24-file workload: 54 client ops coalesce to 27 commits costing 27
-// cache round trips (one conditional op each) and 25 backend round
-// trips (24 ops riding 7 apply_batch RPCs). The budget has no slack
-// upward: a change that adds a round trip per op must show up here.
-// (The retired client-side Get+CAS loop without coalescing spent 78
-// cache round trips over 54 commits on the same workload.)
+// 24-file workload: 54 client ops coalesce to 27 commits in 7 waves,
+// costing 14 cache round trips (one settle_multi per wave to each of the
+// region's two cache servers) and 25 backend round trips (24 ops riding
+// 7 apply_batch RPCs). The budget has no slack upward: a change that
+// adds a round trip per op must show up here. (One conditional op per
+// commit spent 27 cache round trips on the same workload; the retired
+// client-side Get+CAS loop without coalescing, 78 over 54 commits.)
 func TestCommitPathRoundTripBudget(t *testing.T) {
 	s := runCommitWorkload(t)
 	if s.Committed == 0 || s.Dropped != 0 {
@@ -194,8 +195,8 @@ func TestCommitPathRoundTripBudget(t *testing.T) {
 	if s.BatchRPCs == 0 || s.BatchedOps == 0 {
 		t.Fatalf("run never used apply_batch: %+v", s)
 	}
-	if s.CacheRPCs > 27 {
-		t.Fatalf("commit path spent %d cache round trips, budget 27: %+v", s.CacheRPCs, s)
+	if limit := s.BatchRPCs * 2; s.BatchRPCs != 7 || s.CacheRPCs > limit {
+		t.Fatalf("commit path spent %d cache round trips over %d waves, budget 7 waves x 2 cache servers: %+v", s.CacheRPCs, s.BatchRPCs, s)
 	}
 	if s.BackendRPCs > 25 {
 		t.Fatalf("commit path spent %d backend round trips, budget 25: %+v", s.BackendRPCs, s)

@@ -7,6 +7,7 @@ import (
 
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
+	"pacon/internal/mq"
 	"pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
@@ -63,14 +64,19 @@ func (p *pendingSet) release(path string) {
 
 func (p *pendingSet) blocks(path string) bool { return p.paths[path] > 0 }
 
-// commitLoop is one node's commit process: the subscriber of the node's
+// committer is one node's commit process: the subscriber of the node's
 // commit queue. It applies operations to the DFS through the node's own
 // backend client, participates in barrier epochs, and maintains the
-// cache's dirty/removed bookkeeping.
+// cache's dirty/removed bookkeeping. Everything below the dequeue runs
+// on the process's one goroutine, so the state here — the virtual clock,
+// the pending set, and the scratch a wave is built in — needs no lock
+// and is reused from one dequeue to the next.
 //
 // Operations are dequeued up to CommitBatchSize at a time (never across
 // a barrier marker), same-path runs are coalesced (see coalesceOps), and
-// independent-path ops ship to the DFS in one apply_batch round trip.
+// each wave of independent-path ops costs one apply_batch round trip to
+// the DFS and then one settle_multi round trip per owning cache server
+// (see settle).
 //
 // Resubmission policy: a failed op parks in the pending set while
 // *other-path* ops continue — that is what converges creations enqueued
@@ -80,18 +86,42 @@ func (p *pendingSet) blocks(path string) bool { return p.paths[path] > 0 }
 // first and then let the retried remove delete the wrong incarnation.
 // Per-queue per-path FIFO is exactly the order the paper's §III.E
 // argument presumes.
-func (r *Region) commitLoop(node string, backend Backend) {
-	q := r.queues[node]
-	cache := memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, node), r.ring)
-	var now vclock.Time
-	pending := pendingSet{region: r}
-	coalesceScratch := make(map[string]int, r.cfg.CommitBatchSize)
-	// batchBuf is the dequeue buffer, reused across PopBatchInto calls:
-	// everything downstream (coalescing, wave construction, parking)
-	// copies the Op values it keeps, so nothing references the buffer by
-	// the time the loop re-enters.
-	var batchBuf []Op
+type committer struct {
+	r       *Region
+	backend Backend
+	cache   *memcache.Client
+	now     vclock.Time
+	pending pendingSet
 
+	// Scratch, valid within one dequeue (ops, coalesce), one wave
+	// (inWave, batch, single, bops, inlines) or until the next settle
+	// (settles). Nothing outlives the loop iteration that filled it:
+	// parking copies the Op it keeps.
+	ops      []Op
+	coalesce map[string]int
+	inWave   map[string]struct{}
+	batch    []Op
+	single   []Op
+	bops     []fsapi.BatchOp
+	inlines  [][]byte
+	settles  []memcache.Settle
+}
+
+func (r *Region) newCommitter(node string, backend Backend) *committer {
+	return &committer{
+		r:        r,
+		backend:  backend,
+		cache:    memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, node), r.ring),
+		pending:  pendingSet{region: r},
+		coalesce: make(map[string]int, r.cfg.CommitBatchSize),
+		inWave:   make(map[string]struct{}, r.cfg.CommitBatchSize),
+	}
+}
+
+// run is the commit loop; it returns when the queue or the barrier
+// closes.
+func (c *committer) run(q *mq.Queue[Op]) {
+	r := c.r
 	// onMerge retires the absorbed op: the survivor carries the path to
 	// its own terminal, and the absorbed span ends here with a coalesce
 	// event naming the span its effect now rides.
@@ -104,73 +134,81 @@ func (r *Region) commitLoop(node string, backend Backend) {
 	}
 
 	for {
-		ops, isBarrier, epoch, ok := q.PopBatchInto(batchBuf, r.cfg.CommitBatchSize)
+		ops, isBarrier, epoch, ok := q.PopBatchInto(c.ops, r.cfg.CommitBatchSize)
 		if ops != nil {
-			batchBuf = ops
+			c.ops = ops
 		}
 		if !ok {
 			// Queue closed: push out whatever can still commit.
-			r.drainPending(&pending, &now, backend, cache)
+			c.drainPending()
 			return
 		}
 		if isBarrier {
 			// Everything before the marker must reach the DFS before we
 			// report arrival (§III.E.2).
-			r.drainPending(&pending, &now, backend, cache)
-			r.barrier.Arrive(epoch, now)
+			c.drainPending()
+			r.barrier.Arrive(epoch, c.now)
 			rel, err := r.barrier.AwaitRelease(epoch)
 			if err != nil {
 				return
 			}
-			now = vclock.Max(now, rel)
+			c.now = vclock.Max(c.now, rel)
 			continue
 		}
 		r.observeDequeue(ops)
-		ops, merged := coalesceOps(ops, coalesceScratch, onMerge)
+		ops, merged := coalesceOps(ops, c.coalesce, onMerge)
 		r.coalesced.Add(merged)
-		r.applyOps(ops, &now, backend, cache, &pending)
+		c.applyOps(ops)
 		// Opportunistic pass: earlier failures often just needed a
 		// sibling queue to commit a parent. Uncounted — only forced
 		// drains consume the resubmission budget.
-		r.retryPendingOnce(&pending, &now, backend, cache, false)
+		c.retryPendingOnce(false)
 	}
 }
 
 // applyOps applies a dequeued batch in waves: each wave holds at most
 // one op per path (per-path FIFO — a same-path follower waits for the
-// next wave, and parks if its predecessor parked), and a wave's
-// independent-path ops ship in one apply_batch round trip.
-func (r *Region) applyOps(ops []Op, now *vclock.Time, backend Backend, cache *memcache.Client, pending *pendingSet) {
-	inWave := make(map[string]bool, len(ops))
+// next wave, and parks if its predecessor parked). A wave's batchable
+// ops ship in one apply_batch round trip, the rest apply one by one,
+// and the wave's cache bookkeeping settles together at its end. ops is
+// compacted in place into the next wave's input (the write index never
+// passes the read index).
+func (c *committer) applyOps(ops []Op) {
 	for len(ops) > 0 {
-		var wave, rest []Op
-		clear(inWave)
+		rest := ops[:0]
+		clear(c.inWave)
+		c.batch, c.single = c.batch[:0], c.single[:0]
 		for _, op := range ops {
-			switch {
-			case inWave[op.Path]:
+			if _, dup := c.inWave[op.Path]; dup {
 				rest = append(rest, op)
-			case pending.blocks(op.Path):
+			} else if c.pending.blocks(op.Path) {
 				// Preserve per-path order behind the parked op.
-				pending.add(op, "behind parked same-path op")
-			default:
-				inWave[op.Path] = true
-				wave = append(wave, op)
+				c.pending.add(op, "behind parked same-path op")
+			} else {
+				c.inWave[op.Path] = struct{}{}
+				if c.batchable(op) {
+					c.batch = append(c.batch, op)
+				} else {
+					c.single = append(c.single, op)
+				}
 			}
 		}
-		r.applyWave(wave, now, backend, cache, pending)
+		c.applyWave()
 		ops = rest
 	}
 }
 
-// batchable reports whether op can ship inside an apply_batch RPC.
-// Creations under an active rmdir need the discard rule, and inline
-// setstats are data writes — both stay on the singleton path.
-func (r *Region) batchable(op Op) bool {
-	if r.isRemoving(op.Path) {
-		return false
-	}
+// batchable reports whether op can ship inside an apply_batch RPC. Only
+// two kinds cannot. A creation under an active rmdir must meet the
+// discard rule before it touches the DFS, and that rule lives on the
+// singleton path; removes and setstats under the same rmdir need no
+// such look-ahead — their result handlers consult isRemoving themselves
+// and both paths share them. An inline setstat is a data write.
+func (c *committer) batchable(op Op) bool {
 	switch op.Kind {
-	case OpCreate, OpMkdir, OpRemove:
+	case OpCreate, OpMkdir:
+		return !c.r.isRemoving(op.Path)
+	case OpRemove:
 		return true
 	case OpSetStat:
 		return len(op.Stat.Inline) == 0
@@ -178,54 +216,55 @@ func (r *Region) batchable(op Op) bool {
 	return false
 }
 
-// applyWave applies one wave of unique-path ops. Two or more batchable
-// ops go out as a single apply_batch; net-absence removes always take
-// the batch path (even alone) so the DFS sees their IfExists marker.
-func (r *Region) applyWave(wave []Op, now *vclock.Time, backend Backend, cache *memcache.Client, pending *pendingSet) {
-	var batch, single []Op
-	for _, op := range wave {
-		if r.batchable(op) {
-			batch = append(batch, op)
-		} else {
-			single = append(single, op)
-		}
+// applyWave applies the wave in c.batch and c.single. Two or more
+// batchable ops go out as a single apply_batch; net-absence removes
+// always take the batch path (even alone) so the DFS sees their
+// IfExists marker.
+func (c *committer) applyWave() {
+	if len(c.batch) == 1 && !c.batch[0].NetAbsent {
+		c.single = append(c.single, c.batch[0])
+		c.batch = c.batch[:0]
 	}
-	if len(batch) == 1 && !batch[0].NetAbsent {
-		single = append(single, batch[0])
-		batch = nil
+	if len(c.batch) > 0 {
+		c.applyBatchRPC(c.batch)
 	}
-	if len(batch) > 0 {
-		r.applyBatchRPC(batch, now, backend, cache, pending)
+	for _, op := range c.single {
+		c.applyOrPark(op)
 	}
-	for _, op := range single {
-		if r.applyOp(op, now, backend, cache) {
-			pending.add(op, "resubmittable failure")
-		}
+	c.settle()
+}
+
+// applyOrPark applies one op on the singleton path and parks it if it
+// must be resubmitted.
+func (c *committer) applyOrPark(op Op) {
+	if c.applyOp(op) {
+		c.pending.add(op, "resubmittable failure")
 	}
 }
 
 // applyBatchRPC ships a wave's batchable ops in one backend round trip
 // and finishes each per its own result.
-func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cache *memcache.Client, pending *pendingSet) {
+func (c *committer) applyBatchRPC(ops []Op) {
+	r := c.r
 	// The first sampled op's span tags the whole batch round trip — a
 	// batch is one wire-level apply, so its server events belong to one
 	// representative span.
 	for _, op := range ops {
 		if op.Sampled {
-			if untag := r.commitTrace(op, backend, cache); untag != nil {
+			if untag := c.commitTrace(op); untag != nil {
 				defer untag()
 			}
 			break
 		}
 	}
-	t := *now
-	bops := make([]fsapi.BatchOp, len(ops))
-	inlines := make([][]byte, len(ops))
-	for i, op := range ops {
+	t := c.now
+	c.bops, c.inlines = c.bops[:0], c.inlines[:0]
+	for _, op := range ops {
 		if op.Time > t {
 			t = op.Time
 		}
 		bop := fsapi.BatchOp{Path: op.Path}
+		var inline []byte
 		switch op.Kind {
 		case OpCreate, OpMkdir:
 			bop.Kind = fsapi.BatchCreate
@@ -234,10 +273,8 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 			}
 			// The DFS backup copy keeps small-file data on the data
 			// path, not in MDS metadata (same as the singleton path).
-			st := op.Stat
-			inlines[i] = st.Inline
-			st.Inline = nil
-			bop.Stat = st
+			bop.Stat = op.Stat
+			inline, bop.Stat.Inline = op.Stat.Inline, nil
 		case OpSetStat:
 			bop.Kind = fsapi.BatchSetStat
 			bop.Stat = op.Stat
@@ -245,21 +282,20 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 			bop.Kind = fsapi.BatchRemove
 			bop.IfExists = op.NetAbsent
 		}
-		bops[i] = bop
+		c.bops = append(c.bops, bop)
+		c.inlines = append(c.inlines, inline)
 	}
 	r.batchRPCs.Add(1)
 	r.batchedOps.Add(int64(len(ops)))
 	r.backendRPCs.Add(1)
-	errs, done, err := backend.ApplyBatch(t, bops)
-	*now = done
+	errs, done, err := c.backend.ApplyBatch(t, c.bops)
+	c.now = done
 	if err != nil {
 		// Transport-level failure: disposition unknown, fall back to
 		// singleton application which re-runs each op with full logic.
 		r.batchFallbacks.Add(1)
 		for _, op := range ops {
-			if r.applyOp(op, now, backend, cache) {
-				pending.add(op, "resubmittable failure")
-			}
+			c.applyOrPark(op)
 		}
 		return
 	}
@@ -267,22 +303,24 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 		var retry bool
 		switch op.Kind {
 		case OpCreate, OpMkdir:
-			retry = r.finishCreate(op, inlines[i], errs[i], now, backend, cache)
+			retry = c.finishCreate(op, c.inlines[i], errs[i])
 		case OpSetStat:
-			retry = r.finishSetStat(op, errs[i], now, cache)
+			retry = c.finishSetStat(op, errs[i])
 		case OpRemove:
-			retry = r.finishRemoveResult(op, errs[i], now, cache)
+			retry = c.finishRemoveResult(op, errs[i])
 		}
 		if retry {
-			pending.add(op, "resubmittable failure")
+			c.pending.add(op, "resubmittable failure")
 		}
 	}
 }
 
 // retryPendingOnce sweeps the pending set once in arrival order. A
 // still-failing op keeps every later same-path op parked for the rest of
-// the sweep. When counted is true, failures consume the budget.
-func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend Backend, cache *memcache.Client, counted bool) {
+// the sweep. When counted is true, failures consume the budget. The
+// sweep's cache bookkeeping settles together at its end.
+func (c *committer) retryPendingOnce(counted bool) {
+	pending := &c.pending
 	if len(pending.ops) == 0 {
 		return
 	}
@@ -293,13 +331,13 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 			kept = append(kept, p)
 			continue
 		}
-		r.retries.Add(1)
+		c.r.retries.Add(1)
 		p.op.trace(obs.StageRetry, "")
-		if retry := r.applyOp(p.op, now, backend, cache); retry {
+		if retry := c.applyOp(p.op); retry {
 			if counted {
 				p.attempts++
-				if p.attempts >= r.cfg.CommitRetryLimit {
-					r.dropOp(p.op, now, cache, dropReasonRetryBudget)
+				if p.attempts >= c.r.cfg.CommitRetryLimit {
+					c.dropOp(p.op, dropReasonRetryBudget)
 					pending.release(p.op.Path)
 					continue
 				}
@@ -315,6 +353,7 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 		}
 	}
 	pending.ops = kept
+	c.settle()
 }
 
 // drainPending retries until every pending op commits or exhausts its
@@ -338,14 +377,15 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 // the limit drops it. The stalled-pass sleep also matters for more than
 // pacing: it yields the CPU (and the MDS/cache locks) to the very
 // sibling whose progress would unblock us.
-func (r *Region) drainPending(pending *pendingSet, now *vclock.Time, backend Backend, cache *memcache.Client) {
+func (c *committer) drainPending() {
+	r := c.r
 	progress := func() int64 {
 		return r.committed.Load() + r.discarded.Load() + r.dropped.Load()
 	}
 	last := int64(-1)
-	for len(pending.ops) > 0 {
+	for len(c.pending.ops) > 0 {
 		snap := progress()
-		r.retryPendingOnce(pending, now, backend, cache, snap == last)
+		c.retryPendingOnce(snap == last)
 		last = snap
 		if progress() == snap {
 			time.Sleep(time.Millisecond)
@@ -354,23 +394,25 @@ func (r *Region) drainPending(pending *pendingSet, now *vclock.Time, backend Bac
 }
 
 // applyOp applies one operation; it returns true if the op failed in a
-// resubmittable way.
-func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcache.Client) bool {
-	if untag := r.commitTrace(op, backend, cache); untag != nil {
+// resubmittable way. Cache bookkeeping it owes is left in c.settles for
+// the caller's settle.
+func (c *committer) applyOp(op Op) bool {
+	r := c.r
+	if untag := c.commitTrace(op); untag != nil {
 		defer untag()
 	}
-	t := vclock.Max(*now, op.Time)
+	t := vclock.Max(c.now, op.Time)
 	switch op.Kind {
 	case OpCreate, OpMkdir:
 		// Discard rule: creations inside a directory being removed are
 		// dropped, and their cache entries cleaned (§III.D.1) — but only
-		// this op's incarnation (seq match, CAS-guarded): a newer
-		// incarnation created after the rmdir window closed is live
-		// primary-copy metadata and must survive.
+		// this op's incarnation (seq match): a newer incarnation created
+		// after the rmdir window closed is live primary-copy metadata
+		// and must survive.
 		if r.isRemoving(op.Path) {
 			r.opDiscarded(op)
-			r.deleteIf(cache, &t, op.Path, memcache.CondSeq, op.Seq)
-			*now = t
+			c.deleteIf(op, memcache.CondSeq)
+			c.now = t
 			return false
 		}
 		// The DFS backup copy keeps small-file data on the data path, not
@@ -380,15 +422,15 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 		inline := st.Inline
 		st.Inline = nil
 		r.backendRPCs.Add(1)
-		done, err := backend.CreateWithStat(t, op.Path, st)
-		*now = done
-		return r.finishCreate(op, inline, err, now, backend, cache)
+		done, err := c.backend.CreateWithStat(t, op.Path, st)
+		c.now = done
+		return c.finishCreate(op, inline, err)
 
 	case OpRemove:
 		r.backendRPCs.Add(1)
-		done, err := backend.Remove(t, op.Path)
-		*now = done
-		return r.finishRemoveResult(op, err, now, cache)
+		done, err := c.backend.Remove(t, op.Path)
+		c.now = done
+		return c.finishRemoveResult(op, err)
 
 	case OpSetStat:
 		var done vclock.Time
@@ -397,12 +439,12 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 		if len(op.Stat.Inline) > 0 {
 			// Inline-data backup write: the file interface carries both
 			// the bytes and the size update.
-			done, err = backend.WriteAt(t, op.Path, 0, op.Stat.Inline)
+			done, err = c.backend.WriteAt(t, op.Path, 0, op.Stat.Inline)
 		} else {
-			done, err = backend.SetStat(t, op.Path, op.Stat)
+			done, err = c.backend.SetStat(t, op.Path, op.Stat)
 		}
-		*now = done
-		return r.finishSetStat(op, err, now, cache)
+		c.now = done
+		return c.finishSetStat(op, err)
 	}
 	return false
 }
@@ -410,13 +452,14 @@ func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcac
 // finishCreate handles a create/mkdir's backend result (shared by the
 // singleton and batched paths); it returns true if the op must be
 // resubmitted.
-func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time, backend Backend, cache *memcache.Client) bool {
+func (c *committer) finishCreate(op Op, inline []byte, err error) bool {
+	r := c.r
 	switch {
 	case err == nil:
 		r.opCommitted(op)
-		r.writebackInline(op.Path, inline, now, backend)
-		r.writebackSpill(op.Path, now, backend)
-		r.clearDirty(op, now, cache)
+		c.writebackInline(op.Path, inline)
+		c.writebackSpill(op.Path)
+		c.clearDirty(op)
 		return false
 	case errors.Is(err, fsapi.ErrExist):
 		// Three cases share this error. (1) The file was materialized
@@ -432,38 +475,38 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 		// clean cache entry was evicted. Waiting would livelock until
 		// the resubmission budget drops the op — adopt the object
 		// instead, imposing the create's metadata on it.
-		if v, ok := r.cacheLookup(op.Path, now, cache); ok && !v.removed {
+		if v, ok := c.cacheLookup(op.Path); ok && !v.removed {
 			if v.seq != op.Seq || !v.dirty {
 				r.opCommitted(op)
-				r.writebackSpill(op.Path, now, backend)
-				r.clearDirty(op, now, cache)
+				c.writebackSpill(op.Path)
+				c.clearDirty(op)
 				return false
 			}
 			if !op.AfterRm {
 				st := op.Stat
 				st.Inline = nil
 				r.backendRPCs.Add(1)
-				est, done, serr := backendStatFresh(backend, *now, op.Path)
-				*now = done
+				est, done, serr := backendStatFresh(c.backend, c.now, op.Path)
+				c.now = done
 				if serr != nil {
 					return true // vanished underneath us: retry the create
 				}
 				if est.IsDir() != st.IsDir() {
 					// A different kind of object holds the name; the
 					// creation can never apply.
-					r.dropOp(op, now, cache, dropReasonKindConflict)
+					c.dropOp(op, dropReasonKindConflict)
 					return false
 				}
 				r.backendRPCs.Add(1)
-				done, aerr := backend.SetStat(*now, op.Path, st)
-				*now = done
+				done, aerr := c.backend.SetStat(c.now, op.Path, st)
+				c.now = done
 				if aerr != nil {
 					return true
 				}
 				r.opCommitted(op)
-				r.writebackInline(op.Path, inline, now, backend)
-				r.writebackSpill(op.Path, now, backend)
-				r.clearDirty(op, now, cache)
+				c.writebackInline(op.Path, inline)
+				c.writebackSpill(op.Path)
+				c.clearDirty(op)
 				return false
 			}
 		}
@@ -477,25 +520,26 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 		// intent over this subtree and will release it. Both transient.
 		return true
 	default:
-		r.dropOp(op, now, cache, dropReasonBackendError)
+		c.dropOp(op, dropReasonBackendError)
 		return false
 	}
 }
 
 // finishRemoveResult handles a remove's backend result; it returns true
 // if the op must be resubmitted.
-func (r *Region) finishRemoveResult(op Op, err error, now *vclock.Time, cache *memcache.Client) bool {
+func (c *committer) finishRemoveResult(op Op, err error) bool {
+	r := c.r
 	switch {
 	case err == nil:
 		r.opCommitted(op)
-		r.finishRemove(op, now, cache)
+		c.finishRemove(op)
 		return false
 	case errors.Is(err, fsapi.ErrNotExist):
 		if op.NetAbsent {
 			// Net-absence remove: the folded create never reached the
 			// DFS, so an absent path IS the committed state.
 			r.opCommitted(op)
-			r.finishRemove(op, now, cache)
+			c.finishRemove(op)
 			return false
 		}
 		// The create this remove shadows may still be queued on
@@ -503,25 +547,26 @@ func (r *Region) finishRemoveResult(op Op, err error, now *vclock.Time, cache *m
 		// rmdir, the retry limit cleans us up.
 		if r.isRemoving(op.Path) {
 			r.opDiscarded(op)
-			r.finishRemove(op, now, cache)
+			c.finishRemove(op)
 			return false
 		}
 		return true
 	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
 		return true // shard down / intent-blocked: transient
 	default:
-		r.dropOp(op, now, cache, dropReasonBackendError)
+		c.dropOp(op, dropReasonBackendError)
 		return false
 	}
 }
 
 // finishSetStat handles a setstat/inline-write backend result; it
 // returns true if the op must be resubmitted.
-func (r *Region) finishSetStat(op Op, err error, now *vclock.Time, cache *memcache.Client) bool {
+func (c *committer) finishSetStat(op Op, err error) bool {
+	r := c.r
 	switch {
 	case err == nil:
 		r.opCommitted(op)
-		r.clearDirty(op, now, cache)
+		c.clearDirty(op)
 		return false
 	case errors.Is(err, fsapi.ErrNotExist):
 		if r.isRemoving(op.Path) {
@@ -532,24 +577,9 @@ func (r *Region) finishSetStat(op Op, err error, now *vclock.Time, cache *memcac
 	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
 		return true // shard down / intent-blocked: transient
 	default:
-		r.dropOp(op, now, cache, dropReasonBackendError)
+		c.dropOp(op, dropReasonBackendError)
 		return false
 	}
-}
-
-// deleteIf deletes path's cache entry while cond holds for (seq, flags).
-// It is one server-side conditional delete: the server evaluates the
-// predicate under its shard lock, so an update racing the cleanup either
-// lands first (and the predicate sees it) or lands after the delete — it
-// is never lost (§III.D.3 applied to deletion).
-func (r *Region) deleteIf(cache *memcache.Client, now *vclock.Time, path string, cond memcache.Cond, seq uint64) error {
-	r.cacheRPCs.Add(1)
-	_, done, err := cache.DeleteIf(*now, path, cond, seq)
-	*now = done
-	if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-		return err
-	}
-	return nil
 }
 
 // dropOp abandons an operation. An abandoned creation's cache entry is
@@ -560,7 +590,8 @@ func (r *Region) deleteIf(cache *memcache.Client, now *vclock.Time, path string,
 // of the dropReason* constants) labels the per-reason counter and the
 // drop trace event: dropped ops never record a commit lag, so the
 // reasons are what keeps the histogram's silence interpretable.
-func (r *Region) dropOp(op Op, now *vclock.Time, cache *memcache.Client, reason string) {
+func (c *committer) dropOp(op Op, reason string) {
+	r := c.r
 	r.dropped.Add(1)
 	switch reason {
 	case dropReasonRetryBudget:
@@ -573,13 +604,68 @@ func (r *Region) dropOp(op Op, now *vclock.Time, cache *memcache.Client, reason 
 	r.opTerminal(op, obs.StageDrop, reason)
 	switch op.Kind {
 	case OpCreate, OpMkdir:
-		r.deleteIf(cache, now, op.Path, memcache.CondSeq, op.Seq)
+		c.deleteIf(op, memcache.CondSeq)
 	case OpRemove:
 		// An abandoned remove's marker would otherwise sit dirty in the
 		// cache forever; drop it (same guard as finishRemove) and let
 		// reads fall through to whatever the DFS still holds.
-		r.deleteIf(cache, now, op.Path, memcache.CondSeqRemoved, op.Seq)
+		c.deleteIf(op, memcache.CondSeqRemoved)
 	}
+}
+
+// The three functions below are every cache cleanup the commit module
+// performs, and none of them talks to the cache: each appends one entry
+// to c.settles, and settle sends the list. Deferring a cleanup past the
+// ops that follow it in the wave is safe because every entry is guarded
+// by its own op's seq and evaluated under the cache server's shard lock
+// when it does run: a write that lands in between carries a newer seq,
+// so the entry no longer matches and does nothing — exactly what
+// happened when the write won the race against an immediate cleanup.
+// Until the settle runs the entry merely stays dirty (or stays a removed
+// marker), which readers and eviction already treat as "commit in
+// flight". A later op on the same path in the same dequeue cannot be
+// misled either: it carries a newer seq than the entry being settled,
+// so that entry was already dead when it was queued.
+
+// clearDirty clears the dirty flag for the op's seq: the backup copy now
+// matches this version. A newer seq means another mutation is in flight
+// and its own commit will clear the flag.
+func (c *committer) clearDirty(op Op) {
+	c.settles = append(c.settles, memcache.Settle{Key: op.Path, Seq: op.Seq, Clear: true})
+}
+
+// deleteIf deletes the op's cache entry while cond holds for the op's
+// seq, so an update racing the cleanup either lands first (and the
+// predicate sees it) or lands after the delete — it is never lost
+// (§III.D.3 applied to deletion).
+func (c *committer) deleteIf(op Op, cond memcache.Cond) {
+	c.settles = append(c.settles, memcache.Settle{Key: op.Path, Seq: op.Seq, Cond: cond})
+}
+
+// finishRemove deletes the removed marker from the cache once the remove
+// committed ("their cached metadata are deleted after the operations are
+// committed", §III.D.1) — unless a newer incarnation replaced it: the
+// delete is conditional on the marker still carrying this remove's seq,
+// so a create-after-rm's fresh entry is never destroyed.
+func (c *committer) finishRemove(op Op) {
+	c.deleteIf(op, memcache.CondSeqRemoved)
+}
+
+// settle sends the cleanups gathered since the last call: one
+// settle_multi round trip per owning cache server, all leaving at the
+// process's current virtual time. Every path that appends to c.settles
+// ends in a settle before the loop dequeues again or arrives at a
+// barrier, so a drained region has no cleanup outstanding. A cache
+// server that cannot be reached loses its share, as it lost the
+// single-key cleanups before: the entries it holds are gone with it.
+func (c *committer) settle() {
+	if len(c.settles) == 0 {
+		return
+	}
+	_, owners, done, _ := c.cache.SettleMulti(c.now, c.settles)
+	c.settles = c.settles[:0]
+	c.r.cacheRPCs.Add(int64(owners))
+	c.now = done
 }
 
 // backendStatFresh reads an authoritative stat, bypassing the
@@ -597,10 +683,10 @@ func backendStatFresh(b Backend, at vclock.Time, p string) (fsapi.Stat, vclock.T
 }
 
 // cacheLookup fetches and decodes a cache value.
-func (r *Region) cacheLookup(path string, now *vclock.Time, cache *memcache.Client) (cacheVal, bool) {
-	r.cacheRPCs.Add(1)
-	item, done, err := cache.Get(*now, path)
-	*now = done
+func (c *committer) cacheLookup(path string) (cacheVal, bool) {
+	c.r.cacheRPCs.Add(1)
+	item, done, err := c.cache.Get(c.now, path)
+	c.now = done
 	if err != nil {
 		return cacheVal{}, false
 	}
@@ -611,49 +697,30 @@ func (r *Region) cacheLookup(path string, now *vclock.Time, cache *memcache.Clie
 	return v, true
 }
 
-// clearDirty clears the dirty flag for the op's seq: the backup copy now
-// matches this version. A newer seq means another mutation is in flight
-// and its own commit will clear the flag; the cache server checks the seq
-// under its shard lock, in one round trip.
-func (r *Region) clearDirty(op Op, now *vclock.Time, cache *memcache.Client) {
-	r.cacheRPCs.Add(1)
-	_, done, _ := cache.ClearDirty(*now, op.Path, op.Seq)
-	*now = done
-}
-
-// finishRemove deletes the removed marker from the cache once the remove
-// committed ("their cached metadata are deleted after the operations are
-// committed", §III.D.1) — unless a newer incarnation replaced it: the
-// delete is conditional on the marker still carrying this remove's seq,
-// so a create-after-rm's fresh entry is never destroyed.
-func (r *Region) finishRemove(op Op, now *vclock.Time, cache *memcache.Client) {
-	r.deleteIf(cache, now, op.Path, memcache.CondSeqRemoved, op.Seq)
-}
-
 // writebackInline writes a newly created small file's bytes to the DFS.
-func (r *Region) writebackInline(path string, inline []byte, now *vclock.Time, backend Backend) {
+func (c *committer) writebackInline(path string, inline []byte) {
 	if len(inline) == 0 {
 		return
 	}
-	r.backendRPCs.Add(1)
-	done, err := backend.WriteAt(*now, path, 0, inline)
-	*now = done
+	c.r.backendRPCs.Add(1)
+	done, err := c.backend.WriteAt(c.now, path, 0, inline)
+	c.now = done
 	if err != nil {
-		r.dropped.Add(1)
+		c.r.dropped.Add(1)
 	}
 }
 
 // writebackSpill writes fsync-spilled inline data to the DFS after the
 // file's create committed (§III.D.2).
-func (r *Region) writebackSpill(path string, now *vclock.Time, backend Backend) {
-	data, ok := r.spillTake(path)
+func (c *committer) writebackSpill(path string) {
+	data, ok := c.r.spillTake(path)
 	if !ok {
 		return
 	}
-	r.backendRPCs.Add(1)
-	done, err := backend.WriteAt(*now, path, 0, data)
-	*now = done
+	c.r.backendRPCs.Add(1)
+	done, err := c.backend.WriteAt(c.now, path, 0, data)
+	c.now = done
 	if err != nil {
-		r.dropped.Add(1)
+		c.r.dropped.Add(1)
 	}
 }

@@ -14,6 +14,9 @@ import (
 func TestSmallFileInlineWriteRead(t *testing.T) {
 	e := newEnv(t, 2, nil)
 	c := e.client(t, "node0")
+	// The commit side writes the backup copy to a data server whenever
+	// it gets to it; parked, the only traffic is the read path's.
+	release := holdCommits(t, e.region)
 	at, err := c.Create(0, "/w/small", 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +42,7 @@ func TestSmallFileInlineWriteRead(t *testing.T) {
 		t.Fatalf("cross-node inline read = %q, %v", got, err)
 	}
 	// After drain the backup copy (real file bytes) exists on the DFS.
+	release()
 	at, err = e.region.Drain(at)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +121,9 @@ func TestLargeFileTransitionAndRedirect(t *testing.T) {
 func TestFsyncSpillAndWriteback(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	c := e.client(t, "node0")
+	// Fsync spills only what is still dirty: keep the commit side from
+	// winning the race to the create.
+	release := holdCommits(t, e.region)
 	at, _ := c.Create(0, "/w/f", 0o644)
 	payload := []byte("must be durable")
 	at, _ = c.WriteAt(at, "/w/f", 0, payload)
@@ -127,6 +134,7 @@ func TestFsyncSpillAndWriteback(t *testing.T) {
 	if e.region.SpillCount() != 1 {
 		t.Fatalf("spill count = %d", e.region.SpillCount())
 	}
+	release()
 	at, err = e.region.Drain(at)
 	if err != nil {
 		t.Fatal(err)
@@ -330,9 +338,13 @@ func TestCheckpointIsOptionalDrainAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Parked, the commit side cannot win the race to the second create
+	// before the node goes down.
+	release := holdCommits(t, e.region)
 	at2, _ := c.Create(at, "/w/uncommitted", 0o644)
 	_ = at2
 	lost := e.region.SimulateNodeFailure("node0")
+	release()
 	if lost != 1 {
 		t.Fatalf("lost ops = %d, want 1", lost)
 	}

@@ -26,6 +26,8 @@ type Backend interface {
 	CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error)
 	SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error)
 	Remove(at vclock.Time, p string) (vclock.Time, error)
+	// RmTree removes p's subtree and returns every path it removed, p
+	// included (Rmdir drops exactly those from the cache).
 	RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
 	Rename(at vclock.Time, src, dst string) (vclock.Time, error)
 	Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Time, error)
@@ -35,7 +37,8 @@ type Backend interface {
 	// possible (one per metadata server touched). The error slice has one
 	// entry per op; a non-nil batch-level error means the whole batch's
 	// disposition is unknown and the caller must fall back to singleton
-	// application.
+	// application. ops is the commit process's scratch, refilled for the
+	// next wave: an implementation must not keep it past the call.
 	ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error)
 }
 
@@ -203,9 +206,9 @@ type Region struct {
 	// skip or repeat entries).
 	evictLast string
 	// evictPaths is the round's scratch: the chosen subtree's paths
-	// awaiting their delete_if_multi fan-out, at most evictChunk of them.
-	// Guarded by evictMu, reused across rounds.
-	evictPaths []string
+	// awaiting their settle_multi fan-out (each a delete-if-clean), at
+	// most evictChunk of them. Guarded by evictMu, reused across rounds.
+	evictPaths []memcache.Settle
 
 	// invalGen counts dependent-operation invalidations (rmdir, rename).
 	// A cache-miss load records it before reading the DFS and re-checks
@@ -374,7 +377,7 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		r.wg.Add(1)
 		go func(node string) {
 			defer r.wg.Done()
-			r.commitLoop(node, r.newBackend(node))
+			r.newCommitter(node, r.newBackend(node)).run(r.queues[node])
 		}(node)
 	}
 	return r, nil

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pacon/internal/memcache"
-	"pacon/internal/obs"
-)
+import "pacon/internal/obs"
 
 // This file is the commit pipeline's seam to internal/obs. Every hook
 // goes through the one *obs.Node an op carries (Op.tel) and records
@@ -76,22 +73,24 @@ type traceCarrier interface {
 	ClearTrace()
 }
 
-// commitTrace tags the commit loop's cache and backend callers with a
-// sampled op's span, so the server-side events of the apply's RPCs
-// (DFS create/apply_batch, cache clear_dirty/delete_if) land in the
-// originating client op's span. Returns the untag closure, or nil for
-// unsampled ops (the common case — no allocation).
-func (r *Region) commitTrace(op Op, backend Backend, cache *memcache.Client) func() {
+// commitTrace tags the commit process's cache and backend callers with
+// a sampled op's span, so the server-side events of the apply's RPCs
+// (DFS create/apply_batch and the data write-back, the cache lookup of
+// an ErrExist) land in the originating client op's span. The wave's
+// settle_multi is sent untagged: it runs after every op of the wave has
+// reached its terminal and belongs to no one of them. Returns the untag
+// closure, or nil for unsampled ops (the common case — no allocation).
+func (c *committer) commitTrace(op Op) func() {
 	if !op.Sampled || op.Span == 0 {
 		return nil
 	}
-	cache.SetTrace(op.Span)
-	tc, ok := backend.(traceCarrier)
+	c.cache.SetTrace(op.Span)
+	tc, ok := c.backend.(traceCarrier)
 	if ok {
 		tc.SetTrace(op.Span)
 	}
 	return func() {
-		cache.ClearTrace()
+		c.cache.ClearTrace()
 		if ok {
 			tc.ClearTrace()
 		}

@@ -251,7 +251,7 @@ func (m *MDS) Service() *rpc.Service {
 	svc.Handle("apply_batch", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
-		n := int(d.Uvarint())
+		n := d.Count()
 		ops := make([]fsapi.BatchOp, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			op := fsapi.BatchOp{Kind: fsapi.BatchKind(d.Byte())}

@@ -141,7 +141,7 @@ func (c *Client) shardedRename(at vclock.Time, src, dst string) (vclock.Time, er
 		return at, err
 	}
 	d := wire.NewDecoder(resp)
-	n := int(d.Uvarint())
+	n := d.Count()
 	rels := make([]string, 0, n)
 	stats := make([]fsapi.Stat, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {

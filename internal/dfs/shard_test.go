@@ -10,6 +10,7 @@ import (
 	"pacon/internal/fsapi"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 // shardedCluster deploys a sharded cluster with /w as the spread root
@@ -521,5 +522,60 @@ func TestShardedTraceAttribution(t *testing.T) {
 		if !seen[addr] {
 			t.Fatalf("no span event attributed to shard %s (saw %v)", addr, seen)
 		}
+	}
+}
+
+// TestOversizedCountIsAnErrorNotAPanic: the three decoders that size a
+// slice by a count read off the wire — apply_batch (the commit path's own
+// RPC), xfer_apply and the client's reading of an xfer_prepare reply —
+// must reject a count no frame of that size could hold. A peer's ten
+// bytes used to panic the MDS with "makeslice: cap out of range".
+func TestOversizedCountIsAnErrorNotAPanic(t *testing.T) {
+	c, cl := shardedCluster(t, 2)
+	caller := rpc.NewCaller(c.Net, c.Model, "node0")
+	frame := func(head func(e *wire.Encoder)) []byte {
+		e := wire.NewEncoder(32)
+		head(e)
+		e.Uvarint(1 << 60)
+		return e.Bytes()
+	}
+	cred := func(e *wire.Encoder) {
+		e.Uint32(appCred.UID)
+		e.Uint32(appCred.GID)
+	}
+	for method, body := range map[string][]byte{
+		"apply_batch": frame(cred),
+		"xfer_apply":  frame(func(e *wire.Encoder) { e.String("/w/dst"); cred(e) }),
+	} {
+		if _, resp, err := caller.Call(c.MDSAddr, method, 0, body); err == nil || resp != nil {
+			t.Fatalf("%s accepted a count of 2^60 in a %d-byte frame: reply %x, err %v", method, len(body), resp, err)
+		}
+	}
+
+	// The source shard answers xfer_prepare with the same count: the
+	// rename fails, releases its intent, and moves nothing.
+	src := nameOwnedBy(t, c.Shards, 0, "src")
+	dst := nameOwnedBy(t, c.Shards, 1, "dst")
+	if _, err := cl.Mkdir(0, src, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	liar := rpc.NewService()
+	liar.Handle("xfer_prepare", func(at vclock.Time, _ []byte) (vclock.Time, []byte, error) {
+		return at, frame(func(*wire.Encoder) {}), nil
+	})
+	liar.Handle("intent_del", func(at vclock.Time, _ []byte) (vclock.Time, []byte, error) {
+		released = true
+		return at, nil, nil
+	})
+	c.Net.Register(c.Shards.AddrOf(0), liar)
+	if _, err := cl.Rename(0, src, dst); !errors.Is(err, wire.ErrTooLong) {
+		t.Fatalf("rename over an oversized xfer_prepare reply = %v, want %v", err, wire.ErrTooLong)
+	}
+	if !released {
+		t.Fatal("failed rename left its source intent held")
+	}
+	if c.MDSes[1].Tree().Exists(dst) {
+		t.Fatal("failed rename materialized the destination")
 	}
 }

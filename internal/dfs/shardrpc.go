@@ -171,7 +171,7 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		d := wire.NewDecoder(body)
 		dst := d.String()
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
-		n := int(d.Uvarint())
+		n := d.Count()
 		rels := make([]string, 0, n)
 		stats := make([]fsapi.Stat, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {

@@ -77,18 +77,22 @@ type MultiResult struct {
 
 // perOwner groups keys by owning server and runs call once per group,
 // every call starting at the same virtual instant — the one fan-out
-// behind GetMulti, AddMulti and DeleteIfMulti. Several groups run
-// concurrently, a lone group on the caller's goroutine; call issues the
-// owner's RPC, records the results of the positions in g.Idx and
-// returns the RPC's completion time. perOwner returns how many owners
-// were contacted and the latest completion (vclock.Max merge).
+// behind GetMulti, AddMulti and SettleMulti. call issues the owner's
+// RPC, records the results of the positions in g.Idx and returns the
+// RPC's completion time. Several groups run concurrently where their
+// waits can overlap; a lone group, and every group on a transport that
+// runs handlers on the calling goroutine (rpc.Caller.Inline), runs on
+// the caller's goroutine — the virtual completion is the same and no
+// goroutine is spawned to wait for nothing. perOwner returns how many
+// owners were contacted and the latest completion (vclock.Max merge).
 func (c *Client) perOwner(at vclock.Time, keys []string, call func(g dht.OwnerGroup) vclock.Time) (int, vclock.Time) {
 	groups := c.ring.GroupByOwner(keys)
-	switch len(groups) {
-	case 0:
-		return 0, at
-	case 1:
-		return 1, vclock.Max(at, call(groups[0]))
+	if len(groups) <= 1 || c.caller.Inline() {
+		latest := at
+		for _, g := range groups {
+			latest = vclock.Max(latest, call(g))
+		}
+		return len(groups), latest
 	}
 	var wg sync.WaitGroup
 	times := make([]vclock.Time, len(groups))
@@ -133,7 +137,7 @@ func finish(d *wire.Decoder) error {
 }
 
 // GetMulti fetches keys with one "get_multi" RPC per owning server,
-// fanned out concurrently from the same virtual instant and merged with
+// fanned out from the same virtual instant (see perOwner) and merged with
 // vclock.Max — the batched read path's single round trip per owner.
 // Results align with keys. A dead or misbehaving owner marks only its
 // own keys with Err; the other owners' keys still resolve, so callers
@@ -169,7 +173,7 @@ func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.
 }
 
 // AddMulti stores a batch of entries add-if-absent with one "add_multi"
-// RPC per owning server (concurrent fan-out, vclock.Max merge) — the
+// RPC per owning server (perOwner fan-out, vclock.Max merge) — the
 // grouped cache warm. Results align with entries; per-entry ErrExist /
 // ErrOutOfSpace mean "skip", a transport error marks the whole owner's
 // slice.
@@ -261,90 +265,47 @@ func (c *Client) DeleteCAS(at vclock.Time, key string, expect uint64) (vclock.Ti
 	return done, err
 }
 
-// ClearDirty clears the dirty flag of key's value if its header seq
-// equals seq — the server evaluates the predicate under its shard lock,
-// replacing the commit module's Get + CAS retry loop with one round
-// trip. No-op (false) when the key is absent, the seq moved on, or the
-// value is already clean.
-func (c *Client) ClearDirty(at vclock.Time, key string, seq uint64) (bool, vclock.Time, error) {
-	e := wire.GetEncoder()
-	e.String(key)
-	e.Uvarint(seq)
-	done, resp, err := c.caller.Call(c.Owner(key), "clear_dirty", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return false, done, err
+// SettleMulti applies entries with one "settle_multi" RPC per owning
+// server — how a commit wave, an eviction round or an rmdir settles any
+// number of keys in one round trip per cache server instead of one per
+// key. It returns how many entries took effect and how many owners were
+// contacted. An owner that cannot be reached fails only its own keys:
+// the others' entries still apply and are counted, and one of the
+// failures is returned.
+func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners int, done vclock.Time, err error) {
+	keys := make([]string, len(entries))
+	for i, en := range entries {
+		keys[i] = en.Key
 	}
-	d := wire.GetDecoder(resp)
-	cleared := d.Bool()
-	derr := d.Finish()
-	wire.PutDecoder(d)
-	if derr != nil {
-		return false, done, derr
-	}
-	return cleared, done, nil
-}
-
-// DeleteIf removes key if cond holds for its current value header —
-// the server-side form of the Get + DeleteCAS loop: one round trip, no
-// ErrStale retry traffic. No-op (false) when absent or the predicate
-// fails.
-func (c *Client) DeleteIf(at vclock.Time, key string, cond Cond, seq uint64) (bool, vclock.Time, error) {
-	e := wire.GetEncoder()
-	e.String(key)
-	e.Byte(byte(cond))
-	e.Uvarint(seq)
-	done, resp, err := c.caller.Call(c.Owner(key), "delete_if", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return false, done, err
-	}
-	d := wire.GetDecoder(resp)
-	deleted := d.Bool()
-	derr := d.Finish()
-	wire.PutDecoder(d)
-	if derr != nil {
-		return false, done, derr
-	}
-	return deleted, done, nil
-}
-
-// DeleteIfMulti applies DeleteIf to every key with one "delete_if_multi"
-// RPC per owning server — how an eviction round drops a subtree in one
-// round trip per cache server instead of one per path. It returns how
-// many keys were deleted and how many owners were contacted. An owner
-// that cannot be reached fails only its own keys: the others' deletions
-// still happen and are counted, and one of the failures is returned.
-func (c *Client) DeleteIfMulti(at vclock.Time, keys []string, cond Cond, seq uint64) (deleted, owners int, done vclock.Time, err error) {
 	var mu sync.Mutex
 	owners, done = c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
 		e := wire.GetEncoder()
-		e.Byte(byte(cond))
-		e.Uvarint(seq)
 		e.Uvarint(uint64(len(g.Idx)))
 		for _, i := range g.Idx {
-			e.String(keys[i])
+			e.String(entries[i].Key)
+			e.Byte(entries[i].action())
+			e.Uvarint(entries[i].Seq)
 		}
-		gdone, resp, gerr := c.caller.Call(g.Owner, "delete_if_multi", at, e.Bytes())
+		gdone, resp, gerr := c.caller.Call(g.Owner, "settle_multi", at, e.Bytes())
 		wire.PutEncoder(e)
 		var n uint64
 		if gerr == nil {
 			d := wire.GetDecoder(resp)
 			n = d.Uvarint()
 			if gerr = finish(d); gerr == nil && n > uint64(len(g.Idx)) {
-				gerr = fmt.Errorf("memcache: delete_if_multi deleted %d of %d keys", n, len(g.Idx))
+				gerr = fmt.Errorf("memcache: settle_multi applied %d of %d entries", n, len(g.Idx))
 			}
 		}
 		mu.Lock()
 		if gerr == nil {
-			deleted += int(n)
+			applied += int(n)
 		} else if err == nil {
 			err = gerr
 		}
 		mu.Unlock()
 		return gdone
 	})
-	return deleted, owners, done, err
+	return applied, owners, done, err
 }
 
 // fanOut invokes fn once per ring member concurrently, starting each at

@@ -372,9 +372,19 @@ func makeVal(flags byte, seq uint64) []byte {
 	return e.Bytes()
 }
 
+// settleOne applies a single settle entry and reports whether it took
+// effect.
+func settleOne(s *Server, en Settle) bool {
+	applied, _ := s.SettleMulti(0, []Settle{en})
+	return applied == 1
+}
+
 func TestServerClearDirty(t *testing.T) {
 	s := testServer(ServerConfig{})
-	if cleared, _, _ := s.ClearDirty(0, "/w/missing", 1); cleared {
+	clearDirty := func(key string, seq uint64) bool {
+		return settleOne(s, Settle{Key: key, Seq: seq, Clear: true})
+	}
+	if clearDirty("/w/missing", 1) {
 		t.Fatal("clear_dirty on absent key reported cleared")
 	}
 	cas, _, err := s.Set(0, "/w/f", makeVal(hdrDirty, 7), 0)
@@ -382,12 +392,11 @@ func TestServerClearDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong seq: predicate fails under the shard lock, value untouched.
-	if cleared, _, _ := s.ClearDirty(0, "/w/f", 6); cleared {
+	if clearDirty("/w/f", 6) {
 		t.Fatal("clear_dirty with stale seq cleared the flag")
 	}
-	cleared, _, err := s.ClearDirty(0, "/w/f", 7)
-	if err != nil || !cleared {
-		t.Fatalf("clear_dirty = %v, %v", cleared, err)
+	if !clearDirty("/w/f", 7) {
+		t.Fatal("clear_dirty with the matching seq did nothing")
 	}
 	item, _, _ := s.Get(0, "/w/f")
 	if item.Value[0]&hdrDirty != 0 {
@@ -401,23 +410,26 @@ func TestServerClearDirty(t *testing.T) {
 		t.Fatalf("stale CAS after clear_dirty = %v", err)
 	}
 	// Already clean: no-op.
-	if cleared, _, _ := s.ClearDirty(0, "/w/f", 7); cleared {
+	if clearDirty("/w/f", 7) {
 		t.Fatal("clear_dirty on clean value reported cleared")
 	}
 }
 
 func TestServerDeleteIf(t *testing.T) {
 	s := testServer(ServerConfig{})
-	if deleted, _, _ := s.DeleteIf(0, "/w/missing", CondSeq, 1); deleted {
+	deleteIf := func(key string, cond Cond, seq uint64) bool {
+		return settleOne(s, Settle{Key: key, Seq: seq, Cond: cond})
+	}
+	if deleteIf("/w/missing", CondSeq, 1) {
 		t.Fatal("delete_if on absent key reported deleted")
 	}
 
 	// CondSeq: only the exact incarnation goes.
 	s.Set(0, "/w/a", makeVal(hdrDirty, 3), 0)
-	if deleted, _, _ := s.DeleteIf(0, "/w/a", CondSeq, 2); deleted {
+	if deleteIf("/w/a", CondSeq, 2) {
 		t.Fatal("CondSeq deleted a newer incarnation")
 	}
-	if deleted, _, _ := s.DeleteIf(0, "/w/a", CondSeq, 3); !deleted {
+	if !deleteIf("/w/a", CondSeq, 3) {
 		t.Fatal("CondSeq did not delete the matching incarnation")
 	}
 	if _, _, err := s.Get(0, "/w/a"); !errors.Is(err, fsapi.ErrNotExist) {
@@ -426,25 +438,35 @@ func TestServerDeleteIf(t *testing.T) {
 
 	// CondSeqRemoved: requires the removed flag on top of the seq match.
 	s.Set(0, "/w/b", makeVal(hdrDirty, 5), 0)
-	if deleted, _, _ := s.DeleteIf(0, "/w/b", CondSeqRemoved, 5); deleted {
+	if deleteIf("/w/b", CondSeqRemoved, 5) {
 		t.Fatal("CondSeqRemoved deleted a live (non-removed) value")
 	}
 	s.Set(0, "/w/b", makeVal(hdrDirty|hdrRemoved, 5), 0)
-	if deleted, _, _ := s.DeleteIf(0, "/w/b", CondSeqRemoved, 5); !deleted {
+	if !deleteIf("/w/b", CondSeqRemoved, 5) {
 		t.Fatal("CondSeqRemoved did not delete the matching marker")
 	}
 
 	// CondClean: only committed (neither dirty nor removed) values go.
 	s.Set(0, "/w/c", makeVal(hdrDirty, 9), 0)
-	if deleted, _, _ := s.DeleteIf(0, "/w/c", CondClean, 0); deleted {
+	if deleteIf("/w/c", CondClean, 0) {
 		t.Fatal("CondClean deleted a dirty value")
 	}
 	s.Set(0, "/w/c", makeVal(0, 9), 0)
-	if deleted, _, _ := s.DeleteIf(0, "/w/c", CondClean, 0); !deleted {
+	if !deleteIf("/w/c", CondClean, 0) {
 		t.Fatal("CondClean did not delete a clean value")
 	}
 
-	// Accounting: deletions through delete_if must release their bytes.
+	// CondAlways: whatever the value holds, header or none.
+	s.Set(0, "/w/d", makeVal(hdrDirty|hdrRemoved, 11), 0)
+	s.Set(0, "/w/e", []byte{}, 0)
+	if !deleteIf("/w/d", CondAlways, 0) || !deleteIf("/w/e", CondAlways, 0) {
+		t.Fatal("CondAlways kept a value")
+	}
+	if deleteIf("/w/e", CondAlways, 0) {
+		t.Fatal("CondAlways on an absent key reported deleted")
+	}
+
+	// Accounting: conditional deletions must release their bytes.
 	if used := s.Stats().UsedBytes; used != 0 {
 		t.Fatalf("used bytes after conditional deletes = %d", used)
 	}
@@ -455,33 +477,39 @@ func TestClientConditionalOpsThroughRPC(t *testing.T) {
 	if _, _, err := c.Set(0, "/w/f", makeVal(hdrDirty, 4), 0); err != nil {
 		t.Fatal(err)
 	}
-	cleared, _, err := c.ClearDirty(0, "/w/f", 4)
-	if err != nil || !cleared {
-		t.Fatalf("ClearDirty over rpc = %v, %v", cleared, err)
+	settle := func(en Settle) bool {
+		t.Helper()
+		applied, owners, _, err := c.SettleMulti(0, []Settle{en})
+		if err != nil || owners != 1 {
+			t.Fatalf("settle %+v over rpc: %d owners, %v", en, owners, err)
+		}
+		return applied == 1
+	}
+	if !settle(Settle{Key: "/w/f", Seq: 4, Clear: true}) {
+		t.Fatal("clear-dirty over rpc did nothing")
 	}
 	item, _, _ := c.Get(0, "/w/f")
 	if item.Value[0]&hdrDirty != 0 {
-		t.Fatal("dirty flag still set after rpc ClearDirty")
+		t.Fatal("dirty flag still set after rpc clear-dirty")
 	}
-	deleted, _, err := c.DeleteIf(0, "/w/f", CondClean, 0)
-	if err != nil || !deleted {
-		t.Fatalf("DeleteIf over rpc = %v, %v", deleted, err)
+	if !settle(Settle{Key: "/w/f", Cond: CondClean}) {
+		t.Fatal("delete-if-clean over rpc did nothing")
 	}
 	if _, _, err := c.Get(0, "/w/f"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatal("value survived rpc DeleteIf")
+		t.Fatal("value survived rpc delete-if")
 	}
-	// No-op conditional delete: false, no error.
-	deleted, _, err = c.DeleteIf(0, "/w/f", CondSeq, 4)
-	if err != nil || deleted {
-		t.Fatalf("DeleteIf on absent key = %v, %v", deleted, err)
+	// No-op conditional delete: not applied, no error.
+	if settle(Settle{Key: "/w/f", Seq: 4, Cond: CondSeq}) {
+		t.Fatal("delete-if on an absent key reported applied")
 	}
 }
 
-// TestConditionalOpsNeverDeleteAckedCAS hammers delete_if and
-// clear_dirty against a concurrent CAS writer on one key. The writer
-// installs (dirty, seq n) incarnations; the cleaner plays commit
-// process and evictor for every seq the writer has released to it
-// (clear_dirty n, delete_if clean, delete_if seq n). Between a CAS's
+// TestConditionalOpsNeverDeleteAckedCAS hammers settle_multi's delete-if
+// and clear-dirty actions against a concurrent CAS writer on one key. The
+// writer installs (dirty, seq n) incarnations; the cleaner plays commit
+// process and evictor for every seq the writer has released to it, all
+// five actions riding one multi-key request beside a bystander key
+// (clear-dirty n, delete-if clean, delete-if seq n, ...). Between a CAS's
 // acknowledgement and the release of its seq only cleanup aimed at
 // older incarnations is in flight, and none of it may touch the acked
 // value: the predicates run under the shard lock, so there is no
@@ -517,20 +545,24 @@ func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
 			}
 			seq := released.Load()
 			for _, cond := range []Cond{CondClean, CondSeq, CondSeqRemoved} {
-				ok, _, err := cleaner.ClearDirty(0, key, seq)
-				if err != nil {
-					t.Errorf("clear_dirty: %v", err)
-					return
-				}
-				if ok {
-					cleared.Add(1)
-				}
-				if ok, _, err = cleaner.DeleteIf(0, key, cond, seq); err != nil {
-					t.Errorf("delete_if: %v", err)
-					return
-				}
-				if ok {
-					deleted.Add(1)
+				// The bystander's entry rides the same frame with a
+				// seq of its own: it never matches, and must not lend
+				// its seq to the contended key's entries either.
+				for _, en := range []Settle{
+					{Key: key, Seq: seq, Clear: true},
+					{Key: key, Seq: seq, Cond: cond},
+				} {
+					n, _, _, err := cleaner.SettleMulti(0, []Settle{{Key: "/w/bystander", Seq: seq + 1, Cond: CondSeq}, en})
+					if err != nil {
+						t.Errorf("settle_multi: %v", err)
+						return
+					}
+					switch {
+					case n == 1 && en.Clear:
+						cleared.Add(1)
+					case n == 1:
+						deleted.Add(1)
+					}
 				}
 			}
 			runtime.Gosched() // single-CPU runs: alternate with the writer

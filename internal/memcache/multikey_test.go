@@ -16,31 +16,48 @@ import (
 // these tests pin what the grouping must preserve (input positions,
 // duplicates) and how each call degrades (empty ring, dead owner).
 
-func TestDeleteIfMultiOneRoundTripPerOwner(t *testing.T) {
+// TestSettleMultiOneRoundTripPerOwner: one call settles a wave's worth
+// of keys with one RPC per owning server, and every entry is judged by
+// its own action, predicate and seq — never by a neighbour's.
+func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 	c, servers := clusterEnv(t, 4)
-	keys := make([]string, 0, 203)
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("/w/d/f%03d", i)
-		flags := byte(0)
-		if i%4 == 0 {
-			flags = hdrDirty // primary copies: CondClean must keep them
+	const n = 200
+	var entries []Settle
+	for i := 0; i < n; i++ {
+		key, seq := fmt.Sprintf("/w/d/f%03d", i), uint64(i+1)
+		var flags byte
+		var en Settle
+		switch i % 4 {
+		case 0: // committed create: the flag clears, the entry stays
+			flags, en = hdrDirty, Settle{Key: key, Seq: seq, Clear: true}
+		case 1: // eviction of committed metadata
+			flags, en = 0, Settle{Key: key, Cond: CondClean}
+		case 2: // cleanup aimed at an older incarnation: must do nothing
+			flags, en = hdrDirty, Settle{Key: key, Seq: seq - 1, Cond: CondSeq}
+		case 3: // committed remove: the marker goes
+			flags, en = hdrDirty|hdrRemoved, Settle{Key: key, Seq: seq, Cond: CondSeqRemoved}
 		}
-		if _, _, err := c.Set(0, key, makeVal(flags, uint64(i)), 0); err != nil {
+		if _, _, err := c.Set(0, key, makeVal(flags, seq), 0); err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, key)
+		entries = append(entries, en)
 	}
-	// An absent key and a duplicate are no-ops, not errors: the second
-	// occurrence finds the key already gone.
-	keys = append(keys, "/w/d/absent", keys[1], keys[1])
+	// An absent key and a repeated entry are no-ops, not errors: the
+	// second occurrence finds the key already gone. A key that occurs
+	// twice with different actions has them applied in input order —
+	// f000 was cleared above and is clean by the time this delete runs.
+	entries = append(entries,
+		Settle{Key: "/w/d/absent", Seq: 9, Cond: CondSeq},
+		entries[1], entries[1],
+		Settle{Key: "/w/d/f000", Cond: CondClean})
 
 	calls := c.Calls()
-	deleted, owners, done, err := c.DeleteIfMulti(100, keys, CondClean, 0)
+	applied, owners, done, err := c.SettleMulti(100, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deleted != 150 {
-		t.Fatalf("deleted %d keys, want the 150 clean ones", deleted)
+	if want := 3*n/4 + 1; applied != want {
+		t.Fatalf("%d entries took effect, want %d", applied, want)
 	}
 	if got := c.Calls() - calls; owners != 4 || got != 4 {
 		t.Fatalf("contacted %d owners in %d RPCs, want 4 and 4", owners, got)
@@ -52,33 +69,156 @@ func TestDeleteIfMultiOneRoundTripPerOwner(t *testing.T) {
 	for _, s := range servers {
 		items += s.Stats().Items
 	}
-	if items != 50 {
-		t.Fatalf("%d items resident, want the 50 dirty ones", items)
+	if want := int64(n/2 - 1); items != want {
+		t.Fatalf("%d items resident, want %d", items, want)
 	}
-	for i := 0; i < 200; i++ {
-		_, _, err := c.Get(0, keys[i])
-		if dirty := i%4 == 0; dirty != (err == nil) {
-			t.Fatalf("%s (dirty=%v): get = %v", keys[i], dirty, err)
+	for i := 1; i < n; i++ {
+		item, _, err := c.Get(0, entries[i].Key)
+		switch i % 4 {
+		case 0:
+			if flags, seq, ok := parseValueHeader(item.Value); err != nil || !ok || flags != 0 || seq != uint64(i+1) {
+				t.Fatalf("%s after clear-dirty: flags=%#x seq=%d, %v", entries[i].Key, flags, seq, err)
+			}
+		case 2:
+			if flags, seq, ok := parseValueHeader(item.Value); err != nil || !ok || flags != hdrDirty || seq != uint64(i+1) {
+				t.Fatalf("%s touched by a stale-seq delete: flags=%#x seq=%d, %v", entries[i].Key, flags, seq, err)
+			}
+		default:
+			if !errors.Is(err, fsapi.ErrNotExist) {
+				t.Fatalf("%s survived its delete: %v", entries[i].Key, err)
+			}
 		}
 	}
+	if _, _, err := c.Get(0, "/w/d/f000"); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("f000 cleared then deleted-if-clean in one call: get = %v", err)
+	}
 
-	if deleted, owners, _, err := c.DeleteIfMulti(0, nil, CondClean, 0); deleted != 0 || owners != 0 || err != nil {
-		t.Fatalf("empty key list = %d deleted, %d owners, %v", deleted, owners, err)
+	if applied, owners, _, err := c.SettleMulti(0, nil); applied != 0 || owners != 0 || err != nil {
+		t.Fatalf("empty entry list = %d applied, %d owners, %v", applied, owners, err)
 	}
 }
 
-// TestDeleteIfMultiChargesPerKey: the batch saves round trips, not
+// TestSettleMultiChargesPerKey: the batch saves round trips, not
 // service time — n keys hold the server's worker for n × CacheOpCost.
-func TestDeleteIfMultiChargesPerKey(t *testing.T) {
+func TestSettleMultiChargesPerKey(t *testing.T) {
 	s := testServer(ServerConfig{})
-	keys := []string{"/w/a", "/w/b", "/w/c", "/w/d", "/w/e"}
+	var entries []Settle
+	for _, key := range []string{"/w/a", "/w/b", "/w/c", "/w/d", "/w/e"} {
+		entries = append(entries, Settle{Key: key, Cond: CondClean})
+	}
 	served := s.ServedOps()
-	_, done := s.DeleteIfMulti(0, keys, CondClean, 0)
+	_, done := s.SettleMulti(0, entries)
 	if want := vclock.Time(0).Add(5 * vclock.Default().CacheOpCost); done != want {
 		t.Fatalf("5-key batch done at %v, want %v", done, want)
 	}
 	if got := s.ServedOps() - served; got != 5 {
 		t.Fatalf("served ops moved by %d, want 5", got)
+	}
+}
+
+// TestSettleMultiMalformedFrameTouchesNothing: the handler decodes and
+// checks the whole frame before the first key is touched, so a request
+// that goes wrong at its last entry has settled none of the earlier
+// ones.
+func TestSettleMultiMalformedFrameTouchesNothing(t *testing.T) {
+	s := testServer(ServerConfig{})
+	s.Set(0, "/w/a", makeVal(0, 1), 0)
+	s.Set(0, "/w/b", makeVal(hdrDirty, 2), 0)
+	bus := rpc.NewBus()
+	bus.Register("n/cache", s.Service())
+	caller := rpc.NewCaller(bus, vclock.Default(), "n")
+
+	frame := func(count uint64, tail func(e *wire.Encoder)) []byte {
+		e := wire.NewEncoder(64)
+		e.Uvarint(count)
+		for _, en := range []Settle{{Key: "/w/a", Cond: CondClean}, {Key: "/w/b", Seq: 2, Clear: true}} {
+			e.String(en.Key)
+			e.Byte(en.action())
+			e.Uvarint(en.Seq)
+		}
+		tail(e)
+		return e.Bytes()
+	}
+	for name, body := range map[string][]byte{
+		"unknown action": frame(3, func(e *wire.Encoder) { e.String("/w/a"); e.Byte(2 + byte(CondAlways)); e.Uvarint(0) }),
+		"truncated":      frame(3, func(e *wire.Encoder) { e.String("/w/a") }),
+		"trailing bytes": frame(2, func(e *wire.Encoder) { e.Byte(0) }),
+		"count too big":  frame(1<<60, func(*wire.Encoder) {}),
+	} {
+		if _, resp, err := caller.Call("n/cache", "settle_multi", 0, body); err == nil || resp != nil {
+			t.Fatalf("%s: reply %x, err %v", name, resp, err)
+		}
+		a, _, aerr := s.Get(0, "/w/a")
+		b, _, berr := s.Get(0, "/w/b")
+		if aerr != nil || berr != nil || b.Value[0]&hdrDirty == 0 || a.CAS != 1 || b.CAS != 2 {
+			t.Fatalf("%s: rejected frame was partly applied: /w/a %+v %v, /w/b %+v %v", name, a, aerr, b, berr)
+		}
+	}
+	// The same two entries in a well-formed frame do apply.
+	if _, _, err := caller.Call("n/cache", "settle_multi", 0, frame(2, func(*wire.Encoder) {})); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get(0, "/w/a"); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("/w/a after a well-formed frame: %v", err)
+	}
+	if b, _, _ := s.Get(0, "/w/b"); b.Value[0]&hdrDirty != 0 {
+		t.Fatal("/w/b still dirty after a well-formed frame")
+	}
+}
+
+// TestFanOutSerialAndConcurrentAgree: on a transport that runs handlers
+// in the caller's goroutine the per-owner calls are issued one after
+// another, elsewhere concurrently — and because each is charged from the
+// same `at`, never from its predecessor's completion, both forms return
+// the same results at the same virtual time. The second client reaches
+// the same kind of cluster through a wrapper that hides what the Bus says
+// of itself.
+func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
+	build := func(wrap func(*rpc.Bus) rpc.Transport) *Client {
+		bus, model, ring := rpc.NewBus(), vclock.Default(), dht.New(0)
+		for i := 0; i < 4; i++ {
+			addr := fmt.Sprintf("node%d/cache", i)
+			bus.Register(addr, NewServer(addr, ServerConfig{Model: model}).Service())
+			ring.Add(addr)
+		}
+		return NewClient(rpc.NewCaller(wrap(bus), model, "node0"), ring)
+	}
+	serial := build(func(b *rpc.Bus) rpc.Transport { return b })
+	concurrent := build(func(b *rpc.Bus) rpc.Transport { return struct{ rpc.Transport }{b} })
+	if !serial.caller.Inline() || concurrent.caller.Inline() {
+		t.Fatalf("inline = %v / %v, want the bus to report it and the wrapper to hide it", serial.caller.Inline(), concurrent.caller.Inline())
+	}
+	var keys []string
+	var entries []Settle
+	for i := 0; i < 64; i++ {
+		keys = append(keys, fmt.Sprintf("/w/k%02d", i))
+		entries = append(entries, Settle{Key: keys[i], Seq: uint64(i), Clear: true})
+	}
+	for _, c := range []*Client{serial, concurrent} {
+		for i, key := range keys {
+			if _, _, err := c.Set(0, key, makeVal(hdrDirty, uint64(i)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const at = vclock.Time(1 << 30) // past every Set: the servers are idle
+	sa, so, sdone, serr := serial.SettleMulti(at, entries)
+	ca, co, cdone, cerr := concurrent.SettleMulti(at, entries)
+	if serr != nil || cerr != nil || sa != len(keys) || ca != sa || so != 4 || co != so {
+		t.Fatalf("settle: serial %d applied/%d owners/%v, concurrent %d/%d/%v", sa, so, serr, ca, co, cerr)
+	}
+	if sdone != cdone {
+		t.Fatalf("settle completes at %v issued serially, %v concurrently", sdone, cdone)
+	}
+	sres, sdone := serial.GetMulti(sdone, keys)
+	cres, cdone := concurrent.GetMulti(cdone, keys)
+	if sdone != cdone {
+		t.Fatalf("get_multi completes at %v issued serially, %v concurrently", sdone, cdone)
+	}
+	for i := range keys {
+		if !sres[i].Hit || !cres[i].Hit || sres[i].Item.Value[0] != 0 || cres[i].Item.Value[0] != 0 {
+			t.Fatalf("%s after settle: serial %+v, concurrent %+v", keys[i], sres[i], cres[i])
+		}
 	}
 }
 
@@ -135,8 +275,8 @@ func TestMultiKeyCallsOnEmptyRing(t *testing.T) {
 			t.Fatalf("add_multi on an empty ring stored entry %d", i)
 		}
 	}
-	if deleted, _, _, err := c.DeleteIfMulti(0, keys, CondClean, 0); err == nil || deleted != 0 {
-		t.Fatalf("delete_if_multi on an empty ring = %d deleted, %v", deleted, err)
+	if applied, _, _, err := c.SettleMulti(0, []Settle{{Key: "/w/a", Cond: CondClean}, {Key: "/w/b", Seq: 1, Clear: true}}); err == nil || applied != 0 {
+		t.Fatalf("settle_multi on an empty ring = %d applied, %v", applied, err)
 	}
 }
 
@@ -154,6 +294,7 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 	}
 	c := NewClient(rpc.NewCaller(bus, model, "node0"), ring)
 	var keys []string
+	var entries []Settle
 	live := 0
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("/w/f%02d", i)
@@ -161,6 +302,7 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
+		entries = append(entries, Settle{Key: key, Cond: CondClean})
 		if ring.Lookup(key) != dead {
 			live++
 		}
@@ -176,12 +318,12 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 			t.Fatalf("%s (dead owner=%v) = %+v", key, onDead, res[i])
 		}
 	}
-	deleted, owners, _, err := c.DeleteIfMulti(0, keys, CondClean, 0)
+	applied, owners, _, err := c.SettleMulti(0, entries)
 	if err == nil {
-		t.Fatal("delete_if_multi over a dead owner reported no error")
+		t.Fatal("settle_multi over a dead owner reported no error")
 	}
-	if deleted != live || owners != 3 {
-		t.Fatalf("deleted %d keys via %d owners, want %d via 3", deleted, owners, live)
+	if applied != live || owners != 3 {
+		t.Fatalf("settled %d keys via %d owners, want %d via 3", applied, owners, live)
 	}
 }
 
@@ -189,7 +331,8 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 // the frames a peer controls. Each must return an error or a
 // well-formed reply without panicking; a corrupt count must be rejected
 // before anything is sized by it (the allocation check is the fuzzer's
-// own memory limit: a handler that trusted a 2^60 count would die).
+// own memory limit: a handler that trusted a 2^60 count would die); and
+// a settle_multi frame that is refused must have settled nothing.
 func FuzzMultiKeyHandlers(f *testing.F) {
 	keys := func(count uint64, ks ...string) *wire.Encoder {
 		e := wire.NewEncoder(64)
@@ -221,6 +364,23 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	del.Uvarint(1 << 40)
 	del.Uvarint(1 << 50)
 	f.Add(del.Bytes())
+	// settle_multi frames: count, then key / action byte / seq per entry.
+	settle := func(count uint64, entries ...Settle) []byte {
+		e := wire.NewEncoder(64)
+		e.Uvarint(count)
+		for _, en := range entries {
+			e.String(en.Key)
+			e.Byte(en.action())
+			e.Uvarint(en.Seq)
+		}
+		return e.Bytes()
+	}
+	wave := []Settle{{Key: "/w/b", Seq: 2, Clear: true}, {Key: "/w/a", Seq: 1, Cond: CondSeq},
+		{Key: "/w/b", Cond: CondClean}, {Key: "/w/gone", Seq: 7, Cond: CondSeqRemoved}, {Key: "/w/a", Cond: CondAlways}}
+	f.Add(settle(uint64(len(wave)), wave...))
+	f.Add(settle(uint64(len(wave))+1, wave...))                      // count beyond the entries present
+	f.Add(settle(1<<60, wave[0]))                                    // count far beyond the frame
+	f.Add(append(settle(3, wave[:2]...), 3, '/', 'w', '/', 0xee, 0)) // third entry: unknown action
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
@@ -229,11 +389,18 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())
 		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
-		for _, method := range []string{"get_multi", "add_multi", "delete_if_multi"} {
+		// settle_multi goes last: the other two never change a resident
+		// key, so what it finds is what was set above.
+		for _, method := range []string{"get_multi", "add_multi", "settle_multi"} {
 			_, resp, err := caller.Call("fuzz/cache", method, 0, body)
 			if err != nil {
 				if resp != nil {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
+				}
+				a, _, aerr := s.Get(0, "/w/a")
+				b, _, berr := s.Get(0, "/w/b")
+				if aerr != nil || berr != nil || a.CAS != 1 || b.CAS != 2 {
+					t.Fatalf("%s refused the frame (%v) yet touched a key: /w/a %+v %v, /w/b %+v %v", method, err, a, aerr, b, berr)
 				}
 				continue
 			}

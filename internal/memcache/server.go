@@ -10,6 +10,7 @@ package memcache
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +56,7 @@ type Server struct {
 	evictions atomic.Int64
 	used      atomic.Int64
 	// served counts every CacheOpCost charged on the service resource
-	// (one per request, except delete_if_multi's one per key) — the
+	// (one per request, except settle_multi's one per key) — the
 	// per-server load figure the region's cache-ring skew gauges compare.
 	served atomic.Int64
 }
@@ -164,7 +165,7 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 // hit appends CAS, flags and value to e under the shard lock, writing
 // the hit/miss marker byte first when withHit is set. Encoding under the
 // lock is safe because stored value buffers are never mutated in place:
-// store and ClearDirty always install fresh copies. This is the
+// store and clearDirty always install fresh copies. This is the
 // single-copy serving path behind the get/get_multi handlers (value goes
 // straight from the shard into the response frame); hit/miss accounting
 // and the LRU touch match Get.
@@ -384,11 +385,12 @@ func (s *Server) DeleteCAS(at vclock.Time, key string, expect uint64) (vclock.Ti
 
 // Pacon's core stores cache values with a fixed leading layout — one
 // flags byte (bit 0 = dirty, bit 1 = removed) followed by a uvarint
-// sequence number. The conditional operations below evaluate their
-// predicate against exactly this header, under the owning shard's lock,
-// so the commit module's bookkeeping costs one round trip instead of a
-// Get + CAS/DeleteCAS retry loop. The header contract is shared with
-// core.cacheVal.encode; values too short to carry it never match.
+// sequence number. The settle actions below evaluate their predicate
+// against exactly this header, under the owning shard's lock, so the
+// commit module's bookkeeping needs no Get + CAS/DeleteCAS retry loop
+// and a whole commit wave's worth rides one request. The header
+// contract is shared with core.cacheVal.encode; values too short to
+// carry it never match a predicate that reads it.
 const (
 	hdrDirty   = 1 << 0
 	hdrRemoved = 1 << 1
@@ -406,12 +408,13 @@ func parseValueHeader(v []byte) (flags byte, seq uint64, ok bool) {
 	return v[0], seq, true
 }
 
-// Cond selects the predicate of a DeleteIf.
+// Cond selects the predicate of a conditional delete.
 type Cond uint8
 
-// Conditional-delete predicates, mirroring the commit module's cleanup
-// sites: seq match (discard rule, abandoned creates), seq match on a
-// removed marker (committed removes), and clean (eviction).
+// Conditional-delete predicates, mirroring the cleanup sites: seq match
+// (discard rule, abandoned creates), seq match on a removed marker
+// (committed removes), clean (eviction), and none (rmdir and rename
+// dropping entries whose objects the DFS no longer has).
 const (
 	// CondSeq: the value's seq equals the given seq.
 	CondSeq Cond = iota
@@ -419,6 +422,8 @@ const (
 	CondSeqRemoved
 	// CondClean: neither dirty nor removed — committed metadata.
 	CondClean
+	// CondAlways: whatever the value holds.
+	CondAlways
 )
 
 func condHolds(cond Cond, seq uint64, flags byte, vseq uint64) bool {
@@ -429,59 +434,91 @@ func condHolds(cond Cond, seq uint64, flags byte, vseq uint64) bool {
 		return vseq == seq && flags&hdrRemoved != 0
 	case CondClean:
 		return flags&(hdrDirty|hdrRemoved) == 0
+	case CondAlways:
+		return true
 	default:
 		return false
 	}
 }
 
-// ClearDirty clears the dirty flag of key's value if its seq equals seq,
-// bumping the CAS version (it is a store). The predicate runs under the
-// shard lock, so no concurrent writer can slip between the check and the
-// update — an absent key, a seq mismatch, or an already-clean value are
-// no-ops. Returns whether the flag was cleared.
-func (s *Server) ClearDirty(at vclock.Time, key string, seq uint64) (bool, vclock.Time, error) {
-	done := s.acquire(at)
+// Settle is one key of a settle_multi request: the bookkeeping a cache
+// entry is owed once the DFS holds — or will never hold — the state it
+// describes. With Clear set the dirty flag of incarnation Seq is
+// cleared; otherwise the key is deleted if Cond holds for Seq and the
+// value's header. Every entry carries its own Seq, so one request can
+// settle a whole commit wave.
+type Settle struct {
+	Key   string
+	Seq   uint64
+	Cond  Cond
+	Clear bool
+}
+
+// A settle entry's action travels as one byte: 0 clears the dirty flag,
+// 1+cond deletes under that predicate.
+const actClear = 0
+
+var errUnknownAction = errors.New("memcache: settle_multi: unknown action")
+
+func (en Settle) action() byte {
+	if en.Clear {
+		return actClear
+	}
+	return 1 + byte(en.Cond)
+}
+
+// setAction is action's inverse; it refuses a byte no client sends.
+func (en *Settle) setAction(act byte) bool {
+	en.Clear = act == actClear
+	if !en.Clear {
+		en.Cond = Cond(act - 1)
+	}
+	return act <= 1+byte(CondAlways)
+}
+
+// SettleMulti applies every entry in one request and returns how many
+// took effect (flags cleared plus keys deleted). Each entry's predicate
+// runs under its key's shard lock, so no concurrent writer can slip
+// between the check and the update: an absent key, a seq that moved on,
+// an already-clean value or a failing Cond are no-ops, not errors. The
+// server is charged len(entries) × CacheOpCost in one service slot: what
+// the batch saves is the round trips, not the work.
+func (s *Server) SettleMulti(at vclock.Time, entries []Settle) (int, vclock.Time) {
+	done := s.acquireN(at, len(entries))
+	applied := 0
+	for _, en := range entries {
+		var ok bool
+		if en.Clear {
+			ok = s.clearDirty(en.Key, en.Seq)
+		} else {
+			ok = s.deleteIf(en.Key, en.Cond, en.Seq)
+		}
+		if ok {
+			applied++
+		}
+	}
+	return applied, done
+}
+
+// clearDirty clears the dirty flag of key's value if its seq equals seq,
+// bumping the CAS version (it is a store), under the shard lock.
+func (s *Server) clearDirty(key string, seq uint64) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[key]
 	if !ok {
-		return false, done, nil
+		return false
 	}
 	flags, vseq, hok := parseValueHeader(si.item.Value)
 	if !hok || vseq != seq || flags&hdrDirty == 0 {
-		return false, done, nil
+		return false
 	}
 	v := append([]byte(nil), si.item.Value...)
 	v[0] = flags &^ hdrDirty
 	si.item.Value = v
 	si.item.CAS = s.casSeq.Add(1)
-	return true, done, nil
-}
-
-// DeleteIf removes key if cond holds for its current value, evaluated
-// under the shard lock (the server-side form of the commit module's
-// Get → DeleteCAS loop). An absent key or a failing predicate is a
-// no-op, not an error. Returns whether the key was deleted.
-func (s *Server) DeleteIf(at vclock.Time, key string, cond Cond, seq uint64) (bool, vclock.Time, error) {
-	done := s.acquire(at)
-	return s.deleteIf(key, cond, seq), done, nil
-}
-
-// DeleteIfMulti applies DeleteIf to every key in one request and
-// returns how many were deleted. Each key's predicate runs under its own
-// shard lock, exactly as in DeleteIf, and the server is charged
-// len(keys) × CacheOpCost in one service slot: what the batch saves is
-// the round trips, not the work.
-func (s *Server) DeleteIfMulti(at vclock.Time, keys []string, cond Cond, seq uint64) (int, vclock.Time) {
-	done := s.acquireN(at, len(keys))
-	deleted := 0
-	for _, key := range keys {
-		if s.deleteIf(key, cond, seq) {
-			deleted++
-		}
-	}
-	return deleted, done
+	return true
 }
 
 // deleteIf removes key if cond holds for its value header, under the
@@ -494,8 +531,9 @@ func (s *Server) deleteIf(key string, cond Cond, seq uint64) bool {
 	if !ok {
 		return false
 	}
+	// A value too short to carry the header matches only CondAlways.
 	flags, vseq, hok := parseValueHeader(si.item.Value)
-	if !hok || !condHolds(cond, seq, flags, vseq) {
+	if cond != CondAlways && !(hok && condHolds(cond, seq, flags, vseq)) {
 		return false
 	}
 	freed := itemBytes(key, si.item.Value)
@@ -691,17 +729,17 @@ func (s *Server) Service() *rpc.Service {
 	})
 	svc.Handle("get_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.GetDecoder(body)
-		n := d.Uvarint()
-		if n > uint64(len(body)) {
-			// Each key costs at least its length prefix; a larger count
-			// is corrupt — reject before sizing the response by it.
+		// Each key costs at least its length prefix; Count rejects a
+		// larger count before the response is sized by it.
+		n := d.Count()
+		if err := d.Err(); err != nil {
 			wire.PutDecoder(d)
-			return at, nil, wire.ErrTooLong
+			return at, nil, err
 		}
 		done := s.acquire(at)
-		e := wire.NewEncoder(16 + 96*int(n))
-		e.Uvarint(n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
+		e := wire.NewEncoder(16 + 96*n)
+		e.Uvarint(uint64(n))
+		for i := 0; i < n && d.Err() == nil; i++ {
 			if key := d.BlobView(); d.Err() == nil {
 				s.lookupInto(e, key, true)
 			}
@@ -715,13 +753,9 @@ func (s *Server) Service() *rpc.Service {
 	})
 	svc.Handle("add_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.GetDecoder(body)
-		n := d.Uvarint()
-		if n > uint64(len(body)) {
-			wire.PutDecoder(d)
-			return at, nil, wire.ErrTooLong
-		}
+		n := d.Count()
 		entries := make([]AddEntry, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
+		for i := 0; i < n && d.Err() == nil; i++ {
 			en := AddEntry{Key: d.String(), Flags: d.Uint32()}
 			en.Value = d.BlobView()
 			entries = append(entries, en)
@@ -788,58 +822,32 @@ func (s *Server) Service() *rpc.Service {
 		done, err := s.DeleteCAS(at, key, expect)
 		return done, nil, err
 	})
-	svc.Handle("clear_dirty", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.Handle("settle_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+		// The whole frame is decoded and every action checked before the
+		// first key is touched: a malformed request settles nothing.
+		// Count rejects a count larger than the bytes left, so a corrupt
+		// one cannot size the entry slice.
 		d := wire.GetDecoder(body)
-		key := d.String()
-		seq := d.Uvarint()
+		n := d.Count()
+		entries := make([]Settle, 0, n)
+		known := true
+		for i := 0; i < n && d.Err() == nil; i++ {
+			en := Settle{Key: d.String()}
+			known = en.setAction(d.Byte()) && known
+			en.Seq = d.Uvarint()
+			entries = append(entries, en)
+		}
 		err := d.Finish()
 		wire.PutDecoder(d)
+		if err == nil && !known {
+			err = errUnknownAction
+		}
 		if err != nil {
 			return at, nil, err
 		}
-		cleared, done, err := s.ClearDirty(at, key, seq)
-		if err != nil {
-			return done, nil, err
-		}
-		e := wire.NewEncoder(1)
-		e.Bool(cleared)
-		return done, e.Bytes(), nil
-	})
-	svc.Handle("delete_if", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.GetDecoder(body)
-		key := d.String()
-		cond := Cond(d.Byte())
-		seq := d.Uvarint()
-		err := d.Finish()
-		wire.PutDecoder(d)
-		if err != nil {
-			return at, nil, err
-		}
-		deleted, done, err := s.DeleteIf(at, key, cond, seq)
-		if err != nil {
-			return done, nil, err
-		}
-		e := wire.NewEncoder(1)
-		e.Bool(deleted)
-		return done, e.Bytes(), nil
-	})
-	svc.Handle("delete_if_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.GetDecoder(body)
-		cond := Cond(d.Byte())
-		seq := d.Uvarint()
-		// Strings rejects a count larger than the bytes left, so a
-		// corrupt count cannot size the key slice. The whole frame is
-		// decoded before the first key is touched: a malformed request
-		// deletes nothing.
-		keys := d.Strings()
-		err := d.Finish()
-		wire.PutDecoder(d)
-		if err != nil {
-			return at, nil, err
-		}
-		deleted, done := s.DeleteIfMulti(at, keys, cond, seq)
+		applied, done := s.SettleMulti(at, entries)
 		e := wire.NewEncoder(binary.MaxVarintLen64)
-		e.Uvarint(uint64(deleted))
+		e.Uvarint(uint64(applied))
 		return done, e.Bytes(), nil
 	})
 	svc.Handle("flush_all", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {

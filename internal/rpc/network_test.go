@@ -105,3 +105,25 @@ func TestBusBytesCounter(t *testing.T) {
 		t.Fatalf("bytes = %d", bus.Bytes())
 	}
 }
+
+// TestCallerInlineIsTheTransportsAnswer: only a transport that says its
+// handlers run on the calling goroutine makes a Caller inline — the Bus
+// does, TCP does not, and a wrapper that does not forward the property
+// hides it.
+func TestCallerInlineIsTheTransportsAnswer(t *testing.T) {
+	tcp := NewTCPNetwork()
+	defer tcp.Close()
+	bus := NewBus()
+	for name, tc := range map[string]struct {
+		t    Transport
+		want bool
+	}{
+		"bus":         {bus, true},
+		"tcp":         {tcp, false},
+		"wrapped bus": {struct{ Transport }{bus}, false},
+	} {
+		if got := NewCaller(tc.t, vclock.Default(), "n").Inline(); got != tc.want {
+			t.Errorf("%s: Inline() = %v, want %v", name, got, tc.want)
+		}
+	}
+}

@@ -62,6 +62,16 @@ type Transport interface {
 	Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error)
 }
 
+// inlineTransport is the optional property of a transport whose Invoke
+// runs the handler on the calling goroutine and returns when it has.
+// Round trips on such a transport cannot overlap in real time, so a
+// caller fanning out from one virtual instant loses nothing by issuing
+// them one after another (see Caller.Inline). The Bus reports it; TCP,
+// where the waits do overlap, does not.
+type inlineTransport interface {
+	HandlersRunInline() bool
+}
+
 // Bus is the in-process transport: a registry of logical address →
 // Service. Safe for concurrent use.
 type Bus struct {
@@ -100,6 +110,10 @@ func (b *Bus) SetObserver(o RPCObserver) {
 	}
 	b.obs.Store(&o)
 }
+
+// HandlersRunInline reports that Invoke dispatches on the caller's
+// goroutine.
+func (b *Bus) HandlersRunInline() bool { return true }
 
 // Invoke implements Transport.
 func (b *Bus) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
@@ -172,8 +186,10 @@ type Caller struct {
 	// traceInv is the transport's TraceInvoker view, asserted once at
 	// construction (nil when the transport cannot carry trace contexts).
 	traceInv TraceInvoker
-	model    vclock.LatencyModel
-	node     string
+	// inline is the transport's inlineTransport answer, asked once.
+	inline bool
+	model  vclock.LatencyModel
+	node   string
 
 	pacer   *vclock.Pacer
 	pacerID int
@@ -187,8 +203,17 @@ type Caller struct {
 // NewCaller builds a caller for a client running on `node`.
 func NewCaller(t Transport, model vclock.LatencyModel, node string) *Caller {
 	ti, _ := t.(TraceInvoker)
-	return &Caller{transport: t, traceInv: ti, model: model, node: node}
+	it, ok := t.(inlineTransport)
+	return &Caller{transport: t, traceInv: ti, inline: ok && it.HandlersRunInline(), model: model, node: node}
 }
+
+// Inline reports whether the transport runs handlers on the calling
+// goroutine. A fan-out of calls that all start at the same virtual
+// instant then completes at the same virtual time whether it is issued
+// from one goroutine per call or serially, and the serial form spares
+// the goroutines: Call charges each round trip from the `at` it is
+// given, never from the previous call's completion.
+func (c *Caller) Inline() bool { return c.inline }
 
 // Node returns the caller's node id.
 func (c *Caller) Node() string { return c.node }

@@ -280,20 +280,31 @@ func (d *Decoder) Blob() []byte {
 	return out
 }
 
+// Count reads the uvarint element count that opens a repeated field.
+// Every element costs at least one byte on the wire, so a count beyond
+// Remaining is corrupt: Count fails the decoder with ErrTooLong and
+// returns 0, and the caller may size a slice by the result without
+// trusting the peer.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail(ErrTooLong)
+		return 0
+	}
+	return int(n)
+}
+
 // Strings reads a uvarint count followed by that many strings.
 func (d *Decoder) Strings() []string {
-	n := d.Uvarint()
+	n := d.Count()
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(d.Remaining()) {
-		// Every string costs at least its one-byte length prefix, so a
-		// count beyond Remaining is corrupt — reject before allocating.
-		d.fail(ErrTooLong)
-		return nil
-	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.String())
 	}
 	if d.err != nil {

@@ -89,6 +89,33 @@ func TestDeclaredLengthBeyondBuffer(t *testing.T) {
 	}
 }
 
+// TestCountBoundedByRemaining: an element count may not exceed the bytes
+// left (every element costs at least one), so a caller can size a slice
+// by Count's result; a count that exactly fits is accepted.
+func TestCountBoundedByRemaining(t *testing.T) {
+	frame := func(count uint64, elems int) []byte {
+		e := NewEncoder(16)
+		e.Uvarint(count)
+		for i := 0; i < elems; i++ {
+			e.Byte(7)
+		}
+		return e.Bytes()
+	}
+	d := NewDecoder(frame(3, 3))
+	if n := d.Count(); n != 3 || d.Err() != nil {
+		t.Fatalf("Count = %d, %v, want 3", n, d.Err())
+	}
+	for _, count := range []uint64{4, 1 << 60} {
+		d = NewDecoder(frame(count, 3))
+		if n := d.Count(); n != 0 || !errors.Is(d.Err(), ErrTooLong) {
+			t.Fatalf("Count of %d over 3 bytes = %d, %v, want 0 and %v", count, n, d.Err(), ErrTooLong)
+		}
+	}
+	if n := NewDecoder(nil).Count(); n != 0 {
+		t.Fatalf("Count on an empty frame = %d", n)
+	}
+}
+
 func TestTrailingBytesDetected(t *testing.T) {
 	e := NewEncoder(8)
 	e.Uint32(7)
