@@ -70,7 +70,15 @@ bench-diff:
 # allocs and 506 B; the count is the same with per-wave scratch
 # allocated afresh, which shows in the bytes instead (1,265 B/op before
 # the commit process owned its scratch), so this gate holds both — the
-# bytes at 768, a third of the way back.
+# bytes at 768, a third of the way back. DFS client: every singleton
+# mutation is a one-op apply_batch, and one create end to end is 4
+# allocs and 231 B, its path string, its inode and its three-byte reply
+# — the gate, 5 and 300, is what the dedicated endpoint cost (4, 279 B)
+# plus at most that reply; a heap-allocated one-op batch or a closure
+# built on the lone-target path shows here first. Eight creates in one
+# ApplyBatch on one MDS are 28 allocs (36 with map-based grouping);
+# without that map the gates above read 15, 17, 26 and 6 allocs / 335 B
+# today, and keep the headroom they had.
 alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreate$$' -benchtime 2000x -benchmem ./internal/core/); \
 	echo "$$out"; \
@@ -93,6 +101,17 @@ alloc-gate:
 	bytes=$$(echo "$$out" | awk '/^BenchmarkCommitWave/ {print $$(NF-3)}'); \
 	echo "commit wave: $$allocs allocs/op, $$bytes B/op (gate: <= 7 and <= 768)"; \
 	test "$$allocs" -le 7 && test "$$bytes" -le 768
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCreate$$' -benchtime 20000x -benchmem ./internal/dfs/); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/^BenchmarkCreate/ {print $$(NF-1)}'); \
+	bytes=$$(echo "$$out" | awk '/^BenchmarkCreate/ {print $$(NF-3)}'); \
+	echo "dfs create (one-op batch): $$allocs allocs/op, $$bytes B/op (gate: <= 5 and <= 300)"; \
+	test "$$allocs" -le 5 && test "$$bytes" -le 300
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkApplyBatch8/shards=1$$' -benchtime 20000x -benchmem ./internal/dfs/); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/^BenchmarkApplyBatch8/ {print $$(NF-1)}'); \
+	echo "dfs apply_batch of 8, one MDS: $$allocs allocs/op (gate: <= 30)"; \
+	test "$$allocs" -le 30
 
 clean:
 	$(GO) clean ./...

@@ -214,7 +214,7 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 	case "shards":
 		cluster := s.sim.DFS()
 		var sb strings.Builder
-		if cluster.Shards != nil {
+		if cluster.Shards.N() > 1 {
 			fmt.Fprintf(&sb, "%d metadata shard(s), subtree-partitioned (spread root %s)",
 				len(cluster.MDSes), s.ws)
 		} else {

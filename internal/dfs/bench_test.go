@@ -1,0 +1,105 @@
+package dfs
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"pacon/internal/fsapi"
+	"pacon/internal/rpc"
+	"pacon/internal/vclock"
+)
+
+// benchClient deploys a cluster on the Bus (one MDS for shards == 1, a
+// sharded pool otherwise) with /w prepared, and returns a client shaped
+// like Pacon's commit clients: a long dentry TTL, so after the first
+// call ancestor resolution is a cache hit and the timed loop is the
+// request path itself.
+func benchClient(b *testing.B, shards int) *Client {
+	b.Helper()
+	var c *Cluster
+	if shards == 1 {
+		c = NewCluster(rpc.NewBus(), vclock.Default(), rootCred, "storage0", nil)
+	} else {
+		c = NewClusterSharded(rpc.NewBus(), vclock.Default(), rootCred, "storage0", shards, []string{"/w"}, nil)
+	}
+	if _, err := c.NewClient("admin", rootCred, 0, 0).Mkdir(0, "/w", 0o777); err != nil {
+		b.Fatal(err)
+	}
+	cl := c.NewClient("node0", appCred, 4096, time.Hour)
+	if _, _, err := cl.Stat(0, "/w"); err != nil {
+		b.Fatal(err)
+	}
+	return cl
+}
+
+func benchPaths(n int) []string {
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/f%07d", i)
+	}
+	return paths
+}
+
+// BenchmarkCreate is one singleton mutation end to end — the shape of
+// the commit module's fallback and of WriteAt's size bump. make
+// alloc-gate pins its allocs/op and B/op: a one-op batch may cost at
+// most its reply over what the namespace tree allocates for the inode.
+func BenchmarkCreate(b *testing.B) {
+	cl := benchClient(b, 1)
+	paths := benchPaths(b.N)
+	st := fsapi.NewFileStat(appCred, 0o644)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.CreateWithStat(0, paths[i], st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyBatch8 is one commit wave's DFS leg: eight creates in
+// one call, on one MDS (one group, one round trip) and over four shards
+// (grouping plus a fan-out, which on the Bus spawns no goroutine). make
+// alloc-gate pins the one-MDS allocs/op.
+func BenchmarkApplyBatch8(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cl := benchClient(b, shards)
+			paths := benchPaths(8 * b.N)
+			st := fsapi.NewFileStat(appCred, 0o644)
+			ops := make([]fsapi.BatchOp, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range ops {
+					ops[j] = fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: paths[8*i+j], Stat: st}
+				}
+				errs, _, err := cl.ApplyBatch(0, ops)
+				if err != nil || errs[7] != nil {
+					b.Fatal(err, errs[7])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStatBatch16 is the bulk miss-load's DFS leg: sixteen
+// siblings resolved in one stat_batch round trip.
+func BenchmarkStatBatch16(b *testing.B) {
+	cl := benchClient(b, 1)
+	paths := benchPaths(16)
+	for _, p := range paths {
+		if _, err := cl.Create(0, p, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _, err := cl.StatBatch(0, paths)
+		if err != nil || res[15].Err != nil {
+			b.Fatal(err, res[15].Err)
+		}
+	}
+}

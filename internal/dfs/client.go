@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/namespace"
@@ -16,14 +17,12 @@ import (
 type ClientConfig struct {
 	// Node is the node this client runs on (for latency selection).
 	Node string
-	// MDSAddr is the metadata server's RPC address (single-MDS
-	// deployments; multi-MDS deployments set Shards instead).
-	MDSAddr string
-	// Shards, when set, routes metadata operations through a
-	// subtree-partitioned shard pool instead of MDSAddr: each shard
-	// owns a disjoint slice of the namespace (see ShardMap), structural
-	// directories are mirrored everywhere, and cross-shard rename/rmdir
-	// run two-phase protocols (router.go).
+	// Shards is the map of the metadata service, required: every
+	// metadata operation routes by it (router.go). Each shard owns a
+	// disjoint slice of the namespace (see ShardMap), structural
+	// directories are mirrored on all of them, and an operation that
+	// must be atomic across several runs the two-phase protocol. A
+	// single MDS is a one-shard map (NewCluster builds one).
 	Shards *ShardMap
 	// DataAddrs are the data servers' RPC addresses in stripe order.
 	DataAddrs []string
@@ -51,15 +50,15 @@ type Client struct {
 	caller *rpc.Caller
 
 	// mirrorPick is this client's stable choice among the mirrors of a
-	// structural path (sharded mode): any mirror answers reads, and a
-	// per-client stable pick spreads the load without ping-ponging the
-	// shards' dentry working sets.
+	// structural path: any mirror answers reads, and a per-client stable
+	// pick spreads the load without ping-ponging the shards' dentry
+	// working sets.
 	mirrorPick int
 
 	mu       sync.Mutex
 	dentries map[string]dentry
 
-	lookupRPCs int64
+	lookupRPCs atomic.Int64
 }
 
 type dentry struct {
@@ -69,17 +68,14 @@ type dentry struct {
 
 // NewClient builds a client over the given transport.
 func NewClient(t rpc.Transport, cfg ClientConfig) *Client {
-	c := &Client{
-		cfg:      cfg,
-		caller:   rpc.NewCaller(t, cfg.Model, cfg.Node),
-		dentries: make(map[string]dentry),
+	h := fnv.New32a()
+	h.Write([]byte(cfg.Node))
+	return &Client{
+		cfg:        cfg,
+		caller:     rpc.NewCaller(t, cfg.Model, cfg.Node),
+		mirrorPick: int(h.Sum32() % uint32(cfg.Shards.N())),
+		dentries:   make(map[string]dentry),
 	}
-	if cfg.Shards != nil && cfg.Shards.N() > 0 {
-		h := fnv.New32a()
-		h.Write([]byte(cfg.Node))
-		c.mirrorPick = int(h.Sum32() % uint32(cfg.Shards.N()))
-	}
-	return c
 }
 
 // Cred returns the client's credential.
@@ -98,11 +94,7 @@ func (c *Client) ClearTrace() { c.caller.ClearTrace() }
 
 // LookupRPCs returns the number of per-component lookup RPCs issued —
 // the path-traversal overhead metric.
-func (c *Client) LookupRPCs() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lookupRPCs
-}
+func (c *Client) LookupRPCs() int64 { return c.lookupRPCs.Load() }
 
 func (c *Client) cacheGet(p string, at vclock.Time) (fsapi.Stat, bool) {
 	if c.cfg.DentryCacheCap <= 0 || c.cfg.DentryTTL <= 0 {
@@ -146,9 +138,7 @@ func (c *Client) cacheDrop(p string) {
 // with long dentry TTLs (Pacon owns consistency above the DFS), so
 // without the fan-out the other nodes' clients would keep serving
 // positive Stats for the removed paths until the TTL lapsed.
-func (c *Client) InvalidateSubtree(root string) { c.cacheDropSubtree(root) }
-
-func (c *Client) cacheDropSubtree(root string) {
+func (c *Client) InvalidateSubtree(root string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k := range c.dentries {
@@ -158,36 +148,17 @@ func (c *Client) cacheDropSubtree(root string) {
 	}
 }
 
-// mdsFor routes a path's metadata operation to its MDS. In sharded
-// mode the shard map owns the routing: structural paths go to this
-// client's stable mirror, everything else to the owning shard.
-func (c *Client) mdsFor(p string) string {
-	if s := c.cfg.Shards; s != nil {
-		if s.Structural(p) {
-			return s.AddrOf(c.mirrorPick)
-		}
-		return s.AddrOf(s.Owner(p))
-	}
-	return c.cfg.MDSAddr
-}
-
 // lookupRPC issues one lookup to the MDS.
 func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	c.mu.Lock()
-	c.lookupRPCs++
-	c.mu.Unlock()
+	c.lookupRPCs.Add(1)
 	e := wire.GetEncoder()
 	e.String(p)
-	done, resp, err := c.caller.Call(c.mdsFor(p), "lookup", at, e.Bytes())
-	wire.PutEncoder(e)
+	done, resp, err := c.call(c.mdsFor(p), "lookup", at, e)
 	if err != nil {
 		return fsapi.Stat{}, done, err
 	}
-	st, derr := fsapi.UnmarshalStat(resp)
-	if derr != nil {
-		return fsapi.Stat{}, done, derr
-	}
-	return st, done, nil
+	st, err := fsapi.UnmarshalStat(resp)
+	return st, done, err
 }
 
 // resolveAncestors walks every proper ancestor of p, charging one lookup
@@ -196,22 +167,18 @@ func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, vclock.Time, e
 func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error) {
 	var rerr error
 	namespace.VisitAncestors(p, func(anc string) bool {
-		if st, ok := c.cacheGet(anc, at); ok {
-			if !st.IsDir() {
-				rerr = fsapi.WrapPath("traverse", anc, fsapi.ErrNotDir)
+		st, cached := c.cacheGet(anc, at)
+		if !cached {
+			if st, at, rerr = c.lookupRPC(at, anc); rerr != nil {
 				return false
 			}
-			return true
-		}
-		st, done, err := c.lookupRPC(at, anc)
-		at = done
-		if err != nil {
-			rerr = err
-			return false
 		}
 		if !st.IsDir() {
 			rerr = fsapi.WrapPath("traverse", anc, fsapi.ErrNotDir)
 			return false
+		}
+		if cached { // permission was checked when it went in
+			return true
 		}
 		if !st.Mode.Allows(c.cfg.Cred.ClassFor(st.UID, st.GID), fsapi.WantExec) {
 			rerr = fsapi.WrapPath("traverse", anc, fsapi.ErrPermission)
@@ -223,96 +190,128 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 	return at, rerr
 }
 
-// mutateBody builds the standard mutation request frame in a pooled
-// encoder; the caller must wire.PutEncoder it once the RPC returned.
-func (c *Client) mutateBody(p string, st fsapi.Stat) *wire.Encoder {
+// applyTo sends the ops at positions idx to one MDS as one apply_batch
+// and stores each one's result at its position in errs — the only
+// encoder of that frame and the only decoder of its reply, whether the
+// ops are a shard's share of a commit wave or one mutation on its own.
+// A non-nil return is a batch-level failure: nothing is known about any
+// of these ops.
+func (c *Client) applyTo(addr string, at vclock.Time, ops []fsapi.BatchOp, idx []int, errs []error) (vclock.Time, error) {
 	e := wire.GetEncoder()
-	e.String(p)
-	e.Uint32(c.cfg.Cred.UID)
-	e.Uint32(c.cfg.Cred.GID)
-	fsapi.EncodeStat(e, st)
-	return e
+	c.encodeApply(e, ops, idx)
+	done, resp, err := c.call(addr, "apply_batch", at, e)
+	if err != nil {
+		return done, err
+	}
+	return done, c.decodeApply(resp, ops, idx, errs)
 }
 
-// callMutate issues one mutation RPC with the standard body. Mutating a
-// structural path in sharded mode fans out to every mirror.
-func (c *Client) callMutate(method string, at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if c.sharded() && c.cfg.Shards.Structural(p) {
-		return c.mutateAllShards(method, at, p, st)
+func (c *Client) encodeApply(e *wire.Encoder, ops []fsapi.BatchOp, idx []int) {
+	e.Uint32(c.cfg.Cred.UID)
+	e.Uint32(c.cfg.Cred.GID)
+	e.Uvarint(uint64(len(idx)))
+	for _, i := range idx {
+		op := &ops[i]
+		e.Byte(byte(op.Kind))
+		e.Bool(op.IfExists)
+		e.String(op.Path)
+		fsapi.EncodeStat(e, op.Stat)
 	}
-	e := c.mutateBody(p, st)
-	done, _, err := c.caller.Call(c.mdsFor(p), method, at, e.Bytes())
-	wire.PutEncoder(e)
-	return done, err
+}
+
+func (c *Client) decodeApply(resp []byte, ops []fsapi.BatchOp, idx []int, errs []error) error {
+	d := wire.NewDecoder(resp)
+	if n := d.Uvarint(); n != uint64(len(idx)) {
+		return fmt.Errorf("dfs: apply_batch returned %d results for %d ops", n, len(idx))
+	}
+	for _, i := range idx {
+		code := d.Byte()
+		detail := d.String()
+		errs[i] = fsapi.ErrOf(code, detail)
+		if errs[i] == nil {
+			switch ops[i].Kind {
+			case fsapi.BatchSetStat, fsapi.BatchRemove, fsapi.BatchRmdir:
+				c.cacheDrop(ops[i].Path)
+			}
+		}
+	}
+	return d.Finish()
+}
+
+// oneOp is the position list of a batch of one.
+var oneOp = []int{0}
+
+// mutate applies one mutation as a batch of one: to the owner of its
+// path, or — a structural path — to every shard's mirror, all leaving at
+// the same instant. Every mirror is attempted even after an error,
+// keeping the mirrors in lockstep; the first error is reported. To the
+// caller a failed call and a refused op are the same thing.
+func (c *Client) mutate(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
+	op.Path = namespace.Clean(op.Path)
+	at, err := c.resolveAncestors(at, op.Path)
+	if err != nil {
+		return at, err
+	}
+	return c.mutateOn(c.writeTargets(op.Path), at, op)
+}
+
+// mutateOn sends op, alone, to each target (its path already cleaned and
+// resolved).
+func (c *Client) mutateOn(targets []string, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
+	ops, errs := [1]fsapi.BatchOp{op}, [1]error{}
+	if len(targets) == 1 {
+		done, err := c.applyTo(targets[0], at, ops[:], oneOp, errs[:])
+		if err == nil {
+			err = errs[0]
+		}
+		return done, err
+	}
+	e := wire.GetEncoder()
+	c.encodeApply(e, ops[:], oneOp)
+	replies, done := c.sweep(at, targets, "apply_batch", e)
+	var first error
+	for _, r := range replies {
+		err := r.err
+		if err == nil {
+			if err = c.decodeApply(r.body, ops[:], oneOp, errs[:]); err == nil {
+				err = errs[0]
+			}
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return done, first
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	st := fsapi.NewDirStat(c.cfg.Cred, mode)
-	return c.callMutate("mkdir", at, p, st)
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: fsapi.NewDirStat(c.cfg.Cred, mode)})
 }
 
 // Create creates an empty regular file.
 func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	st := fsapi.NewFileStat(c.cfg.Cred, mode)
-	return c.callMutate("create", at, p, st)
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.cfg.Cred, mode)})
 }
 
-// CreateWithStat creates a file carrying a prebuilt stat (used by the
-// Pacon commit module to preserve cached metadata exactly).
+// CreateWithStat creates a file or directory carrying a prebuilt stat
+// (used by the Pacon commit module to preserve cached metadata exactly).
 func (c *Client) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	method := "create"
+	kind := fsapi.BatchCreate
 	if st.IsDir() {
-		method = "mkdir"
+		kind = fsapi.BatchMkdir
 	}
-	return c.callMutate(method, at, p, st)
+	return c.mutate(at, fsapi.BatchOp{Kind: kind, Path: p, Stat: st})
 }
 
 // SetStat replaces an object's metadata.
 func (c *Client) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	done, err := c.callMutate("setstat", at, p, st)
-	if err == nil {
-		c.cacheDrop(p)
-	}
-	return done, err
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: p, Stat: st})
 }
 
 // Stat resolves a path's metadata (traversal plus final lookup).
 func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return fsapi.Stat{}, at, err
-	}
-	if st, ok := c.cacheGet(p, at); ok {
-		return st, at, nil
-	}
-	st, done, err := c.lookupRPC(at, p)
-	if err != nil {
-		return fsapi.Stat{}, done, err
-	}
-	c.cachePut(p, st, done)
-	return st, done, nil
+	return c.stat(at, p, false)
 }
 
 // StatFresh stats p bypassing the positive dentry cache for the final
@@ -325,14 +324,23 @@ func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error)
 // after the real entry was evicted, silently shadowing committed
 // writes).
 func (c *Client) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
+	return c.stat(at, p, true)
+}
+
+func (c *Client) stat(at vclock.Time, p string, fresh bool) (fsapi.Stat, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return fsapi.Stat{}, at, err
 	}
+	if !fresh {
+		if st, ok := c.cacheGet(p, at); ok {
+			return st, at, nil
+		}
+	}
 	st, done, err := c.lookupRPC(at, p)
 	if err != nil {
-		c.cacheDrop(p)
+		c.cacheDrop(p) // whatever dentry is there, the MDS no longer vouches for it
 		return fsapi.Stat{}, done, err
 	}
 	c.cachePut(p, st, done)
@@ -342,78 +350,101 @@ func (c *Client) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, e
 // Remove unlinks a file (metadata; chunks are dropped separately by
 // RemoveData for files that had content).
 func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	done, err := c.callMutate("remove", at, p, fsapi.Stat{})
-	if err == nil {
-		c.cacheDrop(p)
-	}
-	return done, err
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: p})
 }
 
-// Rmdir removes an empty directory. In sharded mode a directory that
-// spans shards (mirrored, or holding delegations) removes through the
-// prepare/commit vote so no shard unlinks a mirror the others keep.
+// Rmdir removes an empty directory. A directory that spans shards
+// (mirrored, or holding delegations) removes through the two-phase
+// protocol: every involved shard votes (locally a dir, locally empty)
+// and logs an intent blocking creates under it, so no shard unlinks a
+// mirror the others keep; unanimous yes finishes with the unlink
+// everywhere.
 func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return at, err
 	}
-	if c.sharded() {
-		if targets := c.shardTargets(p); len(targets) > 1 {
-			done, err := c.shardedRmdir(at, p, targets)
-			if err == nil {
-				c.cacheDrop(p)
-			}
-			return done, err
-		}
+	targets := c.dirTargets(p)
+	if len(targets) == 1 {
+		return c.mutateOn(targets, at, fsapi.BatchOp{Kind: fsapi.BatchRmdir, Path: p})
 	}
-	done, err := c.callMutate("rmdir", at, p, fsapi.Stat{})
+	outs, at, err := c.twoPhase(at, p, targets, rmdirPrepare, finishSweep, nil)
+	if err == nil {
+		err = firstErr(outs)
+	}
 	if err == nil {
 		c.cacheDrop(p)
 	}
-	return done, err
+	return at, err
 }
 
-// RmTree removes a directory recursively, returning the removed paths.
+// RmTree removes a directory recursively, returning the removed paths —
+// the union over every shard the subtree touches. Across several shards
+// the sweeps are the finish step of the two-phase protocol: intents
+// bracket them, so a racing create into the doomed subtree fails with
+// ErrStale instead of landing on a shard that was already swept.
 func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return nil, at, err
 	}
-	if c.sharded() {
-		if targets := c.shardTargets(p); len(targets) > 1 {
-			return c.shardedRmTree(at, p, targets)
+	targets := c.dirTargets(p)
+	var outs []reply
+	if len(targets) == 1 {
+		outs, at = c.send(at, targets, rmtreeSweep, p, 0)
+	} else if outs, at, err = c.twoPhase(at, p, targets, rmtreePrepare, rmtreeSweep, nil); err != nil {
+		return nil, at, err
+	}
+	// A shard that never materialized the directory has nothing to
+	// sweep; a mirrored one is reported by every shard that did.
+	var removed []string
+	var seen map[string]bool
+	for _, r := range outs {
+		if fsapi.CodeOf(r.err) == fsapi.CodeNotExist {
+			continue
+		}
+		if r.err != nil {
+			return nil, at, r.err
+		}
+		d := wire.NewDecoder(r.body)
+		paths := d.Strings() // count-guarded: a reply cannot size this by a number it made up
+		if err := d.Finish(); err != nil {
+			return nil, at, err
+		}
+		if removed == nil {
+			removed = paths
+			continue
+		}
+		if seen == nil {
+			seen = make(map[string]bool, len(removed)+len(paths))
+			for _, rp := range removed {
+				seen[rp] = true
+			}
+		}
+		for _, rp := range paths {
+			if !seen[rp] {
+				seen[rp] = true
+				removed = append(removed, rp)
+			}
 		}
 	}
-	e := wire.GetEncoder()
-	e.String(p)
-	e.Uint32(c.cfg.Cred.UID)
-	e.Uint32(c.cfg.Cred.GID)
-	done, resp, err := c.caller.Call(c.mdsFor(p), "rmtree", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return nil, done, err
+	if removed == nil {
+		return nil, at, fsapi.WrapPath("rmtree", p, fsapi.ErrNotExist)
 	}
-	d := wire.NewDecoder(resp)
-	n := d.Uvarint()
-	removed := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		removed = append(removed, d.String())
-	}
-	if derr := d.Finish(); derr != nil {
-		return nil, done, derr
-	}
-	c.cacheDropSubtree(p)
-	return removed, done, nil
+	c.InvalidateSubtree(p)
+	return removed, at, nil
 }
 
-// Rename moves a file or subtree. Data chunks are keyed by path, so a
+// Rename moves a file or subtree. Both ends on one shard is a single
+// "rename" RPC to it; across two shards the move is the two-phase
+// protocol with the source as its participant — prepare exports the
+// subtree under an intent, inserting the export on the destination
+// shard is the decision, finish unlinks the source. Structural
+// endpoints and subtrees spanning a delegation boundary are refused:
+// moving a mirrored directory (or silently re-homing a pinned subtree)
+// has no atomic implementation. Data chunks are keyed by path, so a
 // renamed file's bytes are re-homed too.
 func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	src, dst = namespace.Clean(src), namespace.Clean(dst)
@@ -424,26 +455,25 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	if at, err = c.resolveAncestors(at, dst); err != nil {
 		return at, err
 	}
-	if c.sharded() {
-		done, err := c.shardedRename(at, src, dst)
-		at = done
-		if err != nil {
-			return at, err
-		}
-	} else {
+	s := c.cfg.Shards
+	from, to := s.route(src), s.route(dst)
+	switch {
+	case from < 0 || to < 0 || s.CrossesDelegation(src):
+		return at, fsapi.WrapPath("rename", src, fsapi.ErrPermission)
+	case from == to:
 		e := wire.GetEncoder()
 		e.String(src)
 		e.String(dst)
 		e.Uint32(c.cfg.Cred.UID)
 		e.Uint32(c.cfg.Cred.GID)
-		done, _, err := c.caller.Call(c.mdsFor(src), "rename", at, e.Bytes())
-		wire.PutEncoder(e)
-		at = done
-		if err != nil {
-			return at, err
-		}
+		at, _, err = c.call(s.addrs[from], "rename", at, e)
+	default:
+		at, err = c.renameAcross(at, s.addrs[from:from+1], s.addrs[to], src, dst)
 	}
-	c.cacheDropSubtree(src)
+	if err != nil {
+		return at, err
+	}
+	c.InvalidateSubtree(src)
 	// Re-home data chunks (they are keyed by path): walk the moved
 	// subtree and copy each file's bytes. Renames are rare in the
 	// workloads; a copy keeps the data servers' layout simple.
@@ -451,6 +481,42 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 		at = c.moveData(at, src, dst)
 	}
 	return at, nil
+}
+
+// renameAcross moves src, on the shard in from, to dst on another shard.
+func (c *Client) renameAcross(at vclock.Time, from []string, to, src, dst string) (vclock.Time, error) {
+	outs, at, err := c.twoPhase(at, src, from, renamePrepare, finishSweep,
+		func(at vclock.Time, votes []reply) (vclock.Time, error) {
+			return c.xferApply(at, to, dst, votes[0].body)
+		})
+	if err == nil {
+		err = outs[0].err
+	}
+	return at, err
+}
+
+// xferApply is a cross-shard rename's decision: insert the subtree the
+// source exported (an xfer_prepare reply, checked here before it is
+// passed on) under dst on the destination shard. Failure aborts — the
+// subtree never moved.
+func (c *Client) xferApply(at vclock.Time, addr, dst string, export []byte) (vclock.Time, error) {
+	d := wire.NewDecoder(export)
+	n := d.Count()
+	e := wire.GetEncoder()
+	e.String(dst)
+	e.Uint32(c.cfg.Cred.UID)
+	e.Uint32(c.cfg.Cred.GID)
+	e.Uvarint(uint64(n))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		e.String(d.String())
+		fsapi.EncodeStat(e, fsapi.DecodeStat(d))
+	}
+	if err := d.Finish(); err != nil {
+		wire.PutEncoder(e)
+		return at, err
+	}
+	done, _, err := c.call(addr, "xfer_apply", at, e)
+	return done, err
 }
 
 // moveData recursively copies the chunks of every file under the moved
@@ -475,7 +541,7 @@ func (c *Client) moveData(at vclock.Time, src, dst string) vclock.Time {
 	if st.Size == 0 {
 		return at
 	}
-	data, done, err := c.readAtPath(at, src, st.Size)
+	data, done, err := c.readChunks(at, src, 0, int(st.Size))
 	at = done
 	if err != nil || len(data) == 0 {
 		return at
@@ -489,25 +555,18 @@ func (c *Client) moveData(at vclock.Time, src, dst string) vclock.Time {
 	return at
 }
 
-// readAtPath reads a file's chunks by path without consulting its
-// metadata (used during rename, when the metadata already moved).
-func (c *Client) readAtPath(at vclock.Time, p string, size int64) ([]byte, vclock.Time, error) {
-	out := make([]byte, 0, size)
-	for int64(len(out)) < size {
-		pos := int64(len(out))
-		chunk := pos / ChunkSize
-		inOff := int(pos % ChunkSize)
-		want := int(size - pos)
-		if room := ChunkSize - inOff; want > room {
-			want = room
-		}
+// readChunks reads n bytes at off from p's striped chunks, by path and
+// without consulting its metadata; sparse regions read as zeros.
+func (c *Client) readChunks(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error) {
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		chunk, inOff, want := chunkSpan(off+int64(len(out)), n-len(out))
 		e := wire.GetEncoder()
 		e.String(p)
 		e.Int64(chunk)
 		e.Uint32(uint32(inOff))
 		e.Uint32(uint32(want))
-		done, resp, err := c.caller.Call(c.serverFor(p, chunk), "read", at, e.Bytes())
-		wire.PutEncoder(e)
+		done, resp, err := c.call(c.serverFor(p, chunk), "read", at, e)
 		at = done
 		if err != nil {
 			return nil, at, err
@@ -518,6 +577,7 @@ func (c *Client) readAtPath(at vclock.Time, p string, size int64) ([]byte, vcloc
 			return nil, at, derr
 		}
 		if len(part) < want {
+			// Sparse region: zero-fill to the requested length.
 			part = append(part, make([]byte, want-len(part))...)
 		}
 		out = append(out, part...)
@@ -525,36 +585,46 @@ func (c *Client) readAtPath(at vclock.Time, p string, size int64) ([]byte, vcloc
 	return out, at, nil
 }
 
-// Readdir lists a directory. In sharded mode a directory that spans
-// shards merges the per-shard listings.
+// Readdir lists a directory. One that spans shards merges the per-shard
+// listings: mirrored directories list their hashed children on every
+// shard, and delegated subtrees contribute their entries from the
+// delegate. Entries are deduplicated by name (mirrored subdirectories
+// appear on several shards) and the per-shard name-sorted order is
+// preserved by a merge.
 func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return nil, at, err
 	}
-	if c.sharded() {
-		if targets := c.shardTargets(p); len(targets) > 1 {
-			return c.shardedReaddir(at, p, targets)
-		}
-	}
 	e := wire.GetEncoder()
 	e.String(p)
-	done, resp, err := c.caller.Call(c.mdsFor(p), "readdir", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return nil, done, err
+	outs, at := c.sweep(at, c.dirTargets(p), "readdir", e)
+	lists := make([][]fsapi.DirEntry, 0, len(outs))
+	for _, r := range outs {
+		if fsapi.CodeOf(r.err) == fsapi.CodeNotExist {
+			continue // never materialized on that shard
+		}
+		if r.err != nil {
+			return nil, at, r.err
+		}
+		ents, err := decodeDirEntries(r.body)
+		if err != nil {
+			return nil, at, err
+		}
+		lists = append(lists, ents)
 	}
-	d := wire.NewDecoder(resp)
-	n := d.Uvarint()
-	ents := make([]fsapi.DirEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ents = append(ents, fsapi.DirEntry{Name: d.String(), Type: fsapi.FileType(d.Byte())})
+	if len(lists) == 0 {
+		return nil, at, fsapi.WrapPath("readdir", p, fsapi.ErrNotExist)
 	}
-	if derr := d.Finish(); derr != nil {
-		return nil, done, derr
-	}
-	return ents, done, nil
+	return mergeDirEntries(lists), at, nil
+}
+
+// chunkSpan locates byte pos of a file: the chunk holding it, its offset
+// in that chunk, and how many of the next want bytes the chunk holds.
+func chunkSpan(pos int64, want int) (chunk int64, inOff, n int) {
+	inOff = int(pos % ChunkSize)
+	return pos / ChunkSize, inOff, min(want, ChunkSize-inOff)
 }
 
 // serverFor maps a chunk of a path to its data server, striping
@@ -581,19 +651,13 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 		return at, fsapi.WrapPath("write", p, fsapi.ErrIsDir)
 	}
 	for n := 0; n < len(data); {
-		chunk := (off + int64(n)) / ChunkSize
-		inOff := int((off + int64(n)) % ChunkSize)
-		room := ChunkSize - inOff
-		if room > len(data)-n {
-			room = len(data) - n
-		}
+		chunk, inOff, room := chunkSpan(off+int64(n), len(data)-n)
 		e := wire.GetEncoder()
 		e.String(p)
 		e.Int64(chunk)
 		e.Uint32(uint32(inOff))
 		e.Blob(data[n : n+room])
-		done, _, err := c.caller.Call(c.serverFor(p, chunk), "write", at, e.Bytes())
-		wire.PutEncoder(e)
+		done, _, err := c.call(c.serverFor(p, chunk), "write", at, e)
 		if err != nil {
 			return done, err
 		}
@@ -620,41 +684,7 @@ func (c *Client) ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vcl
 	if off >= st.Size {
 		return nil, at, nil
 	}
-	if max := st.Size - off; int64(n) > max {
-		n = int(max)
-	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		pos := off + int64(len(out))
-		chunk := pos / ChunkSize
-		inOff := int(pos % ChunkSize)
-		want := n - len(out)
-		if room := ChunkSize - inOff; want > room {
-			want = room
-		}
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Int64(chunk)
-		e.Uint32(uint32(inOff))
-		e.Uint32(uint32(want))
-		done, resp, err := c.caller.Call(c.serverFor(p, chunk), "read", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			return nil, done, err
-		}
-		at = done
-		d := wire.NewDecoder(resp)
-		part := d.Blob()
-		if derr := d.Finish(); derr != nil {
-			return nil, at, derr
-		}
-		if len(part) < want {
-			// Sparse region: zero-fill to the requested length.
-			part = append(part, make([]byte, want-len(part))...)
-		}
-		out = append(out, part...)
-	}
-	return out, at, nil
+	return c.readChunks(at, p, off, int(min(int64(n), st.Size-off)))
 }
 
 // Fsync flushes a file's chunks (one device sync on its first stripe
@@ -670,19 +700,10 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 
 // RemoveData drops a file's chunks from every data server.
 func (c *Client) RemoveData(at vclock.Time, p string) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	latest := at
-	for _, addr := range c.cfg.DataAddrs {
-		e := wire.GetEncoder()
-		e.String(p)
-		done, _, err := c.caller.Call(addr, "drop", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			return done, err
-		}
-		latest = vclock.Max(latest, done)
-	}
-	return latest, nil
+	e := wire.GetEncoder()
+	e.String(namespace.Clean(p))
+	outs, done := c.sweep(at, c.cfg.DataAddrs, "drop", e)
+	return done, firstErr(outs)
 }
 
 // StatBatch resolves a set of paths in as few MDS round trips as
@@ -700,94 +721,67 @@ func (c *Client) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 	}
 	out := make([]fsapi.StatResult, len(paths))
 	cleaned := make([]string, len(paths))
-	send := make([]int, 0, len(paths))
 	for i, p := range paths {
 		cleaned[i] = namespace.Clean(p)
-		done, err := c.resolveAncestors(at, cleaned[i])
-		at = done
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		send = append(send, i)
+		at, out[i].Err = c.resolveAncestors(at, cleaned[i])
 	}
-	if len(send) == 0 {
-		return out, at, nil
-	}
-	groups := make(map[string][]int)
-	var order []string
-	for _, i := range send {
-		addr := c.mdsFor(cleaned[i])
-		if _, ok := groups[addr]; !ok {
-			order = append(order, addr)
+	s := c.cfg.Shards
+	groups := s.group(len(paths), func(i int) int {
+		if out[i].Err != nil {
+			return -1
 		}
-		groups[addr] = append(groups[addr], i)
-	}
-	// One RPC per MDS, all issued at the same virtual instant; the
-	// batch completes when the slowest group does. Multiple groups fan
-	// out concurrently — each fills a disjoint slice of out.
-	statGroup := func(addr string, idxs []int) (vclock.Time, error) {
-		c.mu.Lock()
-		c.lookupRPCs += int64(len(idxs))
-		c.mu.Unlock()
-		e := wire.GetEncoder()
-		ps := make([]string, len(idxs))
-		for j, i := range idxs {
-			ps[j] = cleaned[i]
+		if k := s.route(cleaned[i]); k >= 0 {
+			return k
 		}
-		e.Strings(ps)
-		done, resp, err := c.caller.Call(addr, "stat_batch", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			return done, err
-		}
-		d := wire.NewDecoder(resp)
-		n := d.Uvarint()
-		if n != uint64(len(idxs)) {
-			return done, fmt.Errorf("dfs: stat_batch returned %d results for %d paths", n, len(idxs))
-		}
-		for _, i := range idxs {
-			code := d.Byte()
-			if code == fsapi.CodeOK {
-				out[i].Stat = fsapi.DecodeStat(d)
-				if d.Err() == nil {
-					c.cachePut(cleaned[i], out[i].Stat, done)
-				}
-			} else {
-				detail := d.String()
-				out[i].Err = fsapi.ErrOf(code, detail)
-				c.cacheDrop(cleaned[i])
-			}
-		}
-		return done, d.Finish()
-	}
-	latest := at
-	if len(order) == 1 {
-		done, err := statGroup(order[0], groups[order[0]])
-		if err != nil {
-			return nil, done, err
-		}
-		latest = vclock.Max(latest, done)
+		return c.mirrorPick
+	})
+	// One RPC per MDS, all issued at the same virtual instant; a lone
+	// group — every batch on one MDS — is called directly and builds no
+	// closure.
+	var err error
+	if len(groups) == 1 {
+		at, err = c.statGroup(groups[0], at, cleaned, out)
 	} else {
-		dones := make([]vclock.Time, len(order))
-		gerrs := make([]error, len(order))
-		var wg sync.WaitGroup
-		for gi, addr := range order {
-			wg.Add(1)
-			go func(gi int, addr string) {
-				defer wg.Done()
-				dones[gi], gerrs[gi] = statGroup(addr, groups[addr])
-			}(gi, addr)
-		}
-		wg.Wait()
-		for gi := range order {
-			latest = vclock.Max(latest, dones[gi])
-			if gerrs[gi] != nil {
-				return nil, latest, gerrs[gi]
+		at, err = c.perShard(at, groups, func(g shardGroup, at vclock.Time) (vclock.Time, error) {
+			return c.statGroup(g, at, cleaned, out)
+		})
+	}
+	if err != nil {
+		return nil, at, err
+	}
+	return out, at, nil
+}
+
+// statGroup resolves one shard's share of a StatBatch.
+func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out []fsapi.StatResult) (vclock.Time, error) {
+	c.lookupRPCs.Add(int64(len(g.idx)))
+	e := wire.GetEncoder()
+	e.Uvarint(uint64(len(g.idx)))
+	for _, i := range g.idx {
+		e.String(cleaned[i])
+	}
+	done, resp, err := c.call(g.addr, "stat_batch", at, e)
+	if err != nil {
+		return done, err
+	}
+	d := wire.NewDecoder(resp)
+	if n := d.Uvarint(); n != uint64(len(g.idx)) {
+		return done, fmt.Errorf("dfs: stat_batch returned %d results for %d paths", n, len(g.idx))
+	}
+	for _, i := range g.idx {
+		code := d.Byte()
+		if code == fsapi.CodeOK {
+			out[i].Stat = fsapi.DecodeStat(d)
+			if d.Err() == nil {
+				c.cachePut(cleaned[i], out[i].Stat, done)
 			}
+		} else {
+			detail := d.String()
+			out[i].Err = fsapi.ErrOf(code, detail)
+			c.cacheDrop(cleaned[i])
 		}
 	}
-	return out, latest, nil
+	return done, d.Finish()
 }
 
 // ApplyBatch applies a set of independent-path mutations in as few MDS
@@ -805,106 +799,43 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 	errs := make([]error, len(ops))
 	// Resolve ancestors first (serially — each resolve advances the
 	// virtual clock like any client-side traversal would).
-	send := make([]int, 0, len(ops))
 	for i := range ops {
 		ops[i].Path = namespace.Clean(ops[i].Path)
-		done, err := c.resolveAncestors(at, ops[i].Path)
-		at = done
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		send = append(send, i)
-	}
-	if len(send) == 0 {
-		return errs, at, nil
+		at, errs[i] = c.resolveAncestors(at, ops[i].Path)
 	}
 	// Group the survivors by owning MDS, preserving order within a
-	// group. Ops on structural (mirrored) paths divert to the
-	// all-shards path — rare, since Pacon mutates workspace-interior
+	// group. An op on a structural (mirrored) path goes to every shard
+	// on its own instead — rare, since Pacon mutates workspace-interior
 	// paths, not the workspace skeleton.
-	groups := make(map[string][]int)
-	var order []string
-	var structural []int
-	for _, i := range send {
-		if c.sharded() && c.cfg.Shards.Structural(ops[i].Path) {
-			structural = append(structural, i)
-			continue
+	s := c.cfg.Shards
+	var mirrored []int
+	groups := s.group(len(ops), func(i int) int {
+		if errs[i] != nil {
+			return -1
 		}
-		addr := c.mdsFor(ops[i].Path)
-		if _, ok := groups[addr]; !ok {
-			order = append(order, addr)
+		k := s.route(ops[i].Path)
+		if k < 0 {
+			mirrored = append(mirrored, i)
 		}
-		groups[addr] = append(groups[addr], i)
-	}
+		return k
+	})
 	latest := at
-	for _, i := range structural {
-		done, err := c.applyOpAllShards(at, ops[i])
+	for _, i := range mirrored {
+		var done vclock.Time
+		done, errs[i] = c.mutateOn(s.addrs, at, ops[i])
 		latest = vclock.Max(latest, done)
-		errs[i] = err
 	}
-	// One RPC per MDS, all issued at the same virtual instant; the batch
-	// completes when the slowest group does. Multiple groups fan out
-	// concurrently — each fills a disjoint slice of errs.
-	applyGroup := func(addr string, idxs []int) (vclock.Time, error) {
-		e := wire.GetEncoder()
-		e.Uint32(c.cfg.Cred.UID)
-		e.Uint32(c.cfg.Cred.GID)
-		e.Uvarint(uint64(len(idxs)))
-		for _, i := range idxs {
-			op := ops[i]
-			e.Byte(byte(op.Kind))
-			e.Bool(op.IfExists)
-			e.String(op.Path)
-			fsapi.EncodeStat(e, op.Stat)
-		}
-		done, resp, err := c.caller.Call(addr, "apply_batch", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			return done, err
-		}
-		d := wire.NewDecoder(resp)
-		n := d.Uvarint()
-		if n != uint64(len(idxs)) {
-			return done, fmt.Errorf("dfs: apply_batch returned %d results for %d ops", n, len(idxs))
-		}
-		for _, i := range idxs {
-			code := d.Byte()
-			detail := d.String()
-			errs[i] = fsapi.ErrOf(code, detail)
-			if errs[i] == nil {
-				switch ops[i].Kind {
-				case fsapi.BatchSetStat, fsapi.BatchRemove:
-					c.cacheDrop(ops[i].Path)
-				}
-			}
-		}
-		return done, d.Finish()
+	var done vclock.Time
+	var err error
+	if len(groups) == 1 {
+		done, err = c.applyTo(groups[0].addr, at, ops, groups[0].idx, errs)
+	} else {
+		done, err = c.perShard(at, groups, func(g shardGroup, at vclock.Time) (vclock.Time, error) {
+			return c.applyTo(g.addr, at, ops, g.idx, errs)
+		})
 	}
-	if len(order) == 1 {
-		done, err := applyGroup(order[0], groups[order[0]])
-		if err != nil {
-			return nil, done, err
-		}
-		latest = vclock.Max(latest, done)
-	} else if len(order) > 1 {
-		dones := make([]vclock.Time, len(order))
-		gerrs := make([]error, len(order))
-		var wg sync.WaitGroup
-		for gi, addr := range order {
-			wg.Add(1)
-			go func(gi int, addr string) {
-				defer wg.Done()
-				dones[gi], gerrs[gi] = applyGroup(addr, groups[addr])
-			}(gi, addr)
-		}
-		wg.Wait()
-		for gi := range order {
-			latest = vclock.Max(latest, dones[gi])
-			if gerrs[gi] != nil {
-				return nil, latest, gerrs[gi]
-			}
-		}
+	if err != nil {
+		return nil, vclock.Max(latest, done), err
 	}
-	return errs, latest, nil
+	return errs, vclock.Max(latest, done), nil
 }

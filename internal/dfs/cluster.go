@@ -25,39 +25,37 @@ type Cluster struct {
 	DataAddrs []string
 	RootCred  fsapi.Cred
 
-	// Shards is set by NewClusterSharded: the MDSes hold independent
-	// subtree-partitioned namespaces and clients route through this
-	// map. Nil for the single-MDS cluster.
+	// Shards is the map every client of this cluster routes by: each
+	// MDS holds an independent, subtree-partitioned namespace. A
+	// NewCluster deployment carries a one-shard map with no spread
+	// roots, on which every path goes to the one MDS.
 	Shards *ShardMap
 }
 
 // NewCluster registers an MDS on mdsNode and one data server per entry
 // of dataNodes. The namespace root is owned by rootCred.
 func NewCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsNode string, dataNodes []string) *Cluster {
-	c := &Cluster{Net: net, Model: model, RootCred: rootCred}
-	c.addMDS(mdsNode + "/mds")
-	c.addDataServers(dataNodes)
-	return c
+	return newCluster(net, model, rootCred, []string{mdsNode + "/mds"}, nil, dataNodes)
 }
 
-// addMDS registers one metadata server with its own namespace tree.
-func (c *Cluster) addMDS(addr string) {
-	m := NewMDS(addr, c.Model, c.RootCred)
-	c.Net.Register(addr, m.Service())
-	c.MDSes = append(c.MDSes, m)
-	c.MDSAddrs = append(c.MDSAddrs, addr)
-	c.MDS = c.MDSes[0]
-	c.MDSAddr = c.MDSAddrs[0]
-}
-
-func (c *Cluster) addDataServers(dataNodes []string) {
+// newCluster registers one metadata server per address, each with its
+// own namespace tree, and one data server per data node.
+func newCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsAddrs, spreadRoots, dataNodes []string) *Cluster {
+	c := &Cluster{Net: net, Model: model, RootCred: rootCred, MDSAddrs: mdsAddrs, Shards: NewShardMap(mdsAddrs, spreadRoots)}
+	for _, addr := range mdsAddrs {
+		m := NewMDS(addr, model, rootCred)
+		net.Register(addr, m.Service())
+		c.MDSes = append(c.MDSes, m)
+	}
+	c.MDS, c.MDSAddr = c.MDSes[0], mdsAddrs[0]
 	for _, node := range dataNodes {
 		addr := node + "/data"
-		ds := NewDataServer(addr, c.Model)
+		ds := NewDataServer(addr, model)
 		c.Data = append(c.Data, ds)
 		c.DataAddrs = append(c.DataAddrs, addr)
-		c.Net.Register(addr, ds.Service())
+		net.Register(addr, ds.Service())
 	}
+	return c
 }
 
 // NewClusterSharded deploys a subtree-partitioned metadata service:
@@ -67,20 +65,11 @@ func (c *Cluster) addDataServers(dataNodes []string) {
 // root hashes to one shard and everything deeper inherits it (parent
 // affinity). Cross-shard renames run the two-phase xfer protocol.
 func NewClusterSharded(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsNode string, shards int, spreadRoots []string, dataNodes []string) *Cluster {
-	if shards < 1 {
-		shards = 1
-	}
-	c := &Cluster{Net: net, Model: model, RootCred: rootCred}
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
+	addrs := make([]string, max(shards, 1))
+	for i := range addrs {
 		addrs[i] = fmt.Sprintf("%s/mds%d", mdsNode, i)
 	}
-	c.Shards = NewShardMap(addrs, spreadRoots)
-	for _, addr := range addrs {
-		c.addMDS(addr)
-	}
-	c.addDataServers(dataNodes)
-	return c
+	return newCluster(net, model, rootCred, addrs, spreadRoots, dataNodes)
 }
 
 // KillShard unregisters shard i's service — calls to it fail with
@@ -97,9 +86,9 @@ func (c *Cluster) RecoverShard(i int) {
 	c.Net.Register(c.MDSAddrs[i], c.MDSes[i].Service())
 }
 
-// OracleLookup resolves p directly against the authoritative tree —
-// shard-aware: in sharded mode it consults the shard owning p. Used by
-// convergence checkers that must bypass the RPC layer.
+// OracleLookup resolves p directly against the authoritative tree — the
+// one on the shard owning p. Used by convergence checkers that must
+// bypass the RPC layer.
 func (c *Cluster) OracleLookup(p string) (fsapi.Stat, error) {
 	p = namespace.Clean(p)
 	return c.oracleTree(p).Lookup(p)
@@ -112,13 +101,9 @@ func (c *Cluster) OracleExists(p string) bool {
 	return c.oracleTree(p).Exists(p)
 }
 
+// oracleTree is the tree of p's owner; for a mirrored path every mirror
+// agrees and Owner names shard 0, the canonical one.
 func (c *Cluster) oracleTree(p string) *namespace.Tree {
-	if c.Shards == nil || c.Shards.N() == 1 {
-		return c.MDS.Tree()
-	}
-	if c.Shards.Structural(p) {
-		return c.MDS.Tree() // every mirror agrees; shard 0 is canonical
-	}
 	return c.MDSes[c.Shards.Owner(p)].Tree()
 }
 
@@ -131,9 +116,6 @@ func (c *Cluster) oracleTree(p string) *namespace.Tree {
 // operation — callers must not race it against client traffic to the
 // moving subtree.
 func (c *Cluster) Delegate(p string, shard int) error {
-	if c.Shards == nil {
-		return fmt.Errorf("dfs: delegate %s: cluster is not sharded", p)
-	}
 	p = namespace.Clean(p)
 	if shard < 0 || shard >= len(c.MDSes) {
 		return fmt.Errorf("dfs: delegate %s: shard %d out of range [0,%d)", p, shard, len(c.MDSes))
@@ -192,7 +174,6 @@ func (c *Cluster) Delegate(p string, shard int) error {
 func (c *Cluster) NewClient(node string, cred fsapi.Cred, cacheCap int, ttl vclock.Duration) *Client {
 	return NewClient(c.Net, ClientConfig{
 		Node:           node,
-		MDSAddr:        c.MDSAddr,
 		DataAddrs:      c.DataAddrs,
 		Cred:           cred,
 		Model:          c.Model,

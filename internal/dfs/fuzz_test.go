@@ -1,0 +1,143 @@
+package dfs
+
+import (
+	"testing"
+
+	"pacon/internal/fsapi"
+	"pacon/internal/rpc"
+	"pacon/internal/vclock"
+	"pacon/internal/wire"
+)
+
+// FuzzMDSHandlers feeds raw bytes to every endpoint the MDS registers —
+// the frames a peer controls — against a small populated tree. Each must
+// return an error or a well-formed reply without panicking; a corrupt
+// count must be rejected before anything is sized by it (the allocation
+// check is the fuzzer's own memory limit: a handler that trusted a 2^60
+// count would die); and a frame that fails to decode — refused before
+// any service time is charged — must leave the tree and the intent table
+// as they were: every handler decodes the whole frame before it touches
+// anything.
+func FuzzMDSHandlers(f *testing.F) {
+	frame := func(fill func(e *wire.Encoder)) []byte {
+		e := wire.NewEncoder(64)
+		fill(e)
+		return e.Bytes()
+	}
+	cred := func(e *wire.Encoder) { e.Uint32(appCred.UID); e.Uint32(appCred.GID) }
+	file := fsapi.NewFileStat(appCred, 0o644)
+	// One valid frame per endpoint, and each cut short; every frame goes
+	// to every endpoint, so each is mostly somebody else's garbage.
+	valid := [][]byte{
+		frame(func(e *wire.Encoder) { e.String("/w/d/f") }),                        // lookup, readdir
+		frame(func(e *wire.Encoder) { e.Strings([]string{"/w/d", "/w/missing"}) }), // stat_batch
+		frame(func(e *wire.Encoder) { // apply_batch: one op of every kind
+			cred(e)
+			e.Uvarint(5)
+			for kind, p := range []string{"/w/new", "/w/newdir", "/w/d/f", "/w/g", "/w/empty"} {
+				e.Byte(byte(kind))
+				e.Bool(kind == int(fsapi.BatchRemove))
+				e.String(p)
+				fsapi.EncodeStat(e, file)
+			}
+		}),
+		frame(func(e *wire.Encoder) { e.String("/w/d"); e.String("/w/moved"); cred(e) }), // rename
+		frame(func(e *wire.Encoder) { e.String("/w/d"); cred(e); e.Uvarint(0) }),         // rmtree, xfer_prepare, rmdir_prepare
+		frame(func(e *wire.Encoder) { e.String("/w/empty"); cred(e); e.Uvarint(7) }),
+		frame(func(e *wire.Encoder) { // xfer_apply
+			e.String("/w/in")
+			cred(e)
+			e.Uvarint(2)
+			e.String("")
+			fsapi.EncodeStat(e, fsapi.NewDirStat(appCred, 0o755))
+			e.String("/leaf")
+			fsapi.EncodeStat(e, file)
+		}),
+		frame(func(e *wire.Encoder) { e.String("/w/d"); e.Uvarint(7) }), // intent_put, intent_finish, intent_del
+	}
+	for _, v := range valid {
+		f.Add(v)
+		f.Add(v[:len(v)-1])
+		f.Add(v[:len(v)/2])
+	}
+	// Counts far beyond the frame, where apply_batch, stat_batch and
+	// xfer_apply read theirs.
+	f.Add(frame(func(e *wire.Encoder) { e.Uvarint(1 << 60) }))
+	f.Add(frame(func(e *wire.Encoder) { cred(e); e.Uvarint(1 << 60) }))
+	f.Add(frame(func(e *wire.Encoder) { e.String("/w/in"); cred(e); e.Uvarint(1 << 60) }))
+	// A path nobody cleaned: the tree cleans what it is handed, so what a
+	// walk visits is shorter than what the frame named.
+	f.Add(frame(func(e *wire.Encoder) { e.String("/w/d/"); cred(e); e.Uvarint(7) }))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, method := range mdsMethods {
+			// A fresh tree per endpoint: what one does with the frame must
+			// not hide it from the next.
+			m := NewMDS("fuzz/mds", vclock.Default(), rootCred)
+			tree := m.Tree()
+			for _, d := range []string{"/w", "/w/d", "/w/d/sub", "/w/empty"} {
+				if err := tree.Mkdir(d, fsapi.NewDirStat(appCred, 0o777)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range []string{"/w/d/f", "/w/d/sub/leaf", "/w/g"} {
+				if err := tree.Create(p, file); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bus := rpc.NewBus()
+			bus.Register("fuzz/mds", m.Service())
+			caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
+			before, intents, served := dumpTree(t, m), m.Intents(), m.Resource().Ops()
+			_, resp, err := caller.Call("fuzz/mds", method, 0, body)
+			if err != nil {
+				if resp != nil {
+					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
+				}
+				if m.Resource().Ops() == served && (dumpTree(t, m) != before || m.Intents() != intents) {
+					t.Fatalf("%s refused the frame undecoded (%v) yet changed the tree or the intents:\n%s--- now, %d intent(s)\n%s", method, err, before, m.Intents(), dumpTree(t, m))
+				}
+				continue
+			}
+			// A reply lists what the request named or what the tree holds,
+			// and the tree only grows by what a request carried.
+			if len(resp) > 128*len(body)+(4<<10) {
+				t.Fatalf("%s: %d-byte reply to a %d-byte request", method, len(resp), len(body))
+			}
+			d := wire.NewDecoder(resp)
+			switch method {
+			case "lookup":
+				fsapi.DecodeStat(d)
+			case "stat_batch":
+				for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+					if d.Byte() == fsapi.CodeOK {
+						fsapi.DecodeStat(d)
+					} else {
+						_ = d.String()
+					}
+				}
+			case "apply_batch":
+				for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+					d.Byte()
+					_ = d.String()
+				}
+			case "rmtree":
+				d.Strings()
+			case "readdir":
+				_, err = decodeDirEntries(resp)
+				d = wire.NewDecoder(nil)
+			case "xfer_prepare":
+				for n := d.Count(); n > 0 && d.Err() == nil; n-- {
+					_ = d.String()
+					fsapi.DecodeStat(d)
+				}
+			}
+			// Every other endpoint answers with an empty reply.
+			if ferr := d.Finish(); err != nil || ferr != nil {
+				t.Fatalf("%s: malformed %d-byte reply: %v %v", method, len(resp), err, ferr)
+			}
+		}
+	})
+}

@@ -31,11 +31,17 @@ type MDS struct {
 	reads   atomic.Int64
 	writes  atomic.Int64
 
-	// Cross-shard intent log (shardrpc.go): subtree root → protocol id.
-	// intentN gates the per-op overlap check so deployments that never
-	// shard (or never rename across shards) pay one atomic load.
+	// Multi-shard intent log (shardrpc.go): subtree root → protocol id.
+	// intentN gates the scan of the table, so deployments that never
+	// shard (or never rename across shards) pay, per mutating request,
+	// an uncontended RLock/RUnlock of intentMu and one atomic load. A
+	// mutation holds intentMu shared from its intent check until its
+	// tree update is done, and whatever changes the table holds it
+	// exclusively: when a prepare step has logged its intent, no
+	// mutation that was checked against the table without it is still
+	// in flight, so what the step then votes on or exports stays true.
 	intentN  atomic.Int32
-	intentMu sync.Mutex
+	intentMu sync.RWMutex
 	intents  map[string]uint64
 }
 
@@ -93,14 +99,18 @@ func (m *MDS) checkParentWritable(op, p string, cred fsapi.Cred) error {
 	return nil
 }
 
-// applyOne applies a single batched mutation, mirroring the semantics of
-// the corresponding singleton handler exactly.
+// applyOne applies one single-path mutation — the only statement of what
+// create, mkdir, setstat, remove and rmdir mean on an MDS: each reaches
+// it as an element of an apply_batch, alone or in a commit wave. The
+// caller holds intentMu shared.
 func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
 	if err := m.intentBlocked("apply", op.Path); err != nil {
 		return err
 	}
 	switch op.Kind {
 	case fsapi.BatchCreate:
+		// Existence first (POSIX: mkdir/creat of an existing name is
+		// EEXIST even in an unwritable parent).
 		if m.tree.Exists(op.Path) {
 			return fsapi.WrapPath("create", op.Path, fsapi.ErrExist)
 		}
@@ -129,9 +139,29 @@ func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
 			return nil
 		}
 		return err
+	case fsapi.BatchRmdir:
+		if err := m.checkParentWritable("rmdir", op.Path, cred); err != nil {
+			return err
+		}
+		return m.tree.Rmdir(op.Path)
 	default:
 		return fsapi.WrapPath("apply_batch", op.Path, fmt.Errorf("unknown batch op kind %d", op.Kind))
 	}
+}
+
+// pathArg reads a path off a request. Clients send canonical paths, but
+// a frame is not trusted to: the intent table compares paths as strings
+// and the tree canonicalizes whatever it is handed, so every check and
+// every walk in a handler must see the one form both agree on.
+func pathArg(d *wire.Decoder) string { return namespace.Clean(d.String()) }
+
+// errDetail is the text that travels with a result code in a batched
+// reply: only an error outside the sentinel set needs any.
+func errDetail(code uint8, err error) string {
+	if code == fsapi.CodeOther {
+		return err.Error()
+	}
+	return ""
 }
 
 // Service exposes the MDS RPC methods.
@@ -142,7 +172,7 @@ func (m *MDS) Service() *rpc.Service {
 	// service cost grows with the looked-up depth.
 	svc.Handle("lookup", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		p := d.String()
+		p := pathArg(d)
 		if err := d.Finish(); err != nil {
 			return at, nil, err
 		}
@@ -180,83 +210,34 @@ func (m *MDS) Service() *rpc.Service {
 			e.Byte(code)
 			if code == fsapi.CodeOK {
 				fsapi.EncodeStat(e, st)
-			} else if code == fsapi.CodeOther && err != nil {
-				e.String(err.Error())
 			} else {
-				e.String("")
+				e.String(errDetail(code, err))
 			}
 		}
 		return done, e.Bytes(), nil
 	})
 
-	// mutation ops: create, mkdir, setstat, remove, rmdir.
-	mutate := func(op string, fn func(p string, cred fsapi.Cred, st fsapi.Stat) error) rpc.Handler {
-		return func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-			d := wire.NewDecoder(body)
-			p := d.String()
-			cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
-			st := fsapi.DecodeStat(d)
-			if err := d.Finish(); err != nil {
-				return at, nil, err
-			}
-			m.writes.Add(1)
-			done := m.res.Acquire(at, m.model.MDSWriteCost)
-			if err := m.intentBlocked(op, p); err != nil {
-				return done, nil, err
-			}
-			return done, nil, fn(p, cred, st)
-		}
-	}
-	svc.Handle("create", mutate("create", func(p string, cred fsapi.Cred, st fsapi.Stat) error {
-		// Existence first (POSIX: mkdir/creat of an existing name is
-		// EEXIST even in an unwritable parent).
-		if m.tree.Exists(p) {
-			return fsapi.WrapPath("create", p, fsapi.ErrExist)
-		}
-		if err := m.checkParentWritable("create", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Create(p, st)
-	}))
-	svc.Handle("mkdir", mutate("mkdir", func(p string, cred fsapi.Cred, st fsapi.Stat) error {
-		if m.tree.Exists(p) {
-			return fsapi.WrapPath("mkdir", p, fsapi.ErrExist)
-		}
-		if err := m.checkParentWritable("mkdir", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Mkdir(p, st)
-	}))
-	svc.Handle("setstat", mutate("setstat", func(p string, cred fsapi.Cred, st fsapi.Stat) error {
-		return m.tree.SetStat(p, st)
-	}))
-	svc.Handle("remove", mutate("remove", func(p string, cred fsapi.Cred, _ fsapi.Stat) error {
-		if err := m.checkParentWritable("remove", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Remove(p)
-	}))
-	svc.Handle("rmdir", mutate("rmdir", func(p string, cred fsapi.Cred, _ fsapi.Stat) error {
-		if err := m.checkParentWritable("rmdir", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Rmdir(p)
-	}))
-
-	// apply_batch: a batch of independent-path mutations in one round
-	// trip — the batched commit path of Pacon's commit module. Each op is
-	// applied independently and reports its own result code; the batch
-	// succeeds at the RPC level even when individual ops fail, so one
-	// ErrExist does not force the whole batch through the retry path.
+	// apply_batch: independent-path mutations in one round trip — a
+	// commit wave of Pacon's commit module, or one mutation on its own.
+	// Each op is applied independently and reports its own result code;
+	// the batch succeeds at the RPC level even when individual ops fail,
+	// so one ErrExist does not force the whole batch through the retry
+	// path. A batch of one costs what a dedicated endpoint would: one
+	// MDSWriteCost of service time, and — small batches decode into
+	// stack scratch — no allocation beyond its path and its reply.
 	svc.Handle("apply_batch", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		n := d.Count()
-		ops := make([]fsapi.BatchOp, 0, n)
+		var scratch [8]fsapi.BatchOp
+		ops := scratch[:0]
+		if n > len(scratch) {
+			ops = make([]fsapi.BatchOp, 0, n)
+		}
 		for i := 0; i < n && d.Err() == nil; i++ {
 			op := fsapi.BatchOp{Kind: fsapi.BatchKind(d.Byte())}
 			op.IfExists = d.Bool()
-			op.Path = d.String()
+			op.Path = pathArg(d)
 			op.Stat = fsapi.DecodeStat(d)
 			ops = append(ops, op)
 		}
@@ -268,17 +249,15 @@ func (m *MDS) Service() *rpc.Service {
 		// work still scales with the op count, but the per-request
 		// dispatch overhead is paid once.
 		done := m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(len(ops)))
-		e := wire.NewEncoder(8 + 2*len(ops))
+		e := wire.NewEncoder(2 + 2*len(ops))
 		e.Uvarint(uint64(len(ops)))
+		m.intentMu.RLock()
+		defer m.intentMu.RUnlock()
 		for _, op := range ops {
 			err := m.applyOne(op, cred)
 			code := fsapi.CodeOf(err)
 			e.Byte(code)
-			if code == fsapi.CodeOther && err != nil {
-				e.String(err.Error())
-			} else {
-				e.String("")
-			}
+			e.String(errDetail(code, err))
 		}
 		return done, e.Bytes(), nil
 	})
@@ -288,14 +267,16 @@ func (m *MDS) Service() *rpc.Service {
 	// as a dependent operation).
 	svc.Handle("rename", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		src := d.String()
-		dst := d.String()
+		src := pathArg(d)
+		dst := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		if err := d.Finish(); err != nil {
 			return at, nil, err
 		}
 		m.writes.Add(1)
 		done := m.res.Acquire(at, m.model.MDSWriteCost)
+		m.intentMu.RLock()
+		defer m.intentMu.RUnlock()
 		if err := m.intentBlocked("rename", src); err != nil {
 			return done, nil, err
 		}
@@ -317,42 +298,45 @@ func (m *MDS) Service() *rpc.Service {
 	// the subtree size.
 	svc.Handle("rmtree", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		p := d.String()
+		p := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
-		// A multi-shard sweep brackets itself with an intent on p; the
-		// optional trailing id lets that sweep pass its own barrier.
-		var selfID uint64
-		if d.Remaining() > 0 {
-			selfID = d.Uvarint()
-		}
+		// A multi-shard sweep brackets itself with an intent on p: its id
+		// lets the sweep pass its own barrier, and the sweep — the finish
+		// step of that protocol on this shard — releases it whatever the
+		// outcome. 0 is a sweep that logged none.
+		selfID := d.Uvarint()
 		if err := d.Finish(); err != nil {
 			return at, nil, err
 		}
 		m.writes.Add(1)
-		if err := m.intentBlockedExcept("rmtree", p, selfID); err != nil {
-			return m.res.Acquire(at, m.model.MDSReadCost), nil, err
+		cost := m.model.MDSReadCost // what a refusal costs
+		var removed []string
+		m.intentMu.RLock()
+		err := m.intentBlockedExcept("rmtree", p, selfID)
+		if err == nil {
+			err = m.checkParentWritable("rmdir", p, cred)
 		}
-		if err := m.checkParentWritable("rmdir", p, cred); err != nil {
-			return m.res.Acquire(at, m.model.MDSReadCost), nil, err
+		if err == nil {
+			removed, err = m.tree.RemoveSubtree(p)
+			cost = m.model.MDSWriteCost * vclock.Duration(1+len(removed))
 		}
-		removed, err := m.tree.RemoveSubtree(p)
-		cost := m.model.MDSWriteCost * vclock.Duration(1+len(removed))
+		m.intentMu.RUnlock()
+		if selfID != 0 {
+			m.delIntent(p, selfID)
+		}
 		done := m.res.Acquire(at, cost)
 		if err != nil {
 			return done, nil, err
 		}
 		e := wire.NewEncoder(32 * len(removed))
-		e.Uvarint(uint64(len(removed)))
-		for _, rp := range removed {
-			e.String(rp)
-		}
+		e.Strings(removed)
 		return done, e.Bytes(), nil
 	})
 
 	// readdir: list a directory; cost scales with the entry count.
 	svc.Handle("readdir", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		p := d.String()
+		p := pathArg(d)
 		if err := d.Finish(); err != nil {
 			return at, nil, err
 		}
@@ -372,9 +356,9 @@ func (m *MDS) Service() *rpc.Service {
 		return done, e.Bytes(), nil
 	})
 
-	// Cross-shard coordination endpoints (shardrpc.go): two-phase
-	// rename/rmdir and intent bracketing. Registered unconditionally —
-	// they are inert unless a shard router drives them.
+	// Multi-shard coordination endpoints (shardrpc.go): the steps of the
+	// two-phase protocol. Registered unconditionally — they are inert
+	// unless an operation finds more than one shard to touch.
 	m.shardHandlers(svc)
 
 	return svc

@@ -8,366 +8,225 @@ import (
 	"pacon/internal/wire"
 )
 
-// Client-side shard routing. With ClientConfig.Shards set, the client
-// fronts a pool of independent MDS shards (each with its own namespace
-// tree and service pool) instead of one MDS:
-//
-//   - single-subtree operations route to the owning shard (ShardMap);
-//   - structural (mirrored) mutations fan out to every shard;
-//   - directory-wide operations (readdir, rmdir, rmtree) fan out to the
-//     owner plus any shard holding a delegation under the directory,
-//     and merge;
-//   - cross-shard rename runs the two-phase xfer protocol (shardrpc.go).
-//
-// protoSeq numbers the two-phase protocols; ids only need to be unique
-// among concurrently active intents, so a process-wide counter serves
-// every client.
-var protoSeq atomic.Uint64
+// Client-side routing. Every client fronts a pool of independent MDS
+// shards (each with its own namespace tree and service pool) through its
+// ShardMap, and every operation asks the map where to go (mdsFor,
+// writeTargets, dirTargets, ShardMap.group). What it then does depends
+// only on how many targets the map named: one target is one round trip,
+// several are a fan-out from one virtual instant (sweep, perShard), and
+// a mutation that must be atomic across several runs the two-phase
+// protocol (twoPhase). A one-shard map never names more than one, so a
+// single MDS is not a mode of this code but its smallest input.
 
-// sharded reports whether this client routes through a shard map with
-// real fan-out (a 1-shard map behaves exactly like a single MDS).
-func (c *Client) sharded() bool {
-	return c.cfg.Shards != nil && c.cfg.Shards.N() > 1
+// mdsFor returns the MDS a read of p goes to.
+func (c *Client) mdsFor(p string) string {
+	s := c.cfg.Shards
+	i := s.route(p)
+	if i < 0 {
+		i = c.mirrorPick
+	}
+	return s.addrs[i]
 }
 
-// shardTargets returns the shard addresses a directory-wide operation
-// on p must touch: every shard for structural paths, otherwise the
-// owner plus any shards holding delegations under p. len==1 means the
-// operation degenerates to the single-shard path.
-func (c *Client) shardTargets(p string) []string {
+// writeTargets returns the shards a mutation of p goes to: its owner, or
+// every shard when p is mirrored.
+func (c *Client) writeTargets(p string) []string {
 	s := c.cfg.Shards
-	if s.Structural(p) {
-		return s.Addrs()
+	if i := s.route(p); i >= 0 {
+		return s.addrs[i : i+1]
 	}
-	owner := s.Owner(p)
-	under := s.DelegationShardsUnder(p)
-	out := []string{s.AddrOf(owner)}
-	for _, sh := range under {
+	return s.addrs
+}
+
+// dirTargets returns the shards a directory-wide operation on p must
+// touch: every shard when p is mirrored, otherwise the owner plus any
+// shards holding delegations under p.
+func (c *Client) dirTargets(p string) []string {
+	s := c.cfg.Shards
+	owner := s.route(p)
+	if owner < 0 {
+		return s.addrs
+	}
+	out := s.addrs[owner : owner+1 : owner+1]
+	for _, sh := range s.DelegationShardsUnder(p) {
 		if sh != owner {
-			out = append(out, s.AddrOf(sh))
+			out = append(out, s.addrs[sh])
 		}
 	}
 	return out
 }
 
-// mutateAllShards applies one mutation to every shard's mirror of a
-// structural path. All calls are issued at the same virtual instant; the
-// mutation completes when the slowest mirror does. Every mirror is
-// attempted even after an error, keeping the mirrors lockstep; the
-// first error is reported.
-func (c *Client) mutateAllShards(method string, at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	latest := at
-	var first error
-	for _, addr := range c.cfg.Shards.Addrs() {
-		e := c.mutateBody(p, st)
-		done, _, err := c.caller.Call(addr, method, at, e.Bytes())
-		wire.PutEncoder(e)
-		latest = vclock.Max(latest, done)
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return latest, first
+// call issues one RPC whose request was built in the pooled encoder e,
+// and releases e.
+func (c *Client) call(addr, method string, at vclock.Time, e *wire.Encoder) (vclock.Time, []byte, error) {
+	done, resp, err := c.caller.Call(addr, method, at, e.Bytes())
+	wire.PutEncoder(e)
+	return done, resp, err
 }
 
-// applyOpAllShards mirrors one batched mutation of a structural path to
-// every shard via a one-op apply_batch (preserving IfExists semantics).
-func (c *Client) applyOpAllShards(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
-	latest := at
-	var first error
-	for _, addr := range c.cfg.Shards.Addrs() {
-		e := wire.GetEncoder()
+// reply is one target's answer to a sweep.
+type reply struct {
+	body []byte
+	err  error
+}
+
+// firstErr returns the first target's error, in target order.
+func firstErr(rs []reply) error {
+	for _, r := range rs {
+		if r.err != nil {
+			return r.err
+		}
+	}
+	return nil
+}
+
+// sweep sends the request in e — released here — to every target from
+// the same virtual instant and returns each one's reply in target order
+// and the latest completion. Every target is attempted whatever the
+// others answer: mirrors stay in lockstep, and a caller that must know
+// which shards acted can tell. A lone target is called directly, so the
+// common case builds no closure (nothing the closure captures may be
+// reassigned here either, or it would move to the heap on every path).
+func (c *Client) sweep(at vclock.Time, targets []string, method string, e *wire.Encoder) ([]reply, vclock.Time) {
+	out := make([]reply, len(targets))
+	body := e.Bytes()
+	var latest vclock.Time
+	if len(targets) == 1 {
+		latest, out[0].body, out[0].err = c.caller.Call(targets[0], method, at, body)
+	} else {
+		latest = c.caller.FanOut(at, len(targets), false, func(i int) (done vclock.Time) {
+			done, out[i].body, out[i].err = c.caller.Call(targets[i], method, at, body)
+			return done
+		})
+	}
+	wire.PutEncoder(e)
+	return out, latest
+}
+
+// perShard makes one call per group of a batch, all from the same
+// virtual instant; the batch completes when the slowest group does. A
+// group's call fills the result slots of its own positions, so groups
+// never share a slot. The first group's error, in group order, is the
+// batch's: its disposition is then unknown. These are the calls a commit
+// wave makes, and the fan-out is asked to block for them: each group
+// rides its own goroutine on every transport, as it always has, and the
+// process waits (rpc.Caller.FanOut says what depends on that).
+func (c *Client) perShard(at vclock.Time, groups []shardGroup, call func(g shardGroup, at vclock.Time) (vclock.Time, error)) (vclock.Time, error) {
+	errs := make([]error, len(groups))
+	latest := c.caller.FanOut(at, len(groups), true, func(i int) (done vclock.Time) {
+		done, errs[i] = call(groups[i], at)
+		return done
+	})
+	for _, err := range errs {
+		if err != nil {
+			return latest, err
+		}
+	}
+	return latest, nil
+}
+
+// protoSeq numbers the two-phase protocols; ids only need to be unique
+// among concurrently active intents, so a process-wide counter serves
+// every client.
+var protoSeq atomic.Uint64
+
+// step names one endpoint of the two-phase protocol. Every such endpoint
+// takes the same frame — the subtree root, the caller's credential where
+// the step checks a permission, the protocol id. reports marks a finish
+// whose reply says what it swept: sent twice, the second answer would
+// describe a tree the first already removed.
+type step struct {
+	method  string
+	cred    bool
+	reports bool
+}
+
+var (
+	renamePrepare = step{method: "xfer_prepare", cred: true}
+	rmdirPrepare  = step{method: "rmdir_prepare", cred: true}
+	rmtreePrepare = step{method: "intent_put"}
+	finishSweep   = step{method: "intent_finish"}
+	rmtreeSweep   = step{method: "rmtree", cred: true, reports: true}
+	abortStep     = step{method: "intent_del"}
+)
+
+// send runs one protocol step for the subtree at p on the given shards.
+func (c *Client) send(at vclock.Time, on []string, s step, p string, id uint64) ([]reply, vclock.Time) {
+	e := wire.GetEncoder()
+	e.String(p)
+	if s.cred {
 		e.Uint32(c.cfg.Cred.UID)
 		e.Uint32(c.cfg.Cred.GID)
-		e.Uvarint(1)
-		e.Byte(byte(op.Kind))
-		e.Bool(op.IfExists)
-		e.String(op.Path)
-		fsapi.EncodeStat(e, op.Stat)
-		done, resp, err := c.caller.Call(addr, "apply_batch", at, e.Bytes())
-		wire.PutEncoder(e)
-		latest = vclock.Max(latest, done)
-		if err == nil {
-			d := wire.NewDecoder(resp)
-			if d.Uvarint() == 1 {
-				code := d.Byte()
-				detail := d.String()
-				err = fsapi.ErrOf(code, detail)
+	}
+	e.Uvarint(id)
+	return c.sweep(at, on, s.method, e)
+}
+
+// twoPhase runs a mutation of the subtree at p that must be atomic
+// across the shards in `on` — the one multi-shard protocol (DESIGN.md
+// §10). It allocates the protocol id; has every participant prepare
+// (vote, and log an intent that blocks overlapping mutations); lets
+// decide, if any, make the decision from the votes' replies; then
+// either finishes on every participant (sweep under the intent, release
+// it) and returns their replies, or — any vote against, or decide
+// failing — aborts, releasing the intents of exactly the participants
+// that logged one, and returns the reason. A finish that may not have
+// reached its shard would leave that shard's intent behind: one whose
+// reply carries nothing is idempotent and is sent once more, one that
+// reports its sweep keeps its error and has the intent released instead.
+// A shard that stays unreachable clears its volatile intent log when it
+// recovers, which aborts its side. Callers supply participants and
+// endpoints and never see the id, the prepared subset or the abort.
+func (c *Client) twoPhase(at vclock.Time, p string, on []string, prepare, finish step,
+	decide func(at vclock.Time, votes []reply) (vclock.Time, error)) ([]reply, vclock.Time, error) {
+	id := protoSeq.Add(1)
+	votes, at := c.send(at, on, prepare, p, id)
+	err := firstErr(votes)
+	if err == nil && decide != nil {
+		at, err = decide(at, votes)
+	}
+	if err != nil {
+		var prepared []string
+		for i, v := range votes {
+			if v.err == nil {
+				prepared = append(prepared, on[i])
 			}
 		}
-		if err != nil && first == nil {
-			first = err
+		_, at = c.send(at, prepared, abortStep, p, id)
+		return nil, at, err
+	}
+	outs, at := c.send(at, on, finish, p, id)
+	for i := range outs {
+		// Not an answer from the shard's handler: it may never have run.
+		if code := fsapi.CodeOf(outs[i].err); code != fsapi.CodeClosed && code != fsapi.CodeOther {
+			continue
+		}
+		if finish.reports {
+			_, at = c.send(at, on[i:i+1], abortStep, p, id)
+		} else {
+			var again []reply
+			again, at = c.send(at, on[i:i+1], finish, p, id)
+			outs[i] = again[0]
 		}
 	}
-	return latest, first
+	return outs, at, nil
 }
 
-// shardedRename implements Rename over the shard pool. Same-shard moves
-// are a single "rename" RPC to the owner; cross-shard moves run the
-// two-phase xfer protocol. Structural endpoints and subtrees spanning a
-// delegation boundary are refused — moving a mirrored directory (or
-// silently re-homing a pinned subtree) has no atomic implementation.
-func (c *Client) shardedRename(at vclock.Time, src, dst string) (vclock.Time, error) {
-	s := c.cfg.Shards
-	if s.Structural(src) || s.Structural(dst) {
-		return at, fsapi.WrapPath("rename", src, fsapi.ErrPermission)
-	}
-	if s.CrossesDelegation(src) {
-		return at, fsapi.WrapPath("rename", src, fsapi.ErrPermission)
-	}
-	srcSh, dstSh := s.Owner(src), s.Owner(dst)
-	if srcSh == dstSh {
-		e := wire.GetEncoder()
-		e.String(src)
-		e.String(dst)
-		e.Uint32(c.cfg.Cred.UID)
-		e.Uint32(c.cfg.Cred.GID)
-		done, _, err := c.caller.Call(s.AddrOf(srcSh), "rename", at, e.Bytes())
-		wire.PutEncoder(e)
-		return done, err
-	}
-	srcAddr, dstAddr := s.AddrOf(srcSh), s.AddrOf(dstSh)
-	id := protoSeq.Add(1)
-
-	// Phase 1: prepare on the source — intent logged, subtree exported.
-	e := wire.GetEncoder()
-	e.String(src)
-	e.Uint32(c.cfg.Cred.UID)
-	e.Uint32(c.cfg.Cred.GID)
-	e.Uvarint(id)
-	at, resp, err := c.caller.Call(srcAddr, "xfer_prepare", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return at, err
-	}
+// decodeDirEntries decodes a readdir reply.
+func decodeDirEntries(resp []byte) ([]fsapi.DirEntry, error) {
 	d := wire.NewDecoder(resp)
 	n := d.Count()
-	rels := make([]string, 0, n)
-	stats := make([]fsapi.Stat, 0, n)
+	ents := make([]fsapi.DirEntry, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		rels = append(rels, d.String())
-		stats = append(stats, fsapi.DecodeStat(d))
+		ents = append(ents, fsapi.DirEntry{Name: d.String(), Type: fsapi.FileType(d.Byte())})
 	}
-	if derr := d.Finish(); derr != nil {
-		return c.releaseIntent(at, []string{srcAddr}, src, id), derr
-	}
-
-	// Phase 2: apply on the destination. Failure aborts the source
-	// intent — the subtree never moved.
-	e = wire.GetEncoder()
-	e.String(dst)
-	e.Uint32(c.cfg.Cred.UID)
-	e.Uint32(c.cfg.Cred.GID)
-	e.Uvarint(uint64(n))
-	for i := range rels {
-		e.String(rels[i])
-		fsapi.EncodeStat(e, stats[i])
-	}
-	at, _, err = c.caller.Call(dstAddr, "xfer_apply", at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return c.releaseIntent(at, []string{srcAddr}, src, id), err
-	}
-
-	// Phase 3: finalize on the source — unlink and release the intent.
-	// Finalize is idempotent, so a transient failure is retried once;
-	// if the source shard stays unreachable its volatile intent log
-	// clears on recovery (implicit abort of its side — see DESIGN.md §10
-	// for the recovery rules).
-	for attempt := 0; ; attempt++ {
-		e = wire.GetEncoder()
-		e.String(src)
-		e.Uvarint(id)
-		done, _, ferr := c.caller.Call(srcAddr, "xfer_finalize", at, e.Bytes())
-		wire.PutEncoder(e)
-		at = done
-		if ferr == nil {
-			break
-		}
-		if attempt >= 1 {
-			return at, ferr
-		}
-	}
-	return at, nil
-}
-
-// releaseIntent drops intent id rooted at p on each shard in addrs, one
-// after the other from `at`, without mutating — the abort step of a
-// cross-shard rename or rmdir and the closing bracket of rmtree.
-// Best-effort: an unreachable shard clears its intents on recovery.
-func (c *Client) releaseIntent(at vclock.Time, addrs []string, p string, id uint64) vclock.Time {
-	for _, addr := range addrs {
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Uvarint(id)
-		done, _, err := c.caller.Call(addr, "intent_del", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err == nil {
-			at = vclock.Max(at, done)
-		}
-	}
-	return at
-}
-
-// shardedRmdir removes an empty directory that spans shards (mirrored,
-// or holding delegations) with a prepare/commit round: every involved
-// shard votes (locally a dir, locally empty) and logs an intent
-// blocking creates under it; unanimous yes commits the unlink
-// everywhere, any no aborts and releases the intents.
-func (c *Client) shardedRmdir(at vclock.Time, p string, targets []string) (vclock.Time, error) {
-	id := protoSeq.Add(1)
-	latest := at
-	prepared := make([]string, 0, len(targets))
-	var first error
-	for _, addr := range targets {
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Uint32(c.cfg.Cred.UID)
-		e.Uint32(c.cfg.Cred.GID)
-		e.Uvarint(id)
-		done, _, err := c.caller.Call(addr, "rmdir_prepare", at, e.Bytes())
-		wire.PutEncoder(e)
-		latest = vclock.Max(latest, done)
-		if err != nil {
-			first = err
-			break
-		}
-		prepared = append(prepared, addr)
-	}
-	if first != nil {
-		return c.releaseIntent(latest, prepared, p, id), first
-	}
-	commitAt := latest
-	for _, addr := range targets {
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Uvarint(id)
-		done, _, err := c.caller.Call(addr, "rmdir_commit", commitAt, e.Bytes())
-		wire.PutEncoder(e)
-		latest = vclock.Max(latest, done)
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return latest, first
-}
-
-// shardedRmTree sweeps a subtree off every involved shard. Intents
-// bracket the sweeps so a racing create into the doomed subtree fails
-// with ErrStale instead of landing on a shard that was already swept.
-func (c *Client) shardedRmTree(at vclock.Time, p string, targets []string) ([]string, vclock.Time, error) {
-	id := protoSeq.Add(1)
-	latest := at
-	marked := make([]string, 0, len(targets))
-	var first error
-	for _, addr := range targets {
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Uvarint(id)
-		done, _, err := c.caller.Call(addr, "intent_put", at, e.Bytes())
-		wire.PutEncoder(e)
-		latest = vclock.Max(latest, done)
-		if err != nil {
-			first = err
-			break
-		}
-		marked = append(marked, addr)
-	}
-	var removed []string
-	notExist := 0
-	if first == nil {
-		seen := make(map[string]bool)
-		sweepAt := latest
-		for _, addr := range targets {
-			e := wire.GetEncoder()
-			e.String(p)
-			e.Uint32(c.cfg.Cred.UID)
-			e.Uint32(c.cfg.Cred.GID)
-			e.Uvarint(id) // lets the sweep bypass its own intent
-			done, resp, err := c.caller.Call(addr, "rmtree", sweepAt, e.Bytes())
-			wire.PutEncoder(e)
-			latest = vclock.Max(latest, done)
-			if err != nil {
-				if fsapi.CodeOf(err) == fsapi.CodeNotExist {
-					notExist++
-					continue
-				}
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			d := wire.NewDecoder(resp)
-			n := d.Uvarint()
-			for i := uint64(0); i < n; i++ {
-				rp := d.String()
-				if !seen[rp] {
-					seen[rp] = true
-					removed = append(removed, rp)
-				}
-			}
-			if derr := d.Finish(); derr != nil && first == nil {
-				first = derr
-			}
-		}
-		if first == nil && notExist == len(targets) {
-			first = fsapi.WrapPath("rmdir", p, fsapi.ErrNotExist)
-		}
-	}
-	latest = c.releaseIntent(latest, marked, p, id)
-	if first != nil {
-		return nil, latest, first
-	}
-	c.cacheDropSubtree(p)
-	return removed, latest, nil
-}
-
-// shardedReaddir merges a directory listing across shards: mirrored
-// directories list their hashed children on every shard, and delegated
-// subtrees contribute their entries from the delegate. Entries are
-// deduplicated by name (mirrored subdirectories appear on several
-// shards) and the per-shard name-sorted order is preserved by a merge.
-func (c *Client) shardedReaddir(at vclock.Time, p string, targets []string) ([]fsapi.DirEntry, vclock.Time, error) {
-	latest := at
-	var lists [][]fsapi.DirEntry
-	notExist := 0
-	for _, addr := range targets {
-		e := wire.GetEncoder()
-		e.String(p)
-		done, resp, err := c.caller.Call(addr, "readdir", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			if fsapi.CodeOf(err) == fsapi.CodeNotExist {
-				notExist++
-				continue
-			}
-			return nil, done, err
-		}
-		latest = vclock.Max(latest, done)
-		d := wire.NewDecoder(resp)
-		n := d.Uvarint()
-		ents := make([]fsapi.DirEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
-			ents = append(ents, fsapi.DirEntry{Name: d.String(), Type: fsapi.FileType(d.Byte())})
-		}
-		if derr := d.Finish(); derr != nil {
-			return nil, latest, derr
-		}
-		lists = append(lists, ents)
-	}
-	if notExist == len(targets) {
-		return nil, latest, fsapi.WrapPath("readdir", p, fsapi.ErrNotExist)
-	}
-	return mergeDirEntries(lists), latest, nil
+	return ents, d.Finish()
 }
 
 // mergeDirEntries k-way merges name-sorted listings, dropping duplicate
 // names (mirrored structural subdirectories).
 func mergeDirEntries(lists [][]fsapi.DirEntry) []fsapi.DirEntry {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
+	if len(lists) == 1 {
 		return lists[0]
 	}
 	idx := make([]int, len(lists))

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,6 +29,12 @@ import (
 //
 //   - Explicit delegations — an operator (or test) may pin a subtree to
 //     a chosen shard; the longest delegated prefix wins over the hash.
+//
+// Every cluster routes by one of these, a single MDS included: a
+// one-shard map has one answer for every path, gives it without looking
+// at the path (route), and records no delegations, so nothing on it is
+// ever mirrored, fanned out or voted on — the client code that handles
+// several targets simply never sees more than one.
 //
 // The shard addresses are immutable after construction; delegations may
 // be added concurrently with routing.
@@ -98,9 +105,17 @@ func (s *ShardMap) hashPrefix(p string) int {
 
 // Owner returns the shard index owning p. Structural paths report
 // shard 0 (their canonical mirror); use Structural to detect them.
-func (s *ShardMap) Owner(p string) int {
-	if s.Structural(p) {
+func (s *ShardMap) Owner(p string) int { return max(s.route(p), 0) }
+
+// route returns the shard a single-path operation on p goes to, or -1
+// when p is mirrored on every shard (a mutation then goes to all of
+// them, a read to any one). With one shard there is nothing to decide.
+func (s *ShardMap) route(p string) int {
+	if len(s.addrs) == 1 {
 		return 0
+	}
+	if s.Structural(p) {
+		return -1
 	}
 	if s.ndeleg.Load() > 0 {
 		s.mu.RLock()
@@ -128,9 +143,62 @@ func (s *ShardMap) Owner(p string) int {
 // AddrOf returns the shard address for index i.
 func (s *ShardMap) AddrOf(i int) string { return s.addrs[i] }
 
+// shardGroup is one shard's share of a batch: the positions, ascending,
+// of the paths that go to the shard at addr.
+type shardGroup struct {
+	addr string
+	idx  []int
+}
+
+// group buckets the positions 0 … n-1 of a batch by shard: one group per
+// shard touched, in the order the batch first touches them. shardOf
+// names position i's shard, or a negative number to leave i out. Every
+// idx is a window of one backing array and no map is built — shard
+// indices are small integers, which is dht.GroupByOwner's lesson applied
+// to the other multi-server client. Results land by position, so the
+// order means nothing to a caller; it is the order the fan-out spawns
+// its goroutines in, and is kept as it always was because BENCH.json's
+// multi-shard rows move −3 … +21 % with it (DESIGN.md §8).
+func (s *ShardMap) group(n int, shardOf func(i int) int) []shardGroup {
+	buf := make([]int, 2*n+len(s.addrs))
+	idx, owner, cursor := buf[:n:n], buf[n:2*n], buf[2*n:]
+	for i := range owner {
+		owner[i] = shardOf(i)
+		if owner[i] >= 0 {
+			cursor[owner[i]]++
+		}
+	}
+	used, start := 0, 0
+	for k, c := range cursor {
+		if c > 0 {
+			used++
+		}
+		cursor[k] = start
+		start += c
+	}
+	for i, k := range owner {
+		if k >= 0 {
+			idx[cursor[k]] = i
+			cursor[k]++
+		}
+	}
+	// cursor[k] now marks the end of shard k's window.
+	groups := make([]shardGroup, 0, used)
+	start = 0
+	for k, end := range cursor {
+		if end > start {
+			groups = append(groups, shardGroup{addr: s.addrs[k], idx: idx[start:end:end]})
+		}
+		start = end
+	}
+	slices.SortFunc(groups, func(a, b shardGroup) int { return a.idx[0] - b.idx[0] })
+	return groups
+}
+
 // Delegate pins the subtree rooted at p to the given shard, overriding
 // the hash. Structural paths cannot be delegated (they are mirrored
-// everywhere by definition).
+// everywhere by definition). On a one-shard map there is nothing to
+// override and nothing is recorded.
 func (s *ShardMap) Delegate(p string, shard int) error {
 	p = namespace.Clean(p)
 	if shard < 0 || shard >= len(s.addrs) {
@@ -138,6 +206,9 @@ func (s *ShardMap) Delegate(p string, shard int) error {
 	}
 	if s.Structural(p) {
 		return fmt.Errorf("dfs: delegate %s: structural paths are mirrored, not delegated", p)
+	}
+	if len(s.addrs) == 1 {
+		return nil
 	}
 	s.mu.Lock()
 	if _, ok := s.deleg[p]; !ok {

@@ -579,3 +579,126 @@ func TestOversizedCountIsAnErrorNotAPanic(t *testing.T) {
 		t.Fatal("failed rename materialized the destination")
 	}
 }
+
+// mdsMethods is every endpoint MDS.Service registers.
+var mdsMethods = []string{
+	"lookup", "stat_batch", "apply_batch", "rename", "rmtree", "readdir",
+	"xfer_prepare", "xfer_apply", "rmdir_prepare", "intent_put", "intent_finish", "intent_del",
+}
+
+// TestOversizedReplyCountIsAnErrorNotAHang is the client's side of
+// TestOversizedCountIsAnErrorNotAPanic: the rmtree and readdir reply
+// decoders sized a slice — and, merging across shards, bounded a loop —
+// by a count read bare off the wire, so ten bytes from an MDS panicked
+// the client with "makeslice: cap out of range" or spun it 2^60 times.
+// Shard 0 here does its work and then lies about the count; on one
+// shard and on four the operation must come back with the decoder's
+// error, promptly, and leave no intent behind.
+func TestOversizedReplyCountIsAnErrorNotAHang(t *testing.T) {
+	huge := wire.NewEncoder(16)
+	huge.Uvarint(1 << 60)
+	for _, shards := range []int{1, 4} {
+		c, _ := shardedCluster(t, shards)
+		cl := c.NewClient("node0", rootCred, 0, 0) // /w's parent is root's
+		// The real shard 0 moves to a side address; what answers at its
+		// own forwards every call there and doctors two replies.
+		const side = "storage0/honest"
+		c.Net.Register(side, c.MDSes[0].Service())
+		liar := rpc.NewService()
+		for _, method := range mdsMethods {
+			liar.Handle(method, func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+				done, resp, err := c.Net.Invoke(side, method, at, body)
+				if err == nil && (method == "rmtree" || method == "readdir") {
+					resp = huge.Bytes()
+				}
+				return done, resp, err
+			})
+		}
+		c.Net.Register(c.Shards.AddrOf(0), liar)
+
+		finished := make(chan error, 2)
+		go func() {
+			_, _, err := cl.Readdir(0, "/w")
+			finished <- err
+			_, _, err = cl.RmTree(0, "/w")
+			finished <- err
+		}()
+		for _, op := range []string{"readdir", "rmtree"} {
+			select {
+			case err := <-finished:
+				if !errors.Is(err, wire.ErrTooLong) {
+					t.Fatalf("%d shard(s): %s over a reply counting 2^60 entries = %v, want %v", shards, op, err, wire.ErrTooLong)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%d shard(s): %s still decoding a ten-byte reply", shards, op)
+			}
+		}
+		allIntentsDrained(t, c)
+	}
+}
+
+// TestLostFinishReply: a finish step whose call fails in transport may or
+// may not have run. A rename's or rmdir's finish answers nothing and is
+// simply sent again. An rmtree's sweep answers with what it removed: sent
+// again after it ran it would say ENOENT, which RmTree reads as "this
+// shard never held the directory" — the shard's removed paths would drop
+// out of the union the region mirrors into its cache, or a removed tree
+// would be reported missing. So RmTree reports the transport's error,
+// and the intent of a sweep that never arrived is still released. Shard
+// 1's front loses one reply per case, after running the call or before.
+func TestLostFinishReply(t *testing.T) {
+	for _, ran := range []bool{true, false} {
+		c, cl := shardedCluster(t, 4)
+		dir := nameOwnedBy(t, c.Shards, 1, "d")
+		other := nameOwnedBy(t, c.Shards, 2, "o")
+		for _, p := range []string{dir, other} {
+			if _, err := cl.Mkdir(0, p, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Delegate(dir+"/sub", 3); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{dir + "/sub", dir + "/moved"} {
+			if _, err := cl.Mkdir(0, p, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const side = "storage0/honest"
+		c.Net.Register(side, c.MDSes[1].Service())
+		var lose string // the method whose next reply is lost
+		front := rpc.NewService()
+		for _, method := range mdsMethods {
+			front.Handle(method, func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+				if method != lose {
+					return c.Net.Invoke(side, method, at, body)
+				}
+				lose = ""
+				if ran {
+					c.Net.Invoke(side, method, at, body)
+				}
+				return at, nil, fsapi.ErrClosed
+			})
+		}
+		c.Net.Register(c.Shards.AddrOf(1), front)
+
+		lose = "intent_finish"
+		if _, err := cl.Rename(0, dir+"/moved", other+"/moved"); err != nil {
+			t.Fatalf("ran=%v: rename whose finish was lost once = %v", ran, err)
+		}
+		if c.MDSes[1].Tree().Exists(dir+"/moved") || !c.MDSes[2].Tree().Exists(other+"/moved") {
+			t.Fatalf("ran=%v: rename left the source, or never made the destination", ran)
+		}
+		allIntentsDrained(t, c)
+
+		lose = "rmtree"
+		removed, _, err := cl.RmTree(0, dir)
+		if !errors.Is(err, fsapi.ErrClosed) {
+			t.Fatalf("ran=%v: rmtree whose sweep of shard 1 was lost = %v, %v; want %v", ran, removed, err, fsapi.ErrClosed)
+		}
+		if c.MDSes[1].Tree().Exists(dir) == ran {
+			t.Fatalf("ran=%v: shard 1 holds %s = %v", ran, dir, !ran)
+		}
+		allIntentsDrained(t, c)
+	}
+}

@@ -10,25 +10,29 @@ import (
 	"pacon/internal/wire"
 )
 
-// Cross-shard coordination endpoints. A cross-shard rename moves a
-// subtree between two shards' namespaces through a client-driven
-// two-phase protocol:
+// Multi-shard coordination endpoints: the server side of the one
+// two-phase protocol the client drives (router.go twoPhase) whenever an
+// operation finds more than one shard to touch. Each participant
 //
-//	xfer_prepare (src shard)  — validate the source, log an intent
-//	                            blocking mutations under it, export the
-//	                            subtree pre-order
-//	xfer_apply   (dst shard)  — validate the destination, insert the
-//	                            exported entries (rolled back on partial
-//	                            failure)
-//	xfer_finalize (src shard) — unlink the source subtree, release the
-//	                            intent
-//	intent_del   (src shard)  — abort: release the intent without
-//	                            mutating
+//	prepares  — votes, and logs an intent on the subtree root that
+//	            blocks every other mutation overlapping it:
+//	              xfer_prepare   cross-shard rename, on the source: the
+//	                             source must exist under a writable
+//	                             parent; replies with the subtree
+//	                             exported pre-order
+//	              rmdir_prepare  rmdir of a directory that spans shards:
+//	                             locally a directory, locally empty
+//	              intent_put     rmtree of such a directory: no vote
+//	finishes  — sweeps the subtree under its own intent and releases it,
+//	            idempotently:
+//	              intent_finish  rename (on the source) and rmdir
+//	              rmtree         rmtree's sweep, which also answers with
+//	                             the removed paths
+//	or aborts — intent_del: releases the intent without mutating.
 //
-// A structural rmdir (a directory mirrored on every shard) runs
-// rmdir_prepare / rmdir_commit across the pool (abort is intent_del
-// again), and multi-shard rmtree brackets its sweeps with intent_put /
-// intent_del.
+// Between prepare and finish a rename decides by xfer_apply on the
+// destination shard (insert the exported entries, rolled back on partial
+// failure); the other two decide by the votes alone.
 //
 // Intents are volatile: they live in MDS memory and are cleared on
 // shard recovery (ClearIntents), which gives crash-restart the
@@ -39,19 +43,9 @@ import (
 // p inside an intent's root, or an intent's root inside p's subtree.
 // Blocked operations fail with ErrStale, which the Pacon commit loop
 // treats as resubmittable — the op retries after the intent releases.
-func (m *MDS) intentBlocked(op, p string) error {
-	if m.intentN.Load() == 0 {
-		return nil
-	}
-	m.intentMu.Lock()
-	defer m.intentMu.Unlock()
-	for root := range m.intents {
-		if root == p || namespace.IsUnder(p, root) || namespace.IsUnder(root, p) {
-			return fsapi.WrapPath(op, p, fsapi.ErrStale)
-		}
-	}
-	return nil
-}
+// The caller holds intentMu shared, and keeps it until the mutation it
+// is checking for is done.
+func (m *MDS) intentBlocked(op, p string) error { return m.intentBlockedExcept(op, p, 0) }
 
 // intentBlockedExcept is intentBlocked, except an intent rooted exactly
 // at p carrying the given id does not block — the operation is the
@@ -60,8 +54,6 @@ func (m *MDS) intentBlockedExcept(op, p string, id uint64) error {
 	if m.intentN.Load() == 0 {
 		return nil
 	}
-	m.intentMu.Lock()
-	defer m.intentMu.Unlock()
 	for root, rid := range m.intents {
 		if root == p && rid == id && id != 0 {
 			continue
@@ -75,7 +67,8 @@ func (m *MDS) intentBlockedExcept(op, p string, id uint64) error {
 
 // putIntent logs an intent for root. It fails with ErrStale when a
 // different intent already covers an overlapping subtree; re-putting
-// the same (root, id) pair is idempotent.
+// the same (root, id) pair is idempotent. Taking intentMu exclusively
+// waits out every mutation checked against the table as it was.
 func (m *MDS) putIntent(op, root string, id uint64) error {
 	m.intentMu.Lock()
 	defer m.intentMu.Unlock()
@@ -119,42 +112,41 @@ func (m *MDS) ClearIntents() {
 // Intents returns the active intent count (white-box test hook).
 func (m *MDS) Intents() int { return int(m.intentN.Load()) }
 
-// shardHandlers registers the cross-shard coordination endpoints on the
+// shardHandlers registers the multi-shard coordination endpoints on the
 // MDS service.
 func (m *MDS) shardHandlers(svc *rpc.Service) {
-	// xfer_prepare: validate src, log the intent, export the subtree
-	// pre-order as (relative path, stat) pairs. Read-cost per exported
-	// entry — the export is a scan, not a mutation.
+	// xfer_prepare: log the intent, validate src, export the subtree
+	// pre-order as (relative path, stat) pairs. The intent goes in first:
+	// with it logged the subtree is still, so what is validated and
+	// counted is what gets exported; any failure takes it back out.
+	// Read-cost per exported entry — the export is a scan, not a
+	// mutation.
 	svc.Handle("xfer_prepare", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		src := d.String()
+		src := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
 			return at, nil, err
 		}
 		m.reads.Add(1)
-		if err := m.checkParentWritable("rename", src, cred); err != nil {
-			return m.res.Acquire(at, m.model.MDSReadCost), nil, err
-		}
-		if !m.tree.Exists(src) {
-			return m.res.Acquire(at, m.model.MDSReadCost), nil, fsapi.WrapPath("rename", src, fsapi.ErrNotExist)
-		}
 		if err := m.putIntent("rename", src, id); err != nil {
 			return m.res.Acquire(at, m.model.MDSReadCost), nil, err
 		}
 		n := 0
-		if err := m.tree.Walk(src, func(string, fsapi.Stat) error { n++; return nil }); err != nil {
-			m.delIntent(src, id)
-			return m.res.Acquire(at, m.model.MDSReadCost), nil, err
+		err := m.checkParentWritable("rename", src, cred)
+		if err == nil {
+			err = m.tree.Walk(src, func(string, fsapi.Stat) error { n++; return nil })
 		}
 		e := wire.NewEncoder(8 + 96*n)
 		e.Uvarint(uint64(n))
-		err := m.tree.Walk(src, func(p string, st fsapi.Stat) error {
-			e.String(p[len(src):]) // "" for src itself
-			fsapi.EncodeStat(e, st)
-			return nil
-		})
+		if err == nil {
+			err = m.tree.Walk(src, func(p string, st fsapi.Stat) error {
+				e.String(p[len(src):]) // "" for src itself
+				fsapi.EncodeStat(e, st)
+				return nil
+			})
+		}
 		done := m.res.Acquire(at, m.model.MDSReadCost*vclock.Duration(1+n))
 		if err != nil {
 			m.delIntent(src, id)
@@ -169,7 +161,7 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 	// half-materialized subtree.
 	svc.Handle("xfer_apply", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		dst := d.String()
+		dst := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		n := d.Count()
 		rels := make([]string, 0, n)
@@ -183,6 +175,8 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		}
 		m.writes.Add(int64(n))
 		done := m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+n))
+		m.intentMu.RLock()
+		defer m.intentMu.RUnlock()
 		if err := m.intentBlocked("rename", dst); err != nil {
 			return done, nil, err
 		}
@@ -208,36 +202,15 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		return done, nil, nil
 	})
 
-	// xfer_finalize: unlink the source subtree and release the intent.
-	// Idempotent — a retried finalize after the subtree is already gone
-	// still releases the intent and succeeds.
-	svc.Handle("xfer_finalize", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.NewDecoder(body)
-		src := d.String()
-		id := d.Uvarint()
-		if err := d.Finish(); err != nil {
-			return at, nil, err
-		}
-		m.writes.Add(1)
-		removed, err := m.tree.RemoveSubtree(src)
-		if errors.Is(err, fsapi.ErrNotDir) {
-			// src is a plain file, not a subtree — unlink it directly.
-			removed, err = []string{src}, m.tree.Remove(src)
-		}
-		if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-			return m.res.Acquire(at, m.model.MDSWriteCost), nil, err
-		}
-		m.delIntent(src, id)
-		return m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+len(removed))), nil, nil
-	})
-
 	// rmdir_prepare: this shard's vote on a multi-shard rmdir. The
 	// directory must be locally a dir and locally empty (a shard that
 	// never materialized it votes yes — nothing under it can exist
-	// here), and the intent blocks creates under it until commit/abort.
+	// here). The intent goes in before the vote is taken: once it is
+	// logged nothing under the directory can change, so a yes stays true
+	// until commit or abort; a no takes the intent back out.
 	svc.Handle("rmdir_prepare", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		p := d.String()
+		p := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
@@ -245,57 +218,58 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		}
 		m.reads.Add(1)
 		done := m.res.Acquire(at, m.model.MDSReadCost)
+		if err := m.putIntent("rmdir", p, id); err != nil {
+			return done, nil, err
+		}
+		var err error
 		if m.tree.Exists(p) {
-			if err := m.checkParentWritable("rmdir", p, cred); err != nil {
-				return done, nil, err
-			}
-			st, err := m.tree.Lookup(p)
-			if err != nil {
-				return done, nil, err
-			}
-			if !st.IsDir() {
-				return done, nil, fsapi.WrapPath("rmdir", p, fsapi.ErrNotDir)
-			}
-			ents, err := m.tree.Readdir(p)
-			if err != nil {
-				return done, nil, err
-			}
-			if len(ents) > 0 {
-				return done, nil, fsapi.WrapPath("rmdir", p, fsapi.ErrNotEmpty)
+			if err = m.checkParentWritable("rmdir", p, cred); err == nil {
+				var ents []fsapi.DirEntry
+				if ents, err = m.tree.Readdir(p); err == nil && len(ents) > 0 {
+					err = fsapi.WrapPath("rmdir", p, fsapi.ErrNotEmpty)
+				}
 			}
 		}
-		return done, nil, m.putIntent("rmdir", p, id)
+		if err != nil {
+			m.delIntent(p, id)
+		}
+		return done, nil, err
 	})
 
-	// rmdir_commit: unlink the local mirror and release the intent. The
-	// removal is a subtree sweep, not a bare rmdir: every shard voted
-	// "empty" at prepare, so anything that appeared since is a straggler
-	// that lost the race to the committed removal.
-	svc.Handle("rmdir_commit", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	// intent_finish: the commit step of a rename (on its source shard)
+	// and of a multi-shard rmdir — sweep whatever stands at p, a subtree
+	// or a plain file, and release the intent. For rmdir the removal is
+	// a sweep and not a bare rmdir because every shard voted "empty" at
+	// prepare: anything that appeared since is a straggler that lost the
+	// race to the committed removal. Idempotent — a retried finish after
+	// the subtree is already gone still releases the intent and succeeds
+	// — and the intent goes whatever the outcome: the protocol is over
+	// on this shard, and nothing would ever come back to release it.
+	svc.Handle("intent_finish", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		p := d.String()
+		p := pathArg(d)
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
 			return at, nil, err
 		}
 		m.writes.Add(1)
-		if m.tree.Exists(p) {
-			if _, err := m.tree.RemoveSubtree(p); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-				m.delIntent(p, id)
-				return m.res.Acquire(at, m.model.MDSWriteCost), nil, err
-			}
+		removed, err := m.tree.RemoveSubtree(p)
+		if errors.Is(err, fsapi.ErrNotDir) {
+			removed, err = []string{p}, m.tree.Remove(p)
+		}
+		if errors.Is(err, fsapi.ErrNotExist) {
+			err = nil
 		}
 		m.delIntent(p, id)
-		return m.res.Acquire(at, m.model.MDSWriteCost), nil, nil
+		return m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+len(removed))), nil, err
 	})
 
-	// intent_put / intent_del: bare intent bracketing for multi-shard
-	// rmtree — block creates under the doomed subtree on every involved
-	// shard while the sweeps run. intent_del is also the abort step of
-	// the rename and rmdir protocols: release without mutating.
+	// intent_put: rmtree's prepare — block creates under the doomed
+	// subtree on every involved shard while the sweeps run. intent_del:
+	// the abort step of every protocol — release without mutating.
 	svc.Handle("intent_put", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		root := d.String()
+		root := pathArg(d)
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
 			return at, nil, err
@@ -304,7 +278,7 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 	})
 	svc.Handle("intent_del", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
-		root := d.String()
+		root := pathArg(d)
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
 			return at, nil, err

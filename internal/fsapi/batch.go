@@ -1,8 +1,11 @@
 package fsapi
 
-// BatchKind names a mutation inside a batched commit (one element of an
-// apply_batch RPC). Only the four queue-carried mutations batch; rmtree
-// and rename stay singleton dependent operations.
+// BatchKind names a mutation inside an apply_batch RPC — the only form
+// in which a single-path mutation reaches an MDS, whether it travels in
+// a commit wave or alone. The commit queue carries the first four;
+// rmdir only ever travels alone (Pacon removes directories by rmtree),
+// and rmtree and rename stay dependent operations with endpoints of
+// their own.
 type BatchKind uint8
 
 const (
@@ -10,6 +13,7 @@ const (
 	BatchMkdir
 	BatchSetStat
 	BatchRemove
+	BatchRmdir
 )
 
 // StatResult is one per-path outcome of a batched stat (the read-path

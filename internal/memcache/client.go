@@ -75,42 +75,6 @@ type MultiResult struct {
 	Err  error
 }
 
-// perOwner groups keys by owning server and runs call once per group,
-// every call starting at the same virtual instant — the one fan-out
-// behind GetMulti, AddMulti and SettleMulti. call issues the owner's
-// RPC, records the results of the positions in g.Idx and returns the
-// RPC's completion time. Several groups run concurrently where their
-// waits can overlap; a lone group, and every group on a transport that
-// runs handlers on the calling goroutine (rpc.Caller.Inline), runs on
-// the caller's goroutine — the virtual completion is the same and no
-// goroutine is spawned to wait for nothing. perOwner returns how many
-// owners were contacted and the latest completion (vclock.Max merge).
-func (c *Client) perOwner(at vclock.Time, keys []string, call func(g dht.OwnerGroup) vclock.Time) (int, vclock.Time) {
-	groups := c.ring.GroupByOwner(keys)
-	if len(groups) <= 1 || c.caller.Inline() {
-		latest := at
-		for _, g := range groups {
-			latest = vclock.Max(latest, call(g))
-		}
-		return len(groups), latest
-	}
-	var wg sync.WaitGroup
-	times := make([]vclock.Time, len(groups))
-	for gi := range groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			times[gi] = call(groups[gi])
-		}(gi)
-	}
-	wg.Wait()
-	latest := at
-	for _, t := range times {
-		latest = vclock.Max(latest, t)
-	}
-	return len(groups), latest
-}
-
 // callCounted sends one owner's multi-key request (pooled encoder e,
 // released here) and checks that the reply opens with a count of want
 // results. On success the caller reads the results from the returned
@@ -137,14 +101,17 @@ func finish(d *wire.Decoder) error {
 }
 
 // GetMulti fetches keys with one "get_multi" RPC per owning server,
-// fanned out from the same virtual instant (see perOwner) and merged with
-// vclock.Max — the batched read path's single round trip per owner.
-// Results align with keys. A dead or misbehaving owner marks only its
-// own keys with Err; the other owners' keys still resolve, so callers
-// can fall back to per-key Gets for exactly the failed subset.
+// grouped by dht.GroupByOwner and fanned out from the same virtual
+// instant (rpc.Caller.FanOut) — the batched read path's single round
+// trip per owner, like every multi-key call here. Results align with
+// keys. A dead or misbehaving owner marks only its own keys with Err;
+// the other owners' keys still resolve, so callers can fall back to
+// per-key Gets for exactly the failed subset.
 func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.Time) {
 	out := make([]MultiResult, len(keys))
-	_, latest := c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
+	groups := c.ring.GroupByOwner(keys)
+	latest := c.caller.FanOut(at, len(groups), false, func(gi int) vclock.Time {
+		g := groups[gi]
 		e := wire.GetEncoder()
 		e.Uvarint(uint64(len(g.Idx)))
 		for _, i := range g.Idx {
@@ -173,7 +140,7 @@ func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.
 }
 
 // AddMulti stores a batch of entries add-if-absent with one "add_multi"
-// RPC per owning server (perOwner fan-out, vclock.Max merge) — the
+// RPC per owning server (same grouping and fan-out as GetMulti) — the
 // grouped cache warm. Results align with entries; per-entry ErrExist /
 // ErrOutOfSpace mean "skip", a transport error marks the whole owner's
 // slice.
@@ -183,7 +150,9 @@ func (c *Client) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclo
 	for i, en := range entries {
 		keys[i] = en.Key
 	}
-	_, latest := c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
+	groups := c.ring.GroupByOwner(keys)
+	latest := c.caller.FanOut(at, len(groups), false, func(gi int) vclock.Time {
+		g := groups[gi]
 		e := wire.GetEncoder()
 		e.Uvarint(uint64(len(g.Idx)))
 		for _, i := range g.Idx {
@@ -278,7 +247,9 @@ func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners 
 		keys[i] = en.Key
 	}
 	var mu sync.Mutex
-	owners, done = c.perOwner(at, keys, func(g dht.OwnerGroup) vclock.Time {
+	groups := c.ring.GroupByOwner(keys)
+	done = c.caller.FanOut(at, len(groups), false, func(gi int) vclock.Time {
+		g := groups[gi]
 		e := wire.GetEncoder()
 		e.Uvarint(uint64(len(g.Idx)))
 		for _, i := range g.Idx {
@@ -305,89 +276,53 @@ func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners 
 		mu.Unlock()
 		return gdone
 	})
-	return applied, owners, done, err
+	return applied, len(groups), done, err
 }
 
-// fanOut invokes fn once per ring member concurrently, starting each at
-// the same virtual time (the broadcast a real client would issue in
-// parallel) and merging completion times with vclock.Max. The first
-// error wins; results are still awaited so no goroutine leaks.
-func (c *Client) fanOut(at vclock.Time, fn func(addr string) (vclock.Time, error)) (vclock.Time, error) {
+// broadcast sends method, without a body, to every ring member from the
+// same virtual instant (the broadcast a real client would issue in
+// parallel): it completes at the slowest member's virtual time, not the
+// sum of all members'. Replies align with Members order; the first
+// member's error wins.
+func (c *Client) broadcast(at vclock.Time, method string) ([][]byte, vclock.Time, error) {
 	members := c.ring.Members()
-	if len(members) == 1 {
-		done, err := fn(members[0])
-		return vclock.Max(at, done), err
-	}
-	var wg sync.WaitGroup
-	times := make([]vclock.Time, len(members))
+	resps := make([][]byte, len(members))
 	errs := make([]error, len(members))
-	for i, addr := range members {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			times[i], errs[i] = fn(addr)
-		}(i, addr)
-	}
-	wg.Wait()
-	latest := at
-	for i := range members {
-		if errs[i] != nil {
-			return times[i], errs[i]
-		}
-		latest = vclock.Max(latest, times[i])
-	}
-	return latest, nil
-}
-
-// FlushAll clears every server in the ring, fanning the broadcast out
-// concurrently: the flush completes at the slowest member's virtual
-// time, not the sum of all members'.
-func (c *Client) FlushAll(at vclock.Time) (vclock.Time, error) {
-	return c.fanOut(at, func(addr string) (vclock.Time, error) {
-		done, _, err := c.caller.Call(addr, "flush_all", at, nil)
-		return done, err
+	latest := c.caller.FanOut(at, len(members), false, func(i int) (done vclock.Time) {
+		done, resps[i], errs[i] = c.caller.Call(members[i], method, at, nil)
+		return done
 	})
-}
-
-// StatsAll aggregates stats across every server in the ring. The
-// per-member requests run concurrently (same virtual start, vclock.Max
-// merge) like FlushAll.
-func (c *Client) StatsAll(at vclock.Time) (Stats, vclock.Time, error) {
-	members := c.ring.Members()
-	parts := make([]Stats, len(members))
-	idx := make(map[string]int, len(members))
-	for i, addr := range members {
-		idx[addr] = i
-	}
-	latest, err := c.fanOut(at, func(addr string) (vclock.Time, error) {
-		done, resp, err := c.caller.Call(addr, "stats", at, nil)
+	for _, err := range errs {
 		if err != nil {
-			return done, err
+			return nil, latest, err
 		}
-		d := wire.NewDecoder(resp)
-		st := Stats{
-			Items:     d.Int64(),
-			UsedBytes: d.Int64(),
-			Hits:      d.Int64(),
-			Misses:    d.Int64(),
-			Evictions: d.Int64(),
-		}
-		if derr := d.Finish(); derr != nil {
-			return done, derr
-		}
-		parts[idx[addr]] = st
-		return done, nil
-	})
+	}
+	return resps, latest, nil
+}
+
+// FlushAll clears every server in the ring.
+func (c *Client) FlushAll(at vclock.Time) (vclock.Time, error) {
+	_, done, err := c.broadcast(at, "flush_all")
+	return done, err
+}
+
+// StatsAll aggregates stats across every server in the ring.
+func (c *Client) StatsAll(at vclock.Time) (Stats, vclock.Time, error) {
+	resps, latest, err := c.broadcast(at, "stats")
 	if err != nil {
 		return Stats{}, latest, err
 	}
 	var total Stats
-	for _, st := range parts {
-		total.Items += st.Items
-		total.UsedBytes += st.UsedBytes
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Evictions += st.Evictions
+	for _, resp := range resps {
+		d := wire.NewDecoder(resp)
+		total.Items += d.Int64()
+		total.UsedBytes += d.Int64()
+		total.Hits += d.Int64()
+		total.Misses += d.Int64()
+		total.Evictions += d.Int64()
+		if derr := d.Finish(); derr != nil {
+			return Stats{}, latest, derr
+		}
 	}
 	return total, latest, nil
 }

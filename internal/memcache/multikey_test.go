@@ -166,62 +166,6 @@ func TestSettleMultiMalformedFrameTouchesNothing(t *testing.T) {
 	}
 }
 
-// TestFanOutSerialAndConcurrentAgree: on a transport that runs handlers
-// in the caller's goroutine the per-owner calls are issued one after
-// another, elsewhere concurrently — and because each is charged from the
-// same `at`, never from its predecessor's completion, both forms return
-// the same results at the same virtual time. The second client reaches
-// the same kind of cluster through a wrapper that hides what the Bus says
-// of itself.
-func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
-	build := func(wrap func(*rpc.Bus) rpc.Transport) *Client {
-		bus, model, ring := rpc.NewBus(), vclock.Default(), dht.New(0)
-		for i := 0; i < 4; i++ {
-			addr := fmt.Sprintf("node%d/cache", i)
-			bus.Register(addr, NewServer(addr, ServerConfig{Model: model}).Service())
-			ring.Add(addr)
-		}
-		return NewClient(rpc.NewCaller(wrap(bus), model, "node0"), ring)
-	}
-	serial := build(func(b *rpc.Bus) rpc.Transport { return b })
-	concurrent := build(func(b *rpc.Bus) rpc.Transport { return struct{ rpc.Transport }{b} })
-	if !serial.caller.Inline() || concurrent.caller.Inline() {
-		t.Fatalf("inline = %v / %v, want the bus to report it and the wrapper to hide it", serial.caller.Inline(), concurrent.caller.Inline())
-	}
-	var keys []string
-	var entries []Settle
-	for i := 0; i < 64; i++ {
-		keys = append(keys, fmt.Sprintf("/w/k%02d", i))
-		entries = append(entries, Settle{Key: keys[i], Seq: uint64(i), Clear: true})
-	}
-	for _, c := range []*Client{serial, concurrent} {
-		for i, key := range keys {
-			if _, _, err := c.Set(0, key, makeVal(hdrDirty, uint64(i)), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	const at = vclock.Time(1 << 30) // past every Set: the servers are idle
-	sa, so, sdone, serr := serial.SettleMulti(at, entries)
-	ca, co, cdone, cerr := concurrent.SettleMulti(at, entries)
-	if serr != nil || cerr != nil || sa != len(keys) || ca != sa || so != 4 || co != so {
-		t.Fatalf("settle: serial %d applied/%d owners/%v, concurrent %d/%d/%v", sa, so, serr, ca, co, cerr)
-	}
-	if sdone != cdone {
-		t.Fatalf("settle completes at %v issued serially, %v concurrently", sdone, cdone)
-	}
-	sres, sdone := serial.GetMulti(sdone, keys)
-	cres, cdone := concurrent.GetMulti(cdone, keys)
-	if sdone != cdone {
-		t.Fatalf("get_multi completes at %v issued serially, %v concurrently", sdone, cdone)
-	}
-	for i := range keys {
-		if !sres[i].Hit || !cres[i].Hit || sres[i].Item.Value[0] != 0 || cres[i].Item.Value[0] != 0 {
-			t.Fatalf("%s after settle: serial %+v, concurrent %+v", keys[i], sres[i], cres[i])
-		}
-	}
-}
-
 func TestGetMultiDuplicatesAndOrder(t *testing.T) {
 	c, _ := clusterEnv(t, 4)
 	for i := 0; i < 8; i++ {

@@ -215,6 +215,50 @@ func NewCaller(t Transport, model vclock.LatencyModel, node string) *Caller {
 // given, never from the previous call's completion.
 func (c *Caller) Inline() bool { return c.inline }
 
+// FanOut runs call(0) … call(n-1) as round trips that all leave at the
+// same virtual instant and returns the latest completion, never earlier
+// than at — the one fan-out behind every multi-server operation in the
+// repository (a cache client's per-owner calls, a DFS client's per-shard
+// batches, mirrored mutations, sweeps and two-phase steps). call(i)
+// issues its own Call from that instant and returns its completion; its
+// reply and error stay in whatever i-th result slot the caller keeps,
+// so one failure never hides the others' outcomes. A lone call runs
+// right here; otherwise each call gets a goroutine so the real waits
+// overlap, and FanOut returns once all have. On a transport that runs
+// handlers on the calling goroutine (Inline) there is no wait to
+// overlap and the virtual completion is the same either way, so a
+// caller that does not ask to block runs its calls right here too, one
+// after another. block keeps the goroutines on every transport: the
+// caller then gives the processor up for the length of the fan-out, as
+// a process waiting on a network would. The DFS client's per-shard
+// batches ask for it — an unpaced commit process on one P otherwise
+// never yields between waves, and how many ops its next wave finds
+// queued (BENCH.json's sharded rows) is decided by that yield, not by
+// virtual time; ROADMAP item 8 is the pacing that would let them stop.
+func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclock.Time) vclock.Time {
+	latest := at
+	if n <= 1 || c.inline && !block {
+		for i := 0; i < n; i++ {
+			latest = vclock.Max(latest, call(i))
+		}
+		return latest
+	}
+	times := make([]vclock.Time, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range times {
+		go func() {
+			defer wg.Done()
+			times[i] = call(i)
+		}()
+	}
+	wg.Wait()
+	for _, t := range times {
+		latest = vclock.Max(latest, t)
+	}
+	return latest
+}
+
 // Node returns the caller's node id.
 func (c *Caller) Node() string { return c.node }
 

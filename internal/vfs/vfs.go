@@ -1,5 +1,6 @@
 // Package vfs is a minimal virtual file backend used by the LSM store
-// (WAL and SSTables), the DFS data servers, and Pacon's fsync spill files.
+// (WAL and SSTables) and, through it, the IndexFS servers; the DFS data
+// servers and Pacon's fsync spill keep their bytes in maps of their own.
 // Two implementations exist: MemFS (tests and benches — real bytes, no
 // disk) and OSFS (examples and durability tests — real files under a
 // root directory).
