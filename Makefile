@@ -13,9 +13,12 @@ test: build
 # that breaks it must fail here, not in the benchmark pipeline), and the
 # race detector over the packages with real concurrency (the chaos
 # harness runs its bounded seed set — over 100 randomized schedules —
-# under -race).
+# under -race). The grep keeps the commit side on its one apply path: a
+# commit mutates DFS metadata through Backend.ApplyBatch only, and a
+# singleton call in commit.go is a second path growing back.
 check: build
 	$(GO) vet ./...
+	! grep -nE 'backend\.(CreateWithStat|SetStat|Remove|Mkdir)\(' internal/core/commit.go
 	$(GO) test ./...
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
@@ -75,10 +78,14 @@ bench-diff:
 # allocs and 231 B, its path string, its inode and its three-byte reply
 # — the gate, 5 and 300, is what the dedicated endpoint cost (4, 279 B)
 # plus at most that reply; a heap-allocated one-op batch or a closure
-# built on the lone-target path shows here first. Eight creates in one
-# ApplyBatch on one MDS are 28 allocs (36 with map-based grouping);
-# without that map the gates above read 15, 17, 26 and 6 allocs / 335 B
-# today, and keep the headroom they had.
+# built on the lone-target path shows here first. The same create sent
+# as an ApplyBatch of one — what a commit wave holding a lone op sends,
+# half the commits of an mdtest-like mix — is that plus the one-element
+# result it returns, 5 allocs and 247 B, gated at 6 and 320: a batch of
+# one that took the grouping path (7 allocs, 319 B) fails it. Eight
+# creates in one ApplyBatch on one MDS are 28 allocs (36 with map-based
+# grouping); without that map the gates above read 15, 17, 26 and 6
+# allocs / 335 B today, and keep the headroom they had.
 alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreate$$' -benchtime 2000x -benchmem ./internal/core/); \
 	echo "$$out"; \
@@ -107,6 +114,12 @@ alloc-gate:
 	bytes=$$(echo "$$out" | awk '/^BenchmarkCreate/ {print $$(NF-3)}'); \
 	echo "dfs create (one-op batch): $$allocs allocs/op, $$bytes B/op (gate: <= 5 and <= 300)"; \
 	test "$$allocs" -le 5 && test "$$bytes" -le 300
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkApplyBatch1$$' -benchtime 20000x -benchmem ./internal/dfs/); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/^BenchmarkApplyBatch1/ {print $$(NF-1)}'); \
+	bytes=$$(echo "$$out" | awk '/^BenchmarkApplyBatch1/ {print $$(NF-3)}'); \
+	echo "dfs apply_batch of 1: $$allocs allocs/op, $$bytes B/op (gate: <= 6 and <= 320)"; \
+	test "$$allocs" -le 6 && test "$$bytes" -le 320
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkApplyBatch8/shards=1$$' -benchtime 20000x -benchmem ./internal/dfs/); \
 	echo "$$out"; \
 	allocs=$$(echo "$$out" | awk '/^BenchmarkApplyBatch8/ {print $$(NF-1)}'); \

@@ -106,10 +106,6 @@ type skipBackend struct {
 	core.Backend
 }
 
-func (s *skipBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	return at, nil // lie: committed nothing
-}
-
 func (s *skipBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	return make([]error, len(ops)), at, nil // lie: all ops "applied"
 }

@@ -302,11 +302,11 @@ func queueWaitShare(q map[string]obs.Quantiles) float64 {
 // The commit mixes measure the commit path's round-trip economy
 // (server-side conditional cache ops, dequeue batches, same-path
 // coalescing, apply_batch). commit-mix is create + 256-byte inline write
-// + every-4th remove: the inline writes ride the singleton commit path
-// by design (data writes are not batchable), so the mix exercises both
-// sides of applyWave. commit-wave drops the writes — per-op round trips
-// the shard router cannot parallelize — so every op is batchable and
-// each wave ships as one apply_batch the router splits into concurrent
+// + every-4th remove: an inline write is a data write, which a wave
+// sends through WriteAt after its one apply_batch, so the mix exercises
+// both legs of applyWave. commit-wave drops the writes — per-op round
+// trips the shard router cannot parallelize — so every op is metadata
+// and each wave is one apply_batch the router splits into concurrent
 // per-shard sub-batches: the workload of the shard sweep.
 var (
 	commitMix  = &mix{name: "commit-mix", staleness: true, run: commitRun(true)}

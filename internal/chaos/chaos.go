@@ -75,13 +75,12 @@ type Config struct {
 	// CommitBatchSize sets the region's dequeue/apply batch width
 	// (0 = the region default; 1 = op-at-a-time).
 	CommitBatchSize int
-	// LoseOneCommit deliberately breaks the schedule: the first DFS
-	// create the commit side applies reports success without ever
+	// LoseOneCommit deliberately breaks the schedule: the first
+	// creation the commit side applies reports success without ever
 	// reaching the DFS. The run must then end with violations — the
 	// knob exists to self-test the failure path end to end (the
 	// convergence oracle, the divergence auditor, and the flight
-	// recorder's dump of the lost op's cross-node span). Forces
-	// CommitBatchSize 1 so the lie lands on the op-at-a-time create.
+	// recorder's dump of the lost op's cross-node span).
 	LoseOneCommit bool
 	// Shards > 1 backs the region with a subtree-partitioned MDS pool
 	// ("/w" spread across that many shards) instead of one MDS. All
@@ -90,9 +89,11 @@ type Config struct {
 	// KillShard unregisters one busy MDS shard mid-schedule (driven by
 	// the injector's call counter) and recovers it later. While the
 	// shard is down, foreground reads that reach it fail with ErrClosed
-	// (tolerated, state marked unknown) and commit-side batches to it
-	// degrade to the singleton fallback; after recovery the schedule
-	// must still converge and pass the audit gate. Requires Shards > 1.
+	// (tolerated, state marked unknown), and of a commit wave only the
+	// ops that shard owns fail — each with ErrClosed, each parked and
+	// resubmitted until the shard is back — while the other shards'
+	// share of the same wave commits; after recovery the schedule must
+	// still converge and pass the audit gate. Requires Shards > 1.
 	KillShard bool
 }
 
@@ -226,16 +227,18 @@ func (in *injector) counts() (injected, stalls int) {
 	return in.injected, in.stalls
 }
 
-// flakyBackend wraps the DFS client handed to commit processes. Only the
-// commit-surface mutations are injected — and only with ErrNotExist,
-// which every op kind treats as resubmittable — so injected faults delay
-// convergence but never forfeit it. WriteAt is left alone: the commit
-// module's inline write-back treats its failure as a drop, which would
-// be indistinguishable from the data-loss bugs this harness hunts.
+// flakyBackend wraps the DFS client handed to commit processes. A commit
+// mutates DFS metadata through ApplyBatch and nothing else, so that one
+// method is the whole injected surface — and it injects only
+// ErrNotExist, which every op kind treats as resubmittable, so injected
+// faults delay convergence but never forfeit it. WriteAt is left alone:
+// the commit module's inline write-back treats its failure as a drop,
+// which would be indistinguishable from the data-loss bugs this harness
+// hunts.
 type flakyBackend struct {
 	core.Backend
 	inj *injector
-	// lose, when armed, makes exactly one create lie "committed"
+	// lose, when armed, makes exactly one creation lie "committed"
 	// without reaching the DFS — the Config.LoseOneCommit self-test.
 	lose *atomic.Bool
 }
@@ -256,42 +259,22 @@ func (f *flakyBackend) ClearTrace() {
 	}
 }
 
-func (f *flakyBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if f.lose != nil && f.lose.CompareAndSwap(true, false) {
-		return at, nil // lie: committed nothing (LoseOneCommit self-test)
-	}
-	if f.inj.fail(p) {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.CreateWithStat(at, p, st)
-}
-
-func (f *flakyBackend) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if f.inj.fail(p) {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.SetStat(at, p, st)
-}
-
-func (f *flakyBackend) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	if f.inj.fail(p) {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.Remove(at, p)
-}
-
-// ApplyBatch forwards the batched commit path with per-op injection.
-// Without this override the embedded interface value would promote the
-// wrapped client's ApplyBatch and batched ops would silently bypass
-// injection. Net-absence removes (IfExists) are exempt like WriteAt: the
-// commit module reads their ErrNotExist as success, so an injected
-// failure — meaning the remove did NOT run — would be mistaken for a
-// committed absence while a stale object still sits on the DFS.
+// ApplyBatch injects per op and forwards the rest of the batch. Without
+// this override the embedded interface value would promote the wrapped
+// client's ApplyBatch and commits would silently bypass injection.
+// Net-absence removes (IfExists) are exempt like WriteAt: the commit
+// module reads their ErrNotExist as success, so an injected failure —
+// meaning the remove did NOT run — would be mistaken for a committed
+// absence while a stale object still sits on the DFS.
 func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	errs := make([]error, len(ops))
 	fwd := make([]fsapi.BatchOp, 0, len(ops))
 	idx := make([]int, 0, len(ops))
 	for i, op := range ops {
+		creation := op.Kind == fsapi.BatchCreate || op.Kind == fsapi.BatchMkdir
+		if creation && f.lose.CompareAndSwap(true, false) {
+			continue // lie: committed nothing (LoseOneCommit self-test)
+		}
 		exempt := op.Kind == fsapi.BatchRemove && op.IfExists
 		if !exempt && f.inj.fail(op.Path) {
 			errs[i] = fsapi.ErrNotExist
@@ -709,10 +692,7 @@ func (w *worker) doomedOp(opIndex int) {
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	var lose atomic.Bool
-	if cfg.LoseOneCommit {
-		lose.Store(true)
-		cfg.CommitBatchSize = 1
-	}
+	lose.Store(cfg.LoseOneCommit)
 	bus := rpc.NewBus()
 	model := vclock.Default()
 	var cluster *dfs.Cluster

@@ -120,8 +120,9 @@ func TestChaosSharded(t *testing.T) {
 
 // TestChaosShardKillRecover downs the shard owning the busiest zone
 // mid-schedule and recovers it: the commit side must ride out the
-// outage (ErrClosed resubmission plus the router's singleton fallback)
-// and the run must still converge with a clean audit.
+// outage (the dead shard's ops park on ErrClosed and are resubmitted,
+// the rest of each wave commits) and the run must still converge with
+// a clean audit.
 func TestChaosShardKillRecover(t *testing.T) {
 	res, err := Run(Config{Seed: 11, Shards: 4, KillShard: true, Clients: 4, Ops: 150})
 	if err != nil {
@@ -132,9 +133,6 @@ func TestChaosShardKillRecover(t *testing.T) {
 	}
 	if res.Audit.Divergent > 0 || res.Audit.StalePending > 0 {
 		t.Fatalf("audit gate not clean after shard outage: %+v", res.Audit)
-	}
-	if res.Stats.BatchFallbacks == 0 {
-		t.Error("shard outage never drove the batch path to its singleton fallback")
 	}
 	if res.Stats.Retries == 0 {
 		t.Error("shard outage produced no resubmissions")

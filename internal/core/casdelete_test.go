@@ -347,11 +347,11 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 		e.region.addRemoving("/w/doomed")
 		defer e.region.delRemoving("/w/doomed")
 		before := e.region.Stats().Discarded
-		if retry := cm.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
-			Stat: fsapi.NewFileStat(appCred, 0o644)}); retry {
+		cm.applyOps([]Op{{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
+			Stat: fsapi.NewFileStat(appCred, 0o644)}}, false)
+		if len(cm.pending.ops) != 0 {
 			t.Fatal("discarded create must not be resubmitted")
 		}
-		cm.settle()
 		if e.region.Stats().Discarded != before+1 {
 			t.Fatal("discard not accounted")
 		}
@@ -565,30 +565,36 @@ func TestEvictSurvivesCacheServerDeath(t *testing.T) {
 	}
 }
 
-// TestPendingSetReleasesZeroCountPaths: per-path counters must be removed
-// from the map when they reach zero, or the map grows with every path
-// that ever parked over the life of the commit loop.
+// TestPendingSetReleasesZeroCountPaths: a path blocks its followers for
+// as long as an op on it is parked and no longer — a sweep takes the
+// whole set and only the ops that fail again put their paths back, so
+// the path set does not grow with every path that ever parked over the
+// life of the commit loop.
 func TestPendingSetReleasesZeroCountPaths(t *testing.T) {
-	var p pendingSet
+	p := pendingSet{region: newEnv(t, 1, nil).region}
 	p.add(Op{Path: "/w/a"}, "test")
 	p.add(Op{Path: "/w/a"}, "test")
 	p.add(Op{Path: "/w/b"}, "test")
-	p.release("/w/a")
-	if !p.blocks("/w/a") {
-		t.Fatal("one reference remains — /w/a must still block")
+	if !p.blocks("/w/a") || !p.blocks("/w/b") || p.blocks("/w/ghost") {
+		t.Fatalf("blocked paths = %v, want /w/a and /w/b", p.paths)
 	}
-	p.release("/w/a")
-	if p.blocks("/w/a") {
-		t.Fatal("released path still blocks")
+	swept := p.detach()
+	if len(swept) != 3 || !swept[0].Parked || swept[1].Path != "/w/a" || swept[2].Path != "/w/b" {
+		t.Fatalf("detached %+v, want the three parked ops in arrival order", swept)
 	}
-	p.release("/w/b")
-	if len(p.paths) != 0 {
-		t.Fatalf("zero-count keys leaked: %v", p.paths)
+	if len(p.ops) != 0 || len(p.paths) != 0 {
+		t.Fatalf("detached set still holds %d ops, paths %v", len(p.ops), p.paths)
 	}
-	// Releasing an unknown path must not resurrect a key.
-	p.release("/w/ghost")
-	if len(p.paths) != 0 {
-		t.Fatalf("release of unknown path left keys: %v", p.paths)
+	// Only /w/a's first op fails again: its follower parks behind it,
+	// /w/b is free.
+	p.add(swept[0], "test")
+	if !p.blocks("/w/a") || p.blocks("/w/b") {
+		t.Fatalf("after the sweep blocked paths = %v, want only /w/a", p.paths)
+	}
+	// Parked once each, whatever a sweep moved: the gauge counts ops, and
+	// only an op's terminal takes it off.
+	if got := p.region.parked.Load(); got != 3 {
+		t.Fatalf("parked gauge = %d, want 3", got)
 	}
 }
 

@@ -13,56 +13,51 @@ import (
 	"pacon/internal/vclock"
 )
 
-// pendingOp is a failed non-dependent commit awaiting resubmission
-// (§III.E.1: "we only need to resubmit the operation until it succeeds").
-type pendingOp struct {
-	op       Op
-	attempts int
-}
-
-// pendingSet keeps failed ops in arrival order plus a per-path count so
-// later same-path ops can be held back. region (nil in white-box tests
-// building a bare set) carries the parked-ops gauge.
+// pendingSet keeps failed non-dependent commits awaiting resubmission
+// (§III.E.1: "we only need to resubmit the operation until it succeeds")
+// in arrival order, plus the set of their paths so later same-path ops
+// can be held back. region carries the parked-ops gauge.
 type pendingSet struct {
-	ops   []pendingOp
-	paths map[string]int
+	ops   []Op
+	paths map[string]struct{}
 
 	region *Region
 }
 
-// add parks an op. why labels the park terminal-stage event so traces
-// distinguish an op held for per-path ordering from one that actually
-// failed and awaits resubmission.
+// add parks an op: the first time it fails, or is held behind a parked
+// same-path op (why says which, on the park event), and again each time
+// a sweep's resubmission of it fails. The Parked flag marks the stored
+// copy a resubmission from then on — the tail sampler always keeps such
+// spans, and the op's terminal takes it off the parked-ops gauge.
 func (p *pendingSet) add(op Op, why string) {
-	// Parked ops are always tail-kept by the sampler at their terminal;
-	// the flag rides the stored copy through retries.
-	op.Parked = true
-	if p.paths == nil {
-		p.paths = make(map[string]int)
-	}
-	p.ops = append(p.ops, pendingOp{op: op})
-	p.paths[op.Path]++
-	if p.region != nil {
+	if !op.Parked {
+		op.Parked = true
 		p.region.parked.Add(1)
+		op.trace(obs.StagePark, why)
 	}
-	op.trace(obs.StagePark, why)
+	if p.paths == nil {
+		p.paths = make(map[string]struct{})
+	}
+	p.ops = append(p.ops, op)
+	p.paths[op.Path] = struct{}{}
 }
 
-// release drops one reference to a parked path, deleting the key when it
-// reaches zero so the map does not grow with every path that ever parked
-// over a long-running commit loop.
-func (p *pendingSet) release(path string) {
-	if n := p.paths[path] - 1; n > 0 {
-		p.paths[path] = n
-	} else {
-		delete(p.paths, path)
-	}
-	if p.region != nil {
-		p.region.parked.Add(-1)
-	}
+func (p *pendingSet) blocks(path string) bool {
+	_, ok := p.paths[path]
+	return ok
 }
 
-func (p *pendingSet) blocks(path string) bool { return p.paths[path] > 0 }
+// detach empties the set into a sweep's hands: the sweep resubmits the
+// returned ops in order and add puts back the ones that fail again, so
+// the path set never outlives the ops that justify it. The returned
+// slice shares the set's storage — the sweep copies each chunk out
+// before applying it, and no more ops come back than have been copied.
+func (p *pendingSet) detach() []Op {
+	ops := p.ops
+	p.ops = p.ops[:0]
+	clear(p.paths)
+	return ops
+}
 
 // committer is one node's commit process: the subscriber of the node's
 // commit queue. It applies operations to the DFS through the node's own
@@ -76,7 +71,7 @@ func (p *pendingSet) blocks(path string) bool { return p.paths[path] > 0 }
 // a barrier marker), same-path runs are coalesced (see coalesceOps), and
 // each wave of independent-path ops costs one apply_batch round trip to
 // the DFS and then one settle_multi round trip per owning cache server
-// (see settle).
+// (see applyOps, the one way an op reaches the DFS, and settle).
 //
 // Resubmission policy: a failed op parks in the pending set while
 // *other-path* ops continue — that is what converges creations enqueued
@@ -93,17 +88,15 @@ type committer struct {
 	now     vclock.Time
 	pending pendingSet
 
-	// Scratch, valid within one dequeue (ops, coalesce), one wave
-	// (inWave, batch, single, bops, inlines) or until the next settle
+	// Scratch, valid within one dequeue or one chunk of a sweep (ops,
+	// coalesce), one wave (inWave, wave, bops) or until the next settle
 	// (settles). Nothing outlives the loop iteration that filled it:
 	// parking copies the Op it keeps.
 	ops      []Op
 	coalesce map[string]int
 	inWave   map[string]struct{}
-	batch    []Op
-	single   []Op
+	wave     []Op
 	bops     []fsapi.BatchOp
-	inlines  [][]byte
 	settles  []memcache.Settle
 }
 
@@ -158,7 +151,7 @@ func (c *committer) run(q *mq.Queue[Op]) {
 		r.observeDequeue(ops)
 		ops, merged := coalesceOps(ops, c.coalesce, onMerge)
 		r.coalesced.Add(merged)
-		c.applyOps(ops)
+		c.applyOps(ops, false)
 		// Opportunistic pass: earlier failures often just needed a
 		// sibling queue to commit a parent. Uncounted — only forced
 		// drains consume the resubmission budget.
@@ -166,90 +159,81 @@ func (c *committer) run(q *mq.Queue[Op]) {
 	}
 }
 
-// applyOps applies a dequeued batch in waves: each wave holds at most
-// one op per path (per-path FIFO — a same-path follower waits for the
-// next wave, and parks if its predecessor parked). A wave's batchable
-// ops ship in one apply_batch round trip, the rest apply one by one,
-// and the wave's cache bookkeeping settles together at its end. ops is
+// applyOps is the one way an op reaches the DFS, whatever hands it over:
+// a fresh dequeue or a chunk of a resubmission sweep (whose ops carry
+// Parked; counted says whether their failures are charged to the retry
+// budget). It cuts ops into waves of at most one op per path (per-path
+// FIFO — a same-path follower waits for the next wave, and parks if its
+// predecessor parked) and a wave is the discard rule as it is built, one
+// ApplyBatch and the data writes (applyWave), and one settle. ops is
 // compacted in place into the next wave's input (the write index never
 // passes the read index).
-func (c *committer) applyOps(ops []Op) {
+func (c *committer) applyOps(ops []Op, counted bool) {
+	r := c.r
 	for len(ops) > 0 {
 		rest := ops[:0]
 		clear(c.inWave)
-		c.batch, c.single = c.batch[:0], c.single[:0]
+		c.wave = c.wave[:0]
 		for _, op := range ops {
 			if _, dup := c.inWave[op.Path]; dup {
 				rest = append(rest, op)
-			} else if c.pending.blocks(op.Path) {
+				continue
+			}
+			if c.pending.blocks(op.Path) {
 				// Preserve per-path order behind the parked op.
 				c.pending.add(op, "behind parked same-path op")
-			} else {
-				c.inWave[op.Path] = struct{}{}
-				if c.batchable(op) {
-					c.batch = append(c.batch, op)
-				} else {
-					c.single = append(c.single, op)
-				}
+				continue
 			}
+			c.inWave[op.Path] = struct{}{}
+			if op.Parked {
+				r.retries.Add(1)
+				op.trace(obs.StageRetry, "")
+			}
+			if (op.Kind == OpCreate || op.Kind == OpMkdir) && r.isRemoving(op.Path) {
+				// Discard rule: creations inside a directory being removed
+				// never reach the DFS, and their cache entries are cleaned
+				// (§III.D.1) — but only this op's incarnation (seq match):
+				// a newer incarnation created after the rmdir window closed
+				// is live primary-copy metadata and must survive.
+				r.opDiscarded(op)
+				c.deleteIf(op, memcache.CondSeq)
+				c.now = vclock.Max(c.now, op.Time)
+				op.unparked()
+				continue
+			}
+			c.wave = append(c.wave, op)
 		}
-		c.applyWave()
+		c.applyWave(counted)
+		c.settle()
 		ops = rest
 	}
 }
 
-// batchable reports whether op can ship inside an apply_batch RPC. Only
-// two kinds cannot. A creation under an active rmdir must meet the
-// discard rule before it touches the DFS, and that rule lives on the
-// singleton path; removes and setstats under the same rmdir need no
-// such look-ahead — their result handlers consult isRemoving themselves
-// and both paths share them. An inline setstat is a data write.
-func (c *committer) batchable(op Op) bool {
-	switch op.Kind {
-	case OpCreate, OpMkdir:
-		return !c.r.isRemoving(op.Path)
-	case OpRemove:
-		return true
-	case OpSetStat:
-		return len(op.Stat.Inline) == 0
-	}
-	return false
-}
+// inlineWrite reports whether op is an inline setstat. That is a data
+// write: it commits through the file interface, which carries both the
+// bytes and the size update, and never rides a metadata batch.
+func (op *Op) inlineWrite() bool { return op.Kind == OpSetStat && len(op.Stat.Inline) > 0 }
 
-// applyWave applies the wave in c.batch and c.single. Two or more
-// batchable ops go out as a single apply_batch; net-absence removes
-// always take the batch path (even alone) so the DFS sees their
-// IfExists marker.
-func (c *committer) applyWave() {
-	if len(c.batch) == 1 && !c.batch[0].NetAbsent {
-		c.single = append(c.single, c.batch[0])
-		c.batch = c.batch[:0]
-	}
-	if len(c.batch) > 0 {
-		c.applyBatchRPC(c.batch)
-	}
-	for _, op := range c.single {
-		c.applyOrPark(op)
-	}
-	c.settle()
-}
-
-// applyOrPark applies one op on the singleton path and parks it if it
-// must be resubmitted.
-func (c *committer) applyOrPark(op Op) {
-	if c.applyOp(op) {
-		c.pending.add(op, "resubmittable failure")
+// unparked closes a resubmitted op's stay in the pending set.
+func (op *Op) unparked() {
+	if op.Parked {
+		op.trace(obs.StageUnpark, "")
 	}
 }
 
-// applyBatchRPC ships a wave's batchable ops in one backend round trip
-// and finishes each per its own result.
-func (c *committer) applyBatchRPC(ops []Op) {
+// applyWave applies c.wave, ops on distinct paths: every metadata op in
+// one ApplyBatch — eight ops or one, first attempt or fiftieth — and
+// then, in op order, each inline setstat's data write and each op's
+// result handler (a landed create's handler writes its inline and
+// spilled bytes back). A batch-level error is the result of every op in
+// the batch. An op whose handler asks for resubmission parks, on a
+// counted sweep after paying one attempt of its budget.
+func (c *committer) applyWave(counted bool) {
 	r := c.r
-	// The first sampled op's span tags the whole batch round trip — a
+	// The first sampled op's span tags the whole wave's round trips — a
 	// batch is one wire-level apply, so its server events belong to one
 	// representative span.
-	for _, op := range ops {
+	for _, op := range c.wave {
 		if op.Sampled {
 			if untag := c.commitTrace(op); untag != nil {
 				defer untag()
@@ -258,13 +242,14 @@ func (c *committer) applyBatchRPC(ops []Op) {
 		}
 	}
 	t := c.now
-	c.bops, c.inlines = c.bops[:0], c.inlines[:0]
-	for _, op := range ops {
-		if op.Time > t {
-			t = op.Time
+	c.bops = c.bops[:0]
+	for i := range c.wave {
+		op := &c.wave[i]
+		if op.inlineWrite() {
+			continue
 		}
+		t = vclock.Max(t, op.Time)
 		bop := fsapi.BatchOp{Path: op.Path}
-		var inline []byte
 		switch op.Kind {
 		case OpCreate, OpMkdir:
 			bop.Kind = fsapi.BatchCreate
@@ -272,9 +257,10 @@ func (c *committer) applyBatchRPC(ops []Op) {
 				bop.Kind = fsapi.BatchMkdir
 			}
 			// The DFS backup copy keeps small-file data on the data
-			// path, not in MDS metadata (same as the singleton path).
+			// path, not in MDS metadata: the inline bytes are written
+			// through the file interface after the create lands.
 			bop.Stat = op.Stat
-			inline, bop.Stat.Inline = op.Stat.Inline, nil
+			bop.Stat.Inline = nil
 		case OpSetStat:
 			bop.Kind = fsapi.BatchSetStat
 			bop.Stat = op.Stat
@@ -283,77 +269,84 @@ func (c *committer) applyBatchRPC(ops []Op) {
 			bop.IfExists = op.NetAbsent
 		}
 		c.bops = append(c.bops, bop)
-		c.inlines = append(c.inlines, inline)
 	}
-	r.batchRPCs.Add(1)
-	r.batchedOps.Add(int64(len(ops)))
-	r.backendRPCs.Add(1)
-	errs, done, err := c.backend.ApplyBatch(t, c.bops)
-	c.now = done
-	if err != nil {
-		// Transport-level failure: disposition unknown, fall back to
-		// singleton application which re-runs each op with full logic.
-		r.batchFallbacks.Add(1)
-		for _, op := range ops {
-			c.applyOrPark(op)
-		}
-		return
+	var errs []error
+	var batchErr error
+	if len(c.bops) > 0 {
+		errs, batchErr = c.applyBatch(t, c.bops)
 	}
-	for i, op := range ops {
+	next := 0 // position in errs of the next metadata op
+	for _, op := range c.wave {
 		var retry bool
-		switch op.Kind {
-		case OpCreate, OpMkdir:
-			retry = c.finishCreate(op, c.inlines[i], errs[i])
-		case OpSetStat:
-			retry = c.finishSetStat(op, errs[i])
-		case OpRemove:
-			retry = c.finishRemoveResult(op, errs[i])
+		if op.inlineWrite() {
+			r.backendRPCs.Add(1)
+			done, err := c.backend.WriteAt(vclock.Max(c.now, op.Time), op.Path, 0, op.Stat.Inline)
+			c.now = done
+			retry = c.finishSetStat(op, err)
+		} else {
+			err := batchErr
+			if err == nil {
+				err = errs[next]
+			}
+			next++
+			switch op.Kind {
+			case OpCreate, OpMkdir:
+				retry = c.finishCreate(op, err)
+			case OpSetStat:
+				retry = c.finishSetStat(op, err)
+			case OpRemove:
+				retry = c.finishRemoveResult(op, err)
+			}
 		}
-		if retry {
-			c.pending.add(op, "resubmittable failure")
+		if !retry {
+			op.unparked()
+			continue
 		}
+		if counted {
+			if op.attempts++; int(op.attempts) >= r.cfg.CommitRetryLimit {
+				c.dropOp(op, dropReasonRetryBudget)
+				continue
+			}
+		}
+		c.pending.add(op, "resubmittable failure")
 	}
 }
 
-// retryPendingOnce sweeps the pending set once in arrival order. A
-// still-failing op keeps every later same-path op parked for the rest of
-// the sweep. When counted is true, failures consume the budget. The
-// sweep's cache bookkeeping settles together at its end.
+// applyBatch is every metadata mutation the commit side makes: one
+// Backend.ApplyBatch of bops leaving at t, be they a wave or the one-op
+// setstat of an adoption. It returns the per-op results, or the
+// batch-level error of a backend that could not say more — which callers
+// read as the result of every op in the batch: the finish* handlers
+// resubmit ErrClosed and ErrStale and drop on anything else, as they
+// would for an op sent alone.
+func (c *committer) applyBatch(t vclock.Time, bops []fsapi.BatchOp) ([]error, error) {
+	r := c.r
+	r.batchRPCs.Add(1)
+	r.batchedOps.Add(int64(len(bops)))
+	r.backendRPCs.Add(1)
+	errs, done, err := c.backend.ApplyBatch(t, bops)
+	c.now = done
+	if err != nil {
+		r.batchFallbacks.Add(1)
+	}
+	return errs, err
+}
+
+// retryPendingOnce sweeps the pending set once, in arrival order and in
+// chunks of CommitBatchSize — the width every other wave has, so a sweep
+// holds an MDS worker no longer than a dequeue does and at width 1 still
+// sends one op per round trip. It applies nothing itself: each chunk
+// goes through applyOps, where an op that fails again re-parks, keeping
+// every later same-path op parked for the rest of the sweep. When
+// counted is true, failures consume the budget.
 func (c *committer) retryPendingOnce(counted bool) {
-	pending := &c.pending
-	if len(pending.ops) == 0 {
-		return
+	parked := c.pending.detach()
+	for len(parked) > 0 {
+		n := min(len(parked), c.r.cfg.CommitBatchSize)
+		c.ops = append(c.ops[:0], parked[:n]...)
+		c.applyOps(c.ops, counted)
+		parked = parked[n:]
 	}
-	var blocked map[string]bool
-	kept := pending.ops[:0]
-	for _, p := range pending.ops {
-		if blocked[p.op.Path] {
-			kept = append(kept, p)
-			continue
-		}
-		c.r.retries.Add(1)
-		p.op.trace(obs.StageRetry, "")
-		if retry := c.applyOp(p.op); retry {
-			if counted {
-				p.attempts++
-				if p.attempts >= c.r.cfg.CommitRetryLimit {
-					c.dropOp(p.op, dropReasonRetryBudget)
-					pending.release(p.op.Path)
-					continue
-				}
-			}
-			if blocked == nil {
-				blocked = make(map[string]bool)
-			}
-			blocked[p.op.Path] = true
-			kept = append(kept, p)
-		} else {
-			p.op.trace(obs.StageUnpark, "")
-			pending.release(p.op.Path)
-		}
-	}
-	pending.ops = kept
-	c.settle()
 }
 
 // drainPending retries until every pending op commits or exhausts its
@@ -393,71 +386,14 @@ func (c *committer) drainPending() {
 	}
 }
 
-// applyOp applies one operation; it returns true if the op failed in a
-// resubmittable way. Cache bookkeeping it owes is left in c.settles for
-// the caller's settle.
-func (c *committer) applyOp(op Op) bool {
-	r := c.r
-	if untag := c.commitTrace(op); untag != nil {
-		defer untag()
-	}
-	t := vclock.Max(c.now, op.Time)
-	switch op.Kind {
-	case OpCreate, OpMkdir:
-		// Discard rule: creations inside a directory being removed are
-		// dropped, and their cache entries cleaned (§III.D.1) — but only
-		// this op's incarnation (seq match): a newer incarnation created
-		// after the rmdir window closed is live primary-copy metadata
-		// and must survive.
-		if r.isRemoving(op.Path) {
-			r.opDiscarded(op)
-			c.deleteIf(op, memcache.CondSeq)
-			c.now = t
-			return false
-		}
-		// The DFS backup copy keeps small-file data on the data path, not
-		// in MDS metadata: strip the inline bytes and write them through
-		// the normal file interface after the create lands.
-		st := op.Stat
-		inline := st.Inline
-		st.Inline = nil
-		r.backendRPCs.Add(1)
-		done, err := c.backend.CreateWithStat(t, op.Path, st)
-		c.now = done
-		return c.finishCreate(op, inline, err)
-
-	case OpRemove:
-		r.backendRPCs.Add(1)
-		done, err := c.backend.Remove(t, op.Path)
-		c.now = done
-		return c.finishRemoveResult(op, err)
-
-	case OpSetStat:
-		var done vclock.Time
-		var err error
-		r.backendRPCs.Add(1)
-		if len(op.Stat.Inline) > 0 {
-			// Inline-data backup write: the file interface carries both
-			// the bytes and the size update.
-			done, err = c.backend.WriteAt(t, op.Path, 0, op.Stat.Inline)
-		} else {
-			done, err = c.backend.SetStat(t, op.Path, op.Stat)
-		}
-		c.now = done
-		return c.finishSetStat(op, err)
-	}
-	return false
-}
-
-// finishCreate handles a create/mkdir's backend result (shared by the
-// singleton and batched paths); it returns true if the op must be
-// resubmitted.
-func (c *committer) finishCreate(op Op, inline []byte, err error) bool {
+// finishCreate handles a create/mkdir's backend result; it returns true
+// if the op must be resubmitted.
+func (c *committer) finishCreate(op Op, err error) bool {
 	r := c.r
 	switch {
 	case err == nil:
 		r.opCommitted(op)
-		c.writebackInline(op.Path, inline)
+		c.writeback(op.Path, op.Stat.Inline)
 		c.writebackSpill(op.Path)
 		c.clearDirty(op)
 		return false
@@ -497,14 +433,13 @@ func (c *committer) finishCreate(op Op, inline []byte, err error) bool {
 					c.dropOp(op, dropReasonKindConflict)
 					return false
 				}
-				r.backendRPCs.Add(1)
-				done, aerr := c.backend.SetStat(c.now, op.Path, st)
-				c.now = done
-				if aerr != nil {
+				// The wave's batch has been answered; its scratch is free.
+				c.bops = append(c.bops[:0], fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st})
+				if errs, aerr := c.applyBatch(c.now, c.bops); aerr != nil || errs[0] != nil {
 					return true
 				}
 				r.opCommitted(op)
-				c.writebackInline(op.Path, inline)
+				c.writeback(op.Path, op.Stat.Inline)
 				c.writebackSpill(op.Path)
 				c.clearDirty(op)
 				return false
@@ -697,24 +632,20 @@ func (c *committer) cacheLookup(path string) (cacheVal, bool) {
 	return v, true
 }
 
-// writebackInline writes a newly created small file's bytes to the DFS.
-func (c *committer) writebackInline(path string, inline []byte) {
-	if len(inline) == 0 {
-		return
-	}
-	c.r.backendRPCs.Add(1)
-	done, err := c.backend.WriteAt(c.now, path, 0, inline)
-	c.now = done
-	if err != nil {
-		c.r.dropped.Add(1)
-	}
-}
-
 // writebackSpill writes fsync-spilled inline data to the DFS after the
 // file's create committed (§III.D.2).
 func (c *committer) writebackSpill(path string) {
-	data, ok := c.r.spillTake(path)
-	if !ok {
+	if data, ok := c.r.spillTake(path); ok {
+		c.writeback(path, data)
+	}
+}
+
+// writeback writes a committed create's bytes, if it has any, through
+// the file interface. A failure loses acked data and is counted as a
+// backend_error drop, like every drop under one of the reasons (see
+// dropOp), though no op ends here: the create has committed.
+func (c *committer) writeback(path string, data []byte) {
+	if len(data) == 0 {
 		return
 	}
 	c.r.backendRPCs.Add(1)
@@ -722,5 +653,6 @@ func (c *committer) writebackSpill(path string) {
 	c.now = done
 	if err != nil {
 		c.r.dropped.Add(1)
+		c.r.droppedBackend.Add(1)
 	}
 }

@@ -36,8 +36,22 @@ func newEnv(t *testing.T, n int, mutate func(*RegionConfig)) *env {
 func newEnvDeps(t *testing.T, n int, mutate func(*RegionConfig), mutateDeps func(*Deps)) *env {
 	t.Helper()
 	bus := rpc.NewBus()
-	model := vclock.Default()
-	cluster := dfs.NewCluster(bus, model, rootCred, "storage0", []string{"storage1", "storage2"})
+	cluster := dfs.NewCluster(bus, vclock.Default(), rootCred, "storage0", []string{"storage1", "storage2"})
+	return newEnvOn(t, bus, cluster, n, mutate, mutateDeps)
+}
+
+// newEnvSharded is newEnv over a subtree-partitioned MDS pool spreading
+// the children of /w.
+func newEnvSharded(t *testing.T, n, shards int, mutate func(*RegionConfig)) *env {
+	t.Helper()
+	bus := rpc.NewBus()
+	cluster := dfs.NewClusterSharded(bus, vclock.Default(), rootCred, "storage0", shards, []string{"/w"}, []string{"storage1", "storage2"})
+	return newEnvOn(t, bus, cluster, n, mutate, nil)
+}
+
+func newEnvOn(t *testing.T, bus *rpc.Bus, cluster *dfs.Cluster, n int, mutate func(*RegionConfig), mutateDeps func(*Deps)) *env {
+	t.Helper()
+	model := cluster.Model
 
 	// The administrator allocates the workspace (paper §II.A) and the
 	// checkpoint area.
@@ -80,6 +94,17 @@ func newEnvDeps(t *testing.T, n int, mutate func(*RegionConfig), mutateDeps func
 	}
 	t.Cleanup(func() { region.Close() })
 	return &env{bus: bus, dfs: cluster, region: region, nodes: nodes}
+}
+
+// refused is the answer of an ApplyBatch that failed every one of its n
+// ops with err — what the Backend fakes of these tests give a commit
+// they mean to fail.
+func refused(n int, err error) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
+	}
+	return errs
 }
 
 func (e *env) client(t *testing.T, node string) *Client {

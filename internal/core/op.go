@@ -82,8 +82,13 @@ type Op struct {
 	// slow, failed, or parked).
 	Sampled bool
 	// Parked records that the op was ever parked in the pending set —
-	// the tail sampler always keeps such spans.
+	// the tail sampler always keeps such spans, and an op the commit
+	// process takes up with the flag set is a resubmission.
 	Parked bool
+	// attempts counts the failed resubmissions charged to the op's retry
+	// budget (drainPending says which are); at CommitRetryLimit the op is
+	// dropped. It shares the flags' word and costs the message nothing.
+	attempts int32
 	// tel is the telemetry handle of the node the op was enqueued on
 	// (nil = observability disabled): every commit-side hook — dequeue,
 	// stage events, the terminal — records through it, so no commit

@@ -34,11 +34,15 @@ type Backend interface {
 	WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error)
 	ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error)
 	// ApplyBatch applies independent-path mutations in as few RPCs as
-	// possible (one per metadata server touched). The error slice has one
-	// entry per op; a non-nil batch-level error means the whole batch's
-	// disposition is unknown and the caller must fall back to singleton
-	// application. ops is the commit process's scratch, refilled for the
-	// next wave: an implementation must not keep it past the call.
+	// possible (one per metadata server touched). It is the only way a
+	// commit process mutates metadata — a wave of eight ops, a lone op
+	// and every resubmission alike — so a wrapper that gates, fails or
+	// counts commits overrides this one method. The error slice has one
+	// entry per op: a metadata server that could not be reached fails
+	// its own ops there and no others. A non-nil batch-level error is
+	// for an implementation that cannot say more, and is read as that
+	// error on every op. ops is the commit process's scratch, refilled
+	// for the next wave: an implementation must not keep it past the call.
 	ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error)
 }
 
@@ -73,10 +77,11 @@ type RegionConfig struct {
 	CacheCapacityBytes int64
 	// CommitRetryLimit caps resubmissions of a failed commit (default 64).
 	CommitRetryLimit int
-	// CommitBatchSize caps how many queued operations a commit process
-	// dequeues — and ships to the DFS in one apply_batch RPC — at a time
-	// (default 8). At 1 each op is dequeued and applied alone, so nothing
-	// coalesces or batches — what deterministic tests pin.
+	// CommitBatchSize caps how many operations a commit process takes at
+	// a time — from its queue, or from its parked ops on a resubmission
+	// sweep — and ships to the DFS in one apply_batch RPC (default 8). It
+	// is a width and nothing else: at 1 the same code sends each op as a
+	// batch of one, so nothing coalesces — what deterministic tests pin.
 	CommitBatchSize int
 	// Model is the latency model.
 	Model vclock.LatencyModel
@@ -152,7 +157,7 @@ type RegionStats struct {
 	BackendRPCs    int64 `json:"backend_rpcs"`    // commit-path DFS round trips (batch counts as one)
 	BatchRPCs      int64 `json:"batch_rpcs"`      // apply_batch calls issued
 	BatchedOps     int64 `json:"batched_ops"`     // ops shipped inside apply_batch calls
-	BatchFallbacks int64 `json:"batch_fallbacks"` // batches degraded to singleton ops (transport failure)
+	BatchFallbacks int64 `json:"batch_fallbacks"` // apply_batch calls that came back with a batch-level error
 
 	BarriersScoped int64 `json:"barriers_scoped"` // sync barriers that skipped at least one queue
 	BarriersFull   int64 `json:"barriers_full"`   // sync barriers that drained every queue

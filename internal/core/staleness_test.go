@@ -14,17 +14,13 @@ import (
 	"pacon/internal/vclock"
 )
 
-// gatedBackend blocks commit-surface mutations until gate is closed,
-// pinning ops in the commit pipeline so lag/staleness state can be
-// asserted deterministically mid-flight.
+// gatedBackend blocks the commit side's metadata mutations — all of
+// which are an ApplyBatch — until gate is closed, pinning ops in the
+// commit pipeline so lag/staleness state can be asserted
+// deterministically mid-flight.
 type gatedBackend struct {
 	Backend
 	gate <-chan struct{}
-}
-
-func (g *gatedBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	<-g.gate
-	return g.Backend.CreateWithStat(at, p, st)
 }
 
 func (g *gatedBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
@@ -160,61 +156,82 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 	}
 }
 
-// failBackend fails commit-surface mutations with a permanent
-// (non-resubmittable) error, driving dropOp's backend_error terminal.
+// failBackend fails the commit side with a permanent (non-resubmittable)
+// error, driving the backend_error drops: every metadata op of every
+// batch, or — writes set — every data write instead, metadata passing.
 type failBackend struct {
 	Backend
-	err error
-}
-
-func (f *failBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	return at, f.err
+	err    error
+	writes bool
 }
 
 func (f *failBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
-	errs := make([]error, len(ops))
-	for i := range errs {
-		errs[i] = f.err
+	if f.writes {
+		return f.Backend.ApplyBatch(at, ops)
 	}
-	return errs, at, nil
+	return refused(len(ops), f.err), at, nil
+}
+
+func (f *failBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
+	if f.writes {
+		return at, f.err
+	}
+	return f.Backend.WriteAt(at, p, off, data)
 }
 
 // TestDropReasonCounters: a permanently failing commit must land in the
-// per-reason drop counters, not just the aggregate.
+// per-reason drop counters, not just the aggregate — whether it is the
+// op that fails or, after its create committed, the write-back of a
+// small file's acked bytes.
 func TestDropReasonCounters(t *testing.T) {
-	o := obs.New()
-	e := newEnvDeps(t, 1, nil, func(d *Deps) {
-		d.Obs = o
-		prev := d.NewBackend
-		d.NewBackend = func(node string) Backend {
-			return &failBackend{Backend: prev(node), err: errors.New("media failure")}
-		}
-	})
-	c := e.client(t, "node0")
+	for _, writes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("writes=%v", writes), func(t *testing.T) {
+			o := obs.New()
+			e := newEnvDeps(t, 1, nil, func(d *Deps) {
+				d.Obs = o
+				prev := d.NewBackend
+				d.NewBackend = func(node string) Backend {
+					return &failBackend{Backend: prev(node), err: errors.New("media failure"), writes: writes}
+				}
+			})
+			c := e.client(t, "node0")
 
-	at, err := c.Create(0, "/w/doomed", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.region.Drain(at); err != nil {
-		t.Fatal(err)
-	}
+			// Create and write reach the commit process in one dequeue
+			// and coalesce into a create carrying the bytes: its commit
+			// is the metadata op and then the write-back.
+			release := holdCommits(t, e.region)
+			at, err := c.Create(0, "/w/doomed", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at, err = c.WriteAt(at, "/w/doomed", 0, []byte("acked")); err != nil {
+				t.Fatal(err)
+			}
+			release()
+			if _, err := e.region.Drain(at); err != nil {
+				t.Fatal(err)
+			}
 
-	byReason := e.region.DroppedByReason()
-	if byReason[dropReasonBackendError] == 0 {
-		t.Fatalf("backend_error drops not counted: %v", byReason)
-	}
-	var total int64
-	for _, n := range byReason {
-		total += n
-	}
-	if got := e.region.Stats().Dropped; got != total {
-		t.Fatalf("dropped total %d != sum of reasons %d (%v)", got, total, byReason)
-	}
-	var sb strings.Builder
-	o.WriteProm(&sb)
-	if !strings.Contains(sb.String(), "pacon_ops_dropped_backend_error_total") {
-		t.Fatal("exposition missing per-reason drop counter")
+			byReason := e.region.DroppedByReason()
+			if byReason[dropReasonBackendError] != 1 {
+				t.Fatalf("backend_error drops = %v, want 1", byReason)
+			}
+			var total int64
+			for _, n := range byReason {
+				total += n
+			}
+			if got := e.region.Stats().Dropped; got != total {
+				t.Fatalf("dropped total %d != sum of reasons %d (%v)", got, total, byReason)
+			}
+			if exists := e.dfs.MDS.Tree().Exists("/w/doomed"); exists != writes {
+				t.Fatalf("/w/doomed on the DFS = %v, want %v", exists, writes)
+			}
+			var sb strings.Builder
+			o.WriteProm(&sb)
+			if !strings.Contains(sb.String(), "pacon_ops_dropped_backend_error_total 1") {
+				t.Fatalf("exposition missing the per-reason drop counter:\n%s", sb.String())
+			}
+		})
 	}
 }
 

@@ -33,13 +33,17 @@ func (r *Region) observeDequeue(ops []Op) {
 // reaches it exactly once — committed (stage apply), discarded, dropped,
 // absorbed into a coalesced survivor, or lost with its node — and it
 // releases everything the op holds together: the path-tracker reference
-// scoped barriers wait on, the lag-tracker entry behind the staleness
-// watermarks, and the span (terminal stage event, commit lag, sampled
-// assembly or tail-keep). A terminal that released only some of them is
-// how a crashed node used to leak sampled spans.
+// scoped barriers wait on, its place on the parked-ops gauge if it ever
+// parked, the lag-tracker entry behind the staleness watermarks, and the
+// span (terminal stage event, commit lag, sampled assembly or
+// tail-keep). A terminal that released only some of them is how a
+// crashed node used to leak sampled spans.
 func (r *Region) opTerminal(op Op, stage obs.Stage, note string) {
 	if t := r.trackers[op.Node]; t != nil {
 		t.remove(op.Path)
+	}
+	if op.Parked {
+		r.parked.Add(-1)
 	}
 	if op.tel == nil {
 		return
@@ -74,9 +78,10 @@ type traceCarrier interface {
 }
 
 // commitTrace tags the commit process's cache and backend callers with
-// a sampled op's span, so the server-side events of the apply's RPCs
-// (DFS create/apply_batch and the data write-back, the cache lookup of
-// an ErrExist) land in the originating client op's span. The wave's
+// a sampled op's span, so the server-side events of a wave's RPCs (the
+// apply_batch and the data writes, the cache lookup of an ErrExist) land
+// in the originating client op's span — the span of the wave's first
+// sampled op, on a first attempt and on a resubmission alike. The wave's
 // settle_multi is sent untagged: it runs after every op of the wave has
 // reached its terminal and belongs to no one of them. Returns the untag
 // closure, or nil for unsampled ops (the common case — no allocation).

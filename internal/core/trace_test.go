@@ -106,31 +106,18 @@ func TestCreateCriticalPath(t *testing.T) {
 	}
 }
 
-// failCreateBackend fails every DFS create while armed, with the
-// resubmittable error the commit process parks on.
+// failCreateBackend refuses every op the commit side sends while armed,
+// with the resubmittable error the commit process parks on.
 type failCreateBackend struct {
 	Backend
 	armed atomic.Bool
 }
 
-func (f *failCreateBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if f.armed.Load() {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.CreateWithStat(at, p, st)
-}
-
 func (f *failCreateBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
-	if f.armed.Load() {
-		errs := make([]error, len(ops))
-		for i := range errs {
-			errs[i] = fsapi.ErrNotExist
-		}
-		return errs, at, nil
+	if !f.armed.Load() {
+		return f.Backend.ApplyBatch(at, ops)
 	}
-	return f.Backend.(interface {
-		ApplyBatch(vclock.Time, []fsapi.BatchOp) ([]error, vclock.Time, error)
-	}).ApplyBatch(at, ops)
+	return refused(len(ops), fsapi.ErrNotExist), at, nil
 }
 
 // SetTrace/ClearTrace forward to the wrapped DFS client so the span tag

@@ -41,8 +41,8 @@ func benchPaths(n int) []string {
 	return paths
 }
 
-// BenchmarkCreate is one singleton mutation end to end — the shape of
-// the commit module's fallback and of WriteAt's size bump. make
+// BenchmarkCreate is one singleton mutation end to end — the shape of a
+// client-side synchronous create and of WriteAt's size bump. make
 // alloc-gate pins its allocs/op and B/op: a one-op batch may cost at
 // most its reply over what the namespace tree allocates for the inode.
 func BenchmarkCreate(b *testing.B) {
@@ -54,6 +54,26 @@ func BenchmarkCreate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.CreateWithStat(0, paths[i], st); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyBatch1 is the DFS leg of a commit wave that holds a lone
+// op — every wave at CommitBatchSize 1, every second one on an
+// mdtest-like mix: one create per ApplyBatch. make alloc-gate pins it at
+// BenchmarkCreate plus the one-element result: a batch of one must reach
+// the wire the way the singleton does, with no grouping buffers.
+func BenchmarkApplyBatch1(b *testing.B) {
+	cl := benchClient(b, 1)
+	paths := benchPaths(b.N)
+	ops := []fsapi.BatchOp{{Kind: fsapi.BatchCreate, Stat: fsapi.NewFileStat(appCred, 0o644)}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops[0].Path = paths[i]
+		errs, _, err := cl.ApplyBatch(0, ops)
+		if err != nil || errs[0] != nil {
+			b.Fatal(err, errs[0])
 		}
 	}
 }

@@ -194,16 +194,23 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 // and stores each one's result at its position in errs — the only
 // encoder of that frame and the only decoder of its reply, whether the
 // ops are a shard's share of a commit wave or one mutation on its own.
-// A non-nil return is a batch-level failure: nothing is known about any
-// of these ops.
-func (c *Client) applyTo(addr string, at vclock.Time, ops []fsapi.BatchOp, idx []int, errs []error) (vclock.Time, error) {
+// A round trip that failed, or a reply that does not decode, says
+// nothing about any of these ops, so that error becomes the result of
+// each of them — and of no op sent elsewhere: a dead shard never costs
+// a caller what a live one answered.
+func (c *Client) applyTo(addr string, at vclock.Time, ops []fsapi.BatchOp, idx []int, errs []error) vclock.Time {
 	e := wire.GetEncoder()
 	c.encodeApply(e, ops, idx)
 	done, resp, err := c.call(addr, "apply_batch", at, e)
-	if err != nil {
-		return done, err
+	if err == nil {
+		err = c.decodeApply(resp, ops, idx, errs)
 	}
-	return done, c.decodeApply(resp, ops, idx, errs)
+	if err != nil {
+		for _, i := range idx {
+			errs[i] = err
+		}
+	}
+	return done
 }
 
 func (c *Client) encodeApply(e *wire.Encoder, ops []fsapi.BatchOp, idx []int) {
@@ -260,11 +267,7 @@ func (c *Client) mutate(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
 func (c *Client) mutateOn(targets []string, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
 	ops, errs := [1]fsapi.BatchOp{op}, [1]error{}
 	if len(targets) == 1 {
-		done, err := c.applyTo(targets[0], at, ops[:], oneOp, errs[:])
-		if err == nil {
-			err = errs[0]
-		}
-		return done, err
+		return c.applyTo(targets[0], at, ops[:], oneOp, errs[:]), errs[0]
 	}
 	e := wire.GetEncoder()
 	c.encodeApply(e, ops[:], oneOp)
@@ -789,12 +792,20 @@ func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out [
 // of one per op. Ancestor resolution still happens per op (the cached
 // dentries make it nearly free for the commit module's long-TTL
 // clients). The returned slice has one entry per op — nil for success —
-// and a non-nil batch error means the whole batch's disposition is
-// unknown (transport failure) and the caller should fall back to
-// singleton application.
+// and that is all there is to read: an op whose ancestors did not
+// resolve, and every op of a shard whose round trip failed, carries that
+// error in its own slot while the other shards' answers stand. The
+// batch-level error is always nil; core.Backend keeps it for
+// implementations that cannot say more. A batch of one is the mutation
+// the singleton methods send (mutate), so a commit wave holding a lone
+// op allocates only the result it returns; len(ops) alone decides.
 func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
-	if len(ops) == 0 {
+	switch len(ops) {
+	case 0:
 		return nil, at, nil
+	case 1:
+		done, err := c.mutate(at, ops[0])
+		return []error{err}, done, nil
 	}
 	errs := make([]error, len(ops))
 	// Resolve ancestors first (serially — each resolve advances the
@@ -826,16 +837,13 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 		latest = vclock.Max(latest, done)
 	}
 	var done vclock.Time
-	var err error
 	if len(groups) == 1 {
-		done, err = c.applyTo(groups[0].addr, at, ops, groups[0].idx, errs)
+		done = c.applyTo(groups[0].addr, at, ops, groups[0].idx, errs)
 	} else {
-		done, err = c.perShard(at, groups, func(g shardGroup, at vclock.Time) (vclock.Time, error) {
-			return c.applyTo(g.addr, at, ops, g.idx, errs)
+		// No group error to read: applyTo reports a failed group in errs.
+		done, _ = c.perShard(at, groups, func(g shardGroup, at vclock.Time) (vclock.Time, error) {
+			return c.applyTo(g.addr, at, ops, g.idx, errs), nil
 		})
-	}
-	if err != nil {
-		return nil, vclock.Max(latest, done), err
 	}
 	return errs, vclock.Max(latest, done), nil
 }

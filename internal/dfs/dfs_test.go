@@ -571,3 +571,51 @@ func TestApplyBatchGroupsAcrossMDSes(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyBatchKeepsLiveShardsAnswers: a shard whose round trip fails
+// costs a batch that shard's ops and no others — each of them carries the
+// error in its own slot, the live shard's results stand, and there is no
+// batch-level error to discard them over. A batch of one reports a dead
+// shard the same way.
+func TestApplyBatchKeepsLiveShardsAnswers(t *testing.T) {
+	c := NewClusterSharded(rpc.NewBus(), vclock.Default(), rootCred, "node0", 2, []string{"/w"}, nil)
+	if _, err := c.NewClient("node0", rootCred, 0, 0).Mkdir(0, "/w", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient("node0", appCred, 64, vclock.Duration(1<<50))
+	// With /w's dentry cached the dead shard is met by the batch itself,
+	// not by an op's ancestor resolution.
+	if _, _, err := cl.Stat(0, "/w"); err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]fsapi.BatchOp, 8)
+	for i := range ops {
+		ops[i] = fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: fmt.Sprintf("/w/f%d", i), Stat: fsapi.NewFileStat(appCred, 0o644)}
+	}
+	c.KillShard(1)
+	errs, _, err := cl.ApplyBatch(0, ops)
+	if err != nil {
+		t.Fatalf("batch-level error %v, want the dead shard's share reported per op", err)
+	}
+	var live, dead int
+	for i, op := range ops {
+		if c.Shards.Owner(op.Path) == 0 {
+			live++
+			if errs[i] != nil || !c.OracleExists(op.Path) {
+				t.Fatalf("%s on the live shard: %v, exists %v", op.Path, errs[i], c.OracleExists(op.Path))
+			}
+			continue
+		}
+		dead++
+		if !errors.Is(errs[i], fsapi.ErrClosed) || c.OracleExists(op.Path) {
+			t.Fatalf("%s on the dead shard: %v, exists %v; want ErrClosed", op.Path, errs[i], c.OracleExists(op.Path))
+		}
+		one, _, err := cl.ApplyBatch(0, ops[i:i+1])
+		if err != nil || len(one) != 1 || !errors.Is(one[0], fsapi.ErrClosed) {
+			t.Fatalf("%s alone to the dead shard: %v, %v; want one ErrClosed result", op.Path, one, err)
+		}
+	}
+	if live == 0 || dead == 0 {
+		t.Fatalf("batch did not span both shards: %d live, %d dead", live, dead)
+	}
+}
