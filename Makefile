@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check audit-check bench bench-quick bench-diff alloc-gate clean
+.PHONY: build test check chaos-soak audit-check bench bench-quick bench-diff alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -13,17 +13,23 @@ test: build
 # that breaks it must fail here, not in the benchmark pipeline), and the
 # race detector over the packages with real concurrency (the chaos
 # harness runs its bounded seed set — over 100 randomized schedules —
-# under -race). The grep keeps the commit side on its one apply path: a
-# commit mutates DFS metadata through Backend.ApplyBatch only, and a
-# singleton call in commit.go is a second path growing back.
+# under -race).
 check: build
 	$(GO) vet ./...
-	! grep -nE 'backend\.(CreateWithStat|SetStat|Remove|Mkdir)\(' internal/core/commit.go
 	$(GO) test ./...
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
 	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
 	$(GO) test -run '^$$' -bench 'ReaddirBarrier' -benchtime 1x ./internal/core/
+
+# chaos-soak runs the chaos convergence suite ten times over: 1,040
+# schedules, about ten seconds. One pass of `make check` is 104, too few
+# to see a flake class at a few failures per thousand schedules — stale
+# DFS-client reads and out-of-space removes once failed 6 in 7,800,
+# which a soak catches every other run — so CI runs this after check,
+# with CHAOS_FLIGHT_DIR set: a failing seed leaves its flight dump.
+chaos-soak:
+	$(GO) test -run TestChaosConvergence -count=10 ./internal/chaos/
 
 # audit-check is the divergence gate: the chaos suite runs with the
 # post-drain auditor as a second convergence oracle (any divergent or

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -108,34 +107,6 @@ type skipBackend struct {
 
 func (s *skipBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	return make([]error, len(ops)), at, nil // lie: all ops "applied"
-}
-
-// StatFresh/StatBatch/InvalidateSubtree must be forwarded explicitly —
-// interface embedding does not promote the wrapped client's
-// non-interface methods, and the auditor's ground-truth read depends on
-// them staying authoritative.
-func (s *skipBackend) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	if f, ok := s.Backend.(interface {
-		StatFresh(vclock.Time, string) (fsapi.Stat, vclock.Time, error)
-	}); ok {
-		return f.StatFresh(at, p)
-	}
-	return s.Backend.Stat(at, p)
-}
-
-func (s *skipBackend) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
-	if b, ok := s.Backend.(interface {
-		StatBatch(vclock.Time, []string) ([]fsapi.StatResult, vclock.Time, error)
-	}); ok {
-		return b.StatBatch(at, paths)
-	}
-	return nil, at, errors.New("no batch capability")
-}
-
-func (s *skipBackend) InvalidateSubtree(root string) {
-	if inv, ok := s.Backend.(interface{ InvalidateSubtree(string) }); ok {
-		inv.InvalidateSubtree(root)
-	}
 }
 
 // TestCommitSkipFaultDetected: the injected commit-skip fault must

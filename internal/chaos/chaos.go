@@ -229,34 +229,24 @@ func (in *injector) counts() (injected, stalls int) {
 
 // flakyBackend wraps the DFS client handed to commit processes. A commit
 // mutates DFS metadata through ApplyBatch and nothing else, so that one
-// method is the whole injected surface — and it injects only
-// ErrNotExist, which every op kind treats as resubmittable, so injected
-// faults delay convergence but never forfeit it. WriteAt is left alone:
-// the commit module's inline write-back treats its failure as a drop,
-// which would be indistinguishable from the data-loss bugs this harness
-// hunts.
+// method is the whole injected surface, and the only method declared
+// here: everything else core calls is in core.Backend, so embedding the
+// interface promotes it from the wrapped client — the bulk miss-load's
+// StatBatch, the rmdir/rename InvalidateSubtree fan-out and the span tag
+// included — and every schedule runs production's read paths. (The
+// client side's synchronous one-op batches — the large-file transition,
+// redirection outside the workspace — would meet the injector too; no
+// schedule makes one today.) It injects only ErrNotExist, which every
+// op kind treats as resubmittable, so injected faults delay convergence
+// but never forfeit it. WriteAt is left alone: the commit module's
+// inline write-back treats its failure as a drop, which would be
+// indistinguishable from the data-loss bugs this harness hunts.
 type flakyBackend struct {
 	core.Backend
 	inj *injector
 	// lose, when armed, makes exactly one creation lie "committed"
 	// without reaching the DFS — the Config.LoseOneCommit self-test.
 	lose *atomic.Bool
-}
-
-// SetTrace/ClearTrace forward the span tag to the wrapped DFS client:
-// interface embedding only promotes core.Backend's method set, so
-// without these the commit side's traceCarrier assertion would miss and
-// injected-fault schedules would lose their MDS-side span events.
-func (f *flakyBackend) SetTrace(span uint64) {
-	if tc, ok := f.Backend.(interface{ SetTrace(uint64) }); ok {
-		tc.SetTrace(span)
-	}
-}
-
-func (f *flakyBackend) ClearTrace() {
-	if tc, ok := f.Backend.(interface{ ClearTrace() }); ok {
-		tc.ClearTrace()
-	}
 }
 
 // ApplyBatch injects per op and forwards the rest of the batch. Without
@@ -294,30 +284,6 @@ func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error,
 		errs[i] = ferrs[j]
 	}
 	return errs, done, nil
-}
-
-// InvalidateSubtree forwards the region's rmdir/rename dentry fan-out
-// to the wrapped DFS client. Embedding the Backend interface does not
-// promote methods outside it, so without this the wrapped client's
-// dentry cache would silently keep serving removed paths — exactly the
-// resurrection bug the harness exists to catch.
-func (f *flakyBackend) InvalidateSubtree(root string) {
-	if inv, ok := f.Backend.(interface{ InvalidateSubtree(string) }); ok {
-		inv.InvalidateSubtree(root)
-	}
-}
-
-// StatFresh forwards the miss-load read-through (same promotion caveat
-// as InvalidateSubtree). Losing this forwarding would silently degrade
-// miss-loads to dentry-cached Stats and reintroduce the stale-size
-// shadowing the fresh read exists to prevent.
-func (f *flakyBackend) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	if fr, ok := f.Backend.(interface {
-		StatFresh(vclock.Time, string) (fsapi.Stat, vclock.Time, error)
-	}); ok {
-		return fr.StatFresh(at, p)
-	}
-	return f.Backend.Stat(at, p)
 }
 
 // harness is the shared state of one schedule.

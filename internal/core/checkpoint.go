@@ -28,7 +28,7 @@ func (r *Region) ckptPath(seq uint64) string {
 
 // mkdirIgnoreExist creates a directory, tolerating its presence.
 func mkdirIgnoreExist(b Backend, at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	done, err := b.CreateWithStat(at, p, st)
+	done, err := applyOne(b, at, fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: st})
 	if err != nil && !errors.Is(err, fsapi.ErrExist) {
 		return done, err
 	}
@@ -42,7 +42,7 @@ func copySubtree(b Backend, at vclock.Time, src, dst string) (vclock.Time, error
 		return at, err
 	}
 	if !st.IsDir() {
-		return b.CreateWithStat(at, dst, st)
+		return applyOne(b, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: dst, Stat: st})
 	}
 	if at, err = mkdirIgnoreExist(b, at, dst, st); err != nil {
 		return at, err
@@ -117,7 +117,7 @@ func (r *Region) Restore(c *Client, at vclock.Time, seq uint64) (vclock.Time, er
 		if ent.Type == fsapi.TypeDir {
 			_, done, err = c.backend.RmTree(at, child)
 		} else {
-			done, err = c.backend.Remove(at, child)
+			done, err = applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: child})
 		}
 		at = done
 		if err != nil {

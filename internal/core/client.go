@@ -91,9 +91,7 @@ func (c *Client) begin(op string, paths ...string) (outer bool) {
 	c.curQueued = false
 	if c.curSampled {
 		c.caller.SetTrace(c.curSpan)
-		if tc, ok := c.backend.(traceCarrier); ok {
-			tc.SetTrace(c.curSpan)
-		}
+		c.backend.SetTrace(c.curSpan)
 	}
 	return true
 }
@@ -106,9 +104,7 @@ func (c *Client) end(outer bool) {
 	}
 	if c.curSampled {
 		c.caller.ClearTrace()
-		if tc, ok := c.backend.(traceCarrier); ok {
-			tc.ClearTrace()
-		}
+		c.backend.ClearTrace()
 	}
 	c.tel.OpEnd(c.curSpan, c.curSampled, c.curQueued, c.curStart)
 	c.curSpan, c.curSampled = 0, false
@@ -122,13 +118,11 @@ func (c *Client) barrierReturned(op, path string) {
 	}
 }
 
-// Pace attaches a virtual-time pacer to the client's cache RPCs and, if
-// the backend supports it, its DFS RPCs.
+// Pace attaches a virtual-time pacer to the client's cache RPCs and its
+// DFS RPCs.
 func (c *Client) Pace(p *vclock.Pacer, id int) {
 	c.caller.Pace(p, id)
-	if pb, ok := c.backend.(interface{ Pace(*vclock.Pacer, int) }); ok {
-		pb.Pace(p, id)
-	}
+	c.backend.Pace(p, id)
 }
 
 // Region returns the client's region.
@@ -213,16 +207,14 @@ func (c *Client) checkParent(at vclock.Time, p string) (vclock.Time, error) {
 	case errors.Is(err, fsapi.ErrNotExist):
 		// Miss: the parent may exist on the DFS but not in the cache
 		// (§III.C). Load it synchronously.
-		gen := c.region.invalGen.Load()
-		st, done, berr := c.statFresh(at, dir)
+		st, done, lerr := c.loadMiss(at, "parent-check", dir)
 		at = done
-		if berr != nil {
-			return at, fsapi.WrapPath("parent-check", dir, berr)
+		if lerr != nil {
+			return at, lerr
 		}
 		if !st.IsDir() {
 			return at, fsapi.WrapPath("parent-check", dir, fsapi.ErrNotDir)
 		}
-		at = c.cacheLoad(at, dir, st, gen)
 	default:
 		return at, err
 	}
@@ -272,13 +264,9 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 			}
 			st = v.stat
 		case errors.Is(err, fsapi.ErrNotExist):
-			gen := c.region.invalGen.Load()
-			var berr error
-			st, at, berr = c.statFresh(at, anc)
-			if berr != nil {
-				return at, fsapi.WrapPath("traverse", anc, berr)
+			if st, at, err = c.loadMiss(at, "traverse", anc); err != nil {
+				return at, err
 			}
-			at = c.cacheLoad(at, anc, st, gen)
 		default:
 			return at, err
 		}
@@ -292,29 +280,53 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 	return at, r.cfg.Perm.Check(r.cfg.Cred, p, want)
 }
 
-// statFresh reads p's authoritative stat from the DFS, bypassing any
-// client-local lookup cache the backend keeps (dfs.Client's dentry
-// cache; see StatFresh there). Every cache-miss load must come through
-// here: the result is installed in the region cache as the primary
-// copy, and the backup copy moves underneath long-TTL dentry snapshots
-// with every asynchronous commit — a stale stat would shadow committed
-// state (size, mode) until the next eviction, or resurrect paths a
-// dependent operation removed.
-func (c *Client) statFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	if f, ok := c.backend.(interface {
-		StatFresh(vclock.Time, string) (fsapi.Stat, vclock.Time, error)
-	}); ok {
-		return f.StatFresh(at, p)
+// loadMiss is the cache-miss load (§III.D.1: getattr "loads from the DFS
+// on miss"), the one way a clean entry enters the cache outside a batched
+// warm: stat p on the DFS — the backend's Stat is the authoritative read
+// — and insert the answer as a clean (committed) entry, evicting on cache
+// pressure. Insert races are benign — someone else loaded it. The
+// region's invalidation generation is read before the stat and checked
+// again once the insert has landed: if it moved, a dependent operation
+// (rmdir, rename) invalidated the cache concurrently and the stat may
+// describe a deleted object — the load revokes exactly its own insert
+// (CAS-guarded, so a concurrent writer's newer value survives) instead of
+// resurrecting it. The stat is returned either way; a DFS error comes
+// back wrapped with op and p.
+func (c *Client) loadMiss(at vclock.Time, op, p string) (fsapi.Stat, vclock.Time, error) {
+	r := c.region
+	gen := r.invalGen.Load()
+	st, at, err := c.backend.Stat(at, p)
+	if err != nil {
+		return fsapi.Stat{}, at, fsapi.WrapPath(op, p, err)
 	}
-	return c.backend.Stat(at, p)
+	v := cacheVal{stat: st, large: st.Size > int64(r.cfg.SmallFileThreshold)}
+	cas, done, err := c.cache.Add(at, p, v.encode(), 0)
+	at = done
+	if errors.Is(err, fsapi.ErrOutOfSpace) {
+		if at, err = r.evictRound(c, at); err == nil {
+			cas, at, err = c.cache.Add(at, p, v.encode(), 0)
+		}
+	}
+	if err == nil && r.invalGen.Load() != gen {
+		if done, derr := c.cache.DeleteCAS(at, p, cas); derr == nil ||
+			errors.Is(derr, fsapi.ErrNotExist) || errors.Is(derr, fsapi.ErrStale) {
+			at = done
+		}
+	}
+	return st, at, nil
 }
 
-// cacheLoad inserts a clean (committed) entry, evicting on cache
-// pressure. Insert races are benign — someone else loaded it. gen is the
-// region's invalidation generation read before the DFS stat that
-// produced st; see cacheLoadVal.
-func (c *Client) cacheLoad(at vclock.Time, p string, st fsapi.Stat, gen uint64) vclock.Time {
-	return c.cacheLoadVal(at, p, cacheVal{stat: st, large: st.Size > int64(c.region.cfg.SmallFileThreshold)}, gen)
+// applyOne sends one metadata mutation to the DFS synchronously, as the
+// batch of one it is to dfs.Client — redirection outside the workspace,
+// the SyncCommit ablation, the large-file transition and the checkpoint
+// copy all come through here, so ApplyBatch is the only mutation a
+// Backend has. A batch-level error is the op's error.
+func applyOne(b Backend, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
+	errs, done, err := b.ApplyBatch(at, []fsapi.BatchOp{op})
+	if err == nil {
+		err = errs[0]
+	}
+	return done, err
 }
 
 // insert is the shared create/mkdir path: batch permission check, parent
@@ -399,7 +411,11 @@ func (c *Client) commitSyncInsert(at vclock.Time, p string, st fsapi.Stat, seq u
 	dfsStat := st
 	inline := dfsStat.Inline
 	dfsStat.Inline = nil
-	done, err := c.backend.CreateWithStat(at, p, dfsStat)
+	kind := fsapi.BatchCreate
+	if st.IsDir() {
+		kind = fsapi.BatchMkdir
+	}
+	done, err := applyOne(c.backend, at, fsapi.BatchOp{Kind: kind, Path: p, Stat: dfsStat})
 	at = done
 	if err != nil {
 		return at, fsapi.WrapPath("sync-commit", p, err)
@@ -436,7 +452,7 @@ func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, 
 		if _, merged := c.region.mergedFor(p); merged {
 			return at, fsapi.WrapPath("mkdir", p, fsapi.ErrReadOnly)
 		}
-		return c.backend.Mkdir(at, p, mode)
+		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: fsapi.NewDirStat(c.region.cfg.Cred, mode)})
 	}
 	return c.insert(at, OpMkdir, p, fsapi.NewDirStat(c.region.cfg.Cred, mode))
 }
@@ -449,7 +465,7 @@ func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time,
 		if _, merged := c.region.mergedFor(p); merged {
 			return at, fsapi.WrapPath("create", p, fsapi.ErrReadOnly)
 		}
-		return c.backend.CreateWithStat(at, p, fsapi.NewFileStat(c.region.cfg.Cred, fsapi.ModeDefaultFile))
+		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.region.cfg.Cred, fsapi.ModeDefaultFile)})
 	}
 	return c.insert(at, OpCreate, p, fsapi.NewFileStat(c.region.cfg.Cred, mode))
 }
@@ -484,14 +500,7 @@ func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error)
 		return v.stat, at, nil
 	case errors.Is(err, fsapi.ErrNotExist):
 		// Miss: load from the DFS into the cache (§III.D.1 getattr).
-		gen := c.region.invalGen.Load()
-		st, done, berr := c.statFresh(at, p)
-		at = done
-		if berr != nil {
-			return fsapi.Stat{}, at, fsapi.WrapPath("stat", p, berr)
-		}
-		at = c.cacheLoad(at, p, st, gen)
-		return st, at, nil
+		return c.loadMiss(at, "stat", p)
 	default:
 		return fsapi.Stat{}, at, err
 	}
@@ -538,11 +547,11 @@ const readBatchSize = 64
 
 // StatMulti is the batched form of Stat: workspace paths resolve with
 // one get_multi per owning cache server, misses bulk-load from the DFS
-// (the backend's stat_batch when it has one) and warm the cache for
-// the next reader; merged-peer paths read the peer's cache the same
-// way but stay strictly read-only; everything else goes to the DFS
-// per path. Results align with paths — per-path failures land in their
-// StatResult, they never fail the batch.
+// (the backend's StatBatch) and warm the cache for the next reader;
+// merged-peer paths read the peer's cache the same way but stay
+// strictly read-only; everything else goes to the DFS per path. Results
+// align with paths — per-path failures land in their StatResult, they
+// never fail the batch.
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	r := c.region
 	out := make([]fsapi.StatResult, len(paths))
@@ -688,14 +697,14 @@ func (c *Client) statBatchCached(at vclock.Time, paths []string, idx []int, out 
 			continue
 		}
 		// Bulk miss-load. The generation is read before the DFS reads,
-		// per the cacheLoadVal contract: if a dependent operation bumps
-		// it before the warm lands, the warm revokes itself.
+		// per loadMiss's contract: if a dependent operation bumps it
+		// before the warm lands, the warm revokes itself.
 		gen := r.invalGen.Load()
 		missPaths := make([]string, len(missIdx))
 		for j, i := range missIdx {
 			missPaths[j] = chunk[i]
 		}
-		stats, done := c.statBatchFresh(at, missPaths)
+		stats, done := c.statBackend(at, missPaths)
 		at = done
 		entries := make([]memcache.AddEntry, 0, len(missIdx))
 		for j, i := range missIdx {
@@ -716,46 +725,35 @@ func (c *Client) statBatchCached(at vclock.Time, paths []string, idx []int, out 
 // StatBackend bulk-reads authoritative per-path stats straight from the
 // DFS backend, bypassing the distributed cache entirely. The divergence
 // auditor uses it as the ground-truth side of a cache↔DFS comparison;
-// it is statBatchFresh exported, so the authority read is the same code
-// the production miss path trusts. A per-path error (e.g. ErrNotExist)
-// lands in that entry's Err.
+// it is the bulk miss-load's read exported, so the authority read is the
+// same code the production miss path trusts. A per-path error (e.g.
+// ErrNotExist) lands in that entry's Err.
 func (c *Client) StatBackend(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
 	clean := make([]string, len(paths))
 	for i, p := range paths {
 		clean[i] = namespace.Clean(p)
 	}
-	return c.statBatchFresh(at, clean)
+	return c.statBackend(at, clean)
 }
 
-// statBatchFresh bulk-loads authoritative stats: the backend's
-// StatBatch capability when present (dfs.Client's consults the MDS for
-// every final component — the StatFresh contract in batched form),
-// otherwise a per-path statFresh loop. A batch-level transport error
-// also falls back to the loop: the singletons re-establish each path's
-// disposition individually.
-func (c *Client) statBatchFresh(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
-	if sb, ok := c.backend.(interface {
-		StatBatch(vclock.Time, []string) ([]fsapi.StatResult, vclock.Time, error)
-	}); ok {
-		res, done, err := sb.StatBatch(at, paths)
-		at = done
-		if err == nil {
-			return res, at
+// statBackend is the bulk miss-load's read: one Backend.StatBatch. A
+// batch-level error, from a backend that could not say more, is that
+// error on every path.
+func (c *Client) statBackend(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
+	res, done, err := c.backend.StatBatch(at, paths)
+	if err != nil {
+		res = make([]fsapi.StatResult, len(paths))
+		for i := range res {
+			res[i].Err = err
 		}
 	}
-	out := make([]fsapi.StatResult, len(paths))
-	for i, p := range paths {
-		st, done, err := c.statFresh(at, p)
-		at = done
-		out[i] = fsapi.StatResult{Stat: st, Err: err}
-	}
-	return out, at
+	return res, done
 }
 
 // warmEntries inserts clean loaded values add-if-absent in one
 // add_multi fan-out, then revokes its own inserts (CAS-guarded) if the
 // invalidation generation moved since gen — the batched form of
-// cacheLoadVal. Unlike the synchronous miss path, warming never runs
+// loadMiss's insert. Unlike the synchronous miss path, warming never runs
 // eviction rounds: per-entry ErrOutOfSpace (like ErrExist) just skips
 // the key — a warm is an optimization, not worth evicting for.
 func (c *Client) warmEntries(at vclock.Time, entries []memcache.AddEntry, gen uint64) vclock.Time {
@@ -829,7 +827,7 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 		if _, merged := r.mergedFor(p); merged {
 			return at, fsapi.WrapPath("rm", p, fsapi.ErrReadOnly)
 		}
-		return c.backend.Remove(at, p)
+		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: p})
 	}
 	at, err := c.checkPerm(at, p, fsapi.WantWrite)
 	if err != nil {
@@ -860,13 +858,23 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 			if cerr == nil {
 				return c.pushOp(at, OpRemove, p, fsapi.Stat{}, seq)
 			}
+			if errors.Is(cerr, fsapi.ErrOutOfSpace) {
+				// The marker is a byte or two longer than the clean entry it
+				// replaces (seq 0 → seq n) and a full cache refuses it: same
+				// policy as insert — make room, then re-examine (the round
+				// may have evicted this very entry).
+				if at, cerr = r.evictRound(c, at); cerr != nil {
+					return at, cerr
+				}
+				continue
+			}
 			if !errors.Is(cerr, fsapi.ErrStale) && !errors.Is(cerr, fsapi.ErrNotExist) {
 				return at, cerr
 			}
 			// Conflict: retry the read-modify-write (§III.D.3).
 		case errors.Is(err, fsapi.ErrNotExist):
 			// Not cached: the file may live only on the DFS.
-			st, done, berr := c.statFresh(at, p)
+			st, done, berr := c.backend.Stat(at, p)
 			at = done
 			if berr != nil {
 				return at, fsapi.WrapPath("rm", p, berr)
@@ -949,17 +957,13 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	c.barrierReturned("rmdir", p)
 	removed, done, rerr := c.backend.RmTree(at, p)
 	at = done
-	// Drop the subtree's dentries on every backend in the region, not
-	// just this client's (RmTree only cleans its own instance). Internal
-	// DFS clients run long dentry TTLs, so a skipped node would keep
-	// serving positive Stats for the removed paths and a later
-	// cache-miss load there would resurrect the directory.
+	// Drop the subtree's cached directories on every backend in the
+	// region, not just this client's (RmTree only cleans its own
+	// instance). Internal DFS clients cache directories under long TTLs,
+	// so a skipped node would keep resolving paths through the removed
+	// directories, passing traversal checks the MDS would refuse.
 	r.invalidateBackendSubtrees(p)
-	// Bump the invalidation generation AFTER the dentry fan-out and
-	// BEFORE cleaning the cache. After: a stale positive Stat can only
-	// come from a dentry read before its drop, hence before the bump, so
-	// the load's generation re-check fires and it revokes itself. Before
-	// the cache deletes: a
+	// Bump the invalidation generation BEFORE cleaning the cache: a
 	// cache-miss load whose DFS read predates the RmTree either inserts
 	// before our deletes below (we delete it) or re-checks the generation
 	// after them (it sees the bump and revokes itself). Bumping after the
@@ -1087,9 +1091,9 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	if rerr == nil {
 		// Invalidate the moved subtree's old-path entries: enumerate on
 		// the DFS (authoritative after the drain) from the new location.
-		// Dentry fan-out first (both ends — src dentries are gone, dst
-		// dentries changed), then the generation bump, then the cache
-		// cleanup: same load-resurrection race as rmdir's.
+		// Dentry fan-out (both ends — src's directories are gone, dst's
+		// changed), then the generation bump before the cache cleanup:
+		// same load-resurrection race as rmdir's.
 		r.invalidateBackendSubtrees(src)
 		r.invalidateBackendSubtrees(dst)
 		r.invalGen.Add(1)

@@ -422,7 +422,7 @@ func (c *committer) finishCreate(op Op, err error) bool {
 				st := op.Stat
 				st.Inline = nil
 				r.backendRPCs.Add(1)
-				est, done, serr := backendStatFresh(c.backend, c.now, op.Path)
+				est, done, serr := c.backend.Stat(c.now, op.Path)
 				c.now = done
 				if serr != nil {
 					return true // vanished underneath us: retry the create
@@ -601,20 +601,6 @@ func (c *committer) settle() {
 	c.settles = c.settles[:0]
 	c.r.cacheRPCs.Add(int64(owners))
 	c.now = done
-}
-
-// backendStatFresh reads an authoritative stat, bypassing the
-// backend's client-local lookup cache when it keeps one (see
-// dfs.Client.StatFresh). Commit processes share long-lived backends
-// whose dentry snapshots lag every asynchronous commit, so decisions
-// about the current DFS state must never come from plain Stat.
-func backendStatFresh(b Backend, at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	if f, ok := b.(interface {
-		StatFresh(vclock.Time, string) (fsapi.Stat, vclock.Time, error)
-	}); ok {
-		return f.StatFresh(at, p)
-	}
-	return b.Stat(at, p)
 }
 
 // cacheLookup fetches and decodes a cache value.

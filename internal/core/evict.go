@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
 	"pacon/internal/namespace"
@@ -66,7 +68,10 @@ func (r *Region) evictWalk(c *Client, at vclock.Time, p string, isDir bool) (vcl
 	if isDir {
 		ents, done, err := c.backend.Readdir(at, p)
 		at = done
-		if err != nil {
+		// A directory rmdir'd since it was listed has nothing left to
+		// evict — its subtree's entries went with it: an empty listing,
+		// not a failure of the client operation that needed room.
+		if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 			return at, err
 		}
 		for _, ent := range ents {

@@ -56,14 +56,9 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 				return at, err
 			}
 			// Not cached: pull the metadata in and retry.
-			gen := r.invalGen.Load()
-			st, done, berr := c.statFresh(at, p)
-			at = done
-			if berr != nil {
-				return at, fsapi.WrapPath("write", p, berr)
+			if _, at, err = c.loadMiss(at, "write", p); err != nil {
+				return at, err
 			}
-			v := cacheVal{stat: st, large: st.Size > int64(r.cfg.SmallFileThreshold)}
-			at = c.cacheLoadVal(at, p, v, gen)
 			continue
 		}
 		v, derr := decodeCacheVal(item.Value)
@@ -145,7 +140,7 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 func (c *Client) growToLarge(at vclock.Time, p string, cas uint64, v cacheVal, off int64, data []byte) (vclock.Time, error) {
 	st := v.stat
 	st.Inline = nil
-	done, err := c.backend.CreateWithStat(at, p, st)
+	done, err := applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: st})
 	at = done
 	if err != nil && !errors.Is(err, fsapi.ErrExist) {
 		return at, fsapi.WrapPath("write", p, err)
@@ -299,28 +294,4 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 		at = at.Add(r.cfg.Model.DataChunkCost + vclock.Duration(int64(r.cfg.Model.DataPerKB)*int64(len(v.stat.Inline))/1024))
 	}
 	return at, nil
-}
-
-// cacheLoadVal inserts an arbitrary clean value (used when loading
-// existing files with their largeness flag). gen is the region's
-// invalidation generation read before the DFS read that produced v: if
-// it moved by the time the insert lands, a dependent operation (rmdir,
-// rename) invalidated the cache concurrently and v may describe a
-// deleted object — revoke exactly our insert (CAS-guarded, so a
-// concurrent writer's newer value survives) instead of resurrecting it.
-func (c *Client) cacheLoadVal(at vclock.Time, p string, v cacheVal, gen uint64) vclock.Time {
-	cas, done, err := c.cache.Add(at, p, v.encode(), 0)
-	at = done
-	if errors.Is(err, fsapi.ErrOutOfSpace) {
-		if at, err = c.region.evictRound(c, at); err == nil {
-			cas, at, err = c.cache.Add(at, p, v.encode(), 0)
-		}
-	}
-	if err == nil && c.region.invalGen.Load() != gen {
-		if done, derr := c.cache.DeleteCAS(at, p, cas); derr == nil ||
-			errors.Is(derr, fsapi.ErrNotExist) || errors.Is(derr, fsapi.ErrStale) {
-			at = done
-		}
-	}
-	return at
 }

@@ -19,31 +19,53 @@ import (
 // Backend is the underlying DFS as seen by Pacon: the interfaces the
 // commit module uses to apply operations ("system calls and DFS client",
 // §III.D.1) and clients use for redirection and cache misses.
-// dfs.Client implements it.
+// dfs.Client implements it. It lists every method core calls and nothing
+// else: no capability is discovered by type assertion, so a wrapper that
+// embeds a Backend gets all of it promoted and overrides only what it
+// changes.
 type Backend interface {
+	// Stat is the authoritative read: the answer for p comes from the
+	// metadata service, never from client-local state. A cache-miss load
+	// installs it as the region's primary copy, and the commit side
+	// decides by it what the DFS holds now.
 	Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error)
-	Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error)
-	CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error)
-	SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error)
-	Remove(at vclock.Time, p string) (vclock.Time, error)
-	// RmTree removes p's subtree and returns every path it removed, p
-	// included (Rmdir drops exactly those from the cache).
-	RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
-	Rename(at vclock.Time, src, dst string) (vclock.Time, error)
+	// StatBatch is Stat for many paths in as few round trips as possible;
+	// the result has one entry per path. A non-nil batch-level error is
+	// for an implementation that cannot say more, and is read as that
+	// error on every path.
+	StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error)
 	Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Time, error)
-	WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error)
 	ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error)
 	// ApplyBatch applies independent-path mutations in as few RPCs as
-	// possible (one per metadata server touched). It is the only way a
-	// commit process mutates metadata — a wave of eight ops, a lone op
-	// and every resubmission alike — so a wrapper that gates, fails or
-	// counts commits overrides this one method. The error slice has one
+	// possible (one per metadata server touched). It is the only way
+	// Pacon mutates DFS metadata — a commit wave of eight ops, a lone op,
+	// every resubmission, and the one-op batches of the synchronous paths
+	// (applyOne) alike — so a wrapper that gates, fails or counts
+	// mutations overrides this one method. The error slice has one
 	// entry per op: a metadata server that could not be reached fails
 	// its own ops there and no others. A non-nil batch-level error is
 	// for an implementation that cannot say more, and is read as that
 	// error on every op. ops is the commit process's scratch, refilled
 	// for the next wave: an implementation must not keep it past the call.
 	ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error)
+	// RmTree removes p's subtree and returns every path it removed, p
+	// included (Rmdir drops exactly those from the cache).
+	RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
+	Rename(at vclock.Time, src, dst string) (vclock.Time, error)
+	WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error)
+	// InvalidateSubtree drops whatever client-local lookup state the
+	// implementation keeps at or under root (dfs.Client's directory
+	// cache); a region calls it on every backend it built when an rmdir
+	// or rename unlinks a subtree.
+	InvalidateSubtree(root string)
+	// Pace attaches a virtual-time pacer to the implementation's RPCs;
+	// id is the client's participant index.
+	Pace(p *vclock.Pacer, id int)
+	// SetTrace tags the RPCs that follow with a span's trace context, so
+	// the metadata servers record their side into the originating op's
+	// span; ClearTrace removes the tag.
+	SetTrace(span uint64)
+	ClearTrace()
 }
 
 // RegionConfig declares one consistent region (paper §III.B: "the
@@ -344,7 +366,6 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		addr := node + "/pacon-" + cfg.Name
 		srv := memcache.NewServer(addr, memcache.ServerConfig{
 			CapacityBytes: cfg.CacheCapacityBytes,
-			EvictLRU:      false, // Pacon's own round-robin eviction decides
 			Model:         cfg.Model,
 			Workers:       cfg.Model.CacheWorkers,
 		})
@@ -480,10 +501,10 @@ func (r *Region) headerCounts() (dirty, removed int64) {
 
 // newBackend builds a backend via deps and records it. The region keeps
 // every backend it hands out because the DFS layer deliberately trusts
-// Pacon for consistency: internal DFS clients run long dentry TTLs, so
-// after an rmdir or rename only a region-wide fan-out (not just the
-// calling client's own drop) stops the other nodes from serving stale
-// positive lookups for the unlinked paths.
+// Pacon for consistency: internal DFS clients cache directories under
+// long TTLs, so after an rmdir or rename only a region-wide fan-out (not
+// just the calling client's own drop) stops the other nodes from
+// resolving paths through the unlinked directories.
 func (r *Region) newBackend(node string) Backend {
 	b := r.deps.NewBackend(node)
 	r.backendsMu.Lock()
@@ -492,28 +513,16 @@ func (r *Region) newBackend(node string) Backend {
 	return b
 }
 
-// subtreeInvalidator is the optional backend capability of dropping
-// client-local positive lookup state (dfs.Client's dentry cache).
-// Wrappers that embed a Backend interface value must forward it
-// explicitly — interface embedding does not promote it.
-type subtreeInvalidator interface {
-	InvalidateSubtree(root string)
-}
-
 // invalidateBackendSubtrees drops cached lookup state for root on every
-// backend the region has built. Callers bump invalGen only after this
-// returns: any stale positive Stat served from a dentry that had not
-// yet been dropped necessarily read it before the bump, so the
-// cache-miss load's generation re-check fires and the load revokes its
-// own insert instead of resurrecting the unlinked subtree.
+// backend the region has built. A backend's Stat never answers from that
+// state, but its path resolution does: a cached directory that was just
+// unlinked would still pass the traversal check for a path under it.
 func (r *Region) invalidateBackendSubtrees(root string) {
 	r.backendsMu.Lock()
 	bs := append([]Backend(nil), r.backends...)
 	r.backendsMu.Unlock()
 	for _, b := range bs {
-		if inv, ok := b.(subtreeInvalidator); ok {
-			inv.InvalidateSubtree(root)
-		}
+		b.InvalidateSubtree(root)
 	}
 }
 

@@ -68,15 +68,6 @@ func (r *Region) opDiscarded(op Op) {
 	r.opTerminal(op, obs.StageDiscard, "under active rmdir")
 }
 
-// traceCarrier is the optional capability of tagging outgoing RPCs with
-// a span's trace context. memcache.Client and dfs.Client implement it
-// over their rpc.Caller; wrapper backends (e.g. fault injectors) must
-// forward it explicitly — interface embedding does not promote it.
-type traceCarrier interface {
-	SetTrace(span uint64)
-	ClearTrace()
-}
-
 // commitTrace tags the commit process's cache and backend callers with
 // a sampled op's span, so the server-side events of a wave's RPCs (the
 // apply_batch and the data writes, the cache lookup of an ErrExist) land
@@ -90,14 +81,9 @@ func (c *committer) commitTrace(op Op) func() {
 		return nil
 	}
 	c.cache.SetTrace(op.Span)
-	tc, ok := c.backend.(traceCarrier)
-	if ok {
-		tc.SetTrace(op.Span)
-	}
+	c.backend.SetTrace(op.Span)
 	return func() {
 		c.cache.ClearTrace()
-		if ok {
-			tc.ClearTrace()
-		}
+		c.backend.ClearTrace()
 	}
 }

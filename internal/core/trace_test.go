@@ -120,20 +120,6 @@ func (f *failCreateBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]e
 	return refused(len(ops), fsapi.ErrNotExist), at, nil
 }
 
-// SetTrace/ClearTrace forward to the wrapped DFS client so the span tag
-// survives the wrapper (interface embedding does not promote them).
-func (f *failCreateBackend) SetTrace(span uint64) {
-	if tc, ok := f.Backend.(interface{ SetTrace(uint64) }); ok {
-		tc.SetTrace(span)
-	}
-}
-
-func (f *failCreateBackend) ClearTrace() {
-	if tc, ok := f.Backend.(interface{ ClearTrace() }); ok {
-		tc.ClearTrace()
-	}
-}
-
 // TestStalledHealthFlightDump forces a region into the stalled state (a
 // DFS backend that fails every create keeps the op unacked while
 // wall-clock staleness blows a 1ns threshold) and checks the worsening

@@ -53,16 +53,15 @@ func (h *rpcHook) count(method string) int {
 }
 
 // commitSpy is a Backend as one commit process sees it: it records each
-// ApplyBatch and WriteAt — the only calls a commit may make — forwards
-// them unless told to refuse every op with a resubmittable error, and
-// counts the singleton mutations, which a commit must never make.
-// Driven from a test committer's one goroutine, so it needs no lock.
+// ApplyBatch and WriteAt — the only mutations a Backend has — and
+// forwards them unless told to refuse every op with a resubmittable
+// error. Driven from a test committer's one goroutine, so it needs no
+// lock.
 type commitSpy struct {
 	Backend
 	refuse  bool
 	batches [][]fsapi.BatchOp
 	writes  []string
-	singles int
 }
 
 func (s *commitSpy) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
@@ -76,26 +75,6 @@ func (s *commitSpy) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vc
 func (s *commitSpy) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
 	s.writes = append(s.writes, p)
 	return s.Backend.WriteAt(at, p, off, data)
-}
-
-func (s *commitSpy) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	s.singles++
-	return s.Backend.Mkdir(at, p, mode)
-}
-
-func (s *commitSpy) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	s.singles++
-	return s.Backend.CreateWithStat(at, p, st)
-}
-
-func (s *commitSpy) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	s.singles++
-	return s.Backend.SetStat(at, p, st)
-}
-
-func (s *commitSpy) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	s.singles++
-	return s.Backend.Remove(at, p)
 }
 
 // spiedCommitter returns a commit process of node0 that no queue feeds,
@@ -167,8 +146,8 @@ func TestRetrySweepIsBatched(t *testing.T) {
 	if !reflect.DeepEqual(sizes, []int{8, 8, 4}) {
 		t.Fatalf("sweep sent batches of %v ops, want [8 8 4]", sizes)
 	}
-	if spy.singles != 0 || len(spy.writes) != 0 {
-		t.Fatalf("sweep made %d singleton mutations and %d writes, want none", spy.singles, len(spy.writes))
+	if len(spy.writes) != 0 {
+		t.Fatalf("sweep made %d writes, want none", len(spy.writes))
 	}
 	after := e.region.Stats()
 	if got := after.Committed - before.Committed; got != k+1 {
@@ -234,8 +213,8 @@ func TestWaveIsOneApplyBatch(t *testing.T) {
 	if len(spy.batches) != 1 || !reflect.DeepEqual(spy.batches[0], want) {
 		t.Fatalf("backend saw batches %+v, want one of %+v", spy.batches, want)
 	}
-	if !reflect.DeepEqual(spy.writes, []string{"/w/small"}) || spy.singles != 0 {
-		t.Fatalf("backend saw writes %v and %d singleton mutations, want one write of /w/small", spy.writes, spy.singles)
+	if !reflect.DeepEqual(spy.writes, []string{"/w/small"}) {
+		t.Fatalf("backend saw writes %v, want one write of /w/small", spy.writes)
 	}
 	if got := after.Committed - before.Committed; got != 4 {
 		t.Fatalf("committed %d ops, want 4", got)
@@ -505,7 +484,7 @@ func TestRmdirCleansSubtreeInOneRoundTripPerOwner(t *testing.T) {
 	if got, limit := hook.count("settle_multi"), e.region.Ring().Size(); got == 0 || got > limit {
 		t.Fatalf("rmdir of %d files cleaned the cache in %d settle_multi RPCs, want 1..%d (ring size)", files, got, limit)
 	}
-	if got := hook.count("delete"); got != 0 {
+	if got := hook.count("delete_cas"); got != 0 {
 		t.Fatalf("rmdir still issued %d per-path deletes", got)
 	}
 	if genAtFirstSweep != gen+1 {
@@ -573,7 +552,7 @@ func TestRenameCleanupKeepsRacingCreate(t *testing.T) {
 	if got, limit := hook.count("settle_multi"), e.region.Ring().Size()+1; got == 0 || got > limit {
 		t.Fatalf("rename swept %d old paths in %d settle_multi RPCs, want 1..%d (ring size + the racer's commit)", files+1, got, limit)
 	}
-	if got := hook.count("delete"); got != 0 {
+	if got := hook.count("delete_cas"); got != 0 {
 		t.Fatalf("rename still issued %d per-path deletes", got)
 	}
 	reborn := mustEntry(t, e.region, "/w/src", "after the rename returned")

@@ -30,14 +30,16 @@ type ClientConfig struct {
 	Cred fsapi.Cred
 	// Model is the latency model.
 	Model vclock.LatencyModel
-	// DentryCacheCap bounds the client dentry cache (entries). 0 disables
-	// caching entirely.
+	// DentryCacheCap bounds the client's directory cache (entries). 0
+	// disables caching entirely.
 	DentryCacheCap int
-	// DentryTTL is the virtual-time validity of a cached dentry. The
+	// DentryTTL is the virtual-time validity of a cached directory. The
 	// default 0 disables reuse — the strong-consistency behavior of the
-	// paper's BeeGFS baseline, where the client revalidates against the
-	// MDS on every access. Pacon's internal commit clients set a long TTL
-	// (Pacon owns consistency above the DFS).
+	// paper's BeeGFS baseline, where the client revalidates every path
+	// component against the MDS on every access. Pacon's internal clients
+	// set a long TTL: directories under a workspace go away only through
+	// Pacon's own rmdir and rename, which drop them on every client of the
+	// region (InvalidateSubtree).
 	DentryTTL vclock.Duration
 }
 
@@ -55,6 +57,9 @@ type Client struct {
 	// working sets.
 	mirrorPick int
 
+	// dentries is a directory cache: every entry is a directory, and
+	// resolveAncestors is its only reader. It saves the lookups of path
+	// resolution and never answers for the path a caller asked about.
 	mu       sync.Mutex
 	dentries map[string]dentry
 
@@ -109,12 +114,20 @@ func (c *Client) cacheGet(p string, at vclock.Time) (fsapi.Stat, bool) {
 	return d.stat, true
 }
 
+// cachePut records what the MDS just answered for p. A directory goes
+// into the cache, to serve later as an ancestor; for anything else the
+// answer only drops whatever entry p had — the MDS no longer vouches for
+// a directory there.
 func (c *Client) cachePut(p string, st fsapi.Stat, at vclock.Time) {
 	if c.cfg.DentryCacheCap <= 0 || c.cfg.DentryTTL <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !st.IsDir() {
+		delete(c.dentries, p)
+		return
+	}
 	if len(c.dentries) >= c.cfg.DentryCacheCap {
 		// Capacity eviction: drop an arbitrary entry (map order), the
 		// thrashing behavior random stats exhibit on a bounded dcache.
@@ -132,12 +145,12 @@ func (c *Client) cacheDrop(p string) {
 	delete(c.dentries, p)
 }
 
-// InvalidateSubtree drops every cached dentry at or under root. Pacon
+// InvalidateSubtree drops every cached directory at or under root. Pacon
 // calls this on all of a region's DFS clients when a dependent
 // operation (rmdir, rename) unlinks a subtree: internal clients run
-// with long dentry TTLs (Pacon owns consistency above the DFS), so
-// without the fan-out the other nodes' clients would keep serving
-// positive Stats for the removed paths until the TTL lapsed.
+// with long dentry TTLs, so without the fan-out the other nodes' clients
+// would keep resolving paths through the unlinked directories — passing
+// a traversal check the MDS would refuse — until the TTL lapsed.
 func (c *Client) InvalidateSubtree(root string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,7 +176,12 @@ func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, vclock.Time, e
 
 // resolveAncestors walks every proper ancestor of p, charging one lookup
 // RPC per uncached component and checking traversal (exec) permission —
-// the layer-by-layer path traversal Pacon's batch permissions avoid.
+// the layer-by-layer path traversal Pacon's batch permissions avoid. It
+// is the directory cache's only reader. An entry says that the directory
+// exists and what its mode and owner are, never that this client may
+// pass through it: whoever inserted it (a Stat of the directory itself
+// needs no permission on it) checked nothing, so the permission is
+// computed here on every use, cached or not.
 func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error) {
 	var rerr error
 	namespace.VisitAncestors(p, func(anc string) bool {
@@ -172,19 +190,16 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 			if st, at, rerr = c.lookupRPC(at, anc); rerr != nil {
 				return false
 			}
+			c.cachePut(anc, st, at)
 		}
 		if !st.IsDir() {
 			rerr = fsapi.WrapPath("traverse", anc, fsapi.ErrNotDir)
 			return false
 		}
-		if cached { // permission was checked when it went in
-			return true
-		}
 		if !st.Mode.Allows(c.cfg.Cred.ClassFor(st.UID, st.GID), fsapi.WantExec) {
 			rerr = fsapi.WrapPath("traverse", anc, fsapi.ErrPermission)
 			return false
 		}
-		c.cachePut(anc, st, at)
 		return true
 	})
 	return at, rerr
@@ -312,34 +327,19 @@ func (c *Client) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, 
 	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: p, Stat: st})
 }
 
-// Stat resolves a path's metadata (traversal plus final lookup).
+// Stat resolves a path's metadata: traversal, which the directory cache
+// may shorten, plus a lookup of p itself, which nothing does — the
+// answer for the path asked about always comes from the MDS. It is the
+// authoritative read: what Pacon's cache-miss loads install as a
+// region's primary copy, and what ReadAt, WriteAt and moveData size
+// their work by, must be the backup copy as it is now, not a snapshot
+// that predates any number of asynchronously committed updates. A
+// directory's answer is also cached, to serve later as an ancestor.
 func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	return c.stat(at, p, false)
-}
-
-// StatFresh stats p bypassing the positive dentry cache for the final
-// component: the answer always comes from the MDS, and refreshes the
-// cached dentry. Pacon's cache-miss loads use this — a miss-load's
-// result becomes the region's primary copy, so it must reflect the
-// authoritative backup state, not a dentry snapshot that may predate
-// any number of asynchronously committed updates (a stale size here
-// does not merely lag: it gets installed in the region cache as truth
-// after the real entry was evicted, silently shadowing committed
-// writes).
-func (c *Client) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	return c.stat(at, p, true)
-}
-
-func (c *Client) stat(at vclock.Time, p string, fresh bool) (fsapi.Stat, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return fsapi.Stat{}, at, err
-	}
-	if !fresh {
-		if st, ok := c.cacheGet(p, at); ok {
-			return st, at, nil
-		}
 	}
 	st, done, err := c.lookupRPC(at, p)
 	if err != nil {
@@ -348,6 +348,13 @@ func (c *Client) stat(at vclock.Time, p string, fresh bool) (fsapi.Stat, vclock.
 	}
 	c.cachePut(p, st, done)
 	return st, done, nil
+}
+
+// StatFresh is Stat. It exists for benchmark/trace.go, which wraps every
+// exported method of this client and may not change; nothing else in the
+// repository calls it.
+func (c *Client) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
+	return c.Stat(at, p)
 }
 
 // Remove unlinks a file (metadata; chunks are dropped separately by
@@ -710,14 +717,15 @@ func (c *Client) RemoveData(at vclock.Time, p string) (vclock.Time, error) {
 }
 
 // StatBatch resolves a set of paths in as few MDS round trips as
-// possible: one "stat_batch" RPC per metadata server touched. It has
-// StatFresh's semantics per path — the final component always comes
-// from the MDS (never a dentry snapshot) and refreshes the dentry
-// cache — because Pacon's bulk miss-loads install the results as the
-// region's primary copies. Ancestor resolution still happens per path.
-// The returned slice has one entry per path; a non-nil batch error
-// means the whole batch's disposition is unknown (transport failure)
-// and the caller should fall back to singleton StatFresh calls.
+// possible: one "stat_batch" RPC per metadata server touched. Each path
+// gets exactly what Stat would give it — ancestors resolved per path,
+// the path itself always answered by the MDS, a directory's answer
+// cached. The returned slice has one entry per path and that is all
+// there is to read: a path whose ancestors did not resolve, and every
+// path of a shard whose round trip failed, carries that error in its own
+// entry while the other shards' stats stand. The batch-level error is
+// always nil; core.Backend keeps it for implementations that cannot say
+// more.
 func (c *Client) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	if len(paths) == 0 {
 		return nil, at, nil
@@ -741,22 +749,21 @@ func (c *Client) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 	// One RPC per MDS, all issued at the same virtual instant; a lone
 	// group — every batch on one MDS — is called directly and builds no
 	// closure.
-	var err error
 	if len(groups) == 1 {
-		at, err = c.statGroup(groups[0], at, cleaned, out)
+		at = c.statGroup(groups[0], at, cleaned, out)
 	} else {
-		at, err = c.perShard(at, groups, func(g shardGroup, at vclock.Time) (vclock.Time, error) {
+		at = c.perShard(at, groups, func(g shardGroup, at vclock.Time) vclock.Time {
 			return c.statGroup(g, at, cleaned, out)
 		})
-	}
-	if err != nil {
-		return nil, at, err
 	}
 	return out, at, nil
 }
 
-// statGroup resolves one shard's share of a StatBatch.
-func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out []fsapi.StatResult) (vclock.Time, error) {
+// statGroup resolves one shard's share of a StatBatch into its own
+// positions of out. A round trip that failed, or a reply that does not
+// decode, says nothing about any of these paths, so that error becomes
+// the result of each of them (applyTo's rule).
+func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out []fsapi.StatResult) vclock.Time {
 	c.lookupRPCs.Add(int64(len(g.idx)))
 	e := wire.GetEncoder()
 	e.Uvarint(uint64(len(g.idx)))
@@ -764,19 +771,29 @@ func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out [
 		e.String(cleaned[i])
 	}
 	done, resp, err := c.call(g.addr, "stat_batch", at, e)
+	if err == nil {
+		err = c.decodeStats(resp, done, g.idx, cleaned, out)
+	}
 	if err != nil {
-		return done, err
+		for _, i := range g.idx {
+			out[i] = fsapi.StatResult{Err: err}
+		}
 	}
+	return done
+}
+
+// decodeStats reads a stat_batch reply, received at virtual time at.
+func (c *Client) decodeStats(resp []byte, at vclock.Time, idx []int, cleaned []string, out []fsapi.StatResult) error {
 	d := wire.NewDecoder(resp)
-	if n := d.Uvarint(); n != uint64(len(g.idx)) {
-		return done, fmt.Errorf("dfs: stat_batch returned %d results for %d paths", n, len(g.idx))
+	if n := d.Uvarint(); n != uint64(len(idx)) {
+		return fmt.Errorf("dfs: stat_batch returned %d results for %d paths", n, len(idx))
 	}
-	for _, i := range g.idx {
+	for _, i := range idx {
 		code := d.Byte()
 		if code == fsapi.CodeOK {
 			out[i].Stat = fsapi.DecodeStat(d)
 			if d.Err() == nil {
-				c.cachePut(cleaned[i], out[i].Stat, done)
+				c.cachePut(cleaned[i], out[i].Stat, at)
 			}
 		} else {
 			detail := d.String()
@@ -784,7 +801,7 @@ func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out [
 			c.cacheDrop(cleaned[i])
 		}
 	}
-	return done, d.Finish()
+	return d.Finish()
 }
 
 // ApplyBatch applies a set of independent-path mutations in as few MDS
@@ -840,9 +857,8 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 	if len(groups) == 1 {
 		done = c.applyTo(groups[0].addr, at, ops, groups[0].idx, errs)
 	} else {
-		// No group error to read: applyTo reports a failed group in errs.
-		done, _ = c.perShard(at, groups, func(g shardGroup, at vclock.Time) (vclock.Time, error) {
-			return c.applyTo(g.addr, at, ops, g.idx, errs), nil
+		done = c.perShard(at, groups, func(g shardGroup, at vclock.Time) vclock.Time {
+			return c.applyTo(g.addr, at, ops, g.idx, errs)
 		})
 	}
 	return errs, vclock.Max(latest, done), nil

@@ -619,3 +619,49 @@ func TestApplyBatchKeepsLiveShardsAnswers(t *testing.T) {
 		t.Fatalf("batch did not span both shards: %d live, %d dead", live, dead)
 	}
 }
+
+// TestStatBatchKeepsLiveShardsAnswers is the same rule for reads: a shard
+// whose round trip fails is that error on each of its own paths, the live
+// shard's stats stand, and there is no batch-level error to discard them
+// over.
+func TestStatBatchKeepsLiveShardsAnswers(t *testing.T) {
+	c := NewClusterSharded(rpc.NewBus(), vclock.Default(), rootCred, "node0", 2, []string{"/w"}, nil)
+	if _, err := c.NewClient("node0", rootCred, 0, 0).Mkdir(0, "/w", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient("node0", appCred, 64, vclock.Duration(1<<50))
+	paths := make([]string, 8)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/f%d", i)
+		if _, err := cl.Create(0, paths[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The creates cached /w: the dead shard is met by the batch itself,
+	// not by a path's ancestor resolution.
+	c.KillShard(1)
+	res, _, err := cl.StatBatch(0, paths)
+	if err != nil {
+		t.Fatalf("batch-level error %v, want the dead shard's share reported per path", err)
+	}
+	if len(res) != len(paths) {
+		t.Fatalf("%d results for %d paths", len(res), len(paths))
+	}
+	var live, dead int
+	for i, p := range paths {
+		if c.Shards.Owner(p) == 0 {
+			live++
+			if res[i].Err != nil || res[i].Stat.Type != fsapi.TypeFile {
+				t.Fatalf("%s on the live shard: %+v", p, res[i])
+			}
+			continue
+		}
+		dead++
+		if !errors.Is(res[i].Err, fsapi.ErrClosed) {
+			t.Fatalf("%s on the dead shard: %+v; want ErrClosed", p, res[i])
+		}
+	}
+	if live == 0 || dead == 0 {
+		t.Fatalf("batch did not span both shards: %d live, %d dead", live, dead)
+	}
+}

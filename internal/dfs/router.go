@@ -105,27 +105,17 @@ func (c *Client) sweep(at vclock.Time, targets []string, method string, e *wire.
 
 // perShard makes one call per group of a batch, all from the same
 // virtual instant; the batch completes when the slowest group does. A
-// group's call fills the result slots of its own positions, so groups
-// never share a slot. A call whose slots can hold a failure too
-// (applyTo) returns nil, and a dead shard then costs the batch that
-// shard's ops and no others; a call that returns its failure (statGroup)
-// makes the first one, in group order, the batch's, whose disposition is
-// then unknown. These are the calls a commit wave makes, and the fan-out
-// is asked to block for them: each group rides its own goroutine on
-// every transport, as it always has, and the process waits
+// group's call fills the result slots of its own positions, a failure
+// included (applyTo, statGroup), so groups never share a slot and there
+// is no error to return: a dead shard costs the batch that shard's share
+// and nothing else. These are the calls a commit wave makes, and the
+// fan-out is asked to block for them: each group rides its own goroutine
+// on every transport, as it always has, and the process waits
 // (rpc.Caller.FanOut says what depends on that).
-func (c *Client) perShard(at vclock.Time, groups []shardGroup, call func(g shardGroup, at vclock.Time) (vclock.Time, error)) (vclock.Time, error) {
-	errs := make([]error, len(groups))
-	latest := c.caller.FanOut(at, len(groups), true, func(i int) (done vclock.Time) {
-		done, errs[i] = call(groups[i], at)
-		return done
+func (c *Client) perShard(at vclock.Time, groups []shardGroup, call func(g shardGroup, at vclock.Time) vclock.Time) vclock.Time {
+	return c.caller.FanOut(at, len(groups), true, func(i int) vclock.Time {
+		return call(groups[i], at)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return latest, err
-		}
-	}
-	return latest, nil
 }
 
 // protoSeq numbers the two-phase protocols; ids only need to be unique

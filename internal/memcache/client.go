@@ -41,18 +41,12 @@ func (c *Client) SetTrace(span uint64) { c.caller.SetTrace(span) }
 // ClearTrace removes the trace context set by SetTrace.
 func (c *Client) ClearTrace() { c.caller.ClearTrace() }
 
-// callKey issues a single-key request (pooled request encoder).
-func (c *Client) callKey(method string, at vclock.Time, key string) (vclock.Time, []byte, error) {
-	e := wire.GetEncoder()
-	e.String(key)
-	done, resp, err := c.caller.Call(c.Owner(key), method, at, e.Bytes())
-	wire.PutEncoder(e)
-	return done, resp, err
-}
-
 // Get fetches key from its owner.
 func (c *Client) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
-	done, resp, err := c.callKey("get", at, key)
+	e := wire.GetEncoder()
+	e.String(key)
+	done, resp, err := c.caller.Call(c.Owner(key), "get", at, e.Bytes())
+	wire.PutEncoder(e)
 	if err != nil {
 		return Item{}, done, err
 	}
@@ -213,12 +207,6 @@ func (c *Client) Add(at vclock.Time, key string, value []byte, flags uint32) (ui
 // CAS stores key only if its version is still expect.
 func (c *Client) CAS(at vclock.Time, key string, value []byte, flags uint32, expect uint64) (uint64, vclock.Time, error) {
 	return c.storeOp("cas", at, key, value, flags, expect)
-}
-
-// Delete removes key from its owner.
-func (c *Client) Delete(at vclock.Time, key string) (vclock.Time, error) {
-	done, _, err := c.callKey("delete", at, key)
-	return done, err
 }
 
 // DeleteCAS removes key from its owner only if its version is still

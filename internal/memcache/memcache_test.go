@@ -30,13 +30,13 @@ func TestServerSetGetDelete(t *testing.T) {
 	if err != nil || string(item.Value) != "v1" || item.Flags != 7 || item.CAS != cas {
 		t.Fatalf("get = %+v err=%v", item, err)
 	}
-	if _, err := s.Delete(0, "/a/b"); err != nil {
+	if _, err := s.DeleteCAS(0, "/a/b", cas); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get(0, "/a/b"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("get after delete = %v", err)
 	}
-	if _, err := s.Delete(0, "/a/b"); !errors.Is(err, fsapi.ErrNotExist) {
+	if _, err := s.DeleteCAS(0, "/a/b", cas); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("double delete = %v", err)
 	}
 }
@@ -187,24 +187,6 @@ func TestCapacityRejectWithoutLRU(t *testing.T) {
 	// Replacing the existing value within budget still works.
 	if _, _, err := s.Set(0, "a", make([]byte, 100), 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCapacityLRUEviction(t *testing.T) {
-	// Capacity is sliced per shard (8192/16 = 512 bytes ≈ 3 items of 131
-	// bytes); storing many keys must evict rather than reject.
-	s := testServer(ServerConfig{CapacityBytes: 8192, EvictLRU: true})
-	for i := 0; i < 200; i++ {
-		if _, _, err := s.Set(0, fmt.Sprintf("k%03d", i), make([]byte, 64), 0); err != nil {
-			t.Fatalf("set %d: %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.UsedBytes > 8192 {
-		t.Fatalf("used %d exceeds capacity", st.UsedBytes)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("expected LRU evictions")
 	}
 }
 

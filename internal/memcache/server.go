@@ -2,13 +2,13 @@
 // builds its metadata cache on (paper §III.A: a Memcached cluster
 // launched on the application's nodes, keys distributed by DHT). The
 // server supports the memcached operations Pacon relies on — get, set,
-// add, cas, delete, stats, flush — with CAS versioning for lock-free
+// add, cas, stats, flush, and deletes that always name what they expect
+// to find — with CAS versioning for lock-free
 // concurrent updates (§III.D.3) and byte-accurate memory accounting for
 // the cache-space-management experiments (§III.F).
 package memcache
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -31,14 +31,12 @@ type Item struct {
 
 // ServerConfig configures a cache server.
 type ServerConfig struct {
-	// CapacityBytes bounds resident value+key bytes. 0 = unlimited.
+	// CapacityBytes bounds resident value+key bytes. 0 = unlimited. At
+	// capacity an insert is rejected with ErrOutOfSpace and the owner
+	// (Pacon's region eviction, §III.F) decides what to drop: the server
+	// evicting on its own, as classic memcached's LRU does, could silently
+	// discard dirty, not-yet-committed metadata.
 	CapacityBytes int64
-	// EvictLRU selects behavior at capacity: true evicts the
-	// least-recently-used items (classic memcached); false rejects the
-	// insert with ErrOutOfSpace so the owner (Pacon's region eviction,
-	// §III.F) decides what to drop — LRU eviction could silently discard
-	// dirty, not-yet-committed metadata.
-	EvictLRU bool
 	// Model supplies the per-op service cost; Workers the pool width.
 	Model   vclock.LatencyModel
 	Workers int
@@ -50,11 +48,10 @@ type Server struct {
 	res    *vclock.Resource
 	shards [numShards]shard
 
-	casSeq    atomic.Uint64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	used      atomic.Int64
+	casSeq atomic.Uint64
+	hits   atomic.Int64
+	misses atomic.Int64
+	used   atomic.Int64
 	// served counts every CacheOpCost charged on the service resource
 	// (one per request, except settle_multi's one per key) — the
 	// per-server load figure the region's cache-ring skew gauges compare.
@@ -63,15 +60,8 @@ type Server struct {
 
 type shard struct {
 	mu    sync.Mutex
-	items map[string]*shardItem
-	lru   list.List // front = most recent
-	used  int64     // resident bytes in this shard
-	cap   int64     // per-shard capacity slice (0 = unlimited)
-}
-
-type shardItem struct {
-	item Item
-	elem *list.Element // nil unless EvictLRU
+	items map[string]*Item
+	used  int64 // resident bytes in this shard
 }
 
 // NewServer builds a cache server.
@@ -81,16 +71,7 @@ func NewServer(name string, cfg ServerConfig) *Server {
 	}
 	s := &Server{cfg: cfg, res: vclock.NewResource(name, cfg.Workers)}
 	for i := range s.shards {
-		s.shards[i].items = make(map[string]*shardItem)
-		if cfg.CapacityBytes > 0 {
-			// Capacity is accounted per shard, like memcached's slab
-			// classes; eviction/rejection decisions stay shard-local so
-			// no cross-shard lock ordering exists.
-			s.shards[i].cap = cfg.CapacityBytes / numShards
-			if s.shards[i].cap < 1 {
-				s.shards[i].cap = 1
-			}
-		}
+		s.shards[i].items = make(map[string]*Item)
 	}
 	return s
 }
@@ -152,11 +133,8 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 		return Item{}, done, fsapi.ErrNotExist
 	}
 	s.hits.Add(1)
-	if si.elem != nil {
-		sh.lru.MoveToFront(si.elem)
-	}
-	out := si.item
-	out.Value = append([]byte(nil), si.item.Value...)
+	out := *si
+	out.Value = append([]byte(nil), si.Value...)
 	return out, done, nil
 }
 
@@ -168,7 +146,7 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 // store and clearDirty always install fresh copies. This is the
 // single-copy serving path behind the get/get_multi handlers (value goes
 // straight from the shard into the response frame); hit/miss accounting
-// and the LRU touch match Get.
+// matches Get.
 func (s *Server) lookupInto(e *wire.Encoder, key []byte, withHit bool) bool {
 	sh := &s.shards[fnv1aBytes(key)%numShards]
 	sh.mu.Lock()
@@ -182,15 +160,12 @@ func (s *Server) lookupInto(e *wire.Encoder, key []byte, withHit bool) bool {
 		return false
 	}
 	s.hits.Add(1)
-	if si.elem != nil {
-		sh.lru.MoveToFront(si.elem)
-	}
 	if withHit {
 		e.Bool(true)
 	}
-	e.Uint64(si.item.CAS)
-	e.Uint32(si.item.Flags)
-	e.Blob(si.item.Value)
+	e.Uint64(si.CAS)
+	e.Uint32(si.Flags)
+	e.Blob(si.Value)
 	return true
 }
 
@@ -203,8 +178,8 @@ type GetMultiResult struct {
 
 // GetMulti looks up a batch of keys in one service slot (memcached
 // multiget): the batch charges one CacheOpCost — the round-trip economy
-// batched reads exist for — while hit/miss accounting and LRU touches
-// match N single Gets.
+// batched reads exist for — while hit/miss accounting matches N single
+// Gets.
 func (s *Server) GetMulti(at vclock.Time, keys []string) ([]GetMultiResult, vclock.Time) {
 	done := s.acquire(at)
 	out := make([]GetMultiResult, len(keys))
@@ -213,11 +188,8 @@ func (s *Server) GetMulti(at vclock.Time, keys []string) ([]GetMultiResult, vclo
 		sh.mu.Lock()
 		if si, ok := sh.items[key]; ok {
 			s.hits.Add(1)
-			if si.elem != nil {
-				sh.lru.MoveToFront(si.elem)
-			}
-			it := si.item
-			it.Value = append([]byte(nil), si.item.Value...)
+			it := *si
+			it.Value = append([]byte(nil), si.Value...)
 			out[i] = GetMultiResult{Item: it, Hit: true}
 		} else {
 			s.misses.Add(1)
@@ -302,75 +274,31 @@ func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, e
 		if !exists {
 			return 0, fsapi.ErrNotExist
 		}
-		if si.item.CAS != expect {
+		if si.CAS != expect {
 			return 0, fsapi.ErrStale
 		}
 	}
 
 	delta := itemBytes(key, value)
 	if exists {
-		delta -= itemBytes(key, si.item.Value)
+		delta -= itemBytes(key, si.Value)
 	}
-	if s.cfg.CapacityBytes > 0 {
-		if !s.cfg.EvictLRU {
-			// Reject mode checks the global budget: the owner (Pacon's
-			// region-level round-robin eviction) reacts to aggregate usage.
-			if s.used.Load()+delta > s.cfg.CapacityBytes {
-				return 0, fsapi.ErrOutOfSpace
-			}
-		} else if sh.used+delta > sh.cap {
-			if !s.evictLocked(sh, key, delta) {
-				return 0, fsapi.ErrOutOfSpace
-			}
-		}
+	// The budget is the server's, not the shard's: the owner (Pacon's
+	// region-level round-robin eviction) reacts to aggregate usage.
+	if s.cfg.CapacityBytes > 0 && s.used.Load()+delta > s.cfg.CapacityBytes {
+		return 0, fsapi.ErrOutOfSpace
 	}
 
 	cas := s.casSeq.Add(1)
 	v := append([]byte(nil), value...)
 	if exists {
-		si.item = Item{Value: v, Flags: flags, CAS: cas}
-		if si.elem != nil {
-			sh.lru.MoveToFront(si.elem)
-		}
+		*si = Item{Value: v, Flags: flags, CAS: cas}
 	} else {
-		si = &shardItem{item: Item{Value: v, Flags: flags, CAS: cas}}
-		if s.cfg.EvictLRU {
-			si.elem = sh.lru.PushFront(key)
-		}
-		sh.items[key] = si
+		sh.items[key] = &Item{Value: v, Flags: flags, CAS: cas}
 	}
 	sh.used += delta
 	s.used.Add(delta)
 	return cas, nil
-}
-
-// evictLocked frees room within one shard for an insert of size delta.
-// The key being stored is never chosen as a victim.
-func (s *Server) evictLocked(sh *shard, storing string, delta int64) bool {
-	for sh.used+delta > sh.cap {
-		back := sh.lru.Back()
-		for back != nil && back.Value.(string) == storing {
-			back = back.Prev()
-		}
-		if back == nil {
-			return false
-		}
-		key := back.Value.(string)
-		victim := sh.items[key]
-		freed := itemBytes(key, victim.item.Value)
-		sh.used -= freed
-		s.used.Add(-freed)
-		sh.lru.Remove(back)
-		delete(sh.items, key)
-		s.evictions.Add(1)
-	}
-	return true
-}
-
-// Delete removes key.
-func (s *Server) Delete(at vclock.Time, key string) (vclock.Time, error) {
-	done := s.acquire(at)
-	return done, s.deleteLocked(key, 0, false)
 }
 
 // DeleteCAS removes key only if its current version matches expect —
@@ -380,7 +308,21 @@ func (s *Server) Delete(at vclock.Time, key string) (vclock.Time, error) {
 // newer value, which for Pacon's dirty entries is the primary copy.
 func (s *Server) DeleteCAS(at vclock.Time, key string, expect uint64) (vclock.Time, error) {
 	done := s.acquire(at)
-	return done, s.deleteLocked(key, expect, true)
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	si, ok := sh.items[key]
+	if !ok {
+		return done, fsapi.ErrNotExist
+	}
+	if si.CAS != expect {
+		return done, fsapi.ErrStale
+	}
+	freed := itemBytes(key, si.Value)
+	sh.used -= freed
+	s.used.Add(-freed)
+	delete(sh.items, key)
+	return done, nil
 }
 
 // Pacon's core stores cache values with a fixed leading layout — one
@@ -510,14 +452,14 @@ func (s *Server) clearDirty(key string, seq uint64) bool {
 	if !ok {
 		return false
 	}
-	flags, vseq, hok := parseValueHeader(si.item.Value)
+	flags, vseq, hok := parseValueHeader(si.Value)
 	if !hok || vseq != seq || flags&hdrDirty == 0 {
 		return false
 	}
-	v := append([]byte(nil), si.item.Value...)
+	v := append([]byte(nil), si.Value...)
 	v[0] = flags &^ hdrDirty
-	si.item.Value = v
-	si.item.CAS = s.casSeq.Add(1)
+	si.Value = v
+	si.CAS = s.casSeq.Add(1)
 	return true
 }
 
@@ -532,40 +474,15 @@ func (s *Server) deleteIf(key string, cond Cond, seq uint64) bool {
 		return false
 	}
 	// A value too short to carry the header matches only CondAlways.
-	flags, vseq, hok := parseValueHeader(si.item.Value)
+	flags, vseq, hok := parseValueHeader(si.Value)
 	if cond != CondAlways && !(hok && condHolds(cond, seq, flags, vseq)) {
 		return false
 	}
-	freed := itemBytes(key, si.item.Value)
+	freed := itemBytes(key, si.Value)
 	sh.used -= freed
 	s.used.Add(-freed)
-	if si.elem != nil {
-		sh.lru.Remove(si.elem)
-	}
 	delete(sh.items, key)
 	return true
-}
-
-// deleteLocked removes key, optionally guarded by a CAS version check.
-func (s *Server) deleteLocked(key string, expect uint64, checkCAS bool) error {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	si, ok := sh.items[key]
-	if !ok {
-		return fsapi.ErrNotExist
-	}
-	if checkCAS && si.item.CAS != expect {
-		return fsapi.ErrStale
-	}
-	freed := itemBytes(key, si.item.Value)
-	sh.used -= freed
-	s.used.Add(-freed)
-	if si.elem != nil {
-		sh.lru.Remove(si.elem)
-	}
-	delete(sh.items, key)
-	return nil
 }
 
 // ForEach calls fn for every resident item with a copied value. Each
@@ -583,8 +500,8 @@ func (s *Server) ForEach(fn func(key string, item Item)) {
 		sh.mu.Lock()
 		snap := make([]kv, 0, len(sh.items))
 		for k, si := range sh.items {
-			it := si.item
-			it.Value = append([]byte(nil), si.item.Value...)
+			it := *si
+			it.Value = append([]byte(nil), si.Value...)
 			snap = append(snap, kv{key: k, item: it})
 		}
 		sh.mu.Unlock()
@@ -600,8 +517,7 @@ func (s *Server) FlushAll(at vclock.Time) vclock.Time {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.items = make(map[string]*shardItem)
-		sh.lru.Init()
+		sh.items = make(map[string]*Item)
 		sh.used = 0
 		sh.mu.Unlock()
 	}
@@ -615,6 +531,9 @@ type Stats struct {
 	UsedBytes int64
 	Hits      int64
 	Misses    int64
+	// Evictions is always 0: the server never evicts on its own (see
+	// ServerConfig.CapacityBytes). The field and its slot in the stats
+	// reply are kept for their readers.
 	Evictions int64
 	// ServedOps is every op charged on the service resource (gets, sets,
 	// deletes, scans...), the load figure behind the cache-skew gauges.
@@ -635,7 +554,6 @@ func (s *Server) Stats() Stats {
 		UsedBytes: s.used.Load(),
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
-		Evictions: s.evictions.Load(),
 		ServedOps: s.served.Load(),
 	}
 }
@@ -650,7 +568,7 @@ func (s *Server) HeaderCounts() (dirty, removed int64) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, si := range sh.items {
-			if flags, _, ok := parseValueHeader(si.item.Value); ok {
+			if flags, _, ok := parseValueHeader(si.Value); ok {
 				if flags&hdrDirty != 0 {
 					dirty++
 				}
@@ -687,11 +605,11 @@ func (s *Server) CommittedItems(limit int) []KeyValue {
 			if limit >= 0 && len(out) >= limit {
 				break
 			}
-			flags, _, ok := parseValueHeader(si.item.Value)
+			flags, _, ok := parseValueHeader(si.Value)
 			if !ok || flags&(hdrDirty|hdrRemoved) != 0 {
 				continue
 			}
-			out = append(out, KeyValue{Key: k, Value: append([]byte(nil), si.item.Value...)})
+			out = append(out, KeyValue{Key: k, Value: append([]byte(nil), si.Value...)})
 		}
 		sh.mu.Unlock()
 		if limit >= 0 && len(out) >= limit {
@@ -799,17 +717,6 @@ func (s *Server) Service() *rpc.Service {
 	svc.Handle("set", store(storeSet))
 	svc.Handle("add", store(storeAdd))
 	svc.Handle("cas", store(storeCAS))
-	svc.Handle("delete", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.GetDecoder(body)
-		key := d.String()
-		err := d.Finish()
-		wire.PutDecoder(d)
-		if err != nil {
-			return at, nil, err
-		}
-		done, err := s.Delete(at, key)
-		return done, nil, err
-	})
 	svc.Handle("delete_cas", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.GetDecoder(body)
 		key := d.String()

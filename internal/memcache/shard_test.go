@@ -47,7 +47,7 @@ func TestServerConcurrentShards(t *testing.T) {
 						return
 					}
 					if r%8 == 0 {
-						if _, err := s.Delete(0, key); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
+						if _, err := s.DeleteCAS(0, key, cas); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 							t.Errorf("delete %s: %v", key, err)
 							return
 						}
