@@ -198,7 +198,7 @@ func TestEvictionStillRemovesCleanEntries(t *testing.T) {
 	}
 }
 
-// TestDropOpKeepsNewerIncarnation: dropOp abandons a create whose path
+// TestDropOpKeepsNewerIncarnation: a drop row abandons a create whose path
 // has since been re-created. The seq guard must keep the newer
 // incarnation; with no newer incarnation the phantom is cleaned and the
 // path can be created afresh.
@@ -213,12 +213,12 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
 		newer := recreate(t, c, e.region, "/w/phantom")
 
-		cm.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, dropReasonRetryBudget)
+		cm.conclude(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, rowDrop(OpCreate, dropReasonRetryBudget))
 		cm.settle()
 
 		ent, ok := findEntry(t, e.region, "/w/phantom")
 		if !ok {
-			t.Fatal("newer incarnation deleted by dropOp")
+			t.Fatal("newer incarnation deleted by the drop")
 		}
 		if ent.Seq != newer || !ent.Dirty || ent.Removed {
 			t.Fatalf("surviving entry = %+v, want dirty live seq %d", ent, newer)
@@ -236,7 +236,7 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		}
 		old := mustEntry(t, e.region, "/w/phantom", "after create").Seq
 
-		cm.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, dropReasonRetryBudget)
+		cm.conclude(Op{Kind: OpCreate, Path: "/w/phantom", Seq: old}, rowDrop(OpCreate, dropReasonRetryBudget))
 		cm.settle()
 		if _, ok := findEntry(t, e.region, "/w/phantom"); ok {
 			t.Fatal("abandoned create's entry not cleaned")
@@ -251,8 +251,8 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 	})
 }
 
-// TestFinishRemoveKeepsNewerIncarnation: finishRemove cleans a committed
-// remove's marker. A create-after-rm that replaced the marker first must
+// TestFinishRemoveKeepsNewerIncarnation: a landed remove's row cleans the
+// committed remove's marker. A create-after-rm that replaced the marker first must
 // survive; a create that arrives after the marker is gone re-adds the
 // path.
 func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
@@ -286,12 +286,12 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 		}
 		live := mustEntry(t, e.region, "/w/reborn", "after create-after-rm").Seq
 
-		cm.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker})
+		cm.conclude(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker}, rowRemoveLanded)
 		cm.settle()
 
 		ent, ok := findEntry(t, e.region, "/w/reborn")
 		if !ok {
-			t.Fatal("create-after-rm entry deleted by finishRemove")
+			t.Fatal("create-after-rm entry deleted by the remove's settle")
 		}
 		if ent.Removed || !ent.Dirty || ent.Seq != live {
 			t.Fatalf("surviving entry = %+v, want dirty live seq %d", ent, live)
@@ -302,7 +302,7 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 
 	t.Run("finish-then-create", func(t *testing.T) {
 		e, c, cm, release, marker := setup(t)
-		cm.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker})
+		cm.conclude(Op{Kind: OpRemove, Path: "/w/reborn", Seq: marker}, rowRemoveLanded)
 		cm.settle()
 		if _, ok := findEntry(t, e.region, "/w/reborn"); ok {
 			t.Fatal("committed removed marker not cleaned")

@@ -144,13 +144,8 @@ func (r *Region) Restore(c *Client, at vclock.Time, seq uint64) (vclock.Time, er
 	}
 
 	// Re-seed the workspace metadata (region init does the same).
-	seed := cacheVal{stat: rootStat}
-	if _, done, err := c.cache.Set(at, r.cfg.Workspace, seed.encode(), 0); err != nil {
-		return done, err
-	} else {
-		at = done
-	}
-	return at, nil
+	at, err = seedRoot(c.cache, at, r.cfg.Workspace, rootStat)
+	return at, err
 }
 
 // SimulateNodeFailure models a client-node crash for recovery tests and

@@ -10,7 +10,6 @@ import (
 	"pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
-	"pacon/internal/wire"
 )
 
 // Client is one application process's handle on a consistent region. It
@@ -138,21 +137,20 @@ func (c *Client) overhead(at vclock.Time) vclock.Time {
 	return at.Add(c.region.cfg.Model.ClientOverhead)
 }
 
-// pushOp enqueues a commit operation on this node's queue, charging the
-// publish cost (§III.D.1).
-func (c *Client) pushOp(at vclock.Time, kind OpKind, p string, st fsapi.Stat, seq uint64) (vclock.Time, error) {
-	return c.pushOpFlagged(at, kind, p, st, seq, false)
-}
-
-// pushOpFlagged is pushOp with the create-after-rm marker (see
-// Op.AfterRm); only insert() sets it.
-func (c *Client) pushOpFlagged(at vclock.Time, kind OpKind, p string, st fsapi.Stat, seq uint64, afterRm bool) (vclock.Time, error) {
+// pushOp enqueues the commit operation a stored transition owes — what
+// next said to enqueue for the value it stored — on this node's queue,
+// charging the publish cost (§III.D.1).
+func (c *Client) pushOp(at vclock.Time, p string, out *outcome) (vclock.Time, error) {
+	kind := out.kind
 	// The op carries the span begin opened at the client entry point (so
 	// the cache RPCs issued before the push already belong to it) and
 	// the node's telemetry handle; they follow it through dequeue,
 	// coalescing, parking and apply.
-	op := Op{Kind: kind, Path: p, Stat: st, Time: at, Seq: seq, Node: c.node, AfterRm: afterRm,
+	op := Op{Kind: kind, Path: p, Time: at, Seq: out.val.seq, Node: c.node, AfterRm: out.afterRm,
 		tel: c.tel, Span: c.curSpan, Sampled: c.curSampled}
+	if kind != OpRemove {
+		op.Stat = out.val.stat // a remove commits a path, not a stat
+	}
 	// Track the path before the push: a scoped barrier that snapshots
 	// the tracker between the two sees the op it might have to wait
 	// for; the reverse order would let a marker slip ahead of an
@@ -190,33 +188,14 @@ func (c *Client) checkParent(at vclock.Time, p string) (vclock.Time, error) {
 	if e, ok := c.parentMemo[dir]; ok && e == epoch {
 		return at, nil
 	}
-	item, done, err := c.cache.Get(at, dir)
-	at = done
-	switch {
-	case err == nil:
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return at, derr
-		}
-		if v.removed {
-			return at, fsapi.WrapPath("parent-check", dir, fsapi.ErrNotExist)
-		}
-		if !v.stat.IsDir() {
-			return at, fsapi.WrapPath("parent-check", dir, fsapi.ErrNotDir)
-		}
-	case errors.Is(err, fsapi.ErrNotExist):
-		// Miss: the parent may exist on the DFS but not in the cache
-		// (§III.C). Load it synchronously.
-		st, done, lerr := c.loadMiss(at, "parent-check", dir)
-		at = done
-		if lerr != nil {
-			return at, lerr
-		}
-		if !st.IsDir() {
-			return at, fsapi.WrapPath("parent-check", dir, fsapi.ErrNotDir)
-		}
-	default:
+	// The parent may exist on the DFS but not in the cache (§III.C): a
+	// miss loads it synchronously.
+	st, at, err := c.cachedStat(at, "parent-check", dir)
+	if err != nil {
 		return at, err
+	}
+	if !st.IsDir() {
+		return at, fsapi.WrapPath("parent-check", dir, fsapi.ErrNotDir)
 	}
 	if epoch != c.memoEpoch {
 		// The epoch advanced since the last memoization: every older
@@ -250,24 +229,9 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 		if !namespace.IsUnder(anc, ws) {
 			continue // components above the workspace belong to the DFS
 		}
-		item, done, err := c.cache.Get(at, anc)
+		st, done, err := c.cachedStat(at, "traverse", anc)
 		at = done
-		var st fsapi.Stat
-		switch {
-		case err == nil:
-			v, derr := decodeCacheVal(item.Value)
-			if derr != nil {
-				return at, derr
-			}
-			if v.removed {
-				return at, fsapi.WrapPath("traverse", anc, fsapi.ErrNotExist)
-			}
-			st = v.stat
-		case errors.Is(err, fsapi.ErrNotExist):
-			if st, at, err = c.loadMiss(at, "traverse", anc); err != nil {
-				return at, err
-			}
-		default:
+		if err != nil {
 			return at, err
 		}
 		if !st.IsDir() {
@@ -280,11 +244,21 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 	return at, r.cfg.Perm.Check(r.cfg.Cred, p, want)
 }
 
+// cachedStat is getattr's core (§III.D.1): the cache's answer for p, or
+// on a miss the DFS's, loaded into the cache.
+func (c *Client) cachedStat(at vclock.Time, op, p string) (fsapi.Stat, vclock.Time, error) {
+	v, hit, at, err := lookup(c.cache, at, op, p)
+	if err == nil && !hit {
+		return c.loadMiss(at, op, p)
+	}
+	return v.stat, at, err
+}
+
 // loadMiss is the cache-miss load (§III.D.1: getattr "loads from the DFS
 // on miss"), the one way a clean entry enters the cache outside a batched
 // warm: stat p on the DFS — the backend's Stat is the authoritative read
-// — and insert the answer as a clean (committed) entry, evicting on cache
-// pressure. Insert races are benign — someone else loaded it. The
+// — and insert the answer as a clean (committed) entry (evLoad: add if
+// absent, one eviction round on cache pressure, never an error). The
 // region's invalidation generation is read before the stat and checked
 // again once the insert has landed: if it moved, a dependent operation
 // (rmdir, rename) invalidated the cache concurrently and the stat may
@@ -299,16 +273,10 @@ func (c *Client) loadMiss(at vclock.Time, op, p string) (fsapi.Stat, vclock.Time
 	if err != nil {
 		return fsapi.Stat{}, at, fsapi.WrapPath(op, p, err)
 	}
-	v := cacheVal{stat: st, large: st.Size > int64(r.cfg.SmallFileThreshold)}
-	cas, done, err := c.cache.Add(at, p, v.encode(), 0)
-	at = done
-	if errors.Is(err, fsapi.ErrOutOfSpace) {
-		if at, err = r.evictRound(c, at); err == nil {
-			cas, at, err = c.cache.Add(at, p, v.encode(), 0)
-		}
-	}
-	if err == nil && r.invalGen.Load() != gen {
-		if done, derr := c.cache.DeleteCAS(at, p, cas); derr == nil ||
+	rd := entryRead{fresh: true}
+	out, at, err := c.mutate(at, &rd, &event{kind: evLoad, op: op, path: p, stat: st, threshold: r.cfg.SmallFileThreshold})
+	if err == nil && out.verdict == vStore && r.invalGen.Load() != gen {
+		if done, derr := c.cache.DeleteCAS(at, p, rd.cas); derr == nil ||
 			errors.Is(derr, fsapi.ErrNotExist) || errors.Is(derr, fsapi.ErrStale) {
 			at = done
 		}
@@ -331,10 +299,9 @@ func applyOne(b Backend, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) 
 
 // insert is the shared create/mkdir path: batch permission check, parent
 // check, cache add (CAS-replacing a removed marker), async commit.
-func (c *Client) insert(at vclock.Time, kind OpKind, p string, st fsapi.Stat) (vclock.Time, error) {
+func (c *Client) insert(at vclock.Time, op, p string, st fsapi.Stat) (vclock.Time, error) {
 	r := c.region
 	at = c.overhead(at)
-	op := kind.String()
 
 	at, err := c.checkPerm(at, p, fsapi.WantWrite)
 	if err != nil {
@@ -345,102 +312,32 @@ func (c *Client) insert(at vclock.Time, kind OpKind, p string, st fsapi.Stat) (v
 		return at, err
 	}
 
-	seq := r.seq.Add(1)
-	v := cacheVal{dirty: true, seq: seq, stat: st}
-	afterRm := false
-	// v is loop-invariant: encode it once into a pooled buffer shared by
-	// every Add/CAS attempt (the cache client copies the value into its
-	// request frame before returning).
-	enc := wire.GetEncoder()
-	v.encodeTo(enc)
-	defer wire.PutEncoder(enc)
-	for {
-		_, done, err := c.cache.Add(at, p, enc.Bytes(), 0)
-		at = done
-		if err == nil {
-			break
-		}
-		if errors.Is(err, fsapi.ErrOutOfSpace) {
-			if at, err = r.evictRound(c, at); err != nil {
-				return at, err
-			}
-			continue
-		}
-		if !errors.Is(err, fsapi.ErrExist) {
-			return at, fsapi.WrapPath(op, p, err)
-		}
-		// Existing entry: only a removed marker may be overwritten
-		// (create-after-rm); a live entry is EEXIST.
-		item, done, gerr := c.cache.Get(at, p)
-		at = done
-		if gerr != nil {
-			if errors.Is(gerr, fsapi.ErrNotExist) {
-				continue // raced with the remove's commit; re-add
-			}
-			return at, gerr
-		}
-		old, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return at, derr
-		}
-		if !old.removed {
-			return at, fsapi.WrapPath(op, p, fsapi.ErrExist)
-		}
-		afterRm = true // replacing a removed marker: a remove is queued
-		_, done, cerr := c.cache.CAS(at, p, enc.Bytes(), 0, item.CAS)
-		at = done
-		if cerr == nil {
-			break
-		}
-		if !errors.Is(cerr, fsapi.ErrStale) && !errors.Is(cerr, fsapi.ErrNotExist) {
-			return at, cerr
-		}
-		// CAS conflict — or the removed marker was cleaned underneath us
-		// (the remove's commit racing this create-after-rm): re-examine
-		// from the top (§III.D.3 — retry until success).
-	}
-	if r.cfg.SyncCommit {
-		return c.commitSyncInsert(at, p, st, seq)
-	}
-	return c.pushOpFlagged(at, kind, p, st, seq, afterRm)
+	// Optimistic: a create expects the path to be free.
+	_, at, err = c.mutate(at, &entryRead{fresh: true}, &event{kind: evCreate, op: op, path: p, seq: r.seq.Add(1), stat: st})
+	return at, err
 }
 
 // commitSyncInsert is the SyncCommit ablation: apply the creation to the
-// DFS before returning, then mark the cache entry clean.
-func (c *Client) commitSyncInsert(at vclock.Time, p string, st fsapi.Stat, seq uint64) (vclock.Time, error) {
-	dfsStat := st
-	inline := dfsStat.Inline
+// DFS before returning, then settle the cache entry clean as the commit
+// process would.
+func (c *Client) commitSyncInsert(at vclock.Time, p string, v cacheVal) (vclock.Time, error) {
+	dfsStat := v.stat
 	dfsStat.Inline = nil
 	kind := fsapi.BatchCreate
-	if st.IsDir() {
+	if dfsStat.IsDir() {
 		kind = fsapi.BatchMkdir
 	}
-	done, err := applyOne(c.backend, at, fsapi.BatchOp{Kind: kind, Path: p, Stat: dfsStat})
-	at = done
+	at, err := applyOne(c.backend, at, fsapi.BatchOp{Kind: kind, Path: p, Stat: dfsStat})
 	if err != nil {
 		return at, fsapi.WrapPath("sync-commit", p, err)
 	}
-	if len(inline) > 0 {
-		if done, err = c.backend.WriteAt(at, p, 0, inline); err != nil {
-			return done, err
-		}
-		at = done
-	}
-	for {
-		item, done, gerr := c.cache.Get(at, p)
-		at = done
-		if gerr != nil {
-			return at, nil
-		}
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil || v.seq != seq {
-			return at, nil
-		}
-		v.dirty = false
-		if _, done, cerr := c.cache.CAS(at, p, v.encode(), 0, item.CAS); cerr == nil || !errors.Is(cerr, fsapi.ErrStale) {
-			return done, nil
+	if len(v.stat.Inline) > 0 {
+		if at, err = c.backend.WriteAt(at, p, 0, v.stat.Inline); err != nil {
+			return at, err
 		}
 	}
+	_, _, at, _ = c.cache.SettleMulti(at, []memcache.Settle{{Key: p, Seq: v.seq, Clear: true}})
+	return at, nil
 }
 
 // Mkdir creates a directory in the workspace (async commit); outside the
@@ -454,7 +351,7 @@ func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, 
 		}
 		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: fsapi.NewDirStat(c.region.cfg.Cred, mode)})
 	}
-	return c.insert(at, OpMkdir, p, fsapi.NewDirStat(c.region.cfg.Cred, mode))
+	return c.insert(at, "mkdir", p, fsapi.NewDirStat(c.region.cfg.Cred, mode))
 }
 
 // Create creates an empty file in the workspace (async commit).
@@ -467,7 +364,7 @@ func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time,
 		}
 		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.region.cfg.Cred, fsapi.ModeDefaultFile)})
 	}
-	return c.insert(at, OpCreate, p, fsapi.NewFileStat(c.region.cfg.Cred, mode))
+	return c.insert(at, "create", p, fsapi.NewFileStat(c.region.cfg.Cred, mode))
 }
 
 // Stat is Table I's getattr: a cache get, with a synchronous DFS load on
@@ -486,24 +383,7 @@ func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error)
 	if err != nil {
 		return fsapi.Stat{}, at, err
 	}
-	item, done, err := c.cache.Get(at, p)
-	at = done
-	switch {
-	case err == nil:
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return fsapi.Stat{}, at, derr
-		}
-		if v.removed {
-			return fsapi.Stat{}, at, fsapi.WrapPath("stat", p, fsapi.ErrNotExist)
-		}
-		return v.stat, at, nil
-	case errors.Is(err, fsapi.ErrNotExist):
-		// Miss: load from the DFS into the cache (§III.D.1 getattr).
-		return c.loadMiss(at, "stat", p)
-	default:
-		return fsapi.Stat{}, at, err
-	}
+	return c.cachedStat(at, "stat", p)
 }
 
 // remoteCache lazily builds the read-only cache client for a merged
@@ -523,22 +403,11 @@ func (c *Client) statMerged(at vclock.Time, m remoteRegion, p string) (fsapi.Sta
 	if err := m.perm.Check(c.region.cfg.Cred, p, fsapi.WantRead); err != nil {
 		return fsapi.Stat{}, at, err
 	}
-	item, done, err := c.remoteCache(m).Get(at, p)
-	at = done
-	if err == nil {
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return fsapi.Stat{}, at, derr
-		}
-		if v.removed {
-			return fsapi.Stat{}, at, fsapi.WrapPath("stat", p, fsapi.ErrNotExist)
-		}
-		return v.stat, at, nil
+	v, hit, at, err := lookup(c.remoteCache(m), at, "stat", p)
+	if err == nil && !hit {
+		return c.backend.Stat(at, p)
 	}
-	if !errors.Is(err, fsapi.ErrNotExist) {
-		return fsapi.Stat{}, at, err
-	}
-	return c.backend.Stat(at, p)
+	return v.stat, at, err
 }
 
 // readBatchSize caps how many paths a batched read (StatMulti, readdir
@@ -637,19 +506,6 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 	return out, at, nil
 }
 
-// decodeStatResult turns one cache hit into a StatResult (a removed
-// marker reads as absence, exactly like Stat).
-func decodeStatResult(p string, raw []byte) fsapi.StatResult {
-	v, derr := decodeCacheVal(raw)
-	if derr != nil {
-		return fsapi.StatResult{Err: derr}
-	}
-	if v.removed {
-		return fsapi.StatResult{Err: fsapi.WrapPath("stat", p, fsapi.ErrNotExist)}
-	}
-	return fsapi.StatResult{Stat: v.stat}
-}
-
 // statBatchCached resolves cleaned, permission-checked workspace paths
 // with the batched read pipeline: get_multi over the owning cache
 // servers (chunked by readBatchSize), a bulk authoritative miss-load,
@@ -714,8 +570,7 @@ func (c *Client) statBatchCached(at vclock.Time, paths []string, idx []int, out 
 				continue
 			}
 			*slot(start + i) = fsapi.StatResult{Stat: sr.Stat}
-			v := cacheVal{stat: sr.Stat, large: sr.Stat.Size > int64(r.cfg.SmallFileThreshold)}
-			entries = append(entries, memcache.AddEntry{Key: chunk[i], Value: v.encode()})
+			entries = append(entries, memcache.AddEntry{Key: chunk[i], Value: cleanVal(sr.Stat, r.cfg.SmallFileThreshold).encode()})
 		}
 		at = c.warmEntries(at, entries, gen)
 	}
@@ -833,79 +688,8 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	seq := r.seq.Add(1)
-	for {
-		item, done, err := c.cache.Get(at, p)
-		at = done
-		switch {
-		case err == nil:
-			v, derr := decodeCacheVal(item.Value)
-			if derr != nil {
-				return at, derr
-			}
-			if v.removed {
-				return at, fsapi.WrapPath("rm", p, fsapi.ErrNotExist)
-			}
-			if v.stat.IsDir() {
-				return at, fsapi.WrapPath("rm", p, fsapi.ErrIsDir)
-			}
-			v.removed, v.dirty, v.seq = true, true, seq
-			enc := wire.GetEncoder()
-			v.encodeTo(enc)
-			_, done, cerr := c.cache.CAS(at, p, enc.Bytes(), 0, item.CAS)
-			wire.PutEncoder(enc)
-			at = done
-			if cerr == nil {
-				return c.pushOp(at, OpRemove, p, fsapi.Stat{}, seq)
-			}
-			if errors.Is(cerr, fsapi.ErrOutOfSpace) {
-				// The marker is a byte or two longer than the clean entry it
-				// replaces (seq 0 → seq n) and a full cache refuses it: same
-				// policy as insert — make room, then re-examine (the round
-				// may have evicted this very entry).
-				if at, cerr = r.evictRound(c, at); cerr != nil {
-					return at, cerr
-				}
-				continue
-			}
-			if !errors.Is(cerr, fsapi.ErrStale) && !errors.Is(cerr, fsapi.ErrNotExist) {
-				return at, cerr
-			}
-			// Conflict: retry the read-modify-write (§III.D.3).
-		case errors.Is(err, fsapi.ErrNotExist):
-			// Not cached: the file may live only on the DFS.
-			st, done, berr := c.backend.Stat(at, p)
-			at = done
-			if berr != nil {
-				return at, fsapi.WrapPath("rm", p, berr)
-			}
-			if st.IsDir() {
-				return at, fsapi.WrapPath("rm", p, fsapi.ErrIsDir)
-			}
-			v := cacheVal{removed: true, dirty: true, seq: seq, stat: st}
-			enc := wire.GetEncoder()
-			v.encodeTo(enc)
-			_, done, aerr := c.cache.Add(at, p, enc.Bytes(), 0)
-			wire.PutEncoder(enc)
-			at = done
-			if aerr == nil {
-				return c.pushOp(at, OpRemove, p, fsapi.Stat{}, seq)
-			}
-			if errors.Is(aerr, fsapi.ErrOutOfSpace) {
-				// Same policy as insert: make room, then re-examine.
-				if at, aerr = r.evictRound(c, at); aerr != nil {
-					return at, aerr
-				}
-				continue
-			}
-			if !errors.Is(aerr, fsapi.ErrExist) {
-				return at, aerr
-			}
-			// Raced with a concurrent insert; re-examine.
-		default:
-			return at, err
-		}
-	}
+	_, at, err = c.mutate(at, &entryRead{}, &event{kind: evRemove, op: "rm", path: p, seq: r.seq.Add(1)})
+	return at, err
 }
 
 // Rmdir is Table I's rmdir: synchronous, barrier-committed, recursive —

@@ -190,13 +190,7 @@ func (c *committer) applyOps(ops []Op, counted bool) {
 				op.trace(obs.StageRetry, "")
 			}
 			if (op.Kind == OpCreate || op.Kind == OpMkdir) && r.isRemoving(op.Path) {
-				// Discard rule: creations inside a directory being removed
-				// never reach the DFS, and their cache entries are cleaned
-				// (§III.D.1) — but only this op's incarnation (seq match):
-				// a newer incarnation created after the rmdir window closed
-				// is live primary-copy metadata and must survive.
-				r.opDiscarded(op)
-				c.deleteIf(op, memcache.CondSeq)
+				c.conclude(op, rowDiscardCreate)
 				c.now = vclock.Max(c.now, op.Time)
 				op.unparked()
 				continue
@@ -277,34 +271,23 @@ func (c *committer) applyWave(counted bool) {
 	}
 	next := 0 // position in errs of the next metadata op
 	for _, op := range c.wave {
-		var retry bool
+		err := batchErr
 		if op.inlineWrite() {
 			r.backendRPCs.Add(1)
-			done, err := c.backend.WriteAt(vclock.Max(c.now, op.Time), op.Path, 0, op.Stat.Inline)
-			c.now = done
-			retry = c.finishSetStat(op, err)
+			c.now, err = c.backend.WriteAt(vclock.Max(c.now, op.Time), op.Path, 0, op.Stat.Inline)
 		} else {
-			err := batchErr
 			if err == nil {
 				err = errs[next]
 			}
 			next++
-			switch op.Kind {
-			case OpCreate, OpMkdir:
-				retry = c.finishCreate(op, err)
-			case OpSetStat:
-				retry = c.finishSetStat(op, err)
-			case OpRemove:
-				retry = c.finishRemoveResult(op, err)
-			}
 		}
-		if !retry {
+		if !c.finish(op, err) {
 			op.unparked()
 			continue
 		}
 		if counted {
 			if op.attempts++; int(op.attempts) >= r.cfg.CommitRetryLimit {
-				c.dropOp(op, dropReasonRetryBudget)
+				c.conclude(op, rowDrop(op.Kind, dropReasonRetryBudget))
 				continue
 			}
 		}
@@ -316,9 +299,9 @@ func (c *committer) applyWave(counted bool) {
 // Backend.ApplyBatch of bops leaving at t, be they a wave or the one-op
 // setstat of an adoption. It returns the per-op results, or the
 // batch-level error of a backend that could not say more — which callers
-// read as the result of every op in the batch: the finish* handlers
-// resubmit ErrClosed and ErrStale and drop on anything else, as they
-// would for an op sent alone.
+// read as the result of every op in the batch: commitOutcome resubmits
+// ErrClosed and ErrStale and drops on anything else, as it would for an
+// op sent alone.
 func (c *committer) applyBatch(t vclock.Time, bops []fsapi.BatchOp) ([]error, error) {
 	r := c.r
 	r.batchRPCs.Add(1)
@@ -386,207 +369,115 @@ func (c *committer) drainPending() {
 	}
 }
 
-// finishCreate handles a create/mkdir's backend result; it returns true
-// if the op must be resubmitted.
-func (c *committer) finishCreate(op Op, err error) bool {
+// finish is the thin executor of the commit table (entry.go): classify
+// what the DFS said to op, read the cache entry if the row needs it, and
+// carry out the row. It returns true if the op must be resubmitted.
+func (c *committer) finish(op Op, err error) bool {
+	var ent cacheVal
+	var present bool
+	if needsEntry(op.Kind, err) {
+		c.r.cacheRPCs.Add(1)
+		ent, present, _, c.now, _ = readEntry(c.cache, c.now, op.Path) // unreadable is absent
+	}
+	// Only the ErrNotExist rows ask whether an rmdir is active.
+	v := commitOutcome(&op, err, errors.Is(err, fsapi.ErrNotExist) && c.r.isRemoving(op.Path), ent, present)
+	if v.end == endAdopt {
+		v = c.adopt(op)
+	}
+	return c.conclude(op, v)
+}
+
+// adopt imposes a create's metadata on the object the DFS already holds
+// under its path (commitOutcome's ErrExist row 3), and answers with the
+// row that ends the op.
+func (c *committer) adopt(op Op) commitVerdict {
 	r := c.r
-	switch {
-	case err == nil:
-		r.opCommitted(op)
+	st := op.Stat
+	st.Inline = nil
+	r.backendRPCs.Add(1)
+	est, done, err := c.backend.Stat(c.now, op.Path)
+	c.now = done
+	if err != nil {
+		return rowResubmit // vanished underneath us: retry the create
+	}
+	if est.IsDir() != st.IsDir() {
+		// A different kind of object holds the name; the creation can
+		// never apply.
+		return rowDrop(op.Kind, dropReasonKindConflict)
+	}
+	// The wave's batch has been answered; its scratch is free.
+	c.bops = append(c.bops[:0], fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st})
+	if errs, aerr := c.applyBatch(c.now, c.bops); aerr != nil || errs[0] != nil {
+		return rowResubmit
+	}
+	return rowCreateLanded
+}
+
+// conclude carries out one commit row: the op's terminal accounting, the
+// write-back of a committed create's bytes, and the settle the cache
+// entry is owed. The settle is not sent here: it joins c.settles, and
+// settle sends the list. Deferring a cleanup past the ops that follow it
+// in the wave is safe because every entry is guarded by its own op's seq
+// and evaluated under the cache server's shard lock when it does run: a
+// write that lands in between carries a newer seq, so the entry no longer
+// matches and does nothing — exactly what happened when the write won the
+// race against an immediate cleanup. Until the settle runs the entry
+// merely stays dirty (or stays a removed marker), which readers and
+// eviction already treat as "commit in flight". A later op on the same
+// path in the same dequeue cannot be misled either: it carries a newer
+// seq than the entry being settled, so that entry was already dead when
+// it was queued. It returns true for a resubmission, which concludes
+// nothing.
+func (c *committer) conclude(op Op, v commitVerdict) bool {
+	r := c.r
+	if v.end == endResubmit {
+		return true
+	}
+	// The bytes go first: the op's terminal takes its path off the
+	// tracker, and a threshold crossing that finds the path drained must
+	// not run beside a write-back still in flight.
+	if v.inline {
 		c.writeback(op.Path, op.Stat.Inline)
-		c.writebackSpill(op.Path)
-		c.clearDirty(op)
-		return false
-	case errors.Is(err, fsapi.ErrExist):
-		// Three cases share this error. (1) The file was materialized
-		// early by the large-file transition (§III.D.2) — that path
-		// clears the dirty bit, so a clean live entry with our seq
-		// means the DFS copy is ours: done. (2) The op is marked
-		// create-after-rm: an earlier incarnation's remove is still
-		// queued (possibly on another node) — our entry is still
-		// dirty, the existing DFS file is doomed: resubmit until the
-		// remove lands (independent commit reordering, §III.E.1).
-		// (3) The op is NOT create-after-rm: no remove can be pending,
-		// so the DFS object is this same path re-created after its
-		// clean cache entry was evicted. Waiting would livelock until
-		// the resubmission budget drops the op — adopt the object
-		// instead, imposing the create's metadata on it.
-		if v, ok := c.cacheLookup(op.Path); ok && !v.removed {
-			if v.seq != op.Seq || !v.dirty {
-				r.opCommitted(op)
-				c.writebackSpill(op.Path)
-				c.clearDirty(op)
-				return false
-			}
-			if !op.AfterRm {
-				st := op.Stat
-				st.Inline = nil
-				r.backendRPCs.Add(1)
-				est, done, serr := c.backend.Stat(c.now, op.Path)
-				c.now = done
-				if serr != nil {
-					return true // vanished underneath us: retry the create
-				}
-				if est.IsDir() != st.IsDir() {
-					// A different kind of object holds the name; the
-					// creation can never apply.
-					c.dropOp(op, dropReasonKindConflict)
-					return false
-				}
-				// The wave's batch has been answered; its scratch is free.
-				c.bops = append(c.bops[:0], fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st})
-				if errs, aerr := c.applyBatch(c.now, c.bops); aerr != nil || errs[0] != nil {
-					return true
-				}
-				r.opCommitted(op)
-				c.writeback(op.Path, op.Stat.Inline)
-				c.writebackSpill(op.Path)
-				c.clearDirty(op)
-				return false
-			}
-		}
-		return true
-	case errors.Is(err, fsapi.ErrNotExist):
-		// Parent not committed yet (possibly queued on another node).
-		return true
-	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
-		// Closed: an MDS shard is down — it will come back (or the
-		// router falls back); Stale: a cross-shard protocol holds an
-		// intent over this subtree and will release it. Both transient.
-		return true
-	default:
-		c.dropOp(op, dropReasonBackendError)
-		return false
 	}
-}
-
-// finishRemoveResult handles a remove's backend result; it returns true
-// if the op must be resubmitted.
-func (c *committer) finishRemoveResult(op Op, err error) bool {
-	r := c.r
-	switch {
-	case err == nil:
+	if v.spill {
+		// What an fsync spilled goes to the DFS once the file's create has
+		// committed (§III.D.2).
+		data, _ := r.spillTake(op.Path)
+		c.writeback(op.Path, data)
+	}
+	switch v.end {
+	case endCommitted:
 		r.opCommitted(op)
-		c.finishRemove(op)
-		return false
-	case errors.Is(err, fsapi.ErrNotExist):
-		if op.NetAbsent {
-			// Net-absence remove: the folded create never reached the
-			// DFS, so an absent path IS the committed state.
-			r.opCommitted(op)
-			c.finishRemove(op)
-			return false
+	case endDiscarded:
+		r.opDiscarded(op)
+	case endDrop:
+		// reason (one of the dropReason* constants) labels the per-reason
+		// counter and the drop trace event: dropped ops never record a
+		// commit lag, so the reasons are what keeps the histogram's
+		// silence interpretable.
+		r.dropped.Add(1)
+		switch v.reason {
+		case dropReasonRetryBudget:
+			r.droppedRetry.Add(1)
+		case dropReasonKindConflict:
+			r.droppedConflict.Add(1)
+		default:
+			r.droppedBackend.Add(1)
 		}
-		// The create this remove shadows may still be queued on
-		// another node — resubmit; if it was discarded under an
-		// rmdir, the retry limit cleans us up.
-		if r.isRemoving(op.Path) {
-			r.opDiscarded(op)
-			c.finishRemove(op)
-			return false
-		}
-		return true
-	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
-		return true // shard down / intent-blocked: transient
-	default:
-		c.dropOp(op, dropReasonBackendError)
-		return false
+		r.opTerminal(op, obs.StageDrop, v.reason)
 	}
-}
-
-// finishSetStat handles a setstat/inline-write backend result; it
-// returns true if the op must be resubmitted.
-func (c *committer) finishSetStat(op Op, err error) bool {
-	r := c.r
-	switch {
-	case err == nil:
-		r.opCommitted(op)
-		c.clearDirty(op)
-		return false
-	case errors.Is(err, fsapi.ErrNotExist):
-		if r.isRemoving(op.Path) {
-			r.opDiscarded(op)
-			return false
-		}
-		return true // create still in flight
-	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
-		return true // shard down / intent-blocked: transient
-	default:
-		c.dropOp(op, dropReasonBackendError)
-		return false
+	if v.settle != nil {
+		// Conditional on the op's seq, so an update racing the cleanup
+		// either lands first (and the predicate sees it) or lands after
+		// it — it is never lost (§III.D.3 applied to deletion).
+		s := *v.settle
+		s.Key, s.Seq = op.Path, op.Seq
+		c.settles = append(c.settles, s)
 	}
+	return false
 }
 
-// dropOp abandons an operation. An abandoned creation's cache entry is
-// the primary copy of metadata that will never reach the DFS (e.g. a
-// create accepted in the closing instants of an rmdir window whose
-// parent is gone): delete it — guarded by seq, so a newer incarnation
-// survives — rather than leave a permanently dirty phantom. reason (one
-// of the dropReason* constants) labels the per-reason counter and the
-// drop trace event: dropped ops never record a commit lag, so the
-// reasons are what keeps the histogram's silence interpretable.
-func (c *committer) dropOp(op Op, reason string) {
-	r := c.r
-	r.dropped.Add(1)
-	switch reason {
-	case dropReasonRetryBudget:
-		r.droppedRetry.Add(1)
-	case dropReasonKindConflict:
-		r.droppedConflict.Add(1)
-	default:
-		r.droppedBackend.Add(1)
-	}
-	r.opTerminal(op, obs.StageDrop, reason)
-	switch op.Kind {
-	case OpCreate, OpMkdir:
-		c.deleteIf(op, memcache.CondSeq)
-	case OpRemove:
-		// An abandoned remove's marker would otherwise sit dirty in the
-		// cache forever; drop it (same guard as finishRemove) and let
-		// reads fall through to whatever the DFS still holds.
-		c.deleteIf(op, memcache.CondSeqRemoved)
-	}
-}
-
-// The three functions below are every cache cleanup the commit module
-// performs, and none of them talks to the cache: each appends one entry
-// to c.settles, and settle sends the list. Deferring a cleanup past the
-// ops that follow it in the wave is safe because every entry is guarded
-// by its own op's seq and evaluated under the cache server's shard lock
-// when it does run: a write that lands in between carries a newer seq,
-// so the entry no longer matches and does nothing — exactly what
-// happened when the write won the race against an immediate cleanup.
-// Until the settle runs the entry merely stays dirty (or stays a removed
-// marker), which readers and eviction already treat as "commit in
-// flight". A later op on the same path in the same dequeue cannot be
-// misled either: it carries a newer seq than the entry being settled,
-// so that entry was already dead when it was queued.
-
-// clearDirty clears the dirty flag for the op's seq: the backup copy now
-// matches this version. A newer seq means another mutation is in flight
-// and its own commit will clear the flag.
-func (c *committer) clearDirty(op Op) {
-	c.settles = append(c.settles, memcache.Settle{Key: op.Path, Seq: op.Seq, Clear: true})
-}
-
-// deleteIf deletes the op's cache entry while cond holds for the op's
-// seq, so an update racing the cleanup either lands first (and the
-// predicate sees it) or lands after the delete — it is never lost
-// (§III.D.3 applied to deletion).
-func (c *committer) deleteIf(op Op, cond memcache.Cond) {
-	c.settles = append(c.settles, memcache.Settle{Key: op.Path, Seq: op.Seq, Cond: cond})
-}
-
-// finishRemove deletes the removed marker from the cache once the remove
-// committed ("their cached metadata are deleted after the operations are
-// committed", §III.D.1) — unless a newer incarnation replaced it: the
-// delete is conditional on the marker still carrying this remove's seq,
-// so a create-after-rm's fresh entry is never destroyed.
-func (c *committer) finishRemove(op Op) {
-	c.deleteIf(op, memcache.CondSeqRemoved)
-}
-
-// settle sends the cleanups gathered since the last call: one
+// settle sends the cleanups conclude gathered since the last call: one
 // settle_multi round trip per owning cache server, all leaving at the
 // process's current virtual time. Every path that appends to c.settles
 // ends in a settle before the loop dequeues again or arrives at a
@@ -603,33 +494,10 @@ func (c *committer) settle() {
 	c.now = done
 }
 
-// cacheLookup fetches and decodes a cache value.
-func (c *committer) cacheLookup(path string) (cacheVal, bool) {
-	c.r.cacheRPCs.Add(1)
-	item, done, err := c.cache.Get(c.now, path)
-	c.now = done
-	if err != nil {
-		return cacheVal{}, false
-	}
-	v, derr := decodeCacheVal(item.Value)
-	if derr != nil {
-		return cacheVal{}, false
-	}
-	return v, true
-}
-
-// writebackSpill writes fsync-spilled inline data to the DFS after the
-// file's create committed (§III.D.2).
-func (c *committer) writebackSpill(path string) {
-	if data, ok := c.r.spillTake(path); ok {
-		c.writeback(path, data)
-	}
-}
-
 // writeback writes a committed create's bytes, if it has any, through
 // the file interface. A failure loses acked data and is counted as a
 // backend_error drop, like every drop under one of the reasons (see
-// dropOp), though no op ends here: the create has committed.
+// conclude), though no op ends here: the create has committed.
 func (c *committer) writeback(path string, data []byte) {
 	if len(data) == 0 {
 		return

@@ -1,0 +1,659 @@
+package core
+
+import (
+	"errors"
+	"time"
+
+	"pacon/internal/fsapi"
+	"pacon/internal/memcache"
+	"pacon/internal/vclock"
+	"pacon/internal/wire"
+)
+
+// This file is the life of one cache entry (PAPER.md §III.D.1–3, §III.E.1)
+//
+//	absent → dirty(seq) → clean → removed marker → gone
+//
+// plus large, create-after-rm, the threshold claim and adoption — and the
+// only code that knows what an entry may become: the value format, the
+// client transitions (next), the one read-modify-write that stores them
+// (Client.mutate), the one read (lookup) and the commit table
+// (commitOutcome). Nothing else in core calls cache.Add, CAS or Set, or
+// sets a flag. DESIGN.md §11 renders both tables. Invariants, checked by
+// entry_explore_test.go at every step of every bounded interleaving of
+// two clients, the commit process and eviction:
+//
+//   - a client's read after its own acked write returns that write or a
+//     later one;
+//   - removed ⇒ dirty, and a remove of that seq is queued;
+//   - clean ⇒ the DFS holds the same size, and the same bytes when the
+//     entry carries them; large and clean ⇒ it carries none;
+//   - large and dirty is a claim: only the claimant changes the entry
+//     (or, once it is given up for lost, the writer that waited for it),
+//     no commit clears it (no queued op has its seq), eviction refuses it;
+//   - once every queue is empty the entry is absent or clean.
+
+// cacheVal is the distributed cache's value layout: the primary copy of
+// one object's metadata plus Pacon's consistency bookkeeping flags. The
+// header (flags byte, seq) is memcache's, which settles entries by it.
+type cacheVal struct {
+	// dirty marks metadata whose newest update is not yet committed to
+	// the DFS (must not be evicted, §III.F).
+	dirty bool
+	// removed marks a deleted object awaiting its commit ("removed files
+	// are marked and their cached metadata are deleted after the
+	// operations are committed", §III.D.1). Reads treat it as absent.
+	removed bool
+	// large marks a file that outgrew the inline threshold: its data
+	// lives on the DFS and only metadata stays cached. A large entry owns
+	// its DFS copy: no queued create adopts or restats it.
+	large bool
+	// seq is the newest mutation's sequence number.
+	seq  uint64
+	stat fsapi.Stat
+}
+
+// cleanVal is the entry for committed DFS state (miss-load, readdir warm).
+func cleanVal(st fsapi.Stat, threshold int) cacheVal {
+	return cacheVal{stat: st, large: st.Size > int64(threshold)}
+}
+
+// claimed reports a threshold crossing in progress (§III.D.2): the
+// claimant is materializing the file on the DFS, and until its final CAS
+// the entry still serves the acked inline content.
+func (v cacheVal) claimed() bool { return v.large && v.dirty && !v.removed }
+
+// encodeTo appends v's wire form to e — the pooled-encoder form of
+// encode for hot paths. The caller owns e and must not recycle it until
+// the cache RPC consuming e.Bytes() has returned; cache clients copy the
+// value into their own request frame synchronously, so bracketing the
+// call with wire.GetEncoder/PutEncoder is safe.
+func (v cacheVal) encodeTo(e *wire.Encoder) {
+	var flags byte
+	if v.dirty {
+		flags |= memcache.HdrDirty
+	}
+	if v.removed {
+		flags |= memcache.HdrRemoved
+	}
+	if v.large {
+		flags |= memcache.HdrLarge
+	}
+	memcache.AppendValueHeader(e, flags, v.seq)
+	fsapi.EncodeStat(e, v.stat)
+}
+
+func (v cacheVal) encode() []byte {
+	e := wire.NewEncoder(80 + len(v.stat.Inline))
+	v.encodeTo(e)
+	return e.Bytes()
+}
+
+func decodeCacheVal(b []byte) (cacheVal, error) {
+	flags, seq, n, ok := memcache.ParseValueHeader(b)
+	if !ok {
+		return cacheVal{}, wire.ErrTruncated
+	}
+	// The decoder is poolable: every field either copies out (String,
+	// Blob — DecodeStat's Inline is a Blob) or is a scalar.
+	d := wire.GetDecoder(b[n:])
+	v := cacheVal{
+		dirty:   flags&memcache.HdrDirty != 0,
+		removed: flags&memcache.HdrRemoved != 0,
+		large:   flags&memcache.HdrLarge != 0,
+		seq:     seq,
+		stat:    fsapi.DecodeStat(d),
+	}
+	err := d.Finish()
+	wire.PutDecoder(d)
+	if err != nil {
+		return cacheVal{}, err
+	}
+	return v, nil
+}
+
+// evKind names what a client wants of an entry.
+type evKind uint8
+
+const (
+	evCreate   evKind = iota // create or mkdir the object event.stat describes
+	evRemove                 // rm; of an uncached file, event.stat is the DFS's stat
+	evWrite                  // write event.data at event.off: inline, or the claim of a crossing
+	evGrown                  // claim event.seq's file is on the DFS through event.size
+	evRollback               // claim event.seq's transition failed on the DFS
+	evSizeBump               // a write-through to a large file ended at event.size
+	evLoad                   // the DFS holds event.stat (miss-load, §III.D.1 getattr)
+)
+
+// event is one client request against an entry.
+type event struct {
+	kind evKind
+	// op and path name the request in the errors it fails with.
+	op, path string
+	// seq is the sequence number the mutation takes (evCreate, evRemove,
+	// evWrite), or the claim it concludes (evGrown, evRollback).
+	seq uint64
+	// stat: see evCreate, evLoad; evRemove once hasStat says it was read.
+	stat      fsapi.Stat
+	hasStat   bool
+	off, size int64
+	data      []byte
+	threshold int // the region's SmallFileThreshold
+}
+
+// verdict is what next decided.
+type verdict uint8
+
+const (
+	// vStore: store outcome.val over what was read, then enqueue.
+	vStore verdict = iota
+	// vKeep: nothing to store, the entry (outcome.val) stands. For evWrite
+	// that is a large file: write through to the DFS.
+	vKeep
+	// vFail: outcome.err is the request's POSIX answer.
+	vFail
+	// vWait: another client's claim is in progress; re-read once it has
+	// resolved.
+	vWait
+	// vFetch: the event needs DFS state the entry does not hold — the
+	// stat of an uncached file (evRemove, evWrite) or the bytes of an
+	// entry loaded without them (evWrite).
+	vFetch
+)
+
+// outcome is one row's right-hand side.
+type outcome struct {
+	verdict verdict
+	val     cacheVal
+	// enqueue: after the store, an op of this kind commits val.stat under
+	// val.seq; afterRm marks a create that replaced a removed marker
+	// (Op.AfterRm).
+	enqueue bool
+	kind    OpKind
+	afterRm bool
+	err     error
+}
+
+func fail(ev *event, err error) outcome {
+	return outcome{verdict: vFail, err: fsapi.WrapPath(ev.op, ev.path, err)}
+}
+
+// next is the client half of the transition table: what the entry cur
+// (present says whether the cache holds one; a removed marker is present)
+// becomes under ev. It is a pure function — the driver below, and the
+// explorer in the tests, supply the reads and perform the stores.
+func next(cur cacheVal, present bool, ev *event) outcome {
+	live := present && !cur.removed
+	switch ev.kind {
+	case evCreate:
+		if live {
+			return fail(ev, fsapi.ErrExist)
+		}
+		kind := OpCreate
+		if ev.stat.IsDir() {
+			kind = OpMkdir
+		}
+		// Only a removed marker may be overwritten (create-after-rm): its
+		// remove is still queued, which the op must know.
+		return outcome{val: cacheVal{dirty: true, seq: ev.seq, stat: ev.stat},
+			enqueue: true, kind: kind, afterRm: present}
+
+	case evRemove:
+		switch {
+		case !present && !ev.hasStat:
+			return outcome{verdict: vFetch} // the file may live only on the DFS
+		case !present:
+			cur = cacheVal{stat: ev.stat}
+		case cur.removed:
+			return fail(ev, fsapi.ErrNotExist)
+		case cur.claimed():
+			return outcome{verdict: vWait}
+		}
+		if cur.stat.IsDir() {
+			return fail(ev, fsapi.ErrIsDir)
+		}
+		cur.removed, cur.dirty, cur.seq = true, true, ev.seq
+		return outcome{val: cur, enqueue: true, kind: OpRemove}
+
+	case evWrite:
+		switch {
+		case !present:
+			return outcome{verdict: vFetch} // pull the metadata in first
+		case cur.removed:
+			return fail(ev, fsapi.ErrNotExist)
+		case cur.stat.IsDir():
+			return fail(ev, fsapi.ErrIsDir)
+		case cur.claimed():
+			// Writing through now would reach a DFS file that may not
+			// exist yet, and an inline splice would be lost to the
+			// claimant's final store.
+			return outcome{verdict: vWait}
+		case cur.large:
+			return outcome{verdict: vKeep, val: cur}
+		}
+		if ev.off+int64(len(ev.data)) > int64(ev.threshold) {
+			// Crossing the threshold (§III.D.2). The claim comes before
+			// the DFS is touched: large so that no queued create adopts
+			// the file the claimant is about to write, dirty under a seq
+			// no queued op carries so that no commit clears it and no
+			// eviction takes it, bytes and size untouched so that readers
+			// keep being served the acked inline content.
+			cur.large, cur.dirty, cur.seq = true, true, ev.seq
+			return outcome{val: cur}
+		}
+		if int64(len(cur.stat.Inline)) < cur.stat.Size {
+			// Loaded from the DFS without its data (cache-miss path, e.g.
+			// after the clean entry was evicted): the bytes must come in
+			// before splicing, or the write would zero-fill everything
+			// outside its own range and commit that back over the real
+			// content.
+			return outcome{verdict: vFetch}
+		}
+		cur.stat.Inline = spliceInline(cur.stat.Inline, ev.off, ev.data)
+		if sz := int64(len(cur.stat.Inline)); sz > cur.stat.Size {
+			cur.stat.Size = sz
+		}
+		cur.dirty, cur.seq = true, ev.seq
+		return outcome{val: cur, enqueue: true, kind: OpSetStat}
+
+	case evGrown, evRollback:
+		if !present || !cur.claimed() || cur.seq != ev.seq {
+			// Not our claim any more. An rmdir or a rename dropped the
+			// entry, or a failed node's cache server held it: the DFS has
+			// the file and the next reader loads it. If something stands
+			// in its place — a re-creation since, or what a waiter made of
+			// a claim it took for lost (mutate) — that entry knows nothing
+			// of this write, which has therefore failed.
+			if present && ev.kind == evGrown {
+				return fail(ev, fsapi.ErrStale)
+			}
+			return outcome{verdict: vKeep, val: cur}
+		}
+		if ev.kind == evRollback {
+			// Back to the small dirty entry, inline intact. Its seq is the
+			// claim's, which no queued op carries, so the backup write
+			// that will clear it is enqueued here.
+			cur.large = false
+			return outcome{val: cur, enqueue: true, kind: OpSetStat}
+		}
+		cur.dirty = false // the DFS now holds the authoritative copy
+		cur.stat.Inline = nil
+		if ev.size > cur.stat.Size {
+			cur.stat.Size = ev.size
+		}
+		return outcome{val: cur}
+
+	case evSizeBump:
+		if !live || !cur.large || cur.dirty || ev.size <= cur.stat.Size {
+			return outcome{verdict: vKeep, val: cur}
+		}
+		cur.stat.Size = ev.size // clean: the DFS applied it
+		return outcome{val: cur}
+
+	default: // evLoad
+		if present {
+			return outcome{verdict: vKeep, val: cur} // someone else loaded it, or wrote
+		}
+		return outcome{val: cleanVal(ev.stat, ev.threshold)}
+	}
+}
+
+// spliceInline writes data into a copy of buf at off, growing it as
+// needed.
+func spliceInline(buf []byte, off int64, data []byte) []byte {
+	need := int(off) + len(data)
+	if len(buf) < need {
+		grown := make([]byte, need)
+		copy(grown, buf)
+		buf = grown
+	} else {
+		buf = append([]byte(nil), buf...)
+	}
+	copy(buf[off:], data)
+	return buf
+}
+
+// readEntry is the cache get every path shares: the decoded value,
+// whether the cache holds one (a removed marker is held), and its CAS
+// version. A miss is not an error.
+func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, present bool, cas uint64, done vclock.Time, err error) {
+	item, done, err := cache.Get(at, p)
+	if err != nil {
+		if errors.Is(err, fsapi.ErrNotExist) {
+			err = nil
+		}
+		return cacheVal{}, false, 0, done, err
+	}
+	v, err = decodeCacheVal(item.Value)
+	return v, err == nil, item.CAS, done, err
+}
+
+// decodeStatResult is a batched read's hit as its answer. To a reader a
+// removed marker is ErrNotExist, exactly as in lookup.
+func decodeStatResult(p string, raw []byte) fsapi.StatResult {
+	v, err := decodeCacheVal(raw)
+	if err == nil && v.removed {
+		err = fsapi.WrapPath("stat", p, fsapi.ErrNotExist)
+	}
+	return fsapi.StatResult{Stat: v.stat, Err: err}
+}
+
+// lookup is the read path's get: hit says v is a live entry; a miss comes
+// back as !hit with a nil error (the caller may load from the DFS), a
+// removed marker as ErrNotExist — the region knows the object is gone,
+// whatever the DFS still holds.
+func lookup(cache *memcache.Client, at vclock.Time, op, p string) (v cacheVal, hit bool, done vclock.Time, err error) {
+	v, present, _, done, err := readEntry(cache, at, p)
+	if present && v.removed {
+		err = fsapi.WrapPath(op, p, fsapi.ErrNotExist)
+	}
+	return v, present && err == nil, done, err
+}
+
+// entryRead is what a client knows of an entry between a read and the
+// store conditioned on it. The zero value knows nothing (mutate starts
+// with a get); entryRead{fresh: true} assumes the path is free, which is
+// how create and miss-load go optimistically — add first, read only on
+// conflict.
+type entryRead struct {
+	val     cacheVal
+	present bool
+	cas     uint64
+	fresh   bool
+}
+
+// A writer that meets another client's claim polls for its resolution: a
+// transition is a drain of the path and a handful of DFS round trips. A
+// claim still standing after claimPatience has lost its claimant — the
+// client died, or its final store never reached the cache — and the
+// waiter takes it back (the evRollback row): nothing else resolves it. A
+// crossing in turn gives the commit processes drainPatience to empty the
+// path before it pushes them (Region.drainPath).
+const (
+	claimPoll     = 100 * time.Microsecond
+	drainPatience = 100 * time.Millisecond
+)
+
+// claimPatience is a variable for the one test that loses a claimant.
+var claimPatience = 5 * time.Second
+
+// mutate is the one read-modify-write on a cache entry (§III.D.3, Table
+// I: "concurrent updates are resolved with CAS, retry until success"):
+// read unless rd is fresh, ask next, store with add (absent) or cas
+// (present), enqueue what the row owes, and classify what the store said
+// — a conflict re-reads, a full cache makes room with an eviction round
+// and re-examines. It returns the stored row (vStore; rd then describes
+// the stored value, so a follow-up transition needs no read) or vKeep;
+// a vFail row comes back as its error.
+func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclock.Time, error) {
+	enc := wire.GetEncoder()
+	defer wire.PutEncoder(enc)
+	evicted := false
+	var waiting time.Time // since when, on another client's claim
+	for {
+		if !rd.fresh {
+			v, present, cas, done, err := readEntry(c.cache, at, ev.path)
+			at = done
+			if err != nil {
+				return outcome{}, at, err
+			}
+			*rd = entryRead{val: v, present: present, cas: cas, fresh: true}
+		}
+		out := next(rd.val, rd.present, ev)
+		switch out.verdict {
+		case vFail:
+			return out, at, out.err
+		case vKeep:
+			return out, at, nil
+		case vFetch:
+			// Bring in what the DFS holds and ask again: the bytes complete
+			// the entry as read (a conflicting store discards them with
+			// it); an uncached file's stat is the remove's input; a write
+			// to an uncached file loads it first and re-reads.
+			var err error
+			switch {
+			case rd.present:
+				var buf []byte
+				buf, at, err = c.backend.ReadAt(at, ev.path, 0, int(rd.val.stat.Size))
+				// Bytes the DFS does not have read as zeros: the entry is
+				// complete either way, and is not asked for them again.
+				rd.val.stat.Inline = append(buf, make([]byte, int(rd.val.stat.Size)-len(buf))...)
+				err = fsapi.WrapPath(ev.op, ev.path, err)
+			case ev.kind == evRemove:
+				ev.stat, at, err = c.backend.Stat(at, ev.path)
+				ev.hasStat, err = true, fsapi.WrapPath(ev.op, ev.path, err)
+			default:
+				_, at, err = c.loadMiss(at, ev.op, ev.path)
+				rd.fresh = false
+			}
+			if err != nil {
+				return out, at, err
+			}
+			continue
+		case vWait:
+			if waiting.IsZero() {
+				waiting = time.Now()
+			}
+			if time.Since(waiting) < claimPatience {
+				time.Sleep(claimPoll)
+				rd.fresh = false
+				continue
+			}
+			// The claimant is lost. Its claim becomes the small dirty entry
+			// it was made on, the backup write re-queued, and ev meets that.
+			lost := event{kind: evRollback, op: ev.op, path: ev.path, seq: rd.val.seq}
+			var err error
+			if _, at, err = c.mutate(at, rd, &lost); err != nil {
+				return out, at, err
+			}
+			waiting = time.Time{}
+			continue
+		}
+		enc.Reset()
+		out.val.encodeTo(enc)
+		// A path with an op to queue counts as pending on this node from
+		// before the store is visible until the op is queued (which then
+		// holds its own reference): a threshold crossing that claims the
+		// entry right after this store drains the path, and must see the
+		// op coming.
+		tracker := c.region.trackers[c.node]
+		if out.enqueue {
+			tracker.add(ev.path)
+		}
+		var cas uint64
+		var err error
+		if rd.present {
+			cas, at, err = c.cache.CAS(at, ev.path, enc.Bytes(), 0, rd.cas)
+		} else {
+			cas, at, err = c.cache.Add(at, ev.path, enc.Bytes(), 0)
+		}
+		stored := err == nil
+		if stored && out.enqueue {
+			if c.region.cfg.SyncCommit && ev.kind == evCreate {
+				at, err = c.commitSyncInsert(at, ev.path, out.val) // the ablation: creations reach the DFS now
+			} else {
+				at, err = c.pushOp(at, ev.path, &out)
+			}
+		}
+		if out.enqueue {
+			tracker.remove(ev.path)
+		}
+		switch {
+		case stored:
+			*rd = entryRead{val: out.val, present: true, cas: cas, fresh: true}
+			return out, at, err
+		case errors.Is(err, fsapi.ErrStale), errors.Is(err, fsapi.ErrNotExist), errors.Is(err, fsapi.ErrExist):
+			// A concurrent store (or the commit side's cleanup) got there
+			// first: re-examine from a fresh read. A load has nothing to
+			// re-examine — whoever won holds state at least as new.
+			if ev.kind == evLoad {
+				return outcome{verdict: vKeep}, at, nil
+			}
+			rd.fresh = false
+		case errors.Is(err, fsapi.ErrOutOfSpace):
+			// Make room, then re-examine. A load tries once: it is an
+			// optimization, not worth a second round.
+			if ev.kind == evLoad && evicted {
+				return outcome{verdict: vKeep}, at, nil
+			}
+			if at, err = c.region.evictRound(c, at); err != nil {
+				return outcome{}, at, err
+			}
+			evicted = true
+			// The round may have evicted the very entry we read; a path
+			// we believed free is no less free for it.
+			rd.fresh = !rd.present
+		default:
+			return outcome{}, at, fsapi.WrapPath(ev.op, ev.path, err)
+		}
+	}
+}
+
+// seedRoot stores the workspace root's committed metadata
+// unconditionally — region init and Restore, the two places an entry is
+// written without regard for what was there.
+func seedRoot(cache *memcache.Client, at vclock.Time, workspace string, st fsapi.Stat) (vclock.Time, error) {
+	_, done, err := cache.Set(at, workspace, cacheVal{stat: st}.encode(), 0)
+	return done, err
+}
+
+// commitEnd is how a commit attempt ends for its op.
+type commitEnd uint8
+
+const (
+	endCommitted commitEnd = iota
+	endDiscarded           // under an active rmdir (§III.D.1)
+	endResubmit            // park and retry (§III.E.1)
+	endAdopt               // impose the create on the object the DFS has (committer.adopt)
+	endDrop                // abandoned: verdict.reason says why
+)
+
+// The bookkeeping a commit row owes the entry, as the memcache.Settle it
+// sends (Key and Seq are the op's).
+var (
+	// settleClear: the backup copy now matches the op's seq. A newer seq
+	// means another mutation is in flight, whose own commit will clear.
+	settleClear = &memcache.Settle{Clear: true}
+	// settleDeleteSeq: delete the op's incarnation, and only it — a
+	// newer one is live primary-copy metadata.
+	settleDeleteSeq = &memcache.Settle{Cond: memcache.CondSeq}
+	// settleDeleteSeqRemoved: delete the removed marker of the op's seq;
+	// a create-after-rm's fresh entry is never destroyed.
+	settleDeleteSeqRemoved = &memcache.Settle{Cond: memcache.CondSeqRemoved}
+)
+
+// commitVerdict is one commit row's right-hand side.
+type commitVerdict struct {
+	end    commitEnd
+	settle *memcache.Settle // nil: the entry is owed nothing
+	// inline, spill: the bytes a committed create owes the DFS copy — its
+	// inline content, and what an fsync spilled (§III.D.2).
+	inline, spill bool
+	reason        string
+}
+
+var (
+	rowResubmit      = commitVerdict{end: endResubmit}
+	rowCreateLanded  = commitVerdict{end: endCommitted, settle: settleClear, inline: true, spill: true}
+	rowRemoveLanded  = commitVerdict{end: endCommitted, settle: settleDeleteSeqRemoved}
+	rowSetStatLanded = commitVerdict{end: endCommitted, settle: settleClear}
+	// rowDiscardCreate is the discard rule, applied before the DFS is
+	// asked: a creation inside a directory being removed never reaches
+	// it, and its cache entry is cleaned (§III.D.1).
+	rowDiscardCreate = commitVerdict{end: endDiscarded, settle: settleDeleteSeq}
+)
+
+// rowDrop abandons op. An abandoned creation's entry is the primary copy
+// of metadata that will never reach the DFS (e.g. a create accepted in
+// the closing instants of an rmdir window whose parent is gone), and an
+// abandoned remove's marker would sit dirty forever: both are deleted,
+// guarded by seq, and reads fall through to whatever the DFS still holds.
+func rowDrop(kind OpKind, reason string) commitVerdict {
+	v := commitVerdict{end: endDrop, reason: reason}
+	switch kind {
+	case OpCreate, OpMkdir:
+		v.settle = settleDeleteSeq
+	case OpRemove:
+		v.settle = settleDeleteSeqRemoved
+	}
+	return v
+}
+
+// needsEntry reports the rows that read the cache entry: a create the
+// DFS refused with ErrExist. Every other row costs no cache round trip.
+func needsEntry(kind OpKind, err error) bool {
+	return (kind == OpCreate || kind == OpMkdir) && errors.Is(err, fsapi.ErrExist)
+}
+
+// commitOutcome is the commit half of the transition table: what it means
+// that the DFS answered a commit attempt of op with err. removing says an
+// rmdir is active over op.Path (the ErrNotExist rows read it); ent and
+// present are the cache entry (read where needsEntry says so).
+func commitOutcome(op *Op, err error, removing bool, ent cacheVal, present bool) commitVerdict {
+	notExist := errors.Is(err, fsapi.ErrNotExist)
+	switch {
+	case errors.Is(err, fsapi.ErrClosed), errors.Is(err, fsapi.ErrStale):
+		// Closed: an MDS shard is down — it will come back (or the router
+		// falls back); Stale: a cross-shard protocol holds an intent over
+		// this subtree and will release it. Both transient.
+		return rowResubmit
+
+	case op.Kind == OpCreate || op.Kind == OpMkdir:
+		switch {
+		case err == nil:
+			return rowCreateLanded
+		case notExist:
+			return rowResubmit // parent not committed yet (possibly queued on another node)
+		case !errors.Is(err, fsapi.ErrExist):
+			// anything else: dropped, below
+		case !present || ent.removed:
+			return rowResubmit
+		case ent.large:
+			// (1) A large entry owns its DFS copy (§III.D.2): the claimant
+			// creates the file itself if this op has not, and writes the
+			// bytes and the size. Nothing is adopted, no stat or older
+			// bytes are written over what it wrote, and a claim is not
+			// cleared — its final CAS does that.
+			return commitVerdict{end: endCommitted}
+		case ent.seq != op.Seq || !ent.dirty:
+			// (1) The object is there and the entry has moved on: a newer
+			// mutation's commit carries the newer state.
+			return commitVerdict{end: endCommitted, settle: settleClear, spill: true}
+		case op.AfterRm:
+			// (2) An earlier incarnation's remove is still queued
+			// (possibly on another node): the existing DFS file is doomed.
+			// Resubmit until the remove lands (independent commit
+			// reordering, §III.E.1).
+			return rowResubmit
+		default:
+			// (3) No remove can be pending, so the DFS object is this same
+			// path re-created after its clean cache entry was evicted.
+			// Waiting would livelock until the resubmission budget drops
+			// the op: adopt the object instead.
+			return commitVerdict{end: endAdopt}
+		}
+
+	case op.Kind == OpRemove:
+		switch {
+		case err == nil, notExist && op.NetAbsent:
+			// Net-absent: the folded create never reached the DFS, so an
+			// absent path IS the committed state.
+			return rowRemoveLanded
+		case notExist && removing:
+			return commitVerdict{end: endDiscarded, settle: settleDeleteSeqRemoved}
+		case notExist:
+			return rowResubmit // its create may still be queued on another node
+		}
+
+	case op.Kind == OpSetStat:
+		switch {
+		case err == nil:
+			return rowSetStatLanded
+		case notExist && removing:
+			return commitVerdict{end: endDiscarded}
+		case notExist:
+			return rowResubmit // create still in flight
+		}
+	}
+	return rowDrop(op.Kind, dropReasonBackendError)
+}

@@ -1,0 +1,270 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"pacon/internal/fsapi"
+	"pacon/internal/memcache"
+	"pacon/internal/vclock"
+)
+
+// These tests are the transition table read row by row: one case per row
+// of next and of commitOutcome. The interleavings that combine the rows
+// are entry_explore_test.go's.
+
+func fileStat(size int64, inline string) fsapi.Stat {
+	st := fsapi.Stat{Type: fsapi.TypeFile, Mode: 0o644, Size: size}
+	if inline != "" {
+		st.Inline = []byte(inline)
+	}
+	return st
+}
+
+func TestClientRows(t *testing.T) {
+	const threshold = 4
+	dir := fsapi.Stat{Type: fsapi.TypeDir, Mode: 0o755}
+	var (
+		absent  = cacheVal{}
+		marker  = cacheVal{removed: true, dirty: true, seq: 5, stat: fileStat(2, "ab")}
+		claimed = cacheVal{large: true, dirty: true, seq: 7, stat: fileStat(2, "ab")}
+		small   = cacheVal{dirty: true, seq: 3, stat: fileStat(2, "ab")}
+		loaded  = cacheVal{stat: fileStat(2, "")} // a miss-load: no bytes
+		large   = cacheVal{large: true, seq: 3, stat: fileStat(9, "")}
+		cdir    = cacheVal{stat: dir}
+	)
+	write := func(off int64, data string) event {
+		return event{kind: evWrite, seq: 9, off: off, data: []byte(data), threshold: threshold}
+	}
+	cases := []struct {
+		name    string
+		cur     cacheVal
+		present bool
+		ev      event
+
+		verdict verdict
+		err     error
+		val     cacheVal // vStore: the value stored
+		enqueue bool
+		kind    OpKind
+		afterRm bool
+	}{
+		{name: "create/absent", cur: absent, ev: event{kind: evCreate, seq: 9, stat: fileStat(0, "")},
+			val: cacheVal{dirty: true, seq: 9, stat: fileStat(0, "")}, enqueue: true, kind: OpCreate},
+		{name: "mkdir/absent", cur: absent, ev: event{kind: evCreate, seq: 9, stat: dir},
+			val: cacheVal{dirty: true, seq: 9, stat: dir}, enqueue: true, kind: OpMkdir},
+		{name: "create/marker is create-after-rm", cur: marker, present: true, ev: event{kind: evCreate, seq: 9, stat: fileStat(0, "")},
+			val: cacheVal{dirty: true, seq: 9, stat: fileStat(0, "")}, enqueue: true, kind: OpCreate, afterRm: true},
+		{name: "create/live", cur: small, present: true, ev: event{kind: evCreate, seq: 9}, verdict: vFail, err: fsapi.ErrExist},
+		{name: "create/claimed", cur: claimed, present: true, ev: event{kind: evCreate, seq: 9}, verdict: vFail, err: fsapi.ErrExist},
+
+		{name: "remove/absent asks for the DFS stat", cur: absent, ev: event{kind: evRemove, seq: 9}, verdict: vFetch},
+		{name: "remove/absent, on the DFS", cur: absent, ev: event{kind: evRemove, seq: 9, stat: fileStat(2, ""), hasStat: true},
+			val: cacheVal{removed: true, dirty: true, seq: 9, stat: fileStat(2, "")}, enqueue: true, kind: OpRemove},
+		{name: "remove/absent, a directory on the DFS", cur: absent, ev: event{kind: evRemove, seq: 9, stat: dir, hasStat: true}, verdict: vFail, err: fsapi.ErrIsDir},
+		{name: "remove/marker", cur: marker, present: true, ev: event{kind: evRemove, seq: 9}, verdict: vFail, err: fsapi.ErrNotExist},
+		{name: "remove/claimed waits", cur: claimed, present: true, ev: event{kind: evRemove, seq: 9}, verdict: vWait},
+		{name: "remove/live", cur: small, present: true, ev: event{kind: evRemove, seq: 9},
+			val: cacheVal{removed: true, dirty: true, seq: 9, stat: fileStat(2, "ab")}, enqueue: true, kind: OpRemove},
+		{name: "remove/large keeps the flag", cur: large, present: true, ev: event{kind: evRemove, seq: 9},
+			val: cacheVal{removed: true, dirty: true, large: true, seq: 9, stat: fileStat(9, "")}, enqueue: true, kind: OpRemove},
+		{name: "remove/dir", cur: cdir, present: true, ev: event{kind: evRemove, seq: 9}, verdict: vFail, err: fsapi.ErrIsDir},
+
+		{name: "write/absent asks for a load", cur: absent, ev: write(0, "x"), verdict: vFetch},
+		{name: "write/marker", cur: marker, present: true, ev: write(0, "x"), verdict: vFail, err: fsapi.ErrNotExist},
+		{name: "write/dir", cur: cdir, present: true, ev: write(0, "x"), verdict: vFail, err: fsapi.ErrIsDir},
+		{name: "write/claimed waits", cur: claimed, present: true, ev: write(0, "x"), verdict: vWait},
+		{name: "write/large writes through", cur: large, present: true, ev: write(0, "x"), verdict: vKeep},
+		{name: "write-inline/live", cur: small, present: true, ev: write(1, "xy"),
+			val: cacheVal{dirty: true, seq: 9, stat: fileStat(3, "axy")}, enqueue: true, kind: OpSetStat},
+		{name: "write-inline/loaded asks for the bytes", cur: loaded, present: true, ev: write(1, "xy"), verdict: vFetch},
+		{name: "write-crossing/live claims", cur: small, present: true, ev: write(1, "wxyz"),
+			val: cacheVal{large: true, dirty: true, seq: 9, stat: fileStat(2, "ab")}},
+		{name: "write-crossing/loaded claims without the bytes", cur: loaded, present: true, ev: write(1, "wxyz"),
+			val: cacheVal{large: true, dirty: true, seq: 9, stat: fileStat(2, "")}},
+
+		{name: "grown/own claim", cur: claimed, present: true, ev: event{kind: evGrown, seq: 7, size: 5},
+			val: cacheVal{large: true, seq: 7, stat: fileStat(5, "")}},
+		{name: "grown/absent: dropped, the DFS has it", cur: absent, ev: event{kind: evGrown, seq: 7, size: 5}, verdict: vKeep},
+		{name: "grown/replaced", cur: claimed, present: true, ev: event{kind: evGrown, seq: 8, size: 5}, verdict: vFail, err: fsapi.ErrStale},
+		{name: "grown/taken back by a waiter", cur: small, present: true, ev: event{kind: evGrown, seq: 3, size: 5}, verdict: vFail, err: fsapi.ErrStale},
+		{name: "grown/marker", cur: marker, present: true, ev: event{kind: evGrown, seq: 5, size: 5}, verdict: vFail, err: fsapi.ErrStale},
+		{name: "rollback/own claim", cur: claimed, present: true, ev: event{kind: evRollback, seq: 7},
+			val: cacheVal{dirty: true, seq: 7, stat: fileStat(2, "ab")}, enqueue: true, kind: OpSetStat},
+		{name: "rollback/absent", cur: absent, ev: event{kind: evRollback, seq: 7}, verdict: vKeep},
+		{name: "rollback/resolved meanwhile", cur: large, present: true, ev: event{kind: evRollback, seq: 7}, verdict: vKeep},
+
+		{name: "size-bump/large grows", cur: large, present: true, ev: event{kind: evSizeBump, size: 12},
+			val: cacheVal{large: true, seq: 3, stat: fileStat(12, "")}},
+		{name: "size-bump/large, not past the cached size", cur: large, present: true, ev: event{kind: evSizeBump, size: 9}, verdict: vKeep},
+		{name: "size-bump/claimed", cur: claimed, present: true, ev: event{kind: evSizeBump, size: 12}, verdict: vKeep},
+		{name: "size-bump/marker", cur: marker, present: true, ev: event{kind: evSizeBump, size: 12}, verdict: vKeep},
+		{name: "size-bump/absent", cur: absent, ev: event{kind: evSizeBump, size: 12}, verdict: vKeep},
+
+		{name: "load/absent, small", cur: absent, ev: event{kind: evLoad, stat: fileStat(4, ""), threshold: threshold},
+			val: cacheVal{stat: fileStat(4, "")}},
+		{name: "load/absent, large", cur: absent, ev: event{kind: evLoad, stat: fileStat(5, ""), threshold: threshold},
+			val: cacheVal{large: true, stat: fileStat(5, "")}},
+		{name: "load/present", cur: small, present: true, ev: event{kind: evLoad, stat: fileStat(5, "")}, verdict: vKeep},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.ev.op, tc.ev.path = "op", "/w/f"
+			out := next(tc.cur, tc.present, &tc.ev)
+			if out.verdict != tc.verdict || !errors.Is(out.err, tc.err) || (tc.err == nil) != (out.err == nil) {
+				t.Fatalf("verdict %d err %v, want verdict %d err %v", out.verdict, out.err, tc.verdict, tc.err)
+			}
+			if out.verdict != vStore {
+				return
+			}
+			if fmt.Sprintf("%+v", out.val) != fmt.Sprintf("%+v", tc.val) {
+				t.Fatalf("stores %+v, want %+v", out.val, tc.val)
+			}
+			if out.enqueue != tc.enqueue || (out.enqueue && out.kind != tc.kind) || out.afterRm != tc.afterRm {
+				t.Fatalf("enqueue=%v kind=%v afterRm=%v, want %v %v %v", out.enqueue, out.kind, out.afterRm, tc.enqueue, tc.kind, tc.afterRm)
+			}
+		})
+	}
+}
+
+func TestCommitRows(t *testing.T) {
+	const seq = 7
+	own := cacheVal{dirty: true, seq: seq, stat: fileStat(0, "")}
+	entry := func(mut func(*cacheVal)) *cacheVal {
+		v := own
+		mut(&v)
+		return &v
+	}
+	drop := func(kind OpKind) commitVerdict { return rowDrop(kind, dropReasonBackendError) }
+	cases := []struct {
+		name     string
+		op       Op
+		err      error
+		removing bool
+		ent      *cacheVal // nil: the cache holds nothing
+		want     commitVerdict
+	}{
+		{name: "create/ok", op: Op{Kind: OpCreate}, want: rowCreateLanded},
+		{name: "mkdir/ok", op: Op{Kind: OpMkdir}, want: rowCreateLanded},
+		{name: "create/ErrNotExist: parent not committed", op: Op{Kind: OpCreate}, err: fsapi.ErrNotExist, want: rowResubmit},
+		{name: "create/ErrClosed", op: Op{Kind: OpCreate}, err: fsapi.ErrClosed, want: rowResubmit},
+		{name: "create/ErrStale", op: Op{Kind: OpCreate}, err: fsapi.ErrStale, want: rowResubmit},
+		{name: "create/other", op: Op{Kind: OpCreate}, err: fsapi.ErrPermission,
+			want: commitVerdict{end: endDrop, settle: settleDeleteSeq, reason: dropReasonBackendError}},
+
+		{name: "create/ErrExist, entry gone", op: Op{Kind: OpCreate}, err: fsapi.ErrExist, want: rowResubmit},
+		{name: "create/ErrExist, entry a marker", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
+			ent: entry(func(v *cacheVal) { v.removed = true }), want: rowResubmit},
+		{name: "create/ErrExist row 1: a claimed entry owns its DFS copy", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
+			ent: entry(func(v *cacheVal) { v.large = true }), want: commitVerdict{end: endCommitted}},
+		{name: "create/ErrExist row 1: a large clean entry", op: Op{Kind: OpCreate, AfterRm: true}, err: fsapi.ErrExist,
+			ent: entry(func(v *cacheVal) { v.large, v.dirty = true, false }), want: commitVerdict{end: endCommitted}},
+		{name: "create/ErrExist row 1: the entry moved on", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
+			ent: entry(func(v *cacheVal) { v.seq++ }), want: commitVerdict{end: endCommitted, settle: settleClear, spill: true}},
+		{name: "create/ErrExist row 1: the entry is clean", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
+			ent: entry(func(v *cacheVal) { v.dirty = false }), want: commitVerdict{end: endCommitted, settle: settleClear, spill: true}},
+		{name: "create/ErrExist row 2: create-after-rm waits for the remove", op: Op{Kind: OpCreate, AfterRm: true}, err: fsapi.ErrExist,
+			ent: &own, want: rowResubmit},
+		{name: "create/ErrExist row 3: adopt", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
+			ent: &own, want: commitVerdict{end: endAdopt}},
+
+		{name: "remove/ok", op: Op{Kind: OpRemove}, want: rowRemoveLanded},
+		{name: "remove/ErrNotExist, net-absent", op: Op{Kind: OpRemove, NetAbsent: true}, err: fsapi.ErrNotExist, want: rowRemoveLanded},
+		{name: "remove/ErrNotExist under rmdir", op: Op{Kind: OpRemove}, err: fsapi.ErrNotExist, removing: true,
+			want: commitVerdict{end: endDiscarded, settle: settleDeleteSeqRemoved}},
+		{name: "remove/ErrNotExist: its create is still queued", op: Op{Kind: OpRemove}, err: fsapi.ErrNotExist, want: rowResubmit},
+		{name: "remove/ErrClosed", op: Op{Kind: OpRemove}, err: fsapi.ErrClosed, want: rowResubmit},
+		{name: "remove/other", op: Op{Kind: OpRemove}, err: fsapi.ErrIsDir,
+			want: commitVerdict{end: endDrop, settle: settleDeleteSeqRemoved, reason: dropReasonBackendError}},
+
+		{name: "setstat/ok", op: Op{Kind: OpSetStat}, want: rowSetStatLanded},
+		{name: "setstat/ErrNotExist under rmdir", op: Op{Kind: OpSetStat}, err: fsapi.ErrNotExist, removing: true,
+			want: commitVerdict{end: endDiscarded}},
+		{name: "setstat/ErrNotExist: create in flight", op: Op{Kind: OpSetStat}, err: fsapi.ErrNotExist, want: rowResubmit},
+		{name: "setstat/ErrStale", op: Op{Kind: OpSetStat}, err: fsapi.ErrStale, want: rowResubmit},
+		{name: "setstat/other", op: Op{Kind: OpSetStat}, err: fsapi.ErrPermission, want: drop(OpSetStat)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.op.Seq = seq
+			err := tc.err
+			if err != nil {
+				err = fsapi.WrapPath("op", "/w/f", err)
+			}
+			var ent cacheVal
+			if tc.ent != nil {
+				if !needsEntry(tc.op.Kind, err) {
+					t.Fatal("case supplies an entry the row does not read")
+				}
+				ent = *tc.ent
+			}
+			if got := commitOutcome(&tc.op, err, tc.removing, ent, tc.ent != nil); got != tc.want {
+				t.Fatalf("got %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestValueHeaderIsOneContract: core writes the flags and memcache
+// settles by them. Every flag combination goes through cacheVal.encode
+// into memcache.ParseValueHeader, and every settle action through a real
+// SettleMulti against every combination, so the two modules cannot drift.
+func TestValueHeaderIsOneContract(t *testing.T) {
+	const seq = 300 // a two-byte uvarint
+	srv := memcache.NewServer("n0/cache", memcache.ServerConfig{Model: vclock.Default()})
+	settles := map[string]func(v cacheVal, match bool) (gone bool, after cacheVal){
+		"clear": func(v cacheVal, match bool) (bool, cacheVal) {
+			if match {
+				v.dirty = false
+			}
+			return false, v
+		},
+		"seq":         func(v cacheVal, match bool) (bool, cacheVal) { return match, v },
+		"seq-removed": func(v cacheVal, match bool) (bool, cacheVal) { return match && v.removed, v },
+		"clean":       func(v cacheVal, match bool) (bool, cacheVal) { return !v.dirty && !v.removed, v },
+		"always":      func(v cacheVal, match bool) (bool, cacheVal) { return true, v },
+	}
+	entries := map[string]memcache.Settle{
+		"clear":       {Clear: true},
+		"seq":         {Cond: memcache.CondSeq},
+		"seq-removed": {Cond: memcache.CondSeqRemoved},
+		"clean":       {Cond: memcache.CondClean},
+		"always":      {Cond: memcache.CondAlways},
+	}
+	for bits := 0; bits < 8; bits++ {
+		v := cacheVal{dirty: bits&1 != 0, removed: bits&2 != 0, large: bits&4 != 0, seq: seq, stat: fileStat(2, "ab")}
+		raw := v.encode()
+		flags, hseq, n, ok := memcache.ParseValueHeader(raw)
+		if !ok || hseq != seq || n != 3 ||
+			(flags&memcache.HdrDirty != 0) != v.dirty || (flags&memcache.HdrRemoved != 0) != v.removed || (flags&memcache.HdrLarge != 0) != v.large {
+			t.Fatalf("%+v encodes to header flags=%#x seq=%d n=%d ok=%v", v, flags, hseq, n, ok)
+		}
+		if back, err := decodeCacheVal(raw); err != nil || fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", v) {
+			t.Fatalf("round trip %+v → %+v, %v", v, back, err)
+		}
+		for name, want := range settles {
+			for _, match := range []bool{true, false} {
+				if _, _, err := srv.Set(0, "/w/k", raw, 0); err != nil {
+					t.Fatal(err)
+				}
+				en := entries[name]
+				en.Key, en.Seq = "/w/k", seq
+				if !match {
+					en.Seq++
+				}
+				srv.SettleMulti(0, []memcache.Settle{en})
+				gone, after := want(v, match)
+				item, _, err := srv.Get(0, "/w/k")
+				if gone != errors.Is(err, fsapi.ErrNotExist) {
+					t.Fatalf("%s (seq match %v) on %+v: deleted=%v, want %v", name, match, v, err != nil, gone)
+				}
+				if !gone && !bytes.Equal(item.Value, after.encode()) {
+					got, _ := decodeCacheVal(item.Value)
+					t.Fatalf("%s (seq match %v) on %+v left %+v, want %+v", name, match, v, got, after)
+				}
+			}
+		}
+	}
+}

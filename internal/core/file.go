@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"pacon/internal/fsapi"
 	"pacon/internal/namespace"
 	"pacon/internal/vclock"
@@ -15,23 +13,10 @@ import (
 // threshold is materialized on the DFS immediately and all further data
 // operations are redirected there.
 
-// spliceInline writes data into buf at off, growing it as needed.
-func spliceInline(buf []byte, off int64, data []byte) []byte {
-	need := int(off) + len(data)
-	if len(buf) < need {
-		grown := make([]byte, need)
-		copy(grown, buf)
-		buf = grown
-	} else {
-		buf = append([]byte(nil), buf...)
-	}
-	copy(buf[off:], data)
-	return buf
-}
-
 // Write writes data at off. Small files update inline content in the
-// cache (CAS retry loop) with an asynchronous backup write; crossing the
-// threshold materializes the file on the DFS synchronously.
+// cache with an asynchronous backup write; crossing the threshold
+// materializes the file on the DFS synchronously; a large file is
+// written through.
 func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	defer c.end(c.begin("write", p))
@@ -48,154 +33,76 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 		return at, err
 	}
 
-	for {
-		item, done, err := c.cache.Get(at, p)
-		at = done
-		if err != nil {
-			if !errors.Is(err, fsapi.ErrNotExist) {
-				return at, err
-			}
-			// Not cached: pull the metadata in and retry.
-			if _, at, err = c.loadMiss(at, "write", p); err != nil {
-				return at, err
-			}
-			continue
-		}
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return at, derr
-		}
-		if v.removed {
-			return at, fsapi.WrapPath("write", p, fsapi.ErrNotExist)
-		}
-		if v.stat.IsDir() {
-			return at, fsapi.WrapPath("write", p, fsapi.ErrIsDir)
-		}
-
-		if v.large {
-			done, werr := c.backend.WriteAt(at, p, off, data)
-			at = done
-			if werr != nil {
-				return at, werr
-			}
-			// Keep the cached size fresh (clean: the DFS applied it).
-			if end := off + int64(len(data)); end > v.stat.Size {
-				v.stat.Size = end
-				if _, done, cerr := c.cache.CAS(at, p, v.encode(), 0, item.CAS); cerr == nil {
-					at = done
-				}
-			}
-			return at, nil
-		}
-
-		if int64(len(v.stat.Inline)) < v.stat.Size {
-			// Loaded from the DFS without its data (cache-miss path, e.g.
-			// after the clean entry was evicted): pull the bytes in before
-			// splicing, or the write would zero-fill everything outside
-			// its own range and commit that back over the real content.
-			buf, done, rerr := c.backend.ReadAt(at, p, 0, int(v.stat.Size))
-			at = done
-			if rerr != nil {
-				return at, fsapi.WrapPath("write", p, rerr)
-			}
-			v.stat.Inline = buf
-		}
-
-		if int(off)+len(data) <= r.cfg.SmallFileThreshold {
-			// Stay inline: CAS the new content, enqueue the backup write.
-			seq := r.seq.Add(1)
-			v.stat.Inline = spliceInline(v.stat.Inline, off, data)
-			if sz := int64(len(v.stat.Inline)); sz > v.stat.Size {
-				v.stat.Size = sz
-			}
-			v.dirty = true
-			v.seq = seq
-			_, done, cerr := c.cache.CAS(at, p, v.encode(), 0, item.CAS)
-			at = done
-			if cerr == nil {
-				return c.pushOp(at, OpSetStat, p, v.stat, seq)
-			}
-			if errors.Is(cerr, fsapi.ErrStale) || errors.Is(cerr, fsapi.ErrNotExist) {
-				continue // concurrent writer won; retry (§III.D.3)
-			}
-			if errors.Is(cerr, fsapi.ErrOutOfSpace) {
-				// The grown value does not fit the node's budget: same
-				// policy as insert — make room, then re-examine (the
-				// round may have evicted this very entry while clean).
-				if at, cerr = r.evictRound(c, at); cerr == nil {
-					continue
-				}
-			}
-			return at, cerr
-		}
-
-		// Crossing the threshold: materialize on the DFS now.
-		return c.growToLarge(at, p, item.CAS, v, off, data)
+	var rd entryRead
+	out, at, err := c.mutate(at, &rd, &event{kind: evWrite, op: "write", path: p, seq: r.seq.Add(1),
+		off: off, data: data, threshold: r.cfg.SmallFileThreshold})
+	switch {
+	case err != nil || out.enqueue:
+		return at, err // inline: the backup write is queued
+	case out.verdict == vKeep:
+		return c.writeThrough(at, p, &rd, off, data)
+	default:
+		return c.growToLarge(at, p, &rd, off, data)
 	}
 }
 
-// growToLarge materializes a small file on the DFS (create if the async
-// create has not landed yet, flush inline bytes, write the new data) and
-// flips the cache entry to large.
-func (c *Client) growToLarge(at vclock.Time, p string, cas uint64, v cacheVal, off int64, data []byte) (vclock.Time, error) {
-	st := v.stat
-	st.Inline = nil
-	done, err := applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: st})
-	at = done
-	if err != nil && !errors.Is(err, fsapi.ErrExist) {
-		return at, fsapi.WrapPath("write", p, err)
+// writeThrough writes to a large file on the DFS and keeps the cached
+// size fresh. rd is the read that found the entry large.
+func (c *Client) writeThrough(at vclock.Time, p string, rd *entryRead, off int64, data []byte) (vclock.Time, error) {
+	at, err := c.backend.WriteAt(at, p, off, data)
+	if err != nil {
+		return at, err
 	}
-	if len(v.stat.Inline) > 0 {
-		if done, err = c.backend.WriteAt(at, p, 0, v.stat.Inline); err != nil {
-			return done, err
-		}
-		at = done
-	}
-	if done, err = c.backend.WriteAt(at, p, off, data); err != nil {
-		return done, err
-	}
-	at = done
+	_, at, err = c.mutate(at, rd, &event{kind: evSizeBump, op: "write", path: p, size: off + int64(len(data))})
+	return at, err
+}
 
-	v.large = true
-	v.dirty = false // the DFS now holds the authoritative copy
-	v.stat.Inline = nil
-	if end := off + int64(len(data)); end > v.stat.Size {
-		v.stat.Size = end
+// growToLarge takes a claimed entry (rd, as WriteAt's claim stored it)
+// through the threshold crossing. With the claim in place nothing new can
+// be queued for the path, so draining it first means every op acked
+// before the claim — the create, backup writes of older inline content,
+// an earlier incarnation's remove — has reached the DFS before the file
+// is written there, and none can land on top of it afterwards. Then the
+// file is materialized (created if no queued create did it, inline bytes
+// flushed, the new data written) and the entry concluded: large and
+// clean, or — the DFS failed — rolled back to the small dirty entry, with
+// the write's error.
+func (c *Client) growToLarge(at vclock.Time, p string, rd *entryRead, off int64, data []byte) (vclock.Time, error) {
+	r := c.region
+	claim := rd.val
+	end := event{kind: evGrown, op: "write", path: p, seq: claim.seq, size: off + int64(len(data))}
+	at, werr := r.drainPath(at, p)
+	if werr == nil {
+		at, werr = c.materialize(at, p, claim.stat, off, data)
 	}
-	// Flip the cache entry to large. A CAS conflict can come from a
-	// concurrent writer or from the commit process clearing the dirty
-	// bit; retry from a fresh read until the entry reflects the
-	// transition (§III.D.3).
-	for {
-		_, done, cerr := c.cache.CAS(at, p, v.encode(), 0, cas)
-		at = done
-		if cerr == nil || errors.Is(cerr, fsapi.ErrNotExist) {
-			return at, nil
-		}
-		if !errors.Is(cerr, fsapi.ErrStale) {
-			return at, cerr
-		}
-		item, done, gerr := c.cache.Get(at, p)
-		at = done
-		if gerr != nil {
-			return at, nil // entry vanished (evicted/removed); the DFS holds truth
-		}
-		cur, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return at, derr
-		}
-		if cur.large && cur.stat.Size >= v.stat.Size {
-			return at, nil // another writer finished the transition
-		}
-		cur.large = true
-		cur.dirty = false
-		cur.stat.Inline = nil
-		if cur.stat.Size < v.stat.Size {
-			cur.stat.Size = v.stat.Size
-		}
-		v = cur
-		cas = item.CAS
+	if werr != nil {
+		end.kind = evRollback
 	}
+	_, at, err := c.mutate(at, rd, &end)
+	if werr != nil {
+		err = werr
+	}
+	return at, err
+}
+
+// materialize puts a small file and the write that outgrew it on the DFS.
+func (c *Client) materialize(at vclock.Time, p string, st fsapi.Stat, off int64, data []byte) (vclock.Time, error) {
+	inline := st.Inline
+	st.Inline = nil
+	// The file goes to the DFS whole: what an fsync spilled is an older
+	// copy of its bytes, and no create that lands later may write it back.
+	c.region.spillTake(p)
+	// After the drain the file is missing only if its queued create was
+	// dropped. Whatever this create answers — the file exists, as a rule —
+	// the write is what must succeed, and it fails if the file is not there.
+	at, _ = applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: st})
+	if int64(len(inline)) >= st.Size {
+		// The entry held the whole file: one write carries it and the new
+		// data, the gap between them zero-filled. (An entry loaded without
+		// its bytes has them on the DFS already.)
+		data, off = spliceInline(inline, off, data), 0
+	}
+	return c.backend.WriteAt(at, p, off, data)
 }
 
 // Read returns up to n bytes at off. Small files are served from the
@@ -230,6 +137,8 @@ func (c *Client) ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vcl
 			// fetch the bytes once.
 			return c.backend.ReadAt(at, p, off, n)
 		}
+		// A claimed entry is still small here: it serves the acked inline
+		// content until the claimant's final store.
 		return sliceInline(st.Inline, off, n), at, nil
 	}
 	return c.backend.ReadAt(at, p, off, n)
@@ -273,20 +182,12 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 	if !c.inWorkspace(p) {
 		return at, nil // large/outside files write through already
 	}
-	item, done, err := c.cache.Get(at, p)
-	at = done
+	v, hit, at, err := lookup(c.cache, at, "fsync", p)
+	if err == nil && !hit {
+		err = fsapi.WrapPath("fsync", p, fsapi.ErrNotExist)
+	}
 	if err != nil {
-		if errors.Is(err, fsapi.ErrNotExist) {
-			return at, fsapi.WrapPath("fsync", p, fsapi.ErrNotExist)
-		}
 		return at, err
-	}
-	v, derr := decodeCacheVal(item.Value)
-	if derr != nil {
-		return at, derr
-	}
-	if v.removed {
-		return at, fsapi.WrapPath("fsync", p, fsapi.ErrNotExist)
 	}
 	if v.dirty && !v.large && len(v.stat.Inline) > 0 {
 		r.spillPut(p, v.stat.Inline)

@@ -21,6 +21,10 @@ type CacheEntry struct {
 	Stat    fsapi.Stat
 }
 
+func (v cacheVal) entry(path string) CacheEntry {
+	return CacheEntry{Path: path, Dirty: v.dirty, Removed: v.removed, Large: v.large, Seq: v.seq, Stat: v.stat}
+}
+
 // DumpCache snapshots and decodes every entry across the region's cache
 // servers, sorted by path. Verification-only: it reads the servers
 // directly and charges no virtual time. Concurrent mutation yields a
@@ -36,14 +40,7 @@ func (r *Region) DumpCache() ([]CacheEntry, error) {
 				derr = fmt.Errorf("cache entry %s: %w", key, err)
 				return
 			}
-			out = append(out, CacheEntry{
-				Path:    key,
-				Dirty:   v.dirty,
-				Removed: v.removed,
-				Large:   v.large,
-				Seq:     v.seq,
-				Stat:    v.stat,
-			})
+			out = append(out, v.entry(key))
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })

@@ -6,7 +6,6 @@ import (
 	"pacon/internal/fsapi"
 	"pacon/internal/obs"
 	"pacon/internal/vclock"
-	"pacon/internal/wire"
 )
 
 // OpKind classifies a commit-queue operation. Create, mkdir and remove
@@ -60,19 +59,15 @@ type Op struct {
 	// whatever goroutine finishes the op.
 	Node string
 	// AfterRm marks a create/mkdir that replaced a removed marker in the
-	// cache (create-after-rm). It disambiguates the commit's ErrExist
-	// handling: with the flag the existing DFS object is a doomed old
-	// incarnation and the create must wait for the queued remove;
-	// without it no remove can be pending — the object on the DFS is the
-	// same path re-created after its clean cache entry was evicted, and
-	// the create adopts it instead of resubmitting forever.
+	// cache (create-after-rm): the remove is still queued, which is what
+	// tells commitOutcome's ErrExist rows a doomed old incarnation from a
+	// path re-created after its entry was evicted.
 	AfterRm bool
 	// NetAbsent marks a remove produced by the coalescer folding a
 	// create+remove pair whose create never reached the DFS. The net
-	// effect to commit is absence: ErrNotExist is success (nothing was
-	// there), while an existing object is a stale incarnation the
-	// original remove would have deleted anyway. Carried to the DFS as
-	// fsapi.BatchOp.IfExists.
+	// effect to commit is absence: ErrNotExist is success, an existing
+	// object a stale incarnation the original remove would have deleted
+	// anyway. Carried to the DFS as fsapi.BatchOp.IfExists.
 	NetAbsent bool
 	// Sampled marks a span the obs tail sampler is assembling: its
 	// stage events also feed the active-span buffer, the commit side
@@ -106,69 +101,4 @@ type Op struct {
 	// not virtual: the span crosses goroutines whose virtual clocks
 	// advance independently. 0 when observability is disabled.
 	EnqWall int64
-}
-
-// cacheVal is the distributed cache's value layout: the primary copy of
-// one object's metadata plus Pacon's consistency bookkeeping flags.
-type cacheVal struct {
-	// dirty marks metadata whose newest update is not yet committed to
-	// the DFS (must not be evicted, §III.F).
-	dirty bool
-	// removed marks a deleted object awaiting its commit ("removed files
-	// are marked and their cached metadata are deleted after the
-	// operations are committed", §III.D.1). Reads treat it as absent.
-	removed bool
-	// large marks a file that outgrew the inline threshold: its data
-	// lives on the DFS and only metadata stays cached.
-	large bool
-	// seq is the newest mutation's sequence number.
-	seq  uint64
-	stat fsapi.Stat
-}
-
-// encodeTo appends v's wire form to e — the pooled-encoder form of
-// encode for hot paths. The caller owns e and must not recycle it until
-// the cache RPC consuming e.Bytes() has returned; cache clients copy the
-// value into their own request frame synchronously, so bracketing the
-// call with wire.GetEncoder/PutEncoder is safe.
-func (v cacheVal) encodeTo(e *wire.Encoder) {
-	var flags byte
-	if v.dirty {
-		flags |= 1
-	}
-	if v.removed {
-		flags |= 2
-	}
-	if v.large {
-		flags |= 4
-	}
-	e.Byte(flags)
-	e.Uvarint(v.seq)
-	fsapi.EncodeStat(e, v.stat)
-}
-
-func (v cacheVal) encode() []byte {
-	e := wire.NewEncoder(80 + len(v.stat.Inline))
-	v.encodeTo(e)
-	return e.Bytes()
-}
-
-func decodeCacheVal(b []byte) (cacheVal, error) {
-	// The decoder is poolable: every field either copies out (String,
-	// Blob — DecodeStat's Inline is a Blob) or is a scalar.
-	d := wire.GetDecoder(b)
-	flags := d.Byte()
-	v := cacheVal{
-		dirty:   flags&1 != 0,
-		removed: flags&2 != 0,
-		large:   flags&4 != 0,
-		seq:     d.Uvarint(),
-	}
-	v.stat = fsapi.DecodeStat(d)
-	err := d.Finish()
-	wire.PutDecoder(d)
-	if err != nil {
-		return cacheVal{}, err
-	}
-	return v, nil
 }

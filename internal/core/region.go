@@ -314,6 +314,13 @@ func (t *pathTracker) remove(p string) {
 	t.mu.Unlock()
 }
 
+// has reports whether an op on p itself is pending.
+func (t *pathTracker) has(p string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.paths[p] > 0
+}
+
 // hasUnder reports whether any pending path lies in scope's subtree.
 func (t *pathTracker) hasUnder(scope string) bool {
 	t.mu.Lock()
@@ -389,9 +396,8 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		r.shutdownServers()
 		return nil, fsapi.WrapPath("region-init", cfg.Workspace, fsapi.ErrNotDir)
 	}
-	seed := cacheVal{stat: wsStat}
 	cache := memcache.NewClient(rpc.NewCaller(deps.Bus, cfg.Model, cfg.Nodes[0]), r.ring)
-	if _, _, err := cache.Set(0, cfg.Workspace, seed.encode(), 0); err != nil {
+	if _, err := seedRoot(cache, 0, cfg.Workspace, wsStat); err != nil {
 		r.shutdownServers()
 		return nil, err
 	}
@@ -735,6 +741,36 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 		r.barrierWait.RecordN(time.Now().UnixNano() - start)
 	}
 	return epoch, vclock.Max(drain, at), nil
+}
+
+// drainPath returns once no op on p is queued, parked or in flight on any
+// node. It waits for the commit processes, which get there at their own
+// pace, and drives none of them: no marker, no epoch, nothing an rmdir or
+// another crossing serialises with. Only a path still pending after
+// drainPatience is taken to be parked behind an idle queue — a parked op
+// is retried when its queue next moves — and is moved by a scoped barrier.
+func (r *Region) drainPath(at vclock.Time, p string) (vclock.Time, error) {
+	pending := func() bool {
+		for _, t := range r.trackers {
+			if t.has(p) {
+				return true
+			}
+		}
+		return false
+	}
+	for start := time.Now(); pending(); {
+		if time.Since(start) < drainPatience {
+			time.Sleep(claimPoll)
+			continue
+		}
+		epoch, drain, err := r.syncBarrier(at, p)
+		if err != nil {
+			return at, err
+		}
+		at = drain
+		r.barrier.Release(epoch, at)
+	}
+	return at, nil
 }
 
 // Drain forces all queued operations to the DFS and returns when the

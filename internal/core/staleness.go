@@ -225,12 +225,7 @@ func (r *Region) SampleCommitted(limit int) []CacheEntry {
 			if err != nil || v.dirty || v.removed {
 				continue // raced a mutation between header scan and decode
 			}
-			out = append(out, CacheEntry{
-				Path:  kv.Key,
-				Large: v.large,
-				Seq:   v.seq,
-				Stat:  v.stat,
-			})
+			out = append(out, v.entry(kv.Key))
 		}
 	}
 	return out

@@ -314,6 +314,46 @@ func TestReadPastEOFAndSparse(t *testing.T) {
 	}
 }
 
+// TestDisjointWritersPastEOFKeepTheirBytes is the N-1 strided pattern:
+// writers at disjoint offsets, each beyond the size it saw. A write
+// touches the bytes it was given and no others — a writer that filled
+// the hole below its offset, going by a size it read earlier, would
+// erase a neighbour's acked stripe. (The writers' size updates do race,
+// last one wins; the closing write sets the size the check reads by.)
+func TestDisjointWritersPastEOFKeepTheirBytes(t *testing.T) {
+	c := testCluster(t)
+	cl := appClient(t, c)
+	const stripe, writers = 4096, 4
+	for round := 0; round < 20; round++ {
+		p := fmt.Sprintf("/w/strided%d", round)
+		cl.Create(0, p, 0o644)
+		cl.WriteAt(0, p, 0, bytes.Repeat([]byte{'0'}, stripe))
+		var wg sync.WaitGroup
+		for w := 1; w <= writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wc := c.NewClient(fmt.Sprintf("node%d", w), appCred, 0, 0)
+				if _, err := wc.WriteAt(0, p, int64(w*stripe), bytes.Repeat([]byte{byte('0' + w)}, stripe)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		end := (writers + 1) * stripe
+		cl.WriteAt(0, p, int64(end), []byte{'.'})
+		got, _, err := cl.ReadAt(0, p, 0, end)
+		if err != nil || len(got) != end {
+			t.Fatalf("round %d: read %d bytes, %v", round, len(got), err)
+		}
+		for i, b := range got {
+			if want := byte('0' + i/stripe); b != want {
+				t.Fatalf("round %d: byte %d = %q, want %q: a stripe was overwritten", round, i, b, want)
+			}
+		}
+	}
+}
+
 func TestWriteToDirectoryFails(t *testing.T) {
 	c := testCluster(t)
 	cl := appClient(t, c)

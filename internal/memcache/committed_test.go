@@ -9,8 +9,8 @@ import (
 // flag set (bit 0 dirty, bit 1 removed), byte 1 a one-byte uvarint seq.
 var (
 	cleanVal   = []byte{0, 1}
-	dirtyVal   = []byte{hdrDirty, 1}
-	removedVal = []byte{hdrRemoved, 1}
+	dirtyVal   = []byte{HdrDirty, 1}
+	removedVal = []byte{HdrRemoved, 1}
 )
 
 // TestCommittedItemsFiltersFlags: only entries whose header carries
@@ -56,7 +56,7 @@ func TestCommittedItemsReturnsCopies(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("sampled %d items, want 1", len(got))
 	}
-	got[0].Value[0] = hdrDirty
+	got[0].Value[0] = HdrDirty
 	if again := s.CommittedItems(-1); len(again) != 1 {
 		t.Fatal("resident value mutated through the audit sample")
 	}

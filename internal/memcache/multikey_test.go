@@ -29,13 +29,13 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 		var en Settle
 		switch i % 4 {
 		case 0: // committed create: the flag clears, the entry stays
-			flags, en = hdrDirty, Settle{Key: key, Seq: seq, Clear: true}
+			flags, en = HdrDirty, Settle{Key: key, Seq: seq, Clear: true}
 		case 1: // eviction of committed metadata
 			flags, en = 0, Settle{Key: key, Cond: CondClean}
 		case 2: // cleanup aimed at an older incarnation: must do nothing
-			flags, en = hdrDirty, Settle{Key: key, Seq: seq - 1, Cond: CondSeq}
+			flags, en = HdrDirty, Settle{Key: key, Seq: seq - 1, Cond: CondSeq}
 		case 3: // committed remove: the marker goes
-			flags, en = hdrDirty|hdrRemoved, Settle{Key: key, Seq: seq, Cond: CondSeqRemoved}
+			flags, en = HdrDirty|HdrRemoved, Settle{Key: key, Seq: seq, Cond: CondSeqRemoved}
 		}
 		if _, _, err := c.Set(0, key, makeVal(flags, seq), 0); err != nil {
 			t.Fatal(err)
@@ -76,11 +76,11 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 		item, _, err := c.Get(0, entries[i].Key)
 		switch i % 4 {
 		case 0:
-			if flags, seq, ok := parseValueHeader(item.Value); err != nil || !ok || flags != 0 || seq != uint64(i+1) {
+			if flags, seq, _, ok := ParseValueHeader(item.Value); err != nil || !ok || flags != 0 || seq != uint64(i+1) {
 				t.Fatalf("%s after clear-dirty: flags=%#x seq=%d, %v", entries[i].Key, flags, seq, err)
 			}
 		case 2:
-			if flags, seq, ok := parseValueHeader(item.Value); err != nil || !ok || flags != hdrDirty || seq != uint64(i+1) {
+			if flags, seq, _, ok := ParseValueHeader(item.Value); err != nil || !ok || flags != HdrDirty || seq != uint64(i+1) {
 				t.Fatalf("%s touched by a stale-seq delete: flags=%#x seq=%d, %v", entries[i].Key, flags, seq, err)
 			}
 		default:
@@ -123,7 +123,7 @@ func TestSettleMultiChargesPerKey(t *testing.T) {
 func TestSettleMultiMalformedFrameTouchesNothing(t *testing.T) {
 	s := testServer(ServerConfig{})
 	s.Set(0, "/w/a", makeVal(0, 1), 0)
-	s.Set(0, "/w/b", makeVal(hdrDirty, 2), 0)
+	s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
 	bus := rpc.NewBus()
 	bus.Register("n/cache", s.Service())
 	caller := rpc.NewCaller(bus, vclock.Default(), "n")
@@ -150,7 +150,7 @@ func TestSettleMultiMalformedFrameTouchesNothing(t *testing.T) {
 		}
 		a, _, aerr := s.Get(0, "/w/a")
 		b, _, berr := s.Get(0, "/w/b")
-		if aerr != nil || berr != nil || b.Value[0]&hdrDirty == 0 || a.CAS != 1 || b.CAS != 2 {
+		if aerr != nil || berr != nil || b.Value[0]&HdrDirty == 0 || a.CAS != 1 || b.CAS != 2 {
 			t.Fatalf("%s: rejected frame was partly applied: /w/a %+v %v, /w/b %+v %v", name, a, aerr, b, berr)
 		}
 	}
@@ -161,7 +161,7 @@ func TestSettleMultiMalformedFrameTouchesNothing(t *testing.T) {
 	if _, _, err := s.Get(0, "/w/a"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("/w/a after a well-formed frame: %v", err)
 	}
-	if b, _, _ := s.Get(0, "/w/b"); b.Value[0]&hdrDirty != 0 {
+	if b, _, _ := s.Get(0, "/w/b"); b.Value[0]&HdrDirty != 0 {
 		t.Fatal("/w/b still dirty after a well-formed frame")
 	}
 }
@@ -329,7 +329,7 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
-		s.Set(0, "/w/b", makeVal(hdrDirty, 2), 0)
+		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())
 		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")

@@ -326,28 +326,40 @@ func (s *Server) DeleteCAS(at vclock.Time, key string, expect uint64) (vclock.Ti
 }
 
 // Pacon's core stores cache values with a fixed leading layout — one
-// flags byte (bit 0 = dirty, bit 1 = removed) followed by a uvarint
-// sequence number. The settle actions below evaluate their predicate
-// against exactly this header, under the owning shard's lock, so the
-// commit module's bookkeeping needs no Get + CAS/DeleteCAS retry loop
-// and a whole commit wave's worth rides one request. The header
-// contract is shared with core.cacheVal.encode; values too short to
-// carry it never match a predicate that reads it.
+// flags byte followed by a uvarint sequence number. The settle actions
+// below evaluate their predicate against exactly this header, under the
+// owning shard's lock, so the commit module's bookkeeping needs no Get +
+// CAS/DeleteCAS retry loop and a whole commit wave's worth rides one
+// request. This block is the header's one definition: core builds and
+// reads its values through AppendValueHeader and ParseValueHeader, and
+// values too short to carry the header never match a predicate that
+// reads it.
 const (
-	hdrDirty   = 1 << 0
-	hdrRemoved = 1 << 1
+	// HdrDirty: the newest update is not yet committed to the DFS.
+	HdrDirty byte = 1 << iota
+	// HdrRemoved: a deleted object awaiting its commit.
+	HdrRemoved
+	// HdrLarge: the file's data lives on the DFS. No predicate here reads
+	// it; it sits with the others so the flags byte has one owner.
+	HdrLarge
 )
 
-// parseValueHeader reads the shared value-header contract.
-func parseValueHeader(v []byte) (flags byte, seq uint64, ok bool) {
+// AppendValueHeader appends the value header to e.
+func AppendValueHeader(e *wire.Encoder, flags byte, seq uint64) {
+	e.Byte(flags)
+	e.Uvarint(seq)
+}
+
+// ParseValueHeader reads the value header; n is its length in v.
+func ParseValueHeader(v []byte) (flags byte, seq uint64, n int, ok bool) {
 	if len(v) < 2 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	seq, n := binary.Uvarint(v[1:])
+	seq, n = binary.Uvarint(v[1:])
 	if n <= 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	return v[0], seq, true
+	return v[0], seq, 1 + n, true
 }
 
 // Cond selects the predicate of a conditional delete.
@@ -373,9 +385,9 @@ func condHolds(cond Cond, seq uint64, flags byte, vseq uint64) bool {
 	case CondSeq:
 		return vseq == seq
 	case CondSeqRemoved:
-		return vseq == seq && flags&hdrRemoved != 0
+		return vseq == seq && flags&HdrRemoved != 0
 	case CondClean:
-		return flags&(hdrDirty|hdrRemoved) == 0
+		return flags&(HdrDirty|HdrRemoved) == 0
 	case CondAlways:
 		return true
 	default:
@@ -452,12 +464,12 @@ func (s *Server) clearDirty(key string, seq uint64) bool {
 	if !ok {
 		return false
 	}
-	flags, vseq, hok := parseValueHeader(si.Value)
-	if !hok || vseq != seq || flags&hdrDirty == 0 {
+	flags, vseq, _, hok := ParseValueHeader(si.Value)
+	if !hok || vseq != seq || flags&HdrDirty == 0 {
 		return false
 	}
 	v := append([]byte(nil), si.Value...)
-	v[0] = flags &^ hdrDirty
+	v[0] = flags &^ HdrDirty
 	si.Value = v
 	si.CAS = s.casSeq.Add(1)
 	return true
@@ -474,7 +486,7 @@ func (s *Server) deleteIf(key string, cond Cond, seq uint64) bool {
 		return false
 	}
 	// A value too short to carry the header matches only CondAlways.
-	flags, vseq, hok := parseValueHeader(si.Value)
+	flags, vseq, _, hok := ParseValueHeader(si.Value)
 	if cond != CondAlways && !(hok && condHolds(cond, seq, flags, vseq)) {
 		return false
 	}
@@ -558,7 +570,7 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// HeaderCounts scans resident values' shared header (parseValueHeader)
+// HeaderCounts scans resident values' shared header (ParseValueHeader)
 // and reports how many carry the dirty and removed flags — the
 // dirty-key gauges of the observability layer. Values that predate or
 // bypass the header contract count as neither. Diagnostic only; charges
@@ -568,11 +580,11 @@ func (s *Server) HeaderCounts() (dirty, removed int64) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, si := range sh.items {
-			if flags, _, ok := parseValueHeader(si.Value); ok {
-				if flags&hdrDirty != 0 {
+			if flags, _, _, ok := ParseValueHeader(si.Value); ok {
+				if flags&HdrDirty != 0 {
 					dirty++
 				}
-				if flags&hdrRemoved != 0 {
+				if flags&HdrRemoved != 0 {
 					removed++
 				}
 			}
@@ -605,8 +617,8 @@ func (s *Server) CommittedItems(limit int) []KeyValue {
 			if limit >= 0 && len(out) >= limit {
 				break
 			}
-			flags, _, ok := parseValueHeader(si.Value)
-			if !ok || flags&(hdrDirty|hdrRemoved) != 0 {
+			flags, _, _, ok := ParseValueHeader(si.Value)
+			if !ok || flags&(HdrDirty|HdrRemoved) != 0 {
 				continue
 			}
 			out = append(out, KeyValue{Key: k, Value: append([]byte(nil), si.Value...)})
