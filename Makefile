@@ -91,7 +91,8 @@ bench-diff:
 # one that took the grouping path (7 allocs, 319 B) fails it. Eight
 # creates in one ApplyBatch on one MDS are 28 allocs (36 with map-based
 # grouping); without that map the gates above read 15, 17, 26 and 6
-# allocs / 335 B today, and keep the headroom they had.
+# allocs / 335 B today, and keep the headroom they had. With every fourth
+# create carrying 64 B the wave adds its WriteBatch: 6 allocs, 399 B.
 alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreate$$' -benchtime 2000x -benchmem ./internal/core/); \
 	echo "$$out"; \
@@ -114,6 +115,12 @@ alloc-gate:
 	bytes=$$(echo "$$out" | awk '/^BenchmarkCommitWave/ {print $$(NF-3)}'); \
 	echo "commit wave: $$allocs allocs/op, $$bytes B/op (gate: <= 7 and <= 768)"; \
 	test "$$allocs" -le 7 && test "$$bytes" -le 768
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCommitWavePayload$$' -benchtime 2048x -benchmem ./internal/core/); \
+	echo "$$out"; \
+	allocs=$$(echo "$$out" | awk '/^BenchmarkCommitWavePayload/ {print $$(NF-1)}'); \
+	bytes=$$(echo "$$out" | awk '/^BenchmarkCommitWavePayload/ {print $$(NF-3)}'); \
+	echo "commit wave with payload: $$allocs allocs/op, $$bytes B/op (gate: <= 6 and <= 408)"; \
+	test "$$allocs" -le 6 && test "$$bytes" -le 408
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCreate$$' -benchtime 20000x -benchmem ./internal/dfs/); \
 	echo "$$out"; \
 	allocs=$$(echo "$$out" | awk '/^BenchmarkCreate/ {print $$(NF-1)}'); \

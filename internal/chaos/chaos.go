@@ -239,8 +239,10 @@ func (in *injector) counts() (injected, stalls int) {
 // large-file transition's own create does, and takes whatever it is
 // told as advisory.) It injects only ErrNotExist, which every
 // op kind treats as resubmittable, so injected faults delay convergence
-// but never forfeit it. WriteAt is left alone: the commit module's
-// inline write-back treats its failure as a drop, which would be
+// but never forfeit it — an inline setstat included, whose metadata
+// rides the wave's batch like any op's. The data path (WriteBatch, and
+// WriteAt for spilled bytes) is left alone: the commit module treats a
+// committed create's failed write-back as a drop, which would be
 // indistinguishable from the data-loss bugs this harness hunts.
 type flakyBackend struct {
 	core.Backend
@@ -253,7 +255,7 @@ type flakyBackend struct {
 // ApplyBatch injects per op and forwards the rest of the batch. Without
 // this override the embedded interface value would promote the wrapped
 // client's ApplyBatch and commits would silently bypass injection.
-// Net-absence removes (IfExists) are exempt like WriteAt: the commit
+// Net-absence removes (IfExists) are exempt like the data path: the commit
 // module reads their ErrNotExist as success, so an injected failure —
 // meaning the remove did NOT run — would be mistaken for a committed
 // absence while a stale object still sits on the DFS.

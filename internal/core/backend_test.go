@@ -12,16 +12,17 @@ import (
 )
 
 // TestBackendIsExactlyWhatCoreCalls pins the Backend contract's shape:
-// core calls these twelve methods and discovers nothing else by type
+// core calls these thirteen methods and discovers nothing else by type
 // assertion, which is what lets a wrapper embed the interface and get
-// every one promoted. A thirteenth method is a capability arriving — add
+// every one promoted. (WriteBatch is the thirteenth: the bytes a commit
+// wave owes, in one call.) Another method is a capability arriving — add
 // it here and to every implementation, in the open; a capability probed
 // for with a type assertion instead never shows up in this list, and is
 // the trap this test's existence is meant to keep closed (a wrapper
 // silently running a fallback no production backend runs).
 func TestBackendIsExactlyWhatCoreCalls(t *testing.T) {
 	want := []string{"ApplyBatch", "ClearTrace", "InvalidateSubtree", "Pace", "ReadAt", "Readdir",
-		"Rename", "RmTree", "SetTrace", "Stat", "StatBatch", "WriteAt"}
+		"Rename", "RmTree", "SetTrace", "Stat", "StatBatch", "WriteAt", "WriteBatch"}
 	rt := reflect.TypeOf((*Backend)(nil)).Elem()
 	got := make([]string, rt.NumMethod())
 	for i := range got {

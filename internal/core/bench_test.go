@@ -147,8 +147,18 @@ func BenchmarkClientStatMulti(b *testing.B) {
 // construction, apply_batch, settle fan-out and the terminal
 // accounting of every op — none of the client's work. One iteration is
 // one committed op. make alloc-gate pins its allocs/op.
-func BenchmarkCommitWave(b *testing.B) {
+func BenchmarkCommitWave(b *testing.B) { benchCommitWave(b, 0) }
+
+// BenchmarkCommitWavePayload is BenchmarkCommitWave with every fourth
+// create followed by a 64-byte write, as ckpt_rotate's are: the write
+// coalesces into its create, so the op count is the same and what is
+// added is the wave's WriteBatch.
+func BenchmarkCommitWavePayload(b *testing.B) { benchCommitWave(b, 4) }
+
+// benchCommitWave: every payloadEvery-th create carries bytes (0: none).
+func benchCommitWave(b *testing.B, payloadEvery int) {
 	const round = 256 // creates per round, and removes from the second on
+	payload := make([]byte, 64)
 	r, c := benchEnv(b, 4)
 	now := vclock.Time(0)
 	prev := 0 // files the previous round created
@@ -157,8 +167,14 @@ func BenchmarkCommitWave(b *testing.B) {
 		var err error
 		created := 0
 		for ; created < round && ops < budget; created++ {
-			if now, err = c.Create(now, fmt.Sprintf("/w/r%06d-%03d", n, created), 0o644); err != nil {
+			p := fmt.Sprintf("/w/r%06d-%03d", n, created)
+			if now, err = c.Create(now, p, 0o644); err != nil {
 				b.Fatal(err)
+			}
+			if payloadEvery > 0 && created%payloadEvery == 0 {
+				if now, err = c.WriteAt(now, p, 0, payload); err != nil {
+					b.Fatal(err)
+				}
 			}
 			ops++
 		}

@@ -349,6 +349,7 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 		before := e.region.Stats().Discarded
 		cm.applyOps([]Op{{Kind: OpCreate, Path: "/w/doomed/f", Seq: seq,
 			Stat: fsapi.NewFileStat(appCred, 0o644)}}, false)
+		cm.settle() // no batch follows for the cleanup to leave beside
 		if len(cm.pending.ops) != 0 {
 			t.Fatal("discarded create must not be resubmitted")
 		}

@@ -179,10 +179,11 @@ func runCommitWorkload(t *testing.T) RegionStats {
 // TestCommitPathRoundTripBudget pins what the commit path spends on the
 // 24-file workload: 54 client ops coalesce to 27 commits in 7 waves,
 // costing 14 cache round trips (one settle_multi per wave to each of the
-// region's two cache servers) and 25 backend round trips (24 ops riding
-// 7 apply_batch RPCs). The budget has no slack upward: a change that
-// adds a round trip per op must show up here. (One conditional op per
-// commit spent 27 cache round trips on the same workload; the retired
+// region's two cache servers) and 14 backend round trips (7 apply_batch
+// and, each wave owing bytes, 7 WriteBatch; a WriteAt per small file
+// made it 25). The budget has no slack upward: a change that adds a
+// round trip per op must show up here. (One conditional op per commit
+// spent 27 cache round trips on the same workload; the retired
 // client-side Get+CAS loop without coalescing, 78 over 54 commits.)
 func TestCommitPathRoundTripBudget(t *testing.T) {
 	s := runCommitWorkload(t)
@@ -198,7 +199,7 @@ func TestCommitPathRoundTripBudget(t *testing.T) {
 	if limit := s.BatchRPCs * 2; s.BatchRPCs != 7 || s.CacheRPCs > limit {
 		t.Fatalf("commit path spent %d cache round trips over %d waves, budget 7 waves x 2 cache servers: %+v", s.CacheRPCs, s.BatchRPCs, s)
 	}
-	if s.BackendRPCs > 25 {
-		t.Fatalf("commit path spent %d backend round trips, budget 25: %+v", s.BackendRPCs, s)
+	if s.BackendRPCs > 14 {
+		t.Fatalf("commit path spent %d backend round trips, budget 7 waves x (apply_batch + WriteBatch): %+v", s.BackendRPCs, s)
 	}
 }

@@ -70,8 +70,11 @@ func (p *pendingSet) detach() []Op {
 // Operations are dequeued up to CommitBatchSize at a time (never across
 // a barrier marker), same-path runs are coalesced (see coalesceOps), and
 // each wave of independent-path ops costs one apply_batch round trip to
-// the DFS and then one settle_multi round trip per owning cache server
-// (see applyOps, the one way an op reaches the DFS, and settle).
+// the DFS, one write_multi per data server if the wave owes bytes, and
+// one settle_multi round trip per owning cache server — which the
+// process does not wait for on its own: it leaves beside the next wave's
+// apply_batch (see applyOps, the one way an op reaches the DFS, and
+// settle).
 //
 // Resubmission policy: a failed op parks in the pending set while
 // *other-path* ops continue — that is what converges creations enqueued
@@ -89,15 +92,21 @@ type committer struct {
 	pending pendingSet
 
 	// Scratch, valid within one dequeue or one chunk of a sweep (ops,
-	// coalesce), one wave (inWave, wave, bops) or until the next settle
-	// (settles). Nothing outlives the loop iteration that filled it:
-	// parking copies the Op it keeps.
+	// coalesce), one wave (inWave, wave, bops, verdicts, writes) or until
+	// the next batch or settle (settles). Nothing outlives the loop
+	// iteration that filled it: parking copies the Op it keeps.
 	ops      []Op
 	coalesce map[string]int
 	inWave   map[string]struct{}
 	wave     []Op
 	bops     []fsapi.BatchOp
+	verdicts []commitVerdict
+	writes   []fsapi.FileWrite
 	settles  []memcache.Settle
+
+	// span is the trace context of the wave being applied (0: no op of it
+	// is sampled); see commitTrace.
+	span uint64
 }
 
 func (r *Region) newCommitter(node string, backend Backend) *committer {
@@ -127,6 +136,12 @@ func (c *committer) run(q *mq.Queue[Op]) {
 	}
 
 	for {
+		if q.Len() == 0 {
+			// Nothing queued for the last wave's settles to leave beside:
+			// an idle node's entries become clean now, not when the next
+			// op happens to arrive.
+			c.settle()
+		}
 		ops, isBarrier, epoch, ok := q.PopBatchInto(c.ops, r.cfg.CommitBatchSize)
 		if ops != nil {
 			c.ops = ops
@@ -134,12 +149,14 @@ func (c *committer) run(q *mq.Queue[Op]) {
 		if !ok {
 			// Queue closed: push out whatever can still commit.
 			c.drainPending()
+			c.settle()
 			return
 		}
 		if isBarrier {
-			// Everything before the marker must reach the DFS before we
-			// report arrival (§III.E.2).
+			// Everything before the marker must reach the DFS, and every
+			// cleanup the cache, before we report arrival (§III.E.2).
 			c.drainPending()
+			c.settle()
 			r.barrier.Arrive(epoch, c.now)
 			rel, err := r.barrier.AwaitRelease(epoch)
 			if err != nil {
@@ -164,10 +181,9 @@ func (c *committer) run(q *mq.Queue[Op]) {
 // Parked; counted says whether their failures are charged to the retry
 // budget). It cuts ops into waves of at most one op per path (per-path
 // FIFO — a same-path follower waits for the next wave, and parks if its
-// predecessor parked) and a wave is the discard rule as it is built, one
-// ApplyBatch and the data writes (applyWave), and one settle. ops is
-// compacted in place into the next wave's input (the write index never
-// passes the read index).
+// predecessor parked) and a wave is the discard rule as it is built, then
+// applyWave. ops is compacted in place into the next wave's input (the
+// write index never passes the read index).
 func (c *committer) applyOps(ops []Op, counted bool) {
 	r := c.r
 	for len(ops) > 0 {
@@ -197,16 +213,12 @@ func (c *committer) applyOps(ops []Op, counted bool) {
 			}
 			c.wave = append(c.wave, op)
 		}
-		c.applyWave(counted)
-		c.settle()
+		if len(c.wave) > 0 {
+			c.applyWave(counted)
+		}
 		ops = rest
 	}
 }
-
-// inlineWrite reports whether op is an inline setstat. That is a data
-// write: it commits through the file interface, which carries both the
-// bytes and the size update, and never rides a metadata batch.
-func (op *Op) inlineWrite() bool { return op.Kind == OpSetStat && len(op.Stat.Inline) > 0 }
 
 // unparked closes a resubmitted op's stay in the pending set.
 func (op *Op) unparked() {
@@ -215,12 +227,21 @@ func (op *Op) unparked() {
 	}
 }
 
-// applyWave applies c.wave, ops on distinct paths: every metadata op in
-// one ApplyBatch — eight ops or one, first attempt or fiftieth — and
-// then, in op order, each inline setstat's data write and each op's
-// result handler (a landed create's handler writes its inline and
-// spilled bytes back). A batch-level error is the result of every op in
-// the batch. An op whose handler asks for resubmission parks, on a
+// applyWave applies c.wave, ops on distinct paths, in three steps. Every
+// op is in the wave's one ApplyBatch — eight ops or one, first attempt or
+// fiftieth, an inline setstat as the BatchSetStat it is (the DFS copy
+// keeps small-file data on the data path, not in MDS metadata, so no
+// BatchOp carries Inline) — and a batch-level error is the result of
+// every op in the batch. Each result is classified (classify), nothing
+// concluded yet. Then the bytes of every op that landed owing some go out
+// in one Backend.WriteBatch: the batch just told the DFS each file's
+// size, so the data path has nothing to ask the MDS. Only then does each
+// op, in op order, reach its terminal and queue its settle (conclude):
+// the terminal takes the path off the tracker, and a threshold crossing
+// that finds the path drained must not run beside bytes still in flight.
+// A create whose bytes failed has committed all the same, less the data
+// (lostBytes); a setstat is nothing but its bytes and takes their error
+// as its result. An op whose row asks for resubmission parks, on a
 // counted sweep after paying one attempt of its budget.
 func (c *committer) applyWave(counted bool) {
 	r := c.r
@@ -239,49 +260,65 @@ func (c *committer) applyWave(counted bool) {
 	c.bops = c.bops[:0]
 	for i := range c.wave {
 		op := &c.wave[i]
-		if op.inlineWrite() {
-			continue
-		}
 		t = vclock.Max(t, op.Time)
 		bop := fsapi.BatchOp{Path: op.Path}
 		switch op.Kind {
-		case OpCreate, OpMkdir:
+		case OpCreate:
 			bop.Kind = fsapi.BatchCreate
-			if op.Kind == OpMkdir {
-				bop.Kind = fsapi.BatchMkdir
-			}
-			// The DFS backup copy keeps small-file data on the data
-			// path, not in MDS metadata: the inline bytes are written
-			// through the file interface after the create lands.
-			bop.Stat = op.Stat
-			bop.Stat.Inline = nil
+		case OpMkdir:
+			bop.Kind = fsapi.BatchMkdir
 		case OpSetStat:
 			bop.Kind = fsapi.BatchSetStat
-			bop.Stat = op.Stat
 		case OpRemove:
 			bop.Kind = fsapi.BatchRemove
 			bop.IfExists = op.NetAbsent
 		}
+		if op.Kind != OpRemove {
+			bop.Stat = op.Stat
+			bop.Stat.Inline = nil
+		}
 		c.bops = append(c.bops, bop)
 	}
-	var errs []error
-	var batchErr error
-	if len(c.bops) > 0 {
-		errs, batchErr = c.applyBatch(t, c.bops)
-	}
-	next := 0 // position in errs of the next metadata op
-	for _, op := range c.wave {
+	errs, batchErr := c.applyBatch(t)
+
+	c.verdicts, c.writes = c.verdicts[:0], c.writes[:0]
+	for i := range c.wave {
+		op := &c.wave[i]
 		err := batchErr
-		if op.inlineWrite() {
-			r.backendRPCs.Add(1)
-			c.now, err = c.backend.WriteAt(vclock.Max(c.now, op.Time), op.Path, 0, op.Stat.Inline)
-		} else {
+		if err == nil {
+			err = errs[i]
+		}
+		v := c.classify(op, err)
+		// From here on inline says the op has bytes in this wave's write.
+		if v.inline = v.inline && len(op.Stat.Inline) > 0; v.inline {
+			c.writes = append(c.writes, fsapi.FileWrite{Path: op.Path, Data: op.Stat.Inline})
+		}
+		c.verdicts = append(c.verdicts, v)
+	}
+	var werrs []error
+	var writeErr error
+	if len(c.writes) > 0 {
+		r.backendRPCs.Add(1)
+		werrs, c.now, writeErr = c.backend.WriteBatch(c.now, c.writes)
+	}
+	next := 0 // position in werrs of the next op that owed bytes
+	for i := range c.wave {
+		op, v := c.wave[i], c.verdicts[i]
+		if v.inline {
+			err := writeErr
 			if err == nil {
-				err = errs[next]
+				err = werrs[next]
 			}
 			next++
+			switch {
+			case err == nil:
+			case op.Kind == OpSetStat:
+				v = c.classify(&op, err)
+			default:
+				c.lostBytes()
+			}
 		}
-		if !c.finish(op, err) {
+		if !c.conclude(op, v) {
 			op.unparked()
 			continue
 		}
@@ -296,19 +333,31 @@ func (c *committer) applyWave(counted bool) {
 }
 
 // applyBatch is every metadata mutation the commit side makes: one
-// Backend.ApplyBatch of bops leaving at t, be they a wave or the one-op
-// setstat of an adoption. It returns the per-op results, or the
-// batch-level error of a backend that could not say more — which callers
-// read as the result of every op in the batch: commitOutcome resubmits
-// ErrClosed and ErrStale and drops on anything else, as it would for an
-// op sent alone.
-func (c *committer) applyBatch(t vclock.Time, bops []fsapi.BatchOp) ([]error, error) {
+// Backend.ApplyBatch of c.bops leaving at t, be they a wave or the one-op
+// setstat of an adoption. Settles still waiting (the previous wave's, and
+// this wave's discards) leave beside it, from the same virtual instant,
+// and the process goes on when both have answered: it waits for the MDS
+// and not, on top of it, for the cache servers. Both are issued from this
+// goroutine, one after the other, which is what rpc.Caller.FanOut does on
+// a transport that runs handlers inline; over TCP a real fan-out would
+// overlap the two waits, at two goroutines a wave (app_mix_tcp read
+// +3.7 % alloc_b_per_op with it, past its bound), and issued in turn they
+// take the wall time they took when the settle closed the wave. It
+// returns the per-op results, or the batch-level error of a backend that
+// could not say more — which callers read as the result of every op in
+// the batch: commitOutcome resubmits ErrClosed and ErrStale and drops on
+// anything else, as it would for an op sent alone.
+func (c *committer) applyBatch(t vclock.Time) ([]error, error) {
 	r := c.r
 	r.batchRPCs.Add(1)
-	r.batchedOps.Add(int64(len(bops)))
+	r.batchedOps.Add(int64(len(c.bops)))
 	r.backendRPCs.Add(1)
-	errs, done, err := c.backend.ApplyBatch(t, bops)
-	c.now = done
+	settled := t
+	if len(c.settles) > 0 {
+		settled = c.sendSettles(t)
+	}
+	errs, done, err := c.backend.ApplyBatch(t, c.bops)
+	c.now = vclock.Max(done, settled)
 	if err != nil {
 		r.batchFallbacks.Add(1)
 	}
@@ -369,28 +418,33 @@ func (c *committer) drainPending() {
 	}
 }
 
-// finish is the thin executor of the commit table (entry.go): classify
-// what the DFS said to op, read the cache entry if the row needs it, and
-// carry out the row. It returns true if the op must be resubmitted.
-func (c *committer) finish(op Op, err error) bool {
+// classify is the reading half of the commit table's executor
+// (entry.go): what the DFS said to op with err, the cache entry if the row
+// needs it, an adoption if the row asks for one, and the row that ends
+// the attempt comes back for conclude to carry out.
+func (c *committer) classify(op *Op, err error) commitVerdict {
 	var ent cacheVal
 	var present bool
 	if needsEntry(op.Kind, err) {
 		c.r.cacheRPCs.Add(1)
-		ent, present, _, c.now, _ = readEntry(c.cache, c.now, op.Path) // unreadable is absent
+		// Tagged with the wave's span, if it has one (0 tags nothing); an
+		// unreadable entry is an absent one.
+		c.cache.SetTrace(c.span)
+		ent, present, _, c.now, _ = readEntry(c.cache, c.now, op.Path)
+		c.cache.ClearTrace()
 	}
 	// Only the ErrNotExist rows ask whether an rmdir is active.
-	v := commitOutcome(&op, err, errors.Is(err, fsapi.ErrNotExist) && c.r.isRemoving(op.Path), ent, present)
+	v := commitOutcome(op, err, errors.Is(err, fsapi.ErrNotExist) && c.r.isRemoving(op.Path), ent, present)
 	if v.end == endAdopt {
 		v = c.adopt(op)
 	}
-	return c.conclude(op, v)
+	return v
 }
 
 // adopt imposes a create's metadata on the object the DFS already holds
 // under its path (commitOutcome's ErrExist row 3), and answers with the
 // row that ends the op.
-func (c *committer) adopt(op Op) commitVerdict {
+func (c *committer) adopt(op *Op) commitVerdict {
 	r := c.r
 	st := op.Stat
 	st.Inline = nil
@@ -407,43 +461,44 @@ func (c *committer) adopt(op Op) commitVerdict {
 	}
 	// The wave's batch has been answered; its scratch is free.
 	c.bops = append(c.bops[:0], fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st})
-	if errs, aerr := c.applyBatch(c.now, c.bops); aerr != nil || errs[0] != nil {
+	if errs, aerr := c.applyBatch(c.now); aerr != nil || errs[0] != nil {
 		return rowResubmit
 	}
 	return rowCreateLanded
 }
 
-// conclude carries out one commit row: the op's terminal accounting, the
-// write-back of a committed create's bytes, and the settle the cache
-// entry is owed. The settle is not sent here: it joins c.settles, and
-// settle sends the list. Deferring a cleanup past the ops that follow it
-// in the wave is safe because every entry is guarded by its own op's seq
-// and evaluated under the cache server's shard lock when it does run: a
-// write that lands in between carries a newer seq, so the entry no longer
-// matches and does nothing — exactly what happened when the write won the
-// race against an immediate cleanup. Until the settle runs the entry
-// merely stays dirty (or stays a removed marker), which readers and
-// eviction already treat as "commit in flight". A later op on the same
-// path in the same dequeue cannot be misled either: it carries a newer
-// seq than the entry being settled, so that entry was already dead when
-// it was queued. It returns true for a resubmission, which concludes
-// nothing.
+// conclude carries out one commit row: the write-back of what an fsync
+// spilled, the op's terminal accounting, and the settle the cache entry
+// is owed. The settle is not sent here: it joins c.settles, and leaves
+// beside the next batch or in the next settle. Deferring a cleanup past
+// the ops that follow it — in the wave, and now in the next wave — is
+// safe because every entry is guarded by its own op's seq and evaluated
+// under the cache server's shard lock when it does run: a write that
+// lands in between carries a newer seq, so the entry no longer matches
+// and does nothing — exactly what happened when the write won the race
+// against an immediate cleanup. Until the settle runs the entry merely
+// stays dirty (or stays a removed marker), which readers and eviction
+// already treat as "commit in flight". A later op on the same path cannot
+// be misled either: it carries a newer seq than the entry being settled,
+// so that entry was already dead when it was queued. It returns true for
+// a resubmission, which concludes nothing.
 func (c *committer) conclude(op Op, v commitVerdict) bool {
 	r := c.r
 	if v.end == endResubmit {
 		return true
 	}
-	// The bytes go first: the op's terminal takes its path off the
-	// tracker, and a threshold crossing that finds the path drained must
-	// not run beside a write-back still in flight.
-	if v.inline {
-		c.writeback(op.Path, op.Stat.Inline)
-	}
 	if v.spill {
 		// What an fsync spilled goes to the DFS once the file's create has
-		// committed (§III.D.2).
-		data, _ := r.spillTake(op.Path)
-		c.writeback(op.Path, data)
+		// committed (§III.D.2), through the file interface: the spill may
+		// be longer than the size the create carried. Like the wave's
+		// bytes it goes before the terminal.
+		if data, _ := r.spillTake(op.Path); len(data) > 0 {
+			r.backendRPCs.Add(1)
+			var err error
+			if c.now, err = c.backend.WriteAt(c.now, op.Path, 0, data); err != nil {
+				c.lostBytes()
+			}
+		}
 	}
 	switch v.end {
 	case endCommitted:
@@ -477,36 +532,33 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 	return false
 }
 
-// settle sends the cleanups conclude gathered since the last call: one
-// settle_multi round trip per owning cache server, all leaving at the
-// process's current virtual time. Every path that appends to c.settles
-// ends in a settle before the loop dequeues again or arrives at a
-// barrier, so a drained region has no cleanup outstanding. A cache
-// server that cannot be reached loses its share, as it lost the
-// single-key cleanups before: the entries it holds are gone with it.
+// settle sends, now and on their own, the cleanups that found no batch to
+// leave beside. The loop calls it wherever the wait would otherwise be
+// open-ended or observable — before it blocks on an empty queue, before
+// it arrives at a barrier, when the queue closes — so an idle node's
+// entries become clean and a drained region has no cleanup outstanding.
 func (c *committer) settle() {
-	if len(c.settles) == 0 {
-		return
+	if len(c.settles) > 0 {
+		c.now = c.sendSettles(c.now)
 	}
-	_, owners, done, _ := c.cache.SettleMulti(c.now, c.settles)
-	c.settles = c.settles[:0]
-	c.r.cacheRPCs.Add(int64(owners))
-	c.now = done
 }
 
-// writeback writes a committed create's bytes, if it has any, through
-// the file interface. A failure loses acked data and is counted as a
-// backend_error drop, like every drop under one of the reasons (see
-// conclude), though no op ends here: the create has committed.
-func (c *committer) writeback(path string, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	c.r.backendRPCs.Add(1)
-	done, err := c.backend.WriteAt(c.now, path, 0, data)
-	c.now = done
-	if err != nil {
-		c.r.dropped.Add(1)
-		c.r.droppedBackend.Add(1)
-	}
+// sendSettles sends the cleanups conclude gathered: one settle_multi
+// round trip per owning cache server, all leaving at at. A cache server
+// that cannot be reached loses its share, as it lost the single-key
+// cleanups before: the entries it holds are gone with it.
+func (c *committer) sendSettles(at vclock.Time) vclock.Time {
+	_, owners, done, _ := c.cache.SettleMulti(at, c.settles)
+	c.settles = c.settles[:0]
+	c.r.cacheRPCs.Add(int64(owners))
+	return done
+}
+
+// lostBytes accounts a committed create's bytes that the data path
+// refused. That loses acked data and is counted as a backend_error drop,
+// like every drop under one of the reasons (see conclude), though no op
+// ends here: the create has committed.
+func (c *committer) lostBytes() {
+	c.r.dropped.Add(1)
+	c.r.droppedBackend.Add(1)
 }

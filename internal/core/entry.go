@@ -546,8 +546,9 @@ var (
 type commitVerdict struct {
 	end    commitEnd
 	settle *memcache.Settle // nil: the entry is owed nothing
-	// inline, spill: the bytes a committed create owes the DFS copy — its
-	// inline content, and what an fsync spilled (§III.D.2).
+	// inline, spill: the bytes a landed op owes the DFS copy — its inline
+	// content, which leaves in the wave's one WriteBatch, and what an
+	// fsync spilled before the create committed (§III.D.2).
 	inline, spill bool
 	reason        string
 }
@@ -556,7 +557,7 @@ var (
 	rowResubmit      = commitVerdict{end: endResubmit}
 	rowCreateLanded  = commitVerdict{end: endCommitted, settle: settleClear, inline: true, spill: true}
 	rowRemoveLanded  = commitVerdict{end: endCommitted, settle: settleDeleteSeqRemoved}
-	rowSetStatLanded = commitVerdict{end: endCommitted, settle: settleClear}
+	rowSetStatLanded = commitVerdict{end: endCommitted, settle: settleClear, inline: true}
 	// rowDiscardCreate is the discard rule, applied before the DFS is
 	// asked: a creation inside a directory being removed never reaches
 	// it, and its cache entry is cleaned (§III.D.1).

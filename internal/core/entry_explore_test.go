@@ -472,7 +472,7 @@ func (x *explorer) observe(s *xState, c *xClient, got string) bool {
 }
 
 // stepCommit applies the queue's head to the DFS and carries out the row
-// commitOutcome answers with, as committer.finish does.
+// commitOutcome answers with, as committer.classify and conclude do.
 func (x *explorer) stepCommit(s *xState) bool {
 	op := s.queue[0]
 	var err error
@@ -485,9 +485,7 @@ func (x *explorer) stepCommit(s *xState) bool {
 		err = fsapi.ErrNotExist
 	case op.Kind == OpRemove:
 		s.dfs = xDFS{}
-	case op.inlineWrite():
-		s.dfs.write(0, op.Stat.Inline)
-	default:
+	default: // a setstat, inline or not, is a BatchSetStat
 		s.dfs.setSize(op.Stat.Size)
 	}
 	var ent cacheVal

@@ -53,6 +53,16 @@ type Backend interface {
 	RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
 	Rename(at vclock.Time, src, dst string) (vclock.Time, error)
 	WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error)
+	// WriteBatch writes whole small files, each at offset 0, in as few
+	// round trips as possible (one per data server touched) — the bytes a
+	// commit wave owes, right after the wave's ApplyBatch created the
+	// files or set their stats. A FileWrite carries no size because that
+	// batch carried it: an implementation asks the metadata service
+	// nothing and updates nothing there, which WriteAt, a write into a
+	// file of unknown size, must. The error slice has one entry per file;
+	// a non-nil batch-level error is read as that error on every file.
+	// files is the commit process's scratch: not to be kept past the call.
+	WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, vclock.Time, error)
 	// InvalidateSubtree drops whatever client-local lookup state the
 	// implementation keeps at or under root (dfs.Client's directory
 	// cache); a region calls it on every backend it built when an rmdir

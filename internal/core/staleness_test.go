@@ -158,7 +158,8 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 
 // failBackend fails the commit side with a permanent (non-resubmittable)
 // error, driving the backend_error drops: every metadata op of every
-// batch, or — writes set — every data write instead, metadata passing.
+// batch, or — writes set — every file of every wave's data write instead,
+// metadata passing.
 type failBackend struct {
 	Backend
 	err    error
@@ -172,11 +173,11 @@ func (f *failBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, 
 	return refused(len(ops), f.err), at, nil
 }
 
-func (f *failBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
+func (f *failBackend) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, vclock.Time, error) {
 	if f.writes {
-		return at, f.err
+		return refused(len(files), f.err), at, nil
 	}
-	return f.Backend.WriteAt(at, p, off, data)
+	return f.Backend.WriteBatch(at, files)
 }
 
 // TestDropReasonCounters: a permanently failing commit must land in the
@@ -198,7 +199,7 @@ func TestDropReasonCounters(t *testing.T) {
 
 			// Create and write reach the commit process in one dequeue
 			// and coalesce into a create carrying the bytes: its commit
-			// is the metadata op and then the write-back.
+			// is the metadata op and then its share of the wave's bytes.
 			release := holdCommits(t, e.region)
 			at, err := c.Create(0, "/w/doomed", 0o644)
 			if err != nil {

@@ -68,22 +68,25 @@ func (r *Region) opDiscarded(op Op) {
 	r.opTerminal(op, obs.StageDiscard, "under active rmdir")
 }
 
-// commitTrace tags the commit process's cache and backend callers with
-// a sampled op's span, so the server-side events of a wave's RPCs (the
-// apply_batch and the data writes, the cache lookup of an ErrExist) land
-// in the originating client op's span — the span of the wave's first
-// sampled op, on a first attempt and on a resubmission alike. The wave's
-// settle_multi is sent untagged: it runs after every op of the wave has
-// reached its terminal and belongs to no one of them. Returns the untag
-// closure, or nil for unsampled ops (the common case — no allocation).
+// commitTrace tags the commit process's backend caller with a sampled
+// op's span for the length of a wave, and remembers it for the one cache
+// read a wave can make (classify tags that read alone), so the
+// server-side events of the wave's RPCs (the apply_batch and the data
+// writes, the cache lookup of an ErrExist) land in the originating client
+// op's span — the span of the wave's first sampled op, on a first attempt
+// and on a resubmission alike. No settle_multi is ever tagged: the
+// settles leaving beside this wave's batch are the previous wave's, and
+// this wave's own leave after every op of it has reached its terminal.
+// Returns the untag closure, or nil for unsampled ops (the common case —
+// no allocation).
 func (c *committer) commitTrace(op Op) func() {
 	if !op.Sampled || op.Span == 0 {
 		return nil
 	}
-	c.cache.SetTrace(op.Span)
+	c.span = op.Span
 	c.backend.SetTrace(op.Span)
 	return func() {
-		c.cache.ClearTrace()
+		c.span = 0
 		c.backend.ClearTrace()
 	}
 }

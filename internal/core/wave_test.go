@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
+	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 )
 
@@ -53,15 +55,18 @@ func (h *rpcHook) count(method string) int {
 }
 
 // commitSpy is a Backend as one commit process sees it: it records each
-// ApplyBatch and WriteAt — the only mutations a Backend has — and
-// forwards them unless told to refuse every op with a resubmittable
-// error. Driven from a test committer's one goroutine, so it needs no
-// lock.
+// ApplyBatch, WriteBatch and WriteAt — the only mutations a Backend has
+// — and forwards them unless told to refuse every op with a
+// resubmittable error, or to fail the next WriteBatch's files with
+// failBytes. Driven from a test committer's one goroutine, so it needs
+// no lock.
 type commitSpy struct {
 	Backend
-	refuse  bool
-	batches [][]fsapi.BatchOp
-	writes  []string
+	refuse    bool
+	failBytes error
+	batches   [][]fsapi.BatchOp
+	bytes     [][]fsapi.FileWrite
+	writes    []string
 }
 
 func (s *commitSpy) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
@@ -70,6 +75,15 @@ func (s *commitSpy) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vc
 		return s.Backend.ApplyBatch(at, ops)
 	}
 	return refused(len(ops), fsapi.ErrNotExist), at, nil
+}
+
+func (s *commitSpy) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, vclock.Time, error) {
+	s.bytes = append(s.bytes, append([]fsapi.FileWrite(nil), files...))
+	if err := s.failBytes; err != nil {
+		s.failBytes = nil
+		return refused(len(files), err), at, nil
+	}
+	return s.Backend.WriteBatch(at, files)
 }
 
 func (s *commitSpy) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
@@ -146,8 +160,8 @@ func TestRetrySweepIsBatched(t *testing.T) {
 	if !reflect.DeepEqual(sizes, []int{8, 8, 4}) {
 		t.Fatalf("sweep sent batches of %v ops, want [8 8 4]", sizes)
 	}
-	if len(spy.writes) != 0 {
-		t.Fatalf("sweep made %d writes, want none", len(spy.writes))
+	if len(spy.bytes)+len(spy.writes) != 0 {
+		t.Fatalf("sweep made %d data writes, want none", len(spy.bytes)+len(spy.writes))
 	}
 	after := e.region.Stats()
 	if got := after.Committed - before.Committed; got != k+1 {
@@ -163,10 +177,11 @@ func TestRetrySweepIsBatched(t *testing.T) {
 }
 
 // TestWaveIsOneApplyBatch: whatever a dequeue holds, the backend sees
-// one ApplyBatch for its metadata ops and one WriteAt per data write —
+// one ApplyBatch for its ops and one WriteBatch for the bytes they owe —
 // a creation under an active rmdir is discarded as the wave is built
-// and never gets there, an inline setstat is a data write, and a
-// net-absence remove carries its marker.
+// and never gets there, an inline setstat is a BatchSetStat carrying the
+// size and none of the bytes, and a net-absence remove carries its
+// marker.
 func TestWaveIsOneApplyBatch(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	c := e.client(t, "node0")
@@ -205,7 +220,10 @@ func TestWaveIsOneApplyBatch(t *testing.T) {
 	e.region.delRemoving("/w/d")
 	after := e.region.Stats()
 
+	sized := written
+	sized.Inline = nil
 	want := []fsapi.BatchOp{
+		{Kind: fsapi.BatchSetStat, Path: "/w/small", Stat: sized},
 		{Kind: fsapi.BatchRemove, Path: "/w/ghost", IfExists: true},
 		{Kind: fsapi.BatchCreate, Path: "/w/a", Stat: file},
 		{Kind: fsapi.BatchCreate, Path: "/w/b", Stat: file},
@@ -213,8 +231,8 @@ func TestWaveIsOneApplyBatch(t *testing.T) {
 	if len(spy.batches) != 1 || !reflect.DeepEqual(spy.batches[0], want) {
 		t.Fatalf("backend saw batches %+v, want one of %+v", spy.batches, want)
 	}
-	if !reflect.DeepEqual(spy.writes, []string{"/w/small"}) {
-		t.Fatalf("backend saw writes %v, want one write of /w/small", spy.writes)
+	if wantBytes := [][]fsapi.FileWrite{{{Path: "/w/small", Data: []byte("data")}}}; !reflect.DeepEqual(spy.bytes, wantBytes) || len(spy.writes) != 0 {
+		t.Fatalf("backend saw data writes %v and %v, want one WriteBatch of /w/small", spy.bytes, spy.writes)
 	}
 	if got := after.Committed - before.Committed; got != 4 {
 		t.Fatalf("committed %d ops, want 4", got)
@@ -223,12 +241,19 @@ func TestWaveIsOneApplyBatch(t *testing.T) {
 		t.Fatalf("discarded %d, parked %d; want the doomed create discarded and nothing parked",
 			after.Discarded-before.Discarded, len(cm.pending.ops))
 	}
-	if after.BackendRPCs-before.BackendRPCs != 2 || after.BatchRPCs-before.BatchRPCs != 1 || after.BatchedOps-before.BatchedOps != 3 {
-		t.Fatalf("wave accounted %+v over %+v, want 2 backend round trips, 1 batch of 3", after, before)
+	if after.BackendRPCs-before.BackendRPCs != 2 || after.BatchRPCs-before.BatchRPCs != 1 || after.BatchedOps-before.BatchedOps != 4 {
+		t.Fatalf("wave accounted %+v over %+v, want 2 backend round trips, 1 batch of 4", after, before)
 	}
+	// The discard was concluded while the wave was built, so its cleanup
+	// left beside the wave's batch; the wave's own are still waiting for
+	// the next one.
 	if _, ok := findEntry(t, e.region, "/w/d/doomed"); ok {
-		t.Fatal("discarded create's cache entry not settled away")
+		t.Fatal("discarded create's cache entry not settled away beside the batch")
 	}
+	if got := after.CacheRPCs - before.CacheRPCs; got != 1 || len(cm.settles) != 4 {
+		t.Fatalf("%d cache round trips, %d settles waiting; want the discard's one and the wave's four", got, len(cm.settles))
+	}
+	cm.settle()
 	if e.dfs.MDS.Tree().Exists("/w/d/doomed") || !e.dfs.MDS.Tree().Exists("/w/a") || !e.dfs.MDS.Tree().Exists("/w/b") {
 		t.Fatal("DFS does not hold exactly the two plain creates")
 	}
@@ -321,8 +346,9 @@ func TestDeadShardCostsOnlyItsOwnOps(t *testing.T) {
 // directory's Rmdir holds its window open ride the wave like any other
 // — removes (a net-absence remove among them) in its one apply_batch,
 // committed or, when the DFS never had the file, discarded; an inline
-// setstat through its data write — while a create in the same wave
-// meets the discard rule without reaching the DFS. CommitBatchSize is a
+// setstat beside them, its bytes in the wave's WriteBatch — while a
+// create in the same wave meets the discard rule without reaching the
+// DFS. CommitBatchSize is a
 // width, not a second path: at 1 the same code sends one op per round
 // trip and every outcome and every cleanup is the same.
 func TestRemovesUnderActiveRmdirRideTheBatch(t *testing.T) {
@@ -424,17 +450,20 @@ func TestRemovesUnderActiveRmdirRideTheBatch(t *testing.T) {
 			t.Fatalf("cache still holds %+v: marker or discarded create not cleaned, or the write still dirty", ent)
 		}
 	}
-	// One wave: the six removes in one apply_batch, the inline write, and
-	// nothing else to the DFS (the create never got there), then one
-	// settle_multi to the region's one cache server for all eight
-	// cleanups.
-	if rpcs.BatchRPCs != 1 || rpcs.BatchedOps != 6 || rpcs.BackendRPCs != 2 || rpcs.CacheRPCs != 1 {
-		t.Fatalf("wave cost = %+v, want 1 apply_batch of 6 ops, 2 backend and 1 cache round trip", rpcs)
+	// One wave: the six removes and the setstat in one apply_batch, the
+	// setstat's bytes, and nothing else to the DFS (the create never got
+	// there). Two settle_multi to the region's one cache server: the
+	// discarded create's cleanup, queued as the wave was built, beside the
+	// wave's batch, and the wave's own seven before the barrier arrival.
+	if rpcs.BatchRPCs != 1 || rpcs.BatchedOps != 7 || rpcs.BackendRPCs != 2 || rpcs.CacheRPCs != 2 {
+		t.Fatalf("wave cost = %+v, want 1 apply_batch of 7 ops, 2 backend and 2 cache round trips", rpcs)
 	}
 
+	// Seven waves of one: each one's cleanup leaves beside the next one's
+	// batch (the discard's with f4's), the last before the barrier arrival.
 	single, rpcs := run(t, 1)
-	if rpcs.BatchRPCs != 6 || rpcs.BatchedOps != 6 || rpcs.BackendRPCs != 7 || rpcs.CacheRPCs != 8 {
-		t.Fatalf("width 1 cost = %+v, want the same 6 ops one per apply_batch, the write, and a settle per op", rpcs)
+	if rpcs.BatchRPCs != 7 || rpcs.BatchedOps != 7 || rpcs.BackendRPCs != 8 || rpcs.CacheRPCs != 7 {
+		t.Fatalf("width 1 cost = %+v, want the same 7 ops one per apply_batch, the bytes, and a settle per wave", rpcs)
 	}
 	if !reflect.DeepEqual(single, batched) {
 		t.Fatalf("width 8 diverged from width 1:\n width 8 %+v\n width 1 %+v", batched, single)
@@ -567,5 +596,349 @@ func TestRenameCleanupKeepsRacingCreate(t *testing.T) {
 		if p := fmt.Sprintf("/w/dst/f%02d", i); !e.dfs.MDS.Tree().Exists(p) {
 			t.Fatalf("%s missing after the rename", p)
 		}
+	}
+}
+
+// waveCounter is a Backend wrapper that counts what the commit side
+// sends: the size of each ApplyBatch and the files of each WriteBatch.
+// The client side sends neither in the tests that use it.
+type waveCounter struct {
+	Backend
+	*waveCounts
+}
+
+// waveCounts is what every waveCounter of one region adds to.
+type waveCounts struct {
+	mu      sync.Mutex
+	batches []int
+	bytes   [][]string
+}
+
+func (w *waveCounter) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
+	w.mu.Lock()
+	w.batches = append(w.batches, len(ops))
+	w.mu.Unlock()
+	return w.Backend.ApplyBatch(at, ops)
+}
+
+func (w *waveCounter) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, vclock.Time, error) {
+	paths := make([]string, len(files))
+	for i, f := range files {
+		paths[i] = f.Path
+	}
+	w.mu.Lock()
+	w.bytes = append(w.bytes, paths)
+	w.mu.Unlock()
+	return w.Backend.WriteBatch(at, files)
+}
+
+// TestWaveWithPayloadCostsOneBatchAndOneDataFanOut: eight ops in one
+// dequeue — four creates of which three carry bytes, an inline setstat,
+// three removes — are one apply_batch of eight ops and one WriteBatch of
+// four files: at most one write_multi per data server, no lookup (the
+// data path asks the MDS nothing), no second apply_batch (the setstat's
+// metadata rode the wave's), and one settle_multi. What lands is what
+// was acked, read back through a client that knows nothing of Pacon.
+func TestWaveWithPayloadCostsOneBatchAndOneDataFanOut(t *testing.T) {
+	var seen waveCounts
+	e := newEnvDeps(t, 1, func(cfg *RegionConfig) { cfg.CommitBatchSize = 16 }, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend { return &waveCounter{Backend: inner(node), waveCounts: &seen} }
+	})
+	c := e.client(t, "node0")
+	var at vclock.Time
+	var err error
+	step := func(done vclock.Time, serr error) {
+		t.Helper()
+		if at, err = done, serr; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/w/r0", "/w/r1", "/w/r2", "/w/s"} {
+		step(c.Create(at, p, 0o644))
+	}
+	step(e.region.Drain(at))
+
+	content := map[string]string{"/w/c0": "zero", "/w/c1": "one one", "/w/c2": "two two two", "/w/c3": "", "/w/s": "rewritten"}
+	release := holdCommits(t, e.region)
+	for _, p := range []string{"/w/c0", "/w/c1", "/w/c2", "/w/c3"} {
+		step(c.Create(at, p, 0o644))
+		if content[p] != "" {
+			step(c.WriteAt(at, p, 0, []byte(content[p])))
+		}
+	}
+	step(c.WriteAt(at, "/w/s", 0, []byte(content["/w/s"])))
+	for _, p := range []string{"/w/r0", "/w/r1", "/w/r2"} {
+		step(c.Remove(at, p))
+	}
+	seen.mu.Lock()
+	seen.batches, seen.bytes = nil, nil
+	seen.mu.Unlock()
+	before := e.region.Stats()
+	hook := &rpcHook{}
+	e.bus.SetObserver(hook)
+	release()
+	step(e.region.Drain(at))
+	e.bus.SetObserver(nil)
+	after := e.region.Stats()
+
+	if !reflect.DeepEqual(seen.batches, []int{8}) {
+		t.Fatalf("ApplyBatch sizes = %v, want one batch of 8", seen.batches)
+	}
+	if want := [][]string{{"/w/c0", "/w/c1", "/w/c2", "/w/s"}}; !reflect.DeepEqual(seen.bytes, want) {
+		t.Fatalf("WriteBatch files = %v, want %v", seen.bytes, want)
+	}
+	if got := hook.count("apply_batch"); got != 1 {
+		t.Fatalf("%d apply_batch round trips, want 1: a one-op batch for the setstat is back", got)
+	}
+	if got := hook.count("write_multi"); got < 1 || got > len(e.dfs.Data) {
+		t.Fatalf("%d write_multi round trips, want 1..%d (one per data server touched)", got, len(e.dfs.Data))
+	}
+	if got := hook.count("lookup"); got != 0 {
+		t.Fatalf("%d lookups on the MDS: the data path is asking for stats again", got)
+	}
+	if got := hook.count("settle_multi"); got != 1 {
+		t.Fatalf("%d settle_multi round trips, want the wave's one", got)
+	}
+	if after.BatchRPCs-before.BatchRPCs != 1 || after.BatchedOps-before.BatchedOps != 8 ||
+		after.BackendRPCs-before.BackendRPCs != 2 || after.Committed-before.Committed != 8 || after.Dropped != before.Dropped {
+		t.Fatalf("wave accounted %+v over %+v, want 1 batch of 8, 2 backend round trips, 8 committed", after, before)
+	}
+
+	raw := e.dfs.NewClient("direct", appCred, 0, 0)
+	for p, want := range content {
+		st, _, err := raw.Stat(at, p)
+		if err != nil || st.Size != int64(len(want)) {
+			t.Fatalf("%s on the DFS = %+v, %v; want size %d", p, st, err, len(want))
+		}
+		if got, _, err := raw.ReadAt(at, p, 0, 64); err != nil || string(got) != want {
+			t.Fatalf("%s on the DFS holds %q, %v; want %q", p, got, err, want)
+		}
+		if ent := mustEntry(t, e.region, p, "after the drain"); ent.Dirty {
+			t.Fatalf("%s still dirty after the drain: %+v", p, ent)
+		}
+	}
+	for _, p := range []string{"/w/r0", "/w/r1", "/w/r2"} {
+		if _, ok := findEntry(t, e.region, p); ok || e.dfs.MDS.Tree().Exists(p) {
+			t.Fatalf("%s survived its remove (cached: %v)", p, ok)
+		}
+	}
+}
+
+// TestInlineSetStatBytesResubmitOnErrClosed: an inline setstat is its
+// bytes. When the data path answers them with a transient error the
+// setstat takes that as its result, parks, and lands on resubmission —
+// metadata sent again, bytes sent again, the same content on the DFS.
+func TestInlineSetStatBytesResubmitOnErrClosed(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	c := e.client(t, "node0")
+	at, err := c.Create(0, "/w/s", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	cm, spy := spiedCommitter(e)
+	st := fsapi.NewFileStat(appCred, 0o644)
+	st.Inline, st.Size = []byte("payload"), 7
+	before := e.region.Stats()
+	spy.failBytes = fmt.Errorf("data server gone: %w", fsapi.ErrClosed)
+	cm.applyOps([]Op{{Kind: OpSetStat, Path: "/w/s", Seq: 1 << 40, Stat: st}}, false)
+	if s := e.region.Stats(); len(cm.pending.ops) != 1 || s.Committed != before.Committed || s.Dropped != before.Dropped {
+		t.Fatalf("after the failed bytes: %d parked, %+v; want the setstat parked, nothing committed or dropped", len(cm.pending.ops), s)
+	}
+	cm.retryPendingOnce(false)
+	cm.settle()
+	after := e.region.Stats()
+	if len(cm.pending.ops) != 0 || after.Committed != before.Committed+1 || after.Retries != before.Retries+1 || after.Dropped != before.Dropped {
+		t.Fatalf("after the resubmission: %d parked, %+v over %+v; want one retry, one commit", len(cm.pending.ops), after, before)
+	}
+	if len(spy.batches) != 2 || len(spy.bytes) != 2 || !reflect.DeepEqual(spy.bytes[0], spy.bytes[1]) {
+		t.Fatalf("backend saw %d batches and byte writes %v, want the setstat and the same bytes twice", len(spy.batches), spy.bytes)
+	}
+	raw := e.dfs.NewClient("direct", appCred, 0, 0)
+	if got, _, err := raw.ReadAt(at, "/w/s", 0, 64); err != nil || string(got) != "payload" {
+		t.Fatalf("DFS holds %q, %v; want the acked bytes", got, err)
+	}
+}
+
+// TestSettleLeavesBesideTheNextBatch: a wave's cleanup is not waited for
+// at the wave's end. At width 1, create f and remove f are two waves: the
+// create's clear leaves beside the remove's apply_batch and, guarded by
+// the create's seq, does nothing to the marker that replaced its entry;
+// the remove's own delete goes before the barrier arrival. Neither entry
+// nor file is left, in two settle_multi round trips.
+func TestSettleLeavesBesideTheNextBatch(t *testing.T) {
+	e := newEnv(t, 1, func(cfg *RegionConfig) { cfg.CommitBatchSize = 1 })
+	c := e.client(t, "node0")
+	release := holdCommits(t, e.region)
+	at, err := c.Create(0, "/w/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Remove(at, "/w/f"); err != nil {
+		t.Fatal(err)
+	}
+	// After the first settle_multi — the create's clear, riding the
+	// remove's batch — the marker must still be there, still dirty.
+	var afterFirst []CacheEntry
+	hook := &rpcHook{}
+	hook.fn = func(method string) {
+		if method == "settle_multi" && afterFirst == nil {
+			afterFirst, _ = e.region.DumpCache()
+		}
+	}
+	e.bus.SetObserver(hook)
+	release()
+	_, err = e.region.Drain(at)
+	e.bus.SetObserver(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hook.count("apply_batch") != 2 || hook.count("settle_multi") != 2 {
+		t.Fatalf("%d apply_batch, %d settle_multi; want two waves and a settle each", hook.count("apply_batch"), hook.count("settle_multi"))
+	}
+	marker := false
+	for _, ent := range afterFirst {
+		marker = marker || ent.Path == "/w/f" && ent.Removed && ent.Dirty
+	}
+	if !marker {
+		t.Fatalf("after the create's clear the cache held %+v, want /w/f's removed marker untouched", afterFirst)
+	}
+	if _, ok := findEntry(t, e.region, "/w/f"); ok || e.dfs.MDS.Tree().Exists("/w/f") {
+		t.Fatalf("/w/f survived: cached %v, on the DFS %v", ok, e.dfs.MDS.Tree().Exists("/w/f"))
+	}
+}
+
+// TestIdleNodeSettlesWithoutABarrier: a wave with nothing queued behind
+// it does not wait for a batch to leave beside: its entries become clean
+// on their own, no barrier driving the commit process, and eviction can
+// take them.
+func TestIdleNodeSettlesWithoutABarrier(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	c := e.client(t, "node0")
+	barriers := e.region.Stats()
+	at, err := c.Create(0, "/w/lone", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ent := mustEntry(t, e.region, "/w/lone", "while committing"); !ent.Dirty {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a lone wave's entry never became clean: its settle is waiting for a batch that does not come")
+		}
+	}
+	if s := e.region.Stats(); s.BarriersFull != barriers.BarriersFull || s.BarriersScoped != barriers.BarriersScoped {
+		t.Fatalf("a barrier ran: %+v", s)
+	}
+	evict(t, e.region, c, at, "/w/lone", false)
+	if _, ok := findEntry(t, e.region, "/w/lone"); ok {
+		t.Fatal("eviction refused the settled entry")
+	}
+}
+
+// TestDrainLeavesNoDirtyKey: every cleanup reaches the cache before a
+// commit process reports its arrival, so the moment Drain returns no
+// entry is dirty and no marker is left — nothing to poll for.
+func TestDrainLeavesNoDirtyKey(t *testing.T) {
+	e := newEnv(t, 2, nil)
+	a, b := e.client(t, "node0"), e.client(t, "node1")
+	var at vclock.Time
+	var err error
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 40; i++ {
+			c := a
+			if i%2 == 1 {
+				c = b
+			}
+			p := fmt.Sprintf("/w/f%d-%02d", round, i)
+			if at, err = c.Create(at, p, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 0 {
+				if at, err = c.WriteAt(at, p, 0, []byte(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%5 == 0 {
+				if at, err = c.Remove(at, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		if dirty, removed := e.region.headerCounts(); dirty != 0 || removed != 0 {
+			t.Fatalf("round %d: Drain returned with %d dirty keys and %d markers", round, dirty, removed)
+		}
+	}
+}
+
+// TestWaveCompletesAtTheSameVirtualTimeOnBusAndTCP: two waves with
+// payload — the second's apply_batch with the first's settles beside it,
+// each one's bytes fanned out over three data servers, the settles over
+// two cache servers — end at the same virtual instant whether the
+// handlers run in place or across loopback sockets: a fan-out costs its
+// slowest branch from the instant it left, on either transport.
+func TestWaveCompletesAtTheSameVirtualTimeOnBusAndTCP(t *testing.T) {
+	run := func(net rpc.Network) (vclock.Time, RegionStats) {
+		model := vclock.Default()
+		cluster := dfs.NewCluster(net, model, rootCred, "storage0", []string{"storage1", "storage2", "storage3"})
+		if _, err := cluster.NewClient("admin", rootCred, 0, 0).Mkdir(0, "/w", 0o777); err != nil {
+			t.Fatal(err)
+		}
+		newBackend := func(node string) Backend { return cluster.NewClient(node, appCred, 4096, time.Hour) }
+		region, err := NewRegion(RegionConfig{Name: "app", Workspace: "/w", Nodes: []string{"node0", "node1"}, Cred: appCred, Model: model},
+			Deps{Bus: net, NewBackend: newBackend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer region.Close()
+		cm := region.newCommitter("node0", newBackend("node0"))
+		const at = vclock.Time(1 << 30)
+		file := func(n int) fsapi.Stat {
+			st := fsapi.NewFileStat(appCred, 0o644)
+			st.Mtime, st.Ctime = 1, 1
+			if n > 0 {
+				st.Inline, st.Size = make([]byte, n), int64(n)
+			}
+			return st
+		}
+		first := make([]Op, 8)
+		for i := range first {
+			first[i] = Op{Kind: OpCreate, Path: fmt.Sprintf("/w/f%d", i), Seq: uint64(1<<40 + i), Time: at, Stat: file(i * 300)}
+		}
+		cm.applyOps(first, false)
+		cm.applyOps([]Op{
+			{Kind: OpRemove, Path: "/w/f0", Seq: 1<<41 + 0, Time: at},
+			{Kind: OpRemove, Path: "/w/f1", Seq: 1<<41 + 1, Time: at},
+			{Kind: OpSetStat, Path: "/w/f2", Seq: 1<<41 + 2, Time: at, Stat: file(4000)},
+			{Kind: OpCreate, Path: "/w/g", Seq: 1<<41 + 3, Time: at, Stat: file(64)},
+		}, false)
+		cm.settle()
+		touched := 0
+		for _, d := range cluster.Data {
+			if d.ChunkCount() > 0 {
+				touched++
+			}
+		}
+		if s := region.Stats(); touched != 3 || s.Committed != 12 || s.Dropped != 0 || len(cm.pending.ops) != 0 {
+			t.Fatalf("%d data servers touched, %+v, %d parked; want all three and twelve commits", touched, s, len(cm.pending.ops))
+		}
+		return cm.now, region.Stats()
+	}
+	tcp := rpc.NewTCPNetwork()
+	defer tcp.Close()
+	busDone, busStats := run(rpc.NewBus())
+	tcpDone, tcpStats := run(tcp)
+	if busDone != tcpDone {
+		t.Fatalf("two waves with payload end at %v on the bus, %v over TCP", busDone, tcpDone)
+	}
+	if busStats != tcpStats {
+		t.Fatalf("the waves cost %+v on the bus, %+v over TCP", busStats, tcpStats)
 	}
 }

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -637,21 +638,37 @@ func chunkSpan(pos int64, want int) (chunk int64, inOff, n int) {
 	return pos / ChunkSize, inOff, min(want, ChunkSize-inOff)
 }
 
-// serverFor maps a chunk of a path to its data server, striping
-// consecutive chunks round-robin from a per-file starting server.
-func (c *Client) serverFor(p string, chunk int64) string {
+// serverIndex maps a chunk of a path to its data server's position in
+// DataAddrs, striping consecutive chunks round-robin from a per-file
+// starting server.
+func (c *Client) serverIndex(p string, chunk int64) int {
 	h := fnv.New32a()
 	h.Write([]byte(p))
-	i := (int64(h.Sum32()) + chunk) % int64(len(c.cfg.DataAddrs))
-	return c.cfg.DataAddrs[i]
+	return int((int64(h.Sum32()) + chunk) % int64(len(c.cfg.DataAddrs)))
 }
 
-// WriteAt stripes data across the data servers and bumps the file size
-// at the MDS if the write extends it.
+func (c *Client) serverFor(p string, chunk int64) string {
+	return c.cfg.DataAddrs[c.serverIndex(p, chunk)]
+}
+
+var errNoDataServers = errors.New("dfs: no data servers configured")
+
+// encodeWrite appends one write_multi entry: data goes to offset inOff of
+// chunk `chunk` of p.
+func encodeWrite(e *wire.Encoder, p string, chunk int64, inOff int, data []byte) {
+	e.String(p)
+	e.Int64(chunk)
+	e.Uint32(uint32(inOff))
+	e.Blob(data)
+}
+
+// WriteAt stripes data across the data servers, one write_multi frame of
+// one entry per chunk touched, and bumps the file size at the MDS if the
+// write extends it.
 func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	if len(c.cfg.DataAddrs) == 0 {
-		return at, fmt.Errorf("dfs: no data servers configured")
+		return at, errNoDataServers
 	}
 	st, at, err := c.Stat(at, p)
 	if err != nil {
@@ -663,11 +680,9 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 	for n := 0; n < len(data); {
 		chunk, inOff, room := chunkSpan(off+int64(n), len(data)-n)
 		e := wire.GetEncoder()
-		e.String(p)
-		e.Int64(chunk)
-		e.Uint32(uint32(inOff))
-		e.Blob(data[n : n+room])
-		done, _, err := c.call(c.serverFor(p, chunk), "write", at, e)
+		e.Uvarint(1)
+		encodeWrite(e, p, chunk, inOff, data[n:n+room])
+		done, _, err := c.call(c.serverFor(p, chunk), "write_multi", at, e)
 		if err != nil {
 			return done, err
 		}
@@ -681,11 +696,108 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 	return at, nil
 }
 
+// WriteBatch writes whole small files, each at offset 0, for a caller
+// that has just created them or set their stat — a commit wave, whose
+// apply_batch carried every file's size and was answered a moment ago.
+// So nothing here asks the MDS anything: no Stat, no size update, and a
+// dead metadata shard cannot fail a write-back. Each data server touched
+// gets one write_multi holding its share of the files, all leaving at
+// `at`. The returned slice has one entry per file — nil for success, a
+// server's error for every file with a piece on it — and that is all
+// there is to read; the batch-level error is for a client with no data
+// servers, and for core.Backend implementations that cannot say more.
+func (c *Client) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, vclock.Time, error) {
+	if len(c.cfg.DataAddrs) == 0 {
+		return nil, at, errNoDataServers
+	}
+	errs := make([]error, len(files))
+	// The common wave owes two or three small files and they often share
+	// a server: that one is called right here, and nothing below is built.
+	lone, entries, spread := -1, 0, false
+	for i := range files {
+		f := &files[i]
+		f.Path = namespace.Clean(f.Path)
+		if len(f.Data) == 0 {
+			continue
+		}
+		srv := c.serverIndex(f.Path, 0)
+		spread = spread || len(f.Data) > ChunkSize || lone >= 0 && srv != lone
+		lone = srv
+		entries++
+	}
+	switch {
+	case entries == 0:
+		return errs, at, nil
+	case spread:
+		return errs, c.writeFanOut(at, files, errs), nil
+	}
+	e := wire.GetEncoder()
+	e.Uvarint(uint64(entries))
+	for i := range files {
+		if f := &files[i]; len(f.Data) > 0 {
+			encodeWrite(e, f.Path, 0, 0, f.Data)
+		}
+	}
+	done, _, err := c.call(c.cfg.DataAddrs[lone], "write_multi", at, e)
+	if err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+	}
+	return errs, done, nil
+}
+
+// writeFanOut is WriteBatch over several data servers: count each
+// server's entries, send every server touched its frame from the same
+// virtual instant, and give each file the error of the first server, in
+// stripe order, that failed a piece of it.
+func (c *Client) writeFanOut(at vclock.Time, files []fsapi.FileWrite, errs []error) vclock.Time {
+	n := len(c.cfg.DataAddrs)
+	// One allocation: entries per server, the servers touched, and each
+	// file's first server (piece k of a file goes to server first+k).
+	scratch := make([]int, 2*n+len(files))
+	counts, touched, first := scratch[:n], scratch[n:n], scratch[2*n:]
+	for i := range files {
+		first[i] = c.serverIndex(files[i].Path, 0)
+		for k := 0; k*ChunkSize < len(files[i].Data); k++ {
+			counts[(first[i]+k)%n]++
+		}
+	}
+	for srv, entries := range counts {
+		if entries > 0 {
+			touched = append(touched, srv)
+		}
+	}
+	failed := make([]error, n)
+	done := c.caller.FanOut(at, len(touched), false, func(t int) vclock.Time {
+		to := touched[t]
+		e := wire.GetEncoder()
+		e.Uvarint(uint64(counts[to]))
+		for i := range files {
+			data := files[i].Data
+			for k := 0; k*ChunkSize < len(data); k++ {
+				if (first[i]+k)%n == to {
+					encodeWrite(e, files[i].Path, int64(k), 0, data[k*ChunkSize:min((k+1)*ChunkSize, len(data))])
+				}
+			}
+		}
+		done, _, err := c.call(c.cfg.DataAddrs[to], "write_multi", at, e)
+		failed[to] = err
+		return done
+	})
+	for i := range files {
+		for k := 0; k*ChunkSize < len(files[i].Data) && errs[i] == nil; k++ {
+			errs[i] = failed[(first[i]+k)%n]
+		}
+	}
+	return done
+}
+
 // ReadAt reads up to n bytes from the striped chunks.
 func (c *Client) ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error) {
 	p = namespace.Clean(p)
 	if len(c.cfg.DataAddrs) == 0 {
-		return nil, at, fmt.Errorf("dfs: no data servers configured")
+		return nil, at, errNoDataServers
 	}
 	st, at, err := c.Stat(at, p)
 	if err != nil {

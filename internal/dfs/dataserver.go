@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -49,10 +50,9 @@ func (s *DataServer) ioCost(n int) vclock.Duration {
 	return s.model.DataChunkCost + vclock.Duration(int64(s.model.DataPerKB)*int64(n)/1024)
 }
 
-// writeChunk stores data at [off, off+len) within one chunk.
+// writeChunk stores data at [off, off+len) within one chunk. The caller
+// holds s.mu and has checked that the range ends inside the chunk.
 func (s *DataServer) writeChunk(path string, idx int64, off int, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	key := chunkKey{path: path, idx: idx}
 	chunk := s.chunks[key]
 	if need := off + len(data); len(chunk) < need {
@@ -99,23 +99,59 @@ func (s *DataServer) ChunkCount() int {
 	return len(s.chunks)
 }
 
-// Service exposes the data-server RPC methods.
-func (s *DataServer) Service() *rpc.Service {
-	svc := rpc.NewService()
-	svc.Handle("write", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.NewDecoder(body)
+var errOutsideChunk = errors.New("dfs: write_multi entry reaches outside its chunk")
+
+// writeMulti is the one write endpoint: a count-guarded frame of
+// {path, chunk, inOff, blob} entries, one entry for each chunk-sized
+// piece a client's write touches on this server — a striped WriteAt
+// sends frames of one, a commit wave's WriteBatch one frame holding this
+// server's share of the wave's small files. The frame is read twice.
+// The first pass decodes all of it and checks every entry, touching
+// nothing: a piece must end inside its chunk (inOff comes off the wire,
+// and writeChunk sizes a chunk by it) and a chunk index is not negative,
+// so one bad entry refuses the whole frame and nothing is sized by a
+// number the frame made up. Then the device is charged once for the sum
+// of the entries' costs, as apply_batch and settle_multi charge theirs,
+// and the second pass stores them.
+func (s *DataServer) writeMulti(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	d := wire.GetDecoder(body)
+	defer wire.PutDecoder(d)
+	n := d.Count()
+	var cost vclock.Duration
+	var total int64
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.BlobView() // the path
+		idx := d.Int64()
+		off := d.Uint32()
+		data := d.BlobView()
+		if d.Err() == nil && (idx < 0 || int64(off)+int64(len(data)) > ChunkSize) {
+			return at, nil, errOutsideChunk
+		}
+		cost += s.ioCost(len(data))
+		total += int64(len(data))
+	}
+	if err := d.Finish(); err != nil {
+		return at, nil, err
+	}
+	done := s.res.Acquire(at, cost)
+	d.Reset(body)
+	d.Count()
+	s.mu.Lock()
+	for i := 0; i < n; i++ {
 		path := d.String()
 		idx := d.Int64()
 		off := int(d.Uint32())
-		data := d.BlobView()
-		if err := d.Finish(); err != nil {
-			return at, nil, err
-		}
-		done := s.res.Acquire(at, s.ioCost(len(data)))
-		s.writeChunk(path, idx, off, data)
-		s.bytesIn.Add(int64(len(data)))
-		return done, nil, nil
-	})
+		s.writeChunk(path, idx, off, d.BlobView())
+	}
+	s.mu.Unlock()
+	s.bytesIn.Add(total)
+	return done, nil, nil
+}
+
+// Service exposes the data-server RPC methods.
+func (s *DataServer) Service() *rpc.Service {
+	svc := rpc.NewService()
+	svc.Handle("write_multi", s.writeMulti)
 	svc.Handle("read", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
 		path := d.String()

@@ -141,3 +141,87 @@ func FuzzMDSHandlers(f *testing.F) {
 		}
 	})
 }
+
+// dataMethods is every endpoint DataServer.Service registers.
+var dataMethods = []string{"write_multi", "read", "drop", "sync"}
+
+// FuzzDataServerHandlers feeds raw bytes to every endpoint the data
+// server registers, against a server holding one small file. Each must
+// return an error or a well-formed reply without panicking. A refused
+// frame leaves the chunks as they were (write_multi decodes and checks
+// the whole frame before it stores anything), and an accepted one grows
+// them by no more than it could address: an entry cannot reach past its
+// chunk, so what a frame makes resident is bounded by one chunk for each
+// entry it had room to carry — not by an offset it made up, which is
+// what the fuzzer's own memory limit would otherwise find.
+func FuzzDataServerHandlers(f *testing.F) {
+	one := writeFrame(writeEntry{path: "/w/f", data: []byte("hello")})
+	three := writeFrame(
+		writeEntry{path: "/w/a", data: []byte("aaaa")},
+		writeEntry{path: "/w/f", chunk: 3, inOff: 100, data: []byte("sparse")},
+		writeEntry{path: "/w/c", inOff: ChunkSize - 2, data: []byte("zz")},
+	)
+	read := func(off, n uint32) []byte {
+		e := wire.NewEncoder(32)
+		e.String("/w/f")
+		e.Int64(0)
+		e.Uint32(off)
+		e.Uint32(n)
+		return e.Bytes()
+	}
+	drop := wire.NewEncoder(8)
+	drop.String("/w/f")
+	for _, v := range [][]byte{one, three, read(1, 3), read(0, 1<<32-1), drop.Bytes()} {
+		f.Add(v)
+		f.Add(v[:len(v)-1])
+		f.Add(v[:len(v)/2])
+	}
+	huge := wire.NewEncoder(16)
+	huge.Uvarint(1 << 60)
+	f.Add(huge.Bytes())
+	f.Add(writeFrame(writeEntry{path: "/w/f", inOff: ChunkSize, data: []byte("x")}))
+	f.Add(writeFrame(writeEntry{path: "/w/f", inOff: 1<<32 - 1, data: []byte("x")}))
+	f.Add(writeFrame(writeEntry{path: "/w/f", chunk: -1 << 63, data: []byte("x")}))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	// The smallest entry: an empty path, a chunk, an offset, an empty blob.
+	const minEntry = 1 + 8 + 4 + 1
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, method := range dataMethods {
+			s := NewDataServer("fuzz/data", vclock.Default())
+			bus := rpc.NewBus()
+			bus.Register("fuzz/data", s.Service())
+			caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
+			if _, _, err := caller.Call("fuzz/data", "write_multi", 0, one); err != nil {
+				t.Fatal(err)
+			}
+			before, chunks, served := residentBytes(s), s.ChunkCount(), s.res.Ops()
+			_, resp, err := caller.Call("fuzz/data", method, 0, body)
+			after := residentBytes(s)
+			if err != nil {
+				if resp != nil {
+					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
+				}
+				if after != before || s.ChunkCount() != chunks || s.res.Ops() != served {
+					t.Fatalf("%s refused the frame (%v) yet %d → %d bytes resident, %d → %d chunks, %d device ops",
+						method, err, before, after, chunks, s.ChunkCount(), s.res.Ops()-served)
+				}
+				continue
+			}
+			if limit := before + len(body)/minEntry*ChunkSize; after > limit {
+				t.Fatalf("%s: a %d-byte frame left %d bytes resident, limit %d", method, len(body), after, limit)
+			}
+			d := wire.NewDecoder(resp)
+			if method == "read" {
+				if got := d.BlobView(); len(got) > before {
+					t.Fatalf("read returned %d bytes of a %d-byte file", len(got), before)
+				}
+			}
+			// Every other endpoint answers with an empty reply.
+			if ferr := d.Finish(); ferr != nil {
+				t.Fatalf("%s: malformed %d-byte reply: %v", method, len(resp), ferr)
+			}
+		}
+	})
+}

@@ -40,3 +40,12 @@ type BatchOp struct {
 	// a retried batch). ErrNotExist is success for such a remove.
 	IfExists bool
 }
+
+// FileWrite is one whole small file of a batched data write: Data goes
+// to offset 0 of Path. It carries no size: the caller has just created
+// the file or set its stat, in the same commit wave, with the size these
+// bytes have.
+type FileWrite struct {
+	Path string
+	Data []byte
+}
