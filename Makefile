@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check chaos-soak audit-check bench bench-quick bench-diff alloc-gate clean
+.PHONY: build test check chaos-soak audit-check bench bench-quick alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -55,12 +55,6 @@ bench:
 
 bench-quick:
 	GOMAXPROCS=1 $(GO) run ./cmd/paconbench -quick -json BENCH_ci.json
-
-# bench-diff compares two reports of the same scale and fails on >10%
-# regressions of direction-known metrics (throughput down, latency up).
-# Usage: make bench-diff OLD=BENCH.json NEW=/tmp/BENCH_new.json
-bench-diff:
-	$(GO) run ./cmd/benchdiff -fail $(OLD) $(NEW)
 
 # alloc-gate pins the hot paths' allocation counts. Create: one create
 # from the client call to the end of its commit — the benchmark drains

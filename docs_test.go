@@ -1,0 +1,63 @@
+package pacon_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDocsNameLiveIdentifiers keeps DESIGN.md and README.md describing
+// the system as it is: every backticked token shaped like an identifier
+// of this repository — pkg.Name, Name( or Name(), CamelCase, snake_case —
+// must occur as a word in some .go file of the tree (comments and tests
+// count: the point is that the name still means something here). Names
+// the docs take from elsewhere are exempt: exported metric names
+// (*_total, *_seconds, pacon_*, ops_dropped_*), errno words, environment
+// variables and file names.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	word := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	live := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, w := range word.FindAll(src, -1) {
+			live[string(w)] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	span := regexp.MustCompile("`[^`\n]+`")
+	// An identifier, dotted or not, with at most a call's parentheses
+	// behind it; anything else in backticks (commands, paths, expressions,
+	// prose) names no single thing and is not checked.
+	ident := regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*(\(\)?)?$`)
+	shaped := regexp.MustCompile(`[a-z0-9][A-Z]|^[A-Z][a-z]|_|\.|\($`)
+	exempt := regexp.MustCompile(`_total$|_seconds$|^pacon_|^ops_dropped_|^E[A-Z]+$|^[A-Z][A-Z0-9_]*$|\.(go|md|json|yml|txt)$`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, tok := range span.FindAllString(line, -1) {
+				tok = strings.Trim(tok, "`")
+				if !ident.MatchString(tok) || !shaped.MatchString(tok) || exempt.MatchString(tok) {
+					continue
+				}
+				for _, part := range strings.Split(strings.TrimRight(tok, "()"), ".") {
+					if !live[part] {
+						t.Errorf("%s:%d: `%s`: no .go file has the word %q", doc, i+1, tok, part)
+					}
+				}
+			}
+		}
+	}
+}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"pacon/internal/core"
@@ -237,57 +236,4 @@ func compare(cache, dfs fsapi.StatResult, large bool) string {
 		return fmt.Sprintf("size mismatch: region %d, DFS %d", cache.Stat.Size, dfs.Stat.Size)
 	}
 	return ""
-}
-
-// Auditor runs paced audits: MaybeRun is cheap to call from any
-// convenient point (a metrics scrape, a request path) and performs a
-// real audit at most once per MinInterval of wall time.
-type Auditor struct {
-	cl  *core.Client
-	cfg Config
-	// MinInterval is the minimum wall-clock spacing between runs
-	// (default 5s).
-	MinInterval time.Duration
-
-	mu       sync.Mutex
-	lastWall int64
-	last     Report
-	ran      bool
-}
-
-// NewAuditor builds a paced auditor over cl.
-func NewAuditor(cl *core.Client, cfg Config) *Auditor {
-	return &Auditor{cl: cl, cfg: cfg, MinInterval: 5 * time.Second}
-}
-
-// MaybeRun audits if MinInterval has elapsed since the previous run.
-// ran=false means the pacer suppressed it (at is returned unchanged,
-// rep is the previous report if any).
-func (a *Auditor) MaybeRun(at vclock.Time) (rep Report, done vclock.Time, ran bool, err error) {
-	a.mu.Lock()
-	now := time.Now().UnixNano()
-	if a.ran && now-a.lastWall < int64(a.MinInterval) {
-		rep = a.last
-		a.mu.Unlock()
-		return rep, at, false, nil
-	}
-	a.mu.Unlock()
-
-	rep, done, err = Run(a.cl, at, a.cfg)
-	if err != nil {
-		return rep, done, false, err
-	}
-	a.mu.Lock()
-	a.lastWall = now
-	a.last = rep
-	a.ran = true
-	a.mu.Unlock()
-	return rep, done, true, nil
-}
-
-// Last returns the most recent report, if any run has completed.
-func (a *Auditor) Last() (Report, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.last, a.ran
 }

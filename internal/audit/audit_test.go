@@ -180,41 +180,6 @@ func TestSampleLimit(t *testing.T) {
 	}
 }
 
-// TestAuditorPacer: MaybeRun must audit at most once per MinInterval.
-func TestAuditorPacer(t *testing.T) {
-	region, cl := newTestRegion(t, nil)
-	var at vclock.Time
-	at, err := cl.Create(at, "/w/paced", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at, err = region.Drain(at); err != nil {
-		t.Fatal(err)
-	}
-
-	a := NewAuditor(cl, Config{})
-	if _, ok := a.Last(); ok {
-		t.Fatal("Last() reports a run before any happened")
-	}
-	rep, at, ran, err := a.MaybeRun(at)
-	if err != nil || !ran {
-		t.Fatalf("first MaybeRun: ran=%v err=%v", ran, err)
-	}
-	if rep.Sampled == 0 {
-		t.Fatal("paced audit sampled nothing")
-	}
-	if _, _, ran, _ := a.MaybeRun(at); ran {
-		t.Fatal("second MaybeRun inside MinInterval still ran")
-	}
-	a.MinInterval = 0
-	if _, _, ran, _ := a.MaybeRun(at); !ran {
-		t.Fatal("MaybeRun with zero interval suppressed")
-	}
-	if last, ok := a.Last(); !ok || last.Sampled == 0 {
-		t.Fatalf("Last() lost the report: %+v ok=%v", last, ok)
-	}
-}
-
 // TestCompareClassification pins the per-key comparison rules.
 func TestCompareClassification(t *testing.T) {
 	file := func(size int64) fsapi.StatResult {

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -31,6 +36,55 @@ func TestBackendIsExactlyWhatCoreCalls(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Backend methods = %v, want exactly %v", got, want)
+	}
+}
+
+// TestLoadIsTheOneHomeOfTheMissProtocol pins in the source what entry.go's
+// header says: in non-test core the invalidation generation is read in
+// one function (Client.load) and the cache's add-if-absent calls are made
+// in entry.go only (load and mutate); and the guarded single-key delete
+// the revoke used to need exists nowhere in the module. A second copy of
+// the miss-load protocol fails here, not in a review.
+func TestLoadIsTheOneHomeOfTheMissProtocol(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var genReaders []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range bytes.Split(src, []byte("\nfunc "))[1:] { // one top-level function each
+			if bytes.Contains(fn, []byte("invalGen.Load()")) {
+				sig, _, _ := bytes.Cut(fn, []byte("\n"))
+				genReaders = append(genReaders, name+": "+string(sig))
+			}
+		}
+		if adds := bytes.Contains(src, []byte("cache.Add(")) || bytes.Contains(src, []byte("cache.AddMulti(")); adds && name != "entry.go" {
+			t.Errorf("%s stores into the cache with an add; only entry.go (load, mutate) does", name)
+		}
+	}
+	if len(genReaders) != 1 || !strings.HasPrefix(genReaders[0], "entry.go: (c *Client) load(") {
+		t.Errorf("invalGen is read in %q, want in entry.go's Client.load alone", genReaders)
+	}
+	gone := "Delete" + "CAS"
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err == nil && bytes.Contains(src, []byte(gone)) {
+			t.Errorf("%s mentions %s: a clean entry leaves the cache through settle_multi only", path, gone)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

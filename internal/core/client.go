@@ -190,7 +190,7 @@ func (c *Client) checkParent(at vclock.Time, p string) (vclock.Time, error) {
 	}
 	// The parent may exist on the DFS but not in the cache (§III.C): a
 	// miss loads it synchronously.
-	st, at, err := c.cachedStat(at, "parent-check", dir)
+	st, at, err := c.lookup(at, c.cache, true, "parent-check", dir)
 	if err != nil {
 		return at, err
 	}
@@ -229,7 +229,7 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 		if !namespace.IsUnder(anc, ws) {
 			continue // components above the workspace belong to the DFS
 		}
-		st, done, err := c.cachedStat(at, "traverse", anc)
+		st, done, err := c.lookup(at, c.cache, true, "traverse", anc)
 		at = done
 		if err != nil {
 			return at, err
@@ -242,46 +242,6 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 		}
 	}
 	return at, r.cfg.Perm.Check(r.cfg.Cred, p, want)
-}
-
-// cachedStat is getattr's core (§III.D.1): the cache's answer for p, or
-// on a miss the DFS's, loaded into the cache.
-func (c *Client) cachedStat(at vclock.Time, op, p string) (fsapi.Stat, vclock.Time, error) {
-	v, hit, at, err := lookup(c.cache, at, op, p)
-	if err == nil && !hit {
-		return c.loadMiss(at, op, p)
-	}
-	return v.stat, at, err
-}
-
-// loadMiss is the cache-miss load (§III.D.1: getattr "loads from the DFS
-// on miss"), the one way a clean entry enters the cache outside a batched
-// warm: stat p on the DFS — the backend's Stat is the authoritative read
-// — and insert the answer as a clean (committed) entry (evLoad: add if
-// absent, one eviction round on cache pressure, never an error). The
-// region's invalidation generation is read before the stat and checked
-// again once the insert has landed: if it moved, a dependent operation
-// (rmdir, rename) invalidated the cache concurrently and the stat may
-// describe a deleted object — the load revokes exactly its own insert
-// (CAS-guarded, so a concurrent writer's newer value survives) instead of
-// resurrecting it. The stat is returned either way; a DFS error comes
-// back wrapped with op and p.
-func (c *Client) loadMiss(at vclock.Time, op, p string) (fsapi.Stat, vclock.Time, error) {
-	r := c.region
-	gen := r.invalGen.Load()
-	st, at, err := c.backend.Stat(at, p)
-	if err != nil {
-		return fsapi.Stat{}, at, fsapi.WrapPath(op, p, err)
-	}
-	rd := entryRead{fresh: true}
-	out, at, err := c.mutate(at, &rd, &event{kind: evLoad, op: op, path: p, stat: st, threshold: r.cfg.SmallFileThreshold})
-	if err == nil && out.verdict == vStore && r.invalGen.Load() != gen {
-		if done, derr := c.cache.DeleteCAS(at, p, rd.cas); derr == nil ||
-			errors.Is(derr, fsapi.ErrNotExist) || errors.Is(derr, fsapi.ErrStale) {
-			at = done
-		}
-	}
-	return st, at, nil
 }
 
 // applyOne sends one metadata mutation to the DFS synchronously, as the
@@ -362,7 +322,7 @@ func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time,
 		if _, merged := c.region.mergedFor(p); merged {
 			return at, fsapi.WrapPath("create", p, fsapi.ErrReadOnly)
 		}
-		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.region.cfg.Cred, fsapi.ModeDefaultFile)})
+		return applyOne(c.backend, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.region.cfg.Cred, mode)})
 	}
 	return c.insert(at, "create", p, fsapi.NewFileStat(c.region.cfg.Cred, mode))
 }
@@ -383,7 +343,7 @@ func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error)
 	if err != nil {
 		return fsapi.Stat{}, at, err
 	}
-	return c.cachedStat(at, "stat", p)
+	return c.lookup(at, c.cache, true, "stat", p)
 }
 
 // remoteCache lazily builds the read-only cache client for a merged
@@ -397,30 +357,21 @@ func (c *Client) remoteCache(m remoteRegion) *memcache.Client {
 	return rc
 }
 
-// statMerged reads a merged peer's cache (read-only, no load-on-miss:
-// we must not write into the peer's cache).
+// statMerged reads p through a merged peer's cache, read-only (§III.D.4):
+// a miss is answered by the DFS and stored nowhere.
 func (c *Client) statMerged(at vclock.Time, m remoteRegion, p string) (fsapi.Stat, vclock.Time, error) {
 	if err := m.perm.Check(c.region.cfg.Cred, p, fsapi.WantRead); err != nil {
 		return fsapi.Stat{}, at, err
 	}
-	v, hit, at, err := lookup(c.remoteCache(m), at, "stat", p)
-	if err == nil && !hit {
-		return c.backend.Stat(at, p)
-	}
-	return v.stat, at, err
+	return c.lookup(at, c.remoteCache(m), false, "stat", p)
 }
 
-// readBatchSize caps how many paths a batched read (StatMulti, readdir
-// cache warming) packs into one multi-key cache round trip.
-const readBatchSize = 64
-
 // StatMulti is the batched form of Stat: workspace paths resolve with
-// one get_multi per owning cache server, misses bulk-load from the DFS
-// (the backend's StatBatch) and warm the cache for the next reader;
-// merged-peer paths read the peer's cache the same way but stay
-// strictly read-only; everything else goes to the DFS per path. Results
-// align with paths — per-path failures land in their StatResult, they
-// never fail the batch.
+// one get_multi per owning cache server and what the cache does not
+// answer with one load, which adds it for the next reader; merged-peer
+// paths read the peer's cache the same way but stay strictly read-only;
+// everything else goes to the DFS per path. Results align with paths —
+// per-path failures land in their StatResult, they never fail the batch.
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	r := c.region
 	out := make([]fsapi.StatResult, len(paths))
@@ -495,92 +446,17 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 		out[i] = fsapi.StatResult{Stat: st, Err: err}
 	}
 
-	at = c.statBatchCached(at, wsPaths, wsIdx, out)
+	at = c.lookupMulti(at, c.cache, true, wsPaths, wsIdx, out)
 	for _, g := range mgroups {
-		res, done := c.statMultiMerged(at, g.m, g.paths)
-		at = done
-		for j, i := range g.idx {
-			out[i] = res[j]
-		}
+		at = c.lookupMulti(at, c.remoteCache(g.m), false, g.paths, g.idx, out)
 	}
 	return out, at, nil
-}
-
-// statBatchCached resolves cleaned, permission-checked workspace paths
-// with the batched read pipeline: get_multi over the owning cache
-// servers (chunked by readBatchSize), a bulk authoritative miss-load,
-// and an add_multi warm of what the misses produced. A dead owner
-// degrades only its own keys — they fall back to one per-key get each
-// and, failing that, to the DFS load, so a partial cache outage slows
-// the batch instead of failing it. The result for paths[j] is written to
-// out[idx[j]], or to out[j] when idx is nil.
-func (c *Client) statBatchCached(at vclock.Time, paths []string, idx []int, out []fsapi.StatResult) vclock.Time {
-	r := c.region
-	slot := func(j int) *fsapi.StatResult {
-		if idx != nil {
-			j = idx[j]
-		}
-		return &out[j]
-	}
-	for start := 0; start < len(paths); start += readBatchSize {
-		end := start + readBatchSize
-		if end > len(paths) {
-			end = len(paths)
-		}
-		chunk := paths[start:end]
-		res, done := c.cache.GetMulti(at, chunk)
-		at = done
-		var missIdx []int
-		for i, mr := range res {
-			switch {
-			case mr.Err != nil:
-				// This key's owner failed the batched call; the singleton
-				// path has its own retry/ErrNotExist semantics.
-				item, done, gerr := c.cache.Get(at, chunk[i])
-				at = done
-				if gerr == nil {
-					*slot(start + i) = decodeStatResult(chunk[i], item.Value)
-				} else {
-					missIdx = append(missIdx, i)
-				}
-			case mr.Hit:
-				*slot(start + i) = decodeStatResult(chunk[i], mr.Item.Value)
-			default:
-				missIdx = append(missIdx, i)
-			}
-		}
-		if len(missIdx) == 0 {
-			continue
-		}
-		// Bulk miss-load. The generation is read before the DFS reads,
-		// per loadMiss's contract: if a dependent operation bumps it
-		// before the warm lands, the warm revokes itself.
-		gen := r.invalGen.Load()
-		missPaths := make([]string, len(missIdx))
-		for j, i := range missIdx {
-			missPaths[j] = chunk[i]
-		}
-		stats, done := c.statBackend(at, missPaths)
-		at = done
-		entries := make([]memcache.AddEntry, 0, len(missIdx))
-		for j, i := range missIdx {
-			sr := stats[j]
-			if sr.Err != nil {
-				*slot(start + i) = fsapi.StatResult{Err: fsapi.WrapPath("stat", chunk[i], sr.Err)}
-				continue
-			}
-			*slot(start + i) = fsapi.StatResult{Stat: sr.Stat}
-			entries = append(entries, memcache.AddEntry{Key: chunk[i], Value: cleanVal(sr.Stat, r.cfg.SmallFileThreshold).encode()})
-		}
-		at = c.warmEntries(at, entries, gen)
-	}
-	return at
 }
 
 // StatBackend bulk-reads authoritative per-path stats straight from the
 // DFS backend, bypassing the distributed cache entirely. The divergence
 // auditor uses it as the ground-truth side of a cache↔DFS comparison;
-// it is the bulk miss-load's read exported, so the authority read is the
+// it is a many-path load's read exported, so the authority read is the
 // same code the production miss path trusts. A per-path error (e.g.
 // ErrNotExist) lands in that entry's Err.
 func (c *Client) StatBackend(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
@@ -591,7 +467,7 @@ func (c *Client) StatBackend(at vclock.Time, paths []string) ([]fsapi.StatResult
 	return c.statBackend(at, clean)
 }
 
-// statBackend is the bulk miss-load's read: one Backend.StatBatch. A
+// statBackend is a many-path load's read: one Backend.StatBatch. A
 // batch-level error, from a backend that could not say more, is that
 // error on every path.
 func (c *Client) statBackend(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
@@ -603,66 +479,6 @@ func (c *Client) statBackend(at vclock.Time, paths []string) ([]fsapi.StatResult
 		}
 	}
 	return res, done
-}
-
-// warmEntries inserts clean loaded values add-if-absent in one
-// add_multi fan-out, then revokes its own inserts (CAS-guarded) if the
-// invalidation generation moved since gen — the batched form of
-// loadMiss's insert. Unlike the synchronous miss path, warming never runs
-// eviction rounds: per-entry ErrOutOfSpace (like ErrExist) just skips
-// the key — a warm is an optimization, not worth evicting for.
-func (c *Client) warmEntries(at vclock.Time, entries []memcache.AddEntry, gen uint64) vclock.Time {
-	if len(entries) == 0 {
-		return at
-	}
-	r := c.region
-	res, done := c.cache.AddMulti(at, entries)
-	at = done
-	revoke := r.invalGen.Load() != gen
-	var warmed int64
-	for i, ar := range res {
-		if ar.Err != nil {
-			continue
-		}
-		if revoke {
-			if done, derr := c.cache.DeleteCAS(at, entries[i].Key, ar.CAS); derr == nil ||
-				errors.Is(derr, fsapi.ErrNotExist) || errors.Is(derr, fsapi.ErrStale) {
-				at = done
-			}
-			continue
-		}
-		warmed++
-	}
-	r.cacheWarms.Add(warmed)
-	return at
-}
-
-// statMultiMerged resolves permission-checked paths of one merged peer
-// through the peer's distributed cache in get_multi chunks. Strictly
-// read-only (§III.D.4): a miss — or an unreachable peer owner — falls
-// through to the DFS without ever writing the peer's cache.
-func (c *Client) statMultiMerged(at vclock.Time, m remoteRegion, paths []string) ([]fsapi.StatResult, vclock.Time) {
-	out := make([]fsapi.StatResult, len(paths))
-	rc := c.remoteCache(m)
-	for start := 0; start < len(paths); start += readBatchSize {
-		end := start + readBatchSize
-		if end > len(paths) {
-			end = len(paths)
-		}
-		chunk := paths[start:end]
-		res, done := rc.GetMulti(at, chunk)
-		at = done
-		for i, mr := range res {
-			if mr.Err == nil && mr.Hit {
-				out[start+i] = decodeStatResult(chunk[i], mr.Item.Value)
-				continue
-			}
-			st, done, err := c.backend.Stat(at, chunk[i])
-			at = done
-			out[start+i] = fsapi.StatResult{Stat: st, Err: err}
-		}
-	}
-	return out, at
 }
 
 // CacheRPCs reports this client's cumulative metadata-cache round
@@ -766,7 +582,7 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 		// lists — out of the distributed cache. Each path is deleted
 		// once: an entry accepted on an already-cleaned key is a newer
 		// incarnation, and the discard rule, not this sweep, decides it.
-		at = c.dropCached(at, removed)
+		at = c.dropCached(at, removed, memcache.CondAlways)
 	}
 	r.barrier.Release(epoch, at)
 	if rerr != nil {
@@ -812,16 +628,16 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	}
 	r.readdirEntries.RecordN(int64(len(ents)))
 	if len(ents) > 0 {
-		// Warm the cache from the listing. Safe after the release: the
-		// stats come from fresh DFS reads under statBatchCached's
-		// invalidation-generation guard, and the inserts are
-		// add-if-absent, so they can neither mask a newer queued
-		// mutation nor resurrect a concurrently removed subtree.
+		// Warm the cache from the listing: a read of the children, for
+		// what load adds. Safe after the release: the stats come from
+		// fresh DFS reads under load's invalidation-generation guard, and
+		// the inserts are add-if-absent, so they can neither mask a newer
+		// queued mutation nor resurrect a concurrently removed subtree.
 		children := make([]string, len(ents))
 		for i, ent := range ents {
 			children[i] = namespace.Join(p, ent.Name)
 		}
-		at = c.statBatchCached(at, children, nil, make([]fsapi.StatResult, len(children)))
+		at = c.lookupMulti(at, c.cache, true, children, nil, make([]fsapi.StatResult, len(children)))
 	}
 	return ents, at, nil
 }
@@ -894,7 +710,7 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 // subtree, discovering its shape from the new location on the DFS.
 func (c *Client) invalidateMoved(at vclock.Time, src, dst string) vclock.Time {
 	at, old := c.movedPaths(at, src, dst, nil)
-	return c.dropCached(at, old)
+	return c.dropCached(at, old, memcache.CondAlways)
 }
 
 // movedPaths appends to old the pre-rename path of everything in the
@@ -917,18 +733,18 @@ func (c *Client) movedPaths(at vclock.Time, src, dst string, old []string) (vclo
 	return at, old
 }
 
-// dropCached deletes paths' cache entries whatever they hold — the
-// objects are gone from the DFS (rmdir) or live under another name
-// (rename) — with one settle_multi round trip per owning cache server
-// per evictChunk paths. Errors are ignored as they were for the per-path
-// deletes this replaces: an unreachable server's entries went with it.
-func (c *Client) dropCached(at vclock.Time, paths []string) vclock.Time {
+// dropCached deletes paths' cache entries under cond — whatever they
+// hold when the objects are gone from the DFS (rmdir) or live under
+// another name (rename), if clean when a load revokes its adds — with one
+// settle_multi round trip per owning cache server per evictChunk paths.
+// Errors are ignored: an unreachable server's entries went with it.
+func (c *Client) dropCached(at vclock.Time, paths []string, cond memcache.Cond) vclock.Time {
 	entries := make([]memcache.Settle, 0, min(len(paths), evictChunk))
 	for len(paths) > 0 {
 		n := min(len(paths), evictChunk)
 		entries = entries[:0]
 		for _, p := range paths[:n] {
-			entries = append(entries, memcache.Settle{Key: p, Cond: memcache.CondAlways})
+			entries = append(entries, memcache.Settle{Key: p, Cond: cond})
 		}
 		_, _, at, _ = c.cache.SettleMulti(at, entries)
 		paths = paths[n:]

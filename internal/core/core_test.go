@@ -452,6 +452,13 @@ func TestRedirectOutsideWorkspace(t *testing.T) {
 	if _, _, err := c.Stat(0, "/other/f"); err != nil {
 		t.Fatal(err)
 	}
+	// The redirected create carries the caller's mode, as the mkdir does.
+	if _, err := c.Create(0, "/other/private", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := e.dfs.MDS.Tree().Lookup("/other/private"); err != nil || st.Mode != 0o600 {
+		t.Fatalf("redirected create of mode 0600 landed as %+v, %v", st, err)
+	}
 	admin.Mkdir(0, "/locked", 0o700)
 	if _, err := c.Create(0, "/locked/f", 0o644); !errors.Is(err, fsapi.ErrPermission) {
 		t.Fatalf("DFS permission not enforced on redirect: %v", err)

@@ -17,9 +17,10 @@ import (
 // plus large, create-after-rm, the threshold claim and adoption — and the
 // only code that knows what an entry may become: the value format, the
 // client transitions (next), the one read-modify-write that stores them
-// (Client.mutate), the one read (lookup) and the commit table
-// (commitOutcome). Nothing else in core calls cache.Add, CAS or Set, or
-// sets a flag. DESIGN.md §11 renders both tables. Invariants, checked by
+// (Client.mutate), the one read (lookup, lookupMulti) with the one
+// miss-load behind it (Client.load) and the commit table (commitOutcome).
+// Nothing else in core calls cache.Add, AddMulti, CAS or Set, or sets a
+// flag. DESIGN.md §11 renders both tables. Invariants, checked by
 // entry_explore_test.go at every step of every bounded interleaving of
 // two clients, the commit process and eviction:
 //
@@ -313,9 +314,10 @@ func spliceInline(buf []byte, off int64, data []byte) []byte {
 	return buf
 }
 
-// readEntry is the cache get every path shares: the decoded value,
-// whether the cache holds one (a removed marker is held), and its CAS
-// version. A miss is not an error.
+// readEntry is the cache get of whoever needs the entry itself — mutate,
+// fsync, a commit's ErrExist rows — rather than its stat: the decoded
+// value, whether the cache holds one (a removed marker is held), and its
+// CAS version. A miss is not an error.
 func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, present bool, cas uint64, done vclock.Time, err error) {
 	item, done, err := cache.Get(at, p)
 	if err != nil {
@@ -328,33 +330,182 @@ func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, pr
 	return v, err == nil, item.CAS, done, err
 }
 
-// decodeStatResult is a batched read's hit as its answer. To a reader a
-// removed marker is ErrNotExist, exactly as in lookup.
-func decodeStatResult(p string, raw []byte) fsapi.StatResult {
+// A read (§III.D.1 getattr) is lookup → load: what the cache answers is
+// the answer, and every path it does not answer goes to load. cache is the
+// region's own, or a merged peer's with store false — a merged peer is
+// read-only (§III.D.4). A cache has no answer for a path it misses, which
+// the load then adds, and for a path whose owner cannot be reached or
+// answers garbage: that owner is not asked again, neither for a second get
+// nor for an add, and the DFS's answer is stored nowhere.
+
+// lookup reads one path: one get.
+func (c *Client) lookup(at vclock.Time, cache *memcache.Client, store bool, op, p string) (fsapi.Stat, vclock.Time, error) {
+	item, at, err := cache.Get(at, p)
+	if err == nil {
+		sr := decodeStatResult(op, p, item.Value)
+		return sr.Stat, at, sr.Err
+	}
+	return c.loadOne(at, op, p, store && errors.Is(err, fsapi.ErrNotExist))
+}
+
+// readBatchSize caps how many paths lookupMulti packs into one multi-key
+// cache round trip.
+const readBatchSize = 64
+
+// lookupMulti reads many paths: one get_multi per owning cache server per
+// readBatchSize paths. The answer for paths[j] lands in out[idx[j]], or in
+// out[j] when idx is nil; a path's failure is its own.
+func (c *Client) lookupMulti(at vclock.Time, cache *memcache.Client, store bool, paths []string, idx []int, out []fsapi.StatResult) vclock.Time {
+	for start := 0; start < len(paths); start += readBatchSize {
+		chunk := paths[start:min(start+readBatchSize, len(paths))]
+		res, done := cache.GetMulti(at, chunk)
+		at = done
+		var missed, unreached pathSet
+		for i, mr := range res {
+			j := slot(idx, start+i)
+			switch {
+			case mr.Hit:
+				out[j] = decodeStatResult("stat", chunk[i], mr.Item.Value)
+			case mr.Err == nil:
+				missed.add(chunk[i], j, len(chunk))
+			default:
+				unreached.add(chunk[i], j, len(chunk))
+			}
+		}
+		at = c.load(at, "stat", missed.paths, missed.idx, out, store)
+		at = c.load(at, "stat", unreached.paths, unreached.idx, out, false)
+	}
+	return at
+}
+
+// decodeStatResult is a read's hit as its answer. To a reader a removed
+// marker is ErrNotExist: the region knows the object is gone, whatever the
+// DFS still holds.
+func decodeStatResult(op, p string, raw []byte) fsapi.StatResult {
 	v, err := decodeCacheVal(raw)
 	if err == nil && v.removed {
-		err = fsapi.WrapPath("stat", p, fsapi.ErrNotExist)
+		err = fsapi.WrapPath(op, p, fsapi.ErrNotExist)
 	}
 	return fsapi.StatResult{Stat: v.stat, Err: err}
 }
 
-// lookup is the read path's get: hit says v is a live entry; a miss comes
-// back as !hit with a nil error (the caller may load from the DFS), a
-// removed marker as ErrNotExist — the region knows the object is gone,
-// whatever the DFS still holds.
-func lookup(cache *memcache.Client, at vclock.Time, op, p string) (v cacheVal, hit bool, done vclock.Time, err error) {
-	v, present, _, done, err := readEntry(cache, at, p)
-	if present && v.removed {
-		err = fsapi.WrapPath(op, p, fsapi.ErrNotExist)
+// slot is where paths[j]'s answer goes in a caller's results.
+func slot(idx []int, j int) int {
+	if idx != nil {
+		j = idx[j]
 	}
-	return v, present && err == nil, done, err
+	return j
+}
+
+// pathSet is the paths of one chunk that go to load, each with the place
+// of its answer.
+type pathSet struct {
+	paths []string
+	idx   []int
+}
+
+func (s *pathSet) add(p string, j, capHint int) {
+	if s.paths == nil {
+		s.paths, s.idx = make([]string, 0, capHint), make([]int, 0, capHint)
+	}
+	s.paths, s.idx = append(s.paths, p), append(s.idx, j)
+}
+
+// loaded is the entry a stat the DFS answered becomes: next's evLoad row
+// on an absent key.
+func loaded(st fsapi.Stat, threshold int) cacheVal {
+	return next(cacheVal{}, false, &event{kind: evLoad, stat: st, threshold: threshold}).val
+}
+
+// loadOne is load for one path.
+func (c *Client) loadOne(at vclock.Time, op, p string, store bool) (fsapi.Stat, vclock.Time, error) {
+	var res [1]fsapi.StatResult
+	at = c.load(at, op, []string{p}, nil, res[:], store)
+	return res[0].Stat, at, res[0].Err
+}
+
+// load is the cache-miss load (§III.D.1: getattr "loads from the DFS on
+// miss"): every path a cache did not answer, from every caller, is answered
+// here, and beside mutate this is the only code that stores into the cache
+// — a clean entry's one way in. The DFS is asked with Backend.Stat for one
+// path and one Backend.StatBatch for many (len(paths) alone decides, for the
+// add as well); either is the authoritative read. The answer for paths[j]
+// lands in out[idx[j]], or in out[j] when idx is nil, a DFS error wrapped
+// with op and the path.
+//
+// With store set, what the DFS holds is added if the key is absent: whoever
+// got there first holds state at least as new, so a lost add is no error —
+// nothing about the store is. Room is made for one path and not for many: a
+// one-path load answers a full cache with one eviction round and a second
+// add, a many-path load skips what did not fit (a warm is an optimization,
+// not worth evicting for) and counts what it added as cache warms.
+//
+// The region's invalidation generation is read before the DFS is asked and
+// again once the add has landed. If it moved, an rmdir or a rename
+// invalidated the cache meanwhile and the answers may describe objects that
+// are gone: rather than resurrect them the load revokes its adds, with one
+// settle_multi per owner that deletes paths' entries if clean. Deleting a
+// clean entry is always safe — eviction does it at will — and a writer's
+// newer dirty value fails the predicate. The answers stand either way.
+func (c *Client) load(at vclock.Time, op string, paths []string, idx []int, out []fsapi.StatResult, store bool) vclock.Time {
+	if len(paths) == 0 {
+		return at
+	}
+	r := c.region
+	gen := r.invalGen.Load()
+	var warmed int64
+	if len(paths) == 1 {
+		p := paths[0]
+		st, done, err := c.backend.Stat(at, p)
+		at = done
+		out[slot(idx, 0)] = fsapi.StatResult{Stat: st, Err: fsapi.WrapPath(op, p, err)}
+		if err != nil || !store {
+			return at
+		}
+		enc := wire.GetEncoder()
+		loaded(st, r.cfg.SmallFileThreshold).encodeTo(enc)
+		_, at, err = c.cache.Add(at, p, enc.Bytes(), 0)
+		if errors.Is(err, fsapi.ErrOutOfSpace) {
+			if at, err = r.evictRound(c, at); err == nil {
+				_, at, _ = c.cache.Add(at, p, enc.Bytes(), 0)
+			}
+		}
+		wire.PutEncoder(enc)
+	} else {
+		res, done := c.statBackend(at, paths)
+		at = done
+		var entries []memcache.AddEntry
+		if store {
+			entries = make([]memcache.AddEntry, 0, len(paths))
+		}
+		for j, sr := range res {
+			out[slot(idx, j)] = fsapi.StatResult{Stat: sr.Stat, Err: fsapi.WrapPath(op, paths[j], sr.Err)}
+			if store && sr.Err == nil {
+				entries = append(entries, memcache.AddEntry{Key: paths[j], Value: loaded(sr.Stat, r.cfg.SmallFileThreshold).encode()})
+			}
+		}
+		if len(entries) == 0 {
+			return at
+		}
+		added, done := c.cache.AddMulti(at, entries)
+		at = done
+		for _, ar := range added {
+			if ar.Err == nil {
+				warmed++
+			}
+		}
+	}
+	if r.invalGen.Load() != gen {
+		return c.dropCached(at, paths, memcache.CondClean)
+	}
+	r.cacheWarms.Add(warmed)
+	return at
 }
 
 // entryRead is what a client knows of an entry between a read and the
 // store conditioned on it. The zero value knows nothing (mutate starts
 // with a get); entryRead{fresh: true} assumes the path is free, which is
-// how create and miss-load go optimistically — add first, read only on
-// conflict.
+// how create goes optimistically — add first, read only on conflict.
 type entryRead struct {
 	val     cacheVal
 	present bool
@@ -388,7 +539,6 @@ var claimPatience = 5 * time.Second
 func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclock.Time, error) {
 	enc := wire.GetEncoder()
 	defer wire.PutEncoder(enc)
-	evicted := false
 	var waiting time.Time // since when, on another client's claim
 	for {
 		if !rd.fresh {
@@ -423,7 +573,7 @@ func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclo
 				ev.stat, at, err = c.backend.Stat(at, ev.path)
 				ev.hasStat, err = true, fsapi.WrapPath(ev.op, ev.path, err)
 			default:
-				_, at, err = c.loadMiss(at, ev.op, ev.path)
+				_, at, err = c.loadOne(at, ev.op, ev.path, true)
 				rd.fresh = false
 			}
 			if err != nil {
@@ -484,22 +634,13 @@ func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclo
 			return out, at, err
 		case errors.Is(err, fsapi.ErrStale), errors.Is(err, fsapi.ErrNotExist), errors.Is(err, fsapi.ErrExist):
 			// A concurrent store (or the commit side's cleanup) got there
-			// first: re-examine from a fresh read. A load has nothing to
-			// re-examine — whoever won holds state at least as new.
-			if ev.kind == evLoad {
-				return outcome{verdict: vKeep}, at, nil
-			}
+			// first: re-examine from a fresh read.
 			rd.fresh = false
 		case errors.Is(err, fsapi.ErrOutOfSpace):
-			// Make room, then re-examine. A load tries once: it is an
-			// optimization, not worth a second round.
-			if ev.kind == evLoad && evicted {
-				return outcome{verdict: vKeep}, at, nil
-			}
+			// Make room, then re-examine.
 			if at, err = c.region.evictRound(c, at); err != nil {
 				return outcome{}, at, err
 			}
-			evicted = true
 			// The round may have evicted the very entry we read; a path
 			// we believed free is no less free for it.
 			rd.fresh = !rd.present

@@ -323,6 +323,14 @@ func (x *explorer) decide(s *xState, c *xClient) {
 	}
 }
 
+// load is Client.load's store on the one key, the DFS stat and the add in
+// one step: the table's evLoad row, added to the absent key.
+func (x *explorer) load(s *xState) {
+	ev := event{kind: evLoad, stat: s.dfs.stat(), threshold: xThreshold}
+	s.cache.ver++
+	s.cache.val, s.cache.present = x.tbl.next(cacheVal{}, false, &ev).val, true
+}
+
 // stepClient advances client i by one RPC. It mirrors Client.mutate and
 // the callers' handling of its verdicts, one shared-state access per
 // step; the decisions are the table's.
@@ -359,8 +367,7 @@ func (x *explorer) stepClient(s *xState, i int) bool {
 			return x.observe(s, c, string(v.stat.Inline))
 		case !c.rd.present && s.dfs.exists:
 			// Miss-load, in one step: the entry is clean DFS state.
-			s.cache.ver++
-			s.cache.val, s.cache.present = cleanVal(s.dfs.stat(), xThreshold), true
+			x.load(s)
 		}
 		c.phase = phReadDFS
 
@@ -382,8 +389,7 @@ func (x *explorer) stepClient(s *xState, i int) bool {
 			x.decide(s, c)
 		default: // miss-load (add if absent), then re-read
 			if !s.cache.present {
-				s.cache.ver++
-				s.cache.val, s.cache.present = cleanVal(s.dfs.stat(), xThreshold), true
+				x.load(s)
 			}
 			c.phase = phRead
 		}

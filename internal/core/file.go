@@ -182,8 +182,8 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 	if !c.inWorkspace(p) {
 		return at, nil // large/outside files write through already
 	}
-	v, hit, at, err := lookup(c.cache, at, "fsync", p)
-	if err == nil && !hit {
+	v, present, _, at, err := readEntry(c.cache, at, p)
+	if err == nil && (!present || v.removed) {
 		err = fsapi.WrapPath("fsync", p, fsapi.ErrNotExist)
 	}
 	if err != nil {

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,8 +253,9 @@ func TestStatMultiMergedPeerStaysReadOnly(t *testing.T) {
 
 // TestStatMultiSurvivesCacheServerDeath is the cache-server-death
 // schedule: one owner dies between commit and read, its keys fail the
-// get_multi, and the batch degrades per key (singleton get, then DFS
-// load) instead of failing — every path still resolves.
+// get_multi, and the DFS answers them instead — every path still
+// resolves. (TestStatAndStatMultiAgree pins what the dead owner is and is
+// not sent.)
 func TestStatMultiSurvivesCacheServerDeath(t *testing.T) {
 	e := newEnv(t, 3, nil)
 	c := e.client(t, "node0")
@@ -285,7 +288,7 @@ func TestStatMultiSurvivesCacheServerDeath(t *testing.T) {
 			t.Fatalf("res[%s] after owner death = %+v, %v", paths[i], r.Stat, r.Err)
 		}
 	}
-	// The dead owner really owned some of the keys, or the fallback was
+	// The dead owner really owned some of the keys, or its answer was
 	// never exercised.
 	owned := 0
 	for _, p := range paths {
@@ -294,8 +297,313 @@ func TestStatMultiSurvivesCacheServerDeath(t *testing.T) {
 		}
 	}
 	if owned == 0 {
-		t.Fatal("no test key owned by the dead server; fallback untested")
+		t.Fatal("no test key owned by the dead server; its answer is untested")
 	}
+}
+
+// newPeerRegion starts a second application's region over /w2 (nodes
+// node8 and node9) on e's bus and DFS, and merges it into e's region
+// (case 2 of §III.B): e's clients read /w2 through the peer's cache.
+func newPeerRegion(t *testing.T, e *env) *Region {
+	t.Helper()
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	if _, err := admin.Mkdir(0, "/w2", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	cred2 := fsapi.Cred{UID: 2000, GID: 2000}
+	peer, err := NewRegion(RegionConfig{
+		Name:      "app2",
+		Workspace: "/w2",
+		Nodes:     []string{"node8", "node9"},
+		Cred:      cred2,
+		Perm:      PermSpec{Normal: PermEntry{Mode: 0o755, UID: cred2.UID, GID: cred2.GID}},
+		Model:     vclock.Default(),
+	}, Deps{
+		Bus: e.bus,
+		NewBackend: func(node string) Backend {
+			return e.dfs.NewClient(node, cred2, 4096, time.Hour)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	e.region.Merge(peer)
+	return peer
+}
+
+// TestStatAndStatMultiAgree: a read is one path — lookup, then load —
+// whether it is asked for one path or for many, of the client's own
+// region, of a merged peer's or of neither. For every state the path can
+// be in, Stat(p) and StatMulti([p]) on identical deployments return the
+// same stat and the same error class and leave the same cache contents;
+// and a path whose cache owner cannot be reached is answered by the DFS,
+// stored nowhere, at the price of exactly one cache RPC — the get that
+// found the owner dead, with no second get and no add behind it. (The
+// client's own count of cache round trips is what is compared: the bus
+// shows an observer no call to an address nobody serves.)
+func TestStatAndStatMultiAgree(t *testing.T) {
+	type place struct {
+		name, path string
+		// region whose cache holds path, through a client of its own; nil
+		// outside any region.
+		owner func(t *testing.T, e *env) (*Region, *Client)
+	}
+	places := []place{
+		{"own", "/w/x", func(t *testing.T, e *env) (*Region, *Client) { return e.region, e.client(t, "node1") }},
+		{"merged", "/w2/x", func(t *testing.T, e *env) (*Region, *Client) {
+			peer := newPeerRegion(t, e)
+			c, err := peer.NewClient("node8")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return peer, c
+		}},
+		{"outside", "/other/x", nil},
+	}
+	// A state puts path in place through w, a client of the region that
+	// owns it, or — w nil — on the DFS alone.
+	type state struct {
+		name    string
+		cached  bool // needs a region to hold the path
+		wantErr error
+		dead    bool
+		put     func(t *testing.T, e *env, r *Region, w *Client, p string)
+	}
+	onDFS := func(dir bool) func(*testing.T, *env, *Region, *Client, string) {
+		return func(t *testing.T, e *env, _ *Region, _ *Client, p string) {
+			admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+			var err error
+			if dir {
+				_, err = admin.Mkdir(0, p, 0o755)
+			} else {
+				_, err = admin.Create(0, p, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	committed := func(t *testing.T, _ *env, r *Region, w *Client, p string) {
+		at, err := w.Create(0, p, 0o644)
+		if err == nil {
+			_, err = r.Drain(at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := []state{
+		{name: "hit", cached: true, put: committed},
+		{name: "miss", put: onDFS(false)},
+		{name: "directory", put: onDFS(true)},
+		{name: "absent", wantErr: fsapi.ErrNotExist, put: func(*testing.T, *env, *Region, *Client, string) {}},
+		{name: "removed marker", cached: true, wantErr: fsapi.ErrNotExist,
+			put: func(t *testing.T, e *env, r *Region, w *Client, p string) {
+				committed(t, e, r, w, p)
+				// The DFS keeps the file while the marker says it is gone.
+				t.Cleanup(holdCommits(t, r))
+				if _, err := w.Remove(0, p); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "owner unregistered", cached: true, dead: true,
+			put: func(t *testing.T, e *env, r *Region, w *Client, p string) {
+				committed(t, e, r, w, p)
+				e.bus.Unregister(r.Ring().Lookup(p))
+			}},
+	}
+
+	type answer struct {
+		stat  fsapi.Stat
+		err   error
+		cache []CacheEntry
+		rpcs  int64
+	}
+	timeless := func(st fsapi.Stat) fsapi.Stat {
+		st.Mtime, st.Ctime = 0, 0 // wall-clock stamps: two deployments differ
+		return st
+	}
+	run := func(t *testing.T, pl place, st state, multi bool) answer {
+		e := newEnv(t, 3, nil)
+		admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+		if _, err := admin.Mkdir(0, "/other", 0o777); err != nil {
+			t.Fatal(err)
+		}
+		regions := []*Region{e.region}
+		var r *Region
+		var w *Client
+		if pl.owner != nil {
+			if r, w = pl.owner(t, e); r != e.region {
+				regions = append(regions, r)
+			}
+		}
+		st.put(t, e, r, w, pl.path)
+
+		c := e.client(t, "node0")
+		var a answer
+		rpcs := c.CacheRPCs()
+		if multi {
+			res, _, err := c.StatMulti(0, []string{pl.path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.stat, a.err = res[0].Stat, res[0].Err
+		} else {
+			a.stat, _, a.err = c.Stat(0, pl.path)
+		}
+		a.rpcs = c.CacheRPCs() - rpcs
+		a.stat = timeless(a.stat)
+		for _, r := range regions {
+			dump, err := r.DumpCache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ent := range dump {
+				ent.Stat = timeless(ent.Stat)
+				a.cache = append(a.cache, ent)
+			}
+		}
+		return a
+	}
+	classes := []error{fsapi.ErrNotExist, fsapi.ErrClosed, fsapi.ErrPermission, fsapi.ErrNotDir, fsapi.ErrStale}
+
+	for _, pl := range places {
+		for _, st := range states {
+			if st.cached && pl.owner == nil {
+				continue // no cache holds a path outside every region
+			}
+			t.Run(pl.name+"/"+st.name, func(t *testing.T) {
+				one, many := run(t, pl, st, false), run(t, pl, st, true)
+				if (one.err == nil) != (many.err == nil) {
+					t.Fatalf("Stat: %v, StatMulti: %v", one.err, many.err)
+				}
+				for _, class := range classes {
+					if errors.Is(one.err, class) != errors.Is(many.err, class) {
+						t.Fatalf("error classes differ: Stat: %v, StatMulti: %v", one.err, many.err)
+					}
+				}
+				if !errors.Is(one.err, st.wantErr) {
+					t.Fatalf("Stat = %v, want %v", one.err, st.wantErr)
+				}
+				if !reflect.DeepEqual(one.stat, many.stat) {
+					t.Fatalf("Stat = %+v, StatMulti = %+v", one.stat, many.stat)
+				}
+				if wantDir := st.name == "directory"; one.err == nil && one.stat.IsDir() != wantDir {
+					t.Fatalf("stat = %+v, want a directory: %v", one.stat, wantDir)
+				}
+				if !reflect.DeepEqual(one.cache, many.cache) {
+					t.Fatalf("cache contents differ:\nafter Stat:      %+v\nafter StatMulti: %+v", one.cache, many.cache)
+				}
+				if st.dead && (one.rpcs != 1 || many.rpcs != 1) {
+					t.Fatalf("cache RPCs with the owner dead: Stat %d, StatMulti %d, want 1 and 1 — the owner that failed a get is asked nothing more", one.rpcs, many.rpcs)
+				}
+				if stored := pl.name == "own" && (st.name == "miss" || st.name == "directory"); stored {
+					// load's add: the one place the two calls write.
+					found := false
+					for _, ent := range one.cache {
+						found = found || (ent.Path == pl.path && !ent.Dirty)
+					}
+					if !found {
+						t.Fatalf("miss not loaded into the cache: %+v", one.cache)
+					}
+				}
+			})
+		}
+	}
+}
+
+// overtaken is a Backend whose stats are overtaken by a dependent
+// operation: after each authoritative read returns — between a load's DFS
+// read and its add — bump runs.
+type overtaken struct {
+	Backend
+	bump func()
+}
+
+func (o *overtaken) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
+	st, done, err := o.Backend.Stat(at, p)
+	o.bump()
+	return st, done, err
+}
+
+func (o *overtaken) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
+	res, done, err := o.Backend.StatBatch(at, paths)
+	o.bump()
+	return res, done, err
+}
+
+// TestOvertakenLoadRevokesInOneSettlePerOwner: a load whose DFS read is
+// overtaken by an rmdir or rename — the invalidation generation moves
+// between the read and the add — answers its caller and leaves nothing in
+// the cache, and the revoke costs one settle_multi per owning cache
+// server, not one round trip per key: for a 16-path StatMulti and for a
+// single Stat alike.
+func TestOvertakenLoadRevokesInOneSettlePerOwner(t *testing.T) {
+	var e *env
+	var armed atomic.Bool
+	e = newEnvDeps(t, 4, nil, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend {
+			return &overtaken{Backend: inner(node), bump: func() {
+				if armed.Load() {
+					e.region.invalGen.Add(1)
+				}
+			}}
+		}
+	})
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	if _, err := admin.Mkdir(0, "/w/d", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 16)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/d/f%02d", i)
+		if _, err := admin.Create(0, paths[i], 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := e.client(t, "node0")
+	// The parent directory is cached first, by an undisturbed load.
+	if _, _, err := c.Stat(0, "/w/d"); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+
+	read := func(name string, paths []string, maxSettles int, stat func() error) {
+		t.Helper()
+		hook := &rpcHook{}
+		e.bus.SetObserver(hook)
+		err := stat()
+		e.bus.SetObserver(nil)
+		if err != nil {
+			t.Fatalf("%s: %v — an overtaken load still answers", name, err)
+		}
+		for _, p := range paths {
+			if ent, ok := findEntry(t, e.region, p); ok {
+				t.Fatalf("%s left %+v in the cache: the overtaken load must revoke its add", name, ent)
+			}
+		}
+		if got := hook.count("settle_multi"); got == 0 || got > maxSettles {
+			t.Fatalf("%s revoked in %d settle_multi RPCs, want 1..%d", name, got, maxSettles)
+		}
+		if warms := e.region.Stats().CacheWarms; warms != 0 {
+			t.Fatalf("%s: %d revoked adds counted as cache warms", name, warms)
+		}
+	}
+	read("StatMulti", paths, e.region.Ring().Size(), func() error {
+		res, _, err := c.StatMulti(0, paths)
+		for _, r := range res {
+			if err == nil && (r.Err != nil || r.Stat.Type != fsapi.TypeFile) {
+				err = fmt.Errorf("result %+v, %v", r.Stat, r.Err)
+			}
+		}
+		return err
+	})
+	read("Stat", paths[:1], 1, func() error {
+		_, _, err := c.Stat(0, paths[0])
+		return err
+	})
 }
 
 // TestScopedBarrierSkipsSiblingQueues: a Readdir barrier scoped to one

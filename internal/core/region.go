@@ -248,10 +248,10 @@ type Region struct {
 	evictPaths []memcache.Settle
 
 	// invalGen counts dependent-operation invalidations (rmdir, rename).
-	// A cache-miss load records it before reading the DFS and re-checks
-	// after inserting: if it moved, the load raced an invalidation and
-	// its stat may describe a deleted object — the load revokes its own
-	// insert (CAS-guarded) instead of resurrecting stale metadata that
+	// Client.load, its one reader, records it before reading the DFS and
+	// re-checks after adding: if it moved, the load raced an invalidation
+	// and its stats may describe deleted objects — the load revokes its
+	// adds (delete-if-clean) instead of resurrecting stale metadata that
 	// nothing would ever clean up.
 	invalGen atomic.Uint64
 
@@ -577,7 +577,7 @@ func (r *Region) Stats() RegionStats {
 }
 
 // CacheStats aggregates the region's cache servers concurrently — the
-// same fan-out shape as memcache.Client.StatsAll/FlushAll. Each server's
+// same fan-out shape as memcache.Client.FlushAll. Each server's
 // Stats walks its 16 shard locks, so a sequential sweep over a large
 // region serializes on the busiest servers; fanning out bounds the
 // aggregation at the slowest single server.

@@ -1,7 +1,6 @@
 package indexfs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -307,110 +306,6 @@ func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error)
 		return fsapi.Stat{}, done, fsapi.WrapPath("stat", p, err)
 	}
 	return l.stat, done, nil
-}
-
-// StatBatch resolves a batch of paths with one "lookup_batch" RPC per
-// owning server instead of one "lookup" per path. Directory resolution
-// still walks each path's ancestors (lease misses cost their usual
-// RPCs); only the final-component lookups batch. Results align with
-// paths; a non-nil batch error means a transport failure left the whole
-// batch's disposition unknown.
-func (c *Client) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
-	if len(paths) == 0 {
-		return nil, at, nil
-	}
-	out := make([]fsapi.StatResult, len(paths))
-	type pending struct {
-		idx  int
-		dir  DirID
-		name string
-		full string
-	}
-	groups := make(map[string][]pending)
-	var order []string
-	for i, p := range paths {
-		p = namespace.Clean(p)
-		if p == "/" {
-			out[i].Stat = fsapi.NewDirStat(fsapi.Cred{}, 0o777)
-			continue
-		}
-		dir, name := namespace.Split(p)
-		parent, done, err := c.resolveDir(at, dir)
-		at = done
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		if l, ok := c.leaseGet(p, at); ok {
-			out[i].Stat = l.stat
-			continue
-		}
-		addr := c.serverFor(parent, name)
-		if _, ok := groups[addr]; !ok {
-			order = append(order, addr)
-		}
-		groups[addr] = append(groups[addr], pending{idx: i, dir: parent, name: name, full: p})
-	}
-	// One RPC per owning server, all at the same virtual instant.
-	latest := at
-	for _, addr := range order {
-		batch := groups[addr]
-		c.mu.Lock()
-		c.lookupRPCs += int64(len(batch))
-		c.mu.Unlock()
-		e := wire.NewEncoder(24 * len(batch))
-		e.Uvarint(uint64(len(batch)))
-		for _, pe := range batch {
-			e.Uint64(pe.dir)
-			e.String(pe.name)
-		}
-		done, resp, err := c.caller.Call(addr, "lookup_batch", at, e.Bytes())
-		if err != nil {
-			return nil, done, err
-		}
-		latest = vclock.Max(latest, done)
-		d := wire.NewDecoder(resp)
-		if n := d.Uvarint(); n != uint64(len(batch)) {
-			return nil, latest, fmt.Errorf("indexfs: lookup_batch returned %d results for %d entries", n, len(batch))
-		}
-		for _, pe := range batch {
-			code := d.Byte()
-			if code == fsapi.CodeOK {
-				st := fsapi.DecodeStat(d)
-				child := d.Uvarint()
-				ttl := vclock.Duration(d.Int64())
-				if d.Err() == nil {
-					out[pe.idx].Stat = st
-					c.leasePut(pe.full, lease{stat: st, child: child, expires: done.Add(ttl)})
-				}
-			} else {
-				out[pe.idx].Err = fsapi.WrapPath("stat", pe.full, fsapi.ErrOf(code, ""))
-			}
-		}
-		if derr := d.Finish(); derr != nil {
-			return nil, latest, derr
-		}
-	}
-	return out, latest, nil
-}
-
-// SetStat overwrites a path's metadata.
-func (c *Client) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	dir, name := namespace.Split(p)
-	parent, at, err := c.resolveDir(at, dir)
-	if err != nil {
-		return at, err
-	}
-	e := wire.NewEncoder(len(name) + 96)
-	e.Uint64(parent)
-	e.String(name)
-	fsapi.EncodeStat(e, st)
-	done, _, err := c.caller.Call(c.serverFor(parent, name), "setattr", at, e.Bytes())
-	if err == nil {
-		c.leaseDrop(p)
-	}
-	return done, err
 }
 
 // Remove unlinks a file.

@@ -315,25 +315,6 @@ func TestConcurrentClientsSaturateServers(t *testing.T) {
 	}
 }
 
-func TestSetStatOverwritesRow(t *testing.T) {
-	c := testCluster(t, 2)
-	cl := c.NewClient("node0", appCred, 1024, false)
-	cl.Mkdir(0, "/w", 0o755)
-	cl.Create(0, "/w/f", 0o644)
-	st, _, _ := cl.Stat(0, "/w/f")
-	st.Size = 777
-	if _, err := cl.SetStat(0, "/w/f", st); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := cl.Stat(0, "/w/f")
-	if err != nil || got.Size != 777 {
-		t.Fatalf("stat after setattr = %+v, %v", got, err)
-	}
-	if _, err := cl.SetStat(0, "/w/ghost", st); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("setattr missing = %v", err)
-	}
-}
-
 func TestDeepChainTraversal(t *testing.T) {
 	c := testCluster(t, 4)
 	cl := c.NewClient("node0", appCred, 1024, false)

@@ -201,48 +201,6 @@ func (s *Server) Service() *rpc.Service {
 		return done, e.Bytes(), nil
 	})
 
-	// lookup_batch: resolve a batch of (dir, name) entries in one round
-	// trip (the read-path analogue of "bulk"): per-entry result codes,
-	// one service acquisition for the summed LSM-get cost.
-	svc.Handle("lookup_batch", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.NewDecoder(body)
-		n := d.Uvarint()
-		type req struct {
-			dir  DirID
-			name string
-		}
-		reqs := make([]req, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			reqs = append(reqs, req{dir: d.Uint64(), name: d.String()})
-		}
-		if err := d.Finish(); err != nil {
-			return at, nil, err
-		}
-		s.lookups.Add(int64(len(reqs)))
-		e := wire.NewEncoder(112 * len(reqs))
-		e.Uvarint(uint64(len(reqs)))
-		var cost vclock.Duration
-		for _, rq := range reqs {
-			st, child, ok, err := s.get(rq.dir, rq.name)
-			if !ok && err == nil {
-				err = fsapi.ErrNotExist
-			}
-			if ok {
-				cost += s.cfg.Model.LSMGetHitCost
-			} else {
-				cost += s.cfg.Model.LSMGetMissCost
-			}
-			e.Byte(fsapi.CodeOf(err))
-			if err == nil {
-				fsapi.EncodeStat(e, st)
-				e.Uvarint(child)
-				e.Int64(int64(s.cfg.LeaseTTL))
-			}
-		}
-		done := s.res.Acquire(at, cost)
-		return done, e.Bytes(), nil
-	})
-
 	// create / mkdir: (dir, name, stat) → childDirID (0 for files).
 	insert := func(mkdir bool) rpc.Handler {
 		return func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
@@ -282,27 +240,6 @@ func (s *Server) Service() *rpc.Service {
 	}
 	svc.Handle("create", insert(false))
 	svc.Handle("mkdir", insert(true))
-
-	// setattr: overwrite an existing row's stat.
-	svc.Handle("setattr", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.NewDecoder(body)
-		dir := d.Uint64()
-		name := d.String()
-		st := fsapi.DecodeStat(d)
-		if err := d.Finish(); err != nil {
-			return at, nil, err
-		}
-		done := s.res.Acquire(at, s.cfg.Model.LSMGetHitCost+s.cfg.Model.LSMPutCost)
-		old, child, ok, err := s.get(dir, name)
-		if err != nil {
-			return done, nil, err
-		}
-		if !ok {
-			return done, nil, fsapi.ErrNotExist
-		}
-		st.Type = old.Type
-		return done, nil, s.db.Put(entryKey(dir, name), encodeEntry(st, child))
-	})
 
 	// remove: delete a file row.
 	svc.Handle("remove", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {

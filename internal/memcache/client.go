@@ -99,8 +99,7 @@ func finish(d *wire.Decoder) error {
 // instant (rpc.Caller.FanOut) — the batched read path's single round
 // trip per owner, like every multi-key call here. Results align with
 // keys. A dead or misbehaving owner marks only its own keys with Err;
-// the other owners' keys still resolve, so callers can fall back to
-// per-key Gets for exactly the failed subset.
+// the other owners' keys still resolve.
 func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.Time) {
 	out := make([]MultiResult, len(keys))
 	groups := c.ring.GroupByOwner(keys)
@@ -209,19 +208,6 @@ func (c *Client) CAS(at vclock.Time, key string, value []byte, flags uint32, exp
 	return c.storeOp("cas", at, key, value, flags, expect)
 }
 
-// DeleteCAS removes key from its owner only if its version is still
-// expect; ErrStale means a concurrent update won the race and the caller
-// must re-read before deciding to delete again (§III.D.3 applied to
-// deletion).
-func (c *Client) DeleteCAS(at vclock.Time, key string, expect uint64) (vclock.Time, error) {
-	e := wire.GetEncoder()
-	e.String(key)
-	e.Uint64(expect)
-	done, _, err := c.caller.Call(c.Owner(key), "delete_cas", at, e.Bytes())
-	wire.PutEncoder(e)
-	return done, err
-}
-
 // SettleMulti applies entries with one "settle_multi" RPC per owning
 // server — how a commit wave, an eviction round or an rmdir settles any
 // number of keys in one round trip per cache server instead of one per
@@ -270,47 +256,23 @@ func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners 
 // broadcast sends method, without a body, to every ring member from the
 // same virtual instant (the broadcast a real client would issue in
 // parallel): it completes at the slowest member's virtual time, not the
-// sum of all members'. Replies align with Members order; the first
-// member's error wins.
-func (c *Client) broadcast(at vclock.Time, method string) ([][]byte, vclock.Time, error) {
+// sum of all members'. The first member's error wins.
+func (c *Client) broadcast(at vclock.Time, method string) (vclock.Time, error) {
 	members := c.ring.Members()
-	resps := make([][]byte, len(members))
 	errs := make([]error, len(members))
 	latest := c.caller.FanOut(at, len(members), false, func(i int) (done vclock.Time) {
-		done, resps[i], errs[i] = c.caller.Call(members[i], method, at, nil)
+		done, _, errs[i] = c.caller.Call(members[i], method, at, nil)
 		return done
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, latest, err
+			return latest, err
 		}
 	}
-	return resps, latest, nil
+	return latest, nil
 }
 
 // FlushAll clears every server in the ring.
 func (c *Client) FlushAll(at vclock.Time) (vclock.Time, error) {
-	_, done, err := c.broadcast(at, "flush_all")
-	return done, err
-}
-
-// StatsAll aggregates stats across every server in the ring.
-func (c *Client) StatsAll(at vclock.Time) (Stats, vclock.Time, error) {
-	resps, latest, err := c.broadcast(at, "stats")
-	if err != nil {
-		return Stats{}, latest, err
-	}
-	var total Stats
-	for _, resp := range resps {
-		d := wire.NewDecoder(resp)
-		total.Items += d.Int64()
-		total.UsedBytes += d.Int64()
-		total.Hits += d.Int64()
-		total.Misses += d.Int64()
-		total.Evictions += d.Int64()
-		if derr := d.Finish(); derr != nil {
-			return Stats{}, latest, derr
-		}
-	}
-	return total, latest, nil
+	return c.broadcast(at, "flush_all")
 }

@@ -30,14 +30,14 @@ func TestServerSetGetDelete(t *testing.T) {
 	if err != nil || string(item.Value) != "v1" || item.Flags != 7 || item.CAS != cas {
 		t.Fatalf("get = %+v err=%v", item, err)
 	}
-	if _, err := s.DeleteCAS(0, "/a/b", cas); err != nil {
-		t.Fatal(err)
+	if !settleOne(s, Settle{Key: "/a/b", Cond: CondAlways}) {
+		t.Fatal("delete did nothing")
 	}
 	if _, _, err := s.Get(0, "/a/b"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("get after delete = %v", err)
 	}
-	if _, err := s.DeleteCAS(0, "/a/b", cas); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("double delete = %v", err)
+	if settleOne(s, Settle{Key: "/a/b", Cond: CondAlways}) {
+		t.Fatal("double delete reported deleted")
 	}
 }
 
@@ -73,44 +73,6 @@ func TestServerCASSemantics(t *testing.T) {
 	item, _, _ := s.Get(0, "k")
 	if string(item.Value) != "v2" {
 		t.Fatalf("value = %q", item.Value)
-	}
-}
-
-func TestServerDeleteCASSemantics(t *testing.T) {
-	s := testServer(ServerConfig{})
-	cas1, _, _ := s.Set(0, "k", []byte("v1"), 0)
-	// A concurrent update bumps the version: the guarded delete must
-	// refuse rather than destroy the newer value.
-	cas2, _, _ := s.Set(0, "k", []byte("v2"), 0)
-	if _, err := s.DeleteCAS(0, "k", cas1); !errors.Is(err, fsapi.ErrStale) {
-		t.Fatalf("stale delete = %v, want ErrStale", err)
-	}
-	if item, _, err := s.Get(0, "k"); err != nil || string(item.Value) != "v2" {
-		t.Fatalf("value destroyed by stale delete: %+v %v", item, err)
-	}
-	if _, err := s.DeleteCAS(0, "k", cas2); err != nil {
-		t.Fatalf("matching delete = %v", err)
-	}
-	if _, _, err := s.Get(0, "k"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("get after delete = %v", err)
-	}
-	if _, err := s.DeleteCAS(0, "k", cas2); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("delete missing = %v, want ErrNotExist", err)
-	}
-}
-
-func TestServerDeleteCASAccounting(t *testing.T) {
-	s := testServer(ServerConfig{})
-	cas, _, _ := s.Set(0, "k", make([]byte, 100), 0)
-	before := s.Stats().UsedBytes
-	if before == 0 {
-		t.Fatal("no usage accounted")
-	}
-	if _, err := s.DeleteCAS(0, "k", cas); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.UsedBytes != 0 || st.Items != 0 {
-		t.Fatalf("usage after guarded delete = %+v", st)
 	}
 }
 
@@ -284,48 +246,25 @@ func TestClientCASThroughRPC(t *testing.T) {
 	}
 }
 
-func TestClientDeleteCASThroughRPC(t *testing.T) {
-	c, _ := clusterEnv(t, 2)
-	cas, _, err := c.Add(0, "k", []byte("v1"), 0)
-	if err != nil {
-		t.Fatal(err)
+func TestClientFlushAll(t *testing.T) {
+	c, servers := clusterEnv(t, 3)
+	items := func() (n int64) {
+		for _, s := range servers {
+			n += s.Stats().Items
+		}
+		return n
 	}
-	cas2, _, err := c.CAS(0, "k", []byte("v2"), 0, cas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DeleteCAS(0, "k", cas); !errors.Is(err, fsapi.ErrStale) {
-		t.Fatalf("stale delete over rpc = %v", err)
-	}
-	if item, _, err := c.Get(0, "k"); err != nil || string(item.Value) != "v2" {
-		t.Fatalf("value lost: %+v %v", item, err)
-	}
-	if _, err := c.DeleteCAS(0, "k", cas2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DeleteCAS(0, "k", cas2); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("delete missing over rpc = %v", err)
-	}
-}
-
-func TestClientStatsAllAndFlushAll(t *testing.T) {
-	c, _ := clusterEnv(t, 3)
 	for i := 0; i < 60; i++ {
 		c.Set(0, fmt.Sprintf("k%d", i), []byte("v"), 0)
 	}
-	st, _, err := c.StatsAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Items != 60 {
-		t.Fatalf("aggregated items = %d", st.Items)
+	if got := items(); got != 60 {
+		t.Fatalf("items before flush = %d", got)
 	}
 	if _, err := c.FlushAll(0); err != nil {
 		t.Fatal(err)
 	}
-	st, _, _ = c.StatsAll(0)
-	if st.Items != 0 {
-		t.Fatalf("items after flush = %d", st.Items)
+	if got := items(); got != 0 {
+		t.Fatalf("items after flush = %d", got)
 	}
 }
 
@@ -448,9 +387,10 @@ func TestServerDeleteIf(t *testing.T) {
 		t.Fatal("CondAlways on an absent key reported deleted")
 	}
 
-	// Accounting: conditional deletions must release their bytes.
-	if used := s.Stats().UsedBytes; used != 0 {
-		t.Fatalf("used bytes after conditional deletes = %d", used)
+	// Accounting: conditional deletions must release their bytes and
+	// their items.
+	if st := s.Stats(); st.UsedBytes != 0 || st.Items != 0 {
+		t.Fatalf("usage after conditional deletes = %+v", st)
 	}
 }
 
@@ -590,8 +530,8 @@ func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
 	}
 }
 
-// TestBroadcastsFanOutConcurrently: FlushAll/StatsAll must start every
-// member's request at the same virtual time and merge completions with
+// TestBroadcastsFanOutConcurrently: FlushAll must start every member's
+// request at the same virtual time and merge completions with
 // vclock.Max — a broadcast over N idle members completes when the
 // slowest does, not N serial round trips later.
 func TestBroadcastsFanOutConcurrently(t *testing.T) {
@@ -608,12 +548,5 @@ func TestBroadcastsFanOutConcurrently(t *testing.T) {
 	}
 	if done4 > 2*oneRT {
 		t.Fatalf("flush over 4 members took %d, one cross-node round trip is %d — broadcast looks serial", done4, oneRT)
-	}
-	_, sdone4, err := c4.StatsAll(done4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sdone4-done4 > 2*oneRT {
-		t.Fatalf("stats over 4 members took %d, one cross-node round trip is %d — broadcast looks serial", sdone4-done4, oneRT)
 	}
 }

@@ -301,39 +301,14 @@ func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, e
 	return cas, nil
 }
 
-// DeleteCAS removes key only if its current version matches expect —
-// the deletion analogue of CAS. Cleanup paths (eviction, commit
-// bookkeeping) use it so a concurrent update between their read and
-// their delete surfaces as ErrStale instead of silently destroying the
-// newer value, which for Pacon's dirty entries is the primary copy.
-func (s *Server) DeleteCAS(at vclock.Time, key string, expect uint64) (vclock.Time, error) {
-	done := s.acquire(at)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	si, ok := sh.items[key]
-	if !ok {
-		return done, fsapi.ErrNotExist
-	}
-	if si.CAS != expect {
-		return done, fsapi.ErrStale
-	}
-	freed := itemBytes(key, si.Value)
-	sh.used -= freed
-	s.used.Add(-freed)
-	delete(sh.items, key)
-	return done, nil
-}
-
 // Pacon's core stores cache values with a fixed leading layout — one
 // flags byte followed by a uvarint sequence number. The settle actions
 // below evaluate their predicate against exactly this header, under the
 // owning shard's lock, so the commit module's bookkeeping needs no Get +
-// CAS/DeleteCAS retry loop and a whole commit wave's worth rides one
-// request. This block is the header's one definition: core builds and
-// reads its values through AppendValueHeader and ParseValueHeader, and
-// values too short to carry the header never match a predicate that
-// reads it.
+// CAS retry loop and a whole commit wave's worth rides one request. This
+// block is the header's one definition: core builds and reads its values
+// through AppendValueHeader and ParseValueHeader, and values too short to
+// carry the header never match a predicate that reads it.
 const (
 	// HdrDirty: the newest update is not yet committed to the DFS.
 	HdrDirty byte = 1 << iota
@@ -367,8 +342,9 @@ type Cond uint8
 
 // Conditional-delete predicates, mirroring the cleanup sites: seq match
 // (discard rule, abandoned creates), seq match on a removed marker
-// (committed removes), clean (eviction), and none (rmdir and rename
-// dropping entries whose objects the DFS no longer has).
+// (committed removes), clean (eviction, a miss-load revoking its adds),
+// and none (rmdir and rename dropping entries whose objects the DFS no
+// longer has).
 const (
 	// CondSeq: the value's seq equals the given seq.
 	CondSeq Cond = iota
@@ -729,18 +705,6 @@ func (s *Server) Service() *rpc.Service {
 	svc.Handle("set", store(storeSet))
 	svc.Handle("add", store(storeAdd))
 	svc.Handle("cas", store(storeCAS))
-	svc.Handle("delete_cas", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		d := wire.GetDecoder(body)
-		key := d.String()
-		expect := d.Uint64()
-		err := d.Finish()
-		wire.PutDecoder(d)
-		if err != nil {
-			return at, nil, err
-		}
-		done, err := s.DeleteCAS(at, key, expect)
-		return done, nil, err
-	})
 	svc.Handle("settle_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		// The whole frame is decoded and every action checked before the
 		// first key is touched: a malformed request settles nothing.
@@ -771,16 +735,6 @@ func (s *Server) Service() *rpc.Service {
 	})
 	svc.Handle("flush_all", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		return s.FlushAll(at), nil, nil
-	})
-	svc.Handle("stats", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		st := s.Stats()
-		e := wire.NewEncoder(64)
-		e.Int64(st.Items)
-		e.Int64(st.UsedBytes)
-		e.Int64(st.Hits)
-		e.Int64(st.Misses)
-		e.Int64(st.Evictions)
-		return s.acquire(at), e.Bytes(), nil
 	})
 	return svc
 }

@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -47,10 +48,7 @@ func TestServerConcurrentShards(t *testing.T) {
 						return
 					}
 					if r%8 == 0 {
-						if _, err := s.DeleteCAS(0, key, cas); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-							t.Errorf("delete %s: %v", key, err)
-							return
-						}
+						s.SettleMulti(0, []Settle{{Key: key, Cond: CondAlways}})
 					}
 				}
 			}
@@ -77,41 +75,45 @@ func TestServerConcurrentShards(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerConcurrentDeleteCASNoResurrection races a guarded delete
-// carrying a stale version against a Set that bumps it. Whichever order
-// the shard serializes them in, the new value must survive: either the
-// delete lands first (removing the old version, then Set re-creates) or
-// it lands second and must fail ErrStale. A stale guarded delete
-// removing the newer value would resurrect deleted state on the commit
-// path (the bug class DeleteCAS exists to prevent).
-func TestServerConcurrentDeleteCASNoResurrection(t *testing.T) {
+// TestServerConcurrentRevokeNoResurrection races a miss-load's revoke —
+// a settle_multi that deletes the key if clean — against a writer's cas
+// that dirties the clean entry the load added. Whichever order the shard
+// serializes them in, the writer's value must survive: either the revoke
+// lands first (the cas finds nothing, and the writer's retry adds) or it
+// lands second and the predicate fails. A revoke that deleted the dirty
+// value would destroy the primary copy of an acked write; the predicate
+// and the delete share one shard-lock hold, so there is no window between
+// them for the cas to fall into.
+func TestServerConcurrentRevokeNoResurrection(t *testing.T) {
 	s := testServer(ServerConfig{})
 	const rounds = 200
 	for r := 0; r < rounds; r++ {
 		key := fmt.Sprintf("/k%d", r)
-		oldCAS, _, err := s.Set(0, key, []byte("old"), 0)
+		loaded, err := s.store(key, makeVal(0, 0), 0, storeAdd, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dirty := makeVal(HdrDirty, uint64(r)+1)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.Set(0, key, []byte("new"), 0); err != nil {
-				t.Errorf("set new: %v", err)
+			_, _, err := s.CAS(0, key, dirty, 0, loaded)
+			if errors.Is(err, fsapi.ErrNotExist) {
+				_, _, err = s.Add(0, key, dirty, 0) // the revoke won: the path is free
+			}
+			if err != nil {
+				t.Errorf("writer: %v", err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			_, err := s.DeleteCAS(0, key, oldCAS)
-			if err != nil && !errors.Is(err, fsapi.ErrStale) && !errors.Is(err, fsapi.ErrNotExist) {
-				t.Errorf("delete_cas: %v", err)
-			}
+			s.SettleMulti(0, []Settle{{Key: key, Cond: CondClean}})
 		}()
 		wg.Wait()
 		item, _, err := s.Get(0, key)
-		if err != nil || string(item.Value) != "new" {
-			t.Fatalf("round %d: after race value=%q err=%v, want %q", r, item.Value, err, "new")
+		if err != nil || !bytes.Equal(item.Value, dirty) {
+			t.Fatalf("round %d: after the race value=%x err=%v, want the writer's dirty value", r, item.Value, err)
 		}
 	}
 }
