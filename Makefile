@@ -56,82 +56,35 @@ bench:
 bench-quick:
 	GOMAXPROCS=1 $(GO) run ./cmd/paconbench -quick -json BENCH_ci.json
 
-# alloc-gate pins the hot paths' allocation counts. Create: one create
-# from the client call to the end of its commit — the benchmark drains
-# inside the timed span — is 16-17 allocs/op, 19 through the 4-shard
-# router, and the gates sit one above. (The benchmarks used to stop the
-# clock at the last ack, and read anything from 8 to 16 depending on how
-# much of the commit side overlapped the loop; in today's form they read
-# 17 and 20 on the commit before this one.) Batched read: a 16-sibling
-# StatMulti, all hits over 4 cache servers, was 82 allocs/op with
-# map-based owner grouping and a second result slice, 36 without, and is
-# 26 now that the in-process fan-out spawns no goroutine per owner (16
-# of them the hit values themselves); the count does not vary between
-# runs, so the gate is the number. Commit side: one op through dequeue,
-# wave construction, apply_batch and the settle fan-out
-# (BenchmarkCommitWave times only the release and the drain) is 7
-# allocs and 506 B; the count is the same with per-wave scratch
-# allocated afresh, which shows in the bytes instead (1,265 B/op before
-# the commit process owned its scratch), so this gate holds both — the
-# bytes at 768, a third of the way back. DFS client: every singleton
-# mutation is a one-op apply_batch, and one create end to end is 4
-# allocs and 231 B, its path string, its inode and its three-byte reply
-# — the gate, 5 and 300, is what the dedicated endpoint cost (4, 279 B)
-# plus at most that reply; a heap-allocated one-op batch or a closure
-# built on the lone-target path shows here first. The same create sent
-# as an ApplyBatch of one — what a commit wave holding a lone op sends,
-# half the commits of an mdtest-like mix — is that plus the one-element
-# result it returns, 5 allocs and 247 B, gated at 6 and 320: a batch of
-# one that took the grouping path (7 allocs, 319 B) fails it. Eight
-# creates in one ApplyBatch on one MDS are 28 allocs (36 with map-based
-# grouping); without that map the gates above read 15, 17, 26 and 6
-# allocs / 335 B today, and keep the headroom they had. With every fourth
-# create carrying 64 B the wave adds its WriteBatch: 6 allocs, 399 B.
+# alloc-gate pins the hot paths' allocations, a row per benchmark: package,
+# benchmark, -benchtime, max allocs/op, max B/op (- for none), the line's
+# label, and after the # what trips it (the history is in EXPERIMENTS.md).
+define ALLOC_GATES
+core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 15-17: an allocation added to the ack or to the in-flight table's record
+core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 17-19
+core BenchmarkClientStatMulti      2000x  26 -   batched read path              # 16 hits over 4 cache servers, 16 of the 26 the values: a goroutine per owner, map-based grouping, a second result slice
+core BenchmarkCommitWave           2048x  7  768 commit wave                    # 6 and 335 B per committed op: per-wave scratch allocated afresh shows in the bytes (1,265 B)
+core BenchmarkCommitWavePayload    2048x  6  408 commit wave with payload       # 6 and 399 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS
+dfs  BenchmarkCreate               20000x 5  300 dfs create (one-op batch)      # 4 and 231 B, path, inode and reply: a heap-allocated one-op batch, a closure on the lone-target path
+dfs  BenchmarkApplyBatch1          20000x 6  320 dfs apply_batch of 1           # 5 and 247 B, the create plus its one-element result: a batch of one taking the grouping path (7, 319 B)
+dfs  BenchmarkApplyBatch8/shards=1 20000x 30 -   dfs apply_batch of 8, one MDS  # 28: map-based grouping of the batch (36)
+endef
+export ALLOC_GATES
+
 alloc-gate:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreate$$' -benchtime 2000x -benchmem ./internal/core/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkClientCreate/ {print $$(NF-1)}'); \
-	echo "create path: $$allocs allocs/op (gate: <= 18)"; \
-	test "$$allocs" -le 18
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientCreateSharded$$' -benchtime 2000x -benchmem ./internal/core/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkClientCreateSharded/ {print $$(NF-1)}'); \
-	echo "create path (4-shard router): $$allocs allocs/op (gate: <= 20)"; \
-	test "$$allocs" -le 20
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkClientStatMulti$$' -benchtime 2000x -benchmem ./internal/core/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkClientStatMulti/ {print $$(NF-1)}'); \
-	echo "batched read path: $$allocs allocs/op (gate: <= 26)"; \
-	test "$$allocs" -le 26
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCommitWave$$' -benchtime 2048x -benchmem ./internal/core/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkCommitWave/ {print $$(NF-1)}'); \
-	bytes=$$(echo "$$out" | awk '/^BenchmarkCommitWave/ {print $$(NF-3)}'); \
-	echo "commit wave: $$allocs allocs/op, $$bytes B/op (gate: <= 7 and <= 768)"; \
-	test "$$allocs" -le 7 && test "$$bytes" -le 768
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCommitWavePayload$$' -benchtime 2048x -benchmem ./internal/core/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkCommitWavePayload/ {print $$(NF-1)}'); \
-	bytes=$$(echo "$$out" | awk '/^BenchmarkCommitWavePayload/ {print $$(NF-3)}'); \
-	echo "commit wave with payload: $$allocs allocs/op, $$bytes B/op (gate: <= 6 and <= 408)"; \
-	test "$$allocs" -le 6 && test "$$bytes" -le 408
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkCreate$$' -benchtime 20000x -benchmem ./internal/dfs/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkCreate/ {print $$(NF-1)}'); \
-	bytes=$$(echo "$$out" | awk '/^BenchmarkCreate/ {print $$(NF-3)}'); \
-	echo "dfs create (one-op batch): $$allocs allocs/op, $$bytes B/op (gate: <= 5 and <= 300)"; \
-	test "$$allocs" -le 5 && test "$$bytes" -le 300
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkApplyBatch1$$' -benchtime 20000x -benchmem ./internal/dfs/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkApplyBatch1/ {print $$(NF-1)}'); \
-	bytes=$$(echo "$$out" | awk '/^BenchmarkApplyBatch1/ {print $$(NF-3)}'); \
-	echo "dfs apply_batch of 1: $$allocs allocs/op, $$bytes B/op (gate: <= 6 and <= 320)"; \
-	test "$$allocs" -le 6 && test "$$bytes" -le 320
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkApplyBatch8/shards=1$$' -benchtime 20000x -benchmem ./internal/dfs/); \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkApplyBatch8/ {print $$(NF-1)}'); \
-	echo "dfs apply_batch of 8, one MDS: $$allocs allocs/op (gate: <= 30)"; \
-	test "$$allocs" -le 30
+	@echo "$$ALLOC_GATES" | while read -r pkg bench n maxa maxb rest; do \
+		out=$$($(GO) test -run '^$$' -bench "$$bench\$$" -benchtime $$n -benchmem ./internal/$$pkg/); \
+		echo "$$out"; \
+		set -- $$(echo "$$out" | awk -v b="$${bench%%/*}" 'index($$0, b) == 1 {print $$(NF-1), $$(NF-3)}'); \
+		msg="$$(echo "$${rest%%#*}" | sed 's/ *$$//'): $$1 allocs/op"; \
+		if [ "$$maxb" = - ]; then \
+			echo "$$msg (gate: <= $$maxa)"; \
+		else \
+			echo "$$msg, $$2 B/op (gate: <= $$maxa and <= $$maxb)"; \
+			test "$$2" -le "$$maxb" || exit 1; \
+		fi; \
+		test "$$1" -le "$$maxa" || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

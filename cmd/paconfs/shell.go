@@ -273,6 +273,7 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 			time.Duration(h.MaxStalenessNS), time.Duration(h.MaxCommitLagNS),
 			time.Duration(h.QueueHeadAgeNS))
 		fmt.Fprintf(&sb, "\nqueues: %d pending op(s), %d parked", h.QueueDepth, h.ParkedOps)
+		fmt.Fprintf(&sb, "\nat risk: %d acked op(s) the DFS does not have yet", h.AtRiskOps)
 		fmt.Fprintf(&sb, "\ncache: %d dirty key(s), %d removed", h.DirtyKeys, h.RemovedKeys)
 		if h.NodeOpsMaxMeanPermille > 0 {
 			fmt.Fprintf(&sb, "\nskew: node max/mean=%.2fx cv=%.2f",
@@ -394,6 +395,10 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 		return fmt.Sprintf("workspace rolled back to checkpoint %d", seq), false, nil
 	case "fail":
 		if err := need(1); err != nil {
+			return "", false, err
+		}
+		// An unknown node is NewClient's error; SimulateNodeFailure has none.
+		if _, err := s.region.NewClient(args[0]); err != nil {
 			return "", false, err
 		}
 		lost := s.region.SimulateNodeFailure(args[0])

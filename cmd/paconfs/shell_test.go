@@ -88,6 +88,9 @@ func TestShellCheckpointRestoreFail(t *testing.T) {
 	seq := strings.Fields(ck)[1]
 
 	run(t, sh, "create volatile.dat")
+	if out, _, err := sh.exec("fail nodeX"); err == nil || !strings.Contains(err.Error(), "not part of region") {
+		t.Fatalf("fail of a node the region does not have: %q, %v", out, err)
+	}
 	if out := run(t, sh, "fail node0"); !strings.Contains(out, "lost") {
 		t.Fatalf("fail: %q", out)
 	}
@@ -197,6 +200,9 @@ func TestShellHealthAndAudit(t *testing.T) {
 	}
 	if !strings.Contains(out, "last audit: never ran") {
 		t.Fatalf("health before any audit: %q", out)
+	}
+	if !strings.Contains(out, "\nat risk: 0 acked op(s) the DFS does not have yet\n") {
+		t.Fatalf("health of a drained region must say nothing is at risk: %q", out)
 	}
 
 	out = run(t, sh, "audit")

@@ -37,7 +37,7 @@ func holdCommits(t testing.TB, r *Region) (release func()) {
 // for driving the commit module's functions directly. A cleanup they owe
 // the cache reaches it at the next settle, as in the loop.
 func testCommitter(e *env) *committer {
-	return e.region.newCommitter("node0", e.region.deps.NewBackend("node0"))
+	return e.region.newCommitter(e.region.byName["node0"], e.region.deps.NewBackend("node0"))
 }
 
 // mustEntry returns path's cache entry or fails the test.
@@ -551,8 +551,8 @@ func TestEvictSurvivesCacheServerDeath(t *testing.T) {
 		t.Fatalf("evicted %d keys, want at least the %d owned by live servers", got, len(live))
 	}
 	resident := map[string]bool{}
-	for _, srv := range e.region.servers {
-		srv.ForEach(func(key string, _ memcache.Item) { resident[key] = true })
+	for _, n := range e.region.nodes {
+		n.cache.ForEach(func(key string, _ memcache.Item) { resident[key] = true })
 	}
 	for _, p := range live {
 		if resident[p] {

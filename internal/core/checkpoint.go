@@ -150,16 +150,19 @@ func (r *Region) Restore(c *Client, at vclock.Time, seq uint64) (vclock.Time, er
 
 // SimulateNodeFailure models a client-node crash for recovery tests and
 // examples: the node's queued (uncommitted) operations are lost and its
-// cache server's contents vanish. Must not race an in-flight barrier
-// operation — a real deployment would re-form the region first.
+// cache server's contents vanish. It returns how many ops were lost: of
+// the node's at_risk_ops the queued ones only — an op already in a wave
+// or parked stays with the commit process, which this simulation leaves
+// running. Must not race an in-flight barrier operation — a real
+// deployment would re-form the region first.
 func (r *Region) SimulateNodeFailure(node string) int {
-	q, ok := r.queues[node]
-	if !ok {
+	n := r.byName[node]
+	if n == nil {
 		return 0
 	}
 	lost := 0
 	for {
-		op, barrier, _, ok := q.TryPop()
+		op, barrier, _, ok := n.queue.TryPop()
 		if !ok {
 			break
 		}
@@ -168,12 +171,11 @@ func (r *Region) SimulateNodeFailure(node string) int {
 			// The popped op will never reach a commit-loop terminal: this
 			// is its terminal, or scoped barriers would keep waiting on
 			// the dead node's paths, the staleness watermark would grow
-			// forever and its sampled span would never close.
+			// forever, its sampled span would never close and what it
+			// fsynced would wait for a create that never lands.
 			r.opTerminal(op, obs.StageDrop, "node failure")
 		}
 	}
-	if srv, ok := r.servers[node]; ok {
-		srv.FlushAll(0)
-	}
+	n.cache.FlushAll(0)
 	return lost
 }

@@ -19,15 +19,14 @@ import (
 // barrier operations; everything outside the workspace is redirected to
 // the DFS unchanged.
 type Client struct {
-	region  *Region
-	node    string
+	region *Region
+	// node is the region node the client runs on: its ops enter that
+	// node's in-flight table and queue, and every public entry point
+	// begins and ends through its telemetry handle.
+	node    *node
 	cache   *memcache.Client
 	caller  *rpc.Caller
 	backend Backend
-	// tel is this node's telemetry handle (nil when observability is
-	// disabled): the one hook every public entry point begins and ends
-	// through, and the one queued ops carry to their commit terminal.
-	tel *obs.Node
 
 	// parentMemo caches positive parent-existence checks per barrier
 	// epoch: monotone until a dependent op can remove directories, at
@@ -56,17 +55,17 @@ type Client struct {
 
 // NewClient builds a client bound to one of the region's nodes.
 func (r *Region) NewClient(node string) (*Client, error) {
-	if _, ok := r.queues[node]; !ok {
+	n := r.byName[node]
+	if n == nil {
 		return nil, fmt.Errorf("core: node %q is not part of region %q", node, r.cfg.Name)
 	}
 	caller := rpc.NewCaller(r.deps.Bus, r.cfg.Model, node)
 	return &Client{
 		region:       r,
-		node:         node,
+		node:         n,
 		cache:        memcache.NewClient(caller, r.ring),
 		caller:       caller,
 		backend:      r.newBackend(node),
-		tel:          r.obs.Node(node),
 		parentMemo:   make(map[string]uint64),
 		remoteCaches: make(map[string]*memcache.Client),
 	}, nil
@@ -83,10 +82,10 @@ func (r *Region) NewClient(node string) (*Client, error) {
 // calling another (Rmdir and ReadAt stat their target) keeps the outer
 // call's span and records nothing of its own.
 func (c *Client) begin(op string, paths ...string) (outer bool) {
-	if c.tel == nil || c.curSpan != 0 {
+	if c.node.tel == nil || c.curSpan != 0 {
 		return false
 	}
-	c.curSpan, c.curSampled, c.curStart = c.tel.OpBegin(op, paths...)
+	c.curSpan, c.curSampled, c.curStart = c.node.tel.OpBegin(op, paths...)
 	c.curQueued = false
 	if c.curSampled {
 		c.caller.SetTrace(c.curSpan)
@@ -105,7 +104,7 @@ func (c *Client) end(outer bool) {
 		c.caller.ClearTrace()
 		c.backend.ClearTrace()
 	}
-	c.tel.OpEnd(c.curSpan, c.curSampled, c.curQueued, c.curStart)
+	c.node.tel.OpEnd(c.curSpan, c.curSampled, c.curQueued, c.curStart)
 	c.curSpan, c.curSampled = 0, false
 }
 
@@ -113,7 +112,7 @@ func (c *Client) end(outer bool) {
 // back from its barrier wait, on the active sampled span.
 func (c *Client) barrierReturned(op, path string) {
 	if c.curSampled {
-		c.tel.Event(c.curSpan, true, obs.StageBarrier, op, path, "")
+		c.node.tel.Event(c.curSpan, true, obs.StageBarrier, op, path, "")
 	}
 }
 
@@ -139,32 +138,25 @@ func (c *Client) overhead(at vclock.Time) vclock.Time {
 
 // pushOp enqueues the commit operation a stored transition owes — what
 // next said to enqueue for the value it stored — on this node's queue,
-// charging the publish cost (§III.D.1).
-func (c *Client) pushOp(at vclock.Time, p string, out *outcome) (vclock.Time, error) {
+// charging the publish cost (§III.D.1). The op takes over the in-flight
+// reference mutate took for it at wall, before the store — a scoped barrier
+// or a crossing asking the table since has seen the op coming — and from
+// here its terminal gives it back.
+func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64) (vclock.Time, error) {
 	kind := out.kind
 	// The op carries the span begin opened at the client entry point (so
 	// the cache RPCs issued before the push already belong to it) and
-	// the node's telemetry handle; they follow it through dequeue,
-	// coalescing, parking and apply.
-	op := Op{Kind: kind, Path: p, Time: at, Seq: out.val.seq, Node: c.node, AfterRm: out.afterRm,
-		tel: c.tel, Span: c.curSpan, Sampled: c.curSampled}
+	// its node; they follow it through dequeue, coalescing, parking and
+	// apply.
+	op := Op{Kind: kind, Path: p, Time: at, Seq: out.val.seq, Node: c.node.name, AfterRm: out.afterRm,
+		node: c.node, Span: c.curSpan, Sampled: c.curSampled, EnqWall: wall}
 	if kind != OpRemove {
 		op.Stat = out.val.stat // a remove commits a path, not a stat
 	}
-	// Track the path before the push: a scoped barrier that snapshots
-	// the tracker between the two sees the op it might have to wait
-	// for; the reverse order would let a marker slip ahead of an
-	// already-queued, still-untracked op. The enqueue event and the lag
-	// tracker follow the same contract for the same reason — a commit
-	// process could reach the op's terminal before a post-push add,
-	// leaking the timestamp (and recording its dequeue before its
-	// enqueue).
-	c.region.trackers[c.node].add(p)
-	if c.tel != nil {
-		op.EnqWall = c.tel.Event(op.Span, op.Sampled, obs.StageEnqueue, kind.String(), p, "")
-		c.region.lags[c.node].add(p, op.EnqWall)
-	}
-	if err := c.region.queues[c.node].Push(op); err != nil {
+	// Before the push: the commit process could otherwise record the op's
+	// dequeue before its enqueue.
+	op.trace(obs.StageEnqueue, "")
+	if err := c.node.queue.Push(op); err != nil {
 		c.region.opTerminal(op, obs.StageDrop, "queue closed")
 		return at, err
 	}

@@ -41,7 +41,7 @@ package core
 //
 // onMerge (nil ok) is called once per fold with the surviving merged op
 // and the op absorbed into it — the commit loop's hook for closing the
-// absorbed op's span and releasing its path-tracker reference. The
+// absorbed op's span and releasing its in-flight reference. The
 // absorbed side is identified structurally (the merged op keeps prev's
 // kind when a setstat folded into a create, and next's kind otherwise)
 // so the hook fires even when tracing is off and every span is zero.
@@ -111,7 +111,7 @@ func mergeOps(prev, next Op) (Op, bool) {
 		// The net-absence remove continues the remove's span (the
 		// create's span ends at the coalesce event).
 		return Op{Kind: OpRemove, Path: next.Path, Seq: next.Seq, Node: next.Node, Time: t,
-			NetAbsent: true, tel: next.tel, Span: next.Span, EnqWall: next.EnqWall, Sampled: next.Sampled}, true
+			NetAbsent: true, node: next.node, Span: next.Span, EnqWall: next.EnqWall, Sampled: next.Sampled}, true
 	}
 	return Op{}, false
 }

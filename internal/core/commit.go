@@ -7,7 +7,6 @@ import (
 
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
-	"pacon/internal/mq"
 	"pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
@@ -61,11 +60,12 @@ func (p *pendingSet) detach() []Op {
 
 // committer is one node's commit process: the subscriber of the node's
 // commit queue. It applies operations to the DFS through the node's own
-// backend client, participates in barrier epochs, and maintains the
-// cache's dirty/removed bookkeeping. Everything below the dequeue runs
-// on the process's one goroutine, so the state here — the virtual clock,
-// the pending set, and the scratch a wave is built in — needs no lock
-// and is reused from one dequeue to the next.
+// backend client, participates in barrier epochs, maintains the cache's
+// dirty/removed bookkeeping and gives back, op by op, the references
+// clients took in the node's in-flight table. Everything below the
+// dequeue runs on the process's one goroutine, so the state here — the
+// virtual clock, the pending set, and the scratch a wave is built in —
+// needs no lock and is reused from one dequeue to the next.
 //
 // Operations are dequeued up to CommitBatchSize at a time (never across
 // a barrier marker), same-path runs are coalesced (see coalesceOps), and
@@ -86,6 +86,7 @@ func (p *pendingSet) detach() []Op {
 // argument presumes.
 type committer struct {
 	r       *Region
+	node    *node
 	backend Backend
 	cache   *memcache.Client
 	now     vclock.Time
@@ -109,11 +110,12 @@ type committer struct {
 	span uint64
 }
 
-func (r *Region) newCommitter(node string, backend Backend) *committer {
+func (r *Region) newCommitter(n *node, backend Backend) *committer {
 	return &committer{
 		r:        r,
+		node:     n,
 		backend:  backend,
-		cache:    memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, node), r.ring),
+		cache:    memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, n.name), r.ring),
 		pending:  pendingSet{region: r},
 		coalesce: make(map[string]int, r.cfg.CommitBatchSize),
 		inWave:   make(map[string]struct{}, r.cfg.CommitBatchSize),
@@ -122,14 +124,14 @@ func (r *Region) newCommitter(node string, backend Backend) *committer {
 
 // run is the commit loop; it returns when the queue or the barrier
 // closes.
-func (c *committer) run(q *mq.Queue[Op]) {
-	r := c.r
+func (c *committer) run() {
+	r, q := c.r, c.node.queue
 	// onMerge retires the absorbed op: the survivor carries the path to
 	// its own terminal, and the absorbed span ends here with a coalesce
 	// event naming the span its effect now rides.
 	onMerge := func(survivor, absorbed Op) {
 		note := ""
-		if absorbed.tel != nil {
+		if c.node.tel != nil {
 			note = fmt.Sprintf("into span %d", survivor.Span)
 		}
 		r.opTerminal(absorbed, obs.StageCoalesce, note)
@@ -165,7 +167,7 @@ func (c *committer) run(q *mq.Queue[Op]) {
 			c.now = vclock.Max(c.now, rel)
 			continue
 		}
-		r.observeDequeue(ops)
+		c.observeDequeue(ops)
 		ops, merged := coalesceOps(ops, c.coalesce, onMerge)
 		r.coalesced.Add(merged)
 		c.applyOps(ops, false)
@@ -237,8 +239,8 @@ func (op *Op) unparked() {
 // in one Backend.WriteBatch: the batch just told the DFS each file's
 // size, so the data path has nothing to ask the MDS. Only then does each
 // op, in op order, reach its terminal and queue its settle (conclude):
-// the terminal takes the path off the tracker, and a threshold crossing
-// that finds the path drained must not run beside bytes still in flight.
+// the terminal releases the path in the in-flight table, and a threshold
+// crossing that finds it drained must not run beside bytes still in flight.
 // A create whose bytes failed has committed all the same, less the data
 // (lostBytes); a setstat is nothing but its bytes and takes their error
 // as its result. An op whose row asks for resubmission parks, on a
@@ -492,7 +494,7 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 		// committed (§III.D.2), through the file interface: the spill may
 		// be longer than the size the create carried. Like the wave's
 		// bytes it goes before the terminal.
-		if data, _ := r.spillTake(op.Path); len(data) > 0 {
+		if data := c.node.inflight.takeSpill(op.Path); len(data) > 0 {
 			r.backendRPCs.Add(1)
 			var err error
 			if c.now, err = c.backend.WriteAt(c.now, op.Path, 0, data); err != nil {
@@ -502,9 +504,11 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 	}
 	switch v.end {
 	case endCommitted:
-		r.opCommitted(op)
+		r.committed.Add(1)
+		r.opTerminal(op, obs.StageApply, "")
 	case endDiscarded:
-		r.opDiscarded(op)
+		r.discarded.Add(1)
+		r.opTerminal(op, obs.StageDiscard, "under active rmdir")
 	case endDrop:
 		// reason (one of the dropReason* constants) labels the per-reason
 		// counter and the drop trace event: dropped ops never record a

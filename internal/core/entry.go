@@ -601,14 +601,18 @@ func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclo
 		}
 		enc.Reset()
 		out.val.encodeTo(enc)
-		// A path with an op to queue counts as pending on this node from
-		// before the store is visible until the op is queued (which then
-		// holds its own reference): a threshold crossing that claims the
-		// entry right after this store drains the path, and must see the
-		// op coming.
-		tracker := c.region.trackers[c.node]
+		// A path with an op to queue is pending on this node from before
+		// the store is visible: a threshold crossing that claims the entry
+		// right after this store drains the path, and must see the op
+		// coming. The reference, and its wall, are the op's own: pushOp hands
+		// them over, and only a store that queues nothing gives them back.
+		table := &c.node.inflight
+		var wall int64
 		if out.enqueue {
-			tracker.add(ev.path)
+			if c.node.tel != nil {
+				wall = time.Now().UnixNano()
+			}
+			table.take(ev.path, wall)
 		}
 		var cas uint64
 		var err error
@@ -618,15 +622,16 @@ func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclo
 			cas, at, err = c.cache.Add(at, ev.path, enc.Bytes(), 0)
 		}
 		stored := err == nil
-		if stored && out.enqueue {
-			if c.region.cfg.SyncCommit && ev.kind == evCreate {
-				at, err = c.commitSyncInsert(at, ev.path, out.val) // the ablation: creations reach the DFS now
-			} else {
-				at, err = c.pushOp(at, ev.path, &out)
-			}
-		}
 		if out.enqueue {
-			tracker.remove(ev.path)
+			switch {
+			case !stored:
+				table.release(ev.path, wall, 0)
+			case c.region.cfg.SyncCommit && ev.kind == evCreate:
+				at, err = c.commitSyncInsert(at, ev.path, out.val) // the ablation: creations reach the DFS now
+				table.release(ev.path, wall, 0)
+			default:
+				at, err = c.pushOp(at, ev.path, &out, wall)
+			}
 		}
 		switch {
 		case stored:

@@ -268,3 +268,59 @@ func TestValueHeaderIsOneContract(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCacheValDecode: whatever bytes a cache server hands back, the two
+// decoders of a value — decodeCacheVal and a read's decodeStatResult —
+// answer with an error or a value, never a panic, and agree; a value that
+// decodes re-encodes to bytes that decode to it again and re-encode to
+// themselves; and bytes in canonical form (minimal varints, which is to
+// say no longer than their re-encoding) re-encode to the same bytes, the
+// flag bits no one defined aside.
+func FuzzCacheValDecode(f *testing.F) {
+	for _, v := range []cacheVal{
+		{},
+		{dirty: true, seq: 3, stat: fileStat(2, "ab")},
+		{removed: true, dirty: true, seq: 1 << 40, stat: fileStat(2, "ab")},
+		{large: true, seq: 7, stat: fileStat(1<<20, "")},
+		{stat: fsapi.Stat{Type: fsapi.TypeDir, Mode: 0o755, UID: 1000, GID: 1000, Nlink: 2, Mtime: 5, Ctime: 5}},
+	} {
+		f.Add(v.encode())
+	}
+	whole := cacheVal{dirty: true, seq: 3, stat: fileStat(2, "ab")}.encode()
+	f.Add(whole[:len(whole)-1])                                      // cut inside the inline bytes
+	f.Add(append(append([]byte(nil), whole...), 0))                  // a trailing byte
+	f.Add(append([]byte{0xff, 0x83, 0x80, 0x00}, whole[2:]...))      // unknown flag bits, a non-minimal seq
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a seq that never ends
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v, err := decodeCacheVal(raw)
+		sr := decodeStatResult("stat", "/w/p", raw)
+		switch {
+		case err != nil:
+			if sr.Err == nil {
+				t.Fatalf("decodeCacheVal refused %x (%v), decodeStatResult answered %+v", raw, err, sr.Stat)
+			}
+			return
+		case v.removed != errors.Is(sr.Err, fsapi.ErrNotExist) || (!v.removed && sr.Err != nil):
+			t.Fatalf("removed=%v, decodeStatResult's error %v", v.removed, sr.Err)
+		case !v.removed && (sr.Stat.Size != v.stat.Size || !bytes.Equal(sr.Stat.Inline, v.stat.Inline)):
+			t.Fatalf("decodeStatResult's stat %+v, decodeCacheVal's %+v", sr.Stat, v.stat)
+		}
+		enc := v.encode()
+		again, err := decodeCacheVal(enc)
+		if err != nil || !bytes.Equal(again.encode(), enc) {
+			t.Fatalf("%x re-encodes to %x, which decodes with %v and re-encodes to %x", raw, enc, err, again.encode())
+		}
+		if len(enc) > len(raw) {
+			t.Fatalf("%x re-encodes longer, to %x", raw, enc)
+		}
+		if len(enc) == len(raw) {
+			canon := append([]byte(nil), raw...)
+			canon[0] &= memcache.HdrDirty | memcache.HdrRemoved | memcache.HdrLarge
+			if !bytes.Equal(enc, canon) {
+				t.Fatalf("%x re-encodes to %x", raw, enc)
+			}
+		}
+	})
+}

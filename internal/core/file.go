@@ -89,9 +89,6 @@ func (c *Client) growToLarge(at vclock.Time, p string, rd *entryRead, off int64,
 func (c *Client) materialize(at vclock.Time, p string, st fsapi.Stat, off int64, data []byte) (vclock.Time, error) {
 	inline := st.Inline
 	st.Inline = nil
-	// The file goes to the DFS whole: what an fsync spilled is an older
-	// copy of its bytes, and no create that lands later may write it back.
-	c.region.spillTake(p)
 	// After the drain the file is missing only if its queued create was
 	// dropped. Whatever this create answers — the file exists, as a rule —
 	// the write is what must succeed, and it fails if the file is not there.
@@ -173,7 +170,10 @@ func sliceInline(inline []byte, off int64, n int) []byte {
 // has not committed yet, the data is spilled locally with direct I/O and
 // written back to its original position after the create commits
 // (§III.D.2); a clean or large file needs nothing — its data is already
-// on the DFS or will be carried by the pending backup write.
+// on the DFS or will be carried by the pending backup write. The spill
+// joins the path's in-flight record on a node that has the file pending,
+// tagged with the entry's seq, and goes with that incarnation (opTerminal);
+// a dirty entry with nothing pending anywhere has just landed and owes none.
 func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	defer c.end(c.begin("fsync", p))
@@ -190,9 +190,13 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 		return at, err
 	}
 	if v.dirty && !v.large && len(v.stat.Inline) > 0 {
-		r.spillPut(p, v.stat.Inline)
-		// Direct I/O to the local cache file: charge one local device op.
-		at = at.Add(r.cfg.Model.DataChunkCost + vclock.Duration(int64(r.cfg.Model.DataPerKB)*int64(len(v.stat.Inline))/1024))
+		for _, n := range r.nodes {
+			if n.inflight.putSpill(p, v.seq, v.stat.Inline) {
+				// Direct I/O to the local cache file: charge one local device op.
+				at = at.Add(r.cfg.Model.DataChunkCost + vclock.Duration(int64(r.cfg.Model.DataPerKB)*int64(len(v.stat.Inline))/1024))
+				break
+			}
+		}
 	}
 	return at, nil
 }

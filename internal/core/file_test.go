@@ -154,6 +154,161 @@ func TestFsyncSpillAndWriteback(t *testing.T) {
 	}
 }
 
+// dfsFile reads p's size and content straight off the DFS.
+func dfsFile(t *testing.T, e *env, at vclock.Time, p string) (int64, string) {
+	t.Helper()
+	direct := e.dfs.NewClient("verify", appCred, 0, 0)
+	st, _, err := direct.Stat(at, p)
+	if err != nil {
+		t.Fatalf("DFS stat %s: %v", p, err)
+	}
+	data, _, err := direct.ReadAt(at, p, 0, 100)
+	if err != nil {
+		t.Fatalf("DFS read %s: %v", p, err)
+	}
+	return st.Size, string(data)
+}
+
+// TestSpillDiesWithItsIncarnation: a removed file's fsynced bytes are not
+// written into the file next created under its name. At the parent commit
+// the spill was keyed by path alone and released only by a create that
+// landed: the first incarnation's create and remove annihilated in the
+// coalescer, the spill stayed, and the second incarnation's create wrote
+// it back — the DFS held 15 bytes of a file the cache knew as empty.
+func TestSpillDiesWithItsIncarnation(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	c := e.client(t, "node0")
+	release := holdCommits(t, e.region)
+	at, _ := c.Create(0, "/w/f", 0o644)
+	at, _ = c.WriteAt(at, "/w/f", 0, []byte("OLD INCARNATION"))
+	at, err := c.Fsync(at, "/w/f")
+	if err != nil || e.region.SpillCount() != 1 {
+		t.Fatalf("fsync: %v, spill count %d", err, e.region.SpillCount())
+	}
+	if at, err = c.Remove(at, "/w/f"); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Create(at, "/w/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	if size, data := dfsFile(t, e, at, "/w/f"); size != 0 || data != "" {
+		t.Fatalf("DFS holds %d bytes %q of a file created empty", size, data)
+	}
+	if st, _, err := c.Stat(at, "/w/f"); err != nil || st.Size != 0 {
+		t.Fatalf("cache: size %d, %v", st.Size, err)
+	}
+}
+
+// TestEveryTerminalReleasesTheSpill: a spill goes with the incarnation it
+// was made of however that ends — not only by a create that lands.
+func TestEveryTerminalReleasesTheSpill(t *testing.T) {
+	// spilled leaves /w/d/f created, written and fsynced behind held
+	// commit processes.
+	spilled := func(t *testing.T) (*env, *Client, vclock.Time, func()) {
+		e := newEnv(t, 1, nil)
+		c := e.client(t, "node0")
+		at, err := c.Mkdir(0, "/w/d", 0o755)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		release := holdCommits(t, e.region)
+		at, _ = c.Create(at, "/w/d/f", 0o644)
+		at, _ = c.WriteAt(at, "/w/d/f", 0, []byte("spilled"))
+		if at, err = c.Fsync(at, "/w/d/f"); err != nil || e.region.SpillCount() != 1 {
+			t.Fatalf("fsync: %v, spill count %d", err, e.region.SpillCount())
+		}
+		return e, c, at, release
+	}
+	t.Run("annihilated", func(t *testing.T) {
+		e, c, at, release := spilled(t)
+		at, err := c.Remove(at, "/w/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if _, err := e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.region.Stats(); st.Coalesced == 0 || e.region.SpillCount() != 0 {
+			t.Fatalf("spill count %d after create+remove annihilated (%+v)", e.region.SpillCount(), st)
+		}
+	})
+	t.Run("discarded", func(t *testing.T) {
+		e, _, at, release := spilled(t)
+		e.region.addRemoving("/w/d")
+		release()
+		_, err := e.region.Drain(at)
+		e.region.delRemoving("/w/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := e.region.Stats(); st.Discarded != 1 || e.region.SpillCount() != 0 {
+			t.Fatalf("spill count %d after the create was discarded (%+v)", e.region.SpillCount(), st)
+		}
+	})
+	t.Run("lost with its node", func(t *testing.T) {
+		e, _, _, release := spilled(t)
+		defer release()
+		if lost := e.region.SimulateNodeFailure("node0"); lost != 2 {
+			t.Fatalf("lost %d ops, want the create and the write", lost)
+		}
+		if n := e.region.SpillCount(); n != 0 {
+			t.Fatalf("spill count %d after the node failed", n)
+		}
+	})
+}
+
+// TestSpillOfOneBatchBelongsToTheNewestIncarnation: two incarnations of a
+// file, each fsynced, pass through the commit process in one batch; what
+// reaches the DFS is the second one's bytes, with and without its fsync,
+// and no byte of the first.
+func TestSpillOfOneBatchBelongsToTheNewestIncarnation(t *testing.T) {
+	for _, fsyncB := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fsyncB=%v", fsyncB), func(t *testing.T) {
+			e := newEnv(t, 1, nil)
+			c := e.client(t, "node0")
+			release := holdCommits(t, e.region)
+			at, _ := c.Create(0, "/w/f", 0o644)
+			at, _ = c.WriteAt(at, "/w/f", 0, []byte("AAAAAAAAAAAAAAAA"))
+			at, _ = c.Fsync(at, "/w/f")
+			at, _ = c.Remove(at, "/w/f")
+			at, _ = c.Create(at, "/w/f", 0o644)
+			at, err := c.WriteAt(at, "/w/f", 0, []byte("BBBB"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fsyncB {
+				if at, err = c.Fsync(at, "/w/f"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := e.region.SpillCount(); n != 1 {
+				t.Fatalf("spill count %d, want one spill for the one path", n)
+			}
+			release()
+			if at, err = e.region.Drain(at); err != nil {
+				t.Fatal(err)
+			}
+			if size, data := dfsFile(t, e, at, "/w/f"); size != 4 || data != "BBBB" {
+				t.Fatalf("DFS holds %d bytes %q, want the second incarnation's BBBB", size, data)
+			}
+			if n := e.region.SpillCount(); n != 0 {
+				t.Fatalf("spill count %d after the drain", n)
+			}
+		})
+	}
+}
+
 func TestWriteToRemovedOrDirFails(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	c := e.client(t, "node0")
@@ -367,7 +522,7 @@ func TestTableIConformance(t *testing.T) {
 	// pending reports an op under p somewhere in the commit pipeline —
 	// queued, in flight or parked. The queue's depth alone cannot say:
 	// it drops at the dequeue, before the DFS has seen the op.
-	pending := func(p string) bool { return e.region.trackers["node0"].hasUnder(p) }
+	pending := func(p string) bool { return e.region.byName["node0"].inflight.hasUnder(p) }
 
 	// create: cache put, async, independent — returns with the op still
 	// in the pipeline, or already written by a quick commit process.

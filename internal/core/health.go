@@ -130,6 +130,7 @@ type Health struct {
 	QueueHeadAgeNS int64 `json:"queue_head_age_ns"`
 	QueueDepth     int   `json:"queue_depth"`
 	ParkedOps      int64 `json:"parked_ops"`
+	AtRiskOps      int   `json:"at_risk_ops"` // acked, not yet terminal: what a crash of every node would lose
 	DirtyKeys      int64 `json:"dirty_keys"`
 	RemovedKeys    int64 `json:"removed_keys"`
 
@@ -170,6 +171,7 @@ func (r *Region) Health(thr HealthThresholds) Health {
 		QueueHeadAgeNS: r.QueueHeadAge(),
 		QueueDepth:     r.QueueDepth(),
 		ParkedOps:      r.parked.Load(),
+		AtRiskOps:      r.atRiskOps(),
 		DirtyKeys:      dirty,
 		RemovedKeys:    removed,
 		DroppedOps:     r.dropped.Load(),

@@ -33,8 +33,8 @@ func (v cacheVal) entry(path string) CacheEntry {
 func (r *Region) DumpCache() ([]CacheEntry, error) {
 	var out []CacheEntry
 	var derr error
-	for _, s := range r.servers {
-		s.ForEach(func(key string, item memcache.Item) {
+	for _, n := range r.nodes {
+		n.cache.ForEach(func(key string, item memcache.Item) {
 			v, err := decodeCacheVal(item.Value)
 			if err != nil {
 				derr = fmt.Errorf("cache entry %s: %w", key, err)

@@ -135,8 +135,8 @@ func TestCacheStatsMatchesPerServerSums(t *testing.T) {
 	}
 
 	var want memcache.Stats
-	for _, s := range e.region.servers {
-		st := s.Stats()
+	for _, n := range e.region.nodes {
+		st := n.cache.Stats()
 		want.Items += st.Items
 		want.UsedBytes += st.UsedBytes
 		want.Hits += st.Hits

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pacon/internal/fsapi"
-	"pacon/internal/obs"
 	"pacon/internal/vclock"
 )
 
@@ -54,9 +53,8 @@ type Op struct {
 	// newest seq so commit processes only clear the dirty flag for the
 	// op that made it dirty last.
 	Seq uint64
-	// Node is the queue the op entered, so terminal accounting can
-	// release the node's path-tracker reference (scoped barriers) from
-	// whatever goroutine finishes the op.
+	// Node names the node whose queue the op entered: the label traces and
+	// benchmarks read.
 	Node string
 	// AfterRm marks a create/mkdir that replaced a removed marker in the
 	// cache (create-after-rm): the remove is still queued, which is what
@@ -84,21 +82,22 @@ type Op struct {
 	// budget (drainPending says which are); at CommitRetryLimit the op is
 	// dropped. It shares the flags' word and costs the message nothing.
 	attempts int32
-	// tel is the telemetry handle of the node the op was enqueued on
-	// (nil = observability disabled): every commit-side hook — dequeue,
-	// stage events, the terminal — records through it, so no commit
-	// function carries a recorder of its own. The op is an in-process
-	// queue message, never wire encoded, so this and the span fields
-	// around it ride along for free (the two flags above sit with the
-	// other bools so the handle does not grow the message).
-	tel *obs.Node
+	// node is the node the op was queued on (nil only for an op no client
+	// queued: tests apply hand-built ones). The op holds one reference in
+	// its in-flight table until the terminal gives it back, on whatever
+	// goroutine, and every commit-side hook records through its telemetry
+	// handle. The op is an in-process queue message, never wire encoded,
+	// so this and the span fields around it ride along for free (the two
+	// flags above sit with the other bools so it does not grow the message).
+	node *node
 	// Span is the observability trace ID allocated at the client call
 	// (0 = untraced).
 	Span uint64
-	// EnqWall is the wall-clock time (unix nanoseconds) the op was
-	// enqueued — the one timestamp behind the enqueue span event, the lag
-	// tracker, queue residency, commit lag and queue_head_age_ns. Wall,
-	// not virtual: the span crosses goroutines whose virtual clocks
-	// advance independently. 0 when observability is disabled.
+	// EnqWall is the wall-clock time (unix nanoseconds) the op entered its
+	// node's in-flight table, just before the client's store — the one
+	// timestamp behind the staleness watermarks, queue residency, commit
+	// lag and queue_head_age_ns. Wall, not virtual: the span crosses
+	// goroutines whose virtual clocks advance independently. 0 when
+	// observability is disabled.
 	EnqWall int64
 }

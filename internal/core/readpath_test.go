@@ -651,7 +651,7 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 		if st.Dropped != 0 {
 			t.Fatalf("scoped barrier dropped %d sibling ops", st.Dropped)
 		}
-		if !e.region.trackers["node1"].hasUnder("/w/b") {
+		if !e.region.byName["node1"].inflight.hasUnder("/w/b") {
 			t.Fatal("sibling op no longer pending: the barrier drained it")
 		}
 	})

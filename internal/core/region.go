@@ -201,31 +201,19 @@ type Region struct {
 	cfg  RegionConfig
 	deps Deps
 
-	servers    map[string]*memcache.Server
-	cacheAddrs []string
-	ring       *dht.Ring
-	queues     map[string]*mq.Queue[Op]
-	barrier    *mq.Barrier
-
-	// trackers holds, per node, the paths of ops that entered the node's
-	// commit pipeline and have not reached a terminal state (committed,
-	// discarded or dropped). A scoped sync barrier consults them to skip
-	// queues with nothing pending under the dependent op's subtree.
-	trackers map[string]*pathTracker
-
-	// lags holds, per node, the wall-clock enqueue timestamps of the
-	// same not-yet-terminal ops (entries exist only when observability
-	// stamped Op.EnqWall) — the consistency-lag watermarks read them.
-	lags map[string]*lagTracker
+	// nodes are the region's application nodes (node.go) in cfg.Nodes
+	// order; byName is the one index by node name, for the calls that are
+	// handed one (NewClient, SimulateNodeFailure, OldestUnacked).
+	nodes   []*node
+	byName  map[string]*node
+	ring    *dht.Ring
+	barrier *mq.Barrier
 
 	seq     atomic.Uint64
 	ckptSeq atomic.Uint64
 
 	removingMu sync.RWMutex
 	removing   map[string]int // active rmdir targets -> refcount
-
-	spillMu sync.Mutex
-	spill   map[string][]byte // fsync-spilled inline data awaiting create commit
 
 	mergedMu sync.RWMutex
 	merged   []remoteRegion
@@ -294,55 +282,6 @@ type Region struct {
 	closed atomic.Bool
 }
 
-// pathTracker refcounts the paths pending in one node's commit pipeline:
-// incremented before the op enters the queue, decremented exactly once
-// when the op reaches a terminal state (committed, discarded, dropped,
-// or absorbed by the coalescer). The count covers queued, in-flight and
-// parked ops alike — any of them obliges the node to join a barrier
-// whose scope covers the path.
-type pathTracker struct {
-	mu    sync.Mutex
-	paths map[string]int
-}
-
-func (t *pathTracker) add(p string) {
-	t.mu.Lock()
-	if t.paths == nil {
-		t.paths = make(map[string]int)
-	}
-	t.paths[p]++
-	t.mu.Unlock()
-}
-
-func (t *pathTracker) remove(p string) {
-	t.mu.Lock()
-	if n := t.paths[p] - 1; n > 0 {
-		t.paths[p] = n
-	} else {
-		delete(t.paths, p)
-	}
-	t.mu.Unlock()
-}
-
-// has reports whether an op on p itself is pending.
-func (t *pathTracker) has(p string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.paths[p] > 0
-}
-
-// hasUnder reports whether any pending path lies in scope's subtree.
-func (t *pathTracker) hasUnder(scope string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for p := range t.paths {
-		if namespace.IsUnder(p, scope) {
-			return true
-		}
-	}
-	return false
-}
-
 // remoteRegion is a merged peer's shareable view (§III.D.4: basic info —
 // node addresses, permission information — plus a connection to its
 // distributed caches; access is read-only).
@@ -367,32 +306,25 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		cfg:      cfg,
 		deps:     deps,
 		obs:      deps.Obs,
-		servers:  make(map[string]*memcache.Server),
+		byName:   make(map[string]*node, len(cfg.Nodes)),
 		ring:     dht.New(0),
-		queues:   make(map[string]*mq.Queue[Op]),
 		barrier:  mq.NewBarrier(len(cfg.Nodes)),
-		trackers: make(map[string]*pathTracker),
-		lags:     make(map[string]*lagTracker),
 		removing: make(map[string]int),
-		spill:    make(map[string][]byte),
 
 		barrierWait:    deps.Obs.Hist(obs.HistBarrierWait),
 		readdirEntries: deps.Obs.Hist(obs.HistReaddirEntries),
 	}
-	for _, node := range cfg.Nodes {
-		addr := node + "/pacon-" + cfg.Name
-		srv := memcache.NewServer(addr, memcache.ServerConfig{
+	for _, name := range cfg.Nodes {
+		n := &node{name: name, addr: name + "/pacon-" + cfg.Name, queue: mq.NewQueue[Op](), tel: deps.Obs.Node(name)}
+		n.cache = memcache.NewServer(n.addr, memcache.ServerConfig{
 			CapacityBytes: cfg.CacheCapacityBytes,
 			Model:         cfg.Model,
 			Workers:       cfg.Model.CacheWorkers,
 		})
-		deps.Bus.Register(addr, srv.Service())
-		r.servers[node] = srv
-		r.cacheAddrs = append(r.cacheAddrs, addr)
-		r.ring.Add(addr)
-		r.queues[node] = mq.NewQueue[Op]()
-		r.trackers[node] = &pathTracker{}
-		r.lags[node] = &lagTracker{}
+		deps.Bus.Register(n.addr, n.cache.Service())
+		r.ring.Add(n.addr)
+		r.nodes = append(r.nodes, n)
+		r.byName[name] = n
 	}
 
 	// Verify the workspace and seed its metadata into the cache.
@@ -415,12 +347,12 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 	r.registerMetrics()
 
 	// One commit process (queue subscriber) per node.
-	for _, node := range cfg.Nodes {
+	for _, n := range r.nodes {
 		r.wg.Add(1)
-		go func(node string) {
+		go func() {
 			defer r.wg.Done()
-			r.newCommitter(node, r.newBackend(node)).run(r.queues[node])
-		}(node)
+			r.newCommitter(n, r.newBackend(n.name)).run()
+		}()
 	}
 	return r, nil
 }
@@ -454,15 +386,14 @@ func (r *Region) registerMetrics() {
 
 	o.RegisterGauge("mds_shards", func() int64 { return int64(r.cfg.ShardCount) })
 	o.RegisterGauge("queue_depth", func() int64 { return int64(r.QueueDepth()) })
+	o.RegisterGauge("at_risk_ops", func() int64 { return int64(r.atRiskOps()) })
 	o.RegisterGauge("parked_ops", r.parked.Load)
 	o.RegisterGauge("max_staleness_ns", r.MaxStaleness)
 	o.RegisterGauge("max_commit_lag_ns", r.maxLagNS.Load)
 	o.RegisterGauge("queue_head_age_ns", r.QueueHeadAge)
-	for _, node := range r.cfg.Nodes {
-		node := node
-		o.RegisterGauge("queue_oldest_unacked_ns_"+node, func() int64 {
-			return r.OldestUnacked(node)
-		})
+	for _, n := range r.nodes {
+		o.RegisterGauge("queue_oldest_unacked_ns_"+n.name, func() int64 { return age(n.inflight.oldest("")) })
+		o.RegisterGauge("at_risk_ops_"+n.name, func() int64 { return int64(n.inflight.atRisk()) })
 	}
 	o.RegisterGauge("spill_pending", func() int64 { return int64(r.SpillCount()) })
 	o.RegisterGauge("cache_items", func() int64 { return r.CacheStats().Items })
@@ -497,9 +428,9 @@ func (r *Region) registerMetrics() {
 // cacheLoadSkew computes load-imbalance stats over the region's cache
 // servers (ops served per server).
 func (r *Region) cacheLoadSkew() obs.SkewStats {
-	loads := make([]int64, 0, len(r.servers))
-	for _, s := range r.servers {
-		loads = append(loads, s.ServedOps())
+	loads := make([]int64, 0, len(r.nodes))
+	for _, n := range r.nodes {
+		loads = append(loads, n.cache.ServedOps())
 	}
 	return obs.Skew(loads)
 }
@@ -507,8 +438,8 @@ func (r *Region) cacheLoadSkew() obs.SkewStats {
 // headerCounts sums the dirty/removed header flags across the region's
 // cache servers.
 func (r *Region) headerCounts() (dirty, removed int64) {
-	for _, s := range r.servers {
-		d, rm := s.HeaderCounts()
+	for _, n := range r.nodes {
+		d, rm := n.cache.HeaderCounts()
 		dirty += d
 		removed += rm
 	}
@@ -543,8 +474,8 @@ func (r *Region) invalidateBackendSubtrees(root string) {
 }
 
 func (r *Region) shutdownServers() {
-	for _, addr := range r.cacheAddrs {
-		r.deps.Bus.Unregister(addr)
+	for _, n := range r.nodes {
+		r.deps.Bus.Unregister(n.addr)
 	}
 }
 
@@ -576,26 +507,12 @@ func (r *Region) Stats() RegionStats {
 	}
 }
 
-// CacheStats aggregates the region's cache servers concurrently — the
-// same fan-out shape as memcache.Client.FlushAll. Each server's
-// Stats walks its 16 shard locks, so a sequential sweep over a large
-// region serializes on the busiest servers; fanning out bounds the
-// aggregation at the slowest single server.
+// CacheStats sums the region's cache servers' counters, as they stand
+// when it is asked.
 func (r *Region) CacheStats() memcache.Stats {
-	stats := make([]memcache.Stats, len(r.cacheAddrs))
-	var wg sync.WaitGroup
-	i := 0
-	for _, s := range r.servers {
-		wg.Add(1)
-		go func(slot int, s *memcache.Server) {
-			defer wg.Done()
-			stats[slot] = s.Stats()
-		}(i, s)
-		i++
-	}
-	wg.Wait()
 	var total memcache.Stats
-	for _, st := range stats {
+	for _, n := range r.nodes {
+		st := n.cache.Stats()
 		total.Items += st.Items
 		total.UsedBytes += st.UsedBytes
 		total.Hits += st.Hits
@@ -609,8 +526,18 @@ func (r *Region) CacheStats() memcache.Stats {
 // QueueDepth reports queued (uncommitted) operations across nodes.
 func (r *Region) QueueDepth() int {
 	total := 0
-	for _, q := range r.queues {
-		total += q.Len()
+	for _, n := range r.nodes {
+		total += n.queue.Len()
+	}
+	return total
+}
+
+// atRiskOps sums the nodes' at-risk counts (inflight.atRisk): what the DFS
+// would never see if every node died now.
+func (r *Region) atRiskOps() int {
+	total := 0
+	for _, n := range r.nodes {
+		total += n.inflight.atRisk()
 	}
 	return total
 }
@@ -667,29 +594,13 @@ func (r *Region) isRemoving(p string) bool {
 	return false
 }
 
-// spillPut stores fsync-spilled inline data until the file's create
-// commits (§III.D.2: direct I/O to cache files, written back later).
-func (r *Region) spillPut(p string, data []byte) {
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	r.spill[p] = append([]byte(nil), data...)
-}
-
-func (r *Region) spillTake(p string) ([]byte, bool) {
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	d, ok := r.spill[p]
-	if ok {
-		delete(r.spill, p)
-	}
-	return d, ok
-}
-
 // SpillCount reports files with spilled data awaiting write-back.
 func (r *Region) SpillCount() int {
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	return len(r.spill)
+	total := 0
+	for _, n := range r.nodes {
+		total += int(n.inflight.spills.Load())
+	}
+	return total
 }
 
 // syncBarrier runs the barrier protocol up to the drain point: it opens
@@ -699,7 +610,7 @@ func (r *Region) SpillCount() int {
 // calls barrier.Release.
 //
 // scope, when non-empty, is the dependent operation's subtree: only
-// queues whose path tracker shows a pending op under it participate —
+// nodes whose in-flight table shows a pending op under it participate —
 // the rest are never drained, never even see the marker
 // (barrier.SetExpect shrinks the epoch to the participant count). An
 // op pushed into a skipped queue after the participant snapshot is
@@ -716,19 +627,13 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 	if err != nil {
 		return 0, at, err
 	}
-	participants := make([]*mq.Queue[Op], 0, len(r.queues))
-	if scope == "" {
-		for _, q := range r.queues {
-			participants = append(participants, q)
-		}
-	} else {
-		for node, q := range r.queues {
-			if r.trackers[node].hasUnder(scope) {
-				participants = append(participants, q)
-			}
+	participants := make([]*node, 0, len(r.nodes))
+	for _, n := range r.nodes {
+		if scope == "" || n.inflight.hasUnder(scope) {
+			participants = append(participants, n)
 		}
 	}
-	if len(participants) < len(r.queues) {
+	if len(participants) < len(r.nodes) {
 		r.barriersScoped.Add(1)
 	} else {
 		r.barriersFull.Add(1)
@@ -737,8 +642,8 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 	// marker pushes, so shrinking the expectation here cannot race an
 	// arrival.
 	r.barrier.SetExpect(epoch, len(participants))
-	for _, q := range participants {
-		if err := q.PushBarrier(epoch); err != nil {
+	for _, n := range participants {
+		if err := n.queue.PushBarrier(epoch); err != nil {
 			r.barrier.Release(epoch, at)
 			return 0, at, err
 		}
@@ -760,15 +665,7 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 // drainPatience is taken to be parked behind an idle queue — a parked op
 // is retried when its queue next moves — and is moved by a scoped barrier.
 func (r *Region) drainPath(at vclock.Time, p string) (vclock.Time, error) {
-	pending := func() bool {
-		for _, t := range r.trackers {
-			if t.has(p) {
-				return true
-			}
-		}
-		return false
-	}
-	for start := time.Now(); pending(); {
+	for start := time.Now(); r.PathPending(p); {
 		if time.Since(start) < drainPatience {
 			time.Sleep(claimPoll)
 			continue
@@ -801,8 +698,8 @@ func (r *Region) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
-	for _, q := range r.queues {
-		q.Close()
+	for _, n := range r.nodes {
+		n.queue.Close()
 	}
 	// Close the barrier before waiting: a commit process parked in
 	// AwaitRelease (in-flight sync op at shutdown) must unblock, or

@@ -3,7 +3,7 @@ package core
 import "pacon/internal/obs"
 
 // This file is the commit pipeline's seam to internal/obs. Every hook
-// goes through the one *obs.Node an op carries (Op.tel) and records
+// goes through the *obs.Node of the node an op carries and records
 // WALL-clock time: virtual time measures the modeled system, while spans
 // and stage histograms profile the real process so perf work can see
 // where wall time goes. The disabled path (Deps.Obs == nil) costs one
@@ -12,60 +12,54 @@ import "pacon/internal/obs"
 
 // trace records one stage event on the op's span.
 func (op *Op) trace(stage obs.Stage, note string) {
-	if op.tel != nil {
-		op.tel.Event(op.Span, op.Sampled, stage, op.Kind.String(), op.Path, note)
+	if op.node != nil && op.node.tel != nil {
+		op.node.tel.Event(op.Span, op.Sampled, stage, op.Kind.String(), op.Path, note)
 	}
 }
 
 // observeDequeue records the dequeue stage and queue residency of a
 // popped batch.
-func (r *Region) observeDequeue(ops []Op) {
-	if r.obs == nil {
+func (c *committer) observeDequeue(ops []Op) {
+	if c.node.tel == nil {
 		return
 	}
 	for i := range ops {
 		op := &ops[i]
-		op.tel.Dequeue(op.Span, op.Sampled, op.EnqWall, op.Kind.String(), op.Path)
+		c.node.tel.Dequeue(op.Span, op.Sampled, op.EnqWall, op.Kind.String(), op.Path)
 	}
 }
 
-// opTerminal is the one terminal hook. Every op that entered a queue
-// reaches it exactly once — committed (stage apply), discarded, dropped,
-// absorbed into a coalesced survivor, or lost with its node — and it
-// releases everything the op holds together: the path-tracker reference
-// scoped barriers wait on, its place on the parked-ops gauge if it ever
-// parked, the lag-tracker entry behind the staleness watermarks, and the
-// span (terminal stage event, commit lag, sampled assembly or
-// tail-keep). A terminal that released only some of them is how a
-// crashed node used to leak sampled spans.
+// opTerminal is the one terminal hook. Every op a client queued reaches it
+// exactly once — committed (stage apply), discarded, dropped, absorbed
+// into a coalesced survivor, lost with its node or refused by a closed
+// queue — and it releases everything the op holds together: its place on
+// the parked-ops gauge if it ever parked, its reference in its node's
+// in-flight table — what scoped barriers, crossings and the staleness
+// watermarks wait on, and with it the spill of an incarnation the op ends
+// (an absorbed op ends nothing: its effect rides the survivor) — and the
+// span (terminal stage event, commit lag, sampled assembly or tail-keep).
+// A terminal that released only some of them is how a crashed node used to
+// leak sampled spans, and a removed file its fsynced bytes.
 func (r *Region) opTerminal(op Op, stage obs.Stage, note string) {
-	if t := r.trackers[op.Node]; t != nil {
-		t.remove(op.Path)
-	}
 	if op.Parked {
 		r.parked.Add(-1)
 	}
-	if op.tel == nil {
+	n := op.node
+	if n == nil {
 		return
 	}
-	r.lags[op.Node].remove(op.Path, op.EnqWall)
-	lag := op.tel.Terminal(op.Span, op.Sampled, op.Parked, op.EnqWall, stage, op.Kind.String(), op.Path, note)
+	seq := op.Seq
+	if stage == obs.StageCoalesce {
+		seq = 0
+	}
+	n.inflight.release(op.Path, op.EnqWall, seq)
+	if n.tel == nil {
+		return
+	}
+	lag := n.tel.Terminal(op.Span, op.Sampled, op.Parked, op.EnqWall, stage, op.Kind.String(), op.Path, note)
 	if stage == obs.StageApply {
 		r.noteCommitLag(lag)
 	}
-}
-
-// opCommitted accounts a durably applied op; its enqueue → durable lag
-// is how far the backup copy trailed the primary.
-func (r *Region) opCommitted(op Op) {
-	r.committed.Add(1)
-	r.opTerminal(op, obs.StageApply, "")
-}
-
-// opDiscarded accounts an op dropped under an active rmdir (§III.D.1).
-func (r *Region) opDiscarded(op Op) {
-	r.discarded.Add(1)
-	r.opTerminal(op, obs.StageDiscard, "under active rmdir")
 }
 
 // commitTrace tags the commit process's backend caller with a sampled

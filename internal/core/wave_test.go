@@ -95,7 +95,7 @@ func (s *commitSpy) WriteAt(at vclock.Time, p string, off int64, data []byte) (v
 // applying through a commitSpy over the node's DFS client.
 func spiedCommitter(e *env) (*committer, *commitSpy) {
 	spy := &commitSpy{Backend: e.region.deps.NewBackend("node0")}
-	return e.region.newCommitter("node0", spy), spy
+	return e.region.newCommitter(e.region.byName["node0"], spy), spy
 }
 
 // TestRetrySweepIsBatched: a resubmission sweep is applyOps over the
@@ -392,8 +392,9 @@ func TestRemovesUnderActiveRmdirRideTheBatch(t *testing.T) {
 		}
 		// A net-absence remove is the coalescer's product and at width 1
 		// nothing coalesces, so both widths get theirs queued by hand.
-		e.region.trackers["node0"].add("/w/d/ghost")
-		if err := e.region.queues["node0"].Push(Op{Kind: OpRemove, Path: "/w/d/ghost", Node: "node0",
+		n0 := e.region.byName["node0"]
+		n0.inflight.take("/w/d/ghost", 0)
+		if err := n0.queue.Push(Op{Kind: OpRemove, Path: "/w/d/ghost", Node: "node0", node: n0,
 			Time: at, Seq: e.region.seq.Add(1), NetAbsent: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -892,7 +893,7 @@ func TestWaveCompletesAtTheSameVirtualTimeOnBusAndTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer region.Close()
-		cm := region.newCommitter("node0", newBackend("node0"))
+		cm := region.newCommitter(region.byName["node0"], newBackend("node0"))
 		const at = vclock.Time(1 << 30)
 		file := func(n int) fsapi.Stat {
 			st := fsapi.NewFileStat(appCred, 0o644)

@@ -3,6 +3,7 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pacon/internal/dht"
@@ -325,6 +326,9 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	f.Add(settle(uint64(len(wave))+1, wave...))                      // count beyond the entries present
 	f.Add(settle(1<<60, wave[0]))                                    // count far beyond the frame
 	f.Add(append(settle(3, wave[:2]...), 3, '/', 'w', '/', 0xee, 0)) // third entry: unknown action
+	// A frame of nothing but empty keys: a count as large as the frame and
+	// honest about it. 1 MiB here; the TCP transport takes sixteen.
+	f.Add(append(keys(1<<20).Bytes(), make([]byte, 1<<20)...))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
@@ -336,7 +340,16 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 		// settle_multi goes last: the other two never change a resident
 		// key, so what it finds is what was set above.
 		for _, method := range []string{"get_multi", "add_multi", "settle_multi"} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			_, resp, err := caller.Call("fuzz/cache", method, 0, body)
+			runtime.ReadMemStats(&after)
+			// What a handler allocates follows what it decoded, not the
+			// count it was told: a reply or an entry slice grown by
+			// doubling stays within a small multiple of the frame.
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(64*len(body)+1<<16) {
+				t.Fatalf("%s: allocated %d bytes for a %d-byte request", method, got, len(body))
+			}
 			if err != nil {
 				if resp != nil {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
@@ -372,6 +385,77 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 					d.Byte()
 					d.Uint64()
 				}
+			}
+			if err := d.Finish(); err != nil {
+				t.Fatalf("%s: malformed reply: %v", method, err)
+			}
+		}
+		if s.Stats().UsedBytes < 0 {
+			t.Fatal("byte accounting went negative")
+		}
+	})
+}
+
+// FuzzSingleKeyHandlers feeds arbitrary bytes to the four single-key
+// endpoints. Same contract as the multi-key ones: no panic, an error with
+// no reply or a well-formed reply, nothing allocated beyond a small
+// multiple of the frame, and a frame that is refused changes no key.
+func FuzzSingleKeyHandlers(f *testing.F) {
+	store := func(key string, flags uint32, expect uint64, value []byte) []byte {
+		e := wire.NewEncoder(64)
+		e.String(key)
+		e.Uint32(flags)
+		e.Uint64(expect)
+		e.Blob(value)
+		return e.Bytes()
+	}
+	get := wire.NewEncoder(16)
+	get.String("/w/a")
+	f.Add(get.Bytes())
+	f.Add(store("/w/a", 0, 1, makeVal(HdrDirty, 3))) // a cas that matches /w/a
+	f.Add(store("/w/a", 0, 9, makeVal(0, 3)))        // one that does not
+	f.Add(store("/w/new", 7, 0, makeVal(0, 1)))
+	f.Add(store("", 0, 0, nil))
+	f.Add(store("/w/a", 0, 1, makeVal(0, 1))[:9]) // cut inside the fixed fields
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, '/'}) // a 2^63-byte key
+	f.Add(append(store("/w/b", 0, 2, nil), 0xfe, 0xff, 0xff, 0xff, 0x0f))          // trailing bytes
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
+		s.Set(0, "/w/a", makeVal(0, 1), 0)
+		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
+		bus := rpc.NewBus()
+		bus.Register("fuzz/cache", s.Service())
+		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
+		for _, method := range []string{"get", "add", "cas", "set"} {
+			a0, _, _ := s.Get(0, "/w/a")
+			b0, _, _ := s.Get(0, "/w/b")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, resp, err := caller.Call("fuzz/cache", method, 0, body)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(64*len(body)+1<<16) {
+				t.Fatalf("%s: allocated %d bytes for a %d-byte request", method, got, len(body))
+			}
+			if err != nil {
+				if resp != nil {
+					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
+				}
+				a, _, aerr := s.Get(0, "/w/a")
+				b, _, berr := s.Get(0, "/w/b")
+				if aerr != nil || berr != nil || a.CAS != a0.CAS || b.CAS != b0.CAS {
+					t.Fatalf("%s failed (%v) yet touched a key: /w/a %+v %v, /w/b %+v %v", method, err, a, aerr, b, berr)
+				}
+				continue
+			}
+			d := wire.NewDecoder(resp)
+			if method == "get" {
+				d.Uint64()
+				d.Uint32()
+				d.BlobView()
+			} else if cas := d.Uint64(); cas == 0 {
+				t.Fatalf("%s: stored under cas 0", method)
 			}
 			if err := d.Finish(); err != nil {
 				t.Fatalf("%s: malformed reply: %v", method, err)

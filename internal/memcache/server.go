@@ -610,6 +610,13 @@ func (s *Server) CommittedItems(limit int) []KeyValue {
 // Resource exposes the service resource for utilization reporting.
 func (s *Server) Resource() *vclock.Resource { return s.res }
 
+// presize caps what a multi-key handler allocates up front on a peer's
+// count: wire's Count bounds it only by the bytes left in the frame (16 MiB
+// over TCP, one byte an empty key) while a reply slot or a decoded entry is
+// 40 to 96 bytes. No batch core sends is larger, so a real request still
+// allocates once; a larger one grows on demand.
+const presize = 1024
+
 // Service wires the server's methods into an RPC mux.
 func (s *Server) Service() *rpc.Service {
 	svc := rpc.NewService()
@@ -636,14 +643,14 @@ func (s *Server) Service() *rpc.Service {
 	svc.Handle("get_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.GetDecoder(body)
 		// Each key costs at least its length prefix; Count rejects a
-		// larger count before the response is sized by it.
+		// larger count before anything is sized by it.
 		n := d.Count()
 		if err := d.Err(); err != nil {
 			wire.PutDecoder(d)
 			return at, nil, err
 		}
 		done := s.acquire(at)
-		e := wire.NewEncoder(16 + 96*n)
+		e := wire.NewEncoder(16 + 96*min(n, presize))
 		e.Uvarint(uint64(n))
 		for i := 0; i < n && d.Err() == nil; i++ {
 			if key := d.BlobView(); d.Err() == nil {
@@ -660,7 +667,7 @@ func (s *Server) Service() *rpc.Service {
 	svc.Handle("add_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.GetDecoder(body)
 		n := d.Count()
-		entries := make([]AddEntry, 0, n)
+		entries := make([]AddEntry, 0, min(n, presize))
 		for i := 0; i < n && d.Err() == nil; i++ {
 			en := AddEntry{Key: d.String(), Flags: d.Uint32()}
 			en.Value = d.BlobView()
@@ -712,7 +719,7 @@ func (s *Server) Service() *rpc.Service {
 		// one cannot size the entry slice.
 		d := wire.GetDecoder(body)
 		n := d.Count()
-		entries := make([]Settle, 0, n)
+		entries := make([]Settle, 0, min(n, presize))
 		known := true
 		for i := 0; i < n && d.Err() == nil; i++ {
 			en := Settle{Key: d.String()}

@@ -14,10 +14,10 @@ type trackedOp struct {
 	id   int
 }
 
-// refTracker mirrors the region's pathTracker discipline: add on push,
-// remove exactly once on dequeue. A count going negative means a
-// message was delivered twice; a nonzero count at the end means one was
-// lost. (The real pathTracker lives in core and is per-node; the
+// refTracker mirrors the discipline of a region node's in-flight table:
+// add on push, remove exactly once on dequeue. A count going negative
+// means a message was delivered twice; a nonzero count at the end means
+// one was lost. (The real table lives in core, one per node; the
 // discipline it depends on — every push popped exactly once — is the
 // queue's contract under test here.)
 type refTracker struct {
@@ -47,7 +47,7 @@ func (t *refTracker) remove(p string) error {
 // TestQueueStressExactlyOnce interleaves many publishers (ordinary
 // messages and barriers) with a batch-draining subscriber and
 // concurrent Oldest/Len/Stats samplers — the two-lock queue's full
-// surface at once. It asserts the pathTracker discipline (every push
+// surface at once. It asserts the in-flight discipline (every push
 // released exactly once, never twice), that no message is lost or
 // reordered within a publisher's stream, and that the sampled Oldest
 // never moves backward within a publisher's stream (heads are consumed

@@ -119,9 +119,7 @@ func (n *Node) OpEnd(span uint64, sampled, queued bool, start int64) {
 }
 
 // Event records one stage event on a span and returns the wall time it
-// stamped. For StageEnqueue that is the op's enqueue timestamp: the one
-// clock read behind the span event, the caller's in-flight tracking and
-// every later residency measurement.
+// stamped.
 func (n *Node) Event(span uint64, sampled bool, stage Stage, op, path, note string) int64 {
 	if n == nil {
 		return 0
