@@ -60,14 +60,15 @@ bench-quick:
 # benchmark, -benchtime, max allocs/op, max B/op (- for none), the line's
 # label, and after the # what trips it (the history is in EXPERIMENTS.md).
 define ALLOC_GATES
-core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 15-17: an allocation added to the ack or to the in-flight table's record
-core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 17-19
-core BenchmarkClientStatMulti      2000x  26 -   batched read path              # 16 hits over 4 cache servers, 16 of the 26 the values: a goroutine per owner, map-based grouping, a second result slice
-core BenchmarkCommitWave           2048x  7  768 commit wave                    # 6 and 335 B per committed op: per-wave scratch allocated afresh shows in the bytes (1,265 B)
-core BenchmarkCommitWavePayload    2048x  6  408 commit wave with payload       # 6 and 399 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS
-dfs  BenchmarkCreate               20000x 5  300 dfs create (one-op batch)      # 4 and 231 B, path, inode and reply: a heap-allocated one-op batch, a closure on the lone-target path
-dfs  BenchmarkApplyBatch1          20000x 6  320 dfs apply_batch of 1           # 5 and 247 B, the create plus its one-element result: a batch of one taking the grouping path (7, 319 B)
-dfs  BenchmarkApplyBatch8/shards=1 20000x 30 -   dfs apply_batch of 8, one MDS  # 28: map-based grouping of the batch (36)
+core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 13: an allocation added to the ack or to the in-flight table's record
+core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 14
+core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2
+core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
+core BenchmarkCommitWave           2048x  7  768 commit wave                    # 5 and 327 B per committed op: per-wave scratch allocated afresh shows in the bytes (1,265 B)
+core BenchmarkCommitWavePayload    2048x  6  408 commit wave with payload       # 6 and 392 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS
+dfs  BenchmarkCreate               20000x 5  300 dfs create (one-op batch)      # 3 and 231 B, path and inode (the reply is decoded in a pooled encoder): a heap-allocated one-op batch, a closure on the lone-target path
+dfs  BenchmarkApplyBatch1          20000x 6  320 dfs apply_batch of 1           # 4 and 247 B, the create plus its one-element result: a batch of one taking the grouping path
+dfs  BenchmarkApplyBatch8/shards=1 20000x 30 -   dfs apply_batch of 8, one MDS  # 27: map-based grouping of the batch
 endef
 export ALLOC_GATES
 

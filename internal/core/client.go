@@ -367,9 +367,16 @@ func (c *Client) statMerged(at vclock.Time, m remoteRegion, p string) (fsapi.Sta
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	r := c.region
 	out := make([]fsapi.StatResult, len(paths))
-	cleaned := make([]string, len(paths))
+	// Clean returns a clean path as it is, so the common batch is its own
+	// cleaned form; the first path that is not gets the batch copied.
+	cleaned, copied := paths, false
 	for i, p := range paths {
-		cleaned[i] = namespace.Clean(p)
+		if cp := namespace.Clean(p); cp != p {
+			if !copied {
+				cleaned, copied = append([]string(nil), paths...), true
+			}
+			cleaned[i] = cp
+		}
 	}
 	defer c.end(c.begin("statmulti", cleaned...))
 	at = c.overhead(at)

@@ -317,9 +317,12 @@ func spliceInline(buf []byte, off int64, data []byte) []byte {
 // readEntry is the cache get of whoever needs the entry itself — mutate,
 // fsync, a commit's ErrExist rows — rather than its stat: the decoded
 // value, whether the cache holds one (a removed marker is held), and its
-// CAS version. A miss is not an error.
+// CAS version. A miss is not an error. The value is decoded straight out
+// of the reply buffer; only its inline bytes are copied.
 func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, present bool, cas uint64, done vclock.Time, err error) {
-	item, done, err := cache.Get(at, p)
+	reply := wire.GetEncoder()
+	defer wire.PutEncoder(reply)
+	item, done, err := cache.Get(at, p, reply)
 	if err != nil {
 		if errors.Is(err, fsapi.ErrNotExist) {
 			err = nil
@@ -336,11 +339,15 @@ func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, pr
 // read-only (§III.D.4). A cache has no answer for a path it misses, which
 // the load then adds, and for a path whose owner cannot be reached or
 // answers garbage: that owner is not asked again, neither for a second get
-// nor for an add, and the DFS's answer is stored nowhere.
+// nor for an add, and the DFS's answer is stored nowhere. A hit is decoded
+// where the reply landed, in a pooled buffer: the stat's inline bytes are
+// the one copy a read makes.
 
 // lookup reads one path: one get.
 func (c *Client) lookup(at vclock.Time, cache *memcache.Client, store bool, op, p string) (fsapi.Stat, vclock.Time, error) {
-	item, at, err := cache.Get(at, p)
+	reply := wire.GetEncoder()
+	defer wire.PutEncoder(reply)
+	item, at, err := cache.Get(at, p, reply)
 	if err == nil {
 		sr := decodeStatResult(op, p, item.Value)
 		return sr.Stat, at, sr.Err
@@ -358,10 +365,8 @@ const readBatchSize = 64
 func (c *Client) lookupMulti(at vclock.Time, cache *memcache.Client, store bool, paths []string, idx []int, out []fsapi.StatResult) vclock.Time {
 	for start := 0; start < len(paths); start += readBatchSize {
 		chunk := paths[start:min(start+readBatchSize, len(paths))]
-		res, done := cache.GetMulti(at, chunk)
-		at = done
 		var missed, unreached pathSet
-		for i, mr := range res {
+		at = cache.GetMulti(at, chunk, func(i int, mr memcache.MultiResult) {
 			j := slot(idx, start+i)
 			switch {
 			case mr.Hit:
@@ -371,7 +376,7 @@ func (c *Client) lookupMulti(at vclock.Time, cache *memcache.Client, store bool,
 			default:
 				unreached.add(chunk[i], j, len(chunk))
 			}
-		}
+		})
 		at = c.load(at, "stat", missed.paths, missed.idx, out, store)
 		at = c.load(at, "stat", unreached.paths, unreached.idx, out, false)
 	}

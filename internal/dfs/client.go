@@ -167,11 +167,11 @@ func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, vclock.Time, e
 	c.lookupRPCs.Add(1)
 	e := wire.GetEncoder()
 	e.String(p)
-	done, resp, err := c.call(c.mdsFor(p), "lookup", at, e)
-	if err != nil {
-		return fsapi.Stat{}, done, err
-	}
-	st, err := fsapi.UnmarshalStat(resp)
+	var st fsapi.Stat
+	done, err := c.call(c.mdsFor(p), "lookup", at, e, func(resp []byte) (err error) {
+		st, err = fsapi.UnmarshalStat(resp)
+		return err
+	})
 	return st, done, err
 }
 
@@ -217,10 +217,9 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 func (c *Client) applyTo(addr string, at vclock.Time, ops []fsapi.BatchOp, idx []int, errs []error) vclock.Time {
 	e := wire.GetEncoder()
 	c.encodeApply(e, ops, idx)
-	done, resp, err := c.call(addr, "apply_batch", at, e)
-	if err == nil {
-		err = c.decodeApply(resp, ops, idx, errs)
-	}
+	done, err := c.call(addr, "apply_batch", at, e, func(resp []byte) error {
+		return c.decodeApply(resp, ops, idx, errs)
+	})
 	if err != nil {
 		for _, i := range idx {
 			errs[i] = err
@@ -477,7 +476,7 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 		e.String(dst)
 		e.Uint32(c.cfg.Cred.UID)
 		e.Uint32(c.cfg.Cred.GID)
-		at, _, err = c.call(s.addrs[from], "rename", at, e)
+		at, err = c.call(s.addrs[from], "rename", at, e, nil)
 	default:
 		at, err = c.renameAcross(at, s.addrs[from:from+1], s.addrs[to], src, dst)
 	}
@@ -526,8 +525,7 @@ func (c *Client) xferApply(at vclock.Time, addr, dst string, export []byte) (vcl
 		wire.PutEncoder(e)
 		return at, err
 	}
-	done, _, err := c.call(addr, "xfer_apply", at, e)
-	return done, err
+	return c.call(addr, "xfer_apply", at, e, nil)
 }
 
 // moveData recursively copies the chunks of every file under the moved
@@ -577,21 +575,21 @@ func (c *Client) readChunks(at vclock.Time, p string, off int64, n int) ([]byte,
 		e.Int64(chunk)
 		e.Uint32(uint32(inOff))
 		e.Uint32(uint32(want))
-		done, resp, err := c.call(c.serverFor(p, chunk), "read", at, e)
+		done, err := c.call(c.serverFor(p, chunk), "read", at, e, func(resp []byte) error {
+			d := wire.NewDecoder(resp)
+			part := d.BlobView()
+			if err := d.Finish(); err != nil {
+				return err
+			}
+			// A sparse region reads as zeros to the requested length.
+			out = append(out, part...)
+			out = append(out, make([]byte, want-min(want, len(part)))...)
+			return nil
+		})
 		at = done
 		if err != nil {
 			return nil, at, err
 		}
-		d := wire.NewDecoder(resp)
-		part := d.Blob()
-		if derr := d.Finish(); derr != nil {
-			return nil, at, derr
-		}
-		if len(part) < want {
-			// Sparse region: zero-fill to the requested length.
-			part = append(part, make([]byte, want-len(part))...)
-		}
-		out = append(out, part...)
 	}
 	return out, at, nil
 }
@@ -682,7 +680,7 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 		e := wire.GetEncoder()
 		e.Uvarint(1)
 		encodeWrite(e, p, chunk, inOff, data[n:n+room])
-		done, _, err := c.call(c.serverFor(p, chunk), "write_multi", at, e)
+		done, err := c.call(c.serverFor(p, chunk), "write_multi", at, e, nil)
 		if err != nil {
 			return done, err
 		}
@@ -738,7 +736,7 @@ func (c *Client) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, v
 			encodeWrite(e, f.Path, 0, 0, f.Data)
 		}
 	}
-	done, _, err := c.call(c.cfg.DataAddrs[lone], "write_multi", at, e)
+	done, err := c.call(c.cfg.DataAddrs[lone], "write_multi", at, e, nil)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -781,7 +779,7 @@ func (c *Client) writeFanOut(at vclock.Time, files []fsapi.FileWrite, errs []err
 				}
 			}
 		}
-		done, _, err := c.call(c.cfg.DataAddrs[to], "write_multi", at, e)
+		done, err := c.call(c.cfg.DataAddrs[to], "write_multi", at, e, nil)
 		failed[to] = err
 		return done
 	})
@@ -816,8 +814,7 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 	if len(c.cfg.DataAddrs) == 0 {
 		return at, nil
 	}
-	done, _, err := c.caller.Call(c.serverFor(p, 0), "sync", at, nil)
-	return done, err
+	return c.call(c.serverFor(p, 0), "sync", at, wire.GetEncoder(), nil)
 }
 
 // RemoveData drops a file's chunks from every data server.
@@ -882,10 +879,15 @@ func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out [
 	for _, i := range g.idx {
 		e.String(cleaned[i])
 	}
-	done, resp, err := c.call(g.addr, "stat_batch", at, e)
+	// Not c.call: the reply is decoded knowing when it arrived, which
+	// dates the dentries it caches.
+	reply := wire.GetEncoder()
+	done, err := c.caller.CallInto(g.addr, "stat_batch", at, e.Bytes(), reply)
+	wire.PutEncoder(e)
 	if err == nil {
-		err = c.decodeStats(resp, done, g.idx, cleaned, out)
+		err = c.decodeStats(reply.Bytes(), done, g.idx, cleaned, out)
 	}
+	wire.PutEncoder(reply)
 	if err != nil {
 		for _, i := range g.idx {
 			out[i] = fsapi.StatResult{Err: err}

@@ -49,6 +49,13 @@ func residentBytes(s *DataServer) (n int) {
 	return n
 }
 
+// readBack is what a read of n bytes at off in chunk idx of path returns.
+func readBack(s *DataServer, path string, idx int64, off, n int) []byte {
+	e := wire.NewEncoder(n + 8)
+	s.readChunkInto(e, path, idx, off, n)
+	return wire.NewDecoder(e.Bytes()).Blob()
+}
+
 // writeFrame builds a write_multi frame of the given entries.
 type writeEntry struct {
 	path  string
@@ -117,14 +124,14 @@ func TestWriteMultiChargesTheSumOnce(t *testing.T) {
 	model := vclock.Default()
 	s := NewDataServer("t/data", model)
 	a, b := make([]byte, 100), make([]byte, 3000)
-	done, _, err := s.writeMulti(0, writeFrame(writeEntry{path: "/a", data: a}, writeEntry{path: "/b", chunk: 2, inOff: 7, data: b}))
+	done, err := s.writeMulti(0, writeFrame(writeEntry{path: "/a", data: a}, writeEntry{path: "/b", chunk: 2, inOff: 7, data: b}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := vclock.Time(0).Add(s.ioCost(len(a)) + s.ioCost(len(b))); done != want || s.res.Ops() != 1 {
 		t.Fatalf("two-entry frame done at %d in %d device ops, want %d in one", done, s.res.Ops(), want)
 	}
-	if got := s.readChunk("/b", 2, 7, len(b)); !bytes.Equal(got, b) || s.bytesIn.Load() != int64(len(a)+len(b)) {
+	if got := readBack(s, "/b", 2, 7, len(b)); !bytes.Equal(got, b) || s.bytesIn.Load() != int64(len(a)+len(b)) {
 		t.Fatalf("second entry read back %d bytes, %d counted in", len(got), s.bytesIn.Load())
 	}
 }
@@ -234,7 +241,7 @@ func TestWriteBatchLoneServerAndDeadServer(t *testing.T) {
 	if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], fsapi.ErrClosed) {
 		t.Fatalf("with data server 1 down: %v, want only its file failed with ErrClosed", errs)
 	}
-	if got := c.Data[2].readChunk(files[2].Path, 0, 0, 64); !bytes.Equal(got, files[2].Data) {
+	if got := readBack(c.Data[2], files[2].Path, 0, 0, 64); !bytes.Equal(got, files[2].Data) {
 		t.Fatalf("live server holds %q, want %q", got, files[2].Data)
 	}
 	// The lone-server path has no one else to answer for.

@@ -64,21 +64,15 @@ func (s *DataServer) writeChunk(path string, idx int64, off int, data []byte) {
 	s.chunks[key] = chunk
 }
 
-// readChunk returns up to n bytes at off within one chunk.
-func (s *DataServer) readChunk(path string, idx int64, off, n int) []byte {
+// readChunkInto appends up to n bytes at off within one chunk to e, as
+// a blob, and returns how many it read.
+func (s *DataServer) readChunkInto(e *wire.Encoder, path string, idx int64, off, n int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	chunk := s.chunks[chunkKey{path: path, idx: idx}]
-	if off >= len(chunk) {
-		return nil
-	}
-	end := off + n
-	if end > len(chunk) {
-		end = len(chunk)
-	}
-	out := make([]byte, end-off)
-	copy(out, chunk[off:end])
-	return out
+	part := chunk[min(off, len(chunk)):min(off+n, len(chunk))]
+	e.Blob(part)
+	return len(part)
 }
 
 // dropFile removes all chunks of path on this server.
@@ -113,7 +107,7 @@ var errOutsideChunk = errors.New("dfs: write_multi entry reaches outside its chu
 // number the frame made up. Then the device is charged once for the sum
 // of the entries' costs, as apply_batch and settle_multi charge theirs,
 // and the second pass stores them.
-func (s *DataServer) writeMulti(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+func (s *DataServer) writeMulti(at vclock.Time, body []byte, _ *wire.Encoder) (vclock.Time, error) {
 	d := wire.GetDecoder(body)
 	defer wire.PutDecoder(d)
 	n := d.Count()
@@ -125,13 +119,13 @@ func (s *DataServer) writeMulti(at vclock.Time, body []byte) (vclock.Time, []byt
 		off := d.Uint32()
 		data := d.BlobView()
 		if d.Err() == nil && (idx < 0 || int64(off)+int64(len(data)) > ChunkSize) {
-			return at, nil, errOutsideChunk
+			return at, errOutsideChunk
 		}
 		cost += s.ioCost(len(data))
 		total += int64(len(data))
 	}
 	if err := d.Finish(); err != nil {
-		return at, nil, err
+		return at, err
 	}
 	done := s.res.Acquire(at, cost)
 	d.Reset(body)
@@ -145,42 +139,40 @@ func (s *DataServer) writeMulti(at vclock.Time, body []byte) (vclock.Time, []byt
 	}
 	s.mu.Unlock()
 	s.bytesIn.Add(total)
-	return done, nil, nil
+	return done, nil
 }
 
 // Service exposes the data-server RPC methods.
 func (s *DataServer) Service() *rpc.Service {
 	svc := rpc.NewService()
-	svc.Handle("write_multi", s.writeMulti)
-	svc.Handle("read", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("write_multi", s.writeMulti)
+	svc.HandleInto("read", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		path := d.String()
 		idx := d.Int64()
 		off := int(d.Uint32())
 		n := int(d.Uint32())
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
-		out := s.readChunk(path, idx, off, n)
-		done := s.res.Acquire(at, s.ioCost(len(out)))
-		s.bytesOut.Add(int64(len(out)))
-		e := wire.NewEncoder(len(out) + 8)
-		e.Blob(out)
-		return done, e.Bytes(), nil
+		got := s.readChunkInto(reply, path, idx, off, n)
+		done := s.res.Acquire(at, s.ioCost(got))
+		s.bytesOut.Add(int64(got))
+		return done, nil
 	})
-	svc.Handle("drop", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("drop", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		path := d.String()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		done := s.res.Acquire(at, s.model.DataChunkCost)
 		s.dropFile(path)
-		return done, nil, nil
+		return done, nil
 	})
-	svc.Handle("sync", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("sync", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		// fsync: charge one device op.
-		return s.res.Acquire(at, s.model.DataChunkCost), nil, nil
+		return s.res.Acquire(at, s.model.DataChunkCost), nil
 	})
 	return svc
 }

@@ -170,19 +170,20 @@ func (m *MDS) Service() *rpc.Service {
 
 	// lookup: resolve one path (used per component by the client). The
 	// service cost grows with the looked-up depth.
-	svc.Handle("lookup", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("lookup", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.lookups.Add(1)
 		done := m.res.Acquire(at, m.lookupCost(namespace.Depth(p)))
 		st, err := m.tree.Lookup(p)
 		if err != nil {
-			return done, nil, err
+			return done, err
 		}
-		return done, fsapi.MarshalStat(st), nil
+		fsapi.EncodeStat(reply, st)
+		return done, nil
 	})
 
 	// stat_batch: resolve a batch of paths in one round trip — the
@@ -190,11 +191,11 @@ func (m *MDS) Service() *rpc.Service {
 	// result code; the service pool is held once for the batch, but the
 	// per-path lookup work (depth-dependent, like "lookup") still
 	// accumulates.
-	svc.Handle("stat_batch", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("stat_batch", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		paths := d.Strings()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.lookups.Add(int64(len(paths)))
 		var cost vclock.Duration
@@ -202,19 +203,18 @@ func (m *MDS) Service() *rpc.Service {
 			cost += m.lookupCost(namespace.Depth(p))
 		}
 		done := m.res.Acquire(at, cost)
-		e := wire.NewEncoder(8 + 96*len(paths))
-		e.Uvarint(uint64(len(paths)))
+		reply.Uvarint(uint64(len(paths)))
 		for _, p := range paths {
 			st, err := m.tree.Lookup(p)
 			code := fsapi.CodeOf(err)
-			e.Byte(code)
+			reply.Byte(code)
 			if code == fsapi.CodeOK {
-				fsapi.EncodeStat(e, st)
+				fsapi.EncodeStat(reply, st)
 			} else {
-				e.String(errDetail(code, err))
+				reply.String(errDetail(code, err))
 			}
 		}
-		return done, e.Bytes(), nil
+		return done, nil
 	})
 
 	// apply_batch: independent-path mutations in one round trip — a
@@ -225,7 +225,7 @@ func (m *MDS) Service() *rpc.Service {
 	// path. A batch of one costs what a dedicated endpoint would: one
 	// MDSWriteCost of service time, and — small batches decode into
 	// stack scratch — no allocation beyond its path and its reply.
-	svc.Handle("apply_batch", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("apply_batch", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		n := d.Count()
@@ -242,61 +242,60 @@ func (m *MDS) Service() *rpc.Service {
 			ops = append(ops, op)
 		}
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.writes.Add(int64(len(ops)))
 		// The service pool is held once for the whole batch: server-side
 		// work still scales with the op count, but the per-request
 		// dispatch overhead is paid once.
 		done := m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(len(ops)))
-		e := wire.NewEncoder(2 + 2*len(ops))
-		e.Uvarint(uint64(len(ops)))
+		reply.Uvarint(uint64(len(ops)))
 		m.intentMu.RLock()
 		defer m.intentMu.RUnlock()
 		for _, op := range ops {
 			err := m.applyOne(op, cred)
 			code := fsapi.CodeOf(err)
-			e.Byte(code)
-			e.String(errDetail(code, err))
+			reply.Byte(code)
+			reply.String(errDetail(code, err))
 		}
-		return done, e.Bytes(), nil
+		return done, nil
 	})
 
 	// rename: move a file or subtree (extension; the paper's evaluation
 	// never renames, but the substrate supports it so Pacon can treat it
 	// as a dependent operation).
-	svc.Handle("rename", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("rename", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		src := pathArg(d)
 		dst := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.writes.Add(1)
 		done := m.res.Acquire(at, m.model.MDSWriteCost)
 		m.intentMu.RLock()
 		defer m.intentMu.RUnlock()
 		if err := m.intentBlocked("rename", src); err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if err := m.intentBlocked("rename", dst); err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if err := m.checkParentWritable("rename", src, cred); err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if err := m.checkParentWritable("rename", dst, cred); err != nil {
-			return done, nil, err
+			return done, err
 		}
-		return done, nil, m.tree.Rename(src, dst)
+		return done, m.tree.Rename(src, dst)
 	})
 
 	// rmtree: recursive removal, used by Pacon's commit module for
 	// directory removal. Returns the removed paths (the commit module
 	// mirrors the cleanup into the distributed cache). Cost scales with
 	// the subtree size.
-	svc.Handle("rmtree", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("rmtree", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
@@ -306,7 +305,7 @@ func (m *MDS) Service() *rpc.Service {
 		// outcome. 0 is a sweep that logged none.
 		selfID := d.Uvarint()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.writes.Add(1)
 		cost := m.model.MDSReadCost // what a refusal costs
@@ -326,34 +325,32 @@ func (m *MDS) Service() *rpc.Service {
 		}
 		done := m.res.Acquire(at, cost)
 		if err != nil {
-			return done, nil, err
+			return done, err
 		}
-		e := wire.NewEncoder(32 * len(removed))
-		e.Strings(removed)
-		return done, e.Bytes(), nil
+		reply.Strings(removed)
+		return done, nil
 	})
 
 	// readdir: list a directory; cost scales with the entry count.
-	svc.Handle("readdir", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("readdir", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.reads.Add(1)
 		ents, err := m.tree.Readdir(p)
 		cost := m.model.MDSReadCost + vclock.Duration(len(ents))*m.model.MDSReaddirEntryCost
 		done := m.res.Acquire(at, cost)
 		if err != nil {
-			return done, nil, err
+			return done, err
 		}
-		e := wire.NewEncoder(16 * len(ents))
-		e.Uvarint(uint64(len(ents)))
+		reply.Uvarint(uint64(len(ents)))
 		for _, ent := range ents {
-			e.String(ent.Name)
-			e.Byte(byte(ent.Type))
+			reply.String(ent.Name)
+			reply.Byte(byte(ent.Type))
 		}
-		return done, e.Bytes(), nil
+		return done, nil
 	})
 
 	// Multi-shard coordination endpoints (shardrpc.go): the steps of the

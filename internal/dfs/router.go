@@ -57,11 +57,19 @@ func (c *Client) dirTargets(p string) []string {
 }
 
 // call issues one RPC whose request was built in the pooled encoder e,
-// and releases e.
-func (c *Client) call(addr, method string, at vclock.Time, e *wire.Encoder) (vclock.Time, []byte, error) {
-	done, resp, err := c.caller.Call(addr, method, at, e.Bytes())
+// released here, and hands a successful reply to decode (nil: the reply
+// is not read) where it landed, in a pooled encoder of the call's own —
+// so decode must copy out whatever it keeps. decode's error is the
+// call's.
+func (c *Client) call(addr, method string, at vclock.Time, e *wire.Encoder, decode func(resp []byte) error) (vclock.Time, error) {
+	reply := wire.GetEncoder()
+	done, err := c.caller.CallInto(addr, method, at, e.Bytes(), reply)
 	wire.PutEncoder(e)
-	return done, resp, err
+	if err == nil && decode != nil {
+		err = decode(reply.Bytes())
+	}
+	wire.PutEncoder(reply)
+	return done, err
 }
 
 // reply is one target's answer to a sweep.

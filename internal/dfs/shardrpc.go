@@ -121,45 +121,43 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 	// counted is what gets exported; any failure takes it back out.
 	// Read-cost per exported entry — the export is a scan, not a
 	// mutation.
-	svc.Handle("xfer_prepare", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("xfer_prepare", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		src := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.reads.Add(1)
 		if err := m.putIntent("rename", src, id); err != nil {
-			return m.res.Acquire(at, m.model.MDSReadCost), nil, err
+			return m.res.Acquire(at, m.model.MDSReadCost), err
 		}
 		n := 0
 		err := m.checkParentWritable("rename", src, cred)
 		if err == nil {
 			err = m.tree.Walk(src, func(string, fsapi.Stat) error { n++; return nil })
 		}
-		e := wire.NewEncoder(8 + 96*n)
-		e.Uvarint(uint64(n))
+		reply.Uvarint(uint64(n))
 		if err == nil {
 			err = m.tree.Walk(src, func(p string, st fsapi.Stat) error {
-				e.String(p[len(src):]) // "" for src itself
-				fsapi.EncodeStat(e, st)
+				reply.String(p[len(src):]) // "" for src itself
+				fsapi.EncodeStat(reply, st)
 				return nil
 			})
 		}
 		done := m.res.Acquire(at, m.model.MDSReadCost*vclock.Duration(1+n))
 		if err != nil {
 			m.delIntent(src, id)
-			return done, nil, err
 		}
-		return done, e.Bytes(), nil
+		return done, err
 	})
 
 	// xfer_apply: insert the exported subtree under dst. Pre-order
 	// arrival means parents land before children; a mid-stream failure
 	// rolls the partial copy back so the destination never exposes a
 	// half-materialized subtree.
-	svc.Handle("xfer_apply", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("xfer_apply", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dst := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
@@ -171,20 +169,20 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 			stats = append(stats, fsapi.DecodeStat(d))
 		}
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.writes.Add(int64(n))
 		done := m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+n))
 		m.intentMu.RLock()
 		defer m.intentMu.RUnlock()
 		if err := m.intentBlocked("rename", dst); err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if m.tree.Exists(dst) {
-			return done, nil, fsapi.WrapPath("rename", dst, fsapi.ErrExist)
+			return done, fsapi.WrapPath("rename", dst, fsapi.ErrExist)
 		}
 		if err := m.checkParentWritable("rename", dst, cred); err != nil {
-			return done, nil, err
+			return done, err
 		}
 		for i := range rels {
 			p := dst + rels[i]
@@ -196,10 +194,10 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 			}
 			if err != nil {
 				m.tree.RemoveSubtree(dst)
-				return done, nil, err
+				return done, err
 			}
 		}
-		return done, nil, nil
+		return done, nil
 	})
 
 	// rmdir_prepare: this shard's vote on a multi-shard rmdir. The
@@ -208,18 +206,18 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 	// here). The intent goes in before the vote is taken: once it is
 	// logged nothing under the directory can change, so a yes stays true
 	// until commit or abort; a no takes the intent back out.
-	svc.Handle("rmdir_prepare", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("rmdir_prepare", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.reads.Add(1)
 		done := m.res.Acquire(at, m.model.MDSReadCost)
 		if err := m.putIntent("rmdir", p, id); err != nil {
-			return done, nil, err
+			return done, err
 		}
 		var err error
 		if m.tree.Exists(p) {
@@ -233,7 +231,7 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		if err != nil {
 			m.delIntent(p, id)
 		}
-		return done, nil, err
+		return done, err
 	})
 
 	// intent_finish: the commit step of a rename (on its source shard)
@@ -245,12 +243,12 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 	// the subtree is already gone still releases the intent and succeeds
 	// — and the intent goes whatever the outcome: the protocol is over
 	// on this shard, and nothing would ever come back to release it.
-	svc.Handle("intent_finish", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("intent_finish", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.writes.Add(1)
 		removed, err := m.tree.RemoveSubtree(p)
@@ -261,29 +259,29 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 			err = nil
 		}
 		m.delIntent(p, id)
-		return m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+len(removed))), nil, err
+		return m.res.Acquire(at, m.model.MDSWriteCost*vclock.Duration(1+len(removed))), err
 	})
 
 	// intent_put: rmtree's prepare — block creates under the doomed
 	// subtree on every involved shard while the sweeps run. intent_del:
 	// the abort step of every protocol — release without mutating.
-	svc.Handle("intent_put", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("intent_put", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		root := pathArg(d)
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
-		return m.res.Acquire(at, m.model.MDSReadCost), nil, m.putIntent("rmtree", root, id)
+		return m.res.Acquire(at, m.model.MDSReadCost), m.putIntent("rmtree", root, id)
 	})
-	svc.Handle("intent_del", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("intent_del", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		root := pathArg(d)
 		id := d.Uvarint()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		m.delIntent(root, id)
-		return m.res.Acquire(at, m.model.MDSReadCost), nil, nil
+		return m.res.Acquire(at, m.model.MDSReadCost), nil
 	})
 }

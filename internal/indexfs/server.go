@@ -174,12 +174,12 @@ func (s *Server) Service() *rpc.Service {
 	svc := rpc.NewService()
 
 	// lookup: (dir, name) → (stat, childDirID, leaseTTL).
-	svc.Handle("lookup", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("lookup", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dir := d.Uint64()
 		name := d.String()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		s.lookups.Add(1)
 		st, child, ok, err := s.get(dir, name)
@@ -189,27 +189,26 @@ func (s *Server) Service() *rpc.Service {
 		}
 		done := s.res.Acquire(at, cost)
 		if err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if !ok {
-			return done, nil, fsapi.ErrNotExist
+			return done, fsapi.ErrNotExist
 		}
-		e := wire.NewEncoder(96)
-		fsapi.EncodeStat(e, st)
-		e.Uvarint(child)
-		e.Int64(int64(s.cfg.LeaseTTL))
-		return done, e.Bytes(), nil
+		fsapi.EncodeStat(reply, st)
+		reply.Uvarint(child)
+		reply.Int64(int64(s.cfg.LeaseTTL))
+		return done, nil
 	})
 
 	// create / mkdir: (dir, name, stat) → childDirID (0 for files).
 	insert := func(mkdir bool) rpc.Handler {
-		return func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+		return func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 			d := wire.NewDecoder(body)
 			dir := d.Uint64()
 			name := d.String()
 			st := fsapi.DecodeStat(d)
 			if err := d.Finish(); err != nil {
-				return at, nil, err
+				return at, err
 			}
 			s.inserts.Add(1)
 			// Existence check (bloom-filtered miss in the common case) +
@@ -219,9 +218,9 @@ func (s *Server) Service() *rpc.Service {
 			done = s.partition(dir).Acquire(done, s.cfg.Model.PartitionCost)
 			key := entryKey(dir, name)
 			if _, ok, err := s.db.Get(key); err != nil {
-				return done, nil, err
+				return done, err
 			} else if ok {
-				return done, nil, fsapi.ErrExist
+				return done, fsapi.ErrExist
 			}
 			var child DirID
 			if mkdir {
@@ -231,116 +230,113 @@ func (s *Server) Service() *rpc.Service {
 				st.Type = fsapi.TypeFile
 			}
 			if err := s.db.Put(key, encodeEntry(st, child)); err != nil {
-				return done, nil, err
+				return done, err
 			}
-			e := wire.NewEncoder(9)
-			e.Uvarint(child)
-			return done, e.Bytes(), nil
+			reply.Uvarint(child)
+			return done, nil
 		}
 	}
-	svc.Handle("create", insert(false))
-	svc.Handle("mkdir", insert(true))
+	svc.HandleInto("create", insert(false))
+	svc.HandleInto("mkdir", insert(true))
 
 	// remove: delete a file row.
-	svc.Handle("remove", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("remove", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dir := d.Uint64()
 		name := d.String()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		done := s.res.Acquire(at, s.cfg.Model.LSMGetHitCost+s.cfg.Model.LSMPutCost)
 		done = s.partition(dir).Acquire(done, s.cfg.Model.PartitionCost)
 		st, _, ok, err := s.get(dir, name)
 		if err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if !ok {
-			return done, nil, fsapi.ErrNotExist
+			return done, fsapi.ErrNotExist
 		}
 		if st.IsDir() {
-			return done, nil, fsapi.ErrIsDir
+			return done, fsapi.ErrIsDir
 		}
-		return done, nil, s.db.Delete(entryKey(dir, name))
+		return done, s.db.Delete(entryKey(dir, name))
 	})
 
 	// removedir: delete a directory row (the emptiness check runs
 	// against the child dir's owner via "empty").
-	svc.Handle("removedir", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("removedir", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dir := d.Uint64()
 		name := d.String()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		done := s.res.Acquire(at, s.cfg.Model.LSMGetHitCost+s.cfg.Model.LSMPutCost)
 		done = s.partition(dir).Acquire(done, s.cfg.Model.PartitionCost)
 		st, _, ok, err := s.get(dir, name)
 		if err != nil {
-			return done, nil, err
+			return done, err
 		}
 		if !ok {
-			return done, nil, fsapi.ErrNotExist
+			return done, fsapi.ErrNotExist
 		}
 		if !st.IsDir() {
-			return done, nil, fsapi.ErrNotDir
+			return done, fsapi.ErrNotDir
 		}
-		return done, nil, s.db.Delete(entryKey(dir, name))
+		return done, s.db.Delete(entryKey(dir, name))
 	})
 
 	// empty: does the directory with this ID have any rows here?
-	svc.Handle("empty", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("empty", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dir := d.Uint64()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		done := s.res.Acquire(at, s.cfg.Model.LSMGetHitCost)
 		it := s.db.Scan(dirPrefix(dir))
 		empty := !it.Next()
 		if err := it.Err(); err != nil {
-			return done, nil, err
+			return done, err
 		}
-		e := wire.NewEncoder(1)
-		e.Bool(empty)
-		return done, e.Bytes(), nil
+		reply.Bool(empty)
+		return done, nil
 	})
 
 	// readdir: list a directory's rows.
-	svc.Handle("readdir", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("readdir", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dir := d.Uint64()
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		s.scans.Add(1)
 		prefix := dirPrefix(dir)
 		it := s.db.Scan(prefix)
-		e := wire.NewEncoder(256)
 		n := 0
 		var entries []fsapi.DirEntry
 		for it.Next() {
 			st, _, derr := decodeEntry(it.Value())
 			if derr != nil {
-				return at, nil, derr
+				return at, derr
 			}
 			entries = append(entries, fsapi.DirEntry{Name: string(it.Key()[len(prefix):]), Type: st.Type})
 			n++
 		}
 		if err := it.Err(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		done := s.res.Acquire(at, s.cfg.Model.LSMGetHitCost+vclock.Duration(n)*s.cfg.Model.LSMScanEntryCost)
-		e.Uvarint(uint64(n))
+		reply.Uvarint(uint64(n))
 		for _, ent := range entries {
-			e.String(ent.Name)
-			e.Byte(byte(ent.Type))
+			reply.String(ent.Name)
+			reply.Byte(byte(ent.Type))
 		}
-		return done, e.Bytes(), nil
+		return done, nil
 	})
 
 	// bulk: ingest pre-sorted rows (bulk insertion / BatchFS mode).
-	svc.Handle("bulk", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("bulk", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		n := d.Uvarint()
 		pairs := make([]lsmkv.KV, 0, n)
@@ -350,12 +346,12 @@ func (s *Server) Service() *rpc.Service {
 			pairs = append(pairs, lsmkv.KV{Key: k, Value: v})
 		}
 		if err := d.Finish(); err != nil {
-			return at, nil, err
+			return at, err
 		}
 		s.inserts.Add(int64(n))
 		// Bulk ingestion amortizes the WAL: one table write for the batch.
 		done := s.res.Acquire(at, s.cfg.Model.LSMPutCost+vclock.Duration(n)*s.cfg.Model.LSMScanEntryCost)
-		return done, nil, s.db.BulkIngest(pairs)
+		return done, s.db.BulkIngest(pairs)
 	})
 
 	return svc

@@ -41,26 +41,28 @@ func (c *Client) SetTrace(span uint64) { c.caller.SetTrace(span) }
 // ClearTrace removes the trace context set by SetTrace.
 func (c *Client) ClearTrace() { c.caller.ClearTrace() }
 
-// Get fetches key from its owner.
-func (c *Client) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
+// Get fetches key from its owner into reply, an encoder the caller owns
+// (typically from wire.GetEncoder) and which Get resets first. The item's
+// Value is a view into reply: it lives until the caller resets reply or
+// puts it back, and a hit copies nothing on the way.
+func (c *Client) Get(at vclock.Time, key string, reply *wire.Encoder) (Item, vclock.Time, error) {
 	e := wire.GetEncoder()
 	e.String(key)
-	done, resp, err := c.caller.Call(c.Owner(key), "get", at, e.Bytes())
+	reply.Reset()
+	done, err := c.caller.CallInto(c.Owner(key), "get", at, e.Bytes(), reply)
 	wire.PutEncoder(e)
 	if err != nil {
 		return Item{}, done, err
 	}
-	d := wire.GetDecoder(resp)
-	item := Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.Blob()}
-	derr := d.Finish()
-	wire.PutDecoder(d)
-	if derr != nil {
-		return Item{}, done, derr
+	d := wire.GetDecoder(reply.Bytes())
+	item := Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.BlobView()}
+	if err := finish(d); err != nil {
+		return Item{}, done, err
 	}
 	return item, done, nil
 }
 
-// MultiResult is one per-key result of Client.GetMulti: Hit/Item on
+// MultiResult is one key's result of Client.GetMulti: Hit/Item on
 // success, Err when the key's owner could not be reached or answered
 // garbage. A plain miss is Hit == false with a nil Err.
 type MultiResult struct {
@@ -69,22 +71,24 @@ type MultiResult struct {
 	Err  error
 }
 
-// callCounted sends one owner's multi-key request (pooled encoder e,
-// released here) and checks that the reply opens with a count of want
+// call sends one owner's request (pooled encoder e, released here) and
+// appends the reply to reply.
+func (c *Client) call(addr, method string, at vclock.Time, e, reply *wire.Encoder) (vclock.Time, error) {
+	done, err := c.caller.CallInto(addr, method, at, e.Bytes(), reply)
+	wire.PutEncoder(e)
+	return done, err
+}
+
+// counted opens a multi-key reply and checks that it counts want
 // results. On success the caller reads the results from the returned
 // decoder and hands it to finish.
-func (c *Client) callCounted(addr, method string, at vclock.Time, e *wire.Encoder, want int) (*wire.Decoder, vclock.Time, error) {
-	done, resp, err := c.caller.Call(addr, method, at, e.Bytes())
-	wire.PutEncoder(e)
-	if err != nil {
-		return nil, done, err
-	}
-	d := wire.GetDecoder(resp)
+func counted(reply []byte, method string, want int) (*wire.Decoder, error) {
+	d := wire.GetDecoder(reply)
 	if n := d.Uvarint(); n != uint64(want) {
 		wire.PutDecoder(d)
-		return nil, done, fmt.Errorf("memcache: %s returned %d results for %d keys", method, n, want)
+		return nil, fmt.Errorf("memcache: %s returned %d results for %d keys", method, n, want)
 	}
-	return d, done, nil
+	return d, nil
 }
 
 // finish releases a reply decoder and reports a malformed tail.
@@ -94,42 +98,76 @@ func finish(d *wire.Decoder) error {
 	return err
 }
 
+// ownerReply is one owner's answer to a multi-key call: the pooled
+// encoder its reply landed in, or why there is none.
+type ownerReply struct {
+	buf *wire.Encoder
+	err error
+}
+
 // GetMulti fetches keys with one "get_multi" RPC per owning server,
 // grouped by dht.GroupByOwner and fanned out from the same virtual
 // instant (rpc.Caller.FanOut) — the batched read path's single round
-// trip per owner, like every multi-key call here. Results align with
-// keys. A dead or misbehaving owner marks only its own keys with Err;
-// the other owners' keys still resolve.
-func (c *Client) GetMulti(at vclock.Time, keys []string) ([]MultiResult, vclock.Time) {
-	out := make([]MultiResult, len(keys))
+// trip per owner, like every multi-key call here. Each owner's reply
+// lands in a pooled encoder of its own, so over TCP the waits still
+// overlap. Once every owner has answered, fn(i, r) gets keys[i]'s result
+// on the calling goroutine, one key at a time, never concurrently;
+// r.Item.Value is a view into the owner's reply and lives only until fn
+// returns. A dead or misbehaving owner fails only its own keys, with
+// r.Err: the other owners' keys still resolve.
+func (c *Client) GetMulti(at vclock.Time, keys []string, fn func(i int, r MultiResult)) vclock.Time {
 	groups := c.ring.GroupByOwner(keys)
-	latest := c.caller.FanOut(at, len(groups), false, func(gi int) vclock.Time {
+	replies := make([]ownerReply, len(groups))
+	latest := c.caller.FanOut(at, len(groups), false, func(gi int) (done vclock.Time) {
 		g := groups[gi]
 		e := wire.GetEncoder()
 		e.Uvarint(uint64(len(g.Idx)))
 		for _, i := range g.Idx {
 			e.String(keys[i])
 		}
-		d, done, err := c.callCounted(g.Owner, "get_multi", at, e, len(g.Idx))
+		r := &replies[gi]
+		r.buf = wire.GetEncoder()
+		done, r.err = c.call(g.Owner, "get_multi", at, e, r.buf)
+		return done
+	})
+	for gi, g := range groups {
+		r := &replies[gi]
+		// The reply is checked whole before the first result is handed
+		// out: a malformed one fails all of its keys, not the tail.
+		err := r.err
 		if err == nil {
-			for _, i := range g.Idx {
-				if d.Bool() {
-					out[i] = MultiResult{
-						Item: Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.Blob()},
-						Hit:  true,
-					}
-				}
+			if err = readGetMulti(r.buf.Bytes(), g.Idx, nil); err == nil {
+				readGetMulti(r.buf.Bytes(), g.Idx, fn)
 			}
-			err = finish(d)
 		}
 		if err != nil {
 			for _, i := range g.Idx {
-				out[i] = MultiResult{Err: err}
+				fn(i, MultiResult{Err: err})
 			}
 		}
-		return done
-	})
-	return out, latest
+		wire.PutEncoder(r.buf)
+	}
+	return latest
+}
+
+// readGetMulti walks one owner's get_multi reply, whose results are
+// those of the keys at positions idx, handing each to fn (nil: only
+// check that the reply is well-formed).
+func readGetMulti(reply []byte, idx []int, fn func(i int, r MultiResult)) error {
+	d, err := counted(reply, "get_multi", len(idx))
+	if err != nil {
+		return err
+	}
+	for _, i := range idx {
+		var r MultiResult
+		if r.Hit = d.Bool(); r.Hit {
+			r.Item = Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.BlobView()}
+		}
+		if fn != nil {
+			fn(i, r)
+		}
+	}
+	return finish(d)
 }
 
 // AddMulti stores a batch of entries add-if-absent with one "add_multi"
@@ -153,7 +191,12 @@ func (c *Client) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclo
 			e.Uint32(entries[i].Flags)
 			e.Blob(entries[i].Value)
 		}
-		d, done, err := c.callCounted(g.Owner, "add_multi", at, e, len(g.Idx))
+		reply := wire.GetEncoder()
+		done, err := c.call(g.Owner, "add_multi", at, e, reply)
+		var d *wire.Decoder
+		if err == nil {
+			d, err = counted(reply.Bytes(), "add_multi", len(g.Idx))
+		}
 		if err == nil {
 			for _, i := range g.Idx {
 				code := d.Byte()
@@ -162,6 +205,7 @@ func (c *Client) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclo
 			}
 			err = finish(d)
 		}
+		wire.PutEncoder(reply)
 		if err != nil {
 			for _, i := range g.Idx {
 				out[i] = AddResult{Err: err}
@@ -178,17 +222,16 @@ func (c *Client) storeOp(method string, at vclock.Time, key string, value []byte
 	e.Uint32(flags)
 	e.Uint64(expect)
 	e.Blob(value)
-	done, resp, err := c.caller.Call(c.Owner(key), method, at, e.Bytes())
-	wire.PutEncoder(e)
+	reply := wire.GetEncoder()
+	defer wire.PutEncoder(reply)
+	done, err := c.call(c.Owner(key), method, at, e, reply)
 	if err != nil {
 		return 0, done, err
 	}
-	d := wire.GetDecoder(resp)
+	d := wire.GetDecoder(reply.Bytes())
 	cas := d.Uint64()
-	derr := d.Finish()
-	wire.PutDecoder(d)
-	if derr != nil {
-		return 0, done, derr
+	if err := finish(d); err != nil {
+		return 0, done, err
 	}
 	return cas, done, nil
 }
@@ -231,16 +274,17 @@ func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners 
 			e.Byte(entries[i].action())
 			e.Uvarint(entries[i].Seq)
 		}
-		gdone, resp, gerr := c.caller.Call(g.Owner, "settle_multi", at, e.Bytes())
-		wire.PutEncoder(e)
+		reply := wire.GetEncoder()
+		gdone, gerr := c.call(g.Owner, "settle_multi", at, e, reply)
 		var n uint64
 		if gerr == nil {
-			d := wire.GetDecoder(resp)
+			d := wire.GetDecoder(reply.Bytes())
 			n = d.Uvarint()
 			if gerr = finish(d); gerr == nil && n > uint64(len(g.Idx)) {
 				gerr = fmt.Errorf("memcache: settle_multi applied %d of %d entries", n, len(g.Idx))
 			}
 		}
+		wire.PutEncoder(reply)
 		mu.Lock()
 		if gerr == nil {
 			applied += int(n)

@@ -221,7 +221,7 @@ func TestClientRoutesByRing(t *testing.T) {
 	}
 	// Reads find every key.
 	for i := 0; i < n; i++ {
-		item, _, err := c.Get(0, fmt.Sprintf("/w/f%03d", i))
+		item, _, err := get(c, 0, fmt.Sprintf("/w/f%03d", i))
 		if err != nil || string(item.Value) != "v" {
 			t.Fatalf("get %d: %v", i, err)
 		}
@@ -240,7 +240,7 @@ func TestClientCASThroughRPC(t *testing.T) {
 	if _, _, err := c.CAS(0, "k", []byte("v2"), 0, cas); err != nil {
 		t.Fatal(err)
 	}
-	item, _, _ := c.Get(0, "k")
+	item, _, _ := get(c, 0, "k")
 	if string(item.Value) != "v2" {
 		t.Fatalf("value = %q", item.Value)
 	}
@@ -281,6 +281,22 @@ func TestClientVirtualLatencyCrossNode(t *testing.T) {
 	if done < min || done > max {
 		t.Fatalf("done = %v, want in [%v, %v]", done, min, max)
 	}
+}
+
+// get is Client.Get into a reply buffer of its own, which the item keeps.
+func get(c *Client, at vclock.Time, key string) (Item, vclock.Time, error) {
+	return c.Get(at, key, wire.NewEncoder(0))
+}
+
+// getMulti is Client.GetMulti collected into a slice, every value copied
+// out of its reply before the view dies.
+func getMulti(c *Client, at vclock.Time, keys []string) ([]MultiResult, vclock.Time) {
+	out := make([]MultiResult, len(keys))
+	done := c.GetMulti(at, keys, func(i int, r MultiResult) {
+		r.Item.Value = append([]byte(nil), r.Item.Value...)
+		out[i] = r
+	})
+	return out, done
 }
 
 // makeVal builds a value following the core header contract: flags byte,
@@ -410,14 +426,14 @@ func TestClientConditionalOpsThroughRPC(t *testing.T) {
 	if !settle(Settle{Key: "/w/f", Seq: 4, Clear: true}) {
 		t.Fatal("clear-dirty over rpc did nothing")
 	}
-	item, _, _ := c.Get(0, "/w/f")
+	item, _, _ := get(c, 0, "/w/f")
 	if item.Value[0]&HdrDirty != 0 {
 		t.Fatal("dirty flag still set after rpc clear-dirty")
 	}
 	if !settle(Settle{Key: "/w/f", Cond: CondClean}) {
 		t.Fatal("delete-if-clean over rpc did nothing")
 	}
-	if _, _, err := c.Get(0, "/w/f"); !errors.Is(err, fsapi.ErrNotExist) {
+	if _, _, err := get(c, 0, "/w/f"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatal("value survived rpc delete-if")
 	}
 	// No-op conditional delete: not applied, no error.
@@ -499,7 +515,7 @@ func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
 	for n := uint64(1); n <= rounds || (!won() && n <= 100*rounds); n++ {
 		val := makeVal(HdrDirty, n)
 		for acked := false; !acked; {
-			item, _, err := writer.Get(0, key)
+			item, _, err := get(writer, 0, key)
 			switch {
 			case err == nil:
 				_, _, err = writer.CAS(0, key, val, 0, item.CAS)
@@ -515,7 +531,7 @@ func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
 				t.Fatalf("round %d: %v", n, err)
 			}
 		}
-		item, _, err := writer.Get(0, key)
+		item, _, err := get(writer, 0, key)
 		if err != nil {
 			t.Fatalf("round %d: acked CAS deleted by cleanup of an older seq: %v", n, err)
 		}

@@ -74,7 +74,7 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 		t.Fatalf("%d items resident, want %d", items, want)
 	}
 	for i := 1; i < n; i++ {
-		item, _, err := c.Get(0, entries[i].Key)
+		item, _, err := get(c, 0, entries[i].Key)
 		switch i % 4 {
 		case 0:
 			if flags, seq, _, ok := ParseValueHeader(item.Value); err != nil || !ok || flags != 0 || seq != uint64(i+1) {
@@ -90,7 +90,7 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := c.Get(0, "/w/d/f000"); !errors.Is(err, fsapi.ErrNotExist) {
+	if _, _, err := get(c, 0, "/w/d/f000"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("f000 cleared then deleted-if-clean in one call: get = %v", err)
 	}
 
@@ -175,7 +175,7 @@ func TestGetMultiDuplicatesAndOrder(t *testing.T) {
 		}
 	}
 	keys := []string{"/w/k3", "/w/miss", "/w/k0", "/w/k3", "/w/k7", "/w/k3", "/w/k0"}
-	res, _ := c.GetMulti(0, keys)
+	res, _ := getMulti(c, 0, keys)
 	for i, key := range keys {
 		if key == "/w/miss" {
 			if res[i].Hit || res[i].Err != nil {
@@ -200,7 +200,7 @@ func TestAddMultiDuplicateKey(t *testing.T) {
 	if res[0].Err != nil || res[1].Err != nil || !errors.Is(res[2].Err, fsapi.ErrExist) {
 		t.Fatalf("results = %+v, want the duplicate's second occurrence to lose with ErrExist", res)
 	}
-	if item, _, err := c.Get(0, "/w/x"); err != nil || string(item.Value) != "first" {
+	if item, _, err := get(c, 0, "/w/x"); err != nil || string(item.Value) != "first" {
 		t.Fatalf("/w/x = %q, %v: occurrences were not applied in input order", item.Value, err)
 	}
 }
@@ -208,7 +208,7 @@ func TestAddMultiDuplicateKey(t *testing.T) {
 func TestMultiKeyCallsOnEmptyRing(t *testing.T) {
 	c := NewClient(rpc.NewCaller(rpc.NewBus(), vclock.Default(), "node0"), dht.New(0))
 	keys := []string{"/w/a", "/w/b"}
-	res, _ := c.GetMulti(0, keys)
+	res, _ := getMulti(c, 0, keys)
 	for i := range res {
 		if res[i].Err == nil {
 			t.Fatalf("get_multi on an empty ring resolved key %d: %+v", i, res[i])
@@ -257,7 +257,7 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 	}
 	bus.Unregister(dead)
 
-	res, _ := c.GetMulti(0, keys)
+	res, _ := getMulti(c, 0, keys)
 	for i, key := range keys {
 		if onDead := ring.Lookup(key) == dead; onDead != (res[i].Err != nil) || !onDead && !res[i].Hit {
 			t.Fatalf("%s (dead owner=%v) = %+v", key, onDead, res[i])
@@ -330,6 +330,10 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	// honest about it. 1 MiB here; the TCP transport takes sixteen.
 	f.Add(append(keys(1<<20).Bytes(), make([]byte, 1<<20)...))
 
+	// One reply encoder serves every input, as a client's pooled one
+	// serves every call: what one reply leaves behind must not show in
+	// the next.
+	reply := wire.NewEncoder(0)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
@@ -341,9 +345,11 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 		// key, so what it finds is what was set above.
 		for _, method := range []string{"get_multi", "add_multi", "settle_multi"} {
 			var before, after runtime.MemStats
+			reply.Reset()
 			runtime.ReadMemStats(&before)
-			_, resp, err := caller.Call("fuzz/cache", method, 0, body)
+			_, err := caller.CallInto("fuzz/cache", method, 0, body, reply)
 			runtime.ReadMemStats(&after)
+			resp := reply.Bytes()
 			// What a handler allocates follows what it decoded, not the
 			// count it was told: a reply or an entry slice grown by
 			// doubling stays within a small multiple of the frame.
@@ -351,7 +357,7 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 				t.Fatalf("%s: allocated %d bytes for a %d-byte request", method, got, len(body))
 			}
 			if err != nil {
-				if resp != nil {
+				if len(resp) != 0 {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
 				}
 				a, _, aerr := s.Get(0, "/w/a")
@@ -421,6 +427,7 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, '/'}) // a 2^63-byte key
 	f.Add(append(store("/w/b", 0, 2, nil), 0xfe, 0xff, 0xff, 0xff, 0x0f))          // trailing bytes
 
+	reply := wire.NewEncoder(0) // every input's, as in FuzzMultiKeyHandlers
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
@@ -432,14 +439,16 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 			a0, _, _ := s.Get(0, "/w/a")
 			b0, _, _ := s.Get(0, "/w/b")
 			var before, after runtime.MemStats
+			reply.Reset()
 			runtime.ReadMemStats(&before)
-			_, resp, err := caller.Call("fuzz/cache", method, 0, body)
+			_, err := caller.CallInto("fuzz/cache", method, 0, body, reply)
 			runtime.ReadMemStats(&after)
+			resp := reply.Bytes()
 			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(64*len(body)+1<<16) {
 				t.Fatalf("%s: allocated %d bytes for a %d-byte request", method, got, len(body))
 			}
 			if err != nil {
-				if resp != nil {
+				if len(resp) != 0 {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
 				}
 				a, _, aerr := s.Get(0, "/w/a")

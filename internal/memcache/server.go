@@ -145,8 +145,8 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 // lock is safe because stored value buffers are never mutated in place:
 // store and clearDirty always install fresh copies. This is the
 // single-copy serving path behind the get/get_multi handlers (value goes
-// straight from the shard into the response frame); hit/miss accounting
-// matches Get.
+// straight from the shard into the reply encoder, the caller's own on the
+// Bus); hit/miss accounting matches Get.
 func (s *Server) lookupInto(e *wire.Encoder, key []byte, withHit bool) bool {
 	sh := &s.shards[fnv1aBytes(key)%numShards]
 	sh.mu.Lock()
@@ -612,59 +612,56 @@ func (s *Server) Resource() *vclock.Resource { return s.res }
 
 // presize caps what a multi-key handler allocates up front on a peer's
 // count: wire's Count bounds it only by the bytes left in the frame (16 MiB
-// over TCP, one byte an empty key) while a reply slot or a decoded entry is
-// 40 to 96 bytes. No batch core sends is larger, so a real request still
-// allocates once; a larger one grows on demand.
+// over TCP, one byte an empty key) while a decoded entry is 40 to 48
+// bytes. No batch core sends is larger, so a real request still allocates
+// once; a larger one grows on demand.
 const presize = 1024
 
-// Service wires the server's methods into an RPC mux.
+// Service wires the server's methods into an RPC mux. Every handler
+// appends its reply to the encoder the transport passes in — on the Bus
+// the calling client's own — so a cache hit's value goes from the shard
+// into the caller's buffer with one copy and no allocation.
 func (s *Server) Service() *rpc.Service {
 	svc := rpc.NewService()
-	svc.Handle("get", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("get", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		// The key is read as a BlobView (string and blob share the
 		// uvarint+bytes framing): it aliases the request frame, which
 		// stays valid for the whole handler, and lookupInto never
-		// retains it — so a cache hit costs exactly one value copy,
-		// straight into the response frame.
+		// retains it.
 		d := wire.GetDecoder(body)
 		key := d.BlobView()
 		err := d.Finish()
 		wire.PutDecoder(d)
 		if err != nil {
-			return at, nil, err
+			return at, err
 		}
 		done := s.acquire(at)
-		e := wire.NewEncoder(96)
-		if !s.lookupInto(e, key, false) {
-			return done, nil, fsapi.ErrNotExist
+		if !s.lookupInto(reply, key, false) {
+			return done, fsapi.ErrNotExist
 		}
-		return done, e.Bytes(), nil
+		return done, nil
 	})
-	svc.Handle("get_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("get_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.GetDecoder(body)
 		// Each key costs at least its length prefix; Count rejects a
 		// larger count before anything is sized by it.
 		n := d.Count()
 		if err := d.Err(); err != nil {
 			wire.PutDecoder(d)
-			return at, nil, err
+			return at, err
 		}
 		done := s.acquire(at)
-		e := wire.NewEncoder(16 + 96*min(n, presize))
-		e.Uvarint(uint64(n))
+		reply.Uvarint(uint64(n))
 		for i := 0; i < n && d.Err() == nil; i++ {
 			if key := d.BlobView(); d.Err() == nil {
-				s.lookupInto(e, key, true)
+				s.lookupInto(reply, key, true)
 			}
 		}
 		err := d.Finish()
 		wire.PutDecoder(d)
-		if err != nil {
-			return at, nil, err
-		}
-		return done, e.Bytes(), nil
+		return done, err
 	})
-	svc.Handle("add_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("add_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.GetDecoder(body)
 		n := d.Count()
 		entries := make([]AddEntry, 0, min(n, presize))
@@ -676,19 +673,18 @@ func (s *Server) Service() *rpc.Service {
 		err := d.Finish()
 		wire.PutDecoder(d)
 		if err != nil {
-			return at, nil, err
+			return at, err
 		}
 		results, done := s.AddMulti(at, entries)
-		e := wire.NewEncoder(10 * len(results))
-		e.Uvarint(uint64(len(results)))
+		reply.Uvarint(uint64(len(results)))
 		for _, r := range results {
-			e.Byte(fsapi.CodeOf(r.Err))
-			e.Uint64(r.CAS)
+			reply.Byte(fsapi.CodeOf(r.Err))
+			reply.Uint64(r.CAS)
 		}
-		return done, e.Bytes(), nil
+		return done, nil
 	})
 	store := func(mode storeMode) rpc.Handler {
-		return func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+		return func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 			d := wire.GetDecoder(body)
 			key := d.String()
 			flags := d.Uint32()
@@ -697,22 +693,21 @@ func (s *Server) Service() *rpc.Service {
 			err := d.Finish()
 			wire.PutDecoder(d)
 			if err != nil {
-				return at, nil, err
+				return at, err
 			}
 			done := s.acquire(at)
 			cas, err := s.store(key, value, flags, mode, expect)
 			if err != nil {
-				return done, nil, err
+				return done, err
 			}
-			e := wire.NewEncoder(8)
-			e.Uint64(cas)
-			return done, e.Bytes(), nil
+			reply.Uint64(cas)
+			return done, nil
 		}
 	}
-	svc.Handle("set", store(storeSet))
-	svc.Handle("add", store(storeAdd))
-	svc.Handle("cas", store(storeCAS))
-	svc.Handle("settle_multi", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	svc.HandleInto("set", store(storeSet))
+	svc.HandleInto("add", store(storeAdd))
+	svc.HandleInto("cas", store(storeCAS))
+	svc.HandleInto("settle_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		// The whole frame is decoded and every action checked before the
 		// first key is touched: a malformed request settles nothing.
 		// Count rejects a count larger than the bytes left, so a corrupt
@@ -733,15 +728,14 @@ func (s *Server) Service() *rpc.Service {
 			err = errUnknownAction
 		}
 		if err != nil {
-			return at, nil, err
+			return at, err
 		}
 		applied, done := s.SettleMulti(at, entries)
-		e := wire.NewEncoder(binary.MaxVarintLen64)
-		e.Uvarint(uint64(applied))
-		return done, e.Bytes(), nil
+		reply.Uvarint(uint64(applied))
+		return done, nil
 	})
-	svc.Handle("flush_all", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		return s.FlushAll(at), nil, nil
+	svc.HandleInto("flush_all", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+		return s.FlushAll(at), nil
 	})
 	return svc
 }

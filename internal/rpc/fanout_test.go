@@ -134,8 +134,15 @@ func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
 		if sdone != cdone {
 			t.Fatalf("settle completes at %v issued serially, %v concurrently", sdone, cdone)
 		}
-		sres, sdone := serial.GetMulti(sdone, keys)
-		cres, cdone := concurrent.GetMulti(cdone, keys)
+		getMulti := func(c *memcache.Client, at vclock.Time) ([]memcache.MultiResult, vclock.Time) {
+			out := make([]memcache.MultiResult, len(keys))
+			return out, c.GetMulti(at, keys, func(i int, r memcache.MultiResult) {
+				r.Item.Value = append([]byte(nil), r.Item.Value...)
+				out[i] = r
+			})
+		}
+		sres, sdone := getMulti(serial, sdone)
+		cres, cdone := getMulti(concurrent, cdone)
 		if sdone != cdone {
 			t.Fatalf("get_multi completes at %v issued serially, %v concurrently", sdone, cdone)
 		}

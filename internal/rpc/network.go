@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 // Network couples a Transport with service registration: enough for a
@@ -20,8 +21,10 @@ type Network interface {
 }
 
 var (
-	_ Network = (*Bus)(nil)
-	_ Network = (*TCPNetwork)(nil)
+	_ Network      = (*Bus)(nil)
+	_ Network      = (*TCPNetwork)(nil)
+	_ ReplyInvoker = (*Bus)(nil)
+	_ ReplyInvoker = (*TCPNetwork)(nil)
 )
 
 // TCPNetwork is a Network where every registered service listens on a
@@ -97,9 +100,9 @@ func (n *TCPNetwork) Invoke(addr, method string, at vclock.Time, body []byte) (v
 	return n.transport.Invoke(addr, method, at, body)
 }
 
-// InvokeTrace implements TraceInvoker.
-func (n *TCPNetwork) InvokeTrace(addr, method string, at vclock.Time, tc TraceContext, body []byte) (vclock.Time, []byte, error) {
-	return n.transport.InvokeTrace(addr, method, at, tc, body)
+// InvokeInto implements ReplyInvoker.
+func (n *TCPNetwork) InvokeInto(addr, method string, at vclock.Time, tc TraceContext, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+	return n.transport.InvokeInto(addr, method, at, tc, body, reply)
 }
 
 // Close shuts every listener and pooled connection down.

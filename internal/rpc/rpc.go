@@ -11,6 +11,10 @@
 // every response carries a virtual completion timestamp; the Caller adds
 // the latency-model wire costs on both directions. Real wall-clock time
 // never enters throughput math.
+//
+// A reply is a buffer the caller owns: Caller.CallInto appends it to a
+// wire.Encoder the caller supplies, typically pooled, decodes in place
+// and puts back. On the Bus the handler writes into that encoder itself.
 package rpc
 
 import (
@@ -22,44 +26,109 @@ import (
 
 	"pacon/internal/fsapi"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 // Handler serves one RPC method. `at` is the virtual time the request
 // reaches the service (wire latency already added by the caller); the
 // returned time is when the service finished, typically
-// resource.Acquire(at, cost).
-type Handler func(at vclock.Time, body []byte) (vclock.Time, []byte, error)
+// resource.Acquire(at, cost). The handler appends its reply to reply, an
+// encoder the transport passes in — the caller's own on the Bus, the
+// frame encoder on a TCP server — and body and reply are the handler's
+// for its run only. A handler that fails delivers its error and no reply
+// bytes: whatever it had appended is dropped (Service.dispatch).
+type Handler func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error)
 
 // Service is a method mux registered under one address.
 type Service struct {
 	mu      sync.RWMutex
-	methods map[string]Handler
+	methods map[string]endpoint
+}
+
+// endpoint is a registered handler and the name it was registered under:
+// the TCP server turns a frame's method bytes into that string without
+// allocating one per request (Service.name).
+type endpoint struct {
+	name string
+	h    Handler
 }
 
 // NewService returns an empty method mux.
-func NewService() *Service { return &Service{methods: make(map[string]Handler)} }
+func NewService() *Service { return &Service{methods: make(map[string]endpoint)} }
 
-// Handle registers a handler for method. Re-registering replaces.
-func (s *Service) Handle(method string, h Handler) {
+// HandleInto registers a handler for method. Re-registering replaces.
+func (s *Service) HandleInto(method string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.methods[method] = h
+	s.methods[method] = endpoint{name: method, h: h}
 }
 
-// dispatch runs the handler for method, or errors if unknown.
-func (s *Service) dispatch(method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+// Handle registers a handler that returns its reply as a slice — the form
+// code outside internal/ registers with. It is HandleInto with the slice
+// appended to the reply.
+func (s *Service) Handle(method string, h func(at vclock.Time, body []byte) (vclock.Time, []byte, error)) {
+	s.HandleInto(method, func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+		done, resp, err := h(at, body)
+		reply.Raw(resp)
+		return done, err
+	})
+}
+
+// name returns method as the string it was registered under, or a copy
+// of it when no handler has that name.
+func (s *Service) name(method []byte) string {
 	s.mu.RLock()
-	h := s.methods[method]
+	ep, ok := s.methods[string(method)]
+	s.mu.RUnlock()
+	if ok {
+		return ep.name
+	}
+	return string(method)
+}
+
+// dispatch runs the handler for method, appending its reply to reply —
+// the one dispatch path of both transports. A failed call leaves reply as
+// it found it.
+func (s *Service) dispatch(method string, at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+	s.mu.RLock()
+	h := s.methods[method].h
 	s.mu.RUnlock()
 	if h == nil {
-		return at, nil, fmt.Errorf("rpc: unknown method %q", method)
+		return at, fmt.Errorf("rpc: unknown method %q", method)
 	}
-	return h(at, body)
+	start := reply.Len()
+	done, err := h(at, body, reply)
+	if err != nil {
+		reply.Truncate(start)
+	}
+	return done, err
 }
 
-// Transport delivers a request to the service at a logical address.
+// Transport delivers a request to the service at a logical address. The
+// reply comes back as a slice the caller keeps.
 type Transport interface {
 	Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error)
+}
+
+// ReplyInvoker is the optional in-place form of a Transport: the request
+// carries its trace context (zero: untraced), and the reply is appended
+// to an encoder the caller supplies — on success only — rather than
+// returned as a slice of its own. The Bus and TCP implement it. It is
+// deliberately not part of Transport or Network: a wrapper that embeds
+// one of those hides it, and its Caller then sends every round trip
+// through the wrapper's Invoke.
+type ReplyInvoker interface {
+	InvokeInto(addr, method string, at vclock.Time, tc TraceContext, body []byte, reply *wire.Encoder) (vclock.Time, error)
+}
+
+// invokeCopy is Invoke over a ReplyInvoker: the reply lands in a pooled
+// encoder and leaves as a copy of its own (nil when empty).
+func invokeCopy(t ReplyInvoker, addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	reply := wire.GetEncoder()
+	done, err := t.InvokeInto(addr, method, at, TraceContext{}, body, reply)
+	resp := append([]byte(nil), reply.Bytes()...)
+	wire.PutEncoder(reply)
+	return done, resp, err
 }
 
 // inlineTransport is the optional property of a transport whose Invoke
@@ -117,41 +186,29 @@ func (b *Bus) HandlersRunInline() bool { return true }
 
 // Invoke implements Transport.
 func (b *Bus) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-	b.mu.RLock()
-	svc := b.services[addr]
-	b.mu.RUnlock()
-	if svc == nil {
-		return at, nil, fmt.Errorf("rpc: no service at %q: %w", addr, fsapi.ErrClosed)
-	}
-	b.calls.Add(1)
-	b.bytes.Add(int64(len(body)))
-	if p := b.obs.Load(); p != nil {
-		start := time.Now()
-		done, resp, err := svc.dispatch(method, at, body)
-		(*p).ObserveRPC(addr, method, time.Since(start), err)
-		return done, resp, err
-	}
-	return svc.dispatch(method, at, body)
+	return invokeCopy(b, addr, method, at, body)
 }
 
-// InvokeTrace implements TraceInvoker: like Invoke, but a sampled trace
-// context additionally reports the dispatch window to the installed
-// observer's SpanObserver side, recording the server's part of the span.
-func (b *Bus) InvokeTrace(addr, method string, at vclock.Time, tc TraceContext, body []byte) (vclock.Time, []byte, error) {
+// InvokeInto implements ReplyInvoker: the handler runs on the calling
+// goroutine and appends its reply straight into the caller's encoder. A
+// sampled trace context additionally reports the dispatch window to the
+// installed observer's SpanObserver side, recording the server's part
+// of the span.
+func (b *Bus) InvokeInto(addr, method string, at vclock.Time, tc TraceContext, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 	b.mu.RLock()
 	svc := b.services[addr]
 	b.mu.RUnlock()
 	if svc == nil {
-		return at, nil, fmt.Errorf("rpc: no service at %q: %w", addr, fsapi.ErrClosed)
+		return at, fmt.Errorf("rpc: no service at %q: %w", addr, fsapi.ErrClosed)
 	}
 	b.calls.Add(1)
 	b.bytes.Add(int64(len(body)))
 	p := b.obs.Load()
 	if p == nil {
-		return svc.dispatch(method, at, body)
+		return svc.dispatch(method, at, body, reply)
 	}
 	start := time.Now()
-	done, resp, err := svc.dispatch(method, at, body)
+	done, err := svc.dispatch(method, at, body, reply)
 	d := time.Since(start)
 	(*p).ObserveRPC(addr, method, d, err)
 	if tc.Span != 0 && tc.Sampled {
@@ -159,7 +216,7 @@ func (b *Bus) InvokeTrace(addr, method string, at vclock.Time, tc TraceContext, 
 			so.ObserveServerSpan(tc.Span, tc.Hops, addr, method, start, d, err)
 		}
 	}
-	return done, resp, err
+	return done, err
 }
 
 // Calls returns the number of invocations served.
@@ -183,9 +240,10 @@ func NodeOf(addr string) string {
 // over Bus and TCP.
 type Caller struct {
 	transport Transport
-	// traceInv is the transport's TraceInvoker view, asserted once at
-	// construction (nil when the transport cannot carry trace contexts).
-	traceInv TraceInvoker
+	// into is the transport's ReplyInvoker view, asserted once at
+	// construction; nil sends every call through Invoke, and trace
+	// contexts nowhere.
+	into ReplyInvoker
 	// inline is the transport's inlineTransport answer, asked once.
 	inline bool
 	model  vclock.LatencyModel
@@ -202,9 +260,9 @@ type Caller struct {
 
 // NewCaller builds a caller for a client running on `node`.
 func NewCaller(t Transport, model vclock.LatencyModel, node string) *Caller {
-	ti, _ := t.(TraceInvoker)
+	into, _ := t.(ReplyInvoker)
 	it, ok := t.(inlineTransport)
-	return &Caller{transport: t, traceInv: ti, inline: ok && it.HandlersRunInline(), model: model, node: node}
+	return &Caller{transport: t, into: into, inline: ok && it.HandlersRunInline(), model: model, node: node}
 }
 
 // Inline reports whether the transport runs handlers on the calling
@@ -277,10 +335,13 @@ func (c *Caller) Pace(p *vclock.Pacer, id int) {
 	c.pacerID = id
 }
 
-// Call sends method to addr with the request body, charging one-way wire
-// latency plus per-KiB transfer each direction. It returns the virtual
-// time at which the response reaches the caller.
-func (c *Caller) Call(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+// CallInto sends method to addr with the request body and appends the
+// reply to reply, charging one-way wire latency plus per-KiB transfer
+// each direction. It returns the virtual time at which the reply reaches
+// the caller. reply is the caller's: it is usually a pooled encoder,
+// decoded in place and put back, so a view decoded from it lives until
+// then. A failed call appends nothing.
+func (c *Caller) CallInto(addr, method string, at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 	if c.pacer != nil {
 		// Batched advancement: the common case takes no lock, so the
 		// pacer is not a global serialization point across the region's
@@ -290,25 +351,41 @@ func (c *Caller) Call(addr, method string, at vclock.Time, body []byte) (vclock.
 	c.calls.Add(1)
 	same := c.node == NodeOf(addr)
 	sendAt := at.Add(c.model.OneWay(same) + c.model.Transfer(len(body)))
+	start := reply.Len()
 	var done vclock.Time
-	var resp []byte
 	var err error
-	if tv := c.trace.Load(); tv != 0 && c.traceInv != nil {
-		tc := unpackTrace(tv)
-		tc.Hops++
-		done, resp, err = c.traceInv.InvokeTrace(addr, method, sendAt, tc, body)
+	if c.into != nil {
+		var tc TraceContext
+		if tv := c.trace.Load(); tv != 0 {
+			tc = unpackTrace(tv)
+			tc.Hops++
+		}
+		done, err = c.into.InvokeInto(addr, method, sendAt, tc, body, reply)
 	} else {
-		done, resp, err = c.transport.Invoke(addr, method, sendAt, body)
+		var resp []byte
+		if done, resp, err = c.transport.Invoke(addr, method, sendAt, body); err == nil {
+			reply.Raw(resp)
+		}
 	}
 	if done < sendAt {
 		done = sendAt
 	}
-	recvAt := done.Add(c.model.OneWay(same) + c.model.Transfer(len(resp)))
+	recvAt := done.Add(c.model.OneWay(same) + c.model.Transfer(reply.Len()-start))
 	if err != nil {
 		// Normalize to the sentinel set; unknown errors pass through.
 		if code := fsapi.CodeOf(err); code != fsapi.CodeOther {
 			err = fsapi.ErrOf(code, "")
 		}
 	}
-	return recvAt, resp, err
+	return recvAt, err
+}
+
+// Call is CallInto for a caller that keeps the reply: it comes back as a
+// slice of its own (nil when empty).
+func (c *Caller) Call(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	reply := wire.GetEncoder()
+	done, err := c.CallInto(addr, method, at, body, reply)
+	resp := append([]byte(nil), reply.Bytes()...)
+	wire.PutEncoder(reply)
+	return done, resp, err
 }

@@ -19,14 +19,23 @@ import (
 // data-server chunk plus headers).
 const maxFrame = 16 << 20
 
+// frameStep is how far ahead of the bytes that have arrived readFrame
+// may grow its buffer: a header announcing maxFrame costs a step, not
+// maxFrame, until the body comes.
+const frameStep = 64 << 10
+
 // TCPServer serves one Service mux over a real TCP listener using
 // length-prefixed binary frames. Frame layout (request):
 //
-//	u32 length | method string | i64 at | uvarint trace | blob body
+//	u32 length | method string | i64 at | uvarint trace | body
 //
-// (trace is the packed TraceContext, 0 = untraced) and (response):
+// (trace is the packed TraceContext, 0 = untraced; the body is the rest
+// of the frame) and (response):
 //
-//	u32 length | i64 done | u8 errcode | detail string | blob body
+//	u32 length | i64 done | u8 errcode | payload
+//
+// where the payload is the handler's reply when errcode is 0 and the
+// error's detail text otherwise (empty for a sentinel code).
 type TCPServer struct {
 	ln  net.Listener
 	svc *Service
@@ -123,75 +132,112 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	// The request frame lands in a pooled encoder, and the handler appends
+	// its reply to another, behind a header filled in once it has
+	// returned. Both are taken once a request has begun to arrive: an idle
+	// connection holds no buffer.
 	for {
-		frame, err := readFrame(br)
-		if err != nil {
+		if _, err := br.Peek(1); err != nil {
 			return
 		}
-		d := wire.NewDecoder(frame)
-		method := d.String()
-		at := vclock.Time(d.Int64())
-		tc := unpackTrace(d.Uvarint())
-		body := d.BlobView()
-		if d.Err() != nil {
-			return
-		}
-		var start time.Time
-		sink := s.sink.Load()
-		traced := sink != nil && tc.Span != 0 && tc.Sampled
-		if traced {
-			start = time.Now()
-		}
-		done, resp, herr := s.svc.dispatch(method, at, body)
-		if traced {
-			sink.obs.ObserveServerSpan(tc.Span, tc.Hops, sink.addr, method, start, time.Since(start), herr)
-		}
-
-		e := wire.GetEncoder()
-		e.Int64(int64(done))
-		code := fsapi.CodeOf(herr)
-		e.Byte(code)
-		if code == fsapi.CodeOther && herr != nil {
-			e.String(herr.Error())
-		} else {
-			e.String("")
-		}
-		e.Blob(resp)
-		werr := writeFrame(bw, e.Bytes())
-		wire.PutEncoder(e) // frame fully written (or abandoned) — safe to recycle
-		if werr != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		in := wire.GetEncoder()
+		ok := s.serveFrame(br, bw, in)
+		wire.PutEncoder(in)
+		if !ok {
 			return
 		}
 	}
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// serveFrame reads one request into in, dispatches it and writes the
+// response; false ends the connection.
+func (s *TCPServer) serveFrame(br *bufio.Reader, bw *bufio.Writer, in *wire.Encoder) bool {
+	if readFrame(br, in) != nil {
+		return false
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	req, err := decodeRequest(in.Bytes())
+	if err != nil {
+		return false
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
+	method := s.svc.name(req.method)
+	var start time.Time
+	sink := s.sink.Load()
+	traced := sink != nil && req.tc.Span != 0 && req.tc.Sampled
+	if traced {
+		start = time.Now()
 	}
-	return frame, nil
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e) // frame fully written (or abandoned) — safe to recycle
+	e.Raw(responseHeader[:])
+	done, herr := s.svc.dispatch(method, req.at, req.body, e)
+	if traced {
+		sink.obs.ObserveServerSpan(req.tc.Span, req.tc.Hops, sink.addr, method, start, time.Since(start), herr)
+	}
+	code := fsapi.CodeOf(herr)
+	if code == fsapi.CodeOther {
+		e.Raw([]byte(herr.Error()))
+	}
+	out := e.Bytes()
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	binary.LittleEndian.PutUint64(out[4:], uint64(done))
+	out[12] = code
+	if _, err := bw.Write(out); err != nil {
+		return false
+	}
+	return bw.Flush() == nil
 }
 
-func writeFrame(w io.Writer, frame []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// responseHeader reserves a response frame's length, done and errcode.
+var responseHeader [4 + 8 + 1]byte
+
+// request is a decoded request frame; method and body alias the frame.
+type request struct {
+	method []byte
+	at     vclock.Time
+	tc     TraceContext
+	body   []byte
+}
+
+// decodeRequest parses a request frame (without its length prefix).
+func decodeRequest(frame []byte) (request, error) {
+	d := wire.GetDecoder(frame)
+	defer wire.PutDecoder(d)
+	req := request{method: d.BlobView(), at: vclock.Time(d.Int64()), tc: unpackTrace(d.Uvarint())}
+	req.body = frame[len(frame)-d.Remaining():]
+	return req, d.Err()
+}
+
+// decodeResponse parses a response frame (without its length prefix)
+// into the completion time, the result code and the payload, which
+// aliases the frame.
+func decodeResponse(frame []byte) (done vclock.Time, code byte, payload []byte, err error) {
+	if len(frame) < len(responseHeader)-4 {
+		return 0, 0, nil, wire.ErrTruncated
+	}
+	return vclock.Time(binary.LittleEndian.Uint64(frame)), frame[8], frame[9:], nil
+}
+
+// readFrame reads one length-prefixed frame and appends it, without its
+// prefix, to e — growing e only as the bytes arrive, at most frameStep
+// past them. On failure e is left as it was.
+func readFrame(r io.Reader, e *wire.Encoder) error {
+	start := e.Len()
+	_, err := io.ReadFull(r, e.Grow(4))
+	n := int(binary.LittleEndian.Uint32(e.Bytes()[start:]))
+	e.Truncate(start)
+	switch {
+	case err != nil:
 		return err
+	case n > maxFrame:
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
-	_, err := w.Write(frame)
-	return err
+	for left := n; left > 0; left -= frameStep {
+		if _, err := io.ReadFull(r, e.Grow(min(left, frameStep))); err != nil {
+			e.Truncate(start)
+			return err
+		}
+	}
+	return nil
 }
 
 // TCPTransport implements Transport over real TCP connections. Logical
@@ -233,13 +279,14 @@ func (t *TCPTransport) SetObserver(o RPCObserver) {
 
 // Invoke implements Transport.
 func (t *TCPTransport) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-	return t.InvokeTrace(addr, method, at, TraceContext{}, body)
+	return invokeCopy(t, addr, method, at, body)
 }
 
-// InvokeTrace implements TraceInvoker: the packed trace context rides
-// the request frame; the serving TCPServer extracts it and records the
-// server half of the span through its own sink.
-func (t *TCPTransport) InvokeTrace(addr, method string, at vclock.Time, tc TraceContext, body []byte) (vclock.Time, []byte, error) {
+// InvokeInto implements ReplyInvoker: the packed trace context rides the
+// request frame (the serving TCPServer extracts it and records the
+// server half of the span through its own sink), and the reply frame is
+// read straight into the caller's encoder (tcpConn.roundTrip).
+func (t *TCPTransport) InvokeInto(addr, method string, at vclock.Time, tc TraceContext, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 	var start time.Time
 	obs := t.obs.Load()
 	if obs != nil {
@@ -249,7 +296,7 @@ func (t *TCPTransport) InvokeTrace(addr, method string, at vclock.Time, tc Trace
 	hostport, ok := t.resolve[addr]
 	if !ok {
 		t.mu.Unlock()
-		return at, nil, fmt.Errorf("rpc: no route to %q: %w", addr, fsapi.ErrClosed)
+		return at, fmt.Errorf("rpc: no route to %q: %w", addr, fsapi.ErrClosed)
 	}
 	pool := t.pools[hostport]
 	if pool == nil {
@@ -260,21 +307,21 @@ func (t *TCPTransport) InvokeTrace(addr, method string, at vclock.Time, tc Trace
 
 	c, err := pool.get()
 	if err != nil {
-		return at, nil, err
+		return at, err
 	}
-	done, resp, rerr, ioErr := c.roundTrip(method, at, tc, body)
+	done, rerr, ioErr := c.roundTrip(method, at, tc, body, reply)
 	if ioErr != nil {
 		c.close()
 		if obs != nil {
 			(*obs).ObserveRPC(addr, method, time.Since(start), ioErr)
 		}
-		return at, nil, ioErr
+		return at, ioErr
 	}
 	pool.put(c)
 	if obs != nil {
 		(*obs).ObserveRPC(addr, method, time.Since(start), rerr)
 	}
-	return done, resp, rerr
+	return done, rerr
 }
 
 // Close tears down all pooled connections.
@@ -343,31 +390,46 @@ type tcpConn struct {
 
 func (c *tcpConn) close() { c.conn.Close() }
 
-func (c *tcpConn) roundTrip(method string, at vclock.Time, tc TraceContext, body []byte) (vclock.Time, []byte, error, error) {
+// roundTrip sends one request and appends the reply's payload to reply.
+// rerr is the handler's error; ioErr is a transport failure, after which
+// the connection is not reused.
+func (c *tcpConn) roundTrip(method string, at vclock.Time, tc TraceContext, body []byte, reply *wire.Encoder) (done vclock.Time, rerr, ioErr error) {
+	// The header is encoded apart and the body written behind it, so a
+	// data chunk is not copied into the frame first.
 	e := wire.GetEncoder()
+	e.Uint32(0)
 	e.String(method)
 	e.Int64(int64(at))
 	e.Uvarint(tc.pack())
-	e.Blob(body)
-	err := writeFrame(c.bw, e.Bytes())
-	wire.PutEncoder(e) // frame written to the socket buffer — safe to recycle
+	hdr := e.Bytes()
+	binary.LittleEndian.PutUint32(hdr, uint32(len(hdr)-4+len(body)))
+	_, err := c.bw.Write(hdr)
+	wire.PutEncoder(e) // header copied into the socket buffer — safe to recycle
+	if err == nil {
+		_, err = c.bw.Write(body)
+	}
+	if err == nil {
+		err = c.bw.Flush()
+	}
 	if err != nil {
-		return at, nil, nil, err
+		return at, nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return at, nil, nil, err
+	// The response frame is read straight into the caller's encoder, and
+	// its header then cut out from in front of the payload.
+	start := reply.Len()
+	if err := readFrame(c.br, reply); err != nil {
+		return at, nil, err
 	}
-	frame, err := readFrame(c.br)
-	if err != nil {
-		return at, nil, nil, err
+	done, code, payload, err := decodeResponse(reply.Bytes()[start:])
+	switch {
+	case err != nil:
+		rerr, ioErr = nil, err
+	case code != fsapi.CodeOK:
+		rerr = fsapi.ErrOf(code, string(payload))
+	default:
+		reply.Truncate(start + copy(reply.Bytes()[start:], payload))
+		return done, nil, nil
 	}
-	d := wire.NewDecoder(frame)
-	done := vclock.Time(d.Int64())
-	code := d.Byte()
-	detail := d.String()
-	resp := d.Blob()
-	if derr := d.Err(); derr != nil {
-		return at, nil, nil, derr
-	}
-	return done, resp, fsapi.ErrOf(code, detail), nil
+	reply.Truncate(start)
+	return done, rerr, ioErr
 }

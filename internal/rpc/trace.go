@@ -1,10 +1,6 @@
 package rpc
 
-import (
-	"time"
-
-	"pacon/internal/vclock"
-)
+import "time"
 
 // Wire-propagated trace context. A client op sampled by the obs tail
 // sampler tags its Caller with a TraceContext; every RPC the caller
@@ -15,8 +11,10 @@ import (
 // and across OS processes.
 //
 // The context packs into one uint64 (span<<9 | hops<<1 | sampled), and
-// rides the existing frame/dispatch path: an untraced call packs to 0
-// and costs one uvarint byte on the TCP wire, nothing on the Bus.
+// rides the existing frame/dispatch path (ReplyInvoker.InvokeInto): an
+// untraced call packs to 0 and costs one uvarint byte on the TCP wire,
+// nothing on the Bus. A transport that is not a ReplyInvoker never sees
+// trace contexts.
 
 // TraceContext is the compact per-RPC trace tag.
 type TraceContext struct {
@@ -47,14 +45,6 @@ func unpackTrace(v uint64) TraceContext {
 		Sampled: v&1 != 0,
 		Hops:    uint8(v >> 1),
 	}
-}
-
-// TraceInvoker is the optional transport extension for trace-carrying
-// calls. Bus, TCPTransport and TCPNetwork implement it; a transport
-// that does not simply never sees trace contexts (the Caller falls
-// back to plain Invoke).
-type TraceInvoker interface {
-	InvokeTrace(addr, method string, at vclock.Time, tc TraceContext, body []byte) (vclock.Time, []byte, error)
 }
 
 // SpanObserver is the optional server-side extension of RPCObserver:

@@ -28,9 +28,10 @@ type Encoder struct{ buf []byte }
 // NewEncoder returns an encoder with the given capacity hint.
 func NewEncoder(capHint int) *Encoder { return &Encoder{buf: make([]byte, 0, capHint)} }
 
-// encoderPool recycles request-side encoders across RPCs. Every simulated
-// op builds at least one tiny wire message, so the allocations otherwise
-// dominate the encode hot path (see BenchmarkEncoderPooled).
+// encoderPool recycles encoders across RPCs, request and reply alike.
+// Every simulated op builds at least one tiny wire message and receives
+// one, so the allocations otherwise dominate the hot path (see
+// BenchmarkEncoderPooled).
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
 // poolMaxCap bounds the buffers the pool retains: one oversized frame
@@ -46,11 +47,13 @@ func GetEncoder() *Encoder {
 }
 
 // PutEncoder recycles e. The caller must be done with every slice
-// obtained from e.Bytes(): in this repository that holds for request
-// bodies (transports consume the frame synchronously — the in-process
-// bus dispatches before Call returns, the TCP transport writes the frame
-// to the socket) but NOT for handler responses, which the RPC layer
-// retains after the handler returns.
+// obtained from e.Bytes(), and with every view decoded from one
+// (Decoder.BlobView): they alias e's buffer, which the next GetEncoder
+// hands to someone else. In this repository every encoder has one
+// owner, who puts it back: a request body's is the caller's (transports
+// consume the frame before the call returns), and so is a reply's — an
+// RPC reply is appended to an encoder the caller passes in
+// (rpc.Caller.CallInto), decoded in place, and put back after decoding.
 func PutEncoder(e *Encoder) {
 	if cap(e.buf) > poolMaxCap {
 		return
@@ -67,6 +70,30 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset clears the buffer for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Truncate drops everything after the first n bytes — what a reply
+// holds when the handler that was appending it fails.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
+// Raw appends b as it is, with no length prefix: an already-encoded
+// message, or the rest of a frame whose length the frame header gives.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
+// Grow extends the message by n bytes and returns them for the caller to
+// fill — how a transport reads a frame straight into an encoder.
+func (e *Encoder) Grow(n int) []byte {
+	l := len(e.buf)
+	if cap(e.buf)-l < n {
+		// One allocation whatever the build (slices.Grow's append of a
+		// make is two under -race), doubling so that reading a frame a
+		// step at a time copies it a bounded number of times.
+		grown := make([]byte, l, max(2*cap(e.buf), l+n))
+		copy(grown, e.buf)
+		e.buf = grown
+	}
+	e.buf = e.buf[:l+n]
+	return e.buf[l:]
+}
 
 // Byte appends a raw byte.
 func (e *Encoder) Byte(v byte) { e.buf = append(e.buf, v) }

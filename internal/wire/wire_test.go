@@ -160,6 +160,29 @@ func TestEncoderReset(t *testing.T) {
 	}
 }
 
+// TestGrowRawTruncate: what a transport does to a reply encoder — Grow
+// hands out room behind what is there and keeps it, Raw appends bytes as
+// they are, Truncate cuts back to a length, and none of them disturbs
+// the bytes before.
+func TestGrowRawTruncate(t *testing.T) {
+	e := NewEncoder(0)
+	e.String("kept")
+	held := string(e.Bytes())
+	copy(e.Grow(3), "abc")
+	e.Raw([]byte("def"))
+	if got := string(e.Bytes()); got != held+"abcdef" {
+		t.Fatalf("after Grow and Raw: %q", got)
+	}
+	room := e.Grow(100 << 10) // past any capacity so far
+	if len(room) != 100<<10 || e.Len() != len(held)+6+100<<10 || string(e.Bytes()[:len(held)+6]) != held+"abcdef" {
+		t.Fatalf("Grow(100 KiB): %d bytes of room, length %d", len(room), e.Len())
+	}
+	e.Truncate(len(held))
+	if got := string(e.Bytes()); got != held {
+		t.Fatalf("after Truncate: %q", got)
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	f := func(s string, b []byte, u uint64, i int64, flag bool) bool {
 		e := NewEncoder(32)
