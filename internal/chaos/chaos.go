@@ -95,6 +95,9 @@ type Config struct {
 	// share of the same wave commits; after recovery the schedule must
 	// still converge and pass the audit gate. Requires Shards > 1.
 	KillShard bool
+	// AtRiskBound is the region's (0: unbounded): every client's ack waits
+	// on its node's in-flight table, parked ops and stalled waves included.
+	AtRiskBound int
 }
 
 func (c Config) withDefaults() Config {
@@ -459,8 +462,21 @@ func (w *worker) exclusiveOp() {
 			w.h.violate("client %d: write %s: %v", w.id, p, err)
 			return
 		}
-		if err == nil {
-			w.model[p] = modelSplice(content, off, data)
+		if err != nil {
+			return
+		}
+		w.model[p] = modelSplice(content, off, data)
+		if k < 10 && !w.h.cfg.KillShard {
+			// One write in six is fsynced: a spill in the path's in-flight
+			// record until its create lands, which the model cannot see.
+			// Not on a dead-shard schedule: the spill's write-back asks the
+			// MDS for the size, and a landed create's bytes that fail are
+			// dropped on the first error (ROADMAP item 5).
+			at, err = w.cl.Fsync(w.at, p)
+			w.at = at
+			if err != nil && !w.closedAmbiguous(p, err) {
+				w.h.violate("client %d: fsync %s: %v", w.id, p, err)
+			}
 		}
 	case k < 75: // remove
 		at, err := w.cl.Remove(w.at, p)
@@ -747,7 +763,7 @@ func Run(cfg Config) (Result, error) {
 		CommitRetryLimit:   retryLimit,
 		CommitBatchSize:    cfg.CommitBatchSize,
 		SmallFileThreshold: straddleThreshold(cfg.Seed),
-		ShardCount:         cfg.Shards,
+		AtRiskBound:        cfg.AtRiskBound,
 		Model:              model,
 	}, core.Deps{
 		Bus: bus,

@@ -173,7 +173,7 @@ func (r *Region) SimulateNodeFailure(node string) int {
 			// the dead node's paths, the staleness watermark would grow
 			// forever, its sampled span would never close and what it
 			// fsynced would wait for a create that never lands.
-			r.opTerminal(op, obs.StageDrop, "node failure")
+			r.opTerminal(op, op.Time, obs.StageDrop, "node failure")
 		}
 	}
 	n.cache.FlushAll(0)

@@ -141,8 +141,9 @@ func (c *Client) overhead(at vclock.Time) vclock.Time {
 // charging the publish cost (§III.D.1). The op takes over the in-flight
 // reference mutate took for it at wall, before the store — a scoped barrier
 // or a crossing asking the table since has seen the op coming — and from
-// here its terminal gives it back.
-func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64) (vclock.Time, error) {
+// here its terminal gives it back. It is pushed in its ticket's turn, and
+// acked by the one ack rule (RegionConfig.AtRiskBound, awaitAck).
+func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64, ticket uint64) (vclock.Time, error) {
 	kind := out.kind
 	// The op carries the span begin opened at the client entry point (so
 	// the cache RPCs issued before the push already belong to it) and
@@ -156,12 +157,39 @@ func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64) (vcl
 	// Before the push: the commit process could otherwise record the op's
 	// dequeue before its enqueue.
 	op.trace(obs.StageEnqueue, "")
-	if err := c.node.queue.Push(op); err != nil {
-		c.region.opTerminal(op, obs.StageDrop, "queue closed")
+	gate, err := c.node.inflight.push(c.node.queue, &op, ticket)
+	if err != nil {
+		c.region.opTerminal(op, at, obs.StageDrop, "queue closed")
 		return at, err
 	}
 	c.curQueued = true
-	return at.Add(c.region.cfg.Model.QueuePushCost), nil
+	at = at.Add(c.region.cfg.Model.QueuePushCost)
+	if gate != 0 {
+		return c.awaitAck(at, gate)
+	}
+	return at, nil
+}
+
+// awaitAck parks the ack on its node's bound until it opens at gate, and
+// moves the clock to the latest terminal's: virtual time pays for the wait.
+// Parked past ackPatience on an idle queue, it waits on an op parked behind
+// that queue — its own client is the one waiting — and moves the
+// workspace's parked ops with one barrier, as drainPath does a path's.
+func (c *Client) awaitAck(at vclock.Time, gate uint64) (vclock.Time, error) {
+	r := c.region
+	for {
+		freed, ok, err := c.node.inflight.below(gate, ackPatience)
+		switch {
+		case err != nil:
+			return at, err
+		case ok:
+			return vclock.Max(at, freed), nil
+		case c.node.queue.Len() == 0:
+			if at, err = r.flush(at, r.cfg.Workspace); err != nil {
+				return at, err
+			}
+		}
+	}
 }
 
 // checkParent verifies the parent directory exists (§III.C): first in
@@ -238,9 +266,9 @@ func (c *Client) checkPerm(at vclock.Time, p string, want fsapi.AccessWant) (vcl
 
 // applyOne sends one metadata mutation to the DFS synchronously, as the
 // batch of one it is to dfs.Client — redirection outside the workspace,
-// the SyncCommit ablation, the large-file transition and the checkpoint
-// copy all come through here, so ApplyBatch is the only mutation a
-// Backend has. A batch-level error is the op's error.
+// the large-file transition and the checkpoint copy all come through here,
+// so ApplyBatch is the only mutation a Backend has. A batch-level error is
+// the op's error.
 func applyOne(b Backend, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
 	errs, done, err := b.ApplyBatch(at, []fsapi.BatchOp{op})
 	if err == nil {
@@ -267,29 +295,6 @@ func (c *Client) insert(at vclock.Time, op, p string, st fsapi.Stat) (vclock.Tim
 	// Optimistic: a create expects the path to be free.
 	_, at, err = c.mutate(at, &entryRead{fresh: true}, &event{kind: evCreate, op: op, path: p, seq: r.seq.Add(1), stat: st})
 	return at, err
-}
-
-// commitSyncInsert is the SyncCommit ablation: apply the creation to the
-// DFS before returning, then settle the cache entry clean as the commit
-// process would.
-func (c *Client) commitSyncInsert(at vclock.Time, p string, v cacheVal) (vclock.Time, error) {
-	dfsStat := v.stat
-	dfsStat.Inline = nil
-	kind := fsapi.BatchCreate
-	if dfsStat.IsDir() {
-		kind = fsapi.BatchMkdir
-	}
-	at, err := applyOne(c.backend, at, fsapi.BatchOp{Kind: kind, Path: p, Stat: dfsStat})
-	if err != nil {
-		return at, fsapi.WrapPath("sync-commit", p, err)
-	}
-	if len(v.stat.Inline) > 0 {
-		if at, err = c.backend.WriteAt(at, p, 0, v.stat.Inline); err != nil {
-			return at, err
-		}
-	}
-	_, _, at, _ = c.cache.SettleMulti(at, []memcache.Settle{{Key: p, Seq: v.seq, Clear: true}})
-	return at, nil
 }
 
 // Mkdir creates a directory in the workspace (async commit); outside the

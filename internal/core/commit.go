@@ -134,7 +134,7 @@ func (c *committer) run() {
 		if c.node.tel != nil {
 			note = fmt.Sprintf("into span %d", survivor.Span)
 		}
-		r.opTerminal(absorbed, obs.StageCoalesce, note)
+		r.opTerminal(absorbed, c.now, obs.StageCoalesce, note)
 	}
 
 	for {
@@ -494,7 +494,7 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 		// committed (§III.D.2), through the file interface: the spill may
 		// be longer than the size the create carried. Like the wave's
 		// bytes it goes before the terminal.
-		if data := c.node.inflight.takeSpill(op.Path); len(data) > 0 {
+		if data := c.node.inflight.takeSpill(op.Path, op.Seq); len(data) > 0 {
 			r.backendRPCs.Add(1)
 			var err error
 			if c.now, err = c.backend.WriteAt(c.now, op.Path, 0, data); err != nil {
@@ -505,10 +505,10 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 	switch v.end {
 	case endCommitted:
 		r.committed.Add(1)
-		r.opTerminal(op, obs.StageApply, "")
+		r.opTerminal(op, c.now, obs.StageApply, "")
 	case endDiscarded:
 		r.discarded.Add(1)
-		r.opTerminal(op, obs.StageDiscard, "under active rmdir")
+		r.opTerminal(op, c.now, obs.StageDiscard, "under active rmdir")
 	case endDrop:
 		// reason (one of the dropReason* constants) labels the per-reason
 		// counter and the drop trace event: dropped ops never record a
@@ -523,7 +523,7 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 		default:
 			r.droppedBackend.Add(1)
 		}
-		r.opTerminal(op, obs.StageDrop, v.reason)
+		r.opTerminal(op, c.now, obs.StageDrop, v.reason)
 	}
 	if v.settle != nil {
 		// Conditional on the op's seq, so an update racing the cleanup

@@ -524,10 +524,12 @@ type entryRead struct {
 // client died, or its final store never reached the cache — and the
 // waiter takes it back (the evRollback row): nothing else resolves it. A
 // crossing in turn gives the commit processes drainPatience to empty the
-// path before it pushes them (Region.drainPath).
+// path before it pushes them (Region.drainPath), an ack on its node's bound
+// ackPatience (Client.awaitAck).
 const (
 	claimPoll     = 100 * time.Microsecond
 	drainPatience = 100 * time.Millisecond
+	ackPatience   = time.Millisecond
 )
 
 // claimPatience is a variable for the one test that loses a claimant.
@@ -609,15 +611,19 @@ func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclo
 		// A path with an op to queue is pending on this node from before
 		// the store is visible: a threshold crossing that claims the entry
 		// right after this store drains the path, and must see the op
-		// coming. The reference, and its wall, are the op's own: pushOp hands
-		// them over, and only a store that queues nothing gives them back.
+		// coming. The reference, its wall and its ticket are the op's own:
+		// pushOp hands them over, and only a failed store gives them back. A
+		// paced client meets its pacer first: held back in virtual time, it
+		// must not hold a reference another client's push or ack waits on.
 		table := &c.node.inflight
 		var wall int64
+		var ticket uint64
 		if out.enqueue {
+			c.caller.Advance(at)
 			if c.node.tel != nil {
 				wall = time.Now().UnixNano()
 			}
-			table.take(ev.path, wall)
+			ticket = table.take(ev.path, wall)
 		}
 		var cas uint64
 		var err error
@@ -628,14 +634,10 @@ func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclo
 		}
 		stored := err == nil
 		if out.enqueue {
-			switch {
-			case !stored:
-				table.release(ev.path, wall, 0)
-			case c.region.cfg.SyncCommit && ev.kind == evCreate:
-				at, err = c.commitSyncInsert(at, ev.path, out.val) // the ablation: creations reach the DFS now
-				table.release(ev.path, wall, 0)
-			default:
-				at, err = c.pushOp(at, ev.path, &out, wall)
+			if stored {
+				at, err = c.pushOp(at, ev.path, &out, wall, ticket)
+			} else {
+				table.giveBack(ev.path, wall, ticket)
 			}
 		}
 		switch {

@@ -396,7 +396,11 @@ func (x *explorer) stepClient(s *xState, i int) bool {
 
 	case phStore:
 		if other := &s.cl[1-i]; c.out.enqueue && other.phase == phPush {
-			return false // the queue receives ops in store order
+			// The queue receives ops in store order: the product's push
+			// tickets (inflight.take hands them out before the store,
+			// inflight.push queues in their order), modelled as no store
+			// while the other client's store waits for its push.
+			return false
 		}
 		if c.ev.kind == evCreate && !s.cache.present && s.dfs.exists {
 			// The cache lost the entry of a file the DFS holds (eviction),

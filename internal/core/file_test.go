@@ -309,6 +309,37 @@ func TestSpillOfOneBatchBelongsToTheNewestIncarnation(t *testing.T) {
 	}
 }
 
+// TestSpillNeverOverwritesNewerBytes: a file is written, fsynced and
+// written again before its create commits. The coalescer folds the three
+// ops into one create carrying the newest bytes, which its wave writes;
+// the spill, older, must not be written back over them. Chaos found it
+// once its exclusive zone fsynced: the DFS read zeros where the second
+// write was.
+func TestSpillNeverOverwritesNewerBytes(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	c := e.client(t, "node0")
+	release := holdCommits(t, e.region)
+	at, _ := c.Create(0, "/w/f", 0o644)
+	at, _ = c.WriteAt(at, "/w/f", 8, []byte("tail"))
+	at, err := c.Fsync(at, "/w/f")
+	if err != nil || e.region.SpillCount() != 1 {
+		t.Fatalf("fsync: %v, spill count %d", err, e.region.SpillCount())
+	}
+	if at, err = c.WriteAt(at, "/w/f", 0, []byte("head")); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	if size, data := dfsFile(t, e, at, "/w/f"); size != 12 || data != "head\x00\x00\x00\x00tail" {
+		t.Fatalf("DFS holds %d bytes %q, want both writes", size, data)
+	}
+	if n := e.region.SpillCount(); n != 0 {
+		t.Fatalf("spill count %d after the drain", n)
+	}
+}
+
 func TestWriteToRemovedOrDirFails(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	c := e.client(t, "node0")

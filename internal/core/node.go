@@ -3,11 +3,14 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
 	"pacon/internal/mq"
 	"pacon/internal/namespace"
 	"pacon/internal/obs"
+	"pacon/internal/vclock"
 )
 
 // node is one application node of a region (paper Fig 5, §III.D.1): its
@@ -27,20 +30,37 @@ type node struct {
 // inflight holds, per path, the ops between their client's store and their
 // terminal — queued, in a wave or parked alike. Scoped barriers, threshold
 // crossings, the auditor, the staleness watermarks and the at-risk gauge
-// all read it; a record lives exactly as long as its references.
+// all read it, it orders a path's pushes and acks wait on it; a record
+// lives exactly as long as its references.
 type inflight struct {
 	mu    sync.Mutex
 	paths map[string]pending
+	// refs counts the references: the node's at-risk ops. Giving one back
+	// that leaves refs below bound (the region's AtRiskBound; 0: none)
+	// opens the bound, and opened counts those openings; freed is the
+	// latest terminal's virtual time.
+	refs, bound int
+	opened      uint64
+	freed       vclock.Time
+	closed      bool
+	// cond (on mu) is the one wait, for a turn to push or for the bound to
+	// open. Its Broadcast returns at once when nobody waits.
+	cond sync.Cond
 	// spills counts the records holding a spill. A landing create reads it
 	// before it asks for one: with no fsync outstanding, the common case,
-	// an op locks the table twice, at its take and at its release.
+	// an op locks the table three times, at its take, push and release.
 	spills atomic.Int32
 }
 
 type pending struct {
-	refs  int
-	walls []int64  // when each op entered; empty with observability off
-	spill *spilled // nil but between an fsync and the end of its incarnation
+	refs int
+	// next is the ticket the next take hands out, turn the ticket whose op
+	// pushes next: a path's ops leave the node in the order of their takes,
+	// which is that of their stores — each conditioned on a read before
+	// its take.
+	next, turn uint64
+	walls      []int64  // when each op entered; empty with observability off
+	spill      *spilled // nil but between an fsync and the end of its incarnation
 }
 
 // spilled is a small file's bytes as an fsync found them (§III.D.2), and
@@ -52,32 +72,117 @@ type spilled struct {
 
 // take counts one more op on p, from before its store is visible: whoever
 // finds the stored entry finds the op pending too. The reference then
-// travels with the op the client queues. wall is 0 with observability off.
-func (t *inflight) take(p string, wall int64) {
+// travels with the op the client queues, the ticket is its turn to push.
+// wall is 0 with observability off.
+func (t *inflight) take(p string, wall int64) (ticket uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.paths == nil {
 		t.paths = make(map[string]pending)
 	}
 	rec := t.paths[p]
-	rec.refs++
+	rec.refs, ticket, rec.next = rec.refs+1, rec.next, rec.next+1
 	if wall != 0 {
 		rec.walls = append(rec.walls, wall)
 	}
 	t.paths[p] = rec
+	t.refs++
+	return ticket
 }
 
-// release gives back the reference taken at wall. seq is the op's, and ends
-// a spill made of an entry no newer than the op: the op carried those bytes
-// to the DFS, or is the end of their incarnation. 0 ends none (no op was
-// queued, or its effect rides a coalesced survivor). The last reference
-// takes the record, spill and all; what was never taken is not given back.
-func (t *inflight) release(p string, wall int64, seq uint64) {
+// push hands op to q in its ticket's turn. gate is 0 if the node then holds
+// fewer than bound ops — the ack may return — and else the opening of the
+// bound the ack waits for (below).
+func (t *inflight) push(q *mq.Queue[Op], op *Op, ticket uint64) (gate uint64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.turn(op.Path, ticket)
+	if t.bound > 0 && t.refs >= t.bound {
+		gate = t.opened + 1
+	}
+	return gate, q.Push(*op)
+}
+
+// giveBack is release for a store that failed: it passes the ticket's turn
+// on and gives the reference back, pushing nothing.
+func (t *inflight) giveBack(p string, wall int64, ticket uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.turn(p, ticket)
+	t.unref(p, wall, 0)
+}
+
+// turn waits (mu held) until every op that took p before ticket has pushed
+// or given its turn back, and passes p's turn on.
+func (t *inflight) turn(p string, ticket uint64) {
+	rec := t.paths[p]
+	for ; rec.turn != ticket; rec = t.paths[p] {
+		t.cond.Wait()
+	}
+	rec.turn++
+	t.paths[p] = rec
+	t.cond.Broadcast()
+}
+
+// below parks an ack until the bound opens at gate and returns the latest
+// terminal's virtual time. An opening lets every parked ack through, though
+// another op may have taken a reference before it wakes: a node's clients
+// never take turns starving each other. false: patience ran out first. A
+// closed table answers ErrClosed.
+func (t *inflight) below(gate uint64, patience time.Duration) (vclock.Time, bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	expired := false
+	timer := time.AfterFunc(patience, func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		expired = true
+		t.cond.Broadcast()
+	})
+	defer timer.Stop()
+	for ; t.opened < gate; t.cond.Wait() {
+		if t.closed {
+			return 0, false, fsapi.ErrClosed
+		}
+		if expired {
+			return 0, false, nil
+		}
+	}
+	return t.freed, true, nil
+}
+
+// close turns every ack parked on the bound away (Region.Close).
+func (t *inflight) close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	t.cond.Broadcast()
+}
+
+// release gives back the reference taken at wall, at at, the virtual time
+// of the op's terminal. seq is the op's, and ends a spill made of an entry
+// no newer than the op: the op carried those bytes to the DFS, or is the
+// end of their incarnation. 0 ends none (no op was queued, or its effect
+// rides a coalesced survivor). The last reference takes the record, spill
+// and all; what was never taken is not given back.
+func (t *inflight) release(p string, wall int64, seq uint64, at vclock.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.unref(p, wall, seq) {
+		t.freed = vclock.Max(t.freed, at)
+	}
+}
+
+// unref is release (mu held) but for the terminal's time; false: p holds
+// no reference.
+func (t *inflight) unref(p string, wall int64, seq uint64) bool {
 	rec, ok := t.paths[p]
 	if !ok {
-		return
+		return false
+	}
+	if t.refs--; t.refs < t.bound {
+		t.opened++
+		t.cond.Broadcast()
 	}
 	rec.refs--
 	if rec.spill != nil && (rec.refs == 0 || seq >= rec.spill.seq) {
@@ -86,7 +191,7 @@ func (t *inflight) release(p string, wall int64, seq uint64) {
 	}
 	if rec.refs == 0 {
 		delete(t.paths, p)
-		return
+		return true
 	}
 	for i, w := range rec.walls {
 		if w == wall {
@@ -96,6 +201,7 @@ func (t *inflight) release(p string, wall int64, seq uint64) {
 		}
 	}
 	t.paths[p] = rec
+	return true
 }
 
 // has reports whether an op on p itself is pending.
@@ -141,13 +247,10 @@ func (t *inflight) oldest(p string) (min int64) {
 
 // atRisk counts the node's pending ops — acked, or about to be, and short
 // of a terminal: what the DFS would never see if the node died now.
-func (t *inflight) atRisk() (n int) {
+func (t *inflight) atRisk() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, rec := range t.paths {
-		n += rec.refs
-	}
-	return n
+	return t.refs
 }
 
 // putSpill keeps an fsync's copy of the entry of that seq with p's record,
@@ -166,15 +269,18 @@ func (t *inflight) putSpill(p string, seq uint64, data []byte) bool {
 	return ok
 }
 
-// takeSpill hands p's spilled bytes to the create that has just landed.
-func (t *inflight) takeSpill(p string) []byte {
+// takeSpill hands p's spilled bytes to the create of seq that has just
+// landed, if they are newer than the ones it carried: a spill of an entry
+// no newer than the create is in its own write, and stays for its release
+// to end.
+func (t *inflight) takeSpill(p string, seq uint64) []byte {
 	if t.spills.Load() == 0 {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec := t.paths[p]
-	if rec.spill == nil {
+	if rec.spill == nil || rec.spill.seq <= seq {
 		return nil
 	}
 	data := rec.spill.data

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -260,7 +262,7 @@ func TestInflightTableUnderRace(t *testing.T) {
 				if r.wall%2 == 0 {
 					r.seq = 0
 				}
-				table.release(r.p, r.wall, r.seq)
+				table.release(r.p, r.wall, r.seq, 0)
 			}
 		}(g)
 	}
@@ -296,17 +298,18 @@ func TestInflightTableUnderRace(t *testing.T) {
 		t.Fatalf("table not empty at the end: %d refs, %v", table.atRisk(), table.paths)
 	}
 	// What was never taken cannot be given back.
-	table.release("/w/never", 1, 1)
+	table.release("/w/never", 1, 1, 0)
 	if table.atRisk() != 0 {
 		t.Fatalf("refs = %d after a release of nothing", table.atRisk())
 	}
 }
 
-// holdAfterStore is a network that forwards the next cache "cas" and then
-// holds its caller before it learns the store landed: a client stopped
-// between its store and its push.
+// holdAfterStore is a network that forwards the next cache store of its
+// method ("cas", or "add" for a create) and then holds its caller before it
+// learns the store landed: a client stopped between its store and its push.
 type holdAfterStore struct {
 	rpc.Network
+	method  string
 	mu      sync.Mutex
 	armed   bool
 	held    chan struct{}
@@ -315,7 +318,7 @@ type holdAfterStore struct {
 
 func (n *holdAfterStore) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 	done, resp, err := n.Network.Invoke(addr, method, at, body)
-	if method == "cas" {
+	if method == n.method {
 		n.mu.Lock()
 		hold := n.armed
 		n.armed = false
@@ -337,7 +340,7 @@ func (n *holdAfterStore) Invoke(addr, method string, at vclock.Time, body []byte
 // Were the path to read drained, the setstat would land after the
 // crossing and restate the small file's size over the large one.
 func TestCrossingWaitsForAnOpBetweenStoreAndPush(t *testing.T) {
-	net := &holdAfterStore{held: make(chan struct{}), proceed: make(chan struct{})}
+	net := &holdAfterStore{method: "cas", held: make(chan struct{}), proceed: make(chan struct{})}
 	e := newEnvDeps(t, 1, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 }, func(d *Deps) {
 		net.Network = d.Bus
 		d.Bus = net
@@ -387,6 +390,140 @@ func TestCrossingWaitsForAnOpBetweenStoreAndPush(t *testing.T) {
 	}
 	if st := e.region.Stats(); st.Dropped != 0 {
 		t.Fatalf("%d ops dropped", st.Dropped)
+	}
+}
+
+// TestPushesLeaveInStoreOrder is the same-node push inversion: A's create
+// has landed in the cache and is not yet queued when B, a second client of
+// the same node, writes the file inline — a store made over A's. Were B's
+// setstat queued first, it would park on the DFS's ErrNotExist and hold
+// the create behind it until the retry budget dropped both, acked as they
+// are. B's push waits for A's turn instead.
+func TestPushesLeaveInStoreOrder(t *testing.T) {
+	net := &holdAfterStore{method: "add", held: make(chan struct{}), proceed: make(chan struct{})}
+	e := newEnvDeps(t, 1, nil, func(d *Deps) {
+		net.Network = d.Bus
+		d.Bus = net
+	})
+	a, b := e.client(t, "node0"), e.client(t, "node0")
+	net.mu.Lock()
+	net.armed = true
+	net.mu.Unlock()
+	created := make(chan error, 1)
+	go func() {
+		_, err := a.Create(0, "/w/f", 0o644)
+		created <- err
+	}()
+	<-net.held
+	written := make(chan error, 1)
+	go func() {
+		_, err := b.WriteAt(0, "/w/f", 0, []byte("hello"))
+		written <- err
+	}()
+	eventually(t, "B's inline store", func() bool {
+		ent, ok := findEntry(t, e.region, "/w/f")
+		return ok && string(ent.Stat.Inline) == "hello"
+	})
+	close(net.proceed)
+	for _, ch := range []chan error{created, written} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	at, err := e.region.Drain(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.region.Stats(); st.Dropped != 0 {
+		t.Fatalf("%d acked ops dropped", st.Dropped)
+	}
+	if size, data := dfsFile(t, e, at, "/w/f"); size != 5 || data != "hello" {
+		t.Fatalf("DFS holds %d bytes %q, want B's write", size, data)
+	}
+}
+
+// stallBackend holds every ApplyBatch until open is closed: a DFS that has
+// stopped taking commits.
+type stallBackend struct {
+	Backend
+	open chan struct{}
+}
+
+func (s stallBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
+	<-s.open
+	return s.Backend.ApplyBatch(at, ops)
+}
+
+// TestAtRiskBoundHoldsBackClients is the bound as backpressure: three
+// clients of one node create files while the DFS takes no commit. Acks
+// stop at the bound — the node never holds more than bound-1 acked ops
+// plus one in progress per client — and the acks parked on it, including
+// those that fell back to a barrier, all return once the DFS takes commits
+// again; every op commits.
+func TestAtRiskBoundHoldsBackClients(t *testing.T) {
+	const bound, clients, perClient = 2, 3, 20
+	open := make(chan struct{})
+	e := newEnvDeps(t, 1, func(cfg *RegionConfig) { cfg.AtRiskBound = bound }, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend { return stallBackend{inner(node), open} }
+	})
+	n := e.region.byName["node0"]
+	var peak, acked atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r := int64(n.inflight.atRisk()); r > peak.Load() {
+				peak.Store(r)
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		c := e.client(t, "node0")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var at vclock.Time
+			for j := 0; j < perClient; j++ {
+				var err error
+				if at, err = c.Create(at, fmt.Sprintf("/w/c%d-%d", i, j), 0o644); err != nil {
+					errs <- err
+					return
+				}
+				acked.Add(1)
+			}
+		}()
+	}
+	// Every client has an op in the table: unbounded, they would all have
+	// been acked by now.
+	eventually(t, "an op of every client in the table", func() bool { return n.inflight.atRisk() >= clients })
+	if got := acked.Load(); got > bound-1 {
+		t.Errorf("%d ops acked while the DFS took no commit, bound %d", got, bound)
+	}
+	close(open)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if _, err := e.region.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-sampled
+	if p := peak.Load(); p > bound-1+clients {
+		t.Errorf("at-risk ops peaked at %d, bound %d with %d clients", p, bound, clients)
+	}
+	if st := e.region.Stats(); st.Committed != clients*perClient || st.Dropped != 0 {
+		t.Fatalf("committed %d of %d, dropped %d", st.Committed, clients*perClient, st.Dropped)
 	}
 }
 

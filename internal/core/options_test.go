@@ -13,31 +13,38 @@ import (
 	"pacon/internal/vclock"
 )
 
-func TestSyncCommitModeAppliesBeforeReturn(t *testing.T) {
-	e := newEnv(t, 2, func(cfg *RegionConfig) { cfg.SyncCommit = true })
+// TestAtRiskBoundOneAppliesBeforeReturn is the abl-async ablation: at
+// AtRiskBound 1 every ack waits for its own op's commit, through the one
+// commit path, so a create, a mkdir and an rm are each on the DFS when the
+// call returns and nothing is left queued — and that is slower than the
+// asynchronous commit, in virtual time.
+func TestAtRiskBoundOneAppliesBeforeReturn(t *testing.T) {
+	e := newEnv(t, 2, func(cfg *RegionConfig) { cfg.AtRiskBound = 1 })
 	c := e.client(t, "node0")
+	tree := e.dfs.MDS.Tree()
+	onDFS := func(op string, ok bool) {
+		t.Helper()
+		if !ok || e.region.QueueDepth() != 0 {
+			t.Fatalf("%s at return: on the DFS %v, queue depth %d", op, ok, e.region.QueueDepth())
+		}
+	}
 	at, err := c.Create(0, "/w/f", 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Synchronous: already on the DFS, no queued ops.
-	if !e.dfs.MDS.Tree().Exists("/w/f") {
-		t.Fatal("sync-commit create not on DFS at return")
-	}
-	if e.region.QueueDepth() != 0 {
-		t.Fatal("sync-commit must not queue")
-	}
-	// Inline data goes through synchronously too.
+	onDFS("create", tree.Exists("/w/f"))
 	if at, err = c.Mkdir(at, "/w/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if !e.dfs.MDS.Tree().Exists("/w/d") {
-		t.Fatal("sync-commit mkdir not on DFS")
-	}
+	onDFS("mkdir", tree.Exists("/w/d"))
 	// Duplicate detection still via the cache.
 	if _, err := c.Create(at, "/w/f", 0o644); !errors.Is(err, fsapi.ErrExist) {
 		t.Fatalf("dup create = %v", err)
 	}
+	if at, err = c.Remove(at, "/w/f"); err != nil {
+		t.Fatal(err)
+	}
+	onDFS("rm", !tree.Exists("/w/f"))
 	// And it is slower than async, in virtual time.
 	async := newEnv(t, 2, nil)
 	ca := async.client(t, "node0")
@@ -59,13 +66,18 @@ func TestSyncCommitModeAppliesBeforeReturn(t *testing.T) {
 	}
 }
 
-func TestSyncCommitInlineData(t *testing.T) {
-	e := newEnv(t, 1, func(cfg *RegionConfig) { cfg.SyncCommit = true })
+// TestAtRiskBoundOneInlineData: an inline write's ack at AtRiskBound 1
+// waits for its backup write, bytes and size, to reach the DFS.
+func TestAtRiskBoundOneInlineData(t *testing.T) {
+	e := newEnv(t, 1, func(cfg *RegionConfig) { cfg.AtRiskBound = 1 })
 	c := e.client(t, "node0")
 	at, _ := c.Create(0, "/w/f", 0o644)
 	at, err := c.WriteAt(at, "/w/f", 0, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if size, data := dfsFile(t, e, at, "/w/f"); size != 5 || data != "hello" || e.region.QueueDepth() != 0 {
+		t.Fatalf("write at return: DFS holds %d bytes %q, queue depth %d", size, data, e.region.QueueDepth())
 	}
 	got, _, err := c.ReadAt(at, "/w/f", 0, 10)
 	if err != nil || string(got) != "hello" {
@@ -422,9 +434,10 @@ func TestCacheFootprintClaim(t *testing.T) {
 
 // TestRegionConfigKeepsNoPredecessorSwitches guards the one-path rule:
 // an optimisation replaces its predecessor instead of shipping next to
-// it behind a bool. The paper's own ablations (SyncCommit,
-// HierarchicalPermCheck, DisableParentCheck) reproduce published
-// figures and are the only mode switches RegionConfig carries; a new
+// it behind a bool. The paper's own ablations (HierarchicalPermCheck,
+// DisableParentCheck; asynchronous commit is AtRiskBound's value, not a
+// switch) reproduce published figures and are the only mode switches
+// RegionConfig carries; a new
 // Disable*/Legacy*/ClientSide* field means an old implementation is
 // being kept alive to be compared against — record its numbers in
 // EXPERIMENTS.md and delete it instead.

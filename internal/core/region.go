@@ -118,22 +118,18 @@ type RegionConfig struct {
 	// Model is the latency model.
 	Model vclock.LatencyModel
 
-	// SyncCommit is an ablation switch: metadata writes still go through
-	// the distributed cache but are applied to the DFS synchronously,
-	// i.e. Pacon without its asynchronous commit (the paper's Benefit 3
-	// removed). Used by the ablation benchmarks.
-	SyncCommit bool
+	// AtRiskBound is the one ack rule: a mutation's ack returns once its
+	// node holds fewer than this many at-risk ops — acked, or about to be,
+	// and not yet on the DFS — its own included. 0, the default, is
+	// unbounded: Pacon's asynchronous commit. 1 makes every op wait for its
+	// own commit: Pacon without the paper's Benefit 3, the abl-async
+	// ablation.
+	AtRiskBound int
 	// HierarchicalPermCheck is an ablation switch: permission checks
 	// walk every path component through the distributed cache (one get
 	// per level) instead of the batch permission match — the
 	// layer-by-layer checking the paper's §III.C replaces.
 	HierarchicalPermCheck bool
-
-	// ShardCount records how many MDS shards back the region's DFS
-	// (default 1). The shard routing itself lives in the DFS client the
-	// Deps.NewBackend factory builds; the region only reports the count
-	// through its metrics.
-	ShardCount int
 }
 
 func (c RegionConfig) withDefaults() RegionConfig {
@@ -148,9 +144,6 @@ func (c RegionConfig) withDefaults() RegionConfig {
 	}
 	if c.CommitBatchSize < 1 {
 		c.CommitBatchSize = 1
-	}
-	if c.ShardCount < 1 {
-		c.ShardCount = 1
 	}
 	c.Workspace = namespace.Clean(c.Workspace)
 	c.Perm = c.Perm.withDefaults(c.Cred)
@@ -315,7 +308,9 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		readdirEntries: deps.Obs.Hist(obs.HistReaddirEntries),
 	}
 	for _, name := range cfg.Nodes {
-		n := &node{name: name, addr: name + "/pacon-" + cfg.Name, queue: mq.NewQueue[Op](), tel: deps.Obs.Node(name)}
+		n := &node{name: name, addr: name + "/pacon-" + cfg.Name, queue: mq.NewQueue[Op](), tel: deps.Obs.Node(name),
+			inflight: inflight{bound: cfg.AtRiskBound}}
+		n.inflight.cond.L = &n.inflight.mu
 		n.cache = memcache.NewServer(n.addr, memcache.ServerConfig{
 			CapacityBytes: cfg.CacheCapacityBytes,
 			Model:         cfg.Model,
@@ -384,7 +379,6 @@ func (r *Region) registerMetrics() {
 	o.RegisterCounter("ops_dropped_"+dropReasonKindConflict, r.droppedConflict.Load)
 	o.RegisterCounter("ops_dropped_"+dropReasonBackendError, r.droppedBackend.Load)
 
-	o.RegisterGauge("mds_shards", func() int64 { return int64(r.cfg.ShardCount) })
 	o.RegisterGauge("queue_depth", func() int64 { return int64(r.QueueDepth()) })
 	o.RegisterGauge("at_risk_ops", func() int64 { return int64(r.atRiskOps()) })
 	o.RegisterGauge("parked_ops", r.parked.Load)
@@ -670,21 +664,19 @@ func (r *Region) drainPath(at vclock.Time, p string) (vclock.Time, error) {
 			time.Sleep(claimPoll)
 			continue
 		}
-		epoch, drain, err := r.syncBarrier(at, p)
-		if err != nil {
+		var err error
+		if at, err = r.flush(at, p); err != nil {
 			return at, err
 		}
-		at = drain
-		r.barrier.Release(epoch, at)
 	}
 	return at, nil
 }
 
-// Drain forces all queued operations to the DFS and returns when the
-// region is globally consistent (every backup copy updated). Used by
-// tests, checkpointing and orderly shutdown.
-func (r *Region) Drain(at vclock.Time) (vclock.Time, error) {
-	epoch, drain, err := r.syncBarrier(at, "")
+// flush runs one barrier scoped to scope ("": every queue) and releases it
+// at once: every op queued or parked under scope when it began has reached
+// its terminal on return.
+func (r *Region) flush(at vclock.Time, scope string) (vclock.Time, error) {
+	epoch, drain, err := r.syncBarrier(at, scope)
 	if err != nil {
 		return at, err
 	}
@@ -692,14 +684,20 @@ func (r *Region) Drain(at vclock.Time) (vclock.Time, error) {
 	return drain, nil
 }
 
-// Close drains the queues and stops the commit processes and cache
-// servers.
+// Drain forces all queued operations to the DFS and returns when the
+// region is globally consistent (every backup copy updated). Used by
+// tests, checkpointing and orderly shutdown.
+func (r *Region) Drain(at vclock.Time) (vclock.Time, error) { return r.flush(at, "") }
+
+// Close drains the queues, stops the commit processes and cache servers,
+// and turns away every ack parked on a node's bound with ErrClosed.
 func (r *Region) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
 	for _, n := range r.nodes {
 		n.queue.Close()
+		n.inflight.close()
 	}
 	// Close the barrier before waiting: a commit process parked in
 	// AwaitRelease (in-flight sync op at shutdown) must unblock, or

@@ -1,6 +1,9 @@
 package core
 
-import "pacon/internal/obs"
+import (
+	"pacon/internal/obs"
+	"pacon/internal/vclock"
+)
 
 // This file is the commit pipeline's seam to internal/obs. Every hook
 // goes through the *obs.Node of the node an op carries and records
@@ -39,8 +42,9 @@ func (c *committer) observeDequeue(ops []Op) {
 // (an absorbed op ends nothing: its effect rides the survivor) — and the
 // span (terminal stage event, commit lag, sampled assembly or tail-keep).
 // A terminal that released only some of them is how a crashed node used to
-// leak sampled spans, and a removed file its fsynced bytes.
-func (r *Region) opTerminal(op Op, stage obs.Stage, note string) {
+// leak sampled spans, and a removed file its fsynced bytes. at is the
+// terminal's virtual time, which an ack parked on the node's bound pays.
+func (r *Region) opTerminal(op Op, at vclock.Time, stage obs.Stage, note string) {
 	if op.Parked {
 		r.parked.Add(-1)
 	}
@@ -52,7 +56,7 @@ func (r *Region) opTerminal(op Op, stage obs.Stage, note string) {
 	if stage == obs.StageCoalesce {
 		seq = 0
 	}
-	n.inflight.release(op.Path, op.EnqWall, seq)
+	n.inflight.release(op.Path, op.EnqWall, seq, at)
 	if n.tel == nil {
 		return
 	}

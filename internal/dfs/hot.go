@@ -4,18 +4,19 @@ import (
 	"pacon/internal/obs"
 )
 
-// RegisterHotMetrics exports the metadata-service pool's load-skew
-// gauges through an observability registry: imbalance of served ops and
-// of accumulated virtual queue wait across the MDS shards. Both are
-// permille ratios (see obs.Skew) — a hot subtree concentrates its
-// traffic on the shard that owns it, so a max/mean well above 1000 on a
-// sharded cluster is the shard-side face of a path hotspot and the
-// signal a rebalancer would act on. No-op on a nil registry; on a
+// RegisterHotMetrics exports the metadata-service pool's size
+// (mds_shards) and load-skew gauges through an observability registry:
+// imbalance of served ops and of accumulated virtual queue wait across the
+// MDS shards. Both are permille ratios (see obs.Skew) — a hot subtree
+// concentrates its traffic on the shard that owns it, so a max/mean well
+// above 1000 on a sharded cluster is the shard-side face of a path hotspot
+// and the signal a rebalancer would act on. No-op on a nil registry; on a
 // single-MDS cluster the gauges read a flat 1000.
 func (c *Cluster) RegisterHotMetrics(o *obs.Obs) {
 	if o == nil {
 		return
 	}
+	o.RegisterGauge("mds_shards", func() int64 { return int64(len(c.MDSes)) })
 	shardLoads := func(read func(m *MDS) int64) []int64 {
 		loads := make([]int64, len(c.MDSes))
 		for i, m := range c.MDSes {

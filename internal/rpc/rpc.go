@@ -335,6 +335,18 @@ func (c *Caller) Pace(p *vclock.Pacer, id int) {
 	c.pacerID = id
 }
 
+// Advance synchronizes the caller's clock with the pacer as a call issued
+// at at would, without issuing one: a call that then leaves at at does not
+// block. No-op on an unpaced caller.
+func (c *Caller) Advance(at vclock.Time) {
+	if c.pacer != nil {
+		// Batched advancement: the common case takes no lock, so the
+		// pacer is not a global serialization point across the region's
+		// clients (see vclock.Pacer.AdvanceBatched).
+		c.pacer.AdvanceBatched(c.pacerID, at)
+	}
+}
+
 // CallInto sends method to addr with the request body and appends the
 // reply to reply, charging one-way wire latency plus per-KiB transfer
 // each direction. It returns the virtual time at which the reply reaches
@@ -342,12 +354,7 @@ func (c *Caller) Pace(p *vclock.Pacer, id int) {
 // decoded in place and put back, so a view decoded from it lives until
 // then. A failed call appends nothing.
 func (c *Caller) CallInto(addr, method string, at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
-	if c.pacer != nil {
-		// Batched advancement: the common case takes no lock, so the
-		// pacer is not a global serialization point across the region's
-		// clients (see vclock.Pacer.AdvanceBatched).
-		c.pacer.AdvanceBatched(c.pacerID, at)
-	}
+	c.Advance(at)
 	c.calls.Add(1)
 	same := c.node == NodeOf(addr)
 	sendAt := at.Add(c.model.OneWay(same) + c.model.Transfer(len(body)))

@@ -154,9 +154,6 @@ func (s *Simulation) NewRegion(cfg RegionConfig) (*Region, error) {
 	if cfg.Model == (LatencyModel{}) {
 		cfg.Model = s.model
 	}
-	if cfg.ShardCount == 0 && s.cfg.ShardCount > 1 {
-		cfg.ShardCount = s.cfg.ShardCount
-	}
 	return NewRegion(cfg, Deps{
 		Bus: s.net,
 		Obs: s.cfg.Obs,
