@@ -62,6 +62,8 @@ bench-quick:
 define ALLOC_GATES
 core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 13: an allocation added to the ack or to the in-flight table's record
 core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 14
+core BenchmarkClientRemove         2000x  14 -   cached rm                      # 9 to 11, call to end of commit: an allocation added to the rm's request, row or answer
+core BenchmarkClientInlineWrite    2000x  14 4600 inline write                  # 9 and 4,010 B for a 1 KiB write: four copies of the bytes (splice, store, answer, write-back); a fifth, e.g. the row decoding the stored value with a copy, is +1,024 B
 core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2
 core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
 core BenchmarkCommitWave           2048x  7  768 commit wave                    # 5 and 327 B per committed op: per-wave scratch allocated afresh shows in the bytes (1,265 B)

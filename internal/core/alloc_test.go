@@ -63,7 +63,7 @@ func TestCachedReadsAllocateNothing(t *testing.T) {
 		return at, err
 	})
 	pin("readEntry", 0, func(at vclock.Time) (vclock.Time, error) {
-		_, present, _, at, err := readEntry(c.cache, at, bare[3])
+		_, present, at, err := readEntry(c.cache, at, bare[3])
 		if err == nil && !present {
 			err = fmt.Errorf("readEntry missed %s", bare[3])
 		}

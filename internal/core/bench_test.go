@@ -232,10 +232,42 @@ func benchCommitWave(b *testing.B, payloadEvery int) {
 	}
 }
 
+// BenchmarkClientRemove is a cached rm timed as the create benchmarks time
+// a create, client call to end of commit: the files are created and
+// committed before the clock starts, and the Drain that commits the
+// removes is inside the timed span.
+func BenchmarkClientRemove(b *testing.B) {
+	r, c := benchEnv(b, 4)
+	now := vclock.Time(0)
+	var err error
+	for i := 0; i < b.N; i++ {
+		if now, err = c.Create(now, fmt.Sprintf("/w/f%09d", i), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if now, err = r.Drain(now); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if now, err = c.Remove(now, fmt.Sprintf("/w/f%09d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := r.Drain(now); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkClientInlineWrite rewrites a committed small file's 1 KiB
+// inline, client call to end of commit like the rest.
 func BenchmarkClientInlineWrite(b *testing.B) {
-	_, c := benchEnv(b, 4)
+	r, c := benchEnv(b, 4)
 	now, err := c.Create(0, "/w/inline", 0o644)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if now, err = r.Drain(now); err != nil {
 		b.Fatal(err)
 	}
 	payload := make([]byte, 1024)
@@ -244,6 +276,9 @@ func BenchmarkClientInlineWrite(b *testing.B) {
 		if now, err = c.WriteAt(now, "/w/inline", 0, payload); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if _, err := r.Drain(now); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -27,7 +27,7 @@ type gate struct {
 	fail   error
 	held   chan struct{} // one token per write that reached the gate
 	resume chan struct{} // closed to let held writes go
-	net    casHook       // the region's network
+	net    mutateHook    // the region's network
 }
 
 type heldBackend struct {
@@ -345,26 +345,26 @@ func TestCrossingMovesAParkedCreate(t *testing.T) {
 	}
 }
 
-// casHook is a network that runs a one-shot function just before it
-// forwards the next cache "cas" — or, if the function returns an error,
+// mutateHook is a network that runs a one-shot function just before it
+// forwards the next cache "mutate" — or, if the function returns an error,
 // instead of forwarding it: the request is lost.
-type casHook struct {
+type mutateHook struct {
 	rpc.Network
-	mu    sync.Mutex
-	onCAS func() error
+	mu       sync.Mutex
+	onMutate func() error
 }
 
-func (n *casHook) hook(f func() error) {
+func (n *mutateHook) hook(f func() error) {
 	n.mu.Lock()
-	n.onCAS = f
+	n.onMutate = f
 	n.mu.Unlock()
 }
 
-func (n *casHook) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-	if method == "cas" {
+func (n *mutateHook) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	if method == "mutate" {
 		n.mu.Lock()
-		f := n.onCAS
-		n.onCAS = nil
+		f := n.onMutate
+		n.onMutate = nil
 		n.mu.Unlock()
 		if f != nil {
 			if err := f(); err != nil {
@@ -376,12 +376,13 @@ func (n *casHook) Invoke(addr, method string, at vclock.Time, body []byte) (vclo
 }
 
 // TestLargeWriteSizeSurvivesConflict: two clients append to one large
-// file. The second's size refresh loses its CAS to the first's — at the
-// parent commit it then gave up, and the cache kept the smaller size for
-// as long as the entry lived, so the loser's own Stat after its ack came
-// back short. Both sizes are acked; Stat from either must cover both.
+// file, the first between the second's write-through and its size
+// refresh. When the refresh was a CAS it lost to the first's — and once
+// gave up, the cache keeping the smaller size for as long as the entry
+// lived, so the loser's own Stat after its ack came back short. Both sizes
+// are acked; Stat from either must cover both.
 func TestLargeWriteSizeSurvivesConflict(t *testing.T) {
-	net := &casHook{}
+	net := &mutateHook{}
 	e := newEnvDeps(t, 2, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 }, func(d *Deps) {
 		net.Network = d.Bus
 		d.Bus = net
@@ -394,12 +395,15 @@ func TestLargeWriteSizeSurvivesConflict(t *testing.T) {
 	if at, err = first.WriteAt(at, "/w/big", 0, bytes.Repeat([]byte("a"), 20)); err != nil {
 		t.Fatal(err)
 	}
-	// Between the second writer's read of the entry and its size refresh,
-	// the first appends too: the refresh's CAS comes back stale.
+	// The second writer's first mutate finds the file large; just before
+	// its second, the size refresh, the first appends too.
 	net.hook(func() error {
-		if _, err := first.WriteAt(at, "/w/big", 20, bytes.Repeat([]byte("b"), 10)); err != nil {
-			t.Error(err)
-		}
+		net.hook(func() error {
+			if _, err := first.WriteAt(at, "/w/big", 20, bytes.Repeat([]byte("b"), 10)); err != nil {
+				t.Error(err)
+			}
+			return nil
+		})
 		return nil
 	})
 	if at, err = second.WriteAt(at, "/w/big", 30, bytes.Repeat([]byte("c"), 10)); err != nil {

@@ -141,9 +141,9 @@ func (c *Client) overhead(at vclock.Time) vclock.Time {
 // charging the publish cost (§III.D.1). The op takes over the in-flight
 // reference mutate took for it at wall, before the store — a scoped barrier
 // or a crossing asking the table since has seen the op coming — and from
-// here its terminal gives it back. It is pushed in its ticket's turn, and
+// here its terminal gives it back. It is pushed in the turn it took, and
 // acked by the one ack rule (RegionConfig.AtRiskBound, awaitAck).
-func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64, ticket uint64) (vclock.Time, error) {
+func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64) (vclock.Time, error) {
 	kind := out.kind
 	// The op carries the span begin opened at the client entry point (so
 	// the cache RPCs issued before the push already belong to it) and
@@ -157,7 +157,7 @@ func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64, tick
 	// Before the push: the commit process could otherwise record the op's
 	// dequeue before its enqueue.
 	op.trace(obs.StageEnqueue, "")
-	gate, err := c.node.inflight.push(c.node.queue, &op, ticket)
+	gate, err := c.node.inflight.push(c.node.queue, &op)
 	if err != nil {
 		c.region.opTerminal(op, at, obs.StageDrop, "queue closed")
 		return at, err
@@ -278,7 +278,7 @@ func applyOne(b Backend, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) 
 }
 
 // insert is the shared create/mkdir path: batch permission check, parent
-// check, cache add (CAS-replacing a removed marker), async commit.
+// check, the create row (which replaces a removed marker), async commit.
 func (c *Client) insert(at vclock.Time, op, p string, st fsapi.Stat) (vclock.Time, error) {
 	r := c.region
 	at = c.overhead(at)
@@ -292,8 +292,7 @@ func (c *Client) insert(at vclock.Time, op, p string, st fsapi.Stat) (vclock.Tim
 		return at, err
 	}
 
-	// Optimistic: a create expects the path to be free.
-	_, at, err = c.mutate(at, &entryRead{fresh: true}, &event{kind: evCreate, op: op, path: p, seq: r.seq.Add(1), stat: st})
+	_, at, err = c.mutate(at, &event{kind: evCreate, op: op, path: p, seq: r.seq.Add(1), stat: st})
 	return at, err
 }
 
@@ -490,9 +489,9 @@ func (c *Client) statBackend(at vclock.Time, paths []string) ([]fsapi.StatResult
 // bench's cache-RPCs-per-op numerator.
 func (c *Client) CacheRPCs() int64 { return c.cache.Calls() }
 
-// Remove is Table I's rm: mark the cached entry removed (CAS retry
-// loop), commit asynchronously; the commit process deletes the cache
-// entry once the DFS applied it.
+// Remove is Table I's rm: mark the cached entry removed (one mutate, which
+// the entry's cache server applies), commit asynchronously; the commit
+// process deletes the cache entry once the DFS applied it.
 func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	defer c.end(c.begin("rm", p))
@@ -508,7 +507,7 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	_, at, err = c.mutate(at, &entryRead{}, &event{kind: evRemove, op: "rm", path: p, seq: r.seq.Add(1)})
+	_, at, err = c.mutate(at, &event{kind: evRemove, op: "rm", path: p, seq: r.seq.Add(1)})
 	return at, err
 }
 

@@ -432,7 +432,7 @@ func (c *committer) classify(op *Op, err error) commitVerdict {
 		// Tagged with the wave's span, if it has one (0 tags nothing); an
 		// unreadable entry is an absent one.
 		c.cache.SetTrace(c.span)
-		ent, present, _, c.now, _ = readEntry(c.cache, c.now, op.Path)
+		ent, present, c.now, _ = readEntry(c.cache, c.now, op.Path)
 		c.cache.ClearTrace()
 	}
 	// Only the ErrNotExist rows ask whether an rmdir is active.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -17,9 +18,9 @@ import (
 // plus large, create-after-rm, the threshold claim and adoption — and the
 // only code that knows what an entry may become: the value format, the
 // client transitions (next), the one read-modify-write that stores them
-// (Client.mutate), the one read (lookup, lookupMulti) with the one
-// miss-load behind it (Client.load) and the commit table (commitOutcome).
-// Nothing else in core calls cache.Add, AddMulti, CAS or Set, or sets a
+// (Client.mutate; its owner runs entryRow), the one read (lookup) with the
+// one miss-load behind it (Client.load) and the commit table (commitOutcome).
+// Nothing else in core calls cache.Add, AddMulti, Mutate or Set, or sets a
 // flag. DESIGN.md §11 renders both tables. Invariants, checked by
 // entry_explore_test.go at every step of every bounded interleaving of
 // two clients, the commit process and eviction:
@@ -91,19 +92,26 @@ func (v cacheVal) encode() []byte {
 }
 
 func decodeCacheVal(b []byte) (cacheVal, error) {
+	v, err := viewCacheVal(b)
+	v.stat.Inline = bytes.Clone(v.stat.Inline)
+	return v, err
+}
+
+// viewCacheVal is decodeCacheVal with the inline bytes a view of b, for a
+// row, done with the value before the lock on b is released.
+func viewCacheVal(b []byte) (cacheVal, error) {
 	flags, seq, n, ok := memcache.ParseValueHeader(b)
 	if !ok {
 		return cacheVal{}, wire.ErrTruncated
 	}
-	// The decoder is poolable: every field either copies out (String,
-	// Blob — DecodeStat's Inline is a Blob) or is a scalar.
+	// The decoder is poolable: every field is a scalar or a view of b.
 	d := wire.GetDecoder(b[n:])
 	v := cacheVal{
 		dirty:   flags&memcache.HdrDirty != 0,
 		removed: flags&memcache.HdrRemoved != 0,
 		large:   flags&memcache.HdrLarge != 0,
 		seq:     seq,
-		stat:    fsapi.DecodeStat(d),
+		stat:    fsapi.DecodeStatView(d),
 	}
 	err := d.Finish()
 	wire.PutDecoder(d)
@@ -139,7 +147,39 @@ type event struct {
 	hasStat   bool
 	off, size int64
 	data      []byte
+	// fetched is what a write read from the DFS for an entry loaded without
+	// its bytes, fetchedAt the CAS version of that entry (0: none).
+	fetched   []byte
+	fetchedAt uint64
 	threshold int // the region's SmallFileThreshold
+}
+
+// encodeTo appends ev as a mutate's body (op, path, threshold do not travel).
+func (ev *event) encodeTo(e *wire.Encoder) {
+	e.Byte(byte(ev.kind))
+	e.Uvarint(ev.seq)
+	e.Bool(ev.hasStat)
+	fsapi.EncodeStat(e, ev.stat)
+	e.Uvarint(uint64(ev.off))
+	e.Uvarint(uint64(ev.size))
+	e.Blob(ev.data)
+	e.Uvarint(ev.fetchedAt)
+	e.Blob(ev.fetched)
+}
+
+// decodeEvent reads an event's wire form; data and fetched alias b. Offsets
+// and sizes from 2^62 up are refused: one plus a frame's bytes must not wrap.
+func decodeEvent(b []byte) (event, error) {
+	d := wire.GetDecoder(b)
+	ev := event{kind: evKind(d.Byte()), seq: d.Uvarint(), hasStat: d.Bool(), stat: fsapi.DecodeStat(d)}
+	ev.off, ev.size = int64(d.Uvarint()), int64(d.Uvarint())
+	ev.data, ev.fetchedAt, ev.fetched = d.BlobView(), d.Uvarint(), d.BlobView()
+	err := d.Finish()
+	wire.PutDecoder(d)
+	if err == nil && (ev.kind > evLoad || uint64(ev.off)|uint64(ev.size) >= 1<<62) {
+		err = errors.New("core: malformed mutate event")
+	}
+	return ev, err
 }
 
 // verdict is what next decided.
@@ -314,12 +354,12 @@ func spliceInline(buf []byte, off int64, data []byte) []byte {
 	return buf
 }
 
-// readEntry is the cache get of whoever needs the entry itself — mutate,
-// fsync, a commit's ErrExist rows — rather than its stat: the decoded
-// value, whether the cache holds one (a removed marker is held), and its
-// CAS version. A miss is not an error. The value is decoded straight out
-// of the reply buffer; only its inline bytes are copied.
-func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, present bool, cas uint64, done vclock.Time, err error) {
+// readEntry is the cache get of whoever needs the entry itself — fsync, a
+// commit's ErrExist rows — rather than its stat: the decoded value and
+// whether the cache holds one (a removed marker is held). A miss is not an
+// error. The value is decoded straight out of the reply buffer; only its
+// inline bytes are copied.
+func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, present bool, done vclock.Time, err error) {
 	reply := wire.GetEncoder()
 	defer wire.PutEncoder(reply)
 	item, done, err := cache.Get(at, p, reply)
@@ -327,10 +367,10 @@ func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, pr
 		if errors.Is(err, fsapi.ErrNotExist) {
 			err = nil
 		}
-		return cacheVal{}, false, 0, done, err
+		return cacheVal{}, false, done, err
 	}
 	v, err = decodeCacheVal(item.Value)
-	return v, err == nil, item.CAS, done, err
+	return v, err == nil, done, err
 }
 
 // A read (§III.D.1 getattr) is lookup → load: what the cache answers is
@@ -507,15 +547,59 @@ func (c *Client) load(at vclock.Time, op string, paths []string, idx []int, out 
 	return at
 }
 
-// entryRead is what a client knows of an entry between a read and the
-// store conditioned on it. The zero value knows nothing (mutate starts
-// with a get); entryRead{fresh: true} assumes the path is free, which is
-// how create goes optimistically — add first, read only on conflict.
-type entryRead struct {
-	val     cacheVal
-	present bool
-	cas     uint64
-	fresh   bool
+// decodeAnswer reads entryRow's answer into out.
+func decodeAnswer(b []byte, out *outcome) (err error) {
+	if len(b) < 4 {
+		return wire.ErrTruncated
+	}
+	out.verdict, out.kind, out.enqueue, out.afterRm = verdict(b[0]), OpKind(b[1]), b[2] != 0, b[3] != 0
+	out.val, err = decodeCacheVal(b[4:])
+	return err
+}
+
+// entryRow is next as the entry's cache server runs it under the key's lock
+// (memcache.ServerConfig.Row; NewRegion installs it): an event in, next's
+// value stored, a vFail row as the error, and an answer of verdict, kind,
+// enqueue, afterRm and a value — the one stored, the claim a vWait waits on,
+// or the entry a vFetch lacks the bytes of, seq its CAS version (0: absent).
+func entryRow(threshold int) memcache.Row {
+	return func(cur *memcache.Item, req []byte, val, reply *wire.Encoder) (bool, error) {
+		ev, err := decodeEvent(req)
+		var v cacheVal
+		var ver uint64
+		if err == nil && cur != nil {
+			v, err = viewCacheVal(cur.Value) // done with before the lock is released
+			ver = cur.CAS
+		}
+		if err != nil {
+			return false, err
+		}
+		ev.threshold = threshold
+		in := v
+		if ev.fetchedAt != 0 && ev.fetchedAt == ver {
+			in.stat.Inline = ev.fetched
+		}
+		out := next(in, cur != nil, &ev)
+		switch out.verdict {
+		case vFail:
+			return false, out.err
+		case vStore:
+			out.val.encodeTo(val)
+			if out.kind == OpRemove {
+				out.val.stat.Inline = nil // the op commits a path, not bytes
+			}
+		case vWait:
+			out.val = v
+		case vFetch:
+			out.val = cacheVal{seq: ver, stat: v.stat}
+		}
+		reply.Byte(byte(out.verdict))
+		reply.Byte(byte(out.kind))
+		reply.Bool(out.enqueue)
+		reply.Bool(out.afterRm)
+		out.val.encodeTo(reply)
+		return out.verdict == vStore, nil
+	}
 }
 
 // A writer that meets another client's claim polls for its resolution: a
@@ -535,129 +619,89 @@ const (
 // claimPatience is a variable for the one test that loses a claimant.
 var claimPatience = 5 * time.Second
 
-// mutate is the one read-modify-write on a cache entry (§III.D.3, Table
-// I: "concurrent updates are resolved with CAS, retry until success"):
-// read unless rd is fresh, ask next, store with add (absent) or cas
-// (present), enqueue what the row owes, and classify what the store said
-// — a conflict re-reads, a full cache makes room with an eviction round
-// and re-examines. It returns the stored row (vStore; rd then describes
-// the stored value, so a follow-up transition needs no read) or vKeep;
-// a vFail row comes back as its error.
-func (c *Client) mutate(at vclock.Time, rd *entryRead, ev *event) (outcome, vclock.Time, error) {
-	enc := wire.GetEncoder()
-	defer wire.PutEncoder(enc)
+// mutate is the one read-modify-write on a cache entry (§III.D.3): not the
+// paper's CAS retried until success (Table I) but one round trip, next run
+// by the entry's cache server (entryRow). It pushes the op the row owes,
+// gives turn and reference back on any other answer, then does what the
+// row leaves to it — fetch DFS state, wait out a claim, make room in a full
+// cache — and returns the row; vFail comes back as its error.
+func (c *Client) mutate(at vclock.Time, ev *event) (outcome, vclock.Time, error) {
+	req, reply := wire.GetEncoder(), wire.GetEncoder()
+	defer wire.PutEncoder(req)
+	defer wire.PutEncoder(reply)
+	table := &c.node.inflight
 	var waiting time.Time // since when, on another client's claim
+	queues := ev.kind != evGrown && ev.kind != evSizeBump
 	for {
-		if !rd.fresh {
-			v, present, cas, done, err := readEntry(c.cache, at, ev.path)
-			at = done
-			if err != nil {
-				return outcome{}, at, err
+		req.Reset()
+		ev.encodeTo(req)
+		// A row that may queue an op is sent in the path's turn, held to the
+		// push, so the owner stores in push order and the path is pending
+		// before the store shows. A paced client meets its pacer before.
+		var wall int64
+		if queues {
+			c.caller.Advance(at)
+			if c.node.tel != nil {
+				wall = time.Now().UnixNano()
 			}
-			*rd = entryRead{val: v, present: present, cas: cas, fresh: true}
+			table.take(ev.path, wall)
 		}
-		out := next(rd.val, rd.present, ev)
-		switch out.verdict {
-		case vFail:
-			return out, at, out.err
-		case vKeep:
-			return out, at, nil
-		case vFetch:
-			// Bring in what the DFS holds and ask again: the bytes complete
-			// the entry as read (a conflicting store discards them with
-			// it); an uncached file's stat is the remove's input; a write
-			// to an uncached file loads it first and re-reads.
-			var err error
+		var out outcome
+		var err error
+		if at, err = c.cache.Mutate(at, ev.path, req.Bytes(), reply); err == nil {
+			err = decodeAnswer(reply.Bytes(), &out)
+		}
+		if queues {
+			if err == nil && out.enqueue {
+				at, err = c.pushOp(at, ev.path, &out, wall)
+				return out, at, err
+			}
+			table.giveBack(ev.path, wall)
+		}
+		switch {
+		case errors.Is(err, fsapi.ErrOutOfSpace):
+			if at, err = c.region.evictRound(c, at); err != nil {
+				return out, at, err
+			}
+			continue
+		case err != nil:
+			return out, at, fsapi.WrapPath(ev.op, ev.path, err)
+		case out.verdict == vFetch:
+			// Ask again with what the DFS holds: the bytes the entry lacks, an
+			// uncached file's stat for a remove, or a write's miss-load.
 			switch {
-			case rd.present:
+			case out.val.seq != 0:
 				var buf []byte
-				buf, at, err = c.backend.ReadAt(at, ev.path, 0, int(rd.val.stat.Size))
-				// Bytes the DFS does not have read as zeros: the entry is
-				// complete either way, and is not asked for them again.
-				rd.val.stat.Inline = append(buf, make([]byte, int(rd.val.stat.Size)-len(buf))...)
+				buf, at, err = c.backend.ReadAt(at, ev.path, 0, int(out.val.stat.Size))
+				// Bytes the DFS lacks read as zeros: the entry is complete.
+				ev.fetched, ev.fetchedAt = append(buf, make([]byte, int(out.val.stat.Size)-len(buf))...), out.val.seq
 				err = fsapi.WrapPath(ev.op, ev.path, err)
 			case ev.kind == evRemove:
 				ev.stat, at, err = c.backend.Stat(at, ev.path)
 				ev.hasStat, err = true, fsapi.WrapPath(ev.op, ev.path, err)
 			default:
 				_, at, err = c.loadOne(at, ev.op, ev.path, true)
-				rd.fresh = false
 			}
 			if err != nil {
 				return out, at, err
 			}
-			continue
-		case vWait:
+		case out.verdict == vWait:
 			if waiting.IsZero() {
 				waiting = time.Now()
 			}
 			if time.Since(waiting) < claimPatience {
 				time.Sleep(claimPoll)
-				rd.fresh = false
 				continue
 			}
 			// The claimant is lost. Its claim becomes the small dirty entry
 			// it was made on, the backup write re-queued, and ev meets that.
-			lost := event{kind: evRollback, op: ev.op, path: ev.path, seq: rd.val.seq}
-			var err error
-			if _, at, err = c.mutate(at, rd, &lost); err != nil {
+			lost := event{kind: evRollback, op: ev.op, path: ev.path, seq: out.val.seq}
+			if _, at, err = c.mutate(at, &lost); err != nil {
 				return out, at, err
 			}
 			waiting = time.Time{}
-			continue
-		}
-		enc.Reset()
-		out.val.encodeTo(enc)
-		// A path with an op to queue is pending on this node from before
-		// the store is visible: a threshold crossing that claims the entry
-		// right after this store drains the path, and must see the op
-		// coming. The reference, its wall and its ticket are the op's own:
-		// pushOp hands them over, and only a failed store gives them back. A
-		// paced client meets its pacer first: held back in virtual time, it
-		// must not hold a reference another client's push or ack waits on.
-		table := &c.node.inflight
-		var wall int64
-		var ticket uint64
-		if out.enqueue {
-			c.caller.Advance(at)
-			if c.node.tel != nil {
-				wall = time.Now().UnixNano()
-			}
-			ticket = table.take(ev.path, wall)
-		}
-		var cas uint64
-		var err error
-		if rd.present {
-			cas, at, err = c.cache.CAS(at, ev.path, enc.Bytes(), 0, rd.cas)
-		} else {
-			cas, at, err = c.cache.Add(at, ev.path, enc.Bytes(), 0)
-		}
-		stored := err == nil
-		if out.enqueue {
-			if stored {
-				at, err = c.pushOp(at, ev.path, &out, wall, ticket)
-			} else {
-				table.giveBack(ev.path, wall, ticket)
-			}
-		}
-		switch {
-		case stored:
-			*rd = entryRead{val: out.val, present: true, cas: cas, fresh: true}
-			return out, at, err
-		case errors.Is(err, fsapi.ErrStale), errors.Is(err, fsapi.ErrNotExist), errors.Is(err, fsapi.ErrExist):
-			// A concurrent store (or the commit side's cleanup) got there
-			// first: re-examine from a fresh read.
-			rd.fresh = false
-		case errors.Is(err, fsapi.ErrOutOfSpace):
-			// Make room, then re-examine.
-			if at, err = c.region.evictRound(c, at); err != nil {
-				return outcome{}, at, err
-			}
-			// The round may have evicted the very entry we read; a path
-			// we believed free is no less free for it.
-			rd.fresh = !rd.present
 		default:
-			return outcome{}, at, fsapi.WrapPath(ev.op, ev.path, err)
+			return out, at, nil
 		}
 	}
 }

@@ -19,13 +19,16 @@ import (
 // cache key (xCache) and one DFS file (xDFS). What is modelled and what
 // is not:
 //
-//   - every cache RPC of the driver is its own step (a get, then the
-//     add/cas conditioned on it, then the push), so CAS conflicts, the
-//     store→push window and waits on a claim all occur;
-//   - both clients share one node, hence one FIFO queue, which is taken
-//     to receive ops in store order (a store that enqueues waits for a
-//     push in flight); the commit process takes one op at a time — no
-//     coalescing, no parking: an op that must be resubmitted stays at
+//   - every cache RPC of the driver is its own step: a mutate is one, the
+//     owner's row (entryRow's fetched bytes and next) applied to the key at
+//     once, and the push that follows it another, so the store→push window
+//     and waits on a claim occur, and nothing comes between a row's read
+//     and its store;
+//   - both clients share one node, hence one FIFO queue, which receives
+//     ops in store order: a row that may queue an op is not sent while the
+//     other client's store waits for its push (the path's turn, which
+//     inflight.take waits for); the commit process takes one op at a time —
+//     no coalescing, no parking: an op that must be resubmitted stays at
 //     the head, and is dropped as by the retry budget once nothing else
 //     can move. Two clients' pushes overtaking each other, and two
 //     nodes' queues committing one path's writes out of seq order, are
@@ -82,8 +85,8 @@ type xPhase uint8
 
 const (
 	phStart       xPhase = iota // take the next op of the program
-	phRead                      // cache get
-	phStore                     // decide on the read, store on it
+	phMutate                    // one mutate: the owner's row, store and all
+	phRead                      // a read's cache get
 	phFetch                     // DFS half of a vFetch
 	phPush                      // the stored op reaches the queue
 	phDrain                     // wait for the path to drain (claim held)
@@ -96,10 +99,9 @@ type xClient struct {
 	pc    int
 	phase xPhase
 	ev    event
-	rd    entryRead
-	out   outcome
-	acked int // the newest of its own writes to be acked: a place in the history
-	wrote int // a write in flight: its place in the history once visible
+	out   outcome // the last row's: for a claim, the claimed entry
+	acked int     // the newest of its own writes to be acked: a place in the history
+	wrote int     // a write in flight: its place in the history once visible
 }
 
 type xState struct {
@@ -153,9 +155,9 @@ func (s *xState) key() string {
 	for i := range s.cl {
 		c := &s.cl[i]
 		num(uint64(c.pc), uint64(c.phase), uint64(c.acked), uint64(c.wrote),
-			uint64(c.ev.kind), c.ev.seq, uint64(c.ev.size), uint64(c.ev.stat.Size), c.rd.cas, uint64(c.out.kind))
-		flag(c.ev.hasStat, c.rd.present, c.out.enqueue, c.out.afterRm)
-		val(c.rd.val)
+			uint64(c.ev.kind), c.ev.seq, uint64(c.ev.size), uint64(c.ev.stat.Size), c.ev.fetchedAt, uint64(c.out.kind))
+		str(string(c.ev.fetched))
+		flag(c.ev.hasStat, c.out.enqueue, c.out.afterRm)
 		val(c.out.val)
 	}
 	for _, h := range s.history {
@@ -269,16 +271,6 @@ func (s *xState) pendingOn() bool {
 	return len(s.queue) > 0 || s.cl[0].phase == phPush || s.cl[1].phase == phPush
 }
 
-func (s *xState) store(c *xClient, v cacheVal) bool {
-	if c.rd.present != s.cache.present || (c.rd.present && c.rd.cas != s.cache.ver) {
-		return false
-	}
-	s.cache.ver++
-	s.cache.val, s.cache.present = v, true
-	c.rd = entryRead{val: v, present: true, cas: s.cache.ver, fresh: true}
-	return true
-}
-
 // done ends the client's current op; acked says a write of its is now
 // acknowledged.
 func (s *xState) done(c *xClient, acked bool) {
@@ -289,38 +281,81 @@ func (s *xState) done(c *xClient, acked bool) {
 	c.phase, c.wrote = phStart, 0
 }
 
-// decide asks the table what c's event makes of the entry as c read it,
-// and sets the RPC that follows. Deciding is local: it is part of the step
-// that produced the read, as in Client.mutate.
-func (x *explorer) decide(s *xState, c *xClient) {
-	c.out = x.tbl.next(c.rd.val, c.rd.present, &c.ev)
+// mutate is one Client.mutate round trip in one step: the owner's row —
+// entryRow's fetched bytes, then the table — applied to the key, the store
+// it answers with, and what the client does with the answer.
+func (x *explorer) mutate(s *xState, c, other *xClient) bool {
+	if c.ev.kind != evGrown && c.ev.kind != evSizeBump && other.phase == phPush {
+		// The node's push turn: the other client holds it from before its
+		// store to its push, and a row that may queue an op waits for it
+		// before its request leaves.
+		return false
+	}
+	if c.ev.kind == evCreate && !s.cache.present && s.dfs.exists {
+		// The cache lost the entry of a file the DFS holds (eviction), and
+		// would accept the create. The model answers EEXIST, as a create
+		// that asked the DFS would: the product's answer — accept, then
+		// adopt, truncating by fiat — is row (3)'s, and
+		// TestRecreateAfterEvictionAdopts's subject; writes racing it are
+		// outside these invariants.
+		s.done(c, false)
+		return true
+	}
+	in := s.cache.val
+	if c.ev.fetchedAt != 0 && c.ev.fetchedAt == s.cache.ver {
+		in.stat.Inline = c.ev.fetched // entryRow's: bytes count for their version
+	}
+	c.out = x.tbl.next(in, s.cache.present, &c.ev)
 	switch c.out.verdict {
 	case vFail:
 		s.done(c, false)
 	case vWait:
-		c.phase = phRead
+		// The next step asks again.
 	case vFetch:
-		c.phase = phFetch
-	case vStore:
-		c.phase = phStore
-		if claim := c.ev.kind == evWrite && !c.out.enqueue; claim && !x.tbl.claimFirst {
-			c.phase = phMaterialize // the parent's order: no claim, no drain
+		c.ev.fetchedAt, c.phase = 0, phFetch
+		if s.cache.present {
+			c.ev.fetchedAt = s.cache.ver // the entry's bytes, for this version
 		}
-	default: // vKeep
+	case vKeep:
 		if c.ev.kind != evWrite || !s.dfs.exists {
 			// A concluded claim, a size bump with nothing to do, or a large
 			// file the DFS no longer has (ErrNotExist).
 			s.done(c, c.ev.kind != evWrite)
 			break
 		}
-		// A large file: write through, in the step of the read that found
-		// it large. Between the two nothing protects the writer — the DFS
-		// data path has no CAS — so what races them is not the table's.
+		// A large file: write through, in the step of the row that found it
+		// large. Between the two nothing protects the writer — the DFS data
+		// path has no CAS — so what races them is not the table's. The size
+		// bump is the next step's mutate.
 		s.dfs.write(int(c.ev.off), c.ev.data)
 		s.see(c, s.dfs.data)
 		c.ev.kind, c.ev.size = evSizeBump, c.ev.off+int64(len(c.ev.data))
-		x.decide(s, c)
+	default: // vStore
+		claim := c.ev.kind == evWrite && !c.out.enqueue
+		if claim && !x.tbl.claimFirst {
+			c.phase = phMaterialize // the parent's order: no claim, no drain
+			break
+		}
+		s.cache.ver++
+		s.cache.val, s.cache.present = c.out.val, true
+		switch {
+		case c.ev.kind == evCreate:
+			s.see(c, "")
+		case c.ev.kind == evRemove:
+			s.see(c, xGone)
+		case c.ev.kind == evWrite && c.out.enqueue:
+			s.see(c, string(c.out.val.stat.Inline))
+		}
+		switch {
+		case c.out.enqueue:
+			c.phase = phPush
+		case claim:
+			c.phase = phDrain
+		default:
+			s.done(c, true)
+		}
 	}
+	return true
 }
 
 // load is Client.load's store on the one key, the DFS stat and the add in
@@ -332,40 +367,38 @@ func (x *explorer) load(s *xState) {
 }
 
 // stepClient advances client i by one RPC. It mirrors Client.mutate and
-// the callers' handling of its verdicts, one shared-state access per
-// step; the decisions are the table's.
+// the callers' handling of its answers, one shared-state access per step;
+// the decisions are the table's.
 func (x *explorer) stepClient(s *xState, i int) bool {
 	c := &s.cl[i]
 	switch c.phase {
 	case phStart:
 		s.seq++
 		c.ev = event{op: "x", path: "/p", seq: s.seq, threshold: xThreshold}
-		c.rd, c.phase = entryRead{}, phRead
+		c.phase = phMutate
 		switch c.prog[c.pc] {
 		case 'c':
 			c.ev.kind, c.ev.stat = evCreate, fsapi.Stat{Type: fsapi.TypeFile}
-			c.rd = entryRead{fresh: true} // optimistic: add first
-			x.decide(s, c)
 		case 's':
 			c.ev.kind, c.ev.data = evWrite, []byte{'a' + byte(i), '0' + byte(c.pc)}
 		case 'x':
 			c.ev.kind, c.ev.off, c.ev.data = evWrite, 1, []byte{'A' + byte(i), '0' + byte(c.pc), 'x', 'x', 'x', 'x'}
 		case 'r':
 			c.ev.kind = evRemove
+		case 'g':
+			c.phase = phRead
 		}
 
+	case phMutate:
+		return x.mutate(s, c, &s.cl[1-i])
+
 	case phRead:
-		c.rd = entryRead{val: s.cache.val, present: s.cache.present, cas: s.cache.ver, fresh: true}
-		if c.prog[c.pc] != 'g' {
-			x.decide(s, c)
-			break
-		}
-		switch v := c.rd.val; {
-		case c.rd.present && v.removed:
+		switch v := s.cache.val; {
+		case s.cache.present && v.removed:
 			return x.observe(s, c, xGone)
-		case c.rd.present && int64(len(v.stat.Inline)) >= v.stat.Size:
+		case s.cache.present && int64(len(v.stat.Inline)) >= v.stat.Size:
 			return x.observe(s, c, string(v.stat.Inline))
-		case !c.rd.present && s.dfs.exists:
+		case !s.cache.present && s.dfs.exists:
 			// Miss-load, in one step: the entry is clean DFS state.
 			x.load(s)
 		}
@@ -379,59 +412,17 @@ func (x *explorer) stepClient(s *xState, i int) bool {
 
 	case phFetch:
 		switch {
-		case c.rd.present: // the entry's bytes
-			c.rd.val.stat.Inline = []byte(s.dfs.data)
-			x.decide(s, c)
+		case c.ev.fetchedAt != 0: // the entry's bytes
+			c.ev.fetched = []byte(s.dfs.data)
 		case !s.dfs.exists:
 			s.done(c, false) // ErrNotExist
+			return true
 		case c.ev.kind == evRemove:
 			c.ev.stat, c.ev.hasStat = s.dfs.stat(), true
-			x.decide(s, c)
-		default: // miss-load (add if absent), then re-read
-			if !s.cache.present {
-				x.load(s)
-			}
-			c.phase = phRead
+		case !s.cache.present:
+			x.load(s) // a write's miss-load (add if absent)
 		}
-
-	case phStore:
-		if other := &s.cl[1-i]; c.out.enqueue && other.phase == phPush {
-			// The queue receives ops in store order: the product's push
-			// tickets (inflight.take hands them out before the store,
-			// inflight.push queues in their order), modelled as no store
-			// while the other client's store waits for its push.
-			return false
-		}
-		if c.ev.kind == evCreate && !s.cache.present && s.dfs.exists {
-			// The cache lost the entry of a file the DFS holds (eviction),
-			// and would accept the create. The model answers EEXIST, as a
-			// create that asked the DFS would: the product's answer —
-			// accept, then adopt, truncating by fiat — is row (3)'s, and
-			// TestRecreateAfterEvictionAdopts's subject; writes racing it
-			// are outside these invariants.
-			s.done(c, false)
-			break
-		}
-		if !s.store(c, c.out.val) {
-			c.phase = phRead
-			break
-		}
-		switch {
-		case c.ev.kind == evCreate:
-			s.see(c, "")
-		case c.ev.kind == evRemove:
-			s.see(c, xGone)
-		case c.ev.kind == evWrite && c.out.enqueue:
-			s.see(c, string(c.out.val.stat.Inline))
-		}
-		switch {
-		case c.out.enqueue:
-			c.phase = phPush
-		case c.ev.kind == evWrite: // the claim
-			c.phase = phDrain
-		default:
-			s.done(c, true)
-		}
+		c.phase = phMutate
 
 	case phPush:
 		op := Op{Kind: c.out.kind, Path: "/p", Seq: c.out.val.seq, AfterRm: c.out.afterRm}
@@ -449,8 +440,9 @@ func (x *explorer) stepClient(s *xState, i int) bool {
 
 	case phMaterialize:
 		// Client.materialize: create if missing, the whole file in one
-		// write when the entry held it.
-		st := c.rd.val.stat
+		// write when the claimed entry held it; then the claim's conclusion,
+		// the next step's mutate.
+		st := c.out.val.stat
 		off, data := int(c.ev.off), c.ev.data
 		s.dfs.exists = true
 		if int64(len(st.Inline)) >= st.Size {
@@ -458,8 +450,8 @@ func (x *explorer) stepClient(s *xState, i int) bool {
 		}
 		s.dfs.write(off, data)
 		s.see(c, s.dfs.data)
-		c.ev.kind, c.ev.seq, c.ev.size = evGrown, c.rd.val.seq, int64(off+len(data))
-		x.decide(s, c)
+		c.ev.kind, c.ev.seq, c.ev.size = evGrown, c.out.val.seq, int64(off+len(data))
+		c.phase = phMutate
 	}
 	return true
 }
@@ -642,9 +634,9 @@ func runExplorer(tbl xTable, ops int, starts ...string) (states, ends int, failu
 }
 
 // TestEntryExplorer is the bounded exhaustive run: two clients, three ops
-// between them, about half a million states in a second or two. With
-// PACON_EXPLORE_OPS=4 it goes one op deeper (3+1 and 2+2: 26 million
-// states, minutes) — the run EXPERIMENTS.md records.
+// between them, about 0.28 million states in under a second. With
+// PACON_EXPLORE_OPS=4 it goes one op deeper (3+1 and 2+2: 6.6 million
+// states, about 15 s) — the run EXPERIMENTS.md records.
 func TestEntryExplorer(t *testing.T) {
 	ops := 3
 	if v, err := strconv.Atoi(os.Getenv("PACON_EXPLORE_OPS")); err == nil {

@@ -9,6 +9,7 @@ import (
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 // These tests are the transition table read row by row: one case per row
@@ -323,4 +324,147 @@ func FuzzCacheValDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzEventDecode: whatever a mutate request carries, decodeEvent answers
+// with an error or an event, never a panic, and an event re-encodes to
+// bytes that decode to it again. The row the cache server runs on the
+// request, against an absent key, a small entry, a claim, an entry loaded
+// without its bytes and a value with no header, fails when the event does
+// not decode, stores nothing and answers nothing when it fails, and
+// otherwise answers something decodeAnswer reads, storing a value that
+// decodes.
+func FuzzEventDecode(f *testing.F) {
+	enc := func(ev event) []byte {
+		e := wire.NewEncoder(64)
+		ev.encodeTo(e)
+		return e.Bytes()
+	}
+	for _, ev := range []event{
+		{kind: evCreate, seq: 9, stat: fileStat(0, "")},
+		{kind: evRemove, seq: 9},
+		{kind: evRemove, seq: 9, stat: fileStat(2, ""), hasStat: true},
+		{kind: evWrite, seq: 9, off: 1, data: []byte("xy")},
+		{kind: evWrite, seq: 9, off: 1, data: []byte("wxyz")},
+		{kind: evWrite, seq: 9, data: []byte("x"), fetched: []byte("ab"), fetchedAt: 5},
+		{kind: evGrown, seq: 7, size: 12},
+		{kind: evRollback, seq: 7},
+		{kind: evSizeBump, size: 12},
+	} {
+		f.Add(enc(ev))
+	}
+	write := enc(event{kind: evWrite, seq: 9, data: []byte("xy")})
+	f.Add(write[:len(write)-3])                                  // truncated inside the data
+	f.Add(append([]byte{0x7f}, write[1:]...))                    // an unknown kind
+	f.Add(append(append([]byte(nil), write[:3]...), 0xff, 0x7f)) // an offset past maxOffset, cut
+	f.Add(append(append([]byte(nil), write[:5]...), 0xe8, 0x07)) // data longer than the frame
+	f.Add([]byte{})
+
+	stored := []*memcache.Item{
+		nil,
+		{Value: cacheVal{dirty: true, seq: 3, stat: fileStat(2, "ab")}.encode(), CAS: 5},
+		{Value: cacheVal{large: true, dirty: true, seq: 7, stat: fileStat(2, "ab")}.encode(), CAS: 6},
+		{Value: cacheVal{stat: fileStat(2, "")}.encode(), CAS: 7},
+		{Value: []byte{}, CAS: 8},
+	}
+	row := entryRow(4)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ev, derr := decodeEvent(raw)
+		if derr == nil {
+			again, err := decodeEvent(enc(ev))
+			if err != nil || fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", ev) {
+				t.Fatalf("%x decodes to %+v, which re-encodes to %+v, %v", raw, ev, again, err)
+			}
+		}
+		for _, cur := range stored {
+			val, reply := wire.NewEncoder(0), wire.NewEncoder(0)
+			store, err := row(cur, raw, val, reply)
+			switch {
+			case derr != nil && err == nil:
+				t.Fatalf("the row took %x, which does not decode: %v", raw, derr)
+			case err != nil:
+				if store || val.Len() != 0 || reply.Len() != 0 {
+					t.Fatalf("the row failed (%v) yet stored %v, %d value bytes, %d reply bytes", err, store, val.Len(), reply.Len())
+				}
+				continue
+			}
+			if err := decodeAnswer(reply.Bytes(), &outcome{}); err != nil {
+				t.Fatalf("answer %x: %v", reply.Bytes(), err)
+			}
+			if _, err := decodeCacheVal(val.Bytes()); store && err != nil {
+				t.Fatalf("stored %x: %v", val.Bytes(), err)
+			}
+		}
+	})
+}
+
+// TestFetchedBytesCountForTheirVersionOnly: a write to an entry loaded
+// without its bytes resends with the bytes it read from the DFS and the CAS
+// version of the entry it read them for. The owner's row splices over them
+// while the entry is that one, and asks again, with the version it holds
+// now, once the entry has moved: bytes read before it moved are never
+// written back over it.
+func TestFetchedBytesCountForTheirVersionOnly(t *testing.T) {
+	row := entryRow(8)
+	loaded := &memcache.Item{Value: cacheVal{stat: fileStat(3, "")}.encode(), CAS: 5}
+	send := func(fetchedAt uint64) (bool, outcome, []byte) {
+		t.Helper()
+		req, val, reply := wire.NewEncoder(0), wire.NewEncoder(0), wire.NewEncoder(0)
+		ev := event{kind: evWrite, seq: 9, off: 1, data: []byte("X"), fetched: []byte("abc"), fetchedAt: fetchedAt}
+		ev.encodeTo(req)
+		store, err := row(loaded, req.Bytes(), val, reply)
+		var a outcome
+		if err == nil {
+			err = decodeAnswer(reply.Bytes(), &a)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, a, val.Bytes()
+	}
+	store, a, val := send(5)
+	v, err := decodeCacheVal(val)
+	if !store || !a.enqueue || a.kind != OpSetStat || err != nil || string(v.stat.Inline) != "aXc" || string(a.val.stat.Inline) != "aXc" {
+		t.Fatalf("bytes for the entry's version: store %v, answer %+v, value %+v %v; want aXc stored and queued", store, a, v, err)
+	}
+	if store, a, _ = send(4); store || a.verdict != vFetch || a.val.seq != 5 || a.val.stat.Size != 3 {
+		t.Fatalf("bytes for an older version: store %v, answer %+v; want a fetch for version 5", store, a)
+	}
+}
+
+// TestMutationIsOneCacheRoundTrip: the entry's owner applies the row in
+// one request, so an acked mutation costs one cache round trip — an inline
+// write, a cached rm, a create over the removed marker — where a get and a
+// cas cost two, and a create that met the marker three. A write through to
+// a large file is two: the request that finds it large, then the size
+// bump.
+func TestMutationIsOneCacheRoundTrip(t *testing.T) {
+	e := newEnv(t, 4, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 })
+	c := e.client(t, "node0")
+	at, err := c.Create(0, "/w/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	trips := func(name string, want int64, op func() (vclock.Time, error)) {
+		t.Helper()
+		before := c.CacheRPCs()
+		if at, err = op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := c.CacheRPCs() - before; got != want {
+			t.Errorf("%s: %d cache round trips, want %d", name, got, want)
+		}
+	}
+	release := holdCommits(t, e.region) // the remove stays queued, its marker cached
+	trips("inline write", 1, func() (vclock.Time, error) { return c.WriteAt(at, "/w/f", 0, []byte("abc")) })
+	trips("cached rm", 1, func() (vclock.Time, error) { return c.Remove(at, "/w/f") })
+	trips("create over the removed marker", 1, func() (vclock.Time, error) { return c.Create(at, "/w/f", 0o644) })
+	release()
+	if at, err = c.WriteAt(at, "/w/f", 0, bytes.Repeat([]byte("L"), 20)); err != nil {
+		t.Fatal(err)
+	}
+	trips("write through to a large file", 2, func() (vclock.Time, error) { return c.WriteAt(at, "/w/f", 20, []byte("more")) })
 }

@@ -33,31 +33,29 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 		return at, err
 	}
 
-	var rd entryRead
-	out, at, err := c.mutate(at, &rd, &event{kind: evWrite, op: "write", path: p, seq: r.seq.Add(1),
-		off: off, data: data, threshold: r.cfg.SmallFileThreshold})
+	out, at, err := c.mutate(at, &event{kind: evWrite, op: "write", path: p, seq: r.seq.Add(1), off: off, data: data})
 	switch {
 	case err != nil || out.enqueue:
 		return at, err // inline: the backup write is queued
 	case out.verdict == vKeep:
-		return c.writeThrough(at, p, &rd, off, data)
+		return c.writeThrough(at, p, off, data)
 	default:
-		return c.growToLarge(at, p, &rd, off, data)
+		return c.growToLarge(at, p, out.val, off, data)
 	}
 }
 
 // writeThrough writes to a large file on the DFS and keeps the cached
-// size fresh. rd is the read that found the entry large.
-func (c *Client) writeThrough(at vclock.Time, p string, rd *entryRead, off int64, data []byte) (vclock.Time, error) {
+// size fresh.
+func (c *Client) writeThrough(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
 	at, err := c.backend.WriteAt(at, p, off, data)
 	if err != nil {
 		return at, err
 	}
-	_, at, err = c.mutate(at, rd, &event{kind: evSizeBump, op: "write", path: p, size: off + int64(len(data))})
+	_, at, err = c.mutate(at, &event{kind: evSizeBump, op: "write", path: p, size: off + int64(len(data))})
 	return at, err
 }
 
-// growToLarge takes a claimed entry (rd, as WriteAt's claim stored it)
+// growToLarge takes a claimed entry (claim, as WriteAt's claim stored it)
 // through the threshold crossing. With the claim in place nothing new can
 // be queued for the path, so draining it first means every op acked
 // before the claim — the create, backup writes of older inline content,
@@ -67,9 +65,8 @@ func (c *Client) writeThrough(at vclock.Time, p string, rd *entryRead, off int64
 // flushed, the new data written) and the entry concluded: large and
 // clean, or — the DFS failed — rolled back to the small dirty entry, with
 // the write's error.
-func (c *Client) growToLarge(at vclock.Time, p string, rd *entryRead, off int64, data []byte) (vclock.Time, error) {
+func (c *Client) growToLarge(at vclock.Time, p string, claim cacheVal, off int64, data []byte) (vclock.Time, error) {
 	r := c.region
-	claim := rd.val
 	end := event{kind: evGrown, op: "write", path: p, seq: claim.seq, size: off + int64(len(data))}
 	at, werr := r.drainPath(at, p)
 	if werr == nil {
@@ -78,7 +75,7 @@ func (c *Client) growToLarge(at vclock.Time, p string, rd *entryRead, off int64,
 	if werr != nil {
 		end.kind = evRollback
 	}
-	_, at, err := c.mutate(at, rd, &end)
+	_, at, err := c.mutate(at, &end)
 	if werr != nil {
 		err = werr
 	}
@@ -182,7 +179,7 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 	if !c.inWorkspace(p) {
 		return at, nil // large/outside files write through already
 	}
-	v, present, _, at, err := readEntry(c.cache, at, p)
+	v, present, at, err := readEntry(c.cache, at, p)
 	if err == nil && (!present || v.removed) {
 		err = fsapi.WrapPath("fsync", p, fsapi.ErrNotExist)
 	}

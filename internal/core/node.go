@@ -30,7 +30,7 @@ type node struct {
 // inflight holds, per path, the ops between their client's store and their
 // terminal — queued, in a wave or parked alike. Scoped barriers, threshold
 // crossings, the auditor, the staleness watermarks and the at-risk gauge
-// all read it, it orders a path's pushes and acks wait on it; a record
+// all read it, it orders a path's stores and pushes, acks wait on it; a record
 // lives exactly as long as its references.
 type inflight struct {
 	mu    sync.Mutex
@@ -43,7 +43,7 @@ type inflight struct {
 	opened      uint64
 	freed       vclock.Time
 	closed      bool
-	// cond (on mu) is the one wait, for a turn to push or for the bound to
+	// cond (on mu) is the one wait, for a path's turn or for the bound to
 	// open. Its Broadcast returns at once when nobody waits.
 	cond sync.Cond
 	// spills counts the records holding a spill. A landing create reads it
@@ -55,9 +55,8 @@ type inflight struct {
 type pending struct {
 	refs int
 	// next is the ticket the next take hands out, turn the ticket whose op
-	// pushes next: a path's ops leave the node in the order of their takes,
-	// which is that of their stores — each conditioned on a read before
-	// its take.
+	// stores and pushes next: a path's ops store and leave the node in the
+	// order of their takes, each holding its turn from take to push.
 	next, turn uint64
 	walls      []int64  // when each op entered; empty with observability off
 	spill      *spilled // nil but between an fsync and the end of its incarnation
@@ -70,55 +69,55 @@ type spilled struct {
 	data []byte
 }
 
-// take counts one more op on p, from before its store is visible: whoever
-// finds the stored entry finds the op pending too. The reference then
-// travels with the op the client queues, the ticket is its turn to push.
-// wall is 0 with observability off.
-func (t *inflight) take(p string, wall int64) (ticket uint64) {
+// take counts one more op on p, from before its store is visible — whoever
+// finds the stored entry finds the op pending too — and returns in the op's
+// turn on p, once every op that took p before it has pushed or given its
+// turn back. The reference then travels with the op the client queues; push
+// and giveBack pass the turn on. wall is 0 with observability off.
+func (t *inflight) take(p string, wall int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.paths == nil {
 		t.paths = make(map[string]pending)
 	}
 	rec := t.paths[p]
-	rec.refs, ticket, rec.next = rec.refs+1, rec.next, rec.next+1
+	ticket := rec.next
+	rec.refs, rec.next = rec.refs+1, rec.next+1
 	if wall != 0 {
 		rec.walls = append(rec.walls, wall)
 	}
 	t.paths[p] = rec
 	t.refs++
-	return ticket
+	for t.paths[p].turn != ticket {
+		t.cond.Wait()
+	}
 }
 
-// push hands op to q in its ticket's turn. gate is 0 if the node then holds
-// fewer than bound ops — the ack may return — and else the opening of the
-// bound the ack waits for (below).
-func (t *inflight) push(q *mq.Queue[Op], op *Op, ticket uint64) (gate uint64, err error) {
+// push hands op to q and passes its path's turn on. gate is 0 if the node
+// then holds fewer than bound ops — the ack may return — and else the
+// opening of the bound the ack waits for (below).
+func (t *inflight) push(q *mq.Queue[Op], op *Op) (gate uint64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.turn(op.Path, ticket)
+	t.pass(op.Path)
 	if t.bound > 0 && t.refs >= t.bound {
 		gate = t.opened + 1
 	}
 	return gate, q.Push(*op)
 }
 
-// giveBack is release for a store that failed: it passes the ticket's turn
-// on and gives the reference back, pushing nothing.
-func (t *inflight) giveBack(p string, wall int64, ticket uint64) {
+// giveBack is release for a request that queued nothing: it passes the
+// turn on and gives the reference back.
+func (t *inflight) giveBack(p string, wall int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.turn(p, ticket)
+	t.pass(p)
 	t.unref(p, wall, 0)
 }
 
-// turn waits (mu held) until every op that took p before ticket has pushed
-// or given its turn back, and passes p's turn on.
-func (t *inflight) turn(p string, ticket uint64) {
+// pass (mu held) hands p's turn to the next op that took p.
+func (t *inflight) pass(p string) {
 	rec := t.paths[p]
-	for ; rec.turn != ticket; rec = t.paths[p] {
-		t.cond.Wait()
-	}
 	rec.turn++
 	t.paths[p] = rec
 	t.cond.Broadcast()

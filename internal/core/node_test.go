@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,7 @@ import (
 	"unsafe"
 
 	"pacon/internal/fsapi"
+	"pacon/internal/mq"
 	"pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
@@ -224,10 +226,10 @@ func TestClosedQueueRefusesAndReleases(t *testing.T) {
 }
 
 // TestInflightTableUnderRace: four clients take references on 64 paths
-// (spilling on some) and hand each to one of four commit processes, which
-// release it — half as an op's terminal, half as a coalesced op's — while
-// a reader asks the table everything it answers. References never go
-// negative and the table ends empty.
+// (spilling on some), push them in their turns and hand each to one of
+// four commit processes, which release it — half as an op's terminal, half
+// as a coalesced op's — while a reader asks the table everything it
+// answers. References never go negative and the table ends empty.
 func TestInflightTableUnderRace(t *testing.T) {
 	type ref struct {
 		p    string
@@ -236,11 +238,13 @@ func TestInflightTableUnderRace(t *testing.T) {
 	}
 	var (
 		table   inflight
+		queue   = mq.NewQueue[Op]()  // what the takers push, in their turns
 		handed  = make(chan ref, 16) // a short queue between takers and releasers
 		takers  sync.WaitGroup
 		workers sync.WaitGroup
 		stop    = make(chan struct{})
 	)
+	table.cond.L = &table.mu
 	const perTaker = 2000
 	for g := 0; g < 4; g++ {
 		takers.Add(1)
@@ -251,6 +255,9 @@ func TestInflightTableUnderRace(t *testing.T) {
 				table.take(r.p, r.wall)
 				if i%5 == 0 && !table.putSpill(r.p, r.seq, []byte("x")) {
 					t.Error("no record for a path just taken")
+				}
+				if _, err := table.push(queue, &Op{Path: r.p}); err != nil {
+					t.Error(err)
 				}
 				handed <- r
 			}
@@ -305,7 +312,7 @@ func TestInflightTableUnderRace(t *testing.T) {
 }
 
 // holdAfterStore is a network that forwards the next cache store of its
-// method ("cas", or "add" for a create) and then holds its caller before it
+// method and then holds its caller before it
 // learns the store landed: a client stopped between its store and its push.
 type holdAfterStore struct {
 	rpc.Network
@@ -338,14 +345,16 @@ func (n *holdAfterStore) Invoke(addr, method string, at vclock.Time, body []byte
 // first writer's reference, taken before its store — so the crossing
 // waits, the setstat commits first, and the file is materialized over it.
 // Were the path to read drained, the setstat would land after the
-// crossing and restate the small file's size over the large one.
+// crossing and restate the small file's size over the large one. The
+// crossing comes from another node: on the writer's own, its claim would
+// wait for the path's push turn before it is sent.
 func TestCrossingWaitsForAnOpBetweenStoreAndPush(t *testing.T) {
-	net := &holdAfterStore{method: "cas", held: make(chan struct{}), proceed: make(chan struct{})}
-	e := newEnvDeps(t, 1, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 }, func(d *Deps) {
+	net := &holdAfterStore{method: "mutate", held: make(chan struct{}), proceed: make(chan struct{})}
+	e := newEnvDeps(t, 2, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 }, func(d *Deps) {
 		net.Network = d.Bus
 		d.Bus = net
 	})
-	first, second := e.client(t, "node0"), e.client(t, "node0")
+	first, second := e.client(t, "node0"), e.client(t, "node1")
 	at, err := first.Create(0, "/w/f", 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -395,12 +404,12 @@ func TestCrossingWaitsForAnOpBetweenStoreAndPush(t *testing.T) {
 
 // TestPushesLeaveInStoreOrder is the same-node push inversion: A's create
 // has landed in the cache and is not yet queued when B, a second client of
-// the same node, writes the file inline — a store made over A's. Were B's
-// setstat queued first, it would park on the DFS's ErrNotExist and hold
-// the create behind it until the retry budget dropped both, acked as they
-// are. B's push waits for A's turn instead.
+// the same node, writes the file inline — a store to be made over A's.
+// Were B's setstat queued first, it would park on the DFS's ErrNotExist
+// and hold the create behind it until the retry budget dropped both, acked
+// as they are. B's write waits for A's turn instead, before its store.
 func TestPushesLeaveInStoreOrder(t *testing.T) {
-	net := &holdAfterStore{method: "add", held: make(chan struct{}), proceed: make(chan struct{})}
+	net := &holdAfterStore{method: "mutate", held: make(chan struct{}), proceed: make(chan struct{})}
 	e := newEnvDeps(t, 1, nil, func(d *Deps) {
 		net.Network = d.Bus
 		d.Bus = net
@@ -420,10 +429,14 @@ func TestPushesLeaveInStoreOrder(t *testing.T) {
 		_, err := b.WriteAt(0, "/w/f", 0, []byte("hello"))
 		written <- err
 	}()
-	eventually(t, "B's inline store", func() bool {
-		ent, ok := findEntry(t, e.region, "/w/f")
-		return ok && string(ent.Stat.Inline) == "hello"
-	})
+	select {
+	case err := <-written:
+		t.Fatalf("B's write finished (%v) with A's create not yet queued", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if ent, ok := findEntry(t, e.region, "/w/f"); !ok || len(ent.Stat.Inline) != 0 {
+		t.Fatalf("entry = %+v, want A's create: B stores in its turn", ent)
+	}
 	close(net.proceed)
 	for _, ch := range []chan error{created, written} {
 		if err := <-ch; err != nil {
@@ -439,6 +452,60 @@ func TestPushesLeaveInStoreOrder(t *testing.T) {
 	}
 	if size, data := dfsFile(t, e, at, "/w/f"); size != 5 || data != "hello" {
 		t.Fatalf("DFS holds %d bytes %q, want B's write", size, data)
+	}
+}
+
+// jittered is a network that holds each cache mutate for a random few
+// microseconds before it forwards it: it widens the window between a
+// client's push turn and its store, where another client of the node would
+// store first were it not waiting for its own turn.
+type jittered struct{ rpc.Network }
+
+func (n jittered) Invoke(addr, method string, at vclock.Time, body []byte) (vclock.Time, []byte, error) {
+	if method == "mutate" {
+		time.Sleep(time.Duration(rand.IntN(20)) * time.Microsecond)
+	}
+	return n.Network.Invoke(addr, method, at, body)
+}
+
+// TestSameNodeWritersKeepStoreOrder: two clients of one node write one
+// small file inline, each its own bytes, in 200 rounds of one write each
+// at once. Each row is sent in its push turn, so the node queues the
+// setstats in the order the cache stored them: after every round's drain
+// the DFS holds exactly the bytes the cache holds, and nothing is dropped.
+func TestSameNodeWritersKeepStoreOrder(t *testing.T) {
+	e := newEnvDeps(t, 1, nil, func(d *Deps) { d.Bus = jittered{d.Bus} })
+	clients := []*Client{e.client(t, "node0"), e.client(t, "node0")}
+	at, err := clients[0].Create(0, "/w/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(clients))
+		for i, c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = c.WriteAt(at, "/w/f", 0, []byte(fmt.Sprintf("%c%03d", 'a'+i, round)))
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		ent := mustEntry(t, e.region, "/w/f", "after a round")
+		if size, data := dfsFile(t, e, at, "/w/f"); ent.Dirty || size != ent.Stat.Size || data != string(ent.Stat.Inline) {
+			t.Fatalf("round %d: DFS holds %d bytes %q, the cache %+v", round, size, data, ent)
+		}
+	}
+	if st := e.region.Stats(); st.Dropped != 0 {
+		t.Fatalf("%d acked ops dropped", st.Dropped)
 	}
 }
 

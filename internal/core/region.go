@@ -315,6 +315,7 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 			CapacityBytes: cfg.CacheCapacityBytes,
 			Model:         cfg.Model,
 			Workers:       cfg.Model.CacheWorkers,
+			Row:           entryRow(cfg.SmallFileThreshold),
 		})
 		deps.Bus.Register(n.addr, n.cache.Service())
 		r.ring.Add(n.addr)

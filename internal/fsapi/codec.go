@@ -1,6 +1,10 @@
 package fsapi
 
-import "pacon/internal/wire"
+import (
+	"bytes"
+
+	"pacon/internal/wire"
+)
 
 // EncodeStat appends a Stat's wire form to e. Layout is shared by the
 // DFS, IndexFS and the Pacon cache values so a record can migrate
@@ -19,6 +23,14 @@ func EncodeStat(e *wire.Encoder, s Stat) {
 
 // DecodeStat reads a Stat written by EncodeStat.
 func DecodeStat(d *wire.Decoder) Stat {
+	s := DecodeStatView(d)
+	s.Inline = bytes.Clone(s.Inline)
+	return s
+}
+
+// DecodeStatView is DecodeStat with Inline a view of d's buffer, valid for
+// as long as the buffer is.
+func DecodeStatView(d *wire.Decoder) Stat {
 	return Stat{
 		Type:   FileType(d.Byte()),
 		Mode:   Mode(d.Uint16()),
@@ -28,7 +40,7 @@ func DecodeStat(d *wire.Decoder) Stat {
 		Nlink:  d.Uint32(),
 		Mtime:  d.Int64(),
 		Ctime:  d.Int64(),
-		Inline: d.Blob(),
+		Inline: d.BlobView(),
 	}
 }
 

@@ -216,11 +216,10 @@ func (c *Client) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclo
 	return out, latest
 }
 
-func (c *Client) storeOp(method string, at vclock.Time, key string, value []byte, flags uint32, expect uint64) (uint64, vclock.Time, error) {
+func (c *Client) storeOp(method string, at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
 	e := wire.GetEncoder()
 	e.String(key)
 	e.Uint32(flags)
-	e.Uint64(expect)
 	e.Blob(value)
 	reply := wire.GetEncoder()
 	defer wire.PutEncoder(reply)
@@ -238,17 +237,21 @@ func (c *Client) storeOp(method string, at vclock.Time, key string, value []byte
 
 // Set unconditionally stores key.
 func (c *Client) Set(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
-	return c.storeOp("set", at, key, value, flags, 0)
+	return c.storeOp("set", at, key, value, flags)
 }
 
 // Add stores key only if absent.
 func (c *Client) Add(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
-	return c.storeOp("add", at, key, value, flags, 0)
+	return c.storeOp("add", at, key, value, flags)
 }
 
-// CAS stores key only if its version is still expect.
-func (c *Client) CAS(at vclock.Time, key string, value []byte, flags uint32, expect uint64) (uint64, vclock.Time, error) {
-	return c.storeOp("cas", at, key, value, flags, expect)
+// Mutate runs req through the row of key's owner; its answer lands in reply.
+func (c *Client) Mutate(at vclock.Time, key string, req []byte, reply *wire.Encoder) (vclock.Time, error) {
+	e := wire.GetEncoder()
+	e.String(key)
+	e.Blob(req)
+	reply.Reset()
+	return c.call(c.Owner(key), "mutate", at, e, reply)
 }
 
 // SettleMulti applies entries with one "settle_multi" RPC per owning

@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -138,6 +139,76 @@ func TestCASRetryLoopLinearizes(t *testing.T) {
 	}
 }
 
+// The same increments through mutate: the owner runs the row under the
+// key's lock, so there is no retry and every increment lands exactly once.
+func TestMutateLinearizes(t *testing.T) {
+	s := testServer(ServerConfig{Row: testRow})
+	const writers = 8
+	const perWriter = 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reply := wire.NewEncoder(0)
+			for i := 0; i < perWriter; i++ {
+				reply.Reset()
+				if _, err := s.mutate(0, mutateBody("counter", mutateReq(rowIncr, nil)), reply); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	item, _, _ := s.Get(0, "counter")
+	if _, n, _, ok := ParseValueHeader(item.Value); !ok || n != writers*perWriter {
+		t.Fatalf("counter = %d, want %d", n, writers*perWriter)
+	}
+}
+
+// TestMutateStoresOnlyWhatTheRowStores: an answer without a store, a full
+// cache and a row's error leave the key as it was, and a failed mutate
+// answers nothing; a server without a row refuses every mutate.
+func TestMutateStoresOnlyWhatTheRowStores(t *testing.T) {
+	s := testServer(ServerConfig{Row: testRow, CapacityBytes: 200})
+	bus := rpc.NewBus()
+	bus.Register("n/cache", s.Service())
+	bus.Register("n/norow", testServer(ServerConfig{}).Service())
+	caller := rpc.NewCaller(bus, vclock.Default(), "n")
+	reply := wire.NewEncoder(0)
+	call := func(addr string, req []byte) error {
+		reply.Reset()
+		_, err := caller.CallInto(addr, "mutate", 0, mutateBody("k", req), reply)
+		return err
+	}
+	if err := call("n/cache", mutateReq(rowIncr, nil)); err != nil {
+		t.Fatal(err)
+	}
+	before, _, _ := s.Get(0, "k")
+	for _, tc := range []struct {
+		name string
+		req  []byte
+		err  error
+	}{
+		{"peek", mutateReq(rowPeek, nil), nil},
+		{"full cache", mutateReq(rowIncr, make([]byte, 200)), fsapi.ErrOutOfSpace},
+		{"unknown kind", mutateReq(9, nil), errUnknownKind},
+		{"truncated", mutateReq(rowIncr, []byte("abc"))[:1], wire.ErrTruncated},
+	} {
+		err := call("n/cache", tc.req)
+		if (err == nil) != (tc.err == nil) || (tc.err == fsapi.ErrOutOfSpace && !errors.Is(err, tc.err)) || (err != nil) != (reply.Len() == 0) {
+			t.Fatalf("%s: %v with a %d-byte reply, want %v", tc.name, err, reply.Len(), tc.err)
+		}
+		if after, _, _ := s.Get(0, "k"); after.CAS != before.CAS {
+			t.Fatalf("%s stored", tc.name)
+		}
+	}
+	if err := call("n/norow", mutateReq(rowPeek, nil)); err == nil {
+		t.Fatal("a server without a row took a mutate")
+	}
+}
+
 func TestCapacityRejectWithoutLRU(t *testing.T) {
 	s := testServer(ServerConfig{CapacityBytes: 400})
 	if _, _, err := s.Set(0, "a", make([]byte, 200), 0); err != nil {
@@ -191,7 +262,7 @@ func clusterEnv(t testing.TB, n int) (*Client, []*Server) {
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("node%d/cache", i)
-		servers[i] = NewServer(addr, ServerConfig{Model: model})
+		servers[i] = NewServer(addr, ServerConfig{Model: model, Row: testRow})
 		bus.Register(addr, servers[i].Service())
 		ring.Add(addr)
 	}
@@ -228,21 +299,24 @@ func TestClientRoutesByRing(t *testing.T) {
 	}
 }
 
-func TestClientCASThroughRPC(t *testing.T) {
+func TestClientMutateThroughRPC(t *testing.T) {
 	c, _ := clusterEnv(t, 2)
-	cas, _, err := c.Add(0, "k", []byte("v1"), 0)
-	if err != nil {
-		t.Fatal(err)
+	reply := wire.NewEncoder(0)
+	for want := uint64(1); want <= 2; want++ {
+		if _, err := c.Mutate(0, "k", mutateReq(rowIncr, []byte("v")), reply); err != nil {
+			t.Fatal(err)
+		}
+		if seq, n := binary.Uvarint(reply.Bytes()); n != len(reply.Bytes()) || seq != want {
+			t.Fatalf("answer %x, want seq %d", reply.Bytes(), want)
+		}
 	}
-	if _, _, err := c.CAS(0, "k", []byte("v2"), 0, cas+99); !errors.Is(err, fsapi.ErrStale) {
-		t.Fatalf("wrong-version cas = %v", err)
-	}
-	if _, _, err := c.CAS(0, "k", []byte("v2"), 0, cas); err != nil {
-		t.Fatal(err)
+	// The row's error is the request's, and the reply stays empty.
+	if _, err := c.Mutate(0, "k", mutateReq(9, nil), reply); err == nil || reply.Len() != 0 {
+		t.Fatalf("unknown kind = %v with a %d-byte reply", err, reply.Len())
 	}
 	item, _, _ := get(c, 0, "k")
-	if string(item.Value) != "v2" {
-		t.Fatalf("value = %q", item.Value)
+	if _, seq, _, ok := ParseValueHeader(item.Value); !ok || seq != 2 {
+		t.Fatalf("value %x", item.Value)
 	}
 }
 
@@ -306,6 +380,71 @@ func makeVal(flags byte, seq uint64) []byte {
 	e.Byte(flags)
 	e.Uvarint(seq)
 	e.String("payload")
+	return e.Bytes()
+}
+
+// The test row's request kinds (testRow).
+const (
+	rowIncr byte = iota + 1
+	rowPut
+	rowPeek
+)
+
+var (
+	errNoHeader    = errors.New("test row: stored value has no header")
+	errUnknownKind = errors.New("test row: unknown kind")
+)
+
+// testRow is the tests' row over values in core's header layout; a
+// request is a kind byte and a blob. rowIncr stores the blob behind a dirty
+// header whose seq is one past the stored value's (0 for an absent key),
+// rowPut stores the blob itself, rowPeek stores nothing; rowIncr and
+// rowPeek answer the seq the key then holds, rowPut nothing. Another kind,
+// bytes left over, or a stored value without the header a row reads is an
+// error.
+func testRow(cur *Item, req []byte, val, reply *wire.Encoder) (bool, error) {
+	d := wire.NewDecoder(req)
+	kind, data := d.Byte(), d.BlobView()
+	if err := d.Finish(); err != nil {
+		return false, err
+	}
+	if kind == rowPut {
+		val.Raw(data)
+		return true, nil
+	}
+	var seq uint64
+	if cur != nil {
+		_, vseq, _, ok := ParseValueHeader(cur.Value)
+		if !ok {
+			return false, errNoHeader
+		}
+		seq = vseq
+	}
+	switch kind {
+	case rowIncr:
+		seq++
+		AppendValueHeader(val, HdrDirty, seq)
+		val.Raw(data)
+	case rowPeek:
+	default:
+		return false, errUnknownKind
+	}
+	reply.Uvarint(seq)
+	return kind == rowIncr, nil
+}
+
+func mutateReq(kind byte, data []byte) []byte {
+	e := wire.NewEncoder(8 + len(data))
+	e.Byte(kind)
+	e.Blob(data)
+	return e.Bytes()
+}
+
+// mutateBody is a mutate request's frame: the key and the row's request.
+func mutateBody(key string, req []byte) []byte {
+	e := wire.NewEncoder(16 + len(req))
+	e.String(key)
+	e.Blob(req)
 	return e.Bytes()
 }
 
@@ -443,21 +582,21 @@ func TestClientConditionalOpsThroughRPC(t *testing.T) {
 }
 
 // TestConditionalOpsNeverDeleteAckedCAS hammers settle_multi's delete-if
-// and clear-dirty actions against a concurrent CAS writer on one key. The
-// writer installs (dirty, seq n) incarnations; the cleaner plays commit
-// process and evictor for every seq the writer has released to it, all
-// five actions riding one multi-key request beside a bystander key
-// (clear-dirty n, delete-if clean, delete-if seq n, ...). Between a CAS's
-// acknowledgement and the release of its seq only cleanup aimed at
+// and clear-dirty actions against a concurrent writer on one key. The
+// writer installs (dirty, seq n) incarnations with mutate; the cleaner
+// plays commit process and evictor for every seq the writer has released
+// to it, all five actions riding one multi-key request beside a bystander
+// key (clear-dirty n, delete-if clean, delete-if seq n, ...). Between a
+// store's acknowledgement and the release of its seq only cleanup aimed at
 // older incarnations is in flight, and none of it may touch the acked
 // value: the predicates run under the shard lock, so there is no
-// check-then-delete window for the CAS to fall into.
+// check-then-delete window for the store to fall into.
 func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
 	bus := rpc.NewBus()
 	model := vclock.Default()
 	ring := dht.New(0)
 	const addr = "node0/cache"
-	bus.Register(addr, NewServer(addr, ServerConfig{Model: model}).Service())
+	bus.Register(addr, NewServer(addr, ServerConfig{Model: model, Row: testRow}).Service())
 	ring.Add(addr)
 	writer := NewClient(rpc.NewCaller(bus, model, "node0"), ring)
 	cleaner := NewClient(rpc.NewCaller(bus, model, "node1"), ring)
@@ -512,28 +651,14 @@ func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
 	// cleaner for all of rounds (about one run in a thousand), go on until
 	// it has won both ways.
 	won := func() bool { return cleared.Load() > 0 && deleted.Load() > 0 }
+	reply := wire.NewEncoder(0)
 	for n := uint64(1); n <= rounds || (!won() && n <= 100*rounds); n++ {
-		val := makeVal(HdrDirty, n)
-		for acked := false; !acked; {
-			item, _, err := get(writer, 0, key)
-			switch {
-			case err == nil:
-				_, _, err = writer.CAS(0, key, val, 0, item.CAS)
-			case errors.Is(err, fsapi.ErrNotExist):
-				_, _, err = writer.Add(0, key, val, 0)
-			}
-			switch {
-			case err == nil:
-				acked = true
-			case errors.Is(err, fsapi.ErrStale), errors.Is(err, fsapi.ErrNotExist), errors.Is(err, fsapi.ErrExist):
-				// Lost to a legitimate cleanup of the previous seq: re-read.
-			default:
-				t.Fatalf("round %d: %v", n, err)
-			}
+		if _, err := writer.Mutate(0, key, mutateReq(rowPut, makeVal(HdrDirty, n)), reply); err != nil {
+			t.Fatalf("round %d: %v", n, err)
 		}
 		item, _, err := get(writer, 0, key)
 		if err != nil {
-			t.Fatalf("round %d: acked CAS deleted by cleanup of an older seq: %v", n, err)
+			t.Fatalf("round %d: acked store deleted by cleanup of an older seq: %v", n, err)
 		}
 		if flags, seq, _, ok := ParseValueHeader(item.Value); !ok || seq != n || flags&HdrDirty == 0 {
 			t.Fatalf("round %d: acked value altered by cleanup of an older seq: flags=%#x seq=%d", n, flags, seq)

@@ -403,68 +403,88 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 }
 
 // FuzzSingleKeyHandlers feeds arbitrary bytes to the four single-key
-// endpoints. Same contract as the multi-key ones: no panic, an error with
-// no reply or a well-formed reply, nothing allocated beyond a small
-// multiple of the frame, and a frame that is refused changes no key.
+// endpoints, mutate running the test row. Same contract as the multi-key
+// ones: no panic, an error with no reply or a well-formed reply, nothing
+// allocated beyond a small multiple of the frame, and a frame that is
+// refused changes no key.
 func FuzzSingleKeyHandlers(f *testing.F) {
-	store := func(key string, flags uint32, expect uint64, value []byte) []byte {
+	store := func(key string, flags uint32, value []byte) []byte {
 		e := wire.NewEncoder(64)
 		e.String(key)
 		e.Uint32(flags)
-		e.Uint64(expect)
 		e.Blob(value)
 		return e.Bytes()
 	}
 	get := wire.NewEncoder(16)
 	get.String("/w/a")
 	f.Add(get.Bytes())
-	f.Add(store("/w/a", 0, 1, makeVal(HdrDirty, 3))) // a cas that matches /w/a
-	f.Add(store("/w/a", 0, 9, makeVal(0, 3)))        // one that does not
-	f.Add(store("/w/new", 7, 0, makeVal(0, 1)))
-	f.Add(store("", 0, 0, nil))
-	f.Add(store("/w/a", 0, 1, makeVal(0, 1))[:9]) // cut inside the fixed fields
+	f.Add(store("/w/a", 0, makeVal(HdrDirty, 3))) // over /w/a
+	f.Add(store("/w/a", 9, makeVal(0, 3)))
+	f.Add(store("/w/new", 7, makeVal(0, 1)))
+	f.Add(store("", 0, nil))
+	f.Add(store("/w/a", 0, makeVal(0, 1))[:7]) // cut inside the fixed fields
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, '/'}) // a 2^63-byte key
-	f.Add(append(store("/w/b", 0, 2, nil), 0xfe, 0xff, 0xff, 0xff, 0x0f))          // trailing bytes
+	f.Add(append(store("/w/b", 0, nil), 0xfe, 0xff, 0xff, 0xff, 0x0f))             // trailing bytes
+	incr := mutateBody("/w/a", mutateReq(rowIncr, []byte("v")))
+	f.Add(incr)
+	f.Add(mutateBody("/w/new", mutateReq(rowPut, makeVal(0, 1))))
+	f.Add(mutateBody("/w/b", mutateReq(rowPeek, nil)))
+	f.Add(incr[:len(incr)-2])                                        // a truncated event
+	f.Add(mutateBody("/w/a", mutateReq(9, nil)))                     // an unknown kind
+	f.Add(mutateBody("/w/a", []byte{rowIncr, 0xe8, 0x07, 'x'}))      // data longer than the frame
+	f.Add(mutateBody("/w/c", mutateReq(rowIncr, nil)))               // a stored value with no header
+	f.Add(append(mutateBody("/w/a", mutateReq(rowIncr, nil)), 0x01)) // trailing bytes
 
 	reply := wire.NewEncoder(0) // every input's, as in FuzzMultiKeyHandlers
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
+		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Row: testRow})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
 		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
+		s.Set(0, "/w/c", []byte("x"), 0)
+		keys := []string{"/w/a", "/w/b", "/w/c"}
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())
 		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
-		for _, method := range []string{"get", "add", "cas", "set"} {
-			a0, _, _ := s.Get(0, "/w/a")
-			b0, _, _ := s.Get(0, "/w/b")
-			var before, after runtime.MemStats
+		for _, method := range []string{"get", "add", "set", "mutate"} {
+			before := make([]Item, len(keys))
+			for i, k := range keys {
+				before[i], _, _ = s.Get(0, k)
+			}
+			var mbefore, mafter runtime.MemStats
 			reply.Reset()
-			runtime.ReadMemStats(&before)
+			runtime.ReadMemStats(&mbefore)
 			_, err := caller.CallInto("fuzz/cache", method, 0, body, reply)
-			runtime.ReadMemStats(&after)
+			runtime.ReadMemStats(&mafter)
 			resp := reply.Bytes()
-			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(64*len(body)+1<<16) {
+			if got := mafter.TotalAlloc - mbefore.TotalAlloc; got > uint64(64*len(body)+1<<16) {
 				t.Fatalf("%s: allocated %d bytes for a %d-byte request", method, got, len(body))
 			}
 			if err != nil {
 				if len(resp) != 0 {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
 				}
-				a, _, aerr := s.Get(0, "/w/a")
-				b, _, berr := s.Get(0, "/w/b")
-				if aerr != nil || berr != nil || a.CAS != a0.CAS || b.CAS != b0.CAS {
-					t.Fatalf("%s failed (%v) yet touched a key: /w/a %+v %v, /w/b %+v %v", method, err, a, aerr, b, berr)
+				for i, k := range keys {
+					if after, _, aerr := s.Get(0, k); aerr != nil || after.CAS != before[i].CAS {
+						t.Fatalf("%s failed (%v) yet touched %s: %+v %v", method, err, k, after, aerr)
+					}
 				}
 				continue
 			}
 			d := wire.NewDecoder(resp)
-			if method == "get" {
+			switch {
+			case method == "get":
 				d.Uint64()
 				d.Uint32()
 				d.BlobView()
-			} else if cas := d.Uint64(); cas == 0 {
-				t.Fatalf("%s: stored under cas 0", method)
+			case method == "mutate":
+				if len(resp) > 0 { // rowPut answers nothing
+					d.Uvarint()
+				}
+			default:
+				if cas := d.Uint64(); cas == 0 {
+					t.Fatalf("%s: stored under cas 0", method)
+				}
 			}
 			if err := d.Finish(); err != nil {
 				t.Fatalf("%s: malformed reply: %v", method, err)

@@ -2,10 +2,9 @@
 // builds its metadata cache on (paper §III.A: a Memcached cluster
 // launched on the application's nodes, keys distributed by DHT). The
 // server supports the memcached operations Pacon relies on — get, set,
-// add, cas, stats, flush, and deletes that always name what they expect
-// to find — with CAS versioning for lock-free
-// concurrent updates (§III.D.3) and byte-accurate memory accounting for
-// the cache-space-management experiments (§III.F).
+// add, stats, flush, deletes that always name what they expect to find, and
+// a mutate that resolves concurrent updates (§III.D.3) under the key's lock
+// — with byte-accurate memory accounting for §III.F's experiments.
 package memcache
 
 import (
@@ -40,7 +39,14 @@ type ServerConfig struct {
 	// Model supplies the per-op service cost; Workers the pool width.
 	Model   vclock.LatencyModel
 	Workers int
+	// Row is what a mutate runs (nil: every mutate fails).
+	Row Row
 }
+
+// Row computes a mutate of one key under its lock: from the stored item (nil:
+// absent; neither kept nor changed) and the request it appends its answer to
+// reply and, returning true, the value to store to val. An error is the answer.
+type Row func(cur *Item, req []byte, val, reply *wire.Encoder) (store bool, err error)
 
 // Server is one cache node. Safe for concurrent use.
 type Server struct {
@@ -278,9 +284,13 @@ func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, e
 			return 0, fsapi.ErrStale
 		}
 	}
+	return s.put(sh, key, si, value, flags)
+}
 
+// put stores a copy of value as key's item si (nil: absent; sh's lock held).
+func (s *Server) put(sh *shard, key string, si *Item, value []byte, flags uint32) (uint64, error) {
 	delta := itemBytes(key, value)
-	if exists {
+	if si != nil {
 		delta -= itemBytes(key, si.Value)
 	}
 	// The budget is the server's, not the shard's: the owner (Pacon's
@@ -291,7 +301,7 @@ func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, e
 
 	cas := s.casSeq.Add(1)
 	v := append([]byte(nil), value...)
-	if exists {
+	if si != nil {
 		*si = Item{Value: v, Flags: flags, CAS: cas}
 	} else {
 		sh.items[key] = &Item{Value: v, Flags: flags, CAS: cas}
@@ -299,6 +309,34 @@ func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, e
 	sh.used += delta
 	s.used.Add(delta)
 	return cas, nil
+}
+
+// mutate serves "mutate" (a key and the row's request): the row's
+// read-modify-write of the key, and its store (flags 0, ErrOutOfSpace at
+// capacity), in one service slot and one round trip, with no loser to retry.
+func (s *Server) mutate(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+	d := wire.GetDecoder(body)
+	key, req := d.String(), d.BlobView()
+	err := d.Finish()
+	wire.PutDecoder(d)
+	if err != nil {
+		return at, err
+	}
+	done := s.acquire(at)
+	if s.cfg.Row == nil {
+		return done, errors.New("memcache: mutate: no row installed")
+	}
+	val := wire.GetEncoder()
+	defer wire.PutEncoder(val)
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	si := sh.items[key]
+	store, err := s.cfg.Row(si, req, val, reply)
+	if err == nil && store {
+		_, err = s.put(sh, key, si, val.Bytes(), 0)
+	}
+	return done, err
 }
 
 // Pacon's core stores cache values with a fixed leading layout — one
@@ -688,7 +726,6 @@ func (s *Server) Service() *rpc.Service {
 			d := wire.GetDecoder(body)
 			key := d.String()
 			flags := d.Uint32()
-			expect := d.Uint64()
 			value := d.BlobView()
 			err := d.Finish()
 			wire.PutDecoder(d)
@@ -696,7 +733,7 @@ func (s *Server) Service() *rpc.Service {
 				return at, err
 			}
 			done := s.acquire(at)
-			cas, err := s.store(key, value, flags, mode, expect)
+			cas, err := s.store(key, value, flags, mode, 0)
 			if err != nil {
 				return done, err
 			}
@@ -706,7 +743,7 @@ func (s *Server) Service() *rpc.Service {
 	}
 	svc.HandleInto("set", store(storeSet))
 	svc.HandleInto("add", store(storeAdd))
-	svc.HandleInto("cas", store(storeCAS))
+	svc.HandleInto("mutate", s.mutate)
 	svc.HandleInto("settle_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		// The whole frame is decoded and every action checked before the
 		// first key is touched: a malformed request settles nothing.
