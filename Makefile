@@ -8,13 +8,14 @@ build:
 test: build
 	$(GO) test ./...
 
-# check is the full gate: tier-1 build+test, vet, the benchmark module
-# (its own go.mod, so ./... does not reach it — an internal/ API change
-# that breaks it must fail here, not in the benchmark pipeline), and the
-# race detector over the packages with real concurrency (the chaos
-# harness runs its bounded seed set — over 100 randomized schedules —
-# under -race).
+# check is the full gate: gofmt, tier-1 build+test, vet, the benchmark
+# module (its own go.mod, so ./... does not reach it — an internal/ API
+# change that breaks it must fail here, not in the benchmark pipeline),
+# and the race detector over the packages with real concurrency (the
+# chaos harness runs its bounded seed set — over 100 randomized
+# schedules — under -race).
 check: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) vet -C benchmark .

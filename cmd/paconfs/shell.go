@@ -311,8 +311,10 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 		return rep.String(), false, nil
 
 	case "slow":
-		// slow [THRESHOLD_MS] [N]: the N slowest traced ops whose total
-		// wall latency exceeded the threshold, with per-stage breakdown.
+		// slow [THRESHOLD_MS] [N]: the N slowest kept spans whose total
+		// wall latency reached the threshold, one line each: a sampled
+		// span with its critical-path segments, a tail-kept one with its
+		// header only.
 		max := 10
 		if len(args) > 0 {
 			ms, perr := strconv.Atoi(args[0])
@@ -334,11 +336,11 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 		}
 		spans := s.obs.SlowSpans(max)
 		if len(spans) == 0 {
-			return fmt.Sprintf("no traced ops over %v", s.obs.SlowThreshold()), false, nil
+			return fmt.Sprintf("no kept spans over %v (head sampling 1-in-%d)", s.obs.SlowThreshold(), s.obs.SampleN()), false, nil
 		}
 		lines := make([]string, 0, len(spans))
 		for _, sp := range spans {
-			lines = append(lines, sp.String())
+			lines = append(lines, sp.Line())
 		}
 		return strings.Join(lines, "\n"), false, nil
 
@@ -355,7 +357,7 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 			}
 			cp, ok := s.obs.SpanTrace(id)
 			if !ok {
-				return fmt.Sprintf("span %d: no events retained (overwritten or never traced)", id), false, nil
+				return fmt.Sprintf("span %d: not retained (rotated out of the kept ring, or never kept)", id), false, nil
 			}
 			return cp.String(), false, nil
 		}

@@ -226,3 +226,40 @@ func TestShellHealthAndAudit(t *testing.T) {
 		t.Fatalf("help missing audit: %q", out)
 	}
 }
+
+// TestShellSlowAndTrace drives the read side of the span store: with
+// every op sampled, a create and a drain leave one kept span, which
+// `slow 0` lists on one line with its critical-path segments and `trace
+// SPAN` prints with its cross-node timeline.
+func TestShellSlowAndTrace(t *testing.T) {
+	sh := testShell(t)
+	sh.obs.SetSampleN(1)
+	run(t, sh, "create f.dat")
+	run(t, sh, "drain")
+
+	slow := run(t, sh, "slow 0")
+	var line string
+	for _, l := range strings.Split(slow, "\n") {
+		if strings.Contains(l, " create /w/f.dat ") {
+			line = l
+		}
+	}
+	if line == "" || !strings.Contains(line, "kept=sampled outcome=apply [") ||
+		!strings.Contains(line, "queue_wait=") || !strings.Contains(line, "dfs_apply=") {
+		t.Fatalf("slow 0 must list the create with its segments: %q", slow)
+	}
+	span := strings.TrimPrefix(strings.Fields(line)[0], "span=")
+
+	out := run(t, sh, "trace "+span)
+	if !strings.HasPrefix(out, line+"\n") {
+		t.Fatalf("trace %s must open with the slow log's line %q: %q", span, line, out)
+	}
+	for _, want := range []string{"start", "enqueue", "dequeue", "apply", "node=node0 ", "srv_recv", "/pacon-"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("trace %s timeline missing %q: %q", span, want, out)
+		}
+	}
+	if out := run(t, sh, "trace 999999"); !strings.Contains(out, "not retained") {
+		t.Fatalf("trace of an unknown span: %q", out)
+	}
+}

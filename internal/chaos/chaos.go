@@ -136,7 +136,7 @@ type Result struct {
 	CacheEntries int // cache entries resident after the final drain
 	Stats        core.RegionStats
 	// StageSummary is the run's pipeline-stage latency summary plus the
-	// slowest traced ops. Filled only when the schedule violated — it is
+	// slowest kept spans. Filled only when the schedule violated — it is
 	// the first thing to read when triaging a failing seed.
 	StageSummary string
 	// Audit is the post-drain divergence-audit report: every committed
@@ -146,8 +146,8 @@ type Result struct {
 	// (it would catch a verifyConverged bug as readily as a core one).
 	Audit audit.Report
 	// Flight is the flight-recorder dump (JSON) cut when the schedule
-	// violated: span rings, recent cross-node critical paths, counters
-	// and gauges at the moment of failure. Also written to
+	// violated: recent cross-node critical paths, the spans still in
+	// flight, counters and gauges at the moment of failure. Also written to
 	// $CHAOS_FLIGHT_DIR when set (CI uploads those as artifacts). Empty
 	// on passing schedules.
 	Flight []byte
@@ -857,9 +857,9 @@ func Run(cfg Config) (Result, error) {
 		var sb strings.Builder
 		sb.WriteString(o.Summary())
 		if slow := o.SlowSpans(5); len(slow) > 0 {
-			sb.WriteString("\nslowest traced ops:\n")
+			sb.WriteString("\nslowest kept spans:\n")
 			for _, sp := range slow {
-				sb.WriteString("  " + sp.String() + "\n")
+				sb.WriteString("  " + sp.Line() + "\n")
 			}
 		}
 		res.StageSummary = sb.String()

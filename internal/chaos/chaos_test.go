@@ -147,9 +147,9 @@ func TestChaosShardKillRecover(t *testing.T) {
 
 // TestChaosLostCommitFlightRecorder runs the deliberately failing
 // schedule: one commit is silently lost, so the run must end in
-// violations AND carry a flight-recorder dump whose ring evidence
-// includes the lost op's cross-node span (client-side stage events plus
-// cache-server handler events — chaos samples every span).
+// violations AND carry a flight-recorder dump whose kept spans include a
+// cross-node one (client-side stage events plus cache-server or MDS
+// handler events — chaos samples every span).
 func TestChaosLostCommitFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("CHAOS_FLIGHT_DIR", dir)
@@ -168,25 +168,15 @@ func TestChaosLostCommitFlightRecorder(t *testing.T) {
 		t.Fatal("flight dump has no trigger reason")
 	}
 
-	// Cross-node span evidence: find any span with events from both a
+	// Cross-node span evidence: a kept span with events from both a
 	// client node and a service address (cache server "<node>/pacon-*"
 	// or the MDS). Chaos runs with SetSampleN(1), so every op's RPCs
 	// were tagged.
-	byNode := map[uint64]map[string]bool{}
-	for _, ev := range dump.Events {
-		if ev.Span == 0 {
-			continue
-		}
-		if byNode[ev.Span] == nil {
-			byNode[ev.Span] = map[string]bool{}
-		}
-		byNode[ev.Span][ev.Node] = true
-	}
 	crossNode := false
-	for _, nodes := range byNode {
+	for _, cp := range append(dump.RecentSpans, dump.SlowSpans...) {
 		var client, server bool
-		for n := range nodes {
-			if strings.Contains(n, "/") {
+		for _, ev := range cp.Events {
+			if strings.Contains(ev.Node, "/") {
 				server = true
 			} else {
 				client = true
@@ -198,8 +188,8 @@ func TestChaosLostCommitFlightRecorder(t *testing.T) {
 		}
 	}
 	if !crossNode {
-		t.Fatalf("no span in the dump has cross-node events (%d events, %d spans)",
-			len(dump.Events), len(byNode))
+		t.Fatalf("no kept span in the dump has cross-node events (%d recent, %d slow)",
+			len(dump.RecentSpans), len(dump.SlowSpans))
 	}
 
 	// The dump was also written as a file for CI artifact upload.

@@ -104,9 +104,9 @@ func BenchmarkClientCreateSharded(b *testing.B) {
 // alloc-gate pins: a Stat allocates nothing (the reply is decoded where
 // it landed, in a pooled buffer), a 16-key StatMulti its result slice
 // plus the per-call grouping and fan-out. Both warm up first, past the
-// first op obs head-samples: that op allocates the node's event ring, a
-// 2 MiB cost of the deployment that would otherwise land in the timed
-// loop and read as a kilobyte an op at -benchtime 2000x.
+// first op obs head-samples: that op allocates the span assembler's map
+// and its segments' critpath histograms, a one-time cost of the
+// deployment that would otherwise land in the timed loop.
 func BenchmarkClientStatHit(b *testing.B) {
 	_, c := benchEnv(b, 4)
 	now, err := c.Create(0, "/w/hot", 0o644)

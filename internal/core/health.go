@@ -94,8 +94,8 @@ type AuditVerdict struct {
 
 // RecordAudit stores the latest divergence-audit verdict. Divergence is
 // the one condition asynchronous commit can never repair on its own, so
-// it fires the flight recorder immediately — by the next poll the
-// recent-span and ring evidence may already be overwritten.
+// it fires the flight recorder immediately — by the next poll the kept
+// spans may already be overwritten.
 func (r *Region) RecordAudit(v AuditVerdict) {
 	r.auditMu.Lock()
 	r.lastAudit = &v

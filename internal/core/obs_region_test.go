@@ -10,11 +10,24 @@ import (
 	"pacon/internal/vclock"
 )
 
-// TestSpanLifecycleOrdering drives one create through the full pipeline
-// and checks its trace: enqueue happens-before dequeue happens-before
-// apply, all on one span, and the stage histograms saw the op.
+// keptSpans returns the kept spans of path, newest first.
+func keptSpans(o *obs.Obs, path string) []obs.CritPath {
+	var out []obs.CritPath
+	for _, cp := range o.RecentSpans(0) {
+		if cp.Path == path {
+			out = append(out, cp)
+		}
+	}
+	return out
+}
+
+// TestSpanLifecycleOrdering drives one sampled create through the full
+// pipeline and checks its kept span: enqueue happens-before dequeue
+// happens-before apply, all on one span, and the stage histograms saw the
+// op.
 func TestSpanLifecycleOrdering(t *testing.T) {
 	o := obs.New()
+	o.SetSampleN(1)
 	e := newEnvDeps(t, 1, nil, func(d *Deps) { d.Obs = o })
 	c := e.client(t, "node0")
 
@@ -26,29 +39,19 @@ func TestSpanLifecycleOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var evs []obs.Event
-	for _, ev := range o.Events() {
-		if ev.Path == "/w/traced" {
-			evs = append(evs, ev)
-		}
+	kept := keptSpans(o, "/w/traced")
+	if len(kept) != 1 || kept[0].Span == 0 || kept[0].Kept != obs.KeptSampled {
+		t.Fatalf("kept spans for the create = %+v, want one sampled span", kept)
 	}
-	if len(evs) == 0 {
-		t.Fatal("no trace events for the create")
-	}
-	span := evs[0].Span
-	if span == 0 {
-		t.Fatal("span id zero with obs enabled")
-	}
+	cp := kept[0]
 	var order []obs.Stage
-	lastWall := int64(0)
-	for _, ev := range evs {
-		if ev.Span != span {
-			t.Fatalf("mixed spans in single-op trace: %d vs %d", ev.Span, span)
+	for i, ev := range cp.Events {
+		if ev.Span != cp.Span {
+			t.Fatalf("mixed spans in single-op trace: %d vs %d", ev.Span, cp.Span)
 		}
-		if ev.Wall < lastWall {
-			t.Fatalf("events out of wall order: %v", evs)
+		if i > 0 && ev.Wall < cp.Events[i-1].Wall {
+			t.Fatalf("events out of wall order: %v", cp.Events)
 		}
-		lastWall = ev.Wall
 		order = append(order, ev.Stage)
 	}
 	idx := func(s obs.Stage) int {
@@ -63,8 +66,8 @@ func TestSpanLifecycleOrdering(t *testing.T) {
 	if enq == -1 || deq == -1 || app == -1 {
 		t.Fatalf("missing lifecycle stage: stages=%v", order)
 	}
-	if !(enq < deq && deq < app) {
-		t.Fatalf("stage order wrong: enqueue=%d dequeue=%d apply=%d", enq, deq, app)
+	if !(enq < deq && deq < app) || cp.Outcome != obs.StageApply {
+		t.Fatalf("stage order wrong: enqueue=%d dequeue=%d apply=%d outcome=%v", enq, deq, app, cp.Outcome)
 	}
 
 	q := o.HistQuantiles()
@@ -76,14 +79,18 @@ func TestSpanLifecycleOrdering(t *testing.T) {
 }
 
 // TestCoalesceTracedAsMerge checks that an op absorbed by dequeue-time
-// coalescing closes with a coalesce event rather than an apply.
+// coalescing closes with a coalesce event rather than an apply. The
+// commit processes are held until the create and its eight writes are all
+// queued, so they leave in one dequeue batch and fold.
 func TestCoalesceTracedAsMerge(t *testing.T) {
 	o := obs.New()
+	o.SetSampleN(1)
 	e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
 		cfg.CommitBatchSize = 64
 	}, func(d *Deps) { d.Obs = o })
 	c := e.client(t, "node0")
 
+	release := holdCommits(t, e.region)
 	at, err := c.Create(0, "/w/burst", 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -95,20 +102,25 @@ func TestCoalesceTracedAsMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	release()
 	if _, err := e.region.Drain(at); err != nil {
 		t.Fatal(err)
 	}
-	if e.region.Stats().Coalesced == 0 {
-		t.Skip("batch committed without coalescing (timing-dependent)")
+	coalesced := e.region.Stats().Coalesced
+	if coalesced == 0 {
+		t.Fatal("nine queued ops on one path committed without coalescing")
 	}
-	merged := 0
-	for _, ev := range o.Events() {
-		if ev.Path == "/w/burst" && ev.Stage == obs.StageCoalesce {
+	var merged, applied int64
+	for _, cp := range keptSpans(o, "/w/burst") {
+		switch cp.Outcome {
+		case obs.StageCoalesce:
 			merged++
+		case obs.StageApply:
+			applied++
 		}
 	}
-	if merged == 0 {
-		t.Fatal("coalesced ops but no coalesce trace events")
+	if merged != coalesced || applied == 0 {
+		t.Fatalf("kept spans: %d ended in coalesce, %d in apply; region coalesced %d", merged, applied, coalesced)
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 // branch per hook — no node exists, no span is allocated (Op.Span stays
 // 0), and nothing reads a clock.
 
-// trace records one stage event on the op's span.
+// trace records one stage event on a sampled op's span (a sampled op's
+// node always has a handle); an unsampled op records nothing.
 func (op *Op) trace(stage obs.Stage, note string) {
-	if op.node != nil && op.node.tel != nil {
-		op.node.tel.Event(op.Span, op.Sampled, stage, op.Kind.String(), op.Path, note)
+	if op.Sampled {
+		op.node.tel.Event(op.Span, true, stage, op.Kind.String(), op.Path, note)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestCreateCriticalPath(t *testing.T) {
 		t.Fatalf("segments sum %v vs total %v: off by more than 5%%", sum, cp.Total)
 	}
 
-	// Cross-node evidence: the client's ring plus at least one service
+	// Cross-node evidence: the client node plus at least one service
 	// address (cache server or MDS) contributed events to the span.
 	nodes := map[string]bool{}
 	for _, ev := range cp.Events {
@@ -355,8 +355,7 @@ func TestEntryPointsInstrumentedAlike(t *testing.T) {
 // TestNodeFailureClosesSpans: ops lost with a crashed node reach the one
 // terminal hook like any other, so their sampled spans close with their
 // tracker entries. Left open they would fill the assembler (1,024 active
-// spans) and silently degrade every later sample to ring-only for the
-// life of the process.
+// spans) and leave every later op unsampled for the life of the process.
 func TestNodeFailureClosesSpans(t *testing.T) {
 	o := obs.New()
 	o.SetSampleN(1)

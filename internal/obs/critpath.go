@@ -140,17 +140,30 @@ func AnalyzeSpan(evs []Event) CritPath {
 	return cp
 }
 
-// String renders one kept span for the shell / debug endpoint.
-func (c CritPath) String() string {
+// Line renders one kept span's header and its segments on one line —
+// the slow-op log's entry.
+func (c CritPath) Line() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "span=%d %s %s total=%v kept=%s outcome=%s",
 		c.Span, c.Op, c.Path, c.Total, c.Kept, c.Outcome)
 	if len(c.Segments) > 0 {
-		b.WriteString("\n  segments:")
-		for _, s := range c.Segments {
-			fmt.Fprintf(&b, " %s=%v", s.Name, s.D)
+		b.WriteString(" [")
+		for i, s := range c.Segments {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%v", s.Name, s.D)
 		}
+		b.WriteString("]")
 	}
+	return b.String()
+}
+
+// String renders Line followed by the span's ordered cross-node timeline,
+// for `paconfs trace SPAN`.
+func (c CritPath) String() string {
+	var b strings.Builder
+	b.WriteString(c.Line())
 	for _, ev := range c.Events {
 		fmt.Fprintf(&b, "\n  +%-12v %-8s node=%s %s %s",
 			time.Duration(ev.Wall-c.Events[0].Wall), ev.Stage, ev.Node, ev.Op, ev.Path)

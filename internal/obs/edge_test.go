@@ -5,51 +5,6 @@ import (
 	"testing"
 )
 
-// TestRingWraparoundDefaultSize drives a default-sized ring (4096) past
-// capacity and checks the overwrite semantics: exactly the last 4096
-// events stay resident, returned oldest-first in record order, each
-// stamped with the recording node.
-func TestRingWraparoundDefaultSize(t *testing.T) {
-	r := New().Node("node0")
-
-	const total = 5000
-	for i := 0; i < total; i++ {
-		r.record(Event{Span: uint64(i + 1), Wall: int64(i)}, false)
-	}
-
-	evs := r.events()
-	if len(evs) != ringSize {
-		t.Fatalf("resident events = %d, want %d", len(evs), ringSize)
-	}
-	// 5000 records into a 4096 ring: spans 1..904 were overwritten, so
-	// the oldest resident event is span 905 and the newest span 5000.
-	if got := evs[0].Span; got != total-ringSize+1 {
-		t.Fatalf("oldest resident span = %d, want %d", got, total-ringSize+1)
-	}
-	if got := evs[len(evs)-1].Span; got != total {
-		t.Fatalf("newest resident span = %d, want %d", got, total)
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Span != evs[i-1].Span+1 {
-			t.Fatalf("resident events out of order at %d: %d after %d",
-				i, evs[i].Span, evs[i-1].Span)
-		}
-		if evs[i].Node != "node0" {
-			t.Fatalf("ring did not stamp node: %q", evs[i].Node)
-		}
-	}
-
-	// A second full lap must still hold exactly one ring's worth.
-	for i := 0; i < ringSize; i++ {
-		r.record(Event{Span: uint64(total + i + 1)}, false)
-	}
-	evs = r.events()
-	if len(evs) != ringSize || evs[0].Span != total+1 {
-		t.Fatalf("after second lap: len=%d oldest=%d, want %d/%d",
-			len(evs), evs[0].Span, ringSize, total+1)
-	}
-}
-
 // TestQuantileEmpty: an empty snapshot digests to zero everywhere, for
 // every quantile including the clamped extremes.
 func TestQuantileEmpty(t *testing.T) {

@@ -10,11 +10,12 @@ import (
 
 // Flight recorder: an anomaly-triggered black-box snapshot. When Health
 // worsens to degraded/stalled, an audit reports divergence, or a chaos
-// seed fails, TriggerFlight captures — in one pass — every resident
-// ring event, the counter/gauge registry, per-stage latency quantiles,
-// and the recent kept + slow spans, as a JSON dump for post-mortem. The
-// point is timing: by the time a human looks, the 4096-event rings have
-// rotated; the dump is cut at the moment the anomaly was detected.
+// seed fails, TriggerFlight captures — in one pass — the counter/gauge
+// registry, per-stage latency quantiles, the recent kept + slow spans,
+// and the events of the sampled spans still in flight, as a JSON dump
+// for post-mortem. The point is timing: by the time a human looks, the
+// 256-span kept ring has rotated; the dump is cut at the moment the
+// anomaly was detected.
 
 // flightMinInterval rate-limits dumps: an anomaly that keeps firing
 // (e.g. a health probe polling a stalled region) produces one snapshot
@@ -29,14 +30,13 @@ type FlightDump struct {
 	Gauges      map[string]int64     `json:"gauges,omitempty"`
 	Latency     map[string]Quantiles `json:"latency_ns,omitempty"`
 	RecentSpans []CritPath           `json:"recent_spans,omitempty"`
-	SlowSpans   []SpanSummary        `json:"slow_spans,omitempty"`
+	SlowSpans   []CritPath           `json:"slow_spans,omitempty"`
 	// Hotspots is the merged heavy-hitter snapshot (top paths, hot
 	// subtrees, per-node load) at dump time, so a skew-triggered dump
 	// names the paths responsible alongside the spans.
 	Hotspots *HotReport `json:"hotspots,omitempty"`
-	// Events is every event still resident in the node rings at dump
-	// time, wall-ordered — the raw material for assembling any span
-	// the kept list missed.
+	// Events is the events of the sampled spans still being assembled at
+	// dump time, wall-ordered — what RecentSpans cannot show yet.
 	Events []Event `json:"events,omitempty"`
 }
 
@@ -84,7 +84,7 @@ func (o *Obs) TriggerFlight(reason string) []byte {
 		RecentSpans: o.RecentSpans(64),
 		SlowSpans:   o.SlowSpans(32),
 		Hotspots:    o.HotReport(16, 0.05),
-		Events:      o.Events(),
+		Events:      o.activeEvents(),
 	}
 	b, err := json.MarshalIndent(dump, "", "  ")
 	if err != nil {

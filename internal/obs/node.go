@@ -7,21 +7,17 @@ import (
 	"time"
 )
 
-// ringSize bounds one node's resident events.
-const ringSize = 4096
-
 // Node is one node's telemetry handle — the single hook the op path
-// records through. It owns the node's event ring and hot-path sketches
-// and reaches the pipeline histograms through pointers resolved once in
-// New, so no op-path call takes the registry lock or probes a map by
-// name. Every method is nil-safe: a nil *Node (observability disabled)
-// costs the caller one branch.
+// records through. It owns the node's hot-path sketches and reaches the
+// pipeline histograms and the span assembler through pointers resolved
+// once in New, so no op-path call takes the registry lock or probes a map
+// by name; it stores no events of its own. Every method is nil-safe: a
+// nil *Node (observability disabled) costs the caller one branch.
 //
 // Nodes are keyed by name in one registry (Obs.nodes). A name is either
-// a client node ("node0", handed out by Obs.Node) or a service address
-// ("node1/pacon-app", "storage0/mds", created by the RPC seam for the
-// server side of sampled spans and the per-shard RPC breakdown); only
-// the former carry sketches.
+// a client node ("node0", handed out by Obs.Node) or an MDS address
+// ("storage0/mds", created by the RPC seam for the per-shard RPC
+// breakdown); only the former carry sketches.
 type Node struct {
 	o    *Obs
 	name string
@@ -30,14 +26,6 @@ type Node struct {
 	// node to a client. Service-address nodes keep it nil, which is what
 	// keeps them out of the hotspot tables and the node-load skew.
 	hot atomic.Pointer[sketches]
-
-	// The event ring: a fixed-size overwrite buffer under its own mutex,
-	// so recording is O(1), allocation-free after the first event, and
-	// nodes never contend with each other.
-	mu   sync.Mutex
-	buf  []Event
-	next int
-	full bool
 
 	// Per-address DFS RPC breakdown, registered as "dfs_rpc/<addr>" and
 	// "dfs_rpc_errors/<addr>" by the first round trip to an MDS address.
@@ -69,7 +57,7 @@ func (o *Obs) node(name string) *Node {
 }
 
 // nodeList snapshots the registry in name order — the one iteration
-// every reader (events, slow spans, hotspot tables, flight dump) uses.
+// every reader (hotspot tables, node-load skew) uses.
 func (o *Obs) nodeList() []*Node {
 	var ns []*Node
 	o.nodes.Range(func(_, v any) bool {
@@ -83,9 +71,11 @@ func (o *Obs) nodeList() []*Node {
 // OpBegin opens a client call: every path named feeds the hot-path
 // sketches, the call gets a span ID (never 0), and the head sampler
 // decides whether the span is assembled end to end — a sampled call
-// records its start event here. start is the wall time OpEnd measures
-// the call's synchronous latency from. Callers nest calls (Rmdir stats
-// its target) and must begin only the outermost.
+// opens its assembly buffer with its start event here. A call the sampler
+// picks while the assembler is full is unsampled: tail-keep still
+// applies, and its RPCs carry no trace context. start is the wall time
+// OpEnd measures the call's synchronous latency from. Callers nest calls
+// (Rmdir stats its target) and must begin only the outermost.
 func (n *Node) OpBegin(op string, paths ...string) (span uint64, sampled bool, start int64) {
 	if n == nil {
 		return 0, false, 0
@@ -93,13 +83,12 @@ func (n *Node) OpBegin(op string, paths ...string) (span uint64, sampled bool, s
 	n.hot.Load().record(paths) // set: only Obs.Node hands a node to the op path
 	span = n.o.spanSeq.Add(1)
 	start = time.Now().UnixNano()
-	if sampled = n.o.sampleNext(); sampled {
-		n.o.openSpan(span)
-		ev := Event{Span: span, Stage: StageClientStart, Op: op, Wall: start}
+	if n.o.sampleNext() {
+		ev := Event{Span: span, Stage: StageClientStart, Node: n.name, Op: op, Wall: start}
 		if len(paths) > 0 {
 			ev.Path = paths[0]
 		}
-		n.record(ev, true)
+		sampled = n.o.openSpan(ev)
 	}
 	return span, sampled, start
 }
@@ -118,14 +107,17 @@ func (n *Node) OpEnd(span uint64, sampled, queued bool, start int64) {
 	}
 }
 
-// Event records one stage event on a span and returns the wall time it
-// stamped.
+// Event returns the wall time now and, on a sampled span, records one
+// stage event at it into the span's assembly buffer. An unsampled span
+// records nothing: Dequeue and Terminal need only the time.
 func (n *Node) Event(span uint64, sampled bool, stage Stage, op, path, note string) int64 {
 	if n == nil {
 		return 0
 	}
 	wall := time.Now().UnixNano()
-	n.record(Event{Span: span, Stage: stage, Op: op, Path: path, Wall: wall, Note: note}, sampled)
+	if sampled {
+		n.o.bufferEvent(Event{Span: span, Stage: stage, Node: n.name, Op: op, Path: path, Wall: wall, Note: note})
+	}
 	return wall
 }
 
@@ -144,7 +136,7 @@ func (n *Node) Dequeue(span uint64, sampled bool, enqWall int64, op, path string
 // commit_lag; a sampled span is assembled and attributed; an unsampled
 // one that ended anomalous (dropped, ever parked, or slower than the
 // slow-span threshold) is tail-kept. The healthy unsampled case is one
-// ring write and two compares, no allocation.
+// clock read and two compares, no lock and no allocation.
 func (n *Node) Terminal(span uint64, sampled, parked bool, enqWall int64, stage Stage, op, path, note string) (lag int64) {
 	if n == nil {
 		return 0
@@ -158,40 +150,9 @@ func (n *Node) Terminal(span uint64, sampled, parked bool, enqWall int64, stage 
 	case sampled:
 		o.finalizeSpan(span)
 	case stage == StageDrop || parked || lag >= o.slowNanos.Load():
-		o.tailKeep(span, op, path, time.Duration(lag))
+		o.tailKeep(span, op, path, stage, time.Duration(lag))
 	}
 	return lag
-}
-
-// record appends ev to the node's ring, overwriting the oldest event
-// when full; a sampled span's event also feeds its active buffer, so the
-// assembler never scans rings at finalize time.
-func (n *Node) record(ev Event, sampled bool) {
-	ev.Node = n.name
-	n.mu.Lock()
-	if n.buf == nil {
-		n.buf = make([]Event, ringSize)
-	}
-	n.buf[n.next] = ev
-	if n.next++; n.next == len(n.buf) {
-		n.next, n.full = 0, true
-	}
-	n.mu.Unlock()
-	if sampled {
-		n.o.bufferEvent(ev)
-	}
-}
-
-// events returns the resident events oldest-first.
-func (n *Node) events() []Event {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.full {
-		return append([]Event(nil), n.buf[:n.next]...)
-	}
-	out := make([]Event, 0, len(n.buf))
-	out = append(out, n.buf[n.next:]...)
-	return append(out, n.buf[:n.next]...)
 }
 
 // observeRPC feeds the per-address DFS RPC breakdown, exposing it

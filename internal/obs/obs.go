@@ -57,7 +57,7 @@ const DefaultSlowSpan = 20 * time.Millisecond
 // and the shell snapshot.
 type Obs struct {
 	// nodes is the one per-node registry: name -> *Node, for client nodes
-	// and service addresses alike. Lookup is lock-free once a name is
+	// and MDS addresses alike. Lookup is lock-free once a name is
 	// known; every reader ranges over it through nodeList.
 	nodes sync.Map
 
@@ -81,8 +81,8 @@ type Obs struct {
 	spansSampled atomic.Int64
 	tailKept     atomic.Int64
 
-	// Active sampled-span buffers and the kept-span overwrite ring
-	// (sampler.go).
+	// The one span store (sampler.go): active sampled-span buffers and
+	// the kept-span overwrite ring.
 	activeMu sync.Mutex
 	active   map[uint64][]Event
 	recentMu sync.Mutex
@@ -198,20 +198,19 @@ func (o *Obs) rpcErrorHist() *Histogram {
 
 // ObserveServerSpan implements the server-side trace hook (see
 // rpc.SpanObserver): a service that handled an RPC carrying a sampled
-// span's trace context records recv/done events under the *service
-// address's* node — so the span's assembled timeline shows its
-// cross-node hops — and into the span's active buffer.
+// span's trace context records recv/done events, under the *service
+// address* as their node, into the span's active buffer — so the span's
+// assembled timeline shows its cross-node hops.
 func (o *Obs) ObserveServerSpan(span uint64, hop uint8, addr, method string, start time.Time, d time.Duration, err error) {
 	if o == nil || span == 0 {
 		return
 	}
-	n := o.node(addr)
 	note := ""
 	if err != nil {
 		note = err.Error()
 	}
-	n.record(Event{Span: span, Stage: StageServerRecv, Op: method, Wall: start.UnixNano()}, true)
-	n.record(Event{Span: span, Stage: StageServerDone, Op: method, Wall: start.Add(d).UnixNano(), Note: note}, true)
+	o.bufferEvent(Event{Span: span, Stage: StageServerRecv, Node: addr, Op: method, Wall: start.UnixNano()})
+	o.bufferEvent(Event{Span: span, Stage: StageServerDone, Node: addr, Op: method, Wall: start.Add(d).UnixNano(), Note: note})
 }
 
 // RegisterCounter registers a monotonically non-decreasing reader (e.g.

@@ -127,19 +127,21 @@ func TestRegistryNilSafe(t *testing.T) {
 	}
 }
 
-// TestEventsAndSlowSpans feeds two spans' events into two nodes' rings
-// at fixed wall times (through record, the sink every hook ends in) and
-// checks the read side: per-span wall ordering across nodes, and the
-// slow-op log's threshold, totals and per-stage breakdown.
+// TestEventsAndSlowSpans feeds two sampled spans' events, from two
+// nodes and out of wall order, into the assembler at fixed wall times
+// (through openSpan and bufferEvent, the sinks every hook ends in) and
+// checks the read side: a span in flight reads back from its buffer, and
+// the flight dump's events hold both spans wall-ordered; once finished,
+// the slow-op log applies its threshold and lists the span with its
+// total, outcome and segments.
 func TestEventsAndSlowSpans(t *testing.T) {
 	o := New()
 	const s1, s2 = 1, 2
-	r0, r1 := o.Node("n0"), o.Node("n1")
-	r0.record(Event{Span: s1, Stage: StageEnqueue, Op: "create", Path: "/a", Wall: 100}, false)
-	r1.record(Event{Span: s1, Stage: StageDequeue, Op: "create", Path: "/a", Wall: 200}, false)
-	r1.record(Event{Span: s1, Stage: StageApply, Op: "create", Path: "/a", Wall: 900}, false)
-	r0.record(Event{Span: s2, Stage: StageEnqueue, Op: "rm", Path: "/b", Wall: 150}, false)
-	r0.record(Event{Span: s2, Stage: StageApply, Op: "rm", Path: "/b", Wall: 250}, false)
+	o.openSpan(Event{Span: s1, Stage: StageEnqueue, Node: "n0", Op: "create", Path: "/a", Wall: 100})
+	o.bufferEvent(Event{Span: s1, Stage: StageApply, Node: "n1", Op: "create", Path: "/a", Wall: 900})
+	o.bufferEvent(Event{Span: s1, Stage: StageDequeue, Node: "n1", Op: "create", Path: "/a", Wall: 200})
+	o.openSpan(Event{Span: s2, Stage: StageEnqueue, Node: "n0", Op: "rm", Path: "/b", Wall: 150})
+	o.bufferEvent(Event{Span: s2, Stage: StageApply, Node: "n0", Op: "rm", Path: "/b", Wall: 250})
 
 	cp, ok := o.SpanTrace(s1)
 	if !ok || len(cp.Events) != 3 {
@@ -155,25 +157,35 @@ func TestEventsAndSlowSpans(t *testing.T) {
 		t.Fatalf("lifecycle order wrong: %v ... %v", evs[0].Stage, evs[2].Stage)
 	}
 	if evs[0].Node != "n0" || evs[1].Node != "n1" {
-		t.Fatalf("recording node not stamped: %q, %q", evs[0].Node, evs[1].Node)
+		t.Fatalf("recording node lost: %q, %q", evs[0].Node, evs[1].Node)
 	}
-	if all := o.Events(); len(all) != 5 || all[0].Wall != 100 || all[1].Span != s2 {
-		t.Fatalf("merged events = %+v, want 5 in wall order", all)
+	if all := o.activeEvents(); len(all) != 5 || all[0].Wall != 100 || all[1].Span != s2 {
+		t.Fatalf("in-flight events = %+v, want 5 in wall order", all)
 	}
 
+	o.finalizeSpan(s1)
+	o.finalizeSpan(s2)
+	if left := o.activeEvents(); len(left) != 0 {
+		t.Fatalf("finished spans left %d in-flight events", len(left))
+	}
 	o.SetSlowThreshold(500)
 	slow := o.SlowSpans(0)
 	if len(slow) != 1 || slow[0].Span != s1 {
 		t.Fatalf("slow spans = %+v, want only span %d", slow, s1)
 	}
-	if slow[0].Total != 800 || slow[0].Outcome != StageApply {
-		t.Fatalf("slow summary = %+v", slow[0])
+	if slow[0].Total != 800 || slow[0].Outcome != StageApply || slow[0].Kept != KeptSampled {
+		t.Fatalf("slow span = %+v", slow[0])
 	}
-	if len(slow[0].Steps) != 3 || slow[0].Steps[1].D != 100 || slow[0].Steps[2].D != 700 {
-		t.Fatalf("per-stage breakdown wrong: %+v", slow[0].Steps)
+	segs := map[string]time.Duration{}
+	for _, sg := range slow[0].Segments {
+		segs[sg.Name] = sg.D
 	}
-	if s := slow[0].String(); !strings.Contains(s, "apply") || !strings.Contains(s, "create") {
-		t.Fatalf("summary render missing fields: %q", s)
+	if len(segs) != 2 || segs[SegQueueWait] != 100 || segs[SegDFSApply] != 700 {
+		t.Fatalf("segments wrong: %+v", slow[0].Segments)
+	}
+	if s := slow[0].Line(); !strings.Contains(s, "create /a") || !strings.Contains(s, "outcome=apply") ||
+		!strings.Contains(s, "queue_wait=100ns") || strings.Contains(s, "\n") {
+		t.Fatalf("slow line missing fields or not one line: %q", s)
 	}
 }
 

@@ -1,29 +1,35 @@
 package obs
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
-// Tail-based span sampling. Every op gets a span ID and records its
-// stage events into the per-node rings (zero-alloc); sampling decides
-// which spans are additionally *assembled*: their events accumulate in
-// an active-span buffer — including the server-side events other nodes
-// contribute over the wire — and at the op's terminal the buffer is
-// stitched into an ordered cross-node timeline with critical-path
-// attribution (critpath.go).
+// Tail-based span sampling, and the one place spans are stored. Every op
+// gets a span ID; sampling decides which spans are *assembled*: their
+// events accumulate in an active-span buffer — including the server-side
+// events other nodes contribute over the wire — and at the op's terminal
+// the buffer is stitched into an ordered cross-node timeline with
+// critical-path attribution (critpath.go) and moved to the kept ring.
 //
 // The policy is tail-based: 1 in SampleN ops is sampled up front, and
 // ops that turn out anomalous — dropped, ever parked, or slower than
 // the slow-span threshold — are kept at their terminal even when the
-// head decision said no. The unsampled path does no locking and no
-// allocation: one atomic add at op start, one compare at op end.
+// head decision said no, as a header-only record. The unsampled path
+// stores no event, takes no tracing lock and allocates nothing: one
+// atomic add at op start, one compare at op end. Every reader — slow
+// log, span lookup, flight dump — reads the kept ring or the active
+// buffers.
 
 // DefaultSampleN is the head-sampling rate until overridden: 1 in 64
 // ops is fully assembled.
 const DefaultSampleN = 64
 
 // Bounds on the assembler's memory: at most maxActiveSpans sampled
-// spans in flight (excess spans degrade to ring-only tracing), at most
-// maxSpanEvents buffered per span, and a maxRecentSpans overwrite ring
-// of finished kept spans.
+// spans in flight (a span the sampler picks past that is unsampled), at
+// most maxSpanEvents buffered per span (past that the newest event
+// overwrites the last slot, so the terminal always lands), and a
+// maxRecentSpans overwrite ring of finished kept spans.
 const (
 	maxActiveSpans = 1024
 	maxSpanEvents  = 512
@@ -61,37 +67,58 @@ func (o *Obs) sampleNext() bool {
 	if n <= 0 {
 		return false
 	}
-	if n > 1 && o.sampleSeq.Add(1)%uint64(n) != 0 {
+	return n == 1 || o.sampleSeq.Add(1)%uint64(n) == 0
+}
+
+// openSpan opens a head-sampled span's active buffer with its first
+// event and reports whether it did: at capacity it does not, and the
+// span is not counted as sampled.
+func (o *Obs) openSpan(first Event) bool {
+	o.activeMu.Lock()
+	defer o.activeMu.Unlock()
+	if o.active == nil {
+		o.active = make(map[uint64][]Event)
+	}
+	if len(o.active) >= maxActiveSpans {
 		return false
 	}
+	o.active[first.Span] = []Event{first}
 	o.spansSampled.Add(1)
 	return true
 }
 
-// openSpan opens an active-span buffer for a sampled span. If the
-// assembler is at capacity the span degrades to ring-only tracing.
-func (o *Obs) openSpan(span uint64) {
+// bufferEvent appends a sampled span's event to its active buffer; a
+// full buffer takes it in its last slot. A span that is not open
+// (finalized already) records nothing.
+func (o *Obs) bufferEvent(ev Event) {
 	o.activeMu.Lock()
-	if o.active == nil {
-		o.active = make(map[uint64][]Event)
-	}
-	if len(o.active) < maxActiveSpans {
-		if _, ok := o.active[span]; !ok {
-			o.active[span] = []Event{}
+	if evs, ok := o.active[ev.Span]; ok {
+		if len(evs) < maxSpanEvents {
+			o.active[ev.Span] = append(evs, ev)
+		} else {
+			evs[len(evs)-1] = ev
 		}
 	}
 	o.activeMu.Unlock()
 }
 
-// bufferEvent appends a sampled span's event to its active buffer (a
-// span that is not open — finalized already, or degraded at capacity —
-// keeps only its ring copy).
-func (o *Obs) bufferEvent(ev Event) {
+// activeEvents returns the events of the sampled spans still being
+// assembled, wall-ordered (a span's same-instant events keep their
+// recording order) — what the kept ring cannot show yet.
+func (o *Obs) activeEvents() []Event {
 	o.activeMu.Lock()
-	if evs, ok := o.active[ev.Span]; ok && len(evs) < maxSpanEvents {
-		o.active[ev.Span] = append(evs, ev)
+	var out []Event
+	for _, evs := range o.active {
+		out = append(out, evs...)
 	}
 	o.activeMu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Wall != out[j].Wall {
+			return out[i].Wall < out[j].Wall
+		}
+		return out[i].Span < out[j].Span
+	})
+	return out
 }
 
 // finalizeSpan closes a sampled span: its buffered events are assembled
@@ -105,7 +132,7 @@ func (o *Obs) finalizeSpan(span uint64) {
 	evs, ok := o.active[span]
 	delete(o.active, span)
 	o.activeMu.Unlock()
-	if !ok || len(evs) == 0 {
+	if !ok {
 		return
 	}
 	cp := AnalyzeSpan(evs)
@@ -116,10 +143,10 @@ func (o *Obs) finalizeSpan(span uint64) {
 	o.keepRecent(cp)
 }
 
-// tailKeep records a compact entry for an anomalous unsampled span.
-func (o *Obs) tailKeep(span uint64, op, path string, lag time.Duration) {
+// tailKeep records a header-only entry for an anomalous unsampled span.
+func (o *Obs) tailKeep(span uint64, op, path string, outcome Stage, lag time.Duration) {
 	o.tailKept.Add(1)
-	o.keepRecent(CritPath{Span: span, Op: op, Path: path, Total: lag, Kept: KeptTail})
+	o.keepRecent(CritPath{Span: span, Op: op, Path: path, Total: lag, Outcome: outcome, Kept: KeptTail})
 }
 
 // keepRecent appends to the fixed-size kept-spans overwrite ring.
@@ -158,27 +185,48 @@ func (o *Obs) RecentSpans(max int) []CritPath {
 	return out
 }
 
-// SpanTrace assembles one span's timeline on demand: from the kept ring
-// if it finished with segments attached, else from whatever events are
-// still resident in the node rings (works for unsampled and mid-flight
-// spans too).
+// SlowSpans returns the kept spans whose total meets the slow-op
+// threshold, slowest first, at most max (0 = all). A head-sampled span
+// carries its segments and timeline, a tail-kept one its header only.
+func (o *Obs) SlowSpans(max int) []CritPath {
+	if o == nil {
+		return nil
+	}
+	threshold := o.SlowThreshold()
+	var out []CritPath
+	for _, cp := range o.RecentSpans(0) {
+		if cp.Total >= threshold {
+			out = append(out, cp)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Total > out[j].Total })
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
+// SpanTrace returns one span's timeline: its kept record, or the
+// assembly buffer so far of a sampled span still in flight.
 func (o *Obs) SpanTrace(span uint64) (CritPath, bool) {
 	if o == nil || span == 0 {
 		return CritPath{}, false
 	}
 	o.recentMu.Lock()
-	for i := range o.recent {
-		if o.recent[i].Span == span && len(o.recent[i].Events) > 0 {
-			cp := o.recent[i]
+	for _, cp := range o.recent {
+		if cp.Span == span {
 			o.recentMu.Unlock()
 			return cp, true
 		}
 	}
 	o.recentMu.Unlock()
-	if evs := o.filterEvents(func(e Event) bool { return e.Span == span }); len(evs) > 0 {
-		return AnalyzeSpan(evs), true
+	o.activeMu.Lock()
+	evs := append([]Event(nil), o.active[span]...)
+	o.activeMu.Unlock()
+	if len(evs) == 0 {
+		return CritPath{}, false
 	}
-	return CritPath{}, false
+	return AnalyzeSpan(evs), true
 }
 
 // TraceStats is the sampling/flight summary block bench embeds in every

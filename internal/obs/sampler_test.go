@@ -97,8 +97,8 @@ func TestNilObsTraceSurface(t *testing.T) {
 	if ts := o.TraceStats(); ts != (TraceStats{}) {
 		t.Fatalf("nil Obs TraceStats = %+v, want zero", ts)
 	}
-	if o.Events() != nil || o.SlowSpans(0) != nil {
-		t.Fatal("nil Obs returned events or slow spans")
+	if o.SlowSpans(0) != nil {
+		t.Fatal("nil Obs returned slow spans")
 	}
 	o.SetFlightDir(t.TempDir())
 	if b := o.TriggerFlight("x"); b != nil {
@@ -255,8 +255,9 @@ func TestTailKeepAnomalies(t *testing.T) {
 }
 
 // TestFlightRecorder: a trigger produces parseable JSON carrying the
-// rings' events and kept spans, writes the file when a directory is
-// configured, counts in TraceStats, and rate-limits repeat triggers.
+// kept spans and the events of the spans still in flight, writes the
+// file when a directory is configured, counts in TraceStats, and
+// rate-limits repeat triggers.
 func TestFlightRecorder(t *testing.T) {
 	o := New()
 	o.SetSampleN(1)
@@ -268,6 +269,10 @@ func TestFlightRecorder(t *testing.T) {
 	enq := n.Event(span, sampled, StageEnqueue, "create", "/w/x", "")
 	n.OpEnd(span, sampled, true, start)
 	n.Terminal(span, sampled, false, enq, StageApply, "create", "/w/x", "")
+	// A second op is still queued at dump time.
+	queued, sampled, start := n.OpBegin("create", "/w/y")
+	n.Event(queued, sampled, StageEnqueue, "create", "/w/y", "")
+	n.OpEnd(queued, sampled, true, start)
 
 	b := o.TriggerFlight("unit test!")
 	if b == nil {
@@ -280,14 +285,14 @@ func TestFlightRecorder(t *testing.T) {
 	if dump.Reason != "unit test!" {
 		t.Fatalf("dump reason = %q", dump.Reason)
 	}
-	if len(dump.RecentSpans) != 1 || dump.RecentSpans[0].Span != span {
-		t.Fatalf("dump recent spans = %+v, want span %d", dump.RecentSpans, span)
+	if len(dump.RecentSpans) != 1 || dump.RecentSpans[0].Span != span || len(dump.RecentSpans[0].Events) != 3 {
+		t.Fatalf("dump recent spans = %+v, want span %d with start, enqueue, apply", dump.RecentSpans, span)
 	}
-	if len(dump.Events) != 3 {
-		t.Fatalf("dump carries %d ring events, want 3 (start, enqueue, apply)", len(dump.Events))
+	if len(dump.Events) != 2 || dump.Events[0].Span != queued || dump.Events[1].Stage != StageEnqueue {
+		t.Fatalf("dump events = %+v, want the queued span %d's start and enqueue", dump.Events, queued)
 	}
-	if dump.Hotspots == nil || dump.Hotspots.TotalOps != 1 || dump.Latency[HistClientOp].Count != 1 {
-		t.Fatalf("dump hotspots/latency = %+v / %+v, want the one op", dump.Hotspots, dump.Latency)
+	if dump.Hotspots == nil || dump.Hotspots.TotalOps != 2 || dump.Latency[HistClientOp].Count != 2 {
+		t.Fatalf("dump hotspots/latency = %+v / %+v, want the two ops", dump.Hotspots, dump.Latency)
 	}
 	if string(o.LastFlight()) != string(b) {
 		t.Fatal("LastFlight differs from trigger return")
@@ -317,9 +322,10 @@ func TestFlightRecorder(t *testing.T) {
 
 // TestUnsampledHooksZeroAlloc pins the whole unsampled op path at zero
 // allocations — begin (sketch records on resident keys, span ID, the
-// head-sampling decision), the ring-only stage event, dequeue, the
-// healthy-op terminal, end — or the tracer would tax every op to pay for
-// the 1-in-N it assembles. The disabled path (nil node) is free too.
+// head-sampling decision), the stage event, dequeue, the healthy-op
+// terminal, end — or the tracer would tax every op to pay for the 1-in-N
+// it assembles, and checks it stores nothing: a flight dump after it has
+// no events and no kept spans. The disabled path (nil node) is free too.
 func TestUnsampledHooksZeroAlloc(t *testing.T) {
 	o := New()
 	o.SetSampleN(1 << 30)         // head sampling on, but never hits during the run
@@ -348,8 +354,65 @@ func TestUnsampledHooksZeroAlloc(t *testing.T) {
 			t.Fatal("the run was supposed to stay unsampled")
 		}
 	}
-	if got := len(o.RecentSpans(0)); got != 0 {
-		t.Fatalf("healthy unsampled ops left %d kept spans", got)
+	var dump FlightDump
+	if err := json.Unmarshal(o.TriggerFlight("unsampled"), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if len(dump.Events) != 0 || len(dump.RecentSpans) != 0 {
+		t.Fatalf("healthy unsampled ops left %d events and %d kept spans", len(dump.Events), len(dump.RecentSpans))
+	}
+}
+
+// TestFullAssemblerKeepsTheTail: a span the head sampler picks while the
+// assembler holds maxActiveSpans is unsampled, not counted as sampled,
+// and an anomalous end still tail-keeps it.
+func TestFullAssemblerKeepsTheTail(t *testing.T) {
+	o := New()
+	o.SetSampleN(1)
+	n := o.Node("node0")
+	for i := 0; i < maxActiveSpans; i++ {
+		if _, sampled, _ := n.OpBegin("create", "/w/open"); !sampled {
+			t.Fatalf("span %d refused below the bound", i)
+		}
+	}
+	span, sampled, start := n.OpBegin("create", "/w/late")
+	if sampled {
+		t.Fatal("a span past the assembler's bound was reported sampled")
+	}
+	enq := n.Event(span, sampled, StageEnqueue, "create", "/w/late", "")
+	n.OpEnd(span, sampled, true, start)
+	n.Terminal(span, sampled, false, enq, StageDrop, "create", "/w/late", "backend_error")
+
+	kept := o.RecentSpans(0)
+	if len(kept) != 1 || kept[0].Span != span || kept[0].Kept != KeptTail || kept[0].Outcome != StageDrop {
+		t.Fatalf("kept = %+v, want span %d tail-kept as a drop", kept, span)
+	}
+	if ts := o.TraceStats(); ts.Sampled != maxActiveSpans || ts.TailKept != 1 {
+		t.Fatalf("trace stats = %+v, want %d sampled and 1 tail-kept", ts, maxActiveSpans)
+	}
+}
+
+// TestSpanCapKeepsTerminal: a span past maxSpanEvents still ends on its
+// terminal — the newest event takes the last slot — so an often-retried
+// drop is kept as a drop with its full total.
+func TestSpanCapKeepsTerminal(t *testing.T) {
+	o := New()
+	o.SetSampleN(1)
+	n := o.Node("node0")
+	span, sampled, start := n.OpBegin("create", "/w/f")
+	enq := n.Event(span, sampled, StageEnqueue, "create", "/w/f", "")
+	n.OpEnd(span, sampled, true, start)
+	for i := 0; i < 600; i++ {
+		n.Event(span, sampled, StageRetry, "create", "/w/f", "")
+	}
+	n.Terminal(span, sampled, true, enq, StageDrop, "create", "/w/f", "retry_budget")
+
+	cp, ok := o.SpanTrace(span)
+	if !ok || cp.Outcome != StageDrop || len(cp.Events) != maxSpanEvents {
+		t.Fatalf("SpanTrace = outcome %v, %d events, ok=%v; want drop with %d events", cp.Outcome, len(cp.Events), ok, maxSpanEvents)
+	}
+	if last := cp.Events[len(cp.Events)-1]; last.Note != "retry_budget" || cp.Total != time.Duration(last.Wall-start) {
+		t.Fatalf("total %v does not end at the drop %+v", cp.Total, last)
 	}
 }
 
@@ -422,5 +485,23 @@ func TestNodesConcurrentWithScrapes(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("exposition missing per-shard series %q", want)
 		}
+	}
+}
+
+// BenchmarkUnsampledOp is the tracer's tax on an op it does not sample:
+// the five hooks of one unsampled create on one node (begin, the enqueue
+// event, end, dequeue, terminal).
+func BenchmarkUnsampledOp(b *testing.B) {
+	o := New()
+	o.SetSampleN(1 << 30)
+	o.SetSlowThreshold(time.Hour)
+	n := o.Node("node0")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		span, sampled, start := n.OpBegin("create", "/w/d/x")
+		enq := n.Event(span, sampled, StageEnqueue, "create", "/w/d/x", "")
+		n.OpEnd(span, sampled, true, start)
+		n.Dequeue(span, sampled, enq, "create", "/w/d/x")
+		n.Terminal(span, sampled, false, enq, StageApply, "create", "/w/d/x", "")
 	}
 }

@@ -90,8 +90,6 @@ type (
 	// one via Deps.Obs (or SimulationConfig.Obs); nil disables all
 	// instrumentation at the cost of one branch per hook.
 	Obs = obs.Obs
-	// SpanSummary is one traced operation's per-stage breakdown.
-	SpanSummary = obs.SpanSummary
 	// Quantiles is a histogram digest (count, p50/p95/p99 in ns).
 	Quantiles = obs.Quantiles
 	// CritPath is one kept span's cross-node critical path: wall time
