@@ -445,7 +445,7 @@ func (w *worker) exclusiveOp() {
 		off := int64(w.rng.Intn(3) * 8)
 		if straddleThreshold(w.h.cfg.Seed) != 0 {
 			// A hole in a large file reads a removed incarnation's bytes:
-			// the DFS's Remove frees no chunks (ROADMAP item 7). Until it
+			// the DFS's Remove frees no chunks (ROADMAP item 8). Until it
 			// does, the schedules that cross write none.
 			off = min(off, int64(len(content)))
 		}

@@ -167,28 +167,60 @@ func warmUp(op func()) {
 // span is the release and the Drain, i.e. dequeue, coalesce, wave
 // construction, apply_batch, settle fan-out and the terminal
 // accounting of every op — none of the client's work. One iteration is
-// one committed op. make alloc-gate pins its allocs/op.
-func BenchmarkCommitWave(b *testing.B) { benchCommitWave(b, 0) }
+// one committed op. make alloc-gate pins its allocs/op. Every wave is in
+// /w, one directory group: the DFS client sends it as one request, so
+// this row and its payload twin are the control for
+// BenchmarkCommitWaveTwoDirs.
+func BenchmarkCommitWave(b *testing.B) { benchCommitWave(b, 0, false) }
 
 // BenchmarkCommitWavePayload is BenchmarkCommitWave with every fourth
 // create followed by a 64-byte write, as ckpt_rotate's are: the write
 // coalesces into its create, so the op count is the same and what is
 // added is the wave's WriteBatch.
-func BenchmarkCommitWavePayload(b *testing.B) { benchCommitWave(b, 4) }
+func BenchmarkCommitWavePayload(b *testing.B) { benchCommitWave(b, 4, false) }
+
+// BenchmarkCommitWaveTwoDirs is ckpt_rotate's queue shape: each create in
+// this round's directory is followed by the remove of the last round's
+// file in the other, and every fourth create writes 64 B. A wave then
+// spans two directories, and the DFS client sends them as two requests
+// that the MDS serves on two workers side by side: virt_us/op, the
+// virtual time the commit side takes per op, is what that overlap saves
+// (≈152 → ≈117 when it came in), and make alloc-gate pins the
+// allocations the second request may not add.
+func BenchmarkCommitWaveTwoDirs(b *testing.B) { benchCommitWave(b, 4, true) }
 
 // benchCommitWave: every payloadEvery-th create carries bytes (0: none).
-func benchCommitWave(b *testing.B, payloadEvery int) {
+// With twoDirs the rounds alternate between /w/d0 and /w/d1 and a round's
+// removes are interleaved with its creates; without it every round is in
+// /w, creates first and removes after.
+func benchCommitWave(b *testing.B, payloadEvery int, twoDirs bool) {
 	const round = 256 // creates per round, and removes from the second on
 	payload := make([]byte, 64)
 	r, c := benchEnv(b, 4)
 	now := vclock.Time(0)
+	var err error
+	file := func(n, i int) string { return fmt.Sprintf("/w/r%06d-%03d", n, i) }
+	if twoDirs {
+		file = func(n, i int) string { return fmt.Sprintf("/w/d%d/r%06d-%03d", n%2, n, i) }
+		for _, d := range []string{"/w/d0", "/w/d1"} {
+			if now, err = c.Mkdir(now, d, 0o755); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	prev := 0 // files the previous round created
 	enqueue := func(n, budget int) (release func(), ops int) {
 		release = holdCommits(b, r)
-		var err error
-		created := 0
+		created, removed := 0, 0
+		remove := func() {
+			if now, err = c.Remove(now, file(n-1, removed)); err != nil {
+				b.Fatal(err)
+			}
+			removed++
+			ops++
+		}
 		for ; created < round && ops < budget; created++ {
-			p := fmt.Sprintf("/w/r%06d-%03d", n, created)
+			p := file(n, created)
 			if now, err = c.Create(now, p, 0o644); err != nil {
 				b.Fatal(err)
 			}
@@ -198,19 +230,18 @@ func benchCommitWave(b *testing.B, payloadEvery int) {
 				}
 			}
 			ops++
-		}
-		for i := 0; i < prev && ops < budget; i++ {
-			if now, err = c.Remove(now, fmt.Sprintf("/w/r%06d-%03d", n-1, i)); err != nil {
-				b.Fatal(err)
+			if twoDirs && removed < prev && ops < budget {
+				remove()
 			}
-			ops++
+		}
+		for removed < prev && ops < budget {
+			remove()
 		}
 		prev = created
 		return release, ops
 	}
 	drain := func(release func()) {
 		release()
-		var err error
 		if now, err = r.Drain(now); err != nil {
 			b.Fatal(err)
 		}
@@ -220,13 +251,17 @@ func benchCommitWave(b *testing.B, payloadEvery int) {
 	drain(release)
 	b.ResetTimer()
 	b.StopTimer()
+	var virt vclock.Duration
 	for n, done := 1, 0; done < b.N; n++ {
+		start := now
 		release, ops := enqueue(n, b.N-done)
 		b.StartTimer()
 		drain(release)
 		b.StopTimer()
+		virt += now.Sub(start)
 		done += ops
 	}
+	b.ReportMetric(float64(virt.Microseconds())/float64(b.N), "virt_us/op")
 	if s := r.Stats(); s.Dropped != 0 || s.Retries != 0 {
 		b.Fatalf("commit side did not run clean: %+v", s)
 	}

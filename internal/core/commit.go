@@ -69,8 +69,10 @@ func (p *pendingSet) detach() []Op {
 //
 // Operations are dequeued up to CommitBatchSize at a time (never across
 // a barrier marker), same-path runs are coalesced (see coalesceOps), and
-// each wave of independent-path ops costs one apply_batch round trip to
-// the DFS, one write_multi per data server if the wave owes bytes, and
+// each wave of independent-path ops costs one Backend.ApplyBatch (the DFS
+// client sends it as one apply_batch per owning MDS and directory group,
+// all leaving at once, so it waits for the largest group), one
+// write_multi per data server if the wave owes bytes, and
 // one settle_multi round trip per owning cache server — which the
 // process does not wait for on its own: it leaves beside the next wave's
 // apply_batch (see applyOps, the one way an op reaches the DFS, and

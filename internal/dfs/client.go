@@ -209,7 +209,7 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 // applyTo sends the ops at positions idx to one MDS as one apply_batch
 // and stores each one's result at its position in errs — the only
 // encoder of that frame and the only decoder of its reply, whether the
-// ops are a shard's share of a commit wave or one mutation on its own.
+// ops are one directory group of a commit wave or one mutation on its own.
 // A round trip that failed, or a reply that does not decode, says
 // nothing about any of these ops, so that error becomes the result of
 // each of them — and of no op sent elsewhere: a dead shard never costs
@@ -918,18 +918,19 @@ func (c *Client) decodeStats(resp []byte, at vclock.Time, idx []int, cleaned []s
 	return d.Finish()
 }
 
-// ApplyBatch applies a set of independent-path mutations in as few MDS
-// round trips as possible: one RPC per metadata server touched, instead
-// of one per op. Ancestor resolution still happens per op (the cached
-// dentries make it nearly free for the commit module's long-TTL
-// clients). The returned slice has one entry per op — nil for success —
-// and that is all there is to read: an op whose ancestors did not
-// resolve, and every op of a shard whose round trip failed, carries that
-// error in its own slot while the other shards' answers stand. The
+// ApplyBatch applies a batch of mutations in one round trip per (owning
+// MDS, directory group) instead of one per op, every request leaving at
+// the same instant (applyDirs: the grouping rule, and why the answers are
+// those of in-order application). Ancestor resolution still happens per
+// op (the cached dentries make it nearly free for the commit module's
+// long-TTL clients). The returned slice has one entry per op — nil for
+// success — and that is all there is to read: an op whose ancestors did
+// not resolve, and every op of a request whose round trip failed, carries
+// that error in its own slot while the other requests' answers stand. The
 // batch-level error is always nil; core.Backend keeps it for
 // implementations that cannot say more. A batch of one is the mutation
-// the singleton methods send (mutate), so a commit wave holding a lone
-// op allocates only the result it returns; len(ops) alone decides.
+// the singleton methods send (mutate), so a commit wave holding a lone op
+// allocates only the result it returns; len(ops) alone decides.
 func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	switch len(ops) {
 	case 0:
@@ -945,11 +946,22 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 		ops[i].Path = namespace.Clean(ops[i].Path)
 		at, errs[i] = c.resolveAncestors(at, ops[i].Path)
 	}
+	s := c.cfg.Shards
+	if s.N() == 1 {
+		// One MDS takes every resolved op: there is no shard to bucket by.
+		var scratch [8]int
+		idx := scratch[:0]
+		for i := range ops {
+			if errs[i] == nil {
+				idx = append(idx, i)
+			}
+		}
+		return errs, c.applyDirs(s.addrs[0], at, ops, idx, errs), nil
+	}
 	// Group the survivors by owning MDS, preserving order within a
 	// group. An op on a structural (mirrored) path goes to every shard
 	// on its own instead — rare, since Pacon mutates workspace-interior
 	// paths, not the workspace skeleton.
-	s := c.cfg.Shards
 	var mirrored []int
 	groups := s.group(len(ops), func(i int) int {
 		if errs[i] != nil {
@@ -969,11 +981,76 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 	}
 	var done vclock.Time
 	if len(groups) == 1 {
-		done = c.applyTo(groups[0].addr, at, ops, groups[0].idx, errs)
+		done = c.applyDirs(groups[0].addr, at, ops, groups[0].idx, errs)
 	} else {
 		done = c.perShard(at, groups, func(g shardGroup, at vclock.Time) vclock.Time {
-			return c.applyTo(g.addr, at, ops, g.idx, errs)
+			return c.applyDirs(g.addr, at, ops, g.idx, errs)
 		})
 	}
 	return errs, vclock.Max(latest, done), nil
+}
+
+// applyDirs sends one MDS its share of a batch, the positions idx in batch
+// order, as one apply_batch per directory group. An op joins the group of
+// its parent directory, and ops that are ancestor and descendant of each
+// other — a mkdir, or a setstat, of a directory and a create under it —
+// share one group whichever comes first, in batch order inside it
+// (dependent). An MDS op reads its path's ancestors, its parent's mode,
+// the path itself and, an rmdir, the path's children, and writes the path
+// alone: so no request depends on another sent beside it, and the per-op
+// results and the final tree are the ones applying idx in order gives.
+// The requests go out one after the other from this goroutine, each
+// leaving at `at`, as the settles beside a commit wave do: a call is
+// charged from the instant it is given, never from the previous one's
+// completion, so the MDS serves the groups on as many workers as it has
+// free and the share completes when its largest group does. A wave holds
+// at most CommitBatchSize ops, so a scan of pairs groups it, in stack
+// scratch at that size, and no map is built.
+func (c *Client) applyDirs(addr string, at vclock.Time, ops []fsapi.BatchOp, idx []int, errs []error) vclock.Time {
+	n := len(idx)
+	var scratch [16]int
+	buf := scratch[:]
+	if 2*n > len(buf) {
+		buf = make([]int, 2*n)
+	}
+	// group[j] names idx[j]'s group by the first j it holds; a merge keeps
+	// the smaller name, so every group is named by its first member.
+	group, sent := buf[:n], buf[n:n]
+	for j := range group {
+		group[j] = j
+		for k := range j {
+			if group[k] == group[j] || !dependent(ops[idx[k]].Path, ops[idx[j]].Path) {
+				continue
+			}
+			from, to := max(group[k], group[j]), min(group[k], group[j])
+			for x := range group[:j+1] {
+				if group[x] == from {
+					group[x] = to
+				}
+			}
+		}
+	}
+	done := at
+	for g := range group {
+		if group[g] != g {
+			continue
+		}
+		start := len(sent)
+		for j := g; j < n; j++ {
+			if group[j] == g {
+				sent = append(sent, idx[j])
+			}
+		}
+		done = vclock.Max(done, c.applyTo(addr, at, ops, sent[start:], errs))
+	}
+	return done
+}
+
+// dependent reports whether mutations of the cleaned paths a and b belong
+// in one request: they share a parent directory, or one path is an
+// ancestor of (or is) the other's parent.
+func dependent(a, b string) bool {
+	da, _ := namespace.Split(a)
+	db, _ := namespace.Split(b)
+	return da == db || namespace.IsUnder(da, b) || namespace.IsUnder(db, a)
 }

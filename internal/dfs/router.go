@@ -114,7 +114,7 @@ func (c *Client) sweep(at vclock.Time, targets []string, method string, e *wire.
 // perShard makes one call per group of a batch, all from the same
 // virtual instant; the batch completes when the slowest group does. A
 // group's call fills the result slots of its own positions, a failure
-// included (applyTo, statGroup), so groups never share a slot and there
+// included (applyDirs, statGroup), so groups never share a slot and there
 // is no error to return: a dead shard costs the batch that shard's share
 // and nothing else. These are the calls a commit wave makes, and the
 // fan-out is asked to block for them: each group rides its own goroutine

@@ -139,6 +139,27 @@ func TestTreeMkdirCreateLookup(t *testing.T) {
 	}
 }
 
+// TestExistsAllocatesNothing: every MDS create and mkdir asks Exists
+// first, and a miss — the answer a create needs — must not build the
+// error Lookup would return.
+func TestExistsAllocatesNothing(t *testing.T) {
+	tr := newTestTree(t)
+	if err := tr.Create("/w/f", fsapi.NewFileStat(cred, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p    string
+		want bool
+	}{{"/w/f", true}, {"/w/missing", false}, {"/w/f/under-a-file", false}, {"/nope/deeper", false}} {
+		if got := tr.Exists(tc.p); got != tc.want {
+			t.Fatalf("Exists(%q) = %v, want %v", tc.p, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { tr.Exists(tc.p) }); n != 0 {
+			t.Fatalf("Exists(%q) allocates %v times per call, want 0", tc.p, n)
+		}
+	}
+}
+
 func TestTreeNamespaceConventions(t *testing.T) {
 	tr := newTestTree(t)
 	// 1: object to be created must not exist.

@@ -80,9 +80,13 @@ func (t *Tree) Lookup(p string) (fsapi.Stat, error) {
 	return n.stat, nil
 }
 
-// Exists reports whether path resolves.
+// Exists reports whether path resolves. It walks without Lookup's error
+// wrap: every MDS create and mkdir asks, and "no" is the answer a create
+// hopes for, so it must not cost an allocation.
 func (t *Tree) Exists(p string) bool {
-	_, err := t.Lookup(p)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, err := t.walk(Clean(p))
 	return err == nil
 }
 

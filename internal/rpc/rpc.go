@@ -292,7 +292,7 @@ func (c *Caller) Inline() bool { return c.inline }
 // batches ask for it — an unpaced commit process on one P otherwise
 // never yields between waves, and how many ops its next wave finds
 // queued (BENCH.json's sharded rows) is decided by that yield, not by
-// virtual time; ROADMAP item 8 is the pacing that would let them stop.
+// virtual time; ROADMAP item 2 is the scheduler that would let them stop.
 func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclock.Time) vclock.Time {
 	latest := at
 	if n <= 1 || c.inline && !block {
