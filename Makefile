@@ -20,7 +20,7 @@ check: build
 	$(GO) test ./...
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
-	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
+	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/indexfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
 	$(GO) test -run '^$$' -bench 'ReaddirBarrier' -benchtime 1x ./internal/core/
 
 # chaos-soak runs the chaos convergence suite ten times over: 1,040

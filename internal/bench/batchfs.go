@@ -13,10 +13,10 @@ import (
 // clients plus bulk insertion. On their ideal workload — an N-N
 // checkpoint where every process writes its own directory and nobody
 // reads until the job ends — bulk insertion buffers creates locally and
-// merges them as SSTables. The experiment shows the trade the paper
-// calls out: bulk mode approaches (even beats) Pacon on raw insertion,
-// but gives up the shared consistent view Pacon keeps (a bulk client's
-// files are invisible to everyone until the merge).
+// merges them into the servers in batches. The experiment shows the
+// trade the paper calls out: bulk mode approaches (even beats) Pacon on
+// raw insertion, but gives up the shared consistent view Pacon keeps (a
+// bulk client's files are invisible to everyone until the merge).
 func init() {
 	register("ext-batchfs", extBatchFS)
 }

@@ -167,13 +167,11 @@ func (e *env) mdsQueueWaitPerOp() float64 {
 	return float64(wait) / float64(ops)
 }
 
-// close tears down whatever was started.
+// close stops the regions started in this env (IndexFS servers hold
+// nothing to release).
 func (e *env) close() {
 	for _, r := range e.regions {
 		r.Close()
-	}
-	if e.indexfs != nil {
-		e.indexfs.Close()
 	}
 }
 
@@ -218,11 +216,7 @@ func (e *env) beegfsClients(n int) []workload.Client {
 // nodes (the paper's fair comparison) and returns its clients.
 func (e *env) indexfsClients(n int) ([]workload.Client, error) {
 	if e.indexfs == nil {
-		c, err := indexfs.NewCluster(e.bus, e.cfg.Model, e.nodes, indexfs.ClusterConfig{})
-		if err != nil {
-			return nil, err
-		}
-		e.indexfs = c
+		e.indexfs = indexfs.NewCluster(e.bus, e.cfg.Model, e.nodes, indexfs.ClusterConfig{})
 		if err := e.provisionIndexFS(e.provisioned); err != nil {
 			return nil, err
 		}

@@ -125,7 +125,7 @@ func (c Cred) ClassFor(uid, gid uint32) AccessClass {
 }
 
 // Stat is the metadata record for a file or directory. It is the value
-// stored (encoded) in the Pacon distributed cache, in the IndexFS LSM
+// stored (encoded) in the Pacon distributed cache, in the IndexFS servers'
 // tables and in the DFS namespace tree.
 type Stat struct {
 	Type  FileType

@@ -54,11 +54,6 @@ type lease struct {
 	expires vclock.Time
 }
 
-type bulkRow struct {
-	key   []byte
-	value []byte
-}
-
 // NewClient builds a client over the transport.
 func NewClient(t rpc.Transport, cfg ClientConfig) *Client {
 	if cfg.BulkBatch <= 0 {
@@ -239,7 +234,7 @@ func (c *Client) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock
 		at = at.Add(c.cfg.Model.ClientOverhead)
 		addr := c.serverFor(parent, name)
 		c.mu.Lock()
-		c.pending[addr] = append(c.pending[addr], bulkRow{key: entryKey(parent, name), value: encodeEntry(st, 0)})
+		c.pending[addr] = append(c.pending[addr], bulkRow{dir: parent, name: name, row: row{st: st}})
 		c.nbuf++
 		flush := c.nbuf >= c.cfg.BulkBatch
 		c.mu.Unlock()
@@ -259,8 +254,8 @@ func (c *Client) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock
 	return done, nil
 }
 
-// FlushBulk pushes buffered creates to their owning servers as sorted
-// batches.
+// FlushBulk pushes buffered creates to their owning servers, one batch
+// per server.
 func (c *Client) FlushBulk(at vclock.Time) (vclock.Time, error) {
 	c.mu.Lock()
 	pending := c.pending
@@ -270,13 +265,10 @@ func (c *Client) FlushBulk(at vclock.Time) (vclock.Time, error) {
 
 	latest := at
 	for addr, rows := range pending {
-		// Rows must ascend by key for SSTable ingestion.
-		sortBulkRows(rows)
 		e := wire.NewEncoder(64 * len(rows))
 		e.Uvarint(uint64(len(rows)))
 		for _, r := range rows {
-			e.Blob(r.key)
-			e.Blob(r.value)
+			encodeBulkRow(e, r)
 		}
 		done, _, err := c.caller.Call(addr, "bulk", at, e.Bytes())
 		if err != nil {
@@ -393,8 +385,7 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 			return nil, at, fsapi.WrapPath("readdir", p, err)
 		}
 		d := wire.NewDecoder(resp)
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
+		for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 			ents = append(ents, fsapi.DirEntry{Name: d.String(), Type: fsapi.FileType(d.Byte())})
 		}
 		if derr := d.Finish(); derr != nil {
@@ -403,14 +394,4 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
 	return ents, at, nil
-}
-
-// sortBulkRows orders rows by key ascending (insertion sort — batches
-// are small and nearly sorted).
-func sortBulkRows(rows []bulkRow) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && string(rows[j].key) < string(rows[j-1].key); j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
 }

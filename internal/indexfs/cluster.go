@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pacon/internal/fsapi"
-	"pacon/internal/lsmkv"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 )
@@ -28,13 +27,10 @@ type Cluster struct {
 type ClusterConfig struct {
 	// LeaseTTL overrides DefaultLeaseTTL when > 0.
 	LeaseTTL vclock.Duration
-	// StoreFor, when set, supplies per-server LSM options (e.g. OS-backed
-	// stores); by default each server gets an in-memory store.
-	StoreFor func(i int) lsmkv.Options
 }
 
 // NewCluster starts one server per node in nodes.
-func NewCluster(net rpc.Network, model vclock.LatencyModel, nodes []string, cfg ClusterConfig) (*Cluster, error) {
+func NewCluster(net rpc.Network, model vclock.LatencyModel, nodes []string, cfg ClusterConfig) *Cluster {
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
@@ -42,26 +38,17 @@ func NewCluster(net rpc.Network, model vclock.LatencyModel, nodes []string, cfg 
 	c := &Cluster{Net: net, Model: model}
 	for i, node := range nodes {
 		addr := node + "/indexfs"
-		store := lsmkv.Options{}
-		if cfg.StoreFor != nil {
-			store = cfg.StoreFor(i)
-		}
-		s, err := NewServer(addr, ServerConfig{
+		s := NewServer(addr, ServerConfig{
 			Index:    i,
-			Store:    store,
 			Model:    model,
 			Workers:  model.IndexFSWorkers,
 			LeaseTTL: ttl,
 		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
 		net.Register(addr, s.Service())
 		c.Servers = append(c.Servers, s)
 		c.Addrs = append(c.Addrs, addr)
 	}
-	return c, nil
+	return c
 }
 
 // NewClient builds a client on node. leaseCap 0 disables the client
@@ -75,15 +62,4 @@ func (c *Cluster) NewClient(node string, cred fsapi.Cred, leaseCap int, bulk boo
 		LeaseCacheCap: leaseCap,
 		Bulk:          bulk,
 	})
-}
-
-// Close shuts every server down.
-func (c *Cluster) Close() error {
-	var first error
-	for _, s := range c.Servers {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

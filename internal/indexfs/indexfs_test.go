@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 var appCred = fsapi.Cred{UID: 1000, GID: 1000}
@@ -20,12 +22,7 @@ func testCluster(t *testing.T, nodes int) *Cluster {
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i)
 	}
-	c, err := NewCluster(rpc.NewBus(), vclock.Default(), names, ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	return NewCluster(rpc.NewBus(), vclock.Default(), names, ClusterConfig{})
 }
 
 func TestMkdirCreateStat(t *testing.T) {
@@ -347,5 +344,98 @@ func TestRootReaddir(t *testing.T) {
 	ents, _, err := cl.Readdir(0, "/")
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("root readdir = %v, %v", ents, err)
+	}
+}
+
+// TestRacingCreatesOneWins races eight clients on two nodes creating one
+// name, then making one directory: exactly one of each may succeed, the
+// rest must see EEXIST. With the existence check and the write as two
+// critical sections, a few rounds in 200 let two creates through, and a
+// second mkdir overwrote the first's row, orphaning the directory ID its
+// client had been handed.
+func TestRacingCreatesOneWins(t *testing.T) {
+	c := testCluster(t, 2)
+	if _, err := c.NewClient("node0", appCred, 1024, false).Mkdir(0, "/w", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cls := make([]*Client, 8)
+	for i := range cls {
+		cls[i] = c.NewClient(fmt.Sprintf("node%d", i%2), appCred, 1024, false)
+	}
+	race := func(p string, op func(cl *Client) error) {
+		var wins atomic.Int32
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for _, cl := range cls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				if err := op(cl); err == nil {
+					wins.Add(1)
+				} else if !errors.Is(err, fsapi.ErrExist) {
+					t.Error(err)
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		if n := wins.Load(); n != 1 {
+			t.Fatalf("%d of %d racing calls on %s succeeded, want 1", n, len(cls), p)
+		}
+	}
+	for r := 0; r < 200; r++ {
+		f, d := fmt.Sprintf("/w/f%d", r), fmt.Sprintf("/w/d%d", r)
+		race(f, func(cl *Client) error { _, err := cl.Create(0, f, 0o644); return err })
+		race(d, func(cl *Client) error { _, err := cl.Mkdir(0, d, 0o755); return err })
+	}
+}
+
+// TestBulkCreateAfterRemove: a bulk-mode create of a name whose row was
+// removed is the newest write of that key and must be visible once
+// flushed. An LSM store that reads its memtable before a newer
+// bulk-ingested table finds the removal's tombstone and answers ENOENT.
+func TestBulkCreateAfterRemove(t *testing.T) {
+	c := testCluster(t, 2)
+	cl := c.NewClient("node0", appCred, 1024, false)
+	if _, err := cl.Mkdir(0, "/w", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Create(0, "/w/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Remove(0, "/w/f"); err != nil {
+		t.Fatal(err)
+	}
+	bulk := c.NewClient("node1", appCred, 1024, true)
+	if _, err := bulk.Create(0, "/w/f", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bulk.FlushBulk(0); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := c.NewClient("node1", appCred, 0, false).Stat(0, "/w/f")
+	if err != nil || st.Type != fsapi.TypeFile || st.Mode != 0o600 {
+		t.Fatalf("stat after bulk re-create = %+v, %v", st, err)
+	}
+}
+
+// TestReaddirRejectsOversizedCount: a readdir reply whose count exceeds
+// its bytes is the decoder's error, returned at once, not 2^60 loop
+// iterations appending empty entries.
+func TestReaddirRejectsOversizedCount(t *testing.T) {
+	c := testCluster(t, 1)
+	cl := c.NewClient("node0", appCred, 0, false)
+	if _, err := cl.Mkdir(0, "/w", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	liar := c.Servers[0].Service()
+	liar.HandleInto("readdir", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+		reply.Uvarint(1 << 60)
+		return at, nil
+	})
+	c.Net.Register(c.Addrs[0], liar)
+	if ents, _, err := cl.Readdir(0, "/w"); !errors.Is(err, wire.ErrTooLong) {
+		t.Fatalf("readdir of a lying server = %d entries, %v; want ErrTooLong", len(ents), err)
 	}
 }

@@ -49,7 +49,7 @@ type LatencyModel struct {
 	// append without per-op fsync + memtable).
 	LSMPutCost Duration
 	// LSMGetHitCost is a positive point lookup: bloom pass + data-block
-	// read from the LevelDB-like store.
+	// read from LevelDB.
 	LSMGetHitCost Duration
 	// LSMGetMissCost is a negative lookup filtered by the blooms (the
 	// common case of create's existence check).

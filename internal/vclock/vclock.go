@@ -1,6 +1,6 @@
 // Package vclock implements the virtual-time methodology described in
 // DESIGN.md §5. Every service in this repository executes real code (real
-// maps, real LSM writes, real CAS races); only *time* is modeled. A
+// maps, real ordered tables, real CAS races); only *time* is modeled. A
 // request carries a virtual timestamp, contended services are modeled as
 // Resources with k worker slots, and throughput is computed from virtual
 // completion times. This reproduces the paper's latency-driven results
@@ -40,7 +40,7 @@ func Max(a, b Time) Time {
 func (t Time) String() string { return Duration(t).String() }
 
 // Resource models a contended service station with k parallel workers —
-// e.g. the BeeGFS MDS worker pool or an LSM store's WAL device. Acquire
+// e.g. the BeeGFS MDS worker pool or an IndexFS server's pool. Acquire
 // serializes requests through the k slots using next-free accounting,
 // which is an M/D/k-style queueing surrogate: when arrival rate exceeds
 // k/cost the resource saturates and response times grow, exactly where
