@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check chaos-soak audit-check bench bench-quick alloc-gate clean
+.PHONY: build test check chaos-soak alloc-gate clean
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,8 @@ test: build
 # change that breaks it must fail here, not in the benchmark pipeline),
 # and the race detector over the packages with real concurrency (the
 # chaos harness runs its bounded seed set — over 100 randomized
-# schedules — under -race).
+# schedules, each ending in the post-drain divergence audit — under
+# -race).
 check: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -23,39 +24,14 @@ check: build
 	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/indexfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
 	$(GO) test -run '^$$' -bench 'ReaddirBarrier' -benchtime 1x ./internal/core/
 
-# chaos-soak runs the chaos convergence suite ten times over: 1,040
-# schedules, about ten seconds. One pass of `make check` is 104, too few
+# chaos-soak runs the chaos convergence suite ten times over: 1,080
+# schedules, about ten seconds. One pass of `make check` is 108, too few
 # to see a flake class at a few failures per thousand schedules — stale
 # DFS-client reads and out-of-space removes once failed 6 in 7,800,
 # which a soak catches every other run — so CI runs this after check,
 # with CHAOS_FLIGHT_DIR set: a failing seed leaves its flight dump.
 chaos-soak:
 	$(GO) test -run TestChaosConvergence -count=10 ./internal/chaos/
-
-# audit-check is the divergence gate: the chaos suite runs with the
-# post-drain auditor as a second convergence oracle (any divergent or
-# stale-pending key fails the run), the audit/core staleness tests run,
-# and the audit experiment writes AUDIT_report.json — the evidence CI
-# archives. The report is written even when the gate fails.
-audit-check: build
-	$(GO) test -count=1 ./internal/chaos/ ./internal/audit/
-	$(GO) run ./cmd/paconbench -quick -fig audit -json AUDIT_report.json
-
-# bench regenerates BENCH.json, the committed full-scale report: every
-# report experiment (commit, shards, read, scale, hotspot, audit), one
-# row per workload x clients x MDS shards, all in one schema (see
-# "Reading BENCH.json" in README.md). About a minute. bench-quick is the
-# same at -quick scale (seconds) into BENCH_ci.json — what CI runs.
-# Both pin GOMAXPROCS=1: virtual throughput to the end of a drain
-# depends on how the host interleaves producers with commit processes,
-# and on one P two runs agree within about 1% on any host, where a
-# 2-vCPU run of the same binary moves the sharded rows by up to 2x
-# (EXPERIMENTS.md, "Report rows and the host").
-bench:
-	GOMAXPROCS=1 $(GO) run ./cmd/paconbench -json BENCH.json
-
-bench-quick:
-	GOMAXPROCS=1 $(GO) run ./cmd/paconbench -quick -json BENCH_ci.json
 
 # alloc-gate pins the hot paths' allocations, a row per benchmark: package,
 # benchmark, -benchtime, max allocs/op, max B/op (- for none), the line's

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"pacon/internal/bench"
 	"pacon/internal/workload"
@@ -90,8 +91,13 @@ func replayTraceFile(cfg bench.Config, system bench.System, path string) error {
 	}
 	fmt.Printf("trace %s on %s: %d ops in %v (%.0f OPS), %d errors\n",
 		path, system, res.Ops, res.Elapsed, res.OPS(), res.Errors)
-	for kind, n := range res.PerKind {
-		fmt.Printf("  %-8s %d\n", kind, n)
+	kinds := make([]string, 0, len(res.PerKind))
+	for kind := range res.PerKind {
+		kinds = append(kinds, kind)
+	}
+	sort.Strings(kinds)
+	for _, kind := range kinds {
+		fmt.Printf("  %-8s %d\n", kind, res.PerKind[kind])
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
-// Command paconbench regenerates the paper's tables and figures and the
-// repo's own report experiments. Each paper experiment rebuilds fresh
+// Command paconbench regenerates the paper's tables and figures, its
+// ablations and its sensitivity sweeps. Each experiment rebuilds fresh
 // deployments of BeeGFS, IndexFS-on-BeeGFS and Pacon-on-BeeGFS per data
 // point and reports the same series the paper plots, plus derived
-// headline ratios; each report experiment (commit, shards, read, scale,
-// hotspot, audit) measures a table of rows into one JSON schema.
+// headline ratios. The repository's benchmark is the separate module in
+// benchmark/.
 //
 // Usage:
 //
@@ -11,13 +11,10 @@
 //	paconbench -fig fig7          # one experiment
 //	paconbench -quick -all        # reduced scale (~seconds)
 //	paconbench -all -csv out/     # also write CSV files
-//	paconbench -json BENCH.json   # the report experiments, rows written as JSON
-//	paconbench -fig scale -json s.json
 //	paconbench -list              # list experiment ids
 package main
 
 import (
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -39,7 +36,6 @@ func main() {
 		csvDir = flag.String("csv", "", "also write <id>.csv files into this directory")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		debug  = flag.String("debug", "", "serve /debug/vars and /debug/pprof on this address while experiments run")
-		jsonTo = flag.String("json", "", "write the rows of the report experiments that ran to this path; alone, runs all of them")
 	)
 	flag.Parse()
 
@@ -79,8 +75,6 @@ func main() {
 			id = "fig" + id
 		}
 		ids = []string{id}
-	case *jsonTo != "":
-		ids = bench.ReportIDs()
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -89,11 +83,9 @@ func main() {
 	fmt.Printf("# paconbench: %d client nodes x %d clients/node, %d items/client\n\n",
 		cfg.MaxNodes, cfg.ClientsPerNode, cfg.ItemsPerClient)
 
-	rep := bench.Report{Config: cfg}
-	var failed error
 	for _, id := range ids {
 		start := time.Now()
-		figs, err := rep.Run(id)
+		figs, err := bench.Run(id, cfg)
 		for _, f := range figs {
 			fmt.Println(f.String())
 			if *csvDir != "" {
@@ -108,26 +100,10 @@ func main() {
 				}
 			}
 		}
-		if failed = err; failed != nil {
-			break
-		}
-		fmt.Printf("  [%s completed in %v wall time]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	// A failed run still writes the rows it measured — CI archives the
-	// evidence (the audit gate's divergences) before the step fails.
-	if *jsonTo != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonTo, append(data, '\n'), 0o644)
-		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paconbench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d rows)\n", *jsonTo, len(rep.Points))
-	}
-	if failed != nil {
-		fmt.Fprintln(os.Stderr, "paconbench:", failed)
-		os.Exit(1)
+		fmt.Printf("  [%s completed in %v wall time]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -38,7 +38,6 @@ func (e *env) paconVariantClients(n int, ws string, mutate func(*core.RegionConf
 	}
 	region, err := core.NewRegion(cfg, core.Deps{
 		Bus: e.bus,
-		Obs: e.obs,
 		NewBackend: func(node string) core.Backend {
 			return e.cluster.NewClient(node, appCred, 4096, 1<<40)
 		},

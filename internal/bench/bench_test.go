@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -56,8 +53,8 @@ func TestFigureAccessors(t *testing.T) {
 func TestRegistryListsAllFigures(t *testing.T) {
 	ids := IDs()
 	want := []string{
-		"abl-async", "abl-inline", "abl-model", "abl-multimds", "abl-perm", "audit", "commit", "ext-batchfs",
-		"fig1", "fig10", "fig11", "fig12", "fig2", "fig7", "fig8", "fig9", "hotspot", "read", "scale", "shards",
+		"abl-async", "abl-inline", "abl-model", "abl-multimds", "abl-perm", "ext-batchfs",
+		"fig1", "fig10", "fig11", "fig12", "fig2", "fig7", "fig8", "fig9",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
@@ -332,81 +329,5 @@ func TestMultiMDSAblationShape(t *testing.T) {
 	// ...but Pacon stays ahead even at 8 MDSes.
 	if f.Last(string(Pacon)) <= f.Last(string(BeeGFS)) {
 		t.Fatal("Pacon must still lead an 8-MDS BeeGFS")
-	}
-}
-
-// Smoke-run every report experiment at tiny scale: one runner, one Point
-// shape. Per row the bookkeeping the tables promise must hold — the
-// multiplexed op split at both the goroutine-per-client and the
-// multiplexed end, sweeps ordered by shard count from the 1-shard
-// baseline, the sketch graded, the tracer sampling.
-func TestReportExperimentsTiny(t *testing.T) {
-	cfg := tiny()
-	cfg.ScaleClients = []int{16, 500}
-	cfg.ScaleOpsBudget = 2000
-	cfg.ShardSweep = []int{1, 2}
-	wantRows := map[string]int{"commit": 1, "shards": 2, "read": 3, "scale": 4, "hotspot": 6, "audit": 4}
-	var keys string
-	for id, want := range wantRows {
-		rep := Report{Config: cfg}
-		figs, err := rep.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Points) != want || len(figs) != 1 || len(figs[0].Points) != want {
-			t.Fatalf("%s: %d rows, %d figures, want %d rows in 1 figure", id, len(rep.Points), len(figs), want)
-		}
-		lastShards := 0
-		for _, pt := range rep.Points {
-			raw, err := json.Marshal(pt)
-			if err != nil {
-				t.Fatalf("%s: %v", pt.ID, err)
-			}
-			var top map[string]json.RawMessage
-			if err := json.Unmarshal(raw, &top); err != nil {
-				t.Fatal(err)
-			}
-			names := make([]string, 0, len(top))
-			for k := range top {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			if got := strings.Join(names, ","); keys == "" {
-				keys = got
-			} else if got != keys {
-				t.Fatalf("%s: top-level keys %s, other rows have %s", pt.ID, got, keys)
-			}
-			if !strings.HasPrefix(pt.ID, fmt.Sprintf("%s/%s/%d/%d", id, pt.Workload, pt.Clients, pt.MDSShards)) {
-				t.Fatalf("row id %q does not spell experiment/workload/clients/mds_shards", pt.ID)
-			}
-			if id == "audit" {
-				if pt.Extra["sampled"] == 0 || pt.Extra["divergent"] != 0 {
-					t.Fatalf("%s: audit %v", pt.ID, pt.Extra)
-				}
-				continue
-			}
-			if pt.VirtualOPS <= 0 || pt.Ops == 0 {
-				t.Fatalf("%s: ops=%d VirtualOPS=%v", pt.ID, pt.Ops, pt.VirtualOPS)
-			}
-			if pt.MDSShards > 1 && (lastShards == 0 || pt.MDSShards <= lastShards) {
-				t.Fatalf("%s: sweep not ordered by mds_shards from the 1-shard row", pt.ID)
-			}
-			lastShards = pt.MDSShards
-			if id == "scale" || id == "hotspot" {
-				opsPer := map[int]float64{16: 125, 500: 4}[pt.Clients] // the 2000-op budget, split evenly
-				x := pt.Extra
-				if pt.Goroutines > maxGoroutines || pt.Goroutines > pt.Clients || x["ops_per_client"] != opsPer ||
-					pt.Ops != int64(pt.Clients)*int64(opsPer) || x["creates"]+x["stats"] != float64(pt.Ops) ||
-					x["creates"] == 0 || x["stats"] == 0 {
-					t.Fatalf("%s: goroutines=%d ops=%d extra=%v", pt.ID, pt.Goroutines, pt.Ops, x)
-				}
-				if pt.Trace.Sampled == 0 {
-					t.Fatalf("%s: tracer sampled no span", pt.ID)
-				}
-			}
-			if _, ok := pt.Extra["sketch_recall_top16"]; ok != (id == "hotspot") {
-				t.Fatalf("%s: sketch recall present = %v", pt.ID, ok)
-			}
-		}
 	}
 }

@@ -1,12 +1,9 @@
-// Package bench is the experiment harness. Paper-figure experiments
-// (figures.go, ablation.go, sensitivity.go, batchfs.go, tools.go) have
-// one runner per figure of the paper's motivation and evaluation
-// sections (Figs 1, 2, 7, 8, 9, 10, 11, 12), each rebuilding a fresh
-// deployment per data point and driving it with the workload package.
-// Report experiments (workloads.go: commit, shards, read, scale,
-// hotspot, audit) are tables of rows all measured by one runner into
-// one Point schema; `paconbench -json PATH` writes them as one Report,
-// and the committed full-scale run is BENCH.json. cmd/paconbench and
+// Package bench is the paper's experiment harness: one runner per figure
+// of its motivation and evaluation sections (Figs 1, 2, 7, 8, 9, 10, 11,
+// 12 in figures.go), plus the ablations (ablation.go), sensitivity sweeps
+// (sensitivity.go) and the BatchFS extension (batchfs.go). Each rebuilds
+// a fresh deployment per data point and drives it with the workload
+// package. cmd/paconbench, cmd/mdtest and cmd/madbench (tools.go) and
 // bench_test.go are thin wrappers over this package.
 package bench
 
@@ -18,7 +15,6 @@ import (
 	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
 	"pacon/internal/indexfs"
-	"pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 	"pacon/internal/workload"
@@ -38,31 +34,21 @@ const (
 // Config scales the whole harness.
 type Config struct {
 	// Model is the latency model (Default() if zero).
-	Model vclock.LatencyModel `json:"-"`
+	Model vclock.LatencyModel
 	// MaxNodes is the client-cluster size (paper: 16).
-	MaxNodes int `json:"max_nodes"`
+	MaxNodes int
 	// ClientsPerNode is the per-node client count (paper: 20).
-	ClientsPerNode int `json:"clients_per_node"`
+	ClientsPerNode int
 	// ItemsPerClient is the per-client op count per phase.
-	ItemsPerClient int `json:"items_per_client"`
+	ItemsPerClient int
 	// MADbenchProcsPerNode and MADbenchFileMB size Fig 12.
-	MADbenchProcsPerNode int `json:"madbench_procs_per_node"`
-	MADbenchFileMB       int `json:"madbench_file_mb"`
-	// ScaleClients are the simulated-client counts the scale experiment
-	// sweeps (default 160, 10k, 100k, 1M). ScaleOpsBudget is the total
-	// operation budget per point, split evenly across the simulated
-	// clients (default 2²⁰).
-	ScaleClients   []int `json:"scale_clients"`
-	ScaleOpsBudget int   `json:"scale_ops_budget"`
+	MADbenchProcsPerNode int
+	MADbenchFileMB       int
 	// MDSShards deploys the subtree-partitioned metadata service with
 	// this many MDS shards instead of the single MDS
 	// (0 = unsharded; 1 = sharded code path with one shard, the honest
-	// router-overhead baseline). Report rows set it per row.
-	MDSShards int `json:"-"`
-	// ShardSweep lists the MDS shard counts the shards/read/scale
-	// experiments sweep (empty = shards sweeps 1/2/4/8, the others add no
-	// sweep rows).
-	ShardSweep []int `json:"shard_sweep"`
+	// router-overhead baseline).
+	MDSShards int
 }
 
 // Default returns the paper-scale configuration (runs in minutes).
@@ -74,9 +60,6 @@ func Default() Config {
 		ItemsPerClient:       100,
 		MADbenchProcsPerNode: 16,
 		MADbenchFileMB:       4,
-		ScaleClients:         []int{160, 10_000, 100_000, 1_000_000},
-		ScaleOpsBudget:       1 << 20,
-		ShardSweep:           []int{1, 2, 4, 8},
 	}
 }
 
@@ -89,9 +72,6 @@ func Quick() Config {
 		ItemsPerClient:       30,
 		MADbenchProcsPerNode: 4,
 		MADbenchFileMB:       1,
-		ScaleClients:         []int{160, 10_000},
-		ScaleOpsBudget:       100_000,
-		ShardSweep:           []int{1, 2, 4},
 	}
 }
 
@@ -111,20 +91,7 @@ type env struct {
 	indexfs *indexfs.Cluster
 	regions []*core.Region
 
-	// obs, when non-nil, instruments regions started in this env and the
-	// transport. Wall-clock only; virtual-time results are unaffected.
-	obs *obs.Obs
-
 	provisioned []string
-}
-
-// instrument attaches an observability sink to the deployment: regions
-// created after this call trace their ops into it, and every RPC on the
-// bus reports its wall latency.
-func (e *env) instrument(o *obs.Obs) {
-	e.obs = o
-	e.bus.SetObserver(o)
-	e.cluster.RegisterHotMetrics(o)
 }
 
 // newEnv builds a deployment with n client nodes and the paper's storage
@@ -145,26 +112,6 @@ func newEnv(cfg Config, n int) *env {
 		nodes[i] = fmt.Sprintf("node%d", i)
 	}
 	return &env{cfg: cfg, bus: bus, cluster: cluster, nodes: nodes}
-}
-
-// mdsQueueWaitPerOp returns the mean virtual queueing delay per
-// metadata op across the deployment's MDS pool, in nanoseconds: time a
-// request arriving at an MDS spent waiting for a free worker slot.
-// This is virtual-model time (unlike the wall-clock critpath
-// histograms), so it is the number that shows a saturated metadata
-// service — and how sharding relieves it.
-func (e *env) mdsQueueWaitPerOp() float64 {
-	var wait vclock.Duration
-	var ops int64
-	for _, m := range e.cluster.MDSes {
-		res := m.Resource()
-		wait += res.QueueWait()
-		ops += res.Ops()
-	}
-	if ops == 0 {
-		return 0
-	}
-	return float64(wait) / float64(ops)
 }
 
 // close stops the regions started in this env (IndexFS servers hold
@@ -239,7 +186,6 @@ func (e *env) paconRegion(name, ws string, nodes []string) (*core.Region, error)
 		Model:     e.cfg.Model,
 	}, core.Deps{
 		Bus: e.bus,
-		Obs: e.obs,
 		NewBackend: func(node string) core.Backend {
 			return e.cluster.NewClient(node, appCred, 4096, time.Hour)
 		},

@@ -44,29 +44,49 @@ func configFor(seed int) Config {
 	return cfg
 }
 
+// auditSchedules add shapes configFor never produces — six clients on
+// three nodes, a 16 KiB cache — beside a light-fault and an rmdir
+// schedule. Every schedule ends in the post-drain audit; on these the
+// audit must also have sampled something.
+var auditSchedules = []Config{
+	{Seed: 1, Nodes: 2, Clients: 4, Ops: 30, FaultRate: 0.05, MaxFaultsPerPath: 2},
+	{Seed: 2, Nodes: 3, Clients: 6, Ops: 30, FaultRate: 0.1, MaxFaultsPerPath: 2, StallEveryN: 7},
+	{Seed: 3, Nodes: 2, Clients: 4, Ops: 30, Rmdir: true, DoomedDirs: 2},
+	{Seed: 4, Nodes: 2, Clients: 4, Ops: 30, CacheCapacityBytes: 16 << 10},
+}
+
 // TestChaosConvergence runs randomized schedules (100+ in full mode) and
 // requires every one to converge with zero violations: cache, DFS and
-// the in-memory oracle agree after the drain.
+// the in-memory oracle agree after the drain, and the divergence audit
+// finds nothing divergent or stale-pending.
 func TestChaosConvergence(t *testing.T) {
 	schedules := 104
 	if testing.Short() {
 		schedules = 12
 	}
-	for seed := 0; seed < schedules; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
+	run := func(name string, cfg Config, audited bool) {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(configFor(seed))
+			res, err := Run(cfg)
 			if err != nil {
 				if res.StageSummary != "" {
-					t.Logf("seed %d stage latencies:\n%s", seed, res.StageSummary)
+					t.Logf("%s stage latencies:\n%s", name, res.StageSummary)
 				}
 				t.Fatalf("schedule diverged: %v\nresult: %+v", err, res)
 			}
-			if res.Injected == 0 && configFor(seed).FaultRate > 0 {
-				t.Logf("note: no faults injected (seed %d)", seed)
+			if audited && res.Audit.Sampled == 0 {
+				t.Fatalf("the audit sampled no entry: %s", res.Audit)
+			}
+			if res.Injected == 0 && cfg.FaultRate > 0 {
+				t.Logf("note: no faults injected (%s)", name)
 			}
 		})
+	}
+	for seed := 0; seed < schedules; seed++ {
+		run(fmt.Sprintf("seed%03d", seed), configFor(seed), false)
+	}
+	for i, cfg := range auditSchedules {
+		run(fmt.Sprintf("audit%d", i+1), cfg, true)
 	}
 }
 

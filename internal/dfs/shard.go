@@ -157,8 +157,9 @@ type shardGroup struct {
 // indices are small integers, which is dht.GroupByOwner's lesson applied
 // to the other multi-server client. Results land by position, so the
 // order means nothing to a caller; it is the order the fan-out spawns
-// its goroutines in, and is kept as it always was because BENCH.json's
-// multi-shard rows move −3 … +21 % with it (DESIGN.md §8).
+// its goroutines in, and an unpaced commit process's batch sizes move
+// with that order until ROADMAP item 2's scheduler makes them a function
+// of virtual time (DESIGN.md §8).
 func (s *ShardMap) group(n int, shardOf func(i int) int) []shardGroup {
 	buf := make([]int, 2*n+len(s.addrs))
 	idx, owner, cursor := buf[:n:n], buf[n:2*n], buf[2*n:]

@@ -141,7 +141,7 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Quantiles is the compact per-stage digest embedded in BENCH reports
+// Quantiles is the compact per-stage digest embedded in flight dumps
 // and rendered by `paconfs stats`: sample count plus p50/p95/p99 upper
 // bounds in nanoseconds.
 type Quantiles struct {

@@ -19,8 +19,8 @@ import (
 )
 
 // Histogram names for the pipeline stages every deployment gets. The
-// registry is open — callers may record under any name — but bench,
-// the shell, and DESIGN.md refer to these.
+// registry is open — callers may record under any name — but the shell,
+// the flight dump and DESIGN.md refer to these.
 const (
 	// HistClientOp is client-visible op latency: the synchronous part
 	// of a client call (permission check + cache write + enqueue).
@@ -40,12 +40,6 @@ const (
 	// size distribution, not a latency; it sizes the listings the read
 	// path's cache warming fans out over.
 	HistReaddirEntries = "readdir_entries"
-	// HistMaxStaleness is the sampled region-wide consistency-lag
-	// watermark (age of the oldest unacknowledged op, including parked
-	// and retrying ones). Fed by samplers — the bench harness ticks it —
-	// not by the pipeline itself, which exports the live value as the
-	// max_staleness_ns gauge.
-	HistMaxStaleness = "max_staleness"
 )
 
 // DefaultSlowSpan is the slow-op log threshold until overridden.

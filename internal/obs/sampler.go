@@ -229,8 +229,8 @@ func (o *Obs) SpanTrace(span uint64) (CritPath, bool) {
 	return AnalyzeSpan(evs), true
 }
 
-// TraceStats is the sampling/flight summary block bench embeds in every
-// BENCH.json row.
+// TraceStats is the sampling/flight summary block: the shell's trace
+// command and cmd/paconfs's /debug/trace handler print it.
 type TraceStats struct {
 	// SampleN is the head-sampling rate (1 in N; 0 = disabled).
 	SampleN int64 `json:"sample_n"`

@@ -291,8 +291,8 @@ func (c *Caller) Inline() bool { return c.inline }
 // a process waiting on a network would. The DFS client's per-shard
 // batches ask for it — an unpaced commit process on one P otherwise
 // never yields between waves, and how many ops its next wave finds
-// queued (BENCH.json's sharded rows) is decided by that yield, not by
-// virtual time; ROADMAP item 2 is the scheduler that would let them stop.
+// queued on a sharded MDS pool is decided by that yield, not by virtual
+// time; ROADMAP item 2 is the scheduler that would let them stop.
 func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclock.Time) vclock.Time {
 	latest := at
 	if n <= 1 || c.inline && !block {

@@ -21,9 +21,14 @@ import (
 //	<client> write  /w/dir/f <bytes>
 //	<client> read   /w/dir/f <bytes>
 //
-// where <client> is a decimal client index. '#' starts a comment. Traces
-// make custom workloads reproducible: capture once, replay against
-// BeeGFS, IndexFS and Pacon.
+// where <client> is a decimal client index and <bytes> at most 1 MiB
+// (maxTraceBytes). '#' starts a comment. Traces make custom workloads
+// reproducible: capture once, replay against BeeGFS, IndexFS and Pacon.
+
+// maxTraceBytes caps a write's or read's byte count. A trace comes from
+// outside the program and a replay allocates each write's payload, on
+// every client at once, so an unchecked count is an out-of-memory crash.
+const maxTraceBytes = 1 << 20
 
 // TraceOp is one parsed trace line.
 type TraceOp struct {
@@ -65,6 +70,9 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 			n, err := strconv.Atoi(fields[3])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("trace line %d: bad byte count %q", lineNo, fields[3])
+			}
+			if n > maxTraceBytes {
+				return nil, fmt.Errorf("trace line %d: byte count %d is over the %d-byte limit", lineNo, n, maxTraceBytes)
 			}
 			op.Bytes = n
 		default:
@@ -108,6 +116,9 @@ type TraceResult struct {
 // across clients. Data ops require FileClients; on a metadata-only
 // client they count as errors.
 func ReplayTrace(clients []Client, ops []TraceOp) (TraceResult, error) {
+	if len(clients) == 0 {
+		return TraceResult{}, fmt.Errorf("trace replay needs at least one client")
+	}
 	perClient := make([][]TraceOp, len(clients))
 	for _, op := range ops {
 		i := op.Client % len(clients)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -44,12 +45,69 @@ func TestParseTraceErrors(t *testing.T) {
 		"0 write /w/f",            // missing byte count
 		"0 write /w/f many",       // bad byte count
 		"0 mkdir /w extra-banana", // extra arg
+		// A count the replay would allocate on every client at once.
+		"0 write /w/f 1000000000000",
 	}
 	for _, c := range cases {
-		if _, err := ParseTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("%q: expected parse error", c)
+		if _, err := ParseTrace(strings.NewReader(c)); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("%q: err = %v, want a parse error naming line 1", c, err)
 		}
 	}
+}
+
+// TestReplayTraceWithoutClients: no clients is an error, not a division
+// by zero.
+func TestReplayTraceWithoutClients(t *testing.T) {
+	ops, err := ParseTrace(strings.NewReader("0 mkdir /w/d\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplayTrace(nil, ops); err == nil {
+		t.Fatal("a replay over no clients succeeded")
+	}
+}
+
+// FuzzParseTrace: whatever ParseTrace accepts, FormatTrace renders back
+// to a trace that parses to the same ops; no accepted count exceeds
+// maxTraceBytes; and parsing allocates at most a multiple of its input.
+func FuzzParseTrace(f *testing.F) {
+	f.Add([]byte(sampleTrace))
+	f.Add([]byte("0 write /w/f 1000000000000\n"))
+	f.Add([]byte("7 read /w/f 1048576\n3 rm /w/f\r\n# x\n"))
+	f.Add([]byte("-1 stat /w\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ops, err := ParseTrace(bytes.NewReader(in))
+		runtime.ReadMemStats(&m1)
+		if alloc, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(64*len(in)+80<<10); alloc > limit {
+			t.Fatalf("a %d-byte trace allocated %d bytes, limit %d", len(in), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		for _, op := range ops {
+			if op.Bytes < 0 || op.Bytes > maxTraceBytes {
+				t.Fatalf("accepted %+v", op)
+			}
+		}
+		var buf bytes.Buffer
+		if err := FormatTrace(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseTrace(&buf)
+		if err != nil {
+			t.Fatalf("formatted trace does not parse: %v\n%s", err, buf.String())
+		}
+		if len(again) != len(ops) {
+			t.Fatalf("round trip: %d ops, then %d", len(ops), len(again))
+		}
+		for i := range ops {
+			if again[i] != ops[i] {
+				t.Fatalf("op %d: %+v, then %+v", i, ops[i], again[i])
+			}
+		}
+	})
 }
 
 func TestFormatTraceRoundTrip(t *testing.T) {

@@ -80,26 +80,14 @@ func (r *Runner) Now() vclock.Time {
 // its finish time and operation count.
 type PhaseFunc func(idx int, cl Client, start vclock.Time) (vclock.Time, int64, error)
 
-// NoSkewBound effectively disables pacing for a phase: the skew window
-// is wider than any virtual time a phase reaches.
-const NoSkewBound = vclock.Duration(1 << 60)
-
 // RunPhase executes fn concurrently on every client between barriers. A
-// fresh Pacer bounds virtual-clock skew for the phase.
+// fresh Pacer bounds virtual-clock skew for the phase, so a phase must
+// not mix region barriers (Readdir, Rmdir) with clients that keep
+// operating: a client parked in a barrier does not advance its clock,
+// and the barrier holder's own RPCs block in the pacer waiting for it.
 func (r *Runner) RunPhase(fn PhaseFunc) (Result, error) {
-	return r.RunPhaseWindow(0, fn)
-}
-
-// RunPhaseWindow is RunPhase with an explicit skew window (0 = the
-// pacer default). A phase that takes region barriers (Readdir, Rmdir)
-// while other clients keep operating must run a wide window (or
-// NoSkewBound): a client parked in the barrier does not advance its
-// virtual clock, so under a tight window the barrier holder's own RPCs
-// block in the pacer waiting for the parked clients while the parked
-// clients wait for the holder's release — a deadlock.
-func (r *Runner) RunPhaseWindow(window vclock.Duration, fn PhaseFunc) (Result, error) {
 	start := r.Now()
-	pacer := vclock.NewPacer(len(r.clients), window)
+	pacer := vclock.NewPacer(len(r.clients), vclock.DefaultPacerWindow)
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
