@@ -274,7 +274,7 @@ func (c *Client) mutate(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	return c.mutateOn(c.writeTargets(op.Path), at, op)
+	return c.mutateOn(c.targets(op.Path), at, op)
 }
 
 // mutateOn sends op, alone, to each target (its path already cleaned and
@@ -363,19 +363,18 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: p})
 }
 
-// Rmdir removes an empty directory. A directory that spans shards
-// (mirrored, or holding delegations) removes through the two-phase
-// protocol: every involved shard votes (locally a dir, locally empty)
-// and logs an intent blocking creates under it, so no shard unlinks a
-// mirror the others keep; unanimous yes finishes with the unlink
-// everywhere.
+// Rmdir removes an empty directory. A mirrored directory removes
+// through the two-phase protocol: every shard votes (locally a dir,
+// locally empty) and logs an intent blocking creates under it, so no
+// shard unlinks a mirror the others keep; unanimous yes finishes with the
+// unlink everywhere.
 func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return at, err
 	}
-	targets := c.dirTargets(p)
+	targets := c.targets(p)
 	if len(targets) == 1 {
 		return c.mutateOn(targets, at, fsapi.BatchOp{Kind: fsapi.BatchRmdir, Path: p})
 	}
@@ -390,17 +389,17 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 }
 
 // RmTree removes a directory recursively, returning the removed paths —
-// the union over every shard the subtree touches. Across several shards
-// the sweeps are the finish step of the two-phase protocol: intents
-// bracket them, so a racing create into the doomed subtree fails with
-// ErrStale instead of landing on a shard that was already swept.
+// the union over every shard the subtree touches. A mirrored directory's
+// sweeps are the finish step of the two-phase protocol: intents bracket
+// them, so a racing create into the doomed subtree fails with ErrStale
+// instead of landing on a shard that was already swept.
 func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
 		return nil, at, err
 	}
-	targets := c.dirTargets(p)
+	targets := c.targets(p)
 	var outs []reply
 	if len(targets) == 1 {
 		outs, at = c.send(at, targets, rmtreeSweep, p, 0)
@@ -452,10 +451,9 @@ func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
 // protocol with the source as its participant — prepare exports the
 // subtree under an intent, inserting the export on the destination
 // shard is the decision, finish unlinks the source. Structural
-// endpoints and subtrees spanning a delegation boundary are refused:
-// moving a mirrored directory (or silently re-homing a pinned subtree)
-// has no atomic implementation. Data chunks are keyed by path, so a
-// renamed file's bytes are re-homed too.
+// endpoints are refused: moving a mirrored directory has no atomic
+// implementation. Data chunks are keyed by path, so a renamed file's
+// bytes are re-homed too.
 func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	src, dst = namespace.Clean(src), namespace.Clean(dst)
 	at, err := c.resolveAncestors(at, src)
@@ -468,7 +466,7 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	s := c.cfg.Shards
 	from, to := s.route(src), s.route(dst)
 	switch {
-	case from < 0 || to < 0 || s.CrossesDelegation(src):
+	case from < 0 || to < 0:
 		return at, fsapi.WrapPath("rename", src, fsapi.ErrPermission)
 	case from == to:
 		e := wire.GetEncoder()
@@ -594,12 +592,10 @@ func (c *Client) readChunks(at vclock.Time, p string, off int64, n int) ([]byte,
 	return out, at, nil
 }
 
-// Readdir lists a directory. One that spans shards merges the per-shard
-// listings: mirrored directories list their hashed children on every
-// shard, and delegated subtrees contribute their entries from the
-// delegate. Entries are deduplicated by name (mirrored subdirectories
-// appear on several shards) and the per-shard name-sorted order is
-// preserved by a merge.
+// Readdir lists a directory. A mirrored directory merges the per-shard
+// listings, each shard holding the hashed children it owns. Entries are
+// deduplicated by name (mirrored subdirectories appear on several
+// shards) and the per-shard name-sorted order is preserved by a merge.
 func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
@@ -608,7 +604,7 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	}
 	e := wire.GetEncoder()
 	e.String(p)
-	outs, at := c.sweep(at, c.dirTargets(p), "readdir", e)
+	outs, at := c.sweep(at, c.targets(p), "readdir", e)
 	lists := make([][]fsapi.DirEntry, 0, len(outs))
 	for _, r := range outs {
 		if fsapi.CodeOf(r.err) == fsapi.CodeNotExist {

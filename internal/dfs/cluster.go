@@ -61,9 +61,10 @@ func newCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred,
 // NewClusterSharded deploys a subtree-partitioned metadata service:
 // `shards` MDSes on mdsNode, each owning an independent namespace tree.
 // Structural paths (the given spread roots plus their ancestors and "/")
-// are mirrored on every shard; each immediate child subtree of a spread
-// root hashes to one shard and everything deeper inherits it (parent
-// affinity). Cross-shard renames run the two-phase xfer protocol.
+// are mirrored on every shard; each immediate child subtree of a
+// structural directory hashes to one shard and everything deeper
+// inherits it (parent affinity). Cross-shard renames run the two-phase
+// xfer protocol. The map is fixed here: a path's shard never changes.
 func NewClusterSharded(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsNode string, shards int, spreadRoots []string, dataNodes []string) *Cluster {
 	addrs := make([]string, max(shards, 1))
 	for i := range addrs {
@@ -105,68 +106,6 @@ func (c *Cluster) OracleExists(p string) bool {
 // agrees and Owner names shard 0, the canonical one.
 func (c *Cluster) oracleTree(p string) *namespace.Tree {
 	return c.MDSes[c.Shards.Owner(p)].Tree()
-}
-
-// Delegate migrates the subtree rooted at p onto the given shard and
-// registers the delegation in the shard map. This is the administrative
-// rebalancing operation: it materializes p's ancestor chain on the
-// target (copying stats from the authoritative mirrors), exports the
-// subtree from its current owner into the target tree, removes it from
-// the old owner, and only then flips routing. It is an offline/quiesced
-// operation — callers must not race it against client traffic to the
-// moving subtree.
-func (c *Cluster) Delegate(p string, shard int) error {
-	p = namespace.Clean(p)
-	if shard < 0 || shard >= len(c.MDSes) {
-		return fmt.Errorf("dfs: delegate %s: shard %d out of range [0,%d)", p, shard, len(c.MDSes))
-	}
-	if c.Shards.Structural(p) {
-		return fmt.Errorf("dfs: delegate %s: structural paths are mirrored, not delegated", p)
-	}
-	old := c.Shards.Owner(p)
-	dst := c.MDSes[shard].Tree()
-	// Materialize the ancestor chain on the target so future creates
-	// under p can resolve their parents locally. Structural ancestors are
-	// already mirrored; hash-zone ancestors are copied from their owner.
-	for i := 1; i < len(p); i++ {
-		if p[i] != '/' {
-			continue
-		}
-		a := p[:i]
-		if dst.Exists(a) {
-			continue
-		}
-		st, err := c.oracleTree(a).Lookup(a)
-		if err != nil {
-			return fmt.Errorf("dfs: delegate %s: ancestor %s: %w", p, a, err)
-		}
-		if err := dst.Mkdir(a, st); err != nil {
-			return fmt.Errorf("dfs: delegate %s: mirror ancestor %s: %w", p, a, err)
-		}
-	}
-	// Move the subtree itself, if it already exists on the old owner.
-	if old != shard {
-		src := c.MDSes[old].Tree()
-		if src.Exists(p) {
-			if dst.Exists(p) {
-				return fsapi.WrapPath("delegate", p, fsapi.ErrExist)
-			}
-			err := src.Walk(p, func(q string, st fsapi.Stat) error {
-				if st.IsDir() {
-					return dst.Mkdir(q, st)
-				}
-				return dst.Create(q, st)
-			})
-			if err != nil {
-				dst.RemoveSubtree(p)
-				return fmt.Errorf("dfs: delegate %s: export: %w", p, err)
-			}
-			if _, err := src.RemoveSubtree(p); err != nil {
-				return fmt.Errorf("dfs: delegate %s: unlink old owner: %w", p, err)
-			}
-		}
-	}
-	return c.Shards.Delegate(p, shard)
 }
 
 // NewClient builds a client on the given node. TTL 0 gives the paper's

@@ -57,7 +57,7 @@ func applyInOrder(cl *Client, ops []fsapi.BatchOp) []error {
 	}
 	for i, op := range ops {
 		if errs[i] == nil {
-			_, errs[i] = cl.mutateOn(cl.writeTargets(op.Path), 0, op)
+			_, errs[i] = cl.mutateOn(cl.targets(op.Path), 0, op)
 		}
 	}
 	return errs

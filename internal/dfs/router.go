@@ -11,11 +11,11 @@ import (
 // Client-side routing. Every client fronts a pool of independent MDS
 // shards (each with its own namespace tree and service pool) through its
 // ShardMap, and every operation asks the map where to go (mdsFor,
-// writeTargets, dirTargets, ShardMap.group). What it then does depends
-// only on how many targets the map named: one target is one round trip,
-// several are a fan-out from one virtual instant (sweep, perShard), and
-// a mutation that must be atomic across several runs the two-phase
-// protocol (twoPhase). A one-shard map never names more than one, so a
+// targets, ShardMap.group). What it then does depends only on how many
+// targets the map named: one target is one round trip, several are a
+// fan-out from one virtual instant (sweep, perShard), and a mutation
+// that must be atomic across several runs the two-phase protocol
+// (twoPhase). A one-shard map never names more than one, so a
 // single MDS is not a mode of this code but its smallest input.
 
 // mdsFor returns the MDS a read of p goes to.
@@ -28,32 +28,16 @@ func (c *Client) mdsFor(p string) string {
 	return s.addrs[i]
 }
 
-// writeTargets returns the shards a mutation of p goes to: its owner, or
-// every shard when p is mirrored.
-func (c *Client) writeTargets(p string) []string {
+// targets returns the shards an operation on p goes to: its owner, or
+// every shard when p is mirrored. A hash-zone directory lives whole on
+// its owner, so a directory-wide operation (readdir, rmdir, rmtree) has
+// the same targets as a mutation of the directory itself.
+func (c *Client) targets(p string) []string {
 	s := c.cfg.Shards
 	if i := s.route(p); i >= 0 {
 		return s.addrs[i : i+1]
 	}
 	return s.addrs
-}
-
-// dirTargets returns the shards a directory-wide operation on p must
-// touch: every shard when p is mirrored, otherwise the owner plus any
-// shards holding delegations under p.
-func (c *Client) dirTargets(p string) []string {
-	s := c.cfg.Shards
-	owner := s.route(p)
-	if owner < 0 {
-		return s.addrs
-	}
-	out := s.addrs[owner : owner+1 : owner+1]
-	for _, sh := range s.DelegationShardsUnder(p) {
-		if sh != owner {
-			out = append(out, s.addrs[sh])
-		}
-	}
-	return out
 }
 
 // call issues one RPC whose request was built in the pooled encoder e,

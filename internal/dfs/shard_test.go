@@ -3,11 +3,14 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pacon/internal/fsapi"
+	"pacon/internal/namespace"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 	"pacon/internal/wire"
@@ -48,58 +51,123 @@ func allIntentsDrained(t *testing.T, c *Cluster) {
 	}
 }
 
+// wantRoute is the shard map's definition written out a second way: -1
+// for "/", a spread root or an ancestor of one; otherwise FNV-32a, mod n,
+// of the path's first component below its deepest structural ancestor.
+// roots are clean. ".." and NUL are names like any other, as they are to
+// namespace.Clean and the MDS tree.
+func wantRoute(n int, roots []string, p string) int {
+	structural := func(q string) bool {
+		if q == "/" {
+			return true
+		}
+		for _, r := range roots {
+			if r == q || strings.HasPrefix(r, q+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	if structural(p) {
+		return -1
+	}
+	unit := p
+	for {
+		parent, _ := namespace.Split(unit)
+		if structural(parent) {
+			break
+		}
+		unit = parent
+	}
+	h := fnv.New32a()
+	h.Write([]byte(unit))
+	return int(h.Sum32() % uint32(n))
+}
+
+// checkRoute holds a shard map to wantRoute on the clean path p, and to
+// twin: a map built from the same shards and the same roots spelled
+// otherwise must answer alike.
+func checkRoute(t *testing.T, sm, twin *ShardMap, roots []string, p string) {
+	t.Helper()
+	want := wantRoute(sm.N(), roots, p)
+	if got := sm.route(p); got != want {
+		t.Fatalf("route(%q) with spread roots %q = %d, want %d", p, roots, got, want)
+	}
+	if got := twin.route(p); got != want {
+		t.Fatalf("route(%q) on a map of the same roots spelled otherwise = %d, want %d", p, got, want)
+	}
+	if sm.structural(p) != (want < 0) {
+		t.Fatalf("structural(%q) = %v, want %v", p, sm.structural(p), want < 0)
+	}
+}
+
+// TestShardMapPartition checks every path of up to three components
+// over an alphabet of prefix siblings (/w beside /w2), names shared by a
+// nested spread root's ancestors, "..", NUL and a 300-byte name, on
+// three and four shards, against wantRoute; and then the two properties
+// the definition implies: a hash-zone path shares its parent's shard
+// (parent affinity), and the children of a structural directory spread —
+// an ancestor of a spread root included.
 func TestShardMapPartition(t *testing.T) {
-	sm := NewShardMap([]string{"a", "b", "c", "d"}, []string{"/w"})
-
-	for _, p := range []string{"/", "/w"} {
-		if !sm.Structural(p) {
-			t.Fatalf("Structural(%s) = false, want true", p)
+	roots := []string{"/w", "/a/b/c"}
+	names := []string{"w", "w2", "a", "b", "c", "x", "..", "\x00", strings.Repeat("n", 300)}
+	paths, level := []string{"/"}, []string{"/"}
+	for depth := 0; depth < 3; depth++ {
+		var next []string
+		for _, q := range level {
+			for _, n := range names {
+				next = append(next, namespace.Join(q, n))
+			}
+		}
+		paths, level = append(paths, next...), next
+	}
+	for _, n := range []int{3, 4} {
+		addrs := []string{"s0", "s1", "s2", "s3"}[:n]
+		sm := NewShardMap(addrs, roots)
+		twin := NewShardMap(addrs, []string{"//a/b/c/", "/w/", "/w", "/"})
+		for _, p := range paths {
+			checkRoute(t, sm, twin, roots, p)
+			if parent, _ := namespace.Split(p); !sm.structural(p) && !sm.structural(parent) && sm.route(p) != sm.route(parent) {
+				t.Fatalf("%d shards: %q on shard %d, its parent on %d", n, p, sm.route(p), sm.route(parent))
+			}
+		}
+		for _, dir := range []string{"/", "/w", "/a/b"} {
+			owners := map[int]bool{}
+			for i := 0; i < 64; i++ {
+				owners[sm.Owner(namespace.Join(dir, fmt.Sprintf("s%d", i)))] = true
+			}
+			if len(owners) < 2 {
+				t.Fatalf("%d shards: 64 children of structural %s all on shard %v", n, dir, owners)
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { sm.route("/a/b/x/y/z") }); a != 0 {
+			t.Fatalf("route allocates %.0f times per call", a)
 		}
 	}
-	if sm.Structural("/w/x") {
-		t.Fatal("Structural(/w/x) = true, want false (hash zone)")
-	}
+}
 
-	// Parent affinity: everything under one /w child shares its shard.
-	for _, sub := range []string{"/w/x/y", "/w/x/y/z", "/w/x/deep/er/file"} {
-		if sm.Owner(sub) != sm.Owner("/w/x") {
-			t.Fatalf("Owner(%s) = %d, want %d (parent affinity)", sub, sm.Owner(sub), sm.Owner("/w/x"))
+// FuzzShardMap checks the shard map against its definition on any one
+// spread root and any path, cleaned as every client cleans it first.
+func FuzzShardMap(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"/w", "/w2/x"},
+		{"/a/b/c", "/a/b/x/y"},
+		{"/w", "/w/../x"},
+		{"w/", "//w//x\x00/"},
+		{"", "/"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	addrs := []string{"s0", "s1", "s2", "s3"}
+	f.Fuzz(func(t *testing.T, root, p string) {
+		sm := NewShardMap(addrs, []string{root})
+		twin := NewShardMap(addrs, []string{root + "/", "/" + root, root})
+		var roots []string
+		if r := namespace.Clean(root); r != "/" {
+			roots = append(roots, r)
 		}
-	}
-
-	// Sibling subtrees spread: 64 names must hit more than one shard.
-	owners := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		owners[sm.Owner(fmt.Sprintf("/w/s%d", i))] = true
-	}
-	if len(owners) < 2 {
-		t.Fatalf("64 sibling subtrees all hashed to one shard: %v", owners)
-	}
-
-	// Explicit delegation overrides the hash by longest prefix.
-	hashOwner := sm.Owner("/w/x")
-	deleg := (hashOwner + 1) % 4
-	if err := sm.Delegate("/w/x/sub", deleg); err != nil {
-		t.Fatal(err)
-	}
-	if got := sm.Owner("/w/x/sub/file"); got != deleg {
-		t.Fatalf("delegated Owner = %d, want %d", got, deleg)
-	}
-	if got := sm.Owner("/w/x/other"); got != hashOwner {
-		t.Fatalf("sibling of delegation moved: Owner = %d, want %d", got, hashOwner)
-	}
-	if got := sm.DelegationShardsUnder("/w/x"); len(got) != 1 || got[0] != deleg {
-		t.Fatalf("DelegationShardsUnder(/w/x) = %v, want [%d]", got, deleg)
-	}
-	if !sm.CrossesDelegation("/w/x") {
-		t.Fatal("CrossesDelegation(/w/x) = false with a delegation inside")
-	}
-	if sm.CrossesDelegation("/w/x/sub") {
-		t.Fatal("CrossesDelegation(/w/x/sub) = true for the delegation root itself")
-	}
-	if err := sm.Delegate("/w", 0); err == nil {
-		t.Fatal("delegating a structural path must be refused")
-	}
+		checkRoute(t, sm, twin, roots, namespace.Clean(p))
+	})
 }
 
 // TestShardedCreateSpreadAndReaddir: files under the spread root land on
@@ -251,70 +319,62 @@ func TestCrossShardRenameDstExistsAborts(t *testing.T) {
 	}
 }
 
-// TestShardedRmdirWithDelegation: a directory whose children span
-// shards (via delegation) must refuse rmdir while any shard still holds
-// entries, then remove its mirror from every involved shard once empty.
-func TestShardedRmdirWithDelegation(t *testing.T) {
+// TestShardedRmdirOfSpreadRoot: a mirrored directory's children live on
+// their own shards, so its rmdir must refuse while any shard still holds
+// an entry, then remove its mirror from every shard once empty.
+func TestShardedRmdirOfSpreadRoot(t *testing.T) {
 	c, cl := shardedCluster(t, 4)
-	dir := nameOwnedBy(t, c.Shards, 0, "d")
-	if _, err := cl.Mkdir(0, dir, 0o755); err != nil {
+	root := c.NewClient("node0", rootCred, 0, 0)
+	child := nameOwnedBy(t, c.Shards, 2, "d")
+	if _, err := cl.Mkdir(0, child, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delegate(dir+"/sub", 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Mkdir(0, dir+"/sub", 0o755); err != nil {
-		t.Fatalf("mkdir on delegated shard: %v", err)
-	}
-	if !c.MDSes[2].Tree().Exists(dir + "/sub") {
-		t.Fatal("delegated child did not land on its shard")
+	if !c.MDSes[2].Tree().Exists(child) {
+		t.Fatal("child did not land on its shard")
 	}
 
-	if _, err := cl.Rmdir(0, dir); !errors.Is(err, fsapi.ErrNotEmpty) {
-		t.Fatalf("rmdir with a delegated child = %v, want ErrNotEmpty", err)
+	if _, err := root.Rmdir(0, "/w"); !errors.Is(err, fsapi.ErrNotEmpty) {
+		t.Fatalf("rmdir with a child on one shard = %v, want ErrNotEmpty", err)
 	}
 	allIntentsDrained(t, c)
 
-	if _, err := cl.Rmdir(0, dir+"/sub"); err != nil {
+	if _, err := cl.Rmdir(0, child); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Rmdir(0, dir); err != nil {
-		t.Fatalf("rmdir of emptied spanning dir: %v", err)
+	if _, err := root.Rmdir(0, "/w"); err != nil {
+		t.Fatalf("rmdir of the emptied spread root: %v", err)
 	}
 	for i, m := range c.MDSes {
-		if m.Tree().Exists(dir) {
+		if m.Tree().Exists("/w") {
 			t.Fatalf("shard %d still holds the removed dir", i)
 		}
 	}
 	allIntentsDrained(t, c)
 }
 
-// TestShardedRmTreeWithDelegation: a recursive removal must sweep the
-// owner shard and every delegate, returning the union of removed paths.
-func TestShardedRmTreeWithDelegation(t *testing.T) {
+// TestShardedRmTreeOfSpreadRoot: a recursive removal of a mirrored
+// directory must sweep every shard, returning the union of removed paths.
+func TestShardedRmTreeOfSpreadRoot(t *testing.T) {
 	c, cl := shardedCluster(t, 4)
-	dir := nameOwnedBy(t, c.Shards, 1, "d")
-	if _, err := cl.Mkdir(0, dir, 0o755); err != nil {
+	own := nameOwnedBy(t, c.Shards, 1, "own")
+	dir := nameOwnedBy(t, c.Shards, 3, "d")
+	if _, err := cl.Create(0, own, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Create(0, dir+"/own", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delegate(dir+"/sub", 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Mkdir(0, dir+"/sub", 0o755); err != nil {
-		t.Fatal(err)
+	for _, p := range []string{dir, dir + "/sub"} {
+		if _, err := cl.Mkdir(0, p, 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := cl.Create(0, dir+"/sub/leaf", 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	removed, _, err := cl.RmTree(0, dir)
+	removed, _, err := c.NewClient("node0", rootCred, 0, 0).RmTree(0, "/w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{dir: true, dir + "/own": true, dir + "/sub": true, dir + "/sub/leaf": true}
+	want := map[string]bool{"/w": true, own: true, dir: true, dir + "/sub": true, dir + "/sub/leaf": true}
 	for _, p := range removed {
 		delete(want, p)
 	}
@@ -322,7 +382,7 @@ func TestShardedRmTreeWithDelegation(t *testing.T) {
 		t.Fatalf("rmtree union missing %v (got %v)", want, removed)
 	}
 	for i, m := range c.MDSes {
-		if m.Tree().Exists(dir) {
+		if m.Tree().Exists("/w") {
 			t.Fatalf("shard %d still holds the swept dir", i)
 		}
 	}
@@ -359,27 +419,25 @@ func TestShardIntentInterleavings(t *testing.T) {
 			},
 		},
 		{
-			// A delegated-child create racing a multi-shard rmdir vote
+			// A create under a mirrored directory racing its rmdir vote
 			// must fail ErrStale while the vote's intent is held — it
 			// cannot sneak an entry onto a shard that already voted
 			// "empty".
-			name: "rmdir vote racing delegated create",
+			name: "rmdir vote racing spread create",
 			op:   "rmdir",
 			run: func(t *testing.T, c *Cluster, cl *Client, dir string) {
-				deleg := (c.Shards.Owner(dir) + 1) % c.Shards.N()
-				if err := c.Delegate(dir+"/sub", deleg); err != nil {
+				k := (c.Shards.Owner(dir) + 1) % c.Shards.N()
+				child := nameOwnedBy(t, c.Shards, k, "v")
+				m := c.MDSes[k]
+				if err := m.putIntent("rmdir", "/w", 901); err != nil {
 					t.Fatal(err)
 				}
-				m := c.MDSes[deleg]
-				if err := m.putIntent("rmdir", dir, 901); err != nil {
-					t.Fatal(err)
+				if _, err := cl.Mkdir(0, child, 0o755); !errors.Is(err, fsapi.ErrStale) {
+					t.Fatalf("create under rmdir vote = %v, want ErrStale", err)
 				}
-				if _, err := cl.Mkdir(0, dir+"/sub", 0o755); !errors.Is(err, fsapi.ErrStale) {
-					t.Fatalf("delegated create under rmdir vote = %v, want ErrStale", err)
-				}
-				m.delIntent(dir, 901)
-				if _, err := cl.Mkdir(0, dir+"/sub", 0o755); err != nil {
-					t.Fatalf("delegated create after vote release: %v", err)
+				m.delIntent("/w", 901)
+				if _, err := cl.Mkdir(0, child, 0o755); err != nil {
+					t.Fatalf("create after vote release: %v", err)
 				}
 			},
 		},
@@ -568,7 +626,7 @@ func TestOversizedCountIsAnErrorNotAPanic(t *testing.T) {
 		released = true
 		return at, nil, nil
 	})
-	c.Net.Register(c.Shards.AddrOf(0), liar)
+	c.Net.Register(c.MDSAddrs[0], liar)
 	if _, err := cl.Rename(0, src, dst); !errors.Is(err, wire.ErrTooLong) {
 		t.Fatalf("rename over an oversized xfer_prepare reply = %v, want %v", err, wire.ErrTooLong)
 	}
@@ -614,7 +672,7 @@ func TestOversizedReplyCountIsAnErrorNotAHang(t *testing.T) {
 				return done, resp, err
 			})
 		}
-		c.Net.Register(c.Shards.AddrOf(0), liar)
+		c.Net.Register(c.MDSAddrs[0], liar)
 
 		finished := make(chan error, 2)
 		go func() {
@@ -644,22 +702,15 @@ func TestOversizedReplyCountIsAnErrorNotAHang(t *testing.T) {
 // shard never held the directory" — the shard's removed paths would drop
 // out of the union the region mirrors into its cache, or a removed tree
 // would be reported missing. So RmTree reports the transport's error,
-// and the intent of a sweep that never arrived is still released. Shard
-// 1's front loses one reply per case, after running the call or before.
+// and the intent of a sweep that never arrived is still released. The
+// swept tree is the mirrored /w, so every shard takes part; shard 1's
+// front loses one reply per case, after running the call or before.
 func TestLostFinishReply(t *testing.T) {
 	for _, ran := range []bool{true, false} {
 		c, cl := shardedCluster(t, 4)
 		dir := nameOwnedBy(t, c.Shards, 1, "d")
 		other := nameOwnedBy(t, c.Shards, 2, "o")
-		for _, p := range []string{dir, other} {
-			if _, err := cl.Mkdir(0, p, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Delegate(dir+"/sub", 3); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []string{dir + "/sub", dir + "/moved"} {
+		for _, p := range []string{dir, other, dir + "/moved"} {
 			if _, err := cl.Mkdir(0, p, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -680,7 +731,7 @@ func TestLostFinishReply(t *testing.T) {
 				return at, nil, fsapi.ErrClosed
 			})
 		}
-		c.Net.Register(c.Shards.AddrOf(1), front)
+		c.Net.Register(c.MDSAddrs[1], front)
 
 		lose = "intent_finish"
 		if _, err := cl.Rename(0, dir+"/moved", other+"/moved"); err != nil {
@@ -692,12 +743,15 @@ func TestLostFinishReply(t *testing.T) {
 		allIntentsDrained(t, c)
 
 		lose = "rmtree"
-		removed, _, err := cl.RmTree(0, dir)
+		removed, _, err := c.NewClient("node0", rootCred, 0, 0).RmTree(0, "/w")
 		if !errors.Is(err, fsapi.ErrClosed) {
 			t.Fatalf("ran=%v: rmtree whose sweep of shard 1 was lost = %v, %v; want %v", ran, removed, err, fsapi.ErrClosed)
 		}
 		if c.MDSes[1].Tree().Exists(dir) == ran {
 			t.Fatalf("ran=%v: shard 1 holds %s = %v", ran, dir, !ran)
+		}
+		if c.MDSes[2].Tree().Exists("/w") {
+			t.Fatalf("ran=%v: shard 2 kept /w through a sweep it answered", ran)
 		}
 		allIntentsDrained(t, c)
 	}

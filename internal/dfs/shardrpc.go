@@ -20,8 +20,8 @@ import (
 //	                             source must exist under a writable
 //	                             parent; replies with the subtree
 //	                             exported pre-order
-//	              rmdir_prepare  rmdir of a directory that spans shards:
-//	                             locally a directory, locally empty
+//	              rmdir_prepare  rmdir of a mirrored directory: locally
+//	                             a directory, locally empty
 //	              intent_put     rmtree of such a directory: no vote
 //	finishes  — sweeps the subtree under its own intent and releases it,
 //	            idempotently:
@@ -200,9 +200,9 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		return done, nil
 	})
 
-	// rmdir_prepare: this shard's vote on a multi-shard rmdir. The
-	// directory must be locally a dir and locally empty (a shard that
-	// never materialized it votes yes — nothing under it can exist
+	// rmdir_prepare: this shard's vote on the rmdir of a mirrored
+	// directory. It must be locally a dir and locally empty (a shard whose
+	// mirror was never made votes yes — nothing under it can exist
 	// here). The intent goes in before the vote is taken: once it is
 	// logged nothing under the directory can change, so a yes stays true
 	// until commit or abort; a no takes the intent back out.
