@@ -49,6 +49,8 @@ core BenchmarkCommitWaveTwoDirs    2048x  5  384 commit wave over two dirs      
 dfs  BenchmarkCreate               20000x 2  200 dfs create (one-op batch)      # 2 and 183 B, path and inode (the reply is decoded in a pooled encoder): Exists wrapping its miss again is +1 and +48 B, a heap-allocated one-op batch or a closure on the lone-target path +1
 dfs  BenchmarkApplyBatch1          20000x 3  216 dfs apply_batch of 1           # 3 and 199 B, the create plus its one-element result: a batch of one taking the grouping path
 dfs  BenchmarkApplyBatch8/shards=1 20000x 17 -   dfs apply_batch of 8, one MDS  # 17, the result slice plus eight paths and eight inodes: shard buckets built on one MDS, or directory grouping leaving the stack, is +1 or +2
+mq   BenchmarkQueuePushPop          100000x 0 0  queue push+pop                 # 0 and 0 B: a push or pop that allocates, e.g. a fresh buffer once the consumer has caught up
+mq   BenchmarkQueueLaggingConsumer  100000x 0 0  queue push+pop, 64 behind      # 0 and 0 B: a buffer that grows instead of compacting behind a lagging consumer shows in the bytes (≈140 B/op)
 endef
 export ALLOC_GATES
 

@@ -58,7 +58,7 @@ func main() {
 		// while the region is ok or degraded (still making progress),
 		// 503 once it is stalled — the shape load balancers probe.
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			h := sh.region.Health(pacon.HealthThresholds{})
+			h := sh.region.Health()
 			w.Header().Set("Content-Type", "application/json")
 			if h.Status == pacon.HealthStalled {
 				w.WriteHeader(http.StatusServiceUnavailable)

@@ -263,7 +263,7 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 		}
 		return sb.String(), false, nil
 	case "health":
-		h := s.region.Health(pacon.HealthThresholds{})
+		h := s.region.Health()
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "status: %s", h.Status)
 		for _, r := range h.Reasons {

@@ -92,7 +92,7 @@ func TestQuiescedAuditAllMatch(t *testing.T) {
 	if !ok || v.Sampled != rep.Sampled || v.Divergent != 0 {
 		t.Fatalf("verdict not recorded with the region: %+v ok=%v", v, ok)
 	}
-	if h := region.Health(core.HealthThresholds{}); h.Status != core.HealthOK {
+	if h := region.Health(); h.Status != core.HealthOK {
 		t.Fatalf("health %v after clean audit, want ok (%v)", h.Status, h.Reasons)
 	}
 }
@@ -146,7 +146,7 @@ func TestCommitSkipFaultDetected(t *testing.T) {
 	if !found {
 		t.Fatalf("no divergent missing-on-DFS finding: %s", rep)
 	}
-	if h := region.Health(core.HealthThresholds{}); h.Status != core.HealthStalled {
+	if h := region.Health(); h.Status != core.HealthStalled {
 		t.Fatalf("health %v after divergent audit, want stalled", h.Status)
 	}
 	if !strings.Contains(rep.String(), "divergent") {

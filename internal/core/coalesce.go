@@ -13,7 +13,7 @@ package core
 //   - Per-path FIFO is preserved: a merged run collapses onto the
 //     position of its first op, and later ops of the same path continue
 //     to coalesce into (or queue behind) that position.
-//   - Barrier epochs are respected by construction: mq.Queue.PopBatch
+//   - Barrier epochs are respected by construction: mq.Queue.PopBatchInto
 //     never returns ops straddling a barrier marker, so a dependent
 //     operation (rmdir, rename) still observes every op that preceded
 //     its barrier, in merged form.

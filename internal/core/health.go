@@ -40,43 +40,44 @@ func (s HealthStatus) String() string {
 // documents (the /healthz endpoint).
 func (s HealthStatus) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// HealthThresholds sets the wall-clock staleness levels (ns) at which a
-// region degrades and stalls, and the sustained-imbalance level at
-// which hotspot skew degrades it. The zero value selects the defaults.
-type HealthThresholds struct {
-	DegradedNS int64 // default 5s
-	StalledNS  int64 // default 60s
+// The levels at which Health degrades and stalls a region: wall-clock
+// staleness, and sustained per-node load imbalance (hotspot skew).
+const (
+	healthDegradedNS = int64(5 * time.Second)
+	healthStalledNS  = int64(60 * time.Second)
+	// The hottest node carrying ≥3× its fair share (max over mean of
+	// recorded ops per node, ×1000) counts as imbalanced. Only meaningful
+	// with observability enabled and >1 node.
+	healthSkewMaxMeanPermille = 3000
+	// How long the imbalance must persist across Health polls before it
+	// degrades the region: a burst is not a hotspot.
+	healthSkewSustainNS = int64(10 * time.Second)
+	// Skew over fewer recorded ops than this is noise.
+	healthSkewMinOps = 1024
+)
 
-	// SkewMaxMeanPermille is the per-node load imbalance — max over mean
-	// of recorded ops per node, ×1000 — past which the region counts as
-	// imbalanced. Default 3000: the hottest node carries ≥3× its fair
-	// share. Only meaningful with observability enabled and >1 node.
-	SkewMaxMeanPermille int64
-	// SkewSustainNS is how long the imbalance must persist across Health
-	// polls before it degrades the region (a burst is not a hotspot).
-	// Default 10s.
-	SkewSustainNS int64
-	// SkewMinOps gates the imbalance rule until the region has recorded
-	// at least this many ops — skew over a handful of ops is noise.
-	// Default 1024.
-	SkewMinOps int64
+// healthThresholds lets tests tighten the levels above; a zero field
+// selects its constant.
+type healthThresholds struct {
+	degradedNS, stalledNS                          int64
+	skewMaxMeanPermille, skewSustainNS, skewMinOps int64
 }
 
-func (t HealthThresholds) withDefaults() HealthThresholds {
-	if t.DegradedNS <= 0 {
-		t.DegradedNS = int64(5 * time.Second)
+func (t healthThresholds) withDefaults() healthThresholds {
+	if t.degradedNS <= 0 {
+		t.degradedNS = healthDegradedNS
 	}
-	if t.StalledNS <= 0 {
-		t.StalledNS = int64(60 * time.Second)
+	if t.stalledNS <= 0 {
+		t.stalledNS = healthStalledNS
 	}
-	if t.SkewMaxMeanPermille <= 0 {
-		t.SkewMaxMeanPermille = 3000
+	if t.skewMaxMeanPermille <= 0 {
+		t.skewMaxMeanPermille = healthSkewMaxMeanPermille
 	}
-	if t.SkewSustainNS <= 0 {
-		t.SkewSustainNS = int64(10 * time.Second)
+	if t.skewSustainNS <= 0 {
+		t.skewSustainNS = healthSkewSustainNS
 	}
-	if t.SkewMinOps <= 0 {
-		t.SkewMinOps = 1024
+	if t.skewMinOps <= 0 {
+		t.skewMinOps = healthSkewMinOps
 	}
 	return t
 }
@@ -148,7 +149,7 @@ type Health struct {
 	LastAudit *AuditVerdict `json:"last_audit,omitempty"`
 }
 
-// Health evaluates the region against thr (zero value = defaults).
+// Health evaluates the region.
 //
 // Status rules, current conditions only (cumulative counters like
 // dropped ops are reported as data, not status — a drop a week ago is
@@ -158,11 +159,13 @@ type Health struct {
 //   - max staleness ≥ degraded threshold      → degraded
 //   - parked (failed, retrying) ops           → degraded
 //   - node load imbalance sustained past
-//     SkewSustainNS (hotspot telemetry)       → degraded
+//     healthSkewSustainNS (hotspot telemetry) → degraded
 //
 // With observability disabled the staleness watermark reads 0 and only
 // the audit/parked rules can fire.
-func (r *Region) Health(thr HealthThresholds) Health {
+func (r *Region) Health() Health { return r.health(healthThresholds{}) }
+
+func (r *Region) health(thr healthThresholds) Health {
 	thr = thr.withDefaults()
 	dirty, removed := r.headerCounts()
 	h := Health{
@@ -193,12 +196,12 @@ func (r *Region) Health(thr HealthThresholds) Health {
 		worsen(HealthStalled, fmt.Sprintf("last audit found %d divergent key(s)", h.LastAudit.Divergent))
 	}
 	switch {
-	case h.MaxStalenessNS >= thr.StalledNS:
+	case h.MaxStalenessNS >= thr.stalledNS:
 		worsen(HealthStalled, fmt.Sprintf("oldest unacked op is %s old (stalled ≥ %s)",
-			time.Duration(h.MaxStalenessNS), time.Duration(thr.StalledNS)))
-	case h.MaxStalenessNS >= thr.DegradedNS:
+			time.Duration(h.MaxStalenessNS), time.Duration(thr.stalledNS)))
+	case h.MaxStalenessNS >= thr.degradedNS:
 		worsen(HealthDegraded, fmt.Sprintf("oldest unacked op is %s old (degraded ≥ %s)",
-			time.Duration(h.MaxStalenessNS), time.Duration(thr.DegradedNS)))
+			time.Duration(h.MaxStalenessNS), time.Duration(thr.degradedNS)))
 	}
 	if h.ParkedOps > 0 {
 		worsen(HealthDegraded, fmt.Sprintf("%d op(s) parked awaiting resubmission", h.ParkedOps))
@@ -218,9 +221,9 @@ func (r *Region) Health(thr HealthThresholds) Health {
 // a health snapshot: the gauges are always reported (when observability
 // is on and the region has peers to be imbalanced against), but the
 // status only degrades once the imbalance has persisted for
-// SkewSustainNS across polls — r.skewSince carries the onset time
+// thr.skewSustainNS across polls — r.skewSince carries the onset time
 // between calls, and any balanced poll resets it.
-func (r *Region) healthSkew(h *Health, thr HealthThresholds, worsen func(HealthStatus, string)) {
+func (r *Region) healthSkew(h *Health, thr healthThresholds, worsen func(HealthStatus, string)) {
 	if r.obs == nil || len(r.cfg.Nodes) < 2 {
 		return
 	}
@@ -231,7 +234,7 @@ func (r *Region) healthSkew(h *Health, thr HealthThresholds, worsen func(HealthS
 		h.HotPath = top[0].Path
 		h.HotPathShare = top[0].Share
 	}
-	if sk.Total < thr.SkewMinOps || sk.MaxMeanPermille < thr.SkewMaxMeanPermille {
+	if sk.Total < thr.skewMinOps || sk.MaxMeanPermille < thr.skewMaxMeanPermille {
 		r.skewSince.Store(0)
 		return
 	}
@@ -242,7 +245,7 @@ func (r *Region) healthSkew(h *Health, thr HealthThresholds, worsen func(HealthS
 		r.skewSince.CompareAndSwap(0, now)
 		return
 	}
-	if now-since >= thr.SkewSustainNS {
+	if now-since >= thr.skewSustainNS {
 		worsen(HealthDegraded, fmt.Sprintf(
 			"node load imbalance sustained %s: hottest node carries %.1fx the mean over %d node(s)",
 			time.Duration(now-since), float64(sk.MaxMeanPermille)/1000, sk.N))

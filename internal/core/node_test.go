@@ -174,7 +174,7 @@ func TestEveryTerminalReleasesEverything(t *testing.T) {
 // in n's table.
 func wantReleased(t *testing.T, r *Region, n *node, path string) {
 	t.Helper()
-	if got := n.inflight.atRisk(); got != 0 || r.Health(HealthThresholds{}).AtRiskOps != 0 {
+	if got := n.inflight.atRisk(); got != 0 || r.Health().AtRiskOps != 0 {
 		t.Errorf("at-risk ops = %d", got)
 	}
 	if got := r.parked.Load(); got != 0 {

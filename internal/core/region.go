@@ -268,7 +268,7 @@ type Region struct {
 	// skewSince is the wall time (unix nanos) at which Health() first
 	// observed per-node load imbalance above the skew threshold, 0 while
 	// balanced. Imbalance only degrades the region once it has persisted
-	// for SkewSustainNS across polls.
+	// for healthSkewSustainNS across polls.
 	skewSince atomic.Int64
 
 	wg     sync.WaitGroup
@@ -518,7 +518,8 @@ func (r *Region) CacheStats() memcache.Stats {
 	return total
 }
 
-// QueueDepth reports queued (uncommitted) operations across nodes.
+// QueueDepth reports the messages queued across the nodes' commit
+// queues: uncommitted operations plus any barrier markers not yet reached.
 func (r *Region) QueueDepth() int {
 	total := 0
 	for _, n := range r.nodes {

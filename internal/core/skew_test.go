@@ -24,10 +24,10 @@ func TestSkewHealthDegradedAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr := HealthThresholds{SkewMaxMeanPermille: 1500, SkewMinOps: 16, SkewSustainNS: 1}
+	thr := healthThresholds{skewMaxMeanPermille: 1500, skewMinOps: 16, skewSustainNS: 1}
 
-	// Below SkewMinOps the rule must not even start its clock.
-	if h := e.region.Health(thr); h.Status != HealthOK {
+	// Below skewMinOps the rule must not even start its clock.
+	if h := e.region.health(thr); h.Status != HealthOK {
 		t.Fatalf("health %v below min-ops gate, want ok (%v)", h.Status, h.Reasons)
 	}
 
@@ -39,7 +39,7 @@ func TestSkewHealthDegradedAndReset(t *testing.T) {
 
 	// node0 carries 64 ops, node1 zero: max/mean = 2.0, CV = 1.0. The
 	// first over-threshold poll stamps the onset but stays ok.
-	h := e.region.Health(thr)
+	h := e.region.health(thr)
 	if h.Status != HealthOK {
 		t.Fatalf("onset poll degraded immediately: %+v", h)
 	}
@@ -51,7 +51,7 @@ func TestSkewHealthDegradedAndReset(t *testing.T) {
 	}
 
 	time.Sleep(2 * time.Millisecond) // exceed the 1ns sustain window
-	h = e.region.Health(thr)
+	h = e.region.health(thr)
 	if h.Status != HealthDegraded {
 		t.Fatalf("sustained imbalance not degraded: %+v", h)
 	}
@@ -83,7 +83,7 @@ func TestSkewHealthDegradedAndReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h = e.region.Health(thr)
+	h = e.region.health(thr)
 	if h.Status != HealthOK {
 		t.Fatalf("balanced region still %v: %v", h.Status, h.Reasons)
 	}
@@ -108,7 +108,7 @@ func TestSkewHealthRequiresObsAndPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := e.region.Health(HealthThresholds{SkewMaxMeanPermille: 1, SkewMinOps: 1, SkewSustainNS: 1})
+	h := e.region.health(healthThresholds{skewMaxMeanPermille: 1, skewMinOps: 1, skewSustainNS: 1})
 	if h.NodeOpsMaxMeanPermille != 0 || h.HotPath != "" || h.Status != HealthOK {
 		t.Fatalf("obs-less region grew skew fields: %+v", h)
 	}
@@ -127,10 +127,10 @@ func TestSkewHealthRequiresObsAndPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	thr := HealthThresholds{SkewMaxMeanPermille: 1, SkewMinOps: 1, SkewSustainNS: 1}
-	e1.region.Health(thr)
+	thr := healthThresholds{skewMaxMeanPermille: 1, skewMinOps: 1, skewSustainNS: 1}
+	e1.region.health(thr)
 	time.Sleep(2 * time.Millisecond)
-	if h := e1.region.Health(thr); h.Status != HealthOK || h.NodeOpsMaxMeanPermille != 0 {
+	if h := e1.region.health(thr); h.Status != HealthOK || h.NodeOpsMaxMeanPermille != 0 {
 		t.Fatalf("single-node region reported skew: %+v", h)
 	}
 	// The telemetry itself still records — only the health rule is out.

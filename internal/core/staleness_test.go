@@ -127,7 +127,7 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 	}
 
 	// In-flight work past the degraded threshold must surface in Health.
-	h := e.region.Health(HealthThresholds{DegradedNS: 1})
+	h := e.region.health(healthThresholds{degradedNS: 1})
 	if h.Status < HealthDegraded {
 		t.Fatalf("health %v with stale pipeline and 1ns threshold, want ≥ degraded", h.Status)
 	}
@@ -241,7 +241,7 @@ func TestDropReasonCounters(t *testing.T) {
 func TestHealthVerdicts(t *testing.T) {
 	e := newEnv(t, 1, nil)
 
-	h := e.region.Health(HealthThresholds{})
+	h := e.region.Health()
 	if h.Status != HealthOK {
 		t.Fatalf("idle region health %v (%v), want ok", h.Status, h.Reasons)
 	}
@@ -250,7 +250,7 @@ func TestHealthVerdicts(t *testing.T) {
 	}
 
 	e.region.RecordAudit(AuditVerdict{Sampled: 10, Matched: 8, Divergent: 2})
-	h = e.region.Health(HealthThresholds{})
+	h = e.region.Health()
 	if h.Status != HealthStalled {
 		t.Fatalf("health %v with divergent audit, want stalled", h.Status)
 	}

@@ -157,11 +157,11 @@ func TestStalledHealthFlightDump(t *testing.T) {
 	// The op is enqueued and unackable; with a 1ns stalled threshold the
 	// first health evaluation that sees positive staleness reports
 	// stalled, and the ok→stalled transition cuts the dump.
-	thr := HealthThresholds{DegradedNS: 1, StalledNS: 1}
+	thr := healthThresholds{degradedNS: 1, stalledNS: 1}
 	deadline := time.Now().Add(5 * time.Second)
 	var h Health
 	for {
-		h = e.region.Health(thr)
+		h = e.region.health(thr)
 		if h.Status == HealthStalled && o.LastFlight() != nil {
 			break
 		}

@@ -2,7 +2,6 @@ package mq
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +9,16 @@ import (
 	"pacon/internal/fsapi"
 	"pacon/internal/vclock"
 )
+
+// pop takes the next message or marker, blocking: PopBatchInto with a
+// batch of one.
+func pop[T any](q *Queue[T]) (v T, barrier bool, epoch uint64, ok bool) {
+	batch, barrier, epoch, ok := q.PopBatchInto(nil, 1)
+	if len(batch) == 1 {
+		v = batch[0]
+	}
+	return v, barrier, epoch, ok
+}
 
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue[int]()
@@ -19,7 +28,7 @@ func TestQueueFIFO(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		v, barrier, _, ok := q.Pop()
+		v, barrier, _, ok := pop(q)
 		if !ok || barrier || v != i {
 			t.Fatalf("pop %d = (%d, %v, %v)", i, v, barrier, ok)
 		}
@@ -35,15 +44,15 @@ func TestQueueBarrierInterleaving(t *testing.T) {
 	q.PushBarrier(1)
 	q.Push("b")
 
-	v, barrier, _, _ := q.Pop()
+	v, barrier, _, _ := pop(q)
 	if barrier || v != "a" {
 		t.Fatal("first must be op a")
 	}
-	_, barrier, epoch, _ := q.Pop()
+	_, barrier, epoch, _ := pop(q)
 	if !barrier || epoch != 1 {
 		t.Fatalf("second must be barrier(1), got barrier=%v epoch=%d", barrier, epoch)
 	}
-	v, barrier, _, _ = q.Pop()
+	v, barrier, _, _ = pop(q)
 	if barrier || v != "b" {
 		t.Fatal("third must be op b")
 	}
@@ -53,7 +62,7 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 	q := NewQueue[int]()
 	got := make(chan int, 1)
 	go func() {
-		v, _, _, ok := q.Pop()
+		v, _, _, ok := pop(q)
 		if ok {
 			got <- v
 		}
@@ -78,13 +87,13 @@ func TestQueueCloseDrains(t *testing.T) {
 	if err := q.Push(3); !errors.Is(err, fsapi.ErrClosed) {
 		t.Fatalf("push after close = %v", err)
 	}
-	if v, _, _, ok := q.Pop(); !ok || v != 1 {
+	if v, _, _, ok := pop(q); !ok || v != 1 {
 		t.Fatal("queued item lost after close")
 	}
-	if v, _, _, ok := q.Pop(); !ok || v != 2 {
+	if v, _, _, ok := pop(q); !ok || v != 2 {
 		t.Fatal("queued item lost after close")
 	}
-	if _, _, _, ok := q.Pop(); ok {
+	if _, _, _, ok := pop(q); ok {
 		t.Fatal("drained closed queue must report !ok")
 	}
 }
@@ -119,7 +128,7 @@ func TestQueueConcurrentPublishers(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < pubs*per; i++ {
-			v, _, _, ok := q.Pop()
+			v, _, _, ok := pop(q)
 			if !ok {
 				t.Error("queue closed early")
 				return
@@ -133,12 +142,8 @@ func TestQueueConcurrentPublishers(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if len(seen) != pubs*per {
-		t.Fatalf("consumed %d messages", len(seen))
-	}
-	st := q.Stats()
-	if st.Pushed != pubs*per || st.Popped != pubs*per {
-		t.Fatalf("stats = %+v", st)
+	if len(seen) != pubs*per || q.Len() != 0 {
+		t.Fatalf("consumed %d messages, %d left queued", len(seen), q.Len())
 	}
 }
 
@@ -159,7 +164,7 @@ func TestQueuePerPublisherOrderPreserved(t *testing.T) {
 	wg.Wait()
 	last := map[int]int{}
 	for i := 0; i < pubs*per; i++ {
-		v, _, _, _ := q.Pop()
+		v, _, _, _ := pop(q)
 		if prev, ok := last[v[0]]; ok && v[1] != prev+1 {
 			t.Fatalf("publisher %d order broken: %d after %d", v[0], v[1], prev)
 		}
@@ -184,7 +189,7 @@ func TestBarrierProtocol(t *testing.T) {
 			defer procWG.Done()
 			now := vclock.Time(0)
 			for {
-				v, barrier, epoch, ok := queues[i].Pop()
+				v, barrier, epoch, ok := pop(queues[i])
 				if !ok {
 					return
 				}
@@ -383,20 +388,6 @@ func TestBarrierStress(t *testing.T) {
 	}
 }
 
-func TestQueueStatsMaxDepth(t *testing.T) {
-	q := NewQueue[int]()
-	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	q.Push(9)
-	st := q.Stats()
-	if st.MaxDepth != 5 {
-		t.Fatalf("max depth = %d", st.MaxDepth)
-	}
-	_ = fmt.Sprintf("%+v", st)
-}
-
 func TestQueuePopBatchStopsAtBarrier(t *testing.T) {
 	q := NewQueue[int]()
 	q.Push(1)
@@ -405,18 +396,18 @@ func TestQueuePopBatchStopsAtBarrier(t *testing.T) {
 	q.PushBarrier(7)
 	q.Push(4)
 
-	batch, barrier, _, ok := q.PopBatch(16)
+	batch, barrier, _, ok := q.PopBatchInto(nil, 16)
 	if !ok || barrier {
 		t.Fatalf("first PopBatch = (%v, barrier=%v)", batch, barrier)
 	}
 	if len(batch) != 3 || batch[0] != 1 || batch[2] != 3 {
 		t.Fatalf("batch before barrier = %v, want [1 2 3]", batch)
 	}
-	batch, barrier, epoch, ok := q.PopBatch(16)
+	batch, barrier, epoch, ok := q.PopBatchInto(nil, 16)
 	if !ok || !barrier || epoch != 7 || batch != nil {
 		t.Fatalf("barrier PopBatch = (%v, barrier=%v, epoch=%d)", batch, barrier, epoch)
 	}
-	batch, barrier, _, ok = q.PopBatch(16)
+	batch, barrier, _, ok = q.PopBatchInto(nil, 16)
 	if !ok || barrier || len(batch) != 1 || batch[0] != 4 {
 		t.Fatalf("trailing PopBatch = (%v, barrier=%v)", batch, barrier)
 	}
@@ -427,18 +418,17 @@ func TestQueuePopBatchRespectsMax(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Push(i)
 	}
-	batch, _, _, _ := q.PopBatch(2)
+	batch, _, _, _ := q.PopBatchInto(nil, 2)
 	if len(batch) != 2 || batch[0] != 0 || batch[1] != 1 {
 		t.Fatalf("PopBatch(2) = %v", batch)
 	}
 	// max < 1 degrades to single-message pops rather than panicking.
-	batch, _, _, _ = q.PopBatch(0)
+	batch, _, _, _ = q.PopBatchInto(nil, 0)
 	if len(batch) != 1 || batch[0] != 2 {
 		t.Fatalf("PopBatch(0) = %v", batch)
 	}
-	st := q.Stats()
-	if st.Popped != 3 {
-		t.Fatalf("popped = %d, want 3", st.Popped)
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d after popping 3 of 5, want 2", q.Len())
 	}
 }
 
@@ -446,7 +436,7 @@ func TestQueuePopBatchBlocksAndClose(t *testing.T) {
 	q := NewQueue[int]()
 	got := make(chan []int, 1)
 	go func() {
-		batch, _, _, ok := q.PopBatch(8)
+		batch, _, _, ok := q.PopBatchInto(nil, 8)
 		if ok {
 			got <- batch
 		}
@@ -462,7 +452,7 @@ func TestQueuePopBatchBlocksAndClose(t *testing.T) {
 		t.Fatal("PopBatch did not wake on Push")
 	}
 	q.Close()
-	if _, _, _, ok := q.PopBatch(8); ok {
+	if _, _, _, ok := q.PopBatchInto(nil, 8); ok {
 		t.Fatal("PopBatch on closed drained queue must report !ok")
 	}
 }

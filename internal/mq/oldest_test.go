@@ -3,8 +3,8 @@ package mq
 import "testing"
 
 // TestOldestTracksHead: Oldest follows the oldest ordinary message still
-// queued — without consuming it, skipping barrier markers, across the
-// head/tail buffer swap, and reporting none after a drain. The region's
+// queued — without consuming it, skipping barrier markers, as the head
+// advances past pushes made behind it, and reporting none after a drain. The region's
 // queue_head_age_ns gauge is that message's own enqueue timestamp.
 func TestOldestTracksHead(t *testing.T) {
 	q := NewQueue[int]()
@@ -24,21 +24,21 @@ func TestOldestTracksHead(t *testing.T) {
 		t.Fatalf("Len = %d after peeks, want 3", q.Len())
 	}
 
-	q.Pop() // op 1: the barrier is now at the head, op 2 behind it
+	pop(q) // op 1: the barrier is now at the head, op 2 behind it
 	if v, ok := q.Oldest(); !ok || v != 2 {
 		t.Fatalf("Oldest behind a barrier = (%d, %v), want (2, true)", v, ok)
 	}
-	q.Push(3) // lands in the tail buffer while 2 sits in the head buffer
+	q.Push(3) // lands behind 2 while 2 is still queued
 	if v, ok := q.Oldest(); !ok || v != 2 {
 		t.Fatalf("Oldest with a fresh tail = (%d, %v), want (2, true)", v, ok)
 	}
 
-	q.Pop() // barrier
-	q.Pop() // op 2
+	pop(q) // barrier
+	pop(q) // op 2
 	if v, ok := q.Oldest(); !ok || v != 3 {
-		t.Fatalf("Oldest from the tail buffer = (%d, %v), want (3, true)", v, ok)
+		t.Fatalf("Oldest after 2 is consumed = (%d, %v), want (3, true)", v, ok)
 	}
-	q.Pop() // op 3
+	pop(q) // op 3
 	if _, ok := q.Oldest(); ok {
 		t.Fatal("Oldest still reporting after drain")
 	}

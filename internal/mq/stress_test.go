@@ -46,8 +46,8 @@ func (t *refTracker) remove(p string) error {
 
 // TestQueueStressExactlyOnce interleaves many publishers (ordinary
 // messages and barriers) with a batch-draining subscriber and
-// concurrent Oldest/Len/Stats samplers — the two-lock queue's full
-// surface at once. It asserts the in-flight discipline (every push
+// concurrent Oldest/Len samplers — every method the commit pipeline
+// calls, at once. It asserts the in-flight discipline (every push
 // released exactly once, never twice), that no message is lost or
 // reordered within a publisher's stream, and that the sampled Oldest
 // never moves backward within a publisher's stream (heads are consumed
@@ -84,9 +84,9 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 		}(p)
 	}
 
-	// Samplers: Oldest monotonicity plus Len/Stats liveness while
-	// the subscriber drains. These must never block behind a sleeping or
-	// batch-chewing subscriber — the reason the queue is two-lock.
+	// Samplers: Oldest monotonicity plus Len liveness while the
+	// subscriber drains. Neither may block behind a subscriber sleeping on
+	// an empty queue.
 	samplerStop := make(chan struct{})
 	var samplerWG sync.WaitGroup
 	samplerWG.Add(1)
@@ -107,13 +107,8 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 				}
 				lastOldest[pub] = op.id
 			}
-			if q.Len() < 0 {
-				t.Error("negative Len")
-				return
-			}
-			st := q.Stats()
-			if st.Popped > st.Pushed {
-				t.Errorf("popped %d > pushed %d", st.Popped, st.Pushed)
+			if n := q.Len(); n < 0 || n > publishers*(perPub+perPub/100) {
+				t.Errorf("Len = %d, out of range", n)
 				return
 			}
 			runtime.Gosched()
@@ -185,27 +180,19 @@ func TestQueueStressExactlyOnce(t *testing.T) {
 	if len(tracker.counts) != 0 {
 		t.Fatalf("%d paths never released: %v", len(tracker.counts), tracker.counts)
 	}
-	st := q.Stats()
-	if st.Pushed != int64(publishers*perPub+barriers) {
-		t.Fatalf("Stats.Pushed = %d, want %d", st.Pushed, publishers*perPub+barriers)
-	}
-	if st.Popped != int64(publishers*perPub+barriers) {
-		t.Fatalf("Stats.Popped = %d, want %d", st.Popped, publishers*perPub+barriers)
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after the drain", q.Len())
 	}
 }
 
-// TestQueueTwoLockNoPushStall verifies the design goal directly: with
-// the subscriber parked mid-drain (holding the pop side), pushes and
-// Oldest still complete — the push side never waits on the drain side.
-func TestQueueTwoLockNoPushStall(t *testing.T) {
+// TestQueuePushAndOldestDuringDrain: while a subscriber drains the
+// queue one message at a time, a publisher's pushes and Oldest samples
+// keep completing, and every message pushed is drained exactly once.
+func TestQueuePushAndOldestDuringDrain(t *testing.T) {
 	q := NewQueue[int]()
 	if err := q.Push(1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Park a consumer inside the pop side: it holds popMu while blocked
-	// in ensureHead only when empty — so instead simulate a slow drain
-	// by taking items one at a time while pushes race in.
 	const n = 5000
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -217,12 +204,7 @@ func TestQueueTwoLockNoPushStall(t *testing.T) {
 				return
 			}
 			if i%64 == 0 {
-				if _, ok := q.Oldest(); !ok && q.Len() > 0 {
-					// The queue is non-empty; the only benign miss is
-					// the race where the drain just emptied it between
-					// the two calls.
-					continue
-				}
+				q.Oldest() // may find the queue just drained: only liveness counts
 			}
 		}
 	}()

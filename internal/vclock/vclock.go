@@ -56,7 +56,6 @@ type Resource struct {
 	ops  atomic.Int64
 	busy atomic.Int64 // accumulated busy nanoseconds across workers
 	wait atomic.Int64 // accumulated queueing delay (start - arrival)
-	last atomic.Int64 // latest completion time observed (Time)
 }
 
 // NewResource creates a resource with k worker slots. k must be >= 1.
@@ -115,7 +114,6 @@ func (r *Resource) Acquire(at Time, cost Duration) Time {
 	if start > at {
 		r.wait.Add(int64(start - at))
 	}
-	observeMax(&r.last, int64(done))
 	return done
 }
 
@@ -129,9 +127,6 @@ func (r *Resource) BusyTime() Duration { return Duration(r.busy.Load()) }
 // worker slot (arrival to service start, summed over acquisitions) —
 // the M/D/k waiting-time tally the station accumulates past saturation.
 func (r *Resource) QueueWait() Duration { return Duration(r.wait.Load()) }
-
-// LastCompletion returns the latest completion time handed out.
-func (r *Resource) LastCompletion() Time { return Time(r.last.Load()) }
 
 // Utilization reports busy-time divided by (workers × horizon). A value
 // near 1.0 means the resource is the run's bottleneck.
@@ -152,27 +147,24 @@ func (r *Resource) Reset() {
 	r.ops.Store(0)
 	r.busy.Store(0)
 	r.wait.Store(0)
-	r.last.Store(0)
 }
 
 // Watermark tracks the maximum virtual time observed across concurrent
-// actors; the bench harness uses it as a run's completion horizon.
+// actors; tests read it as a run's completion horizon.
 type Watermark struct{ v atomic.Int64 }
 
 // Observe folds t into the watermark.
-func (w *Watermark) Observe(t Time) { observeMax(&w.v, int64(t)) }
+func (w *Watermark) Observe(t Time) {
+	for {
+		cur := w.v.Load()
+		if int64(t) <= cur || w.v.CompareAndSwap(cur, int64(t)) {
+			return
+		}
+	}
+}
 
 // Load returns the maximum observed time.
 func (w *Watermark) Load() Time { return Time(w.v.Load()) }
 
 // Reset clears the watermark.
 func (w *Watermark) Reset() { w.v.Store(0) }
-
-func observeMax(dst *atomic.Int64, v int64) {
-	for {
-		cur := dst.Load()
-		if v <= cur || dst.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}

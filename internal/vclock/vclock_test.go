@@ -89,15 +89,12 @@ func TestResourceStats(t *testing.T) {
 	if r.BusyTime() != 40*time.Microsecond {
 		t.Fatalf("busy = %v", r.BusyTime())
 	}
-	if r.LastCompletion() != Time(30*time.Microsecond) {
-		t.Fatalf("last = %v", r.LastCompletion())
-	}
 	// 40µs busy over 2 workers × 40µs horizon = 0.5 utilization.
 	if u := r.Utilization(40 * time.Microsecond); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization = %v", u)
 	}
 	r.Reset()
-	if r.Ops() != 0 || r.BusyTime() != 0 || r.LastCompletion() != 0 {
+	if r.Ops() != 0 || r.BusyTime() != 0 {
 		t.Fatal("reset did not clear stats")
 	}
 }

@@ -78,9 +78,6 @@ type (
 	Health = core.Health
 	// HealthStatus is the typed verdict: ok, degraded, or stalled.
 	HealthStatus = core.HealthStatus
-	// HealthThresholds sets the staleness levels at which a region
-	// reads degraded or stalled (zero values select the defaults).
-	HealthThresholds = core.HealthThresholds
 	// AuditVerdict is the summary a divergence audit leaves with the
 	// region (see internal/audit for the auditor itself).
 	AuditVerdict = core.AuditVerdict
