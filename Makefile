@@ -42,6 +42,7 @@ core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   
 core BenchmarkClientRemove         2000x  14 -   cached rm                      # 9 to 11, call to end of commit: an allocation added to the rm's request, row or answer
 core BenchmarkClientInlineWrite    2000x  14 4600 inline write                  # 9 and 4,010 B for a 1 KiB write: four copies of the bytes (splice, store, answer, write-back); a fifth, e.g. the row decoding the stored value with a copy, is +1,024 B
 core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2
+core BenchmarkClientStatMiss       2000x  4  288 stat miss (read-through)     # 4 and 240-254 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap, or a client-side add behind the get, is +1
 core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
 core BenchmarkCommitWave           2048x  7  768 commit wave                    # 4 and 269 B per committed op: per-wave scratch allocated afresh shows in the bytes (1,265 B)
 core BenchmarkCommitWavePayload    2048x  6  408 commit wave with payload       # 5 and 333 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS

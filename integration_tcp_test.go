@@ -133,6 +133,109 @@ func TestFullStackOverTCP(t *testing.T) {
 	}
 }
 
+// TestMissLoadsOverTCP drives the cache servers' read-through over real
+// sockets: a bounded cache on two nodes, files the DFS alone holds, and
+// two clients reading them at once. Every miss sends the owning cache
+// server's handler to the MDS over its own connection before it answers,
+// and the cache is small enough that loads meet a full server and the
+// region runs eviction rounds between them. Every read must come back
+// right, and the test must pass under go test -race: the handlers' nested
+// calls share the DFS client of their node.
+func TestMissLoadsOverTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	net := rpc.NewTCPNetwork()
+	defer net.Close()
+	model := vclock.Default()
+	appCred := fsapi.Cred{UID: 1000, GID: 1000}
+	cluster := dfs.NewCluster(net, model, fsapi.Cred{}, "storage0", []string{"s1"})
+	admin := cluster.NewClient("admin", fsapi.Cred{}, 0, 0)
+	if _, err := admin.Mkdir(0, "/w", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for d := 0; d < 4; d++ {
+		dir := fmt.Sprintf("/w/d%d", d)
+		if _, err := admin.Mkdir(0, dir, 0o777); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 40; f++ {
+			p := fmt.Sprintf("%s/f%02d", dir, f)
+			if _, err := admin.Create(0, p, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, p)
+		}
+	}
+	region, err := core.NewRegion(core.RegionConfig{
+		Name:               "tcpload",
+		Workspace:          "/w",
+		Nodes:              []string{"node0", "node1"},
+		Cred:               appCred,
+		CacheCapacityBytes: 4 << 10, // about 30 entries per server, for 160 files
+		Model:              model,
+	}, core.Deps{
+		Bus: net,
+		NewBackend: func(node string) core.Backend {
+			return cluster.NewClient(node, appCred, 4096, time.Hour)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer region.Close()
+
+	errs := make(chan error, 2)
+	for i, node := range []string{"node0", "node1"} {
+		c, err := region.NewClient(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			errs <- func() error {
+				var now vclock.Time
+				for round := 0; round < 3; round++ {
+					for j := range paths {
+						p := paths[(j*7+i*31+round*13)%len(paths)]
+						st, done, err := c.Stat(now, p)
+						now = done
+						if err != nil || st.Type != fsapi.TypeFile {
+							return fmt.Errorf("%s: stat %s = %+v, %v", node, p, st, err)
+						}
+					}
+					res, done, err := c.StatMulti(now, paths[i*40:i*40+16])
+					now = done
+					for k, r := range res {
+						if err == nil && (r.Err != nil || r.Stat.Type != fsapi.TypeFile) {
+							err = fmt.Errorf("%s: statmulti %s = %+v, %v", node, paths[i*40+k], r.Stat, r.Err)
+						}
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, cs := region.Stats(), region.CacheStats()
+	if st.Evictions == 0 || st.EvictedKeys == 0 {
+		t.Fatalf("no eviction rounds: %+v", st)
+	}
+	if cs.Items == 0 || cs.Misses == 0 {
+		t.Fatalf("the cache loaded nothing: %+v", cs)
+	}
+	if st.Dropped != 0 {
+		t.Fatalf("drops: %+v", st)
+	}
+}
+
 func TestTCPNetworkRegisterReplaceAndUnregister(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")

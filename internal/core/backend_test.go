@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pacon/internal/fsapi"
+	"pacon/internal/memcache"
 	"pacon/internal/vclock"
 )
 
@@ -41,16 +42,20 @@ func TestBackendIsExactlyWhatCoreCalls(t *testing.T) {
 
 // TestLoadIsTheOneHomeOfTheMissProtocol pins in the source what entry.go's
 // header says: in non-test core the invalidation generation is read in
-// one function (Client.load) and the cache's add-if-absent calls are made
-// in entry.go only (load and mutate); and the guarded single-key delete
-// the revoke used to need exists nowhere in the module. A second copy of
-// the miss-load protocol fails here, not in a review.
+// the load guard's two halves alone — the token a load reads before the
+// DFS (Region.loadToken) and the check the owning cache server makes under
+// the key's lock (Region.current) — and the cache's add is called in
+// entry.go's Client.load only, the memcache client having no single-key
+// add at all. Nothing revokes a load: only eviction deletes an entry
+// because it is clean. And the guarded single-key delete the revoke once
+// needed exists nowhere in the module. A second copy of the miss-load
+// protocol fails here, not in a review.
 func TestLoadIsTheOneHomeOfTheMissProtocol(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var genReaders []string
+	var genReaders, adders []string
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -60,17 +65,28 @@ func TestLoadIsTheOneHomeOfTheMissProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fn := range bytes.Split(src, []byte("\nfunc "))[1:] { // one top-level function each
+			sig, _, _ := bytes.Cut(fn, []byte("\n"))
 			if bytes.Contains(fn, []byte("invalGen.Load()")) {
-				sig, _, _ := bytes.Cut(fn, []byte("\n"))
 				genReaders = append(genReaders, name+": "+string(sig))
 			}
+			if bytes.Contains(fn, []byte(".AddMulti(")) {
+				adders = append(adders, name+": "+string(sig))
+			}
 		}
-		if adds := bytes.Contains(src, []byte("cache.Add(")) || bytes.Contains(src, []byte("cache.AddMulti(")); adds && name != "entry.go" {
-			t.Errorf("%s stores into the cache with an add; only entry.go (load, mutate) does", name)
+		if bytes.Contains(src, []byte("memcache.CondClean")) && name != "evict.go" {
+			t.Errorf("%s deletes entries because they are clean; only eviction does", name)
 		}
 	}
-	if len(genReaders) != 1 || !strings.HasPrefix(genReaders[0], "entry.go: (c *Client) load(") {
-		t.Errorf("invalGen is read in %q, want in entry.go's Client.load alone", genReaders)
+	sort.Strings(genReaders)
+	if len(genReaders) != 2 || !strings.HasPrefix(genReaders[0], "entry.go: (r *Region) current(") ||
+		!strings.HasPrefix(genReaders[1], "entry.go: (r *Region) loadToken(") {
+		t.Errorf("invalGen is read in %q, want in entry.go's Region.current and Region.loadToken alone", genReaders)
+	}
+	if len(adders) != 1 || !strings.HasPrefix(adders[0], "entry.go: (c *Client) load(") {
+		t.Errorf("the cache's add is called in %q, want in entry.go's Client.load alone", adders)
+	}
+	if _, ok := reflect.TypeOf(&memcache.Client{}).MethodByName("Add"); ok {
+		t.Error("memcache.Client has Add: a client-side single-key add is back beside the owner's load")
 	}
 	gone := "Delete" + "CAS"
 	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {

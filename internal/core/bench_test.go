@@ -125,6 +125,35 @@ func BenchmarkClientStatHit(b *testing.B) {
 	}
 }
 
+// BenchmarkClientStatMiss is a Stat of a file the cache does not hold:
+// the get's read-through at the owning cache server — its DFS stat, the
+// loaded entry's encoding and the add — in the one round trip. Every
+// iteration reads another file, created on the DFS beforehand.
+func BenchmarkClientStatMiss(b *testing.B) {
+	_, c := benchEnv(b, 4)
+	paths := make([]string, obs.DefaultSampleN+b.N)
+	st := fsapi.NewFileStat(appCred, 0o644)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/cold%07d", i)
+		if _, err := applyOne(c.backend, 0, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: paths[i], Stat: st}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	now, next := vclock.Time(0), 0
+	stat := func() {
+		var err error
+		if _, now, err = c.Stat(now, paths[next]); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	warmUp(stat)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stat()
+	}
+}
+
 // BenchmarkClientStatMulti is the batched read path with every key a
 // cache hit: 16 siblings spread over the 4 cache servers, so one call is
 // one grouping, one get_multi fan-out and 16 decodes.

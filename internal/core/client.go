@@ -323,8 +323,9 @@ func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time,
 	return c.insert(at, "create", p, fsapi.NewFileStat(c.region.cfg.Cred, mode))
 }
 
-// Stat is Table I's getattr: a cache get, with a synchronous DFS load on
-// miss. Merged workspaces are read through the peer's distributed cache.
+// Stat is Table I's getattr: a cache get, which the owning cache server
+// answers from the DFS on a miss. Merged workspaces are read through the
+// peer's distributed cache.
 func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
 	p = namespace.Clean(p)
 	defer c.end(c.begin("stat", p))
@@ -567,11 +568,11 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	// directories, passing traversal checks the MDS would refuse.
 	r.invalidateBackendSubtrees(p)
 	// Bump the invalidation generation BEFORE cleaning the cache: a
-	// cache-miss load whose DFS read predates the RmTree either inserts
-	// before our deletes below (we delete it) or re-checks the generation
-	// after them (it sees the bump and revokes itself). Bumping after the
-	// deletes would leave a window where such a load resurrects the
-	// removed directory with nothing left to clean it up.
+	// cache-miss load whose DFS read predates the RmTree either adds
+	// before our deletes below (we delete it) or checks the generation
+	// under the key's lock after the bump (and adds nothing). Bumping
+	// after the deletes would leave a window where such a load resurrects
+	// the removed directory with nothing left to clean it up.
 	r.invalGen.Add(1)
 	if errors.Is(rerr, fsapi.ErrNotExist) {
 		// Everything under the target was discarded before reaching the
@@ -585,7 +586,7 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 		// lists — out of the distributed cache. Each path is deleted
 		// once: an entry accepted on an already-cleaned key is a newer
 		// incarnation, and the discard rule, not this sweep, decides it.
-		at = c.dropCached(at, removed, memcache.CondAlways)
+		at = c.dropCached(at, removed)
 	}
 	r.barrier.Release(epoch, at)
 	if rerr != nil {
@@ -633,8 +634,8 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	if len(ents) > 0 {
 		// Warm the cache from the listing: a read of the children, for
 		// what load adds. Safe after the release: the stats come from
-		// fresh DFS reads under load's invalidation-generation guard, and
-		// the inserts are add-if-absent, so they can neither mask a newer
+		// fresh DFS reads under the load's invalidation-generation guard,
+		// and the adds are add-if-absent, so they can neither mask a newer
 		// queued mutation nor resurrect a concurrently removed subtree.
 		children := make([]string, len(ents))
 		for i, ent := range ents {
@@ -713,7 +714,7 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 // subtree, discovering its shape from the new location on the DFS.
 func (c *Client) invalidateMoved(at vclock.Time, src, dst string) vclock.Time {
 	at, old := c.movedPaths(at, src, dst, nil)
-	return c.dropCached(at, old, memcache.CondAlways)
+	return c.dropCached(at, old)
 }
 
 // movedPaths appends to old the pre-rename path of everything in the
@@ -736,18 +737,18 @@ func (c *Client) movedPaths(at vclock.Time, src, dst string, old []string) (vclo
 	return at, old
 }
 
-// dropCached deletes paths' cache entries under cond — whatever they
-// hold when the objects are gone from the DFS (rmdir) or live under
-// another name (rename), if clean when a load revokes its adds — with one
-// settle_multi round trip per owning cache server per evictChunk paths.
+// dropCached deletes paths' cache entries — whatever they hold: the
+// objects are gone from the DFS (rmdir) or live under another name
+// (rename) — with one settle_multi round trip per owning cache server per
+// evictChunk paths.
 // Errors are ignored: an unreachable server's entries went with it.
-func (c *Client) dropCached(at vclock.Time, paths []string, cond memcache.Cond) vclock.Time {
+func (c *Client) dropCached(at vclock.Time, paths []string) vclock.Time {
 	entries := make([]memcache.Settle, 0, min(len(paths), evictChunk))
 	for len(paths) > 0 {
 		n := min(len(paths), evictChunk)
 		entries = entries[:0]
 		for _, p := range paths[:n] {
-			entries = append(entries, memcache.Settle{Key: p, Cond: cond})
+			entries = append(entries, memcache.Settle{Key: p, Cond: memcache.CondAlways})
 		}
 		_, _, at, _ = c.cache.SettleMulti(at, entries)
 		paths = paths[n:]

@@ -19,8 +19,9 @@ import (
 // only code that knows what an entry may become: the value format, the
 // client transitions (next), the one read-modify-write that stores them
 // (Client.mutate; its owner runs entryRow), the one read (lookup) with the
-// one miss-load behind it (Client.load) and the commit table (commitOutcome).
-// Nothing else in core calls cache.Add, AddMulti, Mutate or Set, or sets a
+// miss-load behind it (the owner's Region.loader for one path,
+// Client.load's add for many) and the commit table (commitOutcome).
+// Nothing else in core calls cache.AddMulti, Mutate or Set, or sets a
 // flag. DESIGN.md §11 renders both tables. Invariants, checked by
 // entry_explore_test.go at every step of every bounded interleaving of
 // two clients, the commit process and eviction:
@@ -55,7 +56,7 @@ type cacheVal struct {
 	stat fsapi.Stat
 }
 
-// cleanVal is the entry for committed DFS state (miss-load, readdir warm).
+// cleanVal is the entry for committed DFS state (a miss-load).
 func cleanVal(st fsapi.Stat, threshold int) cacheVal {
 	return cacheVal{stat: st, large: st.Size > int64(threshold)}
 }
@@ -357,42 +358,57 @@ func spliceInline(buf []byte, off int64, data []byte) []byte {
 // readEntry is the cache get of whoever needs the entry itself — fsync, a
 // commit's ErrExist rows — rather than its stat: the decoded value and
 // whether the cache holds one (a removed marker is held). A miss is not an
-// error. The value is decoded straight out of the reply buffer; only its
-// inline bytes are copied.
+// error, and loads nothing. The value is decoded straight out of the reply
+// buffer; only its inline bytes are copied.
 func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, present bool, done vclock.Time, err error) {
 	reply := wire.GetEncoder()
 	defer wire.PutEncoder(reply)
-	item, done, err := cache.Get(at, p, reply)
-	if err != nil {
-		if errors.Is(err, fsapi.ErrNotExist) {
-			err = nil
-		}
+	res, done, err := cache.Get(at, p, false, reply)
+	if err != nil || res.Status == memcache.Miss {
 		return cacheVal{}, false, done, err
 	}
-	v, err = decodeCacheVal(item.Value)
+	v, err = decodeCacheVal(res.Item.Value)
 	return v, err == nil, done, err
 }
 
 // A read (§III.D.1 getattr) is lookup → load: what the cache answers is
-// the answer, and every path it does not answer goes to load. cache is the
+// the answer, and the paths it does not answer go to load. cache is the
 // region's own, or a merged peer's with store false — a merged peer is
-// read-only (§III.D.4). A cache has no answer for a path it misses, which
-// the load then adds, and for a path whose owner cannot be reached or
-// answers garbage: that owner is not asked again, neither for a second get
-// nor for an add, and the DFS's answer is stored nowhere. A hit is decoded
-// where the reply landed, in a pooled buffer: the stat's inline bytes are
-// the one copy a read makes.
+// read-only (§III.D.4). A single path's miss on the region's own cache is
+// loaded by the owning cache server in the get that found it
+// (Region.loader): one round trip, the DFS read at the owner. Many paths'
+// misses are read with one DFS request (Client.load) and added with one
+// add_multi per owner: a StatMulti's misses, loaded by each owner, would
+// each take an MDS worker at the same instant. A path whose owner cannot
+// be reached or answers garbage is answered by the DFS and stored nowhere,
+// and that owner is asked nothing more. A hit is decoded where the reply
+// landed, in a pooled buffer: the stat's inline bytes are the one copy a
+// read makes.
 
-// lookup reads one path: one get.
+// lookup reads one path: one get, which the owner answers from the DFS on a
+// miss. A load the owner could not add for lack of room is answered all
+// the same, and the region makes room with one eviction round and asks
+// once more.
 func (c *Client) lookup(at vclock.Time, cache *memcache.Client, store bool, op, p string) (fsapi.Stat, vclock.Time, error) {
 	reply := wire.GetEncoder()
 	defer wire.PutEncoder(reply)
-	item, at, err := cache.Get(at, p, reply)
-	if err == nil {
-		sr := decodeStatResult(op, p, item.Value)
-		return sr.Stat, at, sr.Err
+	res, at, err := cache.Get(at, p, store, reply)
+	if err == nil && errors.Is(res.Err, fsapi.ErrOutOfSpace) {
+		var evicted error
+		if at, evicted = c.region.evictRound(c, at); evicted == nil {
+			res, at, err = cache.Get(at, p, store, reply)
+		}
 	}
-	return c.loadOne(at, op, p, store && errors.Is(err, fsapi.ErrNotExist))
+	switch {
+	case err != nil || res.Status == memcache.Miss:
+		var out [1]fsapi.StatResult
+		at = c.load(at, op, []string{p}, nil, out[:], false)
+		return out[0].Stat, at, out[0].Err
+	case res.Status == memcache.Failed:
+		return fsapi.Stat{}, at, fsapi.WrapPath(op, p, res.Err)
+	}
+	sr := decodeStatResult(op, p, res.Item.Value)
+	return sr.Stat, at, sr.Err
 }
 
 // readBatchSize caps how many paths lookupMulti packs into one multi-key
@@ -406,15 +422,15 @@ func (c *Client) lookupMulti(at vclock.Time, cache *memcache.Client, store bool,
 	for start := 0; start < len(paths); start += readBatchSize {
 		chunk := paths[start:min(start+readBatchSize, len(paths))]
 		var missed, unreached pathSet
-		at = cache.GetMulti(at, chunk, func(i int, mr memcache.MultiResult) {
+		at = cache.GetMulti(at, chunk, func(i int, res memcache.Result, err error) {
 			j := slot(idx, start+i)
 			switch {
-			case mr.Hit:
-				out[j] = decodeStatResult("stat", chunk[i], mr.Item.Value)
-			case mr.Err == nil:
-				missed.add(chunk[i], j, len(chunk))
-			default:
+			case err != nil:
 				unreached.add(chunk[i], j, len(chunk))
+			case res.Status == memcache.Hit:
+				out[j] = decodeStatResult("stat", chunk[i], res.Item.Value)
+			default:
+				missed.add(chunk[i], j, len(chunk))
 			}
 		})
 		at = c.load(at, "stat", missed.paths, missed.idx, out, store)
@@ -462,89 +478,89 @@ func loaded(st fsapi.Stat, threshold int) cacheVal {
 	return next(cacheVal{}, false, &event{kind: evLoad, stat: st, threshold: threshold}).val
 }
 
-// loadOne is load for one path.
-func (c *Client) loadOne(at vclock.Time, op, p string, store bool) (fsapi.Stat, vclock.Time, error) {
-	var res [1]fsapi.StatResult
-	at = c.load(at, op, []string{p}, nil, res[:], store)
-	return res[0].Stat, at, res[0].Err
-}
-
-// load is the cache-miss load (§III.D.1: getattr "loads from the DFS on
-// miss"): every path a cache did not answer, from every caller, is answered
-// here, and beside mutate this is the only code that stores into the cache
-// — a clean entry's one way in. The DFS is asked with Backend.Stat for one
-// path and one Backend.StatBatch for many (len(paths) alone decides, for the
-// add as well); either is the authoritative read. The answer for paths[j]
-// lands in out[idx[j]], or in out[j] when idx is nil, a DFS error wrapped
-// with op and the path.
+// load answers from the DFS the paths a cache did not answer: Backend.Stat
+// for one path and one Backend.StatBatch for many, either the
+// authoritative read. The answer for paths[j] lands in out[idx[j]], or in
+// out[j] when idx is nil, a DFS error wrapped with op and the path.
 //
-// With store set, what the DFS holds is added if the key is absent: whoever
-// got there first holds state at least as new, so a lost add is no error —
-// nothing about the store is. Room is made for one path and not for many: a
-// one-path load answers a full cache with one eviction round and a second
-// add, a many-path load skips what did not fit (a warm is an optimization,
-// not worth evicting for) and counts what it added as cache warms.
-//
-// The region's invalidation generation is read before the DFS is asked and
-// again once the add has landed. If it moved, an rmdir or a rename
-// invalidated the cache meanwhile and the answers may describe objects that
-// are gone: rather than resurrect them the load revokes its adds, with one
-// settle_multi per owner that deletes paths' entries if clean. Deleting a
-// clean entry is always safe — eviction does it at will — and a writer's
-// newer dirty value fails the predicate. The answers stand either way.
+// With store set, what the DFS holds is added with one add_multi per
+// owner, under the load token read before the DFS was asked (see
+// Region.loader), and the owner's answer is the path's: the added entry,
+// or the one that got there first and holds state at least as new. What
+// did not fit is skipped — a warm is an optimization, not worth evicting
+// for — and what was added counts as cache warms.
 func (c *Client) load(at vclock.Time, op string, paths []string, idx []int, out []fsapi.StatResult, store bool) vclock.Time {
-	if len(paths) == 0 {
+	r := c.region
+	token := r.loadToken()
+	var one [1]fsapi.StatResult
+	res := one[:]
+	switch len(paths) {
+	case 0:
+		return at
+	case 1:
+		one[0].Stat, at, one[0].Err = c.backend.Stat(at, paths[0])
+	default:
+		res, at = c.statBackend(at, paths)
+	}
+	var entries []memcache.AddEntry
+	var pos []int // the path of entries[k]
+	if store {
+		entries, pos = make([]memcache.AddEntry, 0, len(paths)), make([]int, 0, len(paths))
+	}
+	for j, sr := range res {
+		out[slot(idx, j)] = fsapi.StatResult{Stat: sr.Stat, Err: fsapi.WrapPath(op, paths[j], sr.Err)}
+		if store && sr.Err == nil {
+			entries = append(entries, memcache.AddEntry{Key: paths[j], Value: loaded(sr.Stat, r.cfg.SmallFileThreshold).encode()})
+			pos = append(pos, j)
+		}
+	}
+	if len(entries) == 0 {
 		return at
 	}
-	r := c.region
-	gen := r.invalGen.Load()
 	var warmed int64
-	if len(paths) == 1 {
-		p := paths[0]
-		st, done, err := c.backend.Stat(at, p)
-		at = done
-		out[slot(idx, 0)] = fsapi.StatResult{Stat: st, Err: fsapi.WrapPath(op, p, err)}
-		if err != nil || !store {
-			return at
+	at = c.cache.AddMulti(at, token, entries, func(k int, ar memcache.Result, err error) {
+		switch {
+		case err != nil || ar.Status == memcache.Unstored:
+		case ar.Status == memcache.Loaded:
+			warmed++
+		default: // the entry that got there first is the answer
+			j := pos[k]
+			out[slot(idx, j)] = decodeStatResult(op, paths[j], ar.Item.Value)
 		}
-		enc := wire.GetEncoder()
-		loaded(st, r.cfg.SmallFileThreshold).encodeTo(enc)
-		_, at, err = c.cache.Add(at, p, enc.Bytes(), 0)
-		if errors.Is(err, fsapi.ErrOutOfSpace) {
-			if at, err = r.evictRound(c, at); err == nil {
-				_, at, _ = c.cache.Add(at, p, enc.Bytes(), 0)
-			}
-		}
-		wire.PutEncoder(enc)
-	} else {
-		res, done := c.statBackend(at, paths)
-		at = done
-		var entries []memcache.AddEntry
-		if store {
-			entries = make([]memcache.AddEntry, 0, len(paths))
-		}
-		for j, sr := range res {
-			out[slot(idx, j)] = fsapi.StatResult{Stat: sr.Stat, Err: fsapi.WrapPath(op, paths[j], sr.Err)}
-			if store && sr.Err == nil {
-				entries = append(entries, memcache.AddEntry{Key: paths[j], Value: loaded(sr.Stat, r.cfg.SmallFileThreshold).encode()})
-			}
-		}
-		if len(entries) == 0 {
-			return at
-		}
-		added, done := c.cache.AddMulti(at, entries)
-		at = done
-		for _, ar := range added {
-			if ar.Err == nil {
-				warmed++
-			}
-		}
-	}
-	if r.invalGen.Load() != gen {
-		return c.dropCached(at, paths, memcache.CondClean)
-	}
+	})
 	r.cacheWarms.Add(warmed)
 	return at
+}
+
+// loadToken is what a miss-load reads before it asks the DFS: the region's
+// invalidation generation, its guard against invalidations (rmdir,
+// rename). The owning cache server checks it under the key's shard lock
+// just before the add (current). rmdir and rename bump it before they
+// delete the subtree's entries, so an add either lands before the bump,
+// and their delete takes it, or checks after it and stores nothing: a load
+// overtaken by an invalidation never resurrects what it removed. Its
+// answers stand either way.
+func (r *Region) loadToken() uint64 { return r.invalGen.Load() }
+
+// current is the owner's half of the guard (memcache.ServerConfig.Current,
+// which NewRegion installs).
+func (r *Region) current(token uint64) bool { return r.invalGen.Load() == token }
+
+// loader is a single path's miss-load (§III.D.1: getattr "loads from the
+// DFS on miss") as the owning cache server runs it for a get that asks to
+// load (memcache.ServerConfig.Load; NewRegion installs one per node, over a
+// backend of that node): the entry of what the DFS holds, read under the
+// load token, or the DFS's error. The server adds the entry only to a key
+// still absent: whoever got there first holds state at least as new.
+func (r *Region) loader(b Backend) memcache.Load {
+	return func(at vclock.Time, p string, val *wire.Encoder) (uint64, vclock.Time, error) {
+		token := r.loadToken()
+		st, done, err := b.Stat(at, p)
+		if err == nil {
+			loaded(st, r.cfg.SmallFileThreshold).encodeTo(val)
+		}
+		return token, done, err
+	}
 }
 
 // decodeAnswer reads entryRow's answer into out.
@@ -680,7 +696,7 @@ func (c *Client) mutate(at vclock.Time, ev *event) (outcome, vclock.Time, error)
 				ev.stat, at, err = c.backend.Stat(at, ev.path)
 				ev.hasStat, err = true, fsapi.WrapPath(ev.op, ev.path, err)
 			default:
-				_, at, err = c.loadOne(at, ev.op, ev.path, true)
+				_, at, err = c.lookup(at, c.cache, true, ev.op, ev.path)
 			}
 			if err != nil {
 				return out, at, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"pacon/internal/fsapi"
@@ -467,4 +468,200 @@ func TestMutationIsOneCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	trips("write through to a large file", 2, func() (vclock.Time, error) { return c.WriteAt(at, "/w/f", 20, []byte("more")) })
+}
+
+// statCounter is a Backend that counts the authoritative reads made through
+// it, and runs after, when set, once a Stat has read the DFS.
+type statCounter struct {
+	Backend
+	stats atomic.Int64
+	after func(p string)
+}
+
+func (s *statCounter) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
+	s.stats.Add(1)
+	st, done, err := s.Backend.Stat(at, p)
+	if s.after != nil {
+		s.after(p)
+	}
+	return st, done, err
+}
+
+func (s *statCounter) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
+	s.stats.Add(1)
+	return s.Backend.StatBatch(at, paths)
+}
+
+// countedEnv is newEnv with every backend a statCounter: the client's own
+// is c.backend, the cache servers' loaders hold the others.
+func countedEnv(t *testing.T, n int, mutate func(*RegionConfig)) *env {
+	return newEnvDeps(t, n, mutate, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend { return &statCounter{Backend: inner(node)} }
+	})
+}
+
+// TestMissIsOneCacheRoundTrip: a single path's miss on the region's own
+// cache is loaded by the owning cache server in the get that found it, so
+// the reader pays one round trip — the DFS read happens at the owner and
+// no add follows, the client's own backend reads nothing. That holds for a
+// Stat and for a write to an uncached file, whose miss-load is one get
+// between the mutate that found the entry absent and the one that applies
+// the write. A StatMulti's misses cost one DFS read by the client and one
+// add_multi per owner, beside its one get_multi per owner.
+func TestMissIsOneCacheRoundTrip(t *testing.T) {
+	e := countedEnv(t, 4, nil)
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	if _, err := admin.Mkdir(0, "/w/d", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 16)
+	owners := map[string]bool{}
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/w/d/f%02d", i)
+		owners[e.region.Ring().Lookup(paths[i])] = true
+	}
+	for _, p := range append([]string{"/w/f", "/w/g"}, paths...) {
+		if _, err := admin.Create(0, p, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := e.client(t, "node0")
+	own := c.backend.(*statCounter)
+	trips := func(name string, want int64, wantCalls map[string]int, ownReads int64, op func() error) {
+		t.Helper()
+		hook := &rpcHook{}
+		e.bus.SetObserver(hook)
+		before, reads := c.CacheRPCs(), own.stats.Load()
+		err := op()
+		e.bus.SetObserver(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := c.CacheRPCs() - before; got != want {
+			t.Errorf("%s: %d cache round trips, want %d", name, got, want)
+		}
+		for method, n := range wantCalls {
+			if got := hook.count(method); got != n {
+				t.Errorf("%s: %d %s RPCs, want %d", name, got, method, n)
+			}
+		}
+		if got := own.stats.Load() - reads; got != ownReads {
+			t.Errorf("%s: the client read the DFS %d times itself, want %d", name, got, ownReads)
+		}
+	}
+	trips("Stat miss", 1, map[string]int{"get": 1, "add_multi": 0}, 0, func() error {
+		_, _, err := c.Stat(0, "/w/f")
+		return err
+	})
+	trips("write to an uncached file", 3, map[string]int{"mutate": 2, "get": 1, "add_multi": 0}, 0, func() error {
+		_, err := c.WriteAt(0, "/w/g", 0, []byte("abc"))
+		return err
+	})
+	trips("StatMulti misses", int64(2*len(owners)), map[string]int{"get_multi": len(owners), "add_multi": len(owners), "get": 0}, 1, func() error {
+		res, _, err := c.StatMulti(0, paths)
+		for _, r := range res {
+			if err == nil && (r.Err != nil || r.Stat.Type != fsapi.TypeFile) {
+				err = fmt.Errorf("result %+v, %v", r.Stat, r.Err)
+			}
+		}
+		return err
+	})
+	trips("Stat of what the misses loaded", 1, map[string]int{"get": 1}, 0, func() error {
+		_, _, err := c.Stat(0, paths[0])
+		return err
+	})
+	for _, p := range append([]string{"/w/f"}, paths...) {
+		if ent := mustEntry(t, e.region, p, "loaded"); ent.Dirty || ent.Stat.Type != fsapi.TypeFile {
+			t.Fatalf("%s loaded as %+v, want a clean file", p, ent)
+		}
+	}
+	if got := e.region.Stats().CacheWarms; got != int64(len(paths)) {
+		t.Fatalf("CacheWarms = %d, want the StatMulti's %d adds", got, len(paths))
+	}
+}
+
+// TestOwnerLoadErrorIsAnAnswer: a DFS error the owner's load meets travels
+// back as the key's status inside a good reply, so the reader answers with
+// it at once — one cache round trip, no DFS read of its own. An owner that
+// cannot be reached is the other case: the get fails, and the reader asks
+// the DFS itself, storing nothing — one cache round trip all the same.
+func TestOwnerLoadErrorIsAnAnswer(t *testing.T) {
+	e := countedEnv(t, 2, nil)
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	if _, err := admin.Create(0, "/w/f", 0o666); err != nil {
+		t.Fatal(err)
+	}
+	c := e.client(t, "node0")
+	own := c.backend.(*statCounter)
+
+	e.dfs.KillShard(0) // the MDS is gone: every load fails with ErrClosed
+	if _, _, err := c.Stat(0, "/w/f"); !errors.Is(err, fsapi.ErrClosed) {
+		t.Fatalf("Stat with the MDS dead: %v, want ErrClosed", err)
+	}
+	if rpcs, reads := c.CacheRPCs(), own.stats.Load(); rpcs != 1 || reads != 0 {
+		t.Fatalf("MDS dead: %d cache RPCs and %d DFS reads by the client, want 1 and 0", rpcs, reads)
+	}
+	e.dfs.RecoverShard(0)
+
+	e.bus.Unregister(e.region.Ring().Lookup("/w/f"))
+	if _, _, err := c.Stat(0, "/w/f"); err != nil {
+		t.Fatalf("owner dead: %v, want the DFS's answer", err)
+	}
+	if rpcs, reads := c.CacheRPCs(), own.stats.Load(); rpcs != 2 || reads != 1 {
+		t.Fatalf("owner dead: %d cache RPCs and %d DFS reads by the client in all, want 2 and 1", rpcs, reads)
+	}
+}
+
+// TestLostAddReadsTheWinner: a create lands on the key between a load's
+// DFS read and its add. The add is lost, and the read answers with the
+// entry that won — the acked create — not with the older stat the DFS
+// gave: a reader never goes back behind what the cache already holds. For
+// a Stat, whose owner loads, and a StatMulti, whose client does, alike.
+func TestLostAddReadsTheWinner(t *testing.T) {
+	var e *env
+	var w *Client
+	var race atomic.Value // the path whose load a create overtakes, once
+	e = newEnvDeps(t, 2, nil, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend {
+			return &statCounter{Backend: inner(node), after: func(p string) {
+				if race.CompareAndSwap(p, "") {
+					if _, err := w.Create(0, p, 0o600); err != nil {
+						t.Errorf("create between the read and the add: %v", err)
+					}
+				}
+			}}
+		}
+	})
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	for _, p := range []string{"/w/a", "/w/b"} {
+		if _, err := admin.Create(0, p, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, w := e.client(t, "node0"), e.client(t, "node1")
+	for _, multi := range []bool{false, true} {
+		p := map[bool]string{false: "/w/a", true: "/w/b"}[multi]
+		race.Store(p)
+		var st fsapi.Stat
+		var err error
+		if multi {
+			var res []fsapi.StatResult
+			if res, _, err = c.StatMulti(0, []string{p}); err == nil {
+				st, err = res[0].Stat, res[0].Err
+			}
+		} else {
+			st, _, err = c.Stat(0, p)
+		}
+		if race.Load() != "" {
+			t.Fatalf("%s: the create never overtook the load", p)
+		}
+		if err != nil || st.Mode != 0o600 {
+			t.Fatalf("%s: read %+v, %v; want the create's mode 0600, not the DFS's 0666", p, st, err)
+		}
+		if ent := mustEntry(t, e.region, p, "the winner"); !ent.Dirty || ent.Stat.Mode != 0o600 {
+			t.Fatalf("%s: cache holds %+v, want the create's dirty entry", p, ent)
+		}
+	}
 }

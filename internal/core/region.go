@@ -156,7 +156,8 @@ type Deps struct {
 	// rpc.NewBus() in-process, rpc.NewTCPNetwork() over real sockets.
 	Bus rpc.Network
 	// NewBackend builds a DFS client for a node (used by the node's
-	// commit process and by Pacon clients for redirection/misses).
+	// commit process, its cache server's miss-loads and Pacon clients'
+	// redirection).
 	NewBackend func(node string) Backend
 	// Obs, when non-nil, enables the observability layer: op lifecycle
 	// tracing, stage latency histograms, and gauge/counter registration.
@@ -229,11 +230,12 @@ type Region struct {
 	evictPaths []memcache.Settle
 
 	// invalGen counts dependent-operation invalidations (rmdir, rename).
-	// Client.load, its one reader, records it before reading the DFS and
-	// re-checks after adding: if it moved, the load raced an invalidation
-	// and its stats may describe deleted objects — the load revokes its
-	// adds (delete-if-clean) instead of resurrecting stale metadata that
-	// nothing would ever clean up.
+	// It is the miss-load's guard (Region.loadToken, Region.current): a
+	// load reads it before reading the DFS, and the owning cache server
+	// checks it again under the key's lock just before the add. If it
+	// moved, the load raced an invalidation and its stats may describe
+	// deleted objects — the load adds nothing rather than resurrect stale
+	// metadata that nothing would ever clean up.
 	invalGen atomic.Uint64
 
 	committed, discarded, retries, dropped, evictions atomic.Int64
@@ -286,7 +288,8 @@ type remoteRegion struct {
 
 // NewRegion starts a consistent region: it launches one cache server and
 // one commit process per node, verifies the workspace on the DFS, and
-// seeds the cache with the workspace's metadata.
+// seeds the cache with the workspace's metadata. Each cache server loads
+// a get's miss through a backend of its own node (Region.loader).
 func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Nodes) == 0 {
@@ -316,6 +319,8 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 			Model:         cfg.Model,
 			Workers:       cfg.Model.CacheWorkers,
 			Row:           entryRow(cfg.SmallFileThreshold),
+			Load:          r.loader(r.newBackend(name)),
+			Current:       r.current,
 		})
 		deps.Bus.Register(n.addr, n.cache.Service())
 		r.ring.Add(n.addr)

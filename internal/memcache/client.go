@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -41,34 +42,59 @@ func (c *Client) SetTrace(span uint64) { c.caller.SetTrace(span) }
 // ClearTrace removes the trace context set by SetTrace.
 func (c *Client) ClearTrace() { c.caller.ClearTrace() }
 
+// Result is one key's answer to a get: its Status, the item for Hit and
+// Loaded, the value alone for Unstored, and Err for Unstored (nil: the load
+// was overtaken) and Failed.
+type Result struct {
+	Item   Item
+	Status Status
+	Err    error
+}
+
 // Get fetches key from its owner into reply, an encoder the caller owns
 // (typically from wire.GetEncoder) and which Get resets first. The item's
 // Value is a view into reply: it lives until the caller resets reply or
-// puts it back, and a hit copies nothing on the way.
-func (c *Client) Get(at vclock.Time, key string, reply *wire.Encoder) (Item, vclock.Time, error) {
+// puts it back, and a hit copies nothing on the way. With load set, a key
+// the owner does not hold is read through its Load hook in the same round
+// trip. err says the owner could not be reached or answered garbage; the
+// Result says everything else, a plain miss included.
+func (c *Client) Get(at vclock.Time, key string, load bool, reply *wire.Encoder) (Result, vclock.Time, error) {
 	e := wire.GetEncoder()
+	e.Bool(load)
 	e.String(key)
 	reply.Reset()
 	done, err := c.caller.CallInto(c.Owner(key), "get", at, e.Bytes(), reply)
 	wire.PutEncoder(e)
 	if err != nil {
-		return Item{}, done, err
+		return Result{}, done, err
 	}
 	d := wire.GetDecoder(reply.Bytes())
-	item := Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.BlobView()}
+	r := readAnswer(d)
 	if err := finish(d); err != nil {
-		return Item{}, done, err
+		return Result{}, done, err
 	}
-	return item, done, nil
+	return r, done, nil
 }
 
-// MultiResult is one key's result of Client.GetMulti: Hit/Item on
-// success, Err when the key's owner could not be reached or answered
-// garbage. A plain miss is Hit == false with a nil Err.
-type MultiResult struct {
-	Item Item
-	Hit  bool
-	Err  error
+var errUnknownStatus = errors.New("memcache: unknown answer status")
+
+// readAnswer reads one key's answer; its item and value are views of d's
+// buffer.
+func readAnswer(d *wire.Decoder) Result {
+	r := Result{Status: Status(d.Byte())}
+	switch r.Status {
+	case Miss:
+	case Hit, Loaded:
+		r.Item = Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.BlobView()}
+	case Unstored:
+		r.Err = fsapi.ErrOf(d.Byte(), "")
+		r.Item.Value = d.BlobView()
+	case Failed:
+		r.Err = fsapi.ErrOf(d.Byte(), "")
+	default:
+		d.Fail(errUnknownStatus)
+	}
+	return r
 }
 
 // call sends one owner's request (pooled encoder e, released here) and
@@ -110,12 +136,11 @@ type ownerReply struct {
 // instant (rpc.Caller.FanOut) — the batched read path's single round
 // trip per owner, like every multi-key call here. Each owner's reply
 // lands in a pooled encoder of its own, so over TCP the waits still
-// overlap. Once every owner has answered, fn(i, r) gets keys[i]'s result
-// on the calling goroutine, one key at a time, never concurrently;
-// r.Item.Value is a view into the owner's reply and lives only until fn
-// returns. A dead or misbehaving owner fails only its own keys, with
-// r.Err: the other owners' keys still resolve.
-func (c *Client) GetMulti(at vclock.Time, keys []string, fn func(i int, r MultiResult)) vclock.Time {
+// overlap. Once every owner has answered, fn(i, r, err) gets keys[i]'s
+// answer — Hit or Miss — on the calling goroutine (answer). A dead or
+// misbehaving owner fails only its own keys, with err: the other owners'
+// keys still resolve.
+func (c *Client) GetMulti(at vclock.Time, keys []string, fn func(i int, r Result, err error)) vclock.Time {
 	groups := c.ring.GroupByOwner(keys)
 	replies := make([]ownerReply, len(groups))
 	latest := c.caller.FanOut(at, len(groups), false, func(gi int) (done vclock.Time) {
@@ -130,100 +155,92 @@ func (c *Client) GetMulti(at vclock.Time, keys []string, fn func(i int, r MultiR
 		done, r.err = c.call(g.Owner, "get_multi", at, e, r.buf)
 		return done
 	})
-	for gi, g := range groups {
-		r := &replies[gi]
-		// The reply is checked whole before the first result is handed
-		// out: a malformed one fails all of its keys, not the tail.
-		err := r.err
-		if err == nil {
-			if err = readGetMulti(r.buf.Bytes(), g.Idx, nil); err == nil {
-				readGetMulti(r.buf.Bytes(), g.Idx, fn)
-			}
-		}
-		if err != nil {
-			for _, i := range g.Idx {
-				fn(i, MultiResult{Err: err})
-			}
-		}
-		wire.PutEncoder(r.buf)
-	}
+	answer(groups, replies, "get_multi", fn)
 	return latest
 }
 
-// readGetMulti walks one owner's get_multi reply, whose results are
-// those of the keys at positions idx, handing each to fn (nil: only
-// check that the reply is well-formed).
-func readGetMulti(reply []byte, idx []int, fn func(i int, r MultiResult)) error {
-	d, err := counted(reply, "get_multi", len(idx))
-	if err != nil {
-		return err
-	}
-	for _, i := range idx {
-		var r MultiResult
-		if r.Hit = d.Bool(); r.Hit {
-			r.Item = Item{CAS: d.Uint64(), Flags: d.Uint32(), Value: d.BlobView()}
-		}
-		if fn != nil {
-			fn(i, r)
-		}
-	}
-	return finish(d)
-}
-
-// AddMulti stores a batch of entries add-if-absent with one "add_multi"
-// RPC per owning server (same grouping and fan-out as GetMulti) — the
-// grouped cache warm. Results align with entries; per-entry ErrExist /
-// ErrOutOfSpace mean "skip", a transport error marks the whole owner's
-// slice.
-func (c *Client) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclock.Time) {
-	out := make([]AddResult, len(entries))
+// AddMulti adds entries, each only to a key its owner does not hold, with
+// one "add_multi" RPC per owning server (same grouping and fan-out as
+// GetMulti). The values were read under token, which each owner checks
+// under the key's lock just before the add (ServerConfig.Current). Once
+// every owner has answered, fn(i, r, err) gets entries[i]'s answer —
+// Loaded, Hit with the entry that got there first, or Unstored (answer).
+func (c *Client) AddMulti(at vclock.Time, token uint64, entries []AddEntry, fn func(i int, r Result, err error)) vclock.Time {
 	keys := make([]string, len(entries))
 	for i, en := range entries {
 		keys[i] = en.Key
 	}
 	groups := c.ring.GroupByOwner(keys)
-	latest := c.caller.FanOut(at, len(groups), false, func(gi int) vclock.Time {
+	replies := make([]ownerReply, len(groups))
+	latest := c.caller.FanOut(at, len(groups), false, func(gi int) (done vclock.Time) {
 		g := groups[gi]
 		e := wire.GetEncoder()
+		e.Uvarint(token)
 		e.Uvarint(uint64(len(g.Idx)))
 		for _, i := range g.Idx {
 			e.String(entries[i].Key)
-			e.Uint32(entries[i].Flags)
 			e.Blob(entries[i].Value)
 		}
-		reply := wire.GetEncoder()
-		done, err := c.call(g.Owner, "add_multi", at, e, reply)
-		var d *wire.Decoder
-		if err == nil {
-			d, err = counted(reply.Bytes(), "add_multi", len(g.Idx))
-		}
-		if err == nil {
-			for _, i := range g.Idx {
-				code := d.Byte()
-				cas := d.Uint64()
-				out[i] = AddResult{CAS: cas, Err: fsapi.ErrOf(code, "")}
-			}
-			err = finish(d)
-		}
-		wire.PutEncoder(reply)
-		if err != nil {
-			for _, i := range g.Idx {
-				out[i] = AddResult{Err: err}
-			}
-		}
+		r := &replies[gi]
+		r.buf = wire.GetEncoder()
+		done, r.err = c.call(g.Owner, "add_multi", at, e, r.buf)
 		return done
 	})
-	return out, latest
+	answer(groups, replies, "add_multi", fn)
+	return latest
 }
 
-func (c *Client) storeOp(method string, at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
+// answer hands out a multi-key call's answers, once every owner has
+// replied: fn(i, r, nil) for each key, one at a time, never concurrently;
+// r.Item.Value is a view into the owner's reply and lives only until fn
+// returns. Each reply is checked whole before its first answer is handed
+// out, so a malformed one fails all of its keys, not the tail: an owner
+// that could not be reached or answered garbage gets fn(i, Result{}, err)
+// for each of its keys. The replies go back to the pool.
+func answer(groups []dht.OwnerGroup, replies []ownerReply, method string, fn func(i int, r Result, err error)) {
+	for gi, g := range groups {
+		r := &replies[gi]
+		err := r.err
+		if err == nil {
+			if err = readAnswers(r.buf.Bytes(), method, g.Idx, nil); err == nil {
+				readAnswers(r.buf.Bytes(), method, g.Idx, fn)
+			}
+		}
+		if err != nil {
+			for _, i := range g.Idx {
+				fn(i, Result{}, err)
+			}
+		}
+		wire.PutEncoder(r.buf)
+	}
+}
+
+// readAnswers walks one owner's reply, whose answers are those of the
+// keys at positions idx, handing each to fn (nil: only check that the
+// reply is well-formed).
+func readAnswers(reply []byte, method string, idx []int, fn func(i int, r Result, err error)) error {
+	d, err := counted(reply, method, len(idx))
+	if err != nil {
+		return err
+	}
+	for _, i := range idx {
+		r := readAnswer(d)
+		if fn != nil {
+			fn(i, r, nil)
+		}
+	}
+	return finish(d)
+}
+
+// Set unconditionally stores key.
+func (c *Client) Set(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
 	e := wire.GetEncoder()
 	e.String(key)
 	e.Uint32(flags)
 	e.Blob(value)
 	reply := wire.GetEncoder()
 	defer wire.PutEncoder(reply)
-	done, err := c.call(c.Owner(key), method, at, e, reply)
+	done, err := c.call(c.Owner(key), "set", at, e, reply)
 	if err != nil {
 		return 0, done, err
 	}
@@ -233,16 +250,6 @@ func (c *Client) storeOp(method string, at vclock.Time, key string, value []byte
 		return 0, done, err
 	}
 	return cas, done, nil
-}
-
-// Set unconditionally stores key.
-func (c *Client) Set(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
-	return c.storeOp("set", at, key, value, flags)
-}
-
-// Add stores key only if absent.
-func (c *Client) Add(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
-	return c.storeOp("add", at, key, value, flags)
 }
 
 // Mutate runs req through the row of key's owner; its answer lands in reply.

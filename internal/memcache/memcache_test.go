@@ -357,18 +357,30 @@ func TestClientVirtualLatencyCrossNode(t *testing.T) {
 	}
 }
 
-// get is Client.Get into a reply buffer of its own, which the item keeps.
+// get is a Client.Get that loads nothing, into a reply buffer of its own,
+// which the item keeps; a miss is ErrNotExist.
 func get(c *Client, at vclock.Time, key string) (Item, vclock.Time, error) {
-	return c.Get(at, key, wire.NewEncoder(0))
+	r, done, err := c.Get(at, key, false, wire.NewEncoder(0))
+	if err == nil && r.Status == Miss {
+		err = fsapi.ErrNotExist
+	}
+	return r.Item, done, err
+}
+
+// multiResult is one key of getMulti: a hit's item, or its owner's error.
+type multiResult struct {
+	Item Item
+	Hit  bool
+	Err  error
 }
 
 // getMulti is Client.GetMulti collected into a slice, every value copied
 // out of its reply before the view dies.
-func getMulti(c *Client, at vclock.Time, keys []string) ([]MultiResult, vclock.Time) {
-	out := make([]MultiResult, len(keys))
-	done := c.GetMulti(at, keys, func(i int, r MultiResult) {
-		r.Item.Value = append([]byte(nil), r.Item.Value...)
-		out[i] = r
+func getMulti(c *Client, at vclock.Time, keys []string) ([]multiResult, vclock.Time) {
+	out := make([]multiResult, len(keys))
+	done := c.GetMulti(at, keys, func(i int, r Result, err error) {
+		out[i] = multiResult{Item: r.Item, Hit: r.Status == Hit, Err: err}
+		out[i].Item.Value = append([]byte(nil), r.Item.Value...)
 	})
 	return out, done
 }
@@ -689,5 +701,79 @@ func TestBroadcastsFanOutConcurrently(t *testing.T) {
 	}
 	if done4 > 2*oneRT {
 		t.Fatalf("flush over 4 members took %d, one cross-node round trip is %d — broadcast looks serial", done4, oneRT)
+	}
+}
+
+// TestGetReadsThroughTheLoadHook walks every answer a get that asks to
+// load can give, through the RPC: a miss loaded and added (Loaded, one more
+// service slot), the same key then a Hit that asks nothing, a load that
+// fails (Failed, its error), a token no longer current and a server with
+// no room (Unstored, the value all the same, nothing stored), a get that
+// does not ask to load and a server with no hook (Miss, the hook never
+// called).
+func TestGetReadsThroughTheLoadHook(t *testing.T) {
+	var loads atomic.Int64
+	current := true
+	s := testServer(ServerConfig{
+		CapacityBytes: 1 << 10,
+		Load: func(at vclock.Time, key string, val *wire.Encoder) (uint64, vclock.Time, error) {
+			loads.Add(1)
+			if key == "/w/gone" {
+				return 0, at, fsapi.ErrNotExist
+			}
+			val.Raw([]byte("loaded " + key))
+			return 7, at.Add(100), nil
+		},
+		Current: func(token uint64) bool { return current && token == 7 },
+	})
+	bus := rpc.NewBus()
+	bus.Register("n/cache", s.Service())
+	c := NewClient(rpc.NewCaller(bus, vclock.Default(), "n"), dht.NewWithMembers(0, "n/cache"))
+	get := func(key string, load bool) Result {
+		t.Helper()
+		r, _, err := c.Get(0, key, load, wire.NewEncoder(0))
+		if err != nil {
+			t.Fatalf("get %s: %v", key, err)
+		}
+		r.Item.Value = append([]byte(nil), r.Item.Value...)
+		return r
+	}
+
+	served := s.ServedOps()
+	if r := get("/w/a", true); r.Status != Loaded || string(r.Item.Value) != "loaded /w/a" || r.Item.CAS == 0 {
+		t.Fatalf("first load = %+v", r)
+	}
+	if got := s.ServedOps() - served; got != 2 {
+		t.Fatalf("a loading get took %d service slots, want 2 (the get, the add)", got)
+	}
+	if r := get("/w/a", true); r.Status != Hit || string(r.Item.Value) != "loaded /w/a" || loads.Load() != 1 {
+		t.Fatalf("second get = %+v after %d loads", r, loads.Load())
+	}
+	if r := get("/w/gone", true); r.Status != Failed || !errors.Is(r.Err, fsapi.ErrNotExist) {
+		t.Fatalf("failed load = %+v", r)
+	}
+	current = false
+	if r := get("/w/b", true); r.Status != Unstored || r.Err != nil || string(r.Item.Value) != "loaded /w/b" {
+		t.Fatalf("overtaken load = %+v", r)
+	}
+	current = true
+	if r := get("/w/b", false); r.Status != Miss || loads.Load() != 3 {
+		t.Fatalf("get without load = %+v after %d loads", r, loads.Load())
+	}
+	if _, _, err := s.Set(0, "/w/big", make([]byte, 800), 0); err != nil {
+		t.Fatal(err)
+	}
+	if r := get("/w/c", true); r.Status != Unstored || !errors.Is(r.Err, fsapi.ErrOutOfSpace) || string(r.Item.Value) != "loaded /w/c" {
+		t.Fatalf("load into a full server = %+v", r)
+	}
+	if items := s.Stats().Items; items != 2 {
+		t.Fatalf("%d items resident, want /w/a and /w/big", items)
+	}
+
+	plain := testServer(ServerConfig{})
+	bus.Register("p/cache", plain.Service())
+	pc := NewClient(rpc.NewCaller(bus, vclock.Default(), "p"), dht.NewWithMembers(0, "p/cache"))
+	if r, _, err := pc.Get(0, "/w/a", true, wire.NewEncoder(0)); err != nil || r.Status != Miss {
+		t.Fatalf("load from a server with no hook = %+v, %v", r, err)
 	}
 }

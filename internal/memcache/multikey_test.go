@@ -190,15 +190,35 @@ func TestGetMultiDuplicatesAndOrder(t *testing.T) {
 	}
 }
 
+// addResult is one entry of addMulti: its answer, its value copied out of
+// the reply, and its owner's error.
+type addResult struct {
+	Result
+	OwnerErr error
+}
+
+// addMulti is Client.AddMulti collected into a slice.
+func addMulti(c *Client, token uint64, entries []AddEntry) []addResult {
+	out := make([]addResult, len(entries))
+	c.AddMulti(0, token, entries, func(i int, r Result, err error) {
+		r.Item.Value = append([]byte(nil), r.Item.Value...)
+		out[i] = addResult{Result: r, OwnerErr: err}
+	})
+	return out
+}
+
+// TestAddMultiDuplicateKey: an add_multi applies its entries in input
+// order, each only to an absent key, and an entry that finds its key
+// filled answers with the entry that got there first.
 func TestAddMultiDuplicateKey(t *testing.T) {
 	c, _ := clusterEnv(t, 4)
-	res, _ := c.AddMulti(0, []AddEntry{
+	res := addMulti(c, 0, []AddEntry{
 		{Key: "/w/x", Value: []byte("first")},
 		{Key: "/w/y", Value: []byte("other")},
 		{Key: "/w/x", Value: []byte("second")},
 	})
-	if res[0].Err != nil || res[1].Err != nil || !errors.Is(res[2].Err, fsapi.ErrExist) {
-		t.Fatalf("results = %+v, want the duplicate's second occurrence to lose with ErrExist", res)
+	if res[0].Status != Loaded || res[1].Status != Loaded || res[2].Status != Hit || string(res[2].Item.Value) != "first" || res[2].Item.CAS != res[0].Item.CAS {
+		t.Fatalf("results = %+v, want the duplicate's second occurrence to read the first", res)
 	}
 	if item, _, err := get(c, 0, "/w/x"); err != nil || string(item.Value) != "first" {
 		t.Fatalf("/w/x = %q, %v: occurrences were not applied in input order", item.Value, err)
@@ -214,10 +234,9 @@ func TestMultiKeyCallsOnEmptyRing(t *testing.T) {
 			t.Fatalf("get_multi on an empty ring resolved key %d: %+v", i, res[i])
 		}
 	}
-	adds, _ := c.AddMulti(0, []AddEntry{{Key: "/w/a"}, {Key: "/w/b"}})
-	for i := range adds {
-		if adds[i].Err == nil {
-			t.Fatalf("add_multi on an empty ring stored entry %d", i)
+	for i, r := range addMulti(c, 0, []AddEntry{{Key: "/w/a"}, {Key: "/w/b"}}) {
+		if r.OwnerErr == nil {
+			t.Fatalf("add_multi on an empty ring stored entry %d: %+v", i, r)
 		}
 	}
 	if applied, _, _, err := c.SettleMulti(0, []Settle{{Key: "/w/a", Cond: CondClean}, {Key: "/w/b", Seq: 1, Clear: true}}); err == nil || applied != 0 {
@@ -272,6 +291,25 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 	}
 }
 
+// fuzzCurrent is the fuzzed servers' guard: even tokens are current, so an
+// add both lands and is refused.
+func fuzzCurrent(token uint64) bool { return token%2 == 0 }
+
+// fuzzLoad is the fuzzed servers' Load hook: /w/err fails, every other
+// key loads as a clean value under a token that is current for keys that
+// sort before /w/m.
+func fuzzLoad(at vclock.Time, key string, val *wire.Encoder) (uint64, vclock.Time, error) {
+	if key == "/w/err" {
+		return 0, at, fsapi.ErrClosed
+	}
+	var token uint64
+	if key >= "/w/m" {
+		token = 1
+	}
+	val.Raw(makeVal(0, 0))
+	return token, at, nil
+}
+
 // FuzzMultiKeyHandlers feeds raw bytes to the three multi-key handlers —
 // the frames a peer controls. Each must return an error or a
 // well-formed reply without panicking; a corrupt count must be rejected
@@ -294,10 +332,12 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	add := wire.NewEncoder(64)
-	add.Uvarint(1)
-	add.String("/w/new")
-	add.Uint32(7)
-	add.Blob(makeVal(0, 1))
+	add.Uvarint(7) // the token: not current (fuzzCurrent)
+	add.Uvarint(3)
+	for _, k := range []string{"/w/new", "/w/a", "/w/new"} {
+		add.String(k)
+		add.Blob(makeVal(0, 1))
+	}
 	f.Add(add.Bytes())
 	del := wire.NewEncoder(64)
 	del.Byte(byte(CondClean))
@@ -335,7 +375,7 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	// the next.
 	reply := wire.NewEncoder(0)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := testServer(ServerConfig{CapacityBytes: 1 << 20})
+		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Current: fuzzCurrent})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
 		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
 		bus := rpc.NewBus()
@@ -388,8 +428,7 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 				}
 			case "add_multi":
 				for i := uint64(0); i < n; i++ {
-					d.Byte()
-					d.Uint64()
+					readAnswer(d)
 				}
 			}
 			if err := d.Finish(); err != nil {
@@ -402,8 +441,8 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	})
 }
 
-// FuzzSingleKeyHandlers feeds arbitrary bytes to the four single-key
-// endpoints, mutate running the test row. Same contract as the multi-key
+// FuzzSingleKeyHandlers feeds arbitrary bytes to the three single-key
+// endpoints, get loading through fuzzLoad and mutate running the test row. Same contract as the multi-key
 // ones: no panic, an error with no reply or a well-formed reply, nothing
 // allocated beyond a small multiple of the frame, and a frame that is
 // refused changes no key.
@@ -415,9 +454,16 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 		e.Blob(value)
 		return e.Bytes()
 	}
-	get := wire.NewEncoder(16)
-	get.String("/w/a")
-	f.Add(get.Bytes())
+	get := func(load bool, key string) []byte {
+		e := wire.NewEncoder(16)
+		e.Bool(load)
+		e.String(key)
+		return e.Bytes()
+	}
+	f.Add(get(false, "/w/a"))
+	f.Add(get(true, "/w/new"))                    // a load and its add
+	f.Add(get(true, "/w/err"))                    // a failed load
+	f.Add(get(true, "/w/z"))                      // an overtaken load
 	f.Add(store("/w/a", 0, makeVal(HdrDirty, 3))) // over /w/a
 	f.Add(store("/w/a", 9, makeVal(0, 3)))
 	f.Add(store("/w/new", 7, makeVal(0, 1)))
@@ -438,7 +484,7 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 
 	reply := wire.NewEncoder(0) // every input's, as in FuzzMultiKeyHandlers
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Row: testRow})
+		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Row: testRow, Load: fuzzLoad, Current: fuzzCurrent})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
 		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
 		s.Set(0, "/w/c", []byte("x"), 0)
@@ -446,7 +492,7 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())
 		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
-		for _, method := range []string{"get", "add", "set", "mutate"} {
+		for _, method := range []string{"get", "set", "mutate"} {
 			before := make([]Item, len(keys))
 			for i, k := range keys {
 				before[i], _, _ = s.Get(0, k)
@@ -474,9 +520,7 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 			d := wire.NewDecoder(resp)
 			switch {
 			case method == "get":
-				d.Uint64()
-				d.Uint32()
-				d.BlobView()
+				readAnswer(d)
 			case method == "mutate":
 				if len(resp) > 0 { // rowPut answers nothing
 					d.Uvarint()

@@ -1,10 +1,11 @@
 // Package memcache implements the distributed in-memory KV cache Pacon
 // builds its metadata cache on (paper §III.A: a Memcached cluster
 // launched on the application's nodes, keys distributed by DHT). The
-// server supports the memcached operations Pacon relies on — get, set,
-// add, stats, flush, deletes that always name what they expect to find, and
-// a mutate that resolves concurrent updates (§III.D.3) under the key's lock
-// — with byte-accurate memory accounting for §III.F's experiments.
+// server supports the memcached operations Pacon relies on — get (which
+// can read a miss through from the backing store, §III.D.1), set, stats,
+// flush, deletes that always name what they expect to find, and a mutate
+// that resolves concurrent updates (§III.D.3) under the key's lock — with
+// byte-accurate memory accounting for §III.F's experiments.
 package memcache
 
 import (
@@ -41,12 +42,26 @@ type ServerConfig struct {
 	Workers int
 	// Row is what a mutate runs (nil: every mutate fails).
 	Row Row
+	// Load is what a get that asks to load does with a key the server
+	// does not hold (nil: a miss stays a miss).
+	Load Load
+	// Current reports whether values read under token may still be added
+	// (nil: always). The server asks it under the key's shard lock just
+	// before it adds a loaded value — a get's own load, or an add_multi
+	// of values a client read — so the guard against a load that an
+	// invalidation overtook has one home.
+	Current func(token uint64) bool
 }
 
 // Row computes a mutate of one key under its lock: from the stored item (nil:
 // absent; neither kept nor changed) and the request it appends its answer to
 // reply and, returning true, the value to store to val. An error is the answer.
 type Row func(cur *Item, req []byte, val, reply *wire.Encoder) (store bool, err error)
+
+// Load reads key, which a get missed, from the store behind the cache and
+// appends the value to add to val — or says why there is none — with the
+// token the read was made under (see ServerConfig.Current).
+type Load func(at vclock.Time, key string, val *wire.Encoder) (token uint64, done vclock.Time, err error)
 
 // Server is one cache node. Safe for concurrent use.
 type Server struct {
@@ -146,33 +161,97 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 
 // lookupInto looks up key — raw bytes aliasing the request frame, used
 // only for the shard hash and the map probe, never retained — and on a
-// hit appends CAS, flags and value to e under the shard lock, writing
-// the hit/miss marker byte first when withHit is set. Encoding under the
-// lock is safe because stored value buffers are never mutated in place:
-// store and clearDirty always install fresh copies. This is the
-// single-copy serving path behind the get/get_multi handlers (value goes
-// straight from the shard into the reply encoder, the caller's own on the
-// Bus); hit/miss accounting matches Get.
-func (s *Server) lookupInto(e *wire.Encoder, key []byte, withHit bool) bool {
+// hit appends its answer to e: Hit with CAS, flags and value, encoded
+// under the shard lock. Encoding under the lock is safe because stored
+// value buffers are never mutated in place: store and clearDirty always
+// install fresh copies. This is the single-copy serving path behind the
+// get and get_multi handlers (value goes straight from the shard into the
+// reply encoder, the caller's own on the Bus); hit/miss accounting matches
+// Get.
+func (s *Server) lookupInto(e *wire.Encoder, key []byte) bool {
 	sh := &s.shards[fnv1aBytes(key)%numShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[string(key)]
 	if !ok {
 		s.misses.Add(1)
-		if withHit {
-			e.Bool(false)
-		}
 		return false
 	}
 	s.hits.Add(1)
-	if withHit {
-		e.Bool(true)
-	}
+	appendItem(e, Hit, si)
+	return true
+}
+
+// Status is what a get or an add answers for one key; it is the answer's
+// first byte. A get_multi answers Miss or Hit.
+type Status uint8
+
+const (
+	// Miss: the server does not hold the key, and did not load it.
+	Miss Status = iota
+	// Hit: the server holds the key; CAS, flags and value follow. An add
+	// that finds its key filled meanwhile answers Hit with that entry.
+	Hit
+	// Loaded: the value was added; CAS, flags and value follow.
+	Loaded
+	// Unstored: the value was not added; the reason (an error code:
+	// ErrOutOfSpace for no room, OK for an overtaken load) and the value
+	// follow.
+	Unstored
+	// Failed: a get's load failed; its error code follows.
+	Failed
+)
+
+func appendItem(e *wire.Encoder, st Status, si *Item) {
+	e.Byte(byte(st))
 	e.Uint64(si.CAS)
 	e.Uint32(si.Flags)
 	e.Blob(si.Value)
-	return true
+}
+
+// load answers key, which a get missed, through the Load hook (Miss with
+// no hook). The add takes one more service slot.
+func (s *Server) load(at vclock.Time, key string, reply *wire.Encoder) vclock.Time {
+	if s.cfg.Load == nil {
+		reply.Byte(byte(Miss))
+		return at
+	}
+	val := wire.GetEncoder()
+	defer wire.PutEncoder(val)
+	token, done, err := s.cfg.Load(at, key, val)
+	if err != nil {
+		reply.Byte(byte(Failed))
+		reply.Byte(fsapi.CodeOf(err))
+		return done
+	}
+	done = s.acquire(done)
+	s.add(key, val.Bytes(), token, reply)
+	return done
+}
+
+// add stores value as key's entry if the key is still absent and token is
+// current, both checked under the key's shard lock, and appends the
+// answer: Loaded, Hit with the entry that got there first, or Unstored —
+// ErrOutOfSpace when there is no room, OK when token is no longer current.
+func (s *Server) add(key string, value []byte, token uint64, reply *wire.Encoder) {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if si := sh.items[key]; si != nil {
+		appendItem(reply, Hit, si)
+		return
+	}
+	var err error
+	if s.cfg.Current == nil || s.cfg.Current(token) {
+		var cas uint64
+		if cas, err = s.put(sh, key, nil, value, 0); err == nil {
+			appendItem(reply, Loaded, &Item{Value: value, CAS: cas})
+			return
+		}
+	}
+	reply.Byte(byte(Unstored))
+	reply.Byte(fsapi.CodeOf(err))
+	reply.Blob(value)
 }
 
 // GetMultiResult is one per-key result of GetMulti; a miss is Hit ==
@@ -207,33 +286,6 @@ func (s *Server) GetMulti(at vclock.Time, keys []string) ([]GetMultiResult, vclo
 	return out, done
 }
 
-// AddEntry is one key/value of a batched add.
-type AddEntry struct {
-	Key   string
-	Value []byte
-	Flags uint32
-}
-
-// AddResult is one per-entry outcome of AddMulti.
-type AddResult struct {
-	CAS uint64
-	Err error
-}
-
-// AddMulti stores a batch of absent keys in one service slot (the
-// grouped cache warm after a bulk miss-load). Per-entry errors mirror
-// Add: ErrExist when a concurrent loader won the key, ErrOutOfSpace at
-// capacity — warm paths treat both as "skip this key".
-func (s *Server) AddMulti(at vclock.Time, entries []AddEntry) ([]AddResult, vclock.Time) {
-	done := s.acquire(at)
-	out := make([]AddResult, len(entries))
-	for i, en := range entries {
-		cas, err := s.store(en.Key, en.Value, en.Flags, storeAdd, 0)
-		out[i] = AddResult{CAS: cas, Err: err}
-	}
-	return out, done
-}
-
 // Set unconditionally stores key and returns the new CAS version.
 func (s *Server) Set(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
 	done := s.acquire(at)
@@ -241,7 +293,8 @@ func (s *Server) Set(at vclock.Time, key string, value []byte, flags uint32) (ui
 	return cas, done, err
 }
 
-// Add stores key only if absent (memcached "add").
+// Add stores key only if absent (memcached "add"). No endpoint serves it:
+// it is the in-process form, for measuring the store path.
 func (s *Server) Add(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
 	done := s.acquire(at)
 	cas, err := s.store(key, value, flags, storeAdd, 0)
@@ -380,7 +433,7 @@ type Cond uint8
 
 // Conditional-delete predicates, mirroring the cleanup sites: seq match
 // (discard rule, abandoned creates), seq match on a removed marker
-// (committed removes), clean (eviction, a miss-load revoking its adds),
+// (committed removes), clean (eviction),
 // and none (rmdir and rename dropping entries whose objects the DFS no
 // longer has).
 const (
@@ -648,6 +701,12 @@ func (s *Server) CommittedItems(limit int) []KeyValue {
 // Resource exposes the service resource for utilization reporting.
 func (s *Server) Resource() *vclock.Resource { return s.res }
 
+// AddEntry is one key and value of an add_multi.
+type AddEntry struct {
+	Key   string
+	Value []byte
+}
+
 // presize caps what a multi-key handler allocates up front on a peer's
 // count: wire's Count bounds it only by the bytes left in the frame (16 MiB
 // over TCP, one byte an empty key) while a decoded entry is 40 to 48
@@ -662,11 +721,12 @@ const presize = 1024
 func (s *Server) Service() *rpc.Service {
 	svc := rpc.NewService()
 	svc.HandleInto("get", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
-		// The key is read as a BlobView (string and blob share the
-		// uvarint+bytes framing): it aliases the request frame, which
-		// stays valid for the whole handler, and lookupInto never
-		// retains it.
+		// A load flag, then the key, read as a BlobView (string and blob
+		// share the uvarint+bytes framing): it aliases the request frame,
+		// which stays valid for the whole handler, and lookupInto never
+		// retains it. With the flag set, a miss is answered by the load.
 		d := wire.GetDecoder(body)
+		load := d.Bool()
 		key := d.BlobView()
 		err := d.Finish()
 		wire.PutDecoder(d)
@@ -674,8 +734,12 @@ func (s *Server) Service() *rpc.Service {
 			return at, err
 		}
 		done := s.acquire(at)
-		if !s.lookupInto(reply, key, false) {
-			return done, fsapi.ErrNotExist
+		switch {
+		case s.lookupInto(reply, key):
+		case load:
+			done = s.load(done, string(key), reply)
+		default:
+			reply.Byte(byte(Miss))
 		}
 		return done, nil
 	})
@@ -691,8 +755,8 @@ func (s *Server) Service() *rpc.Service {
 		done := s.acquire(at)
 		reply.Uvarint(uint64(n))
 		for i := 0; i < n && d.Err() == nil; i++ {
-			if key := d.BlobView(); d.Err() == nil {
-				s.lookupInto(reply, key, true)
+			if key := d.BlobView(); d.Err() == nil && !s.lookupInto(reply, key) {
+				reply.Byte(byte(Miss))
 			}
 		}
 		err := d.Finish()
@@ -700,49 +764,45 @@ func (s *Server) Service() *rpc.Service {
 		return done, err
 	})
 	svc.HandleInto("add_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+		// A token, a count, then key and value per entry; the whole frame
+		// is decoded before the first key is touched. The batch takes one
+		// service slot, and each entry is added as a get's load is (add).
 		d := wire.GetDecoder(body)
-		n := d.Count()
+		token, n := d.Uvarint(), d.Count()
 		entries := make([]AddEntry, 0, min(n, presize))
 		for i := 0; i < n && d.Err() == nil; i++ {
-			en := AddEntry{Key: d.String(), Flags: d.Uint32()}
-			en.Value = d.BlobView()
-			entries = append(entries, en)
+			entries = append(entries, AddEntry{Key: d.String(), Value: d.BlobView()})
 		}
 		err := d.Finish()
 		wire.PutDecoder(d)
 		if err != nil {
 			return at, err
 		}
-		results, done := s.AddMulti(at, entries)
-		reply.Uvarint(uint64(len(results)))
-		for _, r := range results {
-			reply.Byte(fsapi.CodeOf(r.Err))
-			reply.Uint64(r.CAS)
+		done := s.acquire(at)
+		reply.Uvarint(uint64(len(entries)))
+		for _, en := range entries {
+			s.add(en.Key, en.Value, token, reply)
 		}
 		return done, nil
 	})
-	store := func(mode storeMode) rpc.Handler {
-		return func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
-			d := wire.GetDecoder(body)
-			key := d.String()
-			flags := d.Uint32()
-			value := d.BlobView()
-			err := d.Finish()
-			wire.PutDecoder(d)
-			if err != nil {
-				return at, err
-			}
-			done := s.acquire(at)
-			cas, err := s.store(key, value, flags, mode, 0)
-			if err != nil {
-				return done, err
-			}
-			reply.Uint64(cas)
-			return done, nil
+	svc.HandleInto("set", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+		d := wire.GetDecoder(body)
+		key := d.String()
+		flags := d.Uint32()
+		value := d.BlobView()
+		err := d.Finish()
+		wire.PutDecoder(d)
+		if err != nil {
+			return at, err
 		}
-	}
-	svc.HandleInto("set", store(storeSet))
-	svc.HandleInto("add", store(storeAdd))
+		done := s.acquire(at)
+		cas, err := s.store(key, value, flags, storeSet, 0)
+		if err != nil {
+			return done, err
+		}
+		reply.Uint64(cas)
+		return done, nil
+	})
 	svc.HandleInto("mutate", s.mutate)
 	svc.HandleInto("settle_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		// The whole frame is decoded and every action checked before the

@@ -75,12 +75,12 @@ func TestServerConcurrentShards(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerConcurrentRevokeNoResurrection races a miss-load's revoke —
+// TestServerConcurrentRevokeNoResurrection races an eviction's delete —
 // a settle_multi that deletes the key if clean — against a writer's cas
-// that dirties the clean entry the load added. Whichever order the shard
-// serializes them in, the writer's value must survive: either the revoke
+// that dirties the clean entry a load added. Whichever order the shard
+// serializes them in, the writer's value must survive: either the delete
 // lands first (the cas finds nothing, and the writer's retry adds) or it
-// lands second and the predicate fails. A revoke that deleted the dirty
+// lands second and the predicate fails. A delete that took the dirty
 // value would destroy the primary copy of an acked write; the predicate
 // and the delete share one shard-lock hold, so there is no window between
 // them for the cas to fall into.
@@ -100,7 +100,7 @@ func TestServerConcurrentRevokeNoResurrection(t *testing.T) {
 			defer wg.Done()
 			_, _, err := s.CAS(0, key, dirty, 0, loaded)
 			if errors.Is(err, fsapi.ErrNotExist) {
-				_, _, err = s.Add(0, key, dirty, 0) // the revoke won: the path is free
+				_, _, err = s.Add(0, key, dirty, 0) // the delete won: the path is free
 			}
 			if err != nil {
 				t.Errorf("writer: %v", err)

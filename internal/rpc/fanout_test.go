@@ -134,10 +134,13 @@ func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
 		if sdone != cdone {
 			t.Fatalf("settle completes at %v issued serially, %v concurrently", sdone, cdone)
 		}
-		getMulti := func(c *memcache.Client, at vclock.Time) ([]memcache.MultiResult, vclock.Time) {
-			out := make([]memcache.MultiResult, len(keys))
-			return out, c.GetMulti(at, keys, func(i int, r memcache.MultiResult) {
+		getMulti := func(c *memcache.Client, at vclock.Time) ([]memcache.Result, vclock.Time) {
+			out := make([]memcache.Result, len(keys))
+			return out, c.GetMulti(at, keys, func(i int, r memcache.Result, err error) {
 				r.Item.Value = append([]byte(nil), r.Item.Value...)
+				if err != nil {
+					r.Status = memcache.Miss
+				}
 				out[i] = r
 			})
 		}
@@ -147,7 +150,7 @@ func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
 			t.Fatalf("get_multi completes at %v issued serially, %v concurrently", sdone, cdone)
 		}
 		for i := range keys {
-			if !sres[i].Hit || !cres[i].Hit || sres[i].Item.Value[0] != 0 || cres[i].Item.Value[0] != 0 {
+			if sres[i].Status != memcache.Hit || cres[i].Status != memcache.Hit || sres[i].Item.Value[0] != 0 || cres[i].Item.Value[0] != 0 {
 				t.Fatalf("%s after settle: serial %+v, concurrent %+v", keys[i], sres[i], cres[i])
 			}
 		}

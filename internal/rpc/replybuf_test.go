@@ -56,6 +56,7 @@ func TestReusedReplyShowsNoStaleTail(t *testing.T) {
 		}
 		multiLen := reply.Len()
 		req.Reset()
+		req.Bool(false) // load nothing
 		req.String("/w/b")
 		reply.Reset()
 		if _, err := caller.CallInto("node0/cache", "get", 0, req.Bytes(), reply); err != nil {
@@ -69,6 +70,7 @@ func TestReusedReplyShowsNoStaleTail(t *testing.T) {
 			t.Fatalf("%s: reused reply %x (get_multi left %d bytes), fresh reply %x", name, reply.Bytes(), multiLen, fresh.Bytes())
 		}
 		d := wire.NewDecoder(reply.Bytes())
+		d.Byte() // the answer's status
 		d.Uint64()
 		flags := d.Uint32()
 		v := d.BlobView()
@@ -78,10 +80,10 @@ func TestReusedReplyShowsNoStaleTail(t *testing.T) {
 		// The same through the cache client: a get_multi, then a Get into
 		// one encoder reused from before.
 		c := memcache.NewClient(caller, dht.NewWithMembers(0, "node0/cache"))
-		c.GetMulti(0, keys, func(int, memcache.MultiResult) {})
-		item, _, err := c.Get(0, "/w/c", reply)
-		if err != nil || string(item.Value) != "c" || item.Flags != 2 {
-			t.Fatalf("%s: Get into a reused encoder = %+v, %v", name, item, err)
+		c.GetMulti(0, keys, func(int, memcache.Result, error) {})
+		res, _, err := c.Get(0, "/w/c", false, reply)
+		if err != nil || res.Status != memcache.Hit || string(res.Item.Value) != "c" || res.Item.Flags != 2 {
+			t.Fatalf("%s: Get into a reused encoder = %+v, %v", name, res, err)
 		}
 	}
 }
@@ -115,8 +117,8 @@ func TestGetMultiOverTCPFourOwners(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				seen := make([]bool, len(keys))
-				c.GetMulti(0, keys, func(i int, r memcache.MultiResult) {
-					if r.Err != nil || !r.Hit || string(r.Item.Value) != string(vals[i]) || seen[i] {
+				c.GetMulti(0, keys, func(i int, r memcache.Result, err error) {
+					if err != nil || r.Status != memcache.Hit || string(r.Item.Value) != string(vals[i]) || seen[i] {
 						t.Errorf("key %s: %+v (seen before: %v)", keys[i], r, seen[i])
 					}
 					seen[i] = true

@@ -199,7 +199,9 @@ func (d *Decoder) Finish() error {
 	return nil
 }
 
-func (d *Decoder) fail(err error) {
+// Fail records err as the decode error, unless one is recorded already:
+// for a reader that finds a value its schema does not allow.
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
@@ -210,7 +212,7 @@ func (d *Decoder) take(n int) []byte {
 		return nil
 	}
 	if d.off+n > len(d.b) {
-		d.fail(ErrTruncated)
+		d.Fail(ErrTruncated)
 		return nil
 	}
 	out := d.b[d.off : d.off+n]
@@ -267,7 +269,7 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
-		d.fail(ErrTruncated)
+		d.Fail(ErrTruncated)
 		return 0
 	}
 	d.off += n
@@ -281,7 +283,7 @@ func (d *Decoder) String() string {
 		return ""
 	}
 	if n > math.MaxInt32 || int(n) > d.Remaining() {
-		d.fail(ErrTooLong)
+		d.Fail(ErrTooLong)
 		return ""
 	}
 	return string(d.take(int(n)))
@@ -295,7 +297,7 @@ func (d *Decoder) Blob() []byte {
 		return nil
 	}
 	if n > math.MaxInt32 || int(n) > d.Remaining() {
-		d.fail(ErrTooLong)
+		d.Fail(ErrTooLong)
 		return nil
 	}
 	b := d.take(int(n))
@@ -318,7 +320,7 @@ func (d *Decoder) Count() int {
 		return 0
 	}
 	if n > uint64(d.Remaining()) {
-		d.fail(ErrTooLong)
+		d.Fail(ErrTooLong)
 		return 0
 	}
 	return int(n)
@@ -348,7 +350,7 @@ func (d *Decoder) BlobView() []byte {
 		return nil
 	}
 	if n > math.MaxInt32 || int(n) > d.Remaining() {
-		d.fail(ErrTooLong)
+		d.Fail(ErrTooLong)
 		return nil
 	}
 	return d.take(int(n))
