@@ -39,6 +39,7 @@ chaos-soak:
 define ALLOC_GATES
 core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 12: an allocation added to the ack or to the in-flight table's record
 core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 13
+core BenchmarkClientCreateBoundedAck 2000x 19 900 create at AtRiskBound 1   # 19 and 848 B, every ack waiting on its in-flight table for its own commit: a timer and its closure armed per wait is 22 and 985 B
 core BenchmarkClientRemove         2000x  14 -   cached rm                      # 9 to 11, call to end of commit: an allocation added to the rm's request, row or answer
 core BenchmarkClientInlineWrite    2000x  14 4600 inline write                  # 9 and 4,010 B for a 1 KiB write: four copies of the bytes (splice, store, answer, write-back); a fifth, e.g. the row decoding the stored value with a copy, is +1,024 B
 core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2

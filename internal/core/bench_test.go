@@ -14,12 +14,12 @@ import (
 
 // benchEnv builds a deployment without testing.T plumbing.
 func benchEnv(b *testing.B, nodes int) (*Region, *Client) {
-	return benchEnvShards(b, nodes, 0)
+	return benchEnvShards(b, nodes, 0, 0)
 }
 
 // benchEnvShards is benchEnv over the subtree-partitioned MDS pool
-// (0 = the single MDS).
-func benchEnvShards(b *testing.B, nodes, mdsShards int) (*Region, *Client) {
+// (0 = the single MDS), acking at the at-risk bound (0 = unbounded).
+func benchEnvShards(b *testing.B, nodes, mdsShards, atRiskBound int) (*Region, *Client) {
 	b.Helper()
 	bus := rpc.NewBus()
 	model := vclock.Default()
@@ -43,7 +43,7 @@ func benchEnvShards(b *testing.B, nodes, mdsShards int) (*Region, *Client) {
 	o := obs.New()
 	bus.SetObserver(o)
 	region, err := NewRegion(RegionConfig{
-		Name: "bench", Workspace: "/w", Nodes: names, Cred: appCred, Model: model,
+		Name: "bench", Workspace: "/w", Nodes: names, Cred: appCred, Model: model, AtRiskBound: atRiskBound,
 	}, Deps{
 		Bus: bus,
 		Obs: o,
@@ -73,11 +73,11 @@ func benchEnvShards(b *testing.B, nodes, mdsShards int) (*Region, *Client) {
 // only if it measures one thing. (The commit side alone is
 // BenchmarkCommitWave.)
 func BenchmarkClientCreate(b *testing.B) {
-	benchCreate(b, 0)
+	benchCreate(b, 0, 0)
 }
 
-func benchCreate(b *testing.B, mdsShards int) {
-	r, c := benchEnvShards(b, 4, mdsShards)
+func benchCreate(b *testing.B, mdsShards, atRiskBound int) {
+	r, c := benchEnvShards(b, 4, mdsShards, atRiskBound)
 	now := vclock.Time(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +97,16 @@ func benchCreate(b *testing.B, mdsShards int) {
 // allocation-free, so what the alloc gate allows it on top of the
 // single-MDS path is the per-shard apply_batch frames.
 func BenchmarkClientCreateSharded(b *testing.B) {
-	benchCreate(b, 4)
+	benchCreate(b, 4, 0)
+}
+
+// BenchmarkClientCreateBoundedAck is the create at AtRiskBound 1, the
+// abl-async ablation's Pacon-sync-commit: every ack waits on the node's
+// in-flight table for its own commit. The wait allocates nothing of its
+// own — no timer, no closure — so it costs what the create does plus the
+// ack's wake-up.
+func BenchmarkClientCreateBoundedAck(b *testing.B) {
+	benchCreate(b, 0, 1)
 }
 
 // The two stat benchmarks are the cache-hit read path, which make

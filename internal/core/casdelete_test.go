@@ -40,6 +40,18 @@ func testCommitter(e *env) *committer {
 	return e.region.newCommitter(e.region.byName["node0"], e.region.deps.NewBackend("node0"))
 }
 
+// taken gives a hand-built op its node and the reference a client's take
+// leaves it in the node's in-flight table, so that it parks and ends there
+// as a queued op does.
+func taken(n *node, op Op) Op {
+	n.inflight.take(op.Path, 0)
+	n.inflight.mu.Lock()
+	n.inflight.pass(op.Path)
+	n.inflight.mu.Unlock()
+	op.node = n
+	return op
+}
+
 // mustEntry returns path's cache entry or fails the test.
 func mustEntry(t *testing.T, r *Region, path, why string) CacheEntry {
 	t.Helper()
@@ -572,10 +584,12 @@ func TestEvictSurvivesCacheServerDeath(t *testing.T) {
 // the path set does not grow with every path that ever parked over the
 // life of the commit loop.
 func TestPendingSetReleasesZeroCountPaths(t *testing.T) {
-	p := pendingSet{region: newEnv(t, 1, nil).region}
-	p.add(Op{Path: "/w/a"}, "test")
-	p.add(Op{Path: "/w/a"}, "test")
-	p.add(Op{Path: "/w/b"}, "test")
+	e := newEnv(t, 1, nil)
+	n := e.region.byName["node0"]
+	var p pendingSet
+	p.add(taken(n, Op{Path: "/w/a"}), "test")
+	p.add(taken(n, Op{Path: "/w/a"}), "test")
+	p.add(taken(n, Op{Path: "/w/b"}), "test")
 	if !p.blocks("/w/a") || !p.blocks("/w/b") || p.blocks("/w/ghost") {
 		t.Fatalf("blocked paths = %v, want /w/a and /w/b", p.paths)
 	}
@@ -594,7 +608,7 @@ func TestPendingSetReleasesZeroCountPaths(t *testing.T) {
 	}
 	// Parked once each, whatever a sweep moved: the gauge counts ops, and
 	// only an op's terminal takes it off.
-	if got := p.region.parked.Load(); got != 3 {
+	if got := e.region.parkedOps(); got != 3 {
 		t.Fatalf("parked gauge = %d, want 3", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pacon/internal/fsapi"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 )
@@ -308,8 +309,9 @@ func TestLostClaimIsTakenBack(t *testing.T) {
 // whose queue has gone idle — its parent directory reached the DFS from
 // another node's queue after the create's last retry — and a parked op
 // is retried only when its queue next moves. A crossing that merely
-// waited for the path to drain would wait for ever; once its patience is
-// out it pushes the queue with a scoped barrier.
+// waited for the path to drain would wait for ever; its node's in-flight
+// table says the path's op has parked, and the crossing moves it with one
+// scoped barrier.
 func TestCrossingMovesAParkedCreate(t *testing.T) {
 	e := newEnv(t, 2, func(cfg *RegionConfig) {
 		cfg.SmallFileThreshold = 8
@@ -323,16 +325,17 @@ func TestCrossingMovesAParkedCreate(t *testing.T) {
 	// Parked, and past the retry that follows every dequeue: from here the
 	// commit process sits on its empty queue.
 	eventually(t, "the create to park", func() bool {
-		return e.region.parked.Load() == 1 && e.region.Stats().Retries >= 1
+		return e.region.parkedOps() == 1 && e.region.Stats().Retries >= 1
 	})
 	if at, err = other.Mkdir(at, "/w/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	direct := e.dfs.NewClient("verify", appCred, 0, 0)
 	eventually(t, "the mkdir to commit", func() bool { _, _, err := direct.Stat(0, "/w/d"); return err == nil })
-	if p := e.region.parked.Load(); p != 1 {
+	if p := e.region.parkedOps(); p != 1 {
 		t.Fatalf("parked = %d, want the create still parked behind its idle queue", p)
 	}
+	before := e.region.Stats()
 	payload := bytes.Repeat([]byte("L"), 20)
 	if at, err = c.WriteAt(at, "/w/d/f", 0, payload); err != nil {
 		t.Fatal(err)
@@ -340,8 +343,100 @@ func TestCrossingMovesAParkedCreate(t *testing.T) {
 	if got, _, err := direct.ReadAt(at, "/w/d/f", 0, 100); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("DFS copy = %q, %v", got, err)
 	}
-	if st := e.region.Stats(); e.region.parked.Load() != 0 || st.Dropped != 0 {
+	st := e.region.Stats()
+	if e.region.parkedOps() != 0 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v, want nothing parked or dropped", st)
+	}
+	if st.BarriersScoped != before.BarriersScoped+1 || st.BarriersFull != before.BarriersFull {
+		t.Fatalf("barriers scoped %d → %d, full %d → %d; want one scoped barrier",
+			before.BarriersScoped, st.BarriersScoped, before.BarriersFull, st.BarriersFull)
+	}
+}
+
+// waveHold holds the first commit-side or client ApplyBatch that carries
+// path until release: a wave the DFS is slow to answer. held is closed
+// once it arrives.
+type waveHold struct {
+	path         string
+	arrive, end  sync.Once
+	held, opened chan struct{}
+}
+
+// release lets the held ApplyBatch go; it may be called again.
+func (h *waveHold) release() { h.end.Do(func() { close(h.opened) }) }
+
+type heldWave struct {
+	Backend
+	h *waveHold
+}
+
+func (b heldWave) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
+	for _, op := range ops {
+		if op.Path == b.h.path {
+			b.h.arrive.Do(func() {
+				close(b.h.held)
+				<-b.h.opened
+			})
+			break
+		}
+	}
+	return b.Backend.ApplyBatch(at, ops)
+}
+
+// holdWaveEnv is a region of n nodes whose first ApplyBatch carrying path
+// is held until the returned hold's release (run at cleanup too, so a
+// failing test does not hang the region's Close).
+func holdWaveEnv(t *testing.T, n int, path string, mutate func(*RegionConfig)) (*env, *waveHold) {
+	t.Helper()
+	h := &waveHold{path: path, held: make(chan struct{}), opened: make(chan struct{})}
+	e := newEnvDeps(t, n, mutate, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend { return heldWave{Backend: inner(node), h: h} }
+	})
+	t.Cleanup(h.release)
+	return e, h
+}
+
+// TestCrossingWaitsOutASlowCommitWithoutABarrier: the file's create is in a
+// wave the DFS holds for 300 ms when a write crosses the threshold. The
+// create has not parked, so the crossing waits for it — however long — and
+// pushes no queue: once the wave lands, the crossing completes without a
+// barrier.
+func TestCrossingWaitsOutASlowCommitWithoutABarrier(t *testing.T) {
+	e, h := holdWaveEnv(t, 1, "/w/f", func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 })
+	c := e.client(t, "node0")
+	at, err := c.Create(0, "/w/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-h.held
+	before := e.region.Stats()
+	payload := bytes.Repeat([]byte("L"), 20)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.WriteAt(at, "/w/f", 0, payload)
+		done <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("the crossing finished (%v) with the file's create held", err)
+	default:
+	}
+	h.release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := e.region.Stats()
+	if st.BarriersScoped != before.BarriersScoped || st.BarriersFull != before.BarriersFull {
+		t.Fatalf("barriers scoped %d → %d, full %d → %d; want none",
+			before.BarriersScoped, st.BarriersScoped, before.BarriersFull, st.BarriersFull)
+	}
+	if size, data := dfsFile(t, e, at, "/w/f"); size != 20 || data != string(payload) {
+		t.Fatalf("DFS holds %d bytes %q, want the write", size, data)
+	}
+	if st.Dropped != 0 || e.region.parkedOps() != 0 {
+		t.Fatalf("stats = %+v, %d parked; want nothing parked or dropped", st, e.region.parkedOps())
 	}
 }
 

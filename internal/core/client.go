@@ -172,22 +172,17 @@ func (c *Client) pushOp(at vclock.Time, p string, out *outcome, wall int64) (vcl
 
 // awaitAck parks the ack on its node's bound until it opens at gate, and
 // moves the clock to the latest terminal's: virtual time pays for the wait.
-// Parked past ackPatience on an idle queue, it waits on an op parked behind
-// that queue — its own client is the one waiting — and moves the
-// workspace's parked ops with one barrier, as drainPath does a path's.
+// An op parked on the node first may be what the ack waits behind — a
+// parked op is retried only when its queue next moves — and the ack moves
+// the workspace's parked ops with one barrier, as drainPath does a path's.
 func (c *Client) awaitAck(at vclock.Time, gate uint64) (vclock.Time, error) {
-	r := c.region
 	for {
-		freed, ok, err := c.node.inflight.below(gate, ackPatience)
-		switch {
-		case err != nil:
+		freed, parked, err := c.node.inflight.below(gate)
+		if err != nil || !parked {
+			return vclock.Max(at, freed), err
+		}
+		if at, err = c.region.flush(at, c.region.cfg.Workspace); err != nil {
 			return at, err
-		case ok:
-			return vclock.Max(at, freed), nil
-		case c.node.queue.Len() == 0:
-			if at, err = r.flush(at, r.cfg.Workspace); err != nil {
-				return at, err
-			}
 		}
 	}
 }

@@ -15,23 +15,22 @@ import (
 // pendingSet keeps failed non-dependent commits awaiting resubmission
 // (§III.E.1: "we only need to resubmit the operation until it succeeds")
 // in arrival order, plus the set of their paths so later same-path ops
-// can be held back. region carries the parked-ops gauge.
+// can be held back.
 type pendingSet struct {
 	ops   []Op
 	paths map[string]struct{}
-
-	region *Region
 }
 
 // add parks an op: the first time it fails, or is held behind a parked
 // same-path op (why says which, on the park event), and again each time
-// a sweep's resubmission of it fails. The Parked flag marks the stored
-// copy a resubmission from then on — the tail sampler always keeps such
-// spans, and the op's terminal takes it off the parked-ops gauge.
+// a sweep's resubmission of it fails. The first park is counted in the
+// op's in-flight table, and the Parked flag marks the stored copy a
+// resubmission from then on — the tail sampler always keeps such spans,
+// and the op's terminal gives the park back with its reference.
 func (p *pendingSet) add(op Op, why string) {
 	if !op.Parked {
 		op.Parked = true
-		p.region.parked.Add(1)
+		op.node.inflight.park(op.Path)
 		op.trace(obs.StagePark, why)
 	}
 	if p.paths == nil {
@@ -118,7 +117,6 @@ func (r *Region) newCommitter(n *node, backend Backend) *committer {
 		node:     n,
 		backend:  backend,
 		cache:    memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, n.name), r.ring),
-		pending:  pendingSet{region: r},
 		coalesce: make(map[string]int, r.cfg.CommitBatchSize),
 		inWave:   make(map[string]struct{}, r.cfg.CommitBatchSize),
 	}

@@ -622,15 +622,8 @@ func entryRow(threshold int) memcache.Row {
 // transition is a drain of the path and a handful of DFS round trips. A
 // claim still standing after claimPatience has lost its claimant — the
 // client died, or its final store never reached the cache — and the
-// waiter takes it back (the evRollback row): nothing else resolves it. A
-// crossing in turn gives the commit processes drainPatience to empty the
-// path before it pushes them (Region.drainPath), an ack on its node's bound
-// ackPatience (Client.awaitAck).
-const (
-	claimPoll     = 100 * time.Microsecond
-	drainPatience = 100 * time.Millisecond
-	ackPatience   = time.Millisecond
-)
+// waiter takes it back (the evRollback row): nothing else resolves it.
+const claimPoll = 100 * time.Microsecond
 
 // claimPatience is a variable for the one test that loses a claimant.
 var claimPatience = 5 * time.Second

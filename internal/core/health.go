@@ -173,7 +173,7 @@ func (r *Region) health(thr healthThresholds) Health {
 		MaxCommitLagNS: r.MaxCommitLag(),
 		QueueHeadAgeNS: r.QueueHeadAge(),
 		QueueDepth:     r.QueueDepth(),
-		ParkedOps:      r.parked.Load(),
+		ParkedOps:      int64(r.parkedOps()),
 		AtRiskOps:      r.atRiskOps(),
 		DirtyKeys:      dirty,
 		RemovedKeys:    removed,

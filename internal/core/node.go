@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
@@ -28,10 +27,11 @@ type node struct {
 }
 
 // inflight holds, per path, the ops between their client's store and their
-// terminal — queued, in a wave or parked alike. Scoped barriers, threshold
-// crossings, the auditor, the staleness watermarks and the at-risk gauge
-// all read it, it orders a path's stores and pushes, acks wait on it; a record
-// lives exactly as long as its references.
+// terminal — queued, in a wave or parked alike, and which of them parked.
+// Scoped barriers, threshold crossings, the auditor, the staleness
+// watermarks and the at-risk and parked gauges all read it, it orders a
+// path's stores and pushes, crossings and acks wait on it; a record lives
+// exactly as long as its references.
 type inflight struct {
 	mu    sync.Mutex
 	paths map[string]pending
@@ -43,17 +43,20 @@ type inflight struct {
 	opened      uint64
 	freed       vclock.Time
 	closed      bool
-	// cond (on mu) is the one wait, for a path's turn or for the bound to
-	// open. Its Broadcast returns at once when nobody waits.
+	waiting     int // the crossings and acks a park or a path's last reference wakes
+	// cond (on mu) is the one wait: for a path's turn, for it to drain or
+	// for the bound to open. Its Broadcast returns at once when nobody waits.
 	cond sync.Cond
 	// spills counts the records holding a spill. A landing create reads it
 	// before it asks for one: with no fsync outstanding, the common case,
 	// an op locks the table three times, at its take, push and release.
-	spills atomic.Int32
+	// parked counts the ops parked in the commit process's pending set.
+	// Both change under mu and are read without it.
+	spills, parked atomic.Int32
 }
 
 type pending struct {
-	refs int
+	refs, parked int
 	// next is the ticket the next take hands out, turn the ticket whose op
 	// stores and pushes next: a path's ops store and leave the node in the
 	// order of their takes, each holding its turn from take to push.
@@ -77,9 +80,6 @@ type spilled struct {
 func (t *inflight) take(p string, wall int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.paths == nil {
-		t.paths = make(map[string]pending)
-	}
 	rec := t.paths[p]
 	ticket := rec.next
 	rec.refs, rec.next = rec.refs+1, rec.next+1
@@ -112,7 +112,7 @@ func (t *inflight) giveBack(p string, wall int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.pass(p)
-	t.unref(p, wall, 0)
+	t.unref(p, wall, 0, 0, false)
 }
 
 // pass (mu held) hands p's turn to the next op that took p.
@@ -124,33 +124,55 @@ func (t *inflight) pass(p string) {
 }
 
 // below parks an ack until the bound opens at gate and returns the latest
-// terminal's virtual time. An opening lets every parked ack through, though
-// another op may have taken a reference before it wakes: a node's clients
-// never take turns starving each other. false: patience ran out first. A
-// closed table answers ErrClosed.
-func (t *inflight) below(gate uint64, patience time.Duration) (vclock.Time, bool, error) {
+// terminal's virtual time, or true once the node holds a parked op, which
+// the ack may wait behind. An opening lets every parked ack through, so a
+// node's clients never take turns starving each other.
+func (t *inflight) below(gate uint64) (vclock.Time, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	expired := false
-	timer := time.AfterFunc(patience, func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		expired = true
-		t.cond.Broadcast()
-	})
-	defer timer.Stop()
-	for ; t.opened < gate; t.cond.Wait() {
-		if t.closed {
-			return 0, false, fsapi.ErrClosed
-		}
-		if expired {
-			return 0, false, nil
-		}
-	}
-	return t.freed, true, nil
+	parked, err := t.wait(func() bool { return t.opened >= gate }, func() bool { return t.parked.Load() > 0 })
+	return t.freed, parked, err
 }
 
-// close turns every ack parked on the bound away (Region.Close).
+// drained returns once no op on p is pending here, or true once one parks.
+func (t *inflight) drained(p string) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.wait(func() bool { return t.paths[p].refs == 0 }, func() bool { return t.paths[p].parked > 0 })
+}
+
+// wait (mu held) is a crossing's or an ack's: it returns once done, or
+// first, with true, once parked. A closed table answers ErrClosed.
+func (t *inflight) wait(done, parked func() bool) (bool, error) {
+	for !done() {
+		switch {
+		case t.closed:
+			return false, fsapi.ErrClosed
+		case parked():
+			return true, nil
+		}
+		t.waiting++
+		t.cond.Wait()
+		t.waiting--
+	}
+	return false, nil
+}
+
+// park counts an op on p at its first park (pendingSet.add); release ends it.
+func (t *inflight) park(p string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rec, ok := t.paths[p]; ok {
+		rec.parked++
+		t.paths[p] = rec
+		t.parked.Add(1)
+		if t.waiting > 0 {
+			t.cond.Broadcast()
+		}
+	}
+}
+
+// close turns every crossing and ack waiting here away (Region.Close).
 func (t *inflight) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -159,29 +181,31 @@ func (t *inflight) close() {
 }
 
 // release gives back the reference taken at wall, at at, the virtual time
-// of the op's terminal. seq is the op's, and ends a spill made of an entry
-// no newer than the op: the op carried those bytes to the DFS, or is the
-// end of their incarnation. 0 ends none (no op was queued, or its effect
-// rides a coalesced survivor). The last reference takes the record, spill
-// and all; what was never taken is not given back.
-func (t *inflight) release(p string, wall int64, seq uint64, at vclock.Time) {
+// of the op's terminal, and its park if the op parked. seq is the op's, and
+// ends a spill made of an entry no newer than the op: the op carried those
+// bytes to the DFS, or is the end of their incarnation. 0 ends none (no op
+// was queued, or its effect rides a coalesced survivor). The last reference
+// takes the record, spill and all; what was never taken is not given back.
+func (t *inflight) release(p string, wall int64, seq uint64, at vclock.Time, parked bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.unref(p, wall, seq) {
-		t.freed = vclock.Max(t.freed, at)
-	}
+	t.unref(p, wall, seq, at, parked)
 }
 
-// unref is release (mu held) but for the terminal's time; false: p holds
-// no reference.
-func (t *inflight) unref(p string, wall int64, seq uint64) bool {
+// unref is release with mu held.
+func (t *inflight) unref(p string, wall int64, seq uint64, at vclock.Time, parked bool) {
 	rec, ok := t.paths[p]
 	if !ok {
-		return false
+		return
 	}
+	t.freed = vclock.Max(t.freed, at)
 	if t.refs--; t.refs < t.bound {
 		t.opened++
 		t.cond.Broadcast()
+	}
+	if parked {
+		rec.parked--
+		t.parked.Add(-1)
 	}
 	rec.refs--
 	if rec.spill != nil && (rec.refs == 0 || seq >= rec.spill.seq) {
@@ -190,7 +214,10 @@ func (t *inflight) unref(p string, wall int64, seq uint64) bool {
 	}
 	if rec.refs == 0 {
 		delete(t.paths, p)
-		return true
+		if t.waiting > 0 {
+			t.cond.Broadcast()
+		}
+		return
 	}
 	for i, w := range rec.walls {
 		if w == wall {
@@ -200,14 +227,13 @@ func (t *inflight) unref(p string, wall int64, seq uint64) bool {
 		}
 	}
 	t.paths[p] = rec
-	return true
 }
 
-// has reports whether an op on p itself is pending.
-func (t *inflight) has(p string) bool {
+// refsOn counts the ops pending on p itself.
+func (t *inflight) refsOn(p string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.paths[p].refs > 0
+	return t.paths[p].refs
 }
 
 // hasUnder reports whether any pending path lies in scope's subtree.

@@ -177,7 +177,7 @@ func wantReleased(t *testing.T, r *Region, n *node, path string) {
 	if got := n.inflight.atRisk(); got != 0 || r.Health().AtRiskOps != 0 {
 		t.Errorf("at-risk ops = %d", got)
 	}
-	if got := r.parked.Load(); got != 0 {
+	if got := r.parkedOps(); got != 0 {
 		t.Errorf("parked_ops = %d", got)
 	}
 	if got := r.MaxStaleness(); got != 0 {
@@ -227,9 +227,11 @@ func TestClosedQueueRefusesAndReleases(t *testing.T) {
 
 // TestInflightTableUnderRace: four clients take references on 64 paths
 // (spilling on some), push them in their turns and hand each to one of
-// four commit processes, which release it — half as an op's terminal, half
-// as a coalesced op's — while a reader asks the table everything it
-// answers. References never go negative and the table ends empty.
+// four commit processes, which park a third of them first and release it —
+// half as an op's terminal, half as a coalesced op's — while a reader asks
+// the table everything it answers and a crossing waits on one path over
+// and over. References and parks never go negative and the table ends
+// empty.
 func TestInflightTableUnderRace(t *testing.T) {
 	type ref struct {
 		p    string
@@ -237,7 +239,7 @@ func TestInflightTableUnderRace(t *testing.T) {
 		seq  uint64
 	}
 	var (
-		table   inflight
+		table   = inflight{paths: make(map[string]pending)}
 		queue   = mq.NewQueue[Op]()  // what the takers push, in their turns
 		handed  = make(chan ref, 16) // a short queue between takers and releasers
 		takers  sync.WaitGroup
@@ -269,7 +271,11 @@ func TestInflightTableUnderRace(t *testing.T) {
 				if r.wall%2 == 0 {
 					r.seq = 0
 				}
-				table.release(r.p, r.wall, r.seq, 0)
+				parked := r.wall%3 == 0
+				if parked {
+					table.park(r.p)
+				}
+				table.release(r.p, r.wall, r.seq, 0, parked)
 			}
 		}(g)
 	}
@@ -287,9 +293,12 @@ func TestInflightTableUnderRace(t *testing.T) {
 				return
 			}
 			table.hasUnder("/w/d3")
-			table.has("/w/d3/f3")
+			table.refsOn("/w/d3/f3")
 			if n := table.spills.Load(); n < 0 {
 				t.Errorf("spills = %d", n)
+			}
+			if n := int(table.parked.Load()); n < 0 || n > 4+cap(handed)+4 {
+				t.Errorf("parked = %d", n)
 			}
 			if w := table.oldest(""); w < 0 || w > 4*perTaker {
 				t.Errorf("oldest = %d", w)
@@ -297,17 +306,33 @@ func TestInflightTableUnderRace(t *testing.T) {
 			table.oldest("/w/d3/f3")
 		}
 	}()
+	workers.Add(1)
+	go func() {
+		defer workers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := table.drained("/w/d3/f3"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	takers.Wait()
 	close(handed)
 	close(stop)
 	workers.Wait()
-	if table.atRisk() != 0 || len(table.paths) != 0 || table.spills.Load() != 0 || table.oldest("") != 0 {
-		t.Fatalf("table not empty at the end: %d refs, %v", table.atRisk(), table.paths)
+	if table.atRisk() != 0 || int(table.parked.Load()) != 0 || len(table.paths) != 0 || table.spills.Load() != 0 || table.oldest("") != 0 {
+		t.Fatalf("table not empty at the end: %d refs, %d parked, %v", table.atRisk(), int(table.parked.Load()), table.paths)
 	}
-	// What was never taken cannot be given back.
-	table.release("/w/never", 1, 1, 0)
-	if table.atRisk() != 0 {
-		t.Fatalf("refs = %d after a release of nothing", table.atRisk())
+	// What was never taken cannot be given back, nor parked.
+	table.park("/w/never")
+	table.release("/w/never", 1, 1, 0, true)
+	if table.atRisk() != 0 || int(table.parked.Load()) != 0 || table.waiting != 0 {
+		t.Fatalf("refs = %d, parked %d after a release of nothing", table.atRisk(), int(table.parked.Load()))
 	}
 }
 
@@ -524,9 +549,8 @@ func (s stallBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, 
 // TestAtRiskBoundHoldsBackClients is the bound as backpressure: three
 // clients of one node create files while the DFS takes no commit. Acks
 // stop at the bound — the node never holds more than bound-1 acked ops
-// plus one in progress per client — and the acks parked on it, including
-// those that fell back to a barrier, all return once the DFS takes commits
-// again; every op commits.
+// plus one in progress per client — and the acks parked on it all return
+// once the DFS takes commits again; every op commits.
 func TestAtRiskBoundHoldsBackClients(t *testing.T) {
 	const bound, clients, perClient = 2, 3, 20
 	open := make(chan struct{})
@@ -591,6 +615,134 @@ func TestAtRiskBoundHoldsBackClients(t *testing.T) {
 	}
 	if st := e.region.Stats(); st.Committed != clients*perClient || st.Dropped != 0 {
 		t.Fatalf("committed %d of %d, dropped %d", st.Committed, clients*perClient, st.Dropped)
+	}
+}
+
+// TestBoundedAckWaitsOutASlowCommitWithoutABarrier: at bound 1 a create's
+// ack waits for its own commit, which the DFS holds for 50 ms. Nothing on
+// the node has parked, so the ack waits — however long — and pushes no
+// queue: once the wave lands it returns, and no barrier has run.
+func TestBoundedAckWaitsOutASlowCommitWithoutABarrier(t *testing.T) {
+	e, h := holdWaveEnv(t, 1, "/w/f", func(cfg *RegionConfig) { cfg.AtRiskBound = 1 })
+	c := e.client(t, "node0")
+	before := e.region.Stats()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Create(0, "/w/f", 0o644)
+		done <- err
+	}()
+	<-h.held
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("the ack returned (%v) with its op's wave held", err)
+	default:
+	}
+	h.release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	st := e.region.Stats()
+	if st.BarriersScoped != before.BarriersScoped || st.BarriersFull != before.BarriersFull {
+		t.Fatalf("barriers scoped %d → %d, full %d → %d; want none",
+			before.BarriersScoped, st.BarriersScoped, before.BarriersFull, st.BarriersFull)
+	}
+	if st.Committed != before.Committed+1 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v over %+v, want the create committed at its ack", st, before)
+	}
+}
+
+// TestBoundedAckMovesAParkedOp: at bound 1 a create parks on its parent
+// directory, whose mkdir another node's queue holds. A parked op is
+// retried only when its queue next moves, and the create's ack waits
+// behind it; the table tells the ack its node holds a parked op, and the
+// ack moves it with one workspace barrier, in which the mkdir lands and
+// the create after it.
+func TestBoundedAckMovesAParkedOp(t *testing.T) {
+	e, h := holdWaveEnv(t, 2, "/w/d", func(cfg *RegionConfig) {
+		cfg.AtRiskBound = 1
+		cfg.DisableParentCheck = true
+	})
+	c0, c1 := e.client(t, "node0"), e.client(t, "node1")
+	mkdir, create := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := c1.Mkdir(0, "/w/d", 0o755)
+		mkdir <- err
+	}()
+	<-h.held
+	before := e.region.Stats()
+	go func() {
+		_, err := c0.Create(0, "/w/d/f", 0o644)
+		create <- err
+	}()
+	eventually(t, "the create to park", func() bool { return e.region.parkedOps() == 1 })
+	h.release()
+	for _, ch := range []chan error{mkdir, create} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.region.Stats()
+	if got := st.BarriersScoped + st.BarriersFull - before.BarriersScoped - before.BarriersFull; got != 1 {
+		t.Fatalf("%d barriers ran, want the ack's one", got)
+	}
+	if st.Committed != before.Committed+2 || st.Dropped != 0 || e.region.parkedOps() != 0 {
+		t.Fatalf("stats = %+v over %+v, %d parked; want both committed, nothing dropped", st, before, e.region.parkedOps())
+	}
+	if !e.dfs.MDS.Tree().Exists("/w/d/f") {
+		t.Fatal("the create is not on the DFS at its ack")
+	}
+}
+
+// waiters counts the crossings and acks waiting on n's in-flight table.
+func waiters(n *node) int {
+	n.inflight.mu.Lock()
+	defer n.inflight.mu.Unlock()
+	return n.inflight.waiting
+}
+
+// TestCloseTurnsAwayTheTableWaits: a crossing and a bounded ack waiting on
+// the table for a held create are both answered ErrClosed by Region.Close —
+// a closed table is not a drained one — and Close returns once the held
+// wave does.
+func TestCloseTurnsAwayTheTableWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bound int
+		run   func(c *Client) error
+	}{
+		{"crossing", 0, func(c *Client) error {
+			at, err := c.Create(0, "/w/f", 0o644)
+			if err == nil {
+				_, err = c.WriteAt(at, "/w/f", 0, bytes.Repeat([]byte("L"), 20))
+			}
+			return err
+		}},
+		{"ack", 1, func(c *Client) error {
+			_, err := c.Create(0, "/w/f", 0o644)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, h := holdWaveEnv(t, 1, "/w/f", func(cfg *RegionConfig) {
+				cfg.SmallFileThreshold = 8
+				cfg.AtRiskBound = tc.bound
+			})
+			c := e.client(t, "node0")
+			done := make(chan error, 1)
+			go func() { done <- tc.run(c) }()
+			<-h.held
+			eventually(t, "the "+tc.name+" to wait on the table", func() bool { return waiters(e.region.nodes[0]) == 1 })
+			closed := make(chan error, 1)
+			go func() { closed <- e.region.Close() }()
+			if err := <-done; !errors.Is(err, fsapi.ErrClosed) {
+				t.Fatalf("%s on a closing region = %v, want ErrClosed", tc.name, err)
+			}
+			h.release()
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -257,11 +257,9 @@ type Region struct {
 
 	// obs is the observability registry (nil = disabled), barrierWait
 	// and readdirEntries its two histograms the region itself records
-	// into (resolved once; nil when disabled); parked counts ops resident
-	// in the commit processes' pending sets.
+	// into (resolved once; nil when disabled).
 	obs                         *obs.Obs
 	barrierWait, readdirEntries *obs.Histogram
-	parked                      atomic.Int64
 
 	// healthPrev remembers the last Health() status so a worsening
 	// transition (ok → degraded/stalled) can trigger the flight
@@ -312,7 +310,7 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 	}
 	for _, name := range cfg.Nodes {
 		n := &node{name: name, addr: name + "/pacon-" + cfg.Name, queue: mq.NewQueue[Op](), tel: deps.Obs.Node(name),
-			inflight: inflight{bound: cfg.AtRiskBound}}
+			inflight: inflight{bound: cfg.AtRiskBound, paths: make(map[string]pending)}}
 		n.inflight.cond.L = &n.inflight.mu
 		n.cache = memcache.NewServer(n.addr, memcache.ServerConfig{
 			CapacityBytes: cfg.CacheCapacityBytes,
@@ -387,7 +385,7 @@ func (r *Region) registerMetrics() {
 
 	o.RegisterGauge("queue_depth", func() int64 { return int64(r.QueueDepth()) })
 	o.RegisterGauge("at_risk_ops", func() int64 { return int64(r.atRiskOps()) })
-	o.RegisterGauge("parked_ops", r.parked.Load)
+	o.RegisterGauge("parked_ops", func() int64 { return int64(r.parkedOps()) })
 	o.RegisterGauge("max_staleness_ns", r.MaxStaleness)
 	o.RegisterGauge("max_commit_lag_ns", r.maxLagNS.Load)
 	o.RegisterGauge("queue_head_age_ns", r.QueueHeadAge)
@@ -523,24 +521,26 @@ func (r *Region) CacheStats() memcache.Stats {
 	return total
 }
 
-// QueueDepth reports the messages queued across the nodes' commit
-// queues: uncommitted operations plus any barrier markers not yet reached.
-func (r *Region) QueueDepth() int {
+// perNode sums count over the region's nodes, when a region-wide count is read.
+func (r *Region) perNode(count func(*node) int) int {
 	total := 0
 	for _, n := range r.nodes {
-		total += n.queue.Len()
+		total += count(n)
 	}
 	return total
 }
 
+// QueueDepth reports the messages queued across the nodes' commit
+// queues: uncommitted operations plus any barrier markers not yet reached.
+func (r *Region) QueueDepth() int { return r.perNode(func(n *node) int { return n.queue.Len() }) }
+
 // atRiskOps sums the nodes' at-risk counts (inflight.atRisk): what the DFS
 // would never see if every node died now.
-func (r *Region) atRiskOps() int {
-	total := 0
-	for _, n := range r.nodes {
-		total += n.inflight.atRisk()
-	}
-	return total
+func (r *Region) atRiskOps() int { return r.perNode(func(n *node) int { return n.inflight.atRisk() }) }
+
+// parkedOps sums the nodes' parked ops (pendingSet).
+func (r *Region) parkedOps() int {
+	return r.perNode(func(n *node) int { return int(n.inflight.parked.Load()) })
 }
 
 // Merge attaches another region read-only (§III.D.4): this region's
@@ -597,11 +597,7 @@ func (r *Region) isRemoving(p string) bool {
 
 // SpillCount reports files with spilled data awaiting write-back.
 func (r *Region) SpillCount() int {
-	total := 0
-	for _, n := range r.nodes {
-		total += int(n.inflight.spills.Load())
-	}
-	return total
+	return r.perNode(func(n *node) int { return int(n.inflight.spills.Load()) })
 }
 
 // syncBarrier runs the barrier protocol up to the drain point: it opens
@@ -660,20 +656,18 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 }
 
 // drainPath returns once no op on p is queued, parked or in flight on any
-// node. It waits for the commit processes, which get there at their own
-// pace, and drives none of them: no marker, no epoch, nothing an rmdir or
-// another crossing serialises with. Only a path still pending after
-// drainPatience is taken to be parked behind an idle queue — a parked op
-// is retried when its queue next moves — and is moved by a scoped barrier.
+// node. It waits on the nodes' tables for the commit processes, and drives
+// none unless an op on p parks: a parked op is retried only when its queue
+// next moves, so the crossing moves it at once with a barrier scoped to p.
 func (r *Region) drainPath(at vclock.Time, p string) (vclock.Time, error) {
-	for start := time.Now(); r.PathPending(p); {
-		if time.Since(start) < drainPatience {
-			time.Sleep(claimPoll)
-			continue
-		}
-		var err error
-		if at, err = r.flush(at, p); err != nil {
-			return at, err
+	for _, n := range r.nodes {
+		for parked, err := n.inflight.drained(p); parked || err != nil; parked, err = n.inflight.drained(p) {
+			if err == nil {
+				at, err = r.flush(at, p)
+			}
+			if err != nil {
+				return at, err
+			}
 		}
 	}
 	return at, nil
@@ -697,7 +691,8 @@ func (r *Region) flush(at vclock.Time, scope string) (vclock.Time, error) {
 func (r *Region) Drain(at vclock.Time) (vclock.Time, error) { return r.flush(at, "") }
 
 // Close drains the queues, stops the commit processes and cache servers,
-// and turns away every ack parked on a node's bound with ErrClosed.
+// and turns away every crossing and ack waiting on a node's table with
+// ErrClosed.
 func (r *Region) Close() error {
 	if r.closed.Swap(true) {
 		return nil

@@ -85,12 +85,7 @@ func (r *Region) QueueHeadAge() int64 {
 // observability, so the auditor can tell stale-pending from divergent, and
 // a threshold crossing wait for the path, on a region with Deps.Obs unset.
 func (r *Region) PathPending(p string) bool {
-	for _, n := range r.nodes {
-		if n.inflight.has(p) {
-			return true
-		}
-	}
-	return false
+	return r.perNode(func(n *node) int { return n.inflight.refsOn(p) }) > 0
 }
 
 // OldestPendingAge returns the age (ns) of the oldest in-flight op for

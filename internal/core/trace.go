@@ -36,19 +36,16 @@ func (c *committer) observeDequeue(ops []Op) {
 // opTerminal is the one terminal hook. Every op a client queued reaches it
 // exactly once — committed (stage apply), discarded, dropped, absorbed
 // into a coalesced survivor, lost with its node or refused by a closed
-// queue — and it releases everything the op holds together: its place on
-// the parked-ops gauge if it ever parked, its reference in its node's
-// in-flight table — what scoped barriers, crossings and the staleness
-// watermarks wait on, and with it the spill of an incarnation the op ends
-// (an absorbed op ends nothing: its effect rides the survivor) — and the
+// queue — and it releases everything the op holds together: its reference
+// in its node's in-flight table — what scoped barriers, crossings and the
+// staleness watermarks wait on, and with it its park if it ever parked and
+// the spill of an incarnation the op ends (an absorbed op ends nothing: its
+// effect rides the survivor) — and the
 // span (terminal stage event, commit lag, sampled assembly or tail-keep).
 // A terminal that released only some of them is how a crashed node used to
 // leak sampled spans, and a removed file its fsynced bytes. at is the
 // terminal's virtual time, which an ack parked on the node's bound pays.
 func (r *Region) opTerminal(op Op, at vclock.Time, stage obs.Stage, note string) {
-	if op.Parked {
-		r.parked.Add(-1)
-	}
 	n := op.node
 	if n == nil {
 		return
@@ -57,7 +54,7 @@ func (r *Region) opTerminal(op Op, at vclock.Time, stage obs.Stage, note string)
 	if stage == obs.StageCoalesce {
 		seq = 0
 	}
-	n.inflight.release(op.Path, op.EnqWall, seq, at)
+	n.inflight.release(op.Path, op.EnqWall, seq, at, op.Parked)
 	if n.tel == nil {
 		return
 	}

@@ -109,18 +109,18 @@ func TestRetrySweepIsBatched(t *testing.T) {
 	const k = 19
 	ops := make([]Op, 0, k+1)
 	for i := 0; i < k; i++ {
-		ops = append(ops, Op{Kind: OpCreate, Path: fmt.Sprintf("/w/p%02d", i), Seq: uint64(i + 1),
-			Stat: fsapi.NewFileStat(appCred, 0o644)})
+		ops = append(ops, taken(cm.node, Op{Kind: OpCreate, Path: fmt.Sprintf("/w/p%02d", i), Seq: uint64(i + 1),
+			Stat: fsapi.NewFileStat(appCred, 0o644)}))
 	}
 	// A same-path follower of the first op: it must stay behind it.
-	ops = append(ops, Op{Kind: OpRemove, Path: "/w/p00", Seq: k + 1})
+	ops = append(ops, taken(cm.node, Op{Kind: OpRemove, Path: "/w/p00", Seq: k + 1}))
 
 	spy.refuse = true
 	cm.applyOps(ops, false)
 	if got := len(cm.pending.ops); got != k+1 {
 		t.Fatalf("%d ops parked, want %d", got, k+1)
 	}
-	if got := e.region.parked.Load(); got != k+1 {
+	if got := e.region.parkedOps(); got != k+1 {
 		t.Fatalf("parked gauge = %d, want %d", got, k+1)
 	}
 	// Still refused: one sweep resubmits the k heads in ⌈k/8⌉ batches and
@@ -167,9 +167,9 @@ func TestRetrySweepIsBatched(t *testing.T) {
 	if got := after.Committed - before.Committed; got != k+1 {
 		t.Fatalf("sweep committed %d ops, want %d", got, k+1)
 	}
-	if len(cm.pending.ops) != 0 || len(cm.pending.paths) != 0 || e.region.parked.Load() != 0 {
+	if len(cm.pending.ops) != 0 || len(cm.pending.paths) != 0 || e.region.parkedOps() != 0 {
 		t.Fatalf("after the sweep %d ops parked, paths %v, gauge %d; want none",
-			len(cm.pending.ops), cm.pending.paths, e.region.parked.Load())
+			len(cm.pending.ops), cm.pending.paths, e.region.parkedOps())
 	}
 	if e.dfs.MDS.Tree().Exists("/w/p00") || !e.dfs.MDS.Tree().Exists("/w/p18") {
 		t.Fatal("DFS does not hold /w/p01../w/p18 without /w/p00")
@@ -739,7 +739,7 @@ func TestInlineSetStatBytesResubmitOnErrClosed(t *testing.T) {
 	st.Inline, st.Size = []byte("payload"), 7
 	before := e.region.Stats()
 	spy.failBytes = fmt.Errorf("data server gone: %w", fsapi.ErrClosed)
-	cm.applyOps([]Op{{Kind: OpSetStat, Path: "/w/s", Seq: 1 << 40, Stat: st}}, false)
+	cm.applyOps([]Op{taken(cm.node, Op{Kind: OpSetStat, Path: "/w/s", Seq: 1 << 40, Stat: st})}, false)
 	if s := e.region.Stats(); len(cm.pending.ops) != 1 || s.Committed != before.Committed || s.Dropped != before.Dropped {
 		t.Fatalf("after the failed bytes: %d parked, %+v; want the setstat parked, nothing committed or dropped", len(cm.pending.ops), s)
 	}
