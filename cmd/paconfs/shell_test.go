@@ -7,7 +7,7 @@ import (
 
 func testShell(t *testing.T) *shell {
 	t.Helper()
-	sh, err := newShell(2, 1, "/w")
+	sh, err := newShell(2, 0, "/w")
 	if err != nil {
 		t.Fatal(err)
 	}

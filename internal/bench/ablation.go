@@ -24,39 +24,6 @@ func init() {
 	register("abl-inline", ablInline)
 }
 
-// paconVariantClients builds a region with a config mutation applied.
-func (e *env) paconVariantClients(n int, ws string, mutate func(*core.RegionConfig)) ([]workload.Client, error) {
-	cfg := core.RegionConfig{
-		Name:      "ablation",
-		Workspace: ws,
-		Nodes:     e.nodes,
-		Cred:      appCred,
-		Model:     e.cfg.Model,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	region, err := core.NewRegion(cfg, core.Deps{
-		Bus: e.bus,
-		NewBackend: func(node string) core.Backend {
-			return e.cluster.NewClient(node, appCred, 4096, 1<<40)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.regions = append(e.regions, region)
-	out := make([]workload.Client, n)
-	for i := range out {
-		c, err := region.NewClient(e.nodes[i%len(e.nodes)])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
-}
-
 // createOPSVariant measures the create phase for a Pacon variant.
 func createOPSVariant(cfg Config, clients int, mutate func(*core.RegionConfig)) (float64, error) {
 	e := newEnv(cfg, cfg.nodesFor(clients))
@@ -64,7 +31,7 @@ func createOPSVariant(cfg Config, clients int, mutate func(*core.RegionConfig)) 
 	if err := e.provision("/w"); err != nil {
 		return 0, err
 	}
-	cls, err := e.paconVariantClients(clients, "/w", mutate)
+	cls, err := e.paconClients(clients, "ablation", "/w", mutate)
 	if err != nil {
 		return 0, err
 	}
@@ -127,7 +94,7 @@ func ablPerm(cfg Config) ([]*Figure, error) {
 		if err := e.provision("/w"); err != nil {
 			return 0, err
 		}
-		cls, err := e.paconVariantClients(clients, "/w", func(rc *core.RegionConfig) {
+		cls, err := e.paconClients(clients, "ablation", "/w", func(rc *core.RegionConfig) {
 			rc.HierarchicalPermCheck = hier
 		})
 		if err != nil {
@@ -178,7 +145,7 @@ func ablInline(cfg Config) ([]*Figure, error) {
 		if err := e.provision("/w"); err != nil {
 			return 0, err
 		}
-		cls, err := e.paconVariantClients(clients, "/w", func(rc *core.RegionConfig) {
+		cls, err := e.paconClients(clients, "ablation", "/w", func(rc *core.RegionConfig) {
 			rc.SmallFileThreshold = threshold
 		})
 		if err != nil {

@@ -109,7 +109,7 @@ func nnCheckpointPacon(cfg Config, clients int) (float64, error) {
 	if err := e.provision("/ckpt"); err != nil {
 		return 0, err
 	}
-	cls, err := e.paconClients(clients, "/ckpt")
+	cls, err := e.paconClients(clients, "bench", "/ckpt", nil)
 	if err != nil {
 		return 0, err
 	}

@@ -9,13 +9,11 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
+	"pacon"
 	"pacon/internal/core"
-	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
 	"pacon/internal/indexfs"
-	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 	"pacon/internal/workload"
 )
@@ -44,9 +42,9 @@ type Config struct {
 	// MADbenchProcsPerNode and MADbenchFileMB size Fig 12.
 	MADbenchProcsPerNode int
 	MADbenchFileMB       int
-	// MDSShards deploys the subtree-partitioned metadata service with
-	// this many MDS shards instead of the single MDS
-	// (0 = unsharded; 1 = sharded code path with one shard, the honest
+	// MDSShards is the deployment's SimulationConfig.ShardCount: this
+	// many subtree-partitioned MDS shards instead of the single MDS
+	// (0 = unsharded; 1 = the shard router over one shard, the honest
 	// router-overhead baseline).
 	MDSShards int
 }
@@ -80,13 +78,12 @@ var (
 	appCred   = fsapi.Cred{UID: 1000, GID: 1000}
 )
 
-// env is one fresh deployment: a DFS cluster plus (lazily) IndexFS
-// servers or Pacon regions over a set of client nodes.
+// env is one fresh deployment: a pacon.Simulation plus (lazily) IndexFS
+// servers or Pacon regions over its client nodes.
 type env struct {
-	cfg     Config
-	bus     *rpc.Bus
-	cluster *dfs.Cluster
-	nodes   []string
+	cfg   Config
+	sim   *pacon.Simulation
+	nodes []string
 
 	indexfs *indexfs.Cluster
 	regions []*core.Region
@@ -95,23 +92,18 @@ type env struct {
 }
 
 // newEnv builds a deployment with n client nodes and the paper's storage
-// side (1 MDS + 3 data servers).
+// side (1 MDS + 3 data servers). With MDSShards ≥ 1 the metadata service
+// is subtree-partitioned with /w (every experiment's workspace) as the
+// spread root, so each client subtree under it hashes to one shard.
 func newEnv(cfg Config, n int) *env {
-	bus := rpc.NewBus()
-	var cluster *dfs.Cluster
-	if cfg.MDSShards >= 1 {
-		// Subtree-partitioned MDS pool: /w (every experiment's workspace)
-		// is the spread root, so each client subtree under it hashes to
-		// one shard.
-		cluster = dfs.NewClusterSharded(bus, cfg.Model, adminCred, "storage0", cfg.MDSShards, []string{"/w"}, []string{"s1", "s2", "s3"})
-	} else {
-		cluster = dfs.NewCluster(bus, cfg.Model, adminCred, "storage0", []string{"s1", "s2", "s3"})
-	}
-	nodes := make([]string, n)
-	for i := range nodes {
-		nodes[i] = fmt.Sprintf("node%d", i)
-	}
-	return &env{cfg: cfg, bus: bus, cluster: cluster, nodes: nodes}
+	sim := pacon.NewSimulation(pacon.SimulationConfig{
+		ClientNodes: n,
+		Model:       &cfg.Model,
+		AdminCred:   adminCred,
+		ShardCount:  cfg.MDSShards,
+		SpreadRoots: []string{"/w"},
+	})
+	return &env{cfg: cfg, sim: sim, nodes: sim.Nodes()}
 }
 
 // close stops the regions started in this env (IndexFS servers hold
@@ -120,13 +112,14 @@ func (e *env) close() {
 	for _, r := range e.regions {
 		r.Close()
 	}
+	e.sim.Close()
 }
 
 // provision creates a world-accessible directory as the administrator —
 // on the DFS, and on the IndexFS namespace too if it is (or becomes)
 // active: IndexFS manages its own metadata above the DFS.
 func (e *env) provision(dirs ...string) error {
-	admin := e.cluster.NewClient("admin", adminCred, 0, 0)
+	admin := e.sim.AdminClient()
 	for _, d := range dirs {
 		if _, err := admin.Mkdir(0, d, 0o777); err != nil {
 			return err
@@ -154,7 +147,7 @@ func (e *env) provisionIndexFS(dirs []string) error {
 func (e *env) beegfsClients(n int) []workload.Client {
 	out := make([]workload.Client, n)
 	for i := range out {
-		out[i] = e.cluster.NewClient(e.nodes[i%len(e.nodes)], appCred, 0, 0)
+		out[i] = e.sim.DFSClient(e.nodes[i%len(e.nodes)], appCred)
 	}
 	return out
 }
@@ -163,7 +156,7 @@ func (e *env) beegfsClients(n int) []workload.Client {
 // nodes (the paper's fair comparison) and returns its clients.
 func (e *env) indexfsClients(n int) ([]workload.Client, error) {
 	if e.indexfs == nil {
-		e.indexfs = indexfs.NewCluster(e.bus, e.cfg.Model, e.nodes, indexfs.ClusterConfig{})
+		e.indexfs = indexfs.NewCluster(e.sim.Net(), e.cfg.Model, e.nodes, indexfs.ClusterConfig{})
 		if err := e.provisionIndexFS(e.provisioned); err != nil {
 			return nil, err
 		}
@@ -176,20 +169,18 @@ func (e *env) indexfsClients(n int) ([]workload.Client, error) {
 }
 
 // paconRegion starts a consistent region over the given nodes with
-// workspace ws.
-func (e *env) paconRegion(name, ws string, nodes []string) (*core.Region, error) {
-	region, err := core.NewRegion(core.RegionConfig{
+// workspace ws; mutate, when non-nil, adjusts its config first.
+func (e *env) paconRegion(name, ws string, nodes []string, mutate func(*core.RegionConfig)) (*core.Region, error) {
+	cfg := core.RegionConfig{
 		Name:      name,
 		Workspace: ws,
 		Nodes:     nodes,
 		Cred:      appCred,
-		Model:     e.cfg.Model,
-	}, core.Deps{
-		Bus: e.bus,
-		NewBackend: func(node string) core.Backend {
-			return e.cluster.NewClient(node, appCred, 4096, time.Hour)
-		},
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	region, err := e.sim.NewRegion(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +189,10 @@ func (e *env) paconRegion(name, ws string, nodes []string) (*core.Region, error)
 }
 
 // paconClients starts one region over all nodes and returns n clients.
-func (e *env) paconClients(n int, ws string) ([]workload.Client, error) {
-	region, err := e.paconRegion("bench", ws, e.nodes)
+// The region's name is part of every cache-server address, and so of
+// key placement: "bench" for the figures, "ablation" for the variants.
+func (e *env) paconClients(n int, name, ws string, mutate func(*core.RegionConfig)) ([]workload.Client, error) {
+	region, err := e.paconRegion(name, ws, e.nodes, mutate)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +215,7 @@ func (e *env) clientsFor(sys System, n int, ws string) ([]workload.Client, error
 	case IndexFS:
 		return e.indexfsClients(n)
 	case Pacon:
-		return e.paconClients(n, ws)
+		return e.paconClients(n, "bench", ws, nil)
 	default:
 		return nil, fmt.Errorf("bench: unknown system %q", sys)
 	}

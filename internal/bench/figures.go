@@ -252,7 +252,7 @@ func runMultiApp(cfg Config, sys System, apps, totalClients int) (mkdir, create,
 		for a := 0; a < apps; a++ {
 			lo := (a * nodesPerApp) % len(e.nodes)
 			appNodes := e.nodes[lo : lo+nodesPerApp]
-			region, rerr := e.paconRegion(fmt.Sprintf("app%d", a), dirs[a], appNodes)
+			region, rerr := e.paconRegion(fmt.Sprintf("app%d", a), dirs[a], appNodes, nil)
 			if rerr != nil {
 				err = rerr
 				return

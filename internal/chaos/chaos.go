@@ -25,12 +25,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pacon"
 	"pacon/internal/audit"
 	"pacon/internal/core"
 	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
 	"pacon/internal/obs"
-	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 )
 
@@ -82,9 +82,10 @@ type Config struct {
 	// convergence oracle, the divergence auditor, and the flight
 	// recorder's dump of the lost op's cross-node span).
 	LoseOneCommit bool
-	// Shards > 1 backs the region with a subtree-partitioned MDS pool
-	// ("/w" spread across that many shards) instead of one MDS. All
-	// existing zones run unchanged on top.
+	// Shards is the simulation's ShardCount: ≥ 1 backs the region with a
+	// subtree-partitioned MDS pool ("/w" spread across that many shards)
+	// instead of one unsharded MDS. All existing zones run unchanged on
+	// top.
 	Shards int
 	// KillShard unregisters one busy MDS shard mid-schedule (driven by
 	// the injector's call counter) and recovers it later. While the
@@ -699,15 +700,31 @@ func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	var lose atomic.Bool
 	lose.Store(cfg.LoseOneCommit)
-	bus := rpc.NewBus()
-	model := vclock.Default()
-	var cluster *dfs.Cluster
-	if cfg.Shards > 1 {
-		cluster = dfs.NewClusterSharded(bus, model, rootCred, "storage0", cfg.Shards, []string{"/w"}, []string{"storage1", "storage2"})
-	} else {
-		cluster = dfs.NewCluster(bus, model, rootCred, "storage0", []string{"storage1", "storage2"})
+	// Every schedule runs instrumented: the per-stage latency summary is
+	// cheap (wall-clock hooks only, no virtual-time impact) and turns a
+	// failing seed report into a per-stage breakdown instead of a bare
+	// violation list.
+	o := obs.New()
+	// Sample every span: a failing seed's flight dump must contain the
+	// violating op's cross-node timeline, not a 1/64 lottery.
+	o.SetSampleN(1)
+	if dir := os.Getenv("CHAOS_FLIGHT_DIR"); dir != "" {
+		// Best-effort, like the dump writes themselves: CI points this
+		// at a workspace path that may not exist yet.
+		_ = os.MkdirAll(dir, 0o755)
+		o.SetFlightDir(dir)
 	}
-	admin := cluster.NewClient("admin", rootCred, 0, 0)
+	sim := pacon.NewSimulation(pacon.SimulationConfig{
+		ClientNodes: cfg.Nodes,
+		DataServers: 2,
+		AdminCred:   rootCred,
+		Obs:         o,
+		ShardCount:  cfg.Shards,
+		SpreadRoots: []string{"/w"},
+	})
+	defer sim.Close()
+	cluster := sim.DFS()
+	admin := sim.AdminClient()
 	for _, dir := range []string{"/w", "/w/shared", "/w/hot"} {
 		if _, err := admin.Mkdir(0, dir, 0o777); err != nil {
 			return Result{}, err
@@ -729,32 +746,19 @@ func Run(cfg Config) (Result, error) {
 		inj.killFn = func() { cluster.KillShard(victim) }
 		inj.recoverFn = func() { cluster.RecoverShard(victim) }
 	}
-	// Every schedule runs instrumented: the per-stage latency summary is
-	// cheap (wall-clock hooks only, no virtual-time impact) and turns a
-	// failing seed report into a per-stage breakdown instead of a bare
-	// violation list.
-	o := obs.New()
-	// Sample every span: a failing seed's flight dump must contain the
-	// violating op's cross-node timeline, not a 1/64 lottery.
-	o.SetSampleN(1)
-	bus.SetObserver(o)
-	if dir := os.Getenv("CHAOS_FLIGHT_DIR"); dir != "" {
-		// Best-effort, like the dump writes themselves: CI points this
-		// at a workspace path that may not exist yet.
-		_ = os.MkdirAll(dir, 0o755)
-		o.SetFlightDir(dir)
-	}
-	nodes := make([]string, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = fmt.Sprintf("node%d", i)
-	}
+	nodes := sim.Nodes()
 	// A dead-shard window makes every op targeting it burn resubmissions;
 	// widen the retry budget so the window cannot exhaust it.
 	retryLimit := 0
 	if cfg.KillShard {
 		retryLimit = 512
 	}
-	region, err := core.NewRegion(core.RegionConfig{
+	deps := sim.Deps(appCred)
+	newBackend := deps.NewBackend
+	deps.NewBackend = func(node string) core.Backend {
+		return &flakyBackend{Backend: newBackend(node), inj: inj, lose: &lose}
+	}
+	region, err := pacon.NewRegion(core.RegionConfig{
 		Name:               "chaos",
 		Workspace:          "/w",
 		Nodes:              nodes,
@@ -764,18 +768,8 @@ func Run(cfg Config) (Result, error) {
 		CommitBatchSize:    cfg.CommitBatchSize,
 		SmallFileThreshold: straddleThreshold(cfg.Seed),
 		AtRiskBound:        cfg.AtRiskBound,
-		Model:              model,
-	}, core.Deps{
-		Bus: bus,
-		Obs: o,
-		NewBackend: func(node string) core.Backend {
-			return &flakyBackend{
-				Backend: cluster.NewClient(node, appCred, 4096, vclock.Duration(time.Hour)),
-				inj:     inj,
-				lose:    &lose,
-			}
-		},
-	})
+		Model:              sim.Model(),
+	}, deps)
 	if err != nil {
 		return Result{}, err
 	}

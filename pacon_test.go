@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pacon"
+	"pacon/internal/dfs"
 )
 
 // These tests exercise the library exactly as an external user would —
@@ -134,4 +135,65 @@ func TestSimulationProvisioning(t *testing.T) {
 	}
 	// Idempotent.
 	sim.MustMkdirAll("/a/b/c/d", 0o777)
+}
+
+// TestSimulationStartsIdle pins the checkpoint area's off-clock format:
+// a fresh simulation has served no metadata request on any shard, yet
+// /.pacon is there, world-writable and the administrator's, and a
+// region's checkpoint and restore go through it.
+func TestSimulationStartsIdle(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			adminCred := pacon.Cred{UID: 7, GID: 70}
+			sim := pacon.NewSimulation(pacon.SimulationConfig{
+				ClientNodes: 2,
+				AdminCred:   adminCred,
+				ShardCount:  shards,
+				SpreadRoots: []string{"/w"},
+			})
+			t.Cleanup(sim.Close)
+			cluster := sim.DFS()
+			if want := max(shards, 1); len(cluster.MDSes) != want {
+				t.Fatalf("%d MDSes, want %d", len(cluster.MDSes), want)
+			}
+			for i, m := range cluster.MDSes {
+				if st, busy := m.Stats(), m.Resource().BusyTime(); st != (dfs.MDSStats{}) || busy != 0 {
+					t.Fatalf("MDS %d served %+v (busy %v) before any client", i, st, busy)
+				}
+			}
+			st, err := cluster.OracleLookup("/.pacon")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.IsDir() || st.Mode != 0o777 || st.UID != adminCred.UID || st.GID != adminCred.GID {
+				t.Fatalf("/.pacon = %+v", st)
+			}
+
+			region := startRegion(t, sim, "ckpt", "/w", pacon.Cred{UID: 1000, GID: 1000})
+			c, err := region.NewClient(sim.Nodes()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, err := c.Create(0, "/w/kept", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, now, err := region.Checkpoint(c, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if now, err = c.Create(now, "/w/after", 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if now, err = region.Restore(c, now, seq); err != nil {
+				t.Fatal(err)
+			}
+			if _, now, err = c.Stat(now, "/w/kept"); err != nil {
+				t.Fatalf("checkpointed file after restore: %v", err)
+			}
+			if _, _, err = c.Stat(now, "/w/after"); !errors.Is(err, pacon.ErrNotExist) {
+				t.Fatalf("post-checkpoint file after restore: %v", err)
+			}
+		})
+	}
 }

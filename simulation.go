@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pacon/internal/dfs"
+	"pacon/internal/fsapi"
 	"pacon/internal/namespace"
 	"pacon/internal/rpc"
 )
@@ -33,14 +34,15 @@ type SimulationConfig struct {
 	// reports per-RPC wall latency to it, and regions created through
 	// NewRegion inherit it for op tracing and pipeline histograms.
 	Obs *Obs
-	// ShardCount > 1 partitions the metadata service by subtree across
-	// that many independent MDS shards (each with its own namespace and
-	// service pool) instead of the default single MDS.
+	// ShardCount ≥ 1 routes the metadata service through the shard map
+	// and partitions it by subtree across that many independent MDS
+	// shards (each with its own namespace and service pool); 1 is the
+	// router over one shard. 0, the default, is one unsharded MDS.
 	ShardCount int
 	// SpreadRoots lists directories whose immediate children spread
 	// across the shard pool (each child subtree hashes as one unit).
 	// The roots themselves are mirrored on every shard. Only consulted
-	// when ShardCount > 1; a region's workspace should be listed here.
+	// when ShardCount ≥ 1; a region's workspace should be listed here.
 	SpreadRoots []string
 }
 
@@ -53,8 +55,10 @@ type Simulation struct {
 	model LatencyModel
 }
 
-// NewSimulation builds the deployment and provisions the checkpoint
-// area.
+// NewSimulation builds the deployment with its checkpoint area in
+// place. The examples, paconfs, the paper's figures and ablations and
+// the chaos harness all run on what it assembles; only benchmark/ wires
+// its own.
 func NewSimulation(cfg SimulationConfig) *Simulation {
 	if cfg.ClientNodes <= 0 {
 		cfg.ClientNodes = 4
@@ -82,7 +86,7 @@ func NewSimulation(cfg SimulationConfig) *Simulation {
 		dataNodes[i] = fmt.Sprintf("storage%d", i+1)
 	}
 	var cluster *dfs.Cluster
-	if cfg.ShardCount > 1 {
+	if cfg.ShardCount >= 1 {
 		cluster = dfs.NewClusterSharded(network, model, cfg.AdminCred, "storage0", cfg.ShardCount, cfg.SpreadRoots, dataNodes)
 	} else {
 		cluster = dfs.NewCluster(network, model, cfg.AdminCred, "storage0", dataNodes)
@@ -94,9 +98,14 @@ func NewSimulation(cfg SimulationConfig) *Simulation {
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("node%d", i)
 	}
-	s := &Simulation{cfg: cfg, net: network, dfs: cluster, nodes: nodes, model: model}
-	s.MustMkdirAll("/.pacon", 0o777)
-	return s
+	// The checkpoint area is formatted off the clock, the way the root
+	// is: written into its shard's tree, it costs no MDS request, so
+	// every measurement starts on an idle metadata service.
+	ckpt := cluster.MDSes[cluster.Shards.Owner("/.pacon")].Tree()
+	if err := ckpt.Mkdir("/.pacon", fsapi.NewDirStat(cfg.AdminCred, 0o777)); err != nil {
+		panic(fmt.Sprintf("pacon: format /.pacon: %v", err))
+	}
+	return &Simulation{cfg: cfg, net: network, dfs: cluster, nodes: nodes, model: model}
 }
 
 // Nodes returns the client node names.
@@ -147,18 +156,26 @@ func (s *Simulation) MustMkdirAll(path string, mode Mode) {
 	}
 }
 
-// NewRegion starts a consistent region on this simulation. The region's
-// commit processes and redirection clients get DFS clients with a
-// node-local dentry cache (Pacon owns consistency above the DFS).
+// Deps wires a region running as cred to this simulation: its
+// transport, its observability sink, and, per node, a DFS client with a
+// node-local dentry cache (Pacon owns consistency above the DFS). A
+// caller that wraps the backend replaces NewBackend around the one
+// returned here.
+func (s *Simulation) Deps(cred Cred) Deps {
+	return Deps{
+		Bus: s.net,
+		Obs: s.cfg.Obs,
+		NewBackend: func(node string) Backend {
+			return s.dfs.NewClient(node, cred, 4096, time.Hour)
+		},
+	}
+}
+
+// NewRegion starts a consistent region on this simulation, wired by
+// Deps(cfg.Cred).
 func (s *Simulation) NewRegion(cfg RegionConfig) (*Region, error) {
 	if cfg.Model == (LatencyModel{}) {
 		cfg.Model = s.model
 	}
-	return NewRegion(cfg, Deps{
-		Bus: s.net,
-		Obs: s.cfg.Obs,
-		NewBackend: func(node string) Backend {
-			return s.dfs.NewClient(node, cfg.Cred, 4096, time.Hour)
-		},
-	})
+	return NewRegion(cfg, s.Deps(cfg.Cred))
 }
