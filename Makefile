@@ -37,17 +37,18 @@ chaos-soak:
 # benchmark, -benchtime, max allocs/op, max B/op (- for none), the line's
 # label, and after the # what trips it (the history is in EXPERIMENTS.md).
 define ALLOC_GATES
-core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 12: an allocation added to the ack or to the in-flight table's record
-core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 13
-core BenchmarkClientCreateBoundedAck 2000x 19 900 create at AtRiskBound 1   # 19 and 848 B, every ack waiting on its in-flight table for its own commit: a timer and its closure armed per wait is 22 and 985 B
+core BenchmarkClientCreate         2000x  18 -   create path                    # a create, client call to end of commit, is 11: an allocation added to the ack or to the in-flight table's record
+core BenchmarkClientCreateSharded  2000x  20 -   create path (4-shard router)   # the same through the shard router, 12
+core BenchmarkClientCreateBoundedAck 2000x 12 680 create at AtRiskBound 1   # 12 and ≈615 B, every ack waiting on its in-flight table for its own commit, every op its own wave: a timer and its closure armed per wait is +3 and ≈+140 B, the settle fan-out's scratch allocated per call again +7 and ≈+230 B
 core BenchmarkClientRemove         2000x  14 -   cached rm                      # 9 to 11, call to end of commit: an allocation added to the rm's request, row or answer
 core BenchmarkClientInlineWrite    2000x  14 4600 inline write                  # 9 and 4,010 B for a 1 KiB write: four copies of the bytes (splice, store, answer, write-back); a fifth, e.g. the row decoding the stored value with a copy, is +1,024 B
 core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2
 core BenchmarkClientStatMiss       2000x  4  288 stat miss (read-through)     # 4 and 240-254 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap, or a client-side add behind the get, is +1
 core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
-core BenchmarkCommitWave           2048x  7  768 commit wave                    # 4 and 269 B per committed op: per-wave scratch allocated afresh shows in the bytes (1,265 B)
-core BenchmarkCommitWavePayload    2048x  6  408 commit wave with payload       # 5 and 333 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS
-core BenchmarkCommitWaveTwoDirs    2048x  5  384 commit wave over two dirs      # 5 and 367 B, ckpt_rotate's shape: the wave's second directory request allocating (a goroutine or closure per group, grouping scratch on the heap)
+core BenchmarkCommitWave           2048x  3  230 commit wave                    # 3 and 199 B per committed op: the settle fan-out allocating its grouping, result slots and closure per call again is 4 and 269 B; per-wave scratch allocated afresh shows in the bytes (1,265 B with the per-call settle)
+core BenchmarkCommitWavePayload    2048x  4  290 commit wave with payload       # 4 and 258 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS; per-call settle scratch is 5 and 333 B
+core BenchmarkCommitWaveTwoDirs    2048x  4  330 commit wave over two dirs      # 4 and 292 B, ckpt_rotate's shape: the wave's second directory request allocating (a goroutine or closure per group, grouping scratch on the heap); per-call settle scratch is 5 and 367 B
+memcache BenchmarkSettleMulti      20000x 12 320 settle fan-out, 8 keys on 4 servers # 12 and 304 B, all of it the four servers' decoded requests: the client grouping, filling result slots under a lock or binding its fan-out closure per call again is 19 and 880 B
 dfs  BenchmarkCreate               20000x 2  200 dfs create (one-op batch)      # 2 and 183 B, path and inode (the reply is decoded in a pooled encoder): Exists wrapping its miss again is +1 and +48 B, a heap-allocated one-op batch or a closure on the lone-target path +1
 dfs  BenchmarkApplyBatch1          20000x 3  216 dfs apply_batch of 1           # 3 and 199 B, the create plus its one-element result: a batch of one taking the grouping path
 dfs  BenchmarkApplyBatch8/shards=1 20000x 17 -   dfs apply_batch of 8, one MDS  # 17, the result slice plus eight paths and eight inodes: shard buckets built on one MDS, or directory grouping leaving the stack, is +1 or +2

@@ -132,6 +132,7 @@ func (c Config) withDefaults() Config {
 // Result summarizes one schedule.
 type Result struct {
 	ClientOps    int // operations attempted across all clients
+	Renames      int // exclusive-zone renames that succeeded
 	Injected     int // backend failures injected
 	Stalls       int // backend stalls injected
 	CacheEntries int // cache entries resident after the final drain
@@ -302,6 +303,8 @@ type harness struct {
 
 	hotMu sync.Mutex
 	hot   map[string]bool // hot-zone paths with at least one successful create
+
+	renames atomic.Int64 // exclusive-zone renames that succeeded
 
 	doomedMu   sync.Mutex
 	doomedGone map[int]bool // doomed dirs whose rmdir succeeded
@@ -491,9 +494,45 @@ func (w *worker) exclusiveOp() {
 		}
 		delete(w.model, p)
 		w.gone[p] = true
+	case k < 85: // rename
+		w.renameExclusive(p, content)
 	default: // mid-run oracle read
 		w.verifyExclusive(p, content)
 	}
+}
+
+// renameExclusive moves one of this client's files to one of its unused
+// exclusive names, if it has one. The rename's barrier is scoped to
+// /w/shared, so it races the other clients' async ops under their own
+// names there, and the model follows the move: the content goes to the
+// new name and the old one is gone.
+func (w *worker) renameExclusive(p string, content []byte) {
+	var free []string
+	for j := 0; j < filesPerClient; j++ {
+		q := w.exclusivePath(j)
+		if _, used := w.model[q]; !used && !w.unknown[q] {
+			free = append(free, q)
+		}
+	}
+	if len(free) == 0 {
+		return
+	}
+	q := free[w.rng.Intn(len(free))]
+	at, err := w.cl.Rename(w.at, p, q)
+	w.at = at
+	if w.closedAmbiguous(p, err) {
+		w.closedAmbiguous(q, err)
+		return
+	}
+	if err != nil {
+		w.h.violate("client %d: rename %s -> %s: %v", w.id, p, q, err)
+		return
+	}
+	delete(w.model, p)
+	w.gone[p] = true
+	w.model[q] = content
+	delete(w.gone, q)
+	w.h.renames.Add(1)
 }
 
 // modelSplice mirrors the region's inline write semantics.
@@ -595,7 +634,8 @@ func (w *worker) hubOp() {
 // peekOp reads someone else's paths (no assertion — their owner is
 // mid-flight) or readdirs the shared zone, asserting this client's own
 // slice of the listing matches its model: the readdir barrier drains
-// every queue, so this client's earlier ops must all be visible.
+// every queue holding an op under /w/shared, so this client's earlier
+// ops must all be visible.
 func (w *worker) peekOp() {
 	if w.rng.Intn(4) == 0 {
 		w.verifyReaddir()
@@ -839,6 +879,7 @@ func Run(cfg Config) (Result, error) {
 	injected, stalls := inj.counts()
 	res := Result{
 		ClientOps: cfg.Clients * cfg.Ops,
+		Renames:   int(h.renames.Load()),
 		Injected:  injected,
 		Stalls:    stalls,
 		Stats:     region.Stats(),

@@ -101,6 +101,9 @@ func TestChaosFaultFree(t *testing.T) {
 	if res.Stats.Committed == 0 {
 		t.Fatal("no ops committed — the workload did nothing")
 	}
+	if res.Renames == 0 {
+		t.Fatal("no rename ran — the exclusive zone's rename step is unreached")
+	}
 }
 
 // TestChaosReportsInjection sanity-checks the injector wiring: with a

@@ -643,10 +643,11 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 
 // Rename moves a file or directory inside the workspace. The paper's
 // Table I does not define rename; this extension treats it as a
-// dependent operation (like rmdir): a barrier drains all earlier
-// asynchronous operations, the DFS applies the move synchronously, and
-// the renamed subtree's cache entries are invalidated (they reload under
-// the new path on demand).
+// dependent operation (like rmdir): a barrier drains the earlier
+// asynchronous operations under the deepest directory holding both
+// paths, the DFS applies the move synchronously, and the renamed
+// subtree's cache entries are invalidated (they reload under the new
+// path on demand).
 func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	src, dst = namespace.Clean(src), namespace.Clean(dst)
 	defer c.end(c.begin("rename", src))
@@ -677,9 +678,12 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 		return at, err
 	}
 
-	// Rename's footprint is two subtrees plus both parents' listings —
-	// not one prefix — so it always drains every queue.
-	epoch, drain, err := r.syncBarrier(at, "")
+	// Rename's footprint is two subtrees plus both parents' listings, all
+	// under the deepest directory holding both paths: an op there is on
+	// src, on dst, or on dst's parent (its pending mkdir). An op above it
+	// is on an ancestor of src, whose own create is then under the scope
+	// and waits in the commit process until the ancestor lands.
+	epoch, drain, err := r.syncBarrier(at, namespace.CommonDir(src, dst))
 	if err != nil {
 		return at, err
 	}

@@ -480,10 +480,12 @@ func (c *committer) adopt(op *Op) commitVerdict {
 // and does nothing — exactly what happened when the write won the race
 // against an immediate cleanup. Until the settle runs the entry merely
 // stays dirty (or stays a removed marker), which readers and eviction
-// already treat as "commit in flight". A later op on the same path cannot
-// be misled either: it carries a newer seq than the entry being settled,
-// so that entry was already dead when it was queued. It returns true for
-// a resubmission, which concludes nothing.
+// already treat as "commit in flight", and the node's in-flight table
+// lists the path as owed (inflight.owe), which scoped barriers treat as
+// pending. A later op on the same path cannot be misled either: it
+// carries a newer seq than the entry being settled, so that entry was
+// already dead when it was queued. It returns true for a resubmission,
+// which concludes nothing.
 func (c *committer) conclude(op Op, v commitVerdict) bool {
 	r := c.r
 	if v.end == endResubmit {
@@ -501,6 +503,16 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 				c.lostBytes()
 			}
 		}
+	}
+	if v.settle != nil {
+		// Conditional on the op's seq, so an update racing the cleanup
+		// either lands first (and the predicate sees it) or lands after
+		// it — it is never lost (§III.D.3 applied to deletion). Owed in
+		// the in-flight table before the terminal takes the op out of it.
+		s := *v.settle
+		s.Key, s.Seq = op.Path, op.Seq
+		c.settles = append(c.settles, s)
+		c.node.inflight.owe(op.Path)
 	}
 	switch v.end {
 	case endCommitted:
@@ -525,14 +537,6 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 		}
 		r.opTerminal(op, c.now, obs.StageDrop, v.reason)
 	}
-	if v.settle != nil {
-		// Conditional on the op's seq, so an update racing the cleanup
-		// either lands first (and the predicate sees it) or lands after
-		// it — it is never lost (§III.D.3 applied to deletion).
-		s := *v.settle
-		s.Key, s.Seq = op.Path, op.Seq
-		c.settles = append(c.settles, s)
-	}
 	return false
 }
 
@@ -552,8 +556,18 @@ func (c *committer) settle() {
 // that cannot be reached loses its share, as it lost the single-key
 // cleanups before: the entries it holds are gone with it.
 func (c *committer) sendSettles(at vclock.Time) vclock.Time {
+	for _, s := range c.settles {
+		if s.Cond == memcache.CondSeqRemoved {
+			// A remove marker goes once its remove has landed: a load
+			// that read the file on the DFS before that must not add it
+			// to the emptied key (Region.loadToken).
+			c.r.invalGen.Add(1)
+			break
+		}
+	}
 	_, owners, done, _ := c.cache.SettleMulti(at, c.settles)
 	c.settles = c.settles[:0]
+	c.node.inflight.settled()
 	c.r.cacheRPCs.Add(int64(owners))
 	return done
 }

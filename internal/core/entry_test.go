@@ -643,6 +643,9 @@ func TestLostAddReadsTheWinner(t *testing.T) {
 	c, w := e.client(t, "node0"), e.client(t, "node1")
 	for _, multi := range []bool{false, true} {
 		p := map[bool]string{false: "/w/a", true: "/w/b"}[multi]
+		// The commit processes hold still until the checks are done, so
+		// the create's entry is still dirty when they look.
+		release := holdCommits(t, e.region)
 		race.Store(p)
 		var st fsapi.Stat
 		var err error
@@ -663,5 +666,6 @@ func TestLostAddReadsTheWinner(t *testing.T) {
 		if ent := mustEntry(t, e.region, p, "the winner"); !ent.Dirty || ent.Stat.Mode != 0o600 {
 			t.Fatalf("%s: cache holds %+v, want the create's dirty entry", p, ent)
 		}
+		release()
 	}
 }

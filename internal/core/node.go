@@ -53,6 +53,12 @@ type inflight struct {
 	// parked counts the ops parked in the commit process's pending set.
 	// Both change under mu and are read without it.
 	spills, parked atomic.Int32
+	// unsettled lists the paths of ops that ended owing the cache a settle
+	// the commit process has not sent yet (committer.settles). A removed
+	// marker stays in the cache until its settle lands, so a scoped
+	// barrier counts these paths as pending too: a rename must not move a
+	// file onto a name whose stale marker would then hide it.
+	unsettled []string
 }
 
 type pending struct {
@@ -236,7 +242,8 @@ func (t *inflight) refsOn(p string) int {
 	return t.paths[p].refs
 }
 
-// hasUnder reports whether any pending path lies in scope's subtree.
+// hasUnder reports whether any pending path, or any path still owed a
+// settle, lies in scope's subtree.
 func (t *inflight) hasUnder(scope string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -245,7 +252,27 @@ func (t *inflight) hasUnder(scope string) bool {
 			return true
 		}
 	}
+	for _, p := range t.unsettled {
+		if namespace.IsUnder(p, scope) {
+			return true
+		}
+	}
 	return false
+}
+
+// owe notes that an op on p, about to reach its terminal, owes the cache
+// a settle; the commit process calls it before the terminal.
+func (t *inflight) owe(p string) {
+	t.mu.Lock()
+	t.unsettled = append(t.unsettled, p)
+	t.mu.Unlock()
+}
+
+// settled forgets the owed settles: the commit process has sent them all.
+func (t *inflight) settled() {
+	t.mu.Lock()
+	t.unsettled = t.unsettled[:0]
+	t.mu.Unlock()
 }
 
 // oldest returns the earliest wall an op pending on p — on any path when p

@@ -676,6 +676,13 @@ func TestBoundedAckMovesAParkedOp(t *testing.T) {
 		create <- err
 	}()
 	eventually(t, "the create to park", func() bool { return e.region.parkedOps() == 1 })
+	// Release the mkdir only once the ack's barrier has begun: released
+	// earlier, the mkdir could land under the commit process's own retry
+	// of the parked create, which then commits before the ack looks.
+	eventually(t, "the ack's barrier", func() bool {
+		st := e.region.Stats()
+		return st.BarriersScoped+st.BarriersFull > before.BarriersScoped+before.BarriersFull
+	})
 	h.release()
 	for _, ch := range []chan error{mkdir, create} {
 		if err := <-ch; err != nil {

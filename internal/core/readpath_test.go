@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -608,11 +609,82 @@ func TestOvertakenLoadStoresNothing(t *testing.T) {
 	})
 }
 
+// TestLoadOvertakenByARemoveStoresNothing: between a load's DFS read and
+// its add, another client removes the file, the remove lands and its
+// settle deletes the remove marker. The load answers what it read, but it
+// must not add it: the key is empty again and the file is gone, so the
+// entry would stand for a file that no longer exists. The commit process
+// moves the load token with each settle that deletes a marker, and the
+// owner refuses the add. For a StatMulti's misses and a single Stat alike.
+func TestLoadOvertakenByARemoveStoresNothing(t *testing.T) {
+	var e *env
+	var armed atomic.Value // the path the next DFS read's overtaker removes
+	e = newEnvDeps(t, 2, nil, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend {
+			return &overtaken{Backend: inner(node), bump: func() {
+				p, _ := armed.Swap("").(string)
+				if p == "" {
+					return
+				}
+				remover := e.client(t, "node1")
+				at, err := remover.Remove(0, p)
+				if err == nil {
+					_, err = e.region.Drain(at)
+				}
+				if err != nil {
+					t.Errorf("overtaking rm of %s: %v", p, err)
+				}
+			}}
+		}
+	})
+	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
+	if _, err := admin.Mkdir(0, "/w/d", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/w/d/f0", "/w/d/f1", "/w/d/g"} {
+		if _, err := admin.Create(0, p, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := e.client(t, "node0")
+	check := func(name, gone string, stat func() error) {
+		t.Helper()
+		armed.Store(gone)
+		if err := stat(); err != nil {
+			t.Fatalf("%s: %v — an overtaken load still answers", name, err)
+		}
+		if p, _ := armed.Load().(string); p != "" {
+			t.Fatalf("%s: no DFS read was overtaken", name)
+		}
+		if ent, ok := findEntry(t, e.region, gone); ok {
+			t.Fatalf("%s left %+v for the removed %s in the cache", name, ent, gone)
+		}
+		if _, _, err := c.Stat(0, gone); !errors.Is(err, fsapi.ErrNotExist) {
+			t.Fatalf("%s: stat of the removed %s after the load: %v, want ErrNotExist", name, gone, err)
+		}
+	}
+	check("StatMulti", "/w/d/f0", func() error {
+		res, _, err := c.StatMulti(0, []string{"/w/d/f0", "/w/d/f1"})
+		for _, r := range res {
+			if err == nil && r.Err != nil {
+				err = r.Err
+			}
+		}
+		return err
+	})
+	check("Stat", "/w/d/g", func() error {
+		_, _, err := c.Stat(0, "/w/d/g")
+		return err
+	})
+}
+
 // TestScopedBarrierSkipsSiblingQueues: a Readdir barrier scoped to one
 // subtree must not wait for (or drop) pending work in a sibling
-// subtree, while still draining everything under its own target. A
-// full barrier (Region.Drain) over the same state can only finish by
-// dropping the parked sibling op.
+// subtree, while still draining everything under its own target; nor
+// may a rename, whose scope is the deepest directory holding both its
+// paths. A full barrier (Region.Drain) over the same state can only
+// finish by dropping the parked sibling op.
 func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 	mutate := func(cfg *RegionConfig) {
 		// Parent checks off so a create whose parent never exists parks
@@ -621,8 +693,9 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 		cfg.DisableParentCheck = true
 		cfg.CommitRetryLimit = 2
 	}
-
-	t.Run("scoped", func(t *testing.T) {
+	// parked queues /w/a/x on node0 and parks an orphan on node1: /w/b
+	// never exists, so its commit can only retry.
+	parked := func(t *testing.T) (*env, *Client, vclock.Time) {
 		e := newEnv(t, 2, mutate)
 		c := e.client(t, "node0")
 		at, err := c.Mkdir(0, "/w/a", 0o755)
@@ -632,13 +705,24 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 		if at, err = c.Create(at, "/w/a/x", 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Park an orphan on node1: /w/b never exists, so its commit can
-		// only retry.
-		c1 := e.client(t, "node1")
-		if _, err := c1.Create(at, "/w/b/orphan", 0o644); err != nil {
+		if _, err := e.client(t, "node1").Create(at, "/w/b/orphan", 0o644); err != nil {
 			t.Fatal(err)
 		}
+		return e, c, at
+	}
+	// untouched checks that the sibling op is still parked, not dropped.
+	untouched := func(t *testing.T, e *env) {
+		t.Helper()
+		if st := e.region.Stats(); st.Dropped != 0 {
+			t.Fatalf("scoped barrier dropped %d sibling ops", st.Dropped)
+		}
+		if !e.region.byName["node1"].inflight.hasUnder("/w/b") {
+			t.Fatal("sibling op no longer pending: the barrier drained it")
+		}
+	}
 
+	t.Run("scoped", func(t *testing.T) {
+		e, c, at := parked(t)
 		ents, _, err := c.Readdir(at, "/w/a")
 		if err != nil {
 			t.Fatal(err)
@@ -646,15 +730,30 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 		if len(ents) != 1 || ents[0].Name != "x" {
 			t.Fatalf("scoped readdir = %v, want [x]", ents)
 		}
-		st := e.region.Stats()
-		if st.BarriersScoped == 0 {
+		if st := e.region.Stats(); st.BarriersScoped == 0 {
 			t.Fatalf("no scoped barrier recorded: %+v", st)
 		}
-		if st.Dropped != 0 {
-			t.Fatalf("scoped barrier dropped %d sibling ops", st.Dropped)
+		untouched(t, e)
+	})
+
+	t.Run("rename", func(t *testing.T) {
+		e, c, at := parked(t)
+		before := e.region.Stats()
+		at, err := c.Rename(at, "/w/a/x", "/w/a/y")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !e.region.byName["node1"].inflight.hasUnder("/w/b") {
-			t.Fatal("sibling op no longer pending: the barrier drained it")
+		st := e.region.Stats()
+		if st.BarriersScoped != before.BarriersScoped+1 || st.BarriersFull != before.BarriersFull {
+			t.Fatalf("rename ran %d scoped and %d full barriers, want 1 and 0",
+				st.BarriersScoped-before.BarriersScoped, st.BarriersFull-before.BarriersFull)
+		}
+		untouched(t, e)
+		if !e.dfs.MDS.Tree().Exists("/w/a/y") || e.dfs.MDS.Tree().Exists("/w/a/x") {
+			t.Fatal("the DFS does not show the move")
+		}
+		if _, _, err := c.Stat(at, "/w/a/x"); !errors.Is(err, fsapi.ErrNotExist) {
+			t.Fatalf("stat of the old name: %v, want ErrNotExist", err)
 		}
 	})
 
@@ -686,6 +785,150 @@ func TestScopedBarrierSkipsSiblingQueues(t *testing.T) {
 			t.Fatalf("full barrier finished without draining the sibling queue: %+v", st)
 		}
 	})
+}
+
+// TestRenameIntoQueuedMkdir: the destination's parent is a mkdir still
+// queued on another node — held in its commit process's apply — when
+// the rename begins. That node holds an op under the rename's scope, so
+// the rename's barrier must wait for it: the gate opens only once the
+// marker is in that node's queue, and the move then finds its parent on
+// the DFS. A scope that left out dst's parent would skip the node and
+// fail the move with ErrNotExist.
+func TestRenameIntoQueuedMkdir(t *testing.T) {
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	e := newEnvDeps(t, 2, nil, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend {
+			if node == "node1" {
+				return &gatedBackend{Backend: inner(node), gate: gate}
+			}
+			return inner(node)
+		}
+	})
+	t.Cleanup(open)
+	c := e.client(t, "node0")
+	at, err := c.Mkdir(0, "/w/a", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Create(at, "/w/a/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = e.client(t, "node1").Mkdir(at, "/w/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The mkdir has left node1's queue: its commit process holds it in
+	// the gated apply.
+	q := e.region.byName["node1"].queue
+	eventually(t, "node1 dequeues the mkdir", func() bool { return q.Len() == 0 })
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Rename(at, "/w/a/f", "/w/d/f")
+		done <- err
+	}()
+	for q.Len() == 0 { // until the rename's marker is in node1's queue
+		select {
+		case err := <-done:
+			t.Fatalf("rename returned before node1 committed the mkdir of its destination's parent: %v", err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := e.region.Stats(); st.Dropped != 0 {
+		t.Fatalf("%d ops dropped", st.Dropped)
+	}
+	if !e.dfs.MDS.Tree().Exists("/w/d/f") || e.dfs.MDS.Tree().Exists("/w/a/f") {
+		t.Fatal("the DFS does not show the move")
+	}
+}
+
+// TestRenameWaitsForAnOwedSettle: an rm of the rename's destination has
+// landed on node1, but node1's commit process has not yet deleted its
+// remove marker from the cache. It is held inside that settle_multi, after
+// the owner of an earlier key in the same batch and before the marker's.
+// node1 then holds no op under the rename's scope, but it still owes the
+// destination a settle, so the rename must wait for it: a rename that
+// skipped node1 would move the file onto a name whose stale marker then
+// hides it (ErrNotExist).
+func TestRenameWaitsForAnOwedSettle(t *testing.T) {
+	e := newEnv(t, 2, nil)
+	c0, c1 := e.client(t, "node0"), e.client(t, "node1")
+	// dst's owner is the ring's second member and other's its first, so a
+	// settle batch holding both reaches other's owner first.
+	ring := e.region.Ring()
+	members := ring.Members()
+	pick := func(format string, owner string) string {
+		for i := 0; ; i++ {
+			if p := fmt.Sprintf(format, i); ring.Lookup(p) == owner {
+				return p
+			}
+		}
+	}
+	dst, other := pick("/w/a/dst%d", members[1]), pick("/w/b/other%d", members[0])
+	var at vclock.Time
+	var err error
+	for _, d := range []string{"/w/a", "/w/b"} {
+		if at, err = c0.Mkdir(at, d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/w/a/src", dst} {
+		if at, err = c0.Create(at, p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+
+	// node1's commit process takes the rm and the create in one wave.
+	release := holdCommits(t, e.region)
+	if at, err = c1.Remove(at, dst); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c1.Create(at, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	held, unhold := make(chan struct{}), make(chan struct{})
+	hook := &rpcHook{fn: func(method string) {
+		if method == "settle_multi" && armed.CompareAndSwap(true, false) {
+			close(held)
+			<-unhold
+		}
+	}}
+	e.bus.SetObserver(hook)
+	defer e.bus.SetObserver(nil)
+	armed.Store(true)
+	release()
+	<-held
+	unholdOnce := sync.OnceFunc(func() { close(unhold) })
+	t.Cleanup(unholdOnce)
+
+	q := e.region.byName["node1"].queue
+	done := make(chan error, 1)
+	go func() {
+		_, err := c0.Rename(at, "/w/a/src", dst)
+		done <- err
+	}()
+	for q.Len() == 0 { // until the rename's marker is in node1's queue
+		select {
+		case err := <-done:
+			t.Fatalf("rename returned while node1 still owed %s its settle: %v", dst, err)
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	unholdOnce()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c0.Stat(at, dst); err != nil {
+		t.Fatalf("stat of the renamed file: %v", err)
+	}
 }
 
 // TestInWorkspaceRejectsLookalikes is the path property of the read path's

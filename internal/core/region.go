@@ -229,8 +229,9 @@ type Region struct {
 	// most evictChunk of them. Guarded by evictMu, reused across rounds.
 	evictPaths []memcache.Settle
 
-	// invalGen counts dependent-operation invalidations (rmdir, rename).
-	// It is the miss-load's guard (Region.loadToken, Region.current): a
+	// invalGen counts invalidations: rmdir, rename, and each settle that
+	// deletes remove markers (committer.sendSettles). It is the miss-load's
+	// guard (Region.loadToken, Region.current): a
 	// load reads it before reading the DFS, and the owning cache server
 	// checks it again under the key's lock just before the add. If it
 	// moved, the load raced an invalidation and its stats may describe
@@ -612,9 +613,10 @@ func (r *Region) SpillCount() int {
 // (barrier.SetExpect shrinks the epoch to the participant count). An
 // op pushed into a skipped queue after the participant snapshot is
 // concurrent with the barrier and owes it nothing, exactly like an op
-// racing the marker push in the full protocol. Scope "" (rename,
-// Drain — operations whose footprint is not one subtree) drains every
-// queue.
+// racing the marker push in the full protocol. Readdir and rmdir scope
+// to their target, rename to the deepest directory holding both its
+// paths (namespace.CommonDir). Scope "" (Drain, Checkpoint, Restore —
+// the whole region) drains every queue.
 func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain vclock.Time, err error) {
 	var start int64
 	if r.barrierWait != nil {

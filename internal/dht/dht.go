@@ -180,12 +180,27 @@ type OwnerGroup struct {
 
 // GroupByOwner partitions keys by their owning member: one group per
 // member that owns at least one key, in Members order. Multi-key cache
-// calls use it to turn N per-key round trips into one RPC per owner.
-// Keys share one read lock and one hash-per-key, every group's Idx is a
-// window of one backing array, and no map is built; an empty ring maps
-// every key to the "" owner.
+// calls use it to turn N per-key round trips into one RPC per owner. It
+// is GroupInto with fresh storage: two allocations whatever the key count.
 func (r *Ring) GroupByOwner(keys []string) []OwnerGroup {
-	n := len(keys)
+	var g Grouping
+	return r.GroupInto(&g, len(keys), func(i int) string { return keys[i] })
+}
+
+// Grouping is the storage GroupInto groups into, reusable from one call
+// to the next: a caller that keeps one groups without allocating once it
+// has seen its largest batch. The groups a call returns live until the
+// next call on the same Grouping.
+type Grouping struct {
+	buf    []int
+	groups []OwnerGroup
+}
+
+// GroupInto partitions the n keys key(0) … key(n-1) as GroupByOwner does,
+// into g. Keys share one read lock and one hash-per-key, every group's Idx
+// is a window of one backing array, and no map is built; an empty ring
+// maps every key to the "" owner.
+func (r *Ring) GroupInto(g *Grouping, n int, key func(i int) string) []OwnerGroup {
 	if n == 0 {
 		return nil
 	}
@@ -193,19 +208,20 @@ func (r *Ring) GroupByOwner(keys []string) []OwnerGroup {
 	defer r.mu.RUnlock()
 	nm := len(r.members)
 	if nm == 0 {
-		idx := make([]int, n)
+		idx := g.ints(n)
 		for i := range idx {
 			idx[i] = i
 		}
-		return []OwnerGroup{{Idx: idx}}
+		return append(g.groupsFor(1), OwnerGroup{Idx: idx})
 	}
 	// One array, three windows: the grouped positions (what the result
 	// keeps), each key's owner, and a per-member cursor that first
 	// counts the member's keys and then walks its window.
-	buf := make([]int, 2*n+nm)
+	buf := g.ints(2*n + nm)
 	idx, owner, cursor := buf[:n:n], buf[n:2*n], buf[2*n:]
-	for i, key := range keys {
-		m := r.ownerIndex(key)
+	clear(cursor)
+	for i := 0; i < n; i++ {
+		m := r.ownerIndex(key(i))
 		owner[i] = m
 		cursor[m]++
 	}
@@ -217,7 +233,7 @@ func (r *Ring) GroupByOwner(keys []string) []OwnerGroup {
 		cursor[m] = start
 		start += c
 	}
-	groups := make([]OwnerGroup, 0, used)
+	groups := g.groupsFor(used)
 	for i, m := range owner {
 		idx[cursor[m]] = i
 		cursor[m]++
@@ -231,6 +247,22 @@ func (r *Ring) GroupByOwner(keys []string) []OwnerGroup {
 		start = end
 	}
 	return groups
+}
+
+// ints returns g's index array at length n, grown if it is shorter.
+func (g *Grouping) ints(n int) []int {
+	if cap(g.buf) < n {
+		g.buf = make([]int, n)
+	}
+	return g.buf[:n]
+}
+
+// groupsFor returns g's group slice emptied, with room for n groups.
+func (g *Grouping) groupsFor(n int) []OwnerGroup {
+	if cap(g.groups) < n {
+		g.groups = make([]OwnerGroup, 0, n)
+	}
+	return g.groups[:0]
 }
 
 // Size returns the member count.

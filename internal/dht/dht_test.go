@@ -191,3 +191,29 @@ func TestGroupByOwnerEdges(t *testing.T) {
 		t.Fatalf("single-key grouping = %+v", one)
 	}
 }
+
+// TestGroupIntoReusesItsStorage: one Grouping carried across batches of
+// every size gives what fresh storage gives each batch, and once it has
+// seen the largest batch a call allocates nothing.
+func TestGroupIntoReusesItsStorage(t *testing.T) {
+	r := NewWithMembers(0, "n0", "n1", "n2", "n3")
+	keys := make([]string, 40)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/w/f%d", i)
+	}
+	var g Grouping
+	for _, n := range []int{40, 1, 7, 0, 40, 3, 16} {
+		key := func(i int) string { return keys[i] }
+		got, want := r.GroupInto(&g, n, key), r.GroupByOwner(keys[:n])
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%d keys: reused storage grouped %v, fresh %v", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { r.GroupInto(&g, n, key) }); allocs != 0 {
+			t.Fatalf("%d keys: %.0f allocs on reused storage", n, allocs)
+		}
+	}
+	var empty Grouping
+	if got := New(0).GroupInto(&empty, 2, func(i int) string { return keys[i] }); len(got) != 1 || got[0].Owner != "" || len(got[0].Idx) != 2 {
+		t.Fatalf("empty ring grouping = %+v", got)
+	}
+}

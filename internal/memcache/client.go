@@ -267,44 +267,81 @@ func (c *Client) Mutate(at vclock.Time, key string, req []byte, reply *wire.Enco
 // key. It returns how many entries took effect and how many owners were
 // contacted. An owner that cannot be reached fails only its own keys:
 // the others' entries still apply and are counted, and one of the
-// failures is returned.
+// failures is returned. Its scratch is pooled (settleCall), so a call
+// allocates nothing of its own.
 func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners int, done vclock.Time, err error) {
-	keys := make([]string, len(entries))
-	for i, en := range entries {
-		keys[i] = en.Key
+	s := settleCalls.Get().(*settleCall)
+	s.c, s.at, s.entries = c, at, entries
+	s.groups = c.ring.GroupInto(&s.grouping, len(entries), func(i int) string { return entries[i].Key })
+	if cap(s.results) < len(s.groups) {
+		s.results = make([]settleResult, len(s.groups))
 	}
-	var mu sync.Mutex
-	groups := c.ring.GroupByOwner(keys)
-	done = c.caller.FanOut(at, len(groups), false, func(gi int) vclock.Time {
-		g := groups[gi]
-		e := wire.GetEncoder()
-		e.Uvarint(uint64(len(g.Idx)))
-		for _, i := range g.Idx {
-			e.String(entries[i].Key)
-			e.Byte(entries[i].action())
-			e.Uvarint(entries[i].Seq)
-		}
-		reply := wire.GetEncoder()
-		gdone, gerr := c.call(g.Owner, "settle_multi", at, e, reply)
-		var n uint64
-		if gerr == nil {
-			d := wire.GetDecoder(reply.Bytes())
-			n = d.Uvarint()
-			if gerr = finish(d); gerr == nil && n > uint64(len(g.Idx)) {
-				gerr = fmt.Errorf("memcache: settle_multi applied %d of %d entries", n, len(g.Idx))
-			}
-		}
-		wire.PutEncoder(reply)
-		mu.Lock()
-		if gerr == nil {
-			applied += int(n)
+	s.results = s.results[:len(s.groups)]
+	done = c.caller.FanOut(at, len(s.groups), false, s.send)
+	for _, r := range s.results {
+		if r.err == nil {
+			applied += r.applied
 		} else if err == nil {
-			err = gerr
+			err = r.err
 		}
-		mu.Unlock()
-		return gdone
-	})
-	return applied, len(groups), done, err
+	}
+	owners = len(s.groups)
+	// Every slot is written by its own call; the pool keeps no errors or
+	// entries alive in between.
+	clear(s.results)
+	s.c, s.entries, s.groups = nil, nil, nil
+	settleCalls.Put(s)
+	return applied, owners, done, err
+}
+
+// settleCall is one SettleMulti's scratch: the grouping, one result slot
+// per owner (each written by its own fan-out call, so no lock), and the
+// fan-out's function, bound once per pooled call rather than per use.
+type settleCall struct {
+	c        *Client
+	at       vclock.Time
+	entries  []Settle
+	grouping dht.Grouping
+	groups   []dht.OwnerGroup
+	results  []settleResult
+	send     func(gi int) vclock.Time
+}
+
+// settleResult is one owner's share of a SettleMulti.
+type settleResult struct {
+	applied int
+	err     error
+}
+
+var settleCalls = sync.Pool{New: func() any {
+	s := new(settleCall)
+	s.send = s.sendOwner
+	return s
+}}
+
+// sendOwner sends owner gi's entries and fills its result slot.
+func (s *settleCall) sendOwner(gi int) vclock.Time {
+	g, entries := s.groups[gi], s.entries
+	e := wire.GetEncoder()
+	e.Uvarint(uint64(len(g.Idx)))
+	for _, i := range g.Idx {
+		e.String(entries[i].Key)
+		e.Byte(entries[i].action())
+		e.Uvarint(entries[i].Seq)
+	}
+	reply := wire.GetEncoder()
+	done, err := s.c.call(g.Owner, "settle_multi", s.at, e, reply)
+	var n uint64
+	if err == nil {
+		d := wire.GetDecoder(reply.Bytes())
+		n = d.Uvarint()
+		if err = finish(d); err == nil && n > uint64(len(g.Idx)) {
+			err = fmt.Errorf("memcache: settle_multi applied %d of %d entries", n, len(g.Idx))
+		}
+	}
+	wire.PutEncoder(reply)
+	s.results[gi] = settleResult{applied: int(n), err: err}
+	return done
 }
 
 // broadcast sends method, without a body, to every ring member from the

@@ -9,19 +9,21 @@ import (
 
 // Barrier coordinates barrier epochs across the commit processes of one
 // consistent region (paper §III.E.2). The protocol per dependent
-// operation (rmdir, readdir):
+// operation (rmdir, readdir, rename) and per region-wide drain:
 //
 //  1. The initiating client calls Begin — barrier epochs are globally
 //     ordered within a region, so Begin serializes concurrent dependent
 //     operations (two interleaved epochs across nodes would deadlock the
 //     commit processes).
-//  2. The initiator pushes one barrier marker into every node queue.
+//  2. The initiator pushes one barrier marker into every participating
+//     node queue: every queue for a drain, only those holding an op
+//     under the dependent operation's scope otherwise (SetExpect).
 //  3. Each commit process, on reaching its marker, calls Arrive with its
 //     virtual clock and then blocks in AwaitRelease.
 //  4. The initiator blocks in AwaitArrivals; its return value is the
-//     virtual time at which every earlier operation has been applied to
-//     the DFS. It then performs the dependent operation synchronously
-//     and calls Release with the completion time.
+//     virtual time at which every earlier operation in those queues has
+//     been applied to the DFS. It then performs the dependent operation
+//     synchronously and calls Release with the completion time.
 //  5. Commit processes resume from AwaitRelease, joining their clocks
 //     with the release time, and move to the next epoch.
 type Barrier struct {

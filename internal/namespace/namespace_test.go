@@ -94,6 +94,60 @@ func TestIsUnder(t *testing.T) {
 	}
 }
 
+func TestCommonDir(t *testing.T) {
+	cases := []struct{ a, b, want string }{
+		{"/bench/c0/work/f01", "/bench/c0/work/r01", "/bench/c0/work"}, // same directory
+		{"/w/a/f", "/w/b/c/g", "/w"},                                   // nested, different depths
+		{"/a/f", "/b/g", "/"},                                          // only root holds both
+		{"/a/b", "/a/b/c", "/a"},                                       // one under the other
+		{"/a/b/c", "/a/b", "/a"},
+		{"/a/f", "/a/f", "/a"},
+		{"/a", "/ab/f", "/"}, // a prefix sibling is no ancestor
+		{"/", "/a/b", "/"},
+		{"/", "/", "/"},
+		{"//a/./b/", "/a/c", "/a"},
+	}
+	for _, c := range cases {
+		if got := CommonDir(c.a, c.b); got != c.want {
+			t.Errorf("CommonDir(%q, %q) = %q, want %q", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestCommonDirProperty checks CommonDir against its definition over
+// random paths from a small alphabet (prefix siblings included): the
+// result holds both paths — each is a proper descendant, or root itself —
+// and none of its children on the way to a holds b too.
+func TestCommonDirProperty(t *testing.T) {
+	names := []string{"a", "ab", "b", "a.b"}
+	path := func(segs []uint8) string {
+		p := "/"
+		for _, s := range segs[:len(segs)%5] {
+			p = Join(p, names[int(s)%len(names)])
+		}
+		return p
+	}
+	holds := func(dir, p string) bool {
+		return p == "/" && dir == "/" || p != dir && IsUnder(p, dir)
+	}
+	f := func(sa, sb []uint8) bool {
+		a, b := path(sa), path(sb)
+		dir := CommonDir(a, b)
+		if !holds(dir, a) || !holds(dir, b) || dir != CommonDir(b, a) {
+			return false
+		}
+		for _, anc := range Ancestors(a) {
+			if Depth(anc) > Depth(dir) && holds(anc, b) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAncestors(t *testing.T) {
 	a := Ancestors("/a/b/c")
 	if len(a) != 3 || a[0] != "/" || a[1] != "/a" || a[2] != "/a/b" {

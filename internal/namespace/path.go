@@ -168,3 +168,17 @@ func VisitAncestors(p string, fn func(anc string) bool) {
 		}
 	}
 }
+
+// CommonDir returns the deepest directory that holds both a and b: the
+// deepest common ancestor of their parents ("/a/b/f", "/a/b/g" → "/a/b";
+// "/a/b", "/a/b/c" → "/a"; "/a/f", "/b/g" → "/"). Root holds itself.
+// The result is a prefix of a's cleaned form.
+func CommonDir(a, b string) string {
+	a, b = Clean(a), Clean(b)
+	dir, _ := Split(a)
+	other, _ := Split(b)
+	for !IsUnder(other, dir) {
+		dir, _ = Split(dir)
+	}
+	return dir
+}
