@@ -14,7 +14,8 @@ test: build
 # and the race detector over the packages with real concurrency (the
 # chaos harness runs its bounded seed set — over 100 randomized
 # schedules, each ending in the post-drain divergence audit — under
-# -race).
+# -race), and the tests of core's state-ended waits (claim, crossing,
+# bounded ack, stalled drain) ten times over under -race.
 check: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -22,6 +23,7 @@ check: build
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
 	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/indexfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
+	$(GO) test -race -count=10 -run 'Claim|Crossing|BoundedAck|Stalled' ./internal/core/
 	$(GO) test -run '^$$' -bench 'ReaddirBarrier' -benchtime 1x ./internal/core/
 
 # chaos-soak runs the chaos convergence suite ten times over: 1,080

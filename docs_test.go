@@ -61,3 +61,31 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreHasNoWallClockWait keeps internal/core's waits on recorded
+// state: a crossing, an ack and a claim wait end on a node's in-flight
+// table, a stalled drain pass on the region's progress, and none on a
+// sleep, a timer or a patience. Reading the wall clock for telemetry
+// (time.Now) stays allowed; tests may wait as they like.
+func TestCoreHasNoWallClockWait(t *testing.T) {
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no core sources: %v", err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, wait := range []string{"time.Sleep", "time.After(", "time.NewTimer", "time.AfterFunc"} {
+				if strings.Contains(line, wait) {
+					t.Errorf("%s:%d: %s: a core wait must end on recorded state, not on the clock", path, i+1, wait)
+				}
+			}
+		}
+	}
+}

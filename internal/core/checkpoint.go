@@ -149,12 +149,13 @@ func (r *Region) Restore(c *Client, at vclock.Time, seq uint64) (vclock.Time, er
 }
 
 // SimulateNodeFailure models a client-node crash for recovery tests and
-// examples: the node's queued (uncommitted) operations are lost and its
-// cache server's contents vanish. It returns how many ops were lost: of
-// the node's at_risk_ops the queued ones only — an op already in a wave
-// or parked stays with the commit process, which this simulation leaves
-// running. Must not race an in-flight barrier operation — a real
-// deployment would re-form the region first.
+// examples: the node's queued (uncommitted) operations are lost, its
+// cache server's contents vanish and its clients' crossings end — a
+// writer waiting on one of their claims takes it back at once. It returns
+// how many ops were lost: of the node's at_risk_ops the queued ones only —
+// an op already in a wave or parked stays with the commit process, which
+// this simulation leaves running. Must not race an in-flight barrier
+// operation — a real deployment would re-form the region first.
 func (r *Region) SimulateNodeFailure(node string) int {
 	n := r.byName[node]
 	if n == nil {
@@ -176,6 +177,7 @@ func (r *Region) SimulateNodeFailure(node string) int {
 			r.opTerminal(op, op.Time, obs.StageDrop, "node failure")
 		}
 	}
+	n.inflight.claim(0, false)
 	n.cache.FlushAll(0)
 	return lost
 }

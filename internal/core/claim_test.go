@@ -57,15 +57,23 @@ func (b *heldBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) 
 // first client's data writes go through the returned gate.
 func gatedEnv(t *testing.T) (*env, *Client, *gate) {
 	t.Helper()
+	e, g := gatedRegion(t, 1)
+	c := e.client(t, "node0")
+	g.target = c.backend
+	return e, c, g
+}
+
+// gatedRegion is a region of n nodes with an 8-byte inline threshold and
+// a gate whose target the caller sets.
+func gatedRegion(t *testing.T, n int) (*env, *gate) {
+	t.Helper()
 	g := &gate{held: make(chan struct{}, 8), resume: make(chan struct{})}
-	e := newEnvDeps(t, 1, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 }, func(d *Deps) {
+	e := newEnvDeps(t, n, func(cfg *RegionConfig) { cfg.SmallFileThreshold = 8 }, func(d *Deps) {
 		inner := d.NewBackend
 		d.NewBackend = func(node string) Backend { return &heldBackend{Backend: inner(node), g: g} }
 		g.net.Network, d.Bus = d.Bus, &g.net
 	})
-	c := e.client(t, "node0")
-	g.target = c.backend
-	return e, c, g
+	return e, g
 }
 
 // eventually polls cond: the tests wait on states another goroutine
@@ -265,15 +273,12 @@ func TestEvictionLeavesClaimInPlace(t *testing.T) {
 
 // TestLostClaimIsTakenBack: the claimant's final store never reaches the
 // cache (the same entry a claimant that died mid-transition leaves). No
-// commit resolves a claim and no eviction takes it, so the next writer,
-// once its patience is out, takes the claim back to the small
-// dirty entry it was made on and goes ahead; the backup write the
-// rollback re-queues commits the entry clean. (The claimant's bytes are
-// on the DFS past the size the entry vouches for: its write failed, and
-// a failed write may leave anything.)
+// commit resolves a claim and no eviction takes it, so the next writer
+// takes the claim back to the small dirty entry it was made on and goes
+// ahead; the backup write the rollback re-queues commits the entry clean.
+// (The claimant's bytes are on the DFS past the size the entry vouches
+// for: its write failed, and a failed write may leave anything.)
 func TestLostClaimIsTakenBack(t *testing.T) {
-	defer func(d time.Duration) { claimPatience = d }(claimPatience)
-	claimPatience = 20 * time.Millisecond
 	e, c, g := gatedEnv(t)
 	at := smallFile(t, e, c)
 	done := crossHeld(t, c, g, at)
@@ -303,6 +308,81 @@ func TestLostClaimIsTakenBack(t *testing.T) {
 	if d := e.region.Stats().Dropped; d != 0 {
 		t.Fatalf("%d ops dropped", d)
 	}
+}
+
+// TestClaimantNodeFailureEndsItsClaim: the claimant's node dies while its
+// crossing is held on the DFS, and the entry's cache server, on the other
+// node, survives. The failure ends the claimant's record, so the writer
+// waiting on the claim takes it back at once — with the claimant still
+// held — and writes over the inline bytes; the claimant, released, finds
+// its claim gone and fails ErrStale.
+func TestClaimantNodeFailureEndsItsClaim(t *testing.T) {
+	e, g := gatedRegion(t, 2)
+	claimant, writer := "node1", "node0"
+	if e.region.Ring().Lookup("/w/f") == e.region.byName[claimant].addr {
+		claimant, writer = writer, claimant
+	}
+	c := e.client(t, claimant)
+	g.target = c.backend
+	at := smallFile(t, e, c)
+	done := crossHeld(t, c, g, at)
+
+	second := e.client(t, writer)
+	done2 := make(chan error, 1)
+	go func() {
+		_, err := second.WriteAt(at, "/w/f", 0, []byte("Z"))
+		done2 <- err
+	}()
+	eventually(t, "the second writer to wait on the claim", func() bool { return waiters(e.region.byName[claimant]) == 1 })
+	if lost := e.region.SimulateNodeFailure(claimant); lost != 0 {
+		t.Fatalf("%d queued ops lost, want none", lost)
+	}
+	select {
+	case err := <-done2:
+		if err != nil {
+			t.Fatalf("write after the claimant's node failed: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the second writer still waits on a claim whose node has failed")
+	}
+	close(g.resume)
+	if err := <-done; !errors.Is(err, fsapi.ErrStale) {
+		t.Fatalf("released claimant = %v, want ErrStale", err)
+	}
+	ent := mustEntry(t, e.region, "/w/f", "after the take-back")
+	if ent.Large || string(ent.Stat.Inline) != "Zbc" {
+		t.Fatalf("entry = %+v, want small, the inline bytes and the new write", ent)
+	}
+	wantCommitted(t, e, "/w/f", ent.Seq)
+	if got, _, err := second.ReadAt(at, "/w/f", 0, 100); err != nil || string(got) != "Zbc" {
+		t.Fatalf("read = %q, %v", got, err)
+	}
+	if d := e.region.Stats().Dropped; d != 0 {
+		t.Fatalf("%d ops dropped", d)
+	}
+}
+
+// TestCloseTurnsAwayAClaimWait: a writer waiting on another client's
+// claim is answered ErrClosed by Region.Close, the claimant still held.
+func TestCloseTurnsAwayAClaimWait(t *testing.T) {
+	e, c, g := gatedEnv(t)
+	at := smallFile(t, e, c)
+	done := crossHeld(t, c, g, at)
+	second := e.client(t, "node0")
+	done2 := make(chan error, 1)
+	go func() {
+		_, err := second.WriteAt(at, "/w/f", 0, []byte("Z"))
+		done2 <- err
+	}()
+	eventually(t, "the second writer to wait on the claim", func() bool { return waiters(e.region.nodes[0]) == 1 })
+	if err := e.region.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done2; !errors.Is(err, fsapi.ErrClosed) {
+		t.Fatalf("claim wait on a closed region = %v, want ErrClosed", err)
+	}
+	close(g.resume)
+	<-done
 }
 
 // TestCrossingMovesAParkedCreate: the file's create is parked on a node

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
@@ -137,14 +136,20 @@ func (c *committer) run() {
 		r.opTerminal(absorbed, c.now, obs.StageCoalesce, note)
 	}
 
+	defer r.mark(c.node, held) // returned: it never moves again
 	for {
-		if q.Len() == 0 {
+		empty := q.Len() == 0
+		if empty {
 			// Nothing queued for the last wave's settles to leave beside:
 			// an idle node's entries become clean now, not when the next
 			// op happens to arrive.
 			c.settle()
+			r.mark(c.node, idle)
 		}
 		ops, isBarrier, epoch, ok := q.PopBatchInto(c.ops, r.cfg.CommitBatchSize)
+		if empty {
+			r.mark(c.node, moving)
+		}
 		if ops != nil {
 			c.ops = ops
 		}
@@ -160,7 +165,9 @@ func (c *committer) run() {
 			c.drainPending()
 			c.settle()
 			r.barrier.Arrive(epoch, c.now)
+			r.mark(c.node, held)
 			rel, err := r.barrier.AwaitRelease(epoch)
+			r.mark(c.node, moving)
 			if err != nil {
 				return
 			}
@@ -219,6 +226,9 @@ func (c *committer) applyOps(ops []Op, counted bool) {
 			c.applyWave(counted)
 		}
 		ops = rest
+	}
+	if r.stall.waiting.Load() > 0 {
+		r.mark(c.node, moving) // wake the stalled passes: progress may have moved
 	}
 }
 
@@ -385,39 +395,93 @@ func (c *committer) retryPendingOnce(counted bool) {
 
 // drainPending retries until every pending op commits or exhausts its
 // resubmission budget. Called before barrier arrival and at shutdown.
-// An op's dependency (e.g. its parent's create) may live in another
-// node's queue, so no-progress passes yield real time to the sibling
-// commit processes instead of spinning.
 //
-// The resubmission budget is only charged on passes where the REGION
-// made no progress since the previous pass: a pending op is waiting on
-// a dependency (typically its parent's create) that may sit deep in a
-// sibling node's queue, and as long as any commit process is still
-// landing operations, that dependency may yet arrive. Batched dequeue
-// makes this essential — a fast node reaches the barrier with its whole
+// A pending op waits on a dependency (typically its parent's create) that
+// may sit deep in a sibling node's queue, and while any commit process can
+// still land ops, that dependency may yet arrive. Batched dequeue makes
+// this essential: a fast node reaches the barrier with its whole
 // dependency frontier parked (a hundred ops is normal when the workload
-// was enqueued up front) and sweeps it continuously; charging those
-// sweeps would burn an op's 64 attempts in the milliseconds a loaded
-// sibling needs to crawl through its queue. Termination is preserved:
-// queues are finite, so region-wide progress eventually stops, and from
-// then on every stalled pass sleeps and charges every pending op until
-// the limit drops it. The stalled-pass sleep also matters for more than
-// pacing: it yields the CPU (and the MDS/cache locks) to the very
-// sibling whose progress would unblock us.
+// was enqueued up front), and charging its sweeps while a loaded sibling
+// crawls through its queue would drop ops that were about to apply. So a
+// pass that made no progress (committed + discarded + dropped) waits
+// (Region.stallPass) until progress moves — the next pass is free — or
+// until no commit process can move — it is charged. Termination rests on
+// counts: queues are finite, so progress eventually stops, and from then
+// on every pass is charged until CommitRetryLimit drops what still waits.
 func (c *committer) drainPending() {
 	r := c.r
-	progress := func() int64 {
-		return r.committed.Load() + r.discarded.Load() + r.dropped.Load()
+	for counted := false; len(c.pending.ops) > 0; {
+		snap := r.progress()
+		c.retryPendingOnce(counted)
+		counted = len(c.pending.ops) > 0 && r.progress() == snap && r.stallPass(c.node, snap)
 	}
-	last := int64(-1)
-	for len(c.pending.ops) > 0 {
-		snap := progress()
-		c.retryPendingOnce(snap == last)
-		last = snap
-		if progress() == snap {
-			time.Sleep(time.Millisecond)
+}
+
+// progress is what the region's commit processes have concluded.
+func (r *Region) progress() int64 {
+	return r.committed.Load() + r.discarded.Load() + r.dropped.Load()
+}
+
+// commitState is whether a node's commit process can move (node.state,
+// under the region's stall gate).
+type commitState uint8
+
+const (
+	moving  commitState = iota
+	idle                // blocked on its empty queue: held while it stays empty
+	held                // awaiting a barrier's release, or returned
+	stalled             // a pass that made no progress, until progress leaves node.snap
+)
+
+// mark sets n's commit process's state and wakes the stalled passes to
+// look at it; a wave that concluded ops calls it with moving.
+func (r *Region) mark(n *node, s commitState) {
+	r.stall.mu.Lock()
+	defer r.stall.mu.Unlock()
+	n.state = s
+	r.stall.cond.Broadcast()
+}
+
+// stallPass holds n's pass that made no progress since snap until
+// progress moves (false: the next pass is free) or until no commit process
+// can move (true: it is charged). The pass that finds the region quiet
+// releases every stalled pass at once, so each gets its charged pass.
+func (r *Region) stallPass(n *node, snap int64) bool {
+	g := &r.stall
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n.state, n.snap = stalled, snap
+	g.waiting.Add(1)
+	defer g.waiting.Add(-1)
+	for g.cond.Broadcast(); ; g.cond.Wait() {
+		switch {
+		case r.progress() != snap:
+			n.state = moving
+			return false
+		case n.state == moving: // released by a quiet region
+			return true
+		case r.quiet():
+			for _, m := range r.nodes {
+				if m.state == stalled {
+					m.state = moving
+				}
+			}
+			g.cond.Broadcast()
+			return true
 		}
 	}
+}
+
+// quiet (the stall gate's mu held) reports that no commit process can
+// move: each is held, stalled since the current progress, or blocked on a
+// queue that is still empty.
+func (r *Region) quiet() bool {
+	for _, n := range r.nodes {
+		if n.state == moving || n.state == idle && n.queue.Len() > 0 || n.state == stalled && n.snap != r.progress() {
+			return false
+		}
+	}
+	return true
 }
 
 // classify is the reading half of the commit table's executor

@@ -618,16 +618,6 @@ func entryRow(threshold int) memcache.Row {
 	}
 }
 
-// A writer that meets another client's claim polls for its resolution: a
-// transition is a drain of the path and a handful of DFS round trips. A
-// claim still standing after claimPatience has lost its claimant — the
-// client died, or its final store never reached the cache — and the
-// waiter takes it back (the evRollback row): nothing else resolves it.
-const claimPoll = 100 * time.Microsecond
-
-// claimPatience is a variable for the one test that loses a claimant.
-var claimPatience = 5 * time.Second
-
 // mutate is the one read-modify-write on a cache entry (§III.D.3): not the
 // paper's CAS retried until success (Table I) but one round trip, next run
 // by the entry's cache server (entryRow). It pushes the op the row owes,
@@ -639,7 +629,7 @@ func (c *Client) mutate(at vclock.Time, ev *event) (outcome, vclock.Time, error)
 	defer wire.PutEncoder(req)
 	defer wire.PutEncoder(reply)
 	table := &c.node.inflight
-	var waiting time.Time // since when, on another client's claim
+	var met uint64 // the claim last waited for
 	queues := ev.kind != evGrown && ev.kind != evSizeBump
 	for {
 		req.Reset()
@@ -694,21 +684,24 @@ func (c *Client) mutate(at vclock.Time, ev *event) (outcome, vclock.Time, error)
 			if err != nil {
 				return out, at, err
 			}
-		case out.verdict == vWait:
-			if waiting.IsZero() {
-				waiting = time.Now()
-			}
-			if time.Since(waiting) < claimPatience {
-				time.Sleep(claimPoll)
-				continue
-			}
-			// The claimant is lost. Its claim becomes the small dirty entry
-			// it was made on, the backup write re-queued, and ev meets that.
-			lost := event{kind: evRollback, op: ev.op, path: ev.path, seq: out.val.seq}
+		case out.verdict == vWait && out.val.seq == met:
+			// The claimant has concluded without its final store — it never
+			// reached the cache, or the claimant's node failed — and nothing
+			// else resolves its claim. It becomes the small dirty entry it
+			// was made on, the backup write re-queued, and ev meets that.
+			lost := event{kind: evRollback, op: ev.op, path: ev.path, seq: met}
 			if _, at, err = c.mutate(at, &lost); err != nil {
 				return out, at, err
 			}
-			waiting = time.Time{}
+		case out.verdict == vWait:
+			// Another client's claim: wait for its claimant to conclude — its
+			// write's record to leave its node's table (WriteAt) — and ask again.
+			met = out.val.seq
+			for _, n := range c.region.nodes {
+				if err = n.inflight.concluded(met); err != nil {
+					return out, at, fsapi.WrapPath(ev.op, ev.path, err)
+				}
+			}
 		default:
 			return out, at, nil
 		}

@@ -33,7 +33,14 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 		return at, err
 	}
 
-	out, at, err := c.mutate(at, &event{kind: evWrite, op: "write", path: p, seq: r.seq.Add(1), off: off, data: data})
+	seq := r.seq.Add(1)
+	if off+int64(len(data)) > int64(r.cfg.SmallFileThreshold) {
+		// Only such a write can claim a crossing: it is on record until it
+		// returns, for the writers that meet its claim (Client.mutate).
+		c.node.inflight.claim(seq, true)
+		defer c.node.inflight.claim(seq, false)
+	}
+	out, at, err := c.mutate(at, &event{kind: evWrite, op: "write", path: p, seq: seq, off: off, data: data})
 	switch {
 	case err != nil || out.enqueue:
 		return at, err // inline: the backup write is queued

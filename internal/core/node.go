@@ -24,14 +24,17 @@ type node struct {
 	queue      *mq.Queue[Op]
 	tel        *obs.Node // nil: observability disabled
 	inflight   inflight
+	// state and snap are the commit process's, under the region's stall gate.
+	state commitState
+	snap  int64
 }
 
 // inflight holds, per path, the ops between their client's store and their
 // terminal — queued, in a wave or parked alike, and which of them parked.
 // Scoped barriers, threshold crossings, the auditor, the staleness
 // watermarks and the at-risk and parked gauges all read it, it orders a
-// path's stores and pushes, crossings and acks wait on it; a record lives
-// exactly as long as its references.
+// path's stores and pushes, crossings, acks and a claim's waiters wait on
+// it; a record lives exactly as long as its references.
 type inflight struct {
 	mu    sync.Mutex
 	paths map[string]pending
@@ -43,9 +46,9 @@ type inflight struct {
 	opened      uint64
 	freed       vclock.Time
 	closed      bool
-	waiting     int // the crossings and acks a park or a path's last reference wakes
-	// cond (on mu) is the one wait: for a path's turn, for it to drain or
-	// for the bound to open. Its Broadcast returns at once when nobody waits.
+	waiting     int // the waits a park, a path's last reference or a claim's end wakes
+	// cond (on mu) is the one wait: for a path's turn, its drain, the bound
+	// or a claim's end. Its Broadcast returns at once when nobody waits.
 	cond sync.Cond
 	// spills counts the records holding a spill. A landing create reads it
 	// before it asks for one: with no fsync outstanding, the common case,
@@ -59,6 +62,10 @@ type inflight struct {
 	// barrier counts these paths as pending too: a rename must not move a
 	// file onto a name whose stale marker would then hide it.
 	unsettled []string
+	// claims holds the seqs of the node's writes that may claim a crossing
+	// (§III.D.2), from before the claim is stored to after the claimant's
+	// final store: a writer that meets a claim waits for its seq to go.
+	claims map[uint64]struct{}
 }
 
 type pending struct {
@@ -147,8 +154,8 @@ func (t *inflight) drained(p string) (bool, error) {
 	return t.wait(func() bool { return t.paths[p].refs == 0 }, func() bool { return t.paths[p].parked > 0 })
 }
 
-// wait (mu held) is a crossing's or an ack's: it returns once done, or
-// first, with true, once parked. A closed table answers ErrClosed.
+// wait (mu held) is a crossing's, an ack's or a claim's: it returns once
+// done, or first, with true, once parked. A closed table answers ErrClosed.
 func (t *inflight) wait(done, parked func() bool) (bool, error) {
 	for !done() {
 		switch {
@@ -176,6 +183,34 @@ func (t *inflight) park(p string) {
 			t.cond.Broadcast()
 		}
 	}
+}
+
+// claim records seq, a write that may claim a crossing (on), or ends its
+// record — seq 0: every one here, the node failed — and wakes the writers
+// waiting for that in concluded.
+func (t *inflight) claim(seq uint64, on bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case on:
+		t.claims[seq] = struct{}{}
+		return
+	case seq == 0:
+		clear(t.claims)
+	default:
+		delete(t.claims, seq)
+	}
+	if t.waiting > 0 {
+		t.cond.Broadcast()
+	}
+}
+
+// concluded returns once no write of seq is recorded here.
+func (t *inflight) concluded(seq uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, err := t.wait(func() bool { _, ok := t.claims[seq]; return !ok }, func() bool { return false })
+	return err
 }
 
 // close turns every crossing and ack waiting here away (Region.Close).

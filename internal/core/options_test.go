@@ -211,6 +211,45 @@ func TestRetryLimitDropsOrphans(t *testing.T) {
 	}
 }
 
+// TestStalledDrainWaitsForABusySibling: a drain finds a child create
+// parked on node0 while its parent's mkdir is in node1's wave, which the
+// DFS holds for 50 ms. node1's commit process can still move, so node0's
+// stalled passes wait for it and charge nothing: the child lands once the
+// mkdir does, within a budget of four passes.
+func TestStalledDrainWaitsForABusySibling(t *testing.T) {
+	e, h := holdWaveEnv(t, 2, "/w/d", func(cfg *RegionConfig) {
+		cfg.DisableParentCheck = true
+		cfg.CommitRetryLimit = 4
+	})
+	at, err := e.client(t, "node0").Create(0, "/w/d/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the create to park", func() bool { return e.region.parkedOps() == 1 })
+	if at, err = e.client(t, "node1").Mkdir(at, "/w/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	<-h.held
+	drained := make(chan error, 1)
+	go func() {
+		_, err := e.region.Drain(at)
+		drained <- err
+	}()
+	// Wall time in which passes charged by the clock, one a millisecond,
+	// would spend the budget of four many times over.
+	time.Sleep(50 * time.Millisecond)
+	h.release()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if st := e.region.Stats(); st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want nothing dropped", st)
+	}
+	if !e.dfs.MDS.Tree().Exists("/w/d/f") {
+		t.Fatal("the child never reached the DFS")
+	}
+}
+
 func TestRegionAccessors(t *testing.T) {
 	e := newEnv(t, 2, nil)
 	cfg := e.region.Config()

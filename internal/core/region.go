@@ -272,6 +272,14 @@ type Region struct {
 	// for healthSkewSustainNS across polls.
 	skewSince atomic.Int64
 
+	// stall is where drainPending's stalled passes wait (Region.stallPass):
+	// mu guards each node's commit state, waiting counts the passes on cond.
+	stall struct {
+		mu      sync.Mutex
+		cond    sync.Cond
+		waiting atomic.Int32
+	}
+
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
@@ -309,9 +317,10 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		barrierWait:    deps.Obs.Hist(obs.HistBarrierWait),
 		readdirEntries: deps.Obs.Hist(obs.HistReaddirEntries),
 	}
+	r.stall.cond.L = &r.stall.mu
 	for _, name := range cfg.Nodes {
 		n := &node{name: name, addr: name + "/pacon-" + cfg.Name, queue: mq.NewQueue[Op](), tel: deps.Obs.Node(name),
-			inflight: inflight{bound: cfg.AtRiskBound, paths: make(map[string]pending)}}
+			inflight: inflight{bound: cfg.AtRiskBound, paths: make(map[string]pending), claims: make(map[uint64]struct{})}}
 		n.inflight.cond.L = &n.inflight.mu
 		n.cache = memcache.NewServer(n.addr, memcache.ServerConfig{
 			CapacityBytes: cfg.CacheCapacityBytes,
