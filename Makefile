@@ -48,11 +48,12 @@ core BenchmarkClientStatHit        2000x  1  -   cached stat                    
 core BenchmarkClientStatMiss       2000x  4  288 stat miss (read-through)     # 4 and 240-254 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap, or a client-side add behind the get, is +1
 core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
 core BenchmarkCommitWave           2048x  3  230 commit wave                    # 3 and 199 B per committed op: the settle fan-out allocating its grouping, result slots and closure per call again is 4 and 269 B; per-wave scratch allocated afresh shows in the bytes (1,265 B with the per-call settle)
-core BenchmarkCommitWavePayload    2048x  4  290 commit wave with payload       # 4 and 258 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS; per-call settle scratch is 5 and 333 B
+core BenchmarkCommitWavePayload    2048x  4  275 commit wave with payload       # 4 and 250 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS; per-call settle scratch is 5 and 325 B
 core BenchmarkCommitWaveTwoDirs    2048x  4  330 commit wave over two dirs      # 4 and 292 B, ckpt_rotate's shape: the wave's second directory request allocating (a goroutine or closure per group, grouping scratch on the heap); per-call settle scratch is 5 and 367 B
 memcache BenchmarkSettleMulti      20000x 12 320 settle fan-out, 8 keys on 4 servers # 12 and 304 B, all of it the four servers' decoded requests: the client grouping, filling result slots under a lock or binding its fan-out closure per call again is 19 and 880 B
-dfs  BenchmarkCreate               20000x 2  200 dfs create (one-op batch)      # 2 and 183 B, path and inode (the reply is decoded in a pooled encoder): Exists wrapping its miss again is +1 and +48 B, a heap-allocated one-op batch or a closure on the lone-target path +1
-dfs  BenchmarkApplyBatch1          20000x 3  216 dfs apply_batch of 1           # 3 and 199 B, the create plus its one-element result: a batch of one taking the grouping path
+dfs  BenchmarkCreate               20000x 2  184 dfs create (one-op batch)      # 2 and 167 B, path and tree node (the reply is decoded in a pooled encoder): a node back in the 80-B size class is +16 B, Exists wrapping its miss again +1 and +48 B, a heap-allocated one-op batch or a closure on the lone-target path +1
+dfs  BenchmarkApplyBatch1          20000x 3  200 dfs apply_batch of 1           # 3 and 183 B, the create plus its one-element result: a batch of one taking the grouping path
+dfs  BenchmarkApplyBatchRemove1    20000x 2  48  dfs remove of a file with bytes # 2 and 32 B, the path and the one-element result, its drop_multi included: the drop's grouping or inode list on the heap, or a closure per call, is +1
 dfs  BenchmarkApplyBatch8/shards=1 20000x 17 -   dfs apply_batch of 8, one MDS  # 17, the result slice plus eight paths and eight inodes: shard buckets built on one MDS, or directory grouping leaving the stack, is +1 or +2
 mq   BenchmarkQueuePushPop          100000x 0 0  queue push+pop                 # 0 and 0 B: a push or pop that allocates, e.g. a fresh buffer once the consumer has caught up
 mq   BenchmarkQueueLaggingConsumer  100000x 0 0  queue push+pop, 64 behind      # 0 and 0 B: a buffer that grows instead of compacting behind a lagging consumer shows in the bytes (≈140 B/op)

@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("restored to checkpoint %d at %v\n", seq, now)
 
 	// Checkpointed state is intact — including small-file data, which
-	// re-attaches by path.
+	// the checkpoint copied and the restore copied back.
 	data, now, err := c1.ReadAt(now, "/proj/sim/epoch1/state7", 0, 64)
 	if err != nil {
 		log.Fatal(err)

@@ -15,6 +15,10 @@
 //     it — a real consistency violation (lost commit, external
 //     mutation, a bug).
 //
+// A third class looks at the DFS alone (Chunks): an orphan chunk is one
+// a data server holds for an inode that no MDS shard holds — bytes an
+// unlink should have freed.
+//
 // The comparison deliberately reuses the production read paths on both
 // sides: Client.StatMulti (the batched cache read) for the region view
 // and Client.StatBackend (the batched authoritative miss-load) for the
@@ -33,6 +37,7 @@ import (
 	"time"
 
 	"pacon/internal/core"
+	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
 	"pacon/internal/vclock"
 )
@@ -44,6 +49,7 @@ const (
 	Match Verdict = iota
 	StalePending
 	Divergent
+	OrphanChunk
 )
 
 func (v Verdict) String() string {
@@ -54,6 +60,8 @@ func (v Verdict) String() string {
 		return "stale-pending"
 	case Divergent:
 		return "divergent"
+	case OrphanChunk:
+		return "orphan-chunk"
 	}
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
@@ -69,6 +77,9 @@ type Finding struct {
 	// (stale-pending; 0 when observability is disabled) — the staleness
 	// age of the disagreement.
 	AgeNS int64 `json:"age_ns,omitempty"`
+	// Ino is the inode an orphan-chunk finding is about (its Path is
+	// empty: nothing names the inode any more).
+	Ino uint64 `json:"ino,omitempty"`
 	// Detail says what disagreed (missing on DFS, size mismatch, ...).
 	Detail string `json:"detail,omitempty"`
 }
@@ -81,25 +92,37 @@ type Report struct {
 	Matched      int   `json:"matched"`
 	StalePending int   `json:"stale_pending"`
 	Divergent    int   `json:"divergent"`
-	// Findings lists every non-match key, sorted by path.
+	// OrphanChunks counts the inodes holding chunks that no MDS shard
+	// holds (Chunks; Run leaves it 0).
+	OrphanChunks int `json:"orphan_chunks"`
+	// Findings lists every non-match key, sorted by path (orphan chunks
+	// by inode).
 	Findings []Finding `json:"findings,omitempty"`
 }
 
-// Clean reports whether the run found no divergence. Stale-pending keys
-// are clean: they are the bounded window, not a violation.
-func (r Report) Clean() bool { return r.Divergent == 0 }
+// Clean reports whether the run found no divergence and no orphan chunk.
+// Stale-pending keys are clean: they are the bounded window, not a
+// violation.
+func (r Report) Clean() bool { return r.Divergent == 0 && r.OrphanChunks == 0 }
 
 // String renders a one-look summary plus the worst findings.
 func (r Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "audit: %d sampled — %d match, %d stale-pending, %d divergent",
 		r.Sampled, r.Matched, r.StalePending, r.Divergent)
+	if r.OrphanChunks > 0 {
+		fmt.Fprintf(&sb, ", %d orphan-chunk", r.OrphanChunks)
+	}
 	for i, f := range r.Findings {
 		if i >= 10 {
 			fmt.Fprintf(&sb, "\n  ... and %d more", len(r.Findings)-i)
 			break
 		}
-		fmt.Fprintf(&sb, "\n  %-13s %s", f.Verdict, f.Path)
+		if f.Verdict == OrphanChunk {
+			fmt.Fprintf(&sb, "\n  %-13s inode %d", f.Verdict, f.Ino)
+		} else {
+			fmt.Fprintf(&sb, "\n  %-13s %s", f.Verdict, f.Path)
+		}
 		if f.Detail != "" {
 			fmt.Fprintf(&sb, " (%s)", f.Detail)
 		}
@@ -209,6 +232,32 @@ func Run(cl *core.Client, at vclock.Time, cfg Config) (Report, vclock.Time, erro
 		Divergent:    rep.Divergent,
 	})
 	return rep, at, nil
+}
+
+// Chunks audits a DFS's data servers against its metadata: every inode a
+// data server holds chunks of is sampled, and one that no MDS shard holds
+// is an orphan — its file was unlinked and its bytes were not dropped.
+// It reads the servers and trees directly and charges no virtual time;
+// run it on a quiesced cluster, where an unlink in flight cannot look
+// like an orphan.
+func Chunks(c *dfs.Cluster) Report {
+	held := c.Inodes()
+	var rep Report
+	for _, ds := range c.Data {
+		ds.Inodes(func(ino uint64, chunks int) {
+			rep.Sampled++
+			if held[ino] {
+				rep.Matched++
+				return
+			}
+			rep.OrphanChunks++
+			rep.Findings = append(rep.Findings, Finding{Ino: ino, Verdict: OrphanChunk,
+				Detail: fmt.Sprintf("%d chunk(s) on a data server", chunks)})
+		})
+	}
+	sort.Slice(rep.Findings, func(i, j int) bool { return rep.Findings[i].Ino < rep.Findings[j].Ino })
+	rep.Wall = time.Now().UnixNano()
+	return rep
 }
 
 // compare returns "" when the region view and the DFS agree, else a

@@ -208,3 +208,36 @@ func TestCompareClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestChunksFindsAnOrphan: a file unlinked on the MDS behind the client's
+// back — no drop sent — leaves chunks no shard's tree names, and the
+// chunk audit reports exactly that inode; a remove through the client
+// leaves nothing to report.
+func TestChunksFindsAnOrphan(t *testing.T) {
+	bus := rpc.NewBus()
+	cluster := dfs.NewCluster(bus, vclock.Default(), rootCred, "storage0", []string{"storage1", "storage2"})
+	cl := cluster.NewClient("admin", rootCred, 0, 0)
+	for _, p := range []string{"/kept", "/removed", "/stranded"} {
+		if _, err := cl.Create(0, p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.WriteAt(0, p, 0, []byte("bytes of "+p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Remove(0, "/removed"); err != nil {
+		t.Fatal(err)
+	}
+	gone, err := cluster.MDS.Tree().Remove("/stranded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Chunks(cluster)
+	if rep.OrphanChunks != 1 || rep.Matched != 1 || len(rep.Findings) != 1 ||
+		rep.Findings[0].Ino != gone.Ino || rep.Findings[0].Verdict != OrphanChunk || rep.Clean() {
+		t.Fatalf("chunk audit: %+v, want the one orphan inode %d", rep, gone.Ino)
+	}
+	if !strings.Contains(rep.String(), "orphan-chunk") {
+		t.Fatalf("report does not name the class: %s", rep)
+	}
+}

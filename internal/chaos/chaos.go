@@ -290,6 +290,7 @@ func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error,
 	}
 	for j, i := range idx {
 		errs[i] = ferrs[j]
+		ops[i] = fwd[j] // what the DFS filled in: the inodes
 	}
 	return errs, done, nil
 }
@@ -447,12 +448,6 @@ func (w *worker) exclusiveOp() {
 	switch k := w.rng.Intn(100); {
 	case k < 60: // write
 		off := int64(w.rng.Intn(3) * 8)
-		if straddleThreshold(w.h.cfg.Seed) != 0 {
-			// A hole in a large file reads a removed incarnation's bytes:
-			// the DFS's Remove frees no chunks (ROADMAP item 8). Until it
-			// does, the schedules that cross write none.
-			off = min(off, int64(len(content)))
-		}
 		data := make([]byte, 1+w.rng.Intn(smallWriteMax))
 		for b := range data {
 			data[b] = byte('a' + w.rng.Intn(26))
@@ -874,6 +869,11 @@ func Run(cfg Config) (Result, error) {
 		if rep.Divergent > 0 || rep.StalePending > 0 {
 			h.violate("post-drain audit not clean: %s", rep)
 		}
+	}
+	// And the data path: every unlinked file's bytes were dropped.
+	if chunks := audit.Chunks(h.cluster); chunks.OrphanChunks > 0 {
+		auditRep.OrphanChunks = chunks.OrphanChunks
+		h.violate("post-drain chunk audit not clean: %s", chunks)
 	}
 
 	injected, stalls := inj.counts()

@@ -57,8 +57,9 @@ var auditSchedules = []Config{
 
 // TestChaosConvergence runs randomized schedules (100+ in full mode) and
 // requires every one to converge with zero violations: cache, DFS and
-// the in-memory oracle agree after the drain, and the divergence audit
-// finds nothing divergent or stale-pending.
+// the in-memory oracle agree after the drain, the divergence audit finds
+// nothing divergent or stale-pending, and the chunk audit no orphan
+// chunk.
 func TestChaosConvergence(t *testing.T) {
 	schedules := 104
 	if testing.Short() {
@@ -73,6 +74,9 @@ func TestChaosConvergence(t *testing.T) {
 					t.Logf("%s stage latencies:\n%s", name, res.StageSummary)
 				}
 				t.Fatalf("schedule diverged: %v\nresult: %+v", err, res)
+			}
+			if res.Audit.OrphanChunks != 0 {
+				t.Fatalf("%d inodes' chunks outlived their files: %s", res.Audit.OrphanChunks, res.Audit)
 			}
 			if audited && res.Audit.Sampled == 0 {
 				t.Fatalf("the audit sampled no entry: %s", res.Audit)

@@ -14,10 +14,11 @@ import (
 // subtree on the DFS and later roll back to it after a client-node
 // failure loses uncommitted operations. Only the application's workspace
 // is checkpointed, not the whole namespace, and the interface is exposed
-// to applications so they choose intervals. Checkpoints capture the
-// metadata subtree; file contents on the data servers are keyed by path
-// and crash-consistent on their own, so restoring the metadata re-attaches
-// them.
+// to applications so they choose intervals. A checkpoint is a copy of the
+// workspace, metadata and bytes: the DFS keys a file's data by its inode,
+// and a copied file is a new inode, so its bytes are copied with it — the
+// checkpoint holds the workspace as it was, whatever later writes do to
+// the originals, and a restore copies them back the same way.
 
 // ckptRoot is where checkpoints live on the DFS.
 const ckptRoot = "/.pacon"
@@ -35,14 +36,21 @@ func mkdirIgnoreExist(b Backend, at vclock.Time, p string, st fsapi.Stat) (vcloc
 	return done, nil
 }
 
-// copySubtree duplicates the metadata subtree rooted at src to dst.
+// copyPiece is how many bytes copyFile moves per read and write.
+const copyPiece = 1 << 20
+
+// copySubtree duplicates the subtree rooted at src to dst: every object's
+// metadata, and every file's bytes.
 func copySubtree(b Backend, at vclock.Time, src, dst string) (vclock.Time, error) {
 	st, at, err := b.Stat(at, src)
 	if err != nil {
 		return at, err
 	}
 	if !st.IsDir() {
-		return applyOne(b, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: dst, Stat: st})
+		if at, err = applyOne(b, at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: dst, Stat: st}); err != nil {
+			return at, err
+		}
+		return copyFile(b, at, src, dst, st.Size)
 	}
 	if at, err = mkdirIgnoreExist(b, at, dst, st); err != nil {
 		return at, err
@@ -54,6 +62,21 @@ func copySubtree(b Backend, at vclock.Time, src, dst string) (vclock.Time, error
 	for _, ent := range ents {
 		at, err = copySubtree(b, at, namespace.Join(src, ent.Name), namespace.Join(dst, ent.Name))
 		if err != nil {
+			return at, err
+		}
+	}
+	return at, nil
+}
+
+// copyFile copies the size bytes of src into dst, which has that size
+// already, a piece at a time.
+func copyFile(b Backend, at vclock.Time, src, dst string, size int64) (vclock.Time, error) {
+	for off := int64(0); off < size; off += copyPiece {
+		data, done, err := b.ReadAt(at, src, off, int(min(copyPiece, size-off)))
+		if err != nil {
+			return done, err
+		}
+		if at, err = b.WriteAt(done, dst, off, data); err != nil {
 			return at, err
 		}
 	}

@@ -291,7 +291,7 @@ func (c *committer) applyWave(counted bool) {
 		}
 		c.bops = append(c.bops, bop)
 	}
-	errs, batchErr := c.applyBatch(t)
+	errs, batchErr := c.applyBatch(t, c.bops)
 
 	c.verdicts, c.writes = c.verdicts[:0], c.writes[:0]
 	for i := range c.wave {
@@ -300,10 +300,16 @@ func (c *committer) applyWave(counted bool) {
 		if err == nil {
 			err = errs[i]
 		}
+		// The inode the bytes go to: the one the batch answered, or the
+		// one an adoption set.
+		ino := c.bops[i].Ino
 		v := c.classify(op, err)
+		if v.ino != 0 {
+			ino = v.ino
+		}
 		// From here on inline says the op has bytes in this wave's write.
 		if v.inline = v.inline && len(op.Stat.Inline) > 0; v.inline {
-			c.writes = append(c.writes, fsapi.FileWrite{Path: op.Path, Data: op.Stat.Inline})
+			c.writes = append(c.writes, fsapi.FileWrite{Path: op.Path, Ino: ino, Data: op.Stat.Inline})
 		}
 		c.verdicts = append(c.verdicts, v)
 	}
@@ -345,30 +351,30 @@ func (c *committer) applyWave(counted bool) {
 }
 
 // applyBatch is every metadata mutation the commit side makes: one
-// Backend.ApplyBatch of c.bops leaving at t, be they a wave or the one-op
-// setstat of an adoption. Settles still waiting (the previous wave's, and
-// this wave's discards) leave beside it, from the same virtual instant,
-// and the process goes on when both have answered: it waits for the MDS
-// and not, on top of it, for the cache servers. Both are issued from this
-// goroutine, one after the other, which is what rpc.Caller.FanOut does on
-// a transport that runs handlers inline; over TCP a real fan-out would
-// overlap the two waits, at two goroutines a wave (app_mix_tcp read
-// +3.7 % alloc_b_per_op with it, past its bound), and issued in turn they
-// take the wall time they took when the settle closed the wave. It
-// returns the per-op results, or the batch-level error of a backend that
-// could not say more — which callers read as the result of every op in
-// the batch: commitOutcome resubmits ErrClosed and ErrStale and drops on
-// anything else, as it would for an op sent alone.
-func (c *committer) applyBatch(t vclock.Time) ([]error, error) {
+// Backend.ApplyBatch of ops leaving at t, be they a wave's (c.bops) or
+// the one-op setstat of an adoption. Settles still waiting (the previous
+// wave's, and this wave's discards) leave beside it, from the same
+// virtual instant, and the process goes on when both have answered: it
+// waits for the MDS and not, on top of it, for the cache servers. Both
+// are issued from this goroutine, one after the other, which is what
+// rpc.Caller.FanOut does on a transport that runs handlers inline; over
+// TCP a real fan-out would overlap the two waits, at two goroutines a
+// wave (app_mix_tcp read +3.7 % alloc_b_per_op with it, past its bound),
+// and issued in turn they take the wall time they took when the settle
+// closed the wave. It returns the per-op results, or the batch-level
+// error of a backend that could not say more — which callers read as the
+// result of every op in the batch: commitOutcome resubmits ErrClosed and
+// ErrStale and drops on anything else, as it would for an op sent alone.
+func (c *committer) applyBatch(t vclock.Time, ops []fsapi.BatchOp) ([]error, error) {
 	r := c.r
 	r.batchRPCs.Add(1)
-	r.batchedOps.Add(int64(len(c.bops)))
+	r.batchedOps.Add(int64(len(ops)))
 	r.backendRPCs.Add(1)
 	settled := t
 	if len(c.settles) > 0 {
 		settled = c.sendSettles(t)
 	}
-	errs, done, err := c.backend.ApplyBatch(t, c.bops)
+	errs, done, err := c.backend.ApplyBatch(t, ops)
 	c.now = vclock.Max(done, settled)
 	if err != nil {
 		r.batchFallbacks.Add(1)
@@ -509,7 +515,7 @@ func (c *committer) classify(op *Op, err error) commitVerdict {
 
 // adopt imposes a create's metadata on the object the DFS already holds
 // under its path (commitOutcome's ErrExist row 3), and answers with the
-// row that ends the op.
+// row that ends the op, carrying the adopted object's inode.
 func (c *committer) adopt(op *Op) commitVerdict {
 	r := c.r
 	st := op.Stat
@@ -525,12 +531,14 @@ func (c *committer) adopt(op *Op) commitVerdict {
 		// never apply.
 		return rowDrop(op.Kind, dropReasonKindConflict)
 	}
-	// The wave's batch has been answered; its scratch is free.
-	c.bops = append(c.bops[:0], fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st})
-	if errs, aerr := c.applyBatch(c.now); aerr != nil || errs[0] != nil {
+	// Not in c.bops: the wave's inodes are still to be read.
+	set := []fsapi.BatchOp{{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st}}
+	if errs, aerr := c.applyBatch(c.now, set); aerr != nil || errs[0] != nil {
 		return rowResubmit
 	}
-	return rowCreateLanded
+	v := rowCreateLanded
+	v.ino = set[0].Ino
+	return v
 }
 
 // conclude carries out one commit row: the write-back of what an fsync

@@ -127,7 +127,7 @@ func TestIndependentCommitConvergesToModel(t *testing.T) {
 
 			// The DFS namespace under /w must equal the model exactly.
 			got := map[string]fsapi.FileType{}
-			err := e.dfs.MDS.Tree().Walk("/w", func(p string, st fsapi.Stat) error {
+			err := e.dfs.MDS.Tree().Walk("/w", func(p string, _ uint64, st fsapi.Stat) error {
 				got[p] = st.Type
 				return nil
 			})
@@ -269,7 +269,7 @@ func TestRmdirRacingCreates(t *testing.T) {
 			t.Fatal("removed directory still on DFS")
 		}
 		// No orphans: every DFS path under /w has a directory parent.
-		err = e.dfs.MDS.Tree().Walk("/w", func(p string, st fsapi.Stat) error { return nil })
+		err = e.dfs.MDS.Tree().Walk("/w", func(p string, _ uint64, st fsapi.Stat) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -750,6 +750,9 @@ type commitVerdict struct {
 	// fsync spilled before the create committed (§III.D.2).
 	inline, spill bool
 	reason        string
+	// ino is the inode an adoption set (committer.adopt), for the bytes:
+	// 0 leaves them to the one the op's own batch answered.
+	ino uint64
 }
 
 var (

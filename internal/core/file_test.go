@@ -507,10 +507,68 @@ func TestCheckpointRestoreAfterNodeFailure(t *testing.T) {
 	if _, _, err := c2.Stat(at, "/w/keep/b"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("post-checkpoint file resurrected: %v", err)
 	}
-	// Data re-attaches by path.
+	// The checkpoint held a copy of the bytes, and the restore copied
+	// them back.
 	got, _, err := c2.ReadAt(at, "/w/keep/a", 0, 100)
 	if err != nil || string(got) != "checkpointed" {
 		t.Fatalf("restored data = %q, %v", got, err)
+	}
+}
+
+// TestRestoreReadsCheckpointedBytes: a checkpoint holds the workspace's
+// bytes as they were. After it, a small inline file and a large file are
+// overwritten and a third file is removed and created again, all of it
+// committed; a restore brings back the checkpointed bytes of all three —
+// not what was written since, and not the re-created file's emptiness.
+func TestRestoreReadsCheckpointedBytes(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	c := e.client(t, "node0")
+	large := bytes.Repeat([]byte("checkpointed large file "), (64<<10)/24)
+	want := map[string][]byte{
+		"/w/small": []byte("twelve bytes"),
+		"/w/large": large,
+		"/w/gone":  []byte("removed, then created again"),
+	}
+	var at vclock.Time
+	var err error
+	for p, data := range want {
+		if at, err = c.Create(at, p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if at, err = c.WriteAt(at, p, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, at, err := e.region.Checkpoint(c, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if at, err = c.WriteAt(at, "/w/small", 0, []byte("TWELVE BYTES")); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.WriteAt(at, "/w/large", 0, bytes.Repeat([]byte{'x'}, len(large))); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Remove(at, "/w/gone"); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Create(at, "/w/gone", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+
+	if at, err = e.region.Restore(c, at, seq); err != nil {
+		t.Fatal(err)
+	}
+	for p, data := range want {
+		got, done, err := c.ReadAt(at, p, 0, len(data)+8)
+		at = done
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s after restore: %d bytes %.24q (%v), want the %d checkpointed %.24q", p, len(got), got, err, len(data), data)
+		}
 	}
 }
 

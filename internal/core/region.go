@@ -45,8 +45,11 @@ type Backend interface {
 	// entry per op: a metadata server that could not be reached fails
 	// its own ops there and no others. A non-nil batch-level error is
 	// for an implementation that cannot say more, and is read as that
-	// error on every op. ops is the commit process's scratch, refilled
-	// for the next wave: an implementation must not keep it past the call.
+	// error on every op. Each op that applied comes back with its Ino
+	// filled in (fsapi.BatchOp): the commit side writes a file's bytes to
+	// it, so a wrapper that forwards copies copies them back. ops is the
+	// commit process's scratch, refilled for the next wave: an
+	// implementation must not keep it past the call.
 	ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error)
 	// RmTree removes p's subtree and returns every path it removed, p
 	// included (Rmdir drops exactly those from the cache).

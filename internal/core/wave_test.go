@@ -231,7 +231,11 @@ func TestWaveIsOneApplyBatch(t *testing.T) {
 	if len(spy.batches) != 1 || !reflect.DeepEqual(spy.batches[0], want) {
 		t.Fatalf("backend saw batches %+v, want one of %+v", spy.batches, want)
 	}
-	if wantBytes := [][]fsapi.FileWrite{{{Path: "/w/small", Data: []byte("data")}}}; !reflect.DeepEqual(spy.bytes, wantBytes) || len(spy.writes) != 0 {
+	_, ino, err := e.dfs.MDS.Tree().LookupIno("/w/small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantBytes := [][]fsapi.FileWrite{{{Path: "/w/small", Ino: ino, Data: []byte("data")}}}; !reflect.DeepEqual(spy.bytes, wantBytes) || len(spy.writes) != 0 {
 		t.Fatalf("backend saw data writes %v and %v, want one WriteBatch of /w/small", spy.bytes, spy.writes)
 	}
 	if got := after.Committed - before.Committed; got != 4 {

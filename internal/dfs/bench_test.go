@@ -15,13 +15,13 @@ import (
 // like Pacon's commit clients: a long dentry TTL, so after the first
 // call ancestor resolution is a cache hit and the timed loop is the
 // request path itself.
-func benchClient(b *testing.B, shards int) *Client {
+func benchClient(b *testing.B, shards int, dataNodes ...string) *Client {
 	b.Helper()
 	var c *Cluster
 	if shards == 1 {
-		c = NewCluster(rpc.NewBus(), vclock.Default(), rootCred, "storage0", nil)
+		c = NewCluster(rpc.NewBus(), vclock.Default(), rootCred, "storage0", dataNodes)
 	} else {
-		c = NewClusterSharded(rpc.NewBus(), vclock.Default(), rootCred, "storage0", shards, []string{"/w"}, nil)
+		c = NewClusterSharded(rpc.NewBus(), vclock.Default(), rootCred, "storage0", shards, []string{"/w"}, dataNodes)
 	}
 	if _, err := c.NewClient("admin", rootCred, 0, 0).Mkdir(0, "/w", 0o777); err != nil {
 		b.Fatal(err)
@@ -74,6 +74,39 @@ func BenchmarkApplyBatch1(b *testing.B) {
 		errs, _, err := cl.ApplyBatch(0, ops)
 		if err != nil || errs[0] != nil {
 			b.Fatal(err, errs[0])
+		}
+	}
+}
+
+// BenchmarkApplyBatchRemove1 is a lone remove of a small file with bytes
+// through ApplyBatch, its drop_multi to the one data server holding them
+// included. make alloc-gate pins it: the drop is grouped on the stack and
+// sent from a pooled encoder, so it adds nothing to the remove's own
+// allocations.
+func BenchmarkApplyBatchRemove1(b *testing.B) {
+	cl := benchClient(b, 1, "storage1", "storage2", "storage3")
+	paths := benchPaths(b.N)
+	st := fsapi.NewFileStat(appCred, 0o644)
+	st.Size = 64
+	data := make([]byte, st.Size)
+	ops := []fsapi.BatchOp{{Kind: fsapi.BatchCreate, Stat: st}}
+	for _, p := range paths {
+		ops[0].Path = p
+		if errs, _, _ := cl.ApplyBatch(0, ops); errs[0] != nil {
+			b.Fatal(errs[0])
+		}
+		if errs, _, _ := cl.WriteBatch(0, []fsapi.FileWrite{{Path: p, Ino: ops[0].Ino, Data: data}}); errs[0] != nil {
+			b.Fatal(errs[0])
+		}
+	}
+	ops[0] = fsapi.BatchOp{Kind: fsapi.BatchRemove}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops[0].Path = paths[i]
+		errs, _, err := cl.ApplyBatch(0, ops)
+		if err != nil || errs[0] != nil || ops[0].Ino == 0 {
+			b.Fatal(err, errs[0], ops[0].Ino)
 		}
 	}
 }

@@ -162,17 +162,20 @@ func (c *Client) InvalidateSubtree(root string) {
 	}
 }
 
-// lookupRPC issues one lookup to the MDS.
-func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
+// lookupRPC issues one lookup to the MDS: p's stat and inode number.
+func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, uint64, vclock.Time, error) {
 	c.lookupRPCs.Add(1)
 	e := wire.GetEncoder()
 	e.String(p)
 	var st fsapi.Stat
-	done, err := c.call(c.mdsFor(p), "lookup", at, e, func(resp []byte) (err error) {
-		st, err = fsapi.UnmarshalStat(resp)
-		return err
+	var ino uint64
+	done, err := c.call(c.mdsFor(p), "lookup", at, e, func(resp []byte) error {
+		d := wire.NewDecoder(resp)
+		st = fsapi.DecodeStat(d)
+		ino = d.Uint64()
+		return d.Finish()
 	})
-	return st, done, err
+	return st, ino, done, err
 }
 
 // resolveAncestors walks every proper ancestor of p, charging one lookup
@@ -188,7 +191,7 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 	namespace.VisitAncestors(p, func(anc string) bool {
 		st, cached := c.cacheGet(anc, at)
 		if !cached {
-			if st, at, rerr = c.lookupRPC(at, anc); rerr != nil {
+			if st, _, at, rerr = c.lookupRPC(at, anc); rerr != nil {
 				return false
 			}
 			c.cachePut(anc, st, at)
@@ -207,9 +210,10 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 }
 
 // applyTo sends the ops at positions idx to one MDS as one apply_batch
-// and stores each one's result at its position in errs — the only
-// encoder of that frame and the only decoder of its reply, whether the
-// ops are one directory group of a commit wave or one mutation on its own.
+// and stores each one's result at its position in errs, and each
+// applied op's inode in its Ino (fsapi.BatchOp) — the only encoder of
+// that frame and the only decoder of its reply, whether the ops are one
+// directory group of a commit wave or one mutation on its own.
 // A round trip that failed, or a reply that does not decode, says
 // nothing about any of these ops, so that error becomes the result of
 // each of them — and of no op sent elsewhere: a dead shard never costs
@@ -247,14 +251,20 @@ func (c *Client) decodeApply(resp []byte, ops []fsapi.BatchOp, idx []int, errs [
 		return fmt.Errorf("dfs: apply_batch returned %d results for %d ops", n, len(idx))
 	}
 	for _, i := range idx {
+		op := &ops[i]
 		code := d.Byte()
 		detail := d.String()
-		errs[i] = fsapi.ErrOf(code, detail)
-		if errs[i] == nil {
-			switch ops[i].Kind {
-			case fsapi.BatchSetStat, fsapi.BatchRemove, fsapi.BatchRmdir:
-				c.cacheDrop(ops[i].Path)
-			}
+		errs[i], op.Ino = fsapi.ErrOf(code, detail), 0
+		if errs[i] != nil {
+			continue
+		}
+		op.Ino = d.Uint64()
+		switch op.Kind {
+		case fsapi.BatchRemove:
+			op.Stat.Size = int64(d.Uvarint())
+			c.cacheDrop(op.Path)
+		case fsapi.BatchSetStat, fsapi.BatchRmdir:
+			c.cacheDrop(op.Path)
 		}
 	}
 	return d.Finish()
@@ -267,20 +277,27 @@ var oneOp = []int{0}
 // path, or — a structural path — to every shard's mirror, all leaving at
 // the same instant. Every mirror is attempted even after an error,
 // keeping the mirrors in lockstep; the first error is reported. To the
-// caller a failed call and a refused op are the same thing.
-func (c *Client) mutate(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
+// caller a failed call and a refused op are the same thing. The op's Ino
+// is filled in as ApplyBatch fills it, and a remove that freed bytes
+// drops them (dropFreed).
+func (c *Client) mutate(at vclock.Time, op *fsapi.BatchOp) (vclock.Time, error) {
 	op.Path = namespace.Clean(op.Path)
 	at, err := c.resolveAncestors(at, op.Path)
 	if err != nil {
 		return at, err
 	}
-	return c.mutateOn(c.targets(op.Path), at, op)
+	at, err = c.mutateOn(c.targets(op.Path), at, op)
+	if freed(op) {
+		c.dropFreed(at, []namespace.Inode{{Ino: op.Ino, Size: op.Stat.Size}})
+	}
+	return at, err
 }
 
 // mutateOn sends op, alone, to each target (its path already cleaned and
 // resolved).
-func (c *Client) mutateOn(targets []string, at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
-	ops, errs := [1]fsapi.BatchOp{op}, [1]error{}
+func (c *Client) mutateOn(targets []string, at vclock.Time, op *fsapi.BatchOp) (vclock.Time, error) {
+	ops, errs := [1]fsapi.BatchOp{*op}, [1]error{}
+	defer func() { *op = ops[0] }()
 	if len(targets) == 1 {
 		return c.applyTo(targets[0], at, ops[:], oneOp, errs[:]), errs[0]
 	}
@@ -304,12 +321,12 @@ func (c *Client) mutateOn(targets []string, at vclock.Time, op fsapi.BatchOp) (v
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: fsapi.NewDirStat(c.cfg.Cred, mode)})
+	return c.mutate(at, &fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: fsapi.NewDirStat(c.cfg.Cred, mode)})
 }
 
 // Create creates an empty regular file.
 func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.cfg.Cred, mode)})
+	return c.mutate(at, &fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.cfg.Cred, mode)})
 }
 
 // CreateWithStat creates a file or directory carrying a prebuilt stat
@@ -319,35 +336,41 @@ func (c *Client) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock
 	if st.IsDir() {
 		kind = fsapi.BatchMkdir
 	}
-	return c.mutate(at, fsapi.BatchOp{Kind: kind, Path: p, Stat: st})
+	return c.mutate(at, &fsapi.BatchOp{Kind: kind, Path: p, Stat: st})
 }
 
 // SetStat replaces an object's metadata.
 func (c *Client) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: p, Stat: st})
+	return c.mutate(at, &fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: p, Stat: st})
 }
 
 // Stat resolves a path's metadata: traversal, which the directory cache
 // may shorten, plus a lookup of p itself, which nothing does — the
 // answer for the path asked about always comes from the MDS. It is the
 // authoritative read: what Pacon's cache-miss loads install as a
-// region's primary copy, and what ReadAt, WriteAt and moveData size
-// their work by, must be the backup copy as it is now, not a snapshot
-// that predates any number of asynchronously committed updates. A
-// directory's answer is also cached, to serve later as an ancestor.
+// region's primary copy, and what ReadAt and WriteAt size their work by,
+// must be the backup copy as it is now, not a snapshot that predates any
+// number of asynchronously committed updates. A directory's answer is
+// also cached, to serve later as an ancestor.
 func (c *Client) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
-	p = namespace.Clean(p)
+	st, _, at, err := c.stat(at, namespace.Clean(p))
+	return st, at, err
+}
+
+// stat is Stat of a cleaned path, with the inode number its lookup
+// answered beside the stat: the one the path's chunks are keyed by.
+func (c *Client) stat(at vclock.Time, p string) (fsapi.Stat, uint64, vclock.Time, error) {
 	at, err := c.resolveAncestors(at, p)
 	if err != nil {
-		return fsapi.Stat{}, at, err
+		return fsapi.Stat{}, 0, at, err
 	}
-	st, done, err := c.lookupRPC(at, p)
+	st, ino, done, err := c.lookupRPC(at, p)
 	if err != nil {
 		c.cacheDrop(p) // whatever dentry is there, the MDS no longer vouches for it
-		return fsapi.Stat{}, done, err
+		return fsapi.Stat{}, 0, done, err
 	}
 	c.cachePut(p, st, done)
-	return st, done, nil
+	return st, ino, done, nil
 }
 
 // StatFresh is Stat. It exists for benchmark/trace.go, which wraps every
@@ -357,10 +380,10 @@ func (c *Client) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, e
 	return c.Stat(at, p)
 }
 
-// Remove unlinks a file (metadata; chunks are dropped separately by
-// RemoveData for files that had content).
+// Remove unlinks a file. If it held bytes, their chunks are dropped from
+// the instant the MDS answered; the returned time does not wait for that.
 func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: p})
+	return c.mutate(at, &fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: p})
 }
 
 // Rmdir removes an empty directory. A mirrored directory removes
@@ -376,7 +399,7 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	}
 	targets := c.targets(p)
 	if len(targets) == 1 {
-		return c.mutateOn(targets, at, fsapi.BatchOp{Kind: fsapi.BatchRmdir, Path: p})
+		return c.mutateOn(targets, at, &fsapi.BatchOp{Kind: fsapi.BatchRmdir, Path: p})
 	}
 	outs, at, err := c.twoPhase(at, p, targets, rmdirPrepare, finishSweep, nil)
 	if err == nil {
@@ -392,7 +415,8 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 // the union over every shard the subtree touches. A mirrored directory's
 // sweeps are the finish step of the two-phase protocol: intents bracket
 // them, so a racing create into the doomed subtree fails with ErrStale
-// instead of landing on a shard that was already swept.
+// instead of landing on a shard that was already swept. The chunks of
+// the removed files that held bytes are dropped as Remove drops them.
 func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error) {
 	p = namespace.Clean(p)
 	at, err := c.resolveAncestors(at, p)
@@ -409,6 +433,8 @@ func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
 	// A shard that never materialized the directory has nothing to
 	// sweep; a mirrored one is reported by every shard that did.
 	var removed []string
+	var freed []namespace.Inode
+	defer func() { c.dropFreed(at, freed) }()
 	var seen map[string]bool
 	for _, r := range outs {
 		if fsapi.CodeOf(r.err) == fsapi.CodeNotExist {
@@ -419,6 +445,7 @@ func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
 		}
 		d := wire.NewDecoder(r.body)
 		paths := d.Strings() // count-guarded: a reply cannot size this by a number it made up
+		freed = decodeInodes(d, freed)
 		if err := d.Finish(); err != nil {
 			return nil, at, err
 		}
@@ -452,8 +479,8 @@ func (c *Client) RmTree(at vclock.Time, p string) ([]string, vclock.Time, error)
 // subtree under an intent, inserting the export on the destination
 // shard is the decision, finish unlinks the source. Structural
 // endpoints are refused: moving a mirrored directory has no atomic
-// implementation. Data chunks are keyed by path, so a renamed file's
-// bytes are re-homed too.
+// implementation. It is metadata only: every object keeps its inode
+// number, and the data servers key chunks by that, so no byte moves.
 func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 	src, dst = namespace.Clean(src), namespace.Clean(dst)
 	at, err := c.resolveAncestors(at, src)
@@ -482,12 +509,6 @@ func (c *Client) Rename(at vclock.Time, src, dst string) (vclock.Time, error) {
 		return at, err
 	}
 	c.InvalidateSubtree(src)
-	// Re-home data chunks (they are keyed by path): walk the moved
-	// subtree and copy each file's bytes. Renames are rare in the
-	// workloads; a copy keeps the data servers' layout simple.
-	if len(c.cfg.DataAddrs) > 0 {
-		at = c.moveData(at, src, dst)
-	}
 	return at, nil
 }
 
@@ -518,78 +539,13 @@ func (c *Client) xferApply(at vclock.Time, addr, dst string, export []byte) (vcl
 	for i := 0; i < n && d.Err() == nil; i++ {
 		e.String(d.String())
 		fsapi.EncodeStat(e, fsapi.DecodeStat(d))
+		e.Uint64(d.Uint64())
 	}
 	if err := d.Finish(); err != nil {
 		wire.PutEncoder(e)
 		return at, err
 	}
 	return c.call(addr, "xfer_apply", at, e, nil)
-}
-
-// moveData recursively copies the chunks of every file under the moved
-// subtree from its old path to its new one.
-func (c *Client) moveData(at vclock.Time, src, dst string) vclock.Time {
-	st, done, err := c.Stat(at, dst)
-	at = done
-	if err != nil {
-		return at
-	}
-	if st.IsDir() {
-		ents, done, err := c.Readdir(at, dst)
-		at = done
-		if err != nil {
-			return at
-		}
-		for _, ent := range ents {
-			at = c.moveData(at, namespace.Join(src, ent.Name), namespace.Join(dst, ent.Name))
-		}
-		return at
-	}
-	if st.Size == 0 {
-		return at
-	}
-	data, done, err := c.readChunks(at, src, 0, int(st.Size))
-	at = done
-	if err != nil || len(data) == 0 {
-		return at
-	}
-	if done, werr := c.WriteAt(at, dst, 0, data); werr == nil {
-		at = done
-	}
-	if done, derr := c.RemoveData(at, src); derr == nil {
-		at = done
-	}
-	return at
-}
-
-// readChunks reads n bytes at off from p's striped chunks, by path and
-// without consulting its metadata; sparse regions read as zeros.
-func (c *Client) readChunks(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error) {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		chunk, inOff, want := chunkSpan(off+int64(len(out)), n-len(out))
-		e := wire.GetEncoder()
-		e.String(p)
-		e.Int64(chunk)
-		e.Uint32(uint32(inOff))
-		e.Uint32(uint32(want))
-		done, err := c.call(c.serverFor(p, chunk), "read", at, e, func(resp []byte) error {
-			d := wire.NewDecoder(resp)
-			part := d.BlobView()
-			if err := d.Finish(); err != nil {
-				return err
-			}
-			// A sparse region reads as zeros to the requested length.
-			out = append(out, part...)
-			out = append(out, make([]byte, want-min(want, len(part)))...)
-			return nil
-		})
-		at = done
-		if err != nil {
-			return nil, at, err
-		}
-	}
-	return out, at, nil
 }
 
 // Readdir lists a directory. A mirrored directory merges the per-shard
@@ -632,28 +588,106 @@ func chunkSpan(pos int64, want int) (chunk int64, inOff, n int) {
 	return pos / ChunkSize, inOff, min(want, ChunkSize-inOff)
 }
 
-// serverIndex maps a chunk of a path to its data server's position in
+// serverIndex maps a chunk of an inode to its data server's position in
 // DataAddrs, striping consecutive chunks round-robin from a per-file
-// starting server.
-func (c *Client) serverIndex(p string, chunk int64) int {
-	h := fnv.New32a()
-	h.Write([]byte(p))
-	return int((int64(h.Sum32()) + chunk) % int64(len(c.cfg.DataAddrs)))
+// starting server that a hash of the inode number picks.
+func (c *Client) serverIndex(ino uint64, chunk int64) int {
+	// SplitMix64's finalizer: consecutive numbers land far apart.
+	h := (ino ^ ino>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	n := uint64(len(c.cfg.DataAddrs))
+	return int((h%n + uint64(chunk)) % n)
 }
 
-func (c *Client) serverFor(p string, chunk int64) string {
-	return c.cfg.DataAddrs[c.serverIndex(p, chunk)]
+func (c *Client) serverFor(ino uint64, chunk int64) string {
+	return c.cfg.DataAddrs[c.serverIndex(ino, chunk)]
 }
 
-var errNoDataServers = errors.New("dfs: no data servers configured")
+var (
+	errNoDataServers = errors.New("dfs: no data servers configured")
+	errNoInode       = errors.New("dfs: write names no inode")
+)
 
 // encodeWrite appends one write_multi entry: data goes to offset inOff of
-// chunk `chunk` of p.
-func encodeWrite(e *wire.Encoder, p string, chunk int64, inOff int, data []byte) {
-	e.String(p)
+// chunk `chunk` of inode ino.
+func encodeWrite(e *wire.Encoder, ino uint64, chunk int64, inOff int, data []byte) {
+	e.Uint64(ino)
 	e.Int64(chunk)
 	e.Uint32(uint32(inOff))
 	e.Blob(data)
+}
+
+// readChunks reads n bytes at off from inode ino's striped chunks;
+// sparse regions read as zeros.
+func (c *Client) readChunks(at vclock.Time, ino uint64, off int64, n int) ([]byte, vclock.Time, error) {
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		chunk, inOff, want := chunkSpan(off+int64(len(out)), n-len(out))
+		e := wire.GetEncoder()
+		e.Uint64(ino)
+		e.Int64(chunk)
+		e.Uint32(uint32(inOff))
+		e.Uint32(uint32(want))
+		done, err := c.call(c.serverFor(ino, chunk), "read", at, e, func(resp []byte) error {
+			d := wire.NewDecoder(resp)
+			part := d.BlobView()
+			if err := d.Finish(); err != nil {
+				return err
+			}
+			// A sparse region reads as zeros to the requested length.
+			out = append(out, part...)
+			out = append(out, make([]byte, want-min(want, len(part)))...)
+			return nil
+		})
+		at = done
+		if err != nil {
+			return nil, at, err
+		}
+	}
+	return out, at, nil
+}
+
+// freed reports whether op unlinked a file that held bytes: an applied
+// remove's answer carries the file's inode and size.
+func freed(op *fsapi.BatchOp) bool {
+	return op.Kind == fsapi.BatchRemove && op.Ino != 0 && op.Stat.Size > 0
+}
+
+// dropFreed frees the chunks of the given unlinked files: one drop_multi
+// to each data server that holds a chunk of any of them, naming its
+// share, every call leaving at `at`. The unlinks have been answered; this
+// is cleanup charged to the data servers, so nobody waits for it and its
+// completion is not returned. A file of size s has chunks on the
+// ceil(s/ChunkSize) servers that follow its first, at most all of them.
+func (c *Client) dropFreed(at vclock.Time, freed []namespace.Inode) {
+	n := len(c.cfg.DataAddrs)
+	if len(freed) == 0 || n == 0 {
+		return
+	}
+	holds := func(srv int, f namespace.Inode) bool {
+		k := (srv - c.serverIndex(f.Ino, 0) + n) % n
+		return int64(k)*ChunkSize < f.Size
+	}
+	for srv, addr := range c.cfg.DataAddrs {
+		count := 0
+		for _, f := range freed {
+			if holds(srv, f) {
+				count++
+			}
+		}
+		if count == 0 {
+			continue
+		}
+		e := wire.GetEncoder()
+		e.Uvarint(uint64(count))
+		for _, f := range freed {
+			if holds(srv, f) {
+				e.Uint64(f.Ino)
+			}
+		}
+		c.call(addr, "drop_multi", at, e, nil)
+	}
 }
 
 // WriteAt stripes data across the data servers, one write_multi frame of
@@ -664,7 +698,7 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 	if len(c.cfg.DataAddrs) == 0 {
 		return at, errNoDataServers
 	}
-	st, at, err := c.Stat(at, p)
+	st, ino, at, err := c.stat(at, p)
 	if err != nil {
 		return at, err
 	}
@@ -675,8 +709,8 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 		chunk, inOff, room := chunkSpan(off+int64(n), len(data)-n)
 		e := wire.GetEncoder()
 		e.Uvarint(1)
-		encodeWrite(e, p, chunk, inOff, data[n:n+room])
-		done, err := c.call(c.serverFor(p, chunk), "write_multi", at, e, nil)
+		encodeWrite(e, ino, chunk, inOff, data[n:n+room])
+		done, err := c.call(c.serverFor(ino, chunk), "write_multi", at, e, nil)
 		if err != nil {
 			return done, err
 		}
@@ -692,9 +726,11 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 
 // WriteBatch writes whole small files, each at offset 0, for a caller
 // that has just created them or set their stat — a commit wave, whose
-// apply_batch carried every file's size and was answered a moment ago.
+// apply_batch carried every file's size and was answered a moment ago
+// with each file's inode (fsapi.FileWrite.Ino, from fsapi.BatchOp.Ino).
 // So nothing here asks the MDS anything: no Stat, no size update, and a
-// dead metadata shard cannot fail a write-back. Each data server touched
+// dead metadata shard cannot fail a write-back. A file with bytes and no
+// inode fails in its slot. Each data server touched
 // gets one write_multi holding its share of the files, all leaving at
 // `at`. The returned slice has one entry per file — nil for success, a
 // server's error for every file with a piece on it — and that is all
@@ -714,7 +750,11 @@ func (c *Client) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, v
 		if len(f.Data) == 0 {
 			continue
 		}
-		srv := c.serverIndex(f.Path, 0)
+		if f.Ino == 0 {
+			errs[i], f.Data = fsapi.WrapPath("write", f.Path, errNoInode), nil // no frame carries it
+			continue
+		}
+		srv := c.serverIndex(f.Ino, 0)
 		spread = spread || len(f.Data) > ChunkSize || lone >= 0 && srv != lone
 		lone = srv
 		entries++
@@ -729,13 +769,15 @@ func (c *Client) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]error, v
 	e.Uvarint(uint64(entries))
 	for i := range files {
 		if f := &files[i]; len(f.Data) > 0 {
-			encodeWrite(e, f.Path, 0, 0, f.Data)
+			encodeWrite(e, f.Ino, 0, 0, f.Data)
 		}
 	}
 	done, err := c.call(c.cfg.DataAddrs[lone], "write_multi", at, e, nil)
 	if err != nil {
 		for i := range errs {
-			errs[i] = err
+			if len(files[i].Data) > 0 {
+				errs[i] = err
+			}
 		}
 	}
 	return errs, done, nil
@@ -752,7 +794,7 @@ func (c *Client) writeFanOut(at vclock.Time, files []fsapi.FileWrite, errs []err
 	scratch := make([]int, 2*n+len(files))
 	counts, touched, first := scratch[:n], scratch[n:n], scratch[2*n:]
 	for i := range files {
-		first[i] = c.serverIndex(files[i].Path, 0)
+		first[i] = c.serverIndex(files[i].Ino, 0)
 		for k := 0; k*ChunkSize < len(files[i].Data); k++ {
 			counts[(first[i]+k)%n]++
 		}
@@ -771,7 +813,7 @@ func (c *Client) writeFanOut(at vclock.Time, files []fsapi.FileWrite, errs []err
 			data := files[i].Data
 			for k := 0; k*ChunkSize < len(data); k++ {
 				if (first[i]+k)%n == to {
-					encodeWrite(e, files[i].Path, int64(k), 0, data[k*ChunkSize:min((k+1)*ChunkSize, len(data))])
+					encodeWrite(e, files[i].Ino, int64(k), 0, data[k*ChunkSize:min((k+1)*ChunkSize, len(data))])
 				}
 			}
 		}
@@ -793,32 +835,14 @@ func (c *Client) ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vcl
 	if len(c.cfg.DataAddrs) == 0 {
 		return nil, at, errNoDataServers
 	}
-	st, at, err := c.Stat(at, p)
+	st, ino, at, err := c.stat(at, p)
 	if err != nil {
 		return nil, at, err
 	}
 	if off >= st.Size {
 		return nil, at, nil
 	}
-	return c.readChunks(at, p, off, int(min(int64(n), st.Size-off)))
-}
-
-// Fsync flushes a file's chunks (one device sync on its first stripe
-// server).
-func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	if len(c.cfg.DataAddrs) == 0 {
-		return at, nil
-	}
-	return c.call(c.serverFor(p, 0), "sync", at, wire.GetEncoder(), nil)
-}
-
-// RemoveData drops a file's chunks from every data server.
-func (c *Client) RemoveData(at vclock.Time, p string) (vclock.Time, error) {
-	e := wire.GetEncoder()
-	e.String(namespace.Clean(p))
-	outs, done := c.sweep(at, c.cfg.DataAddrs, "drop", e)
-	return done, firstErr(outs)
+	return c.readChunks(at, ino, off, int(min(int64(n), st.Size-off)))
 }
 
 // StatBatch resolves a set of paths in as few MDS round trips as
@@ -924,15 +948,18 @@ func (c *Client) decodeStats(resp []byte, at vclock.Time, idx []int, cleaned []s
 // not resolve, and every op of a request whose round trip failed, carries
 // that error in its own slot while the other requests' answers stand. The
 // batch-level error is always nil; core.Backend keeps it for
-// implementations that cannot say more. A batch of one is the mutation
-// the singleton methods send (mutate), so a commit wave holding a lone op
+// implementations that cannot say more. Each op that applied has its Ino
+// filled in (fsapi.BatchOp), and the chunks of the files its removes
+// freed are dropped from the instant the batch was answered, which the
+// returned time does not wait for. A batch of one is the mutation the
+// singleton methods send (mutate), so a commit wave holding a lone op
 // allocates only the result it returns; len(ops) alone decides.
 func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	switch len(ops) {
 	case 0:
 		return nil, at, nil
 	case 1:
-		done, err := c.mutate(at, ops[0])
+		done, err := c.mutate(at, &ops[0])
 		return []error{err}, done, nil
 	}
 	errs := make([]error, len(ops))
@@ -940,8 +967,23 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 	// virtual clock like any client-side traversal would).
 	for i := range ops {
 		ops[i].Path = namespace.Clean(ops[i].Path)
+		ops[i].Ino = 0
 		at, errs[i] = c.resolveAncestors(at, ops[i].Path)
 	}
+	done := c.applyResolved(at, ops, errs)
+	var scratch [8]namespace.Inode
+	list := scratch[:0]
+	for i := range ops {
+		if op := &ops[i]; freed(op) {
+			list = append(list, namespace.Inode{Ino: op.Ino, Size: op.Stat.Size})
+		}
+	}
+	c.dropFreed(done, list)
+	return errs, done, nil
+}
+
+// applyResolved is ApplyBatch of ops whose ancestors resolved (errs nil).
+func (c *Client) applyResolved(at vclock.Time, ops []fsapi.BatchOp, errs []error) vclock.Time {
 	s := c.cfg.Shards
 	if s.N() == 1 {
 		// One MDS takes every resolved op: there is no shard to bucket by.
@@ -952,7 +994,7 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 				idx = append(idx, i)
 			}
 		}
-		return errs, c.applyDirs(s.addrs[0], at, ops, idx, errs), nil
+		return c.applyDirs(s.addrs[0], at, ops, idx, errs)
 	}
 	// Group the survivors by owning MDS, preserving order within a
 	// group. An op on a structural (mirrored) path goes to every shard
@@ -972,7 +1014,7 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 	latest := at
 	for _, i := range mirrored {
 		var done vclock.Time
-		done, errs[i] = c.mutateOn(s.addrs, at, ops[i])
+		done, errs[i] = c.mutateOn(s.addrs, at, &ops[i])
 		latest = vclock.Max(latest, done)
 	}
 	var done vclock.Time
@@ -983,7 +1025,7 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 			return c.applyDirs(g.addr, at, ops, g.idx, errs)
 		})
 	}
-	return errs, vclock.Max(latest, done), nil
+	return vclock.Max(latest, done)
 }
 
 // applyDirs sends one MDS its share of a batch, the positions idx in batch

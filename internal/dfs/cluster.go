@@ -42,8 +42,8 @@ func NewCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred,
 // own namespace tree, and one data server per data node.
 func newCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsAddrs, spreadRoots, dataNodes []string) *Cluster {
 	c := &Cluster{Net: net, Model: model, RootCred: rootCred, MDSAddrs: mdsAddrs, Shards: NewShardMap(mdsAddrs, spreadRoots)}
-	for _, addr := range mdsAddrs {
-		m := NewMDS(addr, model, rootCred)
+	for i, addr := range mdsAddrs {
+		m := newMDS(addr, model, rootCred, i)
 		net.Register(addr, m.Service())
 		c.MDSes = append(c.MDSes, m)
 	}
@@ -106,6 +106,28 @@ func (c *Cluster) OracleExists(p string) bool {
 // agrees and Owner names shard 0, the canonical one.
 func (c *Cluster) oracleTree(p string) *namespace.Tree {
 	return c.MDSes[c.Shards.Owner(p)].Tree()
+}
+
+// Inodes returns the inode number of every object some MDS shard holds,
+// read off the trees directly like OracleLookup.
+func (c *Cluster) Inodes() map[uint64]bool {
+	held := make(map[uint64]bool)
+	for _, m := range c.MDSes {
+		m.Tree().Walk("/", func(_ string, ino uint64, _ fsapi.Stat) error {
+			held[ino] = true
+			return nil
+		})
+	}
+	return held
+}
+
+// ChunksResident is how many chunks the data servers hold.
+func (c *Cluster) ChunksResident() int {
+	n := 0
+	for _, ds := range c.Data {
+		n += ds.ChunkCount()
+	}
+	return n
 }
 
 // NewClient builds a client on the given node. TTL 0 gives the paper's

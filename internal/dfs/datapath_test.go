@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pacon/internal/fsapi"
+	pobs "pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 	"pacon/internal/wire"
@@ -43,22 +45,25 @@ func (m *methodCounter) count(method string) int {
 func residentBytes(s *DataServer) (n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range s.chunks {
-		n += len(c)
+	for _, cs := range s.files {
+		for _, c := range cs {
+			n += len(c.data)
+		}
 	}
 	return n
 }
 
-// readBack is what a read of n bytes at off in chunk idx of path returns.
-func readBack(s *DataServer, path string, idx int64, off, n int) []byte {
+// readBack is what a read of n bytes at off in chunk idx of inode ino
+// returns.
+func readBack(s *DataServer, ino uint64, idx int64, off, n int) []byte {
 	e := wire.NewEncoder(n + 8)
-	s.readChunkInto(e, path, idx, off, n)
+	s.readChunkInto(e, ino, idx, off, n)
 	return wire.NewDecoder(e.Bytes()).Blob()
 }
 
 // writeFrame builds a write_multi frame of the given entries.
 type writeEntry struct {
-	path  string
+	ino   uint64
 	chunk int64
 	inOff uint32
 	data  []byte
@@ -68,12 +73,29 @@ func writeFrame(entries ...writeEntry) []byte {
 	e := wire.NewEncoder(64)
 	e.Uvarint(uint64(len(entries)))
 	for _, en := range entries {
-		e.String(en.path)
-		e.Int64(en.chunk)
-		e.Uint32(en.inOff)
-		e.Blob(en.data)
+		encodeWrite(e, en.ino, en.chunk, int(en.inOff), en.data)
 	}
 	return e.Bytes()
+}
+
+// dropFrame builds a drop_multi frame of the given inodes.
+func dropFrame(inos ...uint64) []byte {
+	e := wire.NewEncoder(64)
+	e.Uvarint(uint64(len(inos)))
+	for _, ino := range inos {
+		e.Uint64(ino)
+	}
+	return e.Bytes()
+}
+
+// inoOf is the inode the cluster's MDS holds at p.
+func inoOf(t *testing.T, c *Cluster, p string) uint64 {
+	t.Helper()
+	_, ino, err := c.oracleTree(p).LookupIno(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ino
 }
 
 // TestWriteMultiRefusesWhatLeavesItsChunk: the offset inside a chunk
@@ -85,12 +107,12 @@ func TestWriteMultiRefusesWhatLeavesItsChunk(t *testing.T) {
 	s := NewDataServer("t/data", vclock.Default())
 	bus := rpc.NewBus()
 	bus.Register("t/data", s.Service())
-	good := writeEntry{path: "/w/good", data: []byte("kept out")}
+	good := writeEntry{ino: 9, data: []byte("kept out")}
 	for name, bad := range map[string]writeEntry{
-		"offset 2^32-1":       {path: "/w/f", inOff: 1<<32 - 1, data: []byte("x")},
-		"offset at ChunkSize": {path: "/w/f", inOff: ChunkSize, data: []byte("x")},
-		"ends past the chunk": {path: "/w/f", inOff: ChunkSize - 3, data: []byte("four")},
-		"negative chunk":      {path: "/w/f", chunk: -1, data: []byte("x")},
+		"offset 2^32-1":       {ino: 1, inOff: 1<<32 - 1, data: []byte("x")},
+		"offset at ChunkSize": {ino: 1, inOff: ChunkSize, data: []byte("x")},
+		"ends past the chunk": {ino: 1, inOff: ChunkSize - 3, data: []byte("four")},
+		"negative chunk":      {ino: 1, chunk: -1, data: []byte("x")},
 	} {
 		frame := writeFrame(good, bad)
 		var err error
@@ -110,7 +132,7 @@ func TestWriteMultiRefusesWhatLeavesItsChunk(t *testing.T) {
 		}
 	}
 	// The last byte of a chunk is still inside it.
-	if _, _, err := bus.Invoke("t/data", "write_multi", 0, writeFrame(writeEntry{path: "/w/f", inOff: ChunkSize - 1, data: []byte("x")})); err != nil {
+	if _, _, err := bus.Invoke("t/data", "write_multi", 0, writeFrame(writeEntry{ino: 1, inOff: ChunkSize - 1, data: []byte("x")})); err != nil {
 		t.Fatalf("write ending at the chunk's end refused: %v", err)
 	}
 	if s.ChunkCount() != 1 || residentBytes(s) != ChunkSize {
@@ -124,14 +146,14 @@ func TestWriteMultiChargesTheSumOnce(t *testing.T) {
 	model := vclock.Default()
 	s := NewDataServer("t/data", model)
 	a, b := make([]byte, 100), make([]byte, 3000)
-	done, err := s.writeMulti(0, writeFrame(writeEntry{path: "/a", data: a}, writeEntry{path: "/b", chunk: 2, inOff: 7, data: b}), nil)
+	done, err := s.writeMulti(0, writeFrame(writeEntry{ino: 1, data: a}, writeEntry{ino: 2, chunk: 2, inOff: 7, data: b}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := vclock.Time(0).Add(s.ioCost(len(a)) + s.ioCost(len(b))); done != want || s.res.Ops() != 1 {
 		t.Fatalf("two-entry frame done at %d in %d device ops, want %d in one", done, s.res.Ops(), want)
 	}
-	if got := readBack(s, "/b", 2, 7, len(b)); !bytes.Equal(got, b) || s.bytesIn.Load() != int64(len(a)+len(b)) {
+	if got := readBack(s, 2, 2, 7, len(b)); !bytes.Equal(got, b) || s.bytesIn.Load() != int64(len(a)+len(b)) {
 		t.Fatalf("second entry read back %d bytes, %d counted in", len(got), s.bytesIn.Load())
 	}
 }
@@ -173,6 +195,9 @@ func TestWriteBatchAsksTheMDSNothing(t *testing.T) {
 	if err != nil || firstOf(errs) != nil {
 		t.Fatalf("creates: %v %v", errs, err)
 	}
+	for i := range files {
+		files[i].Ino = ops[i].Ino
+	}
 	files[2].Path = "/w//f2/" // cleaned on entry, like every path this client is handed
 	lookups, writes := obs.count("lookup"), c.MDS.Stats().Writes
 	errs, done, err := cl.WriteBatch(at, files)
@@ -210,18 +235,18 @@ func firstOf(errs []error) error {
 // files with a piece on it, each in its slot, and no others.
 func TestWriteBatchLoneServerAndDeadServer(t *testing.T) {
 	c, cl, obs := dataCluster(t)
-	// Names by the data server their first chunk goes to.
-	byServer := make([][]string, len(c.Data))
-	for i := 0; len(byServer[0]) < 3 || len(byServer[1]) < 1 || len(byServer[2]) < 1; i++ {
-		p := fmt.Sprintf("/w/n%d", i)
-		srv := cl.serverIndex(p, 0)
-		byServer[srv] = append(byServer[srv], p)
+	// Inodes by the data server their first chunk goes to.
+	byServer := make([][]uint64, len(c.Data))
+	for ino := uint64(1); len(byServer[0]) < 3 || len(byServer[1]) < 1 || len(byServer[2]) < 1; ino++ {
+		srv := cl.serverIndex(ino, 0)
+		byServer[srv] = append(byServer[srv], ino)
 	}
-	write := func(paths ...string) ([]error, []fsapi.FileWrite) {
+	write := func(inos ...uint64) ([]error, []fsapi.FileWrite) {
 		t.Helper()
-		files := make([]fsapi.FileWrite, len(paths))
-		for i, p := range paths {
-			files[i] = fsapi.FileWrite{Path: p, Data: []byte("bytes of " + p)}
+		files := make([]fsapi.FileWrite, len(inos))
+		for i, ino := range inos {
+			p := fmt.Sprintf("/w/n%d", ino)
+			files[i] = fsapi.FileWrite{Path: p, Ino: ino, Data: []byte("bytes of " + p)}
 		}
 		errs, _, err := cl.WriteBatch(0, files)
 		if err != nil {
@@ -241,7 +266,7 @@ func TestWriteBatchLoneServerAndDeadServer(t *testing.T) {
 	if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], fsapi.ErrClosed) {
 		t.Fatalf("with data server 1 down: %v, want only its file failed with ErrClosed", errs)
 	}
-	if got := readBack(c.Data[2], files[2].Path, 0, 0, 64); !bytes.Equal(got, files[2].Data) {
+	if got := readBack(c.Data[2], files[2].Ino, 0, 0, 64); !bytes.Equal(got, files[2].Data) {
 		t.Fatalf("live server holds %q, want %q", got, files[2].Data)
 	}
 	// The lone-server path has no one else to answer for.
@@ -274,5 +299,85 @@ func TestWriteAtSendsOneEntryFrames(t *testing.T) {
 	got, _, err := cl.ReadAt(0, "/w/big", off, len(data))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back %d bytes, %v", len(got), err)
+	}
+}
+
+// TestRemoveAndRmTreeFreeChunks: chunks are the inode's, and an unlink
+// that frees the inode drops them — a Remove, an ApplyBatch's removes and
+// an RmTree alike, with at most one drop_multi per data server per call,
+// and the dfs_chunks_resident gauge follows. A file created again under a
+// removed one's name is a new inode, and its hole reads zeros, not the
+// old bytes.
+func TestRemoveAndRmTreeFreeChunks(t *testing.T) {
+	c, cl, obs := dataCluster(t)
+	metrics := pobs.New()
+	c.RegisterHotMetrics(metrics)
+	resident := func(want int) {
+		t.Helper()
+		var prom strings.Builder
+		metrics.WriteProm(&prom)
+		if line := fmt.Sprintf("dfs_chunks_resident %d\n", want); !strings.Contains(prom.String(), line) {
+			t.Fatalf("gauge does not read %d chunks:\n%s", want, prom.String())
+		}
+	}
+	for _, d := range []string{"/w/d", "/w/d/sub"} {
+		if _, err := cl.Mkdir(0, d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizes := map[string]int{"/w/a": 10, "/w/big": 3*ChunkSize + 5, "/w/b1": 7, "/w/b2": 9, "/w/empty": 0,
+		"/w/d/x": 20, "/w/d/sub/y": ChunkSize + 1, "/w/d/sub/z": 0}
+	for p, n := range sizes {
+		if _, err := cl.Create(0, p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.WriteAt(0, p, 0, bytes.Repeat([]byte{'o'}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident(1 + 4 + 1 + 1 + 1 + 2)
+
+	if _, err := cl.Remove(0, "/w/a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Remove(0, "/w/big"); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.count("drop_multi"); got != 1+len(c.Data) {
+		t.Fatalf("%d drop_multi for a one-chunk file and a file on every server, want %d", got, 1+len(c.Data))
+	}
+	ops := []fsapi.BatchOp{
+		{Kind: fsapi.BatchRemove, Path: "/w/b1"},
+		{Kind: fsapi.BatchRemove, Path: "/w/b2"},
+		{Kind: fsapi.BatchRemove, Path: "/w/empty"},
+	}
+	before := obs.count("drop_multi")
+	if errs, _, _ := cl.ApplyBatch(0, ops); firstOf(errs) != nil {
+		t.Fatal(errs)
+	}
+	if got := obs.count("drop_multi") - before; got < 1 || got > 2 {
+		t.Fatalf("%d drop_multi for a batch freeing two one-chunk files", got)
+	}
+	before = obs.count("drop_multi")
+	if _, err := cl.Remove(0, "/w/d/sub/z"); err != nil || obs.count("drop_multi") != before {
+		t.Fatalf("the remove of an empty file sent %d drops (%v)", obs.count("drop_multi")-before, err)
+	}
+	if ops[2].Ino == 0 || ops[2].Stat.Size != 0 {
+		t.Fatalf("the remove of an empty file answered inode %d, size %d", ops[2].Ino, ops[2].Stat.Size)
+	}
+	if _, _, err := cl.RmTree(0, "/w/d"); err != nil {
+		t.Fatal(err)
+	}
+	resident(0)
+
+	if _, err := cl.Create(0, "/w/a", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WriteAt(0, "/w/a", 8, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := cl.ReadAt(0, "/w/a", 0, 16)
+	if want := append(make([]byte, 8), "new"...); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-created file reads %q (%v), want %q", got, err, want)
 	}
 }

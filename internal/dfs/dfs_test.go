@@ -283,8 +283,8 @@ func TestDataStripingUsesAllServers(t *testing.T) {
 			t.Fatalf("data server %d received no chunks", i)
 		}
 	}
-	// RemoveData clears them all.
-	if _, err := cl.RemoveData(0, "/w/big"); err != nil {
+	// Removing the file frees them all.
+	if _, err := cl.Remove(0, "/w/big"); err != nil {
 		t.Fatal(err)
 	}
 	for i, ds := range c.Data {
@@ -362,19 +362,6 @@ func TestWriteToDirectoryFails(t *testing.T) {
 	}
 }
 
-func TestFsyncCharges(t *testing.T) {
-	c := testCluster(t)
-	cl := appClient(t, c)
-	cl.Create(0, "/w/f", 0o644)
-	done, err := cl.Fsync(vclock.Time(time.Millisecond), "/w/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= vclock.Time(time.Millisecond) {
-		t.Fatal("fsync must advance virtual time")
-	}
-}
-
 func TestMDSStatsCount(t *testing.T) {
 	c := testCluster(t)
 	cl := appClient(t, c)
@@ -390,24 +377,53 @@ func TestMDSStatsCount(t *testing.T) {
 	}
 }
 
+// TestClientRenameMovesDataChunks: a file's chunks follow it through a
+// rename without being touched — in one shard and across two, the data
+// servers serve nothing while the rename runs (chunks are keyed by the
+// inode, which the rename keeps), the bytes read back at the new name
+// and the old name is gone.
 func TestClientRenameMovesDataChunks(t *testing.T) {
-	c := testCluster(t)
-	cl := appClient(t, c)
-	cl.Create(0, "/w/src.bin", 0o644)
+	c := NewClusterSharded(rpc.NewBus(), vclock.Default(), rootCred, "storage0", 2, []string{"/w"},
+		[]string{"storage1", "storage2", "storage3"})
+	if _, err := c.NewClient("node0", rootCred, 0, 0).Mkdir(0, "/w", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient("node0", appCred, 0, 0)
+	src, far := nameOwnedBy(t, c.Shards, 0, "src"), nameOwnedBy(t, c.Shards, 1, "far")
+	for _, d := range []string{src, far} {
+		if _, err := cl.Mkdir(0, d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
 	payload := bytes.Repeat([]byte{7}, 600*1024) // spans two chunks
-	at, err := cl.WriteAt(0, "/w/src.bin", 0, payload)
-	if err != nil {
+	if _, err := cl.Create(0, src+"/f", 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if at, err = cl.Rename(at, "/w/src.bin", "/w/dst.bin"); err != nil {
+	if _, err := cl.WriteAt(0, src+"/f", 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := cl.ReadAt(at, "/w/dst.bin", 0, len(payload))
+	served := func() (n int64) {
+		for _, ds := range c.Data {
+			n += ds.res.Ops()
+		}
+		return n
+	}
+	// In one shard, a file across shards, a directory across shards.
+	for _, mv := range [][2]string{{src + "/f", src + "/g"}, {src + "/g", far + "/h"}, {far, src + "/sub"}} {
+		before := served()
+		if _, err := cl.Rename(0, mv[0], mv[1]); err != nil {
+			t.Fatalf("rename %s → %s: %v", mv[0], mv[1], err)
+		}
+		if n := served() - before; n != 0 {
+			t.Fatalf("rename %s → %s: data servers served %d requests", mv[0], mv[1], n)
+		}
+		if _, _, err := cl.Stat(0, mv[0]); !errors.Is(err, fsapi.ErrNotExist) {
+			t.Fatalf("source %s still present: %v", mv[0], err)
+		}
+	}
+	got, _, err := cl.ReadAt(0, src+"/sub/h", 0, len(payload))
 	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("data after rename: len=%d err=%v", len(got), err)
-	}
-	if _, _, err := cl.Stat(at, "/w/src.bin"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("source still present: %v", err)
+		t.Fatalf("data after renames: len=%d err=%v", len(got), err)
 	}
 }
 

@@ -55,9 +55,9 @@ func applyInOrder(cl *Client, ops []fsapi.BatchOp) []error {
 		ops[i].Path = namespace.Clean(ops[i].Path)
 		_, errs[i] = cl.resolveAncestors(0, ops[i].Path)
 	}
-	for i, op := range ops {
+	for i := range ops {
 		if errs[i] == nil {
-			_, errs[i] = cl.mutateOn(cl.targets(op.Path), 0, op)
+			_, errs[i] = cl.mutateOn(cl.targets(ops[i].Path), 0, &ops[i])
 		}
 	}
 	return errs

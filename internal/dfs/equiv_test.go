@@ -16,7 +16,7 @@ import (
 func dumpTree(t *testing.T, m *MDS) string {
 	t.Helper()
 	var sb strings.Builder
-	err := m.Tree().Walk("/", func(p string, st fsapi.Stat) error {
+	err := m.Tree().Walk("/", func(p string, _ uint64, st fsapi.Stat) error {
 		fmt.Fprintf(&sb, "%s type=%d mode=%o uid=%d gid=%d size=%d\n", p, st.Type, st.Mode, st.UID, st.GID, st.Size)
 		return nil
 	})

@@ -50,8 +50,10 @@ func FuzzMDSHandlers(f *testing.F) {
 			e.Uvarint(2)
 			e.String("")
 			fsapi.EncodeStat(e, fsapi.NewDirStat(appCred, 0o755))
+			e.Uint64(0)
 			e.String("/leaf")
 			fsapi.EncodeStat(e, file)
+			e.Uint64(7)
 		}),
 		frame(func(e *wire.Encoder) { e.String("/w/d"); e.Uvarint(7) }), // intent_put, intent_finish, intent_del
 	}
@@ -110,6 +112,7 @@ func FuzzMDSHandlers(f *testing.F) {
 			switch method {
 			case "lookup":
 				fsapi.DecodeStat(d)
+				d.Uint64()
 			case "stat_batch":
 				for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 					if d.Byte() == fsapi.CodeOK {
@@ -119,12 +122,30 @@ func FuzzMDSHandlers(f *testing.F) {
 					}
 				}
 			case "apply_batch":
+				// The ops' kinds say which results carry a size: read them
+				// back off the request, which was accepted whole.
+				req := wire.NewDecoder(body)
+				req.Uint32()
+				req.Uint32()
+				req.Count()
 				for n := d.Count(); n > 0 && d.Err() == nil; n-- {
-					d.Byte()
+					kind := fsapi.BatchKind(req.Byte())
+					req.Bool()
+					_ = req.String()
+					fsapi.DecodeStat(req)
+					if d.Byte() != fsapi.CodeOK {
+						_ = d.String()
+						continue
+					}
 					_ = d.String()
+					d.Uint64()
+					if kind == fsapi.BatchRemove {
+						d.Uvarint()
+					}
 				}
 			case "rmtree":
 				d.Strings()
+				decodeInodes(d, nil)
 			case "readdir":
 				_, err = decodeDirEntries(resp)
 				d = wire.NewDecoder(nil)
@@ -132,6 +153,7 @@ func FuzzMDSHandlers(f *testing.F) {
 				for n := d.Count(); n > 0 && d.Err() == nil; n-- {
 					_ = d.String()
 					fsapi.DecodeStat(d)
+					d.Uint64()
 				}
 			}
 			// Every other endpoint answers with an empty reply.
@@ -143,7 +165,7 @@ func FuzzMDSHandlers(f *testing.F) {
 }
 
 // dataMethods is every endpoint DataServer.Service registers.
-var dataMethods = []string{"write_multi", "read", "drop", "sync"}
+var dataMethods = []string{"write_multi", "read", "drop_multi"}
 
 // FuzzDataServerHandlers feeds raw bytes to every endpoint the data
 // server registers, against a server holding one small file. Each must
@@ -155,23 +177,21 @@ var dataMethods = []string{"write_multi", "read", "drop", "sync"}
 // entry it had room to carry — not by an offset it made up, which is
 // what the fuzzer's own memory limit would otherwise find.
 func FuzzDataServerHandlers(f *testing.F) {
-	one := writeFrame(writeEntry{path: "/w/f", data: []byte("hello")})
+	one := writeFrame(writeEntry{ino: 1, data: []byte("hello")})
 	three := writeFrame(
-		writeEntry{path: "/w/a", data: []byte("aaaa")},
-		writeEntry{path: "/w/f", chunk: 3, inOff: 100, data: []byte("sparse")},
-		writeEntry{path: "/w/c", inOff: ChunkSize - 2, data: []byte("zz")},
+		writeEntry{ino: 2, data: []byte("aaaa")},
+		writeEntry{ino: 1, chunk: 3, inOff: 100, data: []byte("sparse")},
+		writeEntry{ino: 3, inOff: ChunkSize - 2, data: []byte("zz")},
 	)
 	read := func(off, n uint32) []byte {
 		e := wire.NewEncoder(32)
-		e.String("/w/f")
+		e.Uint64(1)
 		e.Int64(0)
 		e.Uint32(off)
 		e.Uint32(n)
 		return e.Bytes()
 	}
-	drop := wire.NewEncoder(8)
-	drop.String("/w/f")
-	for _, v := range [][]byte{one, three, read(1, 3), read(0, 1<<32-1), drop.Bytes()} {
+	for _, v := range [][]byte{one, three, read(1, 3), read(0, 1<<32-1), dropFrame(1), dropFrame(2, 1, 1)} {
 		f.Add(v)
 		f.Add(v[:len(v)-1])
 		f.Add(v[:len(v)/2])
@@ -179,14 +199,18 @@ func FuzzDataServerHandlers(f *testing.F) {
 	huge := wire.NewEncoder(16)
 	huge.Uvarint(1 << 60)
 	f.Add(huge.Bytes())
-	f.Add(writeFrame(writeEntry{path: "/w/f", inOff: ChunkSize, data: []byte("x")}))
-	f.Add(writeFrame(writeEntry{path: "/w/f", inOff: 1<<32 - 1, data: []byte("x")}))
-	f.Add(writeFrame(writeEntry{path: "/w/f", chunk: -1 << 63, data: []byte("x")}))
+	// A count beyond what the frame carries, and a count whose uvarint is
+	// cut off mid-number.
+	f.Add(append(dropFrame(1)[:0:0], 0x05, 1, 0, 0, 0, 0, 0, 0, 0))
+	f.Add([]byte{0x80, 0x80})
+	f.Add(writeFrame(writeEntry{ino: 1, inOff: ChunkSize, data: []byte("x")}))
+	f.Add(writeFrame(writeEntry{ino: 1, inOff: 1<<32 - 1, data: []byte("x")}))
+	f.Add(writeFrame(writeEntry{ino: 1, chunk: -1 << 63, data: []byte("x")}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 
-	// The smallest entry: an empty path, a chunk, an offset, an empty blob.
-	const minEntry = 1 + 8 + 4 + 1
+	// The smallest entry: an inode, a chunk, an offset, an empty blob.
+	const minEntry = 8 + 8 + 4 + 1
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, method := range dataMethods {
 			s := NewDataServer("fuzz/data", vclock.Default())

@@ -5,7 +5,9 @@ import (
 )
 
 // RegisterHotMetrics exports the metadata-service pool's size
-// (mds_shards) and load-skew gauges through an observability registry:
+// (mds_shards), the chunks the data servers hold (dfs_chunks_resident:
+// it falls when removes free their files' bytes) and load-skew gauges
+// through an observability registry:
 // imbalance of served ops and of accumulated virtual queue wait across the
 // MDS shards. Both are permille ratios (see obs.Skew) — a hot subtree
 // concentrates its traffic on the shard that owns it, so a max/mean well
@@ -17,6 +19,7 @@ func (c *Cluster) RegisterHotMetrics(o *obs.Obs) {
 		return
 	}
 	o.RegisterGauge("mds_shards", func() int64 { return int64(len(c.MDSes)) })
+	o.RegisterGauge("dfs_chunks_resident", func() int64 { return int64(c.ChunksResident()) })
 	shardLoads := func(read func(m *MDS) int64) []int64 {
 		loads := make([]int64, len(c.MDSes))
 		for i, m := range c.MDSes {

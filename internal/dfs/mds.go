@@ -47,12 +47,22 @@ type MDS struct {
 
 // NewMDS creates a metadata server whose root is owned by cred.
 func NewMDS(name string, model vclock.LatencyModel, cred fsapi.Cred) *MDS {
+	return newMDS(name, model, cred, 0)
+}
+
+// inoShardShift places a shard's index in the high bits of every inode
+// number it hands out, so numbers are unique across the shards of a
+// cluster and a subtree moving between shards keeps its own.
+const inoShardShift = 48
+
+// newMDS creates shard `shard` of a metadata service.
+func newMDS(name string, model vclock.LatencyModel, cred fsapi.Cred, shard int) *MDS {
 	workers := model.MDSWorkers
 	if workers <= 0 {
 		workers = 4
 	}
 	return &MDS{
-		tree:  namespace.NewTree(cred),
+		tree:  namespace.NewTreeFrom(cred, uint64(shard)<<inoShardShift|1),
 		model: model,
 		res:   vclock.NewResource(name, workers),
 	}
@@ -101,51 +111,52 @@ func (m *MDS) checkParentWritable(op, p string, cred fsapi.Cred) error {
 
 // applyOne applies one single-path mutation — the only statement of what
 // create, mkdir, setstat, remove and rmdir mean on an MDS: each reaches
-// it as an element of an apply_batch, alone or in a commit wave. The
-// caller holds intentMu shared.
-func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
+// it as an element of an apply_batch, alone or in a commit wave. It
+// returns the inode the op created, set or unlinked (an rmdir's is
+// zero). The caller holds intentMu shared.
+func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) (namespace.Inode, error) {
 	if err := m.intentBlocked("apply", op.Path); err != nil {
-		return err
+		return namespace.Inode{}, err
 	}
 	switch op.Kind {
-	case fsapi.BatchCreate:
+	case fsapi.BatchCreate, fsapi.BatchMkdir:
+		name := "create"
+		if op.Kind == fsapi.BatchMkdir {
+			name, op.Stat.Type = "mkdir", fsapi.TypeDir
+		} else {
+			op.Stat.Type = fsapi.TypeFile
+		}
 		// Existence first (POSIX: mkdir/creat of an existing name is
 		// EEXIST even in an unwritable parent).
 		if m.tree.Exists(op.Path) {
-			return fsapi.WrapPath("create", op.Path, fsapi.ErrExist)
+			return namespace.Inode{}, fsapi.WrapPath(name, op.Path, fsapi.ErrExist)
 		}
-		if err := m.checkParentWritable("create", op.Path, cred); err != nil {
-			return err
+		if err := m.checkParentWritable(name, op.Path, cred); err != nil {
+			return namespace.Inode{}, err
 		}
-		return m.tree.Create(op.Path, op.Stat)
-	case fsapi.BatchMkdir:
-		if m.tree.Exists(op.Path) {
-			return fsapi.WrapPath("mkdir", op.Path, fsapi.ErrExist)
-		}
-		if err := m.checkParentWritable("mkdir", op.Path, cred); err != nil {
-			return err
-		}
-		return m.tree.Mkdir(op.Path, op.Stat)
+		ino, err := m.tree.Add(op.Path, op.Stat, 0)
+		return namespace.Inode{Ino: ino}, err
 	case fsapi.BatchSetStat:
-		return m.tree.SetStat(op.Path, op.Stat)
+		ino, err := m.tree.SetStat(op.Path, op.Stat)
+		return namespace.Inode{Ino: ino}, err
 	case fsapi.BatchRemove:
 		if err := m.checkParentWritable("remove", op.Path, cred); err != nil {
-			return err
+			return namespace.Inode{}, err
 		}
-		err := m.tree.Remove(op.Path)
+		gone, err := m.tree.Remove(op.Path)
 		if op.IfExists && errors.Is(err, fsapi.ErrNotExist) {
 			// Net-absence remove: the coalescer folded a create+remove
 			// pair, so the object may never have reached the DFS.
-			return nil
+			return namespace.Inode{}, nil
 		}
-		return err
+		return gone, err
 	case fsapi.BatchRmdir:
 		if err := m.checkParentWritable("rmdir", op.Path, cred); err != nil {
-			return err
+			return namespace.Inode{}, err
 		}
-		return m.tree.Rmdir(op.Path)
+		return namespace.Inode{}, m.tree.Rmdir(op.Path)
 	default:
-		return fsapi.WrapPath("apply_batch", op.Path, fmt.Errorf("unknown batch op kind %d", op.Kind))
+		return namespace.Inode{}, fsapi.WrapPath("apply_batch", op.Path, fmt.Errorf("unknown batch op kind %d", op.Kind))
 	}
 }
 
@@ -164,12 +175,31 @@ func errDetail(code uint8, err error) string {
 	return ""
 }
 
+// encodeInodes appends a count-guarded list of inodes to be dropped.
+func encodeInodes(e *wire.Encoder, ins []namespace.Inode) {
+	e.Uvarint(uint64(len(ins)))
+	for _, in := range ins {
+		e.Uint64(in.Ino)
+		e.Uvarint(uint64(in.Size))
+	}
+}
+
+// decodeInodes reads what encodeInodes wrote, appending to ins.
+func decodeInodes(d *wire.Decoder, ins []namespace.Inode) []namespace.Inode {
+	n := d.Count()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		ins = append(ins, namespace.Inode{Ino: d.Uint64(), Size: int64(d.Uvarint())})
+	}
+	return ins
+}
+
 // Service exposes the MDS RPC methods.
 func (m *MDS) Service() *rpc.Service {
 	svc := rpc.NewService()
 
-	// lookup: resolve one path (used per component by the client). The
-	// service cost grows with the looked-up depth.
+	// lookup: resolve one path (used per component by the client) to its
+	// stat and inode number. The service cost grows with the looked-up
+	// depth.
 	svc.HandleInto("lookup", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
@@ -178,11 +208,12 @@ func (m *MDS) Service() *rpc.Service {
 		}
 		m.lookups.Add(1)
 		done := m.res.Acquire(at, m.lookupCost(namespace.Depth(p)))
-		st, err := m.tree.Lookup(p)
+		st, ino, err := m.tree.LookupIno(p)
 		if err != nil {
 			return done, err
 		}
 		fsapi.EncodeStat(reply, st)
+		reply.Uint64(ino)
 		return done, nil
 	})
 
@@ -219,7 +250,9 @@ func (m *MDS) Service() *rpc.Service {
 
 	// apply_batch: independent-path mutations in one round trip — a
 	// commit wave of Pacon's commit module, or one mutation on its own.
-	// Each op is applied independently and reports its own result code;
+	// Each op is applied independently and reports its own result code
+	// and, applied, the inode applyOne returned (a remove's with the
+	// unlinked file's size, which tells the client whether to drop);
 	// the batch succeeds at the RPC level even when individual ops fail,
 	// so one ErrExist does not force the whole batch through the retry
 	// path. A batch of one costs what a dedicated endpoint would: one
@@ -253,10 +286,16 @@ func (m *MDS) Service() *rpc.Service {
 		m.intentMu.RLock()
 		defer m.intentMu.RUnlock()
 		for _, op := range ops {
-			err := m.applyOne(op, cred)
+			in, err := m.applyOne(op, cred)
 			code := fsapi.CodeOf(err)
 			reply.Byte(code)
 			reply.String(errDetail(code, err))
+			if code == fsapi.CodeOK {
+				reply.Uint64(in.Ino)
+				if op.Kind == fsapi.BatchRemove {
+					reply.Uvarint(uint64(in.Size))
+				}
+			}
 		}
 		return done, nil
 	})
@@ -293,8 +332,9 @@ func (m *MDS) Service() *rpc.Service {
 
 	// rmtree: recursive removal, used by Pacon's commit module for
 	// directory removal. Returns the removed paths (the commit module
-	// mirrors the cleanup into the distributed cache). Cost scales with
-	// the subtree size.
+	// mirrors the cleanup into the distributed cache) and the inodes of
+	// the removed files that held bytes, with their sizes (the client
+	// drops their chunks). Cost scales with the subtree size.
 	svc.HandleInto("rmtree", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		p := pathArg(d)
@@ -310,13 +350,14 @@ func (m *MDS) Service() *rpc.Service {
 		m.writes.Add(1)
 		cost := m.model.MDSReadCost // what a refusal costs
 		var removed []string
+		var freed []namespace.Inode
 		m.intentMu.RLock()
 		err := m.intentBlockedExcept("rmtree", p, selfID)
 		if err == nil {
 			err = m.checkParentWritable("rmdir", p, cred)
 		}
 		if err == nil {
-			removed, err = m.tree.RemoveSubtree(p)
+			removed, freed, err = m.tree.RemoveSubtree(p)
 			cost = m.model.MDSWriteCost * vclock.Duration(1+len(removed))
 		}
 		m.intentMu.RUnlock()
@@ -328,6 +369,7 @@ func (m *MDS) Service() *rpc.Service {
 			return done, err
 		}
 		reply.Strings(removed)
+		encodeInodes(reply, freed)
 		return done, nil
 	})
 

@@ -116,7 +116,8 @@ func (m *MDS) Intents() int { return int(m.intentN.Load()) }
 // MDS service.
 func (m *MDS) shardHandlers(svc *rpc.Service) {
 	// xfer_prepare: log the intent, validate src, export the subtree
-	// pre-order as (relative path, stat) pairs. The intent goes in first:
+	// pre-order as (relative path, stat, inode) triples — the inodes go
+	// with the names, so the moved files' chunks stay where they are. The intent goes in first:
 	// with it logged the subtree is still, so what is validated and
 	// counted is what gets exported; any failure takes it back out.
 	// Read-cost per exported entry — the export is a scan, not a
@@ -136,13 +137,14 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		n := 0
 		err := m.checkParentWritable("rename", src, cred)
 		if err == nil {
-			err = m.tree.Walk(src, func(string, fsapi.Stat) error { n++; return nil })
+			err = m.tree.Walk(src, func(string, uint64, fsapi.Stat) error { n++; return nil })
 		}
 		reply.Uvarint(uint64(n))
 		if err == nil {
-			err = m.tree.Walk(src, func(p string, st fsapi.Stat) error {
+			err = m.tree.Walk(src, func(p string, ino uint64, st fsapi.Stat) error {
 				reply.String(p[len(src):]) // "" for src itself
 				fsapi.EncodeStat(reply, st)
+				reply.Uint64(ino)
 				return nil
 			})
 		}
@@ -153,10 +155,12 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		return done, err
 	})
 
-	// xfer_apply: insert the exported subtree under dst. Pre-order
-	// arrival means parents land before children; a mid-stream failure
-	// rolls the partial copy back so the destination never exposes a
-	// half-materialized subtree.
+	// xfer_apply: insert the exported subtree under dst, each object under
+	// the inode number it had on the source. Pre-order arrival means
+	// parents land before children; a mid-stream failure rolls the
+	// partial copy back so the destination never exposes a
+	// half-materialized subtree (the numbers, and the chunks, still
+	// belong to the source's copy).
 	svc.HandleInto("xfer_apply", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.NewDecoder(body)
 		dst := pathArg(d)
@@ -164,9 +168,11 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 		n := d.Count()
 		rels := make([]string, 0, n)
 		stats := make([]fsapi.Stat, 0, n)
+		inos := make([]uint64, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			rels = append(rels, d.String())
 			stats = append(stats, fsapi.DecodeStat(d))
+			inos = append(inos, d.Uint64())
 		}
 		if err := d.Finish(); err != nil {
 			return at, err
@@ -185,14 +191,7 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 			return done, err
 		}
 		for i := range rels {
-			p := dst + rels[i]
-			var err error
-			if stats[i].IsDir() {
-				err = m.tree.Mkdir(p, stats[i])
-			} else {
-				err = m.tree.Create(p, stats[i])
-			}
-			if err != nil {
+			if _, err := m.tree.Add(dst+rels[i], stats[i], inos[i]); err != nil {
 				m.tree.RemoveSubtree(dst)
 				return done, err
 			}
@@ -236,7 +235,9 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 
 	// intent_finish: the commit step of a rename (on its source shard)
 	// and of a multi-shard rmdir — sweep whatever stands at p, a subtree
-	// or a plain file, and release the intent. For rmdir the removal is
+	// or a plain file, and release the intent. It frees no chunks: a
+	// rename's sweep unlinks names whose inodes now live on the
+	// destination, and an rmdir's finds its directory empty. For rmdir the removal is
 	// a sweep and not a bare rmdir because every shard voted "empty" at
 	// prepare: anything that appeared since is a straggler that lost the
 	// race to the committed removal. Idempotent — a retried finish after
@@ -251,9 +252,10 @@ func (m *MDS) shardHandlers(svc *rpc.Service) {
 			return at, err
 		}
 		m.writes.Add(1)
-		removed, err := m.tree.RemoveSubtree(p)
+		removed, _, err := m.tree.RemoveSubtree(p)
 		if errors.Is(err, fsapi.ErrNotDir) {
-			removed, err = []string{p}, m.tree.Remove(p)
+			removed = []string{p}
+			_, err = m.tree.Remove(p)
 		}
 		if errors.Is(err, fsapi.ErrNotExist) {
 			err = nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pacon/internal/fsapi"
 )
@@ -233,7 +234,7 @@ func TestTreeNamespaceConventions(t *testing.T) {
 		t.Fatalf("create under file = %v", err)
 	}
 	// 3: deleted object must exist.
-	if err := tr.Remove("/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
+	if _, err := tr.Remove("/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("remove missing = %v", err)
 	}
 }
@@ -241,7 +242,7 @@ func TestTreeNamespaceConventions(t *testing.T) {
 func TestTreeRemoveTypeChecks(t *testing.T) {
 	tr := newTestTree(t)
 	tr.Create("/w/f", fsapi.NewFileStat(cred, 0o644))
-	if err := tr.Remove("/w"); !errors.Is(err, fsapi.ErrIsDir) {
+	if _, err := tr.Remove("/w"); !errors.Is(err, fsapi.ErrIsDir) {
 		t.Fatalf("remove dir via unlink = %v", err)
 	}
 	if err := tr.Rmdir("/w/f"); !errors.Is(err, fsapi.ErrNotDir) {
@@ -250,7 +251,7 @@ func TestTreeRemoveTypeChecks(t *testing.T) {
 	if err := tr.Rmdir("/w"); !errors.Is(err, fsapi.ErrNotEmpty) {
 		t.Fatalf("rmdir non-empty = %v", err)
 	}
-	if err := tr.Remove("/w/f"); err != nil {
+	if _, err := tr.Remove("/w/f"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Rmdir("/w"); err != nil {
@@ -270,7 +271,7 @@ func TestTreeRemoveSubtree(t *testing.T) {
 	tr.Create("/w/d1/sub/deep", fsapi.NewFileStat(cred, 0o644))
 	tr.Create("/w/outside", fsapi.NewFileStat(cred, 0o644))
 
-	removed, err := tr.RemoveSubtree("/w/d1")
+	removed, _, err := tr.RemoveSubtree("/w/d1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +293,10 @@ func TestTreeRemoveSubtree(t *testing.T) {
 func TestTreeRemoveSubtreeErrors(t *testing.T) {
 	tr := newTestTree(t)
 	tr.Create("/w/f", fsapi.NewFileStat(cred, 0o644))
-	if _, err := tr.RemoveSubtree("/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
+	if _, _, err := tr.RemoveSubtree("/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := tr.RemoveSubtree("/w/f"); !errors.Is(err, fsapi.ErrNotDir) {
+	if _, _, err := tr.RemoveSubtree("/w/f"); !errors.Is(err, fsapi.ErrNotDir) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -326,7 +327,7 @@ func TestTreeSetStat(t *testing.T) {
 	st, _ := tr.Lookup("/w/f")
 	st.Size = 4096
 	st.Type = fsapi.TypeDir // must be ignored: type is immutable
-	if err := tr.SetStat("/w/f", st); err != nil {
+	if _, err := tr.SetStat("/w/f", st); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := tr.Lookup("/w/f")
@@ -341,7 +342,7 @@ func TestTreeWalk(t *testing.T) {
 	tr.Create("/w/d/f", fsapi.NewFileStat(cred, 0o644))
 	tr.Create("/w/a", fsapi.NewFileStat(cred, 0o644))
 	var visited []string
-	err := tr.Walk("/w", func(p string, st fsapi.Stat) error {
+	err := tr.Walk("/w", func(p string, _ uint64, st fsapi.Stat) error {
 		visited = append(visited, p)
 		return nil
 	})
@@ -427,5 +428,49 @@ func TestTreeRename(t *testing.T) {
 	// Destination parent missing.
 	if err := tr.Rename("/w/c", "/w/nope/d"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestInodeNumbers: a tree numbers what it creates from its first number
+// on, a rename keeps the number, a number handed in is kept, and an
+// unlink names the inodes that held bytes.
+func TestInodeNumbers(t *testing.T) {
+	tr := NewTreeFrom(cred, 1<<48|1)
+	if err := tr.Mkdir("/w", fsapi.NewDirStat(cred, 0o755)); err != nil {
+		t.Fatal(err)
+	}
+	full := fsapi.NewFileStat(cred, 0o644)
+	full.Size = 10
+	ino, err := tr.Add("/w/f", full, 0)
+	if err != nil || ino != 1<<48|2 {
+		t.Fatalf("second object numbered %#x (%v), want %#x", ino, err, 1<<48|2)
+	}
+	if err := tr.Rename("/w/f", "/w/g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, _ := tr.LookupIno("/w/g"); got != ino {
+		t.Fatalf("renamed file is inode %#x, was %#x", got, ino)
+	}
+	if got, _ := tr.Add("/w/moved", full, 77); got != 77 {
+		t.Fatalf("a number handed in became %d", got)
+	}
+	if err := tr.Create("/w/empty", fsapi.NewFileStat(cred, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	if gone, err := tr.Remove("/w/g"); err != nil || gone != (Inode{Ino: ino, Size: 10}) {
+		t.Fatalf("remove answered %+v (%v)", gone, err)
+	}
+	removed, freed, err := tr.RemoveSubtree("/w")
+	if err != nil || len(removed) != 3 || len(freed) != 1 || freed[0] != (Inode{Ino: 77, Size: 10}) {
+		t.Fatalf("rmtree removed %v and freed %+v (%v), want the one file with bytes", removed, freed, err)
+	}
+}
+
+// TestNodeFitsItsSizeClass: a node is 56 bytes, in the 64-byte size
+// class — one per object the MDS holds, so a field more is a size class
+// more for every file.
+func TestNodeFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n > 64 {
+		t.Fatalf("namespace node is %d bytes, past the 64-byte size class", n)
 	}
 }

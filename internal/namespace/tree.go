@@ -10,22 +10,63 @@ import (
 // Tree is a concurrent in-memory namespace. All methods take cleaned or
 // uncleaned paths (they clean internally) and enforce the namespace
 // conventions, returning fsapi sentinel errors on violations.
+//
+// Every object has an inode number, drawn from the tree's counter when
+// it is created and kept by a rename: the DFS keys a file's data chunks
+// by it, so bytes never move with a name. A number handed in (Add) is
+// kept as it is — the way a subtree moving between two trees keeps its
+// numbers.
 type Tree struct {
-	mu   sync.RWMutex
-	root *node
-	n    int // nodes excluding root
+	mu      sync.RWMutex
+	root    *node
+	n       int    // nodes excluding root
+	nextIno uint64 // the number the next created object draws
 }
 
+// node is 56 bytes: the stat less its inline bytes, which a tree never
+// holds (a DFS keeps file bytes on its data servers), the inode number
+// and the children.
 type node struct {
-	stat     fsapi.Stat
+	meta     meta
+	ino      uint64
 	children map[string]*node // nil for files
+}
+
+// meta is an fsapi.Stat without Inline, fields ordered to pack.
+type meta struct {
+	size, mtime, ctime int64
+	uid, gid, nlink    uint32
+	mode               fsapi.Mode
+	typ                fsapi.FileType
+}
+
+func toMeta(st fsapi.Stat) meta {
+	return meta{size: st.Size, mtime: st.Mtime, ctime: st.Ctime, uid: st.UID, gid: st.GID,
+		nlink: st.Nlink, mode: st.Mode, typ: st.Type}
+}
+
+func (m meta) stat() fsapi.Stat {
+	return fsapi.Stat{Type: m.typ, Mode: m.mode, UID: m.uid, GID: m.gid, Size: m.size,
+		Nlink: m.nlink, Mtime: m.mtime, Ctime: m.ctime}
+}
+
+// Inode is an unlinked file's number and size: what a DFS must free on
+// its data servers.
+type Inode struct {
+	Ino  uint64
+	Size int64
 }
 
 // NewTree returns a namespace holding only the root directory, owned by
 // cred.
-func NewTree(cred fsapi.Cred) *Tree {
-	return &Tree{root: &node{
-		stat:     fsapi.NewDirStat(cred, fsapi.ModeDefaultDir),
+func NewTree(cred fsapi.Cred) *Tree { return NewTreeFrom(cred, 1) }
+
+// NewTreeFrom is NewTree numbering created objects from first on, so
+// trees given disjoint ranges never hand out one number twice. The root
+// is 0, the number no file has.
+func NewTreeFrom(cred fsapi.Cred, first uint64) *Tree {
+	return &Tree{nextIno: first, root: &node{
+		meta:     toMeta(fsapi.NewDirStat(cred, fsapi.ModeDefaultDir)),
 		children: make(map[string]*node),
 	}}
 }
@@ -71,13 +112,19 @@ func (t *Tree) walkParent(p string) (*node, string, error) {
 
 // Lookup returns the stat of path.
 func (t *Tree) Lookup(p string) (fsapi.Stat, error) {
+	st, _, err := t.LookupIno(p)
+	return st, err
+}
+
+// LookupIno returns the stat and inode number of path.
+func (t *Tree) LookupIno(p string) (fsapi.Stat, uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n, err := t.walk(Clean(p))
 	if err != nil {
-		return fsapi.Stat{}, fsapi.WrapPath("lookup", p, err)
+		return fsapi.Stat{}, 0, fsapi.WrapPath("lookup", p, err)
 	}
-	return n.stat, nil
+	return n.meta.stat(), n.ino, nil
 }
 
 // Exists reports whether path resolves. It walks without Lookup's error
@@ -90,73 +137,85 @@ func (t *Tree) Exists(p string) bool {
 	return err == nil
 }
 
-// insert adds a child enforcing create conventions.
-func (t *Tree) insert(op, p string, stat fsapi.Stat, isDir bool) error {
+// Add creates a directory or a regular file, as stat.Type says, enforcing
+// the create conventions. It numbers the object ino, or draws the tree's
+// next number when ino is 0, and returns the number.
+func (t *Tree) Add(p string, stat fsapi.Stat, ino uint64) (uint64, error) {
+	op, isDir := "create", stat.IsDir()
+	if isDir {
+		op = "mkdir"
+	}
 	p = Clean(p)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	parent, name, err := t.walkParent(p)
 	if err != nil {
-		return fsapi.WrapPath(op, p, err)
+		return 0, fsapi.WrapPath(op, p, err)
 	}
 	if _, exists := parent.children[name]; exists {
-		return fsapi.WrapPath(op, p, fsapi.ErrExist)
+		return 0, fsapi.WrapPath(op, p, fsapi.ErrExist)
 	}
-	n := &node{stat: stat}
+	if ino == 0 {
+		ino = t.nextIno
+		t.nextIno++
+	}
+	n := &node{meta: toMeta(stat), ino: ino}
 	if isDir {
 		n.children = make(map[string]*node)
 	}
 	parent.children[name] = n
 	t.n++
-	return nil
+	return ino, nil
 }
 
 // Mkdir creates a directory. The stat's Type is forced to TypeDir.
 func (t *Tree) Mkdir(p string, stat fsapi.Stat) error {
 	stat.Type = fsapi.TypeDir
-	return t.insert("mkdir", p, stat, true)
+	_, err := t.Add(p, stat, 0)
+	return err
 }
 
 // Create creates a regular file. The stat's Type is forced to TypeFile.
 func (t *Tree) Create(p string, stat fsapi.Stat) error {
 	stat.Type = fsapi.TypeFile
-	return t.insert("create", p, stat, false)
+	_, err := t.Add(p, stat, 0)
+	return err
 }
 
 // SetStat replaces the metadata of an existing object, preserving its
-// type.
-func (t *Tree) SetStat(p string, stat fsapi.Stat) error {
+// type, and returns its inode number.
+func (t *Tree) SetStat(p string, stat fsapi.Stat) (uint64, error) {
 	p = Clean(p)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n, err := t.walk(p)
 	if err != nil {
-		return fsapi.WrapPath("setstat", p, err)
+		return 0, fsapi.WrapPath("setstat", p, err)
 	}
-	stat.Type = n.stat.Type
-	n.stat = stat
-	return nil
+	stat.Type = n.meta.typ
+	n.meta = toMeta(stat)
+	return n.ino, nil
 }
 
-// Remove unlinks a regular file.
-func (t *Tree) Remove(p string) error {
+// Remove unlinks a regular file and returns its inode.
+func (t *Tree) Remove(p string) (Inode, error) {
 	p = Clean(p)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	parent, name, err := t.walkParent(p)
 	if err != nil {
-		return fsapi.WrapPath("remove", p, err)
+		return Inode{}, fsapi.WrapPath("remove", p, err)
 	}
 	n, ok := parent.children[name]
 	if !ok {
-		return fsapi.WrapPath("remove", p, fsapi.ErrNotExist)
+		return Inode{}, fsapi.WrapPath("remove", p, fsapi.ErrNotExist)
 	}
 	if n.children != nil {
-		return fsapi.WrapPath("remove", p, fsapi.ErrIsDir)
+		return Inode{}, fsapi.WrapPath("remove", p, fsapi.ErrIsDir)
 	}
 	delete(parent.children, name)
 	t.n--
-	return nil
+	return Inode{Ino: n.ino, Size: n.meta.size}, nil
 }
 
 // Rmdir removes an empty directory.
@@ -185,24 +244,26 @@ func (t *Tree) Rmdir(p string) error {
 
 // RemoveSubtree removes a directory and everything below it, returning
 // the full paths removed (the recursive cleanup a Pacon rmdir performs
-// on the DFS and mirrors into its cache). The returned list includes p
-// itself, deepest entries first.
-func (t *Tree) RemoveSubtree(p string) ([]string, error) {
+// on the DFS and mirrors into its cache) and the inodes of the removed
+// files that held bytes. The path list includes p itself, deepest
+// entries first.
+func (t *Tree) RemoveSubtree(p string) ([]string, []Inode, error) {
 	p = Clean(p)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	parent, name, err := t.walkParent(p)
 	if err != nil {
-		return nil, fsapi.WrapPath("rmdir", p, err)
+		return nil, nil, fsapi.WrapPath("rmdir", p, err)
 	}
 	n, ok := parent.children[name]
 	if !ok {
-		return nil, fsapi.WrapPath("rmdir", p, fsapi.ErrNotExist)
+		return nil, nil, fsapi.WrapPath("rmdir", p, fsapi.ErrNotExist)
 	}
 	if n.children == nil {
-		return nil, fsapi.WrapPath("rmdir", p, fsapi.ErrNotDir)
+		return nil, nil, fsapi.WrapPath("rmdir", p, fsapi.ErrNotDir)
 	}
 	var removed []string
+	var freed []Inode
 	var visit func(path string, nd *node)
 	visit = func(path string, nd *node) {
 		if nd.children != nil {
@@ -216,11 +277,14 @@ func (t *Tree) RemoveSubtree(p string) ([]string, error) {
 			}
 		}
 		removed = append(removed, path)
+		if nd.children == nil && nd.meta.size > 0 {
+			freed = append(freed, Inode{Ino: nd.ino, Size: nd.meta.size})
+		}
 		t.n--
 	}
 	visit(p, n)
 	delete(parent.children, name)
-	return removed, nil
+	return removed, freed, nil
 }
 
 // Rename moves src (file or subtree) to dst. POSIX-style constraints:
@@ -267,16 +331,16 @@ func (t *Tree) Readdir(p string) ([]fsapi.DirEntry, error) {
 	}
 	out := make([]fsapi.DirEntry, 0, len(n.children))
 	for name, child := range n.children {
-		out = append(out, fsapi.DirEntry{Name: name, Type: child.stat.Type})
+		out = append(out, fsapi.DirEntry{Name: name, Type: child.meta.typ})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
 // Walk visits every node under p (including p) in depth-first name
-// order, calling fn with the full path and stat. Used by checkpointing
-// (subtree copy) and region eviction.
-func (t *Tree) Walk(p string, fn func(path string, stat fsapi.Stat) error) error {
+// order, calling fn with the full path, inode number and stat. A
+// cross-shard rename exports a subtree with it.
+func (t *Tree) Walk(p string, fn func(path string, ino uint64, stat fsapi.Stat) error) error {
 	p = Clean(p)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -286,7 +350,7 @@ func (t *Tree) Walk(p string, fn func(path string, stat fsapi.Stat) error) error
 	}
 	var visit func(path string, nd *node) error
 	visit = func(path string, nd *node) error {
-		if err := fn(path, nd.stat); err != nil {
+		if err := fn(path, nd.ino, nd.meta.stat()); err != nil {
 			return err
 		}
 		if nd.children == nil {
