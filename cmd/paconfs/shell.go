@@ -202,11 +202,11 @@ func (s *shell) exec(line string) (out string, quit bool, err error) {
 		rs := s.region.Stats()
 		cs := s.region.CacheStats()
 		out := fmt.Sprintf(
-			"commit: %d committed, %d retries, %d discarded, %d dropped\nqueue:  %d pending ops\ncache:  %d items, %d bytes, %d hits, %d misses\nevict:  %d rounds; spills pending: %d",
+			"commit: %d committed, %d retries, %d discarded, %d dropped\nqueue:  %d pending ops\ncache:  %d items, %d bytes, %d hits, %d misses\nevict:  %d rounds",
 			rs.Committed, rs.Retries, rs.Discarded, rs.Dropped,
 			s.region.QueueDepth(),
 			cs.Items, cs.UsedBytes, cs.Hits, cs.Misses,
-			rs.Evictions, s.region.SpillCount())
+			rs.Evictions)
 		if sum := s.obs.Summary(); sum != "" {
 			out += "\n" + sum
 		}

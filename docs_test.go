@@ -1,6 +1,7 @@
 package pacon_test
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -59,6 +60,29 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChangesLinesFitTheBudget keeps CHANGES.md a log a reader can scan:
+// from the 31st change on, every line is at most 600 bytes. What a line
+// cannot hold belongs in EXPERIMENTS.md or DESIGN.md.
+func TestChangesLinesFitTheBudget(t *testing.T) {
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := false
+	for i, line := range strings.Split(string(text), "\n") {
+		var change int
+		if _, err := fmt.Sscanf(line, "PR %d", &change); err == nil && change >= 31 {
+			budgeted = true
+		}
+		if budgeted && len(line) > 600 {
+			t.Errorf("CHANGES.md:%d: %d bytes, over the 600 budget: %.40s…", i+1, len(line), line)
+		}
+	}
+	if !budgeted {
+		t.Error("CHANGES.md has no line for the 31st change, where the budget starts")
 	}
 }
 

@@ -188,12 +188,15 @@ func newInjector(cfg Config) *injector {
 	}
 }
 
-func (in *injector) fail(path string) bool {
+// fail counts one backend mutation of path and says whether to fail it;
+// an exempt one is counted, so that it moves the kill plan on, and never
+// failed.
+func (in *injector) fail(path string, exempt bool) bool {
 	in.mu.Lock()
 	in.calls++
 	c := in.calls
 	stall := in.calls%in.stallEvery == 0
-	inject := in.perPath[path] < in.maxPerPath && in.rng.Float64() < in.rate
+	inject := !exempt && in.perPath[path] < in.maxPerPath && in.rng.Float64() < in.rate
 	if inject {
 		in.perPath[path]++
 		in.injected++
@@ -245,10 +248,10 @@ func (in *injector) counts() (injected, stalls int) {
 // told as advisory.) It injects only ErrNotExist, which every
 // op kind treats as resubmittable, so injected faults delay convergence
 // but never forfeit it — an inline setstat included, whose metadata
-// rides the wave's batch like any op's. The data path (WriteBatch, and
-// WriteAt for spilled bytes) is left alone: the commit module treats a
-// committed create's failed write-back as a drop, which would be
-// indistinguishable from the data-loss bugs this harness hunts.
+// rides the wave's batch like any op's. The data path (WriteBatch) is
+// left alone: the commit module treats a committed create's failed
+// write-back as a drop, which would be indistinguishable from the
+// data-loss bugs this harness hunts.
 type flakyBackend struct {
 	core.Backend
 	inj *injector
@@ -263,7 +266,9 @@ type flakyBackend struct {
 // Net-absence removes (IfExists) are exempt like the data path: the commit
 // module reads their ErrNotExist as success, so an injected failure —
 // meaning the remove did NOT run — would be mistaken for a committed
-// absence while a stale object still sits on the DFS.
+// absence while a stale object still sits on the DFS. They still count
+// as calls: when the one op left on a dead shard is such a remove, its
+// retries are what closes the kill window.
 func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	errs := make([]error, len(ops))
 	fwd := make([]fsapi.BatchOp, 0, len(ops))
@@ -274,7 +279,7 @@ func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error,
 			continue // lie: committed nothing (LoseOneCommit self-test)
 		}
 		exempt := op.Kind == fsapi.BatchRemove && op.IfExists
-		if !exempt && f.inj.fail(op.Path) {
+		if f.inj.fail(op.Path, exempt) {
 			errs[i] = fsapi.ErrNotExist
 			continue
 		}
@@ -465,12 +470,8 @@ func (w *worker) exclusiveOp() {
 			return
 		}
 		w.model[p] = modelSplice(content, off, data)
-		if k < 10 && !w.h.cfg.KillShard {
-			// One write in six is fsynced: a spill in the path's in-flight
-			// record until its create lands, which the model cannot see.
-			// Not on a dead-shard schedule: the spill's write-back asks the
-			// MDS for the size, and a landed create's bytes that fail are
-			// dropped on the first error (ROADMAP item 5).
+		if k < 10 {
+			// One write in six is fsynced.
 			at, err = w.cl.Fsync(w.at, p)
 			w.at = at
 			if err != nil && !w.closedAmbiguous(p, err) {

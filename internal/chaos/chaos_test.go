@@ -55,6 +55,17 @@ var auditSchedules = []Config{
 	{Seed: 4, Nodes: 2, Clients: 4, Ops: 30, CacheCapacityBytes: 16 << 10},
 }
 
+// killSchedules down one of four MDS shards mid-schedule and recover it,
+// with fsync on like every schedule: an fsynced write's commit must ride
+// out the dead shard like any other, with nothing dropped.
+func killSchedules() []Config {
+	cfgs := make([]Config, 8)
+	for seed := range cfgs {
+		cfgs[seed] = Config{Seed: int64(seed), Shards: 4, KillShard: true, Clients: 4, Ops: 150}
+	}
+	return cfgs
+}
+
 // TestChaosConvergence runs randomized schedules (100+ in full mode) and
 // requires every one to converge with zero violations: cache, DFS and
 // the in-memory oracle agree after the drain, the divergence audit finds
@@ -91,6 +102,9 @@ func TestChaosConvergence(t *testing.T) {
 	}
 	for i, cfg := range auditSchedules {
 		run(fmt.Sprintf("audit%d", i+1), cfg, true)
+	}
+	for i, cfg := range killSchedules() {
+		run(fmt.Sprintf("kill%d", i), cfg, false)
 	}
 }
 

@@ -195,8 +195,7 @@ func (r *Region) SimulateNodeFailure(node string) int {
 			// The popped op will never reach a commit-loop terminal: this
 			// is its terminal, or scoped barriers would keep waiting on
 			// the dead node's paths, the staleness watermark would grow
-			// forever, its sampled span would never close and what it
-			// fsynced would wait for a create that never lands.
+			// forever and its sampled span would never close.
 			r.opTerminal(op, op.Time, obs.StageDrop, "node failure")
 		}
 	}

@@ -541,13 +541,13 @@ func (c *committer) adopt(op *Op) commitVerdict {
 	return v
 }
 
-// conclude carries out one commit row: the write-back of what an fsync
-// spilled, the op's terminal accounting, and the settle the cache entry
-// is owed. The settle is not sent here: it joins c.settles, and leaves
-// beside the next batch or in the next settle. Deferring a cleanup past
-// the ops that follow it — in the wave, and now in the next wave — is
-// safe because every entry is guarded by its own op's seq and evaluated
-// under the cache server's shard lock when it does run: a write that
+// conclude carries out one commit row: the op's terminal accounting, and
+// the settle the cache entry is owed. The settle is not sent here: it
+// joins c.settles, and leaves beside the next batch or in the next
+// settle. Deferring a cleanup past the ops that follow it — in the wave,
+// and now in the next wave — is safe because every entry is guarded by
+// its own op's seq and evaluated under the cache server's shard lock
+// when it does run: a write that
 // lands in between carries a newer seq, so the entry no longer matches
 // and does nothing — exactly what happened when the write won the race
 // against an immediate cleanup. Until the settle runs the entry merely
@@ -562,19 +562,6 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 	r := c.r
 	if v.end == endResubmit {
 		return true
-	}
-	if v.spill {
-		// What an fsync spilled goes to the DFS once the file's create has
-		// committed (§III.D.2), through the file interface: the spill may
-		// be longer than the size the create carried. Like the wave's
-		// bytes it goes before the terminal.
-		if data := c.node.inflight.takeSpill(op.Path, op.Seq); len(data) > 0 {
-			r.backendRPCs.Add(1)
-			var err error
-			if c.now, err = c.backend.WriteAt(c.now, op.Path, 0, data); err != nil {
-				c.lostBytes()
-			}
-		}
 	}
 	if v.settle != nil {
 		// Conditional on the op's seq, so an update racing the cleanup

@@ -745,11 +745,10 @@ var (
 type commitVerdict struct {
 	end    commitEnd
 	settle *memcache.Settle // nil: the entry is owed nothing
-	// inline, spill: the bytes a landed op owes the DFS copy — its inline
-	// content, which leaves in the wave's one WriteBatch, and what an
-	// fsync spilled before the create committed (§III.D.2).
-	inline, spill bool
-	reason        string
+	// inline: the landed op owes the DFS copy its inline content, which
+	// leaves in the wave's one WriteBatch.
+	inline bool
+	reason string
 	// ino is the inode an adoption set (committer.adopt), for the bytes:
 	// 0 leaves them to the one the op's own batch answered.
 	ino uint64
@@ -757,7 +756,7 @@ type commitVerdict struct {
 
 var (
 	rowResubmit      = commitVerdict{end: endResubmit}
-	rowCreateLanded  = commitVerdict{end: endCommitted, settle: settleClear, inline: true, spill: true}
+	rowCreateLanded  = commitVerdict{end: endCommitted, settle: settleClear, inline: true}
 	rowRemoveLanded  = commitVerdict{end: endCommitted, settle: settleDeleteSeqRemoved}
 	rowSetStatLanded = commitVerdict{end: endCommitted, settle: settleClear, inline: true}
 	// rowDiscardCreate is the discard rule, applied before the DFS is
@@ -821,7 +820,7 @@ func commitOutcome(op *Op, err error, removing bool, ent cacheVal, present bool)
 		case ent.seq != op.Seq || !ent.dirty:
 			// (1) The object is there and the entry has moved on: a newer
 			// mutation's commit carries the newer state.
-			return commitVerdict{end: endCommitted, settle: settleClear, spill: true}
+			return commitVerdict{end: endCommitted, settle: settleClear}
 		case op.AfterRm:
 			// (2) An earlier incarnation's remove is still queued
 			// (possibly on another node): the existing DFS file is doomed.

@@ -164,9 +164,9 @@ func TestCommitRows(t *testing.T) {
 		{name: "create/ErrExist row 1: a large clean entry", op: Op{Kind: OpCreate, AfterRm: true}, err: fsapi.ErrExist,
 			ent: entry(func(v *cacheVal) { v.large, v.dirty = true, false }), want: commitVerdict{end: endCommitted}},
 		{name: "create/ErrExist row 1: the entry moved on", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
-			ent: entry(func(v *cacheVal) { v.seq++ }), want: commitVerdict{end: endCommitted, settle: settleClear, spill: true}},
+			ent: entry(func(v *cacheVal) { v.seq++ }), want: commitVerdict{end: endCommitted, settle: settleClear}},
 		{name: "create/ErrExist row 1: the entry is clean", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
-			ent: entry(func(v *cacheVal) { v.dirty = false }), want: commitVerdict{end: endCommitted, settle: settleClear, spill: true}},
+			ent: entry(func(v *cacheVal) { v.dirty = false }), want: commitVerdict{end: endCommitted, settle: settleClear}},
 		{name: "create/ErrExist row 2: create-after-rm waits for the remove", op: Op{Kind: OpCreate, AfterRm: true}, err: fsapi.ErrExist,
 			ent: &own, want: rowResubmit},
 		{name: "create/ErrExist row 3: adopt", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,

@@ -170,19 +170,16 @@ func sliceInline(inline []byte, off int64, n int) []byte {
 	return out
 }
 
-// Fsync makes a file's data durable now. For a small file whose create
-// has not committed yet, the data is spilled locally with direct I/O and
-// written back to its original position after the create commits
-// (§III.D.2); a clean or large file needs nothing — its data is already
-// on the DFS or will be carried by the pending backup write. The spill
-// joins the path's in-flight record on a node that has the file pending,
-// tagged with the entry's seq, and goes with that incarnation (opTerminal);
-// a dirty entry with nothing pending anywhere has just landed and owes none.
+// Fsync is the paper's fsync (§III.D.2). A small file whose entry is
+// still dirty pays the local direct-I/O write of its inline bytes; no
+// copy is kept, since the queued op that acked the bytes carries them to
+// the DFS, and they are as durable as that queue. A clean or large file
+// needs nothing: its data is on the DFS or written through already. A
+// missing or removed file is ErrNotExist.
 func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 	p = namespace.Clean(p)
 	defer c.end(c.begin("fsync", p))
 	at = c.overhead(at)
-	r := c.region
 	if !c.inWorkspace(p) {
 		return at, nil // large/outside files write through already
 	}
@@ -194,13 +191,8 @@ func (c *Client) Fsync(at vclock.Time, p string) (vclock.Time, error) {
 		return at, err
 	}
 	if v.dirty && !v.large && len(v.stat.Inline) > 0 {
-		for _, n := range r.nodes {
-			if n.inflight.putSpill(p, v.seq, v.stat.Inline) {
-				// Direct I/O to the local cache file: charge one local device op.
-				at = at.Add(r.cfg.Model.DataChunkCost + vclock.Duration(int64(r.cfg.Model.DataPerKB)*int64(len(v.stat.Inline))/1024))
-				break
-			}
-		}
+		m := c.region.cfg.Model
+		at = at.Add(m.DataChunkCost + vclock.Duration(int64(m.DataPerKB)*int64(len(v.stat.Inline))/1024))
 	}
 	return at, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
@@ -119,41 +120,6 @@ func TestLargeFileTransitionAndRedirect(t *testing.T) {
 	}
 }
 
-func TestFsyncSpillAndWriteback(t *testing.T) {
-	e := newEnv(t, 1, nil)
-	c := e.client(t, "node0")
-	// Fsync spills only what is still dirty: keep the commit side from
-	// winning the race to the create.
-	release := holdCommits(t, e.region)
-	at, _ := c.Create(0, "/w/f", 0o644)
-	payload := []byte("must be durable")
-	at, _ = c.WriteAt(at, "/w/f", 0, payload)
-	at, err := c.Fsync(at, "/w/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.region.SpillCount() != 1 {
-		t.Fatalf("spill count = %d", e.region.SpillCount())
-	}
-	release()
-	at, err = e.region.Drain(at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.region.SpillCount() != 0 {
-		t.Fatal("spill not written back after create committed")
-	}
-	direct := e.dfs.NewClient("verify", appCred, 0, 0)
-	data, _, err := direct.ReadAt(at, "/w/f", 0, 100)
-	if err != nil || !bytes.Equal(data, payload) {
-		t.Fatalf("written-back data = %q, %v", data, err)
-	}
-	// Fsync on a missing file errors.
-	if _, err := c.Fsync(at, "/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("fsync missing = %v", err)
-	}
-}
-
 // dfsFile reads p's size and content straight off the DFS.
 func dfsFile(t *testing.T, e *env, at vclock.Time, p string) (int64, string) {
 	t.Helper()
@@ -169,174 +135,166 @@ func dfsFile(t *testing.T, e *env, at vclock.Time, p string) (int64, string) {
 	return st.Size, string(data)
 }
 
-// TestSpillDiesWithItsIncarnation: a removed file's fsynced bytes are not
-// written into the file next created under its name. At the parent commit
-// the spill was keyed by path alone and released only by a create that
-// landed: the first incarnation's create and remove annihilated in the
-// coalescer, the spill stayed, and the second incarnation's create wrote
-// it back — the DFS held 15 bytes of a file the cache knew as empty.
-func TestSpillDiesWithItsIncarnation(t *testing.T) {
-	e := newEnv(t, 1, nil)
-	c := e.client(t, "node0")
-	release := holdCommits(t, e.region)
-	at, _ := c.Create(0, "/w/f", 0o644)
-	at, _ = c.WriteAt(at, "/w/f", 0, []byte("OLD INCARNATION"))
-	at, err := c.Fsync(at, "/w/f")
-	if err != nil || e.region.SpillCount() != 1 {
-		t.Fatalf("fsync: %v, spill count %d", err, e.region.SpillCount())
+// TestFsyncLeavesTheQueuedBytes: fsync copies nothing, so what reaches
+// the DFS is what the queued ops carry — the newest incarnation's newest
+// bytes, whatever was fsynced on the way. Each script runs behind held
+// commit processes and then drains; the DFS and the cache must agree on
+// the file's final size and bytes. An fsync of a missing file errors.
+func TestFsyncLeavesTheQueuedBytes(t *testing.T) {
+	type step func(c *Client, at vclock.Time) (vclock.Time, error)
+	create := func(c *Client, at vclock.Time) (vclock.Time, error) { return c.Create(at, "/w/f", 0o644) }
+	write := func(off int64, data string) step {
+		return func(c *Client, at vclock.Time) (vclock.Time, error) { return c.WriteAt(at, "/w/f", off, []byte(data)) }
 	}
-	if at, err = c.Remove(at, "/w/f"); err != nil {
-		t.Fatal(err)
+	fsync := func(c *Client, at vclock.Time) (vclock.Time, error) { return c.Fsync(at, "/w/f") }
+	remove := func(c *Client, at vclock.Time) (vclock.Time, error) { return c.Remove(at, "/w/f") }
+	cases := []struct {
+		name string
+		held []step // behind held commit processes
+		then []step // after the drain, followed by another
+		want string // the DFS's bytes, and its size in bytes
+	}{
+		{name: "written and fsynced", held: []step{create, write(0, "must be durable"), fsync},
+			want: "must be durable"},
+		// The first incarnation's create and remove annihilate in the
+		// coalescer: its fsynced bytes must not reach the file created
+		// next under its name.
+		{name: "removed then created again", held: []step{create, write(0, "OLD INCARNATION"), fsync, remove},
+			then: []step{create}, want: ""},
+		// Two incarnations pass through the commit process in one batch.
+		{name: "two incarnations in one batch/fsyncB=true",
+			held: []step{create, write(0, "AAAAAAAAAAAAAAAA"), fsync, remove, create, write(0, "BBBB"), fsync}, want: "BBBB"},
+		{name: "two incarnations in one batch/fsyncB=false",
+			held: []step{create, write(0, "AAAAAAAAAAAAAAAA"), fsync, remove, create, write(0, "BBBB")}, want: "BBBB"},
+		// The coalescer folds the three ops into one create carrying the
+		// newest bytes: nothing older may land over the second write.
+		{name: "written again after the fsync", held: []step{create, write(8, "tail"), fsync, write(0, "head")},
+			want: "head\x00\x00\x00\x00tail"},
 	}
-	release()
-	if at, err = e.region.Drain(at); err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, c *Client, at vclock.Time, steps []step) vclock.Time {
+		t.Helper()
+		for i, s := range steps {
+			var err error
+			if at, err = s(c, at); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		return at
 	}
-	if at, err = c.Create(at, "/w/f", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if at, err = e.region.Drain(at); err != nil {
-		t.Fatal(err)
-	}
-	if size, data := dfsFile(t, e, at, "/w/f"); size != 0 || data != "" {
-		t.Fatalf("DFS holds %d bytes %q of a file created empty", size, data)
-	}
-	if st, _, err := c.Stat(at, "/w/f"); err != nil || st.Size != 0 {
-		t.Fatalf("cache: size %d, %v", st.Size, err)
-	}
-}
-
-// TestEveryTerminalReleasesTheSpill: a spill goes with the incarnation it
-// was made of however that ends — not only by a create that lands.
-func TestEveryTerminalReleasesTheSpill(t *testing.T) {
-	// spilled leaves /w/d/f created, written and fsynced behind held
-	// commit processes.
-	spilled := func(t *testing.T) (*env, *Client, vclock.Time, func()) {
-		e := newEnv(t, 1, nil)
-		c := e.client(t, "node0")
-		at, err := c.Mkdir(0, "/w/d", 0o755)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at, err = e.region.Drain(at); err != nil {
-			t.Fatal(err)
-		}
-		release := holdCommits(t, e.region)
-		at, _ = c.Create(at, "/w/d/f", 0o644)
-		at, _ = c.WriteAt(at, "/w/d/f", 0, []byte("spilled"))
-		if at, err = c.Fsync(at, "/w/d/f"); err != nil || e.region.SpillCount() != 1 {
-			t.Fatalf("fsync: %v, spill count %d", err, e.region.SpillCount())
-		}
-		return e, c, at, release
-	}
-	t.Run("annihilated", func(t *testing.T) {
-		e, c, at, release := spilled(t)
-		at, err := c.Remove(at, "/w/d/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		release()
-		if _, err := e.region.Drain(at); err != nil {
-			t.Fatal(err)
-		}
-		if st := e.region.Stats(); st.Coalesced == 0 || e.region.SpillCount() != 0 {
-			t.Fatalf("spill count %d after create+remove annihilated (%+v)", e.region.SpillCount(), st)
-		}
-	})
-	t.Run("discarded", func(t *testing.T) {
-		e, _, at, release := spilled(t)
-		e.region.addRemoving("/w/d")
-		release()
-		_, err := e.region.Drain(at)
-		e.region.delRemoving("/w/d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := e.region.Stats(); st.Discarded != 1 || e.region.SpillCount() != 0 {
-			t.Fatalf("spill count %d after the create was discarded (%+v)", e.region.SpillCount(), st)
-		}
-	})
-	t.Run("lost with its node", func(t *testing.T) {
-		e, _, _, release := spilled(t)
-		defer release()
-		if lost := e.region.SimulateNodeFailure("node0"); lost != 2 {
-			t.Fatalf("lost %d ops, want the create and the write", lost)
-		}
-		if n := e.region.SpillCount(); n != 0 {
-			t.Fatalf("spill count %d after the node failed", n)
-		}
-	})
-}
-
-// TestSpillOfOneBatchBelongsToTheNewestIncarnation: two incarnations of a
-// file, each fsynced, pass through the commit process in one batch; what
-// reaches the DFS is the second one's bytes, with and without its fsync,
-// and no byte of the first.
-func TestSpillOfOneBatchBelongsToTheNewestIncarnation(t *testing.T) {
-	for _, fsyncB := range []bool{true, false} {
-		t.Run(fmt.Sprintf("fsyncB=%v", fsyncB), func(t *testing.T) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, 1, nil)
 			c := e.client(t, "node0")
 			release := holdCommits(t, e.region)
-			at, _ := c.Create(0, "/w/f", 0o644)
-			at, _ = c.WriteAt(at, "/w/f", 0, []byte("AAAAAAAAAAAAAAAA"))
-			at, _ = c.Fsync(at, "/w/f")
-			at, _ = c.Remove(at, "/w/f")
-			at, _ = c.Create(at, "/w/f", 0o644)
-			at, err := c.WriteAt(at, "/w/f", 0, []byte("BBBB"))
+			at := run(t, c, 0, tc.held)
+			release()
+			at, err := e.region.Drain(at)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fsyncB {
-				if at, err = c.Fsync(at, "/w/f"); err != nil {
+			if len(tc.then) > 0 {
+				if at, err = e.region.Drain(run(t, c, at, tc.then)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if n := e.region.SpillCount(); n != 1 {
-				t.Fatalf("spill count %d, want one spill for the one path", n)
+			if size, data := dfsFile(t, e, at, "/w/f"); size != int64(len(tc.want)) || data != tc.want {
+				t.Fatalf("DFS holds %d bytes %q, want %q", size, data, tc.want)
 			}
-			release()
-			if at, err = e.region.Drain(at); err != nil {
-				t.Fatal(err)
+			if st, _, err := c.Stat(at, "/w/f"); err != nil || st.Size != int64(len(tc.want)) {
+				t.Fatalf("cache: size %d, %v", st.Size, err)
 			}
-			if size, data := dfsFile(t, e, at, "/w/f"); size != 4 || data != "BBBB" {
-				t.Fatalf("DFS holds %d bytes %q, want the second incarnation's BBBB", size, data)
+			if st := e.region.Stats(); st.Dropped != 0 {
+				t.Fatalf("drops: %+v", st)
 			}
-			if n := e.region.SpillCount(); n != 0 {
-				t.Fatalf("spill count %d after the drain", n)
+			if _, err := c.Fsync(at, "/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
+				t.Fatalf("fsync missing = %v", err)
 			}
 		})
 	}
+	// The charge of the paper's local direct-I/O write: an fsync of a dirty
+	// small file costs exactly DataChunkCost plus DataPerKB per KiB of its
+	// inline bytes more than the cache read it makes, and an fsync of a
+	// clean file nothing more.
+	t.Run("charge", func(t *testing.T) {
+		e := newEnv(t, 1, nil)
+		c := e.client(t, "node0")
+		m := e.region.cfg.Model
+		release := holdCommits(t, e.region)
+		at, err := c.Create(0, "/w/f", 0o644)
+		if err == nil {
+			at, err = c.WriteAt(at, "/w/f", 0, bytes.Repeat([]byte("c"), 3<<10))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// cost times the cache read and then the fsync, each a second
+		// after the last call, so no resource queues either.
+		cost := func(at vclock.Time) (read, fsync vclock.Duration, done vclock.Time) {
+			t.Helper()
+			start := at.Add(time.Second)
+			_, _, end, err := readEntry(c.cache, c.overhead(start), "/w/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			read, start = end.Sub(start), end.Add(time.Second)
+			if done, err = c.Fsync(start, "/w/f"); err != nil {
+				t.Fatal(err)
+			}
+			return read, done.Sub(start), done
+		}
+		read, fsync, at := cost(at)
+		if want := read + m.DataChunkCost + 3*m.DataPerKB; fsync != want {
+			t.Fatalf("dirty fsync cost %v, want %v", fsync, want)
+		}
+		release()
+		if at, err = e.region.Drain(at); err != nil {
+			t.Fatal(err)
+		}
+		if read, fsync, _ = cost(at); fsync != read {
+			t.Fatalf("clean fsync cost %v, want the cache read's %v", fsync, read)
+		}
+	})
 }
 
-// TestSpillNeverOverwritesNewerBytes: a file is written, fsynced and
-// written again before its create commits. The coalescer folds the three
-// ops into one create carrying the newest bytes, which its wave writes;
-// the spill, older, must not be written back over them. Chaos found it
-// once its exclusive zone fsynced: the DFS read zeros where the second
-// write was.
-func TestSpillNeverOverwritesNewerBytes(t *testing.T) {
-	e := newEnv(t, 1, nil)
+// deadWriteAt is a backend whose single-file WriteAt fails as a dead
+// shard's does; WriteBatch and everything else pass through.
+type deadWriteAt struct{ Backend }
+
+func (deadWriteAt) WriteAt(at vclock.Time, _ string, _ int64, _ []byte) (vclock.Time, error) {
+	return at, fsapi.ErrClosed
+}
+
+// TestFsyncedCommitDropsNothing: a file created, written and fsynced
+// commits its create and its bytes in separate waves, and neither asks
+// for a single-file write. When fsync kept a copy to write back once the
+// create landed, that WriteAt met the dead shard and counted the bytes
+// lost, though the queued setstat carried them to the DFS all the same.
+func TestFsyncedCommitDropsNothing(t *testing.T) {
+	e := newEnvDeps(t, 1, func(cfg *RegionConfig) { cfg.CommitBatchSize = 1 }, func(d *Deps) {
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend { return deadWriteAt{inner(node)} }
+	})
 	c := e.client(t, "node0")
 	release := holdCommits(t, e.region)
-	at, _ := c.Create(0, "/w/f", 0o644)
-	at, _ = c.WriteAt(at, "/w/f", 8, []byte("tail"))
-	at, err := c.Fsync(at, "/w/f")
-	if err != nil || e.region.SpillCount() != 1 {
-		t.Fatalf("fsync: %v, spill count %d", err, e.region.SpillCount())
+	at, err := c.Create(0, "/w/f", 0o644)
+	if err == nil {
+		at, err = c.WriteAt(at, "/w/f", 0, []byte("must be durable"))
 	}
-	if at, err = c.WriteAt(at, "/w/f", 0, []byte("head")); err != nil {
+	if err == nil {
+		at, err = c.Fsync(at, "/w/f")
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	release()
 	if at, err = e.region.Drain(at); err != nil {
 		t.Fatal(err)
 	}
-	if size, data := dfsFile(t, e, at, "/w/f"); size != 12 || data != "head\x00\x00\x00\x00tail" {
-		t.Fatalf("DFS holds %d bytes %q, want both writes", size, data)
+	if st := e.region.Stats(); st.Dropped != 0 {
+		t.Fatalf("dropped %d: %+v", st.Dropped, st)
 	}
-	if n := e.region.SpillCount(); n != 0 {
-		t.Fatalf("spill count %d after the drain", n)
+	if size, data := dfsFile(t, e, at, "/w/f"); size != 15 || data != "must be durable" {
+		t.Fatalf("DFS holds %d bytes %q", size, data)
 	}
 }
 

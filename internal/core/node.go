@@ -50,12 +50,9 @@ type inflight struct {
 	// cond (on mu) is the one wait: for a path's turn, its drain, the bound
 	// or a claim's end. Its Broadcast returns at once when nobody waits.
 	cond sync.Cond
-	// spills counts the records holding a spill. A landing create reads it
-	// before it asks for one: with no fsync outstanding, the common case,
-	// an op locks the table three times, at its take, push and release.
-	// parked counts the ops parked in the commit process's pending set.
-	// Both change under mu and are read without it.
-	spills, parked atomic.Int32
+	// parked counts the ops parked in the commit process's pending set. It
+	// changes under mu and is read without it.
+	parked atomic.Int32
 	// unsettled lists the paths of ops that ended owing the cache a settle
 	// the commit process has not sent yet (committer.settles). A removed
 	// marker stays in the cache until its settle lands, so a scoped
@@ -74,15 +71,7 @@ type pending struct {
 	// stores and pushes next: a path's ops store and leave the node in the
 	// order of their takes, each holding its turn from take to push.
 	next, turn uint64
-	walls      []int64  // when each op entered; empty with observability off
-	spill      *spilled // nil but between an fsync and the end of its incarnation
-}
-
-// spilled is a small file's bytes as an fsync found them (§III.D.2), and
-// the seq of the entry it copied them from: the incarnation they belong to.
-type spilled struct {
-	seq  uint64
-	data []byte
+	walls      []int64 // when each op entered; empty with observability off
 }
 
 // take counts one more op on p, from before its store is visible — whoever
@@ -125,7 +114,7 @@ func (t *inflight) giveBack(p string, wall int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.pass(p)
-	t.unref(p, wall, 0, 0, false)
+	t.unref(p, wall, 0, false)
 }
 
 // pass (mu held) hands p's turn to the next op that took p.
@@ -222,19 +211,16 @@ func (t *inflight) close() {
 }
 
 // release gives back the reference taken at wall, at at, the virtual time
-// of the op's terminal, and its park if the op parked. seq is the op's, and
-// ends a spill made of an entry no newer than the op: the op carried those
-// bytes to the DFS, or is the end of their incarnation. 0 ends none (no op
-// was queued, or its effect rides a coalesced survivor). The last reference
-// takes the record, spill and all; what was never taken is not given back.
-func (t *inflight) release(p string, wall int64, seq uint64, at vclock.Time, parked bool) {
+// of the op's terminal, and its park if the op parked. The last reference
+// takes the record; what was never taken is not given back.
+func (t *inflight) release(p string, wall int64, at vclock.Time, parked bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.unref(p, wall, seq, at, parked)
+	t.unref(p, wall, at, parked)
 }
 
 // unref is release with mu held.
-func (t *inflight) unref(p string, wall int64, seq uint64, at vclock.Time, parked bool) {
+func (t *inflight) unref(p string, wall int64, at vclock.Time, parked bool) {
 	rec, ok := t.paths[p]
 	if !ok {
 		return
@@ -249,10 +235,6 @@ func (t *inflight) unref(p string, wall int64, seq uint64, at vclock.Time, parke
 		t.parked.Add(-1)
 	}
 	rec.refs--
-	if rec.spill != nil && (rec.refs == 0 || seq >= rec.spill.seq) {
-		rec.spill = nil
-		t.spills.Add(-1)
-	}
 	if rec.refs == 0 {
 		delete(t.paths, p)
 		if t.waiting > 0 {
@@ -338,41 +320,4 @@ func (t *inflight) atRisk() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.refs
-}
-
-// putSpill keeps an fsync's copy of the entry of that seq with p's record,
-// in place of an older one. false: nothing is pending on p here.
-func (t *inflight) putSpill(p string, seq uint64, data []byte) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rec, ok := t.paths[p]
-	if ok {
-		if rec.spill == nil {
-			t.spills.Add(1)
-		}
-		rec.spill = &spilled{seq: seq, data: append([]byte(nil), data...)}
-		t.paths[p] = rec
-	}
-	return ok
-}
-
-// takeSpill hands p's spilled bytes to the create of seq that has just
-// landed, if they are newer than the ones it carried: a spill of an entry
-// no newer than the create is in its own write, and stays for its release
-// to end.
-func (t *inflight) takeSpill(p string, seq uint64) []byte {
-	if t.spills.Load() == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rec := t.paths[p]
-	if rec.spill == nil || rec.spill.seq <= seq {
-		return nil
-	}
-	data := rec.spill.data
-	rec.spill = nil
-	t.spills.Add(-1)
-	t.paths[p] = rec
-	return data
 }

@@ -26,14 +26,13 @@ import (
 )
 
 // TestEveryTerminalReleasesEverything walks an op to each of its ends —
-// with its path written and fsynced first, so that it holds everything an
-// op can hold — and asks the node's one table afterwards: nothing at risk,
-// nothing parked, no staleness, no spill, the path not pending, and a
-// barrier scoped to the path's parent skips the node.
+// with its path written and fsynced first — and asks the node's one table
+// afterwards: nothing at risk, nothing parked, no staleness, the path not
+// pending, and a barrier scoped to the path's parent skips the node.
 func TestEveryTerminalReleasesEverything(t *testing.T) {
 	const dir, p = "/w/d", "/w/d/f"
 	// acked creates p, writes to it and fsyncs it behind held commit
-	// processes: two ops and a spill.
+	// processes: two ops, and nothing more for the fsync.
 	acked := func(t *testing.T, c *Client, at vclock.Time, p string) vclock.Time {
 		at, err := c.Create(at, p, 0o644)
 		if err != nil {
@@ -150,8 +149,8 @@ func TestEveryTerminalReleasesEverything(t *testing.T) {
 				}
 				release := holdCommits(t, r)
 				at = acked(t, c, at, path)
-				if n.inflight.atRisk() != 2 || r.SpillCount() != 1 || !r.PathPending(path) || (r.MaxStaleness() > 0) != withObs {
-					t.Fatalf("held: at risk %d, spills %d, pending %v, staleness %d", n.inflight.atRisk(), r.SpillCount(), r.PathPending(path), r.MaxStaleness())
+				if n.inflight.atRisk() != 2 || !r.PathPending(path) || (r.MaxStaleness() > 0) != withObs {
+					t.Fatalf("held: at risk %d, pending %v, staleness %d", n.inflight.atRisk(), r.PathPending(path), r.MaxStaleness())
 				}
 				if tc.run != nil {
 					tc.run(t, e, c, at, release)
@@ -185,9 +184,6 @@ func wantReleased(t *testing.T, r *Region, n *node, path string) {
 	}
 	if got := r.OldestPendingAge(path); got != 0 {
 		t.Errorf("OldestPendingAge(%s) = %d", path, got)
-	}
-	if got := r.SpillCount(); got != 0 {
-		t.Errorf("SpillCount = %d", got)
 	}
 	if r.PathPending(path) {
 		t.Errorf("%s still pending", path)
@@ -225,10 +221,9 @@ func TestClosedQueueRefusesAndReleases(t *testing.T) {
 	}
 }
 
-// TestInflightTableUnderRace: four clients take references on 64 paths
-// (spilling on some), push them in their turns and hand each to one of
-// four commit processes, which park a third of them first and release it —
-// half as an op's terminal, half as a coalesced op's — while a reader asks
+// TestInflightTableUnderRace: four clients take references on 64 paths,
+// push them in their turns and hand each to one of four commit processes,
+// which park a third of them first and release it, while a reader asks
 // the table everything it answers and a crossing waits on one path over
 // and over. References and parks never go negative and the table ends
 // empty.
@@ -236,7 +231,6 @@ func TestInflightTableUnderRace(t *testing.T) {
 	type ref struct {
 		p    string
 		wall int64
-		seq  uint64
 	}
 	var (
 		table   = inflight{paths: make(map[string]pending)}
@@ -253,11 +247,8 @@ func TestInflightTableUnderRace(t *testing.T) {
 		go func(g int) {
 			defer takers.Done()
 			for i := 0; i < perTaker; i++ {
-				r := ref{p: fmt.Sprintf("/w/d%d/f%d", i%8, (i*7+g)%8), wall: int64(g*perTaker + i + 1), seq: uint64(i + 1)}
+				r := ref{p: fmt.Sprintf("/w/d%d/f%d", i%8, (i*7+g)%8), wall: int64(g*perTaker + i + 1)}
 				table.take(r.p, r.wall)
-				if i%5 == 0 && !table.putSpill(r.p, r.seq, []byte("x")) {
-					t.Error("no record for a path just taken")
-				}
 				if _, err := table.push(queue, &Op{Path: r.p}); err != nil {
 					t.Error(err)
 				}
@@ -268,14 +259,11 @@ func TestInflightTableUnderRace(t *testing.T) {
 		go func(g int) {
 			defer workers.Done()
 			for r := range handed {
-				if r.wall%2 == 0 {
-					r.seq = 0
-				}
 				parked := r.wall%3 == 0
 				if parked {
 					table.park(r.p)
 				}
-				table.release(r.p, r.wall, r.seq, 0, parked)
+				table.release(r.p, r.wall, 0, parked)
 			}
 		}(g)
 	}
@@ -294,9 +282,6 @@ func TestInflightTableUnderRace(t *testing.T) {
 			}
 			table.hasUnder("/w/d3")
 			table.refsOn("/w/d3/f3")
-			if n := table.spills.Load(); n < 0 {
-				t.Errorf("spills = %d", n)
-			}
 			if n := int(table.parked.Load()); n < 0 || n > 4+cap(handed)+4 {
 				t.Errorf("parked = %d", n)
 			}
@@ -325,12 +310,12 @@ func TestInflightTableUnderRace(t *testing.T) {
 	close(handed)
 	close(stop)
 	workers.Wait()
-	if table.atRisk() != 0 || int(table.parked.Load()) != 0 || len(table.paths) != 0 || table.spills.Load() != 0 || table.oldest("") != 0 {
+	if table.atRisk() != 0 || int(table.parked.Load()) != 0 || len(table.paths) != 0 || table.oldest("") != 0 {
 		t.Fatalf("table not empty at the end: %d refs, %d parked, %v", table.atRisk(), int(table.parked.Load()), table.paths)
 	}
 	// What was never taken cannot be given back, nor parked.
 	table.park("/w/never")
-	table.release("/w/never", 1, 1, 0, true)
+	table.release("/w/never", 1, 0, true)
 	if table.atRisk() != 0 || int(table.parked.Load()) != 0 || table.waiting != 0 {
 		t.Fatalf("refs = %d, parked %d after a release of nothing", table.atRisk(), int(table.parked.Load()))
 	}
@@ -757,8 +742,8 @@ func TestCloseTurnsAwayTheTableWaits(t *testing.T) {
 // says. A region is a list of nodes: the only maps it holds are the one
 // index by node name and the active rmdir targets (keyed by path), so a
 // second per-node map arrives in the open; the two trackers and the
-// region-wide spill map the table replaced are named in no .go file of
-// the module; CacheStats is a plain loop; and the node pointer an op
+// region-wide spill map the table replaced, and the spill it then held,
+// are named in no .go file of the module; CacheStats is a plain loop; and the node pointer an op
 // carries costs the queue message nothing.
 func TestRegionHasOneNodeIndex(t *testing.T) {
 	var maps []string
@@ -775,7 +760,7 @@ func TestRegionHasOneNodeIndex(t *testing.T) {
 	if got := unsafe.Sizeof(Op{}); got > 160 {
 		t.Errorf("Op is %d bytes, 160 before it carried its node", got)
 	}
-	gone := []string{"path" + "Tracker", "lag" + "Tracker", "spill" + "Put"}
+	gone := []string{"path" + "Tracker", "lag" + "Tracker", "spill" + "Put", "put" + "Spill", "take" + "Spill", "Spill" + "Count"}
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err

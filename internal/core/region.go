@@ -406,7 +406,6 @@ func (r *Region) registerMetrics() {
 		o.RegisterGauge("queue_oldest_unacked_ns_"+n.name, func() int64 { return age(n.inflight.oldest("")) })
 		o.RegisterGauge("at_risk_ops_"+n.name, func() int64 { return int64(n.inflight.atRisk()) })
 	}
-	o.RegisterGauge("spill_pending", func() int64 { return int64(r.SpillCount()) })
 	o.RegisterGauge("cache_items", func() int64 { return r.CacheStats().Items })
 	o.RegisterGauge("cache_used_bytes", func() int64 { return r.CacheStats().UsedBytes })
 	o.RegisterGauge("dirty_keys", func() int64 {
@@ -606,11 +605,6 @@ func (r *Region) isRemoving(p string) bool {
 		}
 	}
 	return false
-}
-
-// SpillCount reports files with spilled data awaiting write-back.
-func (r *Region) SpillCount() int {
-	return r.perNode(func(n *node) int { return int(n.inflight.spills.Load()) })
 }
 
 // syncBarrier runs the barrier protocol up to the drain point: it opens

@@ -38,23 +38,17 @@ func (c *committer) observeDequeue(ops []Op) {
 // into a coalesced survivor, lost with its node or refused by a closed
 // queue — and it releases everything the op holds together: its reference
 // in its node's in-flight table — what scoped barriers, crossings and the
-// staleness watermarks wait on, and with it its park if it ever parked and
-// the spill of an incarnation the op ends (an absorbed op ends nothing: its
-// effect rides the survivor) — and the
-// span (terminal stage event, commit lag, sampled assembly or tail-keep).
-// A terminal that released only some of them is how a crashed node used to
-// leak sampled spans, and a removed file its fsynced bytes. at is the
-// terminal's virtual time, which an ack parked on the node's bound pays.
+// staleness watermarks wait on, and with it its park if it ever parked —
+// and the span (terminal stage event, commit lag, sampled assembly or
+// tail-keep). A terminal that released only some of them is how a crashed
+// node used to leak sampled spans. at is the terminal's virtual time,
+// which an ack parked on the node's bound pays.
 func (r *Region) opTerminal(op Op, at vclock.Time, stage obs.Stage, note string) {
 	n := op.node
 	if n == nil {
 		return
 	}
-	seq := op.Seq
-	if stage == obs.StageCoalesce {
-		seq = 0
-	}
-	n.inflight.release(op.Path, op.EnqWall, seq, at, op.Parked)
+	n.inflight.release(op.Path, op.EnqWall, at, op.Parked)
 	if n.tel == nil {
 		return
 	}
