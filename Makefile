@@ -45,8 +45,9 @@ core BenchmarkClientCreateBoundedAck 2000x 12 680 create at AtRiskBound 1   # 12
 core BenchmarkClientRemove         2000x  14 -   cached rm                      # 9 to 11, call to end of commit: an allocation added to the rm's request, row or answer
 core BenchmarkClientInlineWrite    2000x  14 4600 inline write                  # 9 and 4,010 B for a 1 KiB write: four copies of the bytes (splice, store, answer, write-back); a fifth, e.g. the row decoding the stored value with a copy, is +1,024 B
 core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2
-core BenchmarkClientStatMiss       2000x  4  288 stat miss (read-through)     # 4 and 240-254 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap, or a client-side add behind the get, is +1
+core BenchmarkClientStatMiss       2000x  4  288 stat miss (read-through)     # 4 and 240-254 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap is +1, the owner's miss list unpooled +4
 core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
+core BenchmarkClientStatMultiMiss  2000x  88 9000 batched read of 16 misses     # 16 misses over 4 owners, 88 and ≈8,500 B: per key the owner's key string, its entry and value, the path the MDS decodes; per owner one StatBatch. The owner's miss list unpooled is +41 and ≈+1,580 B; a client StatBatch and add_multi behind the get_multi read 103 and 12,572 B
 core BenchmarkCommitWave           2048x  3  230 commit wave                    # 3 and 199 B per committed op: the settle fan-out allocating its grouping, result slots and closure per call again is 4 and 269 B; per-wave scratch allocated afresh shows in the bytes (1,265 B with the per-call settle)
 core BenchmarkCommitWavePayload    2048x  4  275 commit wave with payload       # 4 and 250 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS; per-call settle scratch is 5 and 325 B
 core BenchmarkCommitWaveTwoDirs    2048x  4  330 commit wave over two dirs      # 4 and 292 B, ckpt_rotate's shape: the wave's second directory request allocating (a goroutine or closure per group, grouping scratch on the heap); per-call settle scratch is 5 and 367 B
@@ -55,6 +56,7 @@ dfs  BenchmarkCreate               20000x 2  184 dfs create (one-op batch)      
 dfs  BenchmarkApplyBatch1          20000x 3  200 dfs apply_batch of 1           # 3 and 183 B, the create plus its one-element result: a batch of one taking the grouping path
 dfs  BenchmarkApplyBatchRemove1    20000x 2  48  dfs remove of a file with bytes # 2 and 32 B, the path and the one-element result, its drop_multi included: the drop's grouping or inode list on the heap, or a closure per call, is +1
 dfs  BenchmarkApplyBatch8/shards=1 20000x 17 -   dfs apply_batch of 8, one MDS  # 17, the result slice plus eight paths and eight inodes: shard buckets built on one MDS, or directory grouping leaving the stack, is +1 or +2
+vclock BenchmarkResourceAcquire    100000x 0 0  station, a far-future booking every 16th # 0 and 0 B once warm: a calendar that grows past its bound, or allocates per booking, shows here
 mq   BenchmarkQueuePushPop          100000x 0 0  queue push+pop                 # 0 and 0 B: a push or pop that allocates, e.g. a fresh buffer once the consumer has caught up
 mq   BenchmarkQueueLaggingConsumer  100000x 0 0  queue push+pop, 64 behind      # 0 and 0 B: a buffer that grows instead of compacting behind a lagging consumer shows in the bytes (≈140 B/op)
 endef

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -329,5 +331,32 @@ func TestMultiMDSAblationShape(t *testing.T) {
 	// ...but Pacon stays ahead even at 8 MDSes.
 	if f.Last(string(Pacon)) <= f.Last(string(BeeGFS)) {
 		t.Fatal("Pacon must still lead an 8-MDS BeeGFS")
+	}
+}
+
+// TestPaconPhasesIndependentOfProcs: the paper-scale Pacon phases (320
+// clients) read the same on one P and on two. A station that lets a
+// request stamped in the virtual future hold back the present — a commit
+// process's settle queued ahead of the clients' cache ops — read the
+// mkdir and create phases at the MDS's speed whenever more than one P ran
+// goroutines.
+func TestPaconPhasesIndependentOfProcs(t *testing.T) {
+	phases := func(procs int) (mkdir, create float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		mkdir, create, _, err := runPhases(Default(), Pacon, 320)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mkdir, create
+	}
+	m1, c1 := phases(1)
+	m2, c2 := phases(2)
+	for _, ph := range []struct {
+		name   string
+		p1, p2 float64
+	}{{"mkdir", m1, m2}, {"create", c1, c2}} {
+		if math.Abs(ph.p2-ph.p1) > 0.02*ph.p1 {
+			t.Errorf("%s: %.0f ops/s on one P, %.0f on two: more than 2%% apart", ph.name, ph.p1, ph.p2)
+		}
 	}
 }

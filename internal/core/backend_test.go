@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -44,9 +45,9 @@ func TestBackendIsExactlyWhatCoreCalls(t *testing.T) {
 // header says: in non-test core the invalidation generation is read in
 // the load guard's two halves alone — the token a load reads before the
 // DFS (Region.loadToken) and the check the owning cache server makes under
-// the key's lock (Region.current) — and the cache's add is called in
-// entry.go's Client.load only, the memcache client having no single-key
-// add at all. Nothing revokes a load: only eviction deletes an entry
+// the key's lock (Region.current) — and a loaded entry is added by its
+// owner alone, through entry.go's Region.loader, the memcache client
+// having no add at all. Nothing revokes a load: only eviction deletes an entry
 // because it is clean. And the guarded single-key delete the revoke once
 // needed exists nowhere in the module. A second copy of the miss-load
 // protocol fails here, not in a review.
@@ -56,6 +57,7 @@ func TestLoadIsTheOneHomeOfTheMissProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	var genReaders, adders []string
+	loadHook := regexp.MustCompile(`memcache\.Load\b`)
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -69,7 +71,7 @@ func TestLoadIsTheOneHomeOfTheMissProtocol(t *testing.T) {
 			if bytes.Contains(fn, []byte("invalGen.Load()")) {
 				genReaders = append(genReaders, name+": "+string(sig))
 			}
-			if bytes.Contains(fn, []byte(".AddMulti(")) {
+			if loadHook.Match(fn) {
 				adders = append(adders, name+": "+string(sig))
 			}
 		}
@@ -82,11 +84,13 @@ func TestLoadIsTheOneHomeOfTheMissProtocol(t *testing.T) {
 		!strings.HasPrefix(genReaders[1], "entry.go: (r *Region) loadToken(") {
 		t.Errorf("invalGen is read in %q, want in entry.go's Region.current and Region.loadToken alone", genReaders)
 	}
-	if len(adders) != 1 || !strings.HasPrefix(adders[0], "entry.go: (c *Client) load(") {
-		t.Errorf("the cache's add is called in %q, want in entry.go's Client.load alone", adders)
+	if len(adders) != 1 || !strings.HasPrefix(adders[0], "entry.go: (r *Region) loader(") {
+		t.Errorf("a cache server's load is built in %q, want in entry.go's Region.loader alone", adders)
 	}
-	if _, ok := reflect.TypeOf(&memcache.Client{}).MethodByName("Add"); ok {
-		t.Error("memcache.Client has Add: a client-side single-key add is back beside the owner's load")
+	for ct, i := reflect.TypeOf(&memcache.Client{}), 0; i < ct.NumMethod(); i++ {
+		if name := ct.Method(i).Name; strings.HasPrefix(name, "Add") {
+			t.Errorf("memcache.Client has %s: a client-side add is back beside the owner's load", name)
+		}
 	}
 	gone := "Delete" + "CAS"
 	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {

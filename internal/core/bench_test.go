@@ -192,6 +192,49 @@ func BenchmarkClientStatMulti(b *testing.B) {
 	}
 }
 
+// BenchmarkClientStatMultiMiss is the batched read path with every key a
+// miss: 16 files the cache does not hold, spread over the 4 cache
+// servers, so one call is one get_multi per owner, each owner loading its
+// share with one DFS read and adding it. Every iteration reads 16 other
+// files, created on the DFS beforehand.
+func BenchmarkClientStatMultiMiss(b *testing.B) {
+	_, c := benchEnv(b, 4)
+	st := fsapi.NewFileStat(appCred, 0o644)
+	batches := make([][]string, obs.DefaultSampleN+b.N)
+	for i := range batches {
+		batches[i] = make([]string, 16)
+		for j := range batches[i] {
+			batches[i][j] = fmt.Sprintf("/w/cold%07d.%02d", i, j)
+		}
+		if _, _, err := c.backend.ApplyBatch(0, createAll(batches[i], st)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	now, next := vclock.Time(0), 0
+	statMulti := func() {
+		var res []fsapi.StatResult
+		var err error
+		if res, now, err = c.StatMulti(now, batches[next]); err != nil || res[15].Err != nil {
+			b.Fatal(err, res[15].Err)
+		}
+		next++
+	}
+	warmUp(statMulti)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		statMulti()
+	}
+}
+
+// createAll is a batch creating every path with st.
+func createAll(paths []string, st fsapi.Stat) []fsapi.BatchOp {
+	ops := make([]fsapi.BatchOp, len(paths))
+	for i, p := range paths {
+		ops[i] = fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: st}
+	}
+	return ops
+}
+
 // warmUp runs op until obs has head-sampled at least one op.
 func warmUp(op func()) {
 	for i := 0; i < obs.DefaultSampleN; i++ {

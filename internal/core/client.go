@@ -359,9 +359,9 @@ func (c *Client) statMerged(at vclock.Time, m remoteRegion, p string) (fsapi.Sta
 }
 
 // StatMulti is the batched form of Stat: workspace paths resolve with
-// one get_multi per owning cache server and what the cache does not
-// answer with one load, which adds it for the next reader; merged-peer
-// paths read the peer's cache the same way but stay strictly read-only;
+// one get_multi per owning cache server, which loads what it does not hold
+// for the next reader; merged-peer paths read the peer's cache the same
+// way but stay strictly read-only, their misses read from the DFS;
 // everything else goes to the DFS per path. Results align with paths —
 // per-path failures land in their StatResult, they never fail the batch.
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
@@ -463,21 +463,34 @@ func (c *Client) StatBackend(at vclock.Time, paths []string) ([]fsapi.StatResult
 	for i, p := range paths {
 		clean[i] = namespace.Clean(p)
 	}
-	return c.statBackend(at, clean)
+	out := make([]fsapi.StatResult, len(paths))
+	at = statPaths(c.backend, at, clean, func(j int, sr fsapi.StatResult) { out[j] = sr })
+	return out, at
 }
 
-// statBackend is a many-path load's read: one Backend.StatBatch. A
-// batch-level error, from a backend that could not say more, is that
-// error on every path.
-func (c *Client) statBackend(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
-	res, done, err := c.backend.StatBatch(at, paths)
-	if err != nil {
-		res = make([]fsapi.StatResult, len(paths))
-		for i := range res {
-			res[i].Err = err
-		}
+// statPaths is a load's read, fn(j, sr) getting paths[j]'s answer:
+// nothing for no path, Backend.Stat for one, one Backend.StatBatch for
+// many. A batch-level error, from a backend that could not say more, is
+// that error on every path.
+func statPaths(b Backend, at vclock.Time, paths []string, fn func(j int, sr fsapi.StatResult)) vclock.Time {
+	switch len(paths) {
+	case 0:
+		return at
+	case 1:
+		var sr fsapi.StatResult
+		sr.Stat, at, sr.Err = b.Stat(at, paths[0])
+		fn(0, sr)
+		return at
 	}
-	return res, done
+	res, done, err := b.StatBatch(at, paths)
+	for j := range paths {
+		sr := fsapi.StatResult{Err: err}
+		if err == nil {
+			sr = res[j]
+		}
+		fn(j, sr)
+	}
+	return done
 }
 
 // CacheRPCs reports this client's cumulative metadata-cache round
@@ -627,11 +640,12 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	}
 	r.readdirEntries.RecordN(int64(len(ents)))
 	if len(ents) > 0 {
-		// Warm the cache from the listing: a read of the children, for
-		// what load adds. Safe after the release: the stats come from
-		// fresh DFS reads under the load's invalidation-generation guard,
-		// and the adds are add-if-absent, so they can neither mask a newer
-		// queued mutation nor resurrect a concurrently removed subtree.
+		// Warm the cache from the listing: a read of the children, whose
+		// owners load what they do not hold. Safe after the release: the
+		// stats come from fresh DFS reads under the load's
+		// invalidation-generation guard, and the adds are add-if-absent,
+		// so they can neither mask a newer queued mutation nor resurrect a
+		// concurrently removed subtree.
 		children := make([]string, len(ents))
 		for i, ent := range ents {
 			children[i] = namespace.Join(p, ent.Name)

@@ -19,10 +19,9 @@ import (
 // only code that knows what an entry may become: the value format, the
 // client transitions (next), the one read-modify-write that stores them
 // (Client.mutate; its owner runs entryRow), the one read (lookup) with the
-// miss-load behind it (the owner's Region.loader for one path,
-// Client.load's add for many) and the commit table (commitOutcome).
-// Nothing else in core calls cache.AddMulti, Mutate or Set, or sets a
-// flag. DESIGN.md §11 renders both tables. Invariants, checked by
+// miss-load behind it (the owner's Region.loader) and the commit table
+// (commitOutcome). Nothing else in core calls cache.Mutate or Set, or sets
+// a flag. DESIGN.md §11 renders both tables. Invariants, checked by
 // entry_explore_test.go at every step of every bounded interleaving of
 // two clients, the commit process and eviction:
 //
@@ -374,16 +373,14 @@ func readEntry(cache *memcache.Client, at vclock.Time, p string) (v cacheVal, pr
 // A read (§III.D.1 getattr) is lookup → load: what the cache answers is
 // the answer, and the paths it does not answer go to load. cache is the
 // region's own, or a merged peer's with store false — a merged peer is
-// read-only (§III.D.4). A single path's miss on the region's own cache is
-// loaded by the owning cache server in the get that found it
-// (Region.loader): one round trip, the DFS read at the owner. Many paths'
-// misses are read with one DFS request (Client.load) and added with one
-// add_multi per owner: a StatMulti's misses, loaded by each owner, would
-// each take an MDS worker at the same instant. A path whose owner cannot
-// be reached or answers garbage is answered by the DFS and stored nowhere,
-// and that owner is asked nothing more. A hit is decoded where the reply
-// landed, in a pooled buffer: the stat's inline bytes are the one copy a
-// read makes.
+// read-only (§III.D.4). A miss on the region's own cache, one path's or
+// many's, is loaded by the owning cache server in the get or get_multi
+// that found it (Region.loader): one round trip, the DFS read at the
+// owner, one read for all of a request's misses. A path whose owner cannot
+// be reached or answers garbage is answered by the DFS (Client.load) and
+// stored nowhere, and that owner is asked nothing more. A hit is decoded
+// where the reply landed, in a pooled buffer: the stat's inline bytes are
+// the one copy a read makes.
 
 // lookup reads one path: one get, which the owner answers from the DFS on a
 // miss. A load the owner could not add for lack of room is answered all
@@ -399,15 +396,12 @@ func (c *Client) lookup(at vclock.Time, cache *memcache.Client, store bool, op, 
 			res, at, err = cache.Get(at, p, store, reply)
 		}
 	}
-	switch {
-	case err != nil || res.Status == memcache.Miss:
+	if err != nil || res.Status == memcache.Miss {
 		var out [1]fsapi.StatResult
-		at = c.load(at, op, []string{p}, nil, out[:], false)
+		at = c.load(at, op, []string{p}, []int{0}, out[:])
 		return out[0].Stat, at, out[0].Err
-	case res.Status == memcache.Failed:
-		return fsapi.Stat{}, at, fsapi.WrapPath(op, p, res.Err)
 	}
-	sr := decodeStatResult(op, p, res.Item.Value)
+	sr := c.answer(op, p, res)
 	return sr.Stat, at, sr.Err
 }
 
@@ -417,31 +411,46 @@ const readBatchSize = 64
 
 // lookupMulti reads many paths: one get_multi per owning cache server per
 // readBatchSize paths. The answer for paths[j] lands in out[idx[j]], or in
-// out[j] when idx is nil; a path's failure is its own.
+// out[j] when idx is nil; a path's failure is its own. A load an owner
+// could not add for lack of room is answered all the same, and evicts
+// nothing: a warm is an optimization, not worth an eviction round.
 func (c *Client) lookupMulti(at vclock.Time, cache *memcache.Client, store bool, paths []string, idx []int, out []fsapi.StatResult) vclock.Time {
 	for start := 0; start < len(paths); start += readBatchSize {
 		chunk := paths[start:min(start+readBatchSize, len(paths))]
-		var missed, unreached pathSet
-		at = cache.GetMulti(at, chunk, func(i int, res memcache.Result, err error) {
-			j := slot(idx, start+i)
-			switch {
-			case err != nil:
-				unreached.add(chunk[i], j, len(chunk))
-			case res.Status == memcache.Hit:
-				out[j] = decodeStatResult("stat", chunk[i], res.Item.Value)
-			default:
-				missed.add(chunk[i], j, len(chunk))
+		var missed []string // for load, their answers going to out[to[k]]
+		var to []int
+		at = cache.GetMulti(at, chunk, store, func(i int, res memcache.Result, err error) {
+			j := start + i
+			if idx != nil {
+				j = idx[j]
 			}
+			if err != nil || res.Status == memcache.Miss {
+				missed, to = append(missed, chunk[i]), append(to, j)
+				return
+			}
+			out[j] = c.answer("stat", chunk[i], res)
 		})
-		at = c.load(at, "stat", missed.paths, missed.idx, out, store)
-		at = c.load(at, "stat", unreached.paths, unreached.idx, out, false)
+		at = c.load(at, "stat", missed, to, out)
 	}
 	return at
 }
 
-// decodeStatResult is a read's hit as its answer. To a reader a removed
-// marker is ErrNotExist: the region knows the object is gone, whatever the
-// DFS still holds.
+// answer is a path's answer from its owner: the DFS's error for a load
+// that failed, the entry otherwise — the one held, the one loaded (a cache
+// warm), or the one read but not added. To a reader a removed marker is
+// ErrNotExist: the region knows the object is gone, whatever the DFS still
+// holds.
+func (c *Client) answer(op, p string, res memcache.Result) fsapi.StatResult {
+	switch res.Status {
+	case memcache.Failed:
+		return fsapi.StatResult{Err: fsapi.WrapPath(op, p, res.Err)}
+	case memcache.Loaded:
+		c.region.cacheWarms.Add(1)
+	}
+	return decodeStatResult(op, p, res.Item.Value)
+}
+
+// decodeStatResult is an entry read as a stat.
 func decodeStatResult(op, p string, raw []byte) fsapi.StatResult {
 	v, err := decodeCacheVal(raw)
 	if err == nil && v.removed {
@@ -450,86 +459,21 @@ func decodeStatResult(op, p string, raw []byte) fsapi.StatResult {
 	return fsapi.StatResult{Stat: v.stat, Err: err}
 }
 
-// slot is where paths[j]'s answer goes in a caller's results.
-func slot(idx []int, j int) int {
-	if idx != nil {
-		j = idx[j]
-	}
-	return j
-}
-
-// pathSet is the paths of one chunk that go to load, each with the place
-// of its answer.
-type pathSet struct {
-	paths []string
-	idx   []int
-}
-
-func (s *pathSet) add(p string, j, capHint int) {
-	if s.paths == nil {
-		s.paths, s.idx = make([]string, 0, capHint), make([]int, 0, capHint)
-	}
-	s.paths, s.idx = append(s.paths, p), append(s.idx, j)
-}
-
 // loaded is the entry a stat the DFS answered becomes: next's evLoad row
 // on an absent key.
 func loaded(st fsapi.Stat, threshold int) cacheVal {
 	return next(cacheVal{}, false, &event{kind: evLoad, stat: st, threshold: threshold}).val
 }
 
-// load answers from the DFS the paths a cache did not answer: Backend.Stat
-// for one path and one Backend.StatBatch for many, either the
-// authoritative read. The answer for paths[j] lands in out[idx[j]], or in
-// out[j] when idx is nil, a DFS error wrapped with op and the path.
-//
-// With store set, what the DFS holds is added with one add_multi per
-// owner, under the load token read before the DFS was asked (see
-// Region.loader), and the owner's answer is the path's: the added entry,
-// or the one that got there first and holds state at least as new. What
-// did not fit is skipped — a warm is an optimization, not worth evicting
-// for — and what was added counts as cache warms.
-func (c *Client) load(at vclock.Time, op string, paths []string, idx []int, out []fsapi.StatResult, store bool) vclock.Time {
-	r := c.region
-	token := r.loadToken()
-	var one [1]fsapi.StatResult
-	res := one[:]
-	switch len(paths) {
-	case 0:
-		return at
-	case 1:
-		one[0].Stat, at, one[0].Err = c.backend.Stat(at, paths[0])
-	default:
-		res, at = c.statBackend(at, paths)
-	}
-	var entries []memcache.AddEntry
-	var pos []int // the path of entries[k]
-	if store {
-		entries, pos = make([]memcache.AddEntry, 0, len(paths)), make([]int, 0, len(paths))
-	}
-	for j, sr := range res {
-		out[slot(idx, j)] = fsapi.StatResult{Stat: sr.Stat, Err: fsapi.WrapPath(op, paths[j], sr.Err)}
-		if store && sr.Err == nil {
-			entries = append(entries, memcache.AddEntry{Key: paths[j], Value: loaded(sr.Stat, r.cfg.SmallFileThreshold).encode()})
-			pos = append(pos, j)
-		}
-	}
-	if len(entries) == 0 {
-		return at
-	}
-	var warmed int64
-	at = c.cache.AddMulti(at, token, entries, func(k int, ar memcache.Result, err error) {
-		switch {
-		case err != nil || ar.Status == memcache.Unstored:
-		case ar.Status == memcache.Loaded:
-			warmed++
-		default: // the entry that got there first is the answer
-			j := pos[k]
-			out[slot(idx, j)] = decodeStatResult(op, paths[j], ar.Item.Value)
-		}
+// load answers from the DFS the paths a cache did not answer, storing
+// nothing: Backend.Stat for one path and one Backend.StatBatch for many,
+// either the authoritative read. It serves an owner that could not be
+// reached and a merged peer's read-only cache. The answer for paths[j]
+// lands in out[to[j]], a DFS error wrapped with op and the path.
+func (c *Client) load(at vclock.Time, op string, paths []string, to []int, out []fsapi.StatResult) vclock.Time {
+	return statPaths(c.backend, at, paths, func(j int, sr fsapi.StatResult) {
+		out[to[j]] = fsapi.StatResult{Stat: sr.Stat, Err: fsapi.WrapPath(op, paths[j], sr.Err)}
 	})
-	r.cacheWarms.Add(warmed)
-	return at
 }
 
 // loadToken is what a miss-load reads before it asks the DFS: the region's
@@ -546,20 +490,27 @@ func (r *Region) loadToken() uint64 { return r.invalGen.Load() }
 // which NewRegion installs).
 func (r *Region) current(token uint64) bool { return r.invalGen.Load() == token }
 
-// loader is a single path's miss-load (§III.D.1: getattr "loads from the
-// DFS on miss") as the owning cache server runs it for a get that asks to
-// load (memcache.ServerConfig.Load; NewRegion installs one per node, over a
-// backend of that node): the entry of what the DFS holds, read under the
-// load token, or the DFS's error. The server adds the entry only to a key
-// still absent: whoever got there first holds state at least as new.
+// loader is the miss-load (§III.D.1: getattr "loads from the DFS on
+// miss") as the owning cache server runs it for a get or get_multi that
+// asks to load (memcache.ServerConfig.Load; NewRegion installs one per
+// node, over a backend of that node): one read of the request's misses
+// under the load token, and for each the entry of what the DFS holds or
+// the DFS's error. The server adds an entry only to a key still absent:
+// whoever got there first holds state at least as new.
 func (r *Region) loader(b Backend) memcache.Load {
-	return func(at vclock.Time, p string, val *wire.Encoder) (uint64, vclock.Time, error) {
+	return func(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock.Time) {
 		token := r.loadToken()
-		st, done, err := b.Stat(at, p)
-		if err == nil {
-			loaded(st, r.cfg.SmallFileThreshold).encodeTo(val)
-		}
-		return token, done, err
+		val := wire.GetEncoder()
+		done := statPaths(b, at, keys, func(_ int, sr fsapi.StatResult) {
+			val.Reset()
+			if sr.Err == nil {
+				loaded(sr.Stat, r.cfg.SmallFileThreshold).encodeTo(val)
+			}
+			vals.Byte(fsapi.CodeOf(sr.Err))
+			vals.Blob(val.Bytes())
+		})
+		wire.PutEncoder(val)
+		return token, done
 	}
 }
 

@@ -358,9 +358,9 @@ func (x *explorer) mutate(s *xState, c, other *xClient) bool {
 	return true
 }
 
-// load is a miss-load on the one key — the owner's read-through of a get,
-// or Client.load's add_multi — the DFS stat and the add in one step: the
-// table's evLoad row, added to the absent key.
+// load is a miss-load on the one key — the owner's read-through of a get
+// or a get_multi — the DFS stat and the add in one step: the table's
+// evLoad row, added to the absent key.
 func (x *explorer) load(s *xState) {
 	ev := event{kind: evLoad, stat: s.dfs.stat(), threshold: xThreshold}
 	s.cache.ver++

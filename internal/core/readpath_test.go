@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,12 +89,18 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 
 // TestReaddirWarmsColdListing: Readdir over a DFS-resident (uncached)
 // directory must warm the distributed cache from its listing, so the
-// follow-up stats (the ls -l pattern) never touch the MDS; the warm is
-// visible through the cache_warm counter and the readdir_entries
-// histogram in the obs registry.
+// follow-up stats (the ls -l pattern) never touch the MDS. The warm is a
+// StatMulti's read: one get_multi per owner, each owner loading its own
+// share of the children, the client's backend reading none. It is visible
+// through the cache_warm counter and the readdir_entries histogram in the
+// obs registry.
 func TestReaddirWarmsColdListing(t *testing.T) {
 	o := obs.New()
-	e := newEnvDeps(t, 2, nil, func(d *Deps) { d.Obs = o })
+	e := newEnvDeps(t, 2, nil, func(d *Deps) {
+		d.Obs = o
+		inner := d.NewBackend
+		d.NewBackend = func(node string) Backend { return &statCounter{Backend: inner(node)} }
+	})
 	admin := e.dfs.NewClient("admin", rootCred, 0, 0)
 	if _, err := admin.Mkdir(0, "/w/cold", 0o777); err != nil {
 		t.Fatal(err)
@@ -106,7 +113,14 @@ func TestReaddirWarmsColdListing(t *testing.T) {
 	}
 
 	c := e.client(t, "node0")
+	owners := map[string]bool{}
+	for i := 0; i < n; i++ {
+		owners[e.region.Ring().Lookup(fmt.Sprintf("/w/cold/f%02d", i))] = true
+	}
+	hook := &rpcHook{}
+	e.bus.SetObserver(hook)
 	ents, at, err := c.Readdir(0, "/w/cold")
+	e.bus.SetObserver(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +129,12 @@ func TestReaddirWarmsColdListing(t *testing.T) {
 	}
 	if got := e.region.Stats().CacheWarms; got != n {
 		t.Fatalf("CacheWarms = %d after cold readdir, want %d", got, n)
+	}
+	if got := hook.count("get_multi"); got != len(owners) {
+		t.Fatalf("the warm sent %d get_multi RPCs, want one per owner (%d)", got, len(owners))
+	}
+	if got := c.backend.(*statCounter).stats.Load(); got != 0 {
+		t.Fatalf("the client read %d stats from the DFS itself, want 0: the owners load", got)
 	}
 
 	// Every child is now cached: stats must not add MDS lookups.
@@ -518,21 +538,21 @@ func TestStatAndStatMultiAgree(t *testing.T) {
 
 // overtaken is a Backend whose stats are overtaken by a dependent
 // operation: after each authoritative read returns — between a load's DFS
-// read and its add — bump runs.
+// read and its add — bump runs with the paths it read.
 type overtaken struct {
 	Backend
-	bump func()
+	bump func(paths []string)
 }
 
 func (o *overtaken) Stat(at vclock.Time, p string) (fsapi.Stat, vclock.Time, error) {
 	st, done, err := o.Backend.Stat(at, p)
-	o.bump()
+	o.bump([]string{p})
 	return st, done, err
 }
 
 func (o *overtaken) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	res, done, err := o.Backend.StatBatch(at, paths)
-	o.bump()
+	o.bump(paths)
 	return res, done, err
 }
 
@@ -548,7 +568,7 @@ func TestOvertakenLoadStoresNothing(t *testing.T) {
 	e = newEnvDeps(t, 4, nil, func(d *Deps) {
 		inner := d.NewBackend
 		d.NewBackend = func(node string) Backend {
-			return &overtaken{Backend: inner(node), bump: func() {
+			return &overtaken{Backend: inner(node), bump: func([]string) {
 				if armed.Load() {
 					e.region.invalGen.Add(1)
 				}
@@ -571,6 +591,7 @@ func TestOvertakenLoadStoresNothing(t *testing.T) {
 	if _, _, err := c.Stat(0, "/w/d"); err != nil {
 		t.Fatal(err)
 	}
+	warmed := e.region.Stats().CacheWarms
 	armed.Store(true)
 
 	read := func(name string, paths []string, stat func() error) {
@@ -590,7 +611,7 @@ func TestOvertakenLoadStoresNothing(t *testing.T) {
 		if got := hook.count("settle_multi"); got != 0 {
 			t.Fatalf("%s sent %d settle_multi RPCs, want 0: nothing was added, so nothing is revoked", name, got)
 		}
-		if warms := e.region.Stats().CacheWarms; warms != 0 {
+		if warms := e.region.Stats().CacheWarms - warmed; warms != 0 {
 			t.Fatalf("%s: %d unstored loads counted as cache warms", name, warms)
 		}
 	}
@@ -622,9 +643,11 @@ func TestLoadOvertakenByARemoveStoresNothing(t *testing.T) {
 	e = newEnvDeps(t, 2, nil, func(d *Deps) {
 		inner := d.NewBackend
 		d.NewBackend = func(node string) Backend {
-			return &overtaken{Backend: inner(node), bump: func() {
-				p, _ := armed.Swap("").(string)
-				if p == "" {
+			return &overtaken{Backend: inner(node), bump: func(read []string) {
+				// Each owner reads its own share of a StatMulti's misses:
+				// the overtaker waits for the read that names its path.
+				p, _ := armed.Load().(string)
+				if p == "" || !slices.Contains(read, p) || !armed.CompareAndSwap(p, "") {
 					return
 				}
 				remover := e.client(t, "node1")

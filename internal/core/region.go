@@ -190,7 +190,7 @@ type RegionStats struct {
 
 	BarriersScoped int64 `json:"barriers_scoped"` // sync barriers that skipped at least one queue
 	BarriersFull   int64 `json:"barriers_full"`   // sync barriers that drained every queue
-	CacheWarms     int64 `json:"cache_warms"`     // clean entries bulk-loaded into the cache by read paths
+	CacheWarms     int64 `json:"cache_warms"`     // clean entries a read's miss-load added to the cache (every Loaded answer)
 }
 
 // Region is a running consistent region.

@@ -26,9 +26,6 @@ func NewClient(caller *rpc.Caller, ring *dht.Ring) *Client {
 	return &Client{caller: caller, ring: ring}
 }
 
-// Ring exposes the routing ring (region merge reads a peer region's ring).
-func (c *Client) Ring() *dht.Ring { return c.ring }
-
 // Owner returns the server address responsible for key.
 func (c *Client) Owner(key string) string { return c.ring.Lookup(key) }
 
@@ -42,9 +39,9 @@ func (c *Client) SetTrace(span uint64) { c.caller.SetTrace(span) }
 // ClearTrace removes the trace context set by SetTrace.
 func (c *Client) ClearTrace() { c.caller.ClearTrace() }
 
-// Result is one key's answer to a get: its Status, the item for Hit and
-// Loaded, the value alone for Unstored, and Err for Unstored (nil: the load
-// was overtaken) and Failed.
+// Result is one key's answer to a get or a get_multi: its Status, the item
+// for Hit and Loaded, the value alone for Unstored, and Err for Unstored
+// (nil: the load was overtaken) and Failed.
 type Result struct {
 	Item   Item
 	Status Status
@@ -63,8 +60,7 @@ func (c *Client) Get(at vclock.Time, key string, load bool, reply *wire.Encoder)
 	e.Bool(load)
 	e.String(key)
 	reply.Reset()
-	done, err := c.caller.CallInto(c.Owner(key), "get", at, e.Bytes(), reply)
-	wire.PutEncoder(e)
+	done, err := c.call(c.Owner(key), "get", at, e, reply)
 	if err != nil {
 		return Result{}, done, err
 	}
@@ -105,18 +101,6 @@ func (c *Client) call(addr, method string, at vclock.Time, e, reply *wire.Encode
 	return done, err
 }
 
-// counted opens a multi-key reply and checks that it counts want
-// results. On success the caller reads the results from the returned
-// decoder and hands it to finish.
-func counted(reply []byte, method string, want int) (*wire.Decoder, error) {
-	d := wire.GetDecoder(reply)
-	if n := d.Uvarint(); n != uint64(want) {
-		wire.PutDecoder(d)
-		return nil, fmt.Errorf("memcache: %s returned %d results for %d keys", method, n, want)
-	}
-	return d, nil
-}
-
 // finish releases a reply decoder and reports a malformed tail.
 func finish(d *wire.Decoder) error {
 	err := d.Finish()
@@ -124,8 +108,8 @@ func finish(d *wire.Decoder) error {
 	return err
 }
 
-// ownerReply is one owner's answer to a multi-key call: the pooled
-// encoder its reply landed in, or why there is none.
+// ownerReply is one owner's share of a get_multi: the pooled encoder its
+// request and then its reply are in, or why there is no reply.
 type ownerReply struct {
 	buf *wire.Encoder
 	err error
@@ -134,76 +118,54 @@ type ownerReply struct {
 // GetMulti fetches keys with one "get_multi" RPC per owning server,
 // grouped by dht.GroupByOwner and fanned out from the same virtual
 // instant (rpc.Caller.FanOut) — the batched read path's single round
-// trip per owner, like every multi-key call here. Each owner's reply
-// lands in a pooled encoder of its own, so over TCP the waits still
-// overlap. Once every owner has answered, fn(i, r, err) gets keys[i]'s
-// answer — Hit or Miss — on the calling goroutine (answer). A dead or
-// misbehaving owner fails only its own keys, with err: the other owners'
-// keys still resolve.
-func (c *Client) GetMulti(at vclock.Time, keys []string, fn func(i int, r Result, err error)) vclock.Time {
+// trip per owner, like every multi-key call here. With load set, each
+// owner reads the keys it does not hold through its Load hook, all of
+// them in one read, in the same round trip (Get's load, for many). Each
+// owner's reply lands in a pooled encoder of its own, so over TCP the
+// waits still overlap. Once every owner has answered, fn(i, r, err) gets
+// keys[i]'s answer, as Get gives it, on the calling goroutine (answer). A
+// dead or misbehaving owner fails only its own keys, with err: the other
+// owners' keys still resolve.
+func (c *Client) GetMulti(at vclock.Time, keys []string, load bool, fn func(i int, r Result, err error)) vclock.Time {
 	groups := c.ring.GroupByOwner(keys)
 	replies := make([]ownerReply, len(groups))
-	latest := c.caller.FanOut(at, len(groups), false, func(gi int) (done vclock.Time) {
-		g := groups[gi]
+	var flag uint64 // the load flag, the count's low bit
+	if load {
+		flag = 1
+	}
+	for gi, g := range groups { // encoded here, the fan-out's closure stays small
 		e := wire.GetEncoder()
-		e.Uvarint(uint64(len(g.Idx)))
+		e.Uvarint(uint64(len(g.Idx))<<1 | flag)
 		for _, i := range g.Idx {
 			e.String(keys[i])
 		}
-		r := &replies[gi]
-		r.buf = wire.GetEncoder()
-		done, r.err = c.call(g.Owner, "get_multi", at, e, r.buf)
-		return done
-	})
-	answer(groups, replies, "get_multi", fn)
-	return latest
-}
-
-// AddMulti adds entries, each only to a key its owner does not hold, with
-// one "add_multi" RPC per owning server (same grouping and fan-out as
-// GetMulti). The values were read under token, which each owner checks
-// under the key's lock just before the add (ServerConfig.Current). Once
-// every owner has answered, fn(i, r, err) gets entries[i]'s answer —
-// Loaded, Hit with the entry that got there first, or Unstored (answer).
-func (c *Client) AddMulti(at vclock.Time, token uint64, entries []AddEntry, fn func(i int, r Result, err error)) vclock.Time {
-	keys := make([]string, len(entries))
-	for i, en := range entries {
-		keys[i] = en.Key
+		replies[gi].buf = e
 	}
-	groups := c.ring.GroupByOwner(keys)
-	replies := make([]ownerReply, len(groups))
 	latest := c.caller.FanOut(at, len(groups), false, func(gi int) (done vclock.Time) {
-		g := groups[gi]
-		e := wire.GetEncoder()
-		e.Uvarint(token)
-		e.Uvarint(uint64(len(g.Idx)))
-		for _, i := range g.Idx {
-			e.String(entries[i].Key)
-			e.Blob(entries[i].Value)
-		}
 		r := &replies[gi]
+		req := r.buf
 		r.buf = wire.GetEncoder()
-		done, r.err = c.call(g.Owner, "add_multi", at, e, r.buf)
+		done, r.err = c.call(groups[gi].Owner, "get_multi", at, req, r.buf)
 		return done
 	})
-	answer(groups, replies, "add_multi", fn)
+	answer(groups, replies, fn)
 	return latest
 }
 
-// answer hands out a multi-key call's answers, once every owner has
-// replied: fn(i, r, nil) for each key, one at a time, never concurrently;
+// answer hands out a get_multi's answers, once every owner has replied:
+// fn(i, r, nil) for each key, one at a time, never concurrently;
 // r.Item.Value is a view into the owner's reply and lives only until fn
 // returns. Each reply is checked whole before its first answer is handed
 // out, so a malformed one fails all of its keys, not the tail: an owner
 // that could not be reached or answered garbage gets fn(i, Result{}, err)
 // for each of its keys. The replies go back to the pool.
-func answer(groups []dht.OwnerGroup, replies []ownerReply, method string, fn func(i int, r Result, err error)) {
+func answer(groups []dht.OwnerGroup, replies []ownerReply, fn func(i int, r Result, err error)) {
 	for gi, g := range groups {
 		r := &replies[gi]
 		err := r.err
 		if err == nil {
-			if err = readAnswers(r.buf.Bytes(), method, g.Idx, nil); err == nil {
-				readAnswers(r.buf.Bytes(), method, g.Idx, fn)
+			if err = readAnswers(r.buf.Bytes(), g.Idx, nil); err == nil {
+				readAnswers(r.buf.Bytes(), g.Idx, fn)
 			}
 		}
 		if err != nil {
@@ -215,13 +177,14 @@ func answer(groups []dht.OwnerGroup, replies []ownerReply, method string, fn fun
 	}
 }
 
-// readAnswers walks one owner's reply, whose answers are those of the
+// readAnswers walks one owner's reply, a count and then the answers of the
 // keys at positions idx, handing each to fn (nil: only check that the
 // reply is well-formed).
-func readAnswers(reply []byte, method string, idx []int, fn func(i int, r Result, err error)) error {
-	d, err := counted(reply, method, len(idx))
-	if err != nil {
-		return err
+func readAnswers(reply []byte, idx []int, fn func(i int, r Result, err error)) error {
+	d := wire.GetDecoder(reply)
+	if n := d.Uvarint(); n != uint64(len(idx)) {
+		wire.PutDecoder(d)
+		return fmt.Errorf("memcache: get_multi returned %d results for %d keys", n, len(idx))
 	}
 	for _, i := range idx {
 		r := readAnswer(d)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,7 +379,7 @@ type multiResult struct {
 // out of its reply before the view dies.
 func getMulti(c *Client, at vclock.Time, keys []string) ([]multiResult, vclock.Time) {
 	out := make([]multiResult, len(keys))
-	done := c.GetMulti(at, keys, func(i int, r Result, err error) {
+	done := c.GetMulti(at, keys, false, func(i int, r Result, err error) {
 		out[i] = multiResult{Item: r.Item, Hit: r.Status == Hit, Err: err}
 		out[i].Item.Value = append([]byte(nil), r.Item.Value...)
 	})
@@ -716,13 +717,10 @@ func TestGetReadsThroughTheLoadHook(t *testing.T) {
 	current := true
 	s := testServer(ServerConfig{
 		CapacityBytes: 1 << 10,
-		Load: func(at vclock.Time, key string, val *wire.Encoder) (uint64, vclock.Time, error) {
+		Load: func(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock.Time) {
 			loads.Add(1)
-			if key == "/w/gone" {
-				return 0, at, fsapi.ErrNotExist
-			}
-			val.Raw([]byte("loaded " + key))
-			return 7, at.Add(100), nil
+			loadValues(keys, vals)
+			return 7, at.Add(100)
 		},
 		Current: func(token uint64) bool { return current && token == 7 },
 	})
@@ -775,5 +773,19 @@ func TestGetReadsThroughTheLoadHook(t *testing.T) {
 	pc := NewClient(rpc.NewCaller(bus, vclock.Default(), "p"), dht.NewWithMembers(0, "p/cache"))
 	if r, _, err := pc.Get(0, "/w/a", true, wire.NewEncoder(0)); err != nil || r.Status != Miss {
 		t.Fatalf("load from a server with no hook = %+v, %v", r, err)
+	}
+}
+
+// loadValues is the test servers' read behind the cache: a key under
+// /w/gone does not exist, every other holds "loaded <key>".
+func loadValues(keys []string, vals *wire.Encoder) {
+	for _, key := range keys {
+		if strings.HasPrefix(key, "/w/gone") {
+			vals.Byte(fsapi.CodeOf(fsapi.ErrNotExist))
+			vals.Blob(nil)
+			continue
+		}
+		vals.Byte(fsapi.CodeOK)
+		vals.Blob([]byte("loaded " + key))
 	}
 }

@@ -190,38 +190,145 @@ func TestGetMultiDuplicatesAndOrder(t *testing.T) {
 	}
 }
 
-// addResult is one entry of addMulti: its answer, its value copied out of
-// the reply, and its owner's error.
-type addResult struct {
+// loadResult is one key of getMultiLoad: its answer, its value copied out
+// of the reply, and its owner's error.
+type loadResult struct {
 	Result
 	OwnerErr error
 }
 
-// addMulti is Client.AddMulti collected into a slice.
-func addMulti(c *Client, token uint64, entries []AddEntry) []addResult {
-	out := make([]addResult, len(entries))
-	c.AddMulti(0, token, entries, func(i int, r Result, err error) {
+// getMultiLoad is Client.GetMulti with load set, collected into a slice.
+func getMultiLoad(c *Client, keys []string) []loadResult {
+	out := make([]loadResult, len(keys))
+	c.GetMulti(0, keys, true, func(i int, r Result, err error) {
 		r.Item.Value = append([]byte(nil), r.Item.Value...)
-		out[i] = addResult{Result: r, OwnerErr: err}
+		out[i] = loadResult{Result: r, OwnerErr: err}
 	})
 	return out
 }
 
-// TestAddMultiDuplicateKey: an add_multi applies its entries in input
-// order, each only to an absent key, and an entry that finds its key
-// filled answers with the entry that got there first.
-func TestAddMultiDuplicateKey(t *testing.T) {
-	c, _ := clusterEnv(t, 4)
-	res := addMulti(c, 0, []AddEntry{
-		{Key: "/w/x", Value: []byte("first")},
-		{Key: "/w/y", Value: []byte("other")},
-		{Key: "/w/x", Value: []byte("second")},
-	})
-	if res[0].Status != Loaded || res[1].Status != Loaded || res[2].Status != Hit || string(res[2].Item.Value) != "first" || res[2].Item.CAS != res[0].Item.CAS {
-		t.Fatalf("results = %+v, want the duplicate's second occurrence to read the first", res)
+// TestGetMultiLoadsItsMisses: a get_multi that asks to load answers every
+// key as a get would, in key order, and each owner reads all of its
+// misses with one call of its Load hook, adding them in one more service
+// slot. A key that occurs twice is loaded once: its second copy answers
+// Hit with the first's entry. A request whose keys all hit loads nothing.
+func TestGetMultiLoadsItsMisses(t *testing.T) {
+	bus, model, ring := rpc.NewBus(), vclock.Default(), dht.New(0)
+	var servers []*Server
+	loads := map[string][][]string{} // each owner's Load calls, by their keys
+	for i := 0; i < 4; i++ {
+		addr := fmt.Sprintf("node%d/cache", i)
+		s := NewServer(addr, ServerConfig{Model: model, Load: func(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock.Time) {
+			loads[addr] = append(loads[addr], append([]string(nil), keys...))
+			loadValues(keys, vals)
+			return 0, at
+		}})
+		bus.Register(addr, s.Service())
+		ring.Add(addr)
+		servers = append(servers, s)
 	}
-	if item, _, err := get(c, 0, "/w/x"); err != nil || string(item.Value) != "first" {
-		t.Fatalf("/w/x = %q, %v: occurrences were not applied in input order", item.Value, err)
+	c := NewClient(rpc.NewCaller(bus, model, "node0"), ring)
+	for i := 0; i < 8; i += 2 {
+		if _, _, err := c.Set(0, fmt.Sprintf("/w/k%d", i), []byte{byte(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var keys []string
+	for i := 0; i < 8; i++ {
+		keys = append(keys, fmt.Sprintf("/w/k%d", i))
+	}
+	keys = append(keys, "/w/k1", "/w/gone", "/w/k6", "/w/k3")
+	served := int64(0)
+	for _, s := range servers {
+		served += s.ServedOps()
+	}
+	res := getMultiLoad(c, keys)
+	first := map[string]uint64{}
+	for i, key := range keys {
+		r := res[i]
+		switch {
+		case r.OwnerErr != nil:
+			t.Fatalf("%s: %v", key, r.OwnerErr)
+		case key == "/w/gone":
+			if r.Status != Failed || !errors.Is(r.Err, fsapi.ErrNotExist) {
+				t.Fatalf("%s = %+v, want Failed", key, r)
+			}
+		case (key[len(key)-1]-'0')%2 == 0:
+			if r.Status != Hit || len(r.Item.Value) != 1 || r.Item.Value[0] != key[len(key)-1]-'0' {
+				t.Fatalf("%s = %+v, want its Hit", key, r)
+			}
+		case first[key] == 0:
+			if r.Status != Loaded || string(r.Item.Value) != "loaded "+key {
+				t.Fatalf("%s = %+v, want Loaded", key, r)
+			}
+			first[key] = r.Item.CAS
+		default:
+			if r.Status != Hit || r.Item.CAS != first[key] || string(r.Item.Value) != "loaded "+key {
+				t.Fatalf("second %s = %+v, want a Hit on the first's entry (cas %d)", key, r, first[key])
+			}
+		}
+	}
+	owners := map[string]bool{}
+	for _, k := range keys {
+		owners[ring.Lookup(k)] = true
+	}
+	loadingOwners := 0
+	for addr, calls := range loads {
+		loadingOwners++
+		if len(calls) != 1 {
+			t.Fatalf("%s loaded in %d calls, want one: %v", addr, len(calls), calls)
+		}
+	}
+	for _, s := range servers {
+		served -= s.ServedOps()
+	}
+	if want := int64(len(owners) + loadingOwners); -served != want {
+		t.Fatalf("%d service slots for %d owners, %d of them loading; want %d", -served, len(owners), loadingOwners, want)
+	}
+	clear(loads)
+	for i, r := range getMultiLoad(c, keys[:8]) {
+		if r.Status != Hit || r.OwnerErr != nil {
+			t.Fatalf("%s after the load = %+v", keys[i], r)
+		}
+	}
+	if len(loads) != 0 {
+		t.Fatalf("a request of hits loaded %v", loads)
+	}
+}
+
+// TestGetMultiRefusedFrameLoadsNothing: a get_multi frame that is refused
+// after its misses were looked up loads none of them.
+func TestGetMultiRefusedFrameLoadsNothing(t *testing.T) {
+	loads := 0
+	s := testServer(ServerConfig{Load: func(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock.Time) {
+		loads++
+		loadValues(keys, vals)
+		return 0, at
+	}})
+	bus := rpc.NewBus()
+	bus.Register("n/cache", s.Service())
+	caller := rpc.NewCaller(bus, vclock.Default(), "n")
+	frame := func(count uint64, tail ...byte) []byte {
+		e := wire.NewEncoder(64)
+		e.Uvarint(count<<1 | 1) // the count, load set
+		e.String("/w/a")
+		e.String("/w/b")
+		return append(e.Bytes(), tail...)
+	}
+	for name, body := range map[string][]byte{
+		"truncated":      frame(3),
+		"trailing bytes": frame(2, 0),
+		"count too big":  frame(1 << 60),
+	} {
+		if _, resp, err := caller.Call("n/cache", "get_multi", 0, body); err == nil || resp != nil {
+			t.Fatalf("%s: reply %x, err %v", name, resp, err)
+		}
+		if loads != 0 || s.Stats().Items != 0 {
+			t.Fatalf("%s: %d loads, %d items after a refused frame", name, loads, s.Stats().Items)
+		}
+	}
+	if _, _, err := caller.Call("n/cache", "get_multi", 0, frame(2)); err != nil || loads != 1 || s.Stats().Items != 2 {
+		t.Fatalf("well-formed frame: %v, %d loads, %d items", err, loads, s.Stats().Items)
 	}
 }
 
@@ -234,9 +341,9 @@ func TestMultiKeyCallsOnEmptyRing(t *testing.T) {
 			t.Fatalf("get_multi on an empty ring resolved key %d: %+v", i, res[i])
 		}
 	}
-	for i, r := range addMulti(c, 0, []AddEntry{{Key: "/w/a"}, {Key: "/w/b"}}) {
+	for i, r := range getMultiLoad(c, keys) {
 		if r.OwnerErr == nil {
-			t.Fatalf("add_multi on an empty ring stored entry %d: %+v", i, r)
+			t.Fatalf("get_multi with load on an empty ring resolved key %d: %+v", i, r)
 		}
 	}
 	if applied, _, _, err := c.SettleMulti(0, []Settle{{Key: "/w/a", Cond: CondClean}, {Key: "/w/b", Seq: 1, Clear: true}}); err == nil || applied != 0 {
@@ -296,49 +403,53 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 func fuzzCurrent(token uint64) bool { return token%2 == 0 }
 
 // fuzzLoad is the fuzzed servers' Load hook: /w/err fails, every other
-// key loads as a clean value under a token that is current for keys that
-// sort before /w/m.
-func fuzzLoad(at vclock.Time, key string, val *wire.Encoder) (uint64, vclock.Time, error) {
-	if key == "/w/err" {
-		return 0, at, fsapi.ErrClosed
-	}
+// key loads as a clean value, under a token that is current when the
+// first key sorts before /w/m.
+func fuzzLoad(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock.Time) {
 	var token uint64
-	if key >= "/w/m" {
+	if keys[0] >= "/w/m" {
 		token = 1
 	}
-	val.Raw(makeVal(0, 0))
-	return token, at, nil
+	for _, key := range keys {
+		if key == "/w/err" {
+			vals.Byte(fsapi.CodeOf(fsapi.ErrClosed))
+			vals.Blob(nil)
+			continue
+		}
+		vals.Byte(fsapi.CodeOK)
+		vals.Blob(makeVal(0, 0))
+	}
+	return token, at
 }
 
-// FuzzMultiKeyHandlers feeds raw bytes to the three multi-key handlers —
-// the frames a peer controls. Each must return an error or a
-// well-formed reply without panicking; a corrupt count must be rejected
-// before anything is sized by it (the allocation check is the fuzzer's
-// own memory limit: a handler that trusted a 2^60 count would die); and
-// a settle_multi frame that is refused must have settled nothing.
+// FuzzMultiKeyHandlers feeds raw bytes to the two multi-key handlers —
+// the frames a peer controls, get_multi loading through fuzzLoad. Each
+// must return an error or a well-formed reply without panicking; a
+// corrupt count must be rejected before anything is sized by it (the
+// allocation check is the fuzzer's own memory limit: a handler that
+// trusted a 2^60 count would die); and a frame that is refused must have
+// changed no key.
 func FuzzMultiKeyHandlers(f *testing.F) {
-	keys := func(count uint64, ks ...string) *wire.Encoder {
+	keys := func(load bool, count uint64, ks ...string) *wire.Encoder {
 		e := wire.NewEncoder(64)
-		e.Uvarint(count)
+		flag := uint64(0) // the count's low bit
+		if load {
+			flag = 1
+		}
+		e.Uvarint(count<<1 | flag)
 		for _, k := range ks {
 			e.String(k)
 		}
 		return e
 	}
-	f.Add(keys(2, "/w/a", "/w/missing").Bytes())
-	f.Add(keys(1<<60, "/w/a").Bytes()) // count far beyond the frame
-	f.Add(keys(3, "/w/a").Bytes())     // count beyond the keys present
-	f.Add(keys(0).Bytes())
+	f.Add(keys(false, 2, "/w/a", "/w/missing").Bytes())
+	f.Add(keys(true, 4, "/w/new", "/w/a", "/w/new", "/w/err").Bytes()) // loads, a duplicate, a failed read
+	f.Add(keys(true, 2, "/w/z", "/w/a").Bytes())                       // an overtaken load
+	f.Add(keys(true, 1<<60, "/w/a").Bytes())                           // count far beyond the frame
+	f.Add(keys(true, 3, "/w/a", "/w/new").Bytes())                     // count beyond the keys present
+	f.Add(keys(true, 0).Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	add := wire.NewEncoder(64)
-	add.Uvarint(7) // the token: not current (fuzzCurrent)
-	add.Uvarint(3)
-	for _, k := range []string{"/w/new", "/w/a", "/w/new"} {
-		add.String(k)
-		add.Blob(makeVal(0, 1))
-	}
-	f.Add(add.Bytes())
 	del := wire.NewEncoder(64)
 	del.Byte(byte(CondClean))
 	del.Uvarint(0)
@@ -368,22 +479,22 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	f.Add(append(settle(3, wave[:2]...), 3, '/', 'w', '/', 0xee, 0)) // third entry: unknown action
 	// A frame of nothing but empty keys: a count as large as the frame and
 	// honest about it. 1 MiB here; the TCP transport takes sixteen.
-	f.Add(append(keys(1<<20).Bytes(), make([]byte, 1<<20)...))
+	f.Add(append(keys(true, 1<<20).Bytes(), make([]byte, 1<<20)...))
 
 	// One reply encoder serves every input, as a client's pooled one
 	// serves every call: what one reply leaves behind must not show in
 	// the next.
 	reply := wire.NewEncoder(0)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Current: fuzzCurrent})
+		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Load: fuzzLoad, Current: fuzzCurrent})
 		s.Set(0, "/w/a", makeVal(0, 1), 0)
 		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())
 		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
-		// settle_multi goes last: the other two never change a resident
-		// key, so what it finds is what was set above.
-		for _, method := range []string{"get_multi", "add_multi", "settle_multi"} {
+		// settle_multi goes last: get_multi never changes a resident key,
+		// so what it finds is what was set above.
+		for _, method := range []string{"get_multi", "settle_multi"} {
 			var before, after runtime.MemStats
 			reply.Reset()
 			runtime.ReadMemStats(&before)
@@ -417,16 +528,7 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 			if n > uint64(len(body)) {
 				t.Fatalf("%s: reply counts %d results for a %d-byte request", method, n, len(body))
 			}
-			switch method {
-			case "get_multi":
-				for i := uint64(0); i < n; i++ {
-					if d.Bool() {
-						d.Uint64()
-						d.Uint32()
-						d.BlobView()
-					}
-				}
-			case "add_multi":
+			if method == "get_multi" {
 				for i := uint64(0); i < n; i++ {
 					readAnswer(d)
 				}
@@ -538,4 +640,30 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 			t.Fatal("byte accounting went negative")
 		}
 	})
+}
+
+// TestGetMultiLoadsAtMostPresize: a request loads its first presize misses;
+// the rest answer Miss, as without the load flag.
+func TestGetMultiLoadsAtMostPresize(t *testing.T) {
+	var loaded int
+	s := testServer(ServerConfig{Load: func(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock.Time) {
+		loaded += len(keys)
+		loadValues(keys, vals)
+		return 0, at
+	}})
+	bus := rpc.NewBus()
+	bus.Register("n/cache", s.Service())
+	c := NewClient(rpc.NewCaller(bus, vclock.Default(), "n"), dht.NewWithMembers(0, "n/cache"))
+	keys := make([]string, presize+3)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/w/f%04d", i)
+	}
+	for i, r := range getMultiLoad(c, keys) {
+		if want := map[bool]Status{true: Loaded, false: Miss}[i < presize]; r.Status != want || r.OwnerErr != nil {
+			t.Fatalf("key %d = %+v, want status %d", i, r, want)
+		}
+	}
+	if loaded != presize {
+		t.Fatalf("%d keys loaded, want %d", loaded, presize)
+	}
 }

@@ -42,13 +42,12 @@ type ServerConfig struct {
 	Workers int
 	// Row is what a mutate runs (nil: every mutate fails).
 	Row Row
-	// Load is what a get that asks to load does with a key the server
-	// does not hold (nil: a miss stays a miss).
+	// Load is what a get or get_multi that asks to load does with the
+	// keys the server does not hold (nil: a miss stays a miss).
 	Load Load
 	// Current reports whether values read under token may still be added
 	// (nil: always). The server asks it under the key's shard lock just
-	// before it adds a loaded value — a get's own load, or an add_multi
-	// of values a client read — so the guard against a load that an
+	// before it adds a loaded value, so the guard against a load that an
 	// invalidation overtook has one home.
 	Current func(token uint64) bool
 }
@@ -58,10 +57,12 @@ type ServerConfig struct {
 // reply and, returning true, the value to store to val. An error is the answer.
 type Row func(cur *Item, req []byte, val, reply *wire.Encoder) (store bool, err error)
 
-// Load reads key, which a get missed, from the store behind the cache and
-// appends the value to add to val — or says why there is none — with the
-// token the read was made under (see ServerConfig.Current).
-type Load func(at vclock.Time, key string, val *wire.Encoder) (token uint64, done vclock.Time, err error)
+// Load reads keys, which one request missed, from the store behind the
+// cache in one read and appends to vals, for each key in order, what the
+// read found: an error code (fsapi.CodeOf) and a blob, the value to add
+// under CodeOK and empty otherwise. It returns the token the read was made
+// under (see ServerConfig.Current).
+type Load func(at vclock.Time, keys []string, vals *wire.Encoder) (token uint64, done vclock.Time)
 
 // Server is one cache node. Safe for concurrent use.
 type Server struct {
@@ -105,26 +106,18 @@ const (
 	fnvPrime32  = 16777619
 )
 
-func fnv1aString(s string) uint32 {
+// fnv1a hashes a key held as a string or, aliasing a request frame, as bytes.
+func fnv1a[K string | []byte](key K) uint32 {
 	h := uint32(fnvOffset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= fnvPrime32
-	}
-	return h
-}
-
-func fnv1aBytes(b []byte) uint32 {
-	h := uint32(fnvOffset32)
-	for _, c := range b {
-		h ^= uint32(c)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
 		h *= fnvPrime32
 	}
 	return h
 }
 
 func (s *Server) shardFor(key string) *shard {
-	return &s.shards[fnv1aString(key)%numShards]
+	return &s.shards[fnv1a(key)%numShards]
 }
 
 func itemBytes(key string, v []byte) int64 { return int64(len(key) + len(v) + 64) }
@@ -145,18 +138,27 @@ func (s *Server) ServedOps() int64 { return s.served.Load() }
 // Get returns the item for key.
 func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 	done := s.acquire(at)
+	if it, ok := s.copyOut(key); ok {
+		return it, done, nil
+	}
+	return Item{}, done, fsapi.ErrNotExist
+}
+
+// copyOut returns a copy of key's item and whether there is one, counting
+// the hit or the miss.
+func (s *Server) copyOut(key string) (Item, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[key]
 	if !ok {
 		s.misses.Add(1)
-		return Item{}, done, fsapi.ErrNotExist
+		return Item{}, false
 	}
 	s.hits.Add(1)
 	out := *si
 	out.Value = append([]byte(nil), si.Value...)
-	return out, done, nil
+	return out, true
 }
 
 // lookupInto looks up key — raw bytes aliasing the request frame, used
@@ -169,7 +171,7 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 // reply encoder, the caller's own on the Bus); hit/miss accounting matches
 // Get.
 func (s *Server) lookupInto(e *wire.Encoder, key []byte) bool {
-	sh := &s.shards[fnv1aBytes(key)%numShards]
+	sh := &s.shards[fnv1a(key)%numShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[string(key)]
@@ -182,15 +184,15 @@ func (s *Server) lookupInto(e *wire.Encoder, key []byte) bool {
 	return true
 }
 
-// Status is what a get or an add answers for one key; it is the answer's
-// first byte. A get_multi answers Miss or Hit.
+// Status is what a get or a get_multi answers for one key; it is the
+// answer's first byte.
 type Status uint8
 
 const (
 	// Miss: the server does not hold the key, and did not load it.
 	Miss Status = iota
-	// Hit: the server holds the key; CAS, flags and value follow. An add
-	// that finds its key filled meanwhile answers Hit with that entry.
+	// Hit: the server holds the key; CAS, flags and value follow. A load
+	// whose key was filled meanwhile answers Hit with that entry.
 	Hit
 	// Loaded: the value was added; CAS, flags and value follow.
 	Loaded
@@ -198,7 +200,7 @@ const (
 	// ErrOutOfSpace for no room, OK for an overtaken load) and the value
 	// follow.
 	Unstored
-	// Failed: a get's load failed; its error code follows.
+	// Failed: the key's load failed; its error code follows.
 	Failed
 )
 
@@ -209,23 +211,66 @@ func appendItem(e *wire.Encoder, st Status, si *Item) {
 	e.Blob(si.Value)
 }
 
-// load answers key, which a get missed, through the Load hook (Miss with
-// no hook). The add takes one more service slot.
-func (s *Server) load(at vclock.Time, key string, reply *wire.Encoder) vclock.Time {
-	if s.cfg.Load == nil {
-		reply.Byte(byte(Miss))
-		return at
+// missed is one request's misses that go to the Load hook: each key, and
+// where the Miss standing in for its answer sits in the reply. Pooled, so
+// a request that loads allocates only its keys' strings and entries.
+type missed struct {
+	keys []string
+	at   []int
+}
+
+var misses = sync.Pool{New: func() any { return new(missed) }}
+
+// miss answers key Miss in reply and, when the request asks to load and
+// the server has a hook, notes the key for load in m, taken from the pool
+// at the request's first miss; it returns m. A request loads its first
+// presize misses only; the rest stay Misses, as a get that does not ask
+// to load answers. No request core sends has more, and no frame can make
+// the server stage more.
+func (s *Server) miss(m *missed, load bool, key []byte, reply *wire.Encoder) *missed {
+	if load && s.cfg.Load != nil && (m == nil || len(m.keys) < presize) {
+		if m == nil {
+			m = misses.Get().(*missed)
+		}
+		m.keys = append(m.keys, string(key))
+		m.at = append(m.at, reply.Len())
 	}
-	val := wire.GetEncoder()
-	defer wire.PutEncoder(val)
-	token, done, err := s.cfg.Load(at, key, val)
-	if err != nil {
-		reply.Byte(byte(Failed))
-		reply.Byte(fsapi.CodeOf(err))
-		return done
-	}
+	reply.Byte(byte(Miss))
+	return m
+}
+
+// load answers m's keys through the Load hook in place of the Misses they
+// left in reply: one read for all of them, then one more service slot in
+// which each is added (add) or answered Failed with its read's error code.
+// The reply from the first Miss on is set aside and put back around the
+// answers. m goes back to the pool.
+func (s *Server) load(at vclock.Time, m *missed, reply *wire.Encoder) vclock.Time {
+	vals, rest := wire.GetEncoder(), wire.GetEncoder()
+	token, done := s.cfg.Load(at, m.keys, vals)
 	done = s.acquire(done)
-	s.add(key, val.Bytes(), token, reply)
+	m.at = append(m.at, reply.Len()) // each Miss's tail runs to the next place
+	rest.Raw(reply.Bytes()[m.at[0]:])
+	reply.Truncate(m.at[0])
+	d := wire.GetDecoder(vals.Bytes())
+	for i, key := range m.keys {
+		code, val := d.Byte(), d.BlobView()
+		if d.Err() != nil { // a hook that answered too little
+			code = fsapi.CodeOf(d.Err())
+		}
+		if code == fsapi.CodeOK {
+			s.add(key, val, token, reply)
+		} else {
+			reply.Byte(byte(Failed))
+			reply.Byte(code)
+		}
+		reply.Raw(rest.Bytes()[m.at[i]+1-m.at[0] : m.at[i+1]-m.at[0]])
+	}
+	wire.PutDecoder(d)
+	wire.PutEncoder(vals)
+	wire.PutEncoder(rest)
+	clear(m.keys)
+	m.keys, m.at = m.keys[:0], m.at[:0]
+	misses.Put(m)
 	return done
 }
 
@@ -269,19 +314,7 @@ func (s *Server) GetMulti(at vclock.Time, keys []string) ([]GetMultiResult, vclo
 	done := s.acquire(at)
 	out := make([]GetMultiResult, len(keys))
 	for i, key := range keys {
-		sh := s.shardFor(key)
-		sh.mu.Lock()
-		if si, ok := sh.items[key]; ok {
-			s.hits.Add(1)
-			it := *si
-			it.Value = append([]byte(nil), si.Value...)
-			out[i] = GetMultiResult{Item: it, Hit: true}
-		} else {
-			s.misses.Add(1)
-			sh.mu.Unlock()
-			continue
-		}
-		sh.mu.Unlock()
+		out[i].Item, out[i].Hit = s.copyOut(key)
 	}
 	return out, done
 }
@@ -701,17 +734,12 @@ func (s *Server) CommittedItems(limit int) []KeyValue {
 // Resource exposes the service resource for utilization reporting.
 func (s *Server) Resource() *vclock.Resource { return s.res }
 
-// AddEntry is one key and value of an add_multi.
-type AddEntry struct {
-	Key   string
-	Value []byte
-}
-
 // presize caps what a multi-key handler allocates up front on a peer's
 // count: wire's Count bounds it only by the bytes left in the frame (16 MiB
 // over TCP, one byte an empty key) while a decoded entry is 40 to 48
 // bytes. No batch core sends is larger, so a real request still allocates
-// once; a larger one grows on demand.
+// once; a larger one grows on demand. It also caps the misses a get_multi
+// loads (miss).
 const presize = 1024
 
 // Service wires the server's methods into an RPC mux. Every handler
@@ -734,56 +762,46 @@ func (s *Server) Service() *rpc.Service {
 			return at, err
 		}
 		done := s.acquire(at)
-		switch {
-		case s.lookupInto(reply, key):
-		case load:
-			done = s.load(done, string(key), reply)
-		default:
-			reply.Byte(byte(Miss))
+		var m *missed
+		if !s.lookupInto(reply, key) {
+			m = s.miss(m, load, key, reply)
+		}
+		if m != nil {
+			done = s.load(done, m, reply)
 		}
 		return done, nil
 	})
 	svc.HandleInto("get_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+		// A count with the load flag in its low bit, so a get_multi that
+		// loads nothing is the size it always was, then the keys, read as
+		// views like get's. Each key costs at least its length prefix, so
+		// a larger count is refused before anything is sized by it. The
+		// misses are loaded together once every key has been looked up,
+		// and only from a well-formed frame.
 		d := wire.GetDecoder(body)
-		// Each key costs at least its length prefix; Count rejects a
-		// larger count before anything is sized by it.
-		n := d.Count()
+		head := d.Uvarint()
+		load, n := head&1 == 1, head>>1
+		if d.Err() == nil && n > uint64(d.Remaining()) {
+			d.Fail(wire.ErrTooLong)
+		}
 		if err := d.Err(); err != nil {
 			wire.PutDecoder(d)
 			return at, err
 		}
 		done := s.acquire(at)
-		reply.Uvarint(uint64(n))
-		for i := 0; i < n && d.Err() == nil; i++ {
+		reply.Uvarint(n)
+		var m *missed
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			if key := d.BlobView(); d.Err() == nil && !s.lookupInto(reply, key) {
-				reply.Byte(byte(Miss))
+				m = s.miss(m, load, key, reply)
 			}
 		}
 		err := d.Finish()
 		wire.PutDecoder(d)
+		if m != nil && err == nil { // a refused frame's misses go to the collector
+			done = s.load(done, m, reply)
+		}
 		return done, err
-	})
-	svc.HandleInto("add_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
-		// A token, a count, then key and value per entry; the whole frame
-		// is decoded before the first key is touched. The batch takes one
-		// service slot, and each entry is added as a get's load is (add).
-		d := wire.GetDecoder(body)
-		token, n := d.Uvarint(), d.Count()
-		entries := make([]AddEntry, 0, min(n, presize))
-		for i := 0; i < n && d.Err() == nil; i++ {
-			entries = append(entries, AddEntry{Key: d.String(), Value: d.BlobView()})
-		}
-		err := d.Finish()
-		wire.PutDecoder(d)
-		if err != nil {
-			return at, err
-		}
-		done := s.acquire(at)
-		reply.Uvarint(uint64(len(entries)))
-		for _, en := range entries {
-			s.add(en.Key, en.Value, token, reply)
-		}
-		return done, nil
 	})
 	svc.HandleInto("set", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		d := wire.GetDecoder(body)

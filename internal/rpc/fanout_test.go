@@ -136,7 +136,7 @@ func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
 		}
 		getMulti := func(c *memcache.Client, at vclock.Time) ([]memcache.Result, vclock.Time) {
 			out := make([]memcache.Result, len(keys))
-			return out, c.GetMulti(at, keys, func(i int, r memcache.Result, err error) {
+			return out, c.GetMulti(at, keys, false, func(i int, r memcache.Result, err error) {
 				r.Item.Value = append([]byte(nil), r.Item.Value...)
 				if err != nil {
 					r.Status = memcache.Miss

@@ -46,7 +46,7 @@ func TestReusedReplyShowsNoStaleTail(t *testing.T) {
 		cacheNet(t, net, 1, keys, vals)
 		caller := rpc.NewCaller(net, vclock.Default(), "node0")
 		req := wire.NewEncoder(64)
-		req.Uvarint(uint64(len(keys)))
+		req.Uvarint(uint64(len(keys)) << 1) // the count; its low bit, load, clear
 		for _, k := range keys {
 			req.String(k)
 		}
@@ -80,7 +80,7 @@ func TestReusedReplyShowsNoStaleTail(t *testing.T) {
 		// The same through the cache client: a get_multi, then a Get into
 		// one encoder reused from before.
 		c := memcache.NewClient(caller, dht.NewWithMembers(0, "node0/cache"))
-		c.GetMulti(0, keys, func(int, memcache.Result, error) {})
+		c.GetMulti(0, keys, false, func(int, memcache.Result, error) {})
 		res, _, err := c.Get(0, "/w/c", false, reply)
 		if err != nil || res.Status != memcache.Hit || string(res.Item.Value) != "c" || res.Item.Flags != 2 {
 			t.Fatalf("%s: Get into a reused encoder = %+v, %v", name, res, err)
@@ -117,7 +117,7 @@ func TestGetMultiOverTCPFourOwners(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				seen := make([]bool, len(keys))
-				c.GetMulti(0, keys, func(i int, r memcache.Result, err error) {
+				c.GetMulti(0, keys, false, func(i int, r memcache.Result, err error) {
 					if err != nil || r.Status != memcache.Hit || string(r.Item.Value) != string(vals[i]) || seen[i] {
 						t.Errorf("key %s: %+v (seen before: %v)", keys[i], r, seen[i])
 					}

@@ -10,12 +10,13 @@ import (
 // virtual-time window of each other — the conservative time-window
 // synchronization used by parallel discrete-event simulators.
 //
-// Why it exists: Resource uses next-free accounting, which is exact only
-// when requests arrive in (approximately) nondecreasing virtual-time
-// order. Goroutine scheduling gives no such guarantee — one client can
-// race far ahead in real time, pushing the resource's schedule into the
-// virtual future, and a late-started client arriving at virtual t=0 then
-// queues behind history that never overlapped it. The Pacer bounds that
+// Why it exists: goroutine scheduling gives no virtual-time order — one
+// client can race far ahead in real time while a late-started one still
+// arrives at virtual t=0. A Resource's calendar serves that request in
+// the gap free at its own time, not behind history that never overlapped
+// it (the order next-free accounting needed now holds at the station), but
+// only while the calendar still holds the gap, and the client racing
+// ahead has taken capacity first, in real time. The Pacer bounds that
 // skew: before issuing an operation a client calls Advance with its
 // clock and blocks until the slowest participant is within Window, so
 // arrival order is correct to within the window and the queueing model

@@ -10,6 +10,7 @@ package vclock
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,22 +41,82 @@ func Max(a, b Time) Time {
 func (t Time) String() string { return Duration(t).String() }
 
 // Resource models a contended service station with k parallel workers —
-// e.g. the BeeGFS MDS worker pool or an IndexFS server's pool. Acquire
-// serializes requests through the k slots using next-free accounting,
-// which is an M/D/k-style queueing surrogate: when arrival rate exceeds
-// k/cost the resource saturates and response times grow, exactly where
-// the paper's centralized metadata service saturates.
+// e.g. the BeeGFS MDS worker pool or an IndexFS server's pool. It is a
+// calendar: each worker keeps the spans it is busy, and Acquire books a
+// request into the earliest gap at or after its arrival that fits it, on
+// any worker. When arrival rate exceeds k/cost the gaps close, the
+// resource saturates and response times grow (M/D/k), exactly where the
+// paper's centralized metadata service saturates. A request stamped far
+// in the virtual future (a backlogged background process) books its own
+// span there and leaves the present's gaps to present-time requests,
+// whatever order the goroutines reach the station in.
 //
 // Resource is safe for concurrent use.
 type Resource struct {
 	name string
 
 	mu      sync.Mutex
-	workers []Time // next-free virtual time per worker slot
+	workers []calendar
 
 	ops  atomic.Int64
 	busy atomic.Int64 // accumulated busy nanoseconds across workers
 	wait atomic.Int64 // accumulated queueing delay (start - arrival)
+}
+
+// maxSpans is the slots of a worker's calendar, one kept free: a booking
+// that fills the last merges the oldest gap away. 64 (1 KiB a worker)
+// holds the gaps an unpaced client that fell behind comes back to; with
+// 16 the benchmark's stat_evict, two unpaced clients, read up to 6 %
+// below next-free accounting. It costs a deployment a few KiB of heap.
+const maxSpans = 64
+
+// span is a busy interval [start, end) of one worker.
+type span struct{ start, end Time }
+
+// calendar is one worker's busy spans, sorted and disjoint, in a ring of
+// maxSpans allocated at the first booking. A booking that touches a span
+// extends it.
+type calendar struct {
+	ring    []span
+	head, n int
+}
+
+func (c *calendar) at(i int) *span { return &c.ring[(c.head+i)%maxSpans] }
+
+// fit returns the start of the earliest gap at or after at that holds
+// cost, and the index of the span that follows that gap (n: none).
+func (c *calendar) fit(at Time, cost Duration) (Time, int) {
+	if c.n == 0 || c.at(c.n-1).end <= at {
+		return at, c.n // the common case: idle from at on
+	}
+	lo := sort.Search(c.n, func(j int) bool { return c.at(j).end > at })
+	start := at
+	for ; lo < c.n && start.Add(cost) > c.at(lo).start; lo++ {
+		start = Max(start, c.at(lo).end)
+	}
+	return start, lo
+}
+
+// book marks [start, end) busy; i is what fit returned for start.
+func (c *calendar) book(start, end Time, i int) {
+	switch {
+	case i > 0 && c.at(i-1).end == start:
+		c.at(i - 1).end = end
+	case i < c.n && c.at(i).start == end:
+		c.at(i).start = start
+	default:
+		if c.ring == nil {
+			c.ring = make([]span, maxSpans)
+		}
+		for j := c.n; j > i; j-- { // only the calendar's future moves
+			*c.at(j) = *c.at(j - 1)
+		}
+		*c.at(i) = span{start, end}
+		if c.n++; c.n == maxSpans { // the oldest gap merges away
+			c.at(1).start = c.at(0).start
+			c.head, c.n = (c.head+1)%maxSpans, c.n-1
+		}
+	}
 }
 
 // NewResource creates a resource with k worker slots. k must be >= 1.
@@ -63,7 +124,7 @@ func NewResource(name string, k int) *Resource {
 	if k < 1 {
 		panic(fmt.Sprintf("vclock: resource %q needs k >= 1, got %d", name, k))
 	}
-	return &Resource{name: name, workers: make([]Time, k)}
+	return &Resource{name: name, workers: make([]calendar, k)}
 }
 
 // Name returns the resource's diagnostic name.
@@ -72,41 +133,31 @@ func (r *Resource) Name() string { return r.name }
 // Workers returns the number of worker slots.
 func (r *Resource) Workers() int { return len(r.workers) }
 
-// Acquire schedules a request arriving at virtual time `at` with service
-// cost `cost` on a worker slot and returns its completion time.
-// Zero-cost acquisitions still pass through the queue (they model a
-// request that must be ordered but is free to serve).
-//
-// Placement is best-fit: among workers already idle at the arrival time
-// the one with the LATEST frontier wins, so a request arriving far in
-// the virtual future (e.g. from a backlogged background commit process)
-// occupies the worker closest to its own time instead of lifting the
-// minimum frontier that present-time requests depend on. Only when no
-// worker is idle at the arrival does the request queue on the earliest-
-// free worker (the M/D/k case).
+// Acquire books a request arriving at virtual time `at` with service
+// cost `cost` into the earliest gap that holds it on any worker (the
+// lowest-numbered worker on a tie) and returns its completion time.
+// Zero-cost acquisitions still pass through the station (they model a
+// request that must be ordered but is free to serve): they start in no
+// busy span, and book none.
 func (r *Resource) Acquire(at Time, cost Duration) Time {
 	if cost < 0 {
 		panic(fmt.Sprintf("vclock: negative cost %v on resource %q", cost, r.name))
 	}
 	r.mu.Lock()
-	bestIdle := -1 // max nextFree among workers with nextFree <= at
-	bestBusy := 0  // min nextFree overall
-	for i := 0; i < len(r.workers); i++ {
-		w := r.workers[i]
-		if w <= at && (bestIdle < 0 || w > r.workers[bestIdle]) {
-			bestIdle = i
+	pick, start, next := 0, Time(0), 0
+	for w := range r.workers {
+		s, i := r.workers[w].fit(at, cost)
+		if w == 0 || s < start {
+			pick, start, next = w, s, i
 		}
-		if w < r.workers[bestBusy] {
-			bestBusy = i
+		if s == at {
+			break
 		}
 	}
-	pick := bestBusy
-	if bestIdle >= 0 {
-		pick = bestIdle
-	}
-	start := Max(at, r.workers[pick])
 	done := start.Add(cost)
-	r.workers[pick] = done
+	if cost > 0 {
+		r.workers[pick].book(start, done, next)
+	}
 	r.mu.Unlock()
 
 	r.ops.Add(1)
@@ -141,7 +192,7 @@ func (r *Resource) Utilization(horizon Duration) float64 {
 func (r *Resource) Reset() {
 	r.mu.Lock()
 	for i := range r.workers {
-		r.workers[i] = 0
+		r.workers[i].head, r.workers[i].n = 0, 0
 	}
 	r.mu.Unlock()
 	r.ops.Store(0)

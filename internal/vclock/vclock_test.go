@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -216,5 +217,130 @@ func TestLatencyModelTransfer(t *testing.T) {
 	}
 	if m.Transfer(2048) != 2*m.PerKB {
 		t.Fatalf("2KiB transfer = %v, want %v", m.Transfer(2048), 2*m.PerKB)
+	}
+}
+
+// A request stamped far in the future books its own span there: a
+// present-time request that fits the gap before it is served in that
+// gap, on one worker and on k, instead of queueing behind the
+// reservation's frontier.
+func TestResourcePresentPassesTheFuture(t *testing.T) {
+	const c = 10 * time.Microsecond
+	for _, k := range []int{1, 4} {
+		r := NewResource("mds", k)
+		for w := 0; w < k; w++ {
+			if done := r.Acquire(Time(time.Second), c); done != Time(time.Second+c) {
+				t.Fatalf("k=%d: reservation %d completes at %v", k, w, done)
+			}
+		}
+		if done := r.Acquire(0, c); done != Time(c) {
+			t.Fatalf("k=%d: a request at 0 behind a reservation at 1s completes at %v, want %v", k, done, c)
+		}
+		// One that does not fit before the reservation waits for its end.
+		if done := r.Acquire(Time(time.Second-c/2), c); done != Time(time.Second+2*c) {
+			t.Fatalf("k=%d: a request straddling the reservation completes at %v, want %v", k, done, time.Second+2*c)
+		}
+		if w := r.QueueWait(); w != c+c/2 {
+			t.Fatalf("k=%d: queue wait %v, want %v", k, w, c+c/2)
+		}
+	}
+}
+
+// refStation is the calendar with no bound on its spans: per worker, the
+// booked intervals in booking order, searched in full. It does not merge
+// touching intervals, so a zero-cost request may start where two meet;
+// the calendar, where a booking extended a span, cannot.
+type refStation [][]span
+
+func (ref refStation) acquire(at Time, cost Duration) Time {
+	pick, best := 0, Time(-1)
+	for w, booked := range ref {
+		start := at
+		for moved := true; moved; {
+			moved = false
+			for _, sp := range booked {
+				if start < sp.end && sp.start < start.Add(cost) {
+					start, moved = sp.end, true
+				}
+			}
+		}
+		if best < 0 || start < best {
+			pick, best = w, start
+		}
+	}
+	if cost > 0 {
+		ref[pick] = append(ref[pick], span{best, best.Add(cost)})
+	}
+	return best.Add(cost)
+}
+
+// checkCalendars asserts each worker's spans are sorted, non-empty,
+// disjoint and fewer than maxSpans.
+func checkCalendars(t *testing.T, r *Resource) {
+	t.Helper()
+	for w := range r.workers {
+		c := &r.workers[w]
+		if c.n >= maxSpans {
+			t.Fatalf("worker %d holds %d spans", w, c.n)
+		}
+		for i := 0; i < c.n; i++ {
+			sp := c.at(i)
+			if sp.start >= sp.end || i > 0 && c.at(i-1).end > sp.start {
+				t.Fatalf("worker %d span %d = %v after %v", w, i, *sp, *c.at(max(i-1, 0)))
+			}
+		}
+	}
+}
+
+// The calendar against a reference with no bound: while no worker has
+// booked maxSpans intervals, every request with a cost completes when the
+// reference's does. Past that, the station stays well-formed and within
+// its bound, and no request completes before its arrival plus its cost.
+func TestResourceMatchesUnboundedCalendar(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	merged := 0
+	for trial := 0; trial < 100; trial++ {
+		k := 1 + rng.Intn(3)
+		r, ref := NewResource("p", k), make(refStation, k)
+		exact := true
+		for i := 0; i < 400; i++ {
+			at := Time(rng.Intn(4000))
+			cost := Duration(rng.Intn(40))
+			got := r.Acquire(at, cost)
+			for w := range r.workers {
+				exact = exact && len(ref[w]) < maxSpans
+			}
+			want := ref.acquire(at, cost)
+			if exact && cost > 0 && got != want {
+				t.Fatalf("trial %d, request %d (at %v, cost %v): completes at %v, unbounded calendar %v", trial, i, at, cost, got, want)
+			}
+			if got < at.Add(cost) {
+				t.Fatalf("trial %d: completes at %v before arrival %v + cost %v", trial, got, at, cost)
+			}
+			checkCalendars(t, r)
+		}
+		if !exact {
+			merged++
+		}
+	}
+	if merged < 30 {
+		t.Fatalf("only %d of 100 trials outgrew a calendar", merged)
+	}
+}
+
+// BenchmarkResourceAcquire is a cache server's station under present-time
+// arrivals with a far-future reservation every 16th request, the shape a
+// commit process's settle gives it: once warm it allocates nothing.
+func BenchmarkResourceAcquire(b *testing.B) {
+	m := Default()
+	r := NewResource("bench", m.CacheWorkers)
+	var now Time
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			r.Acquire(now.Add(time.Millisecond), m.CacheOpCost)
+			continue
+		}
+		now = r.Acquire(now, m.CacheOpCost) - Time(m.CacheOpCost/2)
 	}
 }
