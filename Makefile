@@ -45,13 +45,14 @@ core BenchmarkClientCreateBoundedAck 2000x 12 680 create at AtRiskBound 1   # 12
 core BenchmarkClientRemove         2000x  14 -   cached rm                      # 9 to 11, call to end of commit: an allocation added to the rm's request, row or answer
 core BenchmarkClientInlineWrite    2000x  14 4600 inline write                  # 9 and 4,010 B for a 1 KiB write: four copies of the bytes (splice, store, answer, write-back); a fifth, e.g. the row decoding the stored value with a copy, is +1,024 B
 core BenchmarkClientStatHit        2000x  1  -   cached stat                    # 0: the get's reply is decoded where it landed, in a pooled encoder; a copy of the value or a fresh reply encoder is 1-2
-core BenchmarkClientStatMiss       2000x  4  288 stat miss (read-through)     # 4 and 240-254 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap is +1, the owner's miss list unpooled +4
-core BenchmarkClientStatMulti      2000x  6  2600 batched read path             # 16 hits over 4 cache servers, 5 and 2,250 B: the 1,536-B result slice, GroupByOwner's two, the fan-out's closure and reply slots; copied values are +16
-core BenchmarkClientStatMultiMiss  2000x  88 9000 batched read of 16 misses     # 16 misses over 4 owners, 88 and ≈8,500 B: per key the owner's key string, its entry and value, the path the MDS decodes; per owner one StatBatch. The owner's miss list unpooled is +41 and ≈+1,580 B; a client StatBatch and add_multi behind the get_multi read 103 and 12,572 B
+core BenchmarkClientStatMiss       2000x  4  264 stat miss (read-through)     # 4 and 216-230 B: the key the owner adds, its entry and value, the path the MDS decodes; the loaded entry encoded on the heap is +1, the owner's miss list unpooled +4, a fixed-width stat layout again +24 B
+core BenchmarkClientStatMulti      2000x  2  1970 batched read path             # 16 hits over 4 cache servers, 1 and ≈1,610 B: the 1,536-B result slice; get_multi's grouping, reply slots or fan-out function allocated per call again is +4 and ≈+620 B; copied values are +16
+core BenchmarkClientStatMultiMiss  2000x  84 8000 batched read of 16 misses     # 16 misses over 4 owners, 84 and ≈7,490 B: per key the owner's key string, its entry and value, the path the MDS decodes; per owner one StatBatch. get_multi's scratch allocated per call again is +4 and ≈+620 B, a fixed-width stat layout ≈+385 B, the owner's miss list unpooled +41 and ≈+1,580 B
 core BenchmarkCommitWave           2048x  3  230 commit wave                    # 3 and 199 B per committed op: the settle fan-out allocating its grouping, result slots and closure per call again is 4 and 269 B; per-wave scratch allocated afresh shows in the bytes (1,265 B with the per-call settle)
 core BenchmarkCommitWavePayload    2048x  4  275 commit wave with payload       # 4 and 250 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS; per-call settle scratch is 5 and 325 B
 core BenchmarkCommitWaveTwoDirs    2048x  4  330 commit wave over two dirs      # 4 and 292 B, ckpt_rotate's shape: the wave's second directory request allocating (a goroutine or closure per group, grouping scratch on the heap); per-call settle scratch is 5 and 367 B
 memcache BenchmarkSettleMulti      20000x 12 320 settle fan-out, 8 keys on 4 servers # 12 and 304 B, all of it the four servers' decoded requests: the client grouping, filling result slots under a lock or binding its fan-out closure per call again is 19 and 880 B
+fsapi BenchmarkStatCodec           100000x 0 0  stat encode + decode          # 0 and 0 B, a loaded file's stat into a reused buffer and read back as a view: a decoder, a field or the inline bytes on the heap shows here
 dfs  BenchmarkCreate               20000x 2  184 dfs create (one-op batch)      # 2 and 167 B, path and tree node (the reply is decoded in a pooled encoder): a node back in the 80-B size class is +16 B, Exists wrapping its miss again +1 and +48 B, a heap-allocated one-op batch or a closure on the lone-target path +1
 dfs  BenchmarkApplyBatch1          20000x 3  200 dfs apply_batch of 1           # 3 and 183 B, the create plus its one-element result: a batch of one taking the grouping path
 dfs  BenchmarkApplyBatchRemove1    20000x 2  48  dfs remove of a file with bytes # 2 and 32 B, the path and the one-element result, its drop_multi included: the drop's grouping or inode list on the heap, or a closure per call, is +1

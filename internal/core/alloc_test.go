@@ -16,9 +16,10 @@ import (
 // to a pooled encoder the reader owns and decoded where it landed, so a
 // hit copies nothing but the inline bytes the caller receives. A Stat hit
 // and readEntry of a value without inline bytes allocate nothing; a
-// 16-hit StatMulti allocates its result slice, one Inline copy per file
-// that carries bytes, and the per-call grouping and fan-out — whatever
-// the hits hold, no value copies and no per-key results.
+// 16-hit StatMulti allocates its result slice and one Inline copy per
+// file that carries bytes — whatever the hits hold, no value copies, no
+// per-key results, and no grouping or fan-out scratch (get_multi's is
+// pooled).
 func TestCachedReadsAllocateNothing(t *testing.T) {
 	e := newEnv(t, 4, nil)
 	c := e.client(t, "node0")
@@ -69,9 +70,6 @@ func TestCachedReadsAllocateNothing(t *testing.T) {
 		}
 		return at, err
 	})
-	// GroupByOwner's two (positions, groups) and the fan-out's two (its
-	// closure, the per-owner reply slots) per call, whatever the batch.
-	const perCall = 4
 	statMulti := func(paths []string) func(at vclock.Time) (vclock.Time, error) {
 		return func(at vclock.Time) (vclock.Time, error) {
 			res, at, err := c.StatMulti(at, paths)
@@ -83,6 +81,6 @@ func TestCachedReadsAllocateNothing(t *testing.T) {
 			return at, err
 		}
 	}
-	pin("StatMulti of 16 hits", 1+perCall, statMulti(bare))
-	pin("StatMulti of 16 hits, 8 with inline bytes", 1+perCall+8, statMulti(inline))
+	pin("StatMulti of 16 hits", 1, statMulti(bare))
+	pin("StatMulti of 16 hits, 8 with inline bytes", 1+8, statMulti(inline))
 }

@@ -271,6 +271,37 @@ func TestValueHeaderIsOneContract(t *testing.T) {
 	}
 }
 
+// TestLoadedEntryFitsItsBudget pins what a cache bounded in bytes holds
+// (§III.F): a loaded 64-byte file — current-epoch Mtime, uid/gid 1000,
+// mode 0644 — is a value of at most 22 bytes, and a 1 MiB cache server
+// holds at least ⌊1 MiB / (16 + 22 + 64)⌋ of them under 16-byte keys, the
+// server counting key, value and 64 bytes per item.
+func TestLoadedEntryFitsItsBudget(t *testing.T) {
+	const maxValue, keyLen, capacity = 22, 16, 1 << 20
+	st := fsapi.NewFileStat(fsapi.Cred{UID: 1000, GID: 1000}, 0o644)
+	st.Size = 64
+	val := loaded(st, 4096).encode()
+	if len(val) > maxValue {
+		t.Fatalf("a loaded file's entry is %d bytes (%x), want at most %d", len(val), val, maxValue)
+	}
+	srv := memcache.NewServer("fit/cache", memcache.ServerConfig{CapacityBytes: capacity, Model: vclock.Default(), Workers: 1})
+	held := 0
+	for ; ; held++ {
+		key := fmt.Sprintf("/w/d/f%010d", held)
+		if len(key) != keyLen {
+			t.Fatalf("key %q is not %d bytes", key, keyLen)
+		}
+		if _, _, err := srv.Set(0, key, val, 0); errors.Is(err, fsapi.ErrOutOfSpace) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := capacity / (keyLen + maxValue + 64); held < want {
+		t.Fatalf("a %d-byte server holds %d entries, want at least %d", capacity, held, want)
+	}
+}
+
 // FuzzCacheValDecode: whatever bytes a cache server hands back, the two
 // decoders of a value — decodeCacheVal and a read's decodeStatResult —
 // answer with an error or a value, never a panic, and agree; a value that
@@ -285,6 +316,8 @@ func FuzzCacheValDecode(f *testing.F) {
 		{removed: true, dirty: true, seq: 1 << 40, stat: fileStat(2, "ab")},
 		{large: true, seq: 7, stat: fileStat(1<<20, "")},
 		{stat: fsapi.Stat{Type: fsapi.TypeDir, Mode: 0o755, UID: 1000, GID: 1000, Nlink: 2, Mtime: 5, Ctime: 5}},
+		loaded(fsapi.NewFileStat(fsapi.Cred{UID: 1000, GID: 1000}, 0o644), 4096),
+		{dirty: true, seq: 9, stat: fsapi.Stat{Size: -1, Mode: 0xffff, UID: 1 << 31, Nlink: 1<<32 - 1, Mtime: -1 << 63, Ctime: 1<<63 - 1}},
 	} {
 		f.Add(v.encode())
 	}
@@ -293,6 +326,8 @@ func FuzzCacheValDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), whole...), 0))                  // a trailing byte
 	f.Add(append([]byte{0xff, 0x83, 0x80, 0x00}, whole[2:]...))      // unknown flag bits, a non-minimal seq
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // a seq that never ends
+	f.Add(append([]byte{0, 0, 0, 0xa4, 0x83, 0x00}, whole[5:]...))   // a non-minimal mode
+	f.Add(append([]byte{0, 0, 0, 0x80, 0x80, 0x04}, whole[5:]...))   // a mode over 16 bits
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {

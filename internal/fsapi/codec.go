@@ -2,22 +2,34 @@ package fsapi
 
 import (
 	"bytes"
+	"errors"
+	"math"
 
 	"pacon/internal/wire"
 )
 
+// errStatField reports a stat whose Mode, UID, GID or Nlink is wider than
+// its field: corrupt input, refused rather than truncated.
+var errStatField = errors.New("fsapi: stat field out of range")
+
 // EncodeStat appends a Stat's wire form to e. Layout is shared by the
 // DFS, IndexFS and the Pacon cache values so a record can migrate
-// between systems without translation.
+// between systems without translation. It is compact, because a cache
+// bounded in bytes holds as many entries as fit: Type is one byte; Mode,
+// UID, GID and Nlink are uvarints; Size is a zigzag varint; Mtime is a
+// fixed 8 bytes, since wall-clock nanoseconds would take 9 as a varint;
+// Ctime is a zigzag delta from Mtime (wrapping, so every pair round-trips),
+// one byte when the two are equal; Inline is a length-prefixed blob. A
+// file's stat with no inline bytes is about 20 bytes.
 func EncodeStat(e *wire.Encoder, s Stat) {
 	e.Byte(byte(s.Type))
-	e.Uint16(uint16(s.Mode))
-	e.Uint32(s.UID)
-	e.Uint32(s.GID)
-	e.Int64(s.Size)
-	e.Uint32(s.Nlink)
+	e.Uvarint(uint64(s.Mode))
+	e.Uvarint(uint64(s.UID))
+	e.Uvarint(uint64(s.GID))
+	e.Varint(s.Size)
+	e.Uvarint(uint64(s.Nlink))
 	e.Int64(s.Mtime)
-	e.Int64(s.Ctime)
+	e.Varint(s.Ctime - s.Mtime)
 	e.Blob(s.Inline)
 }
 
@@ -29,19 +41,31 @@ func DecodeStat(d *wire.Decoder) Stat {
 }
 
 // DecodeStatView is DecodeStat with Inline a view of d's buffer, valid for
-// as long as the buffer is.
+// as long as the buffer is. A Mode, UID, GID or Nlink wider than its
+// field fails d with errStatField.
 func DecodeStatView(d *wire.Decoder) Stat {
-	return Stat{
-		Type:   FileType(d.Byte()),
-		Mode:   Mode(d.Uint16()),
-		UID:    d.Uint32(),
-		GID:    d.Uint32(),
-		Size:   d.Int64(),
-		Nlink:  d.Uint32(),
-		Mtime:  d.Int64(),
-		Ctime:  d.Int64(),
-		Inline: d.BlobView(),
+	s := Stat{
+		Type:  FileType(d.Byte()),
+		Mode:  Mode(uvarintUpTo(d, math.MaxUint16)),
+		UID:   uint32(uvarintUpTo(d, math.MaxUint32)),
+		GID:   uint32(uvarintUpTo(d, math.MaxUint32)),
+		Size:  d.Varint(),
+		Nlink: uint32(uvarintUpTo(d, math.MaxUint32)),
+		Mtime: d.Int64(),
 	}
+	s.Ctime = s.Mtime + d.Varint()
+	s.Inline = d.BlobView()
+	return s
+}
+
+// uvarintUpTo reads a uvarint no greater than limit.
+func uvarintUpTo(d *wire.Decoder, limit uint64) uint64 {
+	v := d.Uvarint()
+	if v > limit {
+		d.Fail(errStatField)
+		return 0
+	}
+	return v
 }
 
 // MarshalStat returns a Stat's standalone wire form.

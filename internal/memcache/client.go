@@ -116,7 +116,7 @@ type ownerReply struct {
 }
 
 // GetMulti fetches keys with one "get_multi" RPC per owning server,
-// grouped by dht.GroupByOwner and fanned out from the same virtual
+// grouped by dht.Ring.GroupInto and fanned out from the same virtual
 // instant (rpc.Caller.FanOut) — the batched read path's single round
 // trip per owner, like every multi-key call here. With load set, each
 // owner reads the keys it does not hold through its Load hook, all of
@@ -125,31 +125,63 @@ type ownerReply struct {
 // waits still overlap. Once every owner has answered, fn(i, r, err) gets
 // keys[i]'s answer, as Get gives it, on the calling goroutine (answer). A
 // dead or misbehaving owner fails only its own keys, with err: the other
-// owners' keys still resolve.
+// owners' keys still resolve. Its scratch is pooled (getCall), so a call
+// allocates nothing of its own.
 func (c *Client) GetMulti(at vclock.Time, keys []string, load bool, fn func(i int, r Result, err error)) vclock.Time {
-	groups := c.ring.GroupByOwner(keys)
-	replies := make([]ownerReply, len(groups))
+	g := getCalls.Get().(*getCall)
+	g.c, g.at = c, at
+	g.groups = c.ring.GroupInto(&g.grouping, len(keys), func(i int) string { return keys[i] })
+	if cap(g.replies) < len(g.groups) {
+		g.replies = make([]ownerReply, len(g.groups))
+	}
+	g.replies = g.replies[:len(g.groups)]
 	var flag uint64 // the load flag, the count's low bit
 	if load {
 		flag = 1
 	}
-	for gi, g := range groups { // encoded here, the fan-out's closure stays small
+	for gi, grp := range g.groups { // encoded here, the fan-out's function stays small
 		e := wire.GetEncoder()
-		e.Uvarint(uint64(len(g.Idx))<<1 | flag)
-		for _, i := range g.Idx {
+		e.Uvarint(uint64(len(grp.Idx))<<1 | flag)
+		for _, i := range grp.Idx {
 			e.String(keys[i])
 		}
-		replies[gi].buf = e
+		g.replies[gi].buf = e
 	}
-	latest := c.caller.FanOut(at, len(groups), false, func(gi int) (done vclock.Time) {
-		r := &replies[gi]
-		req := r.buf
-		r.buf = wire.GetEncoder()
-		done, r.err = c.call(groups[gi].Owner, "get_multi", at, req, r.buf)
-		return done
-	})
-	answer(groups, replies, fn)
+	latest := c.caller.FanOut(at, len(g.groups), false, g.send)
+	answer(g.groups, g.replies, fn)
+	// answer put every reply back; the pool keeps no encoders or errors.
+	clear(g.replies)
+	g.c, g.groups = nil, nil
+	getCalls.Put(g)
 	return latest
+}
+
+// getCall is one GetMulti's scratch: the grouping, one reply slot per
+// owner (each written by its own fan-out call, so no lock), and the
+// fan-out's function, bound once per pooled call rather than per use.
+type getCall struct {
+	c        *Client
+	at       vclock.Time
+	grouping dht.Grouping
+	groups   []dht.OwnerGroup
+	replies  []ownerReply
+	send     func(gi int) vclock.Time
+}
+
+var getCalls = sync.Pool{New: func() any {
+	g := new(getCall)
+	g.send = g.sendOwner
+	return g
+}}
+
+// sendOwner sends owner gi's request, already in its slot, and leaves the
+// reply there in its place.
+func (g *getCall) sendOwner(gi int) (done vclock.Time) {
+	r := &g.replies[gi]
+	req := r.buf
+	r.buf = wire.GetEncoder()
+	done, r.err = g.c.call(g.groups[gi].Owner, "get_multi", g.at, req, r.buf)
+	return done
 }
 
 // answer hands out a get_multi's answers, once every owner has replied:

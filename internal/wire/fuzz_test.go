@@ -20,6 +20,7 @@ func FuzzDecoder(f *testing.F) {
 		_ = d.Blob()
 		_ = d.BlobView()
 		_ = d.Uvarint()
+		_ = d.Varint()
 		_ = d.Uint64()
 		_ = d.Uint32()
 		_ = d.Uint16()

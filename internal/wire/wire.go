@@ -122,6 +122,10 @@ func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
 // Uvarint appends a varint-encoded unsigned integer.
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
+// Varint appends a zigzag varint-encoded signed integer: small values of
+// either sign take few bytes.
+func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
+
 // String appends a uvarint length followed by the raw bytes.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
@@ -262,18 +266,31 @@ func (d *Decoder) Uint64() uint64 {
 // Int64 reads a fixed-width int64.
 func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
-// Uvarint reads a varint-encoded unsigned integer.
+// Uvarint reads a varint-encoded unsigned integer. A one-byte value
+// (most counts, lengths and flags) skips binary.Uvarint's loop.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
+	b := d.b[d.off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return uint64(b[0])
+	}
+	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		d.Fail(ErrTruncated)
 		return 0
 	}
 	d.off += n
 	return v
+}
+
+// Varint reads a zigzag varint-encoded signed integer, as binary.Varint
+// does.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // String reads a length-prefixed string.

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -184,26 +186,66 @@ func TestGrowRawTruncate(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	f := func(s string, b []byte, u uint64, i int64, flag bool) bool {
+	f := func(s string, b []byte, u uint64, i, z int64, flag bool) bool {
 		e := NewEncoder(32)
 		e.String(s)
 		e.Blob(b)
 		e.Uvarint(u)
 		e.Int64(i)
+		e.Varint(z)
 		e.Bool(flag)
 		d := NewDecoder(e.Bytes())
 		gs := d.String()
 		gb := d.Blob()
 		gu := d.Uvarint()
 		gi := d.Int64()
+		gz := d.Varint()
 		gf := d.Bool()
 		if d.Finish() != nil {
 			return false
 		}
-		return gs == s && bytes.Equal(gb, b) && gu == u && gi == i && gf == flag
+		return gs == s && bytes.Equal(gb, b) && gu == u && gi == i && gz == z && gf == flag
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVarintsAreEncodingBinarys: Uvarint and Varint write and read exactly
+// what encoding/binary does at every width's edges, the decoder's one-byte
+// path included, and a decoder refuses what binary.Uvarint refuses (an
+// overflow, a cut value).
+func TestVarintsAreEncodingBinarys(t *testing.T) {
+	var us []uint64
+	for shift := 0; shift < 64; shift += 7 {
+		us = append(us, 1<<shift-1, 1<<shift, 1<<shift+1)
+	}
+	us = append(us, math.MaxUint64)
+	for _, u := range us {
+		e := NewEncoder(10)
+		e.Uvarint(u)
+		if want := binary.AppendUvarint(nil, u); !bytes.Equal(e.Bytes(), want) {
+			t.Fatalf("Uvarint(%d) = %x, binary writes %x", u, e.Bytes(), want)
+		}
+		if got := NewDecoder(e.Bytes()).Uvarint(); got != u {
+			t.Fatalf("Uvarint %d read back as %d", u, got)
+		}
+		for _, z := range []int64{int64(u), -int64(u), int64(u >> 1), -int64(u >> 1)} {
+			e.Reset()
+			e.Varint(z)
+			if want := binary.AppendVarint(nil, z); !bytes.Equal(e.Bytes(), want) {
+				t.Fatalf("Varint(%d) = %x, binary writes %x", z, e.Bytes(), want)
+			}
+			if got := NewDecoder(e.Bytes()).Varint(); got != z {
+				t.Fatalf("Varint %d read back as %d", z, got)
+			}
+		}
+	}
+	for _, bad := range [][]byte{{}, {0x80}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}} {
+		d := NewDecoder(bad)
+		if d.Uvarint(); d.Err() == nil {
+			t.Fatalf("Uvarint of %x decoded", bad)
+		}
 	}
 }
 
@@ -213,6 +255,7 @@ func TestDecodeRandomGarbageNeverPanics(t *testing.T) {
 		_ = d.String()
 		d.Blob()
 		d.Uvarint()
+		d.Varint()
 		d.Uint64()
 		d.Uint32()
 		d.Uint16()
