@@ -63,6 +63,28 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	}
 }
 
+// TestNoRoadmapNumbersInCode keeps roadmap citations out of the code and
+// CI: the roadmap renumbers its items at every re-anchor, so a comment
+// gives the reason an item stands for, not its number.
+func TestNoRoadmapNumbersInCode(t *testing.T) {
+	cite := "ROADMAP" + " item"
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") && !strings.HasPrefix(path, ".github"+string(filepath.Separator)) {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.Contains(line, cite) {
+				t.Errorf("%s:%d: cites a roadmap item by number", path, i+1)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChangesLinesFitTheBudget keeps CHANGES.md a log a reader can scan:
 // from the 31st change on, every line is at most 600 bytes. What a line
 // cannot hold belongs in EXPERIMENTS.md or DESIGN.md.

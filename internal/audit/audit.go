@@ -100,11 +100,6 @@ type Report struct {
 	Findings []Finding `json:"findings,omitempty"`
 }
 
-// Clean reports whether the run found no divergence and no orphan chunk.
-// Stale-pending keys are clean: they are the bounded window, not a
-// violation.
-func (r Report) Clean() bool { return r.Divergent == 0 && r.OrphanChunks == 0 }
-
 // String renders a one-look summary plus the worst findings.
 func (r Report) String() string {
 	var sb strings.Builder

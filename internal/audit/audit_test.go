@@ -85,8 +85,8 @@ func TestQuiescedAuditAllMatch(t *testing.T) {
 	if rep.Matched != rep.Sampled || rep.Divergent != 0 || rep.StalePending != 0 {
 		t.Fatalf("quiesced audit not 100%% match: %s", rep)
 	}
-	if !rep.Clean() {
-		t.Fatal("Clean() false on a matching report")
+	if rep.OrphanChunks != 0 {
+		t.Fatalf("%d orphan chunk(s) on a matching report", rep.OrphanChunks)
 	}
 	v, ok := region.LastAudit()
 	if !ok || v.Sampled != rep.Sampled || v.Divergent != 0 {
@@ -133,9 +133,6 @@ func TestCommitSkipFaultDetected(t *testing.T) {
 	}
 	if rep.Divergent == 0 {
 		t.Fatalf("commit-skip fault not detected: %s", rep)
-	}
-	if rep.Clean() {
-		t.Fatal("Clean() true with divergent keys")
 	}
 	found := false
 	for _, f := range rep.Findings {
@@ -234,7 +231,7 @@ func TestChunksFindsAnOrphan(t *testing.T) {
 	}
 	rep := Chunks(cluster)
 	if rep.OrphanChunks != 1 || rep.Matched != 1 || len(rep.Findings) != 1 ||
-		rep.Findings[0].Ino != gone.Ino || rep.Findings[0].Verdict != OrphanChunk || rep.Clean() {
+		rep.Findings[0].Ino != gone.Ino || rep.Findings[0].Verdict != OrphanChunk {
 		t.Fatalf("chunk audit: %+v, want the one orphan inode %d", rep, gone.Ino)
 	}
 	if !strings.Contains(rep.String(), "orphan-chunk") {

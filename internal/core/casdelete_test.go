@@ -499,14 +499,14 @@ func TestEvictRoundTripsPerOwner(t *testing.T) {
 	}
 	cachedBefore := e.region.CacheStats().Items
 
-	s0, rpcs0 := e.region.Stats(), c.CacheRPCs()
+	s0, rpcs0 := e.region.Stats(), c.caller.Calls()
 	if _, err = e.region.evictRound(c, at); err != nil {
 		t.Fatal(err)
 	}
-	s1, rpcs := e.region.Stats(), c.CacheRPCs()-rpcs0
+	s1, rpcs := e.region.Stats(), c.caller.Calls()-rpcs0
 
 	chunks := int64((files + 1 + evictChunk - 1) / evictChunk)
-	if limit := chunks * int64(e.region.Ring().Size()); rpcs > limit {
+	if limit := chunks * int64(len(e.region.ring.Members())); rpcs > limit {
 		t.Fatalf("round issued %d cache RPCs for %d paths, want <= %d (%d chunks x ring size)", rpcs, files+1, limit, chunks)
 	}
 	if got := s1.CacheRPCs - s0.CacheRPCs; got != rpcs {
@@ -540,7 +540,7 @@ func TestEvictSurvivesCacheServerDeath(t *testing.T) {
 		if at, err = c.Create(at, p, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if e.region.Ring().Lookup(p) == dead {
+		if e.region.ring.Lookup(p) == dead {
 			lost = append(lost, p)
 		} else {
 			live = append(live, p)

@@ -493,11 +493,6 @@ func statPaths(b Backend, at vclock.Time, paths []string, fn func(j int, sr fsap
 	return done
 }
 
-// CacheRPCs reports this client's cumulative metadata-cache round
-// trips (a multi-key call counts once per owner contacted) — the read
-// bench's cache-RPCs-per-op numerator.
-func (c *Client) CacheRPCs() int64 { return c.cache.Calls() }
-
 // Remove is Table I's rm: mark the cached entry removed (one mutate, which
 // the entry's cache server applies), commit asynchronously; the commit
 // process deletes the cache entry once the DFS applied it.

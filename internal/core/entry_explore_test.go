@@ -32,9 +32,11 @@ import (
 //     the head, and is dropped as by the retry budget once nothing else
 //     can move. Two clients' pushes overtaking each other, and two
 //     nodes' queues committing one path's writes out of seq order, are
-//     hazards of the queues, not of the entry's table (ROADMAP item 1);
+//     hazards of the queues, which the chaos schedules explore, not of
+//     the entry's table;
 //   - a miss-load's DFS stat and cache add are one step: splitting them
-//     is the stale-load family (ROADMAP item 1c), not the entry's table;
+//     is the stale-load family, which the owner's load token guards, not
+//     the entry's table;
 //   - no DFS call fails except by what the file's state implies
 //     (ErrExist, ErrNotExist) — those are the commit events.
 const xThreshold = 4

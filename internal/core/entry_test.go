@@ -248,17 +248,18 @@ func TestValueHeaderIsOneContract(t *testing.T) {
 		}
 		for name, want := range settles {
 			for _, match := range []bool{true, false} {
-				if _, _, err := srv.Set(0, "/w/k", raw, 0); err != nil {
+				key := fmt.Sprintf("/w/k%d-%s-%v", bits, name, match)
+				if _, _, err := srv.Add(0, key, raw, 0); err != nil {
 					t.Fatal(err)
 				}
 				en := entries[name]
-				en.Key, en.Seq = "/w/k", seq
+				en.Key, en.Seq = key, seq
 				if !match {
 					en.Seq++
 				}
 				srv.SettleMulti(0, []memcache.Settle{en})
 				gone, after := want(v, match)
-				item, _, err := srv.Get(0, "/w/k")
+				item, _, err := srv.Get(0, key)
 				if gone != errors.Is(err, fsapi.ErrNotExist) {
 					t.Fatalf("%s (seq match %v) on %+v: deleted=%v, want %v", name, match, v, err != nil, gone)
 				}
@@ -291,7 +292,7 @@ func TestLoadedEntryFitsItsBudget(t *testing.T) {
 		if len(key) != keyLen {
 			t.Fatalf("key %q is not %d bytes", key, keyLen)
 		}
-		if _, _, err := srv.Set(0, key, val, 0); errors.Is(err, fsapi.ErrOutOfSpace) {
+		if _, _, err := srv.Add(0, key, val, 0); errors.Is(err, fsapi.ErrOutOfSpace) {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -486,11 +487,11 @@ func TestMutationIsOneCacheRoundTrip(t *testing.T) {
 	}
 	trips := func(name string, want int64, op func() (vclock.Time, error)) {
 		t.Helper()
-		before := c.CacheRPCs()
+		before := c.caller.Calls()
 		if at, err = op(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := c.CacheRPCs() - before; got != want {
+		if got := c.caller.Calls() - before; got != want {
 			t.Errorf("%s: %d cache round trips, want %d", name, got, want)
 		}
 	}
@@ -554,7 +555,7 @@ func TestMissIsOneCacheRoundTrip(t *testing.T) {
 	owners := map[string]bool{}
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/w/d/f%02d", i)
-		owners[e.region.Ring().Lookup(paths[i])] = true
+		owners[e.region.ring.Lookup(paths[i])] = true
 	}
 	for _, p := range append([]string{"/w/f", "/w/g"}, paths...) {
 		if _, err := admin.Create(0, p, 0o666); err != nil {
@@ -567,13 +568,13 @@ func TestMissIsOneCacheRoundTrip(t *testing.T) {
 		t.Helper()
 		hook := &rpcHook{}
 		e.bus.SetObserver(hook)
-		before, reads := c.CacheRPCs(), own.stats.Load()
+		before, reads := c.caller.Calls(), own.stats.Load()
 		err := op()
 		e.bus.SetObserver(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := c.CacheRPCs() - before; got != want {
+		if got := c.caller.Calls() - before; got != want {
 			t.Errorf("%s: %d cache round trips, want %d", name, got, want)
 		}
 		for method, n := range wantCalls {
@@ -634,16 +635,16 @@ func TestOwnerLoadErrorIsAnAnswer(t *testing.T) {
 	if _, _, err := c.Stat(0, "/w/f"); !errors.Is(err, fsapi.ErrClosed) {
 		t.Fatalf("Stat with the MDS dead: %v, want ErrClosed", err)
 	}
-	if rpcs, reads := c.CacheRPCs(), own.stats.Load(); rpcs != 1 || reads != 0 {
+	if rpcs, reads := c.caller.Calls(), own.stats.Load(); rpcs != 1 || reads != 0 {
 		t.Fatalf("MDS dead: %d cache RPCs and %d DFS reads by the client, want 1 and 0", rpcs, reads)
 	}
 	e.dfs.RecoverShard(0)
 
-	e.bus.Unregister(e.region.Ring().Lookup("/w/f"))
+	e.bus.Unregister(e.region.ring.Lookup("/w/f"))
 	if _, _, err := c.Stat(0, "/w/f"); err != nil {
 		t.Fatalf("owner dead: %v, want the DFS's answer", err)
 	}
-	if rpcs, reads := c.CacheRPCs(), own.stats.Load(); rpcs != 2 || reads != 1 {
+	if rpcs, reads := c.caller.Calls(), own.stats.Load(); rpcs != 2 || reads != 1 {
 		t.Fatalf("owner dead: %d cache RPCs and %d DFS reads by the client in all, want 2 and 1", rpcs, reads)
 	}
 }

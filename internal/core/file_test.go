@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"pacon/internal/dfs"
 	"pacon/internal/fsapi"
 	"pacon/internal/vclock"
 )
@@ -597,15 +596,16 @@ func TestTableIConformance(t *testing.T) {
 	}
 
 	// getattr: cache get; N/A comm on hit, sync on miss. Counted on the
-	// client's own DFS client: the MDS-wide lookup counter also moves
-	// with the commit process, still resolving ancestors for the ops
-	// queued above.
-	be := c.backend.(*dfs.Client)
-	lk0 := be.LookupRPCs()
+	// client's own backend: the MDS-wide lookup counter also moves with
+	// the commit process, still resolving ancestors for the ops queued
+	// above.
+	reads := &statCounter{Backend: c.backend}
+	c.backend = reads
 	if _, _, err := c.Stat(at, "/w/t-dir"); err != nil {
 		t.Fatal(err)
 	}
-	if be.LookupRPCs() != lk0 {
+	c.backend = reads.Backend
+	if reads.stats.Load() != 0 {
 		t.Fatal("getattr hit consulted the DFS")
 	}
 

@@ -252,12 +252,12 @@ func TestStalledDrainWaitsForABusySibling(t *testing.T) {
 
 func TestRegionAccessors(t *testing.T) {
 	e := newEnv(t, 2, nil)
-	cfg := e.region.Config()
+	cfg := e.region.cfg
 	if cfg.Workspace != "/w" || cfg.SmallFileThreshold != 4096 {
 		t.Fatalf("config = %+v", cfg)
 	}
-	if e.region.Ring().Size() != 2 {
-		t.Fatalf("ring size = %d", e.region.Ring().Size())
+	if len(e.region.ring.Members()) != 2 {
+		t.Fatalf("ring size = %d", len(e.region.ring.Members()))
 	}
 	c := e.client(t, "node0")
 	if c.Region() != e.region {

@@ -45,12 +45,12 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 	}
 	paths = append(paths, "/w/gone", "/w/never")
 
-	rpcs0 := c.CacheRPCs()
+	rpcs0 := c.caller.Calls()
 	res, at, err := c.StatMulti(at, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := c.CacheRPCs() - rpcs0
+	batched := c.caller.Calls() - rpcs0
 
 	for i := 0; i < 24; i++ {
 		if res[i].Err != nil || res[i].Stat.Type != fsapi.TypeFile {
@@ -72,7 +72,7 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 
 	// A loop of single Stat calls — what the scan costs without the
 	// batched form — must agree on every result.
-	base0 := c.CacheRPCs()
+	base0 := c.caller.Calls()
 	for i, p := range paths {
 		st, done, serr := c.Stat(at, p)
 		at = done
@@ -81,7 +81,7 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 				p, res[i].Stat, res[i].Err, st, serr)
 		}
 	}
-	perKey := c.CacheRPCs() - base0
+	perKey := c.caller.Calls() - base0
 	if batched*2 > perKey {
 		t.Fatalf("batched = %d RPCs, per-key loop = %d: want >= 2x reduction", batched, perKey)
 	}
@@ -115,7 +115,7 @@ func TestReaddirWarmsColdListing(t *testing.T) {
 	c := e.client(t, "node0")
 	owners := map[string]bool{}
 	for i := 0; i < n; i++ {
-		owners[e.region.Ring().Lookup(fmt.Sprintf("/w/cold/f%02d", i))] = true
+		owners[e.region.ring.Lookup(fmt.Sprintf("/w/cold/f%02d", i))] = true
 	}
 	hook := &rpcHook{}
 	e.bus.SetObserver(hook)
@@ -315,7 +315,7 @@ func TestStatMultiSurvivesCacheServerDeath(t *testing.T) {
 	// never exercised.
 	owned := 0
 	for _, p := range paths {
-		if e.region.Ring().Lookup(p) == "node1/pacon-app" {
+		if e.region.ring.Lookup(p) == "node1/pacon-app" {
 			owned++
 		}
 	}
@@ -433,7 +433,7 @@ func TestStatAndStatMultiAgree(t *testing.T) {
 		{name: "owner unregistered", cached: true, dead: true,
 			put: func(t *testing.T, e *env, r *Region, w *Client, p string) {
 				committed(t, e, r, w, p)
-				e.bus.Unregister(r.Ring().Lookup(p))
+				e.bus.Unregister(r.ring.Lookup(p))
 			}},
 	}
 
@@ -465,7 +465,7 @@ func TestStatAndStatMultiAgree(t *testing.T) {
 
 		c := e.client(t, "node0")
 		var a answer
-		rpcs := c.CacheRPCs()
+		rpcs := c.caller.Calls()
 		if multi {
 			res, _, err := c.StatMulti(0, []string{pl.path})
 			if err != nil {
@@ -475,7 +475,7 @@ func TestStatAndStatMultiAgree(t *testing.T) {
 		} else {
 			a.stat, _, a.err = c.Stat(0, pl.path)
 		}
-		a.rpcs = c.CacheRPCs() - rpcs
+		a.rpcs = c.caller.Calls() - rpcs
 		a.stat = timeless(a.stat)
 		for _, r := range regions {
 			dump, err := r.DumpCache()
@@ -882,7 +882,7 @@ func TestRenameWaitsForAnOwedSettle(t *testing.T) {
 	c0, c1 := e.client(t, "node0"), e.client(t, "node1")
 	// dst's owner is the ring's second member and other's its first, so a
 	// settle batch holding both reaches other's owner first.
-	ring := e.region.Ring()
+	ring := e.region.ring
 	members := ring.Members()
 	pick := func(format string, owner string) string {
 		for i := 0; ; i++ {
@@ -955,7 +955,7 @@ func TestRenameWaitsForAnOwedSettle(t *testing.T) {
 }
 
 // TestInWorkspaceRejectsLookalikes is the path property of the read path's
-// routing (ROADMAP item 14a): after Clean, a path belongs to the region
+// routing: after Clean, a path belongs to the region
 // (inWorkspace) or to a merged peer (mergedFor) exactly when its leading
 // components are that workspace's, compared component by component — so a
 // prefix sibling (/w2 beside /w, /w.x, /w followed by NUL) is never taken

@@ -200,7 +200,7 @@ type Region struct {
 
 	// nodes are the region's application nodes (node.go) in cfg.Nodes
 	// order; byName is the one index by node name, for the calls that are
-	// handed one (NewClient, SimulateNodeFailure, OldestUnacked).
+	// handed one (NewClient, SimulateNodeFailure).
 	nodes   []*node
 	byName  map[string]*node
 	ring    *dht.Ring
@@ -488,12 +488,6 @@ func (r *Region) shutdownServers() {
 		r.deps.Bus.Unregister(n.addr)
 	}
 }
-
-// Config returns the region's (defaulted) configuration.
-func (r *Region) Config() RegionConfig { return r.cfg }
-
-// Ring exposes the cache ring (merged peers route through it).
-func (r *Region) Ring() *dht.Ring { return r.ring }
 
 // Stats returns commit-module counters.
 func (r *Region) Stats() RegionStats {

@@ -31,18 +31,6 @@ func (r *Region) oldest(p string) int64 {
 	return min
 }
 
-// OldestUnacked returns the age (ns of wall time) of the oldest
-// operation in node's commit pipeline that has not reached the DFS —
-// queued, in-flight, parked or retrying alike. 0 means the pipeline is
-// empty or observability is disabled.
-func (r *Region) OldestUnacked(node string) int64 {
-	n := r.byName[node]
-	if n == nil {
-		return 0
-	}
-	return age(n.inflight.oldest(""))
-}
-
 // MaxStaleness is the region-wide consistency-lag watermark: the age of
 // the oldest unacknowledged operation across every node's pipeline —
 // an upper bound on how far any DFS backup copy currently trails its

@@ -55,8 +55,8 @@ func TestLagReleasedAfterDrain(t *testing.T) {
 		t.Fatal("MaxCommitLag zero after committed ops")
 	}
 	for _, node := range e.nodes {
-		if a := e.region.OldestUnacked(node); a != 0 {
-			t.Fatalf("OldestUnacked(%s) = %d after drain, want 0", node, a)
+		if a := age(e.region.byName[node].inflight.oldest("")); a != 0 {
+			t.Fatalf("oldest unacked op on %s is %d ns old after drain, want none", node, a)
 		}
 	}
 
@@ -113,8 +113,8 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 	if e.region.MaxStaleness() <= 0 {
 		t.Fatal("MaxStaleness zero with ops in flight")
 	}
-	if e.region.OldestUnacked("node0") <= 0 {
-		t.Fatal("OldestUnacked zero with ops in flight")
+	if age(e.region.byName["node0"].inflight.oldest("")) <= 0 {
+		t.Fatal("oldest unacked op on node0 has no age with ops in flight")
 	}
 	if e.region.QueueHeadAge() <= 0 {
 		t.Fatal("QueueHeadAge zero with queued ops")

@@ -515,7 +515,7 @@ func TestRmdirCleansSubtreeInOneRoundTripPerOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := hook.count("settle_multi"), e.region.Ring().Size(); got == 0 || got > limit {
+	if got, limit := hook.count("settle_multi"), len(e.region.ring.Members()); got == 0 || got > limit {
 		t.Fatalf("rmdir of %d files cleaned the cache in %d settle_multi RPCs, want 1..%d (ring size)", files, got, limit)
 	}
 	if genAtFirstSweep != gen+1 {
@@ -580,7 +580,7 @@ func TestRenameCleanupKeepsRacingCreate(t *testing.T) {
 	}
 	// One more than the ring size: the racer's mkdir may have committed,
 	// and settled, before the observer came off.
-	if got, limit := hook.count("settle_multi"), e.region.Ring().Size()+1; got == 0 || got > limit {
+	if got, limit := hook.count("settle_multi"), len(e.region.ring.Members())+1; got == 0 || got > limit {
 		t.Fatalf("rename swept %d old paths in %d settle_multi RPCs, want 1..%d (ring size + the racer's commit)", files+1, got, limit)
 	}
 	reborn := mustEntry(t, e.region, "/w/src", "after the rename returned")

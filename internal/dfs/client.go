@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/namespace"
@@ -63,8 +62,6 @@ type Client struct {
 	// resolution and never answers for the path a caller asked about.
 	mu       sync.Mutex
 	dentries map[string]dentry
-
-	lookupRPCs atomic.Int64
 }
 
 type dentry struct {
@@ -84,9 +81,6 @@ func NewClient(t rpc.Transport, cfg ClientConfig) *Client {
 	}
 }
 
-// Cred returns the client's credential.
-func (c *Client) Cred() fsapi.Cred { return c.cfg.Cred }
-
 // Pace attaches a virtual-time pacer to this client's RPC caller (see
 // vclock.Pacer); id is the client's participant index.
 func (c *Client) Pace(p *vclock.Pacer, id int) { c.caller.Pace(p, id) }
@@ -97,10 +91,6 @@ func (c *Client) SetTrace(span uint64) { c.caller.SetTrace(span) }
 
 // ClearTrace removes the trace context set by SetTrace.
 func (c *Client) ClearTrace() { c.caller.ClearTrace() }
-
-// LookupRPCs returns the number of per-component lookup RPCs issued —
-// the path-traversal overhead metric.
-func (c *Client) LookupRPCs() int64 { return c.lookupRPCs.Load() }
 
 func (c *Client) cacheGet(p string, at vclock.Time) (fsapi.Stat, bool) {
 	if c.cfg.DentryCacheCap <= 0 || c.cfg.DentryTTL <= 0 {
@@ -164,7 +154,6 @@ func (c *Client) InvalidateSubtree(root string) {
 
 // lookupRPC issues one lookup to the MDS: p's stat and inode number.
 func (c *Client) lookupRPC(at vclock.Time, p string) (fsapi.Stat, uint64, vclock.Time, error) {
-	c.lookupRPCs.Add(1)
 	e := wire.GetEncoder()
 	e.String(p)
 	var st fsapi.Stat
@@ -893,7 +882,6 @@ func (c *Client) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 // decode, says nothing about any of these paths, so that error becomes
 // the result of each of them (applyTo's rule).
 func (c *Client) statGroup(g shardGroup, at vclock.Time, cleaned []string, out []fsapi.StatResult) vclock.Time {
-	c.lookupRPCs.Add(int64(len(g.idx)))
 	e := wire.GetEncoder()
 	e.Uvarint(uint64(len(g.idx)))
 	for _, i := range g.idx {

@@ -58,7 +58,7 @@ func residentBytes(s *DataServer) (n int) {
 func readBack(s *DataServer, ino uint64, idx int64, off, n int) []byte {
 	e := wire.NewEncoder(n + 8)
 	s.readChunkInto(e, ino, idx, off, n)
-	return wire.NewDecoder(e.Bytes()).Blob()
+	return wire.NewDecoder(e.Bytes()).BlobView()
 }
 
 // writeFrame builds a write_multi frame of the given entries.

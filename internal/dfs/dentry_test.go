@@ -82,13 +82,13 @@ func TestDentryCacheHoldsDirectoriesOnly(t *testing.T) {
 		if _, err := other.SetStat(at, "/w/d/f", st); err != nil {
 			t.Fatal(err)
 		}
-		before := cl.LookupRPCs()
+		before := lookups(c)
 		got, done, err := cl.Stat(at, "/w/d/f")
 		at = done
 		if err != nil || got.Size != size {
 			t.Fatalf("stat after another client's setstat to %d = %+v, %v", size, got, err)
 		}
-		if n := cl.LookupRPCs() - before; n != 1 {
+		if n := lookups(c) - before; n != 1 {
 			t.Fatalf("stat of a file under cached ancestors cost %d lookups, want 1", n)
 		}
 	}
@@ -101,12 +101,12 @@ func TestDentryCacheHoldsDirectoriesOnly(t *testing.T) {
 		}
 		paths = append(paths, p)
 	}
-	before := cl.LookupRPCs()
+	before := lookups(c)
 	res, at, err := cl.StatBatch(at, paths)
 	if err != nil || res[1].Err != nil || res[2].Err != nil || !errors.Is(res[3].Err, fsapi.ErrNotExist) {
 		t.Fatalf("stat batch = %+v, %v", res, err)
 	}
-	if n := cl.LookupRPCs() - before; n != int64(len(paths)) {
+	if n := lookups(c) - before; n != int64(len(paths)) {
 		t.Fatalf("stat batch of %d paths under cached ancestors cost %d lookups, want one per path", len(paths), n)
 	}
 	if _, _, err = cl.Stat(at, "/w/d"); err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +23,15 @@ var (
 func testCluster(t *testing.T) *Cluster {
 	t.Helper()
 	return NewCluster(rpc.NewBus(), vclock.Default(), rootCred, "storage0", []string{"storage1", "storage2", "storage3"})
+}
+
+// lookups sums the path lookups the cluster's MDS shards have answered.
+func lookups(c *Cluster) int64 {
+	var n int64
+	for _, m := range c.MDSes {
+		n += m.Stats().Lookups
+	}
+	return n
 }
 
 // appClient returns a client with an app workspace prepared at /w.
@@ -167,6 +178,7 @@ func TestDentryCacheCutsLookups(t *testing.T) {
 	root := c.NewClient("node0", rootCred, 0, 0)
 	root.Mkdir(0, "/w", 0o777)
 	cached := c.NewClient("node0", appCred, 1024, time.Hour)
+	before := lookups(c)
 	at := vclock.Time(0)
 	var err error
 	for i := 0; i < 50; i++ {
@@ -176,11 +188,12 @@ func TestDentryCacheCutsLookups(t *testing.T) {
 		}
 	}
 	// 2 ancestor lookups on the first create, none after.
-	if got := cached.LookupRPCs(); got != 2 {
+	if got := lookups(c) - before; got != 2 {
 		t.Fatalf("cached client lookups = %d, want 2", got)
 	}
 
 	uncached := c.NewClient("node0", appCred, 0, 0)
+	before = lookups(c)
 	at = 0
 	for i := 0; i < 50; i++ {
 		at, err = uncached.Create(at, fmt.Sprintf("/w/u%d", i), 0o644)
@@ -188,7 +201,7 @@ func TestDentryCacheCutsLookups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := uncached.LookupRPCs(); got != 100 {
+	if got := lookups(c) - before; got != 100 {
 		t.Fatalf("uncached client lookups = %d, want 100", got)
 	}
 }
@@ -201,7 +214,7 @@ func TestMDSSaturationLimitsAggregateThroughput(t *testing.T) {
 	const clients = 32
 	const per = 40
 	var wg sync.WaitGroup
-	var wm vclock.Watermark
+	ends := make([]vclock.Time, clients)
 	pacer := vclock.NewPacer(clients, 0)
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
@@ -219,20 +232,20 @@ func TestMDSSaturationLimitsAggregateThroughput(t *testing.T) {
 					return
 				}
 			}
-			wm.Observe(now)
+			ends[g] = now
 		}(g)
 	}
 	wg.Wait()
 
 	// The MDS pool must be the bottleneck: its busy time across workers
 	// should dominate the horizon.
-	horizon := wm.Load().Sub(0)
+	horizon := slices.Max(ends).Sub(0)
 	util := c.MDS.Resource().Utilization(horizon)
 	if util < 0.8 {
 		t.Fatalf("MDS utilization %.2f — expected saturation under 32 concurrent clients", util)
 	}
-	if c.MDS.Tree().Len() != clients*per+1 {
-		t.Fatalf("namespace has %d objects", c.MDS.Tree().Len())
+	if n := strings.Count(dumpTree(t, c.MDS), "\n"); n != clients*per+2 { // root, /w and the files
+		t.Fatalf("namespace has %d objects", n)
 	}
 }
 
@@ -438,12 +451,12 @@ func TestDentryTTLExpiry(t *testing.T) {
 	if at, err = cl.Create(at, "/w/f0", 0o644); err != nil {
 		t.Fatal(err)
 	}
-	first := cl.LookupRPCs()
+	first := lookups(c)
 	// Well past the TTL: ancestors must be re-fetched.
 	if _, err = cl.Create(at+vclock.Time(time.Second), "/w/f1", 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cl.LookupRPCs() <= first {
+	if lookups(c) <= first {
 		t.Fatal("expired dentries were reused")
 	}
 }
@@ -487,7 +500,7 @@ func TestMultiMDSSharesNamespaceAndScales(t *testing.T) {
 	run := func(cluster *Cluster) vclock.Duration {
 		const clients, per = 24, 30
 		var wg sync.WaitGroup
-		var wm vclock.Watermark
+		ends := make([]vclock.Time, clients)
 		pacer := vclock.NewPacer(clients, 0)
 		for g := 0; g < clients; g++ {
 			wg.Add(1)
@@ -505,11 +518,11 @@ func TestMultiMDSSharesNamespaceAndScales(t *testing.T) {
 						return
 					}
 				}
-				wm.Observe(now)
+				ends[g] = now
 			}(g)
 		}
 		wg.Wait()
-		return wm.Load().Sub(0)
+		return slices.Max(ends).Sub(0)
 	}
 	multiTime := run(c)
 	singleTime := run(single)

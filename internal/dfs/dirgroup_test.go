@@ -134,12 +134,12 @@ func TestDirGroupsMatchInOrderApply(t *testing.T) {
 							}
 						}
 						cl := grouped.app
-						calls, lookups := cl.caller.Calls(), cl.LookupRPCs()
+						calls, looked := cl.caller.Calls(), lookups(grouped.c)
 						gerrs, _, err := cl.ApplyBatch(0, append([]fsapi.BatchOp(nil), ops...))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if sent := cl.caller.Calls() - calls - (cl.LookupRPCs() - lookups); sent > int64(len(owners)) {
+						if sent := cl.caller.Calls() - calls - (lookups(grouped.c) - looked); sent > int64(len(owners)) {
 							split++
 						}
 						rerrs := applyInOrder(inOrder.app, ops)

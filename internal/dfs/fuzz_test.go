@@ -77,7 +77,7 @@ func FuzzMDSHandlers(f *testing.F) {
 		for _, method := range mdsMethods {
 			// A fresh tree per endpoint: what one does with the frame must
 			// not hide it from the next.
-			m := NewMDS("fuzz/mds", vclock.Default(), rootCred)
+			m := newMDS("fuzz/mds", vclock.Default(), rootCred, 0)
 			tree := m.Tree()
 			for _, d := range []string{"/w", "/w/d", "/w/d/sub", "/w/empty"} {
 				if err := tree.Mkdir(d, fsapi.NewDirStat(appCred, 0o777)); err != nil {
@@ -92,14 +92,14 @@ func FuzzMDSHandlers(f *testing.F) {
 			bus := rpc.NewBus()
 			bus.Register("fuzz/mds", m.Service())
 			caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
-			before, intents, served := dumpTree(t, m), m.Intents(), m.Resource().Ops()
+			before, intents, served := dumpTree(t, m), m.intentN.Load(), m.Resource().Ops()
 			_, resp, err := caller.Call("fuzz/mds", method, 0, body)
 			if err != nil {
 				if resp != nil {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
 				}
-				if m.Resource().Ops() == served && (dumpTree(t, m) != before || m.Intents() != intents) {
-					t.Fatalf("%s refused the frame undecoded (%v) yet changed the tree or the intents:\n%s--- now, %d intent(s)\n%s", method, err, before, m.Intents(), dumpTree(t, m))
+				if m.Resource().Ops() == served && (dumpTree(t, m) != before || m.intentN.Load() != intents) {
+					t.Fatalf("%s refused the frame undecoded (%v) yet changed the tree or the intents:\n%s--- now, %d intent(s)\n%s", method, err, before, m.intentN.Load(), dumpTree(t, m))
 				}
 				continue
 			}

@@ -45,11 +45,6 @@ type MDS struct {
 	intents  map[string]uint64
 }
 
-// NewMDS creates a metadata server whose root is owned by cred.
-func NewMDS(name string, model vclock.LatencyModel, cred fsapi.Cred) *MDS {
-	return newMDS(name, model, cred, 0)
-}
-
 // inoShardShift places a shard's index in the high bits of every inode
 // number it hands out, so numbers are unique across the shards of a
 // cluster and a subtree moving between shards keeps its own.

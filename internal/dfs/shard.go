@@ -142,8 +142,8 @@ type shardGroup struct {
 // to the other multi-server client. Results land by position, so the
 // order means nothing to a caller; it is the order the fan-out spawns
 // its goroutines in, and an unpaced commit process's batch sizes move
-// with that order until ROADMAP item 2's scheduler makes them a function
-// of virtual time (DESIGN.md §8).
+// with that order until a scheduler that runs goroutines in virtual-time
+// order makes them a function of virtual time (DESIGN.md §8).
 func (s *ShardMap) group(n int, shardOf func(i int) int) []shardGroup {
 	buf := make([]int, 2*n+len(s.addrs))
 	idx, owner, cursor := buf[:n:n], buf[n:2*n], buf[2*n:]

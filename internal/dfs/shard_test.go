@@ -45,7 +45,7 @@ func nameOwnedBy(t *testing.T, sm *ShardMap, k int, tag string) string {
 func allIntentsDrained(t *testing.T, c *Cluster) {
 	t.Helper()
 	for i, m := range c.MDSes {
-		if n := m.Intents(); n != 0 {
+		if n := m.intentN.Load(); n != 0 {
 			t.Fatalf("shard %d holds %d intents after the protocol finished", i, n)
 		}
 	}

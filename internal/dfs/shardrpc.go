@@ -109,9 +109,6 @@ func (m *MDS) ClearIntents() {
 	m.intentMu.Unlock()
 }
 
-// Intents returns the active intent count (white-box test hook).
-func (m *MDS) Intents() int { return int(m.intentN.Load()) }
-
 // shardHandlers registers the multi-shard coordination endpoints on the
 // MDS service.
 func (m *MDS) shardHandlers(svc *rpc.Service) {

@@ -23,15 +23,6 @@ func BenchmarkLookup16Members(b *testing.B) {
 	}
 }
 
-func BenchmarkAddRemoveMember(b *testing.B) {
-	r := NewWithMembers(0, "a", "b", "c")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Add("transient")
-		r.Remove("transient")
-	}
-}
-
 // BenchmarkGroupByOwner16 groups a StatMulti-sized batch on a
 // region-sized ring: two allocations (the index array and the groups)
 // whatever the key count.

@@ -116,29 +116,6 @@ func (r *Ring) Add(member string) {
 	})
 }
 
-// Remove deletes a member and its vnodes; keys re-home to the successor
-// members. Removing an absent member is a no-op.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	at, found := r.memberIndex(member)
-	if !found {
-		return
-	}
-	r.members = append(r.members[:at], r.members[at+1:]...)
-	kept := r.points[:0]
-	for _, pt := range r.points {
-		switch {
-		case pt.member == int32(at):
-			continue
-		case pt.member > int32(at):
-			pt.member--
-		}
-		kept = append(kept, pt)
-	}
-	r.points = kept
-}
-
 // ownerIndex returns the index in r.members of key's owner; the ring
 // must be non-empty and the caller holds the lock.
 func (r *Ring) ownerIndex(key string) int {
@@ -263,11 +240,4 @@ func (g *Grouping) groupsFor(n int) []OwnerGroup {
 		g.groups = make([]OwnerGroup, 0, n)
 	}
 	return g.groups[:0]
-}
-
-// Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
 }

@@ -36,25 +36,10 @@ func (t FileType) String() string {
 // Mode is a POSIX-style permission bit set (lower 9 bits: rwxrwxrwx).
 type Mode uint16
 
-// Permission bit masks, mirroring POSIX octal classes.
-const (
-	ModeUserRead   Mode = 0o400
-	ModeUserWrite  Mode = 0o200
-	ModeUserExec   Mode = 0o100
-	ModeGroupRead  Mode = 0o040
-	ModeGroupWrite Mode = 0o020
-	ModeGroupExec  Mode = 0o010
-	ModeOtherRead  Mode = 0o004
-	ModeOtherWrite Mode = 0o002
-	ModeOtherExec  Mode = 0o001
-
-	// ModeDefaultDir is the mode Pacon assigns to directories when the
-	// application does not predefine permissions: full access for the
-	// creator (paper §III.C "default permission settings similar to Linux").
-	ModeDefaultDir Mode = 0o755
-	// ModeDefaultFile is the default mode for regular files.
-	ModeDefaultFile Mode = 0o644
-)
+// ModeDefaultDir is the mode Pacon assigns to directories when the
+// application does not predefine permissions: full access for the
+// creator (paper §III.C "default permission settings similar to Linux").
+const ModeDefaultDir Mode = 0o755
 
 // String renders the mode in octal, e.g. "0755".
 func (m Mode) String() string { return fmt.Sprintf("0%o", uint16(m)) }

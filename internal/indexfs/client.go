@@ -44,8 +44,6 @@ type Client struct {
 
 	pending map[string][]bulkRow // server addr -> buffered creates (bulk mode)
 	nbuf    int
-
-	lookupRPCs int64
 }
 
 type lease struct {
@@ -69,13 +67,6 @@ func NewClient(t rpc.Transport, cfg ClientConfig) *Client {
 
 // Pace attaches a virtual-time pacer (see vclock.Pacer).
 func (c *Client) Pace(p *vclock.Pacer, id int) { c.caller.Pace(p, id) }
-
-// LookupRPCs reports issued per-component lookup RPCs.
-func (c *Client) LookupRPCs() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lookupRPCs
-}
 
 func mix(x uint64) uint64 {
 	x ^= x >> 30
@@ -139,9 +130,6 @@ func (c *Client) leaseDrop(p string) {
 // lookupEntry fetches (dir, name) from its owner, caching the lease
 // under fullPath.
 func (c *Client) lookupEntry(at vclock.Time, dir DirID, name, fullPath string) (lease, vclock.Time, error) {
-	c.mu.Lock()
-	c.lookupRPCs++
-	c.mu.Unlock()
 	e := wire.NewEncoder(len(name) + 12)
 	e.Uint64(dir)
 	e.String(name)

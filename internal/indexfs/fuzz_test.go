@@ -102,7 +102,7 @@ func FuzzIndexFSHandlers(f *testing.F) {
 			s := c.Servers[0]
 			caller := rpc.NewCaller(c.Net, vclock.Default(), "fuzz")
 			before, rows := s.rows.dump()
-			served := s.Resource().Ops()
+			served := s.res.Ops()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			_, resp, err := caller.Call(c.Addrs[0], method, 0, body)
@@ -115,7 +115,7 @@ func FuzzIndexFSHandlers(f *testing.F) {
 				if resp != nil {
 					t.Fatalf("%s: error %v with a %d-byte reply", method, err, len(resp))
 				}
-				if s.Resource().Ops() == served && after != before {
+				if s.res.Ops() == served && after != before {
 					t.Fatalf("%s refused the frame undecoded (%v) yet changed the table:\n%s\n--- now\n%s", method, err, before, after)
 				}
 				continue

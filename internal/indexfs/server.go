@@ -21,7 +21,6 @@ package indexfs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pacon/internal/fsapi"
 	"pacon/internal/rpc"
@@ -55,10 +54,6 @@ type Server struct {
 
 	partMu sync.Mutex
 	parts  map[DirID]*vclock.Resource // per-directory partition critical section
-
-	inserts atomic.Int64
-	lookups atomic.Int64
-	scans   atomic.Int64
 }
 
 // NewServer builds a server with an empty table.
@@ -74,19 +69,6 @@ func NewServer(name string, cfg ServerConfig) *Server {
 		res:   vclock.NewResource(name, cfg.Workers),
 		parts: make(map[DirID]*vclock.Resource),
 	}
-}
-
-// Resource exposes the service pool.
-func (s *Server) Resource() *vclock.Resource { return s.res }
-
-// ServerStats counts served operations.
-type ServerStats struct {
-	Inserts, Lookups, Scans int64
-}
-
-// Stats returns counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{Inserts: s.inserts.Load(), Lookups: s.lookups.Load(), Scans: s.scans.Load()}
 }
 
 // partition returns the directory's partition resource on this server:
@@ -115,7 +97,6 @@ func (s *Server) Service() *rpc.Service {
 		if err := d.Finish(); err != nil {
 			return at, err
 		}
-		s.lookups.Add(1)
 		r, ok := s.rows.get(dir, name)
 		cost := s.cfg.Model.LSMGetHitCost
 		if !ok {
@@ -141,7 +122,6 @@ func (s *Server) Service() *rpc.Service {
 			if err := d.Finish(); err != nil {
 				return at, err
 			}
-			s.inserts.Add(1)
 			// LevelDB's existence check (a bloom-filtered miss in the
 			// common case) and put on the pool, then the directory's
 			// partition critical section.
@@ -196,7 +176,6 @@ func (s *Server) Service() *rpc.Service {
 		if err := d.Finish(); err != nil {
 			return at, err
 		}
-		s.scans.Add(1)
 		ents := s.rows.scan(dir)
 		done := s.res.Acquire(at, s.cfg.Model.LSMGetHitCost+vclock.Duration(len(ents))*s.cfg.Model.LSMScanEntryCost)
 		reply.Uvarint(uint64(len(ents)))
@@ -223,7 +202,6 @@ func (s *Server) Service() *rpc.Service {
 		if err := d.Finish(); err != nil {
 			return at, err
 		}
-		s.inserts.Add(int64(n))
 		// One LevelDB write for the batch plus a per-row share.
 		done := s.res.Acquire(at, s.cfg.Model.LSMPutCost+vclock.Duration(n)*s.cfg.Model.LSMScanEntryCost)
 		s.rows.put(rows)

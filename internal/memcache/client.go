@@ -29,9 +29,6 @@ func NewClient(caller *rpc.Caller, ring *dht.Ring) *Client {
 // Owner returns the server address responsible for key.
 func (c *Client) Owner(key string) string { return c.ring.Lookup(key) }
 
-// Calls returns the number of RPCs this client has issued.
-func (c *Client) Calls() int64 { return c.caller.Calls() }
-
 // SetTrace tags subsequent cache RPCs with the span's trace context so
 // the cache servers' handler timings land in the originating op's span.
 func (c *Client) SetTrace(span uint64) { c.caller.SetTrace(span) }

@@ -22,6 +22,14 @@ func testServer(cfg ServerConfig) *Server {
 	return NewServer("cache-test", cfg)
 }
 
+// Set unconditionally stores key and returns the new CAS version: the
+// in-process form of the "set" endpoint, for the tests.
+func (s *Server) Set(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
+	done := s.acquire(at)
+	cas, err := s.store(key, value, flags, storeSet, 0)
+	return cas, done, err
+}
+
 func TestServerSetGetDelete(t *testing.T) {
 	s := testServer(ServerConfig{})
 	cas, _, err := s.Set(0, "/a/b", []byte("v1"), 7)

@@ -52,7 +52,7 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 		entries[1], entries[1],
 		Settle{Key: "/w/d/f000", Cond: CondClean})
 
-	calls := c.Calls()
+	calls := c.caller.Calls()
 	applied, owners, done, err := c.SettleMulti(100, entries)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 	if want := 3*n/4 + 1; applied != want {
 		t.Fatalf("%d entries took effect, want %d", applied, want)
 	}
-	if got := c.Calls() - calls; owners != 4 || got != 4 {
+	if got := c.caller.Calls() - calls; owners != 4 || got != 4 {
 		t.Fatalf("contacted %d owners in %d RPCs, want 4 and 4", owners, got)
 	}
 	if done <= 100 {

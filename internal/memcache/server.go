@@ -319,13 +319,6 @@ func (s *Server) GetMulti(at vclock.Time, keys []string) ([]GetMultiResult, vclo
 	return out, done
 }
 
-// Set unconditionally stores key and returns the new CAS version.
-func (s *Server) Set(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
-	done := s.acquire(at)
-	cas, err := s.store(key, value, flags, storeSet, 0)
-	return cas, done, err
-}
-
 // Add stores key only if absent (memcached "add"). No endpoint serves it:
 // it is the in-process form, for measuring the store path.
 func (s *Server) Add(at vclock.Time, key string, value []byte, flags uint32) (uint64, vclock.Time, error) {
@@ -730,9 +723,6 @@ func (s *Server) CommittedItems(limit int) []KeyValue {
 	}
 	return out
 }
-
-// Resource exposes the service resource for utilization reporting.
-func (s *Server) Resource() *vclock.Resource { return s.res }
 
 // presize caps what a multi-key handler allocates up front on a peer's
 // count: wire's Count bounds it only by the bytes left in the frame (16 MiB

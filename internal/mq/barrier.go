@@ -54,9 +54,6 @@ func NewBarrier(nodes int) *Barrier {
 	return b
 }
 
-// Nodes returns the region's commit-process count.
-func (b *Barrier) Nodes() int { return b.nodes }
-
 // Epoch returns the current barrier epoch number.
 func (b *Barrier) Epoch() uint64 {
 	b.mu.Lock()

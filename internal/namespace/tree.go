@@ -19,7 +19,6 @@ import (
 type Tree struct {
 	mu      sync.RWMutex
 	root    *node
-	n       int    // nodes excluding root
 	nextIno uint64 // the number the next created object draws
 }
 
@@ -164,7 +163,6 @@ func (t *Tree) Add(p string, stat fsapi.Stat, ino uint64) (uint64, error) {
 		n.children = make(map[string]*node)
 	}
 	parent.children[name] = n
-	t.n++
 	return ino, nil
 }
 
@@ -214,7 +212,6 @@ func (t *Tree) Remove(p string) (Inode, error) {
 		return Inode{}, fsapi.WrapPath("remove", p, fsapi.ErrIsDir)
 	}
 	delete(parent.children, name)
-	t.n--
 	return Inode{Ino: n.ino, Size: n.meta.size}, nil
 }
 
@@ -238,7 +235,6 @@ func (t *Tree) Rmdir(p string) error {
 		return fsapi.WrapPath("rmdir", p, fsapi.ErrNotEmpty)
 	}
 	delete(parent.children, name)
-	t.n--
 	return nil
 }
 
@@ -280,7 +276,6 @@ func (t *Tree) RemoveSubtree(p string) ([]string, []Inode, error) {
 		if nd.children == nil && nd.meta.size > 0 {
 			freed = append(freed, Inode{Ino: nd.ino, Size: nd.meta.size})
 		}
-		t.n--
 	}
 	visit(p, n)
 	delete(parent.children, name)
@@ -369,11 +364,4 @@ func (t *Tree) Walk(p string, fn func(path string, ino uint64, stat fsapi.Stat) 
 		return nil
 	}
 	return visit(p, n)
-}
-
-// Len returns the number of objects excluding root.
-func (t *Tree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.n
 }

@@ -60,14 +60,6 @@ func (h *Histogram) RecordN(v int64) {
 // Record records a duration sample.
 func (h *Histogram) Record(d time.Duration) { h.RecordN(int64(d)) }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snapshot copies the histogram's counters. The copy is per-bucket
 // atomic, not globally atomic: under concurrent recording the totals may
 // disagree with the buckets by in-flight samples, which quantile math
@@ -85,21 +77,12 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is an immutable histogram copy: merge/quantile math runs
+// HistSnapshot is an immutable histogram copy: quantile math runs
 // on snapshots so it never contends with recorders.
 type HistSnapshot struct {
 	Buckets [histBuckets]int64
 	Count   int64
 	Sum     int64
-}
-
-// Merge adds other's samples into s.
-func (s *HistSnapshot) Merge(other HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
 }
 
 // Quantile returns an upper bound for the q-th quantile (0 < q <= 1):

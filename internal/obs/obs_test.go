@@ -38,7 +38,7 @@ func TestBucketBoundaries(t *testing.T) {
 func TestHistogramEmpty(t *testing.T) {
 	var h *Histogram
 	h.RecordN(5) // nil-safe no-op
-	if h.Count() != 0 {
+	if h.Snapshot().Count != 0 {
 		t.Fatal("nil histogram has samples")
 	}
 	s := NewHistogram().Snapshot()
@@ -72,21 +72,6 @@ func TestHistogramQuantile(t *testing.T) {
 	q := s.Quantiles()
 	if q.Count != 100 || q.P50 > q.P95 || q.P95 > q.P99 {
 		t.Errorf("quantile digest not monotone: %+v", q)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.RecordN(10)
-	a.RecordN(20)
-	b.RecordN(1 << 20)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 3 || s.Sum != 10+20+1<<20 {
-		t.Fatalf("merged count/sum = %d/%d", s.Count, s.Sum)
-	}
-	if s.Buckets[bucketOf(10)] == 0 || s.Buckets[bucketOf(1<<20)] == 0 {
-		t.Fatal("merged buckets missing samples")
 	}
 }
 
@@ -198,7 +183,7 @@ func TestObsRegistryAndProm(t *testing.T) {
 	o.RegisterCounter("ops_committed", func() int64 { return 42 })
 	o.RegisterGauge("queue_depth", func() int64 { return 7 })
 
-	if o.Hist(HistCacheRPC).Count() != 1 || o.Hist(HistDFSRPC).Count() != 1 {
+	if o.Hist(HistCacheRPC).Snapshot().Count != 1 || o.Hist(HistDFSRPC).Snapshot().Count != 1 {
 		t.Fatal("ObserveRPC misclassified cache vs dfs round trips")
 	}
 

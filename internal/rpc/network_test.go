@@ -33,7 +33,7 @@ func TestTCPNetworkServesRegisteredServices(t *testing.T) {
 	if want := vclock.Time(85 * time.Microsecond); done != want {
 		t.Fatalf("done = %v, want %v", done, want)
 	}
-	if c.Node() != "node0" || c.Model() != model || c.Calls() != 1 {
+	if c.node != "node0" || c.model != model || c.Calls() != 1 {
 		t.Fatal("caller accessors wrong")
 	}
 }
@@ -91,21 +91,6 @@ func TestTCPNetworkConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestBusBytesCounter(t *testing.T) {
-	bus := NewBus()
-	svc := NewService()
-	svc.Handle("sink", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		return at, nil, nil
-	})
-	bus.Register("n/svc", svc)
-	c := NewCaller(bus, vclock.LatencyModel{}, "n")
-	c.Call("n/svc", "sink", 0, make([]byte, 100))
-	c.Call("n/svc", "sink", 0, make([]byte, 28))
-	if bus.Bytes() != 128 {
-		t.Fatalf("bytes = %d", bus.Bytes())
-	}
-}
-
 // TestCallerInlineIsTheTransportsAnswer: only a transport that says its
 // handlers run on the calling goroutine makes a Caller inline — the Bus
 // does, TCP does not, and a wrapper that does not forward the property
@@ -122,8 +107,8 @@ func TestCallerInlineIsTheTransportsAnswer(t *testing.T) {
 		"tcp":         {tcp, false},
 		"wrapped bus": {struct{ Transport }{bus}, false},
 	} {
-		if got := NewCaller(tc.t, vclock.Default(), "n").Inline(); got != tc.want {
-			t.Errorf("%s: Inline() = %v, want %v", name, got, tc.want)
+		if got := NewCaller(tc.t, vclock.Default(), "n").inline; got != tc.want {
+			t.Errorf("%s: inline = %v, want %v", name, got, tc.want)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func invokeCopy(t ReplyInvoker, addr, method string, at vclock.Time, body []byte
 // runs the handler on the calling goroutine and returns when it has.
 // Round trips on such a transport cannot overlap in real time, so a
 // caller fanning out from one virtual instant loses nothing by issuing
-// them one after another (see Caller.Inline). The Bus reports it; TCP,
+// them one after another (see Caller.FanOut). The Bus reports it; TCP,
 // where the waits do overlap, does not.
 type inlineTransport interface {
 	HandlersRunInline() bool
@@ -147,9 +147,7 @@ type Bus struct {
 	mu       sync.RWMutex
 	services map[string]*Service
 
-	calls atomic.Int64
-	bytes atomic.Int64
-	obs   atomic.Pointer[RPCObserver]
+	obs atomic.Pointer[RPCObserver]
 }
 
 // NewBus returns an empty bus.
@@ -201,8 +199,6 @@ func (b *Bus) InvokeInto(addr, method string, at vclock.Time, tc TraceContext, b
 	if svc == nil {
 		return at, fmt.Errorf("rpc: no service at %q: %w", addr, fsapi.ErrClosed)
 	}
-	b.calls.Add(1)
-	b.bytes.Add(int64(len(body)))
 	p := b.obs.Load()
 	if p == nil {
 		return svc.dispatch(method, at, body, reply)
@@ -218,12 +214,6 @@ func (b *Bus) InvokeInto(addr, method string, at vclock.Time, tc TraceContext, b
 	}
 	return done, err
 }
-
-// Calls returns the number of invocations served.
-func (b *Bus) Calls() int64 { return b.calls.Load() }
-
-// Bytes returns the total request payload bytes carried.
-func (b *Bus) Bytes() int64 { return b.bytes.Load() }
 
 // NodeOf extracts the node component of a logical address
 // ("node3/mds" → "node3"). Addresses without a slash are their own node.
@@ -265,14 +255,6 @@ func NewCaller(t Transport, model vclock.LatencyModel, node string) *Caller {
 	return &Caller{transport: t, into: into, inline: ok && it.HandlersRunInline(), model: model, node: node}
 }
 
-// Inline reports whether the transport runs handlers on the calling
-// goroutine. A fan-out of calls that all start at the same virtual
-// instant then completes at the same virtual time whether it is issued
-// from one goroutine per call or serially, and the serial form spares
-// the goroutines: Call charges each round trip from the `at` it is
-// given, never from the previous call's completion.
-func (c *Caller) Inline() bool { return c.inline }
-
 // FanOut runs call(0) … call(n-1) as round trips that all leave at the
 // same virtual instant and returns the latest completion, never earlier
 // than at — the one fan-out behind every multi-server operation in the
@@ -283,7 +265,7 @@ func (c *Caller) Inline() bool { return c.inline }
 // so one failure never hides the others' outcomes. A lone call runs
 // right here; otherwise each call gets a goroutine so the real waits
 // overlap, and FanOut returns once all have. On a transport that runs
-// handlers on the calling goroutine (Inline) there is no wait to
+// handlers on the calling goroutine (inlineTransport) there is no wait to
 // overlap and the virtual completion is the same either way, so a
 // caller that does not ask to block runs its calls right here too, one
 // after another. block keeps the goroutines on every transport: the
@@ -292,7 +274,7 @@ func (c *Caller) Inline() bool { return c.inline }
 // batches ask for it — an unpaced commit process on one P otherwise
 // never yields between waves, and how many ops its next wave finds
 // queued on a sharded MDS pool is decided by that yield, not by virtual
-// time; ROADMAP item 2 is the scheduler that would let them stop.
+// time, until a scheduler runs goroutines in virtual-time order.
 func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclock.Time) vclock.Time {
 	latest := at
 	if n <= 1 || c.inline && !block {
@@ -316,12 +298,6 @@ func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclo
 	}
 	return latest
 }
-
-// Node returns the caller's node id.
-func (c *Caller) Node() string { return c.node }
-
-// Model returns the caller's latency model.
-func (c *Caller) Model() vclock.LatencyModel { return c.model }
 
 // Calls returns the number of RPCs issued by this caller.
 func (c *Caller) Calls() int64 { return c.calls.Load() }

@@ -2,7 +2,9 @@ package rpc
 
 import (
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,7 +135,8 @@ func TestConcurrentCallsSerializeOnResource(t *testing.T) {
 	const goros = 8
 	const per = 50
 	var wg sync.WaitGroup
-	var wm vclock.Watermark
+	ends := make([]vclock.Time, goros)
+	var calls atomic.Int64
 	for g := 0; g < goros; g++ {
 		wg.Add(1)
 		go func() {
@@ -148,16 +151,17 @@ func TestConcurrentCallsSerializeOnResource(t *testing.T) {
 				}
 				now = done
 			}
-			wm.Observe(now)
+			ends[g] = now
+			calls.Add(c.Calls())
 		}()
 	}
 	wg.Wait()
 	// Single-worker echo at 10µs: 400 ops take exactly 4ms of virtual time.
-	if want := vclock.Time(goros * per * 10 * time.Microsecond); wm.Load() != want {
-		t.Fatalf("horizon = %v, want %v", wm.Load(), want)
+	if want := vclock.Time(goros * per * 10 * time.Microsecond); slices.Max(ends) != want {
+		t.Fatalf("horizon = %v, want %v", slices.Max(ends), want)
 	}
-	if bus.Calls() != goros*per {
-		t.Fatalf("bus calls = %d", bus.Calls())
+	if calls.Load() != goros*per {
+		t.Fatalf("calls = %d", calls.Load())
 	}
 }
 

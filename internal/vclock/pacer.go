@@ -18,7 +18,7 @@ import (
 // only while the calendar still holds the gap, and the client racing
 // ahead has taken capacity first, in real time. The Pacer bounds that
 // skew: before issuing an operation a client calls Advance with its
-// clock and blocks until the slowest participant is within Window, so
+// clock and blocks until the slowest participant is within the window, so
 // arrival order is correct to within the window and the queueing model
 // stays accurate (measured: utilization error < 1% at windows up to
 // ~100µs against an exact-order simulation).
@@ -40,7 +40,6 @@ type Pacer struct {
 	cond  *sync.Cond
 	times []Time
 	alive []bool
-	live  int
 	min   Time // cached minimum across live participants
 
 	// pub[id] is id's last published clock; amin mirrors min. Both are
@@ -67,7 +66,6 @@ func NewPacer(n int, window Duration) *Pacer {
 		gran:   window / 4,
 		times:  make([]Time, n),
 		alive:  make([]bool, n),
-		live:   n,
 		pub:    make([]atomic.Int64, n),
 	}
 	for i := range p.alive {
@@ -97,11 +95,8 @@ func (p *Pacer) recomputeMin() {
 	}
 }
 
-// Window returns the pacer's skew window.
-func (p *Pacer) Window() Duration { return p.window }
-
 // Advance records participant id's clock and blocks while it is more
-// than Window ahead of the slowest live participant. Call it before
+// than the window ahead of the slowest live participant. Call it before
 // issuing each operation.
 func (p *Pacer) Advance(id int, t Time) {
 	p.mu.Lock()
@@ -148,13 +143,5 @@ func (p *Pacer) Done(id int) {
 		return
 	}
 	p.alive[id] = false
-	p.live--
 	p.recomputeMin()
-}
-
-// Live returns the number of participants not yet retired.
-func (p *Pacer) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.live
 }

@@ -127,9 +127,6 @@ func NewResource(name string, k int) *Resource {
 	return &Resource{name: name, workers: make([]calendar, k)}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Workers returns the number of worker slots.
 func (r *Resource) Workers() int { return len(r.workers) }
 
@@ -187,35 +184,3 @@ func (r *Resource) Utilization(horizon Duration) float64 {
 	}
 	return float64(r.BusyTime()) / (float64(horizon) * float64(len(r.workers)))
 }
-
-// Reset clears the resource's schedule and counters between runs.
-func (r *Resource) Reset() {
-	r.mu.Lock()
-	for i := range r.workers {
-		r.workers[i].head, r.workers[i].n = 0, 0
-	}
-	r.mu.Unlock()
-	r.ops.Store(0)
-	r.busy.Store(0)
-	r.wait.Store(0)
-}
-
-// Watermark tracks the maximum virtual time observed across concurrent
-// actors; tests read it as a run's completion horizon.
-type Watermark struct{ v atomic.Int64 }
-
-// Observe folds t into the watermark.
-func (w *Watermark) Observe(t Time) {
-	for {
-		cur := w.v.Load()
-		if int64(t) <= cur || w.v.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}
-
-// Load returns the maximum observed time.
-func (w *Watermark) Load() Time { return Time(w.v.Load()) }
-
-// Reset clears the watermark.
-func (w *Watermark) Reset() { w.v.Store(0) }

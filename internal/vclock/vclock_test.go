@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -94,10 +95,6 @@ func TestResourceStats(t *testing.T) {
 	if u := r.Utilization(40 * time.Microsecond); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization = %v", u)
 	}
-	r.Reset()
-	if r.Ops() != 0 || r.BusyTime() != 0 {
-		t.Fatal("reset did not clear stats")
-	}
 }
 
 // The M/D/k property the experiments rely on: with k workers and fixed
@@ -128,17 +125,18 @@ func TestResourceConcurrentAcquire(t *testing.T) {
 	)
 	r := NewResource("mds", workers)
 	var wg sync.WaitGroup
-	var wm Watermark
-	for g := 0; g < goros; g++ {
+	ends := make([]Time, goros)
+	for g := range ends {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				wm.Observe(r.Acquire(0, cost))
+				ends[g] = Max(ends[g], r.Acquire(0, cost))
 			}
 		}()
 	}
 	wg.Wait()
+	horizon := slices.Max(ends)
 	if r.Ops() != goros*per {
 		t.Fatalf("ops = %d", r.Ops())
 	}
@@ -149,21 +147,8 @@ func TestResourceConcurrentAcquire(t *testing.T) {
 	// The horizon is exactly busy/workers: all arrivals at t=0 keep every
 	// worker busy until the end.
 	want := Time(time.Duration(goros*per/workers) * cost)
-	if got := wm.Load(); got != want && got != want+Time(cost) {
-		t.Fatalf("watermark = %v, want ~%v", got, want)
-	}
-}
-
-func TestWatermark(t *testing.T) {
-	var w Watermark
-	w.Observe(Time(5))
-	w.Observe(Time(3))
-	if w.Load() != Time(5) {
-		t.Fatalf("watermark = %v", w.Load())
-	}
-	w.Reset()
-	if w.Load() != 0 {
-		t.Fatal("reset failed")
+	if horizon != want && horizon != want+Time(cost) {
+		t.Fatalf("horizon = %v, want ~%v", horizon, want)
 	}
 }
 

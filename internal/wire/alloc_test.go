@@ -12,7 +12,7 @@ import "testing"
 // of a small op frame (string key, flags, cas, value blob — the shape
 // every cache RPC pushes through the codec) at zero heap allocations.
 // The decode side reads the key and value as views into the frame;
-// copying out (String/Blob) is the caller's explicit choice and cost.
+// copying out (String) is the caller's explicit choice and cost.
 func TestPooledRoundTripZeroAlloc(t *testing.T) {
 	const key = "/w/some/metadata/path"
 	value := make([]byte, 96)

@@ -8,7 +8,7 @@ func BenchmarkEncodeStatSized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Reset()
 		e.Byte(1)
-		e.Uint16(0o644)
+		e.Uvarint(0o644)
 		e.Uint32(1000)
 		e.Uint32(1000)
 		e.Int64(4096)
@@ -22,7 +22,7 @@ func BenchmarkEncodeStatSized(b *testing.B) {
 func BenchmarkDecodeStatSized(b *testing.B) {
 	e := NewEncoder(128)
 	e.Byte(1)
-	e.Uint16(0o644)
+	e.Uvarint(0o644)
 	e.Uint32(1000)
 	e.Uint32(1000)
 	e.Int64(4096)
@@ -35,7 +35,7 @@ func BenchmarkDecodeStatSized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(buf)
 		_ = d.Byte()
-		_ = d.Uint16()
+		_ = d.Uvarint()
 		_ = d.Uint32()
 		_ = d.Uint32()
 		_ = d.Int64()

@@ -17,13 +17,11 @@ func FuzzDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
 		_ = d.String()
-		_ = d.Blob()
 		_ = d.BlobView()
 		_ = d.Uvarint()
 		_ = d.Varint()
 		_ = d.Uint64()
 		_ = d.Uint32()
-		_ = d.Uint16()
 		_ = d.Int64()
 		_ = d.Byte()
 		_ = d.Bool()
@@ -45,7 +43,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if got := d.String(); got != s {
 			t.Fatalf("string %q -> %q", s, got)
 		}
-		if got := d.Blob(); string(got) != string(b) {
+		if got := d.BlobView(); string(got) != string(b) {
 			t.Fatalf("blob mismatch")
 		}
 		if got := d.Uvarint(); got != u {

@@ -107,9 +107,6 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Uint16 appends a fixed-width little-endian uint16.
-func (e *Encoder) Uint16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-
 // Uint32 appends a fixed-width little-endian uint32.
 func (e *Encoder) Uint32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
@@ -174,8 +171,8 @@ func GetDecoder(b []byte) *Decoder {
 }
 
 // PutDecoder recycles d. The caller must be done with the decoder itself
-// (values read from it are unaffected: String/Blob copy out of the
-// buffer, and BlobView slices alias the input buffer, not the Decoder).
+// (values read from it are unaffected: String copies out of the buffer,
+// and BlobView slices alias the input buffer, not the Decoder).
 func PutDecoder(d *Decoder) {
 	d.Reset(nil)
 	decoderPool.Put(d)
@@ -235,15 +232,6 @@ func (d *Decoder) Byte() byte {
 
 // Bool reads a one-byte boolean.
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
-
-// Uint16 reads a fixed-width little-endian uint16.
-func (d *Decoder) Uint16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
 
 // Uint32 reads a fixed-width little-endian uint32.
 func (d *Decoder) Uint32() uint32 {
@@ -306,26 +294,6 @@ func (d *Decoder) String() string {
 	return string(d.take(int(n)))
 }
 
-// Blob reads a length-prefixed byte slice. The result is a copy, safe to
-// retain after the underlying buffer is reused.
-func (d *Decoder) Blob() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > math.MaxInt32 || int(n) > d.Remaining() {
-		d.Fail(ErrTooLong)
-		return nil
-	}
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
 // Count reads the uvarint element count that opens a repeated field.
 // Every element costs at least one byte on the wire, so a count beyond
 // Remaining is corrupt: Count fails the decoder with ErrTooLong and
@@ -359,8 +327,8 @@ func (d *Decoder) Strings() []string {
 	return out
 }
 
-// BlobView is Blob without the defensive copy, for hot paths where the
-// caller promises not to retain the slice past the buffer's lifetime.
+// BlobView reads a length-prefixed byte slice as a view into the buffer,
+// uncopied: the caller must not retain it past the buffer's lifetime.
 func (d *Decoder) BlobView() []byte {
 	n := d.Uvarint()
 	if d.err != nil {

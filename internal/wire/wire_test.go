@@ -14,7 +14,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	e.Byte(0xAB)
 	e.Bool(true)
 	e.Bool(false)
-	e.Uint16(0xBEEF)
 	e.Uint32(0xDEADBEEF)
 	e.Uint64(1 << 62)
 	e.Int64(-12345)
@@ -29,9 +28,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 	if !d.Bool() || d.Bool() {
 		t.Fatal("Bool mismatch")
-	}
-	if got := d.Uint16(); got != 0xBEEF {
-		t.Fatalf("Uint16 = %x", got)
 	}
 	if got := d.Uint32(); got != 0xDEADBEEF {
 		t.Fatalf("Uint32 = %x", got)
@@ -48,11 +44,11 @@ func TestRoundTripAllTypes(t *testing.T) {
 	if got := d.String(); got != "hello/world" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := d.Blob(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("Blob = %v", got)
+	if got := d.BlobView(); !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("BlobView = %v", got)
 	}
-	if got := d.Blob(); len(got) != 0 {
-		t.Fatalf("nil Blob = %v", got)
+	if got := d.BlobView(); len(got) != 0 {
+		t.Fatalf("nil BlobView = %v", got)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
@@ -70,7 +66,7 @@ func TestTruncatedDecodeSticks(t *testing.T) {
 		t.Fatalf("err = %v", d.Err())
 	}
 	// Error sticks: later reads stay zero and don't panic.
-	if d.Byte() != 0 || d.String() != "" || d.Blob() != nil {
+	if d.Byte() != 0 || d.String() != "" || d.BlobView() != nil {
 		t.Fatal("reads after error must return zero values")
 	}
 	if d.Finish() == nil {
@@ -129,20 +125,13 @@ func TestTrailingBytesDetected(t *testing.T) {
 	}
 }
 
-func TestBlobCopiesButViewAliases(t *testing.T) {
+func TestBlobViewAliases(t *testing.T) {
 	e := NewEncoder(8)
 	e.Blob([]byte{1, 2, 3})
 	buf := e.Bytes()
 
-	d := NewDecoder(buf)
-	got := d.Blob()
+	view := NewDecoder(buf).BlobView()
 	buf[len(buf)-1] = 99
-	if got[2] != 3 {
-		t.Fatal("Blob must copy out of the buffer")
-	}
-
-	d2 := NewDecoder(buf)
-	view := d2.BlobView()
 	if view[2] != 99 {
 		t.Fatal("BlobView must alias the buffer")
 	}
@@ -196,7 +185,7 @@ func TestRoundTripProperty(t *testing.T) {
 		e.Bool(flag)
 		d := NewDecoder(e.Bytes())
 		gs := d.String()
-		gb := d.Blob()
+		gb := d.BlobView()
 		gu := d.Uvarint()
 		gi := d.Int64()
 		gz := d.Varint()
@@ -253,12 +242,11 @@ func TestDecodeRandomGarbageNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
 		d := NewDecoder(b)
 		_ = d.String()
-		d.Blob()
+		d.BlobView()
 		d.Uvarint()
 		d.Varint()
 		d.Uint64()
 		d.Uint32()
-		d.Uint16()
 		d.Byte()
 		d.Bool()
 		return true // reaching here without panic is the property

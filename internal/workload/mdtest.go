@@ -33,9 +33,6 @@ func NewMdtest(clients []Client, dir string, itemsPerClient int, seed int64) *Md
 	}
 }
 
-// Runner exposes the underlying phase runner.
-func (m *Mdtest) Runner() *Runner { return m.runner }
-
 // MkdirPhase: every client creates ItemsPerClient directories in Dir.
 func (m *Mdtest) MkdirPhase() (Result, error) {
 	return m.runner.RunPhase(func(idx int, cl Client, now vclock.Time) (vclock.Time, int64, error) {

@@ -86,21 +86,6 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 	return ops, nil
 }
 
-// FormatTrace renders ops back to the textual form (round-trips
-// ParseTrace).
-func FormatTrace(w io.Writer, ops []TraceOp) error {
-	bw := bufio.NewWriter(w)
-	for _, op := range ops {
-		switch op.Kind {
-		case "write", "read":
-			fmt.Fprintf(bw, "%d %s %s %d\n", op.Client, op.Kind, op.Path, op.Bytes)
-		default:
-			fmt.Fprintf(bw, "%d %s %s\n", op.Client, op.Kind, op.Path)
-		}
-	}
-	return bw.Flush()
-}
-
 // TraceResult summarizes a replay.
 type TraceResult struct {
 	Result

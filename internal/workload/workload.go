@@ -64,9 +64,6 @@ func NewRunner(clients []Client) *Runner {
 	return &Runner{clients: clients, times: make([]vclock.Time, len(clients))}
 }
 
-// Clients returns the managed clients.
-func (r *Runner) Clients() []Client { return r.clients }
-
 // Now returns the current barrier time (max across clients).
 func (r *Runner) Now() vclock.Time {
 	var m vclock.Time
