@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		nodes   = flag.Int("nodes", 4, "client nodes in the region")
-		shards  = flag.Int("shards", 0, "MDS shard count (0 = one unsharded MDS; ≥1 routes through the subtree shard map)")
+		shards  = flag.Int("shards", 0, "MDS shard count, subtree-partitioned (0 and 1 are one MDS)")
 		ws      = flag.String("ws", "/w", "workspace (consistent region root)")
 		metrics = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 	)

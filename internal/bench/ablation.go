@@ -101,11 +101,11 @@ func ablPerm(cfg Config) ([]*Figure, error) {
 			return 0, err
 		}
 		md := workload.NewMdtest(cls, "/w", cfg.ItemsPerClient, 4)
-		tree, err := md.BuildTree(5, depth)
+		leaves, err := md.BuildTree(5, depth)
 		if err != nil {
 			return 0, err
 		}
-		res, err := md.StatLeavesPhase(tree)
+		res, err := md.StatLeavesPhase(leaves)
 		if err != nil {
 			return 0, err
 		}

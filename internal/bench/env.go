@@ -43,9 +43,7 @@ type Config struct {
 	MADbenchProcsPerNode int
 	MADbenchFileMB       int
 	// MDSShards is the deployment's SimulationConfig.ShardCount: this
-	// many subtree-partitioned MDS shards instead of the single MDS
-	// (0 = unsharded; 1 = the shard router over one shard, the honest
-	// router-overhead baseline).
+	// many subtree-partitioned MDS shards (0 and 1 are the one MDS).
 	MDSShards int
 }
 
@@ -92,7 +90,7 @@ type env struct {
 }
 
 // newEnv builds a deployment with n client nodes and the paper's storage
-// side (1 MDS + 3 data servers). With MDSShards ≥ 1 the metadata service
+// side (1 MDS + 3 data servers). With MDSShards > 1 the metadata service
 // is subtree-partitioned with /w (every experiment's workspace) as the
 // spread root, so each client subtree under it hashes to one shard.
 func newEnv(cfg Config, n int) *env {

@@ -105,11 +105,11 @@ func statLeavesOPS(cfg Config, sys System, depth int, clients int) (float64, err
 		return 0, err
 	}
 	md := workload.NewMdtest(cls, "/w", cfg.ItemsPerClient, 2)
-	tree, err := md.BuildTree(5, depth)
+	leaves, err := md.BuildTree(5, depth)
 	if err != nil {
 		return 0, err
 	}
-	res, err := md.StatLeavesPhase(tree)
+	res, err := md.StatLeavesPhase(leaves)
 	if err != nil {
 		return 0, err
 	}

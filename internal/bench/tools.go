@@ -42,11 +42,11 @@ func RunMdtest(cfg Config, sys System, spec MdtestSpec) (MdtestResult, error) {
 		if fanout <= 0 {
 			fanout = 5
 		}
-		tree, err := md.BuildTree(fanout, spec.Depth)
+		leaves, err := md.BuildTree(fanout, spec.Depth)
 		if err != nil {
 			return out, fmt.Errorf("build tree: %w", err)
 		}
-		if out.StatLeaves, err = md.StatLeavesPhase(tree); err != nil {
+		if out.StatLeaves, err = md.StatLeavesPhase(leaves); err != nil {
 			return out, err
 		}
 		return out, nil

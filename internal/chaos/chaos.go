@@ -82,10 +82,9 @@ type Config struct {
 	// convergence oracle, the divergence auditor, and the flight
 	// recorder's dump of the lost op's cross-node span).
 	LoseOneCommit bool
-	// Shards is the simulation's ShardCount: ≥ 1 backs the region with a
+	// Shards is the simulation's ShardCount: > 1 backs the region with a
 	// subtree-partitioned MDS pool ("/w" spread across that many shards)
-	// instead of one unsharded MDS. All existing zones run unchanged on
-	// top.
+	// instead of one MDS. All existing zones run unchanged on top.
 	Shards int
 	// KillShard unregisters one busy MDS shard mid-schedule (driven by
 	// the injector's call counter) and recovers it later. While the

@@ -499,11 +499,11 @@ func TestEvictRoundTripsPerOwner(t *testing.T) {
 	}
 	cachedBefore := e.region.CacheStats().Items
 
-	s0, rpcs0 := e.region.Stats(), c.caller.Calls()
+	s0, rpcs0 := e.region.Stats(), e.net.count("settle_multi")
 	if _, err = e.region.evictRound(c, at); err != nil {
 		t.Fatal(err)
 	}
-	s1, rpcs := e.region.Stats(), c.caller.Calls()-rpcs0
+	s1, rpcs := e.region.Stats(), e.net.count("settle_multi")-rpcs0
 
 	chunks := int64((files + 1 + evictChunk - 1) / evictChunk)
 	if limit := chunks * int64(len(e.region.ring.Members())); rpcs > limit {

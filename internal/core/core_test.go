@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"pacon/internal/fsapi"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 var (
@@ -20,7 +22,10 @@ var (
 // env is a full Pacon-on-DFS deployment for tests: a BeeGFS-like cluster
 // plus one consistent region over n client nodes with workspace /w.
 type env struct {
-	bus    *rpc.Bus
+	bus *rpc.Bus
+	// net is the region's transport: bus, counting what the region's
+	// clients and commit processes send.
+	net    *countingBus
 	dfs    *dfs.Cluster
 	region *Region
 	nodes  []string
@@ -77,8 +82,9 @@ func newEnvOn(t *testing.T, bus *rpc.Bus, cluster *dfs.Cluster, n int, mutate fu
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	net := &countingBus{Bus: bus, calls: map[string]int64{}}
 	deps := Deps{
-		Bus: bus,
+		Bus: net,
 		NewBackend: func(node string) Backend {
 			// Commit processes and redirection clients own their node's
 			// kernel-style dentry cache; Pacon owns consistency above.
@@ -93,8 +99,39 @@ func newEnvOn(t *testing.T, bus *rpc.Bus, cluster *dfs.Cluster, n int, mutate fu
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { region.Close() })
-	return &env{bus: bus, dfs: cluster, region: region, nodes: nodes}
+	return &env{bus: bus, net: net, dfs: cluster, region: region, nodes: nodes}
 }
+
+// countingBus is a Bus that counts the round trips sent through it by
+// method, those to an address nobody serves included: a Bus observer sees
+// only what a service dispatches.
+type countingBus struct {
+	*rpc.Bus
+	mu    sync.Mutex
+	calls map[string]int64
+}
+
+func (b *countingBus) InvokeInto(addr, method string, at vclock.Time, tc rpc.TraceContext, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+	b.mu.Lock()
+	b.calls[method]++
+	b.mu.Unlock()
+	return b.Bus.InvokeInto(addr, method, at, tc, body, reply)
+}
+
+// count returns how many round trips of the methods were sent so far.
+func (b *countingBus) count(methods ...string) (n int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, m := range methods {
+		n += b.calls[m]
+	}
+	return n
+}
+
+// cacheTrips returns the cache round trips the region's clients sent so
+// far: a read's get or get_multi and a mutation's mutate, the methods no
+// commit process sends.
+func (e *env) cacheTrips() int64 { return e.net.count("get", "get_multi", "mutate") }
 
 // refused is the answer of an ApplyBatch that failed every one of its n
 // ops with err — what the Backend fakes of these tests give a commit

@@ -487,11 +487,11 @@ func TestMutationIsOneCacheRoundTrip(t *testing.T) {
 	}
 	trips := func(name string, want int64, op func() (vclock.Time, error)) {
 		t.Helper()
-		before := c.caller.Calls()
+		before := e.cacheTrips()
 		if at, err = op(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := c.caller.Calls() - before; got != want {
+		if got := e.cacheTrips() - before; got != want {
 			t.Errorf("%s: %d cache round trips, want %d", name, got, want)
 		}
 	}
@@ -568,13 +568,13 @@ func TestMissIsOneCacheRoundTrip(t *testing.T) {
 		t.Helper()
 		hook := &rpcHook{}
 		e.bus.SetObserver(hook)
-		before, reads := c.caller.Calls(), own.stats.Load()
+		before, reads := e.cacheTrips(), own.stats.Load()
 		err := op()
 		e.bus.SetObserver(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := c.caller.Calls() - before; got != want {
+		if got := e.cacheTrips() - before; got != want {
 			t.Errorf("%s: %d cache round trips, want %d", name, got, want)
 		}
 		for method, n := range wantCalls {
@@ -635,7 +635,7 @@ func TestOwnerLoadErrorIsAnAnswer(t *testing.T) {
 	if _, _, err := c.Stat(0, "/w/f"); !errors.Is(err, fsapi.ErrClosed) {
 		t.Fatalf("Stat with the MDS dead: %v, want ErrClosed", err)
 	}
-	if rpcs, reads := c.caller.Calls(), own.stats.Load(); rpcs != 1 || reads != 0 {
+	if rpcs, reads := e.cacheTrips(), own.stats.Load(); rpcs != 1 || reads != 0 {
 		t.Fatalf("MDS dead: %d cache RPCs and %d DFS reads by the client, want 1 and 0", rpcs, reads)
 	}
 	e.dfs.RecoverShard(0)
@@ -644,7 +644,7 @@ func TestOwnerLoadErrorIsAnAnswer(t *testing.T) {
 	if _, _, err := c.Stat(0, "/w/f"); err != nil {
 		t.Fatalf("owner dead: %v, want the DFS's answer", err)
 	}
-	if rpcs, reads := c.caller.Calls(), own.stats.Load(); rpcs != 2 || reads != 1 {
+	if rpcs, reads := e.cacheTrips(), own.stats.Load(); rpcs != 2 || reads != 1 {
 		t.Fatalf("owner dead: %d cache RPCs and %d DFS reads by the client in all, want 2 and 1", rpcs, reads)
 	}
 }

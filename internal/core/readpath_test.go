@@ -45,12 +45,12 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 	}
 	paths = append(paths, "/w/gone", "/w/never")
 
-	rpcs0 := c.caller.Calls()
+	rpcs0 := e.cacheTrips()
 	res, at, err := c.StatMulti(at, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := c.caller.Calls() - rpcs0
+	batched := e.cacheTrips() - rpcs0
 
 	for i := 0; i < 24; i++ {
 		if res[i].Err != nil || res[i].Stat.Type != fsapi.TypeFile {
@@ -72,7 +72,7 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 
 	// A loop of single Stat calls — what the scan costs without the
 	// batched form — must agree on every result.
-	base0 := c.caller.Calls()
+	base0 := e.cacheTrips()
 	for i, p := range paths {
 		st, done, serr := c.Stat(at, p)
 		at = done
@@ -81,7 +81,7 @@ func TestStatMultiBatchedCutsCacheRPCs(t *testing.T) {
 				p, res[i].Stat, res[i].Err, st, serr)
 		}
 	}
-	perKey := c.caller.Calls() - base0
+	perKey := e.cacheTrips() - base0
 	if batched*2 > perKey {
 		t.Fatalf("batched = %d RPCs, per-key loop = %d: want >= 2x reduction", batched, perKey)
 	}
@@ -363,8 +363,8 @@ func newPeerRegion(t *testing.T, e *env) *Region {
 // and a path whose cache owner cannot be reached is answered by the DFS,
 // stored nowhere, at the price of exactly one cache RPC — the get that
 // found the owner dead, with no second get and no add behind it. (The
-// client's own count of cache round trips is what is compared: the bus
-// shows an observer no call to an address nobody serves.)
+// env's countingBus is what counts: a bus observer sees no call to an
+// address nobody serves.)
 func TestStatAndStatMultiAgree(t *testing.T) {
 	type place struct {
 		name, path string
@@ -465,7 +465,7 @@ func TestStatAndStatMultiAgree(t *testing.T) {
 
 		c := e.client(t, "node0")
 		var a answer
-		rpcs := c.caller.Calls()
+		rpcs := e.cacheTrips()
 		if multi {
 			res, _, err := c.StatMulti(0, []string{pl.path})
 			if err != nil {
@@ -475,7 +475,7 @@ func TestStatAndStatMultiAgree(t *testing.T) {
 		} else {
 			a.stat, _, a.err = c.Stat(0, pl.path)
 		}
-		a.rpcs = c.caller.Calls() - rpcs
+		a.rpcs = e.cacheTrips() - rpcs
 		a.stat = timeless(a.stat)
 		for _, r := range regions {
 			dump, err := r.DumpCache()

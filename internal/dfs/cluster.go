@@ -19,11 +19,9 @@ type Cluster struct {
 	Model     vclock.LatencyModel
 	MDS       *MDS // first metadata server (kept for white-box access)
 	MDSes     []*MDS
-	MDSAddr   string // first MDS address
 	MDSAddrs  []string
 	Data      []*DataServer
 	DataAddrs []string
-	RootCred  fsapi.Cred
 
 	// Shards is the map every client of this cluster routes by: each
 	// MDS holds an independent, subtree-partitioned namespace. A
@@ -41,13 +39,13 @@ func NewCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred,
 // newCluster registers one metadata server per address, each with its
 // own namespace tree, and one data server per data node.
 func newCluster(net rpc.Network, model vclock.LatencyModel, rootCred fsapi.Cred, mdsAddrs, spreadRoots, dataNodes []string) *Cluster {
-	c := &Cluster{Net: net, Model: model, RootCred: rootCred, MDSAddrs: mdsAddrs, Shards: NewShardMap(mdsAddrs, spreadRoots)}
+	c := &Cluster{Net: net, Model: model, MDSAddrs: mdsAddrs, Shards: NewShardMap(mdsAddrs, spreadRoots)}
 	for i, addr := range mdsAddrs {
 		m := newMDS(addr, model, rootCred, i)
 		net.Register(addr, m.Service())
 		c.MDSes = append(c.MDSes, m)
 	}
-	c.MDS, c.MDSAddr = c.MDSes[0], mdsAddrs[0]
+	c.MDS = c.MDSes[0]
 	for _, node := range dataNodes {
 		addr := node + "/data"
 		ds := NewDataServer(addr, model)

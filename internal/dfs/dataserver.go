@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
@@ -28,9 +27,6 @@ type DataServer struct {
 	mu     sync.Mutex
 	files  map[uint64][]chunk // by inode, in chunk order
 	chunks int
-
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
 }
 
 // chunk is one chunk of a file on this server.
@@ -133,7 +129,6 @@ func (s *DataServer) writeMulti(at vclock.Time, body []byte, _ *wire.Encoder) (v
 	defer wire.PutDecoder(d)
 	n := d.Count()
 	var cost vclock.Duration
-	var total int64
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.Uint64() // the inode
 		idx := d.Int64()
@@ -143,7 +138,6 @@ func (s *DataServer) writeMulti(at vclock.Time, body []byte, _ *wire.Encoder) (v
 			return at, errOutsideChunk
 		}
 		cost += s.ioCost(len(data))
-		total += int64(len(data))
 	}
 	if err := d.Finish(); err != nil {
 		return at, err
@@ -159,7 +153,6 @@ func (s *DataServer) writeMulti(at vclock.Time, body []byte, _ *wire.Encoder) (v
 		s.writeChunk(ino, idx, off, d.BlobView())
 	}
 	s.mu.Unlock()
-	s.bytesIn.Add(total)
 	return done, nil
 }
 
@@ -205,9 +198,7 @@ func (s *DataServer) Service() *rpc.Service {
 			return at, err
 		}
 		got := s.readChunkInto(reply, ino, idx, off, n)
-		done := s.res.Acquire(at, s.ioCost(got))
-		s.bytesOut.Add(int64(got))
-		return done, nil
+		return s.res.Acquire(at, s.ioCost(got)), nil
 	})
 	return svc
 }

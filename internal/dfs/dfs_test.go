@@ -616,7 +616,7 @@ func TestApplyBatchGroupsAcrossMDSes(t *testing.T) {
 	if _, _, err := cl.Stat(0, "/w"); err != nil {
 		t.Fatal(err)
 	}
-	base := cl.caller.Calls()
+	sent := countCalls(c)
 	ops := make([]fsapi.BatchOp, 8)
 	for i := range ops {
 		ops[i] = fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: fmt.Sprintf("/w/f%d", i), Stat: fsapi.NewFileStat(appCred, 0o644)}
@@ -630,7 +630,7 @@ func TestApplyBatchGroupsAcrossMDSes(t *testing.T) {
 			t.Fatalf("op %d: %v", i, e)
 		}
 	}
-	rpcs := cl.caller.Calls() - base
+	rpcs := sent.total()
 	if rpcs > 2 {
 		t.Fatalf("8 ops over 2 MDSes took %d RPCs, want at most one per MDS", rpcs)
 	}

@@ -114,6 +114,7 @@ func TestDirGroupsMatchInOrderApply(t *testing.T) {
 				var batches, split, childFirst, dupPath, ok, refused int
 				for round := 0; round < 20; round++ {
 					grouped, inOrder := groupDeploy(t, shards, ttl), groupDeploy(t, shards, ttl)
+					sent := countCalls(grouped.c)
 					for b := 0; b < 25; b++ {
 						if ttl > 0 && rng.IntN(2) == 0 {
 							op := randomOp()
@@ -134,12 +135,12 @@ func TestDirGroupsMatchInOrderApply(t *testing.T) {
 							}
 						}
 						cl := grouped.app
-						calls, looked := cl.caller.Calls(), lookups(grouped.c)
+						before := sent.count("apply_batch")
 						gerrs, _, err := cl.ApplyBatch(0, append([]fsapi.BatchOp(nil), ops...))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if sent := cl.caller.Calls() - calls - (lookups(grouped.c) - looked); sent > int64(len(owners)) {
+						if sent.count("apply_batch")-before > len(owners) {
 							split++
 						}
 						rerrs := applyInOrder(inOrder.app, ops)
@@ -217,16 +218,17 @@ func TestDirGroupsOverlapOnTheMDS(t *testing.T) {
 	cases := []struct {
 		name     string
 		ops      []fsapi.BatchOp
-		requests int64
+		requests int
 		largest  int
 	}{
 		{"two directories", []fsapi.BatchOp{create("/w/a/f0"), create("/w/b/g0"), create("/w/a/f1"), create("/w/b/g1"), create("/w/a/f2")}, 2, 3},
 		{"one directory", []fsapi.BatchOp{create("/w/a/h0"), create("/w/a/h1"), create("/w/a/h2"), create("/w/a/h3"), create("/w/a/h4")}, 1, 5},
 	}
 	at := vclock.Time(0)
+	sent := countCalls(c)
 	for _, tc := range cases {
 		at += vclock.Time(time.Second) // the MDS is idle by then
-		calls, writes := cl.caller.Calls(), c.MDS.Stats().Writes
+		calls, writes := sent.total(), c.MDS.Stats().Writes
 		errs, done, err := cl.ApplyBatch(at, tc.ops)
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +238,7 @@ func TestDirGroupsOverlapOnTheMDS(t *testing.T) {
 				t.Fatalf("%s: op %d: %v", tc.name, i, e)
 			}
 		}
-		if n := cl.caller.Calls() - calls; n != tc.requests {
+		if n := sent.total() - calls; n != tc.requests {
 			t.Fatalf("%s: %d requests, want %d", tc.name, n, tc.requests)
 		}
 		if n := c.MDS.Stats().Writes - writes; n != int64(len(tc.ops)) {
@@ -261,7 +263,7 @@ func TestChildBeforeParentStaysInItsRequest(t *testing.T) {
 		{Kind: fsapi.BatchSetStat, Path: "/w/a", Stat: fsapi.NewDirStat(appCred, 0o555)},
 	}
 	at := vclock.Time(time.Second)
-	calls := cl.caller.Calls()
+	sent := countCalls(c)
 	errs, done, err := cl.ApplyBatch(at, ops)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +273,7 @@ func TestChildBeforeParentStaysInItsRequest(t *testing.T) {
 			t.Fatalf("op %d (%s): %v", i, ops[i].Path, e)
 		}
 	}
-	if n := cl.caller.Calls() - calls; n != 2 {
+	if n := sent.total(); n != 2 {
 		t.Fatalf("%d requests, want 2: {create /w/a/f, chmod /w/a} and {create /w/b/g}", n)
 	}
 	if want := at.Add(model.RTT(false) + 2*model.MDSWriteCost); done != want {

@@ -188,14 +188,15 @@ func TestSingletonIsAOneOpBatch(t *testing.T) {
 		{"rmdir a file", func() (vclock.Time, error) { return cl.Rmdir(at, "/w/d/f") }, fsapi.ErrNotDir},
 		{"rmdir under an intent", func() (vclock.Time, error) { return cl.Rmdir(at, "/w/busy") }, fsapi.ErrStale},
 	}
+	sent := countCalls(c)
 	for _, tc := range cases {
 		at += vclock.Time(time.Second)
-		calls, writes, busy := cl.caller.Calls(), c.MDS.Stats().Writes, c.MDS.Resource().BusyTime()
+		calls, writes, busy := sent.total(), c.MDS.Stats().Writes, c.MDS.Resource().BusyTime()
 		done, err := tc.call()
 		if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
 			t.Fatalf("%s = %v, want %v", tc.name, err, tc.want)
 		}
-		if n := cl.caller.Calls() - calls; n != 1 {
+		if n := sent.total() - calls; n != 1 {
 			t.Fatalf("%s made %d round trips, want 1", tc.name, n)
 		}
 		if n := c.MDS.Stats().Writes - writes; n != 1 {

@@ -1,10 +1,6 @@
 package dfs
 
-import (
-	"slices"
-
-	"pacon/internal/namespace"
-)
+import "pacon/internal/namespace"
 
 // ShardMap partitions the namespace across a set of MDS shards by
 // directory subtree. It is a function of the path and nothing else: the
@@ -135,15 +131,11 @@ type shardGroup struct {
 }
 
 // group buckets the positions 0 … n-1 of a batch by shard: one group per
-// shard touched, in the order the batch first touches them. shardOf
-// names position i's shard, or a negative number to leave i out. Every
-// idx is a window of one backing array and no map is built — shard
-// indices are small integers, which is dht.GroupByOwner's lesson applied
-// to the other multi-server client. Results land by position, so the
-// order means nothing to a caller; it is the order the fan-out spawns
-// its goroutines in, and an unpaced commit process's batch sizes move
-// with that order until a scheduler that runs goroutines in virtual-time
-// order makes them a function of virtual time (DESIGN.md §8).
+// shard touched, in shard order. shardOf names position i's shard, or a
+// negative number to leave i out. Every idx is a window of one backing
+// array and no map is built — shard indices are small integers, which is
+// dht.GroupByOwner's lesson applied to the other multi-server client.
+// Results land by position, so the order means nothing to a caller.
 func (s *ShardMap) group(n int, shardOf func(i int) int) []shardGroup {
 	buf := make([]int, 2*n+len(s.addrs))
 	idx, owner, cursor := buf[:n:n], buf[n:2*n], buf[2*n:]
@@ -176,6 +168,5 @@ func (s *ShardMap) group(n int, shardOf func(i int) int) []shardGroup {
 		}
 		start = end
 	}
-	slices.SortFunc(groups, func(a, b shardGroup) int { return a.idx[0] - b.idx[0] })
 	return groups
 }

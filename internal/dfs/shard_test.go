@@ -605,7 +605,7 @@ func TestOversizedCountIsAnErrorNotAPanic(t *testing.T) {
 		"apply_batch": frame(cred),
 		"xfer_apply":  frame(func(e *wire.Encoder) { e.String("/w/dst"); cred(e) }),
 	} {
-		if _, resp, err := caller.Call(c.MDSAddr, method, 0, body); err == nil || resp != nil {
+		if _, resp, err := caller.Call(c.MDSAddrs[0], method, 0, body); err == nil || resp != nil {
 			t.Fatalf("%s accepted a count of 2^60 in a %d-byte frame: reply %x, err %v", method, len(body), resp, err)
 		}
 	}

@@ -83,7 +83,6 @@ type Server struct {
 type shard struct {
 	mu    sync.Mutex
 	items map[string]*Item
-	used  int64 // resident bytes in this shard
 }
 
 // NewServer builds a cache server.
@@ -385,7 +384,6 @@ func (s *Server) put(sh *shard, key string, si *Item, value []byte, flags uint32
 	} else {
 		sh.items[key] = &Item{Value: v, Flags: flags, CAS: cas}
 	}
-	sh.used += delta
 	s.used.Add(delta)
 	return cas, nil
 }
@@ -584,7 +582,6 @@ func (s *Server) deleteIf(key string, cond Cond, seq uint64) bool {
 		return false
 	}
 	freed := itemBytes(key, si.Value)
-	sh.used -= freed
 	s.used.Add(-freed)
 	delete(sh.items, key)
 	return true
@@ -623,7 +620,6 @@ func (s *Server) FlushAll(at vclock.Time) vclock.Time {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.items = make(map[string]*Item)
-		sh.used = 0
 		sh.mu.Unlock()
 	}
 	s.used.Store(0)

@@ -16,7 +16,7 @@ import (
 //
 // Nodes are keyed by name in one registry (Obs.nodes). A name is either
 // a client node ("node0", handed out by Obs.Node) or an MDS address
-// ("storage0/mds", created by the RPC seam for the per-shard RPC
+// ("storage0/mds0", created by the RPC seam for the per-shard RPC
 // breakdown); only the former carry sketches.
 type Node struct {
 	o    *Obs

@@ -28,7 +28,7 @@ const (
 	// StageServerRecv / StageServerDone bracket a service handling an
 	// RPC that carried this span's trace context across the wire. They
 	// are recorded under the *service address* (e.g. "node1/pacon-app1",
-	// "storage0/mds"), so a span's event list shows its cross-node hops.
+	// "storage0/mds0"), so a span's event list shows its cross-node hops.
 	StageServerRecv
 	StageServerDone
 )

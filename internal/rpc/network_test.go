@@ -33,7 +33,7 @@ func TestTCPNetworkServesRegisteredServices(t *testing.T) {
 	if want := vclock.Time(85 * time.Microsecond); done != want {
 		t.Fatalf("done = %v, want %v", done, want)
 	}
-	if c.node != "node0" || c.model != model || c.Calls() != 1 {
+	if c.node != "node0" || c.model != model {
 		t.Fatal("caller accessors wrong")
 	}
 }

@@ -242,7 +242,6 @@ type Caller struct {
 	pacer   *vclock.Pacer
 	pacerID int
 
-	calls atomic.Int64
 	// trace is the packed TraceContext tagging outgoing calls
 	// (0 = untraced; see trace.go).
 	trace atomic.Uint64
@@ -271,10 +270,10 @@ func NewCaller(t Transport, model vclock.LatencyModel, node string) *Caller {
 // after another. block keeps the goroutines on every transport: the
 // caller then gives the processor up for the length of the fan-out, as
 // a process waiting on a network would. The DFS client's per-shard
-// batches ask for it — an unpaced commit process on one P otherwise
-// never yields between waves, and how many ops its next wave finds
-// queued on a sharded MDS pool is decided by that yield, not by virtual
-// time, until a scheduler runs goroutines in virtual-time order.
+// batches ask for it, until a scheduler runs goroutines in virtual-time
+// order: an unpaced commit process on one P otherwise never yields
+// between waves, and a 4-shard region's drain then takes up to 2.5× the
+// virtual time.
 func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclock.Time) vclock.Time {
 	latest := at
 	if n <= 1 || c.inline && !block {
@@ -298,9 +297,6 @@ func (c *Caller) FanOut(at vclock.Time, n int, block bool, call func(i int) vclo
 	}
 	return latest
 }
-
-// Calls returns the number of RPCs issued by this caller.
-func (c *Caller) Calls() int64 { return c.calls.Load() }
 
 // Pace attaches a vclock.Pacer: every Call then synchronizes this
 // caller's virtual clock with the other participants before issuing, so
@@ -331,7 +327,6 @@ func (c *Caller) Advance(at vclock.Time) {
 // then. A failed call appends nothing.
 func (c *Caller) CallInto(addr, method string, at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 	c.Advance(at)
-	c.calls.Add(1)
 	same := c.node == NodeOf(addr)
 	sendAt := at.Add(c.model.OneWay(same) + c.model.Transfer(len(body)))
 	start := reply.Len()

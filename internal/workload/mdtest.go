@@ -95,21 +95,12 @@ func (m *Mdtest) RemovePhase() (Result, error) {
 	})
 }
 
-// Tree describes an mdtest -z/-b namespace: a directory tree with the
-// given fanout and depth rooted at Dir.
-type Tree struct {
-	Dir    string
-	Fanout int
-	Depth  int
-	// Leaves are the deepest directories, the random-stat targets of the
-	// path-traversal experiments.
-	Leaves []string
-}
-
-// BuildTree creates the tree through client 0 (setup is not measured)
-// and returns the leaf directory list.
-func (m *Mdtest) BuildTree(fanout, depth int) (*Tree, error) {
-	tree := &Tree{Dir: m.Dir, Fanout: fanout, Depth: depth}
+// BuildTree creates an mdtest -z/-b namespace, a directory tree of the
+// given fanout and depth under Dir, through client 0 (setup is not
+// measured) and returns its leaves: the deepest directories, the
+// random-stat targets of the path-traversal experiments.
+func (m *Mdtest) BuildTree(fanout, depth int) ([]string, error) {
+	var leaves []string
 	_, err := m.runner.RunPhase(func(idx int, cl Client, now vclock.Time) (vclock.Time, int64, error) {
 		if idx != 0 {
 			return now, 0, nil
@@ -117,7 +108,7 @@ func (m *Mdtest) BuildTree(fanout, depth int) (*Tree, error) {
 		var build func(dir string, level int, now vclock.Time) (vclock.Time, error)
 		build = func(dir string, level int, now vclock.Time) (vclock.Time, error) {
 			if level == depth {
-				tree.Leaves = append(tree.Leaves, dir)
+				leaves = append(leaves, dir)
 				return now, nil
 			}
 			for i := 0; i < fanout; i++ {
@@ -139,18 +130,18 @@ func (m *Mdtest) BuildTree(fanout, depth int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tree, nil
+	return leaves, nil
 }
 
-// StatLeavesPhase randomly stats the tree's leaf directories — the
+// StatLeavesPhase randomly stats a tree's leaf directories — the
 // paper's path-traversal benchmark (Figs 2, 9): every stat resolves a
 // depth-long path.
-func (m *Mdtest) StatLeavesPhase(tree *Tree) (Result, error) {
+func (m *Mdtest) StatLeavesPhase(leaves []string) (Result, error) {
 	return m.runner.RunPhase(func(idx int, cl Client, now vclock.Time) (vclock.Time, int64, error) {
 		rnd := rand.New(rand.NewSource(m.Seed + 7919*int64(idx+1)))
 		var err error
 		for j := 0; j < m.ItemsPerClient; j++ {
-			leaf := tree.Leaves[rnd.Intn(len(tree.Leaves))]
+			leaf := leaves[rnd.Intn(len(leaves))]
 			_, now, err = cl.Stat(now, leaf)
 			if err != nil {
 				return now, 0, fmt.Errorf("stat leaf: %w", err)

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"pacon/internal/vclock"
 )
 
 const sampleTrace = `# comment line
@@ -166,7 +168,7 @@ func TestReplayTraceSingleClientExact(t *testing.T) {
 		t.Fatalf("ops = %d", res.Ops)
 	}
 	// DFS agrees with the trace's net effect.
-	ents, _, err := clients[0].Readdir(res.End, "/w/d")
+	ents, _, err := clients[0].Readdir(vclock.Time(0).Add(res.Elapsed), "/w/d")
 	if err != nil || len(ents) != 1 || ents[0].Name != "b" {
 		t.Fatalf("final listing = %v, %v", ents, err)
 	}

@@ -39,8 +39,6 @@ type Result struct {
 	Ops int64
 	// Elapsed is the phase's virtual makespan (slowest client).
 	Elapsed vclock.Duration
-	// Start/End are the phase's virtual window.
-	Start, End vclock.Time
 }
 
 // OPS is throughput in operations per second of virtual time.
@@ -116,8 +114,7 @@ func (r *Runner) RunPhase(fn PhaseFunc) (Result, error) {
 	if first != nil {
 		return Result{}, first
 	}
-	end := r.Now()
-	return Result{Ops: total, Elapsed: end.Sub(start), Start: start, End: end}, nil
+	return Result{Ops: total, Elapsed: r.Now().Sub(start)}, nil
 }
 
 // uniqueName builds mdtest-style item names: every client works in the

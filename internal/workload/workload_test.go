@@ -80,11 +80,12 @@ func TestMdtestPhasesOnDFS(t *testing.T) {
 	if mk.Ops != 160 || mk.OPS() <= 0 {
 		t.Fatalf("mkdir result = %+v", mk)
 	}
+	mkEnd := md.runner.Now()
 	cr, err := md.CreatePhase()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Start != mk.End {
+	if md.runner.Now() != mkEnd.Add(cr.Elapsed) {
 		t.Fatal("phases must be barrier-separated")
 	}
 	st, err := md.StatPhase()
@@ -103,7 +104,7 @@ func TestMdtestPhasesOnDFS(t *testing.T) {
 		t.Fatalf("remove ops = %d", rm.Ops)
 	}
 	// Everything removed: the parent lists only the mkdir-phase dirs.
-	ents, _, err := e.cluster.NewClient("v", appCred, 0, 0).Readdir(rm.End, "/w")
+	ents, _, err := e.cluster.NewClient("v", appCred, 0, 0).Readdir(md.runner.Now(), "/w")
 	if err != nil || len(ents) != 160 {
 		t.Fatalf("post-remove listing = %d, %v", len(ents), err)
 	}
@@ -134,7 +135,7 @@ func TestMdtestOnPacon(t *testing.T) {
 		t.Fatalf("ops: %d, %d", cr.Ops, st.Ops)
 	}
 	// Everything lands on the DFS after a drain.
-	if _, err := region.Drain(st.End); err != nil {
+	if _, err := region.Drain(md.runner.Now()); err != nil {
 		t.Fatal(err)
 	}
 	got := -1 // the root
@@ -147,14 +148,14 @@ func TestMdtestOnPacon(t *testing.T) {
 func TestMdtestTreeAndLeafStats(t *testing.T) {
 	e := newTestEnv(t)
 	md := NewMdtest(e.dfsClients(4), "/w", 10, 3)
-	tree, err := md.BuildTree(3, 3)
+	leaves, err := md.BuildTree(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tree.Leaves) != 27 {
-		t.Fatalf("leaves = %d, want 27", len(tree.Leaves))
+	if len(leaves) != 27 {
+		t.Fatalf("leaves = %d, want 27", len(leaves))
 	}
-	res, err := md.StatLeavesPhase(tree)
+	res, err := md.StatLeavesPhase(leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestDeeperTreeIsSlowerOnDFS(t *testing.T) {
 	ops := func(depth int) float64 {
 		e := newTestEnv(t)
 		md := NewMdtest(e.dfsClients(8), "/w", 30, 5)
-		tree, err := md.BuildTree(3, depth)
+		leaves, err := md.BuildTree(3, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := md.StatLeavesPhase(tree)
+		res, err := md.StatLeavesPhase(leaves)
 		if err != nil {
 			t.Fatal(err)
 		}

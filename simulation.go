@@ -34,15 +34,16 @@ type SimulationConfig struct {
 	// reports per-RPC wall latency to it, and regions created through
 	// NewRegion inherit it for op tracing and pipeline histograms.
 	Obs *Obs
-	// ShardCount ≥ 1 routes the metadata service through the shard map
-	// and partitions it by subtree across that many independent MDS
-	// shards (each with its own namespace and service pool); 1 is the
-	// router over one shard. 0, the default, is one unsharded MDS.
+	// ShardCount partitions the metadata service by subtree across that
+	// many independent MDS shards (each with its own namespace and
+	// service pool). 0, the default, is 1: one MDS, which every path
+	// routes to.
 	ShardCount int
 	// SpreadRoots lists directories whose immediate children spread
 	// across the shard pool (each child subtree hashes as one unit).
 	// The roots themselves are mirrored on every shard. Only consulted
-	// when ShardCount ≥ 1; a region's workspace should be listed here.
+	// with more than one shard; a region's workspace should be listed
+	// here.
 	SpreadRoots []string
 }
 
@@ -85,12 +86,7 @@ func NewSimulation(cfg SimulationConfig) *Simulation {
 	for i := range dataNodes {
 		dataNodes[i] = fmt.Sprintf("storage%d", i+1)
 	}
-	var cluster *dfs.Cluster
-	if cfg.ShardCount >= 1 {
-		cluster = dfs.NewClusterSharded(network, model, cfg.AdminCred, "storage0", cfg.ShardCount, cfg.SpreadRoots, dataNodes)
-	} else {
-		cluster = dfs.NewCluster(network, model, cfg.AdminCred, "storage0", dataNodes)
-	}
+	cluster := dfs.NewClusterSharded(network, model, cfg.AdminCred, "storage0", cfg.ShardCount, cfg.SpreadRoots, dataNodes)
 	// Shard-pool skew gauges ride the same registry as the region's
 	// hotspot metrics (no-op when observability is off).
 	cluster.RegisterHotMetrics(cfg.Obs)
