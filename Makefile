@@ -51,7 +51,7 @@ core BenchmarkClientStatMultiMiss  2000x  84 8000 batched read of 16 misses     
 core BenchmarkCommitWave           2048x  3  230 commit wave                    # 3 and 199 B per committed op: the settle fan-out allocating its grouping, result slots and closure per call again is 4 and 269 B; per-wave scratch allocated afresh shows in the bytes (1,265 B with the per-call settle)
 core BenchmarkCommitWavePayload    2048x  4  275 commit wave with payload       # 4 and 250 B with every fourth create carrying 64 B: a WriteBatch that copies, or asks the MDS; per-call settle scratch is 5 and 325 B
 core BenchmarkCommitWaveTwoDirs    2048x  4  330 commit wave over two dirs      # 4 and 292 B, ckpt_rotate's shape: the wave's second directory request allocating (a goroutine or closure per group, grouping scratch on the heap); per-call settle scratch is 5 and 367 B
-memcache BenchmarkSettleMulti      20000x 12 320 settle fan-out, 8 keys on 4 servers # 12 and 304 B, all of it the four servers' decoded requests: the client grouping, filling result slots under a lock or binding its fan-out closure per call again is 19 and 880 B
+memcache BenchmarkMutateMulti      20000x 1  64  mutate fan-out, 8 keys on 4 servers # 0 and 1 B: the servers read keys and requests where the frame holds them; a key copied into a string per entry, or the frame decoded into an entry slice, is back to the 12 and 305 B of a decoding handler; the client grouping, filling result slots under a lock or binding its fan-out closure per call is +7 and ≈+580 B
 fsapi BenchmarkStatCodec           100000x 0 0  stat encode + decode          # 0 and 0 B, a loaded file's stat into a reused buffer and read back as a view: a decoder, a field or the inline bytes on the heap shows here
 dfs  BenchmarkCreate               20000x 2  184 dfs create (one-op batch)      # 2 and 167 B, path and tree node (the reply is decoded in a pooled encoder): a node back in the 80-B size class is +16 B, Exists wrapping its miss again +1 and +48 B, a heap-allocated one-op batch or a closure on the lone-target path +1
 dfs  BenchmarkApplyBatch1          20000x 3  200 dfs apply_batch of 1           # 3 and 183 B, the create plus its one-element result: a batch of one taking the grouping path

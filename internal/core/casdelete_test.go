@@ -4,22 +4,27 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"pacon/internal/dht"
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
+	"pacon/internal/rpc"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 // Regression tests for the lost-update races in the cleanup paths: every
 // site that used to Get → decode → Delete unconditionally now deletes
-// through a settle entry whose predicate the cache server evaluates
-// under its shard lock. That leaves two orders for a conflicting write
+// through a settle row the cache server runs under its shard lock. That leaves two orders for a conflicting write
 // and a cleanup of the same path, and each test drives both: the write
 // lands strictly before the cleanup is sent (the newer value must
 // survive it, stay dirty, and commit) or strictly after (the path is
-// simply re-added). The interleaving inside the delete itself is the
-// memcache package's TestConditionalOpsNeverDeleteAckedCAS.
+// simply re-added). The interleaving inside the delete itself is
+// TestConditionalOpsNeverDeleteAckedCAS's, below.
 
 // holdCommits parks every commit process inside a barrier epoch — the
 // state an rmdir holds them in — so client ops issued before release()
@@ -93,7 +98,7 @@ func recreate(t *testing.T, c *Client, r *Region, path string) uint64 {
 
 // evict runs the batched eviction of p's subtree — what evictRound does
 // once it has picked p: the DFS walk into the region's scratch and the
-// settle_multi fan-out.
+// mutate_multi fan-out.
 func evict(t *testing.T, r *Region, c *Client, at vclock.Time, p string, isDir bool) vclock.Time {
 	t.Helper()
 	r.evictMu.Lock()
@@ -473,7 +478,7 @@ func TestEvictRoundRobinAdvancesByName(t *testing.T) {
 }
 
 // TestEvictRoundTripsPerOwner: a round deletes its subtree with one
-// settle_multi per owning cache server per chunk, not one round trip
+// mutate_multi per owning cache server per chunk, not one round trip
 // per path — and the region's counters say what it did.
 func TestEvictRoundTripsPerOwner(t *testing.T) {
 	e := newEnv(t, 4, nil)
@@ -499,11 +504,11 @@ func TestEvictRoundTripsPerOwner(t *testing.T) {
 	}
 	cachedBefore := e.region.CacheStats().Items
 
-	s0, rpcs0 := e.region.Stats(), e.net.count("settle_multi")
+	s0, rpcs0 := e.region.Stats(), e.net.count("mutate_multi")
 	if _, err = e.region.evictRound(c, at); err != nil {
 		t.Fatal(err)
 	}
-	s1, rpcs := e.region.Stats(), e.net.count("settle_multi")-rpcs0
+	s1, rpcs := e.region.Stats(), e.net.count("mutate_multi")-rpcs0
 
 	chunks := int64((files + 1 + evictChunk - 1) / evictChunk)
 	if limit := chunks * int64(len(e.region.ring.Members())); rpcs > limit {
@@ -564,7 +569,7 @@ func TestEvictSurvivesCacheServerDeath(t *testing.T) {
 	}
 	resident := map[string]bool{}
 	for _, n := range e.region.nodes {
-		n.cache.ForEach(func(key string, _ memcache.Item) { resident[key] = true })
+		n.cache.Scan(func(key string, _ []byte) bool { resident[key] = true; return true })
 	}
 	for _, p := range live {
 		if resident[p] {
@@ -729,5 +734,104 @@ func TestRecreateAfterEvictionAdopts(t *testing.T) {
 		if !e.dfs.MDS.Tree().Exists(p) {
 			t.Fatalf("%s missing from DFS after adoption", p)
 		}
+	}
+}
+
+// TestConditionalOpsNeverDeleteAckedCAS hammers the settle rows against a
+// concurrent writer on one key, through a real cache server running
+// entryRow. The writer installs (dirty, seq n) incarnations with mutates —
+// an inline write, or a create once the key is gone; the cleaner plays
+// commit process and evictor for every seq the writer has released to it,
+// each settle riding one mutate_multi beside a bystander key's. Between a
+// store's acknowledgement and the release of its seq only settles aimed at
+// older incarnations are in flight, and none of them may touch the acked
+// value: the rows run under the key's shard lock, so there is no
+// check-then-delete window for the store to fall into.
+func TestConditionalOpsNeverDeleteAckedCAS(t *testing.T) {
+	bus, model, ring := rpc.NewBus(), vclock.Default(), dht.NewWithMembers(0, "node0/cache")
+	bus.Register("node0/cache", memcache.NewServer("node0/cache", memcache.ServerConfig{Model: model, Row: entryRow(4)}).Service())
+	writer := memcache.NewClient(rpc.NewCaller(bus, model, "node0"), ring)
+	cleaner := memcache.NewClient(rpc.NewCaller(bus, model, "node1"), ring)
+
+	const key, rounds = "/w/contended", 2000
+	var released atomic.Uint64 // newest seq the cleaner may settle
+	var cleared, deleted atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		keys := []string{"/w/bystander", key}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seq := released.Load()
+			for _, kind := range []evKind{evClear, evEvict, evClear, evDeleteSeq, evClear, evDeleteSeqRemoved} {
+				// The bystander's entry rides the same frame with a seq of
+				// its own: it never matches, and must not lend its seq to
+				// the contended key's entry either.
+				n, _, _, err := cleaner.MutateMulti(0, 2, func(i int) string { return keys[i] }, func(i int, e *wire.Encoder) {
+					ev := event{kind: kind, seq: seq}
+					if i == 0 {
+						ev.seq++
+					}
+					ev.encodeTo(e)
+				})
+				if err != nil {
+					t.Errorf("mutate_multi: %v", err)
+					return
+				}
+				switch {
+				case n == 1 && kind == evClear:
+					cleared.Add(1)
+				case n == 1:
+					deleted.Add(1)
+				}
+			}
+			runtime.Gosched() // single-CPU runs: alternate with the writer
+		}
+	}()
+
+	// The race is only exercised if released seqs really are settled while
+	// the writer keeps going: should the scheduler have starved the cleaner
+	// for all of rounds, go on until it has won both ways.
+	won := func() bool { return cleared.Load() > 0 && deleted.Load() > 0 }
+	req, reply := wire.NewEncoder(0), wire.NewEncoder(0)
+	for n := uint64(1); n <= rounds || (!won() && n <= 100*rounds); n++ {
+		var out outcome
+		for _, kind := range []evKind{evWrite, evCreate} { // a write to a gone key asks for a load
+			req.Reset()
+			(&event{kind: kind, seq: n, data: []byte("x"), stat: fileStat(0, "")}).encodeTo(req)
+			if _, err := writer.Mutate(0, key, req.Bytes(), reply); err != nil {
+				t.Fatalf("round %d: %v", n, err)
+			}
+			if err := decodeAnswer(reply.Bytes(), &out); err != nil {
+				t.Fatalf("round %d: %v", n, err)
+			}
+			if out.verdict == vStore {
+				break
+			}
+		}
+		v, present, _, err := readEntry(writer, 0, key)
+		switch {
+		case out.verdict != vStore:
+			t.Fatalf("round %d: the writer's mutate answered %d", n, out.verdict)
+		case err != nil || !present:
+			t.Fatalf("round %d: acked store deleted by a settle of an older seq: %v", n, err)
+		case v.seq != n || !v.dirty || v.removed:
+			t.Fatalf("round %d: acked value altered by a settle of an older seq: %+v", n, v)
+		}
+		released.Store(n)
+		runtime.Gosched()
+	}
+	if !won() {
+		t.Fatalf("cleaner never won: cleared=%d deleted=%d", cleared.Load(), deleted.Load())
 	}
 }

@@ -747,18 +747,13 @@ func (c *Client) movedPaths(at vclock.Time, src, dst string, old []string) (vclo
 
 // dropCached deletes paths' cache entries — whatever they hold: the
 // objects are gone from the DFS (rmdir) or live under another name
-// (rename) — with one settle_multi round trip per owning cache server per
+// (rename) — with one mutate_multi round trip per owning cache server per
 // evictChunk paths.
 // Errors are ignored: an unreachable server's entries went with it.
 func (c *Client) dropCached(at vclock.Time, paths []string) vclock.Time {
-	entries := make([]memcache.Settle, 0, min(len(paths), evictChunk))
 	for len(paths) > 0 {
 		n := min(len(paths), evictChunk)
-		entries = entries[:0]
-		for _, p := range paths[:n] {
-			entries = append(entries, memcache.Settle{Key: p, Cond: memcache.CondAlways})
-		}
-		_, _, at, _ = c.cache.SettleMulti(at, entries)
+		_, _, at, _ = settlePaths(c.cache, at, paths[:n], evDrop)
 		paths = paths[n:]
 	}
 	return at

@@ -178,7 +178,7 @@ func runCommitWorkload(t *testing.T) RegionStats {
 
 // TestCommitPathRoundTripBudget pins what the commit path spends on the
 // 24-file workload: 54 client ops coalesce to 27 commits in 7 waves,
-// costing 14 cache round trips (one settle_multi per wave to each of the
+// costing 14 cache round trips (one mutate_multi per wave to each of the
 // region's two cache servers) and 14 backend round trips (7 apply_batch
 // and, each wave owing bytes, 7 WriteBatch; a WriteAt per small file
 // made it 25). The budget has no slack upward: a change that adds a

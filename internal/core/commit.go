@@ -9,6 +9,7 @@ import (
 	"pacon/internal/obs"
 	"pacon/internal/rpc"
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 // pendingSet keeps failed non-dependent commits awaiting resubmission
@@ -71,7 +72,8 @@ func (p *pendingSet) detach() []Op {
 // client sends it as one apply_batch per owning MDS and directory group,
 // all leaving at once, so it waits for the largest group), one
 // write_multi per data server if the wave owes bytes, and
-// one settle_multi round trip per owning cache server — which the
+// one mutate_multi round trip per owning cache server for the wave's
+// settles — which the
 // process does not wait for on its own: it leaves beside the next wave's
 // apply_batch (see applyOps, the one way an op reaches the DFS, and
 // settle).
@@ -103,15 +105,25 @@ type committer struct {
 	bops     []fsapi.BatchOp
 	verdicts []commitVerdict
 	writes   []fsapi.FileWrite
-	settles  []memcache.Settle
+	settles  []owed
+	// settlePath and settleReq read settles for MutateMulti, bound once.
+	settlePath func(i int) string
+	settleReq  func(i int, e *wire.Encoder)
 
 	// span is the trace context of the wave being applied (0: no op of it
 	// is sampled); see commitTrace.
 	span uint64
 }
 
+// owed is one settle a commit row owes: its kind, for the op's path and seq.
+type owed struct {
+	path string
+	kind evKind
+	seq  uint64
+}
+
 func (r *Region) newCommitter(n *node, backend Backend) *committer {
-	return &committer{
+	c := &committer{
 		r:        r,
 		node:     n,
 		backend:  backend,
@@ -119,6 +131,11 @@ func (r *Region) newCommitter(n *node, backend Backend) *committer {
 		coalesce: make(map[string]int, r.cfg.CommitBatchSize),
 		inWave:   make(map[string]struct{}, r.cfg.CommitBatchSize),
 	}
+	c.settlePath = func(i int) string { return c.settles[i].path }
+	c.settleReq = func(i int, e *wire.Encoder) {
+		(&event{kind: c.settles[i].kind, seq: c.settles[i].seq}).encodeTo(e)
+	}
+	return c
 }
 
 // run is the commit loop; it returns when the queue or the barrier
@@ -563,14 +580,12 @@ func (c *committer) conclude(op Op, v commitVerdict) bool {
 	if v.end == endResubmit {
 		return true
 	}
-	if v.settle != nil {
+	if v.settle != 0 {
 		// Conditional on the op's seq, so an update racing the cleanup
-		// either lands first (and the predicate sees it) or lands after
+		// either lands first (and the settle row sees it) or lands after
 		// it — it is never lost (§III.D.3 applied to deletion). Owed in
 		// the in-flight table before the terminal takes the op out of it.
-		s := *v.settle
-		s.Key, s.Seq = op.Path, op.Seq
-		c.settles = append(c.settles, s)
+		c.settles = append(c.settles, owed{path: op.Path, kind: v.settle, seq: op.Seq})
 		c.node.inflight.owe(op.Path)
 	}
 	switch v.end {
@@ -610,13 +625,13 @@ func (c *committer) settle() {
 	}
 }
 
-// sendSettles sends the cleanups conclude gathered: one settle_multi
+// sendSettles sends the cleanups conclude gathered: one mutate_multi
 // round trip per owning cache server, all leaving at at. A cache server
 // that cannot be reached loses its share, as it lost the single-key
 // cleanups before: the entries it holds are gone with it.
 func (c *committer) sendSettles(at vclock.Time) vclock.Time {
 	for _, s := range c.settles {
-		if s.Cond == memcache.CondSeqRemoved {
+		if s.kind == evDeleteSeqRemoved {
 			// A remove marker goes once its remove has landed: a load
 			// that read the file on the DFS before that must not add it
 			// to the emptied key (Region.loadToken).
@@ -624,7 +639,7 @@ func (c *committer) sendSettles(at vclock.Time) vclock.Time {
 			break
 		}
 	}
-	_, owners, done, _ := c.cache.SettleMulti(at, c.settles)
+	_, owners, done, _ := c.cache.MutateMulti(at, len(c.settles), c.settlePath, c.settleReq)
 	c.settles = c.settles[:0]
 	c.node.inflight.settled()
 	c.r.cacheRPCs.Add(int64(owners))

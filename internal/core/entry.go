@@ -17,11 +17,13 @@ import (
 //
 // plus large, create-after-rm, the threshold claim and adoption — and the
 // only code that knows what an entry may become: the value format, the
-// client transitions (next), the one read-modify-write that stores them
-// (Client.mutate; its owner runs entryRow), the one read (lookup) with the
-// miss-load behind it (the owner's Region.loader) and the commit table
-// (commitOutcome). Nothing else in core calls cache.Mutate or Set, or sets
-// a flag. DESIGN.md §11 renders both tables. Invariants, checked by
+// client transitions and the settles (next), the one read-modify-write that
+// stores them (Client.mutate, and for many keys settlePaths and
+// committer.sendSettles; the owner runs entryRow), the one read (lookup)
+// with the miss-load behind it (the owner's Region.loader) and the commit
+// table (commitOutcome). Nothing else in core calls cache.Mutate,
+// MutateMulti or Set, or sets a flag, and the cache servers know nothing of
+// the format. DESIGN.md §11 renders the three tables. Invariants, checked by
 // entry_explore_test.go at every step of every bounded interleaving of
 // two clients, the commit process and eviction:
 //
@@ -36,8 +38,9 @@ import (
 //   - once every queue is empty the entry is absent or clean.
 
 // cacheVal is the distributed cache's value layout: the primary copy of
-// one object's metadata plus Pacon's consistency bookkeeping flags. The
-// header (flags byte, seq) is memcache's, which settles entries by it.
+// one object's metadata plus Pacon's consistency bookkeeping flags. It
+// travels as a header, one flags byte and the seq as a uvarint, then the
+// stat (fsapi.EncodeStat).
 type cacheVal struct {
 	// dirty marks metadata whose newest update is not yet committed to
 	// the DFS (must not be evicted, §III.F).
@@ -60,6 +63,13 @@ func cleanVal(st fsapi.Stat, threshold int) cacheVal {
 	return cacheVal{stat: st, large: st.Size > int64(threshold)}
 }
 
+// The header's flag bits.
+const (
+	hdrDirty byte = 1 << iota
+	hdrRemoved
+	hdrLarge
+)
+
 // claimed reports a threshold crossing in progress (§III.D.2): the
 // claimant is materializing the file on the DFS, and until its final CAS
 // the entry still serves the acked inline content.
@@ -73,15 +83,16 @@ func (v cacheVal) claimed() bool { return v.large && v.dirty && !v.removed }
 func (v cacheVal) encodeTo(e *wire.Encoder) {
 	var flags byte
 	if v.dirty {
-		flags |= memcache.HdrDirty
+		flags |= hdrDirty
 	}
 	if v.removed {
-		flags |= memcache.HdrRemoved
+		flags |= hdrRemoved
 	}
 	if v.large {
-		flags |= memcache.HdrLarge
+		flags |= hdrLarge
 	}
-	memcache.AppendValueHeader(e, flags, v.seq)
+	e.Byte(flags)
+	e.Uvarint(v.seq)
 	fsapi.EncodeStat(e, v.stat)
 }
 
@@ -100,17 +111,14 @@ func decodeCacheVal(b []byte) (cacheVal, error) {
 // viewCacheVal is decodeCacheVal with the inline bytes a view of b, for a
 // row, done with the value before the lock on b is released.
 func viewCacheVal(b []byte) (cacheVal, error) {
-	flags, seq, n, ok := memcache.ParseValueHeader(b)
-	if !ok {
-		return cacheVal{}, wire.ErrTruncated
-	}
 	// The decoder is poolable: every field is a scalar or a view of b.
-	d := wire.GetDecoder(b[n:])
+	d := wire.GetDecoder(b)
+	flags := d.Byte()
 	v := cacheVal{
-		dirty:   flags&memcache.HdrDirty != 0,
-		removed: flags&memcache.HdrRemoved != 0,
-		large:   flags&memcache.HdrLarge != 0,
-		seq:     seq,
+		dirty:   flags&hdrDirty != 0,
+		removed: flags&hdrRemoved != 0,
+		large:   flags&hdrLarge != 0,
+		seq:     d.Uvarint(),
 		stat:    fsapi.DecodeStatView(d),
 	}
 	err := d.Finish()
@@ -121,20 +129,32 @@ func viewCacheVal(b []byte) (cacheVal, error) {
 	return v, nil
 }
 
-// evKind names what a client wants of an entry.
+// evKind names what a client wants of an entry, or what bookkeeping the
+// entry is owed (a settle). 0 is no event: a commit row that owes nothing.
 type evKind uint8
 
 const (
-	evCreate   evKind = iota // create or mkdir the object event.stat describes
-	evRemove                 // rm; of an uncached file, event.stat is the DFS's stat
-	evWrite                  // write event.data at event.off: inline, or the claim of a crossing
-	evGrown                  // claim event.seq's file is on the DFS through event.size
-	evRollback               // claim event.seq's transition failed on the DFS
-	evSizeBump               // a write-through to a large file ended at event.size
-	evLoad                   // the DFS holds event.stat (miss-load, §III.D.1 getattr)
+	evCreate   evKind = iota + 1 // create or mkdir the object event.stat describes
+	evRemove                     // rm; of an uncached file, event.stat is the DFS's stat
+	evWrite                      // write event.data at event.off: inline, or the claim of a crossing
+	evGrown                      // claim event.seq's file is on the DFS through event.size
+	evRollback                   // claim event.seq's transition failed on the DFS
+	evSizeBump                   // a write-through to a large file ended at event.size
+	evLoad                       // the DFS holds event.stat (miss-load, §III.D.1 getattr)
+
+	// The settles: what an entry is owed once the DFS holds, or will never
+	// hold, the state it describes, or once its object is gone. A settle
+	// never fails and reads only event.seq.
+	evClear            // the op of event.seq landed: its entry is clean
+	evDeleteSeq        // event.seq's entry will never reach the DFS: it goes
+	evDeleteSeqRemoved // the remove of event.seq landed: its marker goes
+	evEvict            // the entry goes if clean (§III.F); evict.go alone sends it
+	evDrop             // the object is gone from the DFS or renamed: the entry goes
 )
 
-// event is one client request against an entry.
+func (k evKind) settles() bool { return k >= evClear }
+
+// event is one request against an entry.
 type event struct {
 	kind evKind
 	// op and path name the request in the errors it fails with.
@@ -154,10 +174,14 @@ type event struct {
 	threshold int // the region's SmallFileThreshold
 }
 
-// encodeTo appends ev as a mutate's body (op, path, threshold do not travel).
+// encodeTo appends ev as a mutate's body (op, path, threshold do not travel;
+// a settle is its kind and seq alone).
 func (ev *event) encodeTo(e *wire.Encoder) {
 	e.Byte(byte(ev.kind))
 	e.Uvarint(ev.seq)
+	if ev.kind.settles() {
+		return
+	}
 	e.Bool(ev.hasStat)
 	fsapi.EncodeStat(e, ev.stat)
 	e.Uvarint(uint64(ev.off))
@@ -171,12 +195,15 @@ func (ev *event) encodeTo(e *wire.Encoder) {
 // and sizes from 2^62 up are refused: one plus a frame's bytes must not wrap.
 func decodeEvent(b []byte) (event, error) {
 	d := wire.GetDecoder(b)
-	ev := event{kind: evKind(d.Byte()), seq: d.Uvarint(), hasStat: d.Bool(), stat: fsapi.DecodeStat(d)}
-	ev.off, ev.size = int64(d.Uvarint()), int64(d.Uvarint())
-	ev.data, ev.fetchedAt, ev.fetched = d.BlobView(), d.Uvarint(), d.BlobView()
+	ev := event{kind: evKind(d.Byte()), seq: d.Uvarint()}
+	if !ev.kind.settles() {
+		ev.hasStat, ev.stat = d.Bool(), fsapi.DecodeStat(d)
+		ev.off, ev.size = int64(d.Uvarint()), int64(d.Uvarint())
+		ev.data, ev.fetchedAt, ev.fetched = d.BlobView(), d.Uvarint(), d.BlobView()
+	}
 	err := d.Finish()
 	wire.PutDecoder(d)
-	if err == nil && (ev.kind > evLoad || uint64(ev.off)|uint64(ev.size) >= 1<<62) {
+	if err == nil && (ev.kind == 0 || ev.kind > evDrop || uint64(ev.off)|uint64(ev.size) >= 1<<62) {
 		err = errors.New("core: malformed mutate event")
 	}
 	return ev, err
@@ -200,6 +227,8 @@ const (
 	// stat of an uncached file (evRemove, evWrite) or the bytes of an
 	// entry loaded without them (evWrite).
 	vFetch
+	// vDelete: the entry goes (a settle).
+	vDelete
 )
 
 // outcome is one row's right-hand side.
@@ -219,10 +248,10 @@ func fail(ev *event, err error) outcome {
 	return outcome{verdict: vFail, err: fsapi.WrapPath(ev.op, ev.path, err)}
 }
 
-// next is the client half of the transition table: what the entry cur
-// (present says whether the cache holds one; a removed marker is present)
-// becomes under ev. It is a pure function — the driver below, and the
-// explorer in the tests, supply the reads and perform the stores.
+// next is the client half of the transition table and the settles: what
+// the entry cur (present says whether the cache holds one; a removed marker
+// is present) becomes under ev. It is a pure function — the driver below,
+// and the explorer in the tests, supply the reads and perform the stores.
 func next(cur cacheVal, present bool, ev *event) outcome {
 	live := present && !cur.removed
 	switch ev.kind {
@@ -331,12 +360,35 @@ func next(cur cacheVal, present bool, ev *event) outcome {
 		cur.stat.Size = ev.size // clean: the DFS applied it
 		return outcome{val: cur}
 
-	default: // evLoad
+	case evLoad:
 		if present {
 			return outcome{verdict: vKeep, val: cur} // someone else loaded it, or wrote
 		}
 		return outcome{val: cleanVal(ev.stat, ev.threshold)}
+
+	case evClear:
+		// The DFS copy now matches ev.seq. A newer seq means another mutation
+		// is in flight, whose own commit will clear.
+		if !present || !cur.dirty || cur.seq != ev.seq {
+			return outcome{verdict: vKeep, val: cur}
+		}
+		cur.dirty = false
+		return outcome{val: cur}
 	}
+	// The deleting settles; evDrop takes whatever the entry holds.
+	gone := present
+	switch ev.kind {
+	case evDeleteSeq:
+		gone = gone && cur.seq == ev.seq // a newer incarnation is live metadata
+	case evDeleteSeqRemoved:
+		gone = gone && cur.seq == ev.seq && cur.removed // never a create-after-rm's fresh entry
+	case evEvict:
+		gone = gone && !cur.dirty && !cur.removed // dirty is the primary copy (§III.F)
+	}
+	if gone {
+		return outcome{verdict: vDelete}
+	}
+	return outcome{verdict: vKeep, val: cur}
 }
 
 // spliceInline writes data into a copy of buf at off, growing it as
@@ -526,20 +578,37 @@ func decodeAnswer(b []byte, out *outcome) (err error) {
 
 // entryRow is next as the entry's cache server runs it under the key's lock
 // (memcache.ServerConfig.Row; NewRegion installs it): an event in, next's
-// value stored, a vFail row as the error, and an answer of verdict, kind,
-// enqueue, afterRm and a value — the one stored, the claim a vWait waits on,
-// or the entry a vFetch lacks the bytes of, seq its CAS version (0: absent).
+// value stored or the entry deleted, a vFail row as the error, and an
+// answer of verdict, kind, enqueue, afterRm and a value — the one stored,
+// the claim a vWait waits on, or the entry a vFetch lacks the bytes of, seq
+// its CAS version (0: absent). A settle answers nothing and never fails: a
+// value that does not decode is read as absent, kept by every settle but
+// evDrop, which takes whatever the key holds.
 func entryRow(threshold int) memcache.Row {
-	return func(cur *memcache.Item, req []byte, val, reply *wire.Encoder) (bool, error) {
+	return func(cur *memcache.Item, req []byte, val, reply *wire.Encoder) (memcache.Action, error) {
 		ev, err := decodeEvent(req)
+		if err != nil {
+			return memcache.Keep, err
+		}
 		var v cacheVal
 		var ver uint64
-		if err == nil && cur != nil {
+		if cur != nil {
 			v, err = viewCacheVal(cur.Value) // done with before the lock is released
 			ver = cur.CAS
 		}
+		if ev.kind.settles() {
+			out := next(v, cur != nil && err == nil, &ev)
+			switch {
+			case out.verdict == vDelete, err != nil && ev.kind == evDrop:
+				return memcache.Delete, nil
+			case out.verdict == vStore:
+				out.val.encodeTo(val)
+				return memcache.Store, nil
+			}
+			return memcache.Keep, nil
+		}
 		if err != nil {
-			return false, err
+			return memcache.Keep, err
 		}
 		ev.threshold = threshold
 		in := v
@@ -549,7 +618,7 @@ func entryRow(threshold int) memcache.Row {
 		out := next(in, cur != nil, &ev)
 		switch out.verdict {
 		case vFail:
-			return false, out.err
+			return memcache.Keep, out.err
 		case vStore:
 			out.val.encodeTo(val)
 			if out.kind == OpRemove {
@@ -565,8 +634,19 @@ func entryRow(threshold int) memcache.Row {
 		reply.Bool(out.enqueue)
 		reply.Bool(out.afterRm)
 		out.val.encodeTo(reply)
-		return out.verdict == vStore, nil
+		if out.verdict == vStore {
+			return memcache.Store, nil
+		}
+		return memcache.Keep, nil
 	}
+}
+
+// settlePaths sends settle kind, one that reads no seq (evEvict, evDrop), to
+// every path's entry with one mutate_multi per owning cache server, and
+// returns how many entries went and how many servers it asked.
+func settlePaths(cache *memcache.Client, at vclock.Time, paths []string, kind evKind) (gone, owners int, done vclock.Time, err error) {
+	return cache.MutateMulti(at, len(paths), func(i int) string { return paths[i] },
+		func(_ int, e *wire.Encoder) { (&event{kind: kind}).encodeTo(e) })
 }
 
 // mutate is the one read-modify-write on a cache entry (§III.D.3): not the
@@ -678,24 +758,12 @@ const (
 	endDrop                // abandoned: verdict.reason says why
 )
 
-// The bookkeeping a commit row owes the entry, as the memcache.Settle it
-// sends (Key and Seq are the op's).
-var (
-	// settleClear: the backup copy now matches the op's seq. A newer seq
-	// means another mutation is in flight, whose own commit will clear.
-	settleClear = &memcache.Settle{Clear: true}
-	// settleDeleteSeq: delete the op's incarnation, and only it — a
-	// newer one is live primary-copy metadata.
-	settleDeleteSeq = &memcache.Settle{Cond: memcache.CondSeq}
-	// settleDeleteSeqRemoved: delete the removed marker of the op's seq;
-	// a create-after-rm's fresh entry is never destroyed.
-	settleDeleteSeqRemoved = &memcache.Settle{Cond: memcache.CondSeqRemoved}
-)
-
 // commitVerdict is one commit row's right-hand side.
 type commitVerdict struct {
-	end    commitEnd
-	settle *memcache.Settle // nil: the entry is owed nothing
+	end commitEnd
+	// settle is the bookkeeping the row owes the entry, sent under the op's
+	// seq: evClear, evDeleteSeq or evDeleteSeqRemoved (0: nothing).
+	settle evKind
 	// inline: the landed op owes the DFS copy its inline content, which
 	// leaves in the wave's one WriteBatch.
 	inline bool
@@ -707,13 +775,13 @@ type commitVerdict struct {
 
 var (
 	rowResubmit      = commitVerdict{end: endResubmit}
-	rowCreateLanded  = commitVerdict{end: endCommitted, settle: settleClear, inline: true}
-	rowRemoveLanded  = commitVerdict{end: endCommitted, settle: settleDeleteSeqRemoved}
-	rowSetStatLanded = commitVerdict{end: endCommitted, settle: settleClear, inline: true}
+	rowCreateLanded  = commitVerdict{end: endCommitted, settle: evClear, inline: true}
+	rowRemoveLanded  = commitVerdict{end: endCommitted, settle: evDeleteSeqRemoved}
+	rowSetStatLanded = commitVerdict{end: endCommitted, settle: evClear, inline: true}
 	// rowDiscardCreate is the discard rule, applied before the DFS is
 	// asked: a creation inside a directory being removed never reaches
 	// it, and its cache entry is cleaned (§III.D.1).
-	rowDiscardCreate = commitVerdict{end: endDiscarded, settle: settleDeleteSeq}
+	rowDiscardCreate = commitVerdict{end: endDiscarded, settle: evDeleteSeq}
 )
 
 // rowDrop abandons op. An abandoned creation's entry is the primary copy
@@ -725,9 +793,9 @@ func rowDrop(kind OpKind, reason string) commitVerdict {
 	v := commitVerdict{end: endDrop, reason: reason}
 	switch kind {
 	case OpCreate, OpMkdir:
-		v.settle = settleDeleteSeq
+		v.settle = evDeleteSeq
 	case OpRemove:
-		v.settle = settleDeleteSeqRemoved
+		v.settle = evDeleteSeqRemoved
 	}
 	return v
 }
@@ -771,7 +839,7 @@ func commitOutcome(op *Op, err error, removing bool, ent cacheVal, present bool)
 		case ent.seq != op.Seq || !ent.dirty:
 			// (1) The object is there and the entry has moved on: a newer
 			// mutation's commit carries the newer state.
-			return commitVerdict{end: endCommitted, settle: settleClear}
+			return commitVerdict{end: endCommitted, settle: evClear}
 		case op.AfterRm:
 			// (2) An earlier incarnation's remove is still queued
 			// (possibly on another node): the existing DFS file is doomed.
@@ -793,7 +861,7 @@ func commitOutcome(op *Op, err error, removing bool, ent cacheVal, present bool)
 			// absent path IS the committed state.
 			return rowRemoveLanded
 		case notExist && removing:
-			return commitVerdict{end: endDiscarded, settle: settleDeleteSeqRemoved}
+			return commitVerdict{end: endDiscarded, settle: evDeleteSeqRemoved}
 		case notExist:
 			return rowResubmit // its create may still be queued on another node
 		}

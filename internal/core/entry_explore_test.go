@@ -13,8 +13,9 @@ import (
 
 // The explorer enumerates every interleaving of two clients, the commit
 // process and eviction on ONE path, bounded to three ops per client, and
-// checks entry.go's invariants at every step. The clients, the queue and
-// the settles are run by the production table — next and commitOutcome —
+// checks entry.go's invariants at every step. The clients, the queue, the
+// settles and eviction are run by the production table — next and
+// commitOutcome —
 // against models of the two stores that are small enough to read: one
 // cache key (xCache) and one DFS file (xDFS). What is modelled and what
 // is not:
@@ -238,10 +239,7 @@ func (x *explorer) explore(s0 xState, trace []string) {
 	if s0.evicts > 0 {
 		try("evict", func(s *xState) bool {
 			s.evicts--
-			if !s.cache.present || s.cache.val.dirty || s.cache.val.removed {
-				return true // CondClean refuses it
-			}
-			s.cache = xCache{ver: s.cache.ver}
+			x.runSettle(&s.cache, evEvict, 0)
 			return true
 		})
 	}
@@ -512,27 +510,26 @@ func (x *explorer) stepCommit(s *xState) bool {
 	return true
 }
 
-// settle gives the entry what row v owes it — memcache's settle_multi
-// predicates on one key — and takes the op off the queue.
+// settle gives the entry what row v owes it and takes the op off the
+// queue.
 func (x *explorer) settle(s *xState, op Op, v commitVerdict) {
-	cur := &s.cache
-	match := cur.present && cur.val.seq == op.Seq
-	switch v.settle {
-	case settleClear:
-		if match && cur.val.dirty {
-			cur.val.dirty = false
-			cur.ver++
-		}
-	case settleDeleteSeq:
-		if match {
-			*cur = xCache{ver: cur.ver}
-		}
-	case settleDeleteSeqRemoved:
-		if match && cur.val.removed {
-			*cur = xCache{ver: cur.ver}
-		}
+	if v.settle != 0 {
+		x.runSettle(&s.cache, v.settle, op.Seq)
 	}
 	s.queue = s.queue[1:]
+}
+
+// runSettle runs settle kind under seq on the key as its owner's entryRow
+// does, through the table's next: a store is a new version, a delete
+// empties the key.
+func (x *explorer) runSettle(cur *xCache, kind evKind, seq uint64) {
+	switch out := x.tbl.next(cur.val, cur.present, &event{kind: kind, seq: seq}); out.verdict {
+	case vStore:
+		cur.val = out.val
+		cur.ver++
+	case vDelete:
+		*cur = xCache{ver: cur.ver}
+	}
 }
 
 // check is the every-step half of the invariants.

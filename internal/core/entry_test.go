@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pacon/internal/dht"
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
+	"pacon/internal/rpc"
 	"pacon/internal/vclock"
 	"pacon/internal/wire"
 )
@@ -154,7 +156,7 @@ func TestCommitRows(t *testing.T) {
 		{name: "create/ErrClosed", op: Op{Kind: OpCreate}, err: fsapi.ErrClosed, want: rowResubmit},
 		{name: "create/ErrStale", op: Op{Kind: OpCreate}, err: fsapi.ErrStale, want: rowResubmit},
 		{name: "create/other", op: Op{Kind: OpCreate}, err: fsapi.ErrPermission,
-			want: commitVerdict{end: endDrop, settle: settleDeleteSeq, reason: dropReasonBackendError}},
+			want: commitVerdict{end: endDrop, settle: evDeleteSeq, reason: dropReasonBackendError}},
 
 		{name: "create/ErrExist, entry gone", op: Op{Kind: OpCreate}, err: fsapi.ErrExist, want: rowResubmit},
 		{name: "create/ErrExist, entry a marker", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
@@ -164,9 +166,9 @@ func TestCommitRows(t *testing.T) {
 		{name: "create/ErrExist row 1: a large clean entry", op: Op{Kind: OpCreate, AfterRm: true}, err: fsapi.ErrExist,
 			ent: entry(func(v *cacheVal) { v.large, v.dirty = true, false }), want: commitVerdict{end: endCommitted}},
 		{name: "create/ErrExist row 1: the entry moved on", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
-			ent: entry(func(v *cacheVal) { v.seq++ }), want: commitVerdict{end: endCommitted, settle: settleClear}},
+			ent: entry(func(v *cacheVal) { v.seq++ }), want: commitVerdict{end: endCommitted, settle: evClear}},
 		{name: "create/ErrExist row 1: the entry is clean", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
-			ent: entry(func(v *cacheVal) { v.dirty = false }), want: commitVerdict{end: endCommitted, settle: settleClear}},
+			ent: entry(func(v *cacheVal) { v.dirty = false }), want: commitVerdict{end: endCommitted, settle: evClear}},
 		{name: "create/ErrExist row 2: create-after-rm waits for the remove", op: Op{Kind: OpCreate, AfterRm: true}, err: fsapi.ErrExist,
 			ent: &own, want: rowResubmit},
 		{name: "create/ErrExist row 3: adopt", op: Op{Kind: OpCreate}, err: fsapi.ErrExist,
@@ -175,11 +177,11 @@ func TestCommitRows(t *testing.T) {
 		{name: "remove/ok", op: Op{Kind: OpRemove}, want: rowRemoveLanded},
 		{name: "remove/ErrNotExist, net-absent", op: Op{Kind: OpRemove, NetAbsent: true}, err: fsapi.ErrNotExist, want: rowRemoveLanded},
 		{name: "remove/ErrNotExist under rmdir", op: Op{Kind: OpRemove}, err: fsapi.ErrNotExist, removing: true,
-			want: commitVerdict{end: endDiscarded, settle: settleDeleteSeqRemoved}},
+			want: commitVerdict{end: endDiscarded, settle: evDeleteSeqRemoved}},
 		{name: "remove/ErrNotExist: its create is still queued", op: Op{Kind: OpRemove}, err: fsapi.ErrNotExist, want: rowResubmit},
 		{name: "remove/ErrClosed", op: Op{Kind: OpRemove}, err: fsapi.ErrClosed, want: rowResubmit},
 		{name: "remove/other", op: Op{Kind: OpRemove}, err: fsapi.ErrIsDir,
-			want: commitVerdict{end: endDrop, settle: settleDeleteSeqRemoved, reason: dropReasonBackendError}},
+			want: commitVerdict{end: endDrop, settle: evDeleteSeqRemoved, reason: dropReasonBackendError}},
 
 		{name: "setstat/ok", op: Op{Kind: OpSetStat}, want: rowSetStatLanded},
 		{name: "setstat/ErrNotExist under rmdir", op: Op{Kind: OpSetStat}, err: fsapi.ErrNotExist, removing: true,
@@ -207,67 +209,86 @@ func TestCommitRows(t *testing.T) {
 			}
 		})
 	}
+	t.Run("settles", testSettleRows)
 }
 
-// TestValueHeaderIsOneContract: core writes the flags and memcache
-// settles by them. Every flag combination goes through cacheVal.encode
-// into memcache.ParseValueHeader, and every settle action through a real
-// SettleMulti against every combination, so the two modules cannot drift.
-func TestValueHeaderIsOneContract(t *testing.T) {
+// testSettleRows runs the settles — the three the commit rows owe,
+// eviction's and rmdir's and rename's drop — as the entry's cache server
+// runs them: through a real server with entryRow installed, reached by
+// MutateMulti over the Bus. Every flag combination is settled with the seq
+// matching and not; a value that does not decode is kept by all but the
+// drop, and an absent key is left absent. An entry that is stored or
+// deleted is the one the call counts.
+func testSettleRows(t *testing.T) {
 	const seq = 300 // a two-byte uvarint
-	srv := memcache.NewServer("n0/cache", memcache.ServerConfig{Model: vclock.Default()})
-	settles := map[string]func(v cacheVal, match bool) (gone bool, after cacheVal){
-		"clear": func(v cacheVal, match bool) (bool, cacheVal) {
+	model := vclock.Default()
+	bus, ring := rpc.NewBus(), dht.NewWithMembers(0, "n0/cache")
+	srv := memcache.NewServer("n0/cache", memcache.ServerConfig{Model: model, Row: entryRow(4)})
+	bus.Register("n0/cache", srv.Service())
+	c := memcache.NewClient(rpc.NewCaller(bus, model, "n0"), ring)
+	rows := []struct {
+		kind evKind
+		want func(v cacheVal, match bool) (gone bool, after cacheVal)
+	}{
+		{evClear, func(v cacheVal, match bool) (bool, cacheVal) {
 			if match {
 				v.dirty = false
 			}
 			return false, v
-		},
-		"seq":         func(v cacheVal, match bool) (bool, cacheVal) { return match, v },
-		"seq-removed": func(v cacheVal, match bool) (bool, cacheVal) { return match && v.removed, v },
-		"clean":       func(v cacheVal, match bool) (bool, cacheVal) { return !v.dirty && !v.removed, v },
-		"always":      func(v cacheVal, match bool) (bool, cacheVal) { return true, v },
+		}},
+		{evDeleteSeq, func(v cacheVal, match bool) (bool, cacheVal) { return match, v }},
+		{evDeleteSeqRemoved, func(v cacheVal, match bool) (bool, cacheVal) { return match && v.removed, v }},
+		{evEvict, func(v cacheVal, _ bool) (bool, cacheVal) { return !v.dirty && !v.removed, v }},
+		{evDrop, func(v cacheVal, _ bool) (bool, cacheVal) { return true, v }},
 	}
-	entries := map[string]memcache.Settle{
-		"clear":       {Clear: true},
-		"seq":         {Cond: memcache.CondSeq},
-		"seq-removed": {Cond: memcache.CondSeqRemoved},
-		"clean":       {Cond: memcache.CondClean},
-		"always":      {Cond: memcache.CondAlways},
+	settle := func(key string, kind evKind, seq uint64) int {
+		t.Helper()
+		n, owners, _, err := c.MutateMulti(0, 1, func(int) string { return key },
+			func(_ int, e *wire.Encoder) { (&event{kind: kind, seq: seq}).encodeTo(e) })
+		if err != nil || owners != 1 {
+			t.Fatalf("settle %d of %s: %d owners, %v", kind, key, owners, err)
+		}
+		return n
 	}
-	for bits := 0; bits < 8; bits++ {
-		v := cacheVal{dirty: bits&1 != 0, removed: bits&2 != 0, large: bits&4 != 0, seq: seq, stat: fileStat(2, "ab")}
-		raw := v.encode()
-		flags, hseq, n, ok := memcache.ParseValueHeader(raw)
-		if !ok || hseq != seq || n != 3 ||
-			(flags&memcache.HdrDirty != 0) != v.dirty || (flags&memcache.HdrRemoved != 0) != v.removed || (flags&memcache.HdrLarge != 0) != v.large {
-			t.Fatalf("%+v encodes to header flags=%#x seq=%d n=%d ok=%v", v, flags, hseq, n, ok)
-		}
-		if back, err := decodeCacheVal(raw); err != nil || fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", v) {
-			t.Fatalf("round trip %+v → %+v, %v", v, back, err)
-		}
-		for name, want := range settles {
+	for _, row := range rows {
+		for bits := 0; bits < 8; bits++ {
+			v := cacheVal{dirty: bits&1 != 0, removed: bits&2 != 0, large: bits&4 != 0, seq: seq, stat: fileStat(2, "ab")}
 			for _, match := range []bool{true, false} {
-				key := fmt.Sprintf("/w/k%d-%s-%v", bits, name, match)
-				if _, _, err := srv.Add(0, key, raw, 0); err != nil {
+				key := fmt.Sprintf("/w/k%d-%d-%v", row.kind, bits, match)
+				if _, _, err := c.Set(0, key, v.encode(), 0); err != nil {
 					t.Fatal(err)
 				}
-				en := entries[name]
-				en.Key, en.Seq = key, seq
+				before, _, _ := srv.Get(0, key)
+				sent := uint64(seq)
 				if !match {
-					en.Seq++
+					sent++
 				}
-				srv.SettleMulti(0, []memcache.Settle{en})
-				gone, after := want(v, match)
+				n := settle(key, row.kind, sent)
+				gone, after := row.want(v, match)
+				stored := !gone && !bytes.Equal(after.encode(), v.encode())
 				item, _, err := srv.Get(0, key)
-				if gone != errors.Is(err, fsapi.ErrNotExist) {
-					t.Fatalf("%s (seq match %v) on %+v: deleted=%v, want %v", name, match, v, err != nil, gone)
-				}
-				if !gone && !bytes.Equal(item.Value, after.encode()) {
+				switch {
+				case gone != errors.Is(err, fsapi.ErrNotExist):
+					t.Fatalf("settle %d (seq match %v) on %+v: deleted=%v, want %v", row.kind, match, v, err != nil, gone)
+				case !gone && !bytes.Equal(item.Value, after.encode()):
 					got, _ := decodeCacheVal(item.Value)
-					t.Fatalf("%s (seq match %v) on %+v left %+v, want %+v", name, match, v, got, after)
+					t.Fatalf("settle %d (seq match %v) on %+v left %+v, want %+v", row.kind, match, v, got, after)
+				case !gone && stored == (item.CAS == before.CAS), (n == 1) != (gone || stored):
+					t.Fatalf("settle %d (seq match %v) on %+v: version %d -> %d, counted %d", row.kind, match, v, before.CAS, item.CAS, n)
 				}
 			}
+		}
+		key := fmt.Sprintf("/w/garbled-%d", row.kind)
+		if _, _, err := c.Set(0, key, []byte{hdrDirty}, 0); err != nil {
+			t.Fatal(err)
+		}
+		n := settle(key, row.kind, 0)
+		if _, _, err := srv.Get(0, key); (row.kind == evDrop) != (n == 1) || (n == 1) != errors.Is(err, fsapi.ErrNotExist) {
+			t.Fatalf("settle %d on a value that does not decode: counted %d, then %v", row.kind, n, err)
+		}
+		n = settle("/w/absent", row.kind, seq)
+		if _, _, err := srv.Get(0, "/w/absent"); n != 0 || !errors.Is(err, fsapi.ErrNotExist) {
+			t.Fatalf("settle %d on an absent key counted %d, then %v", row.kind, n, err)
 		}
 	}
 }
@@ -355,7 +376,7 @@ func FuzzCacheValDecode(f *testing.F) {
 		}
 		if len(enc) == len(raw) {
 			canon := append([]byte(nil), raw...)
-			canon[0] &= memcache.HdrDirty | memcache.HdrRemoved | memcache.HdrLarge
+			canon[0] &= hdrDirty | hdrRemoved | hdrLarge
 			if !bytes.Equal(enc, canon) {
 				t.Fatalf("%x re-encodes to %x", raw, enc)
 			}
@@ -415,20 +436,25 @@ func FuzzEventDecode(f *testing.F) {
 		}
 		for _, cur := range stored {
 			val, reply := wire.NewEncoder(0), wire.NewEncoder(0)
-			store, err := row(cur, raw, val, reply)
+			act, err := row(cur, raw, val, reply)
 			switch {
 			case derr != nil && err == nil:
 				t.Fatalf("the row took %x, which does not decode: %v", raw, derr)
 			case err != nil:
-				if store || val.Len() != 0 || reply.Len() != 0 {
-					t.Fatalf("the row failed (%v) yet stored %v, %d value bytes, %d reply bytes", err, store, val.Len(), reply.Len())
+				if act != memcache.Keep || val.Len() != 0 || reply.Len() != 0 {
+					t.Fatalf("the row failed (%v) yet did %d, %d value bytes, %d reply bytes", err, act, val.Len(), reply.Len())
 				}
 				continue
+			case ev.kind.settles():
+				if reply.Len() != 0 || act == memcache.Delete && cur == nil {
+					t.Fatalf("settle %x did %d to %v with a %d-byte answer", raw, act, cur, reply.Len())
+				}
+			default:
+				if err := decodeAnswer(reply.Bytes(), &outcome{}); err != nil {
+					t.Fatalf("answer %x: %v", reply.Bytes(), err)
+				}
 			}
-			if err := decodeAnswer(reply.Bytes(), &outcome{}); err != nil {
-				t.Fatalf("answer %x: %v", reply.Bytes(), err)
-			}
-			if _, err := decodeCacheVal(val.Bytes()); store && err != nil {
+			if _, err := decodeCacheVal(val.Bytes()); act == memcache.Store && err != nil {
 				t.Fatalf("stored %x: %v", val.Bytes(), err)
 			}
 		}
@@ -449,7 +475,7 @@ func TestFetchedBytesCountForTheirVersionOnly(t *testing.T) {
 		req, val, reply := wire.NewEncoder(0), wire.NewEncoder(0), wire.NewEncoder(0)
 		ev := event{kind: evWrite, seq: 9, off: 1, data: []byte("X"), fetched: []byte("abc"), fetchedAt: fetchedAt}
 		ev.encodeTo(req)
-		store, err := row(loaded, req.Bytes(), val, reply)
+		act, err := row(loaded, req.Bytes(), val, reply)
 		var a outcome
 		if err == nil {
 			err = decodeAnswer(reply.Bytes(), &a)
@@ -457,7 +483,7 @@ func TestFetchedBytesCountForTheirVersionOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return store, a, val.Bytes()
+		return act == memcache.Store, a, val.Bytes()
 	}
 	store, a, val := send(5)
 	v, err := decodeCacheVal(val)

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pacon/internal/fsapi"
-	"pacon/internal/memcache"
 	"pacon/internal/namespace"
 	"pacon/internal/vclock"
 )
@@ -43,7 +42,7 @@ func (r *Region) evictRound(c *Client, at vclock.Time) (vclock.Time, error) {
 	return r.evictSubtree(c, at, namespace.Join(r.cfg.Workspace, pick.Name), pick.Type == fsapi.TypeDir)
 }
 
-// evictChunk caps how many paths one settle_multi fan-out of a subtree
+// evictChunk caps how many paths one mutate_multi fan-out of a subtree
 // delete carries (eviction here, rmdir and rename in dropCached), which
 // bounds the region's scratch slice, the request frames, and how long
 // one request holds a cache server's worker (its share of the chunk ×
@@ -80,7 +79,7 @@ func (r *Region) evictWalk(c *Client, at vclock.Time, p string, isDir bool) (vcl
 			}
 		}
 	}
-	r.evictPaths = append(r.evictPaths, memcache.Settle{Key: p, Cond: memcache.CondClean})
+	r.evictPaths = append(r.evictPaths, p)
 	if len(r.evictPaths) < evictChunk {
 		return at, nil
 	}
@@ -88,13 +87,13 @@ func (r *Region) evictWalk(c *Client, at vclock.Time, p string, isDir bool) (vcl
 }
 
 // evictFlush deletes every clean cache entry among r.evictPaths with
-// one settle_multi round trip per owning cache server, and empties
+// one mutate_multi round trip per owning cache server, and empties
 // the slice. The delete is guarded: only a clean (committed) entry may
 // go. A client write that dirties the entry makes it the primary copy
-// again, and an unconditional delete would lose it forever; CondClean
-// is evaluated per key under the server's shard lock.
+// again, and an unconditional delete would lose it forever; the evEvict
+// row runs per key under the server's shard lock.
 func (r *Region) evictFlush(c *Client, at vclock.Time) (vclock.Time, error) {
-	deleted, owners, done, err := c.cache.SettleMulti(at, r.evictPaths)
+	deleted, owners, done, err := settlePaths(c.cache, at, r.evictPaths, evEvict)
 	r.evictPaths = r.evictPaths[:0]
 	r.cacheRPCs.Add(int64(owners))
 	r.evictedKeys.Add(int64(deleted))

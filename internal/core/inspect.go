@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"pacon/internal/fsapi"
-	"pacon/internal/memcache"
 )
 
 // CacheEntry is one decoded distributed-cache entry, exposed for
@@ -34,13 +33,13 @@ func (r *Region) DumpCache() ([]CacheEntry, error) {
 	var out []CacheEntry
 	var derr error
 	for _, n := range r.nodes {
-		n.cache.ForEach(func(key string, item memcache.Item) {
-			v, err := decodeCacheVal(item.Value)
-			if err != nil {
+		n.cache.Scan(func(key string, raw []byte) bool {
+			if v, err := decodeCacheVal(raw); err != nil {
 				derr = fmt.Errorf("cache entry %s: %w", key, err)
-				return
+			} else {
+				out = append(out, v.entry(key))
 			}
-			out = append(out, v.entry(key))
+			return true
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })

@@ -608,8 +608,8 @@ func TestOvertakenLoadStoresNothing(t *testing.T) {
 				t.Fatalf("%s left %+v in the cache: the overtaken load must not add", name, ent)
 			}
 		}
-		if got := hook.count("settle_multi"); got != 0 {
-			t.Fatalf("%s sent %d settle_multi RPCs, want 0: nothing was added, so nothing is revoked", name, got)
+		if got := hook.count("mutate_multi"); got != 0 {
+			t.Fatalf("%s sent %d mutate_multi RPCs, want 0: nothing was added, so nothing is revoked", name, got)
 		}
 		if warms := e.region.Stats().CacheWarms - warmed; warms != 0 {
 			t.Fatalf("%s: %d unstored loads counted as cache warms", name, warms)
@@ -871,7 +871,7 @@ func TestRenameIntoQueuedMkdir(t *testing.T) {
 
 // TestRenameWaitsForAnOwedSettle: an rm of the rename's destination has
 // landed on node1, but node1's commit process has not yet deleted its
-// remove marker from the cache. It is held inside that settle_multi, after
+// remove marker from the cache. It is held inside that mutate_multi, after
 // the owner of an earlier key in the same batch and before the marker's.
 // node1 then holds no op under the rename's scope, but it still owes the
 // destination a settle, so the rename must wait for it: a rename that
@@ -919,7 +919,7 @@ func TestRenameWaitsForAnOwedSettle(t *testing.T) {
 	var armed atomic.Bool
 	held, unhold := make(chan struct{}), make(chan struct{})
 	hook := &rpcHook{fn: func(method string) {
-		if method == "settle_multi" && armed.CompareAndSwap(true, false) {
+		if method == "mutate_multi" && armed.CompareAndSwap(true, false) {
 			close(held)
 			<-unhold
 		}

@@ -228,9 +228,9 @@ type Region struct {
 	// skip or repeat entries).
 	evictLast string
 	// evictPaths is the round's scratch: the chosen subtree's paths
-	// awaiting their settle_multi fan-out (each a delete-if-clean), at
-	// most evictChunk of them. Guarded by evictMu, reused across rounds.
-	evictPaths []memcache.Settle
+	// awaiting their mutate_multi fan-out (each deleted if clean), at most
+	// evictChunk of them. Guarded by evictMu, reused across rounds.
+	evictPaths []string
 
 	// invalGen counts invalidations: rmdir, rename, and each settle that
 	// deletes remove markers (committer.sendSettles). It is the miss-load's
@@ -445,13 +445,20 @@ func (r *Region) cacheLoadSkew() obs.SkewStats {
 	return obs.Skew(loads)
 }
 
-// headerCounts sums the dirty/removed header flags across the region's
-// cache servers.
+// headerCounts counts the dirty entries and the removed markers across the
+// region's cache servers. A value that does not decode counts as neither.
 func (r *Region) headerCounts() (dirty, removed int64) {
 	for _, n := range r.nodes {
-		d, rm := n.cache.HeaderCounts()
-		dirty += d
-		removed += rm
+		n.cache.Scan(func(_ string, raw []byte) bool {
+			v, err := viewCacheVal(raw)
+			if err == nil && v.dirty {
+				dirty++
+			}
+			if err == nil && v.removed {
+				removed++
+			}
+			return true
+		})
 	}
 	return dirty, removed
 }

@@ -104,25 +104,20 @@ func (r *Region) DroppedByReason() map[string]int64 {
 // cache entries across the region's servers, decoded. This is the
 // divergence auditor's sampling source: clean entries are exactly the
 // ones the region claims are durable on the DFS, so any mismatch found
-// for them is a real consistency violation, not in-flight lag.
-// Server-side header iteration picks the keys; the values are then
-// fetched via ForEach-style snapshots. limit <= 0 means everything.
+// for them is a real consistency violation, not in-flight lag. Each is
+// decoded under its cache server's shard lock, so what is sampled is what
+// the entry held. limit <= 0 means everything.
 func (r *Region) SampleCommitted(limit int) []CacheEntry {
 	var out []CacheEntry
 	for _, n := range r.nodes {
-		want := -1
-		if limit > 0 {
-			want = limit - len(out)
-			if want <= 0 {
-				return out
+		n.cache.Scan(func(key string, raw []byte) bool {
+			if v, err := decodeCacheVal(raw); err == nil && !v.dirty && !v.removed {
+				out = append(out, v.entry(key))
 			}
-		}
-		for _, kv := range n.cache.CommittedItems(want) {
-			v, err := decodeCacheVal(kv.Value)
-			if err != nil || v.dirty || v.removed {
-				continue // raced a mutation between header scan and decode
-			}
-			out = append(out, v.entry(kv.Key))
+			return limit <= 0 || len(out) < limit
+		})
+		if limit > 0 && len(out) >= limit {
+			break
 		}
 	}
 	return out

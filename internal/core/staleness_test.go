@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"expvar"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -302,5 +304,49 @@ func TestRegisterMetricsIdempotentAcrossRegions(t *testing.T) {
 	wg.Wait()
 	if expvar.Get("pacon-test-idempotent") == nil {
 		t.Fatal("expvar not published")
+	}
+}
+
+// TestSampleCommittedReadsCleanEntriesOnly: the divergence auditor's
+// sample is the region's clean entries — never a dirty entry, a removed
+// marker or a value that does not decode — at most limit of them (0: all),
+// each a copy of what its cache server holds.
+func TestSampleCommittedReadsCleanEntriesOnly(t *testing.T) {
+	e := newEnv(t, 2, nil)
+	clean := cacheVal{stat: fileStat(2, "ab")}
+	for i, kv := range []struct {
+		key string
+		val []byte
+	}{
+		{"/w/c1", clean.encode()},
+		{"/w/c2", clean.encode()},
+		{"/w/c3", clean.encode()},
+		{"/w/dirty", cacheVal{dirty: true, seq: 4, stat: fileStat(2, "ab")}.encode()},
+		{"/w/marker", cacheVal{dirty: true, removed: true, seq: 5, stat: fileStat(2, "")}.encode()},
+		{"/w/garbled", []byte{hdrDirty}},
+	} {
+		if _, _, err := e.region.nodes[i%2].cache.Add(0, kv.key, kv.val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, ent := range e.region.SampleCommitted(0) {
+		got = append(got, ent.Path)
+		if ent.Path != "/w" && string(ent.Stat.Inline) != "ab" {
+			t.Fatalf("%s sampled with inline %q", ent.Path, ent.Stat.Inline)
+		}
+		if len(ent.Stat.Inline) > 0 {
+			ent.Stat.Inline[0] = 'X'
+		}
+	}
+	sort.Strings(got)
+	if want := []string{"/w", "/w/c1", "/w/c2", "/w/c3"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sampled %v, want %v", got, want)
+	}
+	if item, _, err := e.region.nodes[0].cache.Get(0, "/w/c1"); err != nil || !bytes.Equal(item.Value, clean.encode()) {
+		t.Fatalf("a sampled entry's bytes alias the server's: %x, %v", item.Value, err)
+	}
+	if n := len(e.region.SampleCommitted(2)); n != 2 {
+		t.Fatalf("a sample of at most 2 held %d", n)
 	}
 }

@@ -64,7 +64,7 @@ func (r *Region) opTerminal(op Op, at vclock.Time, stage obs.Stage, note string)
 // server-side events of the wave's RPCs (the apply_batch and the data
 // writes, the cache lookup of an ErrExist) land in the originating client
 // op's span — the span of the wave's first sampled op, on a first attempt
-// and on a resubmission alike. No settle_multi is ever tagged: the
+// and on a resubmission alike. No mutate_multi is ever tagged: the
 // settles leaving beside this wave's batch are the previous wave's, and
 // this wave's own leave after every op of it has reached its terminal.
 // Returns the untag closure, or nil for unsampled ops (the common case —

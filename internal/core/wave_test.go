@@ -457,7 +457,7 @@ func TestRemovesUnderActiveRmdirRideTheBatch(t *testing.T) {
 	}
 	// One wave: the six removes and the setstat in one apply_batch, the
 	// setstat's bytes, and nothing else to the DFS (the create never got
-	// there). Two settle_multi to the region's one cache server: the
+	// there). Two mutate_multi to the region's one cache server: the
 	// discarded create's cleanup, queued as the wave was built, beside the
 	// wave's batch, and the wave's own seven before the barrier arrival.
 	if rpcs.BatchRPCs != 1 || rpcs.BatchedOps != 7 || rpcs.BackendRPCs != 2 || rpcs.CacheRPCs != 2 {
@@ -476,7 +476,7 @@ func TestRemovesUnderActiveRmdirRideTheBatch(t *testing.T) {
 }
 
 // TestRmdirCleansSubtreeInOneRoundTripPerOwner: Rmdir drops a removed
-// subtree from the cache with one settle_multi per owning cache server,
+// subtree from the cache with one mutate_multi per owning cache server,
 // not one delete per path; the invalidation generation moves before the
 // first of them (the ordering contract in Rmdir); and nothing of the
 // sweep lingers — the directory can be re-created at once and the new
@@ -505,7 +505,7 @@ func TestRmdirCleansSubtreeInOneRoundTripPerOwner(t *testing.T) {
 	var genAtFirstSweep uint64
 	hook := &rpcHook{}
 	hook.fn = func(method string) {
-		if method == "settle_multi" && genAtFirstSweep == 0 {
+		if method == "mutate_multi" && genAtFirstSweep == 0 {
 			genAtFirstSweep = e.region.invalGen.Load()
 		}
 	}
@@ -515,8 +515,8 @@ func TestRmdirCleansSubtreeInOneRoundTripPerOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := hook.count("settle_multi"), len(e.region.ring.Members()); got == 0 || got > limit {
-		t.Fatalf("rmdir of %d files cleaned the cache in %d settle_multi RPCs, want 1..%d (ring size)", files, got, limit)
+	if got, limit := hook.count("mutate_multi"), len(e.region.ring.Members()); got == 0 || got > limit {
+		t.Fatalf("rmdir of %d files cleaned the cache in %d mutate_multi RPCs, want 1..%d (ring size)", files, got, limit)
 	}
 	if genAtFirstSweep != gen+1 {
 		t.Fatalf("invalidation generation at the first cache delete = %d, want %d: bump must precede the sweep", genAtFirstSweep, gen+1)
@@ -536,7 +536,7 @@ func TestRmdirCleansSubtreeInOneRoundTripPerOwner(t *testing.T) {
 }
 
 // TestRenameCleanupKeepsRacingCreate: Rename drops the moved subtree's
-// old paths from the cache in one settle_multi per owner, each path
+// old paths from the cache in one mutate_multi per owner, each path
 // exactly once. A create that races in after the invalidation bump lands
 // on an old path as soon as that path's entry is gone — the name is free
 // on the DFS — and the rest of the sweep must not take the newer
@@ -565,7 +565,7 @@ func TestRenameCleanupKeepsRacingCreate(t *testing.T) {
 	var raced error = fsapi.ErrExist
 	hook := &rpcHook{}
 	hook.fn = func(method string) {
-		if method == "settle_multi" && errors.Is(raced, fsapi.ErrExist) {
+		if method == "mutate_multi" && errors.Is(raced, fsapi.ErrExist) {
 			_, raced = racer.Mkdir(vclock.Time(1<<30), "/w/src", 0o700)
 		}
 	}
@@ -580,8 +580,8 @@ func TestRenameCleanupKeepsRacingCreate(t *testing.T) {
 	}
 	// One more than the ring size: the racer's mkdir may have committed,
 	// and settled, before the observer came off.
-	if got, limit := hook.count("settle_multi"), len(e.region.ring.Members())+1; got == 0 || got > limit {
-		t.Fatalf("rename swept %d old paths in %d settle_multi RPCs, want 1..%d (ring size + the racer's commit)", files+1, got, limit)
+	if got, limit := hook.count("mutate_multi"), len(e.region.ring.Members())+1; got == 0 || got > limit {
+		t.Fatalf("rename swept %d old paths in %d mutate_multi RPCs, want 1..%d (ring size + the racer's commit)", files+1, got, limit)
 	}
 	reborn := mustEntry(t, e.region, "/w/src", "after the rename returned")
 	if reborn.Removed || reborn.Stat.Mode != 0o700 {
@@ -636,7 +636,7 @@ func (w *waveCounter) WriteBatch(at vclock.Time, files []fsapi.FileWrite) ([]err
 // three removes — are one apply_batch of eight ops and one WriteBatch of
 // four files: at most one write_multi per data server, no lookup (the
 // data path asks the MDS nothing), no second apply_batch (the setstat's
-// metadata rode the wave's), and one settle_multi. What lands is what
+// metadata rode the wave's), and one mutate_multi. What lands is what
 // was acked, read back through a client that knows nothing of Pacon.
 func TestWaveWithPayloadCostsOneBatchAndOneDataFanOut(t *testing.T) {
 	var seen waveCounts
@@ -696,8 +696,8 @@ func TestWaveWithPayloadCostsOneBatchAndOneDataFanOut(t *testing.T) {
 	if got := hook.count("lookup"); got != 0 {
 		t.Fatalf("%d lookups on the MDS: the data path is asking for stats again", got)
 	}
-	if got := hook.count("settle_multi"); got != 1 {
-		t.Fatalf("%d settle_multi round trips, want the wave's one", got)
+	if got := hook.count("mutate_multi"); got != 1 {
+		t.Fatalf("%d mutate_multi round trips, want the wave's one", got)
 	}
 	if after.BatchRPCs-before.BatchRPCs != 1 || after.BatchedOps-before.BatchedOps != 8 ||
 		after.BackendRPCs-before.BackendRPCs != 2 || after.Committed-before.Committed != 8 || after.Dropped != before.Dropped {
@@ -767,7 +767,7 @@ func TestInlineSetStatBytesResubmitOnErrClosed(t *testing.T) {
 // create's clear leaves beside the remove's apply_batch and, guarded by
 // the create's seq, does nothing to the marker that replaced its entry;
 // the remove's own delete goes before the barrier arrival. Neither entry
-// nor file is left, in two settle_multi round trips.
+// nor file is left, in two mutate_multi round trips.
 func TestSettleLeavesBesideTheNextBatch(t *testing.T) {
 	e := newEnv(t, 1, func(cfg *RegionConfig) { cfg.CommitBatchSize = 1 })
 	c := e.client(t, "node0")
@@ -779,12 +779,12 @@ func TestSettleLeavesBesideTheNextBatch(t *testing.T) {
 	if at, err = c.Remove(at, "/w/f"); err != nil {
 		t.Fatal(err)
 	}
-	// After the first settle_multi — the create's clear, riding the
+	// After the first mutate_multi — the create's clear, riding the
 	// remove's batch — the marker must still be there, still dirty.
 	var afterFirst []CacheEntry
 	hook := &rpcHook{}
 	hook.fn = func(method string) {
-		if method == "settle_multi" && afterFirst == nil {
+		if method == "mutate_multi" && afterFirst == nil {
 			afterFirst, _ = e.region.DumpCache()
 		}
 	}
@@ -795,8 +795,8 @@ func TestSettleLeavesBesideTheNextBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hook.count("apply_batch") != 2 || hook.count("settle_multi") != 2 {
-		t.Fatalf("%d apply_batch, %d settle_multi; want two waves and a settle each", hook.count("apply_batch"), hook.count("settle_multi"))
+	if hook.count("apply_batch") != 2 || hook.count("mutate_multi") != 2 {
+		t.Fatalf("%d apply_batch, %d mutate_multi; want two waves and a settle each", hook.count("apply_batch"), hook.count("mutate_multi"))
 	}
 	marker := false
 	for _, ent := range afterFirst {

@@ -122,7 +122,7 @@ var errOutsideChunk = errors.New("dfs: write_multi entry reaches outside its chu
 // and writeChunk sizes a chunk by it) and a chunk index is not negative,
 // so one bad entry refuses the whole frame and nothing is sized by a
 // number the frame made up. Then the device is charged once for the sum
-// of the entries' costs, as apply_batch and settle_multi charge theirs,
+// of the entries' costs, as apply_batch and mutate_multi charge theirs,
 // and the second pass stores them.
 func (s *DataServer) writeMulti(at vclock.Time, body []byte, _ *wire.Encoder) (vclock.Time, error) {
 	d := wire.GetDecoder(body)

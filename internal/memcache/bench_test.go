@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pacon/internal/vclock"
+	"pacon/internal/wire"
 )
 
 func BenchmarkServerSet(b *testing.B) {
@@ -74,34 +75,38 @@ func BenchmarkServerSetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkSettleMulti is the commit wave's cleanup fan-out alone: 8
-// conditional deletes over 4 cache servers on the Bus, one settle_multi
-// per owner. make alloc-gate pins it: the grouping, the result slots and
-// the fan-out's function are pooled scratch, so what is left is the
-// servers' share of the requests.
-func BenchmarkSettleMulti(b *testing.B) {
+// BenchmarkMutateMulti is the commit wave's settle fan-out alone, on a
+// test row: 8 conditional deletes that find nothing to delete, over 4
+// cache servers on the Bus, one mutate_multi per owner. make alloc-gate
+// pins it: the grouping, the result slots and the fan-out's function are
+// pooled scratch, and the servers read keys and requests where the frame
+// holds them.
+func BenchmarkMutateMulti(b *testing.B) {
 	c, servers := clusterEnv(b, 4)
 	// Two keys per server.
-	var entries []Settle
+	var keys []string
 	per := map[string]int{}
-	for i := 0; len(entries) < 8; i++ {
+	for i := 0; len(keys) < 8; i++ {
 		key := fmt.Sprintf("/w/f%d", i)
 		if per[c.Owner(key)] == 2 {
 			continue
 		}
 		per[c.Owner(key)]++
-		entries = append(entries, Settle{Key: key, Cond: CondSeqRemoved, Seq: 1})
-		if _, _, err := c.Set(0, key, []byte("v"), 0); err != nil {
+		keys = append(keys, key)
+		if _, _, err := c.Set(0, key, makeVal(0), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if _, owners, _, err := c.SettleMulti(0, entries); err != nil || owners != len(servers) {
-		b.Fatalf("%d keys reached %d of %d servers: %v", len(entries), owners, len(servers), err)
+	req := delIf(1)
+	key := func(i int) string { return keys[i] }
+	request := func(_ int, e *wire.Encoder) { e.Raw(req) }
+	if _, owners, _, err := c.MutateMulti(0, len(keys), key, request); err != nil || owners != len(servers) {
+		b.Fatalf("%d keys reached %d of %d servers: %v", len(keys), owners, len(servers), err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := c.SettleMulti(0, entries); err != nil {
+		if _, _, _, err := c.MutateMulti(0, len(keys), key, request); err != nil {
 			b.Fatal(err)
 		}
 	}

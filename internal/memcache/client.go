@@ -253,86 +253,91 @@ func (c *Client) Mutate(at vclock.Time, key string, req []byte, reply *wire.Enco
 	return c.call(c.Owner(key), "mutate", at, e, reply)
 }
 
-// SettleMulti applies entries with one "settle_multi" RPC per owning
-// server — how a commit wave, an eviction round or an rmdir settles any
-// number of keys in one round trip per cache server instead of one per
-// key. It returns how many entries took effect and how many owners were
-// contacted. An owner that cannot be reached fails only its own keys:
-// the others' entries still apply and are counted, and one of the
-// failures is returned. Its scratch is pooled (settleCall), so a call
-// allocates nothing of its own.
-func (c *Client) SettleMulti(at vclock.Time, entries []Settle) (applied, owners int, done vclock.Time, err error) {
-	s := settleCalls.Get().(*settleCall)
-	s.c, s.at, s.entries = c, at, entries
-	s.groups = c.ring.GroupInto(&s.grouping, len(entries), func(i int) string { return entries[i].Key })
-	if cap(s.results) < len(s.groups) {
-		s.results = make([]settleResult, len(s.groups))
+// MutateMulti runs n entries through their owners' rows with one
+// "mutate_multi" RPC per owning server — how a commit wave, an eviction
+// round or an rmdir changes any number of keys in one round trip per cache
+// server instead of one per key. Entry i is key(i) and the request req(i, e)
+// appends to e; the fan-out calls both, possibly from several goroutines at
+// once, so they must only read. It returns how many entries stored or
+// deleted and how many owners were contacted. An owner that cannot be
+// reached fails only its own entries: the others' still run and are
+// counted, and one of the failures is returned. Its scratch is pooled
+// (mutateCall), so a call allocates nothing of its own.
+func (c *Client) MutateMulti(at vclock.Time, n int, key func(i int) string, req func(i int, e *wire.Encoder)) (changed, owners int, done vclock.Time, err error) {
+	m := mutateCalls.Get().(*mutateCall)
+	m.c, m.at, m.key, m.req = c, at, key, req
+	m.groups = c.ring.GroupInto(&m.grouping, n, key)
+	if cap(m.results) < len(m.groups) {
+		m.results = make([]mutateResult, len(m.groups))
 	}
-	s.results = s.results[:len(s.groups)]
-	done = c.caller.FanOut(at, len(s.groups), false, s.send)
-	for _, r := range s.results {
+	m.results = m.results[:len(m.groups)]
+	done = c.caller.FanOut(at, len(m.groups), false, m.send)
+	for _, r := range m.results {
 		if r.err == nil {
-			applied += r.applied
+			changed += r.changed
 		} else if err == nil {
 			err = r.err
 		}
 	}
-	owners = len(s.groups)
+	owners = len(m.groups)
 	// Every slot is written by its own call; the pool keeps no errors or
-	// entries alive in between.
-	clear(s.results)
-	s.c, s.entries, s.groups = nil, nil, nil
-	settleCalls.Put(s)
-	return applied, owners, done, err
+	// callbacks alive in between.
+	clear(m.results)
+	m.c, m.key, m.req, m.groups = nil, nil, nil, nil
+	mutateCalls.Put(m)
+	return changed, owners, done, err
 }
 
-// settleCall is one SettleMulti's scratch: the grouping, one result slot
+// mutateCall is one MutateMulti's scratch: the grouping, one result slot
 // per owner (each written by its own fan-out call, so no lock), and the
 // fan-out's function, bound once per pooled call rather than per use.
-type settleCall struct {
+type mutateCall struct {
 	c        *Client
 	at       vclock.Time
-	entries  []Settle
+	key      func(i int) string
+	req      func(i int, e *wire.Encoder)
 	grouping dht.Grouping
 	groups   []dht.OwnerGroup
-	results  []settleResult
+	results  []mutateResult
 	send     func(gi int) vclock.Time
 }
 
-// settleResult is one owner's share of a SettleMulti.
-type settleResult struct {
-	applied int
+// mutateResult is one owner's share of a MutateMulti.
+type mutateResult struct {
+	changed int
 	err     error
 }
 
-var settleCalls = sync.Pool{New: func() any {
-	s := new(settleCall)
-	s.send = s.sendOwner
-	return s
+var mutateCalls = sync.Pool{New: func() any {
+	m := new(mutateCall)
+	m.send = m.sendOwner
+	return m
 }}
 
-// sendOwner sends owner gi's entries and fills its result slot.
-func (s *settleCall) sendOwner(gi int) vclock.Time {
-	g, entries := s.groups[gi], s.entries
-	e := wire.GetEncoder()
+// sendOwner sends owner gi's entries and fills its result slot. Each
+// entry's request is built in buf, which then takes the reply.
+func (m *mutateCall) sendOwner(gi int) vclock.Time {
+	g := m.groups[gi]
+	e, buf := wire.GetEncoder(), wire.GetEncoder()
 	e.Uvarint(uint64(len(g.Idx)))
 	for _, i := range g.Idx {
-		e.String(entries[i].Key)
-		e.Byte(entries[i].action())
-		e.Uvarint(entries[i].Seq)
+		e.String(m.key(i))
+		buf.Reset()
+		m.req(i, buf)
+		e.Blob(buf.Bytes())
 	}
-	reply := wire.GetEncoder()
-	done, err := s.c.call(g.Owner, "settle_multi", s.at, e, reply)
+	buf.Reset()
+	done, err := m.c.call(g.Owner, "mutate_multi", m.at, e, buf)
 	var n uint64
 	if err == nil {
-		d := wire.GetDecoder(reply.Bytes())
+		d := wire.GetDecoder(buf.Bytes())
 		n = d.Uvarint()
 		if err = finish(d); err == nil && n > uint64(len(g.Idx)) {
-			err = fmt.Errorf("memcache: settle_multi applied %d of %d entries", n, len(g.Idx))
+			err = fmt.Errorf("memcache: mutate_multi changed %d of %d entries", n, len(g.Idx))
 		}
 	}
-	wire.PutEncoder(reply)
-	s.results[gi] = settleResult{applied: int(n), err: err}
+	wire.PutEncoder(buf)
+	m.results[gi] = mutateResult{changed: int(n), err: err}
 	return done
 }
 

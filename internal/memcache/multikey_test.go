@@ -17,40 +17,38 @@ import (
 // these tests pin what the grouping must preserve (input positions,
 // duplicates) and how each call degrades (empty ring, dead owner).
 
-// TestSettleMultiOneRoundTripPerOwner: one call settles a wave's worth
-// of keys with one RPC per owning server, and every entry is judged by
-// its own action, predicate and seq — never by a neighbour's.
-func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
+// TestMutateMultiOneRoundTripPerOwner: one call runs a wave's worth of
+// keys through their rows with one RPC per owning server, and every entry
+// is judged by its own request — never by a neighbour's.
+func TestMutateMultiOneRoundTripPerOwner(t *testing.T) {
 	c, servers := clusterEnv(t, 4)
 	const n = 200
-	var entries []Settle
+	var keys []string
+	var reqs [][]byte
 	for i := 0; i < n; i++ {
 		key, seq := fmt.Sprintf("/w/d/f%03d", i), uint64(i+1)
-		var flags byte
-		var en Settle
+		var req []byte
 		switch i % 4 {
-		case 0: // committed create: the flag clears, the entry stays
-			flags, en = HdrDirty, Settle{Key: key, Seq: seq, Clear: true}
-		case 1: // eviction of committed metadata
-			flags, en = 0, Settle{Key: key, Cond: CondClean}
-		case 2: // cleanup aimed at an older incarnation: must do nothing
-			flags, en = HdrDirty, Settle{Key: key, Seq: seq - 1, Cond: CondSeq}
-		case 3: // committed remove: the marker goes
-			flags, en = HdrDirty|HdrRemoved, Settle{Key: key, Seq: seq, Cond: CondSeqRemoved}
+		case 0: // a store: the entry stays, one seq on
+			req = mutateReq(rowIncr, nil)
+		case 1: // a delete of the seq the key holds
+			req = delIf(seq)
+		case 2: // a delete aimed at an older seq: must do nothing
+			req = delIf(seq - 1)
+		case 3: // a row that answers and changes nothing
+			req = mutateReq(rowPeek, nil)
 		}
-		if _, _, err := c.Set(0, key, makeVal(flags, seq), 0); err != nil {
+		if _, _, err := c.Set(0, key, makeVal(seq), 0); err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, en)
+		keys, reqs = append(keys, key), append(reqs, req)
 	}
-	// An absent key and a repeated entry are no-ops, not errors: the
-	// second occurrence finds the key already gone. A key that occurs
-	// twice with different actions has them applied in input order —
-	// f000 was cleared above and is clean by the time this delete runs.
-	entries = append(entries,
-		Settle{Key: "/w/d/absent", Seq: 9, Cond: CondSeq},
-		entries[1], entries[1],
-		Settle{Key: "/w/d/f000", Cond: CondClean})
+	// An absent key and a repeated entry change nothing and are not errors:
+	// the second occurrence finds the key already gone. A key that occurs
+	// twice has its entries run in input order — f000 was stored at seq 2
+	// above by the time this delete runs.
+	keys = append(keys, "/w/d/absent", keys[1], keys[1], keys[0])
+	reqs = append(reqs, delIf(9), reqs[1], reqs[1], delIf(2))
 
 	requests := func() (n int64) {
 		for _, s := range servers {
@@ -59,12 +57,12 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 		return n
 	}
 	calls := requests()
-	applied, owners, done, err := c.SettleMulti(100, entries)
+	changed, owners, done, err := mutateMulti(c, 100, keys, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3*n/4 + 1; applied != want {
-		t.Fatalf("%d entries took effect, want %d", applied, want)
+	if want := n/2 + 1; changed != want {
+		t.Fatalf("%d entries stored or deleted, want %d", changed, want)
 	}
 	if got := requests() - calls; owners != 4 || got != 4 {
 		t.Fatalf("contacted %d owners in %d RPCs, want 4 and 4", owners, got)
@@ -76,100 +74,106 @@ func TestSettleMultiOneRoundTripPerOwner(t *testing.T) {
 	for _, s := range servers {
 		items += s.Stats().Items
 	}
-	if want := int64(n/2 - 1); items != want {
+	if want := int64(3*n/4 - 1); items != want {
 		t.Fatalf("%d items resident, want %d", items, want)
 	}
 	for i := 1; i < n; i++ {
-		item, _, err := get(c, 0, entries[i].Key)
+		item, _, err := get(c, 0, keys[i])
+		seq, _ := testSeq(item.Value)
 		switch i % 4 {
 		case 0:
-			if flags, seq, _, ok := ParseValueHeader(item.Value); err != nil || !ok || flags != 0 || seq != uint64(i+1) {
-				t.Fatalf("%s after clear-dirty: flags=%#x seq=%d, %v", entries[i].Key, flags, seq, err)
+			if err != nil || seq != uint64(i+2) {
+				t.Fatalf("%s after its store: seq %d, %v", keys[i], seq, err)
 			}
-		case 2:
-			if flags, seq, _, ok := ParseValueHeader(item.Value); err != nil || !ok || flags != HdrDirty || seq != uint64(i+1) {
-				t.Fatalf("%s touched by a stale-seq delete: flags=%#x seq=%d, %v", entries[i].Key, flags, seq, err)
+		case 1:
+			if !errors.Is(err, fsapi.ErrNotExist) {
+				t.Fatalf("%s survived its delete: %v", keys[i], err)
 			}
 		default:
-			if !errors.Is(err, fsapi.ErrNotExist) {
-				t.Fatalf("%s survived its delete: %v", entries[i].Key, err)
+			if err != nil || seq != uint64(i+1) {
+				t.Fatalf("%s touched: seq %d, %v", keys[i], seq, err)
 			}
 		}
 	}
 	if _, _, err := get(c, 0, "/w/d/f000"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("f000 cleared then deleted-if-clean in one call: get = %v", err)
+		t.Fatalf("f000 stored then deleted in one call: get = %v", err)
 	}
 
-	if applied, owners, _, err := c.SettleMulti(0, nil); applied != 0 || owners != 0 || err != nil {
-		t.Fatalf("empty entry list = %d applied, %d owners, %v", applied, owners, err)
+	if changed, owners, _, err := mutateMulti(c, 0, nil, nil); changed != 0 || owners != 0 || err != nil {
+		t.Fatalf("no entries = %d changed, %d owners, %v", changed, owners, err)
 	}
 }
 
-// TestSettleMultiChargesPerKey: the batch saves round trips, not
+// TestMutateMultiChargesPerKey: the batch saves round trips, not
 // service time — n keys hold the server's worker for n × CacheOpCost.
-func TestSettleMultiChargesPerKey(t *testing.T) {
-	s := testServer(ServerConfig{})
-	var entries []Settle
+func TestMutateMultiChargesPerKey(t *testing.T) {
+	s := testServer(ServerConfig{Row: testRow})
+	e := wire.NewEncoder(64)
+	e.Uvarint(5)
 	for _, key := range []string{"/w/a", "/w/b", "/w/c", "/w/d", "/w/e"} {
-		entries = append(entries, Settle{Key: key, Cond: CondClean})
+		e.String(key)
+		e.Blob(delIf(0))
 	}
 	served := s.ServedOps()
-	_, done := s.SettleMulti(0, entries)
-	if want := vclock.Time(0).Add(5 * vclock.Default().CacheOpCost); done != want {
-		t.Fatalf("5-key batch done at %v, want %v", done, want)
+	done, err := s.mutateMulti(0, e.Bytes(), wire.NewEncoder(0))
+	if want := vclock.Time(0).Add(5 * vclock.Default().CacheOpCost); err != nil || done != want {
+		t.Fatalf("5-key batch done at %v (%v), want %v", done, err, want)
 	}
 	if got := s.ServedOps() - served; got != 5 {
 		t.Fatalf("served ops moved by %d, want 5", got)
 	}
 }
 
-// TestSettleMultiMalformedFrameTouchesNothing: the handler decodes and
-// checks the whole frame before the first key is touched, so a request
-// that goes wrong at its last entry has settled none of the earlier
-// ones.
-func TestSettleMultiMalformedFrameTouchesNothing(t *testing.T) {
-	s := testServer(ServerConfig{})
-	s.Set(0, "/w/a", makeVal(0, 1), 0)
-	s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
+// TestMutateMultiMalformedFrameTouchesNothing: the handler walks the
+// whole frame before the first row runs, so a request that goes wrong at
+// its last entry has changed none of the earlier ones, and a server with
+// no row refuses a well-formed one.
+func TestMutateMultiMalformedFrameTouchesNothing(t *testing.T) {
+	s := testServer(ServerConfig{Row: testRow})
+	s.Set(0, "/w/a", makeVal(1), 0)
+	s.Set(0, "/w/b", makeVal(2), 0)
 	bus := rpc.NewBus()
 	bus.Register("n/cache", s.Service())
+	bus.Register("n/norow", testServer(ServerConfig{}).Service())
 	caller := rpc.NewCaller(bus, vclock.Default(), "n")
 
 	frame := func(count uint64, tail func(e *wire.Encoder)) []byte {
 		e := wire.NewEncoder(64)
 		e.Uvarint(count)
-		for _, en := range []Settle{{Key: "/w/a", Cond: CondClean}, {Key: "/w/b", Seq: 2, Clear: true}} {
-			e.String(en.Key)
-			e.Byte(en.action())
-			e.Uvarint(en.Seq)
-		}
+		e.String("/w/a")
+		e.Blob(delIf(1))
+		e.String("/w/b")
+		e.Blob(mutateReq(rowIncr, nil))
 		tail(e)
 		return e.Bytes()
 	}
 	for name, body := range map[string][]byte{
-		"unknown action": frame(3, func(e *wire.Encoder) { e.String("/w/a"); e.Byte(2 + byte(CondAlways)); e.Uvarint(0) }),
 		"truncated":      frame(3, func(e *wire.Encoder) { e.String("/w/a") }),
+		"no request":     frame(3, func(e *wire.Encoder) { e.String("/w/a"); e.Uvarint(9) }),
 		"trailing bytes": frame(2, func(e *wire.Encoder) { e.Byte(0) }),
 		"count too big":  frame(1<<60, func(*wire.Encoder) {}),
 	} {
-		if _, resp, err := caller.Call("n/cache", "settle_multi", 0, body); err == nil || resp != nil {
+		if _, resp, err := caller.Call("n/cache", "mutate_multi", 0, body); err == nil || resp != nil {
 			t.Fatalf("%s: reply %x, err %v", name, resp, err)
 		}
 		a, _, aerr := s.Get(0, "/w/a")
 		b, _, berr := s.Get(0, "/w/b")
-		if aerr != nil || berr != nil || b.Value[0]&HdrDirty == 0 || a.CAS != 1 || b.CAS != 2 {
+		if aerr != nil || berr != nil || a.CAS != 1 || b.CAS != 2 {
 			t.Fatalf("%s: rejected frame was partly applied: /w/a %+v %v, /w/b %+v %v", name, a, aerr, b, berr)
 		}
 	}
+	if _, _, err := caller.Call("n/norow", "mutate_multi", 0, frame(2, func(*wire.Encoder) {})); !errors.Is(err, errNoRow) {
+		t.Fatalf("a server without a row answered mutate_multi with %v", err)
+	}
 	// The same two entries in a well-formed frame do apply.
-	if _, _, err := caller.Call("n/cache", "settle_multi", 0, frame(2, func(*wire.Encoder) {})); err != nil {
+	if _, _, err := caller.Call("n/cache", "mutate_multi", 0, frame(2, func(*wire.Encoder) {})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Get(0, "/w/a"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("/w/a after a well-formed frame: %v", err)
 	}
-	if b, _, _ := s.Get(0, "/w/b"); b.Value[0]&HdrDirty != 0 {
-		t.Fatal("/w/b still dirty after a well-formed frame")
+	if b, _, _ := s.Get(0, "/w/b"); b.CAS == 2 {
+		t.Fatal("/w/b not stored by a well-formed frame")
 	}
 }
 
@@ -352,8 +356,8 @@ func TestMultiKeyCallsOnEmptyRing(t *testing.T) {
 			t.Fatalf("get_multi with load on an empty ring resolved key %d: %+v", i, r)
 		}
 	}
-	if applied, _, _, err := c.SettleMulti(0, []Settle{{Key: "/w/a", Cond: CondClean}, {Key: "/w/b", Seq: 1, Clear: true}}); err == nil || applied != 0 {
-		t.Fatalf("settle_multi on an empty ring = %d applied, %v", applied, err)
+	if changed, _, _, err := mutateMulti(c, 0, keys, [][]byte{delIf(0), delIf(1)}); err == nil || changed != 0 {
+		t.Fatalf("mutate_multi on an empty ring = %d changed, %v", changed, err)
 	}
 }
 
@@ -366,20 +370,19 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 	const dead = "node1/cache"
 	for i := 0; i < 3; i++ {
 		addr := fmt.Sprintf("node%d/cache", i)
-		bus.Register(addr, NewServer(addr, ServerConfig{Model: model}).Service())
+		bus.Register(addr, NewServer(addr, ServerConfig{Model: model, Row: testRow}).Service())
 		ring.Add(addr)
 	}
 	c := NewClient(rpc.NewCaller(bus, model, "node0"), ring)
 	var keys []string
-	var entries []Settle
+	var reqs [][]byte
 	live := 0
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("/w/f%02d", i)
-		if _, _, err := c.Set(0, key, makeVal(0, 1), 0); err != nil {
+		if _, _, err := c.Set(0, key, makeVal(1), 0); err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, key)
-		entries = append(entries, Settle{Key: key, Cond: CondClean})
+		keys, reqs = append(keys, key), append(reqs, delIf(1))
 		if ring.Lookup(key) != dead {
 			live++
 		}
@@ -395,12 +398,12 @@ func TestMultiKeyCallsSurviveDeadOwner(t *testing.T) {
 			t.Fatalf("%s (dead owner=%v) = %+v", key, onDead, res[i])
 		}
 	}
-	applied, owners, _, err := c.SettleMulti(0, entries)
+	changed, owners, _, err := mutateMulti(c, 0, keys, reqs)
 	if err == nil {
-		t.Fatal("settle_multi over a dead owner reported no error")
+		t.Fatal("mutate_multi over a dead owner reported no error")
 	}
-	if applied != live || owners != 3 {
-		t.Fatalf("settled %d keys via %d owners, want %d via 3", applied, owners, live)
+	if changed != live || owners != 3 {
+		t.Fatalf("deleted %d keys via %d owners, want %d via 3", changed, owners, live)
 	}
 }
 
@@ -423,13 +426,14 @@ func fuzzLoad(at vclock.Time, keys []string, vals *wire.Encoder) (uint64, vclock
 			continue
 		}
 		vals.Byte(fsapi.CodeOK)
-		vals.Blob(makeVal(0, 0))
+		vals.Blob(makeVal(0))
 	}
 	return token, at
 }
 
 // FuzzMultiKeyHandlers feeds raw bytes to the two multi-key handlers —
-// the frames a peer controls, get_multi loading through fuzzLoad. Each
+// the frames a peer controls, get_multi loading through fuzzLoad and
+// mutate_multi running the test row. Each
 // must return an error or a well-formed reply without panicking; a
 // corrupt count must be rejected before anything is sized by it (the
 // allocation check is the fuzzer's own memory limit: a handler that
@@ -456,33 +460,31 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	f.Add(keys(true, 0).Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	del := wire.NewEncoder(64)
-	del.Byte(byte(CondClean))
-	del.Uvarint(0)
-	del.Strings([]string{"/w/a", "/w/b", "/w/a"})
-	f.Add(del.Bytes())
-	del = wire.NewEncoder(64)
-	del.Byte(0xee) // unknown predicate
-	del.Uvarint(1 << 40)
-	del.Uvarint(1 << 50)
-	f.Add(del.Bytes())
-	// settle_multi frames: count, then key / action byte / seq per entry.
-	settle := func(count uint64, entries ...Settle) []byte {
+	bare := wire.NewEncoder(64) // keys without their requests
+	bare.Strings([]string{"/w/a", "/w/b", "/w/a"})
+	f.Add(bare.Bytes())
+	bare = wire.NewEncoder(64)
+	bare.Byte(0xee)
+	bare.Uvarint(1 << 40)
+	bare.Uvarint(1 << 50)
+	f.Add(bare.Bytes())
+	// mutate_multi frames: count, then a key and a row's request per entry.
+	mutate := func(count uint64, kv ...string) []byte {
 		e := wire.NewEncoder(64)
 		e.Uvarint(count)
-		for _, en := range entries {
-			e.String(en.Key)
-			e.Byte(en.action())
-			e.Uvarint(en.Seq)
+		for i := 0; i+1 < len(kv); i += 2 {
+			e.String(kv[i])
+			e.Blob([]byte(kv[i+1]))
 		}
 		return e.Bytes()
 	}
-	wave := []Settle{{Key: "/w/b", Seq: 2, Clear: true}, {Key: "/w/a", Seq: 1, Cond: CondSeq},
-		{Key: "/w/b", Cond: CondClean}, {Key: "/w/gone", Seq: 7, Cond: CondSeqRemoved}, {Key: "/w/a", Cond: CondAlways}}
-	f.Add(settle(uint64(len(wave)), wave...))
-	f.Add(settle(uint64(len(wave))+1, wave...))                      // count beyond the entries present
-	f.Add(settle(1<<60, wave[0]))                                    // count far beyond the frame
-	f.Add(append(settle(3, wave[:2]...), 3, '/', 'w', '/', 0xee, 0)) // third entry: unknown action
+	wave := []string{"/w/b", string(mutateReq(rowIncr, []byte("v"))), "/w/a", string(delIf(1)),
+		"/w/b", string(delIf(2)), "/w/gone", string(delIf(7)), "/w/a", string(mutateReq(rowPut, makeVal(3)))}
+	f.Add(mutate(uint64(len(wave)/2), wave...))
+	f.Add(mutate(uint64(len(wave)/2)+1, wave...))                                       // count beyond the entries present
+	f.Add(mutate(1<<60, wave[:2]...))                                                   // count far beyond the frame
+	f.Add(append(mutate(3, wave[:4]...), 3, '/', 'w', '/', 2, 0xee, 0))                 // third entry: a kind the row refuses
+	f.Add(mutate(2, "/w/b", string(mutateReq(rowIncr, nil)), "/w/b", string(delIf(3)))) // a store, then its delete
 	// A frame of nothing but empty keys: a count as large as the frame and
 	// honest about it. 1 MiB here; the TCP transport takes sixteen.
 	f.Add(append(keys(true, 1<<20).Bytes(), make([]byte, 1<<20)...))
@@ -492,15 +494,15 @@ func FuzzMultiKeyHandlers(f *testing.F) {
 	// the next.
 	reply := wire.NewEncoder(0)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Load: fuzzLoad, Current: fuzzCurrent})
-		s.Set(0, "/w/a", makeVal(0, 1), 0)
-		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
+		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Row: testRow, Load: fuzzLoad, Current: fuzzCurrent})
+		s.Set(0, "/w/a", makeVal(1), 0)
+		s.Set(0, "/w/b", makeVal(2), 0)
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())
 		caller := rpc.NewCaller(bus, vclock.Default(), "fuzz")
-		// settle_multi goes last: get_multi never changes a resident key,
+		// mutate_multi goes last: get_multi never changes a resident key,
 		// so what it finds is what was set above.
-		for _, method := range []string{"get_multi", "settle_multi"} {
+		for _, method := range []string{"get_multi", "mutate_multi"} {
 			var before, after runtime.MemStats
 			reply.Reset()
 			runtime.ReadMemStats(&before)
@@ -569,33 +571,34 @@ func FuzzSingleKeyHandlers(f *testing.F) {
 		return e.Bytes()
 	}
 	f.Add(get(false, "/w/a"))
-	f.Add(get(true, "/w/new"))                    // a load and its add
-	f.Add(get(true, "/w/err"))                    // a failed load
-	f.Add(get(true, "/w/z"))                      // an overtaken load
-	f.Add(store("/w/a", 0, makeVal(HdrDirty, 3))) // over /w/a
-	f.Add(store("/w/a", 9, makeVal(0, 3)))
-	f.Add(store("/w/new", 7, makeVal(0, 1)))
+	f.Add(get(true, "/w/new"))          // a load and its add
+	f.Add(get(true, "/w/err"))          // a failed load
+	f.Add(get(true, "/w/z"))            // an overtaken load
+	f.Add(store("/w/a", 0, makeVal(3))) // over /w/a
+	f.Add(store("/w/a", 9, makeVal(3)))
+	f.Add(store("/w/new", 7, makeVal(1)))
 	f.Add(store("", 0, nil))
-	f.Add(store("/w/a", 0, makeVal(0, 1))[:7]) // cut inside the fixed fields
+	f.Add(store("/w/a", 0, makeVal(1))[:7]) // cut inside the fixed fields
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, '/'}) // a 2^63-byte key
 	f.Add(append(store("/w/b", 0, nil), 0xfe, 0xff, 0xff, 0xff, 0x0f))             // trailing bytes
 	incr := mutateBody("/w/a", mutateReq(rowIncr, []byte("v")))
 	f.Add(incr)
-	f.Add(mutateBody("/w/new", mutateReq(rowPut, makeVal(0, 1))))
+	f.Add(mutateBody("/w/new", mutateReq(rowPut, makeVal(1))))
+	f.Add(mutateBody("/w/a", delIf(1)))
 	f.Add(mutateBody("/w/b", mutateReq(rowPeek, nil)))
 	f.Add(incr[:len(incr)-2])                                        // a truncated event
 	f.Add(mutateBody("/w/a", mutateReq(9, nil)))                     // an unknown kind
 	f.Add(mutateBody("/w/a", []byte{rowIncr, 0xe8, 0x07, 'x'}))      // data longer than the frame
-	f.Add(mutateBody("/w/c", mutateReq(rowIncr, nil)))               // a stored value with no header
+	f.Add(mutateBody("/w/c", mutateReq(rowIncr, nil)))               // a stored value with no seq
 	f.Add(append(mutateBody("/w/a", mutateReq(rowIncr, nil)), 0x01)) // trailing bytes
 
 	reply := wire.NewEncoder(0) // every input's, as in FuzzMultiKeyHandlers
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := testServer(ServerConfig{CapacityBytes: 1 << 20, Row: testRow, Load: fuzzLoad, Current: fuzzCurrent})
-		s.Set(0, "/w/a", makeVal(0, 1), 0)
-		s.Set(0, "/w/b", makeVal(HdrDirty, 2), 0)
-		s.Set(0, "/w/c", []byte("x"), 0)
+		s.Set(0, "/w/a", makeVal(1), 0)
+		s.Set(0, "/w/b", makeVal(2), 0)
+		s.Set(0, "/w/c", []byte{0x80}, 0) // a uvarint that never ends
 		keys := []string{"/w/a", "/w/b", "/w/c"}
 		bus := rpc.NewBus()
 		bus.Register("fuzz/cache", s.Service())

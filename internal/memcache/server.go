@@ -3,13 +3,14 @@
 // launched on the application's nodes, keys distributed by DHT). The
 // server supports the memcached operations Pacon relies on — get (which
 // can read a miss through from the backing store, §III.D.1), set, stats,
-// flush, deletes that always name what they expect to find, and a mutate
-// that resolves concurrent updates (§III.D.3) under the key's lock — with
-// byte-accurate memory accounting for §III.F's experiments.
+// flush, and a mutate that resolves concurrent updates (§III.D.3) under the
+// key's lock, one key's or many's — with byte-accurate memory accounting for
+// §III.F's experiments. What a value holds is its owner's business: the
+// server keeps bytes, and what a mutate makes of them is the row its owner
+// installs (ServerConfig.Row).
 package memcache
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,8 @@ type ServerConfig struct {
 	// Model supplies the per-op service cost; Workers the pool width.
 	Model   vclock.LatencyModel
 	Workers int
-	// Row is what a mutate runs (nil: every mutate fails).
+	// Row is what a mutate or each entry of a mutate_multi runs (nil: every
+	// mutate fails).
 	Row Row
 	// Load is what a get or get_multi that asks to load does with the
 	// keys the server does not hold (nil: a miss stays a miss).
@@ -53,9 +55,23 @@ type ServerConfig struct {
 }
 
 // Row computes a mutate of one key under its lock: from the stored item (nil:
-// absent; neither kept nor changed) and the request it appends its answer to
-// reply and, returning true, the value to store to val. An error is the answer.
-type Row func(cur *Item, req []byte, val, reply *wire.Encoder) (store bool, err error)
+// absent; not to be kept or changed) and the request it appends its answer to
+// reply and returns what becomes of the key, having written the value to
+// store to val when that is Store. An error is the answer, and changes nothing.
+type Row func(cur *Item, req []byte, val, reply *wire.Encoder) (Action, error)
+
+// Action is what a Row does with its key.
+type Action uint8
+
+const (
+	// Keep leaves the key as it is.
+	Keep Action = iota
+	// Store stores the value the row wrote (flags 0; ErrOutOfSpace at
+	// capacity).
+	Store
+	// Delete removes the key, if it is there.
+	Delete
+)
 
 // Load reads keys, which one request missed, from the store behind the
 // cache in one read and appends to vals, for each key in order, what the
@@ -75,7 +91,7 @@ type Server struct {
 	misses atomic.Int64
 	used   atomic.Int64
 	// served counts every CacheOpCost charged on the service resource
-	// (one per request, except settle_multi's one per key) — the
+	// (one per request, except mutate_multi's one per key) — the
 	// per-server load figure the region's cache-ring skew gauges compare.
 	served atomic.Int64
 }
@@ -115,11 +131,11 @@ func fnv1a[K string | []byte](key K) uint32 {
 	return h
 }
 
-func (s *Server) shardFor(key string) *shard {
+func shardFor[K string | []byte](s *Server, key K) *shard {
 	return &s.shards[fnv1a(key)%numShards]
 }
 
-func itemBytes(key string, v []byte) int64 { return int64(len(key) + len(v) + 64) }
+func itemBytes[K string | []byte](key K, v []byte) int64 { return int64(len(key) + len(v) + 64) }
 
 // acquire charges one cache op on the service resource.
 func (s *Server) acquire(at vclock.Time) vclock.Time { return s.acquireN(at, 1) }
@@ -146,7 +162,7 @@ func (s *Server) Get(at vclock.Time, key string) (Item, vclock.Time, error) {
 // copyOut returns a copy of key's item and whether there is one, counting
 // the hit or the miss.
 func (s *Server) copyOut(key string) (Item, bool) {
-	sh := s.shardFor(key)
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[key]
@@ -164,13 +180,13 @@ func (s *Server) copyOut(key string) (Item, bool) {
 // only for the shard hash and the map probe, never retained — and on a
 // hit appends its answer to e: Hit with CAS, flags and value, encoded
 // under the shard lock. Encoding under the lock is safe because stored
-// value buffers are never mutated in place: store and clearDirty always
-// install fresh copies. This is the single-copy serving path behind the
+// value buffers are never mutated in place: every store installs a fresh
+// copy. This is the single-copy serving path behind the
 // get and get_multi handlers (value goes straight from the shard into the
 // reply encoder, the caller's own on the Bus); hit/miss accounting matches
 // Get.
 func (s *Server) lookupInto(e *wire.Encoder, key []byte) bool {
-	sh := &s.shards[fnv1a(key)%numShards]
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	si, ok := sh.items[string(key)]
@@ -278,7 +294,7 @@ func (s *Server) load(at vclock.Time, m *missed, reply *wire.Encoder) vclock.Tim
 // answer: Loaded, Hit with the entry that got there first, or Unstored —
 // ErrOutOfSpace when there is no room, OK when token is no longer current.
 func (s *Server) add(key string, value []byte, token uint64, reply *wire.Encoder) {
-	sh := s.shardFor(key)
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if si := sh.items[key]; si != nil {
@@ -288,7 +304,7 @@ func (s *Server) add(key string, value []byte, token uint64, reply *wire.Encoder
 	var err error
 	if s.cfg.Current == nil || s.cfg.Current(token) {
 		var cas uint64
-		if cas, err = s.put(sh, key, nil, value, 0); err == nil {
+		if cas, err = put(s, sh, key, nil, value, 0); err == nil {
 			appendItem(reply, Loaded, &Item{Value: value, CAS: cas})
 			return
 		}
@@ -344,7 +360,7 @@ const (
 )
 
 func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, expect uint64) (uint64, error) {
-	sh := s.shardFor(key)
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -362,18 +378,23 @@ func (s *Server) store(key string, value []byte, flags uint32, mode storeMode, e
 			return 0, fsapi.ErrStale
 		}
 	}
-	return s.put(sh, key, si, value, flags)
+	return put(s, sh, key, si, value, flags)
 }
 
 // put stores a copy of value as key's item si (nil: absent; sh's lock held).
-func (s *Server) put(sh *shard, key string, si *Item, value []byte, flags uint32) (uint64, error) {
+// A key held as bytes is copied into a string only when it is new.
+func put[K string | []byte](s *Server, sh *shard, key K, si *Item, value []byte, flags uint32) (uint64, error) {
 	delta := itemBytes(key, value)
 	if si != nil {
 		delta -= itemBytes(key, si.Value)
 	}
 	// The budget is the server's, not the shard's: the owner (Pacon's
-	// region-level round-robin eviction) reacts to aggregate usage.
-	if s.cfg.CapacityBytes > 0 && s.used.Load()+delta > s.cfg.CapacityBytes {
+	// region-level round-robin eviction) reacts to aggregate usage. A store
+	// that takes no more room is never refused: stores racing in other
+	// shards can leave the count over the budget, and a row that rewrites
+	// an entry at its size (the owner marking it committed) must not fail
+	// for room it does not take.
+	if s.cfg.CapacityBytes > 0 && delta > 0 && s.used.Load()+delta > s.cfg.CapacityBytes {
 		return 0, fsapi.ErrOutOfSpace
 	}
 
@@ -382,18 +403,20 @@ func (s *Server) put(sh *shard, key string, si *Item, value []byte, flags uint32
 	if si != nil {
 		*si = Item{Value: v, Flags: flags, CAS: cas}
 	} else {
-		sh.items[key] = &Item{Value: v, Flags: flags, CAS: cas}
+		sh.items[string(key)] = &Item{Value: v, Flags: flags, CAS: cas}
 	}
 	s.used.Add(delta)
 	return cas, nil
 }
 
+var errNoRow = errors.New("memcache: mutate: no row installed")
+
 // mutate serves "mutate" (a key and the row's request): the row's
-// read-modify-write of the key, and its store (flags 0, ErrOutOfSpace at
-// capacity), in one service slot and one round trip, with no loser to retry.
+// read-modify-write of the key, and what it asks for, in one service slot
+// and one round trip, with no loser to retry.
 func (s *Server) mutate(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 	d := wire.GetDecoder(body)
-	key, req := d.String(), d.BlobView()
+	key, req := d.BlobView(), d.BlobView()
 	err := d.Finish()
 	wire.PutDecoder(d)
 	if err != nil {
@@ -401,228 +424,118 @@ func (s *Server) mutate(at vclock.Time, body []byte, reply *wire.Encoder) (vcloc
 	}
 	done := s.acquire(at)
 	if s.cfg.Row == nil {
-		return done, errors.New("memcache: mutate: no row installed")
+		return done, errNoRow
 	}
 	val := wire.GetEncoder()
-	defer wire.PutEncoder(val)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	si := sh.items[key]
-	store, err := s.cfg.Row(si, req, val, reply)
-	if err == nil && store {
-		_, err = s.put(sh, key, si, val.Bytes(), 0)
-	}
+	_, err = s.runRow(key, req, val, reply)
+	wire.PutEncoder(val)
 	return done, err
 }
 
-// Pacon's core stores cache values with a fixed leading layout — one
-// flags byte followed by a uvarint sequence number. The settle actions
-// below evaluate their predicate against exactly this header, under the
-// owning shard's lock, so the commit module's bookkeeping needs no Get +
-// CAS retry loop and a whole commit wave's worth rides one request. This
-// block is the header's one definition: core builds and reads its values
-// through AppendValueHeader and ParseValueHeader, and values too short to
-// carry the header never match a predicate that reads it.
-const (
-	// HdrDirty: the newest update is not yet committed to the DFS.
-	HdrDirty byte = 1 << iota
-	// HdrRemoved: a deleted object awaiting its commit.
-	HdrRemoved
-	// HdrLarge: the file's data lives on the DFS. No predicate here reads
-	// it; it sits with the others so the flags byte has one owner.
-	HdrLarge
-)
-
-// AppendValueHeader appends the value header to e.
-func AppendValueHeader(e *wire.Encoder, flags byte, seq uint64) {
-	e.Byte(flags)
-	e.Uvarint(seq)
-}
-
-// ParseValueHeader reads the value header; n is its length in v.
-func ParseValueHeader(v []byte) (flags byte, seq uint64, n int, ok bool) {
-	if len(v) < 2 {
-		return 0, 0, 0, false
+// mutateMulti serves "mutate_multi": a count, then a key and a row's request
+// per entry, all read as views of the frame. The whole frame is walked before
+// the first row runs, so a malformed request changes nothing, and a count
+// larger than the bytes left is refused before anything is sized by it. Each
+// entry then runs the row under its own key's lock, in frame order, its
+// answer discarded; the reply is how many entries stored or deleted. The
+// server is charged one CacheOpCost per entry in one service slot: what the
+// batch saves is the round trips, not the work.
+func (s *Server) mutateMulti(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
+	d := wire.GetDecoder(body)
+	defer wire.PutDecoder(d)
+	n := d.Count()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.BlobView()
+		d.BlobView()
 	}
-	seq, n = binary.Uvarint(v[1:])
-	if n <= 0 {
-		return 0, 0, 0, false
+	err := d.Finish()
+	if err == nil && s.cfg.Row == nil {
+		err = errNoRow
 	}
-	return v[0], seq, 1 + n, true
-}
-
-// Cond selects the predicate of a conditional delete.
-type Cond uint8
-
-// Conditional-delete predicates, mirroring the cleanup sites: seq match
-// (discard rule, abandoned creates), seq match on a removed marker
-// (committed removes), clean (eviction),
-// and none (rmdir and rename dropping entries whose objects the DFS no
-// longer has).
-const (
-	// CondSeq: the value's seq equals the given seq.
-	CondSeq Cond = iota
-	// CondSeqRemoved: seq matches and the removed flag is set.
-	CondSeqRemoved
-	// CondClean: neither dirty nor removed — committed metadata.
-	CondClean
-	// CondAlways: whatever the value holds.
-	CondAlways
-)
-
-func condHolds(cond Cond, seq uint64, flags byte, vseq uint64) bool {
-	switch cond {
-	case CondSeq:
-		return vseq == seq
-	case CondSeqRemoved:
-		return vseq == seq && flags&HdrRemoved != 0
-	case CondClean:
-		return flags&(HdrDirty|HdrRemoved) == 0
-	case CondAlways:
-		return true
-	default:
-		return false
+	if err != nil {
+		return at, err
 	}
-}
-
-// Settle is one key of a settle_multi request: the bookkeeping a cache
-// entry is owed once the DFS holds — or will never hold — the state it
-// describes. With Clear set the dirty flag of incarnation Seq is
-// cleared; otherwise the key is deleted if Cond holds for Seq and the
-// value's header. Every entry carries its own Seq, so one request can
-// settle a whole commit wave.
-type Settle struct {
-	Key   string
-	Seq   uint64
-	Cond  Cond
-	Clear bool
-}
-
-// A settle entry's action travels as one byte: 0 clears the dirty flag,
-// 1+cond deletes under that predicate.
-const actClear = 0
-
-var errUnknownAction = errors.New("memcache: settle_multi: unknown action")
-
-func (en Settle) action() byte {
-	if en.Clear {
-		return actClear
-	}
-	return 1 + byte(en.Cond)
-}
-
-// setAction is action's inverse; it refuses a byte no client sends.
-func (en *Settle) setAction(act byte) bool {
-	en.Clear = act == actClear
-	if !en.Clear {
-		en.Cond = Cond(act - 1)
-	}
-	return act <= 1+byte(CondAlways)
-}
-
-// SettleMulti applies every entry in one request and returns how many
-// took effect (flags cleared plus keys deleted). Each entry's predicate
-// runs under its key's shard lock, so no concurrent writer can slip
-// between the check and the update: an absent key, a seq that moved on,
-// an already-clean value or a failing Cond are no-ops, not errors. The
-// server is charged len(entries) × CacheOpCost in one service slot: what
-// the batch saves is the round trips, not the work.
-func (s *Server) SettleMulti(at vclock.Time, entries []Settle) (int, vclock.Time) {
-	done := s.acquireN(at, len(entries))
-	applied := 0
-	for _, en := range entries {
-		var ok bool
-		if en.Clear {
-			ok = s.clearDirty(en.Key, en.Seq)
-		} else {
-			ok = s.deleteIf(en.Key, en.Cond, en.Seq)
-		}
-		if ok {
-			applied++
+	done := s.acquireN(at, n)
+	d.Reset(body)
+	d.Count()
+	val, answer := wire.GetEncoder(), wire.GetEncoder()
+	changed := 0
+	for i := 0; i < n; i++ {
+		key, req := d.BlobView(), d.BlobView()
+		answer.Reset()
+		if ok, _ := s.runRow(key, req, val, answer); ok {
+			changed++
 		}
 	}
-	return applied, done
+	wire.PutEncoder(val)
+	wire.PutEncoder(answer)
+	reply.Uvarint(uint64(changed))
+	return done, nil
 }
 
-// clearDirty clears the dirty flag of key's value if its seq equals seq,
-// bumping the CAS version (it is a store), under the shard lock.
-func (s *Server) clearDirty(key string, seq uint64) bool {
-	sh := s.shardFor(key)
+// runRow runs the row on key's item under its shard lock and does what the
+// row returns; it reports whether the key was stored or deleted. key aliases
+// a request frame and is copied only into a key stored afresh.
+func (s *Server) runRow(key, req []byte, val, reply *wire.Encoder) (bool, error) {
+	val.Reset()
+	sh := shardFor(s, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	si, ok := sh.items[key]
-	if !ok {
-		return false
+	si := sh.items[string(key)]
+	act, err := s.cfg.Row(si, req, val, reply)
+	switch {
+	case err != nil:
+		return false, err
+	case act == Store:
+		_, err = put(s, sh, key, si, val.Bytes(), 0)
+		return err == nil, err
+	case act == Delete && si != nil:
+		s.used.Add(-itemBytes(key, si.Value))
+		delete(sh.items, string(key))
+		return true, nil
 	}
-	flags, vseq, _, hok := ParseValueHeader(si.Value)
-	if !hok || vseq != seq || flags&HdrDirty == 0 {
-		return false
-	}
-	v := append([]byte(nil), si.Value...)
-	v[0] = flags &^ HdrDirty
-	si.Value = v
-	si.CAS = s.casSeq.Add(1)
-	return true
+	return false, nil
 }
 
-// deleteIf removes key if cond holds for its value header, under the
-// shard lock.
-func (s *Server) deleteIf(key string, cond Cond, seq uint64) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	si, ok := sh.items[key]
-	if !ok {
-		return false
-	}
-	// A value too short to carry the header matches only CondAlways.
-	flags, vseq, _, hok := ParseValueHeader(si.Value)
-	if cond != CondAlways && !(hok && condHolds(cond, seq, flags, vseq)) {
-		return false
-	}
-	freed := itemBytes(key, si.Value)
-	s.used.Add(-freed)
-	delete(sh.items, key)
-	return true
-}
-
-// ForEach calls fn for every resident item with a copied value. Each
-// shard is snapshotted under its lock and fn runs after the lock is
-// released, so fn may call back into the server. Intended for white-box
-// verification (tests, the chaos harness oracle), not the serving path;
-// it charges no virtual time.
-func (s *Server) ForEach(fn func(key string, item Item)) {
-	type kv struct {
-		key  string
-		item Item
-	}
+// Scan calls fn with every resident key and its value, one shard at a time
+// under that shard's lock, until fn returns false. value is the stored buffer
+// itself, copied nowhere: fn must neither keep nor change it, nor call back
+// into the server. For verification and gauges; it charges no virtual time.
+func (s *Server) Scan(fn func(key string, value []byte) bool) {
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		snap := make([]kv, 0, len(sh.items))
-		for k, si := range sh.items {
-			it := *si
-			it.Value = append([]byte(nil), si.Value...)
-			snap = append(snap, kv{key: k, item: it})
-		}
-		sh.mu.Unlock()
-		for _, e := range snap {
-			fn(e.key, e.item)
+		if !s.shards[i].scan(fn) {
+			return
 		}
 	}
 }
 
-// FlushAll drops every item.
+func (sh *shard) scan(fn func(key string, value []byte) bool) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for k, si := range sh.items {
+		if !fn(k, si.Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// FlushAll drops every item. Each shard's bytes leave the count under that
+// shard's lock, so a store racing the flush is counted once: gone with its
+// shard, or still resident and still counted.
 func (s *Server) FlushAll(at vclock.Time) vclock.Time {
 	done := s.acquire(at)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
+		var freed int64
+		for k, si := range sh.items {
+			freed += itemBytes(k, si.Value)
+		}
 		sh.items = make(map[string]*Item)
+		s.used.Add(-freed)
 		sh.mu.Unlock()
 	}
-	s.used.Store(0)
 	return done
 }
 
@@ -637,7 +550,8 @@ type Stats struct {
 	// reply are kept for their readers.
 	Evictions int64
 	// ServedOps is every op charged on the service resource (gets, sets,
-	// deletes, scans...), the load figure behind the cache-skew gauges.
+	// mutates, a mutate_multi's every entry...), the load figure behind the
+	// cache-skew gauges.
 	ServedOps int64
 }
 
@@ -657,67 +571,6 @@ func (s *Server) Stats() Stats {
 		Misses:    s.misses.Load(),
 		ServedOps: s.served.Load(),
 	}
-}
-
-// HeaderCounts scans resident values' shared header (ParseValueHeader)
-// and reports how many carry the dirty and removed flags — the
-// dirty-key gauges of the observability layer. Values that predate or
-// bypass the header contract count as neither. Diagnostic only; charges
-// no virtual time.
-func (s *Server) HeaderCounts() (dirty, removed int64) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, si := range sh.items {
-			if flags, _, _, ok := ParseValueHeader(si.Value); ok {
-				if flags&HdrDirty != 0 {
-					dirty++
-				}
-				if flags&HdrRemoved != 0 {
-					removed++
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return dirty, removed
-}
-
-// KeyValue is one key with a copied value, as returned by CommittedItems.
-type KeyValue struct {
-	Key   string
-	Value []byte
-}
-
-// CommittedItems returns up to limit resident entries whose value header
-// carries neither the dirty nor the removed flag — entries the region
-// believes are durably backed on the DFS. The divergence auditor samples
-// these server-side (HeaderCounts-style per-shard iteration under the
-// shard lock, header parse only; values are copied just for the selected
-// keys) so the audit set never includes in-flight writes by
-// construction. limit < 0 means no limit. Diagnostic only; charges no
-// virtual time.
-func (s *Server) CommittedItems(limit int) []KeyValue {
-	var out []KeyValue
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, si := range sh.items {
-			if limit >= 0 && len(out) >= limit {
-				break
-			}
-			flags, _, _, ok := ParseValueHeader(si.Value)
-			if !ok || flags&(HdrDirty|HdrRemoved) != 0 {
-				continue
-			}
-			out = append(out, KeyValue{Key: k, Value: append([]byte(nil), si.Value...)})
-		}
-		sh.mu.Unlock()
-		if limit >= 0 && len(out) >= limit {
-			return out
-		}
-	}
-	return out
 }
 
 // presize caps what a multi-key handler allocates up front on a peer's
@@ -808,33 +661,7 @@ func (s *Server) Service() *rpc.Service {
 		return done, nil
 	})
 	svc.HandleInto("mutate", s.mutate)
-	svc.HandleInto("settle_multi", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
-		// The whole frame is decoded and every action checked before the
-		// first key is touched: a malformed request settles nothing.
-		// Count rejects a count larger than the bytes left, so a corrupt
-		// one cannot size the entry slice.
-		d := wire.GetDecoder(body)
-		n := d.Count()
-		entries := make([]Settle, 0, min(n, presize))
-		known := true
-		for i := 0; i < n && d.Err() == nil; i++ {
-			en := Settle{Key: d.String()}
-			known = en.setAction(d.Byte()) && known
-			en.Seq = d.Uvarint()
-			entries = append(entries, en)
-		}
-		err := d.Finish()
-		wire.PutDecoder(d)
-		if err == nil && !known {
-			err = errUnknownAction
-		}
-		if err != nil {
-			return at, err
-		}
-		applied, done := s.SettleMulti(at, entries)
-		reply.Uvarint(uint64(applied))
-		return done, nil
-	})
+	svc.HandleInto("mutate_multi", s.mutateMulti)
 	svc.HandleInto("flush_all", func(at vclock.Time, body []byte, reply *wire.Encoder) (vclock.Time, error) {
 		return s.FlushAll(at), nil
 	})

@@ -92,47 +92,43 @@ func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
 	})
 
 	t.Run("memcache", func(t *testing.T) {
+		// The row stores what the request carries.
+		put := func(_ *memcache.Item, req []byte, val, _ *wire.Encoder) (memcache.Action, error) {
+			val.Raw(req)
+			return memcache.Store, nil
+		}
 		build := func(wrap func(rpc.Transport) rpc.Transport) *memcache.Client {
 			bus, ring := rpc.NewBus(), dht.New(0)
 			for i := 0; i < 4; i++ {
 				addr := fmt.Sprintf("node%d/cache", i)
-				bus.Register(addr, memcache.NewServer(addr, memcache.ServerConfig{Model: model}).Service())
+				bus.Register(addr, memcache.NewServer(addr, memcache.ServerConfig{Model: model, Row: put}).Service())
 				ring.Add(addr)
 			}
 			return memcache.NewClient(rpc.NewCaller(wrap(bus), model, "node0"), ring)
 		}
 		serial := build(func(t rpc.Transport) rpc.Transport { return t })
 		concurrent := build(hidden)
-		// A cached value opens with its header: the flag byte (bit 0 is
-		// "dirty") and the sequence number a settle must match.
-		dirtyVal := func(seq uint64) []byte {
-			e := wire.NewEncoder(16)
-			e.Byte(1)
-			e.Uvarint(seq)
-			e.String("payload")
-			return e.Bytes()
-		}
 		var keys []string
-		var entries []memcache.Settle
 		for i := 0; i < 64; i++ {
 			keys = append(keys, fmt.Sprintf("/w/k%02d", i))
-			entries = append(entries, memcache.Settle{Key: keys[i], Seq: uint64(i), Clear: true})
 		}
 		for _, c := range []*memcache.Client{serial, concurrent} {
-			for i, key := range keys {
-				if _, _, err := c.Set(0, key, dirtyVal(uint64(i)), 0); err != nil {
+			for _, key := range keys {
+				if _, _, err := c.Set(0, key, []byte("old"), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		key := func(i int) string { return keys[i] }
+		req := func(i int, e *wire.Encoder) { e.Raw([]byte(keys[i])) }
 		const at = vclock.Time(1 << 30) // past every Set: the servers are idle
-		sa, so, sdone, serr := serial.SettleMulti(at, entries)
-		ca, co, cdone, cerr := concurrent.SettleMulti(at, entries)
+		sa, so, sdone, serr := serial.MutateMulti(at, len(keys), key, req)
+		ca, co, cdone, cerr := concurrent.MutateMulti(at, len(keys), key, req)
 		if serr != nil || cerr != nil || sa != len(keys) || ca != sa || so != 4 || co != so {
-			t.Fatalf("settle: serial %d applied/%d owners/%v, concurrent %d/%d/%v", sa, so, serr, ca, co, cerr)
+			t.Fatalf("mutate: serial %d changed/%d owners/%v, concurrent %d/%d/%v", sa, so, serr, ca, co, cerr)
 		}
 		if sdone != cdone {
-			t.Fatalf("settle completes at %v issued serially, %v concurrently", sdone, cdone)
+			t.Fatalf("mutate_multi completes at %v issued serially, %v concurrently", sdone, cdone)
 		}
 		getMulti := func(c *memcache.Client, at vclock.Time) ([]memcache.Result, vclock.Time) {
 			out := make([]memcache.Result, len(keys))
@@ -150,8 +146,8 @@ func TestFanOutSerialAndConcurrentAgree(t *testing.T) {
 			t.Fatalf("get_multi completes at %v issued serially, %v concurrently", sdone, cdone)
 		}
 		for i := range keys {
-			if sres[i].Status != memcache.Hit || cres[i].Status != memcache.Hit || sres[i].Item.Value[0] != 0 || cres[i].Item.Value[0] != 0 {
-				t.Fatalf("%s after settle: serial %+v, concurrent %+v", keys[i], sres[i], cres[i])
+			if sres[i].Status != memcache.Hit || cres[i].Status != memcache.Hit || string(sres[i].Item.Value) != keys[i] || string(cres[i].Item.Value) != keys[i] {
+				t.Fatalf("%s after mutate_multi: serial %+v, concurrent %+v", keys[i], sres[i], cres[i])
 			}
 		}
 	})
