@@ -38,6 +38,11 @@ type node struct {
 type inflight struct {
 	mu    sync.Mutex
 	paths map[string]pending
+	// walls holds, per path, when each of its ops entered, for the
+	// staleness watermarks; it stays empty with observability off. It is
+	// kept beside paths so that paths, which never shrinks, holds small
+	// records.
+	walls map[string][]int64
 	// refs counts the references: the node's at-risk ops. Giving one back
 	// that leaves refs below bound (the region's AtRiskBound; 0: none)
 	// opens the bound, and opened counts those openings; freed is the
@@ -66,12 +71,12 @@ type inflight struct {
 }
 
 type pending struct {
-	refs, parked int
+	refs, parked int32
 	// next is the ticket the next take hands out, turn the ticket whose op
 	// stores and pushes next: a path's ops store and leave the node in the
 	// order of their takes, each holding its turn from take to push.
-	next, turn uint64
-	walls      []int64 // when each op entered; empty with observability off
+	// Tickets are only compared for equality, so wrapping is harmless.
+	next, turn uint32
 }
 
 // take counts one more op on p, from before its store is visible — whoever
@@ -85,10 +90,13 @@ func (t *inflight) take(p string, wall int64) {
 	rec := t.paths[p]
 	ticket := rec.next
 	rec.refs, rec.next = rec.refs+1, rec.next+1
-	if wall != 0 {
-		rec.walls = append(rec.walls, wall)
-	}
 	t.paths[p] = rec
+	if wall != 0 {
+		if t.walls == nil {
+			t.walls = make(map[string][]int64)
+		}
+		t.walls[p] = append(t.walls[p], wall)
+	}
 	t.refs++
 	for t.paths[p].turn != ticket {
 		t.cond.Wait()
@@ -237,26 +245,28 @@ func (t *inflight) unref(p string, wall int64, at vclock.Time, parked bool) {
 	rec.refs--
 	if rec.refs == 0 {
 		delete(t.paths, p)
+		delete(t.walls, p)
 		if t.waiting > 0 {
 			t.cond.Broadcast()
 		}
 		return
 	}
-	for i, w := range rec.walls {
+	t.paths[p] = rec
+	ws := t.walls[p]
+	for i, w := range ws {
 		if w == wall {
-			rec.walls[i] = rec.walls[len(rec.walls)-1]
-			rec.walls = rec.walls[:len(rec.walls)-1]
+			ws[i] = ws[len(ws)-1]
+			t.walls[p] = ws[:len(ws)-1]
 			break
 		}
 	}
-	t.paths[p] = rec
 }
 
 // refsOn counts the ops pending on p itself.
 func (t *inflight) refsOn(p string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.paths[p].refs
+	return int(t.paths[p].refs)
 }
 
 // hasUnder reports whether any pending path, or any path still owed a
@@ -297,19 +307,19 @@ func (t *inflight) settled() {
 func (t *inflight) oldest(p string) (min int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fold := func(rec pending) {
-		for _, w := range rec.walls {
+	fold := func(walls []int64) {
+		for _, w := range walls {
 			if min == 0 || w < min {
 				min = w
 			}
 		}
 	}
 	if p != "" {
-		fold(t.paths[p])
+		fold(t.walls[p])
 		return min
 	}
-	for _, rec := range t.paths {
-		fold(rec)
+	for _, walls := range t.walls {
+		fold(walls)
 	}
 	return min
 }

@@ -928,7 +928,13 @@ func TestRenameWaitsForAnOwedSettle(t *testing.T) {
 	defer e.bus.SetObserver(nil)
 	armed.Store(true)
 	release()
-	<-held
+	// Every wait below fails the test after 10 s rather than hang it.
+	deadline := time.After(10 * time.Second)
+	select {
+	case <-held:
+	case <-deadline:
+		t.Fatalf("node1's settle mutate_multi for %s never came", dst)
+	}
 	unholdOnce := sync.OnceFunc(func() { close(unhold) })
 	t.Cleanup(unholdOnce)
 
@@ -942,12 +948,19 @@ func TestRenameWaitsForAnOwedSettle(t *testing.T) {
 		select {
 		case err := <-done:
 			t.Fatalf("rename returned while node1 still owed %s its settle: %v", dst, err)
+		case <-deadline:
+			t.Fatalf("the rename's marker never reached node1's queue")
 		case <-time.After(100 * time.Microsecond):
 		}
 	}
 	unholdOnce()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-deadline:
+		t.Fatalf("the rename did not return once node1's settle mutate_multi for %s went on", dst)
 	}
 	if _, _, err := c0.Stat(at, dst); err != nil {
 		t.Fatalf("stat of the renamed file: %v", err)

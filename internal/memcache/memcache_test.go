@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -670,5 +671,104 @@ func loadValues(keys []string, vals *wire.Encoder) {
 		}
 		vals.Byte(fsapi.CodeOK)
 		vals.Blob([]byte("loaded " + key))
+	}
+}
+
+// TestInPlaceOverwriteReadsWhole: a store of a value that fits the stored
+// buffer overwrites it in place, so a get or get_multi racing same-size
+// mutates must still read one whole value, never bytes of two. Every value
+// is one byte repeated; a torn read shows two. Run under -race via make
+// check.
+func TestInPlaceOverwriteReadsWhole(t *testing.T) {
+	bus := rpc.NewBus()
+	model := vclock.Default()
+	ring := dht.New(0)
+	const addr = "node0/cache"
+	bus.Register(addr, NewServer(addr, ServerConfig{Model: model, Row: testRow}).Service())
+	ring.Add(addr)
+	writer := NewClient(rpc.NewCaller(bus, model, "node0"), ring)
+	reader := NewClient(rpc.NewCaller(bus, model, "node1"), ring)
+
+	const key, size, rounds = "/w/overwritten", 64, 2000
+	value := func(n int) []byte { return bytes.Repeat([]byte{byte('a' + n%26)}, size) }
+	reply := wire.NewEncoder(0)
+	if _, err := writer.Mutate(0, key, mutateReq(rowPut, value(0)), reply); err != nil {
+		t.Fatal(err)
+	}
+	whole := func(v []byte) bool { return len(v) == size && bytes.Count(v, v[:1]) == size }
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for n := 1; n <= rounds; n++ {
+			if _, err := writer.Mutate(0, key, mutateReq(rowPut, value(n)), reply); err != nil {
+				t.Errorf("mutate %d: %v", n, err)
+				break
+			}
+			runtime.Gosched() // single-CPU runs: alternate with the readers
+		}
+		close(stop)
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, _ := getMulti(reader, 0, []string{key, key})
+			for _, r := range res {
+				if !r.Hit || !whole(r.Item.Value) {
+					t.Errorf("get_multi read %q (hit %v, err %v), want one whole value", r.Item.Value, r.Hit, r.Err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case <-stop:
+			wg.Wait()
+			return
+		default:
+		}
+		item, _, err := get(reader, 0, key)
+		if err != nil || !whole(item.Value) {
+			t.Fatalf("get %d read %q (err %v), want one whole value", reads, item.Value, err)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSameSizeOverwriteAllocatesNothing: a store of a value the size of
+// the one it replaces writes it into the stored buffer — put, which a
+// row's Store shares — so rewriting an entry at its size allocates
+// nothing.
+func TestSameSizeOverwriteAllocatesNothing(t *testing.T) {
+	s := testServer(ServerConfig{})
+	const key = "/w/d/f"
+	vals := [][]byte{makeVal(1), makeVal(2)}
+	if _, err := s.store(key, vals[0], 0, storeSet, 0); err != nil {
+		t.Fatal(err)
+	}
+	// One measured run of 100 stores after an unmeasured one: every
+	// allocation among them counts.
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			if _, err := s.store(key, vals[i%2], 0, storeSet, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n != 0 {
+		t.Errorf("%v allocs in 100 same-size stores, want 0", n)
+	}
+	item, _, err := s.Get(0, key)
+	if err != nil || !bytes.Equal(item.Value, vals[1]) {
+		t.Fatalf("after the run the key holds %x (err %v), want %x", item.Value, err, vals[1])
 	}
 }

@@ -179,9 +179,9 @@ func (s *Server) copyOut(key string) (Item, bool) {
 // lookupInto looks up key — raw bytes aliasing the request frame, used
 // only for the shard hash and the map probe, never retained — and on a
 // hit appends its answer to e: Hit with CAS, flags and value, encoded
-// under the shard lock. Encoding under the lock is safe because stored
-// value buffers are never mutated in place: every store installs a fresh
-// copy. This is the single-copy serving path behind the
+// under the shard lock. A store may overwrite a value's buffer in place,
+// but only under that same lock, so what is encoded is one whole value.
+// This is the single-copy serving path behind the
 // get and get_multi handlers (value goes straight from the shard into the
 // reply encoder, the caller's own on the Bus); hit/miss accounting matches
 // Get.
@@ -399,7 +399,15 @@ func put[K string | []byte](s *Server, sh *shard, key K, si *Item, value []byte,
 	}
 
 	cas := s.casSeq.Add(1)
-	v := append([]byte(nil), value...)
+	// A value that fits the stored buffer and fills at least half of it
+	// overwrites it in place, so itemBytes, which counts lengths,
+	// understates no buffer by more than 2x. Every reader copies or
+	// encodes a value under sh's lock.
+	var v []byte
+	if si != nil && len(value) <= cap(si.Value) && cap(si.Value) <= 2*len(value) {
+		v = si.Value[:0]
+	}
+	v = append(v, value...)
 	if si != nil {
 		*si = Item{Value: v, Flags: flags, CAS: cas}
 	} else {

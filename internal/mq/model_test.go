@@ -10,19 +10,21 @@ import (
 
 // TestQueueMatchesModel drives the queue with seeded random sequences of
 // every method the commit pipeline calls and checks each answer against a
-// plain slice. A run drifts toward a target depth of up to 100 messages,
-// so a lagging consumer keeps the head advancing through a full buffer
-// and the push side compacting it. Each run ends with Close: pushes are
+// plain slice. A run drifts toward a target depth of up to five
+// segments, so a lagging consumer keeps the head crossing segment edges
+// behind the tail, and a marker is likeliest where it lands on the first
+// or last slot of a segment. Each run ends with Close: pushes are
 // refused, everything queued drains in order, then ok=false.
 func TestQueueMatchesModel(t *testing.T) {
-	const seeds, steps = 200, 500
+	const seeds, steps = 200, 1000
+	edgeMarkers := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewQueue[int]()
 		var model []queueItem[int]
 		var buf []int
 		next, epoch := 0, uint64(0)
-		target := rng.Intn(101) // depth the run drifts toward
+		target := rng.Intn(5*segSize + 1) // depth the run drifts toward
 
 		// popBatch pops with a random max and checks the answer against
 		// the model's head, which it then consumes.
@@ -71,8 +73,18 @@ func TestQueueMatchesModel(t *testing.T) {
 			if len(model) >= target {
 				push, pop = 25, 75
 			}
+			// A push now lands on a segment's first slot (hi 0 or a full
+			// tail) or its last.
+			atEdge := q.hi == 0 || q.hi >= segSize-1
+			marker := 5
+			if atEdge {
+				marker = 40
+			}
 			switch r := rng.Intn(100); {
-			case r < 5:
+			case r < marker:
+				if atEdge {
+					edgeMarkers++
+				}
 				epoch++
 				if err := q.PushBarrier(epoch); err != nil {
 					t.Fatalf("seed %d step %d: PushBarrier: %v", seed, step, err)
@@ -118,6 +130,50 @@ func TestQueueMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: TryPop on a closed, drained queue answered ok", seed)
 		}
 	}
+	if edgeMarkers < seeds {
+		t.Errorf("only %d markers landed on a segment's edge", edgeMarkers)
+	}
+}
+
+// TestDrainedQueueKeepsOneSegment: a queue that held 10,000 messages and
+// was drained holds the one segment it is on and no spare.
+func TestDrainedQueueKeepsOneSegment(t *testing.T) {
+	const n = 10000
+	q := NewQueue[int]()
+	for i := 0; i < n; i++ {
+		q.Push(i)
+	}
+	if got, want := segments(q), (n+segSize-1)/segSize; got != want {
+		t.Fatalf("%d messages in %d segments, want %d", n, got, want)
+	}
+	var buf []int
+	for i := 0; i < n; {
+		var ok bool
+		if buf, _, _, ok = q.PopBatchInto(buf, batchMax); !ok || buf[0] != i {
+			t.Fatalf("pop at %d = %v, %v", i, buf, ok)
+		}
+		i += len(buf)
+	}
+	if got := segments(q); got != 1 || q.head != q.tail || q.spare != nil {
+		t.Fatalf("drained queue holds %d segments (head is tail: %v) and spare %p, want one and none",
+			got, q.head == q.tail, q.spare)
+	}
+	// It still works from the segment it kept.
+	q.Push(-1)
+	if v, _, _, ok := q.TryPop(); !ok || v != -1 || segments(q) != 1 {
+		t.Fatalf("after a drain: TryPop = %d, %v with %d segments", v, ok, segments(q))
+	}
+}
+
+// segments counts the segments reachable from the queue's head.
+func segments[T any](q *Queue[T]) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for s := q.head; s != nil; s = s.next {
+		n++
+	}
+	return n
 }
 
 // checkLenOldest checks Len (markers included) and Oldest (the first
@@ -139,10 +195,11 @@ func checkLenOldest(t *testing.T, seed int64, step int, q *Queue[int], model []q
 	}
 }
 
-// TestQueueSteadyStateAllocatesNothing: once the buffer has grown to its
-// working size, a push and a pop allocate nothing — with the subscriber
-// keeping up (depth 0) and lagging 64 messages behind, where the head
-// keeps advancing and the push side keeps compacting.
+// TestQueueSteadyStateAllocatesNothing: once the queue has its working
+// segments, a push and a pop allocate nothing — with the subscriber
+// keeping up (depth 0), on the one segment it keeps, and lagging 64
+// messages behind, where every segment the head empties comes back as the
+// one the tail fills next.
 func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	for _, depth := range []int{0, 64} {
 		q := NewQueue[int]()

@@ -20,16 +20,33 @@ import (
 //
 // One mutex guards it: a node's publishers already push under its
 // in-flight table lock and a pop holds it only to copy out one batch, so
-// a producer/consumer lock split would buy nothing. A push into a full
-// slice first moves the unconsumed messages to the front if at least half
-// of it is consumed: amortized O(1) behind a lagging subscriber, and
-// steady state allocates nothing.
+// a producer/consumer lock split would buy nothing. The messages live in
+// fixed segments of segSize slots linked head to tail, so what a queue
+// holds follows its depth, not its peak: a drained queue keeps only the
+// segment it is on, rewound to its start. One emptied segment is kept
+// beside the chain as a spare while messages are queued, and the rest go
+// to the queue's pool, which collections empty. A consumer lagging a
+// steady depth behind cycles between the chain and the spare, so steady
+// state allocates nothing and never relies on the pool.
 type Queue[T any] struct {
-	mu     sync.Mutex
-	cond   sync.Cond // on mu: signals a new message and close
-	items  []queueItem[T]
-	head   int // items[:head] are consumed (and zeroed)
-	closed bool
+	mu   sync.Mutex
+	cond sync.Cond // on mu: signals a new message and close
+	// The queued messages are head.items[lo:] through tail.items[:hi];
+	// n counts them. Consumed slots are zeroed.
+	head, tail *segment[T]
+	lo, hi, n  int
+	spare      *segment[T] // an emptied segment; nil while drained
+	pool       sync.Pool   // emptied segments beyond the spare
+	closed     bool
+}
+
+// segSize is the slots in one segment: a kept segment is all a drained
+// queue holds, so it stays small.
+const segSize = 32
+
+type segment[T any] struct {
+	items [segSize]queueItem[T]
+	next  *segment[T]
 }
 
 type queueItem[T any] struct {
@@ -42,6 +59,8 @@ type queueItem[T any] struct {
 func NewQueue[T any]() *Queue[T] {
 	q := &Queue[T]{}
 	q.cond.L = &q.mu
+	q.head = new(segment[T])
+	q.tail = q.head
 	return q
 }
 
@@ -60,14 +79,28 @@ func (q *Queue[T]) push(it queueItem[T]) error {
 	if q.closed {
 		return fsapi.ErrClosed
 	}
-	if n := len(q.items); n == cap(q.items) && q.head >= n/2 {
-		m := copy(q.items, q.items[q.head:])
-		clear(q.items[m:])
-		q.items, q.head = q.items[:m], 0
+	if q.hi == segSize {
+		q.tail.next = q.fresh()
+		q.tail, q.hi = q.tail.next, 0
 	}
-	q.items = append(q.items, it)
+	q.tail.items[q.hi] = it
+	q.hi++
+	q.n++
 	q.cond.Signal()
 	return nil
+}
+
+// fresh returns an empty segment: the spare, one from the pool, or a new
+// one.
+func (q *Queue[T]) fresh() *segment[T] {
+	if s := q.spare; s != nil {
+		q.spare = nil
+		return s
+	}
+	if s, _ := q.pool.Get().(*segment[T]); s != nil {
+		return s
+	}
+	return new(segment[T])
 }
 
 // Oldest returns, without consuming it, the oldest ordinary message
@@ -77,21 +110,46 @@ func (q *Queue[T]) push(it queueItem[T]) error {
 func (q *Queue[T]) Oldest() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, it := range q.items[q.head:] {
-		if !it.barrier {
-			return it.v, true
+	i := q.lo
+	for s := q.head; s != nil; s, i = s.next, 0 {
+		end := segSize
+		if s == q.tail {
+			end = q.hi
+		}
+		for _, it := range s.items[i:end] {
+			if !it.barrier {
+				return it.v, true
+			}
 		}
 	}
 	return v, false
 }
 
 // take consumes the head message (mu held, queue non-empty), zeroing its
-// slot so the queue does not pin the message's referents.
+// slot so the queue does not pin the message's referents. An emptied head
+// segment becomes the spare, or goes to the pool if a spare is held; the
+// last message rewinds the segment it was in and sends the spare to the
+// pool.
 func (q *Queue[T]) take() queueItem[T] {
-	it := q.items[q.head]
-	q.items[q.head] = queueItem[T]{}
-	if q.head++; q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
+	it := q.head.items[q.lo]
+	q.head.items[q.lo] = queueItem[T]{}
+	q.lo++
+	q.n--
+	switch {
+	case q.n == 0:
+		q.lo, q.hi = 0, 0
+		if q.spare != nil {
+			q.pool.Put(q.spare)
+			q.spare = nil
+		}
+	case q.lo == segSize:
+		s := q.head
+		q.head, q.lo, s.next = s.next, 0, nil
+		if q.spare == nil {
+			q.spare = s
+		} else {
+			q.pool.Put(s)
+		}
 	}
 	return it
 }
@@ -106,17 +164,17 @@ func (q *Queue[T]) take() queueItem[T] {
 func (q *Queue[T]) PopBatchInto(buf []T, max int) (batch []T, barrier bool, epoch uint64, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if q.head == len(q.items) {
+	if q.n == 0 {
 		return nil, false, 0, false
 	}
-	if q.items[q.head].barrier {
+	if q.head.items[q.lo].barrier {
 		return nil, true, q.take().epoch, true
 	}
 	batch = append(buf[:0], q.take().v) // at least one, whatever max says
-	for len(batch) < max && q.head < len(q.items) && !q.items[q.head].barrier {
+	for len(batch) < max && q.n > 0 && !q.head.items[q.lo].barrier {
 		batch = append(batch, q.take().v)
 	}
 	return batch, false, 0, true
@@ -127,7 +185,7 @@ func (q *Queue[T]) PopBatchInto(buf []T, max int) (batch []T, barrier bool, epoc
 func (q *Queue[T]) TryPop() (v T, barrier bool, epoch uint64, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.head == len(q.items) {
+	if q.n == 0 {
 		return v, false, 0, false
 	}
 	it := q.take()
@@ -138,7 +196,7 @@ func (q *Queue[T]) TryPop() (v T, barrier bool, epoch uint64, ok bool) {
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items) - q.head
+	return q.n
 }
 
 // Close wakes the subscriber; queued messages can still be drained.
